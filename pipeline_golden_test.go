@@ -1,0 +1,290 @@
+package graphspar_test
+
+// Golden referee for the batch pipeline and the maintainer's rebuild
+// routes: every execution plan, on every graph family, must keep
+// producing the exact sparsifier, certificate bits and bookkeeping
+// counts recorded in testdata/pipeline_golden.json. A refactor of the
+// pipeline passes this test without touching the golden; an intended
+// behaviour change regenerates it with UPDATE_GOLDEN=1 (same convention
+// as UPDATE_API) and reviews the diff.
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"os"
+	"sort"
+	"testing"
+
+	"graphspar"
+	"graphspar/internal/gen"
+)
+
+const pipelineGoldenPath = "testdata/pipeline_golden.json"
+
+// goldenRun is one Sparsifier.Run row. Floats are stored as raw bit
+// patterns so the comparison is exact and the file is diff-stable.
+type goldenRun struct {
+	Name       string `json:"name"`
+	Sparsifier string `json:"sparsifier_sha256"`
+
+	LambdaMax         string `json:"lambda_max"`
+	LambdaMin         string `json:"lambda_min"`
+	SigmaSqAchieved   string `json:"sigma2_achieved"`
+	VerifiedLambdaMax string `json:"verified_lambda_max"`
+	VerifiedLambdaMin string `json:"verified_lambda_min"`
+	VerifiedCond      string `json:"verified_cond"`
+
+	Verified     bool  `json:"verified"`
+	TargetMet    bool  `json:"target_met"`
+	Rounds       int   `json:"rounds"`
+	Parts        int   `json:"parts"`
+	CutEdges     int   `json:"cut_edges"`
+	StitchedCut  int   `json:"stitched_cut"`
+	RecoveredCut int   `json:"recovered_cut"`
+	CoarsenDepth int   `json:"coarsen_depth"`
+	LevelKept    []int `json:"level_kept"`
+}
+
+// goldenStream is one Maintain → Apply×3 row: the maintained sparsifier
+// and certificate after the build and after every batch.
+type goldenStream struct {
+	Name   string        `json:"name"`
+	States []goldenState `json:"states"`
+}
+
+type goldenState struct {
+	Sparsifier string `json:"sparsifier_sha256"`
+	Cond       string `json:"cond"`
+}
+
+type pipelineGolden struct {
+	Runs    []goldenRun    `json:"runs"`
+	Streams []goldenStream `json:"streams"`
+}
+
+func floatBits(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(f)) }
+
+// sparsifierHash is SHA-256 over the sorted (u, v, weight-bits) edge list.
+func sparsifierHash(g *graphspar.Graph) string {
+	es := append([]graphspar.Edge(nil), g.Edges()...)
+	for i, e := range es {
+		if e.U > e.V {
+			es[i].U, es[i].V = e.V, e.U
+		}
+	}
+	sort.Slice(es, func(a, b int) bool {
+		if es[a].U != es[b].U {
+			return es[a].U < es[b].U
+		}
+		return es[a].V < es[b].V
+	})
+	h := sha256.New()
+	var buf [24]byte
+	for _, e := range es {
+		binary.LittleEndian.PutUint64(buf[0:], uint64(e.U))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(e.V))
+		binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(e.W))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func goldenGraphs(t *testing.T) []struct {
+	name string
+	g    *graphspar.Graph
+} {
+	t.Helper()
+	grid, err := gen.Grid2D(48, 48, gen.UniformWeights, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbm, _, err := gen.SBM(4, 128, 0.15, 0.02, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	barbell, err := gen.Barbell(24, 12, gen.UniformWeights, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name string
+		g    *graphspar.Graph
+	}{{"grid48", grid}, {"sbm4x128", sbm}, {"barbell", barbell}}
+}
+
+var goldenConfigs = []struct {
+	name string
+	opts []graphspar.Option
+}{
+	{"single", []graphspar.Option{graphspar.WithMode(graphspar.ModeSingleShot)}},
+	{"single+verify", []graphspar.Option{graphspar.WithMode(graphspar.ModeSingleShot), graphspar.WithVerification(0)}},
+	{"shards4", []graphspar.Option{graphspar.WithShards(4)}},
+	{"shards4+direct", []graphspar.Option{graphspar.WithShards(4), graphspar.WithPartition(graphspar.PartitionDirect)}},
+	{"multilevel", []graphspar.Option{graphspar.WithMode(graphspar.ModeMultilevel)}},
+	{"multilevel+levels1", []graphspar.Option{graphspar.WithMode(graphspar.ModeMultilevel), graphspar.WithCoarsenLevels(1)}},
+	{"auto", nil},
+}
+
+const goldenSigma2 = 50
+
+func buildPipelineGolden(t *testing.T) pipelineGolden {
+	t.Helper()
+	ctx := context.Background()
+	var out pipelineGolden
+	for _, gr := range goldenGraphs(t) {
+		for _, seed := range []uint64{1, 7} {
+			for _, cfg := range goldenConfigs {
+				name := fmt.Sprintf("%s/seed%d/%s", gr.name, seed, cfg.name)
+				opts := append([]graphspar.Option{graphspar.WithSigma2(goldenSigma2), graphspar.WithSeed(seed), graphspar.WithWorkers(2)}, cfg.opts...)
+				s, err := graphspar.New(opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				res, err := s.Run(ctx, gr.g)
+				if err != nil && !errors.Is(err, graphspar.ErrNoTarget) {
+					t.Fatalf("%s: %v", name, err)
+				}
+				row := goldenRun{
+					Name:              name,
+					Sparsifier:        sparsifierHash(res.Sparsifier),
+					LambdaMax:         floatBits(res.LambdaMax),
+					LambdaMin:         floatBits(res.LambdaMin),
+					SigmaSqAchieved:   floatBits(res.SigmaSqAchieved),
+					VerifiedLambdaMax: floatBits(res.VerifiedLambdaMax),
+					VerifiedLambdaMin: floatBits(res.VerifiedLambdaMin),
+					VerifiedCond:      floatBits(res.VerifiedCond),
+					Verified:          res.Verified,
+					TargetMet:         res.TargetMet,
+					Rounds:            len(res.Rounds),
+					Parts:             res.Parts,
+					CutEdges:          res.CutEdges,
+					StitchedCut:       res.StitchedCut,
+					RecoveredCut:      res.RecoveredCut,
+					CoarsenDepth:      res.CoarsenDepth,
+					LevelKept:         []int{},
+				}
+				for _, lv := range res.Levels {
+					row.LevelKept = append(row.LevelKept, lv.Kept)
+				}
+				out.Runs = append(out.Runs, row)
+			}
+		}
+	}
+
+	// Maintainer: WithShards(1) rebuilds single-shot, WithShards(2)
+	// through the sharded plan; both routes are pinned through a build
+	// and three update batches.
+	g, err := gen.Grid2D(20, 20, gen.UniformWeights, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := [][]graphspar.Update{
+		{graphspar.Reweight(0, 1, 2.5), graphspar.Reweight(21, 22, 0.4), graphspar.Insert(0, 399, 1.3)},
+		{graphspar.Delete(0, 20), graphspar.Insert(5, 45, 0.9), graphspar.Reweight(100, 101, 3.0), graphspar.Delete(210, 211)},
+		{graphspar.Insert(19, 380, 2.0), graphspar.Delete(0, 399), graphspar.Reweight(200, 220, 0.25)},
+	}
+	for _, shards := range []int{1, 2} {
+		s, err := graphspar.New(graphspar.WithSigma2(goldenSigma2), graphspar.WithSeed(7),
+			graphspar.WithShards(shards), graphspar.WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.Maintain(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := goldenStream{Name: fmt.Sprintf("maintain/shards%d", shards)}
+		snap := func() {
+			row.States = append(row.States, goldenState{
+				Sparsifier: sparsifierHash(st.Sparsifier()),
+				Cond:       floatBits(st.Cond()),
+			})
+		}
+		snap()
+		for i, b := range batches {
+			if err := st.Apply(ctx, b); err != nil {
+				t.Fatalf("%s: batch %d: %v", row.Name, i, err)
+			}
+			snap()
+		}
+		out.Streams = append(out.Streams, row)
+	}
+	return out
+}
+
+func TestPipelineGolden(t *testing.T) {
+	got := buildPipelineGolden(t)
+
+	// One hierarchy level IS the single-shot pipeline: the degenerate
+	// multilevel row must carry the same sparsifier and certificate as
+	// the verified single-shot row next to it.
+	byName := make(map[string]goldenRun, len(got.Runs))
+	for _, r := range got.Runs {
+		byName[r.Name] = r
+	}
+	for _, gr := range goldenGraphs(t) {
+		for _, seed := range []uint64{1, 7} {
+			prefix := fmt.Sprintf("%s/seed%d/", gr.name, seed)
+			a, b := byName[prefix+"multilevel+levels1"], byName[prefix+"single+verify"]
+			if a.Sparsifier != b.Sparsifier || a.LambdaMax != b.LambdaMax || a.LambdaMin != b.LambdaMin ||
+				a.VerifiedLambdaMax != b.VerifiedLambdaMax || a.VerifiedLambdaMin != b.VerifiedLambdaMin ||
+				a.VerifiedCond != b.VerifiedCond {
+				t.Errorf("%s: one-level multilevel run differs from verified single-shot:\n  %+v\n  %+v", prefix, a, b)
+			}
+		}
+	}
+
+	raw, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = append(raw, '\n')
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(pipelineGoldenPath, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", pipelineGoldenPath, len(raw))
+		return
+	}
+	wantRaw, err := os.ReadFile(pipelineGoldenPath)
+	if err != nil {
+		t.Fatalf("missing pipeline golden (run UPDATE_GOLDEN=1 go test -run PipelineGolden .): %v", err)
+	}
+	if string(wantRaw) == string(raw) {
+		return
+	}
+	var want pipelineGolden
+	if err := json.Unmarshal(wantRaw, &want); err != nil {
+		t.Fatalf("%s: %v", pipelineGoldenPath, err)
+	}
+	if len(want.Runs) != len(got.Runs) || len(want.Streams) != len(got.Streams) {
+		t.Fatalf("golden has %d runs / %d streams, this tree produces %d / %d",
+			len(want.Runs), len(want.Streams), len(got.Runs), len(got.Streams))
+	}
+	for i := range want.Runs {
+		w, _ := json.Marshal(want.Runs[i])
+		g, _ := json.Marshal(got.Runs[i])
+		if string(w) != string(g) {
+			t.Errorf("run %s drifted:\n  want %s\n  got  %s", want.Runs[i].Name, w, g)
+		}
+	}
+	for i := range want.Streams {
+		w, _ := json.Marshal(want.Streams[i])
+		g, _ := json.Marshal(got.Streams[i])
+		if string(w) != string(g) {
+			t.Errorf("stream %s drifted:\n  want %s\n  got  %s", want.Streams[i].Name, w, g)
+		}
+	}
+	if !t.Failed() {
+		t.Errorf("%s is not byte-identical to this tree's output (formatting drift); regenerate with UPDATE_GOLDEN=1", pipelineGoldenPath)
+	}
+}
