@@ -15,15 +15,14 @@ import (
 	"testing"
 	"time"
 
+	"graphspar"
 	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
 	"graphspar/internal/eig"
-	"graphspar/internal/engine"
 	"graphspar/internal/exp"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
-	"graphspar/internal/multilevel"
 	"graphspar/internal/pcg"
 	"graphspar/internal/resistance"
 	"graphspar/internal/vecmath"
@@ -368,6 +367,21 @@ func shardedReference(b *testing.B, name string, g *graph.Graph) *shardedRef {
 	return ref
 }
 
+// benchRun is one Sparsifier.Run through the batch pipeline's one entry
+// point; a missed target is a result, not a benchmark failure.
+func benchRun(b *testing.B, g *graph.Graph, opts ...graphspar.Option) *graphspar.Result {
+	b.Helper()
+	s, err := graphspar.New(opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := s.Run(context.Background(), g)
+	if err != nil && !errors.Is(err, graphspar.ErrNoTarget) {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkShardedSparsify compares the shard-parallel engine at 1/2/4/8
 // shards against single-shot core.Sparsify on a 256×256 grid (the
 // mesh-like regime sharding targets) and an SBM community graph (whose
@@ -414,15 +428,9 @@ func BenchmarkShardedSparsify(b *testing.B) {
 				ref := shardedReference(b, gc.name, g)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := engine.Run(context.Background(), g, engine.Options{
-						Shards:   shards,
-						Sparsify: core.Options{SigmaSq: 100},
-						Seed:     1,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					compute := res.WallTime - res.VerifyTime
+					res := benchRun(b, g, graphspar.WithSigma2(100), graphspar.WithSeed(1),
+						graphspar.WithShards(shards), graphspar.WithVerification(0))
+					compute := res.Timings.Sparsify
 					b.ReportMetric(compute.Seconds(), "compute-s")
 					b.ReportMetric(float64(ref.dur)/float64(compute), "speedup-vs-single")
 					b.ReportMetric(res.VerifiedCond, "verified-κ")
@@ -514,15 +522,9 @@ func BenchmarkMultilevel(b *testing.B) {
 		s := &multilevelBenchState
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := engine.Run(context.Background(), g, engine.Options{
-				Shards:   4,
-				Sparsify: core.Options{SigmaSq: multilevelBenchSigma},
-				Seed:     1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			compute := res.WallTime - res.VerifyTime
+			res := benchRun(b, g, graphspar.WithSigma2(multilevelBenchSigma), graphspar.WithSeed(1),
+				graphspar.WithShards(4))
+			compute := res.Timings.Sparsify
 			s.shardDur, s.cond = compute, res.VerifiedCond
 			b.ReportMetric(compute.Seconds(), "compute-s")
 			b.ReportMetric(res.VerifiedCond, "verified-κ")
@@ -539,23 +541,19 @@ func BenchmarkMultilevel(b *testing.B) {
 		s := &multilevelBenchState
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := multilevel.Run(context.Background(), g, multilevel.Options{
-				Sparsify: core.Options{SigmaSq: multilevelBenchSigma, Seed: 1},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := benchRun(b, g, graphspar.WithSigma2(multilevelBenchSigma), graphspar.WithSeed(1),
+				graphspar.WithMode(graphspar.ModeMultilevel))
 			if res.VerifiedCond <= 0 {
 				b.Fatal("missing fine-graph Lanczos certificate")
 			}
-			compute := res.WallTime - res.VerifyTime
+			compute := res.Timings.Sparsify
 			b.ReportMetric(compute.Seconds(), "compute-s")
-			b.ReportMetric(float64(res.Depth), "levels")
+			b.ReportMetric(float64(res.CoarsenDepth), "levels")
 			b.ReportMetric(res.VerifiedCond, "verified-κ")
 			b.ReportMetric(float64(res.Sparsifier.M()), "edges")
 			metrics := map[string]float64{
 				"compute_s":  compute.Seconds(),
-				"levels":     float64(res.Depth),
+				"levels":     float64(res.CoarsenDepth),
 				"verified_k": res.VerifiedCond,
 				"edges":      float64(res.Sparsifier.M()),
 			}

@@ -71,8 +71,8 @@ func facadeFor(p service.SparsifyParams, withVerification bool) (*graphspar.Spar
 	return graphspar.New(opts...)
 }
 
-// Sparsify is the production SparsifyFunc: facade Run (single-shot or
-// sharded per the params) plus the independent Lanczos verification.
+// Sparsify is the production SparsifyFunc: facade Run (under the plan the
+// params name) plus the independent Lanczos verification.
 func Sparsify(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (*service.JobResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -100,26 +100,25 @@ func Sparsify(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (*s
 		VerifiedLambdaMax: res.VerifiedLambdaMax,
 		VerifiedLambdaMin: res.VerifiedLambdaMin,
 		VerifiedCond:      res.VerifiedCond,
+		TotalStretch:      res.TotalStretch,
+		CutEdges:          res.CutEdges,
+		RecoveredCut:      res.RecoveredCut,
+		Multilevel:        res.Multilevel,
+		CoarsenDepth:      res.CoarsenDepth,
 		Sparsifier:        res.Sparsifier,
 	}
-	switch {
-	case res.Sharded:
-		for _, sh := range res.Shards {
-			out.Rounds += len(sh.Rounds)
-		}
-		out.Shards = res.Parts
-		out.CutEdges = res.CutEdges
-		out.RecoveredCut = res.RecoveredCut
+	// Every plan fills the same Result; fields a plan does not produce are
+	// zero (and omitted on the wire).
+	out.Rounds = len(res.Rounds)
+	for _, sh := range res.Shards {
+		out.Rounds += len(sh.Rounds)
+	}
+	for _, lv := range res.Levels {
+		out.LevelRecovered += lv.Recovered
+	}
+	if res.Sharded {
+		out.Shards = res.Parts // the other plans report Parts = 1; the wire keeps shards for sharded jobs
 		out.ShardSpeedup = res.Speedup()
-	case res.Multilevel:
-		out.Multilevel = true
-		out.CoarsenDepth = res.CoarsenDepth
-		for _, lv := range res.Levels {
-			out.LevelRecovered += lv.Recovered
-		}
-	default:
-		out.Rounds = len(res.Rounds)
-		out.TotalStretch = res.TotalStretch
 	}
 	return out, nil
 }

@@ -4,15 +4,17 @@
 // ultra-sparse subgraph P whose relative condition number κ(L_G, L_P) is
 // at most σ², and can keep that certificate valid while the graph mutates.
 //
-// One Sparsifier value fronts all three execution paths of the
-// repository:
+// One Sparsifier value fronts the whole repository:
 //
-//   - single-shot edge filtering (spanning-tree backbone plus iterative
-//     Joule-heat recovery of off-tree edges),
-//   - the shard-parallel engine (k-way partition, concurrent per-shard
-//     sparsification, cut stitching with a global re-filter pass), and
-//   - incremental maintenance under edge insertions, deletions and
-//     reweights.
+//   - Run sparsifies a graph once through the batch pipeline, under one of
+//     three plans — single-shot edge filtering (spanning-tree backbone plus
+//     iterative Joule-heat recovery of off-tree edges), the shard-parallel
+//     plan (k-way partition, concurrent per-shard filtering, cut stitching
+//     with a global re-filter pass), or the multilevel plan (coarsen,
+//     filter the coarsest graph, interpolate and re-filter level by
+//     level) — and
+//   - Maintain/Resume keep a sparsifier's certificate valid incrementally
+//     under edge insertions, deletions and reweights.
 //
 // Construct it once with functional options and reuse it across graphs:
 //
@@ -20,30 +22,26 @@
 //	res, err := s.Run(ctx, g)        // one-off sparsifier + certificate
 //	st, err := s.Maintain(ctx, g)    // live sparsifier for update batches
 //
-// Run picks the execution path automatically — single-shot for small
-// graphs, the sharded engine beyond AutoShardEdges edges — unless
+// Run picks the plan automatically — single-shot for small graphs, a
+// parallel plan beyond AutoShardEdges edges — unless WithMode or
 // WithShards pins it. Results are deterministic for a fixed seed and
 // independent of worker counts.
 package graphspar
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
-	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
 	"graphspar/internal/dynamic"
 	"graphspar/internal/engine"
-	"graphspar/internal/multilevel"
 	"graphspar/internal/obs"
 	"graphspar/internal/partition"
 )
 
 // Auto path policy: with no explicit WithMode/WithShards choice, Run uses
 // the single-shot pipeline below AutoShardEdges edges and a parallel path
-// at or above it — the sharded engine by default, or the multilevel
+// at or above it — the sharded plan by default, or the multilevel
 // hierarchy for inputs the flat partition handles badly: graphs at or
 // beyond AutoMultilevelEdges edges (too big for the per-shard single-shot
 // core) and ill-partitioned graphs, where a cheap O(n+m) BFS bisection
@@ -71,7 +69,7 @@ type Sparsifier struct {
 // Validation errors are typed: errors.Is(err, ErrInvalidOptions) matches
 // any of them, ErrBadSigma2 the missing/bad target specifically.
 func New(opts ...Option) (*Sparsifier, error) {
-	cfg := defaultConfig()
+	var cfg config
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
@@ -80,17 +78,24 @@ func New(opts ...Option) (*Sparsifier, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cfg.workspace = core.NewWorkspace()
+	if cfg.opt.Sparsify.Seed == 0 {
+		cfg.opt.Sparsify.Seed = 1 // the documented default, resolved once
+	}
+	if p := cfg.opt.Partition; p != nil {
+		p.SigmaSq, p.Seed = cfg.opt.Sparsify.SigmaSq, cfg.opt.Sparsify.Seed
+	}
+	cfg.opt.Sparsify.Workspace = core.NewWorkspace()
 	return &Sparsifier{cfg: cfg}, nil
 }
 
 // Sigma2 reports the configured similarity target.
-func (s *Sparsifier) Sigma2() float64 { return s.cfg.sigma2 }
+func (s *Sparsifier) Sigma2() float64 { return s.cfg.opt.Sparsify.SigmaSq }
 
 // Run sparsifies g to the configured σ² target and returns the unified
-// Result. The execution path is chosen per the WithShards documentation
-// (auto below/above AutoShardEdges unless pinned). Cancellation of ctx
-// stops the densification rounds at their next checkpoint.
+// Result. The execution plan is chosen per the WithMode/WithShards
+// documentation (auto below/above AutoShardEdges unless pinned).
+// Cancellation of ctx stops the densification rounds at their next
+// checkpoint.
 //
 // When the round budget is exhausted with the target unmet, Run returns
 // the best sparsifier found together with ErrNoTarget (Result.TargetMet
@@ -106,45 +111,91 @@ func (s *Sparsifier) Run(ctx context.Context, g *Graph) (*Result, error) {
 		tr = obs.NewTrace()
 		ctx = obs.WithTrace(ctx, tr)
 	}
-	switch s.modeFor(g) {
-	case ModeMultilevel:
-		return s.runMultilevel(ctx, g, tr)
-	case ModeSharded:
-		return s.runSharded(ctx, g, tr)
+	er, err := engine.Run(ctx, g, s.cfg.plan(g, false))
+	if err != nil {
+		return nil, err
 	}
-	return s.runSingle(ctx, g, tr)
+	res := &Result{
+		Sparsifier:        er.Sparsifier,
+		Sharded:           er.Mode == ModeSharded,
+		Multilevel:        er.Mode == ModeMultilevel,
+		LambdaMax:         er.LambdaMax,
+		LambdaMin:         er.LambdaMin,
+		SigmaSqAchieved:   er.SigmaSqEst,
+		TargetMet:         er.TargetMet,
+		TotalStretch:      er.TotalStretch,
+		TreeEdgeIDs:       er.TreeEdgeIDs,
+		OffTreeAddedIDs:   er.OffTreeAddedIDs,
+		Rounds:            er.Rounds,
+		Parts:             er.Parts,
+		Shards:            er.Shards,
+		CutEdges:          er.CutEdges,
+		StitchedCut:       er.StitchedCut,
+		RecoveredCut:      er.RecoveredCut,
+		CoarsenDepth:      er.Depth,
+		Levels:            er.Levels,
+		Verified:          er.Verified,
+		VerifiedLambdaMax: er.VerifiedLambdaMax,
+		VerifiedLambdaMin: er.VerifiedLambdaMin,
+		VerifiedCond:      er.VerifiedCond,
+		Timings:           Timings(er.Timings),
+		Phases:            tr.Phases(),
+	}
+	if !res.TargetMet {
+		return res, ErrNoTarget
+	}
+	return res, nil
 }
 
-// modeFor resolves the execution path for a graph: the explicit WithMode
-// choice when set, a WithShards pin next, then the auto policy documented
-// on the Auto* constants.
-func (s *Sparsifier) modeFor(g *Graph) Mode {
-	if s.cfg.mode != ModeAuto {
-		return s.cfg.mode
+// plan resolves the auto policy for g — the explicit WithMode choice when
+// set, a WithShards pin next, then the size/topology policy documented on
+// the Auto* constants — and assembles the one options struct the batch
+// pipeline (and a stream's full rebuilds) run with. A stream never takes
+// the multilevel plan: where Run's auto policy would, its rebuilds shard.
+func (c *config) plan(g *Graph, stream bool) engine.Options {
+	opt := c.opt.Options
+	if opt.Mode == ModeAuto {
+		switch {
+		case opt.Shards == 1:
+			opt.Mode = ModeSingleShot
+		case opt.Shards > 1:
+			opt.Mode = ModeSharded
+		case opt.Sparsify.MaxEdges > 0 || g.M() < AutoShardEdges:
+			// An edge budget pins auto to single-shot: the sharded plan
+			// would apply the cap per shard, silently inflating it.
+			opt.Mode = ModeSingleShot
+		case !stream && (g.M() >= AutoMultilevelEdges || c.illPartitioned(g)):
+			opt.Mode = ModeMultilevel
+		default:
+			opt.Mode = ModeSharded
+		}
 	}
-	if s.cfg.shards == 1 {
-		return ModeSingleShot
+	if opt.Mode == ModeSharded && opt.Shards == 0 {
+		opt.Shards = AutoShards
 	}
-	if s.cfg.shards > 1 {
-		return ModeSharded
-	}
-	if s.cfg.maxEdges > 0 || g.M() < AutoShardEdges {
-		return ModeSingleShot
-	}
-	if g.M() >= AutoMultilevelEdges || s.illPartitioned(g) {
-		return ModeMultilevel
-	}
-	return ModeSharded
+	// Single-shot certifies on request; the parallel plans always do
+	// (stitching and interpolation are only as good as their check).
+	opt.Verify = opt.Verify || opt.Mode != ModeSingleShot
+	return opt
+}
+
+// streamOptions is the maintainer configuration for Maintain and Resume:
+// the stream's full rebuilds run the plan resolved for g.
+func (c *config) streamOptions(g *Graph) dynamic.Options {
+	opt := c.opt
+	opt.Options = c.plan(g, true)
+	return opt
 }
 
 // illPartitioned probes whether flat sharding would fight the topology:
-// it runs the engine's own solver-free BFS level-set bisector and reports
-// whether the balanced cut crosses at least AutoIllCutFraction of the
-// edges. On such graphs (dense blocks the partition must slice through)
-// stitching degrades into global re-filter passes over the cut, which is
-// exactly the work the multilevel hierarchy avoids. O(n+m), deterministic.
-func (s *Sparsifier) illPartitioned(g *Graph) bool {
-	pr, err := partition.SpectralBisect(g, partition.Options{Method: partition.BFS, Seed: s.cfg.effectiveSeed()})
+// it runs the sharded plan's own solver-free BFS level-set bisector and
+// reports whether the balanced cut crosses at least AutoIllCutFraction of
+// the edges. On such graphs (dense blocks the partition must slice
+// through) stitching degrades into global re-filter passes over the cut,
+// which is exactly the work the multilevel hierarchy avoids. O(n+m),
+// deterministic.
+func (c *config) illPartitioned(g *Graph) bool {
+	pr, err := partition.SpectralBisect(g, partition.Options{Method: partition.BFS, Seed: c.opt.Sparsify.Seed})
 	if err != nil {
 		return false
 	}
@@ -167,171 +218,19 @@ func NewTraceContext(ctx context.Context) (context.Context, *Trace) {
 	return obs.WithTrace(ctx, tr), tr
 }
 
-// shardsFor resolves the effective shard count for a graph: the explicit
-// WithShards choice when set, then the WithMode pin (ModeSharded defaults
-// to AutoShards; the other pinned modes never shard), otherwise the auto
-// policy. An edge budget (WithMaxEdges) pins auto to single-shot — the
-// engine would apply the cap per shard, silently inflating it.
-func (s *Sparsifier) shardsFor(g *Graph) int {
-	if s.cfg.shards != 0 {
-		return s.cfg.shards
-	}
-	switch s.cfg.mode {
-	case ModeSharded:
-		return AutoShards
-	case ModeSingleShot, ModeMultilevel:
-		return 1
-	}
-	if s.cfg.maxEdges == 0 && g.M() >= AutoShardEdges {
-		return AutoShards
-	}
-	return 1
-}
-
-// runSingle executes the single-shot pipeline (plus the optional
-// independent verification).
-func (s *Sparsifier) runSingle(ctx context.Context, g *Graph, tr *obs.Trace) (*Result, error) {
-	start := time.Now()
-	spSpan := obs.StartSpan(ctx, "sparsify")
-	sp, err := core.SparsifyCtx(ctx, g, s.cfg.coreOptions())
-	sparsifyDur := spSpan.End()
-	if err != nil && !errors.Is(err, core.ErrNoTarget) {
-		return nil, err
-	}
-	res := &Result{
-		Sparsifier:      sp.Sparsifier,
-		LambdaMax:       sp.LambdaMax,
-		LambdaMin:       sp.LambdaMin,
-		SigmaSqAchieved: sp.SigmaSqAchieved,
-		TargetMet:       err == nil,
-		TotalStretch:    sp.TotalStretch,
-		TreeEdgeIDs:     sp.TreeEdgeIDs,
-		OffTreeAddedIDs: sp.OffTreeAddedIDs,
-		Rounds:          sp.Rounds,
-		Parts:           1,
-	}
-	res.Timings.Sparsify = sparsifyDur
-	if s.cfg.verify == verifyOn {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		vSpan := obs.StartSpan(ctx, "verify")
-		solver, err := cholesky.NewLapSolver(sp.Sparsifier)
-		if err != nil {
-			vSpan.End()
-			return nil, err
-		}
-		lmax, lmin, cond, err := core.VerifySimilarity(g, sp.Sparsifier, solver, s.cfg.verifyStepsFor(g.N()), s.cfg.effectiveSeed())
-		if err != nil {
-			vSpan.End()
-			return nil, err
-		}
-		res.Verified = true
-		res.VerifiedLambdaMax, res.VerifiedLambdaMin, res.VerifiedCond = lmax, lmin, cond
-		// Span-derived, so the single-shot path reports Verify exactly the
-		// way the engine path does.
-		res.Timings.Verify = vSpan.End()
-	}
-	res.Timings.Wall = time.Since(start)
-	res.Phases = tr.Phases()
-	if !res.TargetMet {
-		return res, ErrNoTarget
-	}
-	return res, nil
-}
-
-// runSharded executes the shard-parallel engine.
-func (s *Sparsifier) runSharded(ctx context.Context, g *Graph, tr *obs.Trace) (*Result, error) {
-	er, err := engine.Run(ctx, g, s.cfg.engineOptions(s.shardsFor(g)))
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Sparsifier:      er.Sparsifier,
-		Sharded:         true,
-		LambdaMax:       er.LambdaMax,
-		LambdaMin:       er.LambdaMin,
-		SigmaSqAchieved: er.SigmaSqEst,
-		TargetMet:       er.TargetMet,
-		Parts:           er.Parts,
-		Shards:          er.Shards,
-		CutEdges:        er.CutEdges,
-		StitchedCut:     er.StitchedCut,
-		RecoveredCut:    er.RecoveredCut,
-		Verified:        s.cfg.verify != verifyOff,
-		Timings: Timings{
-			Partition: er.PartitionTime,
-			Shard:     er.ShardWall,
-			ShardCPU:  er.ShardCPU,
-			Stitch:    er.StitchTime,
-			Sparsify:  er.WallTime - er.VerifyTime,
-			Verify:    er.VerifyTime,
-			Wall:      er.WallTime,
-		},
-	}
-	if res.Verified {
-		res.VerifiedLambdaMax = er.VerifiedLambdaMax
-		res.VerifiedLambdaMin = er.VerifiedLambdaMin
-		res.VerifiedCond = er.VerifiedCond
-	}
-	res.Phases = tr.Phases()
-	if !res.TargetMet {
-		return res, ErrNoTarget
-	}
-	return res, nil
-}
-
-// runMultilevel executes the coarsen → sparsify-coarse → interpolate →
-// refilter hierarchy engine.
-func (s *Sparsifier) runMultilevel(ctx context.Context, g *Graph, tr *obs.Trace) (*Result, error) {
-	mr, err := multilevel.Run(ctx, g, s.cfg.multilevelOptions())
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Sparsifier:      mr.Sparsifier,
-		Multilevel:      true,
-		CoarsenDepth:    mr.Depth,
-		Levels:          mr.Levels,
-		LambdaMax:       mr.LambdaMax,
-		LambdaMin:       mr.LambdaMin,
-		SigmaSqAchieved: mr.SigmaSqEst,
-		TargetMet:       mr.TargetMet,
-		Parts:           1,
-		Verified:        s.cfg.verify != verifyOff,
-		Timings: Timings{
-			Coarsen:     mr.CoarsenTime,
-			Interpolate: mr.InterpolateTime,
-			Refilter:    mr.RefilterTime,
-			Sparsify:    mr.WallTime - mr.VerifyTime,
-			Verify:      mr.VerifyTime,
-			Wall:        mr.WallTime,
-		},
-	}
-	if res.Verified {
-		res.VerifiedLambdaMax = mr.VerifiedLambdaMax
-		res.VerifiedLambdaMin = mr.VerifiedLambdaMin
-		res.VerifiedCond = mr.VerifiedCond
-	}
-	res.Phases = tr.Phases()
-	if !res.TargetMet {
-		return res, ErrNoTarget
-	}
-	return res, nil
-}
-
 // Maintain sparsifies g from scratch and returns a Stream that keeps the
 // sparsifier's σ² certificate valid under batched edge updates (see
-// Stream.Apply). The stream's full builds and rebuilds route through the
-// sharded engine exactly when Run would on the same graph (WithShards
-// pin, or the auto policy). WithMaxEdges does not compose with streams:
+// Stream.Apply). The stream's full builds and rebuilds run the sharded
+// plan exactly when the graph is big enough for Run to leave single-shot
+// (WithShards pin, or the auto policy). WithMaxEdges does not compose
+// with streams:
 // the maintainer's re-filter rounds admit whatever the certificate
 // needs, so an edge budget cannot be honored.
 func (s *Sparsifier) Maintain(ctx context.Context, g *Graph) (*Stream, error) {
 	if err := s.maintainable(); err != nil {
 		return nil, err
 	}
-	m, err := dynamic.New(ctx, g, s.cfg.dynamicOptions(s.shardsFor(g)))
+	m, err := dynamic.New(ctx, g, s.cfg.streamOptions(g))
 	if err != nil {
 		return nil, err
 	}
@@ -340,12 +239,12 @@ func (s *Sparsifier) Maintain(ctx context.Context, g *Graph) (*Stream, error) {
 
 // maintainable rejects configurations the maintainer cannot honor.
 func (s *Sparsifier) maintainable() error {
-	if s.cfg.maxEdges > 0 {
+	if s.cfg.opt.Sparsify.MaxEdges > 0 {
 		return fmt.Errorf("%w: WithMaxEdges does not compose with Maintain/Resume", ErrInvalidOptions)
 	}
-	if s.cfg.mode == ModeMultilevel {
-		// The maintainer's rebuilds route through single-shot or the
-		// sharded engine; a pinned hierarchy mode cannot be honored.
+	if s.cfg.opt.Mode == ModeMultilevel {
+		// The maintainer's rebuilds run the single-shot or the sharded
+		// plan; a pinned hierarchy mode cannot be honored.
 		return fmt.Errorf("%w: WithMode(ModeMultilevel) does not compose with Maintain/Resume", ErrInvalidOptions)
 	}
 	return nil
@@ -370,7 +269,7 @@ func (s *Sparsifier) Resume(ctx context.Context, g, warm *Graph) (*Stream, error
 	if err := s.maintainable(); err != nil {
 		return nil, err
 	}
-	m, err := dynamic.Resume(ctx, g, warm, s.cfg.dynamicOptions(s.shardsFor(g)))
+	m, err := dynamic.Resume(ctx, g, warm, s.cfg.streamOptions(g))
 	if err != nil {
 		return nil, err
 	}

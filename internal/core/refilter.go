@@ -17,9 +17,9 @@ import (
 // target is unmet it recovers the candidate edges whose normalized Joule
 // heat beats the similarity-aware threshold (eq. 15) — exactly the
 // per-round filter of Sparsify, applied at full size to an externally
-// chosen candidate set. The sharded engine uses it to re-admit partition
-// cut edges after stitching; the multilevel engine uses it to re-filter
-// each finer level after interpolating a coarse selection.
+// chosen candidate set. The batch pipeline's sharded plan uses it to
+// re-admit partition cut edges after stitching; its multilevel plan uses
+// it to re-filter each finer level after interpolating a coarse selection.
 //
 // Each pass adds one heat-ranked, BatchFraction-capped batch of
 // candidates and costs one full-size factorization; passes stop early

@@ -13,6 +13,7 @@ import (
 	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
 	"graphspar/internal/dynamic"
+	"graphspar/internal/engine"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
@@ -50,7 +51,7 @@ func (s *benchState) setup() {
 		}
 		s.fullDur = time.Since(t0)
 		s.m, s.buildErr = dynamic.New(context.Background(), g, dynamic.Options{
-			Sparsify: core.Options{SigmaSq: benchSigmaSq, Seed: 1},
+			Options: engine.Options{Sparsify: core.Options{SigmaSq: benchSigmaSq, Seed: 1}},
 		})
 	})
 }

@@ -23,9 +23,9 @@
 //     re-filter rounds (re-score candidates, admit the hottest) when the
 //     certificate drifts toward the target, and
 //   - tracks a cumulative churn estimate that forces a full rebuild
-//     (core.SparsifyCtx, or internal/engine when configured for
-//     sharding) once the drift budget is spent and the stored embedding
-//     can no longer be trusted to re-rank candidates.
+//     (internal/engine, under whichever plan the options name) once the
+//     drift budget is spent and the stored embedding can no longer be
+//     trusted to re-rank candidates.
 //
 // The invariant after every successful Apply: the sparsifier is a
 // connected subgraph of the current graph whose independently verified
@@ -47,19 +47,26 @@ import (
 	"graphspar/internal/lsst"
 	"graphspar/internal/obs"
 	"graphspar/internal/params"
-	"graphspar/internal/partition"
 	"graphspar/internal/tree"
 	"graphspar/internal/vecmath"
 )
 
 // Options configures a Maintainer.
 type Options struct {
-	// Sparsify carries the similarity target and embedding knobs; SigmaSq
-	// is required, the rest default as in core.Sparsify.
-	Sparsify core.Options
-	// RefilterRounds caps the localized re-filter rounds run per Apply
-	// when the verified κ exceeds RefilterFraction·σ². Default 4.
-	RefilterRounds int
+	// Options is the batch pipeline configuration of every full (re)build:
+	// Sparsify carries the similarity target and embedding knobs (SigmaSq
+	// is required), Mode/Shards/Workers/Partition pick the plan — the zero
+	// value rebuilds single-shot, ModeSharded through the shard-parallel
+	// plan. Two knobs double as maintenance settings: RefilterRounds
+	// (default 4) also caps the localized re-filter rounds run per Apply
+	// when the verified κ exceeds RefilterFraction·σ², and VerifySteps is
+	// the generalized-Lanczos depth of the per-batch certificate check —
+	// the extremes settle fast on sparsifier spectra, so it can be
+	// shallower than an offline audit (default min(12, n); the
+	// RefilterFraction safety margin absorbs the residual underestimate).
+	// Verify is ignored: the maintainer certifies every build on its own
+	// factor.
+	engine.Options
 	// RefilterFraction sets the safety margin: re-filtering starts once
 	// κ > RefilterFraction·σ², keeping headroom for estimator noise so
 	// the true condition number stays under σ². Default 0.9.
@@ -73,12 +80,6 @@ type Options struct {
 	// when the retained probe vectors have seen too much change to keep
 	// re-scoring against. Default 0.25.
 	DriftFraction float64
-	// VerifySteps is the generalized-Lanczos depth of the per-batch
-	// certificate check. The extremes settle fast on sparsifier spectra,
-	// so the per-batch check can be shallower than an offline audit; the
-	// RefilterFraction safety margin absorbs the residual underestimate.
-	// Default min(12, n).
-	VerifySteps int
 	// BatchVerifyThreshold batches certificate re-verification across the
 	// re-filter rounds of large update batches: when one Apply carries at
 	// least this many updates, the settle pass admits candidates for all
@@ -90,16 +91,6 @@ type Options struct {
 	// rounds) for roughly half the certificate-restoration cost. Default
 	// 64; negative disables batching so every round re-verifies.
 	BatchVerifyThreshold int
-	// RebuildShards > 1 routes full rebuilds through the shard-parallel
-	// engine (for large graphs); 0/1 uses single-shot core.SparsifyCtx.
-	RebuildShards int
-	// RebuildWorkers bounds engine concurrency during sharded rebuilds
-	// (0 = all cores).
-	RebuildWorkers int
-	// RebuildPartition configures the engine's bisector for sharded
-	// rebuilds (nil = the engine's BFS default). Ignored unless
-	// RebuildShards > 1.
-	RebuildPartition *partition.Options
 	// FactorUpdateBudget caps how many rank-1 Cholesky update/downdates
 	// may be folded into the sparsifier factor between full numeric
 	// refactorizations. Each sparsifier edge change is a rank-1
@@ -776,8 +767,8 @@ func (m *Maintainer) rebuildBackbone() error {
 }
 
 // adoptBackboneFromSparsifier derives a fresh max-weight backbone from the
-// current sparsifier (used by Resume and engine-sharded rebuilds, where no
-// tree comes with the sparsifier).
+// current sparsifier (used by Resume and sharded rebuilds, where no tree
+// comes with the sparsifier).
 func (m *Maintainer) adoptBackboneFromSparsifier() error {
 	backbone, treeIDs, _, err := lsst.Extract(m.p, lsst.MaxWeight, m.opt.Sparsify.Seed)
 	if err != nil {
@@ -967,52 +958,41 @@ func (m *Maintainer) verifyCertificate(ctx context.Context) error {
 	return nil
 }
 
-// rebuild re-sparsifies the current graph from scratch (single-shot, or
-// via the shard-parallel engine when RebuildShards > 1), resets the drift
-// accounting, recomputes the elimination order and rebuilds the probe
-// embedding.
+// rebuild re-sparsifies the current graph from scratch through the batch
+// pipeline, resets the drift accounting, recomputes the elimination order
+// and rebuilds the probe embedding.
 func (m *Maintainer) rebuild(ctx context.Context) error {
-	var sparsifier *graph.Graph
-	adoptTree := true
-	if m.opt.RebuildShards > 1 {
-		res, err := engine.Run(ctx, m.g, engine.Options{
-			Shards:    m.opt.RebuildShards,
-			Workers:   m.opt.RebuildWorkers,
-			Sparsify:  m.opt.Sparsify,
-			Partition: m.opt.RebuildPartition,
-			Seed:      m.opt.Sparsify.Seed,
-		})
-		if err != nil {
+	bopt := m.opt.Options
+	// The certificate below runs on the maintainer's own factor; a
+	// pipeline-side check would factor the same sparsifier a second time
+	// for a result nobody reads.
+	bopt.Verify = false
+	res, err := engine.Run(ctx, m.g, bopt)
+	if err != nil {
+		return err
+	}
+	m.p = res.Sparsifier
+	m.pW = make(map[[2]int]float64, m.p.M())
+	for _, e := range m.p.Edges() {
+		m.pW[[2]int{e.U, e.V}] = e.W
+	}
+	// Only the single-shot plan hands back its backbone; the others get a
+	// fresh one derived from the sparsifier.
+	if res.Tree == nil {
+		if err := m.adoptBackboneFromSparsifier(); err != nil {
 			return err
 		}
-		sparsifier = res.Sparsifier
 	} else {
-		res, err := core.SparsifyCtx(ctx, m.g, m.opt.Sparsify)
-		if err != nil && !errors.Is(err, core.ErrNoTarget) {
-			return err
-		}
-		sparsifier = res.Sparsifier
 		m.backbone = res.Tree
 		m.treeKey = make(map[[2]int]bool, len(res.TreeEdgeIDs))
 		for _, id := range res.TreeEdgeIDs {
 			e := m.g.Edge(id)
 			m.treeKey[[2]int{e.U, e.V}] = true
 		}
-		adoptTree = false
 	}
-	m.pW = make(map[[2]int]float64, sparsifier.M())
-	for _, e := range sparsifier.Edges() {
-		m.pW[[2]int{e.U, e.V}] = e.W
-	}
-	m.p = sparsifier
 	m.perm = nil // force a fresh elimination order for the new pattern
 	if err := m.refactor(); err != nil {
 		return err
-	}
-	if adoptTree {
-		if err := m.adoptBackboneFromSparsifier(); err != nil {
-			return err
-		}
 	}
 	if err := m.refreshScorerAndCertificate(ctx, true); err != nil {
 		return err
@@ -1020,7 +1000,7 @@ func (m *Maintainer) rebuild(ctx context.Context) error {
 	// Record the thresholds of this full pass for future insert scoring.
 	m.recordThresholds(ctx)
 	// The pipeline's own estimates can land the *verified* κ slightly
-	// above target (deeper Lanczos, different seed, or the engine's
+	// above target (deeper Lanczos, different seed, or the sharded plan's
 	// stitched certificate); close any residual gap with re-filter rounds
 	// before trusting this build as the drift baseline.
 	if err := m.refilter(ctx, false); err != nil {

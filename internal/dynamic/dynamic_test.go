@@ -7,8 +7,10 @@ import (
 
 	"graphspar/internal/core"
 	"graphspar/internal/dynamic"
+	"graphspar/internal/engine"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
+	"graphspar/internal/params"
 	"graphspar/internal/testkit"
 )
 
@@ -22,7 +24,7 @@ func checkInvariant(t *testing.T, m *dynamic.Maintainer, sigmaSq float64) {
 func newMaintainer(t *testing.T, g *graph.Graph, sigmaSq float64) *dynamic.Maintainer {
 	t.Helper()
 	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1},
+		Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +153,7 @@ func TestDriftBudgetForcesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Sparsify:      core.Options{SigmaSq: 60, Seed: 1},
+		Options:       engine.Options{Sparsify: core.Options{SigmaSq: 60, Seed: 1}},
 		DriftFraction: 1e-12, // any perturbation mass exceeds the budget
 	})
 	if err != nil {
@@ -206,7 +208,7 @@ func TestResumeWarmStart(t *testing.T) {
 	}
 
 	m2, err := dynamic.Resume(context.Background(), g2, warm, dynamic.Options{
-		Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1},
+		Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +229,7 @@ func TestResumeRejectsMismatchedVertexSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := dynamic.Resume(context.Background(), g, small, dynamic.Options{
-		Sparsify: core.Options{SigmaSq: 50},
+		Options: engine.Options{Sparsify: core.Options{SigmaSq: 50}},
 	}); err == nil {
 		t.Fatal("mismatched warm sparsifier must fail")
 	}
@@ -240,8 +242,7 @@ func TestShardedRebuildPath(t *testing.T) {
 	}
 	const sigmaSq = 60
 	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Sparsify:      core.Options{SigmaSq: sigmaSq, Seed: 1},
-		RebuildShards: 2,
+		Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}, Mode: params.ModeSharded, Shards: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +257,7 @@ func TestShardedRebuildPath(t *testing.T) {
 func TestDisconnectedInputRejected(t *testing.T) {
 	two := graph.MustNew(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 	if _, err := dynamic.New(context.Background(), two, dynamic.Options{
-		Sparsify: core.Options{SigmaSq: 50},
+		Options: engine.Options{Sparsify: core.Options{SigmaSq: 50}},
 	}); !errors.Is(err, graph.ErrDisconnected) {
 		t.Fatalf("err = %v, want graph.ErrDisconnected", err)
 	}
@@ -289,7 +290,7 @@ func TestBatchedVerifyEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		m, err := dynamic.New(context.Background(), g, dynamic.Options{
-			Sparsify:             core.Options{SigmaSq: sigmaSq, Seed: 1},
+			Options:              engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}},
 			BatchVerifyThreshold: threshold,
 		})
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"graphspar/internal/core"
 	"graphspar/internal/dynamic"
+	"graphspar/internal/engine"
 	"graphspar/internal/testkit"
 	"graphspar/internal/vecmath"
 )
@@ -51,7 +52,7 @@ func TestIncrementalFactorUpdatesUsed(t *testing.T) {
 				t.Fatal(err)
 			}
 			m, err := dynamic.New(context.Background(), g, dynamic.Options{
-				Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 9},
+				Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 9}},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -77,7 +78,7 @@ func TestFactorUpdateBudgetDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Sparsify:           core.Options{SigmaSq: sigmaSq, Seed: 9},
+		Options:            engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 9}},
 		FactorUpdateBudget: -1,
 	})
 	if err != nil {
@@ -107,7 +108,7 @@ func TestLocalRefreshKeepsInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			m, err := dynamic.New(context.Background(), g, dynamic.Options{
-				Sparsify:           core.Options{SigmaSq: sigmaSq, Seed: 9},
+				Options:            engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 9}},
 				LocalRefreshRadius: 2,
 			})
 			if err != nil {
@@ -133,7 +134,7 @@ func TestLocalRefreshFiresOnLargeGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Sparsify:           core.Options{SigmaSq: sigmaSq, Seed: 21},
+		Options:            engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 21}},
 		LocalRefreshRadius: 1,
 		LocalRefreshSweeps: 4,
 	})

@@ -8,6 +8,7 @@ import (
 
 	"graphspar/internal/core"
 	"graphspar/internal/dynamic"
+	"graphspar/internal/engine"
 	"graphspar/internal/testkit"
 	"graphspar/internal/vecmath"
 )
@@ -29,7 +30,7 @@ func TestPropertyRandomStreamsKeepInvariant(t *testing.T) {
 					t.Fatal(err)
 				}
 				m, err := dynamic.New(context.Background(), g, dynamic.Options{
-					Sparsify: core.Options{SigmaSq: sigmaSq, Seed: seed},
+					Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: seed}},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -80,7 +81,7 @@ func TestPropertyTinyDriftBudgetStillKeepsInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Sparsify:      core.Options{SigmaSq: sigmaSq, Seed: 3},
+		Options:       engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 3}},
 		DriftFraction: 1e-12,
 	})
 	if err != nil {
@@ -124,7 +125,7 @@ func TestEquivalenceWithFromScratchSparsify(t *testing.T) {
 				t.Fatal(err)
 			}
 			m, err := dynamic.New(context.Background(), g, dynamic.Options{
-				Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 5},
+				Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 5}},
 			})
 			if err != nil {
 				t.Fatal(err)

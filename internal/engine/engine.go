@@ -1,22 +1,32 @@
-// Package engine runs similarity-aware sparsification shard-parallel: the
-// input is k-way partitioned (partition.RecursiveBisect), each induced
-// shard is sparsified concurrently over a bounded worker pool
-// (core.SparsifyCtx with a per-shard seed), and the per-shard sparsifiers
-// are stitched back together with the partition's cut edges — the few cut
-// edges needed for connectivity join the backbone outright, the rest face
-// one global Joule-heat embedding pass over the stitched graph so the σ²
-// guarantee is re-established end-to-end. The result is independently
-// checked with core.VerifySimilarity.
+// Package engine is the one batch pipeline of the repository: every
+// execution plan produces a candidate backbone plus candidate edges,
+// filters them by Joule heat until the σ² target is met, and ends in the
+// same independent certificate check.
 //
-// Sharding pays twice: the per-round superlinear costs (fill-reducing
-// ordering, factorization) drop to shard size, and shards run on separate
-// cores. On small graphs the fixed costs (partitioning, the global
-// re-filter pass, verification) dominate — see the README for guidance.
+//   - The single-shot plan runs the edge filter (core.SparsifyCtx) on the
+//     input itself. It is the degenerate one-level hierarchy.
+//   - The multilevel plan (John & Safro, arXiv 1601.05527) contracts the
+//     input along heavy-edge aggregates (internal/multilevel), runs that
+//     same filter on the coarsest graph only, and interpolates the
+//     selection back level by level, re-filtering and re-certifying each
+//     finer level. It never cuts the graph, so cut-heavy topologies
+//     collapse into aggregates instead of degrading into global passes
+//     over huge cut sets.
+//   - The sharded plan k-way partitions the input, filters each induced
+//     shard concurrently over a bounded worker pool, and stitches the
+//     shard sparsifiers back together: the few cut edges needed for
+//     connectivity join the backbone outright, the rest face a global
+//     re-filter pass so the σ² guarantee is re-established end to end.
+//     Sharding pays twice — the superlinear per-round costs drop to shard
+//     size, and shards run on separate cores — but on small graphs its
+//     fixed costs dominate (see the README for guidance).
+//
+// Which plan suits a graph is the caller's policy (the facade's auto
+// mode); Run executes the plan it is handed.
 package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -24,80 +34,124 @@ import (
 	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
 	"graphspar/internal/graph"
+	"graphspar/internal/multilevel"
 	"graphspar/internal/obs"
 	"graphspar/internal/params"
 	"graphspar/internal/partition"
+	"graphspar/internal/tree"
 )
 
-// Errors surfaced by the engine. ErrBadShards is the shared typed
-// sentinel from internal/params (errors.Is also matches params.ErrInvalid).
-var (
-	ErrBadShards = params.ErrBadShards
+// ErrBadShards is the shared typed sentinel from internal/params
+// (errors.Is also matches params.ErrInvalid).
+var ErrBadShards = params.ErrBadShards
+
+const (
+	// cutFilterFraction gates the sharded plan's global embedding pass:
+	// the re-filter runs only when the partition's non-backbone cut
+	// exceeds this fraction of the stitched edge set. A smaller cut is
+	// kept whole, which certifies the end-to-end σ² *exactly* — with
+	// every cut edge present, L_G − L_P is the direct sum of the
+	// per-shard remainders, so the worst shard bound carries over
+	// (λmin ≥ 1 by interlacing) — while skipping a full-size
+	// factorization that could not pay for itself.
+	cutFilterFraction = 0.05
+	// defaultMaxLevels caps the hierarchy depth when CoarsenLevels is 0.
+	defaultMaxLevels = 16
+	// maxCalibrations caps the per-level calibrated refilter retries
+	// when the verified κ misses the target the estimates cleared.
+	maxCalibrations = 3
 )
 
-// Options configures Run.
+// Options configures Run: the one options struct of every batch plan (and,
+// embedded in dynamic.Options, of the maintainer's full rebuilds).
 type Options struct {
-	// Shards is the number of parts the input is cut into. 1 runs the
-	// plain single-shot pipeline (plus verification). Default 4.
+	// Sparsify configures the edge filter every plan runs — on the input
+	// (single-shot), on each shard, or on the coarsest level — and
+	// supplies the embedding knobs of every re-filter pass. SigmaSq is
+	// required. Seed (default 1) drives every random choice: partitioning,
+	// per-shard and per-level seeds, the global passes and the certificate.
+	Sparsify core.Options
+	// Mode is the resolved execution plan. ModeAuto (the zero value) runs
+	// single-shot: picking a plan per graph is the caller's policy.
+	Mode params.Mode
+	// Shards is the number of parts the sharded plan cuts the input into.
+	// Default 4.
 	Shards int
-	// Workers bounds how many shards sparsify concurrently (and how many
-	// goroutines the global embedding pass uses). Default GOMAXPROCS.
+	// Workers bounds how many shards sparsify concurrently and how many
+	// goroutines the full-size embedding passes use. Default GOMAXPROCS.
 	// Workers only affects wall-clock time, never the result.
 	Workers int
-	// Sparsify is applied to every shard (SigmaSq is required, as in
-	// core.Sparsify). Seed is overridden per shard; set Options.Seed to
-	// steer it.
-	Sparsify core.Options
-	// Partition configures the recursive bisection. Nil picks the O(n+m)
-	// BFS level-set bisector, which is the right default here: the
-	// partitioner must cost far less than the sparsifications it feeds,
-	// and spectral cuts would require factoring the full graph. (A
-	// pointer, because partition.Options' zero value means the spectral
+	// Partition configures the sharded plan's recursive bisection. Nil
+	// picks the O(n+m) BFS level-set bisector, which is the right default
+	// here: the partitioner must cost far less than the sparsifications
+	// it feeds, and spectral cuts would require factoring the full graph.
+	// (A pointer, because partition.Options' zero value means the spectral
 	// Direct method and could not be told apart from "unset".)
 	Partition *partition.Options
-	// RefilterRounds caps the global embedding passes that re-filter cut
-	// edges over the stitched backbone. Each pass adds one heat-ranked,
-	// BatchFraction-capped batch of cut edges and costs one full-size
-	// factorization; passes stop early once the estimated σ² meets the
-	// target. Default 4.
+	// CoarsenLevels caps the multilevel hierarchy depth, counting the
+	// input graph: 1 disables coarsening (the plan is then bit-identical
+	// to single-shot), 0 picks the default cap.
+	CoarsenLevels int
+	// CoarsenRatio is the per-step acceptance ceiling on nc/n (see
+	// multilevel.DefaultCoarsenRatio); 1 disables coarsening, 0 the
+	// default.
+	CoarsenRatio float64
+	// CoarsestSize stops coarsening at or below this vertex count
+	// (default multilevel.DefaultCoarsestSize).
+	CoarsestSize int
+	// RefilterRounds caps the full-size embedding passes that re-filter
+	// the sharded plan's cut edges and each finer multilevel level. Each
+	// pass adds one heat-ranked, BatchFraction-capped batch of candidates
+	// and costs one factorization; passes stop early once the estimated
+	// σ² meets the target. Default 4.
 	RefilterRounds int
-	// CutFilterFraction gates the global embedding pass: the re-filter
-	// runs only when the partition's non-backbone cut exceeds this
-	// fraction of the stitched edge set. A smaller cut is kept whole,
-	// which certifies the end-to-end σ² *exactly* — with every cut edge
-	// present, L_G − L_P is the direct sum of the per-shard remainders,
-	// so the worst shard bound carries over (λmin ≥ 1 by interlacing) —
-	// while skipping a full-size factorization that could not pay for
-	// itself. Default 0.05; negative always runs the embedding pass.
-	CutFilterFraction float64
-	// VerifySteps is the generalized-Lanczos depth of the final
-	// independent similarity check. Default min(30, n).
+	// Verify runs the independent generalized-Lanczos certificate check
+	// on the final sparsifier (and, in the multilevel plan, on every
+	// finer level, where it also drives the calibrated retries).
+	Verify bool
+	// VerifySteps is the Lanczos depth of that check. Default min(30, n).
 	VerifySteps int
-	// SkipVerify drops the final check (pure-compute benchmarking).
-	SkipVerify bool
-	// Seed drives partitioning, per-shard seeds and the global pass.
-	// Default Sparsify.Seed, then 1.
-	Seed uint64
 }
 
+// defaults validates opt, resolves ModeAuto and fills every unset knob; it
+// is the only place batch runs default Seed, Workers, RefilterRounds and
+// VerifySteps.
 func (o *Options) defaults(n int) error {
-	if o.Shards == 0 {
-		o.Shards = 4
+	if err := params.Sigma2(o.Sparsify.SigmaSq); err != nil {
+		return err
 	}
 	if err := params.Sharding(o.Shards, o.Workers, params.Limits{}); err != nil {
 		return err
 	}
-	if err := params.Sigma2(o.Sparsify.SigmaSq); err != nil {
+	if err := params.Coarsen(o.CoarsenLevels, o.CoarsenRatio); err != nil {
 		return err
+	}
+	if o.Mode != params.ModeSharded && o.Mode != params.ModeMultilevel {
+		o.Mode = params.ModeSingleShot
+	}
+	if o.Sparsify.Seed == 0 {
+		o.Sparsify.Seed = 1
+	}
+	if o.Shards == 0 {
+		o.Shards = 4
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
+	if o.Partition == nil {
+		o.Partition = &partition.Options{Method: partition.BFS, Seed: o.Sparsify.Seed}
+	}
+	if o.CoarsenLevels == 0 {
+		o.CoarsenLevels = defaultMaxLevels
+	}
+	if o.CoarsenRatio == 0 {
+		o.CoarsenRatio = multilevel.DefaultCoarsenRatio
+	}
+	if o.CoarsestSize <= 0 {
+		o.CoarsestSize = multilevel.DefaultCoarsestSize
+	}
 	if o.RefilterRounds <= 0 {
 		o.RefilterRounds = 4
-	}
-	if o.CutFilterFraction == 0 {
-		o.CutFilterFraction = 0.05
 	}
 	if o.VerifySteps <= 0 {
 		o.VerifySteps = 30
@@ -105,23 +159,10 @@ func (o *Options) defaults(n int) error {
 	if o.VerifySteps > n {
 		o.VerifySteps = n
 	}
-	if o.Seed == 0 {
-		o.Seed = o.Sparsify.Seed
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Partition == nil {
-		o.Partition = &partition.Options{Method: partition.BFS, Seed: o.Seed}
+	if o.VerifySteps < 2 {
+		o.VerifySteps = 2
 	}
 	return nil
-}
-
-// shardSeed derives the deterministic sparsification seed of shard i
-// (offset by one so shard 0 does not reuse the master seed, which drives
-// the partitioner and the global pass).
-func shardSeed(seed uint64, i int) uint64 {
-	return core.DeriveSeed(seed, i+1)
 }
 
 // ShardStats reports one shard's sparsification (per connected component
@@ -141,68 +182,107 @@ type ShardStats struct {
 	EdgeIDs []int
 }
 
-// Result is the output of Run.
-type Result struct {
-	// Sparsifier spans the full input vertex set: every shard sparsifier,
-	// the cut edges stitched in for connectivity, and the cut edges
-	// recovered by the global re-filter pass.
-	Sparsifier *graph.Graph
-	// Labels/Parts echo the k-way partition (Parts can fall short of
-	// Options.Shards on small graphs).
-	Labels []int
-	Parts  int
-	Shards []ShardStats
+// LevelStats reports one hierarchy level's work. Level 0 is the input
+// graph; the highest level is the coarsest, where the full pipeline ran.
+type LevelStats struct {
+	Level    int
+	Vertices int
+	Edges    int
+	// TreeEdges is the LSST backbone size at this level; Inherited
+	// counts the non-backbone edges admitted by interpolation from the
+	// coarse selection, Recovered the ones the level's own re-filter
+	// passes added (at the coarsest level: the pipeline's off-tree
+	// additions).
+	TreeEdges int
+	Inherited int
+	Recovered int
+	// Kept is the sparsifier size at this level.
+	Kept int
+	// SigmaSqEst is the level's own final κ estimate; VerifiedCond the
+	// per-level Lanczos check (0 without Options.Verify).
+	SigmaSqEst   float64
+	VerifiedCond float64
+	Duration     time.Duration
+}
 
-	// Cut bookkeeping: CutEdges input edges crossed the partition;
-	// StitchedCut of them were added for connectivity, RecoveredCut more
-	// passed the global heat filter.
+// Timings breaks a Run down by phase. Single-shot runs fill only
+// Sparsify, Verify and Wall; sharded runs additionally fill Partition,
+// Shard, ShardCPU and Stitch; multilevel runs fill Coarsen, Interpolate
+// and Refilter (summed over levels, as is their Verify). ShardCPU sums
+// the per-shard durations, so ShardCPU / Shard is the parallel speedup of
+// the shard phase.
+type Timings struct {
+	Partition   time.Duration
+	Shard       time.Duration
+	ShardCPU    time.Duration
+	Stitch      time.Duration
+	Coarsen     time.Duration
+	Interpolate time.Duration
+	Refilter    time.Duration
+	Sparsify    time.Duration // end-to-end compute excluding verification
+	Verify      time.Duration
+	Wall        time.Duration
+}
+
+// Result is the output of Run. Fields only one plan produces are
+// documented as such and are zero for the others.
+type Result struct {
+	// Sparsifier is P: a connected subgraph spanning the input vertex set,
+	// with original edge weights.
+	Sparsifier *graph.Graph
+	// Mode is the plan that ran (never ModeAuto).
+	Mode params.Mode
+
+	// LambdaMax/LambdaMin/SigmaSqEst are the plan's own final estimates
+	// (in a sharded run with a small kept-whole cut, the exact direct-sum
+	// certificate of the worst shard). TargetMet reports whether they met
+	// σ²; the sharded and multilevel plans let the verified κ overrule
+	// them when Options.Verify ran.
+	LambdaMax, LambdaMin float64
+	SigmaSqEst           float64
+	TargetMet            bool
+
+	// Single-shot fields: the rooted backbone, its total stretch, the
+	// tree/off-tree edge ids into the input's edge list and the per-round
+	// densification trace.
+	Tree            *tree.Tree
+	TotalStretch    float64
+	TreeEdgeIDs     []int
+	OffTreeAddedIDs []int
+	Rounds          []core.RoundStats
+
+	// Sharded fields: the k-way partition (Parts can fall short of
+	// Options.Shards on small graphs; it is 1 for the other plans),
+	// per-shard stats and cut bookkeeping — CutEdges input edges crossed
+	// the partition, StitchedCut of them were added for connectivity,
+	// RecoveredCut more passed the global heat filter.
+	Labels       []int
+	Parts        int
+	Shards       []ShardStats
 	CutEdges     int
 	StitchedCut  int
 	RecoveredCut int
 
-	// LambdaMax/LambdaMin/SigmaSqEst are the engine's own estimates from
-	// the last global pass (before its final additions, like core's
-	// per-round stats). VerifiedCond is the authoritative end-to-end
-	// number.
-	LambdaMax, LambdaMin float64
-	SigmaSqEst           float64
+	// Multilevel fields: the hierarchy depth used (1 = no coarsening
+	// happened) and per-level stats, indexed by level (0 = finest).
+	Depth  int
+	Levels []LevelStats
 
-	// Verified* come from the independent generalized-Lanczos check
-	// (zero when Options.SkipVerify).
+	// Verified* come from the independent generalized-Lanczos check of
+	// the final sparsifier against the input graph (Verified is
+	// Options.Verify); VerifiedCond is the authoritative end-to-end κ.
+	Verified          bool
 	VerifiedLambdaMax float64
 	VerifiedLambdaMin float64
 	VerifiedCond      float64
-	TargetMet         bool
 
-	// Phase timings. ShardCPU sums the per-shard durations; dividing it
-	// by ShardWall gives the parallel speedup of the shard phase, and
-	// WallTime-VerifyTime is the end-to-end compute cost excluding the
-	// optional verification.
-	PartitionTime time.Duration
-	ShardWall     time.Duration
-	ShardCPU      time.Duration
-	StitchTime    time.Duration
-	VerifyTime    time.Duration
-	WallTime      time.Duration
+	Timings Timings
 }
 
-// Density returns |E_P| / |V| of the stitched sparsifier.
-func (r *Result) Density() float64 {
-	return float64(r.Sparsifier.M()) / float64(r.Sparsifier.N())
-}
-
-// Speedup reports the parallel efficiency of the shard phase:
-// ShardCPU / ShardWall (1.0 on a single core or a single shard).
-func (r *Result) Speedup() float64 {
-	if r.ShardWall <= 0 {
-		return 1
-	}
-	return float64(r.ShardCPU) / float64(r.ShardWall)
-}
-
-// Run executes the shard-parallel pipeline. Cancellation of ctx stops the
-// per-shard densification rounds and the global passes at their next
-// checkpoint and returns ctx.Err().
+// Run executes opt.Mode's plan on g. A missed σ² target is reported in
+// Result.TargetMet, never as an error (callers decide how to surface it).
+// Cancellation of ctx stops the densification rounds and the re-filter
+// passes at their next checkpoint and returns ctx.Err().
 func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	start := time.Now()
 	if err := g.RequireConnected(); err != nil {
@@ -211,147 +291,70 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	if err := opt.defaults(g.N()); err != nil {
 		return nil, err
 	}
-	if opt.Shards == 1 {
-		return runSingle(ctx, g, opt, start)
+	res := &Result{Mode: opt.Mode, Parts: 1}
+	run := res.runLevels // single-shot and multilevel: one plan, two depths
+	if opt.Mode == params.ModeSharded {
+		run = res.runSharded
 	}
-
-	partSpan := obs.StartSpan(ctx, "partition")
-	kw, err := partition.RecursiveBisect(g, opt.Shards, *opt.Partition)
-	partDur := partSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("engine: partition: %w", err)
-	}
-	res := &Result{
-		Labels:        kw.Labels,
-		Parts:         kw.Parts,
-		PartitionTime: partDur,
-	}
-
-	tasks, err := buildTasks(g, kw.Labels, kw.Parts)
-	if err != nil {
+	if err := run(ctx, g, opt); err != nil {
 		return nil, err
 	}
-	shardSpan := obs.StartSpan(ctx, "shard")
-	outs, err := runShards(ctx, g, tasks, opt)
-	res.ShardWall = shardSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	for _, out := range outs {
-		res.Shards = append(res.Shards, out.stats)
-		res.ShardCPU += out.stats.Duration
-	}
 
-	stitchSpan := obs.StartSpan(ctx, "stitch")
-	keptIDs, stitchedIDs, candIDs := stitch(g, kw.Labels, outs)
-	res.CutEdges = len(stitchedIDs) + len(candIDs)
-	res.StitchedCut = len(stitchedIDs)
-
-	if float64(len(candIDs)) <= opt.CutFilterFraction*float64(len(keptIDs)) {
-		// Small cut: keep it whole. The guarantee is exact (see
-		// CutFilterFraction) and the certified bound is the worst shard's
-		// achieved σ².
-		keptIDs = append(keptIDs, candIDs...)
-		p, err := g.SubgraphEdges(keptIDs)
-		if err != nil {
-			return nil, fmt.Errorf("engine: stitched graph: %w", err)
-		}
-		res.RecoveredCut = len(candIDs)
-		res.Sparsifier = p
-		worst := 1.0
-		for _, s := range res.Shards {
-			if s.SigmaSqAchieved > worst {
-				worst = s.SigmaSqAchieved
-			}
-		}
-		res.LambdaMax, res.LambdaMin = worst, 1
-		res.SigmaSqEst = worst
-	} else {
-		p, recovered, lmax, lmin, err := refilter(ctx, g, keptIDs, candIDs, opt)
+	// The shared tail: certify the final sparsifier against the input. A
+	// genuinely coarsened multilevel run already did, as the last step of
+	// its level-0 calibration loop.
+	if opt.Verify && !res.Verified {
+		c, err := certify(ctx, g, res.Sparsifier, opt.VerifySteps, opt.Sparsify.Seed)
+		res.Timings.Verify += c.dur
 		if err != nil {
 			return nil, err
 		}
-		res.RecoveredCut = recovered
-		res.Sparsifier = p
-		res.LambdaMax, res.LambdaMin = lmax, lmin
-		if lmin > 0 {
-			res.SigmaSqEst = lmax / lmin
+		res.setCertificate(c)
+		if res.Mode == params.ModeMultilevel {
+			res.Levels[0].VerifiedCond = c.cond
 		}
 	}
-	res.StitchTime = stitchSpan.End()
-	res.TargetMet = res.SigmaSqEst > 0 && res.SigmaSqEst <= opt.Sparsify.SigmaSq
-
-	if err := verify(ctx, g, res, opt); err != nil {
-		return nil, err
+	if res.Verified && res.Mode != params.ModeSingleShot {
+		res.TargetMet = res.VerifiedCond <= opt.Sparsify.SigmaSq
 	}
-	res.WallTime = time.Since(start)
+	res.Timings.Wall = time.Since(start)
+	res.Timings.Sparsify = res.Timings.Wall - res.Timings.Verify
 	return res, nil
 }
 
-// runSingle is the Shards=1 fallback: the plain pipeline plus the same
-// verification, reported in engine terms so callers can compare.
-func runSingle(ctx context.Context, g *graph.Graph, opt Options, start time.Time) (*Result, error) {
-	sopt := opt.Sparsify
-	if sopt.Seed == 0 {
-		sopt.Seed = opt.Seed
-	}
-	spSpan := obs.StartSpan(ctx, "sparsify")
-	sp, err := core.SparsifyCtx(ctx, g, sopt)
-	dur := spSpan.End()
-	if err != nil && !errors.Is(err, core.ErrNoTarget) {
-		return nil, err
-	}
-	ids := append(append([]int(nil), sp.TreeEdgeIDs...), sp.OffTreeAddedIDs...)
-	res := &Result{
-		Sparsifier: sp.Sparsifier,
-		Labels:     make([]int, g.N()),
-		Parts:      1,
-		Shards: []ShardStats{{
-			Vertices:        g.N(),
-			Edges:           g.M(),
-			Kept:            sp.Sparsifier.M(),
-			SigmaSqAchieved: sp.SigmaSqAchieved,
-			TargetMet:       err == nil,
-			Rounds:          sp.Rounds,
-			Duration:        dur,
-			EdgeIDs:         ids,
-		}},
-		LambdaMax:  sp.LambdaMax,
-		LambdaMin:  sp.LambdaMin,
-		SigmaSqEst: sp.SigmaSqAchieved,
-		TargetMet:  err == nil,
-		ShardWall:  dur,
-		ShardCPU:   dur,
-	}
-	if err := verify(ctx, g, res, opt); err != nil {
-		return nil, err
-	}
-	res.WallTime = time.Since(start)
-	return res, nil
+// certificate is one independent similarity check: the extreme
+// generalized eigenvalue estimates of (L_G, L_P), their ratio, and the
+// duration of the "verify" span that measured them.
+type certificate struct {
+	lmax, lmin, cond float64
+	dur              time.Duration
 }
 
-// verify runs the independent generalized-Lanczos similarity check and
-// folds it into res (honoring SkipVerify).
-func verify(ctx context.Context, g *graph.Graph, res *Result, opt Options) error {
-	if opt.SkipVerify {
-		return nil
-	}
+func (r *Result) setCertificate(c certificate) {
+	r.Verified = true
+	r.VerifiedLambdaMax, r.VerifiedLambdaMin, r.VerifiedCond = c.lmax, c.lmin, c.cond
+}
+
+// certify factors p and runs the generalized-Lanczos similarity check of
+// p against g. It is the batch pipeline's only certificate code: every
+// plan's tail and every multilevel level goes through it, under one
+// "verify" span.
+func certify(ctx context.Context, g, p *graph.Graph, steps int, seed uint64) (c certificate, err error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return c, err
 	}
 	vSpan := obs.StartSpan(ctx, "verify")
-	solver, err := cholesky.NewLapSolver(res.Sparsifier)
+	defer func() { c.dur = vSpan.End() }()
+	solver, err := cholesky.NewLapSolver(p)
 	if err != nil {
-		vSpan.End()
-		return fmt.Errorf("engine: verification solver: %w", err)
+		return c, fmt.Errorf("engine: verification solver: %w", err)
 	}
-	lmax, lmin, cond, err := core.VerifySimilarity(g, res.Sparsifier, solver, opt.VerifySteps, opt.Seed)
+	if steps > g.N() {
+		steps = g.N() // coarse levels can be smaller than the input
+	}
+	c.lmax, c.lmin, c.cond, err = core.VerifySimilarity(g, p, solver, steps, seed)
 	if err != nil {
-		vSpan.End()
-		return fmt.Errorf("engine: similarity verification: %w", err)
+		return c, fmt.Errorf("engine: similarity verification: %w", err)
 	}
-	res.VerifiedLambdaMax, res.VerifiedLambdaMin, res.VerifiedCond = lmax, lmin, cond
-	res.TargetMet = cond <= opt.Sparsify.SigmaSq
-	res.VerifyTime = vSpan.End()
-	return nil
+	return c, nil
 }

@@ -8,6 +8,7 @@ import (
 	"graphspar/internal/core"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
+	"graphspar/internal/params"
 	"graphspar/internal/partition"
 )
 
@@ -70,13 +71,13 @@ func TestShardedGridInvariants(t *testing.T) {
 	const sigma = 80
 
 	single, err := Run(context.Background(), g, Options{
-		Shards: 1, Sparsify: core.Options{SigmaSq: sigma}, Seed: 1,
+		Sparsify: core.Options{SigmaSq: sigma, Seed: 1}, Verify: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharded, err := Run(context.Background(), g, Options{
-		Shards: 4, Sparsify: core.Options{SigmaSq: sigma}, Seed: 1,
+		Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: sigma, Seed: 1}, Verify: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,13 +104,13 @@ func TestShardedGridInvariants(t *testing.T) {
 func TestShardedSBMInvariants(t *testing.T) {
 	g := sbmGraph(t)
 	single, err := Run(context.Background(), g, Options{
-		Shards: 1, Sparsify: core.Options{SigmaSq: 100}, Seed: 3,
+		Sparsify: core.Options{SigmaSq: 100, Seed: 3}, Verify: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharded, err := Run(context.Background(), g, Options{
-		Shards: 4, Sparsify: core.Options{SigmaSq: 100}, Seed: 3,
+		Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: 100, Seed: 3}, Verify: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +137,7 @@ func TestSingleShotMatchesCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(context.Background(), g, Options{
-		Shards: 1, Sparsify: core.Options{SigmaSq: 100}, Seed: 9,
-	})
+	got, err := Run(context.Background(), g, Options{Sparsify: core.Options{SigmaSq: 100, Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,15 +150,15 @@ func TestSingleShotMatchesCore(t *testing.T) {
 			t.Fatalf("engine kept (%d,%d), core did not", e.U, e.V)
 		}
 	}
-	if got.Parts != 1 || len(got.Shards) != 1 {
-		t.Errorf("single-shot shape: parts=%d shards=%d", got.Parts, len(got.Shards))
+	if got.Parts != 1 || got.Mode != params.ModeSingleShot || len(got.Rounds) != len(want.Rounds) {
+		t.Errorf("single-shot shape: parts=%d mode=%v rounds=%d (core %d)", got.Parts, got.Mode, len(got.Rounds), len(want.Rounds))
 	}
 }
 
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	g := gridGraph(t, 24, 24, 2)
 	opts := func(workers int) Options {
-		return Options{Shards: 4, Workers: workers, Sparsify: core.Options{SigmaSq: 90}, Seed: 11}
+		return Options{Mode: params.ModeSharded, Shards: 4, Workers: workers, Sparsify: core.Options{SigmaSq: 90, Seed: 11}}
 	}
 	a, err := Run(context.Background(), g, opts(1))
 	if err != nil {
@@ -184,7 +183,7 @@ func TestCancellation(t *testing.T) {
 	g := gridGraph(t, 32, 32, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, g, Options{Shards: 4, Sparsify: core.Options{SigmaSq: 50}, Seed: 1})
+	_, err := Run(ctx, g, Options{Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: 50, Seed: 1}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ctx: err = %v, want context.Canceled", err)
 	}
@@ -202,7 +201,7 @@ func TestMoreShardsThanUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(context.Background(), g, Options{
-		Shards: 8, Sparsify: core.Options{SigmaSq: 10}, Seed: 1,
+		Mode: params.ModeSharded, Shards: 8, Sparsify: core.Options{SigmaSq: 10, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -215,10 +214,10 @@ func TestMoreShardsThanUsable(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	g := gridGraph(t, 8, 8, 1)
-	if _, err := Run(context.Background(), g, Options{Shards: 2}); !errors.Is(err, core.ErrBadSigma) {
+	if _, err := Run(context.Background(), g, Options{Mode: params.ModeSharded, Shards: 2}); !errors.Is(err, core.ErrBadSigma) {
 		t.Errorf("missing σ²: err = %v, want ErrBadSigma", err)
 	}
-	if _, err := Run(context.Background(), g, Options{Shards: -3, Sparsify: core.Options{SigmaSq: 50}}); !errors.Is(err, ErrBadShards) {
+	if _, err := Run(context.Background(), g, Options{Mode: params.ModeSharded, Shards: -3, Sparsify: core.Options{SigmaSq: 50}}); !errors.Is(err, ErrBadShards) {
 		t.Errorf("negative shards: err = %v, want ErrBadShards", err)
 	}
 }
@@ -226,10 +225,10 @@ func TestOptionsValidation(t *testing.T) {
 func TestExplicitPartitionOptions(t *testing.T) {
 	g := gridGraph(t, 20, 20, 4)
 	res, err := Run(context.Background(), g, Options{
+		Mode:      params.ModeSharded,
 		Shards:    2,
-		Sparsify:  core.Options{SigmaSq: 80},
+		Sparsify:  core.Options{SigmaSq: 80, Seed: 1},
 		Partition: &partition.Options{Method: partition.Direct},
-		Seed:      1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,13 +249,14 @@ func TestRunRejectsDisconnectedGraph(t *testing.T) {
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1},
 		{U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1},
 	})
-	for _, shards := range []int{1, 2} {
+	for _, mode := range []params.Mode{params.ModeSingleShot, params.ModeSharded, params.ModeMultilevel} {
 		_, err := Run(context.Background(), two, Options{
-			Shards:   shards,
+			Mode:     mode,
+			Shards:   2,
 			Sparsify: core.Options{SigmaSq: 50},
 		})
 		if !errors.Is(err, graph.ErrDisconnected) {
-			t.Fatalf("shards=%d: err = %v, want graph.ErrDisconnected", shards, err)
+			t.Fatalf("mode=%v: err = %v, want graph.ErrDisconnected", mode, err)
 		}
 	}
 }

@@ -137,7 +137,9 @@ func runShard(ctx context.Context, g *graph.Graph, edgeIdx map[[2]int]int, task 
 	start := time.Now()
 	sub, mapping := task.sub, task.mapping
 	sopt := opt.Sparsify
-	sopt.Seed = shardSeed(opt.Seed, idx)
+	// Offset by one so shard 0 does not reuse the master seed, which
+	// drives the partitioner and the global pass.
+	sopt.Seed = core.DeriveSeed(opt.Sparsify.Seed, idx+1)
 	res, err := core.SparsifyCtx(ctx, sub, sopt)
 	if err != nil && !errors.Is(err, core.ErrNoTarget) {
 		return shardOut{}, fmt.Errorf("engine: shard %d (%d vertices): %w", task.part, sub.N(), err)

@@ -9,6 +9,7 @@ import (
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
 	"graphspar/internal/obs"
+	"graphspar/internal/partition"
 )
 
 // stitch merges the per-shard sparsifiers and splits the partition's cut
@@ -59,20 +60,77 @@ func stitch(g *graph.Graph, labels []int, outs []shardOut) (keptIDs, stitchedIDs
 	return keptIDs, stitchedIDs, candIDs
 }
 
-// refilter runs the global embedding pass(es): estimate the extreme
-// generalized eigenvalues of (L_G, L_P) on the stitched graph, and if the
-// σ² target is unmet, recover the cut edges whose normalized Joule heat
-// beats the similarity-aware threshold (eq. 15) — core.Refilter applied
-// to the partition's cut edges. Returns the final sparsifier, how many
-// cut edges were recovered, and the λ estimates of the last pass.
-func refilter(ctx context.Context, g *graph.Graph, keptIDs, candIDs []int, opt Options) (*graph.Graph, int, float64, float64, error) {
-	defer obs.StartSpan(ctx, "refilter").End()
-	p, _, recovered, lmax, lmin, err := core.Refilter(ctx, g, keptIDs, candIDs, opt.Sparsify, opt.RefilterRounds, opt.Workers, opt.Seed^0x5717c4)
+// runSharded executes the sharded plan: partition, sparsify the shards
+// concurrently, stitch, and re-filter the partition's cut.
+func (res *Result) runSharded(ctx context.Context, g *graph.Graph, opt Options) error {
+	partSpan := obs.StartSpan(ctx, "partition")
+	kw, err := partition.RecursiveBisect(g, opt.Shards, *opt.Partition)
+	res.Timings.Partition = partSpan.End()
 	if err != nil {
-		if ctx.Err() == nil {
-			err = fmt.Errorf("engine: global %w", err)
-		}
-		return nil, 0, 0, 0, err
+		return fmt.Errorf("engine: partition: %w", err)
 	}
-	return p, recovered, lmax, lmin, nil
+	res.Labels, res.Parts = kw.Labels, kw.Parts
+
+	tasks, err := buildTasks(g, kw.Labels, kw.Parts)
+	if err != nil {
+		return err
+	}
+	shardSpan := obs.StartSpan(ctx, "shard")
+	outs, err := runShards(ctx, g, tasks, opt)
+	res.Timings.Shard = shardSpan.End()
+	if err != nil {
+		return err
+	}
+	for _, out := range outs {
+		res.Shards = append(res.Shards, out.stats)
+		res.Timings.ShardCPU += out.stats.Duration
+	}
+
+	stitchSpan := obs.StartSpan(ctx, "stitch")
+	keptIDs, stitchedIDs, candIDs := stitch(g, kw.Labels, outs)
+	res.CutEdges = len(stitchedIDs) + len(candIDs)
+	res.StitchedCut = len(stitchedIDs)
+
+	if float64(len(candIDs)) <= cutFilterFraction*float64(len(keptIDs)) {
+		// Small cut: keep it whole. The guarantee is exact (see
+		// cutFilterFraction) and the certified bound is the worst shard's
+		// achieved σ².
+		keptIDs = append(keptIDs, candIDs...)
+		p, err := g.SubgraphEdges(keptIDs)
+		if err != nil {
+			return fmt.Errorf("engine: stitched graph: %w", err)
+		}
+		res.RecoveredCut = len(candIDs)
+		res.Sparsifier = p
+		worst := 1.0
+		for _, s := range res.Shards {
+			if s.SigmaSqAchieved > worst {
+				worst = s.SigmaSqAchieved
+			}
+		}
+		res.LambdaMax, res.LambdaMin = worst, 1
+	} else {
+		// Global embedding pass(es): estimate the extreme generalized
+		// eigenvalues of (L_G, L_P) on the stitched graph, and while the σ²
+		// target is unmet, recover the cut edges whose normalized Joule
+		// heat beats the similarity-aware threshold (eq. 15).
+		rSpan := obs.StartSpan(ctx, "refilter")
+		p, _, recovered, lmax, lmin, err := core.Refilter(ctx, g, keptIDs, candIDs, opt.Sparsify, opt.RefilterRounds, opt.Workers, opt.Sparsify.Seed^0x5717c4)
+		rSpan.End()
+		if err != nil {
+			if ctx.Err() == nil {
+				err = fmt.Errorf("engine: global %w", err)
+			}
+			return err
+		}
+		res.RecoveredCut = recovered
+		res.Sparsifier = p
+		res.LambdaMax, res.LambdaMin = lmax, lmin
+	}
+	if res.LambdaMin > 0 {
+		res.SigmaSqEst = res.LambdaMax / res.LambdaMin
+	}
+	res.Timings.Stitch = stitchSpan.End()
+	res.TargetMet = res.SigmaSqEst > 0 && res.SigmaSqEst <= opt.Sparsify.SigmaSq
+	return nil
 }

@@ -7,46 +7,43 @@ import (
 	"graphspar/internal/multigrid"
 )
 
-// levelData is one rung of the coarsening hierarchy. levels[0].g is the
-// input graph; agg and rep describe the contraction to the next coarser
-// level and are nil at the coarsest.
-type levelData struct {
-	g *graph.Graph
-	// agg maps each vertex of g to its aggregate id in the next coarser
-	// graph.
-	agg []int
-	// rep maps each edge id of the next coarser graph to the heaviest
-	// fine edge of g it aggregates (smallest id on weight ties) — the
+// Level is one rung of the coarsening hierarchy. Level 0's G is the
+// input graph.
+type Level struct {
+	G *graph.Graph
+	// Rep maps each edge id of the next coarser graph to the heaviest
+	// fine edge of G it aggregates (smallest id on weight ties) — the
 	// representative a coarse admission is interpolated back through.
-	rep []int
+	// Nil at the coarsest level.
+	Rep []int
 }
 
-// buildHierarchy coarsens g by repeated heavy-edge aggregation until the
+// BuildHierarchy coarsens g by repeated heavy-edge aggregation until the
 // level cap, the coarsest-size floor, or a stalled aggregation (a step
 // that cannot shrink the vertex count below ratio·n) stops it. The
 // returned stack always has the input at index 0 and is never empty;
 // maxLevels 1 or ratio 1 yield exactly that degenerate stack.
-func buildHierarchy(g *graph.Graph, maxLevels int, ratio float64, coarsestSize int) ([]*levelData, error) {
-	levels := []*levelData{{g: g}}
+func BuildHierarchy(g *graph.Graph, maxLevels int, ratio float64, coarsestSize int) ([]*Level, error) {
+	levels := []*Level{{G: g}}
 	if ratio >= 1 {
 		return levels, nil
 	}
 	for len(levels) < maxLevels {
 		cur := levels[len(levels)-1]
-		n := cur.g.N()
+		n := cur.G.N()
 		if n <= coarsestSize {
 			break
 		}
-		agg, nc := multigrid.AggregateGraph(cur.g)
+		agg, nc := multigrid.AggregateGraph(cur.G)
 		if nc < 2 || float64(nc) > ratio*float64(n) {
 			break
 		}
-		coarse, rep, err := contract(cur.g, agg, nc)
+		coarse, rep, err := contract(cur.G, agg, nc)
 		if err != nil {
 			return nil, err
 		}
-		cur.agg, cur.rep = agg, rep
-		levels = append(levels, &levelData{g: coarse})
+		cur.Rep = rep
+		levels = append(levels, &Level{G: coarse})
 	}
 	return levels, nil
 }

@@ -1,36 +1,22 @@
-// Package multilevel runs similarity-aware sparsification through a
-// coarsening hierarchy — the multilevel scheme of John & Safro
-// (arXiv 1601.05527) built on this repository's edge-filter core: the
-// input is contracted level by level along heavy-edge aggregates (the
-// same aggregation the multigrid solver coarsens with), the full
-// edge-filter pipeline runs once on the coarsest graph, and the coarse
-// selection is interpolated back level by level — each fine level keeps
-// its own LSST backbone plus the representative fine edge of every
-// admitted coarse edge, then re-filters the remaining fine edges with
-// bounded global embedding passes and re-checks the certificate with a
-// generalized-Lanczos pass. The final certificate is therefore on the
-// original graph.
-//
-// Versus the flat sharded engine, the hierarchy never cuts the graph:
-// cut-heavy topologies (dense blocks a balanced partition must slice
-// through) collapse into single aggregates instead of degrading into
-// global re-filter passes over huge cut sets, and the expensive
-// full-pipeline densification loop runs only at coarse size.
+// Package multilevel is the candidate producer of the batch pipeline's
+// multilevel plan — the multilevel scheme of John & Safro
+// (arXiv 1601.05527) built on this repository's edge-filter core. It
+// builds the coarsening hierarchy (the input is contracted level by level
+// along heavy-edge aggregates, the same aggregation the multigrid solver
+// coarsens with) and interpolates a coarse edge selection one level down:
+// each fine level keeps its own LSST backbone plus the representative
+// fine edge of every admitted coarse edge, and every other fine edge
+// becomes a re-filter candidate. internal/engine drives the hierarchy:
+// it runs the edge filter on the coarsest graph, then re-filters and
+// re-certifies each interpolated level, so the final certificate is on
+// the original graph.
 package multilevel
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"time"
 
-	"graphspar/internal/cholesky"
-	"graphspar/internal/core"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
-	"graphspar/internal/obs"
-	"graphspar/internal/params"
 )
 
 // Defaults of the hierarchy knobs.
@@ -43,310 +29,12 @@ const (
 	// many vertices — small enough that the full densification loop is
 	// cheap, large enough to keep the interpolation seed informative.
 	DefaultCoarsestSize = 512
-	// defaultMaxLevels caps the hierarchy depth when CoarsenLevels is 0.
-	defaultMaxLevels = 16
-	// maxCalibrations caps the per-level calibrated refilter retries
-	// when the verified κ misses the target the estimates cleared.
-	maxCalibrations = 3
 )
 
-// Options configures Run.
-type Options struct {
-	// Sparsify configures the coarsest-level edge filter (SigmaSq is
-	// required, as in core.Sparsify) and supplies the embedding knobs of
-	// every per-level re-filter pass.
-	Sparsify core.Options
-	// CoarsenLevels caps the hierarchy depth, counting the input graph:
-	// 1 disables coarsening (Run is then bit-identical to the single-shot
-	// pipeline), 0 picks the default cap.
-	CoarsenLevels int
-	// CoarsenRatio is the per-step acceptance ceiling on nc/n (see
-	// DefaultCoarsenRatio); 1 disables coarsening, 0 the default.
-	CoarsenRatio float64
-	// CoarsestSize stops coarsening at or below this vertex count
-	// (default DefaultCoarsestSize).
-	CoarsestSize int
-	// RefilterRounds caps the global embedding passes per finer level.
-	// Default 4.
-	RefilterRounds int
-	// VerifySteps is the generalized-Lanczos depth of the per-level
-	// similarity checks. Default min(30, n).
-	VerifySteps int
-	// SkipVerify drops the per-level Lanczos checks (pure-compute
-	// benchmarking); the re-filter estimates still gate admission.
-	SkipVerify bool
-	// Workers caps the goroutines of the per-level embedding passes.
-	// Default GOMAXPROCS; wall-clock only, never the result.
-	Workers int
-	// Seed drives every random choice (coarsest pipeline, per-level
-	// backbones and probe vectors). Default Sparsify.Seed, then 1.
-	Seed uint64
-}
-
-func (o *Options) defaults(n int) error {
-	if err := params.Sigma2(o.Sparsify.SigmaSq); err != nil {
-		return err
-	}
-	if err := params.Coarsen(o.CoarsenLevels, o.CoarsenRatio); err != nil {
-		return err
-	}
-	if o.CoarsenLevels == 0 {
-		o.CoarsenLevels = defaultMaxLevels
-	}
-	if o.CoarsenRatio == 0 {
-		o.CoarsenRatio = DefaultCoarsenRatio
-	}
-	if o.CoarsestSize <= 0 {
-		o.CoarsestSize = DefaultCoarsestSize
-	}
-	if o.RefilterRounds <= 0 {
-		o.RefilterRounds = 4
-	}
-	if o.VerifySteps <= 0 {
-		o.VerifySteps = 30
-	}
-	if o.VerifySteps > n {
-		o.VerifySteps = n
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Seed == 0 {
-		o.Seed = o.Sparsify.Seed
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return nil
-}
-
-// LevelStats reports one hierarchy level's work. Level 0 is the input
-// graph; the highest level is the coarsest, where the full pipeline ran.
-type LevelStats struct {
-	Level    int
-	Vertices int
-	Edges    int
-	// TreeEdges is the LSST backbone size at this level; Inherited
-	// counts the non-backbone edges admitted by interpolation from the
-	// coarse selection, Recovered the ones the level's own re-filter
-	// passes added (at the coarsest level: the pipeline's off-tree
-	// additions).
-	TreeEdges int
-	Inherited int
-	Recovered int
-	// Kept is the sparsifier size at this level.
-	Kept int
-	// SigmaSqEst is the level's own final κ estimate; VerifiedCond the
-	// per-level Lanczos check (0 when SkipVerify).
-	SigmaSqEst   float64
-	VerifiedCond float64
-	Duration     time.Duration
-}
-
-// Result is the output of Run.
-type Result struct {
-	// Sparsifier spans the input vertex set: the finest-level backbone,
-	// the interpolated coarse selection, and everything the per-level
-	// re-filter passes recovered.
-	Sparsifier *graph.Graph
-	// Depth is the hierarchy depth used (1 = no coarsening happened).
-	Depth int
-	// Levels holds per-level stats, indexed by level (0 = finest).
-	Levels []LevelStats
-
-	// LambdaMax/LambdaMin/SigmaSqEst are the finest level's own final
-	// estimates; Verified* come from the finest-level Lanczos check
-	// (zero when SkipVerify), and VerifiedCond is the authoritative
-	// end-to-end κ on the original graph.
-	LambdaMax, LambdaMin float64
-	SigmaSqEst           float64
-	VerifiedLambdaMax    float64
-	VerifiedLambdaMin    float64
-	VerifiedCond         float64
-	TargetMet            bool
-
-	// Phase timings; Interpolate/Refilter/Verify sum over levels.
-	CoarsenTime     time.Duration
-	SparsifyTime    time.Duration
-	InterpolateTime time.Duration
-	RefilterTime    time.Duration
-	VerifyTime      time.Duration
-	WallTime        time.Duration
-}
-
-// Density returns |E_P| / |V| of the final sparsifier.
-func (r *Result) Density() float64 {
-	return float64(r.Sparsifier.M()) / float64(r.Sparsifier.N())
-}
-
-// Run executes the multilevel pipeline: coarsen, sparsify the coarsest
-// level, then interpolate + re-filter + verify level by level back to
-// the input. TargetMet reports whether the finest certificate met σ²
-// (callers decide how to surface a miss). Cancellation of ctx stops the
-// densification and re-filter passes at their next checkpoint.
-func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
-	start := time.Now()
-	if err := g.RequireConnected(); err != nil {
-		return nil, err
-	}
-	if err := opt.defaults(g.N()); err != nil {
-		return nil, err
-	}
-	sigma := opt.Sparsify.SigmaSq
-
-	coarsenSpan := obs.StartSpan(ctx, "coarsen")
-	levels, err := buildHierarchy(g, opt.CoarsenLevels, opt.CoarsenRatio, opt.CoarsestSize)
-	coarsenDur := coarsenSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Depth:       len(levels),
-		Levels:      make([]LevelStats, len(levels)),
-		CoarsenTime: coarsenDur,
-	}
-
-	// Sparsify the coarsest level with the exact single-shot options, so
-	// a depth-1 hierarchy stays bit-identical to core.Sparsify.
-	coarsest := levels[len(levels)-1]
-	sopt := opt.Sparsify
-	if sopt.Seed == 0 {
-		sopt.Seed = opt.Seed
-	}
-	spSpan := obs.StartSpan(ctx, "sparsify")
-	sp, err := core.SparsifyCtx(ctx, coarsest.g, sopt)
-	res.SparsifyTime = spSpan.End()
-	if err != nil && !errors.Is(err, core.ErrNoTarget) {
-		return nil, fmt.Errorf("multilevel: coarsest level: %w", err)
-	}
-	res.Levels[len(levels)-1] = LevelStats{
-		Level:      len(levels) - 1,
-		Vertices:   coarsest.g.N(),
-		Edges:      coarsest.g.M(),
-		TreeEdges:  len(sp.TreeEdgeIDs),
-		Recovered:  len(sp.OffTreeAddedIDs),
-		Kept:       sp.Sparsifier.M(),
-		SigmaSqEst: sp.SigmaSqAchieved,
-		Duration:   res.SparsifyTime,
-	}
-	p := sp.Sparsifier
-	kept := append(append([]int(nil), sp.TreeEdgeIDs...), sp.OffTreeAddedIDs...)
-	lmax, lmin := sp.LambdaMax, sp.LambdaMin
-	targetMet := err == nil
-
-	// Uncoarsen: interpolate the selection one level down, re-filter the
-	// fine edges, verify, repeat until the input graph.
-	for l := len(levels) - 2; l >= 0; l-- {
-		fine := levels[l]
-		lvlStart := time.Now()
-		levelSeed := core.DeriveSeed(opt.Seed, l+1)
-
-		iSpan := obs.StartSpan(ctx, "interpolate")
-		keptF, candF, treeCount, err := interpolate(fine.g, fine.rep, kept, sopt.TreeAlg, levelSeed)
-		res.InterpolateTime += iSpan.End()
-		if err != nil {
-			return nil, fmt.Errorf("multilevel: level %d: %w", l, err)
-		}
-		st := LevelStats{
-			Level:     l,
-			Vertices:  fine.g.N(),
-			Edges:     fine.g.M(),
-			TreeEdges: treeCount,
-			Inherited: len(keptF) - treeCount,
-		}
-
-		rSpan := obs.StartSpan(ctx, "uncoarsen_refilter")
-		pF, keptNew, recovered, lx, ln, err := core.Refilter(ctx, fine.g, keptF, candF, opt.Sparsify, opt.RefilterRounds, opt.Workers, levelSeed)
-		res.RefilterTime += rSpan.End()
-		if err != nil {
-			if ctx.Err() == nil {
-				err = fmt.Errorf("multilevel: level %d: %w", l, err)
-			}
-			return nil, err
-		}
-		st.Recovered = recovered
-		targetMet = ln > 0 && lx/ln <= sigma
-
-		if !opt.SkipVerify {
-			vlx, vln, cond, vDur, err := verifyLevel(ctx, fine.g, pF, opt.VerifySteps, levelSeed)
-			res.VerifyTime += vDur
-			if err != nil {
-				return nil, fmt.Errorf("multilevel: level %d: %w", l, err)
-			}
-			// Calibrated retries: the power/coloring estimates can clear σ²
-			// while the Lanczos check does not (the estimate under-reports
-			// κ by cond·ln/lx). Re-run the bounded re-filter against a
-			// proportionally tighter estimated target so it actually admits
-			// edges, then re-verify — the verified certificate is the one
-			// each level converges on. The retry count is capped, so the
-			// per-level cost stays bounded.
-			for attempt := 1; cond > sigma && len(keptNew) < fine.g.M() && ln > 0 && attempt <= maxCalibrations; attempt++ {
-				calibrated := sigma * (lx / ln) / cond
-				if !(calibrated > 1) {
-					calibrated = (1 + sigma) / 2
-				}
-				copt := opt.Sparsify
-				copt.SigmaSq = calibrated
-				cands := remaining(fine.g.M(), keptNew)
-				rSpan := obs.StartSpan(ctx, "uncoarsen_refilter")
-				pF2, kept2, rec2, lx2, ln2, err := core.Refilter(ctx, fine.g, keptNew, cands, copt, opt.RefilterRounds, opt.Workers, core.DeriveSeed(levelSeed, 2*attempt-1))
-				res.RefilterTime += rSpan.End()
-				if err != nil {
-					if ctx.Err() == nil {
-						err = fmt.Errorf("multilevel: level %d: %w", l, err)
-					}
-					return nil, err
-				}
-				pF, keptNew, lx, ln = pF2, kept2, lx2, ln2
-				st.Recovered += rec2
-				vlx, vln, cond, vDur, err = verifyLevel(ctx, fine.g, pF, opt.VerifySteps, core.DeriveSeed(levelSeed, 2*attempt))
-				res.VerifyTime += vDur
-				if err != nil {
-					return nil, fmt.Errorf("multilevel: level %d: %w", l, err)
-				}
-			}
-			st.VerifiedCond = cond
-			targetMet = cond <= sigma
-			if l == 0 {
-				res.VerifiedLambdaMax, res.VerifiedLambdaMin, res.VerifiedCond = vlx, vln, cond
-			}
-		}
-		p, kept, lmax, lmin = pF, keptNew, lx, ln
-		st.Kept = p.M()
-		if lmin > 0 {
-			st.SigmaSqEst = lmax / lmin
-		}
-		st.Duration = time.Since(lvlStart)
-		res.Levels[l] = st
-	}
-
-	if len(levels) == 1 && !opt.SkipVerify {
-		// Degenerate depth: the coarsest level IS the input, so the
-		// certificate check runs here instead of in the uncoarsen loop.
-		vlx, vln, cond, vDur, err := verifyLevel(ctx, g, p, opt.VerifySteps, opt.Seed)
-		res.VerifyTime += vDur
-		if err != nil {
-			return nil, fmt.Errorf("multilevel: %w", err)
-		}
-		res.VerifiedLambdaMax, res.VerifiedLambdaMin, res.VerifiedCond = vlx, vln, cond
-		res.Levels[0].VerifiedCond = cond
-		targetMet = cond <= sigma
-	}
-
-	res.Sparsifier = p
-	res.LambdaMax, res.LambdaMin = lmax, lmin
-	if lmin > 0 {
-		res.SigmaSqEst = lmax / lmin
-	}
-	res.TargetMet = targetMet
-	res.WallTime = time.Since(start)
-	return res, nil
-}
-
-// interpolate seeds a fine level's selection: the fine LSST backbone for
+// Interpolate seeds a fine level's selection: the fine LSST backbone for
 // connectivity plus the representative fine edge of every admitted
 // coarse edge; every other fine edge becomes a re-filter candidate.
-func interpolate(fine *graph.Graph, rep []int, coarseKept []int, alg lsst.Algorithm, seed uint64) (keptIDs, candIDs []int, treeCount int, err error) {
+func Interpolate(fine *graph.Graph, rep []int, coarseKept []int, alg lsst.Algorithm, seed uint64) (keptIDs, candIDs []int, treeCount int, err error) {
 	_, treeIDs, _, err := lsst.Extract(fine, alg, seed)
 	if err != nil {
 		return nil, nil, 0, err
@@ -372,41 +60,4 @@ func interpolate(fine *graph.Graph, rep []int, coarseKept []int, alg lsst.Algori
 		}
 	}
 	return keptIDs, candIDs, treeCount, nil
-}
-
-// remaining lists the edge ids of a graph with m edges not in kept.
-func remaining(m int, kept []int) []int {
-	in := make([]bool, m)
-	for _, id := range kept {
-		in[id] = true
-	}
-	out := make([]int, 0, m-len(kept))
-	for id := 0; id < m; id++ {
-		if !in[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// verifyLevel runs the independent generalized-Lanczos similarity check
-// of p against g under a "verify" span.
-func verifyLevel(ctx context.Context, g, p *graph.Graph, steps int, seed uint64) (lmax, lmin, cond float64, dur time.Duration, err error) {
-	if err := ctx.Err(); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	vSpan := obs.StartSpan(ctx, "verify")
-	defer func() { dur = vSpan.End() }()
-	solver, err := cholesky.NewLapSolver(p)
-	if err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("verification solver: %w", err)
-	}
-	if steps > g.N() {
-		steps = g.N()
-	}
-	lmax, lmin, cond, err = core.VerifySimilarity(g, p, solver, steps, seed)
-	if err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("similarity verification: %w", err)
-	}
-	return lmax, lmin, cond, dur, nil
 }

@@ -1,16 +1,27 @@
 package multilevel_test
 
+// The hierarchy and interpolation code is exercised the way production
+// drives it: through the batch pipeline's multilevel plan.
+
 import (
 	"context"
 	"testing"
 
 	"graphspar/internal/core"
+	"graphspar/internal/engine"
 	"graphspar/internal/graph"
-	"graphspar/internal/multilevel"
+	"graphspar/internal/params"
 	"graphspar/internal/testkit"
 )
 
 const sigma = 50.0
+
+// run executes the multilevel plan with the certificate on, as the facade
+// does.
+func run(ctx context.Context, g *graph.Graph, opt engine.Options) (*engine.Result, error) {
+	opt.Mode, opt.Verify = params.ModeMultilevel, true
+	return engine.Run(ctx, g, opt)
+}
 
 // requireSubgraph fails unless p is a subgraph of g with original weights.
 func requireSubgraph(t *testing.T, g, p *graph.Graph) {
@@ -42,11 +53,11 @@ func TestCertificateOnHarness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt := multilevel.Options{
+			opt := engine.Options{
 				Sparsify:     core.Options{SigmaSq: sigma, Seed: 7},
 				CoarsestSize: 16, // the harness graphs are small; force real hierarchies
 			}
-			res, err := multilevel.Run(context.Background(), g, opt)
+			res, err := run(context.Background(), g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,11 +117,11 @@ func TestDegenerateBitIdenticalToSingleShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, opt := range map[string]multilevel.Options{
+			for name, opt := range map[string]engine.Options{
 				"one-level": {Sparsify: copt, CoarsenLevels: 1},
 				"ratio-1":   {Sparsify: copt, CoarsenRatio: 1},
 			} {
-				res, err := multilevel.Run(context.Background(), g, opt)
+				res, err := run(context.Background(), g, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -136,15 +147,15 @@ func TestDeterministicPerSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := multilevel.Options{
+	opt := engine.Options{
 		Sparsify:     core.Options{SigmaSq: sigma, Seed: 13},
 		CoarsestSize: 16,
 	}
-	a, err := multilevel.Run(context.Background(), g, opt)
+	a, err := run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := multilevel.Run(context.Background(), g, opt)
+	b, err := run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +173,7 @@ func TestOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []multilevel.Options{
+	bad := []engine.Options{
 		{},                                     // missing σ²
 		{Sparsify: core.Options{SigmaSq: 0.5}}, // σ² ≤ 1
 		{Sparsify: core.Options{SigmaSq: sigma}, CoarsenLevels: -1},   // negative depth
@@ -170,7 +181,7 @@ func TestOptionValidation(t *testing.T) {
 		{Sparsify: core.Options{SigmaSq: sigma}, CoarsenRatio: -0.25}, // ratio < 0
 	}
 	for i, opt := range bad {
-		if _, err := multilevel.Run(context.Background(), g, opt); err == nil {
+		if _, err := run(context.Background(), g, opt); err == nil {
 			t.Fatalf("case %d: invalid options accepted", i)
 		}
 	}
@@ -184,7 +195,7 @@ func TestCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := multilevel.Run(ctx, g, multilevel.Options{
+	if _, err := run(ctx, g, engine.Options{
 		Sparsify:     core.Options{SigmaSq: sigma},
 		CoarsestSize: 16,
 	}); err == nil {

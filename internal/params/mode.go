@@ -75,3 +75,42 @@ func Coarsen(levels int, ratio float64) error {
 	}
 	return nil
 }
+
+// Plan is the one compatibility table of the knobs that pin an execution
+// plan — mode × shards × edge budget × coarsening — shared by the facade's
+// New and the service's wire canonicalization. ModeAuto leaves the path to
+// the caller's per-graph policy, so only explicit pins are judged against
+// each other; zero shards, maxEdges and coarsen knobs mean "unset".
+func Plan(mode Mode, shards, maxEdges, coarsenLevels int, coarsenRatio float64) error {
+	if err := Coarsen(coarsenLevels, coarsenRatio); err != nil {
+		return err
+	}
+	if maxEdges > 0 && (shards > 1 || mode == ModeSharded) {
+		// The sharded plan applies the edge budget per shard, which would
+		// silently inflate the cap shards-fold.
+		return fmt.Errorf("%w: the edge budget is a single-shot knob; it does not compose with a sharded run", ErrBadCombination)
+	}
+	switch mode {
+	case ModeSingleShot:
+		if shards > 1 {
+			return fmt.Errorf("%w: mode single contradicts shards=%d", ErrBadCombination, shards)
+		}
+	case ModeSharded:
+		if shards == 1 {
+			return fmt.Errorf("%w: mode sharded contradicts shards=1", ErrBadCombination)
+		}
+	case ModeMultilevel:
+		if shards != 0 {
+			return fmt.Errorf("%w: mode multilevel does not compose with shards=%d", ErrBadCombination, shards)
+		}
+		if maxEdges > 0 {
+			// The hierarchy's re-filter passes admit whatever the
+			// certificate needs, so an edge budget cannot be honored.
+			return fmt.Errorf("%w: the edge budget does not compose with mode multilevel", ErrBadCombination)
+		}
+	}
+	if (mode == ModeSingleShot || mode == ModeSharded) && (coarsenLevels != 0 || coarsenRatio != 0) {
+		return fmt.Errorf("%w: coarsen knobs require the multilevel mode", ErrBadCombination)
+	}
+	return nil
+}

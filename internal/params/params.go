@@ -1,5 +1,5 @@
 // Package params centralizes validation of the sparsification parameters
-// shared by the single-shot pipeline (internal/core), the sharded engine
+// shared by the edge filter (internal/core), the batch pipeline
 // (internal/engine), the incremental maintainer (internal/dynamic) and the
 // HTTP service's wire format (internal/service). Each of those packages
 // used to run its own copy of the same checks with its own error strings;

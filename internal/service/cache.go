@@ -141,9 +141,6 @@ func (p *SparsifyParams) Canon() error {
 		p.Partition = ""
 		return nil
 	}
-	if p.MaxEdges > 0 {
-		return fmt.Errorf("%w: max_edges is a single-shot knob; it does not compose with shards", params.ErrBadCombination)
-	}
 	m, err := partition.ParseMethod(p.Partition)
 	if err != nil {
 		return err
@@ -155,10 +152,11 @@ func (p *SparsifyParams) Canon() error {
 	return nil
 }
 
-// canonMode validates the execution-mode request and reduces it to its
-// canonical wire spelling. Requires the shards field to be canonical
-// already (negative and 1 folded to 0), so mode/shards contradictions
-// are judged against what the key will actually store.
+// canonMode validates the execution-mode request against the shared
+// compatibility table (params.Plan, plus the wire-only rules) and reduces
+// it to its canonical wire spelling. Requires the shards field to be
+// canonical already (negative and 1 folded to 0), so mode/shards
+// contradictions are judged against what the key will actually store.
 func (p *SparsifyParams) canonMode() (params.Mode, error) {
 	if p.Mode == "auto" {
 		// ParseMode accepts "auto", but on the wire it would make the cache
@@ -170,34 +168,28 @@ func (p *SparsifyParams) canonMode() (params.Mode, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := params.Coarsen(p.CoarsenLevels, p.CoarsenRatio); err != nil {
+	if mode == params.ModeAuto {
+		// No mode field: shards alone spell the path.
+		mode = params.ModeSingleShot
+		if p.Shards > 1 {
+			mode = params.ModeSharded
+		}
+	}
+	if err := params.Plan(mode, p.Shards, p.MaxEdges, p.CoarsenLevels, p.CoarsenRatio); err != nil {
 		return 0, err
 	}
-	if mode != params.ModeMultilevel && (p.CoarsenLevels != 0 || p.CoarsenRatio != 0) {
-		return 0, fmt.Errorf("%w: coarsen knobs require mode=multilevel", params.ErrBadCombination)
+	if mode == params.ModeSharded && p.Shards == 0 {
+		// The wire has no default arity (and Canon folded shards=1 to 0).
+		return 0, fmt.Errorf("%w: mode=sharded requires shards > 1", params.ErrBadCombination)
 	}
-	switch mode {
-	case params.ModeSingleShot:
-		if p.Shards > 1 {
-			return 0, fmt.Errorf("%w: mode=single contradicts shards=%d", params.ErrBadCombination, p.Shards)
-		}
-		p.Mode = "" // shards=0 already spells single-shot
-	case params.ModeSharded:
-		if p.Shards <= 1 {
-			return 0, fmt.Errorf("%w: mode=sharded requires shards > 1", params.ErrBadCombination)
-		}
-		p.Mode = "" // shards>1 already spells sharded
-	case params.ModeMultilevel:
-		if p.Shards != 0 {
-			return 0, fmt.Errorf("%w: mode=multilevel does not compose with shards", params.ErrBadCombination)
-		}
-		if p.MaxEdges > 0 {
-			return 0, fmt.Errorf("%w: max_edges is a single-shot knob; it does not compose with multilevel", params.ErrBadCombination)
-		}
-		if p.Incremental || p.WarmJob != "" {
-			return 0, fmt.Errorf("%w: multilevel does not compose with incremental warm starts", params.ErrBadCombination)
-		}
-		p.Mode = params.ModeMultilevel.String()
+	if mode == params.ModeMultilevel && (p.Incremental || p.WarmJob != "") {
+		return 0, fmt.Errorf("%w: multilevel does not compose with incremental warm starts", params.ErrBadCombination)
+	}
+	// "single" and "sharded" are redundant with Shards; only "multilevel"
+	// survives as a mode string.
+	p.Mode = ""
+	if mode == params.ModeMultilevel {
+		p.Mode = mode.String()
 	}
 	return mode, nil
 }

@@ -359,7 +359,9 @@ func (q *Queue) run(job *Job) {
 	if res != nil {
 		res.Phases = toPhaseMs(tr.Phases())
 	}
-	q.finish(job, res, err)
+	// Publish to the cache before the job becomes visible as done: a
+	// client that polls it to "done" and resubmits the identical request
+	// must hit, never race the Put.
 	if err == nil && q.cache != nil {
 		q.mu.Lock()
 		gate := q.cacheGate
@@ -368,6 +370,7 @@ func (q *Queue) run(job *Job) {
 			q.cache.Put(entry.Hash, p, res)
 		}
 	}
+	q.finish(job, res, err)
 }
 
 // runIncremental serves an incremental job the cheapest way available:

@@ -165,6 +165,43 @@ func TestQueueCacheShortCircuit(t *testing.T) {
 	}
 }
 
+// TestQueueCachesBeforeDone pins the publish order: a job must not become
+// visible as done until its result is in the cache, so a client that
+// polls to done and resubmits the identical request always hits. The
+// cache gate (consulted right before the Put) is held open to observe the
+// job's status at exactly that point.
+func TestQueueCachesBeforeDone(t *testing.T) {
+	entry := testEntry(t)
+	q := newTestQueue(1, 4, NewResultCache(4), func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
+		return &JobResult{SigmaSqAchieved: p.SigmaSq * 0.8, Sparsifier: g}, nil
+	})
+	defer q.Shutdown(context.Background())
+	entered, release := make(chan struct{}), make(chan struct{})
+	q.SetCacheGate(func(string) bool {
+		close(entered)
+		<-release
+		return true
+	})
+
+	first, err := q.Submit(entry, testParams(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if job, err := q.Get(first.ID); err != nil || job.Status == StatusDone {
+		t.Errorf("job is %s (err %v) before its result reached the cache", job.Status, err)
+	}
+	close(release)
+	waitJob(t, q, first.ID)
+	second, err := q.Submit(entry, testParams(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Status != StatusDone || second.CacheHit != CacheExact {
+		t.Errorf("resubmit after done = status %s cache %q, want done/exact", second.Status, second.CacheHit)
+	}
+}
+
 func TestQueueFailedJob(t *testing.T) {
 	entry := testEntry(t)
 	boom := errors.New("boom")

@@ -10,6 +10,7 @@ import (
 
 	"graphspar/internal/core"
 	"graphspar/internal/dynamic"
+	"graphspar/internal/engine"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/sessions"
@@ -55,7 +56,7 @@ func BenchmarkStreamReplay(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			opt := dynamic.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}}
+			opt := dynamic.Options{Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}}}
 			ctx := context.Background()
 
 			// Switching happens on redundant lines: toggle edges outside

@@ -510,8 +510,11 @@ func (s *Session) loop(ttl time.Duration) {
 		select {
 		case req := <-s.reqs:
 			req.fn(s.m)
-			close(req.done)
+			// Publish the new hash and accounting before releasing the
+			// caller: once DoMutate returns, Hash() and Get with the
+			// post-apply hash must already see this request.
 			s.mgr.touched(s, req.mutate, req.hash)
+			close(req.done)
 			if idle != nil {
 				if !idle.Stop() {
 					select {

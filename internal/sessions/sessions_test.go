@@ -10,6 +10,7 @@ import (
 
 	"graphspar/internal/core"
 	"graphspar/internal/dynamic"
+	"graphspar/internal/engine"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 )
@@ -294,7 +295,7 @@ func TestRealMaintainerRoundTrip(t *testing.T) {
 	}
 	const sigmaSq = 50
 	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1},
+		Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,9 @@
 package graphspar_test
 
-// Equivalence and validation coverage of the facade's multilevel path:
-// WithMode(ModeMultilevel) must be bit-identical to the direct
-// multilevel.Run call it wraps, the degenerate coarsening settings must
-// reproduce the single-shot pipeline, and the mode/shards/budget
-// combination rules must reject contradictions with typed errors.
+// Multilevel and mode coverage of the facade: the degenerate coarsening
+// settings must reproduce the single-shot pipeline, WithMode must pin the
+// plan, and the mode/shards/budget combination rules must reject
+// contradictions with typed errors.
 
 import (
 	"context"
@@ -12,48 +11,8 @@ import (
 	"testing"
 
 	"graphspar"
-	"graphspar/internal/core"
 	"graphspar/internal/gen"
-	"graphspar/internal/multilevel"
 )
-
-func TestFacadeMultilevelBitIdentical(t *testing.T) {
-	g, err := gen.Grid2D(32, 32, gen.UniformWeights, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := graphspar.New(
-		graphspar.WithSigma2(60),
-		graphspar.WithSeed(7),
-		graphspar.WithMode(graphspar.ModeMultilevel),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := multilevel.Run(context.Background(), g, multilevel.Options{
-		Sparsify: core.Options{SigmaSq: 60, Seed: 7},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameGraph(t, "multilevel", res.Sparsifier, want.Sparsifier)
-	if res.CoarsenDepth != want.Depth {
-		t.Errorf("CoarsenDepth = %d, direct run used %d", res.CoarsenDepth, want.Depth)
-	}
-	if len(res.Levels) != len(want.Levels) {
-		t.Errorf("Levels has %d entries, direct run %d", len(res.Levels), len(want.Levels))
-	}
-	if res.VerifiedCond != want.VerifiedCond {
-		t.Errorf("VerifiedCond = %v, direct run %v", res.VerifiedCond, want.VerifiedCond)
-	}
-	if !res.Verified || !res.TargetMet {
-		t.Errorf("Verified=%v TargetMet=%v, want both true", res.Verified, res.TargetMet)
-	}
-}
 
 // TestFacadeMultilevelDegenerateSingleShot pins the documented
 // equivalence: one hierarchy level, or a coarsen ratio of 1, must yield

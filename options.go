@@ -3,32 +3,29 @@ package graphspar
 import (
 	"fmt"
 
-	"graphspar/internal/core"
 	"graphspar/internal/dynamic"
-	"graphspar/internal/engine"
 	"graphspar/internal/lsst"
-	"graphspar/internal/multilevel"
 	"graphspar/internal/params"
 	"graphspar/internal/partition"
 )
 
-// Mode selects Run's execution path; WithMode pins it.
+// Mode selects Run's execution plan; WithMode pins it.
 type Mode = params.Mode
 
 // Execution modes.
 const (
-	// ModeAuto (the default) picks the path from the graph: single-shot
+	// ModeAuto (the default) picks the plan from the graph: single-shot
 	// below AutoShardEdges edges, multilevel at or above
 	// AutoMultilevelEdges or when a cheap partition probe finds the graph
 	// ill-partitioned, sharded otherwise.
 	ModeAuto = params.ModeAuto
 	// ModeSingleShot pins the plain edge-filter pipeline.
 	ModeSingleShot = params.ModeSingleShot
-	// ModeSharded pins the shard-parallel engine (WithShards sets the
+	// ModeSharded pins the shard-parallel plan (WithShards sets the
 	// arity; AutoShards otherwise).
 	ModeSharded = params.ModeSharded
 	// ModeMultilevel pins the coarsen → sparsify-coarse → interpolate →
-	// refilter hierarchy engine.
+	// refilter hierarchy plan.
 	ModeMultilevel = params.ModeMultilevel
 )
 
@@ -53,27 +50,13 @@ const (
 // "akpw"; empty means the default) for flags and wire formats.
 func ParseTreeAlgorithm(name string) (TreeAlgorithm, error) { return lsst.Parse(name) }
 
-// SolverKind selects how L_P⁺ is applied inside the densification loop.
-type SolverKind = core.SolverKind
-
-// Inner solver choices.
-const (
-	// SolverDirect refactors the sparsifier with sparse Cholesky each
-	// round (the default: sparsifiers are ultra-sparse, direct is fastest).
-	SolverDirect = core.Direct
-	// SolverTreePCG runs PCG preconditioned by the backbone tree.
-	SolverTreePCG = core.TreePCG
-	// SolverAMG runs aggregation-multigrid-preconditioned PCG.
-	SolverAMG = core.AMG
-)
-
-// PartitionMethod selects the sharded engine's bisector.
+// PartitionMethod selects the sharded plan's bisector.
 type PartitionMethod = partition.Method
 
 // Bisector backends.
 const (
 	// PartitionBFS is the solver-free O(n+m) level-set bisector (the
-	// engine's default: the partitioner must cost far less than the
+	// default: the partitioner must cost far less than the
 	// sparsifications it feeds).
 	PartitionBFS = partition.BFS
 	// PartitionDirect computes spectral cuts with a direct factorization.
@@ -92,213 +75,30 @@ func ParsePartitionMethod(name string) (PartitionMethod, error) {
 	return partition.ParseMethod(name)
 }
 
-// verifyMode is the three-valued verification switch: the zero value
-// follows each path's native default (sharded verifies, single-shot does
-// not).
-type verifyMode int
-
-const (
-	verifyAuto verifyMode = iota
-	verifyOn
-	verifyOff
-)
-
-// config is the resolved option set a Sparsifier carries. Zero fields
-// defer to the underlying pipeline defaults so that a facade call stays
-// bit-identical to the equivalent direct core/engine call.
+// config is what a Sparsifier carries: the pipelines' own options structs,
+// written into directly by the functional options. Zero fields defer to
+// the pipeline defaults.
 type config struct {
-	sigma2        float64
-	t             int
-	numVectors    int
-	treeAlg       TreeAlgorithm
-	solver        SolverKind
-	maxRounds     int
-	maxEdges      int
-	batchFraction float64
-	embedWorkers  int
-	seed          uint64
-
-	mode         Mode
-	shards       int // 0 = auto, 1 = single-shot pinned, >1 = sharded pinned
-	workers      int
-	partitionSet bool
-	partition    PartitionMethod
-
-	coarsenLevels int
-	coarsenRatio  float64
-
-	verify      verifyMode
-	verifySteps int
-
-	refilterRounds int
-	driftFraction  float64
-
-	localRefreshRadius int
-	factorBudget       int
-	factorBudgetSet    bool
-
-	// workspace pools embedding and factorization scratch across every
-	// pipeline run this Sparsifier performs. New installs one per
-	// Sparsifier (it is concurrency-safe, so concurrent Runs share it);
-	// there is deliberately no public option — pooling never changes
+	// opt is the maintainer's options struct, which embeds the batch
+	// pipeline's (engine.Options): Run uses the embedded part, Maintain
+	// and Resume all of it. Mode and Shards hold the user's pins
+	// (ModeAuto / 0 = unpinned) that plan resolves per graph, and Verify
+	// records WithVerification. New installs Sparsify.Workspace: one per
+	// Sparsifier, pooling embedding and factorization scratch across
+	// every run (it is concurrency-safe, so concurrent Runs share it).
+	// There is deliberately no public option — pooling never changes
 	// results, so there is nothing to configure.
-	workspace *core.Workspace
+	opt dynamic.Options
 }
 
-func defaultConfig() config {
-	return config{}
-}
-
+// validate rejects an unusable target and contradictory plan pins (the
+// shared table in internal/params, which the service's wire layer also
+// applies).
 func (c *config) validate() error {
-	if err := params.Sigma2(c.sigma2); err != nil {
+	if err := params.Sigma2(c.opt.Sparsify.SigmaSq); err != nil {
 		return err
 	}
-	if c.maxEdges > 0 && c.shards > 1 {
-		// The engine applies core's edge budget per shard, which would
-		// silently inflate the cap ~shards-fold; reject like the service
-		// does. (The auto policy respects the budget instead: shardsFor
-		// pins single-shot whenever MaxEdges is set.)
-		return fmt.Errorf("%w: WithMaxEdges is a single-shot knob; it does not compose with WithShards(%d)", params.ErrBadCombination, c.shards)
-	}
-	// WithMode and WithShards both pin the execution path; reject
-	// contradictions instead of silently preferring one.
-	switch c.mode {
-	case ModeSingleShot:
-		if c.shards > 1 {
-			return fmt.Errorf("%w: WithMode(ModeSingleShot) contradicts WithShards(%d)", params.ErrBadCombination, c.shards)
-		}
-	case ModeSharded:
-		if c.shards == 1 {
-			return fmt.Errorf("%w: WithMode(ModeSharded) contradicts WithShards(1)", params.ErrBadCombination)
-		}
-	case ModeMultilevel:
-		if c.shards != 0 {
-			return fmt.Errorf("%w: WithMode(ModeMultilevel) contradicts WithShards(%d)", params.ErrBadCombination, c.shards)
-		}
-		if c.maxEdges > 0 {
-			// The hierarchy's re-filter passes admit whatever the
-			// certificate needs, so an edge budget cannot be honored.
-			return fmt.Errorf("%w: WithMaxEdges does not compose with WithMode(ModeMultilevel)", params.ErrBadCombination)
-		}
-	}
-	return nil
-}
-
-// effectiveSeed mirrors core.Options' seed defaulting (0 → 1) for the
-// places the facade seeds work itself (verification).
-func (c *config) effectiveSeed() uint64 {
-	if c.seed == 0 {
-		return 1
-	}
-	return c.seed
-}
-
-// verifyStepsFor resolves the independent-verification Lanczos depth:
-// the explicit WithVerification value, else min(30, n) with a floor of 2.
-func (c *config) verifyStepsFor(n int) int {
-	if c.verifySteps > 0 {
-		return c.verifySteps
-	}
-	k := 30
-	if n < k {
-		k = n
-	}
-	if k < 2 {
-		k = 2
-	}
-	return k
-}
-
-// coreOptions assembles the exact core.Options a direct caller would
-// write; unset knobs stay zero so core applies its own defaults.
-func (c *config) coreOptions() core.Options {
-	return core.Options{
-		SigmaSq:       c.sigma2,
-		T:             c.t,
-		NumVectors:    c.numVectors,
-		TreeAlg:       c.treeAlg,
-		MaxRounds:     c.maxRounds,
-		BatchFraction: c.batchFraction,
-		Solver:        c.solver,
-		MaxEdges:      c.maxEdges,
-		EmbedWorkers:  c.embedWorkers,
-		Workspace:     c.workspace,
-		Seed:          c.seed,
-	}
-}
-
-// partitionOptions builds the engine's bisector configuration, or nil for
-// the engine default when WithPartition was not used.
-func (c *config) partitionOptions() *partition.Options {
-	if !c.partitionSet {
-		return nil
-	}
-	return &partition.Options{Method: c.partition, SigmaSq: c.sigma2, Seed: c.effectiveSeed()}
-}
-
-// engineOptions assembles the engine.Options for a sharded run.
-func (c *config) engineOptions(shards int) engine.Options {
-	opt := engine.Options{
-		Shards:     shards,
-		Workers:    c.workers,
-		Sparsify:   c.coreOptions(),
-		Partition:  c.partitionOptions(),
-		SkipVerify: c.verify == verifyOff,
-		Seed:       c.effectiveSeed(),
-	}
-	if c.verifySteps > 0 {
-		opt.VerifySteps = c.verifySteps
-	}
-	return opt
-}
-
-// multilevelOptions assembles the multilevel.Options for a hierarchy run.
-// The embedding/solver knobs flow through coreOptions, so the coarsest
-// pipeline and the per-level re-filters behave exactly like the
-// single-shot path configured the same way.
-func (c *config) multilevelOptions() multilevel.Options {
-	opt := multilevel.Options{
-		Sparsify:       c.coreOptions(),
-		CoarsenLevels:  c.coarsenLevels,
-		CoarsenRatio:   c.coarsenRatio,
-		RefilterRounds: c.refilterRounds,
-		SkipVerify:     c.verify == verifyOff,
-		Workers:        c.workers,
-		Seed:           c.effectiveSeed(),
-	}
-	if c.verifySteps > 0 {
-		opt.VerifySteps = c.verifySteps
-	}
-	return opt
-}
-
-// dynamicOptions assembles the maintainer configuration for Maintain and
-// Resume. shards is the resolved count from Sparsifier.shardsFor — the
-// same policy Run uses — so a stream's full rebuilds route through the
-// engine exactly when a Run on the same graph would.
-func (c *config) dynamicOptions(shards int) dynamic.Options {
-	opt := dynamic.Options{
-		Sparsify:           c.coreOptions(),
-		RefilterRounds:     c.refilterRounds,
-		DriftFraction:      c.driftFraction,
-		LocalRefreshRadius: c.localRefreshRadius,
-	}
-	if c.factorBudgetSet {
-		if c.factorBudget == 0 {
-			opt.FactorUpdateBudget = -1 // facade 0 = off; dynamic 0 = default
-		} else {
-			opt.FactorUpdateBudget = c.factorBudget
-		}
-	}
-	if c.verifySteps > 0 {
-		opt.VerifySteps = c.verifySteps
-	}
-	if shards > 1 {
-		opt.RebuildShards = shards
-		opt.RebuildWorkers = c.workers
-		opt.RebuildPartition = c.partitionOptions()
-	}
-	return opt
+	return params.Plan(c.opt.Mode, c.opt.Shards, c.opt.Sparsify.MaxEdges, c.opt.CoarsenLevels, c.opt.CoarsenRatio)
 }
 
 // Option configures a Sparsifier under construction.
@@ -309,28 +109,27 @@ type Option func(*config) error
 // (e.g. 50, 100, 200; larger is sparser). Required, must be > 1.
 func WithSigma2(sigmaSq float64) Option {
 	return func(c *config) error {
-		c.sigma2 = sigmaSq
+		c.opt.Sparsify.SigmaSq = sigmaSq
 		return nil
 	}
 }
 
-// WithShards pins the execution path of Run: 1 forces the single-shot
-// pipeline, k > 1 forces the sharded engine with k shards, and 0 restores
-// the default auto policy (single-shot below AutoShardEdges edges,
-// AutoShards shards above). With Maintain, k > 1 routes the stream's full
-// rebuilds through the engine.
+// WithShards pins the execution plan of Run: 1 forces single-shot, k > 1
+// forces the sharded plan with k shards, and 0 restores the default auto
+// policy (single-shot below AutoShardEdges edges, a parallel plan above).
+// With Maintain, k > 1 runs the stream's full rebuilds sharded.
 func WithShards(k int) Option {
 	return func(c *config) error {
 		if k < 0 {
 			return fmt.Errorf("%w: got %d", ErrBadShards, k)
 		}
-		c.shards = k
+		c.opt.Shards = k
 		return nil
 	}
 }
 
-// WithMode pins Run's execution path: single-shot, sharded, or the
-// multilevel hierarchy engine; ModeAuto (the default) picks per graph as
+// WithMode pins Run's execution plan: single-shot, sharded, or the
+// multilevel hierarchy; ModeAuto (the default) picks per graph as
 // documented on the constants. Contradictory combinations with WithShards
 // are rejected by New (WithShards(1) pins single-shot, k > 1 sharded).
 // ModeMultilevel does not compose with Maintain/Resume or WithMaxEdges.
@@ -338,7 +137,7 @@ func WithMode(m Mode) Option {
 	return func(c *config) error {
 		switch m {
 		case ModeAuto, ModeSingleShot, ModeSharded, ModeMultilevel:
-			c.mode = m
+			c.opt.Mode = m
 			return nil
 		}
 		return fmt.Errorf("%w: %d", params.ErrBadMode, int(m))
@@ -348,13 +147,11 @@ func WithMode(m Mode) Option {
 // WithCoarsenLevels caps the multilevel hierarchy depth, counting the
 // input graph as level one: 1 disables coarsening (Run is then
 // bit-identical to the single-shot pipeline), 0 restores the default cap.
-// Only multilevel runs consult it.
+// Only multilevel runs consult it, so New rejects it next to a pinned
+// single-shot or sharded mode.
 func WithCoarsenLevels(n int) Option {
 	return func(c *config) error {
-		if err := params.Coarsen(n, 0); err != nil {
-			return err
-		}
-		c.coarsenLevels = n
+		c.opt.CoarsenLevels = n
 		return nil
 	}
 }
@@ -363,43 +160,33 @@ func WithCoarsenLevels(n int) Option {
 // shrink factor nc/n of the multilevel hierarchy: a coarsening step that
 // cannot shrink below this fraction ends the hierarchy. 1 disables
 // coarsening entirely (bit-identical to single-shot), 0 restores the
-// default. Only multilevel runs consult it.
+// default. Only multilevel runs consult it, so New rejects it next to a
+// pinned single-shot or sharded mode.
 func WithCoarsenRatio(r float64) Option {
 	return func(c *config) error {
-		if err := params.Coarsen(0, r); err != nil {
-			return err
-		}
-		c.coarsenRatio = r
+		c.opt.CoarsenRatio = r
 		return nil
 	}
 }
 
 // WithWorkers bounds how many shards sparsify concurrently in the sharded
-// engine, and how many goroutines the multilevel engine's per-level
-// embedding passes use (0 = all cores). Workers only affect wall-clock
+// plan, and how many goroutines the full-size embedding passes of the
+// sharded and multilevel plans use (0 = all cores). Workers only affect wall-clock
 // time, never the result.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
-		c.workers = n
+		c.opt.Workers = n
 		return nil
 	}
 }
 
-// WithPartition selects the sharded engine's bisector (default
+// WithPartition selects the sharded plan's bisector (default
 // PartitionBFS).
 func WithPartition(m PartitionMethod) Option {
 	return func(c *config) error {
-		c.partitionSet = true
-		c.partition = m
-		return nil
-	}
-}
-
-// WithSolver selects the inner L_P⁺ solver of the densification loop
-// (default SolverDirect).
-func WithSolver(kind SolverKind) Option {
-	return func(c *config) error {
-		c.solver = kind
+		// New completes it with σ² and the seed, whatever order the
+		// options were given in.
+		c.opt.Partition = &partition.Options{Method: m}
 		return nil
 	}
 }
@@ -409,7 +196,7 @@ func WithSolver(kind SolverKind) Option {
 // every worker count; purely a wall-clock knob.
 func WithEmbedWorkers(n int) Option {
 	return func(c *config) error {
-		c.embedWorkers = n
+		c.opt.Sparsify.EmbedWorkers = n
 		return nil
 	}
 }
@@ -418,7 +205,7 @@ func WithEmbedWorkers(n int) Option {
 // seeds). Results are deterministic per seed; 0 means the default seed 1.
 func WithSeed(seed uint64) Option {
 	return func(c *config) error {
-		c.seed = seed
+		c.opt.Sparsify.Seed = seed
 		return nil
 	}
 }
@@ -427,7 +214,7 @@ func WithSeed(seed uint64) Option {
 // (default TreeMaxWeight).
 func WithTreeAlgorithm(a TreeAlgorithm) Option {
 	return func(c *config) error {
-		c.treeAlg = a
+		c.opt.Sparsify.TreeAlg = a
 		return nil
 	}
 }
@@ -437,7 +224,7 @@ func WithTreeAlgorithm(a TreeAlgorithm) Option {
 // suffices).
 func WithEmbedSteps(t int) Option {
 	return func(c *config) error {
-		c.t = t
+		c.opt.Sparsify.T = t
 		return nil
 	}
 }
@@ -446,17 +233,7 @@ func WithEmbedSteps(t int) Option {
 // embedding (default O(log |V|)).
 func WithProbeVectors(r int) Option {
 	return func(c *config) error {
-		c.numVectors = r
-		return nil
-	}
-}
-
-// WithMaxRounds caps the densification iterations (default 30). When the
-// budget is exhausted with the target unmet, Run returns the best
-// sparsifier found together with ErrNoTarget.
-func WithMaxRounds(n int) Option {
-	return func(c *config) error {
-		c.maxRounds = n
+		c.opt.Sparsify.NumVectors = r
 		return nil
 	}
 }
@@ -465,62 +242,22 @@ func WithMaxRounds(n int) Option {
 // equal-budget comparisons; 0 means unlimited. Single-shot only.
 func WithMaxEdges(n int) Option {
 	return func(c *config) error {
-		c.maxEdges = n
-		return nil
-	}
-}
-
-// WithBatchFraction caps how many passing candidates are added per
-// densification round, as a fraction of the candidate list (default
-// 0.25).
-func WithBatchFraction(f float64) Option {
-	return func(c *config) error {
-		c.batchFraction = f
+		c.opt.Sparsify.MaxEdges = n
 		return nil
 	}
 }
 
 // WithVerification enables the independent generalized-Lanczos check of
-// the final certificate on every Run (it is on by default only for the
-// sharded path) and sets its depth; steps ≤ 0 keeps the default depth
+// the final certificate on every Run (without it only the sharded and
+// multilevel plans certify) and sets its depth; steps ≤ 0 keeps the default depth
 // min(30, |V|). With Maintain, a positive steps value sets the per-batch
 // certificate depth (default 12).
 func WithVerification(steps int) Option {
 	return func(c *config) error {
-		c.verify = verifyOn
+		c.opt.Verify = true
 		if steps > 0 {
-			c.verifySteps = steps
+			c.opt.VerifySteps = steps
 		}
-		return nil
-	}
-}
-
-// WithoutVerification disables the independent certificate check on Run
-// (the sharded path otherwise runs it); the pipeline's own estimates are
-// still reported. Maintain ignores this: the maintainer's invariant is
-// the verified certificate.
-func WithoutVerification() Option {
-	return func(c *config) error {
-		c.verify = verifyOff
-		return nil
-	}
-}
-
-// WithRefilterRounds caps the certificate-restoration re-filter rounds a
-// Stream runs per update batch (default 4).
-func WithRefilterRounds(n int) Option {
-	return func(c *config) error {
-		c.refilterRounds = n
-		return nil
-	}
-}
-
-// WithDriftFraction bounds a Stream's embedding staleness: a full rebuild
-// is forced once cumulative churn exceeds this fraction of the edge count
-// at the last full build (default 0.25).
-func WithDriftFraction(f float64) Option {
-	return func(c *config) error {
-		c.driftFraction = f
 		return nil
 	}
 }
@@ -537,7 +274,7 @@ func WithLocalRefresh(radius int) Option {
 		if radius < 0 {
 			radius = 0
 		}
-		c.localRefreshRadius = radius
+		c.opt.LocalRefreshRadius = radius
 		return nil
 	}
 }
@@ -553,8 +290,10 @@ func WithFactorUpdateBudget(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("%w: factor update budget %d is negative", params.ErrInvalid, n)
 		}
-		c.factorBudget = n
-		c.factorBudgetSet = true
+		c.opt.FactorUpdateBudget = n
+		if n == 0 {
+			c.opt.FactorUpdateBudget = -1 // dynamic.Options spells "off" as negative; its 0 is "default"
+		}
 		return nil
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"graphspar/internal/core"
 	"graphspar/internal/engine"
-	"graphspar/internal/multilevel"
 	"graphspar/internal/obs"
 )
 
@@ -18,7 +17,7 @@ type ShardStats = engine.ShardStats
 
 // LevelStats reports one hierarchy level of a multilevel run (level 0 is
 // the input graph, the highest level the coarsest).
-type LevelStats = multilevel.LevelStats
+type LevelStats = engine.LevelStats
 
 // Phase is one timed pipeline span (partition, shard, stitch, embed,
 // verify, settle, refilter, ...). Start is the offset from the start of
@@ -50,15 +49,15 @@ type Timings struct {
 	Wall        time.Duration
 }
 
-// Result is the unified output of Sparsifier.Run across both execution
-// paths. Fields that only one path produces are documented as such and
-// are zero for the other.
+// Result is the unified output of Sparsifier.Run across every execution
+// plan. Fields that only one plan produces are documented as such and
+// are zero for the others.
 type Result struct {
 	// Sparsifier is P: a connected subgraph of the input with original
 	// edge weights, certified (or best-effort, see TargetMet) to satisfy
 	// κ(L_G, L_P) ≤ σ².
 	Sparsifier *Graph
-	// Sharded/Multilevel report which execution path ran (both false for
+	// Sharded/Multilevel report which execution plan ran (both false for
 	// single-shot).
 	Sharded    bool
 	Multilevel bool

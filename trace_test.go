@@ -1,6 +1,6 @@
 package graphspar_test
 
-// Phase-trace coverage of the facade: both execution paths must return a
+// Phase-trace coverage of the facade: every execution plan must return a
 // populated Result.Phases, the single-shot Timings must be span-derived
 // (Verify > 0 under WithVerification), and a caller-attached trace
 // (NewTraceContext) must see the same spans the Result reports.
