@@ -23,6 +23,7 @@ import (
 
 	"graphspar"
 	"graphspar/internal/gen"
+	"graphspar/internal/lsst"
 )
 
 const pipelineGoldenPath = "testdata/pipeline_golden.json"
@@ -51,11 +52,15 @@ type goldenRun struct {
 	LevelKept    []int `json:"level_kept"`
 }
 
-// goldenStream is one Maintain → Apply×3 row: the maintained sparsifier
-// and certificate after the build and after every batch.
+// goldenStream is one Maintain → Apply×k row: the maintained sparsifier
+// and certificate after the build and after every batch. The
+// maintain/refilter rows also record how often the localized re-filter
+// ran, so they fail if they ever stop exercising it.
 type goldenStream struct {
-	Name   string        `json:"name"`
-	States []goldenState `json:"states"`
+	Name           string        `json:"name"`
+	States         []goldenState `json:"states"`
+	Refilters      int           `json:"refilter_rounds,omitempty"`
+	BatchedSettles int           `json:"batched_settles,omitempty"`
 }
 
 type goldenState struct {
@@ -213,6 +218,99 @@ func buildPipelineGolden(t *testing.T) pipelineGolden {
 			}
 			snap()
 		}
+		out.Streams = append(out.Streams, row)
+	}
+
+	// Maintainer re-filter: the batches above never push κ past the
+	// safety margin, so these rows thin the sparsifier's own off-tree
+	// edges (delete some, halve the rest) until the localized re-filter
+	// has to re-admit candidates: batches of `small` deletions until the
+	// first re-filter round, then the listed batch sizes — 64 updates
+	// take the batched-settle route (all rounds, one certificate check),
+	// 63 stay on the per-round route. The grid rounds admit one edge
+	// each; the SBM rounds admit capped, similarity-checked multi-edge
+	// batches on both routes.
+	sbmThinCut, _, err := gen.SBM(4, 128, 0.15, 0.004, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid32, err := gen.Grid2D(32, 32, gen.UniformWeights, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gr := range []struct {
+		name    string
+		g       *graphspar.Graph
+		small   int   // deletions per batch before the first re-filter
+		deletes int   // deletions in each later batch; the rest halve weights
+		sizes   []int // later batch sizes
+	}{
+		{"grid32", grid32, 24, 6, []int{64, 64}},
+		{"sbm4x128", sbmThinCut, 38, 12, []int{64, 63, 63}},
+	} {
+		const seed = 7
+		s, err := graphspar.New(graphspar.WithSigma2(goldenSigma2), graphspar.WithSeed(seed),
+			graphspar.WithShards(1), graphspar.WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.Maintain(ctx, gr.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The single-shot build's backbone, recomputed: every other
+		// sparsifier edge is a kept off-tree edge.
+		_, treeIDs, _, err := lsst.Extract(gr.g, lsst.MaxWeight, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inTree := make(map[[2]int]bool, len(treeIDs))
+		for _, id := range treeIDs {
+			e := gr.g.Edge(id)
+			inTree[[2]int{e.U, e.V}] = true
+		}
+		row := goldenStream{Name: "maintain/refilter/" + gr.name}
+		snap := func() {
+			row.States = append(row.States, goldenState{
+				Sparsifier: sparsifierHash(st.Sparsifier()),
+				Cond:       floatBits(st.Cond()),
+			})
+		}
+		thin := func(size, deletes int) {
+			var b []graphspar.Update
+			for _, e := range st.Sparsifier().Edges() {
+				if inTree[[2]int{e.U, e.V}] {
+					continue
+				}
+				if len(b) == size {
+					break
+				}
+				if len(b) < deletes {
+					b = append(b, graphspar.Delete(e.U, e.V))
+				} else {
+					b = append(b, graphspar.Reweight(e.U, e.V, e.W/2))
+				}
+			}
+			if err := st.Apply(ctx, b); err != nil {
+				t.Fatalf("%s: batch %d: %v", row.Name, len(row.States), err)
+			}
+			snap()
+		}
+		snap()
+		for st.Stats().Refilters == 0 {
+			if len(row.States) > 8 {
+				t.Fatalf("%s: no re-filter after %d batches (stats %+v)", row.Name, len(row.States)-1, st.Stats())
+			}
+			thin(gr.small, gr.small)
+		}
+		for _, size := range gr.sizes {
+			thin(size, gr.deletes)
+		}
+		stats := st.Stats()
+		if stats.BatchedSettles == 0 || stats.Rebuilds > 0 {
+			t.Fatalf("%s: want a batched settle and no rebuild over the re-filtered sparsifier, got stats %+v", row.Name, stats)
+		}
+		row.Refilters, row.BatchedSettles = stats.Refilters, stats.BatchedSettles
 		out.Streams = append(out.Streams, row)
 	}
 	return out
