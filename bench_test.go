@@ -1,6 +1,6 @@
 // Package graphspar_test hosts the benchmark harness: one benchmark per
 // table and figure of the paper (regenerating the corresponding rows via
-// internal/exp) plus the ablation benches A1–A6 listed in DESIGN.md.
+// internal/exp) plus the ablation benches A1–A5 listed in DESIGN.md.
 // Benchmarks report qualitative metrics (achieved σ², edges kept, PCG
 // iterations) through b.ReportMetric so `go test -bench` output doubles as
 // an experiment log.
@@ -315,20 +315,6 @@ func BenchmarkAblationBaselines(b *testing.B) {
 			b.ReportMetric(condOf(b, sp), "κ-est")
 		}
 	})
-}
-
-// A6: inner L_P⁺ solver inside the densification loop.
-func BenchmarkAblationInnerSolver(b *testing.B) {
-	for _, kind := range []core.SolverKind{core.Direct, core.TreePCG, core.AMG} {
-		b.Run(kind.String(), func(b *testing.B) {
-			g := ablationGraph(b, 6)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := sparsifyMetrics(b, g, core.Options{SigmaSq: 80, Solver: kind, Seed: uint64(i + 1)})
-				b.ReportMetric(res.SigmaSqAchieved, "σ²-achieved")
-			}
-		})
-	}
 }
 
 // ------------------------------------------------ sharded engine benchmark

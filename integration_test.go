@@ -15,7 +15,6 @@ import (
 	"graphspar/internal/gsp"
 	"graphspar/internal/lsst"
 	"graphspar/internal/mm"
-	"graphspar/internal/multigrid"
 	"graphspar/internal/partition"
 	"graphspar/internal/pcg"
 	"graphspar/internal/resistance"
@@ -183,7 +182,7 @@ func TestExtremeWeightRobustness(t *testing.T) {
 }
 
 // TestSolversAgreeOnPseudoinverse cross-checks every L⁺ implementation in
-// the repo (tree on trees; Cholesky, PCG, AMG on general graphs) against
+// the repo (tree on trees; Cholesky and PCG on general graphs) against
 // each other.
 func TestSolversAgreeOnPseudoinverse(t *testing.T) {
 	g, err := gen.Grid2D(11, 13, gen.UniformWeights, 21)
@@ -206,21 +205,9 @@ func TestSolversAgreeOnPseudoinverse(t *testing.T) {
 	xIter := make([]float64, n)
 	iter.Solve(xIter, b)
 
-	h, err := multigrid.New(g, multigrid.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xAMG := make([]float64, n)
-	if _, err := h.Solve(xAMG, append([]float64(nil), b...), 1e-12, 500); err != nil {
-		t.Fatal(err)
-	}
-
 	for i := 0; i < n; i++ {
 		if math.Abs(xDirect[i]-xIter[i]) > 1e-6*(1+math.Abs(xDirect[i])) {
 			t.Fatalf("direct vs PCG diverge at %d: %v vs %v", i, xDirect[i], xIter[i])
-		}
-		if math.Abs(xDirect[i]-xAMG[i]) > 1e-6*(1+math.Abs(xDirect[i])) {
-			t.Fatalf("direct vs AMG diverge at %d: %v vs %v", i, xDirect[i], xAMG[i])
 		}
 	}
 }

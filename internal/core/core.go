@@ -10,6 +10,16 @@
 // iterative densification loop (§3.7) re-estimates the extreme
 // generalized eigenvalues (λmax by power iterations §3.6.1, λmin by node
 // coloring §3.6.2) after each batch of edges until the target is met.
+//
+// One round of that loop is written once. filterRound is §3.7 steps 1–6
+// against the current L_P solver (the backbone tree's O(n) solve first,
+// a sparse Cholesky factor of P refactored each round after that):
+// estimate λmax/λmin, stop if σ² is met, embed the candidates, set θσ,
+// and hand the heats to SelectEdges — threshold, rank by heat, cap the
+// batch, check endpoint similarity. SparsifyCtx (tree start, round
+// statistics, edge budget), Refilter (an externally chosen selection and
+// candidate set) and the dynamic maintainer's localized re-filter
+// (retained probe vectors, SelectEdges only) are loop shells around it.
 package core
 
 import (
@@ -23,10 +33,7 @@ import (
 	"graphspar/internal/eig"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
-	"graphspar/internal/multigrid"
-	"graphspar/internal/obs"
 	"graphspar/internal/params"
-	"graphspar/internal/pcg"
 	"graphspar/internal/tree"
 	"graphspar/internal/vecmath"
 )
@@ -38,38 +45,6 @@ var (
 	ErrBadSigma = params.ErrBadSigma2
 	ErrNoTarget = errors.New("core: similarity target not reached within MaxRounds")
 )
-
-// SolverKind selects how L_P⁺ is applied once the sparsifier has off-tree
-// edges (the pure tree is always solved exactly in O(n)).
-type SolverKind int
-
-// Inner solver choices (§3.7 step 1 calls for a fast L_P solver, using
-// graph-theoretic AMG in the paper; sparsifiers are ultra-sparse, so a
-// direct factorization is the fastest robust default here — ablation A6
-// compares all three).
-const (
-	// Direct refactors the current sparsifier with sparse Cholesky each
-	// densification round; solves are then exact and O(nnz(L)).
-	Direct SolverKind = iota
-	// TreePCG runs PCG preconditioned by the backbone tree.
-	TreePCG
-	// AMG runs aggregation-multigrid-preconditioned PCG.
-	AMG
-)
-
-// String names the solver kind for flags and logs.
-func (s SolverKind) String() string {
-	switch s {
-	case Direct:
-		return "direct"
-	case TreePCG:
-		return "treepcg"
-	case AMG:
-		return "amg"
-	default:
-		return fmt.Sprintf("SolverKind(%d)", int(s))
-	}
-}
 
 // Options configures Sparsify.
 type Options struct {
@@ -94,11 +69,6 @@ type Options struct {
 	// accepted edge this round. Default true (set DisableSimilarity to
 	// turn off).
 	DisableSimilarity bool
-	// Solver selects the inner L_P⁺ application. Default Direct.
-	Solver SolverKind
-	// SolverTol is the inner-solver relative tolerance for the iterative
-	// kinds (heat ranking tolerates loose solves). Default 1e-6.
-	SolverTol float64
 	// PowerIters caps λmax power iterations (paper: < 10). Default 10.
 	PowerIters int
 	// MaxEdges optionally caps the sparsifier size (tree edges included).
@@ -112,7 +82,7 @@ type Options struct {
 	// a wall-clock knob; see EmbedOffTreeParallel.
 	EmbedWorkers int
 	// Workspace, when non-nil, supplies pooled scratch for the embedding
-	// vectors and the Direct solver's factorization temporaries, making
+	// vectors and the per-round factorization's temporaries, making
 	// repeated Sparsify calls over same-sized graphs nearly allocation-free
 	// on those paths. Pooling never changes results (every pooled buffer
 	// is fully overwritten before use); nil keeps the un-pooled behavior.
@@ -158,9 +128,6 @@ func (o *Options) defaults(n int) error {
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 30
 	}
-	if o.SolverTol <= 0 {
-		o.SolverTol = 1e-6
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -205,44 +172,13 @@ func (r *Result) Density() float64 {
 	return float64(r.Sparsifier.M()) / float64(r.Sparsifier.N())
 }
 
-// Solver applies x = L_P⁺ b (a Laplacian pseudoinverse, or an iterative
-// approximation of one). tree.Tree, cholesky.LapSolver and eig.PCGSolver
-// all satisfy it; internal/engine supplies its own for the stitched graph.
+// Solver applies x = L_P⁺ b, the Laplacian pseudoinverse of the current
+// sparsifier. The filter loops use two: the backbone *tree.Tree (exact,
+// O(n)) while P is the bare tree, then a *cholesky.LapSolver refactored
+// every round. eig.PCGSolver also satisfies it for callers that want an
+// iterative reference.
 type Solver interface {
 	Solve(x, b []float64)
-}
-
-// newInnerSolver returns an L_P⁺ applier for the current sparsifier. ws
-// (nil allowed) pools the Direct factorization's scratch across rounds.
-func newInnerSolver(p *graph.Graph, backbone *tree.Tree, kind SolverKind, tol float64, ws *Workspace) (Solver, error) {
-	switch kind {
-	case Direct:
-		return cholesky.NewLapSolverWS(p, ws.Chol())
-	case TreePCG:
-		return &eig.PCGSolver{G: p, M: pcg.TreePrecond{T: backbone}, Tol: tol, MaxIter: 4 * p.N()}, nil
-	case AMG:
-		h, err := multigrid.New(p, multigrid.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return &amgSolver{g: p, h: h, tol: tol}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown solver kind %v", kind)
-	}
-}
-
-// amgSolver adapts multigrid cycles (wrapped in PCG for robustness) to the
-// lapSolver interface.
-type amgSolver struct {
-	g   *graph.Graph
-	h   *multigrid.Hierarchy
-	tol float64
-}
-
-func (s *amgSolver) Solve(x, b []float64) {
-	vecmath.Zero(x)
-	bb := append([]float64(nil), b...)
-	_, _ = pcg.SolveLaplacian(s.g, s.h, x, bb, s.tol, 200)
 }
 
 // EstimateLambdaMin implements the node-coloring bound of §3.6.2 (eq. 18):
@@ -295,7 +231,7 @@ func Threshold(sigmaSq, lambdaMin, lambdaMax float64, t int) float64 {
 // independent t-step generalized power iterations (eq. 6 summed per
 // eq. 12): heat(p,q) = Σ_j w_pq (h_t,j(p) − h_t,j(q))². The returned slice
 // is parallel to offIDs. The second return is heat_max. Each probe vector
-// is seeded independently (see probeSeed), so EmbedOffTreeParallel
+// is seeded independently (see startProbe), so EmbedOffTreeParallel
 // produces bit-identical output with any worker count.
 func EmbedOffTree(g *graph.Graph, solver Solver, offIDs []int, t, r int, seed uint64) ([]float64, float64) {
 	return EmbedOffTreeParallel(g, solver, offIDs, t, r, seed, 1)
@@ -342,141 +278,49 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		lmax, err := EstimateLambdaMax(g, p, solver, opt.PowerIters, rng.Uint64())
+		budget := math.MaxInt
+		if opt.MaxEdges > 0 {
+			budget = opt.MaxEdges - p.M()
+		}
+		stats, chosen, err := filterRound(ctx, g, p, solver, remaining, &opt, rng, budget, !opt.DisableSimilarity)
 		if err != nil {
 			return nil, fmt.Errorf("core: λmax estimation failed in round %d: %w", round, err)
 		}
-		lmin := EstimateLambdaMin(g, p)
-		if lmax < lmin { // estimator noise on nearly-identical graphs
-			lmax = lmin
-		}
-		stats := RoundStats{
-			Round:      round,
-			LambdaMax:  lmax,
-			LambdaMin:  lmin,
-			SigmaSqEst: lmax / lmin,
-			EdgesTotal: p.M(),
-		}
-		res.LambdaMax, res.LambdaMin = lmax, lmin
-		res.SigmaSqAchieved = lmax / lmin
-
-		if res.SigmaSqAchieved <= opt.SigmaSq || len(remaining) == 0 {
-			res.Rounds = append(res.Rounds, stats)
-			res.Sparsifier = p
-			return res, nil
-		}
-		if opt.MaxEdges > 0 && p.M() >= opt.MaxEdges {
-			res.Rounds = append(res.Rounds, stats)
-			res.Sparsifier = p
-			return res, ErrNoTarget
-		}
-
-		// Embed and filter.
-		embedSpan := obs.StartSpan(ctx, "embed")
-		heats, maxHeat := embedOffTree(g, solver, remaining, opt.T, opt.NumVectors, rng.Uint64(), opt.EmbedWorkers, opt.Workspace)
-		embedSpan.End()
-		theta := Threshold(opt.SigmaSq, lmin, lmax, opt.T)
-		stats.Threshold = theta
-
-		type cand struct {
-			pos  int // index into remaining
-			heat float64
-		}
-		var cands []cand
-		if maxHeat > 0 {
-			for i, h := range heats {
-				if h/maxHeat >= theta {
-					cands = append(cands, cand{i, h})
-				}
-			}
-		}
-		stats.Candidates = len(cands)
-		sort.Slice(cands, func(a, b int) bool { return cands[a].heat > cands[b].heat })
-
-		// Cap the batch (small portions per round, §3.7), respecting any
-		// edge budget.
-		limit := int(math.Ceil(opt.BatchFraction * float64(len(cands))))
-		if limit < 1 {
-			limit = 1
-		}
-		if opt.MaxEdges > 0 {
-			if room := opt.MaxEdges - p.M(); room < limit {
-				limit = room
-			}
-		}
-
-		// Similarity check: greedy endpoint coverage.
-		claimed := make(map[int]bool)
-		var chosen []int // indices into remaining
-		for _, c := range cands {
-			if len(chosen) >= limit {
-				break
-			}
-			e := g.Edge(remaining[c.pos])
-			if !opt.DisableSimilarity && (claimed[e.U] || claimed[e.V]) {
-				continue
-			}
-			claimed[e.U], claimed[e.V] = true, true
-			chosen = append(chosen, c.pos)
-		}
-		// Guarantee progress: if the filter+similarity pass selected
-		// nothing but the target is unmet, force the hottest edge in.
-		if len(chosen) == 0 && len(cands) > 0 {
-			chosen = append(chosen, cands[0].pos)
-		}
+		stats.Round = round
+		res.LambdaMax, res.LambdaMin, res.SigmaSqAchieved = stats.LambdaMax, stats.LambdaMin, stats.SigmaSqEst
 		if len(chosen) == 0 {
-			// No candidate passed the filter at all: σ² estimates say the
-			// target is unmet but heats disagree. Add the globally hottest
-			// edge to keep moving (estimator noise guard).
-			best, bestHeat := -1, -1.0
-			for i, h := range heats {
-				if h > bestHeat {
-					best, bestHeat = i, h
-				}
+			stats.EdgesTotal = p.M()
+			res.Rounds = append(res.Rounds, stats)
+			res.Sparsifier = p
+			if res.SigmaSqAchieved <= opt.SigmaSq || len(remaining) == 0 {
+				return res, nil
 			}
-			if best >= 0 {
-				chosen = append(chosen, best)
-			}
+			return res, ErrNoTarget // edge budget spent
 		}
 
-		var newEdges []graph.Edge
-		chosenSet := make(map[int]bool, len(chosen))
-		for _, pos := range chosen {
-			id := remaining[pos]
-			chosenSet[pos] = true
-			res.OffTreeAddedIDs = append(res.OffTreeAddedIDs, id)
-			newEdges = append(newEdges, g.Edge(id))
+		var added []int
+		added, remaining = take(remaining, chosen)
+		res.OffTreeAddedIDs = append(res.OffTreeAddedIDs, added...)
+		newEdges := make([]graph.Edge, len(added))
+		for i, id := range added {
+			newEdges[i] = g.Edge(id)
 		}
-		stats.Added = len(newEdges)
-		// Compact remaining.
-		kept := remaining[:0]
-		for i, id := range remaining {
-			if !chosenSet[i] {
-				kept = append(kept, id)
-			}
-		}
-		remaining = kept
-
 		p, err = p.AddEdges(newEdges)
 		if err != nil {
 			return nil, fmt.Errorf("core: densification failed: %w", err)
 		}
+		stats.Added = len(newEdges)
 		stats.EdgesTotal = p.M()
 		res.Rounds = append(res.Rounds, stats)
 
-		solver, err = newInnerSolver(p, backbone, opt.Solver, opt.SolverTol, opt.Workspace)
+		solver, err = cholesky.NewLapSolverWS(p, opt.Workspace.Chol())
 		if err != nil {
 			return nil, fmt.Errorf("core: inner solver setup: %w", err)
 		}
 	}
 
 	// Final estimate after the last round's additions.
-	lmax, lerr := EstimateLambdaMax(g, p, solver, opt.PowerIters, rng.Uint64())
-	if lerr == nil {
-		lmin := EstimateLambdaMin(g, p)
-		if lmax < lmin {
-			lmax = lmin
-		}
+	if lmax, lmin, err := estimateExtremes(g, p, solver, opt.PowerIters, rng.Uint64()); err == nil {
 		res.LambdaMax, res.LambdaMin = lmax, lmin
 		res.SigmaSqAchieved = lmax / lmin
 	}
@@ -499,7 +343,7 @@ func HeatSpectrum(g *graph.Graph, t, r int, sigmaSqs []float64, treeAlg lsst.Alg
 		t = 1
 	}
 	if r <= 0 {
-		r = int(math.Ceil(math.Log2(float64(g.N() + 1))))
+		_, r, _, _ = Options{}.EffectiveEmbed(g.N())
 	}
 	backbone, _, offIDs, err := lsst.Extract(g, treeAlg, seed)
 	if err != nil {

@@ -18,19 +18,12 @@ func DeriveSeed(seed uint64, i int) uint64 {
 	return seed + uint64(i)*0x9e3779b97f4a7c15
 }
 
-// probeSeed seeds probe vector j. Sequential and parallel embedding both
-// seed every vector through this, which is what makes their outputs
-// bit-identical.
-func probeSeed(seed uint64, j int) uint64 {
-	return DeriveSeed(seed, j)
-}
-
 // sessionSolver returns a view of s that can run concurrently with it, or
 // nil when s has no concurrency-safe session. Tree solvers write only to
 // caller buffers and are shared outright; Cholesky solvers share their
-// factorization through per-session scratch buffers. The iterative
-// adapters (PCG, AMG) keep per-call state inside shared preconditioners,
-// so they embed sequentially.
+// factorization through per-session scratch buffers. Any other Solver
+// (eig.PCGSolver keeps per-call state inside its preconditioner) embeds
+// sequentially.
 func sessionSolver(s Solver) Solver {
 	switch v := s.(type) {
 	case *tree.Tree:
@@ -42,19 +35,31 @@ func sessionSolver(s Solver) Solver {
 	}
 }
 
-// probeHeats runs one t-step generalized power iteration from a fresh
-// Rademacher vector and writes the per-edge heat contribution of that
-// single probe into out. h and y are caller-owned length-n scratch
-// buffers.
-func probeHeats(g *graph.Graph, solver Solver, offIDs []int, t int, seed uint64, h, y, out []float64) {
-	rng := vecmath.NewRNG(seed)
-	rng.FillRademacher(h)
+// startProbe fills h with probe vector j's start: a deflated Rademacher
+// vector drawn from its own seed. Sequential and parallel embedding and
+// the EdgeScorer all start every probe through this, which is what makes
+// their outputs bit-identical.
+func startProbe(h []float64, seed uint64, j int) {
+	vecmath.NewRNG(DeriveSeed(seed, j)).FillRademacher(h)
 	vecmath.Deflate(h)
-	for step := 0; step < t; step++ {
+}
+
+// powerSteps advances probe vector h by `steps` generalized power
+// iterations h ← L_P⁺ L_G h, deflating after each. y is length-n scratch.
+func powerSteps(g *graph.Graph, solver Solver, h, y []float64, steps int) {
+	for step := 0; step < steps; step++ {
 		g.LapMulVec(y, h)  // y = L_G h
 		solver.Solve(h, y) // h = L_P⁺ y
 		vecmath.Deflate(h)
 	}
+}
+
+// probeHeats runs one t-step generalized power iteration from probe j's
+// start and writes the per-edge heat contribution of that single probe
+// into out. h and y are caller-owned length-n scratch buffers.
+func probeHeats(g *graph.Graph, solver Solver, offIDs []int, t int, seed uint64, j int, h, y, out []float64) {
+	startProbe(h, seed, j)
+	powerSteps(g, solver, h, y, t)
 	for i, id := range offIDs {
 		e := g.Edge(id)
 		d := h[e.U] - h[e.V]
@@ -64,7 +69,7 @@ func probeHeats(g *graph.Graph, solver Solver, offIDs []int, t int, seed uint64,
 
 // EmbedOffTreeParallel computes the same heats as EmbedOffTree with the r
 // independent probe-vector solves spread over up to `workers` goroutines.
-// Every vector gets a deterministic seed (probeSeed) and the per-vector
+// Every vector gets a deterministic seed (startProbe) and the per-vector
 // contributions are reduced in vector order, so the result is
 // bit-identical to the sequential path for every worker count. Solvers
 // without a concurrency-safe session (see sessionSolver) fall back to one
@@ -107,7 +112,7 @@ func embedOffTree(g *graph.Graph, solver Solver, offIDs []int, t, r int, seed ui
 		y := ws.vec(n)
 		out := ws.vec(len(offIDs))
 		for j := 0; j < r; j++ {
-			probeHeats(g, solver, offIDs, t, probeSeed(seed, j), h, y, out)
+			probeHeats(g, solver, offIDs, t, seed, j, h, y, out)
 			for i, v := range out {
 				heats[i] += v
 			}
@@ -127,7 +132,7 @@ func embedOffTree(g *graph.Graph, solver Solver, offIDs []int, t, r int, seed ui
 				y := ws.vec(n)
 				for j := range jobs {
 					out := ws.vec(len(offIDs))
-					probeHeats(g, sv, offIDs, t, probeSeed(seed, j), h, y, out)
+					probeHeats(g, sv, offIDs, t, seed, j, h, y, out)
 					contrib[j] = out
 				}
 				ws.putVec(h)

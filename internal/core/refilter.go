@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"graphspar/internal/cholesky"
 	"graphspar/internal/graph"
@@ -28,8 +27,8 @@ import (
 // (the input slices are not modified), recovered counts the admitted
 // candidates, and lmax/lmin are the estimates of the last pass.
 func Refilter(ctx context.Context, g *graph.Graph, keptIDs, candIDs []int, opt Options, rounds, workers int, seed uint64) (p *graph.Graph, kept []int, recovered int, lmax, lmin float64, err error) {
-	t, r, powerIters, batchFraction := opt.EffectiveEmbed(g.N())
-	sigma := opt.SigmaSq
+	opt.T, opt.NumVectors, opt.PowerIters, opt.BatchFraction = opt.EffectiveEmbed(g.N())
+	opt.EmbedWorkers = workers
 	rng := vecmath.NewRNG(seed)
 
 	kept = append([]int(nil), keptIDs...)
@@ -46,78 +45,23 @@ func Refilter(ctx context.Context, g *graph.Graph, keptIDs, candIDs []int, opt O
 		if err != nil {
 			return nil, nil, 0, 0, 0, fmt.Errorf("refilter: solver: %w", err)
 		}
-		lmax, err = EstimateLambdaMax(g, p, solver, powerIters, rng.Uint64())
+		// Capped like a Sparsify round — a loose estimate (think a badly
+		// cut SBM, or a deep coarse selection) can make θσ admit nearly
+		// every candidate, and accepting them all at once would densify far
+		// past what the target needs — but without the endpoint-similarity
+		// rule, which these passes have never applied.
+		stats, chosen, err := filterRound(ctx, g, p, solver, cands, &opt, rng, math.MaxInt, false)
 		if err != nil {
 			return nil, nil, 0, 0, 0, fmt.Errorf("refilter: λmax estimation: %w", err)
 		}
-		lmin = EstimateLambdaMin(g, p)
-		if lmax < lmin {
-			lmax = lmin
-		}
-		if lmin <= 0 || lmax/lmin <= sigma || len(cands) == 0 {
+		lmax, lmin = stats.LambdaMax, stats.LambdaMin
+		if len(chosen) == 0 {
 			break
 		}
-
-		heats, maxHeat := embedOffTree(g, solver, cands, t, r, rng.Uint64(), workers, opt.Workspace)
-		theta := Threshold(sigma, lmin, lmax, t)
-
-		// Rank the passing candidates by heat and add them in capped
-		// batches — §3.7's small-portions discipline at full size. A loose
-		// estimate (think a badly cut SBM, or a deep coarse selection) can
-		// make θσ admit nearly every candidate; accepting them all at once
-		// would densify far past what the target needs.
-		type cand struct {
-			pos  int
-			heat float64
-		}
-		var passing []cand
-		if maxHeat > 0 {
-			for i, h := range heats {
-				if h/maxHeat >= theta {
-					passing = append(passing, cand{i, h})
-				}
-			}
-		}
-		sort.Slice(passing, func(a, b int) bool {
-			if passing[a].heat != passing[b].heat {
-				return passing[a].heat > passing[b].heat
-			}
-			return passing[a].pos < passing[b].pos
-		})
-		limit := int(math.Ceil(batchFraction * float64(len(passing))))
-		if limit < 1 {
-			limit = 1
-		}
-		if len(passing) == 0 {
-			// Estimates say the target is unmet but no candidate beats the
-			// threshold: force the hottest candidate in to keep moving.
-			best, bestHeat := -1, -1.0
-			for i, h := range heats {
-				if h > bestHeat {
-					best, bestHeat = i, h
-				}
-			}
-			if best < 0 {
-				break
-			}
-			passing = []cand{{best, bestHeat}}
-		}
-		if limit > len(passing) {
-			limit = len(passing)
-		}
-		taken := make(map[int]bool, limit)
-		for _, c := range passing[:limit] {
-			taken[c.pos] = true
-			kept = append(kept, cands[c.pos])
-		}
-		recovered += limit
-		rest := cands[:0:0]
-		for i, id := range cands {
-			if !taken[i] {
-				rest = append(rest, id)
-			}
-		}
-		cands = rest
+		var added []int
+		added, cands = take(cands, chosen)
+		kept = append(kept, added...)
+		recovered += len(added)
 		p, err = g.SubgraphEdges(kept)
 		if err != nil {
 			return nil, nil, 0, 0, 0, fmt.Errorf("refilter: densified subgraph: %w", err)

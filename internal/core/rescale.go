@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"graphspar/internal/cholesky"
 	"graphspar/internal/graph"
 )
 
@@ -74,23 +75,19 @@ func RescaleOffTree(g *graph.Graph, res *Result, gammas []float64, seed uint64) 
 		if err != nil {
 			return nil, err
 		}
-		solver, err := newInnerSolver(p, res.Tree, Direct, 1e-8, nil)
-		if err != nil {
-			return nil, err
-		}
-		lmax, err := EstimateLambdaMax(g, p, solver, 20, seed)
+		solver, err := cholesky.NewLapSolver(p)
 		if err != nil {
 			return nil, err
 		}
 		// With γ > 1 the sparsifier is no longer dominated by G, so λmin
 		// can drop below 1; the degree-ratio bound still applies (it never
 		// assumed domination).
-		lmin := EstimateLambdaMin(g, p)
+		lmax, lmin, err := estimateExtremes(g, p, solver, 20, seed)
+		if err != nil {
+			return nil, err
+		}
 		if lmin <= 0 || math.IsInf(lmin, 0) {
 			continue
-		}
-		if lmax < lmin {
-			lmax = lmin
 		}
 		s2 := lmax / lmin
 		if s2 < best.SigmaSq {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"graphspar/internal/graph"
-	"graphspar/internal/vecmath"
-)
+import "graphspar/internal/graph"
 
 // EdgeScorer is the exported per-edge score path of the embedding (§3.2):
 // it retains the r probe vectors h_t,j produced by t-step generalized
@@ -44,14 +41,8 @@ func NewEdgeScorer(g *graph.Graph, solver Solver, t, r int, seed uint64) *EdgeSc
 	y := make([]float64, n)
 	for j := 0; j < r; j++ {
 		h := make([]float64, n)
-		rng := vecmath.NewRNG(probeSeed(seed, j))
-		rng.FillRademacher(h)
-		vecmath.Deflate(h)
-		for step := 0; step < t; step++ {
-			g.LapMulVec(y, h)
-			solver.Solve(h, y)
-			vecmath.Deflate(h)
-		}
+		startProbe(h, seed, j)
+		powerSteps(g, solver, h, y, t)
 		s.Probes[j] = h
 	}
 	return s
@@ -98,9 +89,7 @@ func (s *EdgeScorer) Score(g *graph.Graph, offIDs []int) ([]float64, float64) {
 func (s *EdgeScorer) Step(g *graph.Graph, solver Solver) {
 	y := make([]float64, g.N())
 	for _, h := range s.Probes {
-		g.LapMulVec(y, h)
-		solver.Solve(h, y)
-		vecmath.Deflate(h)
+		powerSteps(g, solver, h, y, 1)
 	}
 }
 

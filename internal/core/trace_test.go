@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"graphspar/internal/cholesky"
 	"graphspar/internal/gen"
 	"graphspar/internal/lsst"
 	"graphspar/internal/vecmath"
@@ -37,7 +38,7 @@ func TestEstimateTraceIdentityOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver, err := newInnerSolver(g, nil, Direct, 0, nil)
+	solver, err := cholesky.NewLapSolver(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -648,52 +648,9 @@ func (m *Maintainer) refilter(ctx context.Context, batched bool) error {
 			break
 		}
 		theta := core.Threshold(m.opt.Sparsify.SigmaSq, m.lmin, m.lmax, t)
-		type cand struct {
-			id   int
-			heat float64
-		}
-		var passing []cand
-		for i, h := range heats {
-			if h/maxHeat >= theta {
-				passing = append(passing, cand{candIDs[i], h})
-			}
-		}
-		sort.Slice(passing, func(a, b int) bool { return passing[a].heat > passing[b].heat })
-		limit := int(math.Ceil(batchFraction * float64(len(passing))))
-		if limit < 1 {
-			limit = 1
-		}
-		claimed := make(map[int]bool)
-		added := 0
-		for _, c := range passing {
-			if added >= limit {
-				break
-			}
-			e := m.g.Edge(c.id)
-			if claimed[e.U] || claimed[e.V] {
-				continue
-			}
-			claimed[e.U], claimed[e.V] = true, true
-			m.pW[[2]int{e.U, e.V}] = e.W
-			pending = append(pending, edgeDelta{e.U, e.V, e.W})
-			m.touch(e.U, e.V)
-			added++
-		}
-		if added == 0 {
-			// Nothing passed the filter (passing is empty — a non-empty
-			// list always admits its hottest entry): fall through to the
-			// hottest edge overall to guarantee progress (estimator noise
-			// guard).
-			best, bestHeat := -1, -1.0
-			for i, h := range heats {
-				if h > bestHeat {
-					best, bestHeat = candIDs[i], h
-				}
-			}
-			if best < 0 {
-				break
-			}
-			e := m.g.Edge(best)
+		chosen, _ := core.SelectEdges(m.g, candIDs, heats, maxHeat, theta, batchFraction, math.MaxInt, true)
+		for _, pos := range chosen {
+			e := m.g.Edge(candIDs[pos])
 			m.pW[[2]int{e.U, e.V}] = e.W
 			pending = append(pending, edgeDelta{e.U, e.V, e.W})
 			m.touch(e.U, e.V)

@@ -1,124 +1,19 @@
-// Package multigrid implements a lean aggregation-based algebraic
-// multigrid for graph Laplacians — the stand-in for the LAMG/SAMG solvers
-// the paper cites ([13, 24]) and calls for inside the densification loop
-// (§3.7 step 1) and λmax power iterations (§3.6.1).
-//
-// Setup coarsens by heavy-edge aggregation (every vertex joins the
-// aggregate of its strongest neighbor), builds piecewise-constant
-// prolongation P and Galerkin coarse operators Pᵀ A P, and stops at a
-// dense-solvable coarsest level. The cycle is a standard V-cycle with
-// weighted-Jacobi smoothing; Solve wraps the cycle either as a stationary
-// iteration or as a PCG preconditioner.
+// Package multigrid implements heavy-edge aggregation, the coarsening
+// step of aggregation-based algebraic multigrid (the LAMG/SAMG solvers
+// the paper cites, [13, 24]). The multilevel sparsification plan
+// contracts the graph along these aggregates; the package has no cycle or
+// solver — the filter loops solve with a direct factorization.
 package multigrid
 
 import (
-	"errors"
-	"fmt"
-	"math"
-
 	"graphspar/internal/graph"
 	"graphspar/internal/sparse"
-	"graphspar/internal/vecmath"
 )
-
-// ErrSetup reports a failed hierarchy construction.
-var ErrSetup = errors.New("multigrid: setup failed")
-
-// Options controls hierarchy construction and cycling.
-type Options struct {
-	CoarsestSize int     // switch to dense solve below this (default 64)
-	MaxLevels    int     // hierarchy depth cap (default 30)
-	Omega        float64 // Jacobi damping (default 2/3)
-	PreSmooth    int     // smoothing sweeps before coarse correction (default 2)
-	PostSmooth   int     // sweeps after (default 2)
-}
-
-func (o *Options) defaults() {
-	if o.CoarsestSize <= 0 {
-		o.CoarsestSize = 64
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 30
-	}
-	if o.Omega <= 0 || o.Omega >= 1 {
-		o.Omega = 2.0 / 3.0
-	}
-	if o.PreSmooth <= 0 {
-		o.PreSmooth = 2
-	}
-	if o.PostSmooth <= 0 {
-		o.PostSmooth = 2
-	}
-}
-
-type level struct {
-	a       *sparse.CSR // Laplacian at this level
-	invDiag []float64
-	agg     []int // fine vertex -> coarse aggregate (empty at coarsest)
-	nc      int   // number of aggregates
-	// Workspaces sized for this level.
-	r, x2, tmp []float64
-}
-
-// Hierarchy is a built multigrid solver.
-type Hierarchy struct {
-	levels []*level
-	opt    Options
-	// Dense Cholesky of the grounded coarsest matrix.
-	coarseL [][]float64
-	coarseN int
-}
-
-// New builds a hierarchy for the Laplacian of g.
-func New(g *graph.Graph, opt Options) (*Hierarchy, error) {
-	if err := g.RequireConnected(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSetup, err)
-	}
-	opt.defaults()
-	h := &Hierarchy{opt: opt}
-	a := g.Laplacian()
-	for lev := 0; lev < opt.MaxLevels; lev++ {
-		l := &level{a: a}
-		n := a.Rows
-		l.invDiag = make([]float64, n)
-		for i, d := range a.Diag() {
-			if d > 0 {
-				l.invDiag[i] = 1 / d
-			}
-		}
-		l.r = make([]float64, n)
-		l.x2 = make([]float64, n)
-		l.tmp = make([]float64, n)
-		h.levels = append(h.levels, l)
-		if n <= opt.CoarsestSize {
-			break
-		}
-		agg, nc := aggregate(a)
-		if nc >= n || nc < 1 {
-			break // coarsening stalled; treat this level as coarsest
-		}
-		l.agg, l.nc = agg, nc
-		coarse, err := galerkin(a, agg, nc)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSetup, err)
-		}
-		a = coarse
-	}
-	if err := h.factorCoarsest(); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// Levels returns the number of levels in the hierarchy.
-func (h *Hierarchy) Levels() int { return len(h.levels) }
 
 // AggregateGraph runs one heavy-edge aggregation pass on the Laplacian
 // of g and returns the vertex → aggregate mapping together with the
-// aggregate count. This is the exact coarsening step the multigrid
-// hierarchy uses between levels, exposed for the multilevel
-// sparsification engine, which contracts the graph along the same
-// aggregates. Deterministic: depends only on the graph.
+// aggregate count. Every vertex is assigned; isolated vertices become
+// singleton aggregates. Deterministic: depends only on the graph.
 func AggregateGraph(g *graph.Graph) ([]int, int) {
 	return aggregate(g.Laplacian())
 }
@@ -181,187 +76,4 @@ func aggregate(a *sparse.CSR) ([]int, int) {
 		}
 	}
 	return agg, nc
-}
-
-// galerkin computes Pᵀ A P for piecewise-constant P given by agg.
-func galerkin(a *sparse.CSR, agg []int, nc int) (*sparse.CSR, error) {
-	b := sparse.NewBuilder(nc, nc)
-	for i := 0; i < a.Rows; i++ {
-		ci := agg[i]
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			b.Add(ci, agg[a.ColIdx[p]], a.Val[p])
-		}
-	}
-	return b.Build(), nil
-}
-
-// factorCoarsest densely factors the grounded coarsest Laplacian.
-func (h *Hierarchy) factorCoarsest() error {
-	a := h.levels[len(h.levels)-1].a
-	n := a.Rows
-	h.coarseN = n
-	if n == 1 {
-		return nil
-	}
-	m := n - 1 // grounded dimension
-	dense := make([][]float64, m)
-	for i := range dense {
-		dense[i] = make([]float64, m)
-	}
-	for i := 0; i < m; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if j := a.ColIdx[p]; j < m {
-				dense[i][j] = a.Val[p]
-			}
-		}
-	}
-	// In-place dense Cholesky.
-	for k := 0; k < m; k++ {
-		d := dense[k][k]
-		for j := 0; j < k; j++ {
-			d -= dense[k][j] * dense[k][j]
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return fmt.Errorf("%w: coarsest matrix not SPD (pivot %v)", ErrSetup, d)
-		}
-		dense[k][k] = math.Sqrt(d)
-		for i := k + 1; i < m; i++ {
-			s := dense[i][k]
-			for j := 0; j < k; j++ {
-				s -= dense[i][j] * dense[k][j]
-			}
-			dense[i][k] = s / dense[k][k]
-		}
-	}
-	h.coarseL = dense
-	return nil
-}
-
-// coarseSolve solves the grounded coarsest system, returning a zero-mean x.
-func (h *Hierarchy) coarseSolve(x, b []float64) {
-	n := h.coarseN
-	if n == 1 {
-		x[0] = 0
-		return
-	}
-	m := n - 1
-	mean := vecmath.Mean(b)
-	y := make([]float64, m)
-	for i := 0; i < m; i++ {
-		y[i] = b[i] - mean
-	}
-	// Forward, then backward substitution.
-	for i := 0; i < m; i++ {
-		s := y[i]
-		for j := 0; j < i; j++ {
-			s -= h.coarseL[i][j] * y[j]
-		}
-		y[i] = s / h.coarseL[i][i]
-	}
-	for i := m - 1; i >= 0; i-- {
-		s := y[i]
-		for j := i + 1; j < m; j++ {
-			s -= h.coarseL[j][i] * y[j]
-		}
-		y[i] = s / h.coarseL[i][i]
-	}
-	copy(x[:m], y)
-	x[m] = 0
-	vecmath.Deflate(x[:n])
-}
-
-// smooth runs `sweeps` damped-Jacobi iterations on A x = b at level l.
-func (h *Hierarchy) smooth(l *level, x, b []float64, sweeps int) {
-	for s := 0; s < sweeps; s++ {
-		l.a.MulVec(l.tmp, x)
-		for i := range x {
-			x[i] += h.opt.Omega * l.invDiag[i] * (b[i] - l.tmp[i])
-		}
-	}
-}
-
-// Cycle runs one V-cycle at level idx for A x = b (x updated in place).
-func (h *Hierarchy) cycle(idx int, x, b []float64) {
-	l := h.levels[idx]
-	if idx == len(h.levels)-1 {
-		h.coarseSolve(x, b)
-		return
-	}
-	h.smooth(l, x, b, h.opt.PreSmooth)
-	// Residual restriction: rc = Pᵀ (b - A x).
-	l.a.MulVec(l.r, x)
-	for i := range l.r {
-		l.r[i] = b[i] - l.r[i]
-	}
-	next := h.levels[idx+1]
-	rc := next.tmp[:next.a.Rows] // borrow workspace of the next level
-	for i := range rc {
-		rc[i] = 0
-	}
-	for i, c := range l.agg {
-		rc[c] += l.r[i]
-	}
-	xc := make([]float64, next.a.Rows)
-	rcCopy := append([]float64(nil), rc...)
-	h.cycle(idx+1, xc, rcCopy)
-	// Prolongate and correct.
-	for i, c := range l.agg {
-		x[i] += xc[c]
-	}
-	h.smooth(l, x, b, h.opt.PostSmooth)
-	vecmath.Deflate(x)
-}
-
-// Precondition applies one V-cycle to r, making Hierarchy a pcg
-// preconditioner.
-func (h *Hierarchy) Precondition(z, r []float64) {
-	vecmath.Zero(z)
-	h.cycle(0, z, r)
-}
-
-// Result summarizes a stationary solve.
-type Result struct {
-	Iterations int
-	Residual   float64
-	Converged  bool
-}
-
-// Solve runs stationary V-cycles until the relative residual of
-// L x = b drops below tol (b is projected to zero mean first).
-func (h *Hierarchy) Solve(x, b []float64, tol float64, maxCycles int) (Result, error) {
-	l0 := h.levels[0]
-	n := l0.a.Rows
-	if len(x) != n || len(b) != n {
-		panic("multigrid: Solve dimension mismatch")
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	if maxCycles <= 0 {
-		maxCycles = 200
-	}
-	bb := append([]float64(nil), b...)
-	vecmath.Deflate(bb)
-	nb := vecmath.Norm2(bb)
-	if nb == 0 {
-		vecmath.Zero(x)
-		return Result{Converged: true}, nil
-	}
-	r := make([]float64, n)
-	for it := 1; it <= maxCycles; it++ {
-		h.cycle(0, x, bb)
-		l0.a.MulVec(r, x)
-		for i := range r {
-			r[i] = bb[i] - r[i]
-		}
-		rel := vecmath.Norm2(r) / nb
-		if rel <= tol {
-			return Result{Iterations: it, Residual: rel, Converged: true}, nil
-		}
-		if it == maxCycles {
-			return Result{Iterations: it, Residual: rel, Converged: false},
-				errors.New("multigrid: max cycles reached")
-		}
-	}
-	return Result{}, nil // unreachable
 }

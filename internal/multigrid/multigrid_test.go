@@ -1,227 +1,109 @@
 package multigrid
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
-	"graphspar/internal/pcg"
-	"graphspar/internal/vecmath"
 )
 
-func TestHierarchyBuilds(t *testing.T) {
-	g, err := gen.Grid2D(40, 40, gen.UniformWeights, 1)
-	if err != nil {
-		t.Fatal(err)
+// checkAggregates asserts the mapping covers every vertex with an id in
+// [0, nc) and that every aggregate id is used.
+func checkAggregates(t *testing.T, agg []int, nc, n int) {
+	t.Helper()
+	if len(agg) != n {
+		t.Fatalf("mapping covers %d of %d vertices", len(agg), n)
 	}
-	h, err := New(g, Options{})
-	if err != nil {
-		t.Fatal(err)
+	used := make([]bool, nc)
+	for v, a := range agg {
+		if a < 0 || a >= nc {
+			t.Fatalf("vertex %d assigned to aggregate %d, want [0,%d)", v, a, nc)
+		}
+		used[a] = true
 	}
-	if h.Levels() < 2 {
-		t.Fatalf("expected a multilevel hierarchy, got %d levels", h.Levels())
-	}
-}
-
-func TestHierarchyRejectsDisconnected(t *testing.T) {
-	g, _ := graph.New(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
-	if _, err := New(g, Options{}); err == nil {
-		t.Fatal("expected setup error")
-	}
-}
-
-func TestSolveGrid(t *testing.T) {
-	g, err := gen.Grid2D(30, 30, gen.UniformWeights, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := New(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.N()
-	b := make([]float64, n)
-	vecmath.NewRNG(3).FillNormal(b)
-	vecmath.Deflate(b)
-	x := make([]float64, n)
-	res, err := h.Solve(x, b, 1e-8, 300)
-	if err != nil {
-		t.Fatalf("solve: %v (%+v)", err, res)
-	}
-	y := make([]float64, n)
-	g.LapMulVec(y, x)
-	for i := range b {
-		if math.Abs(y[i]-b[i]) > 1e-6 {
-			t.Fatalf("Lx != b at %d: %v vs %v", i, y[i], b[i])
+	for a, ok := range used {
+		if !ok {
+			t.Fatalf("aggregate %d is empty", a)
 		}
 	}
 }
 
-func TestSolveZeroRHS(t *testing.T) {
-	g, _ := gen.Grid2D(10, 10, gen.UnitWeights, 1)
-	h, err := New(g, Options{})
+func TestAggregateCoarsensGrid(t *testing.T) {
+	g, err := gen.Grid2D(50, 50, gen.UnitWeights, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := make([]float64, g.N())
-	for i := range x {
-		x[i] = 1
-	}
-	res, err := h.Solve(x, make([]float64, g.N()), 1e-10, 10)
-	if err != nil || !res.Converged {
-		t.Fatalf("zero RHS: %v %+v", err, res)
-	}
-	for _, v := range x {
-		if v != 0 {
-			t.Fatal("solution should be zeroed")
-		}
+	agg, nc := AggregateGraph(g)
+	checkAggregates(t, agg, nc, g.N())
+	// A seed absorbs its whole neighbourhood, so a grid shrinks by well
+	// over half per pass — what keeps the multilevel hierarchy shallow.
+	if nc >= g.N()/2 {
+		t.Fatalf("aggregation barely coarsens: %d aggregates for %d vertices", nc, g.N())
 	}
 }
 
-func TestSolveConstantRHSProjected(t *testing.T) {
-	// RHS in the null space must yield x = 0 after projection.
-	g, _ := gen.Grid2D(8, 8, gen.UnitWeights, 1)
-	h, err := New(g, Options{})
+func TestAggregateMembersAreConnected(t *testing.T) {
+	// Contracting an aggregate must not merge vertices with no path
+	// between them inside it: every non-seed member joined through an edge.
+	g, err := gen.Grid2D(12, 12, gen.LogUniform, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.N()
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 5
-	}
-	x := make([]float64, n)
-	res, err := h.Solve(x, b, 1e-10, 10)
-	if err != nil || !res.Converged {
-		t.Fatalf("constant RHS: %v %+v", err, res)
-	}
-	if vecmath.Norm2(x) > 1e-9 {
-		t.Fatalf("x should vanish, norm %v", vecmath.Norm2(x))
-	}
-}
-
-func TestVCyclePreconditionsPCG(t *testing.T) {
-	g, err := gen.Grid2D(32, 32, gen.UniformWeights, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := New(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.N()
-	b := make([]float64, n)
-	vecmath.NewRNG(5).FillNormal(b)
-	vecmath.Deflate(b)
-
-	xPlain := make([]float64, n)
-	resPlain, err := pcg.SolveLaplacian(g, nil, xPlain, append([]float64(nil), b...), 1e-8, 20*n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xMG := make([]float64, n)
-	resMG, err := pcg.SolveLaplacian(g, h, xMG, append([]float64(nil), b...), 1e-8, 20*n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resMG.Iterations >= resPlain.Iterations {
-		t.Fatalf("AMG preconditioning not helping: %d vs %d", resMG.Iterations, resPlain.Iterations)
-	}
-}
-
-func TestCoarsestOnlyHierarchy(t *testing.T) {
-	// A graph smaller than CoarsestSize solves directly.
-	g, _ := gen.Path(10)
-	h, err := New(g, Options{CoarsestSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Levels() != 1 {
-		t.Fatalf("levels = %d, want 1", h.Levels())
-	}
-	b := make([]float64, 10)
-	vecmath.NewRNG(1).FillNormal(b)
-	vecmath.Deflate(b)
-	x := make([]float64, 10)
-	if _, err := h.Solve(x, b, 1e-10, 5); err != nil {
-		t.Fatal(err)
-	}
-	y := make([]float64, 10)
-	g.LapMulVec(y, x)
-	for i := range b {
-		if math.Abs(y[i]-b[i]) > 1e-8 {
-			t.Fatalf("direct coarse solve wrong at %d", i)
-		}
-	}
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	o.defaults()
-	if o.CoarsestSize != 64 || o.MaxLevels != 30 || o.PreSmooth != 2 || o.PostSmooth != 2 {
-		t.Fatalf("defaults wrong: %+v", o)
-	}
-	if math.Abs(o.Omega-2.0/3.0) > 1e-15 {
-		t.Fatalf("omega default %v", o.Omega)
-	}
-}
-
-// Property: V-cycle solve matches the answer from (deflated) PCG.
-func TestQuickMatchesPCG(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := vecmath.NewRNG(seed)
-		rows, cols := 4+rng.Intn(6), 4+rng.Intn(6)
-		g, err := gen.Grid2D(rows, cols, gen.UniformWeights, seed)
-		if err != nil {
-			return false
-		}
-		n := g.N()
-		b := make([]float64, n)
-		rng.FillNormal(b)
-		vecmath.Deflate(b)
-		h, err := New(g, Options{CoarsestSize: 8})
-		if err != nil {
-			return false
-		}
-		x1 := make([]float64, n)
-		if res, err := h.Solve(x1, append([]float64(nil), b...), 1e-10, 500); err != nil || !res.Converged {
-			return false
-		}
-		x2 := make([]float64, n)
-		if res, err := pcg.SolveLaplacian(g, nil, x2, append([]float64(nil), b...), 1e-12, 50*n); err != nil || !res.Converged {
-			return false
-		}
-		for i := range x1 {
-			if math.Abs(x1[i]-x2[i]) > 1e-6*(1+math.Abs(x2[i])) {
-				return false
+	agg, nc := AggregateGraph(g)
+	checkAggregates(t, agg, nc, g.N())
+	size := make([]int, nc)
+	hasNbr := make([]bool, g.N())
+	for v, a := range agg {
+		size[a]++
+		g.Neighbors(v, func(u int, _ float64, _ int) bool {
+			if agg[u] == a {
+				hasNbr[v] = true
 			}
-		}
-		return true
+			return true
+		})
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
+	for v, a := range agg {
+		if size[a] > 1 && !hasNbr[v] {
+			t.Fatalf("vertex %d has no neighbour in its aggregate %d", v, a)
+		}
 	}
 }
 
-func BenchmarkVCycle(b *testing.B) {
-	g, err := gen.Grid2D(60, 60, gen.UniformWeights, 1)
+func TestAggregateDeterministic(t *testing.T) {
+	g, err := gen.Grid2D(12, 12, gen.UniformWeights, 3)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	h, err := New(g, Options{})
+	a1, n1 := AggregateGraph(g)
+	a2, n2 := AggregateGraph(g)
+	if n1 != n2 {
+		t.Fatalf("aggregate counts differ across calls: %d vs %d", n1, n2)
+	}
+	for v := range a1 {
+		if a1[v] != a2[v] {
+			t.Fatalf("vertex %d: aggregate %d then %d", v, a1[v], a2[v])
+		}
+	}
+}
+
+func TestAggregateDisconnectedAndSingletons(t *testing.T) {
+	// Two components plus an isolated vertex: aggregation never crosses a
+	// component boundary and the isolated vertex is its own aggregate.
+	g, err := graph.New(5, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	n := g.N()
-	r := make([]float64, n)
-	z := make([]float64, n)
-	vecmath.NewRNG(2).FillNormal(r)
-	vecmath.Deflate(r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Precondition(z, r)
+	agg, nc := AggregateGraph(g)
+	checkAggregates(t, agg, nc, 5)
+	if nc != 3 || agg[0] != agg[1] || agg[2] != agg[3] || agg[0] == agg[2] || agg[4] == agg[0] || agg[4] == agg[2] {
+		t.Fatalf("aggregates %v (nc=%d), want {0,1} {2,3} {4}", agg, nc)
+	}
+
+	one, err := graph.New(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg, nc := AggregateGraph(one); nc != 1 || len(agg) != 1 || agg[0] != 0 {
+		t.Fatalf("single vertex: aggregates %v (nc=%d)", agg, nc)
 	}
 }

@@ -2,8 +2,8 @@
 // multilevel plan — the multilevel scheme of John & Safro
 // (arXiv 1601.05527) built on this repository's edge-filter core. It
 // builds the coarsening hierarchy (the input is contracted level by level
-// along heavy-edge aggregates, the same aggregation the multigrid solver
-// coarsens with) and interpolates a coarse edge selection one level down:
+// along the heavy-edge aggregates of multigrid.AggregateGraph) and
+// interpolates a coarse edge selection one level down:
 // each fine level keeps its own LSST backbone plus the representative
 // fine edge of every admitted coarse edge, and every other fine edge
 // becomes a re-filter candidate. internal/engine drives the hierarchy:

@@ -291,7 +291,7 @@ func Sub(a, b *CSR) (*CSR, error) {
 }
 
 // Mul returns the product A·B (classic row-by-row sparse GEMM with a dense
-// accumulator per row). Used by the multigrid Galerkin triple product.
+// accumulator per row).
 func Mul(a, b *CSR) (*CSR, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("%w: %dx%d * %dx%d", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
