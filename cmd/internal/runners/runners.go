@@ -1,9 +1,10 @@
 // Package runners binds the service's transport/scheduling layer to the
-// public graphspar facade: the queue's SparsifyFunc/IncrementalFunc are
-// the only places job parameters become sparsification options.
-// internal/service cannot import the root package (the facade sits on
-// top of the internal pipelines), so the wiring lives here, shared by
-// cmd/serve and cmd/loadgen's self-serve mode.
+// public graphspar facade: the queue's SparsifyFunc and the session
+// layer's MaintainFunc/ResumeFunc are the only places job parameters
+// become sparsification options. internal/service cannot import the root
+// package (the facade sits on top of the internal pipelines), so the
+// wiring lives here, shared by cmd/serve and cmd/loadgen's self-serve
+// mode.
 package runners
 
 import (
@@ -137,9 +138,12 @@ func Maintain(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (se
 }
 
 // Resume is the production ResumeFunc: it warm-starts a live facade
-// Stream from a prior job's sparsifier. Incremental jobs answer from it
-// and then leave it resident as the graph's session, so the next
-// PATCH/stream/job skips the reconcile this call just paid.
+// Stream from a prior job's sparsifier (reconciling it against the
+// current graph and re-establishing the certificate with re-filter
+// rounds) instead of running the full pipeline. Incremental jobs answer
+// from it — the stream's independently verified κ is the job's
+// certificate — and then leave it resident as the graph's session, so the
+// next PATCH/stream/job skips the reconcile this call just paid.
 func Resume(ctx context.Context, g, warm *graph.Graph, p service.SparsifyParams) (sessions.Maintainer, error) {
 	s, err := facadeFor(p, false)
 	if err != nil {
@@ -148,49 +152,12 @@ func Resume(ctx context.Context, g, warm *graph.Graph, p service.SparsifyParams)
 	return s.Resume(ctx, g, warm)
 }
 
-// Incremental is the production IncrementalFunc: it warm-starts a
-// maintenance Stream from a prior job's sparsifier (reconciling it
-// against the current graph and re-establishing the certificate with
-// re-filter rounds) instead of running the full pipeline. The certificate
-// in the result is the stream's independently verified κ.
-func Incremental(ctx context.Context, g, warm *graph.Graph, p service.SparsifyParams) (*service.JobResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s, err := facadeFor(p, false)
-	if err != nil {
-		return nil, err
-	}
-	st, err := s.Resume(ctx, g, warm)
-	if err != nil {
-		return nil, err
-	}
-	sp := st.Sparsifier()
-	stats := st.Stats()
-	return &service.JobResult{
-		EdgesKept:       sp.M(),
-		EdgesInput:      g.M(),
-		Density:         float64(sp.M()) / float64(sp.N()),
-		Reduction:       float64(g.M()) / float64(sp.M()),
-		SigmaSqAchieved: st.Cond(),
-		TargetMet:       st.TargetMet(),
-		Rounds:          stats.Refilters,
-		Connected:       sp.IsConnected(),
-		// The stream's certificate IS the independent Lanczos check.
-		VerifiedCond: st.Cond(),
-		Refilters:    stats.Refilters,
-		Rebuilds:     stats.Rebuilds,
-		Sparsifier:   sp,
-	}, nil
-}
-
-// Config returns a service.Config with all four runner funcs wired in.
+// Config returns a service.Config with all three runner funcs wired in.
 // Callers fill in queue/cache/session sizing on the returned value.
 func Config() service.Config {
 	return service.Config{
-		Sparsify:    Sparsify,
-		Incremental: Incremental,
-		Maintain:    Maintain,
-		Resume:      Resume,
+		Sparsify: Sparsify,
+		Maintain: Maintain,
+		Resume:   Resume,
 	}
 }

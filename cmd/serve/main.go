@@ -98,7 +98,6 @@ func main() {
 		Backlog:             disableZero(*backlog),
 		CacheSize:           disableZero(*cache),
 		Sparsify:            runSparsify,
-		Incremental:         runIncremental,
 		Maintain:            runMaintain,
 		Resume:              runResume,
 		SessionMax:          disableZero(*sessMax),

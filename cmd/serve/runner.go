@@ -7,8 +7,7 @@ import "graphspar/cmd/internal/runners"
 // keep this package's call sites (main.go and the e2e tests) reading as
 // the service's production wiring.
 var (
-	runSparsify    = runners.Sparsify
-	runIncremental = runners.Incremental
-	runMaintain    = runners.Maintain
-	runResume      = runners.Resume
+	runSparsify = runners.Sparsify
+	runMaintain = runners.Maintain
+	runResume   = runners.Resume
 )

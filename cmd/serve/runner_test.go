@@ -143,8 +143,10 @@ type graphInfo struct {
 	M    int    `json:"m"`
 }
 
-// newProductionServer spins up the HTTP stack exactly as main does, with
-// a call counter around the from-scratch runner.
+// newProductionServer spins up the HTTP stack with main's runners and a
+// call counter around the from-scratch one. Sessions are off (the session
+// e2e tests cover them on), so an incremental job's maintainer answers
+// and is dropped.
 func newProductionServer(t *testing.T, cfg service.Config, calls *atomic.Int64) *httptest.Server {
 	t.Helper()
 	cfg.Sparsify = func(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (*service.JobResult, error) {
@@ -153,7 +155,8 @@ func newProductionServer(t *testing.T, cfg service.Config, calls *atomic.Int64) 
 		}
 		return runSparsify(ctx, g, p)
 	}
-	cfg.Incremental = runIncremental
+	cfg.Resume = runResume
+	cfg.SessionMax = -1
 	srv := service.NewServer(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {

@@ -57,9 +57,8 @@ func (c *serialChecker) ResidentBytes() int64     { defer c.enter()(); return c.
 func newSessionServer(t *testing.T, resumes *atomic.Int64, violations *atomic.Int64) (*service.Server, *httptest.Server) {
 	t.Helper()
 	cfg := service.Config{
-		Workers:     2,
-		Sparsify:    runSparsify,
-		Incremental: runIncremental,
+		Workers:  2,
+		Sparsify: runSparsify,
 		Maintain: func(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (sessions.Maintainer, error) {
 			m, err := runMaintain(ctx, g, p)
 			if err != nil || violations == nil {
@@ -252,25 +251,25 @@ func TestWarmSessionSkipsResumeBitIdentical(t *testing.T) {
 				t.Fatalf("warm certificate: %+v", inc2.Result)
 			}
 
-			// Bit-identical to the cold path: run the legacy per-request
-			// Resume (prior job's sparsifier reconciled against the current
-			// graph — exactly what this job cost before sessions) and
-			// compare content hashes.
+			// Bit-identical to the cold path: run the per-request Resume
+			// (prior job's sparsifier reconciled against the current graph —
+			// exactly what this job costs without a session) and compare
+			// content hashes.
 			entry, err = srv.Registry().Get("g")
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := runIncremental(context.Background(), entry.Graph, p1,
+			ref, err := runResume(context.Background(), entry.Graph, p1,
 				canon(t, service.SparsifyParams{SigmaSq: sigmaSq, Incremental: true}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			warmSpars := jobSparsifier(t, srv, inc2.ID)
 			warmHash := service.HashGraph(warmSpars)
-			coldHash := service.HashGraph(ref.Sparsifier)
+			coldHash := service.HashGraph(ref.Sparsifier())
 			if warmHash != coldHash {
 				t.Fatalf("session sparsifier (m=%d) differs from cold Resume result (m=%d):\nwarm %s\ncold %s",
-					warmSpars.M(), ref.Sparsifier.M(), warmHash, coldHash)
+					warmSpars.M(), ref.Sparsifier().M(), warmHash, coldHash)
 			}
 		})
 	}

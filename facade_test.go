@@ -135,9 +135,7 @@ func TestFacadeMaintainBitIdentical(t *testing.T) {
 		graphspar.Reweight(1, 2, 2.5),
 	}
 
-	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Options: engine.Options{Sparsify: core.Options{SigmaSq: sigma2, Seed: seed}},
-	})
+	m, err := dynamic.New(context.Background(), g, engine.Options{Sparsify: core.Options{SigmaSq: sigma2, Seed: seed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,73 +162,6 @@ func TestFacadeMaintainBitIdentical(t *testing.T) {
 	}
 	if st.Stats() != m.Stats() {
 		t.Errorf("stats %+v, want %+v", st.Stats(), m.Stats())
-	}
-}
-
-// TestFacadeStreamIncrementalKnobs pins the pass-through of the stream
-// maintenance knobs: WithLocalRefresh and WithFactorUpdateBudget must
-// yield bit-identical state to a direct dynamic.Maintainer configured the
-// same way, and a zero budget must disable rank-1 factor updates.
-func TestFacadeStreamIncrementalKnobs(t *testing.T) {
-	const sigma2, seed = 60.0, 7
-	g, err := gen.Grid2D(12, 12, gen.UniformWeights, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := []graphspar.Update{
-		graphspar.Reweight(1, 2, 2.5),
-		graphspar.Reweight(12, 13, 0.4),
-	}
-
-	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Options:            engine.Options{Sparsify: core.Options{SigmaSq: sigma2, Seed: seed}},
-		LocalRefreshRadius: 2,
-		FactorUpdateBudget: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Apply(context.Background(), batch); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := graphspar.New(graphspar.WithSigma2(sigma2), graphspar.WithSeed(seed),
-		graphspar.WithLocalRefresh(2), graphspar.WithFactorUpdateBudget(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Maintain(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Apply(context.Background(), batch); err != nil {
-		t.Fatal(err)
-	}
-	sameGraph(t, "maintained sparsifier", st.Sparsifier(), m.Sparsifier())
-	if st.Stats() != m.Stats() {
-		t.Errorf("stats %+v, want %+v", st.Stats(), m.Stats())
-	}
-
-	// Budget 0 turns incremental factor updates off entirely.
-	s0, err := graphspar.New(graphspar.WithSigma2(sigma2), graphspar.WithSeed(seed),
-		graphspar.WithFactorUpdateBudget(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st0, err := s0.Maintain(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st0.Apply(context.Background(), batch); err != nil {
-		t.Fatal(err)
-	}
-	if got := st0.Stats(); got.FactorUpdates+got.FactorDowndates != 0 {
-		t.Errorf("WithFactorUpdateBudget(0) still did %d updates/%d downdates",
-			got.FactorUpdates, got.FactorDowndates)
-	}
-
-	if _, err := graphspar.New(graphspar.WithSigma2(sigma2), graphspar.WithFactorUpdateBudget(-1)); !errors.Is(err, graphspar.ErrInvalidOptions) {
-		t.Errorf("negative budget: err = %v, want ErrInvalidOptions", err)
 	}
 }
 

@@ -153,7 +153,7 @@ func (s *Sparsifier) Run(ctx context.Context, g *Graph) (*Result, error) {
 // pipeline (and a stream's full rebuilds) run with. A stream never takes
 // the multilevel plan: where Run's auto policy would, its rebuilds shard.
 func (c *config) plan(g *Graph, stream bool) engine.Options {
-	opt := c.opt.Options
+	opt := c.opt
 	if opt.Mode == ModeAuto {
 		switch {
 		case opt.Shards == 1:
@@ -176,14 +176,6 @@ func (c *config) plan(g *Graph, stream bool) engine.Options {
 	// Single-shot certifies on request; the parallel plans always do
 	// (stitching and interpolation are only as good as their check).
 	opt.Verify = opt.Verify || opt.Mode != ModeSingleShot
-	return opt
-}
-
-// streamOptions is the maintainer configuration for Maintain and Resume:
-// the stream's full rebuilds run the plan resolved for g.
-func (c *config) streamOptions(g *Graph) dynamic.Options {
-	opt := c.opt
-	opt.Options = c.plan(g, true)
 	return opt
 }
 
@@ -230,7 +222,7 @@ func (s *Sparsifier) Maintain(ctx context.Context, g *Graph) (*Stream, error) {
 	if err := s.maintainable(); err != nil {
 		return nil, err
 	}
-	m, err := dynamic.New(ctx, g, s.cfg.streamOptions(g))
+	m, err := dynamic.New(ctx, g, s.cfg.plan(g, true))
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +261,7 @@ func (s *Sparsifier) Resume(ctx context.Context, g, warm *Graph) (*Stream, error
 	if err := s.maintainable(); err != nil {
 		return nil, err
 	}
-	m, err := dynamic.Resume(ctx, g, warm, s.cfg.streamOptions(g))
+	m, err := dynamic.Resume(ctx, g, warm, s.cfg.plan(g, true))
 	if err != nil {
 		return nil, err
 	}

@@ -50,9 +50,7 @@ func (s *benchState) setup() {
 			return
 		}
 		s.fullDur = time.Since(t0)
-		s.m, s.buildErr = dynamic.New(context.Background(), g, dynamic.Options{
-			Options: engine.Options{Sparsify: core.Options{SigmaSq: benchSigmaSq, Seed: 1}},
-		})
+		s.m, s.buildErr = dynamic.New(context.Background(), g, engine.Options{Sparsify: core.Options{SigmaSq: benchSigmaSq, Seed: 1}})
 	})
 }
 
@@ -89,12 +87,10 @@ func publishBenchResult(b *testing.B, name string, metrics map[string]float64) {
 
 // localState is one prepared BenchmarkLocalUpdate instance: a graph, a
 // synthetic sparsifier (backbone plus every 4th off-tree edge), its
-// ND-ordered factor, an embedding scorer, and the edges the toggle loop
-// perturbs.
+// ND-ordered factor, and the edges the toggle loop perturbs.
 type localState struct {
 	g, p        *graph.Graph
 	ls          *cholesky.LapSolver
-	sc          *core.EdgeScorer
 	toggles     []graph.Edge
 	perUpdateUs float64 // fixed 1000-pair measurement, stable at any -benchtime
 	err         error
@@ -150,7 +146,6 @@ func localSetup(name string, keep int, build func() (*graph.Graph, error)) *loca
 	if s.err != nil {
 		return s
 	}
-	s.sc = core.NewEdgeScorer(s.g, s.ls, 2, 2, 1)
 	rng := vecmath.NewRNG(7)
 	pe := s.p.Edges()
 	for len(s.toggles) < 1024 {
@@ -221,9 +216,8 @@ func localSetup(name string, keep int, build func() (*graph.Graph, error)) *loca
 
 // BenchmarkLocalUpdate is the flat-cost proof of the incremental path:
 // per-edge ApplyEdge (a rank-1 update/downdate along the ND elimination
-// tree) and per-call StepLocal (a ball-local embedding refresh) are timed
-// on graphs 16–64× the grid256 baseline. The headline metric is
-// per-update-µs; with the centroid nested-dissection order the etree path
+// tree) is timed on graphs 16–64× the grid256 baseline. The headline
+// metric is per-update-µs; with the centroid nested-dissection order the etree path
 // an update walks grows like log n, so the cost must stay within 2× from
 // grid256 to grid1024 — asserted when BENCH_ASSERT_FLAT is set (the CI
 // bench step), alongside the per-batch numbers of
@@ -261,23 +255,12 @@ func BenchmarkLocalUpdate(b *testing.B) {
 			perUpdateUs := s.perUpdateUs
 			localPerUs[c.name] = perUpdateUs
 
-			// StepLocal cost, measured separately from the factor updates.
-			const localReps = 50
-			t0 := time.Now()
-			for i := 0; i < localReps; i++ {
-				e := s.toggles[i%len(s.toggles)]
-				s.sc.StepLocal(s.g, s.p, []int{e.U, e.V}, 2, 3, s.g.N()/4)
-			}
-			localStepUs := float64(time.Since(t0).Microseconds()) / localReps
-
 			b.ReportMetric(perUpdateUs, "per-update-µs")
-			b.ReportMetric(localStepUs, "local-step-µs")
 			publishBenchResult(b, "local:"+c.name, map[string]float64{
 				"n":             float64(s.g.N()),
 				"m":             float64(s.g.M()),
 				"sparsifier_m":  float64(s.p.M()),
 				"per_update_us": perUpdateUs,
-				"local_step_us": localStepUs,
 			})
 
 			if c.name != "grid256" && os.Getenv("BENCH_ASSERT_FLAT") != "" {
@@ -354,7 +337,6 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 				"factor_updates":   float64(m.Stats().FactorUpdates),
 				"factor_downdates": float64(m.Stats().FactorDowndates),
 				"factor_rebuilds":  float64(m.Stats().FactorRebuilds),
-				"local_steps":      float64(m.Stats().LocalSteps),
 			})
 		})
 	}

@@ -11,9 +11,9 @@ import (
 
 // Binary event wire format (application/x-graphspar-events).
 //
-// A compact peer of the text wire in stream.go, negotiated by
-// Content-Type on the service's stream endpoint. A stream is a flat
-// sequence of records, each:
+// The compact spelling of the event wire described in stream.go,
+// negotiated by Content-Type on the service's stream endpoint. A stream is
+// a flat sequence of records, each:
 //
 //	1 op byte   0x00 commit · 0x01 insert · 0x02 delete · 0x03 reweight
 //	uvarint u   endpoint (absent for commit)
@@ -23,9 +23,7 @@ import (
 //
 // Varint endpoints keep typical records at 4–12 bytes versus ~20+ for
 // the text spelling, and the fixed-width weight decodes without any
-// float parsing. Semantics match the text format exactly: commit closes
-// the current batch, updates after the last commit form a final
-// implicit batch, and empty batches are dropped by consumers.
+// float parsing. Batch semantics are EventReader's, whatever the spelling.
 const BinaryContentType = "application/x-graphspar-events"
 
 // Binary wire op bytes. Distinct from the Op enum so the wire encoding
@@ -78,41 +76,26 @@ func AppendBinaryCommit(dst []byte) []byte {
 	return append(dst, binOpCommit)
 }
 
-// BinaryReader incrementally decodes a binary event stream. Next is
-// allocation-free on the happy path: varints come off the bufio.Reader
-// byte by byte and the weight through a fixed scratch array.
-type BinaryReader struct {
-	br      *bufio.Reader
-	scratch [8]byte
-	records int
+// NewBinaryEventReader decodes the binary spelling from r; maxBatch is as
+// for NewEventReader. Decoding is allocation-free on the happy path:
+// varints come off the bufio.Reader byte by byte and the weight through a
+// fixed scratch array.
+func NewBinaryEventReader(r io.Reader, maxBatch int) *EventReader {
+	return &EventReader{br: bufio.NewReader(r), maxBatch: maxBatch}
 }
 
-// NewBinaryReader wraps r for record-at-a-time decoding.
-func NewBinaryReader(r io.Reader) *BinaryReader {
-	return &BinaryReader{br: bufio.NewReader(r)}
-}
-
-// Records reports how many records (updates and commits) have been
-// decoded so far — the binary analogue of a line number for errors.
-func (d *BinaryReader) Records() int { return d.records }
-
-// Next decodes the next record. It returns (update, false, nil) for an
-// update, (zero, true, nil) for a commit, and io.EOF exactly at a clean
-// end of stream; a stream truncated mid-record is an ErrBadUpdate.
-func (d *BinaryReader) Next() (Update, bool, error) {
+// binaryRecord decodes the next record. Only an EOF before the op byte is
+// a clean end of stream; a stream truncated mid-record is an ErrBadUpdate.
+func (d *EventReader) binaryRecord() (Update, bool, error) {
 	op, err := d.br.ReadByte()
 	if err != nil {
-		if err == io.EOF {
-			return Update{}, false, io.EOF
-		}
 		return Update{}, false, err
 	}
-	d.records++
-	if op == binOpCommit {
-		return Update{}, true, nil
-	}
+	d.pos++
 	var u Update
 	switch op {
+	case binOpCommit:
+		return Update{}, true, nil
 	case binOpInsert:
 		u.Op = OpInsert
 	case binOpDelete:
@@ -120,72 +103,56 @@ func (d *BinaryReader) Next() (Update, bool, error) {
 	case binOpReweight:
 		u.Op = OpReweight
 	default:
-		return Update{}, false, fmt.Errorf("%w: record %d: unknown op byte 0x%02x", ErrBadUpdate, d.records, op)
+		return Update{}, false, fmt.Errorf("%w: unknown op byte 0x%02x", ErrBadUpdate, op)
 	}
-	if u.U, err = d.readVertex(); err != nil {
+	if u.U, err = d.binaryVertex(); err != nil {
 		return Update{}, false, err
 	}
-	if u.V, err = d.readVertex(); err != nil {
+	if u.V, err = d.binaryVertex(); err != nil {
 		return Update{}, false, err
 	}
 	if u.Op != OpDelete {
-		if _, err := io.ReadFull(d.br, d.scratch[:]); err != nil {
-			return Update{}, false, d.truncated(err)
+		if _, err := io.ReadFull(d.br, d.weight[:]); err != nil {
+			return Update{}, false, truncated(err)
 		}
-		u.W = math.Float64frombits(binary.LittleEndian.Uint64(d.scratch[:]))
+		u.W = math.Float64frombits(binary.LittleEndian.Uint64(d.weight[:]))
 	}
 	return u, false, nil
 }
 
-func (d *BinaryReader) readVertex() (int, error) {
-	x, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return 0, d.truncated(err)
+// binaryVertex reads one uvarint endpoint, checking the MaxInt32 bound as
+// the bytes arrive: an overlong varint is out of range like any other
+// oversized id, not an overflow error of some other type.
+func (d *EventReader) binaryVertex() (int, error) {
+	var x uint64
+	for shift := 0; ; shift += 7 {
+		b, err := d.br.ReadByte()
+		if err != nil {
+			return 0, truncated(err)
+		}
+		x |= uint64(b&0x7f) << shift
+		if x > math.MaxInt32 || (shift == 28 && b >= 0x80) {
+			return 0, fmt.Errorf("%w: vertex out of range", ErrBadUpdate)
+		}
+		if b < 0x80 {
+			return int(x), nil
+		}
 	}
-	if x > uint64(math.MaxInt32) {
-		return 0, fmt.Errorf("%w: record %d: vertex %d out of range", ErrBadUpdate, d.records, x)
-	}
-	return int(x), nil
 }
 
 // truncated converts an EOF inside a record into a diagnosable
 // ErrBadUpdate; other reader errors pass through.
-func (d *BinaryReader) truncated(err error) error {
+func truncated(err error) error {
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return fmt.Errorf("%w: record %d: truncated record", ErrBadUpdate, d.records)
+		return fmt.Errorf("%w: truncated record", ErrBadUpdate)
 	}
 	return err
 }
 
-// ReadBinaryEvents decodes a whole binary stream into update batches,
-// the binary analogue of ParseEvents (same batching semantics).
+// ReadBinaryEvents reads a whole binary event stream into update batches,
+// the binary analogue of ParseEvents.
 func ReadBinaryEvents(r io.Reader) ([][]Update, error) {
-	d := NewBinaryReader(r)
-	var (
-		batches [][]Update
-		cur     []Update
-	)
-	for {
-		u, commit, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if commit {
-			if len(cur) > 0 {
-				batches = append(batches, cur)
-				cur = nil
-			}
-			continue
-		}
-		cur = append(cur, u)
-	}
-	if len(cur) > 0 {
-		batches = append(batches, cur)
-	}
-	return batches, nil
+	return collect(NewBinaryEventReader(r, 0))
 }
 
 // WriteBinaryEvents serializes batches in the binary wire format with

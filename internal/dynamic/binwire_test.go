@@ -98,6 +98,8 @@ func TestBinaryDecodeErrors(t *testing.T) {
 		{"truncated after op", ins[:1]},
 		{"truncated mid weight", ins[:len(ins)-3]},
 		{"oversized vertex", append([]byte{binOpDelete}, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)},
+		{"vertex just past MaxInt32", append([]byte{binOpDelete}, 0x80, 0x80, 0x80, 0x80, 0x08, 0x01)},
+		{"varint past 64 bits", append([]byte{binOpDelete}, bytes.Repeat([]byte{0x80}, 11)...)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,8 +121,8 @@ func TestBinaryEncodeRejects(t *testing.T) {
 }
 
 func TestBinaryReaderCleanEOF(t *testing.T) {
-	d := NewBinaryReader(bytes.NewReader(nil))
-	if _, _, err := d.Next(); err != io.EOF {
+	d := NewBinaryEventReader(bytes.NewReader(nil), 0)
+	if _, err := d.Next(); err != io.EOF {
 		t.Fatalf("empty stream: want io.EOF, got %v", err)
 	}
 }

@@ -30,7 +30,7 @@
 // The invariant after every successful Apply: the sparsifier is a
 // connected subgraph of the current graph whose independently verified
 // condition number is at most the configured σ² (up to estimator noise;
-// see Options.RefilterFraction for the safety margin).
+// see refilterMargin).
 package dynamic
 
 import (
@@ -51,36 +51,34 @@ import (
 	"graphspar/internal/vecmath"
 )
 
-// Options configures a Maintainer.
-type Options struct {
-	// Options is the batch pipeline configuration of every full (re)build:
-	// Sparsify carries the similarity target and embedding knobs (SigmaSq
-	// is required), Mode/Shards/Workers/Partition pick the plan — the zero
-	// value rebuilds single-shot, ModeSharded through the shard-parallel
-	// plan. Two knobs double as maintenance settings: RefilterRounds
-	// (default 4) also caps the localized re-filter rounds run per Apply
-	// when the verified κ exceeds RefilterFraction·σ², and VerifySteps is
-	// the generalized-Lanczos depth of the per-batch certificate check —
-	// the extremes settle fast on sparsifier spectra, so it can be
-	// shallower than an offline audit (default min(12, n); the
-	// RefilterFraction safety margin absorbs the residual underestimate).
-	// Verify is ignored: the maintainer certifies every build on its own
-	// factor.
-	engine.Options
-	// RefilterFraction sets the safety margin: re-filtering starts once
-	// κ > RefilterFraction·σ², keeping headroom for estimator noise so
-	// the true condition number stays under σ². Default 0.9.
-	RefilterFraction float64
-	// DriftFraction bounds embedding staleness: a full rebuild is forced
+// The maintainer's configuration is the batch pipeline's engine.Options:
+// Sparsify carries the similarity target and embedding knobs (SigmaSq is
+// required), Mode/Shards/Workers/Partition pick the plan of every full
+// (re)build — the zero value rebuilds single-shot, ModeSharded through the
+// shard-parallel plan. Two fields double as maintenance settings with
+// defaults of their own: RefilterRounds (default 4) also caps the
+// localized re-filter rounds run per Apply, and VerifySteps is the
+// generalized-Lanczos depth of the per-batch certificate check — the
+// extremes settle fast on sparsifier spectra, so it can be shallower than
+// an offline audit (default min(12, n); refilterMargin absorbs the
+// residual underestimate). Verify is ignored: the maintainer certifies
+// every build on its own factor. Everything else about maintenance is
+// fixed:
+const (
+	// refilterMargin is the safety margin: re-filtering starts once
+	// κ > refilterMargin·σ², keeping headroom for estimator noise so the
+	// true condition number stays under σ².
+	refilterMargin = 0.9
+	// driftFraction bounds embedding staleness: a full rebuild is forced
 	// once the cumulative churn — inserted/deleted edges count 1 each,
-	// reweights their relative weight change — exceeds DriftFraction of
+	// reweights their relative weight change — exceeds this fraction of
 	// the edge count at the last full build. Spectral emergencies are
 	// caught separately (the certificate is re-verified every batch and
 	// re-filtering falls back to a rebuild), so this only has to decide
 	// when the retained probe vectors have seen too much change to keep
-	// re-scoring against. Default 0.25.
-	DriftFraction float64
-	// BatchVerifyThreshold batches certificate re-verification across the
+	// re-scoring against.
+	driftFraction = 0.25
+	// batchVerifyThreshold batches certificate re-verification across the
 	// re-filter rounds of large update batches: when one Apply carries at
 	// least this many updates, the settle pass admits candidates for all
 	// its re-filter rounds back-to-back and runs a single refactorization
@@ -88,67 +86,39 @@ type Options struct {
 	// similarity threshold θσ is frozen for the pass (λ estimates only
 	// move on verification), so the admission order is identical — large
 	// batches trade a slightly denser sparsifier (no early stop between
-	// rounds) for roughly half the certificate-restoration cost. Default
-	// 64; negative disables batching so every round re-verifies.
-	BatchVerifyThreshold int
-	// FactorUpdateBudget caps how many rank-1 Cholesky update/downdates
+	// rounds) for roughly half the certificate-restoration cost.
+	batchVerifyThreshold = 64
+	// factorUpdateBudget caps how many rank-1 Cholesky update/downdates
 	// may be folded into the sparsifier factor between full numeric
 	// refactorizations. Each sparsifier edge change is a rank-1
-	// perturbation of the reduced Laplacian, applied along one elimination-
-	// tree path in O(path fill) instead of refactoring the whole matrix;
-	// the budget bounds accumulated rounding before the next exact
-	// factorization re-anchors the numerics. 0 picks the default (256);
-	// negative disables incremental factor updates entirely, so every
-	// materialization refactors as before.
-	FactorUpdateBudget int
-	// LocalRefreshRadius > 0 replaces the full O(r·m) warm power step of
-	// the deferred embedding refresh with a ball-local Dirichlet relaxation
-	// confined to the radius-hop neighborhood of the vertices touched since
-	// the last refresh (heats far from a perturbation barely move — the
-	// localized-perturbation view of GRASS). Staleness left outside the
-	// ball is charged against the drift budget so the rebuild trigger stays
-	// sound. 0 (the default) keeps the full warm step.
-	LocalRefreshRadius int
-	// LocalRefreshSweeps is the Gauss–Seidel sweep count of the ball-local
-	// refresh. Default 3.
-	LocalRefreshSweeps int
-}
+	// perturbation of the reduced Laplacian, applied along one
+	// elimination-tree path in O(path fill) instead of refactoring the
+	// whole matrix; the budget bounds accumulated rounding before the next
+	// exact factorization re-anchors the numerics.
+	factorUpdateBudget = 256
+	// fillLimit triggers a fresh elimination ordering once the reused
+	// order's factor grows past this multiple of the originally ordered
+	// factor.
+	fillLimit = 4
+)
 
-func (o *Options) defaults(n int) error {
-	if err := params.Sigma2(o.Sparsify.SigmaSq); err != nil {
-		return err
+// maintainerDefaults validates opt and fills the maintainer's own
+// defaults on its copy.
+func maintainerDefaults(opt engine.Options, n int) (engine.Options, error) {
+	if err := params.Sigma2(opt.Sparsify.SigmaSq); err != nil {
+		return opt, err
 	}
-	if o.RefilterRounds <= 0 {
-		o.RefilterRounds = 4
+	if opt.RefilterRounds <= 0 {
+		opt.RefilterRounds = 4
 	}
-	if o.RefilterFraction <= 0 || o.RefilterFraction > 1 {
-		o.RefilterFraction = 0.9
+	if opt.VerifySteps <= 0 {
+		opt.VerifySteps = 12
 	}
-	if o.DriftFraction <= 0 {
-		o.DriftFraction = 0.25
+	opt.VerifySteps = max(2, min(opt.VerifySteps, n))
+	if opt.Sparsify.Seed == 0 {
+		opt.Sparsify.Seed = 1
 	}
-	if o.VerifySteps <= 0 {
-		o.VerifySteps = 12
-	}
-	if o.VerifySteps > n {
-		o.VerifySteps = n
-	}
-	if o.VerifySteps < 2 {
-		o.VerifySteps = 2
-	}
-	if o.BatchVerifyThreshold == 0 {
-		o.BatchVerifyThreshold = 64
-	}
-	if o.FactorUpdateBudget == 0 {
-		o.FactorUpdateBudget = 256
-	}
-	if o.LocalRefreshSweeps <= 0 {
-		o.LocalRefreshSweeps = 3
-	}
-	if o.Sparsify.Seed == 0 {
-		o.Sparsify.Seed = 1
-	}
-	return nil
+	return opt, nil
 }
 
 // Stats counts the maintainer's work since construction.
@@ -165,7 +135,6 @@ type Stats struct {
 	FactorUpdates   int     `json:"factor_updates"`
 	FactorDowndates int     `json:"factor_downdates"`
 	FactorRebuilds  int     `json:"factor_rebuilds"`
-	LocalSteps      int     `json:"local_steps"`
 	WarmStart       bool    `json:"warm_start"`
 	Cond            float64 `json:"condition_number"`
 	Drift           float64 `json:"drift"`
@@ -176,7 +145,7 @@ type Stats struct {
 // Maintainer holds a graph together with its live sparsifier and applies
 // batched edge updates incrementally. Not safe for concurrent use.
 type Maintainer struct {
-	opt Options
+	opt engine.Options
 
 	g        *graph.Graph
 	p        *graph.Graph       // materialized sparsifier, kept in sync with pW
@@ -193,7 +162,7 @@ type Maintainer struct {
 	nnzAtOrder int
 
 	// updatesSinceFactor counts rank-1 updates folded into the current
-	// factor; refreshFactor refactors once it would pass FactorUpdateBudget.
+	// factor; refreshFactor refactors once it would pass factorUpdateBudget.
 	updatesSinceFactor int
 
 	scorer *core.EdgeScorer
@@ -201,12 +170,6 @@ type Maintainer struct {
 	// vectors; freshenEmbedding runs the deferred warm power step right
 	// before the embedding is next consulted.
 	embedStale bool
-	// touched/staleChurn describe the batches deferred since the last
-	// embedding refresh: the vertices their updates perturbed (the seed set
-	// of the ball-local refresh) and their accumulated churn (the drift
-	// surcharge a local refresh pays for leaving the far field stale).
-	touched    map[int]bool
-	staleChurn float64
 	maxHeat    float64 // heat normalizer of the last full filter pass
 	theta      float64 // similarity threshold of the last full filter pass
 
@@ -220,17 +183,6 @@ type Maintainer struct {
 	stats Stats
 }
 
-// fillLimit triggers a fresh elimination ordering once the reused order's
-// factor grows past this multiple of the originally ordered factor.
-const fillLimit = 4
-
-// localDriftCarry is the fraction of the deferred churn a ball-local
-// embedding refresh charges against the drift budget: the ball absorbs the
-// near-field perturbation but the far field stays stale, so local refreshes
-// must age the embedding faster than full steps (which charge nothing
-// beyond the churn itself).
-const localDriftCarry = 0.5
-
 // edgeDelta is one sparsifier weight change staged for the factor: dw is
 // the signed difference against the pre-commit weight (full weight for an
 // insertion, negated weight for a deletion).
@@ -240,11 +192,12 @@ type edgeDelta struct {
 }
 
 // New sparsifies g from scratch and returns a Maintainer tracking it.
-func New(ctx context.Context, g *graph.Graph, opt Options) (*Maintainer, error) {
+func New(ctx context.Context, g *graph.Graph, opt engine.Options) (*Maintainer, error) {
 	if err := g.RequireConnected(); err != nil {
 		return nil, err
 	}
-	if err := opt.defaults(g.N()); err != nil {
+	opt, err := maintainerDefaults(opt, g.N())
+	if err != nil {
 		return nil, err
 	}
 	m := &Maintainer{opt: opt, g: g, rng: vecmath.NewRNG(opt.Sparsify.Seed ^ 0xdf1a7)}
@@ -261,11 +214,12 @@ func New(ctx context.Context, g *graph.Graph, opt Options) (*Maintainer, error) 
 // certificate is re-established with re-filter rounds, falling back to a
 // full rebuild only if the warm start cannot reach the target. Much
 // cheaper than New when warm is a sparsifier of a nearby graph.
-func Resume(ctx context.Context, g *graph.Graph, warm *graph.Graph, opt Options) (*Maintainer, error) {
+func Resume(ctx context.Context, g *graph.Graph, warm *graph.Graph, opt engine.Options) (*Maintainer, error) {
 	if err := g.RequireConnected(); err != nil {
 		return nil, err
 	}
-	if err := opt.defaults(g.N()); err != nil {
+	opt, err := maintainerDefaults(opt, g.N())
+	if err != nil {
 		return nil, err
 	}
 	if warm == nil || warm.N() != g.N() {
@@ -384,9 +338,9 @@ func (m *Maintainer) Stats() Stats {
 }
 
 // driftBudget is the churn the embedding may absorb before a rebuild:
-// DriftFraction of the edge count at the last full build.
+// driftFraction of the edge count at the last full build.
 func (m *Maintainer) driftBudget() float64 {
-	return m.opt.DriftFraction * float64(m.mAtBuild)
+	return driftFraction * float64(m.mAtBuild)
 }
 
 // ResidentBytes estimates the heap the maintainer keeps resident between
@@ -547,13 +501,6 @@ func (m *Maintainer) Apply(ctx context.Context, batch []Update) error {
 		m.treeKey[k] = true
 	}
 	m.drift += churn
-	m.staleChurn += churn
-	for _, u := range batch {
-		m.touch(u.U, u.V)
-	}
-	for _, d := range deltas {
-		m.touch(d.u, d.v)
-	}
 	m.stats.Applies++
 	m.stats.Updates += len(batch)
 	m.stats.InsertsAdmitted += admitted
@@ -581,8 +528,7 @@ func (m *Maintainer) Apply(ctx context.Context, batch []Update) error {
 	if err := m.refreshScorerAndCertificate(ctx, false); err != nil {
 		return err
 	}
-	batched := m.opt.BatchVerifyThreshold > 0 && len(batch) >= m.opt.BatchVerifyThreshold
-	return m.settle(ctx, batched)
+	return m.settle(ctx, len(batch) >= batchVerifyThreshold)
 }
 
 // Rebuild discards all incremental state and re-sparsifies from scratch.
@@ -623,7 +569,7 @@ func (m *Maintainer) settle(ctx context.Context, batched bool) error {
 // move between rounds anyway without fresh λ estimates).
 func (m *Maintainer) refilter(ctx context.Context, batched bool) error {
 	defer obs.StartSpan(ctx, "refilter").End()
-	safety := m.opt.RefilterFraction * m.opt.Sparsify.SigmaSq
+	safety := refilterMargin * m.opt.Sparsify.SigmaSq
 	if m.cond <= safety {
 		return nil
 	}
@@ -653,7 +599,6 @@ func (m *Maintainer) refilter(ctx context.Context, batched bool) error {
 			e := m.g.Edge(candIDs[pos])
 			m.pW[[2]int{e.U, e.V}] = e.W
 			pending = append(pending, edgeDelta{e.U, e.V, e.W})
-			m.touch(e.U, e.V)
 		}
 		// Remember the pass's thresholds for future insert admission.
 		m.theta, m.maxHeat = theta, maxHeat
@@ -755,19 +700,19 @@ func (m *Maintainer) materialize(deltas []edgeDelta) error {
 
 // refreshFactor folds the staged sparsifier deltas into the existing
 // factor via O(path fill) rank-1 update/downdates. It falls back to a full
-// refactorization when incremental updates are disabled or budget-
-// exhausted, when an inserted edge's endpoints fall outside the factor
-// pattern (fill would be needed), or when a downdate turns numerically
-// singular — in every fallback the factor is rebuilt from m.p, so a
-// partially applied delta list is harmless.
+// refactorization when the update budget is exhausted, when an inserted
+// edge's endpoints fall outside the factor pattern (fill would be needed),
+// or when a downdate turns numerically singular — in every fallback the
+// factor is rebuilt from m.p, so a partially applied delta list is
+// harmless.
 func (m *Maintainer) refreshFactor(deltas []edgeDelta) error {
-	if m.solver == nil || m.opt.FactorUpdateBudget < 0 || deltas == nil {
+	if m.solver == nil || deltas == nil {
 		return m.refactor()
 	}
 	if len(deltas) == 0 {
 		return nil // weights identical; the factor already matches
 	}
-	if m.updatesSinceFactor+len(deltas) > m.opt.FactorUpdateBudget {
+	if m.updatesSinceFactor+len(deltas) > factorUpdateBudget {
 		return m.refactor()
 	}
 	for _, d := range deltas {
@@ -826,15 +771,6 @@ func (m *Maintainer) refactor() error {
 	return nil
 }
 
-// touch records batch-perturbed vertices for the next ball-local refresh.
-func (m *Maintainer) touch(u, v int) {
-	if m.touched == nil {
-		m.touched = make(map[int]bool)
-	}
-	m.touched[u] = true
-	m.touched[v] = true
-}
-
 // refreshScorerAndCertificate rebuilds the probe embedding (fresh) or
 // marks it stale for a deferred warm-start step, then re-verifies the
 // certificate. The solver must already match m.p. The certificate check
@@ -852,8 +788,6 @@ func (m *Maintainer) refreshScorerAndCertificate(ctx context.Context, fresh bool
 	if fresh || m.scorer == nil {
 		m.scorer = core.NewEdgeScorer(m.g, m.solver, t, r, core.DeriveSeed(m.opt.Sparsify.Seed, int(m.rng.Uint64()%1024)))
 		m.embedStale = false
-		m.staleChurn = 0
-		clear(m.touched)
 	} else {
 		m.embedStale = true
 	}
@@ -866,38 +800,13 @@ func (m *Maintainer) refreshScorerAndCertificate(ctx context.Context, fresh bool
 // the embedding is consulted (insert admission, re-filter scoring); the
 // drift budget separately bounds how much deferred churn the embedding
 // may absorb before a rebuild.
-// With LocalRefreshRadius set, the refresh is attempted as a ball-local
-// Dirichlet relaxation seeded at the touched vertices; the far field stays
-// stale, so localDriftCarry of the deferred churn is charged to the drift
-// budget. A ball past n/4 vertices (locality buys nothing) falls back to
-// the full warm step.
 func (m *Maintainer) freshenEmbedding(ctx context.Context) {
 	if !m.embedStale || m.scorer == nil {
 		return
 	}
 	defer obs.StartSpan(ctx, "embed").End()
-	if m.opt.LocalRefreshRadius > 0 && len(m.touched) > 0 {
-		touched := make([]int, 0, len(m.touched))
-		for v := range m.touched {
-			touched = append(touched, v)
-		}
-		sort.Ints(touched) // deterministic ball construction
-		maxBall := m.g.N() / 4
-		if n := m.scorer.StepLocal(m.g, m.p, touched, m.opt.LocalRefreshRadius, m.opt.LocalRefreshSweeps, maxBall); n >= 0 {
-			m.drift += localDriftCarry * m.staleChurn
-			m.stats.LocalSteps++
-			m.finishRefresh()
-			return
-		}
-	}
 	m.scorer.Step(m.g, m.solver)
-	m.finishRefresh()
-}
-
-func (m *Maintainer) finishRefresh() {
 	m.embedStale = false
-	m.staleChurn = 0
-	clear(m.touched)
 	m.stats.EmbedRefreshes++
 }
 
@@ -919,7 +828,7 @@ func (m *Maintainer) verifyCertificate(ctx context.Context) error {
 // pipeline, resets the drift accounting, recomputes the elimination order
 // and rebuilds the probe embedding.
 func (m *Maintainer) rebuild(ctx context.Context) error {
-	bopt := m.opt.Options
+	bopt := m.opt
 	// The certificate below runs on the maintainer's own factor; a
 	// pipeline-side check would factor the same sparsifier a second time
 	// for a result nobody reads.

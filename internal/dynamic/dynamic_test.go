@@ -12,6 +12,7 @@ import (
 	"graphspar/internal/graph"
 	"graphspar/internal/params"
 	"graphspar/internal/testkit"
+	"graphspar/internal/vecmath"
 )
 
 // checkInvariant is the shared testkit invariant: connected subgraph,
@@ -23,9 +24,7 @@ func checkInvariant(t *testing.T, m *dynamic.Maintainer, sigmaSq float64) {
 
 func newMaintainer(t *testing.T, g *graph.Graph, sigmaSq float64) *dynamic.Maintainer {
 	t.Helper()
-	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}},
-	})
+	m, err := dynamic.New(context.Background(), g, engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,19 +146,44 @@ func TestBatchValidationErrors(t *testing.T) {
 	}
 }
 
+// pastDriftBudget builds one batch of fresh chords whose churn (1 per
+// insert) just exceeds what is left of m's drift budget — a quarter of
+// the edge count at the last build — so applying it must force a rebuild.
+func pastDriftBudget(m *dynamic.Maintainer, rng *vecmath.RNG) []dynamic.Update {
+	g, st := m.Graph(), m.Stats()
+	taken := make(map[[2]int]bool)
+	var batch []dynamic.Update
+	for float64(len(batch)) <= st.DriftBudget-st.Drift {
+		u, v := rng.Intn(g.N()), rng.Intn(g.N())
+		if u > v {
+			u, v = v, u
+		}
+		if u == v || g.HasEdge(u, v) || taken[[2]int{u, v}] {
+			continue
+		}
+		taken[[2]int{u, v}] = true
+		batch = append(batch, dynamic.Insert(u, v, 0.5+rng.Float64()))
+	}
+	return batch
+}
+
 func TestDriftBudgetForcesRebuild(t *testing.T) {
 	g, err := gen.Grid2D(8, 8, gen.UniformWeights, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Options:       engine.Options{Sparsify: core.Options{SigmaSq: 60, Seed: 1}},
-		DriftFraction: 1e-12, // any perturbation mass exceeds the budget
-	})
-	if err != nil {
+	m := newMaintainer(t, g, 60)
+	if want := 0.25 * float64(g.M()); m.Stats().DriftBudget != want {
+		t.Fatalf("DriftBudget = %v, want %v (a quarter of the %d edges built on)", m.Stats().DriftBudget, want, g.M())
+	}
+	// One insert is far inside the budget; a batch past it is not.
+	if err := m.Apply(context.Background(), []dynamic.Update{dynamic.Insert(0, 63, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Apply(context.Background(), []dynamic.Update{dynamic.Insert(0, 63, 2)}); err != nil {
+	if st := m.Stats(); st.Rebuilds != 0 || st.Drift != 1 {
+		t.Fatalf("after one insert: Rebuilds = %d, Drift = %v, want 0 and 1", st.Rebuilds, st.Drift)
+	}
+	if err := m.Apply(context.Background(), pastDriftBudget(m, vecmath.NewRNG(5))); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats()
@@ -207,9 +231,7 @@ func TestResumeWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := dynamic.Resume(context.Background(), g2, warm, dynamic.Options{
-		Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}},
-	})
+	m2, err := dynamic.Resume(context.Background(), g2, warm, engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +250,7 @@ func TestResumeRejectsMismatchedVertexSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dynamic.Resume(context.Background(), g, small, dynamic.Options{
-		Options: engine.Options{Sparsify: core.Options{SigmaSq: 50}},
-	}); err == nil {
+	if _, err := dynamic.Resume(context.Background(), g, small, engine.Options{Sparsify: core.Options{SigmaSq: 50}}); err == nil {
 		t.Fatal("mismatched warm sparsifier must fail")
 	}
 }
@@ -241,9 +261,7 @@ func TestShardedRebuildPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sigmaSq = 60
-	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}, Mode: params.ModeSharded, Shards: 2},
-	})
+	m, err := dynamic.New(context.Background(), g, engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}, Mode: params.ModeSharded, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +274,7 @@ func TestShardedRebuildPath(t *testing.T) {
 
 func TestDisconnectedInputRejected(t *testing.T) {
 	two := graph.MustNew(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
-	if _, err := dynamic.New(context.Background(), two, dynamic.Options{
-		Options: engine.Options{Sparsify: core.Options{SigmaSq: 50}},
-	}); !errors.Is(err, graph.ErrDisconnected) {
+	if _, err := dynamic.New(context.Background(), two, engine.Options{Sparsify: core.Options{SigmaSq: 50}}); !errors.Is(err, graph.ErrDisconnected) {
 		t.Fatalf("err = %v, want graph.ErrDisconnected", err)
 	}
 }
@@ -277,29 +293,19 @@ func TestApplyToGraphEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestBatchedVerifyEquivalence runs the same large update batch through a
-// maintainer with batched certificate verification (one Lanczos check per
-// settle pass) and one with per-round verification, asserting both end
+// TestBatchedVerifyEquivalence thins the sparsifier by the same deletions
+// through both settle routes — batched certificate verification (one
+// Lanczos check per settle pass; batches of at least 64 updates take it)
+// and per-round verification (smaller batches) — asserting both end
 // within the σ² target and that batching actually reduced the number of
 // Lanczos verifications (the batch=256 regime's dominant cost).
 func TestBatchedVerifyEquivalence(t *testing.T) {
 	const sigmaSq = 50
-	build := func(threshold int) (*dynamic.Maintainer, *graph.Graph) {
-		g, err := gen.Grid2D(16, 16, gen.UniformWeights, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := dynamic.New(context.Background(), g, dynamic.Options{
-			Options:              engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}},
-			BatchVerifyThreshold: threshold,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, g
+	g, err := gen.Grid2D(16, 16, gen.UniformWeights, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	batched, g := build(1)   // every Apply settles in batched mode
-	perRound, _ := build(-1) // batching disabled: one verify per round
+	batched, perRound := newMaintainer(t, g, sigmaSq), newMaintainer(t, g, sigmaSq)
 
 	// Delete a swath of off-tree sparsifier edges: no backbone repairs
 	// fire, the sparsifier thins out, the certificate drifts past the
@@ -332,7 +338,22 @@ func TestBatchedVerifyEquivalence(t *testing.T) {
 		t.Fatalf("only %d deletable off-tree sparsifier edges found", len(batch))
 	}
 
-	if err := batched.Apply(context.Background(), batch); err != nil {
+	// The batched route gets the same deletions padded to 64 updates with
+	// reweights that change nothing: edges outside the sparsifier, set to
+	// the weight they already have.
+	padded := append([]dynamic.Update(nil), batch...)
+	for _, e := range g.Edges() {
+		if len(padded) == 64 {
+			break
+		}
+		if !batched.Sparsifier().HasEdge(e.U, e.V) {
+			padded = append(padded, dynamic.Reweight(e.U, e.V, e.W))
+		}
+	}
+	if len(padded) < 64 {
+		t.Fatalf("only %d updates after padding; the batched route needs 64", len(padded))
+	}
+	if err := batched.Apply(context.Background(), padded); err != nil {
 		t.Fatal(err)
 	}
 	if err := perRound.Apply(context.Background(), batch); err != nil {

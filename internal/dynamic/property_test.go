@@ -29,9 +29,7 @@ func TestPropertyRandomStreamsKeepInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m, err := dynamic.New(context.Background(), g, dynamic.Options{
-					Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: seed}},
-				})
+				m, err := dynamic.New(context.Background(), g, engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: seed}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,9 +68,10 @@ func TestPropertyRandomStreamsKeepInvariant(t *testing.T) {
 }
 
 // TestPropertyTinyDriftBudgetStillKeepsInvariant forces the rebuild path
-// to fire on (nearly) every batch and checks the invariant is maintained
-// through rebuilds too — the deterministic forced-rebuild coverage on top
-// of randomized streams.
+// to fire on every batch — each one inserts more than a quarter of the
+// current edge count in fresh chords, spending the whole drift budget —
+// and checks the invariant is maintained through rebuilds too: the
+// deterministic forced-rebuild coverage on top of randomized streams.
 func TestPropertyTinyDriftBudgetStillKeepsInvariant(t *testing.T) {
 	const sigmaSq = 60
 	c := testkit.Cases()[0] // grid
@@ -80,33 +79,20 @@ func TestPropertyTinyDriftBudgetStillKeepsInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Options:       engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 3}},
-		DriftFraction: 1e-12,
-	})
+	m, err := dynamic.New(context.Background(), g, engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := vecmath.NewRNG(11)
-	applied := 0
-	for i := 0; i < 4; i++ {
-		batch := testkit.RandomBatch(m.Graph(), rng, 2)
-		err := m.Apply(context.Background(), batch)
-		if errors.Is(err, dynamic.ErrWouldDisconnect) {
-			continue
-		}
-		if err != nil {
+	const batches = 3
+	for i := 0; i < batches; i++ {
+		if err := m.Apply(context.Background(), pastDriftBudget(m, rng)); err != nil {
 			t.Fatal(err)
 		}
-		applied++
 		testkit.AssertInvariant(t, m, sigmaSq)
 	}
-	if applied == 0 {
-		t.Fatal("no batches applied")
-	}
-	if m.Stats().Rebuilds < applied {
-		t.Fatalf("Rebuilds = %d, want ≥ %d (every perturbing batch must trip the tiny budget)",
-			m.Stats().Rebuilds, applied)
+	if m.Stats().Rebuilds != batches {
+		t.Fatalf("Rebuilds = %d, want %d (every batch must spend the budget)", m.Stats().Rebuilds, batches)
 	}
 }
 
@@ -124,9 +110,7 @@ func TestEquivalenceWithFromScratchSparsify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := dynamic.New(context.Background(), g, dynamic.Options{
-				Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 5}},
-			})
+			m, err := dynamic.New(context.Background(), g, engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 5}})
 			if err != nil {
 				t.Fatal(err)
 			}

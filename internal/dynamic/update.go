@@ -41,18 +41,22 @@ func (o Op) String() string {
 	}
 }
 
-// ParseOp is the inverse of String.
-func ParseOp(s string) (Op, error) {
-	switch s {
+// ParseOp is the inverse of String; the symbols +, - and = are accepted
+// too.
+func ParseOp(s string) (Op, error) { return parseOp([]byte(s)) }
+
+// parseOp is ParseOp on bytes, so the event tokenizer needs no string per
+// line (a switch on string(b) compiles copy-free).
+func parseOp(b []byte) (Op, error) {
+	switch string(b) {
 	case "insert", "+":
 		return OpInsert, nil
 	case "delete", "-":
 		return OpDelete, nil
 	case "reweight", "=":
 		return OpReweight, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown op %q", ErrBadUpdate, s)
 	}
+	return 0, fmt.Errorf("%w: unknown op %q", ErrBadUpdate, string(b))
 }
 
 // Update is one edge mutation. W is ignored for deletes. Endpoints may be

@@ -62,8 +62,9 @@ const (
 	maxCalibrations = 3
 )
 
-// Options configures Run: the one options struct of every batch plan (and,
-// embedded in dynamic.Options, of the maintainer's full rebuilds).
+// Options configures Run: the one options struct of every batch plan — and
+// of a stream, whose maintainer (dynamic.New/Resume) takes it as is for its
+// full rebuilds.
 type Options struct {
 	// Sparsify configures the edge filter every plan runs — on the input
 	// (single-shot), on each shard, or on the coarsest level — and

@@ -12,16 +12,8 @@ import (
 	"graphspar/internal/sessions"
 )
 
-// updateJSON is the wire form of one edge mutation.
-type updateJSON struct {
-	Op string  `json:"op"` // insert | delete | reweight
-	U  int     `json:"u"`
-	V  int     `json:"v"`
-	W  float64 `json:"w,omitempty"`
-}
-
 type patchRequest struct {
-	Updates []updateJSON `json:"updates"`
+	Updates []dynamic.EventJSON `json:"updates"`
 }
 
 type patchResponse struct {
@@ -76,13 +68,13 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	batch := make([]dynamic.Update, len(req.Updates))
-	for i, u := range req.Updates {
-		op, err := dynamic.ParseOp(u.Op)
+	for i, ev := range req.Updates {
+		u, err := ev.Update()
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("update %d: %w", i, err))
 			return
 		}
-		batch[i] = dynamic.Update{Op: op, U: u.U, V: u.V, W: u.W}
+		batch[i] = u
 	}
 	// Apply-and-swap loop: the registry Update is a compare-and-set on the
 	// content hash, so a concurrent PATCH to the same graph makes this one

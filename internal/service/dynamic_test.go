@@ -7,8 +7,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"graphspar/internal/dynamic"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
+	"graphspar/internal/sessions"
 )
 
 // registerSpec registers a generator graph and returns its info.
@@ -28,7 +30,7 @@ func TestPatchEdgesMutatesAndRehashes(t *testing.T) {
 
 	var resp patchResponse
 	code, raw := doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g/edges", patchRequest{
-		Updates: []updateJSON{
+		Updates: []dynamic.EventJSON{
 			{Op: "insert", U: 0, V: 35, W: 1.5},
 			{Op: "delete", U: 0, V: 1},
 			{Op: "reweight", U: 1, V: 2, W: 4},
@@ -70,7 +72,7 @@ func TestPatchBridgeDeleteRejected(t *testing.T) {
 
 	// Barbell(5,3): left clique 0..4, bridge (4,5).
 	code, raw := doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/bb/edges", patchRequest{
-		Updates: []updateJSON{{Op: "delete", U: 4, V: 5}},
+		Updates: []dynamic.EventJSON{{Op: "delete", U: 4, V: 5}},
 	}, nil)
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("bridge delete: %d %s, want 422", code, raw)
@@ -93,12 +95,12 @@ func TestPatchValidationStatusCodes(t *testing.T) {
 		req  any
 		want int
 	}{
-		{"unknown graph", patchRequest{Updates: []updateJSON{{Op: "insert", U: 0, V: 5, W: 1}}}, http.StatusNotFound},
+		{"unknown graph", patchRequest{Updates: []dynamic.EventJSON{{Op: "insert", U: 0, V: 5, W: 1}}}, http.StatusNotFound},
 		{"empty updates", patchRequest{}, http.StatusBadRequest},
-		{"bad op", patchRequest{Updates: []updateJSON{{Op: "upsert", U: 0, V: 5, W: 1}}}, http.StatusBadRequest},
-		{"insert existing", patchRequest{Updates: []updateJSON{{Op: "insert", U: 0, V: 1, W: 1}}}, http.StatusConflict},
-		{"delete missing", patchRequest{Updates: []updateJSON{{Op: "delete", U: 0, V: 15}}}, http.StatusUnprocessableEntity},
-		{"self loop", patchRequest{Updates: []updateJSON{{Op: "insert", U: 2, V: 2, W: 1}}}, http.StatusBadRequest},
+		{"bad op", patchRequest{Updates: []dynamic.EventJSON{{Op: "upsert", U: 0, V: 5, W: 1}}}, http.StatusBadRequest},
+		{"insert existing", patchRequest{Updates: []dynamic.EventJSON{{Op: "insert", U: 0, V: 1, W: 1}}}, http.StatusConflict},
+		{"delete missing", patchRequest{Updates: []dynamic.EventJSON{{Op: "delete", U: 0, V: 15}}}, http.StatusUnprocessableEntity},
+		{"self loop", patchRequest{Updates: []dynamic.EventJSON{{Op: "insert", U: 2, V: 2, W: 1}}}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -145,9 +147,11 @@ func TestCacheInvalidateGraph(t *testing.T) {
 
 // TestIncrementalDispatchesToRunner pins the queue's routing contract
 // with stubs: an incremental job with a usable warm start must invoke the
-// injected IncrementalFunc (passing the prior sparsifier), never the
-// from-scratch runner, and must bypass the result cache. (The production
-// warm-start flow end to end lives in cmd/serve.)
+// injected ResumeFunc (passing the prior sparsifier) and answer from the
+// maintainer it returns, never the from-scratch runner, and must bypass
+// the result cache — with no session manager attached, as here, the
+// maintainer is simply dropped. (The production warm-start flow end to end
+// lives in cmd/serve.)
 func TestIncrementalDispatchesToRunner(t *testing.T) {
 	g, err := gen.Grid2D(4, 4, gen.UnitWeights, 1)
 	if err != nil {
@@ -159,12 +163,12 @@ func TestIncrementalDispatchesToRunner(t *testing.T) {
 		func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
 			fullCalls.Add(1)
 			return &JobResult{TargetMet: true, Sparsifier: g}, nil
-		},
-		func(ctx context.Context, g, warm *graph.Graph, p SparsifyParams) (*JobResult, error) {
-			incCalls.Add(1)
-			warmSeen = warm
-			return &JobResult{TargetMet: true, Sparsifier: g}, nil
 		})
+	q.SetSessions(nil, func(ctx context.Context, g, warm *graph.Graph, p SparsifyParams) (sessions.Maintainer, error) {
+		incCalls.Add(1)
+		warmSeen = warm
+		return &stubMaintainer{g: g}, nil
+	}, nil)
 	defer func() { _ = q.Shutdown(context.Background()) }()
 	entry := &GraphEntry{Name: "g", Hash: HashGraph(g), Graph: g, N: g.N(), M: g.M()}
 
@@ -193,7 +197,10 @@ func TestIncrementalDispatchesToRunner(t *testing.T) {
 		t.Fatalf("runner calls: full=%d inc=%d, want 1/1", fullCalls.Load(), incCalls.Load())
 	}
 	if warmSeen == nil || warmSeen != g {
-		t.Fatal("incremental runner did not receive the prior sparsifier")
+		t.Fatal("Resume runner did not receive the prior sparsifier")
+	}
+	if r := done.Result; r.EdgesKept != g.M() || r.VerifiedCond != 2 || !r.TargetMet || r.Session == nil {
+		t.Fatalf("result = %+v, want the stub maintainer's summary", r)
 	}
 }
 

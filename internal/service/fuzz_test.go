@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"graphspar/internal/cli"
+	"graphspar/internal/dynamic"
 	"graphspar/internal/graph"
 )
 
@@ -104,9 +105,9 @@ func FuzzGraphSpec(f *testing.F) {
 // real registered graph: every response must be a well-formed status and
 // the stored graph must stay connected no matter what the body held.
 func FuzzPatchEdges(f *testing.F) {
-	valid, _ := json.Marshal(patchRequest{Updates: []updateJSON{{Op: "insert", U: 0, V: 5, W: 1}}})
+	valid, _ := json.Marshal(patchRequest{Updates: []dynamic.EventJSON{{Op: "insert", U: 0, V: 5, W: 1}}})
 	f.Add(string(valid))
-	bridge, _ := json.Marshal(patchRequest{Updates: []updateJSON{{Op: "delete", U: 0, V: 1}}})
+	bridge, _ := json.Marshal(patchRequest{Updates: []dynamic.EventJSON{{Op: "delete", U: 0, V: 1}}})
 	f.Add(string(bridge))
 	f.Add(`{"updates":[{"op":"reweight","u":1,"v":2,"w":1e308}]}`)
 	f.Add(`{"updates":[{"op":"insert","u":-1,"v":2,"w":1}]}`)
@@ -134,39 +135,6 @@ func FuzzPatchEdges(f *testing.F) {
 		handler.ServeHTTP(grec, get)
 		if grec.Code != http.StatusOK {
 			t.Fatalf("graph lost after PATCH body %q", body)
-		}
-	})
-}
-
-// FuzzStreamDecoder throws arbitrary bodies at the stream endpoint's
-// incremental decoder: it must never panic, never hand back an empty
-// batch, never exceed the batch cap, and always terminate (EOF or a
-// decode error).
-func FuzzStreamDecoder(f *testing.F) {
-	f.Add("+ 0 1 1.5\ncommit\n- 0 1\n")
-	f.Add("{\"op\":\"insert\",\"u\":0,\"v\":1,\"w\":1}\n{\"op\":\"commit\"}\n{\"op\":\"delete\",\"u\":0,\"v\":1}\n")
-	f.Add("# comment\n\n= 3 4 2.25\ncommit\ncommit\n")
-	f.Add("insert 1 2 0.5\nreweight 1 2 2\n")
-	f.Add("+ 0\n")
-	f.Add("{\n")
-	f.Add("{\"op\":\"bogus\",\"u\":1,\"v\":2}\n")
-	f.Add("= 1 2 1e999\n")
-	f.Add("commit\n")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, body string) {
-		const cap = 16
-		d := newStreamDecoder(strings.NewReader(body), cap)
-		for {
-			batch, err := d.Next()
-			if err != nil {
-				return // io.EOF or a decode error both terminate the stream
-			}
-			if len(batch) == 0 {
-				t.Fatal("decoder returned an empty batch")
-			}
-			if len(batch) > cap {
-				t.Fatalf("batch of %d exceeds the %d cap", len(batch), cap)
-			}
 		}
 	})
 }

@@ -32,17 +32,18 @@ type Config struct {
 	Backlog    int // queued jobs beyond the running ones (default 64; negative = none)
 	CacheSize  int // LRU result-cache capacity (default 128; negative disables)
 	RetainJobs int // terminal jobs kept for polling (default 512; negative = unbounded)
-	// Sparsify runs from-scratch jobs and Incremental warm-started ones.
-	// cmd/serve injects the production runners (built on the public
-	// graphspar facade, which internal packages cannot import); tests
-	// inject stubs. Jobs needing a nil runner fail with ErrNoRunner.
-	Sparsify    SparsifyFunc
-	Incremental IncrementalFunc
+	// Sparsify runs from-scratch jobs. cmd/serve injects the production
+	// runners (built on the public graphspar facade, which internal
+	// packages cannot import); tests inject stubs. Jobs needing a nil
+	// runner fail with ErrNoRunner.
+	Sparsify SparsifyFunc
 	// Maintain builds a live maintainer from scratch (the stream
 	// endpoint's cold path) and Resume warm-starts one from a prior job's
-	// sparsifier (incremental jobs). Facade-backed and injected like the
-	// runners above. When both are nil, persistent sessions are off and
-	// every request takes the legacy per-request path.
+	// sparsifier (incremental jobs answer from it). Facade-backed and
+	// injected like Sparsify. When both are nil, or SessionMax is
+	// negative, persistent sessions are off: the stream endpoint answers
+	// 501, PATCH mutates the graph only, and an incremental job's
+	// maintainer is dropped once it has answered.
 	Maintain MaintainFunc
 	Resume   ResumeFunc
 	// SessionMax caps resident maintainer sessions (0 = default 32;
@@ -121,7 +122,7 @@ type Server struct {
 func NewServer(cfg Config) *Server {
 	cfg.defaults()
 	cache := NewResultCache(cfg.CacheSize)
-	queue := NewQueue(cfg.Workers, cfg.Backlog, cache, cfg.Sparsify, cfg.Incremental)
+	queue := NewQueue(cfg.Workers, cfg.Backlog, cache, cfg.Sparsify)
 	queue.SetRetain(cfg.RetainJobs)
 	registry := NewRegistry()
 	queue.SetCacheGate(registry.HasHash)
@@ -143,14 +144,14 @@ func NewServer(cfg Config) *Server {
 		})
 		s.maintain = cfg.Maintain
 		s.maintainSem = make(chan struct{}, cfg.Workers)
-		queue.SetSessions(s.sessions, cfg.Resume, func(name string) (string, bool) {
-			e, err := registry.Get(name)
-			if err != nil {
-				return "", false
-			}
-			return e.Hash, true
-		})
 	}
+	queue.SetSessions(s.sessions, cfg.Resume, func(name string) (string, bool) {
+		e, err := registry.Get(name)
+		if err != nil {
+			return "", false
+		}
+		return e.Hash, true
+	})
 	s.registerStateMetrics()
 	return s
 }

@@ -119,10 +119,6 @@ type Job struct {
 // or stubs.
 type SparsifyFunc func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error)
 
-// IncrementalFunc runs one warm-started sparsification from a prior
-// sparsifier. Injected alongside SparsifyFunc.
-type IncrementalFunc func(ctx context.Context, g, warm *graph.Graph, p SparsifyParams) (*JobResult, error)
-
 // defaultRetainJobs bounds how many terminal jobs the queue remembers
 // (the daemon would otherwise leak one sparsifier graph per job ever
 // submitted).
@@ -149,7 +145,6 @@ type Queue struct {
 	cache       *ResultCache
 	cacheGate   func(hash string) bool // nil = always cache
 	sparsify    SparsifyFunc
-	incremental IncrementalFunc
 	sessionMgr  *sessions.Manager
 	resume      ResumeFunc
 	currentHash func(name string) (string, bool)
@@ -160,14 +155,16 @@ type Queue struct {
 	admission *admissionController // nil = admit everything
 }
 
-// SetSessions attaches the persistent-session manager, the runner that
-// warm-starts live maintainers, and a lookup for a graph's *current*
-// content hash. With all three set, incremental jobs are served straight
+// SetSessions attaches the runner that warm-starts live maintainers (what
+// an incremental job with a warm start runs), the persistent-session
+// manager, and a lookup for a graph's *current* content hash (required
+// with a manager). With a manager, incremental jobs are served straight
 // from a matching resident session (skipping the per-job dynamic.Resume
-// reconcile) and cold incremental jobs install the session they build,
-// so the next PATCH/stream/job finds it warm. The hash lookup guards
-// against stale job snapshots: a job that sat queued across a PATCH must
-// neither be served from (nor overwrite) the newer graph's session.
+// reconcile) and cold incremental jobs install the maintainer they build,
+// so the next PATCH/stream/job finds it warm; with mgr nil the maintainer
+// answers the job and is dropped. The hash lookup guards against stale
+// job snapshots: a job that sat queued across a PATCH must neither be
+// served from (nor overwrite) the newer graph's session.
 func (q *Queue) SetSessions(mgr *sessions.Manager, resume ResumeFunc, currentHash func(name string) (string, bool)) {
 	q.mu.Lock()
 	q.sessionMgr, q.resume, q.currentHash = mgr, resume, currentHash
@@ -207,11 +204,11 @@ func (q *Queue) SetCacheGate(gate func(hash string) bool) {
 }
 
 // NewQueue starts a queue with the given concurrency and backlog bounds.
-// sparsify executes from-scratch jobs and incremental executes
-// warm-started ones; a nil runner fails the corresponding jobs with
-// ErrNoRunner (incremental jobs without a usable warm start fall back to
-// sparsify). cache may be nil to disable memoization.
-func NewQueue(workers, backlog int, cache *ResultCache, sparsify SparsifyFunc, incremental IncrementalFunc) *Queue {
+// sparsify executes from-scratch jobs (and incremental jobs without a
+// usable warm start); warm-started ones need SetSessions' ResumeFunc. A
+// nil runner fails the corresponding jobs with ErrNoRunner. cache may be
+// nil to disable memoization.
+func NewQueue(workers, backlog int, cache *ResultCache, sparsify SparsifyFunc) *Queue {
 	if workers <= 0 {
 		workers = 1
 	}
@@ -225,15 +222,14 @@ func NewQueue(workers, backlog int, cache *ResultCache, sparsify SparsifyFunc, i
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Queue{
-		jobs:        make(map[string]*Job),
-		retain:      defaultRetainJobs,
-		pending:     make(chan *Job, backlog),
-		ctx:         ctx,
-		cancel:      cancel,
-		cache:       cache,
-		sparsify:    sparsify,
-		incremental: incremental,
-		workers:     workers,
+		jobs:     make(map[string]*Job),
+		retain:   defaultRetainJobs,
+		pending:  make(chan *Job, backlog),
+		ctx:      ctx,
+		cancel:   cancel,
+		cache:    cache,
+		sparsify: sparsify,
+		workers:  workers,
 	}
 	for i := 0; i < workers; i++ {
 		q.wg.Add(1)
@@ -378,10 +374,9 @@ func (q *Queue) run(job *Job) {
 // the job's parameter fingerprint answers directly (no Resume, no
 // reconcile — the maintained sparsifier is already certified for this
 // exact graph); otherwise the warm-start sparsifier is resolved and the
-// Resume runner builds a live maintainer that both answers the job and
-// becomes the graph's session; with sessions off, the legacy
-// IncrementalFunc runs; and with no warm start at all the job falls back
-// to a from-scratch run.
+// Resume runner builds a live maintainer that answers the job and, with
+// sessions on, becomes the graph's session; and with no warm start at all
+// the job falls back to a from-scratch run.
 func (q *Queue) runIncremental(ctx context.Context, entry *GraphEntry, p SparsifyParams) (*JobResult, error) {
 	q.mu.Lock()
 	mgr, resume, currentHash := q.sessionMgr, q.resume, q.currentHash
@@ -392,9 +387,9 @@ func (q *Queue) runIncremental(ctx context.Context, entry *GraphEntry, p Sparsif
 	// or stream batch landed while this job sat queued, probing Get with
 	// the stale hash would tear down the newer (healthy) session, and
 	// installing a maintainer built on the snapshot would replace it with
-	// stale state — so a superseded job runs the legacy cold path against
+	// stale state — so a superseded job answers from a maintainer built on
 	// its snapshot and leaves the resident session alone.
-	if mgr != nil && currentHash != nil {
+	if mgr != nil {
 		if h, ok := currentHash(entry.Name); !ok || h != entry.Hash {
 			mgr = nil
 		}
@@ -429,38 +424,30 @@ func (q *Queue) runIncremental(ctx context.Context, entry *GraphEntry, p Sparsif
 		}
 		return res, err
 	}
-	if mgr != nil && resume != nil {
-		m, err := resume(ctx, entry.Graph, warm, p)
-		if err != nil {
-			return nil, err
-		}
-		res := maintainerJobResult(m)
-		res.Incremental = true
-		res.WarmSource = src
-		// Keep the maintainer resident: the next PATCH, stream batch or
-		// incremental job for this graph skips the reconcile we just paid.
-		// Re-check freshness right before installing — the Resume took
-		// real time, and replacing a session that advanced meanwhile
-		// would swap warm state for stale state. (The residual race is
-		// harmless: a stale install only ever misses on Get and is reaped
-		// by the next cold PATCH's InvalidateStale or the TTL.)
-		if currentHash != nil {
-			if h, ok := currentHash(entry.Name); !ok || h != entry.Hash {
-				return res, nil
-			}
-		}
-		mgr.Install(entry.Name, p.sessionKey(), m)
-		return res, nil
-	}
-	if q.incremental == nil {
+	if resume == nil {
 		return nil, ErrNoRunner
 	}
-	res, err := q.incremental(ctx, entry.Graph, warm, p)
-	if res != nil {
-		res.Incremental = true
-		res.WarmSource = src
+	m, err := resume(ctx, entry.Graph, warm, p)
+	if err != nil {
+		return nil, err
 	}
-	return res, err
+	res := maintainerJobResult(m)
+	res.Incremental = true
+	res.WarmSource = src
+	if mgr == nil {
+		return res, nil
+	}
+	// Keep the maintainer resident: the next PATCH, stream batch or
+	// incremental job for this graph skips the reconcile we just paid.
+	// Re-check freshness right before installing — the Resume took
+	// real time, and replacing a session that advanced meanwhile
+	// would swap warm state for stale state. (The residual race is
+	// harmless: a stale install only ever misses on Get and is reaped
+	// by the next cold PATCH's InvalidateStale or the TTL.)
+	if h, ok := currentHash(entry.Name); ok && h == entry.Hash {
+		mgr.Install(entry.Name, p.sessionKey(), m)
+	}
+	return res, nil
 }
 
 // sessionJobResult snapshots a resident session into a job result
@@ -478,10 +465,8 @@ func sessionJobResult(ctx context.Context, sess *sessions.Session) (*JobResult, 
 	return res, err
 }
 
-// maintainerJobResult summarizes a live maintainer exactly the way the
-// injected incremental runner summarizes a finished Resume: the
-// maintainer's independently re-verified per-batch certificate is the
-// job's verified κ. For a maintainer freshly built by this job's Resume
+// maintainerJobResult summarizes a live maintainer: its independently
+// re-verified per-batch certificate is the job's verified κ. For a maintainer freshly built by this job's Resume
 // the counters are per-job; session-hit snapshots zero them (see
 // sessionJobResult).
 func maintainerJobResult(m sessions.Maintainer) *JobResult {

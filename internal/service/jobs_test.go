@@ -299,7 +299,7 @@ func TestQueueRetentionPrunesTerminalJobs(t *testing.T) {
 // graphspar facade).
 func TestQueueWithoutRunnerFailsJobs(t *testing.T) {
 	entry := testEntry(t)
-	q := NewQueue(1, 4, nil, nil, nil)
+	q := NewQueue(1, 4, nil, nil)
 	defer q.Shutdown(context.Background())
 	job, err := q.Submit(entry, testParams(50))
 	if err != nil {
@@ -345,8 +345,8 @@ func TestQueueShardedAndSingleShotDoNotAlias(t *testing.T) {
 	}
 }
 
-// newTestQueue builds a queue with a stub runner and no incremental
-// backend (tests that need one call NewQueue directly).
+// newTestQueue builds a queue with a stub runner and no Resume runner
+// (tests that need one call SetSessions).
 func newTestQueue(workers, backlog int, cache *ResultCache, sparsify SparsifyFunc) *Queue {
-	return NewQueue(workers, backlog, cache, sparsify, nil)
+	return NewQueue(workers, backlog, cache, sparsify)
 }

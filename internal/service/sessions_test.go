@@ -222,7 +222,7 @@ func TestPatchRoutesThroughSessionAndReportsState(t *testing.T) {
 	// No session yet: PATCH reports a miss but still applies cold.
 	var cold patchResponse
 	code, raw := doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g/edges", patchRequest{
-		Updates: []updateJSON{{Op: "reweight", U: 0, V: 1, W: 2}},
+		Updates: []dynamic.EventJSON{{Op: "reweight", U: 0, V: 1, W: 2}},
 	}, &cold)
 	if code != http.StatusOK {
 		t.Fatalf("cold PATCH: %d %s", code, raw)
@@ -240,7 +240,7 @@ func TestPatchRoutesThroughSessionAndReportsState(t *testing.T) {
 	}
 	var warm patchResponse
 	code, raw = doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g/edges", patchRequest{
-		Updates: []updateJSON{{Op: "insert", U: 0, V: 35, W: 1.25}},
+		Updates: []dynamic.EventJSON{{Op: "insert", U: 0, V: 35, W: 1.25}},
 	}, &warm)
 	if code != http.StatusOK {
 		t.Fatalf("warm PATCH: %d %s", code, raw)
@@ -258,14 +258,14 @@ func TestPatchRoutesThroughSessionAndReportsState(t *testing.T) {
 	// A rejected batch through the session maps to the same status codes
 	// as the cold path and leaves the session resident.
 	code, raw = doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g/edges", patchRequest{
-		Updates: []updateJSON{{Op: "insert", U: 0, V: 35, W: 1}},
+		Updates: []dynamic.EventJSON{{Op: "insert", U: 0, V: 35, W: 1}},
 	}, nil)
 	if code != http.StatusConflict {
 		t.Fatalf("duplicate insert: %d %s", code, raw)
 	}
 	var again patchResponse
 	code, _ = doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g/edges", patchRequest{
-		Updates: []updateJSON{{Op: "delete", U: 0, V: 35}},
+		Updates: []dynamic.EventJSON{{Op: "delete", U: 0, V: 35}},
 	}, &again)
 	if code != http.StatusOK || again.Session != "hit" {
 		t.Fatalf("session must survive a rejected batch: %d %q", code, again.Session)

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,8 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unicode"
-	"unicode/utf8"
 
 	"graphspar/internal/dynamic"
 	"graphspar/internal/obs"
@@ -23,284 +19,28 @@ import (
 )
 
 // This file is the service's true-streaming surface: POST
-// /v1/graphs/{name}/stream accepts a chunked NDJSON/event-line body of
-// update batches and applies each one through the graph's persistent
-// session (creating it cold on first use), streaming one certificate
-// result line back per batch. Unlike PATCH — whose per-request cost was
+// /v1/graphs/{name}/stream accepts a chunked body of update batches in
+// any spelling of the event wire (dynamic.EventReader decodes it; this
+// package only negotiates the Content-Type and applies what comes out)
+// and applies each one through the graph's persistent session (creating
+// it cold on first use), streaming one certificate result line back per
+// batch. Unlike PATCH — whose per-request cost was
 // the whole point of ROADMAP's "service-side persistent maintainers" —
 // a stream of B batches pays one maintainer build and B incremental
 // applies, never B reconciles.
 
-// streamDecoder incrementally decodes the update-stream wire format: one
-// event per line, either the text form of dynamic.ParseEvents ("+ u v w",
-// "- u v", "= u v w", "commit") or its NDJSON equivalent
-// ({"op":"insert","u":0,"v":1,"w":2.5}, with {"op":"commit"} as the batch
-// separator). Blank lines and #-comments are skipped. Next returns one
-// batch at a time, so multi-million-event streams never materialize in
-// memory. The decoder sits on the hot path of those streams, so it works
-// on the scanner's byte slices and reuses its batch buffer and JSON
-// scratch across calls — steady-state decoding does not allocate per
-// event (see TestStreamDecodeAllocs).
-type streamDecoder struct {
-	sc       *bufio.Scanner
-	lineNo   int
-	maxBatch int
-	batch    []dynamic.Update // reused backing array; see Next
-	scratch  updateJSON       // reused NDJSON decode target
-}
-
-// maxStreamLineBytes bounds one event line (a single JSON event is tiny;
-// this leaves generous headroom without letting a hostile body allocate
-// unbounded scanner buffers).
-const maxStreamLineBytes = 1 << 20
-
-func newStreamDecoder(r io.Reader, maxBatch int) *streamDecoder {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxStreamLineBytes)
-	return &streamDecoder{sc: sc, maxBatch: maxBatch}
-}
-
-// batchDecoder is the wire-format seam of the stream endpoint: both the
-// text/NDJSON decoder and the binary one yield reused batches with the
-// same Next contract, so the apply loop is format-blind.
-type batchDecoder interface {
-	// Next returns the next non-empty batch, or io.EOF at a clean end of
-	// stream. The returned slice is only valid until the next call.
-	Next() ([]dynamic.Update, error)
-}
-
-// binaryStreamDecoder adapts dynamic.BinaryReader to the batchDecoder
-// contract — the allocation-free peer of streamDecoder's text fast path
-// (same reused batch backing array, same batch-size bound).
-type binaryStreamDecoder struct {
-	r        *dynamic.BinaryReader
-	maxBatch int
-	batch    []dynamic.Update // reused backing array, as in streamDecoder
-}
-
-func newBinaryStreamDecoder(r io.Reader, maxBatch int) *binaryStreamDecoder {
-	return &binaryStreamDecoder{r: dynamic.NewBinaryReader(r), maxBatch: maxBatch}
-}
-
-func (d *binaryStreamDecoder) Next() ([]dynamic.Update, error) {
-	cur := d.batch[:0]
-	for {
-		u, commit, err := d.r.Next()
-		if err != nil {
-			d.batch = cur
-			if errors.Is(err, io.EOF) {
-				if len(cur) > 0 {
-					return cur, nil // final implicit batch
-				}
-				return nil, io.EOF
-			}
-			return nil, err
-		}
-		if commit {
-			if len(cur) > 0 {
-				d.batch = cur
-				return cur, nil
-			}
-			continue // consecutive commits delimit nothing
-		}
-		cur = append(cur, u)
-		if d.maxBatch > 0 && len(cur) > d.maxBatch {
-			d.batch = cur
-			return nil, fmt.Errorf("record %d: %w: batch exceeds %d updates; split it with commit records",
-				d.r.Records(), dynamic.ErrBadUpdate, d.maxBatch)
-		}
+// newEventReader negotiates the request's spelling of the event wire
+// (internal/dynamic owns the format): the compact binary framing when the
+// Content-Type's media type names it (parameters such as charset are
+// ignored), otherwise — including no Content-Type at all — text/NDJSON
+// lines, which self-discriminate. One batch may carry at most
+// maxPatchUpdates updates, the same bound a PATCH body has.
+func newEventReader(r *http.Request) *dynamic.EventReader {
+	mediaType, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
+	if strings.TrimSpace(mediaType) == dynamic.BinaryContentType {
+		return dynamic.NewBinaryEventReader(r.Body, maxPatchUpdates)
 	}
-}
-
-// isBinaryStream reports whether the request negotiated the compact
-// binary event format. Only the media type is compared (parameters such
-// as charset are ignored); any other Content-Type — including none —
-// falls back to the text/NDJSON decoder, which self-discriminates per
-// line.
-func isBinaryStream(contentType string) bool {
-	mediaType, _, _ := strings.Cut(contentType, ";")
-	return strings.TrimSpace(mediaType) == dynamic.BinaryContentType
-}
-
-// Next returns the next non-empty batch, or io.EOF at end of stream. A
-// malformed line fails the whole stream (the decoder cannot resync).
-// The returned slice shares the decoder's backing array and is only
-// valid until the next call — callers must finish applying one batch
-// before asking for the next, which the streaming protocol guarantees
-// anyway (one result line per batch).
-func (d *streamDecoder) Next() ([]dynamic.Update, error) {
-	cur := d.batch[:0]
-	for d.sc.Scan() {
-		d.lineNo++
-		line := bytes.TrimSpace(d.sc.Bytes())
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		var (
-			u      dynamic.Update
-			commit bool
-			err    error
-		)
-		if line[0] == '{' {
-			u, commit, err = d.parseJSONEvent(line)
-		} else {
-			u, commit, err = parseTextEvent(line)
-		}
-		if err != nil {
-			d.batch = cur
-			return nil, fmt.Errorf("line %d: %w", d.lineNo, err)
-		}
-		if commit {
-			if len(cur) > 0 {
-				d.batch = cur
-				return cur, nil
-			}
-			continue // consecutive commits delimit nothing
-		}
-		cur = append(cur, u)
-		if d.maxBatch > 0 && len(cur) > d.maxBatch {
-			d.batch = cur
-			return nil, fmt.Errorf("line %d: %w: batch exceeds %d updates; split it with commit lines",
-				d.lineNo, dynamic.ErrBadUpdate, d.maxBatch)
-		}
-	}
-	d.batch = cur
-	if err := d.sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(cur) > 0 {
-		return cur, nil
-	}
-	return nil, io.EOF
-}
-
-// parseJSONEvent decodes one NDJSON event line — the same updateJSON
-// wire struct the PATCH body uses, so the two surfaces cannot diverge —
-// with {"op":"commit"} as the batch separator. The decode target is the
-// decoder's scratch struct, reset each call, so the only per-event
-// allocations are json-internal.
-func (d *streamDecoder) parseJSONEvent(line []byte) (dynamic.Update, bool, error) {
-	d.scratch = updateJSON{}
-	if err := json.Unmarshal(line, &d.scratch); err != nil {
-		return dynamic.Update{}, false, fmt.Errorf("%w: %v", dynamic.ErrBadUpdate, err)
-	}
-	ev := &d.scratch
-	if ev.Op == "commit" {
-		return dynamic.Update{}, true, nil
-	}
-	op, err := dynamic.ParseOp(ev.Op)
-	if err != nil {
-		return dynamic.Update{}, false, err
-	}
-	return dynamic.Update{Op: op, U: ev.U, V: ev.V, W: ev.W}, false, nil
-}
-
-// parseTextEvent mirrors dynamic.ParseEventLine on the scanner's byte
-// slice, skipping the per-line string and field-slice allocations of the
-// string form. Field splitting matches strings.Fields (any Unicode
-// whitespace separates), so the two parsers accept the same lines.
-func parseTextEvent(line []byte) (dynamic.Update, bool, error) {
-	if string(line) == "commit" {
-		return dynamic.Update{}, true, nil
-	}
-	var f [5][]byte
-	n := 0
-	for i := 0; i < len(line); {
-		r, size := utf8.DecodeRune(line[i:])
-		if unicode.IsSpace(r) {
-			i += size
-			continue
-		}
-		j := i
-		for j < len(line) {
-			r, size := utf8.DecodeRune(line[j:])
-			if unicode.IsSpace(r) {
-				break
-			}
-			j += size
-		}
-		if n == len(f) {
-			// No event has 5 fields; fail like the field-count checks below.
-			return dynamic.Update{}, false, fmt.Errorf("%w: too many fields", dynamic.ErrBadUpdate)
-		}
-		f[n] = line[i:j]
-		n++
-		i = j
-	}
-	if n == 0 {
-		return dynamic.Update{}, false, fmt.Errorf("%w: empty event line", dynamic.ErrBadUpdate)
-	}
-	op, err := parseOpBytes(f[0])
-	if err != nil {
-		return dynamic.Update{}, false, err
-	}
-	want := 3
-	if op == dynamic.OpDelete {
-		want = 2
-	}
-	if n != want+1 {
-		return dynamic.Update{}, false, fmt.Errorf("%w: %q needs %d fields", dynamic.ErrBadUpdate, f[0], want+1)
-	}
-	u, err := atoiBytes(f[1])
-	if err != nil {
-		return dynamic.Update{}, false, err
-	}
-	v, err := atoiBytes(f[2])
-	if err != nil {
-		return dynamic.Update{}, false, err
-	}
-	w := 0.0
-	if op != dynamic.OpDelete {
-		// The only remaining conversion allocation: ParseFloat wants a
-		// string, and the number is a handful of bytes.
-		w, err = strconv.ParseFloat(string(f[3]), 64)
-		if err != nil {
-			return dynamic.Update{}, false, fmt.Errorf("%w: %v", dynamic.ErrBadUpdate, err)
-		}
-	}
-	return dynamic.Update{Op: op, U: u, V: v, W: w}, false, nil
-}
-
-// parseOpBytes is dynamic.ParseOp without the string conversion (a
-// switch on string(b) compiles allocation-free).
-func parseOpBytes(b []byte) (dynamic.Op, error) {
-	switch string(b) {
-	case "+", "insert":
-		return dynamic.OpInsert, nil
-	case "-", "delete":
-		return dynamic.OpDelete, nil
-	case "=", "reweight":
-		return dynamic.OpReweight, nil
-	}
-	return 0, fmt.Errorf("%w: unknown op %q", dynamic.ErrBadUpdate, b)
-}
-
-// atoiBytes parses a (possibly signed) decimal integer from bytes
-// without converting to string.
-func atoiBytes(b []byte) (int, error) {
-	i, neg := 0, false
-	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
-		neg = b[0] == '-'
-		i = 1
-	}
-	if i == len(b) {
-		return 0, fmt.Errorf("%w: bad integer %q", dynamic.ErrBadUpdate, b)
-	}
-	n := 0
-	for ; i < len(b); i++ {
-		d := b[i] - '0'
-		if d > 9 {
-			return 0, fmt.Errorf("%w: bad integer %q", dynamic.ErrBadUpdate, b)
-		}
-		n = n*10 + int(d)
-		if n < 0 {
-			return 0, fmt.Errorf("%w: integer %q overflows", dynamic.ErrBadUpdate, b)
-		}
-	}
-	if neg {
-		n = -n
-	}
-	return n, nil
+	return dynamic.NewEventReader(r.Body, maxPatchUpdates)
 }
 
 // streamParams fills SparsifyParams from the stream endpoint's query
@@ -509,14 +249,7 @@ func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
 
 	trace := r.URL.Query().Get("trace") == "1"
 	key := p.sessionKey()
-	// Content-Type picks the wire format; both decoders satisfy the same
-	// batch contract.
-	var dec batchDecoder
-	if isBinaryStream(r.Header.Get("Content-Type")) {
-		dec = newBinaryStreamDecoder(r.Body, maxPatchUpdates)
-	} else {
-		dec = newStreamDecoder(r.Body, maxPatchUpdates)
-	}
+	dec := newEventReader(r)
 	var batches, applied, rejected int
 	var lastStats *sessions.Stats
 	for {

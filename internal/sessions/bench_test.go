@@ -56,7 +56,7 @@ func BenchmarkStreamReplay(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			opt := dynamic.Options{Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}}}
+			opt := engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}}
 			ctx := context.Background()
 
 			// Switching happens on redundant lines: toggle edges outside

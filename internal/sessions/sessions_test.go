@@ -294,9 +294,7 @@ func TestRealMaintainerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sigmaSq = 50
-	m, err := dynamic.New(context.Background(), g, dynamic.Options{
-		Options: engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}},
-	})
+	m, err := dynamic.New(context.Background(), g, engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package graphspar
 import (
 	"fmt"
 
-	"graphspar/internal/dynamic"
+	"graphspar/internal/engine"
 	"graphspar/internal/lsst"
 	"graphspar/internal/params"
 	"graphspar/internal/partition"
@@ -75,20 +75,19 @@ func ParsePartitionMethod(name string) (PartitionMethod, error) {
 	return partition.ParseMethod(name)
 }
 
-// config is what a Sparsifier carries: the pipelines' own options structs,
+// config is what a Sparsifier carries: the pipeline's own options struct,
 // written into directly by the functional options. Zero fields defer to
 // the pipeline defaults.
 type config struct {
-	// opt is the maintainer's options struct, which embeds the batch
-	// pipeline's (engine.Options): Run uses the embedded part, Maintain
-	// and Resume all of it. Mode and Shards hold the user's pins
+	// opt configures Run and, through Maintain and Resume, a stream's
+	// full rebuilds alike. Mode and Shards hold the user's pins
 	// (ModeAuto / 0 = unpinned) that plan resolves per graph, and Verify
 	// records WithVerification. New installs Sparsify.Workspace: one per
 	// Sparsifier, pooling embedding and factorization scratch across
 	// every run (it is concurrency-safe, so concurrent Runs share it).
 	// There is deliberately no public option — pooling never changes
 	// results, so there is nothing to configure.
-	opt dynamic.Options
+	opt engine.Options
 }
 
 // validate rejects an unusable target and contradictory plan pins (the
@@ -257,42 +256,6 @@ func WithVerification(steps int) Option {
 		c.opt.Verify = true
 		if steps > 0 {
 			c.opt.VerifySteps = steps
-		}
-		return nil
-	}
-}
-
-// WithLocalRefresh makes a Stream refresh its edge-scoring embedding with
-// a ball-local relaxation of the given hop radius around the vertices the
-// batch touched, instead of a whole-graph warm power step. Per-batch
-// embedding cost becomes proportional to the ball volume rather than the
-// graph size; the far field stays stale, and half the deferred churn is
-// charged against the drift budget so staleness still forces rebuilds.
-// radius <= 0 keeps the default full-step refresh.
-func WithLocalRefresh(radius int) Option {
-	return func(c *config) error {
-		if radius < 0 {
-			radius = 0
-		}
-		c.opt.LocalRefreshRadius = radius
-		return nil
-	}
-}
-
-// WithFactorUpdateBudget caps how many rank-1 Cholesky update/downdates a
-// Stream folds into its sparsifier factor between full refactorizations
-// (default 256). Each sparsifier edge delta costs one rank-1 pass along
-// the factor's elimination-tree path instead of a full refactorization;
-// the budget bounds the numerical error such passes can accumulate.
-// n == 0 disables incremental updates entirely (every batch refactors).
-func WithFactorUpdateBudget(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("%w: factor update budget %d is negative", params.ErrInvalid, n)
-		}
-		c.opt.FactorUpdateBudget = n
-		if n == 0 {
-			c.opt.FactorUpdateBudget = -1 // dynamic.Options spells "off" as negative; its 0 is "default"
 		}
 		return nil
 	}

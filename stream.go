@@ -36,7 +36,8 @@ func Reweight(u, v int, w float64) Update { return dynamic.Reweight(u, v, w) }
 func ParseUpdateOp(s string) (UpdateOp, error) { return dynamic.ParseOp(s) }
 
 // ParseEvents reads a line-oriented edge-event stream ("+ u v w",
-// "- u v", "= u v w", batches separated by "commit" lines) into update
+// "- u v", "= u v w", or the NDJSON object {"op":"insert","u":0,"v":1,
+// "w":2.5} per line; batches separated by "commit" lines) into update
 // batches for Stream.Apply.
 func ParseEvents(r io.Reader) ([][]Update, error) { return dynamic.ParseEvents(r) }
 
