@@ -1,7 +1,8 @@
 // Package cholesky implements a sparse Cholesky (LLᵀ) factorization in the
 // CSparse style — elimination tree, two-pass symbolic analysis via ereach,
-// up-looking numeric factorization — plus reverse Cuthill–McKee ordering
-// and a grounded-Laplacian solver. It stands in for the CHOLMOD direct
+// up-looking numeric factorization — plus minimum-degree, nested-dissection
+// and reverse Cuthill–McKee orderings and a grounded-Laplacian solver
+// (minimum-degree ordered). It stands in for the CHOLMOD direct
 // solver the paper uses as the Table 3 baseline, and factors ultra-sparse
 // sparsifier Laplacians as PCG preconditioners (Table 2).
 package cholesky
@@ -352,8 +353,9 @@ func RCM(a *sparse.CSR) []int {
 
 // LapSolver solves connected-graph Laplacian systems L_G x = b directly by
 // grounding one vertex (deleting its row and column makes the matrix SPD),
-// factoring the reduced matrix with RCM ordering, and restoring a
-// zero-mean solution — the pseudoinverse action x = L_G⁺ b.
+// factoring the reduced matrix under a minimum-degree ordering (or a
+// caller-supplied one), and restoring a zero-mean solution — the
+// pseudoinverse action x = L_G⁺ b.
 type LapSolver struct {
 	n       int
 	ground  int
@@ -372,20 +374,22 @@ func NewLapSolver(g *graph.Graph) (*LapSolver, error) {
 	return newLapSolverWS(g, nil, nil)
 }
 
-// NewLapSolverWS is NewLapSolver with the factorization scratch drawn
-// from ws. Repeated solver builds over same-sized graphs — the
-// sparsifier's per-round inner solver, the dynamic maintainer's
-// refactorizations — reuse the marker arrays and the dense accumulator
-// instead of reallocating them each build. A nil ws behaves exactly like
-// NewLapSolver.
+// NewLapSolverWS is NewLapSolver with the assembly and factorization
+// scratch drawn from ws. Repeated solver builds over same-sized graphs —
+// the sparsifier's per-round inner solver, the dynamic maintainer's
+// refactorizations — reuse the assembly cursors, the marker arrays and
+// the dense accumulator instead of reallocating them each build. A nil
+// ws behaves exactly like NewLapSolver.
 func NewLapSolverWS(g *graph.Graph, ws *Workspace) (*LapSolver, error) {
 	return newLapSolverWS(g, nil, ws)
 }
 
 // NewLapSolverOrdered factors with a caller-supplied elimination order of
-// the reduced (n-1)-vertex system instead of recomputing minimum degree —
-// ordering dominates factorization cost on sparsifier-sized graphs, and
-// an order computed for a structurally similar graph stays near-optimal.
+// the reduced (n-1)-vertex system instead of recomputing minimum degree:
+// an order computed for a structurally similar graph stays near-optimal,
+// and a caller that keeps updating the factor wants the order, and with
+// it the elimination tree, to hold still. Skipping MinDegree saves about
+// the cost of one more numeric factorization — it no longer dwarfs one.
 // The dynamic maintainer reuses the order of its last full build across
 // incremental refactorizations. The permutation is validated; a wrong
 // length or a non-permutation is an error.
@@ -436,7 +440,7 @@ func SymbolicFactorNNZ(g *graph.Graph, perm []int) (int, error) {
 	if err := validatePerm(perm, n-1); err != nil {
 		return 0, err
 	}
-	ap, err := reducedLaplacianCSR(g).Permute(perm)
+	ap, err := reducedLaplacianCSR(g, nil).Permute(perm)
 	if err != nil {
 		return 0, err
 	}
@@ -464,7 +468,7 @@ func newLapSolverWS(g *graph.Graph, perm []int, ws *Workspace) (*LapSolver, erro
 	if n == 1 {
 		return &LapSolver{n: 1, ground: 0}, nil
 	}
-	red := reducedLaplacianCSR(g)
+	red := reducedLaplacianCSR(g, ws)
 	// Minimum degree keeps near-tree sparsifier factors nearly fill-free;
 	// RCM remains available for callers factoring banded matrices
 	// directly via FactorCSR.
@@ -496,15 +500,20 @@ func (ls *LapSolver) Ordering() []int { return ls.perm }
 // sort: the edge list is (U,V)-sorted, so each row receives its smaller
 // neighbors in ascending order (edges where it is V), then the diagonal,
 // then its larger neighbors in ascending order (edges where it is U).
+// The cursor arrays come from ws; the returned matrix is always fresh.
 // This is the per-refactorization hot path of the dynamic maintainer.
-func reducedLaplacianCSR(g *graph.Graph) *sparse.CSR {
+func reducedLaplacianCSR(g *graph.Graph, ws *Workspace) *sparse.CSR {
 	n := g.N()
 	ground := n - 1
-	deg := g.WeightedDegrees()
 	rows := n - 1
 	// Per-row counts: smaller-neighbor entries and total off-diagonals.
-	small := make([]int, rows)
-	total := make([]int, rows)
+	small := ws.getInts(rows)
+	defer ws.putInts(small)
+	total := ws.getInts(rows)
+	defer ws.putInts(total)
+	for i := range small {
+		small[i], total[i] = 0, 0
+	}
 	for _, e := range g.Edges() {
 		if e.U == ground || e.V == ground {
 			continue
@@ -520,14 +529,24 @@ func reducedLaplacianCSR(g *graph.Graph) *sparse.CSR {
 	nnz := ptr[rows]
 	col := make([]int, nnz)
 	val := make([]float64, nnz)
-	nextSmall := make([]int, rows)
-	nextLarge := make([]int, rows)
+	// The counts become write cursors: row i's smaller neighbors fill from
+	// ptr[i], its larger ones from just past the diagonal.
+	nextSmall, nextLarge := small, total
 	for i := 0; i < rows; i++ {
-		nextSmall[i] = ptr[i]
-		nextLarge[i] = ptr[i] + small[i] + 1
 		d := ptr[i] + small[i]
 		col[d] = i
-		val[d] = deg[i]
+		nextSmall[i], nextLarge[i] = ptr[i], d+1
+	}
+	// Diagonals first, while nextLarge still points just past them. They
+	// accumulate in edge order, ground edges included — the same sums,
+	// bit for bit, as graph.WeightedDegrees.
+	for _, e := range g.Edges() {
+		if e.U != ground {
+			val[nextLarge[e.U]-1] += e.W
+		}
+		if e.V != ground {
+			val[nextLarge[e.V]-1] += e.W
+		}
 	}
 	for _, e := range g.Edges() {
 		if e.U == ground || e.V == ground {

@@ -92,6 +92,17 @@ func TestFactorSingularLaplacianFails(t *testing.T) {
 	}
 }
 
+// FactorCSR has no permutation check of its own; it relies on Permute
+// rejecting a perm with a repeated entry instead of factoring a
+// scrambled matrix.
+func TestFactorRejectsNonPermutation(t *testing.T) {
+	for _, perm := range [][]int{{0, 0, 1}, {0, 1, 3}, {0, 1}} {
+		if _, err := FactorCSR(spd3(), perm); err == nil {
+			t.Fatalf("FactorCSR accepted perm %v", perm)
+		}
+	}
+}
+
 func TestFactorWithPermutation(t *testing.T) {
 	a := spd3()
 	perm := []int{2, 0, 1}

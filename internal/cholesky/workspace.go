@@ -2,9 +2,10 @@ package cholesky
 
 import "sync"
 
-// Workspace pools the per-factorization scratch FactorCSR otherwise
-// allocates fresh on every call: the ereach marker/stack arrays, the
-// symbolic column counts, and the dense row accumulator. The dynamic
+// Workspace pools the per-factorization scratch a solver build otherwise
+// allocates fresh on every call: the reduced Laplacian's assembly
+// cursors, FactorCSR's ereach marker/stack arrays and symbolic column
+// counts, and the dense row accumulator. The dynamic
 // maintainer and the sparsifier's inner solver refactor the same-sized
 // reduced Laplacian over and over; drawing scratch from a Workspace
 // makes those rebuilds allocation-free apart from the factor itself.

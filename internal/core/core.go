@@ -29,7 +29,6 @@ import (
 	"math"
 	"sort"
 
-	"graphspar/internal/cholesky"
 	"graphspar/internal/eig"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
@@ -313,7 +312,7 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 		stats.EdgesTotal = p.M()
 		res.Rounds = append(res.Rounds, stats)
 
-		solver, err = cholesky.NewLapSolverWS(p, opt.Workspace.Chol())
+		solver, err = factor(ctx, p, opt.Workspace)
 		if err != nil {
 			return nil, fmt.Errorf("core: inner solver setup: %w", err)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"graphspar/internal/cholesky"
 	"graphspar/internal/graph"
 	"graphspar/internal/obs"
 	"graphspar/internal/vecmath"
@@ -127,4 +128,12 @@ func take(ids, positions []int) (taken, rest []int) {
 		}
 	}
 	return taken, rest
+}
+
+// factor builds the loop's inner direct solver for p — ordering plus
+// Cholesky factorization — under a "factor" span, so a trace files that
+// time under its own name instead of the enclosing phase's self time.
+func factor(ctx context.Context, p *graph.Graph, ws *Workspace) (*cholesky.LapSolver, error) {
+	defer obs.StartSpan(ctx, obs.PhaseFactor).End()
+	return cholesky.NewLapSolverWS(p, ws.Chol())
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"graphspar/internal/cholesky"
 	"graphspar/internal/graph"
 	"graphspar/internal/vecmath"
 )
@@ -41,7 +40,7 @@ func Refilter(ctx context.Context, g *graph.Graph, keptIDs, candIDs []int, opt O
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, 0, 0, err
 		}
-		solver, err := cholesky.NewLapSolverWS(p, opt.Workspace.Chol())
+		solver, err := factor(ctx, p, opt.Workspace)
 		if err != nil {
 			return nil, nil, 0, 0, 0, fmt.Errorf("refilter: solver: %w", err)
 		}

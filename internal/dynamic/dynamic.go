@@ -18,7 +18,7 @@
 //     entirely,
 //   - refactors the sparsifier only when its edge set actually changed,
 //     reusing the fill-reducing elimination order of the last full build
-//     (ordering dominates factorization cost at sparsifier densities),
+//     (which keeps the elimination tree the rank-1 updates walk stable),
 //   - re-verifies κ(L_G, L_P) after every batch and runs localized
 //     re-filter rounds (re-score candidates, admit the hottest) when the
 //     certificate drifts toward the target, and

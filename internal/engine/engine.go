@@ -346,7 +346,9 @@ func certify(ctx context.Context, g, p *graph.Graph, steps int, seed uint64) (c 
 	}
 	vSpan := obs.StartSpan(ctx, "verify")
 	defer func() { c.dur = vSpan.End() }()
+	fSpan := obs.StartSpan(ctx, obs.PhaseFactor)
 	solver, err := cholesky.NewLapSolver(p)
+	fSpan.End()
 	if err != nil {
 		return c, fmt.Errorf("engine: verification solver: %w", err)
 	}

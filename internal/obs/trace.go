@@ -19,14 +19,21 @@ import (
 //     caller (job results, ?trace=1 responses, Result.Phases).
 //
 // Spans may overlap: settle encloses the refilter and verify spans it
-// drives, and a sharded run's shard span encloses per-shard work. A
-// Trace is an observation log, not a tree.
+// drives, a sharded run's shard span encloses per-shard work, and the
+// factor spans sit inside whichever of sparsify, refilter or verify
+// asked for the factorization. A Trace is an observation log, not a tree.
 
 // PhaseName names a pipeline phase. It is a distinct type so the
 // compiler keeps arbitrary request-derived strings out of StartSpan:
 // the phase set is the closed vocabulary of string literals in pipeline
 // code, and it feeds a metric label, so it must stay low-cardinality.
 type PhaseName string
+
+// PhaseFactor spans one ordering + Cholesky factorization of a
+// sparsifier Laplacian. It is declared here, not spelled as a literal,
+// because two packages open it: core around the filter loop's per-round
+// solver builds, engine around the certificate's.
+const PhaseFactor PhaseName = "factor"
 
 // Phase is one completed span: its name, start offset from the trace's
 // first span, and duration.
@@ -87,7 +94,7 @@ type Span struct {
 
 // phaseSeconds aggregates every span ended anywhere in the process.
 var phaseSeconds = Default.HistogramVec("graphspar_phase_seconds",
-	"Wall time of pipeline phases (partition, shard, stitch, embed, verify, settle, refilter), by phase.",
+	"Wall time of pipeline phases (partition, shard, stitch, embed, factor, verify, settle, refilter), by phase.",
 	nil, "phase")
 
 // StartSpan opens a phase span. End it exactly once; a second End is a

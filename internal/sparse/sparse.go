@@ -332,24 +332,78 @@ func Mul(a, b *CSR) (*CSR, error) {
 
 // Permute returns P·M·Pᵀ for the symmetric permutation given by perm, where
 // perm[new] = old (i.e. row/col new of the result is row/col perm[new] of M).
+// Stored exact zeros are dropped. A perm that is not a permutation of
+// 0..Rows-1 is an error.
+//
+// The entries are counting-sorted twice — bucketed by new column, then
+// scattered in bucket order to their new rows, which leaves every row's
+// columns ascending — so the cost is O(nnz + n) with no comparison sort.
 func (m *CSR) Permute(perm []int) (*CSR, error) {
 	if m.Rows != m.Cols || len(perm) != m.Rows {
 		return nil, fmt.Errorf("%w: permute %dx%d with perm of length %d", ErrShape, m.Rows, m.Cols, len(perm))
 	}
-	inv := make([]int, len(perm))
+	n := m.Rows
+	inv := make([]int, n)
+	for i := range inv {
+		inv[i] = -1
+	}
 	for newIdx, oldIdx := range perm {
-		if oldIdx < 0 || oldIdx >= m.Rows {
+		if oldIdx < 0 || oldIdx >= n {
 			return nil, fmt.Errorf("sparse: permutation entry %d out of range", oldIdx)
+		}
+		if inv[oldIdx] != -1 {
+			return nil, fmt.Errorf("sparse: permutation entry %d repeated", oldIdx)
 		}
 		inv[oldIdx] = newIdx
 	}
-	bld := NewBuilder(m.Rows, m.Cols)
-	for newI, oldI := range perm {
-		for k := m.RowPtr[oldI]; k < m.RowPtr[oldI+1]; k++ {
-			bld.Add(newI, inv[m.ColIdx[k]], m.Val[k])
+
+	// Count the kept entries per new row (into the result's RowPtr) and
+	// per new column (into the bucket cursors).
+	out := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	bucket := make([]int, n+1)
+	for i := 0; i < n; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			if m.Val[k] != 0 {
+				out.RowPtr[inv[i]+1]++
+				bucket[inv[m.ColIdx[k]]+1]++
+			}
 		}
 	}
-	return bld.Build(), nil
+	for i := 0; i < n; i++ {
+		out.RowPtr[i+1] += out.RowPtr[i]
+		bucket[i+1] += bucket[i]
+	}
+	nnz := bucket[n]
+	out.ColIdx = make([]int, nnz)
+	out.Val = make([]float64, nnz)
+
+	// Pass 1: bucket by new column. Afterwards bucket[c] is the end of
+	// column c's entries.
+	row := make([]int, nnz)
+	val := make([]float64, nnz)
+	for i := 0; i < n; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			if m.Val[k] == 0 {
+				continue
+			}
+			c := inv[m.ColIdx[k]]
+			row[bucket[c]], val[bucket[c]] = inv[i], m.Val[k]
+			bucket[c]++
+		}
+	}
+	// Pass 2: walk the buckets in column order and append each entry to
+	// its new row. inv is done; it becomes the per-row write cursors.
+	next := inv
+	copy(next, out.RowPtr[:n])
+	p := 0
+	for c := 0; c < n; c++ {
+		for ; p < bucket[c]; p++ {
+			q := next[row[p]]
+			out.ColIdx[q], out.Val[q] = c, val[p]
+			next[row[p]]++
+		}
+	}
+	return out, nil
 }
 
 // Identity returns the n×n identity matrix.

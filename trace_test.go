@@ -41,7 +41,7 @@ func TestRunPhasesSingleShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := phaseNames(res.Phases)
-	for _, want := range []string{"sparsify", "embed", "verify"} {
+	for _, want := range []string{"sparsify", "embed", "factor", "verify"} {
 		if names[want] == 0 {
 			t.Errorf("Phases missing %q (got %v)", want, names)
 		}
@@ -78,7 +78,7 @@ func TestRunPhasesSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := phaseNames(res.Phases)
-	for _, want := range []string{"partition", "shard", "stitch", "refilter", "verify"} {
+	for _, want := range []string{"partition", "shard", "stitch", "refilter", "factor", "verify"} {
 		if names[want] == 0 {
 			t.Errorf("Phases missing %q (got %v)", want, names)
 		}
@@ -118,7 +118,7 @@ func TestRunPhasesMultilevel(t *testing.T) {
 		t.Fatalf("expected a real hierarchy, got depth %d", res.CoarsenDepth)
 	}
 	names := phaseNames(res.Phases)
-	for _, want := range []string{"coarsen", "sparsify", "interpolate", "uncoarsen_refilter", "verify"} {
+	for _, want := range []string{"coarsen", "sparsify", "interpolate", "uncoarsen_refilter", "factor", "verify"} {
 		if names[want] == 0 {
 			t.Errorf("Phases missing %q (got %v)", want, names)
 		}
