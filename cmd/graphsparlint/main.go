@@ -3,12 +3,7 @@
 // determinism, cancellation, error-wrapping and metric-cardinality
 // conventions.
 //
-// Standalone:
-//
-//	graphsparlint ./...
-//	graphsparlint -json -report LINT_report.json ./...
-//
-// Under the vet harness:
+// It runs under the vet harness:
 //
 //	go build -o "$(go env GOPATH)/bin/graphsparlint" ./cmd/graphsparlint
 //	go vet -vettool=$(which graphsparlint) ./...

@@ -15,7 +15,7 @@ var (
 	// ErrBad* sentinels below.
 	ErrInvalidOptions = params.ErrInvalid
 	// ErrBadSigma2 rejects similarity targets σ² ≤ 1 (including the
-	// missing-WithSigma2 zero value).
+	// missing-WithSigma2 zero value) and non-finite ones.
 	ErrBadSigma2 = params.ErrBadSigma2
 	// ErrBadShards rejects negative shard counts.
 	ErrBadShards = params.ErrBadShards

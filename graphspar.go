@@ -244,7 +244,8 @@ func (s *Sparsifier) maintainable() error {
 
 // HeatSpectrum supports the paper's Fig. 2 reproduction: it extracts a
 // backbone tree, runs a single Joule-heat embedding round (t steps, r
-// vectors; non-positive values default as in Run) and returns all
+// vectors; a non-positive t defaults to 1, the figure's setting — not
+// Run's 2 — and a non-positive r to Run's ⌈log₂(n+1)⌉) and returns all
 // off-tree heats normalized by the max, sorted descending, together with
 // the similarity-aware thresholds θσ for the requested σ² values.
 func HeatSpectrum(g *Graph, t, r int, sigmaSqs []float64, alg TreeAlgorithm, seed uint64) (norm, thresholds []float64, err error) {

@@ -12,7 +12,6 @@ import (
 	"graphspar/internal/eig"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
-	"graphspar/internal/gsp"
 	"graphspar/internal/lsst"
 	"graphspar/internal/mm"
 	"graphspar/internal/partition"
@@ -270,52 +269,5 @@ func TestSparsifierEigenvaluesInterlace(t *testing.T) {
 		if v > target*1.3 {
 			t.Fatalf("Ritz value %v far above the σ²=%v guarantee", v, target)
 		}
-	}
-}
-
-// TestGSPFilterThroughSparsifierPipeline: heat-kernel filtering through
-// the sparsifier approximates filtering through the original.
-func TestGSPFilterThroughSparsifierPipeline(t *testing.T) {
-	g, err := gen.Grid2D(12, 12, gen.UniformWeights, 81)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Sparsify(g, core.Options{SigmaSq: 5, Seed: 5})
-	if err != nil && !errors.Is(err, core.ErrNoTarget) {
-		t.Fatal(err)
-	}
-	lub := gsp.LambdaUpperBound(g)
-	n := g.N()
-	x := make([]float64, n)
-	vecmath.NewRNG(11).FillNormal(x)
-	fg, err := gsp.HeatKernel(g, 2.0, 40, lub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	yg := make([]float64, n)
-	fg.Apply(yg, x)
-
-	relOf := func(p *graph.Graph) float64 {
-		fp, err := gsp.HeatKernel(p, 2.0, 40, lub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		yp := make([]float64, n)
-		fp.Apply(yp, x)
-		diff := make([]float64, n)
-		vecmath.Sub(diff, yg, yp)
-		return vecmath.Norm2(diff) / vecmath.Norm2(yg)
-	}
-	relSpar := relOf(res.Sparsifier)
-	relTree := relOf(res.Tree.Graph())
-	// A σ² guarantee bounds eigenvalue *ratios*, so mid-band responses
-	// shift; the checkable claims are comparative: the sparsifier tracks
-	// the original's diffusion better than its bare backbone, and does not
-	// diverge outright.
-	if relSpar >= relTree {
-		t.Fatalf("sparsifier (%v) should beat bare tree (%v)", relSpar, relTree)
-	}
-	if relSpar > 1 {
-		t.Fatalf("sparsifier heat kernel diverged: rel %v", relSpar)
 	}
 }

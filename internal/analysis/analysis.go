@@ -3,9 +3,9 @@
 // analyzers need. The build environment for this repository is fully
 // offline, so the canonical x/tools module cannot be added as a
 // dependency; the types here mirror its API (Analyzer, Pass,
-// Diagnostic, SuggestedFix, TextEdit) closely enough that the analyzer
-// packages would compile against the real framework with only an
-// import-path change if the dependency ever becomes available.
+// Diagnostic) closely enough that the analyzer packages would compile
+// against the real framework with only an import-path change if the
+// dependency ever becomes available.
 //
 // Only single-package analyzers are supported: there is no fact
 // propagation and no Requires graph. Every graphspar analyzer is
@@ -62,24 +62,6 @@ type Diagnostic struct {
 	End      token.Pos // optional: end of the flagged region
 	Category string    // optional: sub-category within the analyzer
 	Message  string
-
-	// SuggestedFixes holds zero or more machine-applicable fixes.
-	SuggestedFixes []SuggestedFix
-}
-
-// A SuggestedFix is a machine-applicable rewrite that addresses a
-// diagnostic: applying all TextEdits (which must not overlap) performs
-// the fix described by Message.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// A TextEdit replaces the source text in [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
 }
 
 // A Unit bundles one parsed, type-checked package — everything a driver

@@ -32,12 +32,9 @@ import (
 
 // Run loads each fixture package, applies the analyzer, and reports
 // mismatches between actual diagnostics and want-comments through t.
-// It returns all diagnostics for further assertions (e.g. on suggested
-// fixes).
-func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) []analysis.Diagnostic {
+func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	l := newLoader(dir)
-	var all []analysis.Diagnostic
 	for _, path := range pkgs {
 		unit, err := l.load(path)
 		if err != nil {
@@ -49,10 +46,8 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) []analy
 			t.Errorf("running %s on %q: %v", a.Name, path, err)
 			continue
 		}
-		all = append(all, diags...)
 		check(t, l.fset, unit, diags)
 	}
-	return all
 }
 
 type expectation struct {

@@ -19,12 +19,10 @@
 // Conditionals around those forms are fine. Anything else needs a
 // `//graphspar:nondeterministic-ok <reason>` annotation on the range
 // line or the line above; a bare annotation without a reason is itself
-// a diagnostic. Where the key type is ordered, the diagnostic carries a
-// suggested fix rewriting the loop to iterate sorted keys.
+// a diagnostic.
 package detrange
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -63,16 +61,12 @@ func run(pass *analysis.Pass) (any, error) {
 			if ann.Allows(pass, rs, "nondeterministic") {
 				return true
 			}
-			d := analysis.Diagnostic{
+			pass.Report(analysis.Diagnostic{
 				Pos: rs.Pos(),
 				End: rs.Body.Lbrace,
 				Message: "range over map iterates in random order in a deterministic pipeline package; " +
 					"collect and sort the keys first, or annotate //graphspar:nondeterministic-ok <reason>",
-			}
-			if fix, ok := sortedKeysFix(pass, rs); ok {
-				d.SuggestedFixes = []analysis.SuggestedFix{fix}
-			}
-			pass.Report(d)
+			})
 			return true
 		})
 	}
@@ -283,58 +277,4 @@ func exprObj(info *types.Info, e ast.Expr) types.Object {
 		return nil
 	}
 	return info.Uses[id]
-}
-
-// sortedKeysFix builds the collect-sort-iterate rewrite for ranges with
-// a named key over an ident/selector map with an ordered key type.
-func sortedKeysFix(pass *analysis.Pass, rs *ast.RangeStmt) (analysis.SuggestedFix, bool) {
-	key, ok := rs.Key.(*ast.Ident)
-	if !ok || key.Name == "_" {
-		return analysis.SuggestedFix{}, false
-	}
-	var mapSrc string
-	switch x := ast.Unparen(rs.X).(type) {
-	case *ast.Ident:
-		mapSrc = x.Name
-	case *ast.SelectorExpr:
-		base, ok := x.X.(*ast.Ident)
-		if !ok {
-			return analysis.SuggestedFix{}, false
-		}
-		mapSrc = base.Name + "." + x.Sel.Name
-	default:
-		return analysis.SuggestedFix{}, false
-	}
-	mt, ok := pass.TypesInfo.Types[rs.X].Type.Underlying().(*types.Map)
-	if !ok {
-		return analysis.SuggestedFix{}, false
-	}
-	basic, ok := mt.Key().Underlying().(*types.Basic)
-	if !ok || basic.Info()&types.IsOrdered == 0 {
-		return analysis.SuggestedFix{}, false
-	}
-	keyType := types.TypeString(mt.Key(), func(p *types.Package) string {
-		if p == pass.Pkg {
-			return ""
-		}
-		return p.Name()
-	})
-
-	ks := key.Name + "Keys"
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s := make([]%s, 0, len(%s))\n", ks, keyType, mapSrc)
-	fmt.Fprintf(&b, "for %s := range %s {\n\t%s = append(%s, %s)\n}\n", key.Name, mapSrc, ks, ks, key.Name)
-	fmt.Fprintf(&b, "sort.Slice(%s, func(i, j int) bool { return %s[i] < %s[j] })\n", ks, ks, ks)
-	fmt.Fprintf(&b, "for _, %s := range %s {\n", key.Name, ks)
-	if v, ok := rs.Value.(*ast.Ident); ok && v.Name != "_" {
-		fmt.Fprintf(&b, "\t%s := %s[%s]\n", v.Name, mapSrc, key.Name)
-	}
-	return analysis.SuggestedFix{
-		Message: "iterate sorted keys",
-		TextEdits: []analysis.TextEdit{{
-			Pos:     rs.Pos(),
-			End:     rs.Body.Lbrace + 1,
-			NewText: []byte(b.String()),
-		}},
-	}, true
 }

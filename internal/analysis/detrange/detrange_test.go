@@ -1,7 +1,6 @@
 package detrange_test
 
 import (
-	"strings"
 	"testing"
 
 	"graphspar/internal/analysis/analysistest"
@@ -14,27 +13,4 @@ func TestDetrange(t *testing.T) {
 
 func TestDetrangeIgnoresNonPipelinePackages(t *testing.T) {
 	analysistest.Run(t, "testdata", detrange.Analyzer, "svc")
-}
-
-// TestSortedKeysFix checks the cheap suggested fix: flagged ranges over
-// ident maps with ordered keys carry a collect-sort-iterate rewrite.
-func TestSortedKeysFix(t *testing.T) {
-	diags := analysistest.Run(t, "testdata", detrange.Analyzer, "core")
-	withFix := 0
-	for _, d := range diags {
-		for _, fix := range d.SuggestedFixes {
-			if fix.Message != "iterate sorted keys" || len(fix.TextEdits) != 1 {
-				t.Errorf("unexpected fix shape: %+v", fix)
-				continue
-			}
-			text := string(fix.TextEdits[0].NewText)
-			if !strings.Contains(text, "sort.Slice(") || !strings.Contains(text, "= append(") {
-				t.Errorf("fix text missing sorted-keys rewrite:\n%s", text)
-			}
-			withFix++
-		}
-	}
-	if withFix == 0 {
-		t.Fatalf("no diagnostics carried the sorted-keys suggested fix")
-	}
 }

@@ -1,18 +1,11 @@
-// Package driver runs graphspar's analyzers in the two modes the lint
-// toolchain needs:
+// Package driver runs graphspar's analyzers under the standard vet
+// harness: when invoked by `go vet -vettool=graphsparlint`, the go
+// command hands the tool a *.cfg JSON file per package; the driver
+// speaks that protocol (including the -V=full and -flags probes), so
+// package loading, caching and _test packages all come from `go vet`.
 //
-//   - standalone: `graphsparlint [-json] [-report file] ./...` loads
-//     the named packages via `go list -export -deps -json`, type-checks
-//     them against the build cache's export data, and prints (or
-//     JSON-encodes) every diagnostic — this is what produces CI's
-//     LINT_report.json;
-//   - unitchecker: when invoked by `go vet -vettool=graphsparlint`,
-//     the go command hands the tool a *.cfg JSON file per package; the
-//     driver speaks that protocol (including -V=full and -flags
-//     probes) so the suite runs under the standard vet harness.
-//
-// Both modes are stdlib-only; see package analysis for why the
-// canonical x/tools framework is not used.
+// The driver is stdlib-only; see package analysis for why the canonical
+// x/tools framework is not used.
 package driver
 
 import (
@@ -29,34 +22,19 @@ import (
 	"graphspar/internal/analysis"
 )
 
-// A Finding is one diagnostic in machine-readable form; LINT_report.json
-// is a JSON array of these.
-type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-}
-
-// Main is the entry point shared by cmd/graphsparlint. It never
-// returns.
+// Main is the entry point of cmd/graphsparlint. It never returns.
 func Main(analyzers ...*analysis.Analyzer) {
 	log.SetFlags(0)
 	log.SetPrefix("graphsparlint: ")
 
 	fs := flag.NewFlagSet("graphsparlint", flag.ExitOnError)
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON on stdout")
-	report := fs.String("report", "", "also write JSON diagnostics to this file")
 	fs.Var(versionFlag{}, "V", "print version and exit (-V=full, for the go command)")
 	printFlags := fs.Bool("flags", false, "print analyzer flags in JSON (for the go command)")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: graphsparlint [-json] [-report file] [package ...]\n")
-		fmt.Fprintf(os.Stderr, "   or: go vet -vettool=$(which graphsparlint) ./...\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(which graphsparlint) ./...\n\nanalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, firstLine(a.Doc))
 		}
-		fs.PrintDefaults()
 	}
 	fs.Parse(os.Args[1:])
 
@@ -64,50 +42,11 @@ func Main(analyzers ...*analysis.Analyzer) {
 		emitFlagDefs(fs)
 		os.Exit(0)
 	}
-
-	args := fs.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnitchecker(args[0], analyzers)
-		return // unreachable; runUnitchecker exits
+	if args := fs.Args(); len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
+		runUnitchecker(args[0], analyzers) // exits
 	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	findings, err := runStandalone(args, analyzers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *report != "" {
-		if err := writeReport(*report, findings); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *jsonOut {
-		data, err := json.MarshalIndent(findings, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(append(data, '\n'))
-	} else {
-		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
-		}
-	}
-	if len(findings) > 0 {
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-func writeReport(path string, findings []Finding) error {
-	if findings == nil {
-		findings = []Finding{} // a clean run reports [], not null
-	}
-	data, err := json.MarshalIndent(findings, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	fs.Usage()
+	os.Exit(2)
 }
 
 // emitFlagDefs prints the tool's flags as the JSON array the go

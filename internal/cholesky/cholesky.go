@@ -384,25 +384,17 @@ func NewLapSolverWS(g *graph.Graph, ws *Workspace) (*LapSolver, error) {
 	return newLapSolverWS(g, nil, ws)
 }
 
-// NewLapSolverOrdered factors with a caller-supplied elimination order of
-// the reduced (n-1)-vertex system instead of recomputing minimum degree:
-// an order computed for a structurally similar graph stays near-optimal,
-// and a caller that keeps updating the factor wants the order, and with
-// it the elimination tree, to hold still. Skipping MinDegree saves about
-// the cost of one more numeric factorization — it no longer dwarfs one.
-// The dynamic maintainer reuses the order of its last full build across
-// incremental refactorizations. The permutation is validated; a wrong
-// length or a non-permutation is an error.
-func NewLapSolverOrdered(g *graph.Graph, perm []int) (*LapSolver, error) {
-	if err := validatePerm(perm, g.N()-1); err != nil {
-		return nil, err
-	}
-	return newLapSolverWS(g, perm, nil)
-}
-
-// NewLapSolverOrderedWS is NewLapSolverOrdered with factorization scratch
-// drawn from ws — the dynamic maintainer's refactorization path, which
-// rebuilds same-sized factors for the lifetime of a stream session.
+// NewLapSolverOrderedWS factors with a caller-supplied elimination order
+// of the reduced (n-1)-vertex system instead of recomputing minimum
+// degree: an order computed for a structurally similar graph stays
+// near-optimal, and a caller that keeps updating the factor wants the
+// order, and with it the elimination tree, to hold still. Skipping
+// MinDegree saves about the cost of one more numeric factorization — it
+// no longer dwarfs one. The dynamic maintainer reuses the order of its
+// last full build across incremental refactorizations, rebuilding
+// same-sized factors for the lifetime of a stream session, so the
+// factorization scratch is drawn from ws (nil allocates). The permutation
+// is validated; a wrong length or a non-permutation is an error.
 func NewLapSolverOrderedWS(g *graph.Graph, perm []int, ws *Workspace) (*LapSolver, error) {
 	if err := validatePerm(perm, g.N()-1); err != nil {
 		return nil, err

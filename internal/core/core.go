@@ -37,12 +37,29 @@ import (
 	"graphspar/internal/vecmath"
 )
 
-// Errors surfaced by the sparsifier. ErrBadSigma is the shared typed
-// sentinel from internal/params (errors.Is also matches params.ErrInvalid),
-// so every pipeline rejects a bad target with the same error.
-var (
-	ErrBadSigma = params.ErrBadSigma2
-	ErrNoTarget = errors.New("core: similarity target not reached within MaxRounds")
+// ErrNoTarget is returned, together with the best sparsifier found, when
+// the densification loop ends — round cap or edge budget — above the σ²
+// target. A bad target itself is rejected with params.ErrBadSigma2, the
+// one sentinel every pipeline shares.
+var ErrNoTarget = errors.New("core: similarity target not reached within the round cap")
+
+// The §3.7 loop's fixed settings.
+const (
+	// maxRounds caps the densification iterations of one Sparsify run.
+	maxRounds = 30
+	// batchFraction caps how many passing candidates one round admits, as
+	// a fraction of the candidates that beat θσ — §3.7 adds edges in
+	// "small portions" so the estimates are refreshed before the next.
+	batchFraction = 0.25
+	// powerIters caps the λmax power iterations of §3.6.1 (the paper
+	// reports fewer than 10 suffice).
+	powerIters = 10
+	// RefilterRounds caps the full-size embedding passes of one Refilter
+	// call in the batch pipeline — each pass admits one heat-ranked,
+	// batchFraction-capped batch and costs one factorization, and passes
+	// stop early once the estimated σ² meets the target — and the
+	// localized re-filter rounds the dynamic maintainer runs per Apply.
+	RefilterRounds = 4
 )
 
 // Options configures Sparsify.
@@ -57,19 +74,11 @@ type Options struct {
 	NumVectors int
 	// TreeAlg picks the backbone construction. Default lsst.MaxWeight.
 	TreeAlg lsst.Algorithm
-	// MaxRounds caps densification iterations. Default 30.
-	MaxRounds int
-	// BatchFraction caps how many passing candidates are added per round,
-	// as a fraction of the candidate list (small portions per §3.7).
-	// Default 0.25.
-	BatchFraction float64
-	// SimilarityCheck enables the per-round dissimilarity rule (§3.7 step
-	// 6): accept a candidate only if neither endpoint was claimed by an
-	// accepted edge this round. Default true (set DisableSimilarity to
-	// turn off).
+	// DisableSimilarity turns off the per-round dissimilarity rule (§3.7
+	// step 6), which accepts a candidate only if neither endpoint was
+	// claimed by an edge accepted earlier in the round. The rule is on by
+	// default; the ablation benchmarks switch it off.
 	DisableSimilarity bool
-	// PowerIters caps λmax power iterations (paper: < 10). Default 10.
-	PowerIters int
 	// MaxEdges optionally caps the sparsifier size (tree edges included).
 	// When the budget is hit, densification stops even if the σ² target
 	// is unmet (Result is returned with ErrNoTarget in that case). Zero
@@ -91,12 +100,12 @@ type Options struct {
 	Seed uint64
 }
 
-// EffectiveEmbed reports the embedding knobs Sparsify will actually use
-// on an n-vertex graph — T, NumVectors (r = O(log n) when unset),
-// PowerIters and BatchFraction with defaults applied. The sharding
-// engine's global re-filter pass calls this so its full-size embedding
-// can never drift from the per-shard parameters.
-func (o Options) EffectiveEmbed(n int) (t, r, powerIters int, batchFraction float64) {
+// EffectiveEmbed reports the embedding settings Sparsify will actually
+// use on an n-vertex graph — T and NumVectors (r = O(log n) when unset)
+// with defaults applied, followed by the fixed powerIters and
+// batchFraction. Refilter and the dynamic maintainer call this so their
+// full-size embeddings can never drift from a Sparsify run's.
+func (o Options) EffectiveEmbed(n int) (t, r, iters int, fraction float64) {
 	t = o.T
 	if t <= 0 {
 		t = 2
@@ -108,14 +117,6 @@ func (o Options) EffectiveEmbed(n int) (t, r, powerIters int, batchFraction floa
 			r = 1
 		}
 	}
-	powerIters = o.PowerIters
-	if powerIters <= 0 {
-		powerIters = 10
-	}
-	batchFraction = o.BatchFraction
-	if batchFraction <= 0 || batchFraction > 1 {
-		batchFraction = 0.25
-	}
 	return t, r, powerIters, batchFraction
 }
 
@@ -123,10 +124,7 @@ func (o *Options) defaults(n int) error {
 	if err := params.Sigma2(o.SigmaSq); err != nil {
 		return err
 	}
-	o.T, o.NumVectors, o.PowerIters, o.BatchFraction = o.EffectiveEmbed(n)
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 30
-	}
+	o.T, o.NumVectors, _, _ = o.EffectiveEmbed(n)
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -239,8 +237,8 @@ func EmbedOffTree(g *graph.Graph, solver Solver, offIDs []int, t, r int, seed ui
 // Sparsify runs the full similarity-aware pipeline of §3: backbone
 // extraction, iterative embed → filter → densify rounds, and extreme
 // eigenvalue tracking. On success Result.SigmaSqAchieved ≤ opt.SigmaSq.
-// If MaxRounds is exhausted first, the best sparsifier found is returned
-// together with ErrNoTarget.
+// If the round cap is exhausted first, the best sparsifier found is
+// returned together with ErrNoTarget.
 func Sparsify(g *graph.Graph, opt Options) (*Result, error) {
 	return SparsifyCtx(context.Background(), g, opt)
 }
@@ -273,7 +271,7 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 	remaining := append([]int(nil), offIDs...)
 	rng := vecmath.NewRNG(opt.Seed ^ 0x5eed)
 
-	for round := 1; round <= opt.MaxRounds; round++ {
+	for round := 1; round <= maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -319,7 +317,7 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 	}
 
 	// Final estimate after the last round's additions.
-	if lmax, lmin, err := estimateExtremes(g, p, solver, opt.PowerIters, rng.Uint64()); err == nil {
+	if lmax, lmin, err := estimateExtremes(g, p, solver, powerIters, rng.Uint64()); err == nil {
 		res.LambdaMax, res.LambdaMin = lmax, lmin
 		res.SigmaSqAchieved = lmax / lmin
 	}
@@ -333,7 +331,9 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 // HeatSpectrum supports the Fig. 2 reproduction: it extracts a backbone
 // tree, runs a single embedding round (t steps, r vectors) on it, and
 // returns all off-tree heats normalized by the max, sorted descending,
-// together with the θσ thresholds for the requested σ² values.
+// together with the θσ thresholds for the requested σ² values. A
+// non-positive t defaults to 1 (Fig. 2's setting, where Sparsify defaults
+// to 2); a non-positive r defaults as in Sparsify, to ⌈log₂(n+1)⌉.
 func HeatSpectrum(g *graph.Graph, t, r int, sigmaSqs []float64, treeAlg lsst.Algorithm, seed uint64) (norm []float64, thresholds []float64, err error) {
 	if err := g.RequireConnected(); err != nil {
 		return nil, nil, err

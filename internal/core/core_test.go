@@ -10,16 +10,17 @@ import (
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
+	"graphspar/internal/params"
 	"graphspar/internal/pcg"
 	"graphspar/internal/vecmath"
 )
 
 func TestOptionsValidation(t *testing.T) {
 	g, _ := gen.Grid2D(4, 4, gen.UnitWeights, 1)
-	if _, err := Sparsify(g, Options{SigmaSq: 0.5}); !errors.Is(err, ErrBadSigma) {
-		t.Fatalf("err = %v, want ErrBadSigma", err)
+	if _, err := Sparsify(g, Options{SigmaSq: 0.5}); !errors.Is(err, params.ErrBadSigma2) {
+		t.Fatalf("err = %v, want ErrBadSigma2", err)
 	}
-	if _, err := Sparsify(g, Options{SigmaSq: 1}); !errors.Is(err, ErrBadSigma) {
+	if _, err := Sparsify(g, Options{SigmaSq: 1}); !errors.Is(err, params.ErrBadSigma2) {
 		t.Fatalf("σ²=1 must be rejected: %v", err)
 	}
 }

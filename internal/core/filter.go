@@ -96,7 +96,7 @@ func estimateExtremes(g, p *graph.Graph, solver Solver, iters int, seed uint64) 
 // passing count; chosen (positions into candIDs) is empty exactly when the
 // caller's loop is done — target met, no candidates, or no budget.
 func filterRound(ctx context.Context, g, p *graph.Graph, solver Solver, candIDs []int, opt *Options, rng *vecmath.RNG, budget int, similarity bool) (stats RoundStats, chosen []int, err error) {
-	lmax, lmin, err := estimateExtremes(g, p, solver, opt.PowerIters, rng.Uint64())
+	lmax, lmin, err := estimateExtremes(g, p, solver, powerIters, rng.Uint64())
 	if err != nil {
 		return stats, nil, err
 	}
@@ -108,7 +108,7 @@ func filterRound(ctx context.Context, g, p *graph.Graph, solver Solver, candIDs 
 	heats, maxHeat := embedOffTree(g, solver, candIDs, opt.T, opt.NumVectors, rng.Uint64(), opt.EmbedWorkers, opt.Workspace)
 	embedSpan.End()
 	stats.Threshold = Threshold(opt.SigmaSq, lmin, lmax, opt.T)
-	chosen, stats.Candidates = SelectEdges(g, candIDs, heats, maxHeat, stats.Threshold, opt.BatchFraction, budget, similarity)
+	chosen, stats.Candidates = SelectEdges(g, candIDs, heats, maxHeat, stats.Threshold, batchFraction, budget, similarity)
 	return stats, chosen, nil
 }
 

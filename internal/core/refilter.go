@@ -19,14 +19,14 @@ import (
 // re-admit partition cut edges after stitching; its multilevel plan uses
 // it to re-filter each finer level after interpolating a coarse selection.
 //
-// Each pass adds one heat-ranked, BatchFraction-capped batch of
+// Each pass adds one heat-ranked, batchFraction-capped batch of
 // candidates and costs one full-size factorization; passes stop early
 // once the estimated σ² meets the target. keptIDs must span a connected
 // subgraph of g. The returned kept slice is the final edge-id selection
 // (the input slices are not modified), recovered counts the admitted
 // candidates, and lmax/lmin are the estimates of the last pass.
 func Refilter(ctx context.Context, g *graph.Graph, keptIDs, candIDs []int, opt Options, rounds, workers int, seed uint64) (p *graph.Graph, kept []int, recovered int, lmax, lmin float64, err error) {
-	opt.T, opt.NumVectors, opt.PowerIters, opt.BatchFraction = opt.EffectiveEmbed(g.N())
+	opt.T, opt.NumVectors, _, _ = opt.EffectiveEmbed(g.N())
 	opt.EmbedWorkers = workers
 	rng := vecmath.NewRNG(seed)
 

@@ -1,15 +1,42 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"graphspar/internal/cholesky"
 	"graphspar/internal/gen"
+	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
 	"graphspar/internal/vecmath"
 )
+
+// EstimateTrace computes a Hutchinson estimate of Trace(L_P⁺ L_G) with the
+// given number of Rademacher probes: trace ≈ mean_j zⱼᵀ L_P⁺ L_G zⱼ.
+// By eq. 4 this equals the total stretch st_P(G) when P is a spanning
+// tree, which the tests exploit as an exact cross-check against the
+// LCA-based stretch computation.
+func EstimateTrace(g *graph.Graph, solver Solver, probes int, seed uint64) (float64, error) {
+	if probes < 1 {
+		return 0, errors.New("core: need at least one probe")
+	}
+	n := g.N()
+	rng := vecmath.NewRNG(seed)
+	z := make([]float64, n)
+	y := make([]float64, n)
+	w := make([]float64, n)
+	var sum float64
+	for j := 0; j < probes; j++ {
+		rng.FillRademacher(z)
+		vecmath.Deflate(z)
+		g.LapMulVec(y, z)  // y = L_G z
+		solver.Solve(w, y) // w = L_P⁺ L_G z
+		sum += vecmath.Dot(z, w)
+	}
+	return sum / float64(probes), nil
+}
 
 func TestEstimateTraceMatchesStretchOnTree(t *testing.T) {
 	// Eq. 4: Trace(L_P⁺L_G) = st_P(G) for a spanning tree P. Hutchinson
@@ -60,54 +87,6 @@ func TestEstimateTraceValidation(t *testing.T) {
 	}
 	if _, err := EstimateTrace(g, tr, 0, 1); err == nil {
 		t.Fatal("zero probes should fail")
-	}
-}
-
-func TestRefineLambdaMinNeverWorse(t *testing.T) {
-	g, err := gen.Grid2D(9, 9, gen.UniformWeights, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, _, _, err := lsst.Extract(g, lsst.MaxWeight, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := tr.Graph()
-	base := EstimateLambdaMin(g, p)
-	refined := RefineLambdaMin(g, p, 20)
-	if refined > base+1e-12 {
-		t.Fatalf("refinement made the bound worse: %v > %v", refined, base)
-	}
-	// Still a valid upper bound on λmin ≥ 1 territory: must stay ≥ 1
-	// because P ⊆ G (any coloring ratio is ≥ 1).
-	if refined < 1-1e-9 {
-		t.Fatalf("refined bound %v dropped below 1 for a subgraph", refined)
-	}
-	if got := RefineLambdaMin(g, p, 0); got != base {
-		t.Fatalf("sweeps=0 must return the base bound")
-	}
-}
-
-// Property: the refined coloring bound stays an upper bound of the true
-// λmin (estimated by a long generalized Lanczos from below).
-func TestQuickRefineLambdaMinUpperBound(t *testing.T) {
-	f := func(seed uint64) bool {
-		g, err := gen.Grid2D(5, 6, gen.UniformWeights, seed)
-		if err != nil {
-			return false
-		}
-		tr, _, _, err := lsst.Extract(g, lsst.MaxWeight, seed)
-		if err != nil {
-			return false
-		}
-		p := tr.Graph()
-		refined := RefineLambdaMin(g, p, 10)
-		// For subgraph sparsifiers the exact λmin ≥ 1; any coloring ratio
-		// is an upper bound. Verify ≥ 1 and finite.
-		return refined >= 1-1e-9 && !math.IsInf(refined, 0) && !math.IsNaN(refined)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }
 

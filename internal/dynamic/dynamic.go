@@ -55,15 +55,14 @@ import (
 // Sparsify carries the similarity target and embedding knobs (SigmaSq is
 // required), Mode/Shards/Workers/Partition pick the plan of every full
 // (re)build — the zero value rebuilds single-shot, ModeSharded through the
-// shard-parallel plan. Two fields double as maintenance settings with
-// defaults of their own: RefilterRounds (default 4) also caps the
-// localized re-filter rounds run per Apply, and VerifySteps is the
-// generalized-Lanczos depth of the per-batch certificate check — the
-// extremes settle fast on sparsifier spectra, so it can be shallower than
-// an offline audit (default min(12, n); refilterMargin absorbs the
-// residual underestimate). Verify is ignored: the maintainer certifies
-// every build on its own factor. Everything else about maintenance is
-// fixed:
+// shard-parallel plan. One field doubles as a maintenance setting with a
+// default of its own: VerifySteps is the generalized-Lanczos depth of the
+// per-batch certificate check — the extremes settle fast on sparsifier
+// spectra, so it can be shallower than an offline audit (default
+// min(12, n); refilterMargin absorbs the residual underestimate). Verify
+// is ignored: the maintainer certifies every build on its own factor.
+// Everything else about maintenance is fixed — the localized re-filter
+// rounds per Apply by core.RefilterRounds, the rest here:
 const (
 	// refilterMargin is the safety margin: re-filtering starts once
 	// κ > refilterMargin·σ², keeping headroom for estimator noise so the
@@ -107,9 +106,6 @@ const (
 func maintainerDefaults(opt engine.Options, n int) (engine.Options, error) {
 	if err := params.Sigma2(opt.Sparsify.SigmaSq); err != nil {
 		return opt, err
-	}
-	if opt.RefilterRounds <= 0 {
-		opt.RefilterRounds = 4
 	}
 	if opt.VerifySteps <= 0 {
 		opt.VerifySteps = 12
@@ -316,9 +312,6 @@ func (m *Maintainer) Graph() *graph.Graph { return m.g }
 // Sparsifier returns the current sparsifier. Callers must not mutate it;
 // it stays live until the next Apply replaces it.
 func (m *Maintainer) Sparsifier() *graph.Graph { return m.p }
-
-// Backbone returns the current spanning-tree backbone.
-func (m *Maintainer) Backbone() *tree.Tree { return m.backbone }
 
 // Cond returns the latest independently verified condition number
 // κ(L_G, L_P).
@@ -562,11 +555,11 @@ func (m *Maintainer) settle(ctx context.Context, batched bool) error {
 // refilter runs localized re-filter rounds: re-score the current off-tree
 // candidates with the retained embedding, admit the hottest ones past the
 // similarity threshold, re-verify, repeat while κ exceeds the safety
-// margin (up to RefilterRounds). In batched mode the refactorization and
-// Lanczos re-verification are deferred until all admission rounds have
-// run, so one certificate check covers the whole pass (the large-batch
-// regime: verification dominates the per-round cost, and θσ would not
-// move between rounds anyway without fresh λ estimates).
+// margin (up to core.RefilterRounds). In batched mode the refactorization
+// and Lanczos re-verification are deferred until all admission rounds
+// have run, so one certificate check covers the whole pass (the
+// large-batch regime: verification dominates the per-round cost, and θσ
+// would not move between rounds anyway without fresh λ estimates).
 func (m *Maintainer) refilter(ctx context.Context, batched bool) error {
 	defer obs.StartSpan(ctx, "refilter").End()
 	safety := refilterMargin * m.opt.Sparsify.SigmaSq
@@ -581,7 +574,7 @@ func (m *Maintainer) refilter(ctx context.Context, batched bool) error {
 	dirty := false // admissions not yet folded into the solver + certificate
 	var pending []edgeDelta
 	t, _, _, batchFraction := m.opt.Sparsify.EffectiveEmbed(m.g.N())
-	for round := 0; round < m.opt.RefilterRounds && m.cond > safety; round++ {
+	for round := 0; round < core.RefilterRounds && m.cond > safety; round++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -603,7 +596,7 @@ func (m *Maintainer) refilter(ctx context.Context, batched bool) error {
 		// Remember the pass's thresholds for future insert admission.
 		m.theta, m.maxHeat = theta, maxHeat
 		m.stats.Refilters++
-		if batched && round < m.opt.RefilterRounds-1 {
+		if batched && round < core.RefilterRounds-1 {
 			// Defer the refactorization and the Lanczos check: one
 			// certificate verification covers the whole admission pass.
 			dirty = true

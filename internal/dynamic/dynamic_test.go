@@ -10,6 +10,7 @@ import (
 	"graphspar/internal/engine"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
+	"graphspar/internal/lsst"
 	"graphspar/internal/params"
 	"graphspar/internal/testkit"
 	"graphspar/internal/vecmath"
@@ -29,6 +30,18 @@ func newMaintainer(t *testing.T, g *graph.Graph, sigmaSq float64) *dynamic.Maint
 		t.Fatal(err)
 	}
 	return m
+}
+
+// backboneEdges recomputes the backbone a freshly built maintainer holds:
+// the max-weight spanning tree of its sparsifier, extracted with the
+// build's seed.
+func backboneEdges(t *testing.T, m *dynamic.Maintainer) []graph.Edge {
+	t.Helper()
+	tr, _, _, err := lsst.Extract(m.Sparsifier(), lsst.MaxWeight, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.Edges()
 }
 
 func TestApplyMixedBatchKeepsCertificate(t *testing.T) {
@@ -72,7 +85,7 @@ func TestDeleteTreeEdgeTriggersRepair(t *testing.T) {
 	}
 	const sigmaSq = 80
 	m := newMaintainer(t, g, sigmaSq)
-	te := m.Backbone().Edges()[0]
+	te := backboneEdges(t, m)[0]
 	if err := m.Apply(context.Background(), []dynamic.Update{dynamic.Delete(te.U, te.V)}); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +325,7 @@ func TestBatchedVerifyEquivalence(t *testing.T) {
 	// safety margin, and the settle pass runs real re-filter rounds in
 	// both maintainers.
 	tree := make(map[[2]int]bool)
-	for _, e := range batched.Backbone().Edges() {
+	for _, e := range backboneEdges(t, batched) {
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}

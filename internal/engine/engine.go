@@ -41,10 +41,6 @@ import (
 	"graphspar/internal/tree"
 )
 
-// ErrBadShards is the shared typed sentinel from internal/params
-// (errors.Is also matches params.ErrInvalid).
-var ErrBadShards = params.ErrBadShards
-
 const (
 	// cutFilterFraction gates the sharded plan's global embedding pass:
 	// the re-filter runs only when the partition's non-backbone cut
@@ -68,9 +64,10 @@ const (
 type Options struct {
 	// Sparsify configures the edge filter every plan runs — on the input
 	// (single-shot), on each shard, or on the coarsest level — and
-	// supplies the embedding knobs of every re-filter pass. SigmaSq is
-	// required. Seed (default 1) drives every random choice: partitioning,
-	// per-shard and per-level seeds, the global passes and the certificate.
+	// supplies the embedding knobs of every re-filter pass (at most
+	// core.RefilterRounds per stitch or level). SigmaSq is required. Seed
+	// (default 1) drives every random choice: partitioning, per-shard and
+	// per-level seeds, the global passes and the certificate.
 	Sparsify core.Options
 	// Mode is the resolved execution plan. ModeAuto (the zero value) runs
 	// single-shot: picking a plan per graph is the caller's policy.
@@ -100,12 +97,6 @@ type Options struct {
 	// CoarsestSize stops coarsening at or below this vertex count
 	// (default multilevel.DefaultCoarsestSize).
 	CoarsestSize int
-	// RefilterRounds caps the full-size embedding passes that re-filter
-	// the sharded plan's cut edges and each finer multilevel level. Each
-	// pass adds one heat-ranked, BatchFraction-capped batch of candidates
-	// and costs one factorization; passes stop early once the estimated
-	// σ² meets the target. Default 4.
-	RefilterRounds int
 	// Verify runs the independent generalized-Lanczos certificate check
 	// on the final sparsifier (and, in the multilevel plan, on every
 	// finer level, where it also drives the calibrated retries).
@@ -115,8 +106,7 @@ type Options struct {
 }
 
 // defaults validates opt, resolves ModeAuto and fills every unset knob; it
-// is the only place batch runs default Seed, Workers, RefilterRounds and
-// VerifySteps.
+// is the only place batch runs default Seed, Workers and VerifySteps.
 func (o *Options) defaults(n int) error {
 	if err := params.Sigma2(o.Sparsify.SigmaSq); err != nil {
 		return err
@@ -150,9 +140,6 @@ func (o *Options) defaults(n int) error {
 	}
 	if o.CoarsestSize <= 0 {
 		o.CoarsestSize = multilevel.DefaultCoarsestSize
-	}
-	if o.RefilterRounds <= 0 {
-		o.RefilterRounds = 4
 	}
 	if o.VerifySteps <= 0 {
 		o.VerifySteps = 30

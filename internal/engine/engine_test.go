@@ -214,10 +214,10 @@ func TestMoreShardsThanUsable(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	g := gridGraph(t, 8, 8, 1)
-	if _, err := Run(context.Background(), g, Options{Mode: params.ModeSharded, Shards: 2}); !errors.Is(err, core.ErrBadSigma) {
-		t.Errorf("missing σ²: err = %v, want ErrBadSigma", err)
+	if _, err := Run(context.Background(), g, Options{Mode: params.ModeSharded, Shards: 2}); !errors.Is(err, params.ErrBadSigma2) {
+		t.Errorf("missing σ²: err = %v, want ErrBadSigma2", err)
 	}
-	if _, err := Run(context.Background(), g, Options{Mode: params.ModeSharded, Shards: -3, Sparsify: core.Options{SigmaSq: 50}}); !errors.Is(err, ErrBadShards) {
+	if _, err := Run(context.Background(), g, Options{Mode: params.ModeSharded, Shards: -3, Sparsify: core.Options{SigmaSq: 50}}); !errors.Is(err, params.ErrBadShards) {
 		t.Errorf("negative shards: err = %v, want ErrBadShards", err)
 	}
 }

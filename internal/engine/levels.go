@@ -99,7 +99,7 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) e
 
 		refilter := func(keptIDs, candIDs []int, ropt core.Options, seed uint64) (float64, float64, error) {
 			rSpan := obs.StartSpan(ctx, "uncoarsen_refilter")
-			pF, keptNew, recovered, lx, ln, err := core.Refilter(ctx, fine.G, keptIDs, candIDs, ropt, opt.RefilterRounds, opt.Workers, seed)
+			pF, keptNew, recovered, lx, ln, err := core.Refilter(ctx, fine.G, keptIDs, candIDs, ropt, core.RefilterRounds, opt.Workers, seed)
 			res.Timings.Refilter += rSpan.End()
 			if err != nil {
 				return 0, 0, wrap(err)

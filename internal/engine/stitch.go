@@ -115,7 +115,7 @@ func (res *Result) runSharded(ctx context.Context, g *graph.Graph, opt Options) 
 		// target is unmet, recover the cut edges whose normalized Joule
 		// heat beats the similarity-aware threshold (eq. 15).
 		rSpan := obs.StartSpan(ctx, "refilter")
-		p, _, recovered, lmax, lmin, err := core.Refilter(ctx, g, keptIDs, candIDs, opt.Sparsify, opt.RefilterRounds, opt.Workers, opt.Sparsify.Seed^0x5717c4)
+		p, _, recovered, lmax, lmin, err := core.Refilter(ctx, g, keptIDs, candIDs, opt.Sparsify, core.RefilterRounds, opt.Workers, opt.Sparsify.Seed^0x5717c4)
 		rSpan.End()
 		if err != nil {
 			if ctx.Err() == nil {

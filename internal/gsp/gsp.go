@@ -1,8 +1,8 @@
 // Package gsp provides the graph-signal-processing utilities that motivate
-// the paper's filtering view (§3.4): spectral drawings (Fig. 1), signal
-// smoothness, the graph Fourier transform on small graphs, and Tikhonov
-// low-pass filtering — including filtering through a sparsifier, which is
-// the "spectral sparsifier as a low-pass graph filter" demonstration.
+// the paper's filtering view (§3.4): spectral drawings (Fig. 1) and
+// Tikhonov low-pass filtering — including filtering through a sparsifier,
+// which is the "spectral sparsifier as a low-pass graph filter"
+// demonstration.
 package gsp
 
 import (
@@ -37,47 +37,6 @@ func SpectralDrawing(g *graph.Graph, solver eig.LapSolver, seed uint64) ([][2]fl
 		coords[i] = [2]float64{vecs[0][i], vecs[1][i]}
 	}
 	return coords, nil
-}
-
-// Smoothness returns the normalized Laplacian quadratic form
-// xᵀLx / xᵀx — small for "low-frequency" signals, large for oscillating
-// ones. The quantity behind the low-pass-filter analogy of §3.4.
-func Smoothness(g *graph.Graph, x []float64) (float64, error) {
-	if len(x) != g.N() {
-		return 0, errors.New("gsp: signal length mismatch")
-	}
-	den := vecmath.Dot(x, x)
-	if den == 0 {
-		return 0, errors.New("gsp: zero signal")
-	}
-	return g.LapQuadForm(x) / den, nil
-}
-
-// GFT computes the full graph Fourier transform of a signal on a *small*
-// graph by dense eigendecomposition: coefficients c_i = u_iᵀ x, returned
-// alongside the eigenvalues (frequencies), ascending. Cost O(n³).
-func GFT(g *graph.Graph, x []float64) (freqs, coeffs []float64, err error) {
-	n := g.N()
-	if len(x) != n {
-		return nil, nil, errors.New("gsp: signal length mismatch")
-	}
-	if n > 600 {
-		return nil, nil, fmt.Errorf("gsp: GFT is dense-only; n=%d too large", n)
-	}
-	dense := g.Laplacian().Dense()
-	vals, vecs, err := eig.JacobiEigen(dense)
-	if err != nil {
-		return nil, nil, err
-	}
-	coeffs = make([]float64, n)
-	for j := 0; j < n; j++ {
-		var c float64
-		for i := 0; i < n; i++ {
-			c += vecs[i][j] * x[i]
-		}
-		coeffs[j] = c
-	}
-	return vals, coeffs, nil
 }
 
 // TikhonovFilter low-passes the signal s by solving (I + αL) x = s — the

@@ -11,73 +11,6 @@ import (
 	"graphspar/internal/vecmath"
 )
 
-func TestSmoothnessConstantVsAlternating(t *testing.T) {
-	g, _ := gen.Path(10)
-	smooth := make([]float64, 10)
-	rough := make([]float64, 10)
-	for i := range smooth {
-		smooth[i] = 1 + 0.01*float64(i) // slowly varying
-		rough[i] = float64(1 - 2*(i%2)) // alternating ±1
-	}
-	s1, err := Smoothness(g, smooth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Smoothness(g, rough)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 >= s2 {
-		t.Fatalf("smooth signal %v should have lower smoothness than rough %v", s1, s2)
-	}
-	if _, err := Smoothness(g, make([]float64, 3)); err == nil {
-		t.Fatal("length mismatch should fail")
-	}
-	if _, err := Smoothness(g, make([]float64, 10)); err == nil {
-		t.Fatal("zero signal should fail")
-	}
-}
-
-func TestGFTDeltaSignal(t *testing.T) {
-	g, _ := gen.Cycle(8)
-	x := make([]float64, 8)
-	x[0] = 1
-	freqs, coeffs, err := GFT(g, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(freqs) != 8 || len(coeffs) != 8 {
-		t.Fatal("GFT sizes wrong")
-	}
-	// Parseval: ‖x‖² = ‖coeffs‖².
-	var e float64
-	for _, c := range coeffs {
-		e += c * c
-	}
-	if math.Abs(e-1) > 1e-9 {
-		t.Fatalf("Parseval violated: %v", e)
-	}
-	// Frequencies ascend and start at ~0.
-	if math.Abs(freqs[0]) > 1e-9 {
-		t.Fatalf("first frequency %v, want 0", freqs[0])
-	}
-	for i := 0; i+1 < len(freqs); i++ {
-		if freqs[i] > freqs[i+1]+1e-12 {
-			t.Fatal("frequencies not ascending")
-		}
-	}
-}
-
-func TestGFTTooLarge(t *testing.T) {
-	g, err := gen.Grid2D(30, 30, gen.UnitWeights, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := GFT(g, make([]float64, g.N())); err == nil {
-		t.Fatal("large GFT should be refused")
-	}
-}
-
 func TestTikhonovSmooths(t *testing.T) {
 	g, err := gen.Grid2D(10, 10, gen.UnitWeights, 1)
 	if err != nil {
@@ -91,14 +24,9 @@ func TestTikhonovSmooths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0, err := Smoothness(g, noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := Smoothness(g, filtered)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The Rayleigh quotient xᵀLx / xᵀx: small for low-frequency signals.
+	s0 := g.LapQuadForm(noisy) / vecmath.Dot(noisy, noisy)
+	s1 := g.LapQuadForm(filtered) / vecmath.Dot(filtered, filtered)
 	if s1 >= s0 {
 		t.Fatalf("filtering must reduce smoothness quotient: %v vs %v", s1, s0)
 	}

@@ -428,28 +428,3 @@ func Extract(g *graph.Graph, alg Algorithm, seed uint64) (*tree.Tree, []int, []i
 	}
 	return t, ids, off, nil
 }
-
-// Stats summarizes the stretch of a spanning tree with respect to g.
-type Stats struct {
-	Total float64 // st_P(G) = Trace(L_P⁺ L_G), eq. 4
-	Max   float64 // largest single-edge stretch
-	Mean  float64 // Total / m
-	Count int     // number of edges measured (all of g)
-}
-
-// StretchStats computes exact stretch statistics of t with respect to g.
-func StretchStats(g *graph.Graph, t *tree.Tree) Stats {
-	var s Stats
-	s.Count = g.M()
-	for _, e := range g.Edges() {
-		st := t.Stretch(e)
-		s.Total += st
-		if st > s.Max {
-			s.Max = st
-		}
-	}
-	if s.Count > 0 {
-		s.Mean = s.Total / float64(s.Count)
-	}
-	return s
-}

@@ -161,22 +161,18 @@ func TestStretchStatsOnCycle(t *testing.T) {
 	// Unit cycle of n=4: tree = path (3 edges), off-tree edge closes the
 	// cycle with stretch 1·(1+1+1) = 3. Total = 3·1 + 3 = 6.
 	g, _ := gen.Cycle(4)
-	tr, _, _, err := Extract(g, MaxWeight, 1)
+	tr, _, offIDs, err := Extract(g, MaxWeight, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := StretchStats(g, tr)
-	if math.Abs(s.Total-6) > 1e-12 {
-		t.Fatalf("Total = %v, want 6", s.Total)
+	if total := tr.TotalStretch(g); math.Abs(total-6) > 1e-12 {
+		t.Fatalf("TotalStretch = %v, want 6", total)
 	}
-	if math.Abs(s.Max-3) > 1e-12 {
-		t.Fatalf("Max = %v, want 3", s.Max)
+	if len(offIDs) != 1 {
+		t.Fatalf("off-tree edges = %d, want 1", len(offIDs))
 	}
-	if s.Count != 4 {
-		t.Fatalf("Count = %d", s.Count)
-	}
-	if math.Abs(s.Mean-1.5) > 1e-12 {
-		t.Fatalf("Mean = %v", s.Mean)
+	if st := tr.Stretch(g.Edge(offIDs[0])); math.Abs(st-3) > 1e-12 {
+		t.Fatalf("off-tree stretch = %v, want 3", st)
 	}
 }
 
@@ -203,7 +199,7 @@ func TestQuickExtractInvariants(t *testing.T) {
 					return false
 				}
 			}
-			if s := StretchStats(g, tr); s.Total < float64(g.N()-1)-1e-9 {
+			if tr.TotalStretch(g) < float64(g.N()-1)-1e-9 {
 				return false
 			}
 		}
@@ -230,9 +226,9 @@ func TestAKPWStretchReasonable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, sm := StretchStats(g, trA), StretchStats(g, trM)
-	if sa.Total > 50*sm.Total {
-		t.Fatalf("AKPW stretch %v wildly worse than MaxWeight %v", sa.Total, sm.Total)
+	sa, sm := trA.TotalStretch(g), trM.TotalStretch(g)
+	if sa > 50*sm {
+		t.Fatalf("AKPW stretch %v wildly worse than MaxWeight %v", sa, sm)
 	}
 }
 

@@ -245,11 +245,6 @@ func (h *Histogram) Count() int64 {
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Overflow returns how many observations exceeded the last finite bucket
-// bound. A nonzero overflow means upper quantiles may report +Inf — the
-// bucket layout is too coarse for the tail being measured.
-func (h *Histogram) Overflow() int64 { return h.inf.Load() }
-
 // Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
 // within the bucket where the cumulative count crosses q·total. The
 // error is bounded by the width of that bucket. A rank that falls in the

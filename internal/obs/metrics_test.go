@@ -151,8 +151,8 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	if got := h.Quantile(0.5); !math.IsInf(got, 1) {
 		t.Errorf("overflow-only Quantile = %g, want +Inf (the histogram cannot bound the tail)", got)
 	}
-	if got := h.Overflow(); got != 1 {
-		t.Errorf("Overflow = %d, want 1", got)
+	if got := h.inf.Load(); got != 1 {
+		t.Errorf("overflow bucket holds %d, want 1", got)
 	}
 }
 
@@ -172,8 +172,8 @@ func TestHistogramQuantileOverflowTail(t *testing.T) {
 	if got := h.Quantile(0.99); !math.IsInf(got, 1) {
 		t.Errorf("p99 = %g, want +Inf (rank 9.9 falls in the overflow bucket)", got)
 	}
-	if got := h.Overflow(); got != 1 {
-		t.Errorf("Overflow = %d, want 1", got)
+	if got := h.inf.Load(); got != 1 {
+		t.Errorf("overflow bucket holds %d, want 1", got)
 	}
 }
 

@@ -19,6 +19,7 @@ package params
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrInvalid is the base class of every validation error in this package:
@@ -29,9 +30,9 @@ var ErrInvalid = errors.New("invalid sparsification parameters")
 
 // Typed validation errors. Each wraps ErrInvalid.
 var (
-	// ErrBadSigma2 rejects similarity targets σ² ≤ 1: the relative
+	// ErrBadSigma2 rejects similarity targets σ² ≤ 1 — the relative
 	// condition number κ(L_G, L_P) of a subgraph sparsifier is at least 1,
-	// so no target at or below 1 is satisfiable.
+	// so no target at or below 1 is satisfiable — and non-finite ones.
 	ErrBadSigma2 = fmt.Errorf("%w: similarity target σ² must be > 1", ErrInvalid)
 	// ErrBadT rejects embedding step counts beyond a caller's ceiling.
 	ErrBadT = fmt.Errorf("%w: embedding steps t out of range", ErrInvalid)
@@ -59,9 +60,11 @@ type Limits struct {
 	MaxWorkers    int
 }
 
-// Sigma2 validates the similarity target shared by every pipeline.
+// Sigma2 validates the similarity target shared by every pipeline: a
+// finite number above 1 (NaN fails the comparison; +Inf would accept the
+// bare backbone tree as "similar").
 func Sigma2(sigmaSq float64) error {
-	if !(sigmaSq > 1) {
+	if !(sigmaSq > 1) || math.IsInf(sigmaSq, 1) {
 		return fmt.Errorf("%w: got %v", ErrBadSigma2, sigmaSq)
 	}
 	return nil

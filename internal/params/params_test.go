@@ -2,11 +2,12 @@ package params
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
 func TestSigma2(t *testing.T) {
-	for _, bad := range []float64{-1, 0, 0.5, 1} {
+	for _, bad := range []float64{-1, 0, 0.5, 1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		err := Sigma2(bad)
 		if !errors.Is(err, ErrBadSigma2) {
 			t.Errorf("Sigma2(%v) = %v, want ErrBadSigma2", bad, err)

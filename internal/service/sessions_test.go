@@ -199,8 +199,21 @@ func TestStreamDecodeErrorTerminates(t *testing.T) {
 func TestStreamRequiresSigma2AndSessions(t *testing.T) {
 	ts := newTestServer(t, sessionTestConfig(nil, nil), nil)
 	registerSpec(t, ts.URL, "g", "grid:3x3")
-	if code, _ := streamLines(t, ts.URL, "g", "", "= 1 2 2\n"); code != http.StatusBadRequest {
-		t.Fatalf("missing sigma2: %d, want 400", code)
+	// A maintainer can honour neither a job-only parameter nor a typo, so
+	// neither may be dropped silently; an infinite target is no target.
+	for _, query := range []string{
+		"", // missing sigma2
+		"?sigma2=Inf",
+		"?sigma2=50&mode=multilevel",
+		"?sigma2=50&max_edges=500",
+		"?sigma2=50&shard=4",
+	} {
+		if code, _ := streamLines(t, ts.URL, "g", query, "= 1 2 2\n"); code != http.StatusBadRequest {
+			t.Errorf("stream%s: %d, want 400", query, code)
+		}
+	}
+	if code, _ := streamLines(t, ts.URL, "g", "?sigma2=50&trace=1", "= 1 2 2\n"); code != http.StatusOK {
+		t.Errorf("trace=1 must stay accepted: %d", code)
 	}
 	if code, _ := streamLines(t, ts.URL, "nope", "?sigma2=50", "= 1 2 2\n"); code != http.StatusNotFound {
 		t.Fatalf("unknown graph: %d, want 404", code)

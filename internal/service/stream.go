@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -44,11 +45,25 @@ func newEventReader(r *http.Request) *dynamic.EventReader {
 }
 
 // streamParams fills SparsifyParams from the stream endpoint's query
-// string (the body carries events, so parameters travel in the URL).
+// string (the body carries events, so parameters travel in the URL). A
+// key the endpoint does not honour — a job-only parameter such as mode or
+// max_edges, or a typo — is rejected rather than silently dropped.
 func streamParams(q url.Values) (SparsifyParams, error) {
 	var p SparsifyParams
 	bad := func(name string, err error) (SparsifyParams, error) {
 		return p, fmt.Errorf("%w: query parameter %q: %v", params.ErrInvalid, name, err)
+	}
+	var unknown []string
+	for k := range q {
+		switch k {
+		case "sigma2", "t", "r", "shards", "workers", "seed", "tree", "partition", "trace":
+		default:
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return p, fmt.Errorf("%w: unknown query parameter %q", params.ErrInvalid, strings.Join(unknown, ", "))
 	}
 	if v := q.Get("sigma2"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)

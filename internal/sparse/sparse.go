@@ -134,53 +134,6 @@ func (m *CSR) MulVec(y, x []float64) {
 	}
 }
 
-// MulVecAdd computes y += alpha * M x without an intermediate vector.
-func (m *CSR) MulVecAdd(y []float64, alpha float64, x []float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic("sparse: MulVecAdd dimension mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
-		}
-		y[i] += alpha * s
-	}
-}
-
-// QuadForm returns xᵀ M x for square M.
-func (m *CSR) QuadForm(x []float64) float64 {
-	if m.Rows != m.Cols || len(x) != m.Rows {
-		panic("sparse: QuadForm dimension mismatch")
-	}
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		var row float64
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			row += m.Val[k] * x[m.ColIdx[k]]
-		}
-		s += x[i] * row
-	}
-	return s
-}
-
-// Diag returns a copy of the main diagonal (length min(Rows, Cols)).
-func (m *CSR) Diag() []float64 {
-	n := m.Rows
-	if m.Cols < n {
-		n = m.Cols
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		k := lo + sort.SearchInts(m.ColIdx[lo:hi], i)
-		if k < hi && m.ColIdx[k] == i {
-			d[i] = m.Val[k]
-		}
-	}
-	return d
-}
-
 // Transpose returns Mᵀ as a new CSR.
 func (m *CSR) Transpose() *CSR {
 	t := &CSR{

@@ -82,38 +82,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestMulVecAdd(t *testing.T) {
-	m := small3()
-	x := []float64{1, 2, 3}
-	y := []float64{10, 10, 10}
-	m.MulVecAdd(y, 2, x)
-	want := []float64{10, 14, 18}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("MulVecAdd = %v, want %v", y, want)
-		}
-	}
-}
-
-func TestQuadForm(t *testing.T) {
-	m := small3()
-	x := []float64{1, 2, 3}
-	// xᵀMx = 1*0 + 2*2 + 3*4 = 16
-	if got := m.QuadForm(x); got != 16 {
-		t.Fatalf("QuadForm = %v, want 16", got)
-	}
-}
-
-func TestDiag(t *testing.T) {
-	d := small3().Diag()
-	want := []float64{2, 3, 2}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("Diag = %v, want %v", d, want)
-		}
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	b := NewBuilder(2, 3)
 	b.Add(0, 1, 5)
@@ -319,33 +287,6 @@ func TestDense(t *testing.T) {
 	d := small3().Dense()
 	if d[0][0] != 2 || d[0][1] != -1 || d[0][2] != 0 {
 		t.Fatalf("Dense row 0 = %v", d[0])
-	}
-}
-
-// Property: for random symmetric M built from a graph-like pattern,
-// QuadForm(x) == x·(Mx).
-func TestQuickQuadFormConsistency(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := vecmath.NewRNG(seed)
-		n := 2 + rng.Intn(20)
-		b := NewBuilder(n, n)
-		for e := 0; e < 3*n; e++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			v := rng.NormFloat64()
-			b.Add(i, j, v)
-			b.Add(j, i, v)
-		}
-		m := b.Build()
-		x := make([]float64, n)
-		rng.FillNormal(x)
-		y := make([]float64, n)
-		m.MulVec(y, x)
-		direct := vecmath.Dot(x, y)
-		qf := m.QuadForm(x)
-		return math.Abs(direct-qf) <= 1e-9*(1+math.Abs(direct))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

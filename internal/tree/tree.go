@@ -8,7 +8,6 @@ package tree
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"graphspar/internal/graph"
 )
@@ -109,9 +108,6 @@ func (t *Tree) Root() int { return t.root }
 
 // Parent returns v's parent (-1 for the root).
 func (t *Tree) Parent(v int) int { return t.parent[v] }
-
-// ParentWeight returns the weight of the edge to v's parent (0 for root).
-func (t *Tree) ParentWeight(v int) float64 { return t.pw[v] }
 
 // Depth returns the number of edges between v and the root.
 func (t *Tree) Depth(v int) int { return t.depth[v] }
@@ -307,22 +303,4 @@ func (t *Tree) Solve(x, b []float64) {
 	for i := range x {
 		x[i] -= m2
 	}
-}
-
-// MaxStretchEdge returns the off-tree edge of g with the largest stretch
-// and its value; utility for diagnostics. Returns ok=false when g has no
-// off-tree edges.
-func (t *Tree) MaxStretchEdge(g *graph.Graph, isTreeEdge func(i int) bool) (graph.Edge, float64, bool) {
-	best := math.Inf(-1)
-	var bestEdge graph.Edge
-	found := false
-	for i, e := range g.Edges() {
-		if isTreeEdge(i) {
-			continue
-		}
-		if s := t.Stretch(e); s > best {
-			best, bestEdge, found = s, e, true
-		}
-	}
-	return bestEdge, best, found
 }

@@ -52,8 +52,8 @@ func TestParentsAndDepths(t *testing.T) {
 	if tr.Root() != 0 || tr.Parent(0) != -1 {
 		t.Fatal("root bookkeeping wrong")
 	}
-	if tr.Parent(3) != 2 || tr.ParentWeight(3) != 4 {
-		t.Fatalf("parent(3)=%d pw=%v", tr.Parent(3), tr.ParentWeight(3))
+	if tr.Parent(3) != 2 {
+		t.Fatalf("parent(3)=%d", tr.Parent(3))
 	}
 	if tr.Depth(3) != 3 || tr.Depth(0) != 0 {
 		t.Fatalf("depths wrong: %d %d", tr.Depth(3), tr.Depth(0))
@@ -191,36 +191,6 @@ func TestFromGraph(t *testing.T) {
 	}
 	if _, err := FromGraph(g, []int{0, 1, 9}, 0); err == nil {
 		t.Fatal("bad edge id should fail")
-	}
-}
-
-func TestMaxStretchEdge(t *testing.T) {
-	g, err := graph.New(4, []graph.Edge{
-		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 2, V: 3, W: 4},
-		{U: 0, V: 3, W: 2}, {U: 0, V: 2, W: 0.1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := pathTree(t)
-	// graph.New sorts edges, so compute tree membership by endpoints: the
-	// tree is the path (0,1),(1,2),(2,3).
-	isTree := map[[2]int]bool{{0, 1}: true, {1, 2}: true, {2, 3}: true}
-	inTree := func(i int) bool {
-		e := g.Edge(i)
-		return isTree[[2]int{e.U, e.V}]
-	}
-	e, s, ok := tr.MaxStretchEdge(g, inTree)
-	if !ok {
-		t.Fatal("expected an off-tree edge")
-	}
-	// Stretches of the two off-tree edges: st(0,3,w=2)=2·1.75=3.5 and
-	// st(0,2,w=0.1)=0.1·1.5=0.15.
-	if e.U != 0 || e.V != 3 {
-		t.Fatalf("max stretch edge = %+v, want (0,3)", e)
-	}
-	if math.Abs(s-3.5) > 1e-12 {
-		t.Fatalf("max stretch = %v, want 3.5", s)
 	}
 }
 

@@ -84,13 +84,6 @@ func (r *RNG) FillNormal(x []float64) {
 	}
 }
 
-// FillUniform fills x with uniform entries in [lo, hi).
-func (r *RNG) FillUniform(x []float64, lo, hi float64) {
-	for i := range x {
-		x[i] = lo + (hi-lo)*r.Float64()
-	}
-}
-
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -49,17 +49,6 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// NormInf returns the maximum absolute entry of x (0 for empty x).
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Axpy computes y += alpha*x in place.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -150,28 +139,6 @@ func Add(dst, x, y []float64) {
 	for i := range dst {
 		dst[i] = x[i] + y[i]
 	}
-}
-
-// Hadamard computes dst = x .* y (entrywise product).
-func Hadamard(dst, x, y []float64) {
-	if len(dst) != len(x) || len(x) != len(y) {
-		panic("vecmath: Hadamard length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] * y[i]
-	}
-}
-
-// MaxAbsIndex returns the index of the entry with the largest absolute
-// value, or -1 for an empty slice.
-func MaxAbsIndex(x []float64) int {
-	best, idx := -1.0, -1
-	for i, v := range x {
-		if a := math.Abs(v); a > best {
-			best, idx = a, i
-		}
-	}
-	return idx
 }
 
 // RelResidual returns ||r|| / ||b||, treating a zero b as having norm 1 so

@@ -49,15 +49,6 @@ func TestNorm2Extremes(t *testing.T) {
 	}
 }
 
-func TestNormInf(t *testing.T) {
-	if got := NormInf([]float64{-7, 3, 5}); got != 7 {
-		t.Fatalf("NormInf = %v, want 7", got)
-	}
-	if got := NormInf(nil); got != 0 {
-		t.Fatalf("NormInf(nil) = %v, want 0", got)
-	}
-}
-
 func TestAxpy(t *testing.T) {
 	y := []float64{1, 1}
 	Axpy(2, []float64{3, -4}, y)
@@ -110,7 +101,7 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestSubAddHadamard(t *testing.T) {
+func TestSubAdd(t *testing.T) {
 	x := []float64{5, 6}
 	y := []float64{2, 3}
 	d := make([]float64, 2)
@@ -121,19 +112,6 @@ func TestSubAddHadamard(t *testing.T) {
 	Add(d, x, y)
 	if d[0] != 7 || d[1] != 9 {
 		t.Fatalf("Add = %v", d)
-	}
-	Hadamard(d, x, y)
-	if d[0] != 10 || d[1] != 18 {
-		t.Fatalf("Hadamard = %v", d)
-	}
-}
-
-func TestMaxAbsIndex(t *testing.T) {
-	if got := MaxAbsIndex([]float64{1, -9, 3}); got != 1 {
-		t.Fatalf("MaxAbsIndex = %v, want 1", got)
-	}
-	if got := MaxAbsIndex(nil); got != -1 {
-		t.Fatalf("MaxAbsIndex(nil) = %v, want -1", got)
 	}
 }
 
@@ -279,17 +257,6 @@ func TestFillNormalMoments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.08 {
 		t.Fatalf("normal variance too far from 1: %v", variance)
-	}
-}
-
-func TestFillUniform(t *testing.T) {
-	r := NewRNG(5)
-	x := make([]float64, 1000)
-	r.FillUniform(x, 2, 3)
-	for _, v := range x {
-		if v < 2 || v >= 3 {
-			t.Fatalf("uniform out of range: %v", v)
-		}
 	}
 }
 
