@@ -134,7 +134,7 @@ func TestLLTEqualsPAP(t *testing.T) {
 	lb := sparse.NewBuilder(f.n, f.n)
 	for j := 0; j < f.n; j++ {
 		for p := f.colPtr[j]; p < f.colPtr[j+1]; p++ {
-			lb.Add(f.rowIdx[p], j, f.val[p])
+			lb.Add(int(f.rowIdx[p]), j, f.val[p])
 		}
 	}
 	l := lb.Build()

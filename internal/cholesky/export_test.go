@@ -5,4 +5,20 @@ package cholesky
 var (
 	MinDegreeRef        = minDegreeRef
 	ReducedLaplacianCSR = reducedLaplacianCSR
+	CheckKernels        = checkKernels
 )
+
+// RunShare reports the fraction of nnz(L) the kernels walk as slices.
+func (f *Factor) RunShare() float64 {
+	if len(f.val) == 0 {
+		return 0
+	}
+	in := 0
+	for j := 0; j < f.n; j++ {
+		in += int(f.colPtr[j+1] - f.runAt[j])
+	}
+	return float64(in) / float64(len(f.val))
+}
+
+// RunShare is Factor.RunShare of the solver's factor.
+func (ls *LapSolver) RunShare() float64 { return ls.factor.RunShare() }

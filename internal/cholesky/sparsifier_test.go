@@ -24,10 +24,14 @@ func sparsifierOf(tb testing.TB, g *graph.Graph, sigmaSq float64) *graph.Graph {
 	return res.Sparsifier
 }
 
-// The pipeline golden's three graphs at its σ² = 50: the orderings of
-// their sparsifiers' reduced Laplacians are what every golden byte
-// downstream depends on.
-func TestMinDegreeMatchesReferenceOnPipelineSparsifiers(t *testing.T) {
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// goldenGraphs are the pipeline golden's three inputs.
+func goldenGraphs(t *testing.T) []namedGraph {
+	t.Helper()
 	grid, err := gen.Grid2D(48, 48, gen.UniformWeights, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -40,11 +44,15 @@ func TestMinDegreeMatchesReferenceOnPipelineSparsifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return []namedGraph{{"grid48", grid}, {"sbm4x128", sbm}, {"barbell", barbell}}
+}
+
+// The pipeline golden's three graphs at its σ² = 50: the orderings of
+// their sparsifiers' reduced Laplacians are what every golden byte
+// downstream depends on.
+func TestMinDegreeMatchesReferenceOnPipelineSparsifiers(t *testing.T) {
 	ws := cholesky.NewWorkspace()
-	for _, c := range []struct {
-		name string
-		g    *graph.Graph
-	}{{"grid48", grid}, {"sbm4x128", sbm}, {"barbell", barbell}} {
+	for _, c := range goldenGraphs(t) {
 		for _, p := range []*graph.Graph{c.g, sparsifierOf(t, c.g, 50)} {
 			red := cholesky.ReducedLaplacianCSR(p, ws)
 			want := cholesky.MinDegreeRef(red)
@@ -52,6 +60,21 @@ func TestMinDegreeMatchesReferenceOnPipelineSparsifiers(t *testing.T) {
 				t.Fatalf("%s (m=%d): MinDegree differs from reference", c.name, p.M())
 			}
 		}
+	}
+}
+
+// The same three sparsifiers, and the two the benchmarks factor, through
+// the run-aware kernels and the scalar oracle: factor, solves and rank-1
+// updates bit for bit.
+func TestKernelsMatchReferenceOnSparsifiers(t *testing.T) {
+	for _, c := range goldenGraphs(t) {
+		cholesky.CheckKernels(t, c.name, sparsifierOf(t, c.g, 50))
+	}
+	if testing.Short() {
+		return
+	}
+	for _, c := range benchSparsifiers(t) {
+		cholesky.CheckKernels(t, c.name, c.p)
 	}
 }
 
@@ -126,6 +149,54 @@ func BenchmarkLapSolverFactorSparsifier(b *testing.B) {
 				}
 				benchSink += ls.FactorNNZ()
 			}
+		})
+	}
+}
+
+// BenchmarkFactorNumeric is the factorization with the ordering taken
+// out: symbolic + numeric passes of FactorCSRWS under a fixed
+// minimum-degree order. run_share is the fraction of nnz(L) the kernels
+// walk as slices instead of gathering.
+func BenchmarkFactorNumeric(b *testing.B) {
+	for _, c := range benchSparsifiers(b) {
+		b.Run(c.name, func(b *testing.B) {
+			ws := cholesky.NewWorkspace()
+			red := cholesky.ReducedLaplacianCSR(c.p, ws)
+			perm := cholesky.MinDegree(red)
+			var share float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, err := cholesky.FactorCSRWS(red, perm, ws)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += f.NNZ()
+				share = f.RunShare()
+			}
+			b.ReportMetric(share, "run_share")
+		})
+	}
+}
+
+func BenchmarkFactorSolve(b *testing.B) {
+	for _, c := range benchSparsifiers(b) {
+		b.Run(c.name, func(b *testing.B) {
+			ls, err := cholesky.NewLapSolver(c.p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rhs := make([]float64, c.p.N())
+			for i := range rhs {
+				rhs[i] = float64(i%7) - 3
+			}
+			x := make([]float64, len(rhs))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ls.Solve(x, rhs)
+			}
+			b.ReportMetric(ls.RunShare(), "run_share")
 		})
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ErrUpdatePattern is returned when a rank-1 update vector has nonzeros
@@ -60,7 +60,7 @@ func (f *Factor) UpdateSparse(idx []int, val []float64, sign int) error {
 		return nil
 	}
 	// Map to permuted row indices and find the path start f0.
-	f0 := f.n
+	f0 := int32(f.n)
 	for _, i := range idx {
 		if i < 0 || i >= f.n {
 			return fmt.Errorf("cholesky: update index %d out of range [0,%d)", i, f.n)
@@ -72,15 +72,13 @@ func (f *Factor) UpdateSparse(idx []int, val []float64, sign int) error {
 	// No-fill precondition (Davis–Hager): pattern(P·v) ⊆ pattern(L(:,f0)).
 	// Column patterns are stored ascending with the diagonal first, so each
 	// remaining index is a binary search away.
-	lo, hi := f.colPtr[f0], f.colPtr[f0+1]
+	rows := f.rowIdx[f.colPtr[f0]:f.colPtr[f0+1]]
 	for _, i := range idx {
 		p := f.inv[i]
 		if p == f0 {
 			continue
 		}
-		rows := f.rowIdx[lo:hi]
-		at := sort.SearchInts(rows, p)
-		if at == len(rows) || rows[at] != p {
+		if _, ok := slices.BinarySearch(rows, p); !ok {
 			return ErrUpdatePattern
 		}
 	}
@@ -91,7 +89,7 @@ func (f *Factor) UpdateSparse(idx []int, val []float64, sign int) error {
 	for k, i := range idx {
 		w[f.inv[i]] += val[k]
 	}
-	if err := f.updown(w, f0, sign); err != nil {
+	if err := f.updown(w, int(f0), sign); err != nil {
 		// The walk aborted mid-path; w is dirty along the visited prefix.
 		clear(w)
 		return err
@@ -125,19 +123,31 @@ func (f *Factor) updown(w []float64, f0 int, sigma int) error {
 			f.val[p0] = delta * f.val[p0]
 		}
 		w[j] = 0
-		if sigma > 0 {
-			for p := p0 + 1; p < f.colPtr[j+1]; p++ {
-				i := f.rowIdx[p]
-				w1 := w[i]
-				w[i] = w1 - alpha*f.val[p]
-				f.val[p] = delta*f.val[p] + gamma*w1
+		// One rotation per entry: w ← w − α·L, L ← δ·L + γ·w, where the w
+		// feeding L is the old one on an update and the new one on a
+		// downdate. Gathered up to the column's run, sliced along it.
+		mid, hi := f.runAt[j], f.colPtr[j+1]
+		for p := p0 + 1; p < mid; p++ {
+			i := f.rowIdx[p]
+			w1 := w[i]
+			w2 := w1 - alpha*f.val[p]
+			w[i] = w2
+			if sigma > 0 {
+				w2 = w1
 			}
-		} else {
-			for p := p0 + 1; p < f.colPtr[j+1]; p++ {
-				i := f.rowIdx[p]
-				w2 := w[i] - alpha*f.val[p]
-				w[i] = w2
-				f.val[p] = delta*f.val[p] + gamma*w2
+			f.val[p] = delta*f.val[p] + gamma*w2
+		}
+		if mid < hi {
+			vs := f.val[mid:hi]
+			ws := w[f.rowIdx[mid]:][:len(vs)]
+			for q, v := range vs {
+				w1 := ws[q]
+				w2 := w1 - alpha*v
+				ws[q] = w2
+				if sigma > 0 {
+					w2 = w1
+				}
+				vs[q] = delta*v + gamma*w2
 			}
 		}
 		beta = beta2

@@ -29,6 +29,7 @@ import (
 	"math"
 	"sort"
 
+	"graphspar/internal/cholesky"
 	"graphspar/internal/eig"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
@@ -161,6 +162,13 @@ type Result struct {
 	// TotalStretch is st_P(G) of the backbone tree (eq. 4).
 	TotalStretch float64
 	Rounds       []RoundStats
+	// Solver is the loop's last Cholesky factorization, handed over so
+	// the caller's certificate (or preconditioner) need not factor
+	// Sparsifier a second time: it is always a factor of exactly the
+	// returned Sparsifier, and nil when no round added an edge — P is
+	// then the bare tree, which the loop solved through Tree. The caller
+	// owns it; nothing in core keeps a reference.
+	Solver *cholesky.LapSolver
 }
 
 // Density returns |E_P| / |V|, the sparsifier density the paper reports
@@ -267,6 +275,7 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 
 	p := backbone.Graph()
 	var solver Solver = backbone // exact O(n) while P is the bare tree
+	var chol *cholesky.LapSolver // the factor of p once a round has added edges
 
 	remaining := append([]int(nil), offIDs...)
 	rng := vecmath.NewRNG(opt.Seed ^ 0x5eed)
@@ -288,7 +297,7 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 		if len(chosen) == 0 {
 			stats.EdgesTotal = p.M()
 			res.Rounds = append(res.Rounds, stats)
-			res.Sparsifier = p
+			res.Sparsifier, res.Solver = p, chol
 			if res.SigmaSqAchieved <= opt.SigmaSq || len(remaining) == 0 {
 				return res, nil
 			}
@@ -310,10 +319,11 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 		stats.EdgesTotal = p.M()
 		res.Rounds = append(res.Rounds, stats)
 
-		solver, err = factor(ctx, p, opt.Workspace)
+		chol, err = factor(ctx, p, opt.Workspace)
 		if err != nil {
 			return nil, fmt.Errorf("core: inner solver setup: %w", err)
 		}
+		solver = chol
 	}
 
 	// Final estimate after the last round's additions.
@@ -321,7 +331,7 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 		res.LambdaMax, res.LambdaMin = lmax, lmin
 		res.SigmaSqAchieved = lmax / lmin
 	}
-	res.Sparsifier = p
+	res.Sparsifier, res.Solver = p, chol
 	if res.SigmaSqAchieved <= opt.SigmaSq {
 		return res, nil
 	}

@@ -116,7 +116,7 @@ func filterRound(ctx context.Context, g, p *graph.Graph, solver Solver, candIDs 
 // order, and the rest, compacted in place.
 func take(ids, positions []int) (taken, rest []int) {
 	taken = make([]int, len(positions))
-	drop := make(map[int]bool, len(positions))
+	drop := make([]bool, len(ids))
 	for i, pos := range positions {
 		taken[i] = ids[pos]
 		drop[pos] = true

@@ -196,9 +196,11 @@ type LevelStats struct {
 // Timings breaks a Run down by phase. Single-shot runs fill only
 // Sparsify, Verify and Wall; sharded runs additionally fill Partition,
 // Shard, ShardCPU and Stitch; multilevel runs fill Coarsen, Interpolate
-// and Refilter (summed over levels, as is their Verify). ShardCPU sums
-// the per-shard durations, so ShardCPU / Shard is the parallel speedup of
-// the shard phase.
+// and Refilter (summed over levels, as is their Verify). Partition is the
+// k-way bisection plus its materialisation into shard tasks (the induced
+// subgraphs and their component scans). ShardCPU sums the per-shard
+// durations, so ShardCPU / Shard is the parallel speedup of the shard
+// phase.
 type Timings struct {
 	Partition   time.Duration
 	Shard       time.Duration
@@ -284,7 +286,8 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	if opt.Mode == params.ModeSharded {
 		run = res.runSharded
 	}
-	if err := run(ctx, g, opt); err != nil {
+	solver, err := run(ctx, g, opt)
+	if err != nil {
 		return nil, err
 	}
 
@@ -292,7 +295,7 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	// genuinely coarsened multilevel run already did, as the last step of
 	// its level-0 calibration loop.
 	if opt.Verify && !res.Verified {
-		c, err := certify(ctx, g, res.Sparsifier, opt.VerifySteps, opt.Sparsify.Seed)
+		c, err := certify(ctx, g, res.Sparsifier, solver, opt.VerifySteps, opt.Sparsify.Seed)
 		res.Timings.Verify += c.dur
 		if err != nil {
 			return nil, err
@@ -323,21 +326,32 @@ func (r *Result) setCertificate(c certificate) {
 	r.VerifiedLambdaMax, r.VerifiedLambdaMin, r.VerifiedCond = c.lmax, c.lmin, c.cond
 }
 
-// certify factors p and runs the generalized-Lanczos similarity check of
-// p against g. It is the batch pipeline's only certificate code: every
-// plan's tail and every multilevel level goes through it, under one
-// "verify" span.
-func certify(ctx context.Context, g, p *graph.Graph, steps int, seed uint64) (c certificate, err error) {
+// certify runs the generalized-Lanczos similarity check of p against g.
+// It is the batch pipeline's only certificate code: every plan's tail and
+// every multilevel level goes through it, under one "verify" span.
+//
+// solver must be a factorization of exactly p or nil. The filter loops
+// hand over the factor they end on (core.Result.Solver,
+// core.RefilterFactored), so the final P is factored once; certify owns
+// the solver from here and drops it on return. Only when handed nil — P
+// is still the bare tree, the last re-filter pass ran out of rounds while
+// adding edges, or the plan never factored P at full size (the sharded
+// plan's kept-whole cut) — does it factor p itself, under a "factor"
+// span. Either way the factor is the same bit for bit, so the
+// certificate cannot depend on who built it.
+func certify(ctx context.Context, g, p *graph.Graph, solver *cholesky.LapSolver, steps int, seed uint64) (c certificate, err error) {
 	if err := ctx.Err(); err != nil {
 		return c, err
 	}
 	vSpan := obs.StartSpan(ctx, "verify")
 	defer func() { c.dur = vSpan.End() }()
-	fSpan := obs.StartSpan(ctx, obs.PhaseFactor)
-	solver, err := cholesky.NewLapSolver(p)
-	fSpan.End()
-	if err != nil {
-		return c, fmt.Errorf("engine: verification solver: %w", err)
+	if solver == nil {
+		fSpan := obs.StartSpan(ctx, obs.PhaseFactor)
+		solver, err = cholesky.NewLapSolver(p)
+		fSpan.End()
+		if err != nil {
+			return c, fmt.Errorf("engine: verification solver: %w", err)
+		}
 	}
 	if steps > g.N() {
 		steps = g.N() // coarse levels can be smaller than the input

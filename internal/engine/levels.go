@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
 	"graphspar/internal/graph"
 	"graphspar/internal/multilevel"
@@ -19,7 +20,11 @@ import (
 // to the input. Single-shot is the one-level hierarchy — the coarsest
 // level is the input and there is nothing to uncoarsen — so a multilevel
 // run whose coarsening never engaged keeps the same edges bit for bit.
-func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) error {
+//
+// The returned solver is the factorization of res.Sparsifier the last
+// filter loop ended on, for Run's certificate to adopt; nil when there is
+// none (see certify) or when level 0's certificate already consumed it.
+func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (*cholesky.LapSolver, error) {
 	sigma := opt.Sparsify.SigmaSq
 	multi := opt.Mode == params.ModeMultilevel
 
@@ -30,7 +35,7 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) e
 		levels, err = multilevel.BuildHierarchy(g, opt.CoarsenLevels, opt.CoarsenRatio, opt.CoarsestSize)
 		res.Timings.Coarsen = coarsenSpan.End()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res.Depth = len(levels)
 		res.Levels = make([]LevelStats, len(levels))
@@ -44,7 +49,7 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) e
 		if multi && ctx.Err() == nil {
 			err = fmt.Errorf("engine: coarsest level: %w", err)
 		}
-		return err
+		return nil, err
 	}
 	res.TargetMet = err == nil
 	if multi {
@@ -62,7 +67,7 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) e
 		res.Tree, res.TotalStretch = sp.Tree, sp.TotalStretch
 		res.TreeEdgeIDs, res.OffTreeAddedIDs, res.Rounds = sp.TreeEdgeIDs, sp.OffTreeAddedIDs, sp.Rounds
 	}
-	p := sp.Sparsifier
+	p, solver := sp.Sparsifier, sp.Solver // solver: the factor of p, or nil
 	lmax, lmin := sp.LambdaMax, sp.LambdaMin
 	var kept []int // the selection to interpolate; a one-level run never reads it
 	if len(levels) > 1 {
@@ -87,7 +92,7 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) e
 		keptF, candF, treeCount, err := multilevel.Interpolate(fine.G, fine.Rep, kept, opt.Sparsify.TreeAlg, levelSeed)
 		res.Timings.Interpolate += iSpan.End()
 		if err != nil {
-			return wrap(err)
+			return nil, wrap(err)
 		}
 		st := LevelStats{
 			Level:     l,
@@ -99,23 +104,24 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) e
 
 		refilter := func(keptIDs, candIDs []int, ropt core.Options, seed uint64) (float64, float64, error) {
 			rSpan := obs.StartSpan(ctx, "uncoarsen_refilter")
-			pF, keptNew, recovered, lx, ln, err := core.Refilter(ctx, fine.G, keptIDs, candIDs, ropt, core.RefilterRounds, opt.Workers, seed)
+			pF, keptNew, recovered, lx, ln, solverF, err := core.RefilterFactored(ctx, fine.G, keptIDs, candIDs, ropt, core.RefilterRounds, opt.Workers, seed)
 			res.Timings.Refilter += rSpan.End()
 			if err != nil {
 				return 0, 0, wrap(err)
 			}
-			p, kept = pF, keptNew
+			p, kept, solver = pF, keptNew, solverF
 			st.Recovered += recovered
 			return lx, ln, nil
 		}
 		if lmax, lmin, err = refilter(keptF, candF, opt.Sparsify, levelSeed); err != nil {
-			return err
+			return nil, err
 		}
 		res.TargetMet = lmin > 0 && lmax/lmin <= sigma
 
 		if opt.Verify {
 			verify := func(seed uint64) (certificate, error) {
-				c, err := certify(ctx, fine.G, p, opt.VerifySteps, seed)
+				c, err := certify(ctx, fine.G, p, solver, opt.VerifySteps, seed)
+				solver = nil // certify consumed it; every retry re-filters first
 				res.Timings.Verify += c.dur
 				if err != nil {
 					return c, wrap(err)
@@ -124,7 +130,7 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) e
 			}
 			c, err := verify(levelSeed)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			// Calibrated retries: the power/coloring estimates can clear σ²
 			// while the Lanczos check does not (the estimate under-reports
@@ -140,10 +146,10 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) e
 					copt.SigmaSq = (1 + sigma) / 2
 				}
 				if lmax, lmin, err = refilter(kept, remaining(fine.G.M(), kept), copt, core.DeriveSeed(levelSeed, 2*attempt-1)); err != nil {
-					return err
+					return nil, err
 				}
 				if c, err = verify(core.DeriveSeed(levelSeed, 2*attempt)); err != nil {
-					return err
+					return nil, err
 				}
 			}
 			st.VerifiedCond = c.cond
@@ -164,7 +170,7 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) e
 	if lmin > 0 {
 		res.SigmaSqEst = lmax / lmin
 	}
-	return nil
+	return solver, nil
 }
 
 // remaining lists the edge ids of a graph with m edges not in kept.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
@@ -61,31 +62,38 @@ func stitch(g *graph.Graph, labels []int, outs []shardOut) (keptIDs, stitchedIDs
 }
 
 // runSharded executes the sharded plan: partition, sparsify the shards
-// concurrently, stitch, and re-filter the partition's cut.
-func (res *Result) runSharded(ctx context.Context, g *graph.Graph, opt Options) error {
+// concurrently, stitch, and re-filter the partition's cut. The returned
+// solver is the re-filter's last factorization of res.Sparsifier when
+// there is one (see certify); the kept-whole-cut branch never factors the
+// stitched graph and returns nil.
+func (res *Result) runSharded(ctx context.Context, g *graph.Graph, opt Options) (*cholesky.LapSolver, error) {
+	// The partition span covers the bisection and its materialisation —
+	// buildTasks' induced subgraphs and component scans — so the time
+	// between the cut and the first shard is not left outside every span.
 	partSpan := obs.StartSpan(ctx, "partition")
 	kw, err := partition.RecursiveBisect(g, opt.Shards, *opt.Partition)
-	res.Timings.Partition = partSpan.End()
 	if err != nil {
-		return fmt.Errorf("engine: partition: %w", err)
+		partSpan.End()
+		return nil, fmt.Errorf("engine: partition: %w", err)
 	}
 	res.Labels, res.Parts = kw.Labels, kw.Parts
-
 	tasks, err := buildTasks(g, kw.Labels, kw.Parts)
+	res.Timings.Partition = partSpan.End()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	shardSpan := obs.StartSpan(ctx, "shard")
 	outs, err := runShards(ctx, g, tasks, opt)
 	res.Timings.Shard = shardSpan.End()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, out := range outs {
 		res.Shards = append(res.Shards, out.stats)
 		res.Timings.ShardCPU += out.stats.Duration
 	}
 
+	var solver *cholesky.LapSolver
 	stitchSpan := obs.StartSpan(ctx, "stitch")
 	keptIDs, stitchedIDs, candIDs := stitch(g, kw.Labels, outs)
 	res.CutEdges = len(stitchedIDs) + len(candIDs)
@@ -98,7 +106,7 @@ func (res *Result) runSharded(ctx context.Context, g *graph.Graph, opt Options) 
 		keptIDs = append(keptIDs, candIDs...)
 		p, err := g.SubgraphEdges(keptIDs)
 		if err != nil {
-			return fmt.Errorf("engine: stitched graph: %w", err)
+			return nil, fmt.Errorf("engine: stitched graph: %w", err)
 		}
 		res.RecoveredCut = len(candIDs)
 		res.Sparsifier = p
@@ -115,16 +123,16 @@ func (res *Result) runSharded(ctx context.Context, g *graph.Graph, opt Options) 
 		// target is unmet, recover the cut edges whose normalized Joule
 		// heat beats the similarity-aware threshold (eq. 15).
 		rSpan := obs.StartSpan(ctx, "refilter")
-		p, _, recovered, lmax, lmin, err := core.Refilter(ctx, g, keptIDs, candIDs, opt.Sparsify, core.RefilterRounds, opt.Workers, opt.Sparsify.Seed^0x5717c4)
+		p, _, recovered, lmax, lmin, solverR, err := core.RefilterFactored(ctx, g, keptIDs, candIDs, opt.Sparsify, core.RefilterRounds, opt.Workers, opt.Sparsify.Seed^0x5717c4)
 		rSpan.End()
 		if err != nil {
 			if ctx.Err() == nil {
 				err = fmt.Errorf("engine: global %w", err)
 			}
-			return err
+			return nil, err
 		}
 		res.RecoveredCut = recovered
-		res.Sparsifier = p
+		res.Sparsifier, solver = p, solverR
 		res.LambdaMax, res.LambdaMin = lmax, lmin
 	}
 	if res.LambdaMin > 0 {
@@ -132,5 +140,5 @@ func (res *Result) runSharded(ctx context.Context, g *graph.Graph, opt Options) 
 	}
 	res.Timings.Stitch = stitchSpan.End()
 	res.TargetMet = res.SigmaSqEst > 0 && res.SigmaSqEst <= opt.Sparsify.SigmaSq
-	return nil
+	return solver, nil
 }

@@ -365,7 +365,7 @@ func (g *Graph) RequireConnected() error {
 // SubgraphEdges returns a new graph on the same vertex set containing only
 // the edges whose ids are listed. Ids must be valid and distinct.
 func (g *Graph) SubgraphEdges(edgeIDs []int) (*Graph, error) {
-	seen := make(map[int]bool, len(edgeIDs))
+	seen := make([]bool, len(g.edges))
 	es := make([]Edge, 0, len(edgeIDs))
 	for _, id := range edgeIDs {
 		if id < 0 || id >= len(g.edges) {
@@ -492,22 +492,20 @@ func (g *Graph) AddEdges(extra []Edge) (*Graph, error) {
 // with vertices renumbered 0..len(vertices)-1 in the given order, plus the
 // mapping new→old. Duplicate or out-of-range vertices are rejected.
 func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int, error) {
-	toNew := make(map[int]int, len(vertices))
+	toNew := make([]int, g.n) // old id → new id + 1; 0 = not in the set
 	for newID, old := range vertices {
 		if old < 0 || old >= g.n {
 			return nil, nil, fmt.Errorf("%w: vertex %d", ErrVertexRange, old)
 		}
-		if _, dup := toNew[old]; dup {
+		if toNew[old] != 0 {
 			return nil, nil, fmt.Errorf("graph: duplicate vertex %d in induced set", old)
 		}
-		toNew[old] = newID
+		toNew[old] = newID + 1
 	}
 	var edges []Edge
 	for _, e := range g.edges {
-		u, okU := toNew[e.U]
-		v, okV := toNew[e.V]
-		if okU && okV {
-			edges = append(edges, Edge{U: u, V: v, W: e.W})
+		if u, v := toNew[e.U], toNew[e.V]; u != 0 && v != 0 {
+			edges = append(edges, Edge{U: u - 1, V: v - 1, W: e.W})
 		}
 	}
 	sub, err := New(len(vertices), edges)

@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -194,6 +196,62 @@ func TestSubgraphEdges(t *testing.T) {
 	}
 	if _, err := g.SubgraphEdges([]int{99}); err == nil {
 		t.Fatal("expected range error")
+	}
+}
+
+// The flat seen/renumbering arrays must report what the maps did: the
+// first offending entry in input order decides the error.
+func TestSubgraphErrorOrder(t *testing.T) {
+	g := path4(t)
+	for _, c := range []struct {
+		ids  []int
+		want error // nil = the untyped range error
+		msg  string
+	}{
+		{[]int{1, 1, 99}, ErrDuplicateEdge, "id 1"},
+		{[]int{1, 99, 1}, nil, "edge id 99 out of range"},
+		{[]int{-1, 0, 0}, nil, "edge id -1 out of range"},
+		{[]int{3}, nil, "edge id 3 out of range"},
+	} {
+		_, err := g.SubgraphEdges(c.ids)
+		if err == nil || !strings.Contains(err.Error(), c.msg) || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("SubgraphEdges(%v) = %v, want %q", c.ids, err, c.msg)
+		}
+	}
+	for _, c := range []struct {
+		verts []int
+		want  error // nil = the untyped duplicate error
+		msg   string
+	}{
+		{[]int{2, 2, 9}, nil, "duplicate vertex 2"},
+		{[]int{2, 9, 2}, ErrVertexRange, "vertex 9"},
+		{[]int{-1, 2, 2}, ErrVertexRange, "vertex -1"},
+		{[]int{0, 4}, ErrVertexRange, "vertex 4"},
+		{[]int{0, 3, 0}, nil, "duplicate vertex 0"}, // new id 0 must still count as taken
+	} {
+		_, _, err := g.InducedSubgraph(c.verts)
+		if err == nil || !strings.Contains(err.Error(), c.msg) || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("InducedSubgraph(%v) = %v, want %q", c.verts, err, c.msg)
+		}
+	}
+}
+
+func TestInducedSubgraphRenumbers(t *testing.T) {
+	g := path4(t) // 0-1-2-3
+	sub, mapping, err := g.InducedSubgraph([]int{3, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mapping, []int{3, 1, 2}) {
+		t.Fatalf("mapping = %v", mapping)
+	}
+	// 1-2 → (1,2) and 2-3 → (2,0), normalized and sorted by New.
+	want := []Edge{{0, 2, g.Edge(2).W}, {1, 2, g.Edge(1).W}}
+	if !reflect.DeepEqual(sub.Edges(), want) {
+		t.Fatalf("edges = %v, want %v", sub.Edges(), want)
+	}
+	if empty, _, err := g.InducedSubgraph(nil); err != nil || empty.N() != 0 {
+		t.Fatalf("empty induced set: %v, %v", empty, err)
 	}
 }
 

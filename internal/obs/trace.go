@@ -20,8 +20,10 @@ import (
 //
 // Spans may overlap: settle encloses the refilter and verify spans it
 // drives, a sharded run's shard span encloses per-shard work, and the
-// factor spans sit inside whichever of sparsify, refilter or verify
-// asked for the factorization. A Trace is an observation log, not a tree.
+// factor spans sit inside whichever of sparsify or refilter asked for
+// the factorization — inside verify only when the certificate had no
+// loop factor of the final P to adopt and built its own. A Trace is an
+// observation log, not a tree.
 
 // PhaseName names a pipeline phase. It is a distinct type so the
 // compiler keeps arbitrary request-derived strings out of StartSpan:
@@ -32,7 +34,8 @@ type PhaseName string
 // PhaseFactor spans one ordering + Cholesky factorization of a
 // sparsifier Laplacian. It is declared here, not spelled as a literal,
 // because two packages open it: core around the filter loop's per-round
-// solver builds, engine around the certificate's.
+// solver builds, engine around the certificate's own build when no loop
+// handed one over.
 const PhaseFactor PhaseName = "factor"
 
 // Phase is one completed span: its name, start offset from the trace's

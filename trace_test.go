@@ -7,7 +7,10 @@ package graphspar_test
 
 import (
 	"context"
+	"errors"
+	"sort"
 	"testing"
+	"time"
 
 	"graphspar"
 	"graphspar/internal/gen"
@@ -86,6 +89,47 @@ func TestRunPhasesSharded(t *testing.T) {
 	if res.Timings.Verify <= 0 {
 		t.Errorf("Timings.Verify = %v, want > 0 (sharded default verification)", res.Timings.Verify)
 	}
+
+	// The phases must account for the run: on a mesh big enough that the
+	// partition's materialisation (induced subgraphs, component scans) is
+	// several percent of the wall time, the union of the spans covers at
+	// least 98 % of it. Best of three, so one preempted gap cannot fail it.
+	mesh, err := gen.Grid2D(96, 96, gen.UniformWeights, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err = graphspar.New(graphspar.WithSigma2(100), graphspar.WithSeed(7), graphspar.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := 0.0
+	for try := 0; try < 3 && best < 0.98; try++ {
+		res, err := s.Run(context.Background(), mesh)
+		if err != nil && !errors.Is(err, graphspar.ErrNoTarget) {
+			t.Fatal(err)
+		}
+		if c := phaseCoverage(res.Phases, res.Timings.Wall); c > best {
+			best = c
+		}
+	}
+	if best < 0.98 {
+		t.Errorf("phases cover %.3f of a sharded run's wall time, want ≥ 0.98", best)
+	}
+}
+
+// phaseCoverage is the share of wall the union of the phase intervals
+// covers.
+func phaseCoverage(phases []graphspar.Phase, wall time.Duration) float64 {
+	sorted := append([]graphspar.Phase(nil), phases...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
+	var covered, end time.Duration
+	for _, p := range sorted {
+		if stop := p.Start + p.Duration; stop > end {
+			covered += stop - max(end, p.Start)
+			end = stop
+		}
+	}
+	return float64(covered) / float64(wall)
 }
 
 // TestRunPhasesMultilevel: a multilevel run must emit the hierarchy
