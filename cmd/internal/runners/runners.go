@@ -1,7 +1,7 @@
 // Package runners binds the service's transport/scheduling layer to the
 // public graphspar facade: the queue's SparsifyFunc and the session
-// layer's MaintainFunc/ResumeFunc are the only places job parameters
-// become sparsification options. internal/service cannot import the root
+// layer's MaintainFunc are the only places job parameters become
+// sparsification options. internal/service cannot import the root
 // package (the facade sits on top of the internal pipelines), so the
 // wiring lives here, shared by cmd/serve and cmd/loadgen's self-serve
 // mode.
@@ -125,10 +125,12 @@ func Sparsify(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (*s
 }
 
 // Maintain is the production MaintainFunc: it builds a live facade
-// Stream from scratch for the stream endpoint's cold path. The returned
+// Stream from scratch — the one way a session comes to exist, whether a
+// stream request or an incremental job found none resident. The returned
 // *graphspar.Stream satisfies sessions.Maintainer (its methods alias the
 // internal types), so the service's session manager drives the exact
-// object a library user would hold.
+// object a library user would hold, and the stream's independently
+// verified κ is the certificate an incremental job reports.
 func Maintain(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (sessions.Maintainer, error) {
 	s, err := facadeFor(p, false)
 	if err != nil {
@@ -137,27 +139,11 @@ func Maintain(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (se
 	return s.Maintain(ctx, g)
 }
 
-// Resume is the production ResumeFunc: it warm-starts a live facade
-// Stream from a prior job's sparsifier (reconciling it against the
-// current graph and re-establishing the certificate with re-filter
-// rounds) instead of running the full pipeline. Incremental jobs answer
-// from it — the stream's independently verified κ is the job's
-// certificate — and then leave it resident as the graph's session, so the
-// next PATCH/stream/job skips the reconcile this call just paid.
-func Resume(ctx context.Context, g, warm *graph.Graph, p service.SparsifyParams) (sessions.Maintainer, error) {
-	s, err := facadeFor(p, false)
-	if err != nil {
-		return nil, err
-	}
-	return s.Resume(ctx, g, warm)
-}
-
-// Config returns a service.Config with all three runner funcs wired in.
+// Config returns a service.Config with both runner funcs wired in.
 // Callers fill in queue/cache/session sizing on the returned value.
 func Config() service.Config {
 	return service.Config{
 		Sparsify: Sparsify,
 		Maintain: Maintain,
-		Resume:   Resume,
 	}
 }

@@ -99,7 +99,6 @@ func main() {
 		CacheSize:           disableZero(*cache),
 		Sparsify:            runSparsify,
 		Maintain:            runMaintain,
-		Resume:              runResume,
 		SessionMax:          disableZero(*sessMax),
 		SessionBudgetBytes:  int64(*sessBudget) << 20,
 		SessionTTL:          ttl,

@@ -9,5 +9,4 @@ import "graphspar/cmd/internal/runners"
 var (
 	runSparsify = runners.Sparsify
 	runMaintain = runners.Maintain
-	runResume   = runners.Resume
 )

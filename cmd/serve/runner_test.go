@@ -143,10 +143,9 @@ type graphInfo struct {
 	M    int    `json:"m"`
 }
 
-// newProductionServer spins up the HTTP stack with main's runners and a
-// call counter around the from-scratch one. Sessions are off (the session
-// e2e tests cover them on), so an incremental job's maintainer answers
-// and is dropped.
+// newProductionServer spins up the HTTP stack with main's from-scratch
+// runner and a call counter around it. No Maintain runner is wired, so
+// sessions are off (the session e2e tests cover them on).
 func newProductionServer(t *testing.T, cfg service.Config, calls *atomic.Int64) *httptest.Server {
 	t.Helper()
 	cfg.Sparsify = func(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (*service.JobResult, error) {
@@ -155,8 +154,6 @@ func newProductionServer(t *testing.T, cfg service.Config, calls *atomic.Int64) 
 		}
 		return runSparsify(ctx, g, p)
 	}
-	cfg.Resume = runResume
-	cfg.SessionMax = -1
 	srv := service.NewServer(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -317,62 +314,5 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 	if rt.N() != 1600 || !rt.IsConnected() {
 		t.Errorf("downloaded sparsifier: n=%d connected=%v", rt.N(), rt.IsConnected())
-	}
-}
-
-// TestIncrementalJobWarmStarts runs the full warm-start flow end to end:
-// sparsify, PATCH the graph, then submit an incremental job and check it
-// reused the prior sparsifier and met the target on the mutated graph.
-func TestIncrementalJobWarmStarts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sparsification run")
-	}
-	var calls atomic.Int64
-	ts := newProductionServer(t, service.Config{}, &calls)
-	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/graphs",
-		map[string]any{"name": "g", "spec": "grid:12x12"}, nil); code != http.StatusCreated {
-		t.Fatalf("register: %d %s", code, raw)
-	}
-
-	var job service.Job
-	code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs",
-		submitReq{Graph: "g", SparsifyParams: service.SparsifyParams{SigmaSq: 60}}, &job)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", code, raw)
-	}
-	full := pollJob(t, ts.URL, job.ID)
-	if full.Status != service.StatusDone {
-		t.Fatalf("full job: %+v", full)
-	}
-
-	code, raw = doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g/edges", map[string]any{
-		"updates": []map[string]any{
-			{"op": "insert", "u": 0, "v": 143, "w": 1.2},
-			{"op": "delete", "u": 0, "v": 1},
-		},
-	}, nil)
-	if code != http.StatusOK {
-		t.Fatalf("PATCH: %d %s", code, raw)
-	}
-
-	code, raw = doJSON(t, http.MethodPost, ts.URL+"/v1/jobs",
-		submitReq{Graph: "g", SparsifyParams: service.SparsifyParams{SigmaSq: 60, Incremental: true}}, &job)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit incremental: %d %s", code, raw)
-	}
-	inc := pollJob(t, ts.URL, job.ID)
-	if inc.Status != service.StatusDone {
-		t.Fatalf("incremental job: %+v", inc)
-	}
-	if !inc.Result.Incremental || inc.Result.WarmSource != full.ID {
-		t.Fatalf("result = %+v, want warm start from %s", inc.Result, full.ID)
-	}
-	if !inc.Result.TargetMet || inc.Result.VerifiedCond > 60 {
-		t.Fatalf("incremental certificate: %+v", inc.Result)
-	}
-	// The incremental job must not have invoked the from-scratch runner
-	// again (exactly one full sparsify ran in this test).
-	if calls.Load() != 1 {
-		t.Fatalf("full sparsify ran %d times, want 1", calls.Load())
 	}
 }

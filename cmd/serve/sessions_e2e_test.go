@@ -2,9 +2,12 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"graphspar"
 	"graphspar/internal/dynamic"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
@@ -52,25 +56,16 @@ func (c *serialChecker) TargetMet() bool          { defer c.enter()(); return c.
 func (c *serialChecker) Stats() dynamic.Stats     { defer c.enter()(); return c.m.Stats() }
 func (c *serialChecker) ResidentBytes() int64     { defer c.enter()(); return c.m.ResidentBytes() }
 
-// newSessionServer builds the production HTTP stack with session runners
-// wrapped in counters and the serial checker.
-func newSessionServer(t *testing.T, resumes *atomic.Int64, violations *atomic.Int64) (*service.Server, *httptest.Server) {
+// newSessionServer builds the production HTTP stack with the Maintain
+// runner wrapped in a build counter and the serial checker.
+func newSessionServer(t *testing.T, builds *atomic.Int64, violations *atomic.Int64) (*service.Server, *httptest.Server) {
 	t.Helper()
 	cfg := service.Config{
 		Workers:  2,
 		Sparsify: runSparsify,
 		Maintain: func(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (sessions.Maintainer, error) {
+			builds.Add(1)
 			m, err := runMaintain(ctx, g, p)
-			if err != nil || violations == nil {
-				return m, err
-			}
-			return &serialChecker{m: m, violations: violations}, nil
-		},
-		Resume: func(ctx context.Context, g, warm *graph.Graph, p service.SparsifyParams) (sessions.Maintainer, error) {
-			if resumes != nil {
-				resumes.Add(1)
-			}
-			m, err := runResume(ctx, g, warm, p)
 			if err != nil || violations == nil {
 				return m, err
 			}
@@ -91,20 +86,6 @@ func newSessionServer(t *testing.T, resumes *atomic.Int64, violations *atomic.In
 	return srv, ts
 }
 
-// jobSparsifier fetches a finished job's result graph from the
-// in-process queue (the HTTP job view omits it: json:"-").
-func jobSparsifier(t *testing.T, srv *service.Server, id string) *graph.Graph {
-	t.Helper()
-	job, err := srv.Queue().Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job.Result == nil || job.Result.Sparsifier == nil {
-		t.Fatalf("job %s holds no sparsifier", id)
-	}
-	return job.Result.Sparsifier
-}
-
 func submitAndWait(t *testing.T, base string, req submitReq) service.Job {
 	t.Helper()
 	var job service.Job
@@ -119,157 +100,146 @@ func submitAndWait(t *testing.T, base string, req submitReq) service.Job {
 	return done
 }
 
-// TestWarmSessionSkipsResumeBitIdentical is the tentpole acceptance
-// test: after PATCH traffic lands on a warm session, an incremental job
-// is served from the resident maintainer — the Resume runner never runs
-// (counter-verified) — and its sparsifier is bit-identical to what the
-// cold path (dynamic.Resume from the prior job's sparsifier against the
-// current graph) would have produced, on both grid and SBM graphs.
+// twinBatch derives a deterministic mixed batch from the twin's current
+// state: gentle reweights of sparsifier edges, deletes of off-sparsifier
+// edges that disconnect nothing, and one chord insert.
+func twinBatch(t *testing.T, twin *graphspar.Stream, round int) []graphspar.Update {
+	t.Helper()
+	g, p := twin.Graph(), twin.Sparsifier()
+	inP := make(map[[2]int]bool, p.M())
+	for _, e := range p.Edges() {
+		inP[[2]int{e.U, e.V}] = true
+	}
+	var batch []graphspar.Update
+	reweights, deletes := 0, 0
+	for i, e := range g.Edges() {
+		if i%(round+2) != 0 {
+			continue // a different slice of the edge list every round
+		}
+		switch k := [2]int{e.U, e.V}; {
+		case inP[k] && reweights < 4:
+			batch = append(batch, graphspar.Reweight(e.U, e.V, e.W*(1+0.01*float64(round+1))))
+			reweights++
+		case !inP[k] && deletes < 3:
+			cand := append(append([]graphspar.Update(nil), batch...), graphspar.Delete(e.U, e.V))
+			if _, err := graphspar.ApplyUpdates(g, cand); err != nil {
+				continue // would disconnect; skip
+			}
+			batch = cand
+			deletes++
+		}
+	}
+	for v := g.N() - 1 - round; v > 0; v-- {
+		cand := append(append([]graphspar.Update(nil), batch...), graphspar.Insert(round, v, 0.9))
+		if _, err := graphspar.ApplyUpdates(g, cand); err == nil {
+			batch = cand
+			break
+		}
+	}
+	if reweights == 0 || deletes == 0 || len(batch) != reweights+deletes+1 {
+		t.Fatalf("round %d: could not build a mixed batch (reweights=%d deletes=%d of %d)", round, reweights, deletes, len(batch))
+	}
+	return batch
+}
+
+// TestWarmSessionSkipsResumeBitIdentical is the session layer's
+// acceptance test: the maintainer the daemon holds is "the exact object a
+// library user would hold". A facade twin — graphspar.New + Maintain +
+// Apply, spelled the way a library user would — is fed the same batches
+// the daemon gets over PATCH and the stream endpoint, and after the build
+// and after every batch the incremental job's sparsifier content hash and
+// its condition number equal the twin's bit for bit, on grid and SBM
+// graphs, with the session built exactly once.
 func TestWarmSessionSkipsResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sparsification runs")
 	}
 	const sigmaSq = 100
 	cases := []struct {
-		name     string
-		register func(t *testing.T, srv *service.Server) // puts graph "g" in the registry
+		name  string
+		build func() (*graph.Graph, error)
 	}{
-		{"grid", func(t *testing.T, srv *service.Server) {
-			g, err := gen.Grid2D(12, 12, gen.UniformWeights, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := srv.Registry().Register("g", "grid12", g); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"sbm", func(t *testing.T, srv *service.Server) {
+		{"grid", func() (*graph.Graph, error) { return gen.Grid2D(12, 12, gen.UniformWeights, 7) }},
+		{"sbm", func() (*graph.Graph, error) {
 			g, _, err := gen.SBM(4, 30, 0.25, 0.02, 9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := g.RequireConnected(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := srv.Registry().Register("g", "sbm", g); err != nil {
-				t.Fatal(err)
-			}
+			return g, err
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var resumes atomic.Int64
-			srv, ts := newSessionServer(t, &resumes, nil)
-			tc.register(t, srv)
-
-			full := submitAndWait(t, ts.URL, submitReq{Graph: "g", SparsifyParams: service.SparsifyParams{SigmaSq: sigmaSq}})
-
-			// Cold PATCH (no session yet): mutate a couple of weights.
-			entry, err := srv.Registry().Get("g")
+			ctx := context.Background()
+			g, err := tc.build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			e0 := entry.Graph.Edge(0)
-			code, raw := doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g/edges", map[string]any{
-				"updates": []map[string]any{{"op": "reweight", "u": e0.U, "v": e0.V, "w": e0.W * 1.5}},
-			}, nil)
-			if code != http.StatusOK {
-				t.Fatalf("cold PATCH: %d %s", code, raw)
+			var builds atomic.Int64
+			srv, ts := newSessionServer(t, &builds, nil)
+			if _, err := srv.Registry().Register("g", tc.name, g); err != nil {
+				t.Fatal(err)
 			}
-
-			// First incremental job: cold Resume builds + installs the session.
-			inc1 := submitAndWait(t, ts.URL, submitReq{Graph: "g", SparsifyParams: service.SparsifyParams{SigmaSq: sigmaSq, Incremental: true}})
-			if inc1.Result.SessionHit || inc1.Result.WarmSource != full.ID {
-				t.Fatalf("first incremental: %+v", inc1.Result)
-			}
-			if got := resumes.Load(); got != 1 {
-				t.Fatalf("resume runner ran %d times, want 1", got)
-			}
-
-			// Warm PATCH through the session: gentle reweights of sparsifier
-			// edges plus deletes of redundant (off-sparsifier, non-bridge)
-			// edges — updates for which the warm Apply and a cold Resume
-			// provably produce the same sparsifier edge set.
-			p1 := jobSparsifier(t, srv, inc1.ID)
-			inP1 := make(map[[2]int]bool, p1.M())
-			for _, e := range p1.Edges() {
-				inP1[[2]int{e.U, e.V}] = true
-			}
-			entry, err = srv.Registry().Get("g")
+			lib, err := graphspar.New(graphspar.WithSigma2(sigmaSq))
 			if err != nil {
 				t.Fatal(err)
 			}
-			g1 := entry.Graph
-			var updates []map[string]any
-			var trial []dynamic.Update
-			reweights, deletes := 0, 0
-			for _, e := range g1.Edges() {
-				k := [2]int{e.U, e.V}
-				switch {
-				case inP1[k] && reweights < 4:
-					updates = append(updates, map[string]any{"op": "reweight", "u": e.U, "v": e.V, "w": e.W * 1.02})
-					trial = append(trial, dynamic.Reweight(e.U, e.V, e.W*1.02))
-					reweights++
-				case !inP1[k] && deletes < 4:
-					cand := append(append([]dynamic.Update(nil), trial...), dynamic.Delete(e.U, e.V))
-					if _, err := dynamic.ApplyToGraph(g1, cand); err != nil {
-						continue // would disconnect; skip
+			twin, err := lib.Maintain(ctx, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// sameAsTwin runs an incremental job and holds it to the twin.
+			sameAsTwin := func(when string, wantHit bool) {
+				t.Helper()
+				done := submitAndWait(t, ts.URL, submitReq{Graph: "g", SparsifyParams: service.SparsifyParams{SigmaSq: sigmaSq, Incremental: true}})
+				job, err := srv.Queue().Get(done.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := job.Result
+				if r.SessionHit != wantHit || !r.TargetMet || r.Session == nil || builds.Load() != 1 {
+					t.Fatalf("%s: session_hit=%v (want %v) builds=%d result=%+v", when, r.SessionHit, wantHit, builds.Load(), r)
+				}
+				if got, want := service.HashGraph(r.Sparsifier), service.HashGraph(twin.Sparsifier()); got != want {
+					t.Fatalf("%s: daemon sparsifier (m=%d) differs from the library twin's (m=%d)", when, r.Sparsifier.M(), twin.Sparsifier().M())
+				}
+				if math.Float64bits(r.VerifiedCond) != math.Float64bits(twin.Cond()) {
+					t.Fatalf("%s: daemon κ %v, library twin κ %v", when, r.VerifiedCond, twin.Cond())
+				}
+			}
+			sameAsTwin("after the build", false)
+
+			for round := 0; round < 4; round++ {
+				batch := twinBatch(t, twin, round)
+				if round%2 == 0 {
+					events := make([]map[string]any, len(batch))
+					for i, u := range batch {
+						events[i] = map[string]any{"op": u.Op.String(), "u": u.U, "v": u.V, "w": u.W}
 					}
-					updates = append(updates, map[string]any{"op": "delete", "u": e.U, "v": e.V})
-					trial = cand
-					deletes++
+					var patch struct {
+						Session string `json:"session"`
+					}
+					code, raw := doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g/edges", map[string]any{"updates": events}, &patch)
+					if code != http.StatusOK || patch.Session != "hit" {
+						t.Fatalf("round %d PATCH: %d %s", round, code, raw)
+					}
+				} else {
+					var body bytes.Buffer
+					if err := graphspar.WriteBinaryEvents(&body, [][]graphspar.Update{batch}); err != nil {
+						t.Fatal(err)
+					}
+					resp, err := http.Post(fmt.Sprintf("%s/v1/graphs/g/stream?sigma2=%d", ts.URL, sigmaSq), graphspar.BinaryEventsContentType, &body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					raw, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), `"applied":true`) || !strings.Contains(string(raw), `"session":"hit"`) {
+						t.Fatalf("round %d stream: %d %s", round, resp.StatusCode, raw)
+					}
 				}
-				if reweights == 4 && deletes == 4 {
-					break
+				if err := twin.Apply(ctx, batch); err != nil {
+					t.Fatalf("round %d: twin rejected the batch the daemon took: %v", round, err)
 				}
-			}
-			if reweights == 0 || deletes == 0 {
-				t.Fatalf("could not build a mixed batch (reweights=%d deletes=%d)", reweights, deletes)
-			}
-			var patch struct {
-				Session string `json:"session"`
-			}
-			code, raw = doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g/edges",
-				map[string]any{"updates": updates}, &patch)
-			if code != http.StatusOK {
-				t.Fatalf("warm PATCH: %d %s", code, raw)
-			}
-			if patch.Session != "hit" {
-				t.Fatalf("warm PATCH session = %q, want hit", patch.Session)
-			}
-
-			// Second incremental job: served by the session. The Resume
-			// runner must NOT run again — the reconcile was skipped.
-			inc2 := submitAndWait(t, ts.URL, submitReq{Graph: "g", SparsifyParams: service.SparsifyParams{SigmaSq: sigmaSq, Incremental: true}})
-			if !inc2.Result.SessionHit {
-				t.Fatalf("second incremental must be a session hit: %+v", inc2.Result)
-			}
-			if got := resumes.Load(); got != 1 {
-				t.Fatalf("resume runner ran %d times after warm PATCH, want still 1 (reconcile skipped)", got)
-			}
-			if !inc2.Result.TargetMet || inc2.Result.VerifiedCond > sigmaSq {
-				t.Fatalf("warm certificate: %+v", inc2.Result)
-			}
-
-			// Bit-identical to the cold path: run the per-request Resume
-			// (prior job's sparsifier reconciled against the current graph —
-			// exactly what this job costs without a session) and compare
-			// content hashes.
-			entry, err = srv.Registry().Get("g")
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := runResume(context.Background(), entry.Graph, p1,
-				canon(t, service.SparsifyParams{SigmaSq: sigmaSq, Incremental: true}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			warmSpars := jobSparsifier(t, srv, inc2.ID)
-			warmHash := service.HashGraph(warmSpars)
-			coldHash := service.HashGraph(ref.Sparsifier())
-			if warmHash != coldHash {
-				t.Fatalf("session sparsifier (m=%d) differs from cold Resume result (m=%d):\nwarm %s\ncold %s",
-					warmSpars.M(), ref.Sparsifier().M(), warmHash, coldHash)
+				sameAsTwin(fmt.Sprintf("after batch %d", round+1), true)
 			}
 		})
 	}
@@ -285,8 +255,8 @@ func TestConcurrentSessionTraffic(t *testing.T) {
 		t.Skip("full sparsification runs")
 	}
 	const sigmaSq = 100
-	var resumes, violations atomic.Int64
-	srv, ts := newSessionServer(t, &resumes, &violations)
+	var builds, violations atomic.Int64
+	srv, ts := newSessionServer(t, &builds, &violations)
 	g, err := gen.Grid2D(10, 10, gen.UniformWeights, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -295,8 +265,7 @@ func TestConcurrentSessionTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Seed a warm source and the session.
-	submitAndWait(t, ts.URL, submitReq{Graph: "g", SparsifyParams: service.SparsifyParams{SigmaSq: sigmaSq}})
+	// Seed the session.
 	submitAndWait(t, ts.URL, submitReq{Graph: "g", SparsifyParams: service.SparsifyParams{SigmaSq: sigmaSq, Incremental: true}})
 
 	var wg sync.WaitGroup

@@ -13,7 +13,7 @@
 //     with a global re-filter pass), or the multilevel plan (coarsen,
 //     filter the coarsest graph, interpolate and re-filter level by
 //     level) — and
-//   - Maintain/Resume keep a sparsifier's certificate valid incrementally
+//   - Maintain keeps a sparsifier's certificate valid incrementally
 //     under edge insertions, deletions and reweights.
 //
 // Construct it once with functional options and reuse it across graphs:
@@ -232,12 +232,12 @@ func (s *Sparsifier) Maintain(ctx context.Context, g *Graph) (*Stream, error) {
 // maintainable rejects configurations the maintainer cannot honor.
 func (s *Sparsifier) maintainable() error {
 	if s.cfg.opt.Sparsify.MaxEdges > 0 {
-		return fmt.Errorf("%w: WithMaxEdges does not compose with Maintain/Resume", ErrInvalidOptions)
+		return fmt.Errorf("%w: WithMaxEdges does not compose with Maintain", ErrInvalidOptions)
 	}
 	if s.cfg.opt.Mode == ModeMultilevel {
 		// The maintainer's rebuilds run the single-shot or the sharded
 		// plan; a pinned hierarchy mode cannot be honored.
-		return fmt.Errorf("%w: WithMode(ModeMultilevel) does not compose with Maintain/Resume", ErrInvalidOptions)
+		return fmt.Errorf("%w: WithMode(ModeMultilevel) does not compose with Maintain", ErrInvalidOptions)
 	}
 	return nil
 }
@@ -250,21 +250,4 @@ func (s *Sparsifier) maintainable() error {
 // the similarity-aware thresholds θσ for the requested σ² values.
 func HeatSpectrum(g *Graph, t, r int, sigmaSqs []float64, alg TreeAlgorithm, seed uint64) (norm, thresholds []float64, err error) {
 	return core.HeatSpectrum(g, t, r, sigmaSqs, alg, seed)
-}
-
-// Resume warm-starts a Stream from an existing sparsifier of a nearby
-// version of g (typically a prior Run's Result.Sparsifier, possibly for a
-// graph that has since mutated). The warm edges are reconciled against g
-// and the certificate is re-established with re-filter rounds — much
-// cheaper than Maintain when warm is close. The warm graph must cover the
-// same vertex set.
-func (s *Sparsifier) Resume(ctx context.Context, g, warm *Graph) (*Stream, error) {
-	if err := s.maintainable(); err != nil {
-		return nil, err
-	}
-	m, err := dynamic.Resume(ctx, g, warm, s.cfg.plan(g, true))
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{m: m}, nil
 }

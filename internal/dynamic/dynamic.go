@@ -131,7 +131,6 @@ type Stats struct {
 	FactorUpdates   int     `json:"factor_updates"`
 	FactorDowndates int     `json:"factor_downdates"`
 	FactorRebuilds  int     `json:"factor_rebuilds"`
-	WarmStart       bool    `json:"warm_start"`
 	Cond            float64 `json:"condition_number"`
 	Drift           float64 `json:"drift"`
 	DriftBudget     float64 `json:"drift_budget"`
@@ -203,75 +202,10 @@ func New(ctx context.Context, g *graph.Graph, opt engine.Options) (*Maintainer, 
 	return m, nil
 }
 
-// Resume warm-starts a Maintainer from an existing sparsifier (typically a
-// prior job's output for an earlier version of the graph). The warm edges
-// are reconciled against g — edges g no longer has are dropped, weights
-// are refreshed, and connectivity is restored heaviest-first — then the
-// certificate is re-established with re-filter rounds, falling back to a
-// full rebuild only if the warm start cannot reach the target. Much
-// cheaper than New when warm is a sparsifier of a nearby graph.
-func Resume(ctx context.Context, g *graph.Graph, warm *graph.Graph, opt engine.Options) (*Maintainer, error) {
-	if err := g.RequireConnected(); err != nil {
-		return nil, err
-	}
-	opt, err := maintainerDefaults(opt, g.N())
-	if err != nil {
-		return nil, err
-	}
-	if warm == nil || warm.N() != g.N() {
-		return nil, fmt.Errorf("%w: warm sparsifier must cover the same vertex set", ErrBadUpdate)
-	}
-	m := &Maintainer{opt: opt, g: g, rng: vecmath.NewRNG(opt.Sparsify.Seed ^ 0xdf1a7)}
-
-	// Reconcile: keep warm edges that still exist in g, at g's weights.
-	cur := make(map[[2]int]float64, g.M())
-	for _, e := range g.Edges() {
-		cur[[2]int{e.U, e.V}] = e.W
-	}
-	m.pW = make(map[[2]int]float64, warm.M())
-	for _, e := range warm.Edges() {
-		k := [2]int{e.U, e.V}
-		if w, ok := cur[k]; ok {
-			m.pW[k] = w
-		}
-	}
-	// Restore spanning connectivity heaviest-first from g's edges.
-	uf := lsst.NewUnionFind(g.N())
-	//graphspar:nondeterministic-ok union-find connectivity is a set property: the final components are the same whatever order the unions run in
-	for k := range m.pW {
-		uf.Union(k[0], k[1])
-	}
-	if !reconnectHeaviest(g, uf, func(e graph.Edge) {
-		m.pW[[2]int{e.U, e.V}] = e.W
-	}) {
-		return nil, fmt.Errorf("dynamic: warm-start reconnect failed: %w", graph.ErrDisconnected)
-	}
-	if err := m.materialize(nil); err != nil {
-		return nil, err
-	}
-	if err := m.adoptBackboneFromSparsifier(); err != nil {
-		return nil, err
-	}
-	if err := m.refreshScorerAndCertificate(ctx, true); err != nil {
-		return nil, err
-	}
-	m.stats.WarmStart = true
-	if err := m.settle(ctx, false); err != nil {
-		return nil, err
-	}
-	// Record filter thresholds so subsequent insert admissions score
-	// against this warm pass rather than admitting unconditionally.
-	m.recordThresholds(ctx)
-	m.condAtBuild = m.cond
-	m.drift = 0
-	m.mAtBuild = g.M()
-	return m, nil
-}
-
 // reconnectHeaviest grows the union-find to a single component by adding
 // the heaviest available graph edges, invoking add for each one taken.
-// Returns false if g itself cannot connect the components. Shared by the
-// warm-start reconcile and the multi-removal backbone repair sweep.
+// Returns false if g itself cannot connect the components. The
+// multi-removal backbone repair sweep calls it.
 func reconnectHeaviest(g *graph.Graph, uf *lsst.UnionFind, add func(graph.Edge)) bool {
 	if uf.Count() == 1 {
 		return true
@@ -662,8 +596,8 @@ func (m *Maintainer) rebuildBackbone() error {
 }
 
 // adoptBackboneFromSparsifier derives a fresh max-weight backbone from the
-// current sparsifier (used by Resume and sharded rebuilds, where no tree
-// comes with the sparsifier).
+// current sparsifier (used by sharded rebuilds, where no tree comes with
+// the sparsifier).
 func (m *Maintainer) adoptBackboneFromSparsifier() error {
 	backbone, treeIDs, _, err := lsst.Extract(m.p, lsst.MaxWeight, m.opt.Sparsify.Seed)
 	if err != nil {

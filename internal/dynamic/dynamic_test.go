@@ -224,50 +224,6 @@ func TestExplicitRebuild(t *testing.T) {
 	checkInvariant(t, m, 60)
 }
 
-func TestResumeWarmStart(t *testing.T) {
-	g1, err := gen.Grid2D(12, 12, gen.UniformWeights, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const sigmaSq = 50
-	m1 := newMaintainer(t, g1, sigmaSq)
-	warm := m1.Sparsifier()
-
-	// Perturb the graph: drop a corner edge, add two chords, bump weights.
-	e := g1.Edge(5)
-	g2, err := dynamic.ApplyToGraph(g1, []dynamic.Update{
-		dynamic.Delete(e.U, e.V),
-		dynamic.Insert(0, g1.N()-1, 1.5),
-		dynamic.Insert(3, g1.N()-7, 0.7),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m2, err := dynamic.Resume(context.Background(), g2, warm, engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m2.Stats().WarmStart {
-		t.Fatal("WarmStart flag must be set")
-	}
-	checkInvariant(t, m2, sigmaSq)
-}
-
-func TestResumeRejectsMismatchedVertexSet(t *testing.T) {
-	g, err := gen.Grid2D(6, 6, gen.UnitWeights, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := gen.Path(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dynamic.Resume(context.Background(), g, small, engine.Options{Sparsify: core.Options{SigmaSq: 50}}); err == nil {
-		t.Fatal("mismatched warm sparsifier must fail")
-	}
-}
-
 func TestShardedRebuildPath(t *testing.T) {
 	g, err := gen.Grid2D(16, 16, gen.UniformWeights, 8)
 	if err != nil {

@@ -59,7 +59,7 @@ const (
 )
 
 // Options configures Run: the one options struct of every batch plan — and
-// of a stream, whose maintainer (dynamic.New/Resume) takes it as is for its
+// of a stream, whose maintainer (dynamic.New) takes it as is for its
 // full rebuilds.
 type Options struct {
 	// Sparsify configures the edge filter every plan runs — on the input

@@ -97,7 +97,7 @@ type Span struct {
 
 // phaseSeconds aggregates every span ended anywhere in the process.
 var phaseSeconds = Default.HistogramVec("graphspar_phase_seconds",
-	"Wall time of pipeline phases (partition, shard, stitch, embed, factor, verify, settle, refilter), by phase.",
+	"Wall time of pipeline phases (partition, shard, stitch, embed, factor, verify, settle, refilter, session_build), by phase.",
 	nil, "phase")
 
 // StartSpan opens a phase span. End it exactly once; a second End is a

@@ -28,7 +28,7 @@ import (
 // session for the graph, then returns the routed handler.
 func allocServer(t *testing.T) http.Handler {
 	t.Helper()
-	srv := NewServer(sessionTestConfig(nil, nil))
+	srv := NewServer(sessionTestConfig(nil))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -48,16 +48,13 @@ type SparsifyParams struct {
 	// mode=multilevel.
 	CoarsenLevels int     `json:"coarsen_levels,omitempty"`
 	CoarsenRatio  float64 `json:"coarsen_ratio,omitempty"`
-	// Incremental warm-starts the job from a prior job's sparsifier
-	// (dynamic.Resume) instead of sparsifying from scratch — the fast path
-	// after PATCHing a graph's edges. Incremental jobs bypass the result
-	// cache entirely: their output depends on which warm start was
-	// available, not only on (graph, params).
+	// Incremental answers the job from the graph's persistent session —
+	// the live maintainer PATCH and stream batches keep certified — rather
+	// than sparsifying from scratch, building that session first if none
+	// is resident. Incremental jobs bypass the result cache entirely:
+	// their output is the session's state, not a function of
+	// (graph, params).
 	Incremental bool `json:"incremental,omitempty"`
-	// WarmJob optionally names the job whose sparsifier seeds the warm
-	// start; empty picks the most recent finished job for the same graph
-	// name. Only meaningful with Incremental.
-	WarmJob string `json:"warm_job,omitempty"`
 }
 
 // wireLimits bounds remotely-submitted work: the paper uses t ≤ 3 and
@@ -117,9 +114,6 @@ func (p *SparsifyParams) Canon() error {
 	mode, err := p.canonMode()
 	if err != nil {
 		return err
-	}
-	if !p.Incremental && p.WarmJob != "" {
-		return fmt.Errorf("%w: warm_job requires incremental=true", params.ErrBadCombination)
 	}
 	if p.Incremental && p.MaxEdges > 0 {
 		// The maintainer has no edge budget: re-filter rounds admit
@@ -182,8 +176,8 @@ func (p *SparsifyParams) canonMode() (params.Mode, error) {
 		// The wire has no default arity (and Canon folded shards=1 to 0).
 		return 0, fmt.Errorf("%w: mode=sharded requires shards > 1", params.ErrBadCombination)
 	}
-	if mode == params.ModeMultilevel && (p.Incremental || p.WarmJob != "") {
-		return 0, fmt.Errorf("%w: multilevel does not compose with incremental warm starts", params.ErrBadCombination)
+	if mode == params.ModeMultilevel && p.Incremental {
+		return 0, fmt.Errorf("%w: multilevel does not compose with incremental", params.ErrBadCombination)
 	}
 	// "single" and "sharded" are redundant with Shards; only "multilevel"
 	// survives as a mode string.
@@ -246,9 +240,7 @@ func (p SparsifyParams) key(graphHash string) string {
 // everything that changes the maintained sparsifier — so a persistent
 // session is only reused by requests that would have configured it
 // identically. Workers is excluded (wall-clock only, like the cache
-// key), as are the warm-start selectors (they pick a session's seed
-// state, not its behavior) and MaxEdges (it cannot compose with
-// maintenance at all).
+// key), as is MaxEdges (it cannot compose with maintenance at all).
 func (p SparsifyParams) sessionKey() string {
 	b := make([]byte, 0, keyBufLen)
 	b = append(b, "s2="...)

@@ -315,7 +315,6 @@ func TestCanonModeParams(t *testing.T) {
 		{SigmaSq: 100, Mode: "multilevel", Shards: 2},
 		{SigmaSq: 100, Mode: "multilevel", MaxEdges: 50},
 		{SigmaSq: 100, Mode: "multilevel", Incremental: true},
-		{SigmaSq: 100, Mode: "multilevel", Incremental: true, WarmJob: "job-1"},
 		{SigmaSq: 100, CoarsenLevels: 2},
 		{SigmaSq: 100, CoarsenRatio: 0.5},
 		{SigmaSq: 100, Mode: "multilevel", CoarsenLevels: -1},

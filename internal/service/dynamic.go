@@ -1,10 +1,8 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"graphspar/internal/dynamic"
@@ -41,20 +39,21 @@ const maxPatchUpdates = 100_000
 // handlePatchEdges applies a batch of edge mutations to a registered
 // graph: PATCH /v1/graphs/{name}/edges. The batch is atomic — any invalid
 // update, or a result that would be disconnected, rejects the whole batch
-// and the stored graph is unchanged. When the graph has a live session
-// (installed by a prior incremental job or stream request), the batch is
-// routed through it: the maintainer applies the updates to graph and
-// sparsifier together inside the session's single-writer loop, so the
-// next incremental job needs no reconcile at all. Otherwise the graph is
-// mutated cold, re-hashed under its name, and result-cache entries keyed
-// by the old content hash are dropped. Jobs submitted afterwards see the
-// mutated graph; pass {"incremental": true} to serve them from the
-// session (or warm-start them from a prior job's sparsifier).
+// and the stored graph is unchanged. The route is withSession's: when the
+// graph has a resident session in lockstep with the registry (left there
+// by a stream request or an incremental job), the maintainer applies the
+// batch to graph and sparsifier together inside the session's
+// single-writer loop, and the next incremental job is a hit. A PATCH
+// carries no sparsification parameters, so it never builds a session: on
+// a miss only the graph is mutated, re-hashed under its name, and the
+// result-cache lines of the content hash it left are swept. Jobs submitted
+// afterwards see the mutated graph; {"incremental": true} answers them
+// from the session, building it once if none is resident.
 func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req patchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+	if err := decodeBody(r, 16<<20, &req); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Updates) == 0 {
@@ -76,16 +75,6 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 		}
 		batch[i] = u
 	}
-	// Apply-and-swap loop: the registry Update is a compare-and-set on the
-	// content hash, so a concurrent PATCH to the same graph makes this one
-	// re-read the winner's graph and re-apply its own batch rather than
-	// silently clobbering the other's mutations. Persistent contention
-	// (or a batch invalidated by the concurrent change, e.g. its delete
-	// target is gone) surfaces as the batch-validation error against the
-	// latest graph. A warm session, when present and in lockstep with the
-	// registry, takes the batch instead — its actor loop serializes
-	// writers, and a session gone stale mid-flight re-enters this loop as
-	// a cold retry.
 	// ?trace=1 opts into the per-batch phase breakdown; spans from every
 	// retry attempt accumulate into the same trace, so a batch that raced
 	// a session away still shows the work it caused.
@@ -95,65 +84,58 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 		tr = obs.NewTrace()
 		ctx = obs.WithTrace(ctx, tr)
 	}
-	const patchRetries = 4
+	// The registry Update below is a compare-and-set on the content hash,
+	// so a concurrent change to the same graph — another cold PATCH, or a
+	// session installed and advanced meanwhile — makes this one start over
+	// from the session lookup rather than clobber the other's mutations.
+	// Persistent contention (or a batch the concurrent change invalidated,
+	// e.g. its delete target is gone) surfaces as the error against the
+	// latest graph.
 	for attempt := 0; ; attempt++ {
+		var res *sessionApply
+		_, err := s.withSession(ctx, name, nil, "", func(sess *sessions.Session) (err error) {
+			res, err = s.applySessionBatch(ctx, sess, name, batch)
+			return err
+		})
+		if err == nil {
+			resp := patchResponse{
+				graphInfo:    res.info,
+				Applied:      len(batch),
+				PrevHash:     res.prevHash,
+				Evicted:      res.evicted,
+				Session:      "hit",
+				SessionStats: &res.stats,
+			}
+			if tr != nil {
+				resp.Phases = toPhaseMs(tr.Phases())
+			}
+			writeJSON(w, http.StatusOK, resp)
+			return
+		}
+		if !errors.Is(err, errNoSession) {
+			// A batch the maintainer rejected atomically reports exactly
+			// like the cold path would have.
+			writeErr(w, errStatus(err), err)
+			return
+		}
+
 		entry, err := s.registry.Get(name)
 		if err != nil {
 			writeErr(w, errStatus(err), err)
 			return
 		}
-
-		if s.sessions != nil {
-			if sess := s.sessions.Get(name, entry.Hash, ""); sess != nil {
-				res, err := s.applySessionBatch(ctx, sess, name, batch)
-				switch {
-				case err == nil:
-					resp := patchResponse{
-						graphInfo:    res.info,
-						Applied:      len(batch),
-						PrevHash:     res.prevHash,
-						Evicted:      res.evicted,
-						Session:      "hit",
-						SessionStats: &res.stats,
-					}
-					if tr != nil {
-						resp.Phases = toPhaseMs(tr.Phases())
-					}
-					writeJSON(w, http.StatusOK, resp)
-					return
-				case errors.Is(err, sessions.ErrSessionGone), errors.Is(err, errSessionStale):
-					if attempt < patchRetries {
-						continue // session raced away; retry (cold now)
-					}
-				case isBatchRejection(err):
-					// The maintainer rejected the batch atomically; report
-					// exactly like the cold path would have.
-					writeErr(w, errStatus(err), err)
-					return
-				default:
-					writeErr(w, errStatus(err), err)
-					return
-				}
-			}
-		}
-
 		mutated, err := dynamic.ApplyToGraph(entry.Graph, batch)
 		if err != nil {
 			writeErr(w, errStatus(err), err)
 			return
 		}
-		prevHash := entry.Hash
-		updated, err := s.registry.Update(name, prevHash, mutated)
+		updated, err := s.registry.Update(name, entry.Hash, mutated)
 		if errors.Is(err, ErrGraphChanged) && attempt < patchRetries {
 			continue
 		}
 		if err != nil {
 			writeErr(w, errStatus(err), err)
 			return
-		}
-		evicted := 0
-		if s.cache != nil && updated.Hash != prevHash {
-			evicted = s.cache.InvalidateGraph(prevHash)
 		}
 		session := "disabled"
 		if s.sessions != nil {
@@ -165,8 +147,8 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, patchResponse{
 			graphInfo: toGraphInfo(updated),
 			Applied:   len(batch),
-			PrevHash:  prevHash,
-			Evicted:   evicted,
+			PrevHash:  entry.Hash,
+			Evicted:   s.sweepCache(entry.Hash),
 			Session:   session,
 		})
 		return

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"net/http"
 	"sync/atomic"
@@ -9,8 +8,6 @@ import (
 
 	"graphspar/internal/dynamic"
 	"graphspar/internal/gen"
-	"graphspar/internal/graph"
-	"graphspar/internal/sessions"
 )
 
 // registerSpec registers a generator graph and returns its info.
@@ -145,118 +142,48 @@ func TestCacheInvalidateGraph(t *testing.T) {
 	}
 }
 
-// TestIncrementalDispatchesToRunner pins the queue's routing contract
-// with stubs: an incremental job with a usable warm start must invoke the
-// injected ResumeFunc (passing the prior sparsifier) and answer from the
-// maintainer it returns, never the from-scratch runner, and must bypass
-// the result cache — with no session manager attached, as here, the
-// maintainer is simply dropped. (The production warm-start flow end to end
-// lives in cmd/serve.)
+// TestIncrementalDispatchesToRunner pins the first of an incremental
+// job's two outcomes with stubs: sessions on and the job's snapshot
+// current, so the job is answered by the graph's session — built by the
+// Maintain runner, never the from-scratch one — and bypasses the result
+// cache. (The production flow end to end lives in cmd/serve.)
 func TestIncrementalDispatchesToRunner(t *testing.T) {
-	g, err := gen.Grid2D(4, 4, gen.UnitWeights, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fullCalls, incCalls atomic.Int64
-	var warmSeen *graph.Graph
-	q := NewQueue(1, 8, NewResultCache(8),
-		func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
-			fullCalls.Add(1)
-			return &JobResult{TargetMet: true, Sparsifier: g}, nil
-		})
-	q.SetSessions(nil, func(ctx context.Context, g, warm *graph.Graph, p SparsifyParams) (sessions.Maintainer, error) {
-		incCalls.Add(1)
-		warmSeen = warm
-		return &stubMaintainer{g: g}, nil
-	}, nil)
-	defer func() { _ = q.Shutdown(context.Background()) }()
-	entry := &GraphEntry{Name: "g", Hash: HashGraph(g), Graph: g, N: g.N(), M: g.M()}
+	var fullCalls, builds atomic.Int64
+	srv, ts := startTestServer(t, sessionTestConfig(&builds), &fullCalls)
+	info := registerSpec(t, ts.URL, "g", "grid:4x4")
 
-	p := testParams(50)
-	seed, err := q.Submit(entry, p)
-	if err != nil {
-		t.Fatal(err)
+	done := submitJobHTTP(t, ts.URL, "g", SparsifyParams{SigmaSq: 50, Incremental: true})
+	if fullCalls.Load() != 0 || builds.Load() != 1 {
+		t.Fatalf("runner calls: full=%d maintain=%d, want 0/1", fullCalls.Load(), builds.Load())
 	}
-	if done := waitJob(t, q, seed.ID); done.Status != StatusDone {
-		t.Fatalf("seed job: %+v", done)
-	}
-
-	pInc := SparsifyParams{SigmaSq: 50, Incremental: true}
-	if err := pInc.Canon(); err != nil {
-		t.Fatal(err)
-	}
-	job, err := q.Submit(entry, pInc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := waitJob(t, q, job.ID)
-	if done.Status != StatusDone || !done.Result.Incremental || done.Result.WarmSource != seed.ID {
-		t.Fatalf("incremental job = %+v, want warm start from %s", done, seed.ID)
-	}
-	if fullCalls.Load() != 1 || incCalls.Load() != 1 {
-		t.Fatalf("runner calls: full=%d inc=%d, want 1/1", fullCalls.Load(), incCalls.Load())
-	}
-	if warmSeen == nil || warmSeen != g {
-		t.Fatal("Resume runner did not receive the prior sparsifier")
-	}
-	if r := done.Result; r.EdgesKept != g.M() || r.VerifiedCond != 2 || !r.TargetMet || r.Session == nil {
+	if r := done.Result; !r.Incremental || r.EdgesKept != info.M || r.VerifiedCond != 2 || !r.TargetMet || r.Session == nil {
 		t.Fatalf("result = %+v, want the stub maintainer's summary", r)
 	}
+	if n := srv.cache.Len(); n != 0 {
+		t.Fatalf("incremental result was cached (%d entries)", n)
+	}
 }
 
-// TestIncrementalWithoutWarmStartFallsBack submits incremental as the very
-// first job: no prior sparsifier exists, so the queue must fall back to
-// the plain runner and still succeed.
+// TestIncrementalWithoutWarmStartFallsBack pins the other outcome: with
+// the session layer off the job runs as the plain from-scratch job it
+// would have been without the flag — still marked incremental, still
+// uncached.
 func TestIncrementalWithoutWarmStartFallsBack(t *testing.T) {
-	q := newTestQueue(1, 8, nil, func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
-		return &JobResult{EdgesKept: g.M(), TargetMet: true}, nil
-	})
-	defer func() { _ = q.Shutdown(context.Background()) }()
-	g, err := gen.Grid2D(4, 4, gen.UnitWeights, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry := &GraphEntry{Name: "g", Hash: HashGraph(g), Graph: g, N: g.N(), M: g.M()}
-	p := SparsifyParams{SigmaSq: 50, Incremental: true}
-	if err := p.Canon(); err != nil {
-		t.Fatal(err)
-	}
-	job, err := q.Submit(entry, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := waitJob(t, q, job.ID)
-	if done.Status != StatusDone {
-		t.Fatalf("job: %+v", done)
-	}
-	if !done.Result.Incremental || done.Result.WarmSource != "" {
-		t.Fatalf("cold incremental result = %+v, want Incremental with empty WarmSource", done.Result)
-	}
-}
+	var fullCalls atomic.Int64
+	cfg := sessionTestConfig(nil)
+	cfg.SessionMax = -1
+	srv, ts := startTestServer(t, cfg, &fullCalls)
+	registerSpec(t, ts.URL, "g", "grid:4x4")
 
-// TestIncrementalWarmJobValidation rejects unknown or unfinished warm_job
-// references.
-func TestIncrementalWarmJobValidation(t *testing.T) {
-	q := newTestQueue(1, 8, nil, func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
-		return &JobResult{TargetMet: true}, nil
-	})
-	defer func() { _ = q.Shutdown(context.Background()) }()
-	g, err := gen.Grid2D(4, 4, gen.UnitWeights, 1)
-	if err != nil {
-		t.Fatal(err)
+	done := submitJobHTTP(t, ts.URL, "g", SparsifyParams{SigmaSq: 50, Incremental: true})
+	if fullCalls.Load() != 1 {
+		t.Fatalf("from-scratch runner ran %d times, want 1", fullCalls.Load())
 	}
-	entry := &GraphEntry{Name: "g", Hash: HashGraph(g), Graph: g, N: g.N(), M: g.M()}
-	p := SparsifyParams{SigmaSq: 50, Incremental: true, WarmJob: "job-999"}
-	if err := p.Canon(); err != nil {
-		t.Fatal(err)
+	if r := done.Result; !r.Incremental || r.SessionHit || r.Session != nil {
+		t.Fatalf("plain incremental result = %+v, want Incremental and no session", r)
 	}
-	job, err := q.Submit(entry, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := waitJob(t, q, job.ID)
-	if done.Status != StatusFailed {
-		t.Fatalf("job with bogus warm_job: %+v, want failed", done)
+	if n := srv.cache.Len(); n != 0 {
+		t.Fatalf("incremental result was cached (%d entries)", n)
 	}
 }
 
@@ -292,49 +219,5 @@ func TestRegistryUpdateCAS(t *testing.T) {
 	// And wins when it re-reads the current hash.
 	if _, err := r.Update("g", updated.Hash, g3); err != nil {
 		t.Fatalf("fresh update: %v", err)
-	}
-}
-
-// TestIncrementalWarmJobWrongGraph rejects a warm_job that sparsified a
-// different graph, even with a matching vertex count.
-func TestIncrementalWarmJobWrongGraph(t *testing.T) {
-	q := newTestQueue(1, 8, nil, func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
-		return &JobResult{TargetMet: true, Sparsifier: g}, nil
-	})
-	defer func() { _ = q.Shutdown(context.Background()) }()
-	g, err := gen.Grid2D(4, 4, gen.UnitWeights, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entryA := &GraphEntry{Name: "a", Hash: HashGraph(g), Graph: g, N: g.N(), M: g.M()}
-	entryB := &GraphEntry{Name: "b", Hash: HashGraph(g) + "x", Graph: g, N: g.N(), M: g.M()}
-	p := SparsifyParams{SigmaSq: 50}
-	if err := p.Canon(); err != nil {
-		t.Fatal(err)
-	}
-	jobA, err := q.Submit(entryA, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done := waitJob(t, q, jobA.ID); done.Status != StatusDone {
-		t.Fatalf("seed job: %+v", done)
-	}
-	pInc := SparsifyParams{SigmaSq: 50, Incremental: true, WarmJob: jobA.ID}
-	if err := pInc.Canon(); err != nil {
-		t.Fatal(err)
-	}
-	jobB, err := q.Submit(entryB, pInc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done := waitJob(t, q, jobB.ID); done.Status != StatusFailed {
-		t.Fatalf("cross-graph warm_job: %+v, want failed", done)
-	}
-}
-
-func TestCanonRejectsWarmJobWithoutIncremental(t *testing.T) {
-	p := SparsifyParams{SigmaSq: 50, WarmJob: "job-1"}
-	if err := p.Canon(); err == nil {
-		t.Fatal("warm_job without incremental must fail Canon")
 	}
 }

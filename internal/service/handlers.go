@@ -37,15 +37,13 @@ type Config struct {
 	// packages cannot import); tests inject stubs. Jobs needing a nil
 	// runner fail with ErrNoRunner.
 	Sparsify SparsifyFunc
-	// Maintain builds a live maintainer from scratch (the stream
-	// endpoint's cold path) and Resume warm-starts one from a prior job's
-	// sparsifier (incremental jobs answer from it). Facade-backed and
-	// injected like Sparsify. When both are nil, or SessionMax is
-	// negative, persistent sessions are off: the stream endpoint answers
-	// 501, PATCH mutates the graph only, and an incremental job's
-	// maintainer is dropped once it has answered.
+	// Maintain builds a live maintainer for a graph: the one way a
+	// persistent session comes to exist, for a stream request or an
+	// incremental job that finds none resident. Facade-backed and
+	// injected like Sparsify. When it is nil, or SessionMax is negative,
+	// persistent sessions are off: the stream endpoint answers 501, PATCH
+	// mutates the graph only, and an incremental job runs from scratch.
 	Maintain MaintainFunc
-	Resume   ResumeFunc
 	// SessionMax caps resident maintainer sessions (0 = default 32;
 	// negative disables sessions outright). SessionBudgetBytes bounds
 	// their summed memory estimate (0 = 1 GiB) and SessionTTL their idle
@@ -74,9 +72,6 @@ type Config struct {
 
 // MaintainFunc builds a live maintainer for a graph from scratch.
 type MaintainFunc func(ctx context.Context, g *graph.Graph, p SparsifyParams) (sessions.Maintainer, error)
-
-// ResumeFunc warm-starts a live maintainer from a prior sparsifier.
-type ResumeFunc func(ctx context.Context, g, warm *graph.Graph, p SparsifyParams) (sessions.Maintainer, error)
 
 func (c *Config) defaults() {
 	if c.Workers <= 0 {
@@ -108,11 +103,12 @@ type Server struct {
 	registry *Registry
 	cache    *ResultCache
 	queue    *Queue
+	sparsify SparsifyFunc
 	sessions *sessions.Manager // nil when sessions are disabled
 	maintain MaintainFunc
-	// maintainSem bounds concurrent cold maintainer builds on the stream
-	// endpoint to the same width as the job worker pool — a cold stream
-	// is a full sparsification and must not dodge the -workers bound.
+	// maintainSem bounds concurrent maintainer builds to the same width as
+	// the job worker pool — a build is a full sparsification and must not
+	// dodge the -workers bound when a stream request asks for it.
 	maintainSem chan struct{}
 	metrics     *serverMetrics
 	admission   *admissionController // nil = admit everything
@@ -121,21 +117,13 @@ type Server struct {
 // NewServer builds a ready-to-serve sparsifyd instance.
 func NewServer(cfg Config) *Server {
 	cfg.defaults()
-	cache := NewResultCache(cfg.CacheSize)
-	queue := NewQueue(cfg.Workers, cfg.Backlog, cache, cfg.Sparsify)
-	queue.SetRetain(cfg.RetainJobs)
-	registry := NewRegistry()
-	queue.SetCacheGate(registry.HasHash)
 	s := &Server{
-		registry: registry,
-		cache:    cache,
-		queue:    queue,
+		registry: NewRegistry(),
+		cache:    NewResultCache(cfg.CacheSize),
+		sparsify: cfg.Sparsify,
 		metrics:  newServerMetrics(cfg.Metrics),
 	}
-	queue.setMetrics(s.metrics)
-	s.admission = newAdmissionController(cfg, s.metrics)
-	queue.setAdmission(s.admission)
-	if (cfg.Maintain != nil || cfg.Resume != nil) && cfg.SessionMax >= 0 {
+	if cfg.Maintain != nil && cfg.SessionMax >= 0 {
 		s.sessions = sessions.NewManager(sessions.Options{
 			MaxSessions:      cfg.SessionMax,
 			MaxResidentBytes: cfg.SessionBudgetBytes,
@@ -145,13 +133,12 @@ func NewServer(cfg Config) *Server {
 		s.maintain = cfg.Maintain
 		s.maintainSem = make(chan struct{}, cfg.Workers)
 	}
-	queue.SetSessions(s.sessions, cfg.Resume, func(name string) (string, bool) {
-		e, err := registry.Get(name)
-		if err != nil {
-			return "", false
-		}
-		return e.Hash, true
-	})
+	s.queue = NewQueue(cfg.Workers, cfg.Backlog, s.cache, s.runJob)
+	s.queue.SetRetain(cfg.RetainJobs)
+	s.queue.SetCacheGate(s.registry.HasHash)
+	s.queue.setMetrics(s.metrics)
+	s.admission = newAdmissionController(cfg, s.metrics)
+	s.queue.setAdmission(s.admission)
 	s.registerStateMetrics()
 	return s
 }
@@ -257,6 +244,18 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
+// decodeBody decodes a JSON request body of at most limit bytes into v.
+// A key v does not declare is an error naming it: a misspelt or retired
+// parameter must not run as a silently different request.
+func decodeBody(r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(io.LimitReader(r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad JSON body: %w", err)
+	}
+	return nil
+}
+
 // errStatus maps service errors to HTTP codes.
 func errStatus(err error) int {
 	switch {
@@ -348,8 +347,8 @@ func checkSpecBudget(spec string, budget float64) error {
 
 func (s *Server) handleRegisterSpec(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+	if err := decodeBody(r, 1<<20, &req); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Spec == "" {
@@ -454,7 +453,8 @@ func (s *Server) handleGraphLaplacian(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if err := s.registry.Delete(name); err != nil {
+	entry, err := s.registry.Delete(name)
+	if err != nil {
 		writeErr(w, errStatus(err), err)
 		return
 	}
@@ -462,6 +462,7 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 		// The resident maintainer is for a graph that no longer exists.
 		s.sessions.Invalidate(name)
 	}
+	s.sweepCache(entry.Hash)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -483,8 +484,8 @@ type submitRequest struct {
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+	if err := decodeBody(r, 1<<20, &req); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Graph == "" {

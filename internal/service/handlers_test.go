@@ -12,21 +12,29 @@ import (
 	"testing"
 	"time"
 
+	"graphspar/internal/dynamic"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/mm"
 )
 
-// newTestServer spins up the full HTTP stack. Jobs run against the
+// startTestServer spins up the full HTTP stack. Jobs run against the
 // injected (stub) runner; tests of the production runners live in
 // cmd/serve, where the graphspar-facade-backed implementations are wired
-// in. A nil cfg.Sparsify with calls set installs a counting stub.
-func newTestServer(t *testing.T, cfg Config, calls *atomic.Int64) *httptest.Server {
+// in. calls, when set, counts from-scratch runs (a nil cfg.Sparsify then
+// gets a stub to count).
+func startTestServer(t *testing.T, cfg Config, calls *atomic.Int64) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Sparsify == nil && calls != nil {
+	if calls != nil {
+		inner := cfg.Sparsify
+		if inner == nil {
+			inner = func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
+				return &JobResult{SigmaSqAchieved: p.SigmaSq, TargetMet: true, Sparsifier: g}, nil
+			}
+		}
 		cfg.Sparsify = func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
 			calls.Add(1)
-			return &JobResult{SigmaSqAchieved: p.SigmaSq, TargetMet: true, Sparsifier: g}, nil
+			return inner(ctx, g, p)
 		}
 	}
 	srv := NewServer(cfg)
@@ -36,7 +44,16 @@ func newTestServer(t *testing.T, cfg Config, calls *atomic.Int64) *httptest.Serv
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = srv.Queue().Shutdown(ctx)
+		if srv.sessions != nil {
+			_ = srv.sessions.Close(ctx)
+		}
 	})
+	return srv, ts
+}
+
+func newTestServer(t *testing.T, cfg Config, calls *atomic.Int64) *httptest.Server {
+	t.Helper()
+	_, ts := startTestServer(t, cfg, calls)
 	return ts
 }
 
@@ -414,5 +431,95 @@ func TestBacklogSheds503(t *testing.T) {
 	}
 	if !saw503 {
 		t.Error("saturated queue never returned 503")
+	}
+}
+
+// TestDeleteGraphSweepsResultCache: the cached sparsifiers of a deleted
+// graph must not stay pinned until LRU turns them over.
+func TestDeleteGraphSweepsResultCache(t *testing.T) {
+	var calls atomic.Int64
+	srv, ts := startTestServer(t, Config{Workers: 1}, &calls)
+	registerSpec(t, ts.URL, "g", "grid:4x4")
+	submitJobHTTP(t, ts.URL, "g", SparsifyParams{SigmaSq: 50})
+	if n := srv.cache.Len(); n != 1 {
+		t.Fatalf("cache holds %d entries after the job, want 1", n)
+	}
+	if code, raw := doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/g", nil, nil); code != http.StatusNoContent {
+		t.Fatalf("delete: %d %s", code, raw)
+	}
+	if n := srv.cache.Len(); n != 0 {
+		t.Fatalf("cache holds %d entries of a deleted graph", n)
+	}
+}
+
+// TestPatchKeepsCacheLinesAnotherNameHolds: the result cache is keyed by
+// content hash, so PATCHing one name away from a graph must not sweep the
+// lines a second name with the same content still answers from.
+func TestPatchKeepsCacheLinesAnotherNameHolds(t *testing.T) {
+	for _, mode := range []string{"cold", "session"} {
+		t.Run(mode, func(t *testing.T) {
+			var calls atomic.Int64
+			ts := newTestServer(t, sessionTestConfig(nil), &calls)
+			registerSpec(t, ts.URL, "a", "grid:4x4")
+			registerSpec(t, ts.URL, "b", "grid:4x4")
+			submitJobHTTP(t, ts.URL, "a", SparsifyParams{SigmaSq: 50})
+			if mode == "session" { // leave a session resident so the PATCH routes through it
+				submitJobHTTP(t, ts.URL, "a", SparsifyParams{SigmaSq: 50, Incremental: true})
+			}
+			var patch patchResponse
+			code, raw := doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/a/edges", patchRequest{
+				Updates: []dynamic.EventJSON{{Op: "reweight", U: 0, V: 1, W: 2}},
+			}, &patch)
+			if code != http.StatusOK || patch.Evicted != 0 || (patch.Session == "hit") != (mode == "session") {
+				t.Fatalf("PATCH a: %d %s", code, raw)
+			}
+			var job Job
+			code, raw = doJSON(t, http.MethodPost, ts.URL+"/v1/jobs",
+				submitRequest{Graph: "b", SparsifyParams: SparsifyParams{SigmaSq: 50}}, &job)
+			if code != http.StatusOK || job.CacheHit != CacheExact || calls.Load() != 1 {
+				t.Fatalf("identical job on b: %d cache=%q runs=%d, want 200/exact/1: %s", code, job.CacheHit, calls.Load(), raw)
+			}
+			// Once b moves on too, nobody holds the content and the lines go.
+			code, raw = doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/b/edges", patchRequest{
+				Updates: []dynamic.EventJSON{{Op: "reweight", U: 0, V: 1, W: 3}},
+			}, &patch)
+			if code != http.StatusOK || patch.Evicted != 1 {
+				t.Fatalf("PATCH b: %d %s", code, raw)
+			}
+		})
+	}
+}
+
+// TestUnknownBodyKeysRejected: a misspelt or retired body key is a 400
+// naming it on every JSON-bodied route, never a silently different
+// request ("shard": 4 must not run single-shot).
+func TestUnknownBodyKeysRejected(t *testing.T) {
+	var calls atomic.Int64
+	ts := newTestServer(t, Config{Workers: 1}, &calls)
+	registerSpec(t, ts.URL, "g", "grid:4x4")
+	for _, c := range []struct {
+		method, path, body, key string
+	}{
+		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":50,"shard":4}`, "shard"},
+		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":50,"incremental":true,"warm_job":"job-1"}`, "warm_job"},
+		{http.MethodPost, "/v1/graphs", `{"name":"h","spec":"grid:4x4","sed":7}`, "sed"},
+		{http.MethodPatch, "/v1/graphs/g/edges", `{"updates":[{"op":"reweight","u":0,"v":1,"w":2,"weight":2}]}`, "weight"},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), c.key) {
+			t.Errorf("%s %s %s: %d %s, want 400 naming %q", c.method, c.path, c.body, resp.StatusCode, raw, c.key)
+		}
+	}
+	if calls.Load() != 0 {
+		t.Errorf("a rejected body still ran %d jobs", calls.Load())
 	}
 }

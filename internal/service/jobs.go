@@ -20,7 +20,7 @@ var (
 	ErrQueueClosed   = errors.New("service: job queue is shut down")
 	ErrJobNotFound   = errors.New("service: job not found")
 	ErrJobUnfinished = errors.New("service: job has not finished")
-	// ErrNoRunner reports a queue constructed without an execution
+	// ErrNoRunner reports a server constructed without an execution
 	// backend. The service is transport and scheduling only — the
 	// production runners are built on the public graphspar facade and
 	// injected by cmd/serve, because internal packages must not import
@@ -74,16 +74,13 @@ type JobResult struct {
 	CoarsenDepth   int  `json:"coarsen_depth,omitempty"`
 	LevelRecovered int  `json:"level_recovered_edges,omitempty"`
 
-	// Incremental-job metadata. WarmSource names the job whose sparsifier
-	// seeded the warm start ("" = no warm start was available and the job
-	// fell back to a from-scratch run). Refilters/Rebuilds count the
-	// maintainer's certificate-restoration work. SessionHit reports that
-	// a resident session served the job directly — the per-job
-	// dynamic.Resume reconcile/re-embed was skipped entirely — and
-	// Session carries the session telemetry whenever a session served the
-	// job or was installed by it.
+	// Incremental-job metadata. SessionHit reports that a session already
+	// resident served the job; false means the job built the session it
+	// was answered from (and left it resident) or, with Session nil, ran
+	// from scratch because the session layer could not engage.
+	// Refilters/Rebuilds count the maintainer's certificate-restoration
+	// work and Session carries the session telemetry.
 	Incremental bool            `json:"incremental,omitempty"`
-	WarmSource  string          `json:"warm_source,omitempty"`
 	Refilters   int             `json:"refilter_rounds,omitempty"`
 	Rebuilds    int             `json:"rebuilds,omitempty"`
 	SessionHit  bool            `json:"session_hit,omitempty"`
@@ -119,6 +116,12 @@ type Job struct {
 // or stubs.
 type SparsifyFunc func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error)
 
+// JobFunc executes one queued job against its submission-time graph
+// snapshot. NewServer supplies Server.runJob, which is where a job's
+// parameters pick between Config.Sparsify and the graph's session; the
+// queue itself only schedules, caches and records.
+type JobFunc func(ctx context.Context, entry *GraphEntry, p SparsifyParams) (*JobResult, error)
+
 // defaultRetainJobs bounds how many terminal jobs the queue remembers
 // (the daemon would otherwise leak one sparsifier graph per job ever
 // submitted).
@@ -142,33 +145,14 @@ type Queue struct {
 	wg      sync.WaitGroup
 	closed  bool
 
-	cache       *ResultCache
-	cacheGate   func(hash string) bool // nil = always cache
-	sparsify    SparsifyFunc
-	sessionMgr  *sessions.Manager
-	resume      ResumeFunc
-	currentHash func(name string) (string, bool)
+	cache     *ResultCache
+	cacheGate func(hash string) bool // nil = always cache
+	runJob    JobFunc
 
 	workers   int
 	inFlight  atomic.Int64
 	metrics   *serverMetrics       // nil = uninstrumented
 	admission *admissionController // nil = admit everything
-}
-
-// SetSessions attaches the runner that warm-starts live maintainers (what
-// an incremental job with a warm start runs), the persistent-session
-// manager, and a lookup for a graph's *current* content hash (required
-// with a manager). With a manager, incremental jobs are served straight
-// from a matching resident session (skipping the per-job dynamic.Resume
-// reconcile) and cold incremental jobs install the maintainer they build,
-// so the next PATCH/stream/job finds it warm; with mgr nil the maintainer
-// answers the job and is dropped. The hash lookup guards against stale
-// job snapshots: a job that sat queued across a PATCH must neither be
-// served from (nor overwrite) the newer graph's session.
-func (q *Queue) SetSessions(mgr *sessions.Manager, resume ResumeFunc, currentHash func(name string) (string, bool)) {
-	q.mu.Lock()
-	q.sessionMgr, q.resume, q.currentHash = mgr, resume, currentHash
-	q.mu.Unlock()
 }
 
 // setMetrics attaches the server's instruments; nil leaves the queue
@@ -204,32 +188,24 @@ func (q *Queue) SetCacheGate(gate func(hash string) bool) {
 }
 
 // NewQueue starts a queue with the given concurrency and backlog bounds.
-// sparsify executes from-scratch jobs (and incremental jobs without a
-// usable warm start); warm-started ones need SetSessions' ResumeFunc. A
-// nil runner fails the corresponding jobs with ErrNoRunner. cache may be
-// nil to disable memoization.
-func NewQueue(workers, backlog int, cache *ResultCache, sparsify SparsifyFunc) *Queue {
+// run executes every job. cache may be nil to disable memoization.
+func NewQueue(workers, backlog int, cache *ResultCache, run JobFunc) *Queue {
 	if workers <= 0 {
 		workers = 1
 	}
 	if backlog < 0 {
 		backlog = 0
 	}
-	if sparsify == nil {
-		sparsify = func(context.Context, *graph.Graph, SparsifyParams) (*JobResult, error) {
-			return nil, ErrNoRunner
-		}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Queue{
-		jobs:     make(map[string]*Job),
-		retain:   defaultRetainJobs,
-		pending:  make(chan *Job, backlog),
-		ctx:      ctx,
-		cancel:   cancel,
-		cache:    cache,
-		sparsify: sparsify,
-		workers:  workers,
+		jobs:    make(map[string]*Job),
+		retain:  defaultRetainJobs,
+		pending: make(chan *Job, backlog),
+		ctx:     ctx,
+		cancel:  cancel,
+		cache:   cache,
+		runJob:  run,
+		workers: workers,
 	}
 	for i := 0; i < workers; i++ {
 		q.wg.Add(1)
@@ -261,7 +237,8 @@ func (q *Queue) Submit(entry *GraphEntry, p SparsifyParams) (Job, error) {
 	// Memoized path: completed result for the same (graph, params) — or a
 	// tighter-σ² result that still certifies this target — short-circuits
 	// the queue entirely. Incremental jobs bypass the cache: their result
-	// depends on which warm start is available, not only on the request.
+	// is the session's state, which depends on the batches it has served,
+	// not only on the request.
 	if q.cache != nil && !p.Incremental {
 		if res, outcome := q.cache.Get(entry.Hash, p); outcome != CacheMiss {
 			now := time.Now().UTC()
@@ -339,26 +316,16 @@ func (q *Queue) run(job *Job) {
 	tr := obs.NewTrace()
 	ctx := obs.WithTrace(q.ctx, tr)
 
-	var (
-		res *JobResult
-		err error
-	)
-	if p.Incremental {
-		res, err = q.runIncremental(ctx, entry, p)
-		if res != nil {
-			res.Phases = toPhaseMs(tr.Phases())
-		}
-		q.finish(job, res, err)
-		return // never cached: result depends on the warm-start state
-	}
-	res, err = q.sparsify(ctx, entry.Graph, p)
+	res, err := q.runJob(ctx, entry, p)
 	if res != nil {
 		res.Phases = toPhaseMs(tr.Phases())
 	}
 	// Publish to the cache before the job becomes visible as done: a
 	// client that polls it to "done" and resubmits the identical request
-	// must hit, never race the Put.
-	if err == nil && q.cache != nil {
+	// must hit, never race the Put. An incremental result is the state of
+	// the graph's session at that moment, not a function of the request,
+	// so it is never cached.
+	if err == nil && q.cache != nil && !p.Incremental {
 		q.mu.Lock()
 		gate := q.cacheGate
 		q.mu.Unlock()
@@ -367,168 +334,6 @@ func (q *Queue) run(job *Job) {
 		}
 	}
 	q.finish(job, res, err)
-}
-
-// runIncremental serves an incremental job the cheapest way available:
-// a resident session that matches the graph's current content hash and
-// the job's parameter fingerprint answers directly (no Resume, no
-// reconcile — the maintained sparsifier is already certified for this
-// exact graph); otherwise the warm-start sparsifier is resolved and the
-// Resume runner builds a live maintainer that answers the job and, with
-// sessions on, becomes the graph's session; and with no warm start at all
-// the job falls back to a from-scratch run.
-func (q *Queue) runIncremental(ctx context.Context, entry *GraphEntry, p SparsifyParams) (*JobResult, error) {
-	q.mu.Lock()
-	mgr, resume, currentHash := q.sessionMgr, q.resume, q.currentHash
-	q.mu.Unlock()
-
-	// The session layer only engages while the job's submission-time
-	// graph snapshot is still the registry's current graph. If a PATCH
-	// or stream batch landed while this job sat queued, probing Get with
-	// the stale hash would tear down the newer (healthy) session, and
-	// installing a maintainer built on the snapshot would replace it with
-	// stale state — so a superseded job answers from a maintainer built on
-	// its snapshot and leaves the resident session alone.
-	if mgr != nil {
-		if h, ok := currentHash(entry.Name); !ok || h != entry.Hash {
-			mgr = nil
-		}
-	}
-
-	// A pinned warm_job names an explicit lineage; honor it over the
-	// resident session.
-	if mgr != nil && p.WarmJob == "" {
-		if sess := mgr.Get(entry.Name, entry.Hash, p.sessionKey()); sess != nil {
-			res, err := sessionJobResult(ctx, sess)
-			if err == nil {
-				res.Incremental = true
-				res.SessionHit = true
-				return res, nil
-			}
-			// ErrSessionGone (evicted between Get and Do) or cancellation:
-			// fall through to the cold path.
-			if errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-		}
-	}
-
-	warm, src, err := q.warmSparsifier(entry, p.WarmJob)
-	if err != nil {
-		return nil, err
-	}
-	if warm == nil {
-		res, err := q.sparsify(ctx, entry.Graph, p)
-		if res != nil {
-			res.Incremental = true // requested, but cold: WarmSource stays ""
-		}
-		return res, err
-	}
-	if resume == nil {
-		return nil, ErrNoRunner
-	}
-	m, err := resume(ctx, entry.Graph, warm, p)
-	if err != nil {
-		return nil, err
-	}
-	res := maintainerJobResult(m)
-	res.Incremental = true
-	res.WarmSource = src
-	if mgr == nil {
-		return res, nil
-	}
-	// Keep the maintainer resident: the next PATCH, stream batch or
-	// incremental job for this graph skips the reconcile we just paid.
-	// Re-check freshness right before installing — the Resume took
-	// real time, and replacing a session that advanced meanwhile
-	// would swap warm state for stale state. (The residual race is
-	// harmless: a stale install only ever misses on Get and is reaped
-	// by the next cold PATCH's InvalidateStale or the TTL.)
-	if h, ok := currentHash(entry.Name); ok && h == entry.Hash {
-		mgr.Install(entry.Name, p.sessionKey(), m)
-	}
-	return res, nil
-}
-
-// sessionJobResult snapshots a resident session into a job result
-// through its single-writer loop. The maintainer's Refilters/Rebuilds
-// are lifetime counters across every batch the session ever served, not
-// this job's work — the job itself did none — so the per-job fields stay
-// zero and the cumulative numbers ride in the Session telemetry.
-func sessionJobResult(ctx context.Context, sess *sessions.Session) (*JobResult, error) {
-	var res *JobResult
-	err := sess.Do(ctx, func(m sessions.Maintainer) error {
-		res = maintainerJobResult(m)
-		res.Rounds, res.Refilters, res.Rebuilds = 0, 0, 0
-		return nil
-	})
-	return res, err
-}
-
-// maintainerJobResult summarizes a live maintainer: its independently
-// re-verified per-batch certificate is the job's verified κ. For a maintainer freshly built by this job's Resume
-// the counters are per-job; session-hit snapshots zero them (see
-// sessionJobResult).
-func maintainerJobResult(m sessions.Maintainer) *JobResult {
-	sp := m.Sparsifier()
-	st := m.Stats()
-	sst := sessions.Snapshot(m)
-	return &JobResult{
-		EdgesKept:       sp.M(),
-		EdgesInput:      m.Graph().M(),
-		Density:         float64(sp.M()) / float64(sp.N()),
-		Reduction:       float64(m.Graph().M()) / float64(sp.M()),
-		SigmaSqAchieved: m.Cond(),
-		TargetMet:       m.TargetMet(),
-		Rounds:          st.Refilters,
-		Connected:       sp.IsConnected(),
-		VerifiedCond:    m.Cond(),
-		Refilters:       st.Refilters,
-		Rebuilds:        st.Rebuilds,
-		Session:         &sst,
-		Sparsifier:      sp,
-	}
-}
-
-// warmSparsifier picks the warm-start source: the named job when WarmJob
-// is set (an error if it is unknown or unfinished), otherwise the most
-// recently finished job for the same graph name that still holds a
-// sparsifier of the right vertex count. Returns nil when nothing usable
-// exists.
-func (q *Queue) warmSparsifier(entry *GraphEntry, warmJob string) (*graph.Graph, string, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if warmJob != "" {
-		j, ok := q.jobs[warmJob]
-		if !ok {
-			return nil, "", fmt.Errorf("%w: warm_job %q", ErrJobNotFound, warmJob)
-		}
-		if j.GraphName != entry.Name {
-			// A sparsifier of an unrelated graph is not a warm start even
-			// when the vertex counts coincide; the name is the lineage that
-			// survives PATCH re-hashing.
-			return nil, "", fmt.Errorf("warm_job %q sparsified graph %q, not %q", warmJob, j.GraphName, entry.Name)
-		}
-		if j.Status != StatusDone || j.Result == nil || j.Result.Sparsifier == nil {
-			return nil, "", fmt.Errorf("%w: warm_job %q is %s", ErrJobUnfinished, warmJob, j.Status)
-		}
-		if j.Result.Sparsifier.N() != entry.Graph.N() {
-			return nil, "", fmt.Errorf("warm_job %q sparsifier has %d vertices, graph has %d",
-				warmJob, j.Result.Sparsifier.N(), entry.Graph.N())
-		}
-		return j.Result.Sparsifier, warmJob, nil
-	}
-	for i := len(q.order) - 1; i >= 0; i-- {
-		j := q.jobs[q.order[i]]
-		if j.GraphName != entry.Name || j.Status != StatusDone {
-			continue
-		}
-		if j.Result == nil || j.Result.Sparsifier == nil || j.Result.Sparsifier.N() != entry.Graph.N() {
-			continue
-		}
-		return j.Result.Sparsifier, j.ID, nil
-	}
-	return nil, "", nil
 }
 
 // finish moves a job to its terminal state and prunes old terminal jobs

@@ -293,13 +293,13 @@ func TestQueueRetentionPrunesTerminalJobs(t *testing.T) {
 	}
 }
 
-// TestQueueWithoutRunnerFailsJobs pins the injection contract: a queue
+// TestQueueWithoutRunnerFailsJobs pins the injection contract: a server
 // constructed without runners must fail jobs with ErrNoRunner instead of
 // panicking (the production runners live in cmd/serve, on top of the
 // graphspar facade).
 func TestQueueWithoutRunnerFailsJobs(t *testing.T) {
 	entry := testEntry(t)
-	q := NewQueue(1, 4, nil, nil)
+	q := NewServer(Config{}).Queue()
 	defer q.Shutdown(context.Background())
 	job, err := q.Submit(entry, testParams(50))
 	if err != nil {
@@ -345,8 +345,10 @@ func TestQueueShardedAndSingleShotDoNotAlias(t *testing.T) {
 	}
 }
 
-// newTestQueue builds a queue with a stub runner and no Resume runner
-// (tests that need one call SetSessions).
+// newTestQueue builds a queue whose every job runs the stub on the job's
+// graph snapshot (what Server.runJob does for a non-incremental job).
 func newTestQueue(workers, backlog int, cache *ResultCache, sparsify SparsifyFunc) *Queue {
-	return NewQueue(workers, backlog, cache, sparsify)
+	return NewQueue(workers, backlog, cache, func(ctx context.Context, e *GraphEntry, p SparsifyParams) (*JobResult, error) {
+		return sparsify(ctx, e.Graph, p)
+	})
 }

@@ -26,6 +26,7 @@ type serverMetrics struct {
 
 	streamBatches *obs.CounterVec // graphspar_stream_batches_total{outcome}
 	streamBatch   *obs.Histogram  // graphspar_stream_batch_seconds
+	sessionBuilds *obs.CounterVec // graphspar_session_builds_total{origin}
 
 	admissionRejections *obs.CounterVec // graphspar_admission_rejections_total{route}
 }
@@ -53,6 +54,9 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"outcome"),
 		streamBatch: reg.Histogram("graphspar_stream_batch_seconds",
 			"Stream batch apply latency (session acquire + maintain + registry swap).", nil),
+		sessionBuilds: reg.CounterVec("graphspar_session_builds_total",
+			"Maintainers built because no resident session matched the request, by what asked for one (stream | job).",
+			"origin"),
 		admissionRejections: reg.CounterVec("graphspar_admission_rejections_total",
 			"Requests shed with 429 by admission control, by route (jobs | stream).",
 			"route"),

@@ -48,7 +48,7 @@ func scrape(t *testing.T, base string) string {
 // job completions, stream batch outcomes, session hits, and the
 // scrape-time state gauges.
 func TestMetricsEndToEnd(t *testing.T) {
-	cfg := sessionTestConfig(nil, nil)
+	cfg := sessionTestConfig(nil)
 	cfg.Metrics = obs.NewRegistry()
 	cfg.Maintain = func(ctx context.Context, g *graph.Graph, p SparsifyParams) (sessions.Maintainer, error) {
 		return &tracingMaintainer{stubMaintainer{g: g}}, nil
@@ -90,6 +90,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`graphspar_stream_batches_total{outcome="applied"} 1`,
 		`graphspar_session_hits_total 1`,
 		`graphspar_session_installs_total 1`,
+		`graphspar_session_builds_total{origin="stream"} 1`,
 		`graphspar_graphs_registered 1`,
 		`graphspar_job_queue_depth 0`,
 		`graphspar_jobs_in_flight 0`,

@@ -133,15 +133,16 @@ func (r *Registry) Update(name, prevHash string, g *graph.Graph) (*GraphEntry, e
 	return e, nil
 }
 
-// Delete removes a graph by name.
-func (r *Registry) Delete(name string) error {
+// Delete removes a graph by name and returns the entry it held.
+func (r *Registry) Delete(name string) (*GraphEntry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.entries[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrGraphNotFound, name)
+	e, ok := r.entries[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
 	}
 	delete(r.entries, name)
-	return nil
+	return e, nil
 }
 
 // List returns all entries sorted by name.

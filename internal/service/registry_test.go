@@ -58,10 +58,10 @@ func TestRegistryRegisterGetDelete(t *testing.T) {
 	if r.Len() != 1 {
 		t.Errorf("Len = %d, want 1", r.Len())
 	}
-	if err := r.Delete("grid5"); err != nil {
-		t.Fatal(err)
+	if gone, err := r.Delete("grid5"); err != nil || gone.Name != "grid5" {
+		t.Fatalf("delete: %+v, %v", gone, err)
 	}
-	if err := r.Delete("grid5"); !errors.Is(err, ErrGraphNotFound) {
+	if _, err := r.Delete("grid5"); !errors.Is(err, ErrGraphNotFound) {
 		t.Errorf("double delete: err = %v, want ErrGraphNotFound", err)
 	}
 }

@@ -99,92 +99,6 @@ func streamParams(q url.Values) (SparsifyParams, error) {
 	return p, nil
 }
 
-// Session-consistency sentinels. Stale means the registry moved without
-// the session (a cold PATCH won a race); corrupt means the maintainer
-// mutated past its commit point but the registry swap failed, so the
-// session can no longer be trusted. Both close the session; stale is
-// retryable, corrupt surfaces as a 500.
-var (
-	errSessionStale   = errors.New("service: session is stale against the registry")
-	errSessionCorrupt = errors.New("service: session diverged from the registry")
-)
-
-// isBatchRejection reports whether a maintainer Apply error rejected the
-// batch atomically (maintainer unchanged, session still healthy) rather
-// than failing mid-maintenance.
-func isBatchRejection(err error) bool {
-	return errors.Is(err, dynamic.ErrBadUpdate) || errors.Is(err, dynamic.ErrEdgeExists) ||
-		errors.Is(err, dynamic.ErrEdgeMissing) || errors.Is(err, dynamic.ErrWouldDisconnect)
-}
-
-// sessionApply reports one batch routed through a session.
-type sessionApply struct {
-	info       graphInfo
-	prevHash   string
-	stats      sessions.Stats
-	sparsEdges int
-	evicted    int
-}
-
-// applySessionBatch routes one update batch through a live session,
-// keeping the registry and the maintainer in lockstep: inside the
-// session's single-writer loop the maintainer applies the batch (graph +
-// sparsifier together, no reconcile), then the registry entry is
-// compare-and-swapped to the maintainer's new graph. Any outcome that
-// could leave the two diverged closes the session, so later requests
-// fall back to the cold path instead of serving drifted state.
-func (s *Server) applySessionBatch(ctx context.Context, sess *sessions.Session, name string, batch []dynamic.Update) (*sessionApply, error) {
-	out := &sessionApply{}
-	err := sess.DoMutate(ctx, func(m sessions.Maintainer) (string, error) {
-		cur, err := s.registry.Get(name)
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", errSessionCorrupt, err) // graph deleted under the session
-		}
-		prevHash := sess.Hash()
-		if cur.Hash != prevHash {
-			return "", errSessionStale
-		}
-		// The apply itself runs under Background: once the maintainer
-		// passes its commit point a cancellation could strand it half
-		// maintained, and batches are bounded so the work is too. The
-		// caller's phase trace (if any) still rides along — spans are
-		// observability, not cancellation.
-		applyCtx := context.Background()
-		if tr := obs.FromContext(ctx); tr != nil {
-			applyCtx = obs.WithTrace(applyCtx, tr)
-		}
-		if err := m.Apply(applyCtx, batch); err != nil {
-			if isBatchRejection(err) {
-				return "", err
-			}
-			return "", fmt.Errorf("%w: %v", errSessionCorrupt, err)
-		}
-		updated, err := s.registry.Update(name, prevHash, m.Graph())
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", errSessionCorrupt, err)
-		}
-		out.prevHash = prevHash
-		out.info = toGraphInfo(updated)
-		out.stats = sessions.Snapshot(m)
-		out.sparsEdges = m.Sparsifier().M()
-		// The registry swap already hashed the new graph; hand it to the
-		// session so the manager skips its own O(m) pass.
-		return updated.Hash, nil
-	})
-	if err != nil {
-		if errors.Is(err, errSessionStale) || errors.Is(err, errSessionCorrupt) {
-			// Close exactly the session that failed; a newer replacement
-			// already registered under the name stays untouched.
-			sess.Invalidate()
-		}
-		return nil, err
-	}
-	if s.cache != nil && out.info.Hash != out.prevHash {
-		out.evicted = s.cache.InvalidateGraph(out.prevHash)
-	}
-	return out, nil
-}
-
 // streamLine is one NDJSON response line: a per-batch certificate result
 // (Batch > 0) or the terminal summary (Done true).
 type streamLine struct {
@@ -225,7 +139,7 @@ type streamLine struct {
 // terminate it.
 func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if s.sessions == nil || s.maintain == nil {
+	if s.sessions == nil {
 		writeErr(w, http.StatusNotImplemented,
 			errors.New("streaming sessions are disabled on this server (no maintainer runner or -session-max 0)"))
 		return
@@ -263,7 +177,6 @@ func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
 	}
 
 	trace := r.URL.Query().Get("trace") == "1"
-	key := p.sessionKey()
 	dec := newEventReader(r)
 	var batches, applied, rejected int
 	var lastStats *sessions.Stats
@@ -286,7 +199,7 @@ func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
 			ctx = obs.WithTrace(ctx, tr)
 		}
 		t0 := time.Now()
-		line := s.streamApply(ctx, name, key, p, batch)
+		line := s.streamApply(ctx, name, p, batch)
 		line.Batch = batches
 		line.Updates = len(batch)
 		outcome := batchFailed
@@ -317,72 +230,38 @@ func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
 	emit(sum)
 }
 
-// streamApply applies one decoded batch through the graph's session,
-// acquiring or cold-building it as needed, with a bounded retry when the
-// session raced a cold PATCH.
-func (s *Server) streamApply(ctx context.Context, name, key string, p SparsifyParams, batch []dynamic.Update) streamLine {
-	fatal := func(err error) streamLine {
-		return streamLine{Error: err.Error(), fatal: true}
+// streamApply applies one decoded batch through the graph's session —
+// built on first use, which is what "cold" on a result line means — and
+// encodes the outcome as that batch's line.
+func (s *Server) streamApply(ctx context.Context, name string, p SparsifyParams, batch []dynamic.Update) streamLine {
+	var res *sessionApply
+	var t0 time.Time
+	hit, err := s.withSession(ctx, name, &p, originStream, func(sess *sessions.Session) (err error) {
+		t0 = time.Now()
+		res, err = s.applySessionBatch(ctx, sess, name, batch)
+		return err
+	})
+	state := "cold"
+	if hit {
+		state = "hit"
 	}
-	const retries = 3
-	for attempt := 0; ; attempt++ {
-		entry, err := s.registry.Get(name)
-		if err != nil {
-			return fatal(err)
+	switch {
+	case err == nil:
+		return streamLine{
+			Applied:         true,
+			Hash:            res.info.Hash,
+			GraphEdges:      res.info.M,
+			SparsifierEdges: res.sparsEdges,
+			Cond:            res.stats.Cond,
+			TargetMet:       res.stats.TargetMet,
+			Session:         state,
+			DurationMs:      float64(time.Since(t0).Microseconds()) / 1000,
+			CacheEvicted:    res.evicted,
+			sessionStats:    res.stats,
 		}
-		state := "hit"
-		sess := s.sessions.Get(name, entry.Hash, key)
-		if sess == nil {
-			// Cold path: build a live maintainer for the current graph and
-			// make it resident. The build is a full sparsification, so it
-			// takes a slot from the same bound the job workers share, and
-			// the session is re-checked after the wait — a racing stream
-			// request may have built it for us while we queued.
-			select {
-			case s.maintainSem <- struct{}{}:
-			case <-ctx.Done():
-				return fatal(ctx.Err())
-			}
-			if sess = s.sessions.Get(name, entry.Hash, key); sess == nil {
-				m, err := s.maintain(ctx, entry.Graph, p)
-				if err != nil {
-					<-s.maintainSem
-					return fatal(err)
-				}
-				sess = s.sessions.Install(name, key, m)
-				if sess == nil {
-					<-s.maintainSem
-					return fatal(errors.New("session manager rejected the install (shutting down?)"))
-				}
-				state = "cold"
-			}
-			<-s.maintainSem
-		}
-		t0 := time.Now()
-		res, err := s.applySessionBatch(ctx, sess, name, batch)
-		switch {
-		case err == nil:
-			return streamLine{
-				Applied:         true,
-				Hash:            res.info.Hash,
-				GraphEdges:      res.info.M,
-				SparsifierEdges: res.sparsEdges,
-				Cond:            res.stats.Cond,
-				TargetMet:       res.stats.TargetMet,
-				Session:         state,
-				DurationMs:      float64(time.Since(t0).Microseconds()) / 1000,
-				CacheEvicted:    res.evicted,
-				sessionStats:    res.stats,
-			}
-		case errors.Is(err, sessions.ErrSessionGone), errors.Is(err, errSessionStale):
-			if attempt < retries {
-				continue
-			}
-			return fatal(err)
-		case isBatchRejection(err):
-			return streamLine{Rejected: true, Error: err.Error(), Session: state}
-		default:
-			return fatal(err)
-		}
+	case isBatchRejection(err):
+		return streamLine{Rejected: true, Error: err.Error(), Session: state}
+	default:
+		return streamLine{Error: err.Error(), fatal: true}
 	}
 }

@@ -1,8 +1,9 @@
 // Package sessions keeps live dynamic maintainers resident between
 // requests, turning the service's incremental path into true streaming:
 // a PATCH or an incremental job against a hot graph mutates the stored
-// graph and its maintained sparsifier in one step, instead of paying
-// dynamic.Resume's full reconcile/re-embed per request.
+// graph and its maintained sparsifier in one step, against the factor
+// that is already standing, instead of rebuilding a maintainer per
+// request.
 //
 // The Manager is keyed by graph name. Each session owns one Maintainer
 // behind a single-writer actor loop — a goroutine that executes queued
@@ -12,10 +13,11 @@
 // bounded three ways: an LRU cap on the session count, a memory budget
 // over the maintainers' estimated resident bytes (graphs, Cholesky
 // factor, probe embedding), and an idle TTL. Eviction, expiry and
-// invalidation all close the session; callers observing ErrSessionGone
-// fall back to the cold path (dynamic.Resume or a from-scratch build),
-// which is also the crash-safety story — a session whose maintainer hit
-// an internal error is simply dropped and rebuilt cold on next use.
+// invalidation all close the session; a caller observing ErrSessionGone
+// looks the session up again and, on a miss, builds a fresh maintainer
+// from the stored graph — which is also the crash-safety story: a
+// session whose maintainer hit an internal error is simply dropped and
+// rebuilt on next use.
 package sessions
 
 import (
@@ -30,8 +32,8 @@ import (
 )
 
 // ErrSessionGone reports that a session was evicted, expired or
-// invalidated between lookup and use. Callers fall back to the cold path
-// (and may re-acquire a fresh session afterwards).
+// invalidated between lookup and use. Callers look it up again (and
+// rebuild it on a miss).
 var ErrSessionGone = errors.New("sessions: session is gone")
 
 // Maintainer is the live-sparsifier surface a session drives. It is

@@ -102,66 +102,6 @@ func RandomBatch(g *graph.Graph, rng *vecmath.RNG, size int) []dynamic.Update {
 	return batch
 }
 
-// SwitchingSequence derives a deterministic temporal update stream from
-// g in the style of power-grid switching sequences (John & Safro,
-// arXiv:1601.05527): each batch toggles `size` random edges between
-// their base weight and factor×base — breakers opening (weight
-// collapses) and re-closing. eligible restricts the toggled edge ids
-// (nil = every edge); passing the off-sparsifier ids models switching on
-// redundant lines, the regime where a resident maintainer never has to
-// refactor. Reweight-only streams never disconnect the graph, so every
-// batch applies; the toggle state is tracked per edge so long replays
-// keep alternating rather than drifting monotonically.
-func SwitchingSequence(g *graph.Graph, rng *vecmath.RNG, batches, size int, factor float64, eligible []int) [][]dynamic.Update {
-	if eligible == nil {
-		eligible = make([]int, g.M())
-		for id := range eligible {
-			eligible[id] = id
-		}
-	} else {
-		// Dedupe: the size cap below must count distinct ids or a batch
-		// could never fill and the loop would not terminate.
-		seen := make(map[int]bool, len(eligible))
-		uniq := eligible[:0:0]
-		for _, id := range eligible {
-			if !seen[id] {
-				seen[id] = true
-				uniq = append(uniq, id)
-			}
-		}
-		eligible = uniq
-	}
-	if size > len(eligible) {
-		size = len(eligible)
-	}
-	base := make([]float64, g.M())
-	for id := range base {
-		base[id] = g.Edge(id).W
-	}
-	switched := make([]bool, g.M())
-	out := make([][]dynamic.Update, 0, batches)
-	for b := 0; b < batches; b++ {
-		batch := make([]dynamic.Update, 0, size)
-		used := make(map[int]bool, size)
-		for len(batch) < size {
-			id := eligible[rng.Intn(len(eligible))]
-			if used[id] {
-				continue
-			}
-			used[id] = true
-			e := g.Edge(id)
-			w := base[id]
-			if !switched[id] {
-				w = base[id] * factor
-			}
-			switched[id] = !switched[id]
-			batch = append(batch, dynamic.Reweight(e.U, e.V, w))
-		}
-		out = append(out, batch)
-	}
-	return out
-}
-
 // VerifyCond independently measures κ(L_G, L_P) with a fresh exact
 // factorization of p — the reference check the dynamic invariant is
 // stated against.

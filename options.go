@@ -79,7 +79,7 @@ func ParsePartitionMethod(name string) (PartitionMethod, error) {
 // written into directly by the functional options. Zero fields defer to
 // the pipeline defaults.
 type config struct {
-	// opt configures Run and, through Maintain and Resume, a stream's
+	// opt configures Run and, through Maintain, a stream's
 	// full rebuilds alike. Mode and Shards hold the user's pins
 	// (ModeAuto / 0 = unpinned) that plan resolves per graph, and Verify
 	// records WithVerification. New installs Sparsify.Workspace: one per
@@ -131,7 +131,7 @@ func WithShards(k int) Option {
 // multilevel hierarchy; ModeAuto (the default) picks per graph as
 // documented on the constants. Contradictory combinations with WithShards
 // are rejected by New (WithShards(1) pins single-shot, k > 1 sharded).
-// ModeMultilevel does not compose with Maintain/Resume or WithMaxEdges.
+// ModeMultilevel does not compose with Maintain or WithMaxEdges.
 func WithMode(m Mode) Option {
 	return func(c *config) error {
 		switch m {

@@ -75,7 +75,7 @@ type StreamStats = dynamic.Stats
 // without re-running the full pipeline per batch (probe-vector re-scoring
 // against the last filter pass, backbone repair, localized re-filter
 // rounds, churn-budgeted full rebuilds). Obtain one with
-// Sparsifier.Maintain or Sparsifier.Resume. Not safe for concurrent use.
+// Sparsifier.Maintain. Not safe for concurrent use.
 type Stream struct {
 	m *dynamic.Maintainer
 }
