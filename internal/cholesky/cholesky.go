@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"graphspar/internal/graph"
 	"graphspar/internal/sparse"
@@ -377,81 +376,6 @@ func (f *Factor) sweep(y []float64) {
 	}
 }
 
-// RCM computes a reverse Cuthill–McKee ordering of the symmetric matrix's
-// graph: BFS from a pseudo-peripheral vertex with degree-sorted neighbor
-// expansion, reversed. Returns perm with perm[new] = old. Disconnected
-// patterns are handled component by component.
-func RCM(a *sparse.CSR) []int {
-	n := a.Rows
-	deg := make([]int, n)
-	for i := 0; i < n; i++ {
-		deg[i] = a.RowPtr[i+1] - a.RowPtr[i]
-	}
-	visited := make([]bool, n)
-	order := make([]int, 0, n)
-	var queue []int
-
-	bfsLevels := func(start int, mark []int) (last int, depth int) {
-		for i := range mark {
-			mark[i] = -1
-		}
-		mark[start] = 0
-		q := []int{start}
-		last = start
-		for len(q) > 0 {
-			v := q[0]
-			q = q[1:]
-			last = v
-			depth = mark[v]
-			for p := a.RowPtr[v]; p < a.RowPtr[v+1]; p++ {
-				u := a.ColIdx[p]
-				if u != v && mark[u] == -1 && !visited[u] {
-					mark[u] = mark[v] + 1
-					q = append(q, u)
-				}
-			}
-		}
-		return last, depth
-	}
-
-	mark := make([]int, n)
-	for s := 0; s < n; s++ {
-		if visited[s] {
-			continue
-		}
-		// Pseudo-peripheral start: double BFS.
-		start := s
-		last, d1 := bfsLevels(start, mark)
-		if last2, d2 := bfsLevels(last, mark); d2 > d1 {
-			start = last
-			_ = last2
-		}
-		// Cuthill–McKee BFS with degree-sorted expansion.
-		visited[start] = true
-		queue = append(queue[:0], start)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			var nbrs []int
-			for p := a.RowPtr[v]; p < a.RowPtr[v+1]; p++ {
-				u := a.ColIdx[p]
-				if u != v && !visited[u] {
-					visited[u] = true
-					nbrs = append(nbrs, u)
-				}
-			}
-			sort.Slice(nbrs, func(i, j int) bool { return deg[nbrs[i]] < deg[nbrs[j]] })
-			queue = append(queue, nbrs...)
-		}
-	}
-	// Reverse.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
-}
-
 // LapSolver solves connected-graph Laplacian systems L_G x = b directly by
 // grounding one vertex (deleting its row and column makes the matrix SPD),
 // factoring the reduced matrix under a minimum-degree ordering (or a
@@ -562,9 +486,7 @@ func newLapSolverWS(g *graph.Graph, perm []int, ws *Workspace) (*LapSolver, erro
 		return nil, err
 	}
 	red := reducedLaplacianCSR(g, ws)
-	// Minimum degree keeps near-tree sparsifier factors nearly fill-free;
-	// RCM remains available for callers factoring banded matrices
-	// directly via FactorCSR.
+	// Minimum degree keeps near-tree sparsifier factors nearly fill-free.
 	if perm == nil {
 		perm = MinDegree(red)
 	}

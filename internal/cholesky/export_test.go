@@ -1,5 +1,7 @@
 package cholesky
 
+import "fmt"
+
 // Test-only exports for the external differential tests and benchmarks,
 // which sparsify through internal/core and so cannot live in this package.
 var (
@@ -22,3 +24,20 @@ func (f *Factor) RunShare() float64 {
 
 // RunShare is Factor.RunShare of the solver's factor.
 func (ls *LapSolver) RunShare() float64 { return ls.factor.RunShare() }
+
+// Update is UpdateSparse for a dense vector — the entry point the update
+// property suite drives; no product code holds a dense update vector.
+func (f *Factor) Update(v []float64, sign int) error {
+	if len(v) != f.n {
+		panic(fmt.Sprintf("cholesky: Update dimension %d, want %d", len(v), f.n))
+	}
+	var idx []int
+	var val []float64
+	for i, x := range v {
+		if x != 0 {
+			idx = append(idx, i)
+			val = append(val, x)
+		}
+	}
+	return f.UpdateSparse(idx, val, sign)
+}

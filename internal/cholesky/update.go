@@ -9,46 +9,30 @@ import (
 
 // ErrUpdatePattern is returned when a rank-1 update vector has nonzeros
 // outside the pattern of the factor column it first touches: folding it in
-// would create new fill, which Update cannot do in place. Callers fall back
+// would create new fill, which UpdateSparse cannot do in place. Callers fall back
 // to a full refactorization.
 var ErrUpdatePattern = errors.New("cholesky: rank-1 update pattern exceeds factor structure")
 
-// Update applies the rank-1 modification A ← A + sign·v·vᵀ (sign = +1
+// UpdateSparse applies the rank-1 modification A ← A + sign·v·vᵀ (sign = +1
 // update, −1 downdate) to the factorization in place, using the
 // Carlson/Gill–Golub–Murray sparse row algorithm: hyperbolic (downdate) or
 // Givens-like (update) rotations applied only along the elimination-tree
 // path from the first nonzero of P·v to the root, so the cost is the fill
 // of that path — O(polylog n) under a nested-dissection order on
-// sparsifier-shaped matrices — rather than a full refactorization.
+// sparsifier-shaped matrices — rather than a full refactorization, and
+// never O(n).
 //
-// v is in the matrix's original (pre-permutation) index space. The update
-// is exact (no fill is created) iff the pattern of P·v is contained in the
-// pattern of the factor column of its minimum permuted index; otherwise
+// v is given as parallel index/value slices (indices in the matrix's
+// original, pre-permutation space, no duplicates). The update is exact (no
+// fill is created) iff the pattern of P·v is contained in the pattern of
+// the factor column of its minimum permuted index; otherwise
 // ErrUpdatePattern is returned and the factor is unchanged. A downdate that
 // would make the matrix numerically semidefinite returns ErrNotSPD; the
 // factor is then partially modified and must be rebuilt.
 //
-// Update mutates the shared numeric values: it must not run concurrently
-// with Solve on the receiver or on any Session sharing this factor.
-func (f *Factor) Update(v []float64, sign int) error {
-	if len(v) != f.n {
-		panic(fmt.Sprintf("cholesky: Update dimension %d, want %d", len(v), f.n))
-	}
-	var idx []int
-	var val []float64
-	for i, x := range v {
-		if x != 0 {
-			idx = append(idx, i)
-			val = append(val, x)
-		}
-	}
-	return f.UpdateSparse(idx, val, sign)
-}
-
-// UpdateSparse is Update for a sparse vector given as parallel index/value
-// slices (indices in original space, no duplicates). It is the allocation-
-// light path the Laplacian solver's edge updates go through: cost is the
-// etree path walk only, never O(n).
+// UpdateSparse mutates the shared numeric values: it must not run
+// concurrently with Solve on the receiver or on any Session sharing this
+// factor.
 func (f *Factor) UpdateSparse(idx []int, val []float64, sign int) error {
 	if sign != 1 && sign != -1 {
 		panic(fmt.Sprintf("cholesky: Update sign %d, want +1 or -1", sign))

@@ -9,28 +9,40 @@
 //
 //   - admits inserted edges by scoring them with the retained probe
 //     vectors (core.EdgeScorer) against the last similarity threshold,
-//   - repairs the spanning-tree backbone when a tree edge is deleted
-//     (heaviest crossing edge, lsst.FindReplacement),
+//   - repairs the sparsifier's spanning tree when one of its edges is
+//     deleted (heaviest crossing edge, lsst.FindReplacement),
 //   - refreshes the embedding with one warm-started power step instead
 //     of a fresh r·t-solve embedding — run lazily, the moment an
 //     admission decision next consults the heats, so delete/reweight-only
 //     batches (the switching-sequence regime) skip the probe solves
 //     entirely,
-//   - refactors the sparsifier only when its edge set actually changed,
-//     reusing the fill-reducing elimination order of the last full build
-//     (which keeps the elimination tree the rank-1 updates walk stable),
-//   - re-verifies κ(L_G, L_P) after every batch and runs localized
-//     re-filter rounds (re-score candidates, admit the hottest) when the
-//     certificate drifts toward the target, and
+//   - folds each sparsifier edge change into the standing Cholesky factor
+//     as a rank-1 update along one elimination-tree path, refactoring
+//     (under the elimination order of the last full build, which keeps
+//     that tree stable) only when the update budget or the factor's
+//     pattern runs out,
+//   - re-verifies κ(L_G, L_P) after every batch (engine.Certify, the batch
+//     pipeline's certificate routine) and runs localized re-filter rounds
+//     (re-score candidates, admit the hottest) when the certificate drifts
+//     toward the target, and
 //   - tracks a cumulative churn estimate that forces a full rebuild
 //     (internal/engine, under whichever plan the options name) once the
 //     drift budget is spent and the stored embedding can no longer be
 //     trusted to re-rank candidates.
 //
+// The maintainer holds what it maintains once: the graph, the sparsifier
+// and the key set of the sparsifier's spanning tree. Graph and sparsifier
+// are immutable (u,v)-sorted edge lists, and a batch edits both with the
+// same merge walk (graph.Edit), which also yields the factor's rank-1
+// deltas in order; membership is a binary search, the off-tree candidates
+// a two-pointer walk. No edge map, no rooted tree object and no per-batch
+// sort stands beside them to be kept in step.
+//
 // The invariant after every successful Apply: the sparsifier is a
-// connected subgraph of the current graph whose independently verified
-// condition number is at most the configured σ² (up to estimator noise;
-// see refilterMargin).
+// connected subgraph of the current graph, carrying the graph's current
+// weights, whose independently verified condition number is at most the
+// configured σ² (up to estimator noise; see refilterMargin); the tree keys
+// are n−1 sparsifier edges spanning it.
 package dynamic
 
 import (
@@ -47,7 +59,6 @@ import (
 	"graphspar/internal/lsst"
 	"graphspar/internal/obs"
 	"graphspar/internal/params"
-	"graphspar/internal/tree"
 	"graphspar/internal/vecmath"
 )
 
@@ -58,9 +69,10 @@ import (
 // shard-parallel plan. One field doubles as a maintenance setting with a
 // default of its own: VerifySteps is the generalized-Lanczos depth of the
 // per-batch certificate check — the extremes settle fast on sparsifier
-// spectra, so it can be shallower than an offline audit (default
-// min(12, n); refilterMargin absorbs the residual underestimate). Verify
-// is ignored: the maintainer certifies every build on its own factor.
+// spectra, so it can be shallower than an offline audit (default 12,
+// capped at n by engine.Certify; refilterMargin absorbs the residual
+// underestimate). Verify is ignored: the maintainer certifies every build
+// on its own factor.
 // Everything else about maintenance is fixed — the localized re-filter
 // rounds per Apply by core.RefilterRounds, the rest here:
 const (
@@ -103,14 +115,14 @@ const (
 
 // maintainerDefaults validates opt and fills the maintainer's own
 // defaults on its copy.
-func maintainerDefaults(opt engine.Options, n int) (engine.Options, error) {
+func maintainerDefaults(opt engine.Options) (engine.Options, error) {
 	if err := params.Sigma2(opt.Sparsify.SigmaSq); err != nil {
 		return opt, err
 	}
 	if opt.VerifySteps <= 0 {
 		opt.VerifySteps = 12
 	}
-	opt.VerifySteps = max(2, min(opt.VerifySteps, n))
+	opt.VerifySteps = max(2, opt.VerifySteps) // Certify caps it at n
 	if opt.Sparsify.Seed == 0 {
 		opt.Sparsify.Seed = 1
 	}
@@ -139,15 +151,20 @@ type Stats struct {
 
 // Maintainer holds a graph together with its live sparsifier and applies
 // batched edge updates incrementally. Not safe for concurrent use.
+//
+// The state model: the maintainer owns exactly one copy of what it
+// maintains — the graph g, the sparsifier p (a subgraph of g carrying g's
+// current weights; both are immutable sorted edge lists, replaced, never
+// written through) and treeKey, the key set of p's spanning-tree backbone.
+// Everything else is derived from those three and refreshed after them:
+// the Cholesky factor of p, the probe embedding, the certificate.
 type Maintainer struct {
 	opt engine.Options
 
-	g        *graph.Graph
-	p        *graph.Graph       // materialized sparsifier, kept in sync with pW
-	pW       map[[2]int]float64 // sparsifier edges; weights mirror g
-	treeKey  map[[2]int]bool    // backbone subset of pW
-	backbone *tree.Tree
-	solver   *cholesky.LapSolver
+	g       *graph.Graph
+	p       *graph.Graph    // the sparsifier: p ⊆ g, weights equal g's
+	treeKey map[[2]int]bool // p's spanning tree: n−1 keys
+	solver  *cholesky.LapSolver
 
 	// perm/nnzAtOrder cache the fill-reducing elimination order computed
 	// at the last full ordering; incremental refactorizations reuse it
@@ -168,22 +185,12 @@ type Maintainer struct {
 	maxHeat    float64 // heat normalizer of the last full filter pass
 	theta      float64 // similarity threshold of the last full filter pass
 
-	lmax, lmin, cond float64
-	condAtBuild      float64
-	drift            float64 // cumulative churn since the last full build
-	mAtBuild         int     // edge count at the last full build
-	targetMet        bool
+	cert     engine.Certificate // the latest check of p against g
+	drift    float64            // cumulative churn since the last full build
+	mAtBuild int                // edge count at the last full build
 
 	rng   *vecmath.RNG
 	stats Stats
-}
-
-// edgeDelta is one sparsifier weight change staged for the factor: dw is
-// the signed difference against the pre-commit weight (full weight for an
-// insertion, negated weight for a deletion).
-type edgeDelta struct {
-	u, v int
-	dw   float64
 }
 
 // New sparsifies g from scratch and returns a Maintainer tracking it.
@@ -191,7 +198,7 @@ func New(ctx context.Context, g *graph.Graph, opt engine.Options) (*Maintainer, 
 	if err := g.RequireConnected(); err != nil {
 		return nil, err
 	}
-	opt, err := maintainerDefaults(opt, g.N())
+	opt, err := maintainerDefaults(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -203,28 +210,30 @@ func New(ctx context.Context, g *graph.Graph, opt engine.Options) (*Maintainer, 
 }
 
 // reconnectHeaviest grows the union-find to a single component by adding
-// the heaviest available graph edges, invoking add for each one taken.
-// Returns false if g itself cannot connect the components. The
-// multi-removal backbone repair sweep calls it.
-func reconnectHeaviest(g *graph.Graph, uf *lsst.UnionFind, add func(graph.Edge)) bool {
-	if uf.Count() == 1 {
-		return true
-	}
+// the heaviest available graph edges — ranked by the total order (weight
+// desc, edge id asc), so equal weights never leave the choice to the sort
+// algorithm — and returns the edges taken, or false if g itself cannot
+// connect the components. The multi-removal tree-repair sweep calls it.
+func reconnectHeaviest(g *graph.Graph, uf *lsst.UnionFind) (taken []graph.Edge, ok bool) {
 	ids := make([]int, g.M())
 	for i := range ids {
 		ids[i] = i
 	}
-	sort.Slice(ids, func(a, b int) bool { return g.Edge(ids[a]).W > g.Edge(ids[b]).W })
+	sort.Slice(ids, func(a, b int) bool {
+		if wa, wb := g.Edge(ids[a]).W, g.Edge(ids[b]).W; wa != wb {
+			return wa > wb
+		}
+		return ids[a] < ids[b]
+	})
 	for _, id := range ids {
-		e := g.Edge(id)
-		if uf.Union(e.U, e.V) {
-			add(e)
-			if uf.Count() == 1 {
-				return true
-			}
+		if uf.Count() == 1 {
+			break
+		}
+		if e := g.Edge(id); uf.Union(e.U, e.V) {
+			taken = append(taken, e)
 		}
 	}
-	return false
+	return taken, uf.Count() == 1
 }
 
 // recordThresholds captures the similarity threshold and heat normalizer
@@ -232,7 +241,7 @@ func reconnectHeaviest(g *graph.Graph, uf *lsst.UnionFind, add func(graph.Edge))
 func (m *Maintainer) recordThresholds(ctx context.Context) {
 	m.freshenEmbedding(ctx) // the heat normalizer reads the embedding
 	t, _, _, _ := m.opt.Sparsify.EffectiveEmbed(m.g.N())
-	m.theta = core.Threshold(m.opt.Sparsify.SigmaSq, m.lmin, m.lmax, t)
+	m.theta = core.Threshold(m.opt.Sparsify.SigmaSq, m.cert.LambdaMin, m.cert.LambdaMax, t)
 	if cands := m.offTreeCandidates(); len(cands) > 0 {
 		_, m.maxHeat = m.scorer.Score(m.g, cands)
 	} else {
@@ -249,18 +258,18 @@ func (m *Maintainer) Sparsifier() *graph.Graph { return m.p }
 
 // Cond returns the latest independently verified condition number
 // κ(L_G, L_P).
-func (m *Maintainer) Cond() float64 { return m.cond }
+func (m *Maintainer) Cond() float64 { return m.cert.Cond }
 
 // TargetMet reports whether the latest certificate meets σ².
-func (m *Maintainer) TargetMet() bool { return m.targetMet }
+func (m *Maintainer) TargetMet() bool { return m.cert.Cond <= m.opt.Sparsify.SigmaSq }
 
 // Stats snapshots the work counters.
 func (m *Maintainer) Stats() Stats {
 	s := m.stats
-	s.Cond = m.cond
+	s.Cond = m.cert.Cond
 	s.Drift = m.drift
 	s.DriftBudget = m.driftBudget()
-	s.TargetMet = m.targetMet
+	s.TargetMet = m.TargetMet()
 	return s
 }
 
@@ -271,11 +280,11 @@ func (m *Maintainer) driftBudget() float64 {
 }
 
 // ResidentBytes estimates the heap the maintainer keeps resident between
-// applies: both graphs' edge lists and adjacency indexes, the sparsifier's
-// edge-map mirror and tree bookkeeping, the Cholesky factor, and the
-// retained probe embedding. It is an accounting estimate sized from
-// n/m/probe counts — session managers budget memory with it — not a
-// precise measurement.
+// applies: both graphs' edge lists and adjacency indexes, the tree key
+// set, the Cholesky factor, and the retained probe embedding — one term per
+// thing the maintainer holds, and it holds the sparsifier once. It is an
+// accounting estimate sized from n/m/probe counts — session managers
+// budget memory with it — not a precise measurement.
 func (m *Maintainer) ResidentBytes() int64 {
 	graphBytes := func(g *graph.Graph) int64 {
 		if g == nil {
@@ -286,16 +295,12 @@ func (m *Maintainer) ResidentBytes() int64 {
 		return int64(g.M())*(24+32) + int64(g.N()+1)*8
 	}
 	b := graphBytes(m.g) + graphBytes(m.p)
-	b += int64(len(m.pW)) * 64 // map entry: key pair + weight + bucket overhead
 	b += int64(len(m.treeKey)) * 48
 	if m.solver != nil {
 		b += int64(m.solver.FactorNNZ())*16 + int64(m.g.N())*24
 	}
 	if m.scorer != nil {
 		b += int64(len(m.scorer.Probes)) * int64(m.g.N()) * 8
-	}
-	if m.backbone != nil {
-		b += int64(m.g.N()) * 40 // parent/weight/order arrays of the rooted tree
 	}
 	return b
 }
@@ -307,9 +312,16 @@ func (m *Maintainer) ResidentBytes() int64 {
 // re-filtering could not restore the certificate) and the certificate
 // has been re-verified; TargetMet reports false in the rare case where
 // even a full rebuild cannot certify σ² (mirroring core.Sparsify's
-// best-effort ErrNoTarget semantics). An internal failure after the
-// commit point (factorization, Lanczos) can leave the maintainer with a
-// mutated graph but stale solver state; call Rebuild to recover.
+// best-effort ErrNoTarget semantics).
+//
+// Everything that can reject the batch runs before the commit point, on
+// staged values: the edited graph, the tree repair, and the edited
+// sparsifier — the same sorted walk (graph.Edit) over p that ApplyToGraph
+// ran over g. The commit swaps g, p and the tree keys together, so
+// they never disagree. After it only an internal failure (factorization,
+// Lanczos) or a cancelled ctx can error, and what that can leave stale is
+// derived state — a factor some deltas behind p, the embedding, the
+// certificate; Rebuild recovers from all of it.
 func (m *Maintainer) Apply(ctx context.Context, batch []Update) error {
 	if len(batch) == 0 {
 		return nil
@@ -319,55 +331,57 @@ func (m *Maintainer) Apply(ctx context.Context, batch []Update) error {
 		return err
 	}
 
-	// Stage sparsifier edits as deltas; nothing on m mutates until the
-	// whole batch (including tree repair) is known to succeed.
-	pSet := make(map[[2]int]float64, len(batch))
-	pDel := make(map[[2]int]bool, len(batch))
-	treeAdd := make(map[[2]int]bool, 2)
-	churn := 0.0
-	treeChanged := false
+	// Stage the sparsifier's share of the batch as edits of p (weight 0
+	// deletes); nothing on m mutates until the whole batch, tree repair
+	// included, is known to succeed.
+	var pEdits, inserts []graph.Edge
 	var deletedTree [][2]int
-	inserts := make([][2]int, 0, 4)
+	churn := 0.0
 	for _, u := range batch {
 		k := u.key()
+		e := graph.Edge{U: k[0], V: k[1]}
 		switch u.Op {
 		case OpInsert:
 			churn++
-			inserts = append(inserts, k)
+			e.W = u.W
+			inserts = append(inserts, e)
+			continue
 		case OpDelete:
 			churn++
 			if m.treeKey[k] {
 				deletedTree = append(deletedTree, k)
-				treeChanged = true
-			}
-			if _, ok := m.pW[k]; ok {
-				pDel[k] = true
 			}
 		case OpReweight:
 			// Reweights churn by their relative weight change, so trimming
 			// a weight by 1% does not age the embedding like a topology
 			// change would.
-			if e, ok := lookupEdge(m.g, k); ok {
-				den := math.Max(e.W, u.W)
-				if den > 0 {
-					churn += math.Min(1, math.Abs(u.W-e.W)/den)
+			if id, ok := graph.FindEdge(m.g, e.U, e.V); ok {
+				old := m.g.Edge(id).W
+				if den := math.Max(old, u.W); den > 0 {
+					churn += math.Min(1, math.Abs(u.W-old)/den)
 				}
 			}
-			if _, ok := m.pW[k]; ok {
-				pSet[k] = u.W
-				if m.treeKey[k] {
-					treeChanged = true // parent weights feed the O(n) solver
-				}
-			}
+			e.W = u.W
+		}
+		if m.p.HasEdge(e.U, e.V) {
+			pEdits = append(pEdits, e)
 		}
 	}
 
-	// Repair the backbone for every deleted tree edge: reconnect the two
+	// Repair the spanning tree for every deleted tree edge: reconnect the two
 	// forest components with the heaviest crossing edge of the new graph.
+	// A repair edge may already be staged (a reweighted sparsifier edge) or
+	// be staged again below (an admitted insert), always at g2's weight;
+	// Edit lets the last edit of a pair win.
+	var repairs []graph.Edge
 	if len(deletedTree) > 0 {
-		if err := m.repairTree(g2, deletedTree, pDel, pSet, treeAdd); err != nil {
+		if repairs, err = m.repairTree(g2, deletedTree); err != nil {
 			return err
 		}
+		pEdits = append(pEdits, repairs...)
+	}
+	if got, want := len(m.treeKey)-len(deletedTree)+len(repairs), m.g.N()-1; got != want {
+		return fmt.Errorf("dynamic: tree repair would leave %d tree edges, a spanning tree has %d", got, want)
 	}
 
 	// Score inserts against the thresholds of the last full filter pass;
@@ -380,52 +394,30 @@ func (m *Maintainer) Apply(ctx context.Context, batch []Update) error {
 		m.freshenEmbedding(ctx)
 	}
 	admitted := 0
-	for _, k := range inserts {
-		w := 0.0
-		if e, ok := lookupEdge(g2, k); ok {
-			w = e.W
-		}
-		heat := m.scorer.Heat(graph.Edge{U: k[0], V: k[1], W: w})
-		if m.maxHeat <= 0 || heat/m.maxHeat >= m.theta {
-			pSet[k] = w
+	for _, e := range inserts {
+		if m.maxHeat <= 0 || m.scorer.Heat(e)/m.maxHeat >= m.theta {
+			pEdits = append(pEdits, e)
 			admitted++
 		}
 	}
 
-	// Express the staged sparsifier edits as signed weight deltas against
-	// the pre-commit state: these are exactly the rank-1 perturbations the
-	// factor needs. Sorted so the update sequence — and with it the
-	// floating-point state of the factor — is identical run to run.
-	deltas := make([]edgeDelta, 0, len(pDel)+len(pSet))
-	for k := range pDel {
-		deltas = append(deltas, edgeDelta{k[0], k[1], -m.pW[k]})
+	// The next sparsifier, and with it — the walk sees the old and new
+	// weight of every edited pair side by side — the signed weight deltas
+	// against the pre-commit state: exactly the rank-1 perturbations the
+	// factor needs, already in (u,v) order, so the update sequence and the
+	// floating-point state of the factor are identical run to run.
+	p2, deltas, err := graph.Edit(m.p, pEdits)
+	if err != nil {
+		return err
 	}
-	for k, w := range pSet {
-		if old := m.pW[k]; w != old {
-			deltas = append(deltas, edgeDelta{k[0], k[1], w - old})
-		}
-	}
-	sort.Slice(deltas, func(a, b int) bool {
-		if deltas[a].u != deltas[b].u {
-			return deltas[a].u < deltas[b].u
-		}
-		return deltas[a].v < deltas[b].v
-	})
 
-	// Commit. From here only internal failures (factorization, Lanczos)
-	// can error, and those leave the maintainer in a state Rebuild fixes.
-	m.g = g2
-	for k := range pDel {
-		delete(m.pW, k)
-	}
-	for k, w := range pSet {
-		m.pW[k] = w
-	}
+	// Commit.
+	m.g, m.p = g2, p2
 	for _, k := range deletedTree {
 		delete(m.treeKey, k)
 	}
-	for k := range treeAdd {
-		m.treeKey[k] = true
+	for _, e := range repairs {
+		m.treeKey[[2]int{e.U, e.V}] = true
 	}
 	m.drift += churn
 	m.stats.Applies++
@@ -439,18 +431,10 @@ func (m *Maintainer) Apply(ctx context.Context, batch []Update) error {
 	if m.drift > m.driftBudget() {
 		return m.forceRebuild(ctx)
 	}
-
-	if treeChanged {
-		if err := m.rebuildBackbone(); err != nil {
-			return err
-		}
-	}
-	if len(pDel) > 0 || len(pSet) > 0 {
-		// Re-materialize; the factor absorbs the deltas as rank-1
-		// update/downdates when it can, refactors otherwise.
-		if err := m.materialize(deltas); err != nil {
-			return err
-		}
+	// The factor absorbs the deltas as rank-1 update/downdates when it
+	// can, refactors otherwise.
+	if err := m.refreshFactor(deltas); err != nil {
+		return err
 	}
 	if err := m.refreshScorerAndCertificate(ctx, false); err != nil {
 		return err
@@ -480,7 +464,7 @@ func (m *Maintainer) settle(ctx context.Context, batched bool) error {
 	if err := m.refilter(ctx, batched); err != nil {
 		return err
 	}
-	if m.cond > m.opt.Sparsify.SigmaSq {
+	if !m.TargetMet() {
 		return m.forceRebuild(ctx)
 	}
 	return nil
@@ -489,15 +473,17 @@ func (m *Maintainer) settle(ctx context.Context, batched bool) error {
 // refilter runs localized re-filter rounds: re-score the current off-tree
 // candidates with the retained embedding, admit the hottest ones past the
 // similarity threshold, re-verify, repeat while κ exceeds the safety
-// margin (up to core.RefilterRounds). In batched mode the refactorization
-// and Lanczos re-verification are deferred until all admission rounds
-// have run, so one certificate check covers the whole pass (the
-// large-batch regime: verification dominates the per-round cost, and θσ
-// would not move between rounds anyway without fresh λ estimates).
+// margin (up to core.RefilterRounds). Every round merges its admissions
+// into p (graph.AddEdges), so the next round's candidates are read off g
+// and p themselves. In batched mode only the factor update and the Lanczos
+// re-verification are deferred until all admission rounds have run, so one
+// certificate check covers the whole pass (the large-batch regime:
+// verification dominates the per-round cost, and θσ would not move between
+// rounds anyway without fresh λ estimates).
 func (m *Maintainer) refilter(ctx context.Context, batched bool) error {
 	defer obs.StartSpan(ctx, "refilter").End()
 	safety := refilterMargin * m.opt.Sparsify.SigmaSq
-	if m.cond <= safety {
+	if m.cert.Cond <= safety {
 		return nil
 	}
 	if batched {
@@ -505,10 +491,9 @@ func (m *Maintainer) refilter(ctx context.Context, batched bool) error {
 	}
 	// Re-filter scoring consults the embedding: fold deferred batches in.
 	m.freshenEmbedding(ctx)
-	dirty := false // admissions not yet folded into the solver + certificate
-	var pending []edgeDelta
+	var pending []graph.Edge // admissions not yet folded into the solver + certificate
 	t, _, _, batchFraction := m.opt.Sparsify.EffectiveEmbed(m.g.N())
-	for round := 0; round < core.RefilterRounds && m.cond > safety; round++ {
+	for round := 0; round < core.RefilterRounds && m.cert.Cond > safety; round++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -520,120 +505,72 @@ func (m *Maintainer) refilter(ctx context.Context, batched bool) error {
 		if maxHeat <= 0 {
 			break
 		}
-		theta := core.Threshold(m.opt.Sparsify.SigmaSq, m.lmin, m.lmax, t)
+		theta := core.Threshold(m.opt.Sparsify.SigmaSq, m.cert.LambdaMin, m.cert.LambdaMax, t)
 		chosen, _ := core.SelectEdges(m.g, candIDs, heats, maxHeat, theta, batchFraction, math.MaxInt, true)
 		for _, pos := range chosen {
-			e := m.g.Edge(candIDs[pos])
-			m.pW[[2]int{e.U, e.V}] = e.W
-			pending = append(pending, edgeDelta{e.U, e.V, e.W})
+			pending = append(pending, m.g.Edge(candIDs[pos]))
 		}
+		p, err := m.p.AddEdges(pending[len(pending)-len(chosen):])
+		if err != nil {
+			return err
+		}
+		m.p = p
 		// Remember the pass's thresholds for future insert admission.
 		m.theta, m.maxHeat = theta, maxHeat
 		m.stats.Refilters++
 		if batched && round < core.RefilterRounds-1 {
-			// Defer the refactorization and the Lanczos check: one
+			// Defer the factor update and the Lanczos check: one
 			// certificate verification covers the whole admission pass.
-			dirty = true
 			continue
 		}
-		if err := m.materialize(pending); err != nil {
+		if err := m.foldAndVerify(ctx, pending); err != nil {
 			return err
 		}
 		pending = pending[:0]
-		if err := m.verifyCertificate(ctx); err != nil {
-			return err
-		}
-		dirty = false
 	}
-	if dirty {
-		// Batched pass ended on a deferred round (candidates ran out, or
-		// the final round was skipped by the loop bound): fold the staged
-		// admissions in and verify once.
-		if err := m.materialize(pending); err != nil {
-			return err
-		}
-		if err := m.verifyCertificate(ctx); err != nil {
-			return err
-		}
+	if len(pending) > 0 {
+		// Batched pass ended on a deferred round (candidates ran out):
+		// fold the staged admissions in and verify once.
+		return m.foldAndVerify(ctx, pending)
 	}
 	return nil
 }
 
+// foldAndVerify brings the factor up to p by the given admissions (full
+// weights, in admission order) and re-verifies the certificate.
+func (m *Maintainer) foldAndVerify(ctx context.Context, admitted []graph.Edge) error {
+	if err := m.refreshFactor(admitted); err != nil {
+		return err
+	}
+	return m.verifyCertificate(ctx)
+}
+
 // offTreeCandidates lists the edge ids of m.g that are not yet in the
-// sparsifier.
+// sparsifier: one two-pointer walk, since p's edge list is a subsequence of
+// g's (p ⊆ g, both (u,v)-sorted).
 func (m *Maintainer) offTreeCandidates() []int {
-	out := make([]int, 0, m.g.M()-len(m.pW))
+	in := m.p.Edges()
+	out := make([]int, 0, m.g.M()-len(in))
 	for id, e := range m.g.Edges() {
-		if _, ok := m.pW[[2]int{e.U, e.V}]; !ok {
+		if len(in) > 0 && in[0].U == e.U && in[0].V == e.V {
+			in = in[1:]
+		} else {
 			out = append(out, id)
 		}
 	}
 	return out
 }
 
-// rebuildBackbone reconstructs the rooted tree object from the current
-// treeKey set, keeping the previous root.
-func (m *Maintainer) rebuildBackbone() error {
-	edges := make([]graph.Edge, 0, len(m.treeKey))
-	//graphspar:nondeterministic-ok tree.Build canonicalizes through graph.New, which sorts and merges the edge list before any traversal
-	for k := range m.treeKey {
-		w, ok := m.pW[k]
-		if !ok {
-			return fmt.Errorf("dynamic: tree edge (%d,%d) missing from sparsifier", k[0], k[1])
-		}
-		edges = append(edges, graph.Edge{U: k[0], V: k[1], W: w})
-	}
-	root := 0
-	if m.backbone != nil {
-		root = m.backbone.Root()
-	}
-	t, err := tree.Build(m.g.N(), edges, root)
-	if err != nil {
-		return fmt.Errorf("dynamic: backbone rebuild: %w", err)
-	}
-	m.backbone = t
-	return nil
-}
-
-// adoptBackboneFromSparsifier derives a fresh max-weight backbone from the
-// current sparsifier (used by sharded rebuilds, where no tree comes with
-// the sparsifier).
-func (m *Maintainer) adoptBackboneFromSparsifier() error {
-	backbone, treeIDs, _, err := lsst.Extract(m.p, lsst.MaxWeight, m.opt.Sparsify.Seed)
-	if err != nil {
-		return err
-	}
-	m.backbone = backbone
-	m.treeKey = make(map[[2]int]bool, len(treeIDs))
-	for _, id := range treeIDs {
-		e := m.p.Edge(id)
-		m.treeKey[[2]int{e.U, e.V}] = true
-	}
-	return nil
-}
-
-// materialize rebuilds m.p from the edge-weight map and brings the solver
-// in sync: deltas describing the change are folded into the factor as
-// rank-1 update/downdates when possible, with a full refactorization as
-// the fallback. Passing nil deltas (unknown change) always refactors.
-func (m *Maintainer) materialize(deltas []edgeDelta) error {
-	p, err := edgesFromMap(m.g.N(), m.pW)
-	if err != nil {
-		return err
-	}
-	m.p = p
-	return m.refreshFactor(deltas)
-}
-
-// refreshFactor folds the staged sparsifier deltas into the existing
-// factor via O(path fill) rank-1 update/downdates. It falls back to a full
-// refactorization when the update budget is exhausted, when an inserted
-// edge's endpoints fall outside the factor pattern (fill would be needed),
-// or when a downdate turns numerically singular — in every fallback the
-// factor is rebuilt from m.p, so a partially applied delta list is
-// harmless.
-func (m *Maintainer) refreshFactor(deltas []edgeDelta) error {
-	if m.solver == nil || deltas == nil {
+// refreshFactor brings the factor up to m.p, which differs from what the
+// factor holds by deltas (signed weight changes, graph.Edit's or a
+// re-filter's admissions): they are folded in as O(path fill) rank-1
+// update/downdates. It falls back to a full refactorization when there is
+// no factor, the update budget is exhausted, an inserted edge's endpoints
+// fall outside the factor pattern (fill would be needed), or a downdate
+// turns numerically singular — in every fallback the factor is rebuilt
+// from m.p, so a partially applied delta list is harmless.
+func (m *Maintainer) refreshFactor(deltas []graph.Edge) error {
+	if m.solver == nil {
 		return m.refactor()
 	}
 	if len(deltas) == 0 {
@@ -643,11 +580,11 @@ func (m *Maintainer) refreshFactor(deltas []edgeDelta) error {
 		return m.refactor()
 	}
 	for _, d := range deltas {
-		if err := m.solver.ApplyEdge(d.u, d.v, d.dw); err != nil {
+		if err := m.solver.ApplyEdge(d.U, d.V, d.W); err != nil {
 			return m.refactor()
 		}
 		m.updatesSinceFactor++
-		if d.dw > 0 {
+		if d.W > 0 {
 			m.stats.FactorUpdates++
 		} else {
 			m.stats.FactorDowndates++
@@ -737,17 +674,15 @@ func (m *Maintainer) freshenEmbedding(ctx context.Context) {
 	m.stats.EmbedRefreshes++
 }
 
-// verifyCertificate re-estimates κ(L_G, L_P) by generalized Lanczos with
-// the current exact factorization.
+// verifyCertificate re-estimates κ(L_G, L_P) with the batch pipeline's
+// certificate routine on the standing factor.
 func (m *Maintainer) verifyCertificate(ctx context.Context) error {
-	defer obs.StartSpan(ctx, "verify").End()
 	m.stats.Verifies++
-	lmax, lmin, cond, err := core.VerifySimilarity(m.g, m.p, m.solver, m.opt.VerifySteps, m.rng.Uint64())
+	c, err := engine.Certify(ctx, m.g, m.p, m.solver, m.opt.VerifySteps, m.rng.Uint64())
 	if err != nil {
-		return fmt.Errorf("dynamic: similarity verification: %w", err)
+		return err
 	}
-	m.lmax, m.lmin, m.cond = lmax, lmin, cond
-	m.targetMet = cond <= m.opt.Sparsify.SigmaSq
+	m.cert = c
 	return nil
 }
 
@@ -765,23 +700,20 @@ func (m *Maintainer) rebuild(ctx context.Context) error {
 		return err
 	}
 	m.p = res.Sparsifier
-	m.pW = make(map[[2]int]float64, m.p.M())
-	for _, e := range m.p.Edges() {
-		m.pW[[2]int{e.U, e.V}] = e.W
-	}
-	// Only the single-shot plan hands back its backbone; the others get a
-	// fresh one derived from the sparsifier.
-	if res.Tree == nil {
-		if err := m.adoptBackboneFromSparsifier(); err != nil {
+	// Only the single-shot plan hands back its spanning tree (as edge ids
+	// of g); the others get a fresh max-weight one derived from the
+	// sparsifier.
+	treeOf, treeIDs := m.g, res.TreeEdgeIDs
+	if res.Mode != params.ModeSingleShot {
+		treeOf = m.p
+		if _, treeIDs, _, err = lsst.Extract(m.p, lsst.MaxWeight, m.opt.Sparsify.Seed); err != nil {
 			return err
 		}
-	} else {
-		m.backbone = res.Tree
-		m.treeKey = make(map[[2]int]bool, len(res.TreeEdgeIDs))
-		for _, id := range res.TreeEdgeIDs {
-			e := m.g.Edge(id)
-			m.treeKey[[2]int{e.U, e.V}] = true
-		}
+	}
+	m.treeKey = make(map[[2]int]bool, len(treeIDs))
+	for _, id := range treeIDs {
+		e := treeOf.Edge(id)
+		m.treeKey[[2]int{e.U, e.V}] = true
 	}
 	m.perm = nil // force a fresh elimination order for the new pattern
 	if err := m.refactor(); err != nil {
@@ -799,20 +731,20 @@ func (m *Maintainer) rebuild(ctx context.Context) error {
 	if err := m.refilter(ctx, false); err != nil {
 		return err
 	}
-	m.condAtBuild = m.cond
 	m.drift = 0
 	m.mAtBuild = m.g.M()
 	return nil
 }
 
-// repairTree stages the reconnection of the backbone forest after
-// tree-edge deletions: the surviving forest is m.treeKey minus the
+// repairTree plans the reconnection of the spanning forest after
+// tree-edge deletions and returns the repair edges (edges of g, which is
+// the post-batch graph): the surviving forest is m.treeKey minus the
 // removed edges, repairs prefer the heaviest crossing edge per removed
 // edge (lsst.FindReplacement), and a heaviest-first sweep covers the case
 // of several simultaneous removals fragmenting the forest beyond pairwise
-// repair. Repair edges are staged into both the tree set and the
-// sparsifier deltas.
-func (m *Maintainer) repairTree(g *graph.Graph, removed [][2]int, pDel map[[2]int]bool, pSet map[[2]int]float64, treeAdd map[[2]int]bool) error {
+// repair. The caller stages them into both the tree set and the
+// sparsifier edits.
+func (m *Maintainer) repairTree(g *graph.Graph, removed [][2]int) ([]graph.Edge, error) {
 	removedSet := make(map[[2]int]bool, len(removed))
 	for _, k := range removed {
 		removedSet[k] = true
@@ -824,21 +756,13 @@ func (m *Maintainer) repairTree(g *graph.Graph, removed [][2]int, pDel map[[2]in
 			pairs = append(pairs, k)
 		}
 	}
-	stage := func(e graph.Edge) {
-		k := [2]int{e.U, e.V}
-		treeAdd[k] = true
-		pSet[k] = e.W
-		delete(pDel, k)
-		pairs = append(pairs, k)
-	}
 	if len(removed) == 1 {
 		id, err := lsst.FindReplacement(g, pairs, removed[0][0], removed[0][1], nil)
 		if err == nil && id >= 0 {
-			stage(g.Edge(id))
-			return nil
+			return []graph.Edge{g.Edge(id)}, nil
 		}
 		if err != nil && !errors.Is(err, lsst.ErrNoReplacement) {
-			return err
+			return nil, err
 		}
 		// ErrNoReplacement cannot happen for a connected g with a single
 		// removal, but fall through to the sweep as a belt-and-braces path.
@@ -847,23 +771,9 @@ func (m *Maintainer) repairTree(g *graph.Graph, removed [][2]int, pDel map[[2]in
 	for _, k := range pairs {
 		uf.Union(k[0], k[1])
 	}
-	if !reconnectHeaviest(g, uf, stage) {
-		return fmt.Errorf("dynamic: backbone repair failed: %w", graph.ErrDisconnected)
+	repairs, ok := reconnectHeaviest(g, uf)
+	if !ok {
+		return nil, fmt.Errorf("dynamic: tree repair failed: %w", graph.ErrDisconnected)
 	}
-	return nil
-}
-
-// lookupEdge finds the edge with the given normalized key in g.
-func lookupEdge(g *graph.Graph, k [2]int) (graph.Edge, bool) {
-	var out graph.Edge
-	found := false
-	g.Neighbors(k[0], func(v int, w float64, id int) bool {
-		if v == k[1] {
-			out = g.Edge(id)
-			found = true
-			return false
-		}
-		return true
-	})
-	return out, found
+	return repairs, nil
 }

@@ -3,6 +3,8 @@ package dynamic_test
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 
 	"graphspar/internal/core"
@@ -16,11 +18,20 @@ import (
 	"graphspar/internal/vecmath"
 )
 
-// checkInvariant is the shared testkit invariant: connected subgraph,
-// weights mirrored, verified κ within the σ² target.
+// checkInvariant is the per-batch invariant of every suite in this
+// package: the shared testkit one (connected subgraph, weights mirrored,
+// sorted edge lists, verified κ within the σ² target) plus what only this
+// package can see — the tree keys are n−1 sparsifier edges spanning it, and
+// the standing factor is a factor of Sparsifier().
 func checkInvariant(t *testing.T, m *dynamic.Maintainer, sigmaSq float64) {
 	t.Helper()
 	testkit.AssertInvariant(t, m, sigmaSq)
+	if err := m.CheckTree(); err != nil {
+		t.Fatalf("spanning-tree keys: %v", err)
+	}
+	if lag, err := m.FactorLag(); err != nil || lag > 1e-8 {
+		t.Fatalf("factor out of step with the sparsifier: solve differs by %.3g (err %v)", lag, err)
+	}
 }
 
 func newMaintainer(t *testing.T, g *graph.Graph, sigmaSq float64) *dynamic.Maintainer {
@@ -32,16 +43,15 @@ func newMaintainer(t *testing.T, g *graph.Graph, sigmaSq float64) *dynamic.Maint
 	return m
 }
 
-// backboneEdges recomputes the backbone a freshly built maintainer holds:
-// the max-weight spanning tree of its sparsifier, extracted with the
-// build's seed.
-func backboneEdges(t *testing.T, m *dynamic.Maintainer) []graph.Edge {
-	t.Helper()
-	tr, _, _, err := lsst.Extract(m.Sparsifier(), lsst.MaxWeight, 1)
-	if err != nil {
-		t.Fatal(err)
+// treeEdges lists the sparsifier edges in m's spanning-tree key set.
+func treeEdges(m *dynamic.Maintainer) []graph.Edge {
+	var out []graph.Edge
+	for _, e := range m.Sparsifier().Edges() {
+		if m.HasTreeKey(e.U, e.V) {
+			out = append(out, e)
+		}
 	}
-	return tr.Edges()
+	return out
 }
 
 func TestApplyMixedBatchKeepsCertificate(t *testing.T) {
@@ -85,7 +95,7 @@ func TestDeleteTreeEdgeTriggersRepair(t *testing.T) {
 	}
 	const sigmaSq = 80
 	m := newMaintainer(t, g, sigmaSq)
-	te := backboneEdges(t, m)[0]
+	te := treeEdges(m)[0]
 	if err := m.Apply(context.Background(), []dynamic.Update{dynamic.Delete(te.U, te.V)}); err != nil {
 		t.Fatal(err)
 	}
@@ -280,19 +290,12 @@ func TestBatchedVerifyEquivalence(t *testing.T) {
 	// fire, the sparsifier thins out, the certificate drifts past the
 	// safety margin, and the settle pass runs real re-filter rounds in
 	// both maintainers.
-	tree := make(map[[2]int]bool)
-	for _, e := range backboneEdges(t, batched) {
-		if e.U > e.V {
-			e.U, e.V = e.V, e.U
-		}
-		tree[[2]int{e.U, e.V}] = true
-	}
 	var batch []dynamic.Update
 	for _, e := range batched.Sparsifier().Edges() {
 		if len(batch) >= 40 {
 			break
 		}
-		if tree[[2]int{e.U, e.V}] {
+		if batched.HasTreeKey(e.U, e.V) {
 			continue
 		}
 		// Keep the graph connected (off-tree edges of a grid are never
@@ -346,5 +349,172 @@ func TestBatchedVerifyEquivalence(t *testing.T) {
 	if ps.Refilters > 1 && bs.Verifies >= ps.Verifies {
 		t.Errorf("batched verifies = %d, want fewer than per-round %d (refilters %d vs %d)",
 			bs.Verifies, ps.Verifies, bs.Refilters, ps.Refilters)
+	}
+}
+
+// kruskalHeaviestFirst is the oracle for the repair sweep: starting from
+// the forest in uf, take g's edges in the total order (weight desc, edge id
+// asc) while they join two components.
+func kruskalHeaviestFirst(g *graph.Graph, uf *lsst.UnionFind) []graph.Edge {
+	order := g.EdgesCopy() // id order; a stable sort keeps it within a weight
+	sort.SliceStable(order, func(a, b int) bool { return order[a].W > order[b].W })
+	var taken []graph.Edge
+	for _, e := range order {
+		if uf.Union(e.U, e.V) {
+			taken = append(taken, e)
+		}
+	}
+	return taken
+}
+
+// TestMultiRemovalRepairBreaksTiesByEdgeID pins the repair edges the
+// heaviest-first sweep picks when candidates tie — all of them on a
+// unit-weight grid, half of them on a grid with two weight classes (the
+// case an unstable sort by weight alone visibly scrambles): the order is
+// (weight desc, edge id asc), not whatever the sort leaves first.
+func TestMultiRemovalRepairBreaksTiesByEdgeID(t *testing.T) {
+	unit, err := gen.Grid2D(9, 9, gen.UnitWeights, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := unit.EdgesCopy()
+	for i := range two {
+		two[i].W = float64(1 + (7*i)%2)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"unit weights", unit}, {"two weight classes", graph.MustNew(unit.N(), two)}} {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.g
+			const sigmaSq = 80
+			m := newMaintainer(t, g, sigmaSq)
+			before := treeEdges(m)
+			if len(before) != g.N()-1 {
+				t.Fatalf("%d tree edges, want %d", len(before), g.N()-1)
+			}
+			// Three tree edges spread over the list; a grid survives them.
+			removed := []graph.Edge{before[3], before[len(before)/2], before[len(before)-4]}
+			var batch []dynamic.Update
+			for _, e := range removed {
+				batch = append(batch, dynamic.Delete(e.U, e.V))
+			}
+			g2, err := dynamic.ApplyToGraph(g, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			uf := lsst.NewUnionFind(g.N())
+			for _, e := range before {
+				if e != removed[0] && e != removed[1] && e != removed[2] {
+					uf.Union(e.U, e.V)
+				}
+			}
+			want := kruskalHeaviestFirst(g2, uf)
+			if len(want) != len(removed) {
+				t.Fatalf("oracle found %d repair edges for %d removals", len(want), len(removed))
+			}
+
+			if err := m.Apply(context.Background(), batch); err != nil {
+				t.Fatal(err)
+			}
+			if m.Stats().Rebuilds != 0 {
+				t.Fatalf("batch forced a rebuild; the repair was not exercised: %+v", m.Stats())
+			}
+			was := make(map[graph.Edge]bool)
+			for _, e := range before {
+				was[e] = true
+			}
+			for _, e := range want {
+				if !m.HasTreeKey(e.U, e.V) || was[e] {
+					t.Fatalf("repair edge %v not adopted; want exactly %v (ties break by edge id)", e, want)
+				}
+			}
+			checkInvariant(t, m, sigmaSq) // n−1 keys: the three wanted ones are the only new ones
+
+			// The sweep on its own, from bare vertices.
+			sweep, ok := dynamic.ReconnectHeaviest(g, lsst.NewUnionFind(g.N()))
+			if kruskal := kruskalHeaviestFirst(g, lsst.NewUnionFind(g.N())); !ok || !reflect.DeepEqual(sweep, kruskal) {
+				t.Fatalf("sweep took %v (ok=%v), want %v", sweep, ok, kruskal)
+			}
+		})
+	}
+}
+
+// TestApplyGuardsTreeKeyCount reaches the commit-point guard that replaced
+// the rooted-tree rebuild's accidental check: with the key set one edge
+// short of a spanning tree, Apply must refuse the batch and leave the
+// maintainer exactly as it was.
+func TestApplyGuardsTreeKeyCount(t *testing.T) {
+	g, err := gen.Grid2D(6, 6, gen.UniformWeights, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMaintainer(t, g, 60)
+	te := treeEdges(m)[0]
+	m.DropTreeKey(te.U, te.V)
+	if err := m.CheckTree(); err == nil {
+		t.Fatal("CheckTree accepted a key set one edge short")
+	}
+	gBefore, pBefore, condBefore := m.Graph(), m.Sparsifier(), m.Cond()
+	e := g.Edge(g.M() - 1)
+	err = m.Apply(context.Background(), []dynamic.Update{dynamic.Reweight(e.U, e.V, 2*e.W)})
+	if err == nil {
+		t.Fatal("Apply committed on a broken spanning-tree key set")
+	}
+	if m.Graph() != gBefore || m.Sparsifier() != pBefore || m.Cond() != condBefore || m.Stats().Applies != 0 {
+		t.Fatalf("refused batch must leave the maintainer untouched (err %v)", err)
+	}
+}
+
+// TestSettleRoutesKeepSparsifierAndFactorInStep thins the sparsifier batch
+// after batch through both settle routes. Re-filter admissions are merged
+// into Sparsifier() every round while the batched route defers the factor
+// update to the end of the pass; either way, when Apply returns the
+// standing factor must be a factor of exactly Sparsifier(), the tree keys
+// must span it, and the certificate must hold — checked after every batch.
+func TestSettleRoutesKeepSparsifierAndFactorInStep(t *testing.T) {
+	const sigmaSq = 50
+	g, err := gen.Grid2D(20, 20, gen.UniformWeights, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, route := range []struct {
+		name string
+		size int // 64 and up settle batched
+	}{{"per-round", 4}, {"batched", 64}} {
+		t.Run(route.name, func(t *testing.T) {
+			m := newMaintainer(t, g, sigmaSq)
+			for i := 0; i < 5; i++ {
+				// Delete four off-tree sparsifier edges — no tree edge goes,
+				// so G stays connected — and pad the batched route's batch
+				// with reweights that change nothing: edges outside the
+				// sparsifier, set to the weight they already have.
+				var batch []dynamic.Update
+				for _, e := range m.Sparsifier().Edges() {
+					if len(batch) < 4 && !m.HasTreeKey(e.U, e.V) {
+						batch = append(batch, dynamic.Delete(e.U, e.V))
+					}
+				}
+				for _, e := range m.Graph().Edges() {
+					if len(batch) < route.size && !m.Sparsifier().HasEdge(e.U, e.V) {
+						batch = append(batch, dynamic.Reweight(e.U, e.V, e.W))
+					}
+				}
+				if len(batch) != route.size {
+					t.Fatalf("batch %d: built %d of %d updates", i, len(batch), route.size)
+				}
+				if err := m.Apply(context.Background(), batch); err != nil {
+					t.Fatalf("batch %d: %v", i, err)
+				}
+				checkInvariant(t, m, sigmaSq)
+			}
+			st := m.Stats()
+			if st.Refilters == 0 {
+				t.Fatalf("no re-filter round ran; batches too gentle: %+v", st)
+			}
+			if batched := route.size >= 64; (st.BatchedSettles > 0) != batched {
+				t.Fatalf("BatchedSettles = %d on the %s route", st.BatchedSettles, route.name)
+			}
+		})
 	}
 }

@@ -31,7 +31,7 @@ func runStream(t *testing.T, m *dynamic.Maintainer, sigmaSq float64, seed uint64
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		applied++
-		testkit.AssertInvariant(t, m, sigmaSq)
+		checkInvariant(t, m, sigmaSq)
 	}
 	if applied < batches {
 		t.Fatalf("only %d/%d batches applied", applied, batches)

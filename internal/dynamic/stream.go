@@ -55,7 +55,7 @@ func (e EventJSON) Update() (Update, error) {
 const maxEventLineBytes = 1 << 20
 
 // EventReader incrementally decodes an event stream one batch at a time,
-// so multi-million-event streams never materialize in memory. It sits on
+// so multi-million-event streams are never held in memory whole. It sits on
 // the hot path of the service's stream endpoint: records are tokenized
 // from the underlying buffer's bytes and the batch array and NDJSON
 // scratch are reused across calls, so steady-state decoding does not

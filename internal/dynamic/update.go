@@ -104,26 +104,28 @@ func (u Update) validate(n int) error {
 // The batch is atomic: the first violation (unknown edge, duplicate
 // insert, self loop, bad weight, or a result that is no longer connected)
 // rejects the whole batch and g is returned unchanged. Within one batch
-// each edge may appear at most once. Existence checks go through the
-// adjacency index and the edge list is copied in one pass, so the cost is
-// O(m + b·deg) rather than a full edge-map materialization — this is the
-// per-batch hot path of the dynamic maintainer.
+// each edge may appear at most once. Existence checks are binary searches
+// on g's sorted edge list and the new list is built by one merge walk over
+// it (graph.Edit — the walk the maintainer also edits its sparsifier
+// with), so the cost is O(m + b·log m): no sort, no edge map, no adjacency
+// index — this is the per-batch hot path of the dynamic maintainer.
 func ApplyToGraph(g *graph.Graph, batch []Update) (*graph.Graph, error) {
 	if len(batch) == 0 {
 		return g, nil
 	}
-	touched := make(map[[2]int]*Update, len(batch))
+	seen := make(map[[2]int]bool, len(batch))
+	edits := make([]graph.Edge, len(batch))
 	hasDelete := false
-	for i := range batch {
-		u := &batch[i]
+	for i, u := range batch {
 		if err := u.validate(g.N()); err != nil {
 			return nil, fmt.Errorf("update %d: %w", i, err)
 		}
 		k := u.key()
-		if _, dup := touched[k]; dup {
+		if seen[k] {
 			return nil, fmt.Errorf("update %d: %w: edge (%d,%d) appears twice in batch", i, ErrBadUpdate, k[0], k[1])
 		}
-		touched[k] = u
+		seen[k] = true
+		edits[i] = graph.Edge{U: k[0], V: k[1], W: u.W}
 		exists := g.HasEdge(k[0], k[1])
 		switch u.Op {
 		case OpInsert:
@@ -135,6 +137,7 @@ func ApplyToGraph(g *graph.Graph, batch []Update) (*graph.Graph, error) {
 				return nil, fmt.Errorf("update %d: %w: delete (%d,%d)", i, ErrEdgeMissing, k[0], k[1])
 			}
 			hasDelete = true
+			edits[i].W = 0 // Edit's spelling of a deletion
 		case OpReweight:
 			if !exists {
 				return nil, fmt.Errorf("update %d: %w: reweight (%d,%d)", i, ErrEdgeMissing, k[0], k[1])
@@ -143,25 +146,7 @@ func ApplyToGraph(g *graph.Graph, batch []Update) (*graph.Graph, error) {
 			return nil, fmt.Errorf("update %d: %w: op %v", i, ErrBadUpdate, u.Op)
 		}
 	}
-	edges := make([]graph.Edge, 0, g.M()+len(batch))
-	for _, e := range g.Edges() {
-		if u, ok := touched[[2]int{e.U, e.V}]; ok {
-			switch u.Op {
-			case OpDelete:
-				continue
-			case OpReweight:
-				e.W = u.W
-			}
-		}
-		edges = append(edges, e)
-	}
-	//graphspar:nondeterministic-ok graph.New sorts and merges the edge list, erasing append order; touched has unique keys so merge sums cannot differ
-	for k, u := range touched {
-		if u.Op == OpInsert {
-			edges = append(edges, graph.Edge{U: k[0], V: k[1], W: u.W})
-		}
-	}
-	out, err := graph.New(g.N(), edges)
+	out, _, err := graph.Edit(g, edits)
 	if err != nil {
 		return nil, err
 	}
@@ -171,14 +156,4 @@ func ApplyToGraph(g *graph.Graph, batch []Update) (*graph.Graph, error) {
 		return nil, ErrWouldDisconnect
 	}
 	return out, nil
-}
-
-// edgesFromMap materializes a graph from an edge-weight map.
-func edgesFromMap(n int, weights map[[2]int]float64) (*graph.Graph, error) {
-	edges := make([]graph.Edge, 0, len(weights))
-	//graphspar:nondeterministic-ok graph.New sorts and merges the edge list, erasing append order; weights has unique keys so merge sums cannot differ
-	for k, w := range weights {
-		edges = append(edges, graph.Edge{U: k[0], V: k[1], W: w})
-	}
-	return graph.New(n, edges)
 }

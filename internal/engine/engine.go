@@ -38,7 +38,6 @@ import (
 	"graphspar/internal/obs"
 	"graphspar/internal/params"
 	"graphspar/internal/partition"
-	"graphspar/internal/tree"
 )
 
 const (
@@ -232,10 +231,9 @@ type Result struct {
 	SigmaSqEst           float64
 	TargetMet            bool
 
-	// Single-shot fields: the rooted backbone, its total stretch, the
-	// tree/off-tree edge ids into the input's edge list and the per-round
-	// densification trace.
-	Tree            *tree.Tree
+	// Single-shot fields: the backbone's total stretch, the tree/off-tree
+	// edge ids into the input's edge list and the per-round densification
+	// trace.
 	TotalStretch    float64
 	TreeEdgeIDs     []int
 	OffTreeAddedIDs []int
@@ -295,14 +293,14 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	// genuinely coarsened multilevel run already did, as the last step of
 	// its level-0 calibration loop.
 	if opt.Verify && !res.Verified {
-		c, err := certify(ctx, g, res.Sparsifier, solver, opt.VerifySteps, opt.Sparsify.Seed)
+		c, err := Certify(ctx, g, res.Sparsifier, solver, opt.VerifySteps, opt.Sparsify.Seed)
 		res.Timings.Verify += c.dur
 		if err != nil {
 			return nil, err
 		}
 		res.setCertificate(c)
 		if res.Mode == params.ModeMultilevel {
-			res.Levels[0].VerifiedCond = c.cond
+			res.Levels[0].VerifiedCond = c.Cond
 		}
 	}
 	if res.Verified && res.Mode != params.ModeSingleShot {
@@ -313,33 +311,35 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// certificate is one independent similarity check: the extreme
-// generalized eigenvalue estimates of (L_G, L_P), their ratio, and the
-// duration of the "verify" span that measured them.
-type certificate struct {
-	lmax, lmin, cond float64
-	dur              time.Duration
+// Certificate is one independent similarity check: the extreme
+// generalized eigenvalue estimates of (L_G, L_P) and their ratio κ, plus
+// the duration of the "verify" span that measured them.
+type Certificate struct {
+	LambdaMax, LambdaMin, Cond float64
+	dur                        time.Duration
 }
 
-func (r *Result) setCertificate(c certificate) {
+func (r *Result) setCertificate(c Certificate) {
 	r.Verified = true
-	r.VerifiedLambdaMax, r.VerifiedLambdaMin, r.VerifiedCond = c.lmax, c.lmin, c.cond
+	r.VerifiedLambdaMax, r.VerifiedLambdaMin, r.VerifiedCond = c.LambdaMax, c.LambdaMin, c.Cond
 }
 
-// certify runs the generalized-Lanczos similarity check of p against g.
-// It is the batch pipeline's only certificate code: every plan's tail and
-// every multilevel level goes through it, under one "verify" span.
+// Certify runs the generalized-Lanczos similarity check of p against g.
+// It is the product's only certificate code: every plan's tail, every
+// multilevel level and every settle pass of the dynamic maintainer goes
+// through it, under one "verify" span.
 //
-// solver must be a factorization of exactly p or nil. The filter loops
-// hand over the factor they end on (core.Result.Solver,
-// core.RefilterFactored), so the final P is factored once; certify owns
-// the solver from here and drops it on return. Only when handed nil — P
-// is still the bare tree, the last re-filter pass ran out of rounds while
-// adding edges, or the plan never factored P at full size (the sharded
-// plan's kept-whole cut) — does it factor p itself, under a "factor"
-// span. Either way the factor is the same bit for bit, so the
-// certificate cannot depend on who built it.
-func certify(ctx context.Context, g, p *graph.Graph, solver *cholesky.LapSolver, steps int, seed uint64) (c certificate, err error) {
+// solver must be a factorization of exactly p or nil; Certify only reads
+// it. The filter loops hand over the factor they end on
+// (core.Result.Solver, core.RefilterFactored), so the batch pipeline
+// factors the final P once, and the maintainer hands in the standing
+// factor it updates in place. Only when handed nil — P is still the bare
+// tree, the last re-filter pass ran out of rounds while adding edges, or
+// the plan never factored P at full size (the sharded plan's kept-whole
+// cut) — does it factor p itself, under a "factor" span; that factor is the
+// filter loop's bit for bit, so a batch certificate cannot depend on who
+// built it.
+func Certify(ctx context.Context, g, p *graph.Graph, solver *cholesky.LapSolver, steps int, seed uint64) (c Certificate, err error) {
 	if err := ctx.Err(); err != nil {
 		return c, err
 	}
@@ -356,7 +356,7 @@ func certify(ctx context.Context, g, p *graph.Graph, solver *cholesky.LapSolver,
 	if steps > g.N() {
 		steps = g.N() // coarse levels can be smaller than the input
 	}
-	c.lmax, c.lmin, c.cond, err = core.VerifySimilarity(g, p, solver, steps, seed)
+	c.LambdaMax, c.LambdaMin, c.Cond, err = core.VerifySimilarity(g, p, solver, steps, seed)
 	if err != nil {
 		return c, fmt.Errorf("engine: similarity verification: %w", err)
 	}

@@ -201,11 +201,11 @@ func TestCertifyAdoptedMatchesFresh(t *testing.T) {
 		t.Fatal("Sparsify added edges but returned no solver")
 	}
 	ctx := context.Background()
-	adopted, err := certify(ctx, g, sp.Sparsifier, sp.Solver, 30, 9)
+	adopted, err := Certify(ctx, g, sp.Sparsifier, sp.Solver, 30, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := certify(ctx, g, sp.Sparsifier, nil, 30, 9)
+	fresh, err := Certify(ctx, g, sp.Sparsifier, nil, 30, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,16 +214,16 @@ func TestCertifyAdoptedMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	third, err := certify(ctx, g, sp.Sparsifier, own, 30, 9)
+	third, err := Certify(ctx, g, sp.Sparsifier, own, 30, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []certificate{fresh, third} {
-		if math.Float64bits(c.lmax) != math.Float64bits(adopted.lmax) ||
-			math.Float64bits(c.lmin) != math.Float64bits(adopted.lmin) ||
-			math.Float64bits(c.cond) != math.Float64bits(adopted.cond) {
+	for _, c := range []Certificate{fresh, third} {
+		if math.Float64bits(c.LambdaMax) != math.Float64bits(adopted.LambdaMax) ||
+			math.Float64bits(c.LambdaMin) != math.Float64bits(adopted.LambdaMin) ||
+			math.Float64bits(c.Cond) != math.Float64bits(adopted.Cond) {
 			t.Fatalf("certificate moved with the factor's builder: adopted (%v, %v, %v), other (%v, %v, %v)",
-				adopted.lmax, adopted.lmin, adopted.cond, c.lmax, c.lmin, c.cond)
+				adopted.LambdaMax, adopted.LambdaMin, adopted.Cond, c.LambdaMax, c.LambdaMin, c.Cond)
 		}
 	}
 }

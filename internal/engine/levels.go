@@ -23,7 +23,7 @@ import (
 //
 // The returned solver is the factorization of res.Sparsifier the last
 // filter loop ended on, for Run's certificate to adopt; nil when there is
-// none (see certify) or when level 0's certificate already consumed it.
+// none (see Certify) or when level 0's certificate already consumed it.
 func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (*cholesky.LapSolver, error) {
 	sigma := opt.Sparsify.SigmaSq
 	multi := opt.Mode == params.ModeMultilevel
@@ -64,7 +64,7 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (
 			Duration:   spDur,
 		}
 	} else {
-		res.Tree, res.TotalStretch = sp.Tree, sp.TotalStretch
+		res.TotalStretch = sp.TotalStretch
 		res.TreeEdgeIDs, res.OffTreeAddedIDs, res.Rounds = sp.TreeEdgeIDs, sp.OffTreeAddedIDs, sp.Rounds
 	}
 	p, solver := sp.Sparsifier, sp.Solver // solver: the factor of p, or nil
@@ -119,9 +119,9 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (
 		res.TargetMet = lmin > 0 && lmax/lmin <= sigma
 
 		if opt.Verify {
-			verify := func(seed uint64) (certificate, error) {
-				c, err := certify(ctx, fine.G, p, solver, opt.VerifySteps, seed)
-				solver = nil // certify consumed it; every retry re-filters first
+			verify := func(seed uint64) (Certificate, error) {
+				c, err := Certify(ctx, fine.G, p, solver, opt.VerifySteps, seed)
+				solver = nil // spent on this certificate; every retry re-filters first
 				res.Timings.Verify += c.dur
 				if err != nil {
 					return c, wrap(err)
@@ -139,9 +139,9 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (
 			// edges, then re-certify — the verified certificate is the one
 			// each level converges on. The retry count is capped, so the
 			// per-level cost stays bounded.
-			for attempt := 1; c.cond > sigma && len(kept) < fine.G.M() && lmin > 0 && attempt <= maxCalibrations; attempt++ {
+			for attempt := 1; c.Cond > sigma && len(kept) < fine.G.M() && lmin > 0 && attempt <= maxCalibrations; attempt++ {
 				copt := opt.Sparsify
-				copt.SigmaSq = sigma * (lmax / lmin) / c.cond
+				copt.SigmaSq = sigma * (lmax / lmin) / c.Cond
 				if !(copt.SigmaSq > 1) {
 					copt.SigmaSq = (1 + sigma) / 2
 				}
@@ -152,7 +152,7 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (
 					return nil, err
 				}
 			}
-			st.VerifiedCond = c.cond
+			st.VerifiedCond = c.Cond
 			if l == 0 {
 				res.setCertificate(c)
 			}

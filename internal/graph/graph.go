@@ -93,34 +93,43 @@ func New(n int, edges []Edge) (*Graph, error) {
 	return g, nil
 }
 
-// normalizeEdges validates every edge against the shared constructor
-// rules (range, no self loops, positive finite weight), flips each to
-// U < V, and returns a fresh (U,V)-sorted slice. Duplicates survive;
-// callers merge them.
+// normalizeEdges validates every edge (normalizeEdge) and returns a fresh
+// (U,V)-sorted slice. Duplicates survive; callers merge them.
 func normalizeEdges(n int, edges []Edge) ([]Edge, error) {
 	norm := make([]Edge, 0, len(edges))
 	for _, e := range edges {
-		if e.U == e.V {
-			return nil, fmt.Errorf("%w: (%d,%d)", ErrSelfLoop, e.U, e.V)
-		}
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, fmt.Errorf("%w: (%d,%d) with n=%d", ErrVertexRange, e.U, e.V, n)
-		}
-		if !(e.W > 0) || e.W > 1e300 {
-			return nil, fmt.Errorf("%w: w(%d,%d)=%v", ErrBadWeight, e.U, e.V, e.W)
-		}
-		if e.U > e.V {
-			e.U, e.V = e.V, e.U
+		e, err := normalizeEdge(n, e, false)
+		if err != nil {
+			return nil, err
 		}
 		norm = append(norm, e)
 	}
-	sort.Slice(norm, func(i, j int) bool {
-		if norm[i].U != norm[j].U {
-			return norm[i].U < norm[j].U
-		}
-		return norm[i].V < norm[j].V
-	})
+	sort.Slice(norm, func(i, j int) bool { return edgeLess(norm[i], norm[j]) })
 	return norm, nil
+}
+
+// normalizeEdge checks one edge against the shared constructor rules —
+// range, no self loops, positive finite weight (or exactly zero when
+// zeroOK: Edit's spelling of a deletion) — and flips it to U < V.
+func normalizeEdge(n int, e Edge, zeroOK bool) (Edge, error) {
+	if e.U == e.V {
+		return e, fmt.Errorf("%w: (%d,%d)", ErrSelfLoop, e.U, e.V)
+	}
+	if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+		return e, fmt.Errorf("%w: (%d,%d) with n=%d", ErrVertexRange, e.U, e.V, n)
+	}
+	if (!(e.W > 0) || e.W > 1e300) && !(zeroOK && e.W == 0) {
+		return e, fmt.Errorf("%w: w(%d,%d)=%v", ErrBadWeight, e.U, e.V, e.W)
+	}
+	if e.U > e.V {
+		e.U, e.V = e.V, e.U
+	}
+	return e, nil
+}
+
+// edgeLess is the (U,V) order every edge list is kept in.
+func edgeLess(a, b Edge) bool {
+	return a.U < b.U || (a.U == b.U && a.V < b.V)
 }
 
 // MustNew is New but panics on error; for tests and generators whose inputs
@@ -418,24 +427,27 @@ func (g *Graph) EdgeIndex() map[[2]int]int {
 	return idx
 }
 
-// HasEdge reports whether an edge between u and v exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u == v {
-		return false
-	}
+// FindEdge returns the id of the edge between u and v, by binary search on
+// the (U,V)-sorted edge list: no adjacency index, no map. It is a function
+// rather than a method so the facade's Graph alias gains no symbol.
+func FindEdge(g *Graph, u, v int) (int, bool) {
 	if u > v {
 		u, v = v, u
 	}
-	g.buildAdj()
-	found := false
-	g.Neighbors(u, func(nb int, _ float64, _ int) bool {
-		if nb == v {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+	i := searchEdges(g.edges, Edge{U: u, V: v})
+	return i, i < len(g.edges) && g.edges[i].U == u && g.edges[i].V == v
+}
+
+// searchEdges returns the first position of the sorted list es whose pair
+// is not before e's.
+func searchEdges(es []Edge, e Edge) int {
+	return sort.Search(len(es), func(i int) bool { return !edgeLess(es[i], e) })
+}
+
+// HasEdge reports whether an edge between u and v exists.
+func (g *Graph) HasEdge(u, v int) bool {
+	_, ok := FindEdge(g, u, v)
+	return ok
 }
 
 // AddEdges returns a new graph with extra edges appended (weights of
@@ -471,10 +483,10 @@ func (g *Graph) AddEdges(extra []Edge) (*Graph, error) {
 	for i < len(g.edges) && j < len(merged) {
 		a, b := g.edges[i], merged[j]
 		switch {
-		case a.U < b.U || (a.U == b.U && a.V < b.V):
+		case edgeLess(a, b):
 			out = append(out, a)
 			i++
-		case b.U < a.U || (b.U == a.U && b.V < a.V):
+		case edgeLess(b, a):
 			out = append(out, b)
 			j++
 		default:
@@ -486,6 +498,51 @@ func (g *Graph) AddEdges(extra []Edge) (*Graph, error) {
 	out = append(out, g.edges[i:]...)
 	out = append(out, merged[j:]...)
 	return &Graph{n: g.n, edges: out}, nil
+}
+
+// Edit applies a list of edge edits to g in one merge walk over its sorted
+// edge list. An edit with W > 0 sets its pair's weight, inserting the edge
+// if it is absent; W == 0 deletes the pair (a no-op if absent); when
+// several edits name one pair the last wins. It returns the edited graph
+// and, in (U,V) order, the signed weight change of every pair whose weight
+// moved (the full weight for an insertion, its negation for a deletion) —
+// the rank-1 perturbations a factor of g's Laplacian needs to follow the
+// edit. The receiver is unchanged; edits is normalized and sorted in
+// place. A function, not a method, for FindEdge's reason.
+func Edit(g *Graph, edits []Edge) (*Graph, []Edge, error) {
+	if len(edits) == 0 {
+		return g, nil, nil
+	}
+	for i, e := range edits {
+		e, err := normalizeEdge(g.n, e, true)
+		if err != nil {
+			return nil, nil, err
+		}
+		edits[i] = e
+	}
+	sort.SliceStable(edits, func(i, j int) bool { return edgeLess(edits[i], edits[j]) })
+	out := make([]Edge, 0, len(g.edges)+len(edits))
+	var deltas []Edge
+	rest := g.edges
+	for j, e := range edits {
+		if j+1 < len(edits) && !edgeLess(e, edits[j+1]) {
+			continue // a later edit of the same pair overrides this one
+		}
+		at := searchEdges(rest, e)
+		out = append(out, rest[:at]...)
+		rest = rest[at:]
+		old := 0.0
+		if len(rest) > 0 && !edgeLess(e, rest[0]) {
+			old, rest = rest[0].W, rest[1:]
+		}
+		if e.W > 0 {
+			out = append(out, e)
+		}
+		if d := e.W - old; d != 0 {
+			deltas = append(deltas, Edge{U: e.U, V: e.V, W: d})
+		}
+	}
+	return &Graph{n: g.n, edges: append(out, rest...)}, deltas, nil
 }
 
 // InducedSubgraph returns the subgraph induced by the given vertex set,

@@ -307,6 +307,150 @@ func TestAddEdges(t *testing.T) {
 	}
 }
 
+// TestFindEdgeMatchesIndex checks the binary-search lookup against the
+// map index on every vertex pair of a random graph, both orientations.
+func TestFindEdgeMatchesIndex(t *testing.T) {
+	rng := vecmath.NewRNG(17)
+	const n = 23
+	var es []Edge
+	for i := 0; i < 90; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			es = append(es, Edge{u, v, 1 + rng.Float64()})
+		}
+	}
+	g := MustNew(n, es)
+	idx := g.EdgeIndex()
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			a, b := min(u, v), max(u, v)
+			want, in := idx[[2]int{a, b}]
+			got, ok := FindEdge(g, u, v)
+			if ok != in || (ok && got != want) || g.HasEdge(u, v) != in {
+				t.Fatalf("FindEdge(%d,%d) = %d,%v; index says %d,%v", u, v, got, ok, want, in)
+			}
+		}
+	}
+	if _, ok := FindEdge(MustNew(3, nil), 0, 1); ok {
+		t.Fatal("FindEdge found an edge in an empty graph")
+	}
+}
+
+// TestEditMatchesNew is the table for the shared edit walk: whatever the
+// mix of deletes, reweights and inserts, Edit must equal New on the edited
+// list, leave the receiver alone, and emit exactly the moved pairs' signed
+// weight changes in (U,V) order.
+func TestEditMatchesNew(t *testing.T) {
+	base := []Edge{{0, 1, 1}, {0, 4, 2}, {1, 2, 3}, {2, 3, 4}, {3, 4, 5}}
+	cases := []struct {
+		name   string
+		edits  []Edge
+		want   []Edge // the edited list, any order
+		deltas []Edge
+	}{
+		{"empty", nil, base, nil},
+		{"delete", []Edge{{2, 3, 0}, {0, 1, 0}},
+			[]Edge{{0, 4, 2}, {1, 2, 3}, {3, 4, 5}},
+			[]Edge{{0, 1, -1}, {2, 3, -4}}},
+		{"reweight", []Edge{{3, 4, 0.5}, {4, 0, 7}},
+			[]Edge{{0, 1, 1}, {0, 4, 7}, {1, 2, 3}, {2, 3, 4}, {3, 4, 0.5}},
+			[]Edge{{0, 4, 5}, {3, 4, -4.5}}},
+		{"insert", []Edge{{2, 4, 9}, {0, 2, 8}, {1, 4, 6}},
+			append([]Edge{{2, 4, 9}, {0, 2, 8}, {1, 4, 6}}, base...),
+			[]Edge{{0, 2, 8}, {1, 4, 6}, {2, 4, 9}}},
+		{"mixed", []Edge{{3, 4, 0}, {0, 3, 2.5}, {2, 1, 1}, {0, 1, 1}},
+			[]Edge{{0, 1, 1}, {0, 3, 2.5}, {0, 4, 2}, {1, 2, 1}, {2, 3, 4}},
+			[]Edge{{0, 3, 2.5}, {1, 2, -2}, {3, 4, -5}}}, // (0,1) set to the weight it has: no delta
+		{"delete absent", []Edge{{1, 3, 0}}, base, nil},
+		{"last edit of a pair wins", []Edge{{1, 3, 2}, {0, 1, 0}, {3, 1, 4}, {1, 0, 6}},
+			[]Edge{{0, 1, 6}, {0, 4, 2}, {1, 2, 3}, {1, 3, 4}, {2, 3, 4}, {3, 4, 5}},
+			[]Edge{{0, 1, 5}, {1, 3, 4}}},
+		{"first and last", []Edge{{0, 1, 0}, {3, 4, 0}, {0, 2, 1}},
+			[]Edge{{0, 2, 1}, {0, 4, 2}, {1, 2, 3}, {2, 3, 4}},
+			[]Edge{{0, 1, -1}, {0, 2, 1}, {3, 4, -5}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := MustNew(5, base)
+			got, deltas, err := Edit(g, c.edits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := MustNew(5, c.want); !reflect.DeepEqual(got.Edges(), want.Edges()) {
+				t.Fatalf("edited list = %v, New gives %v", got.Edges(), want.Edges())
+			}
+			if !reflect.DeepEqual(deltas, c.deltas) {
+				t.Fatalf("deltas = %v, want %v", deltas, c.deltas)
+			}
+			if !reflect.DeepEqual(g.Edges(), MustNew(5, base).Edges()) {
+				t.Fatal("Edit must not mutate the receiver")
+			}
+		})
+	}
+	g := MustNew(5, base)
+	for _, bad := range []struct {
+		e    Edge
+		want error
+	}{
+		{Edge{1, 1, 1}, ErrSelfLoop}, {Edge{0, 5, 0}, ErrVertexRange},
+		{Edge{0, 1, -1}, ErrBadWeight}, {Edge{0, 1, math.NaN()}, ErrBadWeight}, {Edge{0, 1, math.Inf(1)}, ErrBadWeight},
+	} {
+		if _, _, err := Edit(g, []Edge{{2, 3, 1}, bad.e}); !errors.Is(err, bad.want) {
+			t.Fatalf("Edit(%v) err = %v, want %v", bad.e, err, bad.want)
+		}
+	}
+}
+
+// TestEditRandomMatchesNew drives the walk with random edit lists against
+// the obvious oracle: apply the edits one by one to a weight map, hand the
+// result to New, and difference the map before and after for the deltas.
+func TestEditRandomMatchesNew(t *testing.T) {
+	rng := vecmath.NewRNG(5)
+	const n = 12
+	g := MustNew(n, nil)
+	for round := 0; round < 200; round++ {
+		before, after := make(map[[2]int]float64), make(map[[2]int]float64)
+		for _, e := range g.Edges() {
+			before[[2]int{e.U, e.V}], after[[2]int{e.U, e.V}] = e.W, e.W
+		}
+		edits := make([]Edge, rng.Intn(9))
+		for i := range edits {
+			u, v := rng.Intn(n), rng.Intn(n-1)
+			if v >= u {
+				v++
+			}
+			edits[i] = Edge{u, v, float64(rng.Intn(4))} // 0 deletes
+			after[[2]int{min(u, v), max(u, v)}] = edits[i].W
+		}
+		var list []Edge
+		moved := 0
+		for k, w := range after {
+			if w > 0 {
+				list = append(list, Edge{k[0], k[1], w})
+			}
+			if w != before[k] {
+				moved++
+			}
+		}
+		got, deltas, err := Edit(g, edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ContentHash() != MustNew(n, list).ContentHash() {
+			t.Fatalf("round %d: edited list = %v, New gives %v", round, got.Edges(), MustNew(n, list).Edges())
+		}
+		if len(deltas) != moved {
+			t.Fatalf("round %d: %d deltas for %d moved pairs: %v", round, len(deltas), moved, deltas)
+		}
+		for i, d := range deltas {
+			k := [2]int{d.U, d.V}
+			if (i > 0 && !edgeLess(deltas[i-1], d)) || d.W == 0 || d.W != after[k]-before[k] {
+				t.Fatalf("round %d: delta %d of %v is out of order or not %v", round, i, deltas, after[k]-before[k])
+			}
+		}
+		g = got
+	}
+}
+
 func TestTotalWeight(t *testing.T) {
 	g, _ := New(3, []Edge{{0, 1, 2}, {1, 2, 3.5}})
 	if g.TotalWeight() != 5.5 {

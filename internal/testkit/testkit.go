@@ -119,13 +119,23 @@ func VerifyCond(g, p *graph.Graph, seed uint64) (float64, error) {
 }
 
 // AssertInvariant fails the test unless the maintained sparsifier is a
-// connected subgraph of the graph whose independently verified condition
-// number is within sigmaSq.
+// connected subgraph of the graph, carrying the graph's current weights,
+// both edge lists (u,v)-sorted without repeats — the maintainer reads
+// membership and candidates straight off that order — and the
+// independently verified condition number is within sigmaSq.
 func AssertInvariant(t *testing.T, m *dynamic.Maintainer, sigmaSq float64) {
 	t.Helper()
 	g, p := m.Graph(), m.Sparsifier()
 	if !p.IsConnected() {
 		t.Fatal("testkit: sparsifier must stay connected")
+	}
+	for _, h := range []*graph.Graph{g, p} {
+		es := h.Edges()
+		for i, e := range es {
+			if e.U >= e.V || (i > 0 && (es[i-1].U > e.U || (es[i-1].U == e.U && es[i-1].V >= e.V))) {
+				t.Fatalf("testkit: %v edge %d (%d,%d) breaks the sorted, normalized, repeat-free order", h, i, e.U, e.V)
+			}
+		}
 	}
 	idx := g.EdgeIndex()
 	for _, e := range p.Edges() {
