@@ -130,7 +130,6 @@ var goldenConfigs = []struct {
 	{"single", []graphspar.Option{graphspar.WithMode(graphspar.ModeSingleShot)}},
 	{"single+verify", []graphspar.Option{graphspar.WithMode(graphspar.ModeSingleShot), graphspar.WithVerification(0)}},
 	{"shards4", []graphspar.Option{graphspar.WithShards(4)}},
-	{"shards4+direct", []graphspar.Option{graphspar.WithShards(4), graphspar.WithPartition(graphspar.PartitionDirect)}},
 	{"multilevel", []graphspar.Option{graphspar.WithMode(graphspar.ModeMultilevel)}},
 	{"multilevel+levels1", []graphspar.Option{graphspar.WithMode(graphspar.ModeMultilevel), graphspar.WithCoarsenLevels(1)}},
 	{"auto", nil},
