@@ -32,6 +32,7 @@ func facadeFor(p service.SparsifyParams, withVerification bool) (*graphspar.Spar
 		graphspar.WithProbeVectors(p.NumVectors),
 		graphspar.WithTreeAlgorithm(alg),
 		graphspar.WithSeed(p.Seed),
+		graphspar.WithWorkers(p.Workers), // every plan's one worker count
 	}
 	if withVerification {
 		opts = append(opts, graphspar.WithVerification(0))
@@ -39,10 +40,11 @@ func facadeFor(p service.SparsifyParams, withVerification bool) (*graphspar.Spar
 	if p.MaxEdges > 0 {
 		opts = append(opts, graphspar.WithMaxEdges(p.MaxEdges))
 	}
-	if p.Mode == graphspar.ModeMultilevel.String() {
+	switch {
+	case p.Mode == graphspar.ModeMultilevel.String():
 		// Canon left "multilevel" as the only surviving mode string and
 		// already zeroed Shards; the coarsen knobs ride along (0 keeps the
-		// library defaults) and Workers bounds the per-level embedding.
+		// library defaults).
 		opts = append(opts, graphspar.WithMode(graphspar.ModeMultilevel))
 		if p.CoarsenLevels > 0 {
 			opts = append(opts, graphspar.WithCoarsenLevels(p.CoarsenLevels))
@@ -50,21 +52,9 @@ func facadeFor(p service.SparsifyParams, withVerification bool) (*graphspar.Spar
 		if p.CoarsenRatio > 0 {
 			opts = append(opts, graphspar.WithCoarsenRatio(p.CoarsenRatio))
 		}
-		if p.Workers > 0 {
-			opts = append(opts, graphspar.WithWorkers(p.Workers))
-		}
-		return graphspar.New(opts...)
-	}
-	if p.Shards > 1 {
-		opts = append(opts, graphspar.WithShards(p.Shards), graphspar.WithWorkers(p.Workers))
-		if p.Partition != "" {
-			m, err := graphspar.ParsePartitionMethod(p.Partition)
-			if err != nil {
-				return nil, err
-			}
-			opts = append(opts, graphspar.WithPartition(m))
-		}
-	} else {
+	case p.Shards > 1:
+		opts = append(opts, graphspar.WithShards(p.Shards))
+	default:
 		// The wire contract is explicit: shards ≤ 1 is the single-shot
 		// pipeline, never the facade's auto-sharding policy.
 		opts = append(opts, graphspar.WithShards(1))

@@ -56,11 +56,9 @@ func main() {
 		rVecs     = flag.Int("r", 0, "random probe vectors (0 = O(log n))")
 		mode      = flag.String("mode", "auto", "execution path: auto | single | sharded | multilevel")
 		shards    = flag.Int("shards", 1, "k-way shards for the parallel engine (1 = single-shot, 0 = auto by graph size)")
-		workers   = flag.Int("workers", 0, "concurrent shard sparsifications (0 = all cores)")
-		partAlg   = flag.String("partition", "bfs", "engine bisector: bfs | direct | iterative | sparsifier-only")
+		workers   = flag.Int("workers", 0, "worker count: concurrent shards and the goroutines of every embedding pass (0 = all cores; any value is bit-identical)")
 		coarsenLv = flag.Int("coarsen-levels", 0, "multilevel hierarchy depth cap (0 = until the coarsest-size floor)")
 		coarsenRt = flag.Float64("coarsen-ratio", 0, "multilevel coarsening progress floor in (0,1] (0 = default 0.7; 1 disables coarsening)")
-		embedWork = flag.Int("embed-workers", 0, "goroutines for the probe-vector solves (0 = sequential; any value is bit-identical)")
 		stream    = flag.String("update-stream", "", "edge-event file to replay through the incremental maintainer after the initial sparsification")
 		remote    = flag.String("remote", "", "base URL of a sparsifyd server; -update-stream replays the event file against its /stream endpoint (-graph names the registered graph)")
 		wireFmt   = flag.String("wire", "text", "wire format for -remote streaming: text (NDJSON) | binary")
@@ -79,15 +77,11 @@ func main() {
 		if *wireFmt != "text" && *wireFmt != "binary" {
 			fatal(fmt.Errorf("bad -wire %q (want text or binary)", *wireFmt))
 		}
-		runRemoteStream(*remote, *spec, *stream, *wireFmt, remoteQuery(*sigmaSq, *tSteps, *rVecs, *treeAlg, *partAlg, *shards, *workers, *seed))
+		runRemoteStream(*remote, *spec, *stream, *wireFmt, remoteQuery(*sigmaSq, *tSteps, *rVecs, *treeAlg, *shards, *workers, *seed))
 		return
 	}
 
 	alg, err := graphspar.ParseTreeAlgorithm(*treeAlg)
-	if err != nil {
-		fatal(err)
-	}
-	method, err := graphspar.ParsePartitionMethod(*partAlg)
 	if err != nil {
 		fatal(err)
 	}
@@ -113,7 +107,6 @@ func main() {
 		graphspar.WithProbeVectors(*rVecs),
 		graphspar.WithTreeAlgorithm(alg),
 		graphspar.WithSeed(*seed),
-		graphspar.WithEmbedWorkers(*embedWork),
 		graphspar.WithWorkers(*workers),
 	}
 	if execMode != graphspar.ModeAuto {
@@ -121,9 +114,6 @@ func main() {
 	}
 	if execMode == graphspar.ModeAuto || shardsSet {
 		opts = append(opts, graphspar.WithShards(*shards))
-	}
-	if *shards != 1 {
-		opts = append(opts, graphspar.WithPartition(method))
 	}
 	if *coarsenLv != 0 {
 		opts = append(opts, graphspar.WithCoarsenLevels(*coarsenLv))
@@ -145,7 +135,7 @@ func main() {
 	if err != nil && !errors.Is(err, graphspar.ErrNoTarget) {
 		fatal(err)
 	}
-	report(g, res, alg, method, *sigmaSq, *verbose)
+	report(g, res, alg, *sigmaSq, *verbose)
 	if errors.Is(err, graphspar.ErrNoTarget) {
 		fmt.Println("warning: similarity target not reached within round budget")
 	}
@@ -154,7 +144,7 @@ func main() {
 
 // report prints the unified Result, with the extra sharding phases when
 // the engine ran.
-func report(g *graphspar.Graph, res *graphspar.Result, alg graphspar.TreeAlgorithm, method graphspar.PartitionMethod, sigmaSq float64, verbose bool) {
+func report(g *graphspar.Graph, res *graphspar.Result, alg graphspar.TreeAlgorithm, sigmaSq float64, verbose bool) {
 	fmt.Printf("sparsifier: |Es|=%d  density |Es|/|V| = %.3f  (%.1fx edge reduction)\n",
 		res.Sparsifier.M(), res.Density(), float64(g.M())/float64(res.Sparsifier.M()))
 	if res.Multilevel {
@@ -189,8 +179,8 @@ func report(g *graphspar.Graph, res *graphspar.Result, alg graphspar.TreeAlgorit
 		}
 		return
 	}
-	fmt.Printf("sharding: %d parts (%s bisector), cut=%d edges (%d stitched, %d recovered)\n",
-		res.Parts, method, res.CutEdges, res.StitchedCut, res.RecoveredCut)
+	fmt.Printf("sharding: %d parts, cut=%d edges (%d stitched, %d recovered)\n",
+		res.Parts, res.CutEdges, res.StitchedCut, res.RecoveredCut)
 	fmt.Printf("similarity: σ² estimate=%.1f, verified κ=%.1f (target %.1f, met=%v)\n",
 		res.SigmaSqAchieved, res.VerifiedCond, sigmaSq, res.TargetMet)
 	fmt.Printf("time: %s total  (partition %s, shards %s wall / %s cpu = %.2fx parallel, stitch %s, verify %s)\n",
@@ -212,7 +202,7 @@ func report(g *graphspar.Graph, res *graphspar.Result, alg graphspar.TreeAlgorit
 // and compares the cumulative incremental cost against one from-scratch
 // re-sparsification of the final graph. Both the stream's rebuilds and
 // the final reference run go through the same facade Sparsifier, so
-// -shards/-workers/-partition apply uniformly.
+// -shards/-workers apply uniformly.
 func runUpdateStream(g *graphspar.Graph, s *graphspar.Sparsifier, path, out string) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -282,7 +272,7 @@ func runUpdateStream(g *graphspar.Graph, s *graphspar.Sparsifier, path, out stri
 // remoteQuery assembles the stream endpoint's query string from the
 // local flags, so a remote replay is parameterized exactly like a local
 // one.
-func remoteQuery(sigmaSq float64, t, r int, tree, part string, shards, workers int, seed uint64) url.Values {
+func remoteQuery(sigmaSq float64, t, r int, tree string, shards, workers int, seed uint64) url.Values {
 	q := url.Values{}
 	q.Set("sigma2", strconv.FormatFloat(sigmaSq, 'g', -1, 64))
 	q.Set("t", strconv.Itoa(t))
@@ -293,8 +283,9 @@ func remoteQuery(sigmaSq float64, t, r int, tree, part string, shards, workers i
 	q.Set("seed", strconv.FormatUint(seed, 10))
 	if shards > 1 {
 		q.Set("shards", strconv.Itoa(shards))
+	}
+	if workers > 0 {
 		q.Set("workers", strconv.Itoa(workers))
-		q.Set("partition", part)
 	}
 	return q
 }

@@ -80,7 +80,6 @@ func TestRunUpdateStreamSharded(t *testing.T) {
 		graphspar.WithSeed(1),
 		graphspar.WithShards(2),
 		graphspar.WithWorkers(2),
-		graphspar.WithPartition(graphspar.PartitionBFS),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -99,15 +98,19 @@ func TestRunUpdateStreamSharded(t *testing.T) {
 // TestRemoteQuery checks the flag → query-string mapping the -remote
 // mode ships to the server's stream endpoint.
 func TestRemoteQuery(t *testing.T) {
-	q := remoteQuery(100, 2, 0, "maxweight", "bfs", 1, 0, 7)
+	q := remoteQuery(100, 2, 0, "maxweight", 1, 0, 7)
 	if q.Get("sigma2") != "100" || q.Get("t") != "2" || q.Get("seed") != "7" {
 		t.Fatalf("query = %v", q)
 	}
-	if q.Get("shards") != "" || q.Get("partition") != "" {
-		t.Fatalf("single-shot must not ship engine knobs: %v", q)
+	if q.Has("shards") || q.Has("workers") {
+		t.Fatalf("unset flags must not ship: %v", q)
 	}
-	q = remoteQuery(50, 3, 8, "akpw", "direct", 4, 2, 1)
-	if q.Get("shards") != "4" || q.Get("workers") != "2" || q.Get("partition") != "direct" || q.Get("r") != "8" {
+	// The worker count rides along on every plan, single-shot included.
+	if q = remoteQuery(100, 2, 0, "maxweight", 1, 3, 7); q.Get("workers") != "3" || q.Has("shards") {
+		t.Fatalf("single-shot query with workers = %v", q)
+	}
+	q = remoteQuery(50, 3, 8, "akpw", 4, 2, 1)
+	if q.Get("shards") != "4" || q.Get("workers") != "2" || q.Get("r") != "8" {
 		t.Fatalf("sharded query = %v", q)
 	}
 }
@@ -134,7 +137,7 @@ func TestRunRemoteStream(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	runRemoteStream(srv.URL, "mygraph", events, "text", remoteQuery(75, 2, 0, "maxweight", "bfs", 1, 0, 1))
+	runRemoteStream(srv.URL, "mygraph", events, "text", remoteQuery(75, 2, 0, "maxweight", 1, 0, 1))
 	if gotPath != "/v1/graphs/mygraph/stream" {
 		t.Fatalf("path = %q", gotPath)
 	}

@@ -81,10 +81,6 @@ func New(opts ...Option) (*Sparsifier, error) {
 	if cfg.opt.Sparsify.Seed == 0 {
 		cfg.opt.Sparsify.Seed = 1 // the documented default, resolved once
 	}
-	if p := cfg.opt.Partition; p != nil {
-		p.SigmaSq, p.Seed = cfg.opt.Sparsify.SigmaSq, cfg.opt.Sparsify.Seed
-	}
-	cfg.opt.Sparsify.Workspace = core.NewWorkspace()
 	return &Sparsifier{cfg: cfg}, nil
 }
 

@@ -1,10 +1,17 @@
 // Package cholesky implements a sparse Cholesky (LLᵀ) factorization in the
 // CSparse style — elimination tree, two-pass symbolic analysis via ereach,
-// up-looking numeric factorization — plus minimum-degree, nested-dissection
-// and reverse Cuthill–McKee orderings and a grounded-Laplacian solver
+// up-looking numeric factorization — plus minimum-degree and
+// nested-dissection orderings and a grounded-Laplacian solver
 // (minimum-degree ordered). It stands in for the CHOLMOD direct
 // solver the paper uses as the Table 3 baseline, and factors ultra-sparse
 // sparsifier Laplacians as PCG preconditioners (Table 2).
+//
+// A factor is built one way: FactorCSR allocates its scratch (marker,
+// pattern and stack arrays, column counts, the dense row accumulator)
+// where it uses it and drops it on return. Scratch is deliberately not
+// pooled across factorizations: a pool keeps it live between operations,
+// which measured 2–7 MB of peak RSS end to end and bought no time on any
+// benchmark workload.
 //
 // The factor is stored compactly and its kernels know where it is dense.
 // Column pointers, row indices and the permutation are int32, so a
@@ -155,17 +162,6 @@ func ereach(a *sparse.CSR, k int, parent, s, w, stack []int) int {
 // symmetric CSR storage, both triangles present) with the given symmetric
 // permutation (perm[new] = old). Passing nil perm uses the identity.
 func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
-	return FactorCSRWS(a, perm, nil)
-}
-
-// FactorCSRWS is FactorCSR with the per-factorization scratch — the
-// ereach marker, pattern and stack arrays, the symbolic column counts,
-// the dense row accumulator and the column write cursors — drawn from ws
-// instead of the heap. Only scratch is pooled; everything retained by
-// the returned Factor (column pointers, indices, values, permutations,
-// the elimination tree) is always freshly allocated. A nil ws behaves
-// exactly like FactorCSR.
-func FactorCSRWS(a *sparse.CSR, perm []int, ws *Workspace) (*Factor, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)
 	}
@@ -185,23 +181,16 @@ func FactorCSRWS(a *sparse.CSR, perm []int, ws *Workspace) (*Factor, error) {
 	}
 
 	parent := etree(ap)
-	s := ws.getInts(n)
-	defer ws.putInts(s)
-	w := ws.getInts(n)
-	defer ws.putInts(w)
-	stack := ws.getInts(n)
-	defer ws.putInts(stack)
+	s := make([]int, n)
+	w := make([]int, n)
+	stack := make([]int, n)
 	for i := range w {
 		w[i] = -1
 	}
 
 	// Symbolic pass: count entries per column of L. Row k contributes one
 	// entry to every column in its ereach pattern, plus its own diagonal.
-	colCount := ws.getInts(n)
-	defer ws.putInts(colCount)
-	for i := range colCount {
-		colCount[i] = 0
-	}
+	colCount := make([]int, n)
 	nnz := 0
 	for k := 0; k < n; k++ {
 		top := ereach(ap, k, parent, s, w, stack)
@@ -234,17 +223,10 @@ func FactorCSRWS(a *sparse.CSR, perm []int, ws *Workspace) (*Factor, error) {
 	for i := range w {
 		w[i] = -1
 	}
-	// Dense accumulator for row k. The algorithm maintains the invariant
-	// that every touched position is reset to zero as its pattern row is
-	// consumed, but a pooled slice (or an earlier factorization that bailed
-	// out mid-row on ErrNotSPD) starts dirty, so zero it explicitly.
-	x := ws.getVec(n)
-	defer ws.putVec(x)
-	for i := range x {
-		x[i] = 0
-	}
-	colNext := ws.getInts(n) // next free slot per column
-	defer ws.putInts(colNext)
+	// Dense accumulator for row k: every touched position is reset to zero
+	// as its pattern row is consumed.
+	x := make([]float64, n)
+	colNext := make([]int, n) // next free slot per column
 	// Diagonal entries go in first; colNext starts just past them, and so
 	// does every column's run marker: while a column fills, runAt is where
 	// its last stretch of consecutive rows began.
@@ -393,35 +375,23 @@ type LapSolver struct {
 // NewLapSolver grounds the last vertex of g, orders with minimum degree
 // and factors.
 func NewLapSolver(g *graph.Graph) (*LapSolver, error) {
-	return newLapSolverWS(g, nil, nil)
+	return newLapSolver(g, nil)
 }
 
-// NewLapSolverWS is NewLapSolver with the assembly and factorization
-// scratch drawn from ws. Repeated solver builds over same-sized graphs —
-// the sparsifier's per-round inner solver, the dynamic maintainer's
-// refactorizations — reuse the assembly cursors, the marker arrays and
-// the dense accumulator instead of reallocating them each build. A nil
-// ws behaves exactly like NewLapSolver.
-func NewLapSolverWS(g *graph.Graph, ws *Workspace) (*LapSolver, error) {
-	return newLapSolverWS(g, nil, ws)
-}
-
-// NewLapSolverOrderedWS factors with a caller-supplied elimination order
+// NewLapSolverOrdered factors with a caller-supplied elimination order
 // of the reduced (n-1)-vertex system instead of recomputing minimum
 // degree: an order computed for a structurally similar graph stays
 // near-optimal, and a caller that keeps updating the factor wants the
 // order, and with it the elimination tree, to hold still. Skipping
 // MinDegree saves about the cost of one more numeric factorization — it
 // no longer dwarfs one. The dynamic maintainer reuses the order of its
-// last full build across incremental refactorizations, rebuilding
-// same-sized factors for the lifetime of a stream session, so the
-// factorization scratch is drawn from ws (nil allocates). The permutation
+// last full build across incremental refactorizations. The permutation
 // is validated; a wrong length or a non-permutation is an error.
-func NewLapSolverOrderedWS(g *graph.Graph, perm []int, ws *Workspace) (*LapSolver, error) {
+func NewLapSolverOrdered(g *graph.Graph, perm []int) (*LapSolver, error) {
 	if err := validatePerm(perm, g.N()-1); err != nil {
 		return nil, err
 	}
-	return newLapSolverWS(g, perm, ws)
+	return newLapSolver(g, perm)
 }
 
 func validatePerm(perm []int, want int) error {
@@ -454,7 +424,7 @@ func SymbolicFactorNNZ(g *graph.Graph, perm []int) (int, error) {
 	if err := validatePerm(perm, n-1); err != nil {
 		return 0, err
 	}
-	ap, err := reducedLaplacianCSR(g, nil).Permute(perm)
+	ap, err := reducedLaplacianCSR(g).Permute(perm)
 	if err != nil {
 		return 0, err
 	}
@@ -474,7 +444,7 @@ func SymbolicFactorNNZ(g *graph.Graph, perm []int) (int, error) {
 	return nnz, nil
 }
 
-func newLapSolverWS(g *graph.Graph, perm []int, ws *Workspace) (*LapSolver, error) {
+func newLapSolver(g *graph.Graph, perm []int) (*LapSolver, error) {
 	if err := g.RequireConnected(); err != nil {
 		return nil, err
 	}
@@ -485,12 +455,12 @@ func newLapSolverWS(g *graph.Graph, perm []int, ws *Workspace) (*LapSolver, erro
 	if err := checkIndexable("dimension", n-1); err != nil {
 		return nil, err
 	}
-	red := reducedLaplacianCSR(g, ws)
+	red := reducedLaplacianCSR(g)
 	// Minimum degree keeps near-tree sparsifier factors nearly fill-free.
 	if perm == nil {
 		perm = MinDegree(red)
 	}
-	f, err := FactorCSRWS(red, perm, ws)
+	f, err := FactorCSR(red, perm)
 	if err != nil {
 		return nil, err
 	}
@@ -507,20 +477,14 @@ func (ls *LapSolver) Ordering() []int { return ls.perm }
 // sort: the edge list is (U,V)-sorted, so each row receives its smaller
 // neighbors in ascending order (edges where it is V), then the diagonal,
 // then its larger neighbors in ascending order (edges where it is U).
-// The cursor arrays come from ws; the returned matrix is always fresh.
 // This is the per-refactorization hot path of the dynamic maintainer.
-func reducedLaplacianCSR(g *graph.Graph, ws *Workspace) *sparse.CSR {
+func reducedLaplacianCSR(g *graph.Graph) *sparse.CSR {
 	n := g.N()
 	ground := n - 1
 	rows := n - 1
 	// Per-row counts: smaller-neighbor entries and total off-diagonals.
-	small := ws.getInts(rows)
-	defer ws.putInts(small)
-	total := ws.getInts(rows)
-	defer ws.putInts(total)
-	for i := range small {
-		small[i], total[i] = 0, 0
-	}
+	small := make([]int, rows)
+	total := make([]int, rows)
 	for _, e := range g.Edges() {
 		if e.U == ground || e.V == ground {
 			continue

@@ -11,7 +11,7 @@ import (
 )
 
 // The scalar kernels this package shipped before the run-aware int32
-// ones — the numeric pass of FactorCSRWS, Factor.Solve, UpdateSparse and
+// ones — the numeric pass of FactorCSR, Factor.Solve, UpdateSparse and
 // updown, LapSolver.Solve and ApplyEdge — kept verbatim (workspace
 // pooling aside) as the oracle: every entry is read through rowIdx[p] and
 // written through x[rowIdx[p]], indices are int, and the Laplacian solve
@@ -243,7 +243,7 @@ type refLapSolver struct {
 // scalar kernels.
 func newRefLapSolver(g *graph.Graph, perm []int) (*refLapSolver, error) {
 	n := g.N()
-	f, err := factorCSRRef(reducedLaplacianCSR(g, nil), perm)
+	f, err := factorCSRRef(reducedLaplacianCSR(g), perm)
 	if err != nil {
 		return nil, err
 	}

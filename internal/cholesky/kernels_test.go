@@ -83,7 +83,7 @@ func checkKernels(t testing.TB, name string, g *graph.Graph) {
 	}
 	for _, order := range orders {
 		name := name + "/" + order.name
-		ls, err := newLapSolverWS(g, order.perm, NewWorkspace())
+		ls, err := newLapSolver(g, order.perm)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -173,6 +173,34 @@ func TestKernelsMatchReferenceOnFailedDowndate(t *testing.T) {
 		t.Fatalf("oversized downdate: got %v, oracle %v, want ErrNotSPD", err, refErr)
 	}
 	checkFactor(t, "failed downdate", ls.factor, ref.factor)
+}
+
+// A factorization that bails out mid-row on ErrNotSPD (its dense row
+// accumulator still dirty) leaves nothing behind: the next factorization
+// of the sound matrix is the oracle's, bit for bit. Scratch is allocated
+// per call, so there is no state for a failure to poison.
+func TestFactorAfterNotSPDFailureUnaffected(t *testing.T) {
+	red := reducedLaplacianCSR(mustGraph(t)(gen.Grid2D(12, 12, gen.UniformWeights, 4)))
+	perm := MinDegree(red)
+	bad := &sparse.CSR{Rows: red.Rows, Cols: red.Cols, RowPtr: red.RowPtr, ColIdx: red.ColIdx, Val: append([]float64(nil), red.Val...)}
+	late := perm[len(perm)-1] // the last pivot: every earlier row has been consumed
+	for p := bad.RowPtr[late]; p < bad.RowPtr[late+1]; p++ {
+		if bad.ColIdx[p] == late {
+			bad.Val[p] = -1
+		}
+	}
+	if _, err := FactorCSR(bad, perm); !errors.Is(err, ErrNotSPD) {
+		t.Fatalf("negative diagonal: err = %v, want ErrNotSPD", err)
+	}
+	got, err := FactorCSR(red, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := factorCSRRef(red, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFactor(t, "after ErrNotSPD", got, ref)
 }
 
 // spdFromPattern turns a symmetric pattern with a full diagonal into a

@@ -144,5 +144,5 @@ func NewLapSolverND(g *graph.Graph) (*LapSolver, error) {
 	if g.N() == 1 {
 		return &LapSolver{n: 1, ground: 0}, nil
 	}
-	return newLapSolverWS(g, NDOrder(g), nil)
+	return newLapSolver(g, NDOrder(g))
 }

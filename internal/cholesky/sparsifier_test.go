@@ -51,10 +51,9 @@ func goldenGraphs(t *testing.T) []namedGraph {
 // their sparsifiers' reduced Laplacians are what every golden byte
 // downstream depends on.
 func TestMinDegreeMatchesReferenceOnPipelineSparsifiers(t *testing.T) {
-	ws := cholesky.NewWorkspace()
 	for _, c := range goldenGraphs(t) {
 		for _, p := range []*graph.Graph{c.g, sparsifierOf(t, c.g, 50)} {
-			red := cholesky.ReducedLaplacianCSR(p, ws)
+			red := cholesky.ReducedLaplacianCSR(p)
 			want := cholesky.MinDegreeRef(red)
 			if got := cholesky.MinDegree(red); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s (m=%d): MinDegree differs from reference", c.name, p.M())
@@ -108,7 +107,7 @@ var benchSink int
 func BenchmarkMinDegree(b *testing.B) {
 	for _, c := range benchSparsifiers(b) {
 		b.Run(c.name, func(b *testing.B) {
-			red := cholesky.ReducedLaplacianCSR(c.p, nil)
+			red := cholesky.ReducedLaplacianCSR(c.p)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -121,7 +120,7 @@ func BenchmarkMinDegree(b *testing.B) {
 func BenchmarkPermute(b *testing.B) {
 	for _, c := range benchSparsifiers(b) {
 		b.Run(c.name, func(b *testing.B) {
-			red := cholesky.ReducedLaplacianCSR(c.p, nil)
+			red := cholesky.ReducedLaplacianCSR(c.p)
 			perm := cholesky.MinDegree(red)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -139,11 +138,10 @@ func BenchmarkPermute(b *testing.B) {
 func BenchmarkLapSolverFactorSparsifier(b *testing.B) {
 	for _, c := range benchSparsifiers(b) {
 		b.Run(c.name, func(b *testing.B) {
-			ws := cholesky.NewWorkspace()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ls, err := cholesky.NewLapSolverWS(c.p, ws)
+				ls, err := cholesky.NewLapSolver(c.p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -154,20 +152,19 @@ func BenchmarkLapSolverFactorSparsifier(b *testing.B) {
 }
 
 // BenchmarkFactorNumeric is the factorization with the ordering taken
-// out: symbolic + numeric passes of FactorCSRWS under a fixed
+// out: symbolic + numeric passes of FactorCSR under a fixed
 // minimum-degree order. run_share is the fraction of nnz(L) the kernels
 // walk as slices instead of gathering.
 func BenchmarkFactorNumeric(b *testing.B) {
 	for _, c := range benchSparsifiers(b) {
 		b.Run(c.name, func(b *testing.B) {
-			ws := cholesky.NewWorkspace()
-			red := cholesky.ReducedLaplacianCSR(c.p, ws)
+			red := cholesky.ReducedLaplacianCSR(c.p)
 			perm := cholesky.MinDegree(red)
 			var share float64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f, err := cholesky.FactorCSRWS(red, perm, ws)
+				f, err := cholesky.FactorCSR(red, perm)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -20,6 +20,11 @@
 // statistics, edge budget), Refilter (an externally chosen selection and
 // candidate set) and the dynamic maintainer's localized re-filter
 // (retained probe vectors, SelectEdges only) are loop shells around it.
+//
+// The embedding is written once too: EdgeScorer is the only code that
+// starts and advances probe vectors, over however many goroutines
+// Options.EmbedWorkers allows; a round's heats are one scorer built,
+// scored and dropped, the maintainer's retained vectors one kept.
 package core
 
 import (
@@ -86,17 +91,10 @@ type Options struct {
 	// means unlimited. Useful for equal-budget baseline comparisons (A5).
 	MaxEdges int
 	// EmbedWorkers caps the goroutines used for the r independent
-	// probe-vector solves of each embedding pass (≤ 1 = sequential).
-	// Results are bit-identical for every worker count, so this is purely
-	// a wall-clock knob; see EmbedOffTreeParallel.
+	// probe-vector solves of each embedding pass (≤ 1 = one). The batch
+	// pipeline sets it from its own worker count (engine.Options.Workers);
+	// results are bit-identical for every value, see NewEdgeScorer.
 	EmbedWorkers int
-	// Workspace, when non-nil, supplies pooled scratch for the embedding
-	// vectors and the per-round factorization's temporaries, making
-	// repeated Sparsify calls over same-sized graphs nearly allocation-free
-	// on those paths. Pooling never changes results (every pooled buffer
-	// is fully overwritten before use); nil keeps the un-pooled behavior.
-	// One Workspace per long-lived Sparsifier is the intended shape.
-	Workspace *Workspace
 	// Seed drives every random choice. Default 1.
 	Seed uint64
 }
@@ -235,11 +233,11 @@ func Threshold(sigmaSq, lambdaMin, lambdaMax float64, t int) float64 {
 // EmbedOffTree computes the Joule heat of every off-tree edge by r
 // independent t-step generalized power iterations (eq. 6 summed per
 // eq. 12): heat(p,q) = Σ_j w_pq (h_t,j(p) − h_t,j(q))². The returned slice
-// is parallel to offIDs. The second return is heat_max. Each probe vector
-// is seeded independently (see startProbe), so EmbedOffTreeParallel
-// produces bit-identical output with any worker count.
+// is parallel to offIDs. The second return is heat_max. It is one
+// EdgeScorer built on one goroutine, scored and dropped — what a filter
+// round does with its own worker count.
 func EmbedOffTree(g *graph.Graph, solver Solver, offIDs []int, t, r int, seed uint64) ([]float64, float64) {
-	return EmbedOffTreeParallel(g, solver, offIDs, t, r, seed, 1)
+	return NewEdgeScorer(g, solver, t, r, seed, 1).Score(g, offIDs)
 }
 
 // Sparsify runs the full similarity-aware pipeline of §3: backbone
@@ -319,7 +317,7 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 		stats.EdgesTotal = p.M()
 		res.Rounds = append(res.Rounds, stats)
 
-		chol, err = factor(ctx, p, opt.Workspace)
+		chol, err = factor(ctx, p)
 		if err != nil {
 			return nil, fmt.Errorf("core: inner solver setup: %w", err)
 		}

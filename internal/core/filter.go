@@ -105,7 +105,7 @@ func filterRound(ctx context.Context, g, p *graph.Graph, solver Solver, candIDs 
 		return stats, nil, nil
 	}
 	embedSpan := obs.StartSpan(ctx, "embed")
-	heats, maxHeat := embedOffTree(g, solver, candIDs, opt.T, opt.NumVectors, rng.Uint64(), opt.EmbedWorkers, opt.Workspace)
+	heats, maxHeat := NewEdgeScorer(g, solver, opt.T, opt.NumVectors, rng.Uint64(), opt.EmbedWorkers).Score(g, candIDs)
 	embedSpan.End()
 	stats.Threshold = Threshold(opt.SigmaSq, lmin, lmax, opt.T)
 	chosen, stats.Candidates = SelectEdges(g, candIDs, heats, maxHeat, stats.Threshold, batchFraction, budget, similarity)
@@ -133,7 +133,7 @@ func take(ids, positions []int) (taken, rest []int) {
 // factor builds the loop's inner direct solver for p — ordering plus
 // Cholesky factorization — under a "factor" span, so a trace files that
 // time under its own name instead of the enclosing phase's self time.
-func factor(ctx context.Context, p *graph.Graph, ws *Workspace) (*cholesky.LapSolver, error) {
+func factor(ctx context.Context, p *graph.Graph) (*cholesky.LapSolver, error) {
 	defer obs.StartSpan(ctx, obs.PhaseFactor).End()
-	return cholesky.NewLapSolverWS(p, ws.Chol())
+	return cholesky.NewLapSolver(p)
 }

@@ -48,7 +48,7 @@ func RefilterFactored(ctx context.Context, g *graph.Graph, keptIDs, candIDs []in
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, 0, 0, nil, err
 		}
-		solver, err = factor(ctx, p, opt.Workspace)
+		solver, err = factor(ctx, p)
 		if err != nil {
 			return nil, nil, 0, 0, 0, nil, fmt.Errorf("refilter: solver: %w", err)
 		}

@@ -23,7 +23,7 @@ func TestEdgeScorerMatchesEmbedOffTree(t *testing.T) {
 	const tt, r, seed = 2, 6, 99
 	want, wantMax := EmbedOffTree(g, backbone, offIDs, tt, r, seed)
 
-	sc := NewEdgeScorer(g, backbone, tt, r, seed)
+	sc := NewEdgeScorer(g, backbone, tt, r, seed, 3)
 	got, gotMax := sc.Score(g, offIDs)
 	if gotMax != wantMax {
 		t.Fatalf("max heat: got %v want %v", gotMax, wantMax)
@@ -50,9 +50,9 @@ func TestEdgeScorerStepDeepensEmbedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	const r, seed = 5, 42
-	sc := NewEdgeScorer(g, backbone, 1, r, seed)
-	sc.Step(g, backbone)
-	deeper := NewEdgeScorer(g, backbone, 2, r, seed)
+	sc := NewEdgeScorer(g, backbone, 1, r, seed, 2)
+	sc.Step(g, backbone, 2)
+	deeper := NewEdgeScorer(g, backbone, 2, r, seed, 1)
 
 	got, _ := sc.Score(g, offIDs)
 	want, _ := deeper.Score(g, offIDs)

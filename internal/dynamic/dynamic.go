@@ -50,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"graphspar/internal/cholesky"
@@ -64,7 +65,7 @@ import (
 
 // The maintainer's configuration is the batch pipeline's engine.Options:
 // Sparsify carries the similarity target and embedding knobs (SigmaSq is
-// required), Mode/Shards/Workers/Partition pick the plan of every full
+// required), Mode/Shards/Workers pick the plan of every full
 // (re)build — the zero value rebuilds single-shot, ModeSharded through the
 // shard-parallel plan. One field doubles as a maintenance setting with a
 // default of its own: VerifySteps is the generalized-Lanczos depth of the
@@ -125,6 +126,9 @@ func maintainerDefaults(opt engine.Options) (engine.Options, error) {
 	opt.VerifySteps = max(2, opt.VerifySteps) // Certify caps it at n
 	if opt.Sparsify.Seed == 0 {
 		opt.Sparsify.Seed = 1
+	}
+	if opt.Workers <= 0 {
+		opt.Workers = runtime.GOMAXPROCS(0) // the scorer's, and every rebuild's
 	}
 	return opt, nil
 }
@@ -607,10 +611,9 @@ func (m *Maintainer) refreshFactor(deltas []graph.Edge) error {
 func (m *Maintainer) refactor() error {
 	m.updatesSinceFactor = 0
 	m.stats.FactorRebuilds++
-	ws := m.opt.Sparsify.Workspace.Chol()
 	if m.perm != nil && len(m.perm) == m.p.N()-1 && m.nnzAtOrder > 0 {
 		if nnz, err := cholesky.SymbolicFactorNNZ(m.p, m.perm); err == nil && nnz <= fillLimit*m.nnzAtOrder {
-			solver, err := cholesky.NewLapSolverOrderedWS(m.p, m.perm, ws)
+			solver, err := cholesky.NewLapSolverOrdered(m.p, m.perm)
 			if err == nil {
 				m.solver = solver
 				return nil
@@ -624,7 +627,7 @@ func (m *Maintainer) refactor() error {
 	if offTree := m.p.M() - (m.p.N() - 1); offTree*32 <= m.p.N() {
 		solver, err = cholesky.NewLapSolverND(m.p)
 	} else {
-		solver, err = cholesky.NewLapSolverWS(m.p, ws)
+		solver, err = cholesky.NewLapSolver(m.p)
 	}
 	if err != nil {
 		return fmt.Errorf("dynamic: sparsifier factorization: %w", err)
@@ -650,7 +653,7 @@ func (m *Maintainer) refreshScorerAndCertificate(ctx context.Context, fresh bool
 	}
 	t, r, _, _ := m.opt.Sparsify.EffectiveEmbed(m.g.N())
 	if fresh || m.scorer == nil {
-		m.scorer = core.NewEdgeScorer(m.g, m.solver, t, r, core.DeriveSeed(m.opt.Sparsify.Seed, int(m.rng.Uint64()%1024)))
+		m.scorer = core.NewEdgeScorer(m.g, m.solver, t, r, core.DeriveSeed(m.opt.Sparsify.Seed, int(m.rng.Uint64()%1024)), m.opt.Workers)
 		m.embedStale = false
 	} else {
 		m.embedStale = true
@@ -669,7 +672,7 @@ func (m *Maintainer) freshenEmbedding(ctx context.Context) {
 		return
 	}
 	defer obs.StartSpan(ctx, "embed").End()
-	m.scorer.Step(m.g, m.solver)
+	m.scorer.Step(m.g, m.solver, m.opt.Workers)
 	m.embedStale = false
 	m.stats.EmbedRefreshes++
 }

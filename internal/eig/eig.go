@@ -106,68 +106,55 @@ func GeneralizedPowerMax(g, p *graph.Graph, solver LapSolver, iters int, tol flo
 	return res, nil
 }
 
-// GeneralizedLanczos runs k steps of Lanczos for the pencil (L_G, L_P) in
-// the L_P inner product: the operator T = L_P⁺ L_G is self-adjoint w.r.t.
-// ⟨x,y⟩ = xᵀL_P y on 1⊥, so a B-orthogonal Krylov basis yields a real
-// tridiagonal whose Ritz values approximate the generalized spectrum from
-// both ends. Full reorthogonalization keeps the basis clean. Returns Ritz
-// values in ascending order. This is the reference "eigs" substitute used
-// to validate Table 1's estimators.
-func GeneralizedLanczos(g, p *graph.Graph, solver LapSolver, k int, seed uint64) ([]float64, error) {
-	if g.N() != p.N() {
-		return nil, fmt.Errorf("eig: vertex counts differ")
-	}
-	n := g.N()
-	if k < 1 {
-		return nil, errors.New("eig: k must be positive")
-	}
-	if k > n-1 {
-		k = n - 1
-	}
-	rng := vecmath.NewRNG(seed)
+// krylov is one Lanczos problem: an operator that is self-adjoint in the
+// inner product dot on the complement of the null vector deflate projects
+// out.
+type krylov struct {
+	apply   func(w, v []float64) // w = T v
+	dot     func(x, y []float64) float64
+	deflate func(x []float64)
+}
 
-	bDot := func(x, y []float64) float64 {
-		// xᵀ L_P y via the quadratic-form identity on edges.
-		var s float64
-		for _, e := range p.Edges() {
-			s += e.W * (x[e.U] - x[e.V]) * (y[e.U] - y[e.V])
-		}
-		return s
-	}
-
+// lanczos is the package's one Lanczos loop: up to k steps from a seeded
+// normal start — apply, deflate, α, the three-term recurrence, full
+// reorthogonalization in the problem's inner product, β — then the
+// tridiagonal eigenproblem. It returns the Ritz values ascending and,
+// with vectors set, the Krylov basis and the tridiagonal's eigenvector
+// matrix to assemble Ritz vectors from (ritz[i] pairs with
+// Σ_j z[j][i]·basis[j]). It stops early on an invariant subspace, so
+// fewer than k values can come back.
+func (op krylov) lanczos(n, k int, seed uint64, vectors bool) (ritz []float64, basis, z [][]float64, err error) {
 	v := make([][]float64, 0, k+1)
 	alpha := make([]float64, 0, k)
 	beta := make([]float64, 0, k)
 
 	v0 := make([]float64, n)
-	rng.FillNormal(v0)
-	vecmath.Deflate(v0)
-	nb := math.Sqrt(bDot(v0, v0))
+	vecmath.NewRNG(seed).FillNormal(v0)
+	op.deflate(v0)
+	nb := math.Sqrt(op.dot(v0, v0))
 	if nb == 0 {
-		return nil, errors.New("eig: start vector degenerate")
+		return nil, nil, nil, errors.New("eig: start vector degenerate")
 	}
 	vecmath.Scale(1/nb, v0)
 	v = append(v, v0)
 
 	w := make([]float64, n)
-	y := make([]float64, n)
 	for j := 0; j < k; j++ {
 		vj := v[j]
-		g.LapMulVec(y, vj) // y = L_G v_j
-		solver.Solve(w, y) // w = L_P⁺ L_G v_j
-		vecmath.Deflate(w)
-		a := bDot(w, vj)
+		op.apply(w, vj)
+		op.deflate(w)
+		a := op.dot(w, vj)
 		alpha = append(alpha, a)
 		vecmath.Axpy(-a, vj, w)
 		if j > 0 {
 			vecmath.Axpy(-beta[j-1], v[j-1], w)
 		}
-		// Full reorthogonalization in the B-inner product.
+		// Full reorthogonalization keeps the basis clean.
 		for _, vi := range v {
-			c := bDot(w, vi)
+			c := op.dot(w, vi)
 			vecmath.Axpy(-c, vi, w)
 		}
-		bn := math.Sqrt(math.Max(0, bDot(w, w)))
+		bn := math.Sqrt(math.Max(0, op.dot(w, w)))
 		if bn < 1e-12 {
 			break // invariant subspace found
 		}
@@ -181,106 +168,108 @@ func GeneralizedLanczos(g, p *graph.Graph, solver LapSolver, k int, seed uint64)
 	d := append([]float64(nil), alpha...)
 	e := make([]float64, m-1)
 	copy(e, beta[:m-1])
-	if err := TQL2(d, e, nil); err != nil {
-		return nil, err
+	if vectors {
+		// Ritz vectors: rotate the identity alongside.
+		z = make([][]float64, m)
+		for i := range z {
+			z[i] = make([]float64, m)
+			z[i][i] = 1
+		}
 	}
-	return d, nil
+	if err := TQL2(d, e, z); err != nil {
+		return nil, nil, nil, err
+	}
+	return d, v, z, nil
 }
 
-// SmallestPairs computes the k smallest *nonzero* eigenvalues and
-// eigenvectors of the Laplacian of g by Lanczos on the pseudoinverse
-// operator L⁺ (each apply is one solver call), with full
-// reorthogonalization and explicit deflation of the constant vector.
-// iters is the Lanczos subspace size (default max(3k, 30)). The returned
-// eigenvalues ascend: λ₂ ≤ λ₃ ≤ ….
-func SmallestPairs(g *graph.Graph, k int, solver LapSolver, iters int, seed uint64) ([]float64, [][]float64, error) {
-	n := g.N()
+// smallestPairs returns the k smallest nontrivial eigenpairs of a pencil
+// from Lanczos on its *inverse* operator op: the largest Ritz values μ of
+// the inverse are the smallest λ = 1/μ of the pencil, so the returned
+// eigenvalues ascend. iters is the Lanczos subspace size (default
+// max(3k, 30), capped at n−1).
+func (op krylov) smallestPairs(n, k, iters int, seed uint64) ([]float64, [][]float64, error) {
 	if k < 1 || k >= n {
 		return nil, nil, fmt.Errorf("eig: k=%d out of range for n=%d", k, n)
 	}
 	if iters <= 0 {
-		iters = 3 * k
-		if iters < 30 {
-			iters = 30
-		}
+		iters = max(3*k, 30)
 	}
-	if iters > n-1 {
-		iters = n - 1
+	iters = min(iters, n-1)
+	d, v, z, err := op.lanczos(n, iters, seed, true)
+	if err != nil {
+		return nil, nil, err
 	}
-	rng := vecmath.NewRNG(seed)
-
-	v := make([][]float64, 0, iters+1)
-	alpha := make([]float64, 0, iters)
-	beta := make([]float64, 0, iters)
-
-	v0 := make([]float64, n)
-	rng.FillNormal(v0)
-	vecmath.Deflate(v0)
-	vecmath.Normalize(v0)
-	v = append(v, v0)
-
-	w := make([]float64, n)
-	for j := 0; j < iters; j++ {
-		solver.Solve(w, v[j]) // w = L⁺ v_j
-		vecmath.Deflate(w)
-		a := vecmath.Dot(w, v[j])
-		alpha = append(alpha, a)
-		vecmath.Axpy(-a, v[j], w)
-		if j > 0 {
-			vecmath.Axpy(-beta[j-1], v[j-1], w)
-		}
-		for _, vi := range v {
-			c := vecmath.Dot(w, vi)
-			vecmath.Axpy(-c, vi, w)
-		}
-		bn := vecmath.Norm2(w)
-		if bn < 1e-12 {
-			break
-		}
-		beta = append(beta, bn)
-		vn := make([]float64, n)
-		copy(vn, w)
-		vecmath.Scale(1/bn, vn)
-		v = append(v, vn)
-	}
-	m := len(alpha)
+	m := len(d)
 	if m < k {
 		return nil, nil, fmt.Errorf("eig: Lanczos stopped after %d < k=%d steps", m, k)
 	}
-	d := append([]float64(nil), alpha...)
-	e := make([]float64, m-1)
-	copy(e, beta[:m-1])
-	// Ritz vectors: rotate identity alongside.
-	z := make([][]float64, m)
-	for i := range z {
-		z[i] = make([]float64, m)
-		z[i][i] = 1
-	}
-	if err := TQL2(d, e, z); err != nil {
-		return nil, nil, err
-	}
-	// d ascends; eigenvalues of L⁺ descend toward the largest at the end.
-	// The largest k Ritz values of L⁺ are the smallest of L.
 	vals := make([]float64, k)
 	vecs := make([][]float64, k)
 	for idx := 0; idx < k; idx++ {
-		ritz := m - 1 - idx // largest first
+		ritz := m - 1 - idx // largest μ first
 		mu := d[ritz]
 		if mu <= 0 {
-			return nil, nil, fmt.Errorf("eig: nonpositive Ritz value %v of L⁺", mu)
+			return nil, nil, fmt.Errorf("eig: nonpositive Ritz value %v of the inverse operator", mu)
 		}
 		vals[idx] = 1 / mu
 		vec := make([]float64, n)
 		for j := 0; j < m; j++ {
 			vecmath.Axpy(z[j][ritz], v[j], vec)
 		}
-		vecmath.Deflate(vec)
+		op.deflate(vec)
 		vecmath.Normalize(vec)
 		vecs[idx] = vec
 	}
-	// Ascending eigenvalues of L: reverse not needed — idx 0 is the
-	// largest μ of L⁺, i.e. the smallest λ of L. Keep ascending order.
 	return vals, vecs, nil
+}
+
+// GeneralizedLanczos runs k steps of Lanczos for the pencil (L_G, L_P) in
+// the L_P inner product: the operator T = L_P⁺ L_G is self-adjoint w.r.t.
+// ⟨x,y⟩ = xᵀL_P y on 1⊥, so a B-orthogonal Krylov basis yields a real
+// tridiagonal whose Ritz values approximate the generalized spectrum from
+// both ends. Returns Ritz values in ascending order. This is the
+// reference "eigs" substitute used to validate Table 1's estimators.
+func GeneralizedLanczos(g, p *graph.Graph, solver LapSolver, k int, seed uint64) ([]float64, error) {
+	if g.N() != p.N() {
+		return nil, fmt.Errorf("eig: vertex counts differ")
+	}
+	n := g.N()
+	if k < 1 {
+		return nil, errors.New("eig: k must be positive")
+	}
+	if k > n-1 {
+		k = n - 1
+	}
+	gv := make([]float64, n)
+	ritz, _, _, err := krylov{
+		apply: func(w, v []float64) {
+			g.LapMulVec(gv, v)  // L_G v
+			solver.Solve(w, gv) // w = L_P⁺ L_G v
+		},
+		dot: func(x, y []float64) float64 {
+			// xᵀ L_P y via the quadratic-form identity on edges.
+			var s float64
+			for _, e := range p.Edges() {
+				s += e.W * (x[e.U] - x[e.V]) * (y[e.U] - y[e.V])
+			}
+			return s
+		},
+		deflate: vecmath.Deflate,
+	}.lanczos(n, k, seed, false)
+	return ritz, err
+}
+
+// SmallestPairs computes the k smallest *nonzero* eigenvalues and
+// eigenvectors of the Laplacian of g by Lanczos on the pseudoinverse
+// operator L⁺ (each apply is one solver call), with explicit deflation of
+// the constant vector. iters is the Lanczos subspace size (default
+// max(3k, 30)). The returned eigenvalues ascend: λ₂ ≤ λ₃ ≤ ….
+func SmallestPairs(g *graph.Graph, k int, solver LapSolver, iters int, seed uint64) ([]float64, [][]float64, error) {
+	return krylov{
+		apply:   solver.Solve, // w = L⁺ v
+		dot:     vecmath.Dot,
+		deflate: vecmath.Deflate,
+	}.smallestPairs(g.N(), k, iters, seed)
 }
 
 // Fiedler computes the Fiedler pair (λ₂ and its eigenvector) by power

@@ -2,11 +2,8 @@ package eig
 
 import (
 	"errors"
-	"fmt"
-	"math"
 
 	"graphspar/internal/graph"
-	"graphspar/internal/vecmath"
 )
 
 // SmallestPairsNormalized computes the k smallest nontrivial eigenpairs of
@@ -17,19 +14,6 @@ import (
 // reorthogonalization and D-deflation of the constant vector. Each step
 // costs one Laplacian solve. Returned eigenvalues ascend.
 func SmallestPairsNormalized(g *graph.Graph, k int, solver LapSolver, iters int, seed uint64) ([]float64, [][]float64, error) {
-	n := g.N()
-	if k < 1 || k >= n {
-		return nil, nil, fmt.Errorf("eig: k=%d out of range for n=%d", k, n)
-	}
-	if iters <= 0 {
-		iters = 3 * k
-		if iters < 30 {
-			iters = 30
-		}
-	}
-	if iters > n-1 {
-		iters = n - 1
-	}
 	d := g.WeightedDegrees()
 	var volume float64
 	for _, v := range d {
@@ -38,100 +22,31 @@ func SmallestPairsNormalized(g *graph.Graph, k int, solver LapSolver, iters int,
 		}
 		volume += v
 	}
-	dDot := func(x, y []float64) float64 {
-		var s float64
-		for i := range x {
-			s += d[i] * x[i] * y[i]
-		}
-		return s
-	}
-	// D-deflate: remove the D-component along 1 (pencil null vector).
-	dDeflate := func(x []float64) {
-		var s float64
-		for i := range x {
-			s += d[i] * x[i]
-		}
-		s /= volume
-		for i := range x {
-			x[i] -= s
-		}
-	}
-
-	rng := vecmath.NewRNG(seed)
-	v := make([][]float64, 0, iters+1)
-	alpha := make([]float64, 0, iters)
-	beta := make([]float64, 0, iters)
-
-	v0 := make([]float64, n)
-	rng.FillNormal(v0)
-	dDeflate(v0)
-	nb := math.Sqrt(dDot(v0, v0))
-	if nb == 0 {
-		return nil, nil, errors.New("eig: degenerate start vector")
-	}
-	vecmath.Scale(1/nb, v0)
-	v = append(v, v0)
-
-	w := make([]float64, n)
-	y := make([]float64, n)
-	for j := 0; j < iters; j++ {
-		vj := v[j]
-		for i := range y {
-			y[i] = d[i] * vj[i] // y = D v_j
-		}
-		solver.Solve(w, y) // w = L⁺ D v_j
-		dDeflate(w)
-		a := dDot(w, vj)
-		alpha = append(alpha, a)
-		vecmath.Axpy(-a, vj, w)
-		if j > 0 {
-			vecmath.Axpy(-beta[j-1], v[j-1], w)
-		}
-		for _, vi := range v {
-			c := dDot(w, vi)
-			vecmath.Axpy(-c, vi, w)
-		}
-		bn := math.Sqrt(math.Max(0, dDot(w, w)))
-		if bn < 1e-12 {
-			break
-		}
-		beta = append(beta, bn)
-		vn := make([]float64, n)
-		copy(vn, w)
-		vecmath.Scale(1/bn, vn)
-		v = append(v, vn)
-	}
-	m := len(alpha)
-	if m < k {
-		return nil, nil, fmt.Errorf("eig: normalized Lanczos stopped after %d < k=%d steps", m, k)
-	}
-	dd := append([]float64(nil), alpha...)
-	ee := make([]float64, m-1)
-	copy(ee, beta[:m-1])
-	z := make([][]float64, m)
-	for i := range z {
-		z[i] = make([]float64, m)
-		z[i][i] = 1
-	}
-	if err := TQL2(dd, ee, z); err != nil {
-		return nil, nil, err
-	}
-	vals := make([]float64, k)
-	vecs := make([][]float64, k)
-	for idx := 0; idx < k; idx++ {
-		ritz := m - 1 - idx // largest μ of L⁺D ↔ smallest λ of (L, D)
-		mu := dd[ritz]
-		if mu <= 0 {
-			return nil, nil, fmt.Errorf("eig: nonpositive Ritz value %v", mu)
-		}
-		vals[idx] = 1 / mu
-		vec := make([]float64, n)
-		for j := 0; j < m; j++ {
-			vecmath.Axpy(z[j][ritz], v[j], vec)
-		}
-		dDeflate(vec)
-		vecmath.Normalize(vec)
-		vecs[idx] = vec
-	}
-	return vals, vecs, nil
+	dv := make([]float64, g.N())
+	return krylov{
+		apply: func(w, v []float64) {
+			for i := range dv {
+				dv[i] = d[i] * v[i]
+			}
+			solver.Solve(w, dv) // w = L⁺ D v
+		},
+		dot: func(x, y []float64) float64 {
+			var s float64
+			for i := range x {
+				s += d[i] * x[i] * y[i]
+			}
+			return s
+		},
+		// D-deflate: remove the D-component along 1 (pencil null vector).
+		deflate: func(x []float64) {
+			var s float64
+			for i := range x {
+				s += d[i] * x[i]
+			}
+			s /= volume
+			for i := range x {
+				x[i] -= s
+			}
+		},
+	}.smallestPairs(g.N(), k, iters, seed)
 }

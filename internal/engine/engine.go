@@ -37,7 +37,6 @@ import (
 	"graphspar/internal/multilevel"
 	"graphspar/internal/obs"
 	"graphspar/internal/params"
-	"graphspar/internal/partition"
 )
 
 const (
@@ -74,17 +73,12 @@ type Options struct {
 	// Shards is the number of parts the sharded plan cuts the input into.
 	// Default 4.
 	Shards int
-	// Workers bounds how many shards sparsify concurrently and how many
-	// goroutines the full-size embedding passes use. Default GOMAXPROCS.
-	// Workers only affects wall-clock time, never the result.
+	// Workers is the one worker count: how many shards sparsify
+	// concurrently, and how many goroutines every embedding pass spreads
+	// its probe-vector solves over (a shard's own passes use one — the
+	// shard pool is the parallelism there). Default GOMAXPROCS. Workers
+	// only affects wall-clock time, never the result.
 	Workers int
-	// Partition configures the sharded plan's recursive bisection. Nil
-	// picks the O(n+m) BFS level-set bisector, which is the right default
-	// here: the partitioner must cost far less than the sparsifications
-	// it feeds, and spectral cuts would require factoring the full graph.
-	// (A pointer, because partition.Options' zero value means the spectral
-	// Direct method and could not be told apart from "unset".)
-	Partition *partition.Options
 	// CoarsenLevels caps the multilevel hierarchy depth, counting the
 	// input graph: 1 disables coarsening (the plan is then bit-identical
 	// to single-shot), 0 picks the default cap.
@@ -128,9 +122,7 @@ func (o *Options) defaults(n int) error {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Partition == nil {
-		o.Partition = &partition.Options{Method: partition.BFS, Seed: o.Sparsify.Seed}
-	}
+	o.Sparsify.EmbedWorkers = o.Workers
 	if o.CoarsenLevels == 0 {
 		o.CoarsenLevels = defaultMaxLevels
 	}

@@ -9,7 +9,6 @@ import (
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/params"
-	"graphspar/internal/partition"
 )
 
 func gridGraph(t *testing.T, rows, cols int, seed uint64) *graph.Graph {
@@ -219,23 +218,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), g, Options{Mode: params.ModeSharded, Shards: -3, Sparsify: core.Options{SigmaSq: 50}}); !errors.Is(err, params.ErrBadShards) {
 		t.Errorf("negative shards: err = %v, want ErrBadShards", err)
-	}
-}
-
-func TestExplicitPartitionOptions(t *testing.T) {
-	g := gridGraph(t, 20, 20, 4)
-	res, err := Run(context.Background(), g, Options{
-		Mode:      params.ModeSharded,
-		Shards:    2,
-		Sparsify:  core.Options{SigmaSq: 80, Seed: 1},
-		Partition: &partition.Options{Method: partition.Direct},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStitchInvariants(t, g, res)
-	if res.Parts != 2 {
-		t.Errorf("parts = %d, want 2", res.Parts)
 	}
 }
 

@@ -137,6 +137,7 @@ func runShard(ctx context.Context, g *graph.Graph, edgeIdx map[[2]int]int, task 
 	start := time.Now()
 	sub, mapping := task.sub, task.mapping
 	sopt := opt.Sparsify
+	sopt.EmbedWorkers = 1 // the shard pool is the parallelism here
 	// Offset by one so shard 0 does not reuse the master seed, which
 	// drives the partitioner and the global pass.
 	sopt.Seed = core.DeriveSeed(opt.Sparsify.Seed, idx+1)

@@ -9,7 +9,6 @@ import (
 
 	"graphspar/internal/lsst"
 	"graphspar/internal/params"
-	"graphspar/internal/partition"
 )
 
 // SparsifyParams is the canonical, fully-defaulted request that keys the
@@ -28,13 +27,12 @@ type SparsifyParams struct {
 	// part of the cache key: a sharded sparsifier and a single-shot one
 	// for the same graph are different artifacts and never alias.
 	Shards int `json:"shards,omitempty"`
-	// Workers bounds the engine's concurrency (0 = all cores). It can
-	// never change the result — engine output is deterministic for any
-	// worker count — so it is deliberately NOT part of the cache key.
+	// Workers is the pipeline's one worker count on every plan (0 = all
+	// cores): concurrent shards, and the goroutines of every embedding
+	// pass. It can never change the result — output is deterministic for
+	// any worker count — so it is deliberately NOT part of the cache key
+	// or the session key.
 	Workers int `json:"workers,omitempty"`
-	// Partition picks the engine's bisector: "bfs" (default), "direct",
-	// "iterative" or "sparsifier-only". Only meaningful with shards > 1.
-	Partition string `json:"partition,omitempty"`
 	// Mode pins the execution path: "single", "sharded" or "multilevel".
 	// The wire contract is explicit — "auto" (the facade's graph-size
 	// policy) is rejected, because a cache key must not depend on which
@@ -111,8 +109,7 @@ func (p *SparsifyParams) Canon() error {
 	if err := params.Sharding(p.Shards, p.Workers, wireLimits); err != nil {
 		return err
 	}
-	mode, err := p.canonMode()
-	if err != nil {
+	if err := p.canonMode(); err != nil {
 		return err
 	}
 	if p.Incremental && p.MaxEdges > 0 {
@@ -121,28 +118,6 @@ func (p *SparsifyParams) Canon() error {
 		// returning an unbounded result.
 		return fmt.Errorf("%w: max_edges does not compose with incremental", params.ErrBadCombination)
 	}
-	if mode == params.ModeMultilevel {
-		// Partition is a sharded-engine knob. Workers survives: it bounds
-		// the hierarchy's per-level embedding concurrency (and, like
-		// everywhere else, never changes the result).
-		p.Partition = ""
-		return nil
-	}
-	if p.Shards == 0 {
-		// Engine-only knobs are meaningless single-shot; zero them so the
-		// cache key has one canonical spelling.
-		p.Workers = 0
-		p.Partition = ""
-		return nil
-	}
-	m, err := partition.ParseMethod(p.Partition)
-	if err != nil {
-		return err
-	}
-	if p.Partition == "" {
-		m = partition.BFS // the engine's default bisector
-	}
-	p.Partition = m.String()
 	return nil
 }
 
@@ -151,16 +126,16 @@ func (p *SparsifyParams) Canon() error {
 // it to its canonical wire spelling. Requires the shards field to be
 // canonical already (negative and 1 folded to 0), so mode/shards
 // contradictions are judged against what the key will actually store.
-func (p *SparsifyParams) canonMode() (params.Mode, error) {
+func (p *SparsifyParams) canonMode() error {
 	if p.Mode == "auto" {
 		// ParseMode accepts "auto", but on the wire it would make the cache
 		// key depend on the facade's per-graph policy; the contract here is
 		// an explicit path (or no mode field at all).
-		return 0, fmt.Errorf("%w: mode \"auto\" is a client-side policy; omit mode or request single, sharded or multilevel", params.ErrBadMode)
+		return fmt.Errorf("%w: mode \"auto\" is a client-side policy; omit mode or request single, sharded or multilevel", params.ErrBadMode)
 	}
 	mode, err := params.ParseMode(p.Mode)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if mode == params.ModeAuto {
 		// No mode field: shards alone spell the path.
@@ -170,14 +145,14 @@ func (p *SparsifyParams) canonMode() (params.Mode, error) {
 		}
 	}
 	if err := params.Plan(mode, p.Shards, p.MaxEdges, p.CoarsenLevels, p.CoarsenRatio); err != nil {
-		return 0, err
+		return err
 	}
 	if mode == params.ModeSharded && p.Shards == 0 {
 		// The wire has no default arity (and Canon folded shards=1 to 0).
-		return 0, fmt.Errorf("%w: mode=sharded requires shards > 1", params.ErrBadCombination)
+		return fmt.Errorf("%w: mode=sharded requires shards > 1", params.ErrBadCombination)
 	}
 	if mode == params.ModeMultilevel && p.Incremental {
-		return 0, fmt.Errorf("%w: multilevel does not compose with incremental", params.ErrBadCombination)
+		return fmt.Errorf("%w: multilevel does not compose with incremental", params.ErrBadCombination)
 	}
 	// "single" and "sharded" are redundant with Shards; only "multilevel"
 	// survives as a mode string.
@@ -185,7 +160,7 @@ func (p *SparsifyParams) canonMode() (params.Mode, error) {
 	if mode == params.ModeMultilevel {
 		p.Mode = mode.String()
 	}
-	return mode, nil
+	return nil
 }
 
 // The key builders below run on every job submission (key + family on
@@ -210,8 +185,6 @@ func (p SparsifyParams) appendKnobs(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(p.MaxEdges), 10)
 	b = append(b, "|sh="...)
 	b = strconv.AppendInt(b, int64(p.Shards), 10)
-	b = append(b, "|part="...)
-	b = append(b, p.Partition...)
 	b = append(b, "|mode="...)
 	b = append(b, p.Mode...)
 	b = append(b, "|cl="...)
@@ -255,8 +228,6 @@ func (p SparsifyParams) sessionKey() string {
 	b = strconv.AppendUint(b, p.Seed, 10)
 	b = append(b, "|sh="...)
 	b = strconv.AppendInt(b, int64(p.Shards), 10)
-	b = append(b, "|part="...)
-	b = append(b, p.Partition...)
 	return string(b)
 }
 

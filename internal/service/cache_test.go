@@ -193,27 +193,29 @@ func TestCacheConcurrentAccess(t *testing.T) {
 }
 
 func TestCanonShardParams(t *testing.T) {
-	// shards=1 canonicalizes to the single-shot form.
-	p := SparsifyParams{SigmaSq: 100, Shards: 1, Workers: 8, Partition: "direct"}
+	// shards=1 canonicalizes to the single-shot form. Workers survives:
+	// it bounds the embedding on every plan, and stays off both keys.
+	p := SparsifyParams{SigmaSq: 100, Shards: 1, Workers: 8}
 	if err := p.Canon(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Shards != 0 || p.Workers != 0 || p.Partition != "" {
+	if p.Shards != 0 || p.Workers != 8 {
 		t.Errorf("single-shot canonical form not applied: %+v", p)
 	}
-	// shards>1 defaults the bisector and keeps workers (off-key).
+	if bare := testParams(100); p.key("h") != bare.key("h") || p.sessionKey() != bare.sessionKey() {
+		t.Error("worker count fragments the single-shot cache or session key")
+	}
 	q := SparsifyParams{SigmaSq: 100, Shards: 4, Workers: 2}
 	if err := q.Canon(); err != nil {
 		t.Fatal(err)
 	}
-	if q.Partition != "bfs" || q.Workers != 2 {
+	if q.Shards != 4 || q.Workers != 2 {
 		t.Errorf("sharded canon: %+v", q)
 	}
 
 	for _, bad := range []SparsifyParams{
 		{SigmaSq: 100, Shards: 1000},
 		{SigmaSq: 100, Shards: 2, Workers: 1000},
-		{SigmaSq: 100, Shards: 2, Partition: "bogus"},
 		{SigmaSq: 100, Shards: 2, MaxEdges: 50},
 	} {
 		if err := bad.Canon(); err == nil {
@@ -277,7 +279,7 @@ func TestCanonModeParams(t *testing.T) {
 	if err := ml.Canon(); err != nil {
 		t.Fatal(err)
 	}
-	if ml.Mode != "multilevel" || ml.Shards != 0 || ml.Partition != "" {
+	if ml.Mode != "multilevel" || ml.Shards != 0 {
 		t.Errorf("multilevel canonical form: %+v", ml)
 	}
 	// Workers survives for multilevel (it bounds embedding concurrency)

@@ -502,6 +502,10 @@ func TestUnknownBodyKeysRejected(t *testing.T) {
 	}{
 		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":50,"shard":4}`, "shard"},
 		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":50,"incremental":true,"warm_job":"job-1"}`, "warm_job"},
+		// The retired bisector knob: Canon used to blank it unparsed on a
+		// single-shot request, so even "bogus" was accepted.
+		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"partition":"bogus"}`, "partition"},
+		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"shards":2,"partition":"bfs"}`, "partition"},
 		{http.MethodPost, "/v1/graphs", `{"name":"h","spec":"grid:4x4","sed":7}`, "sed"},
 		{http.MethodPatch, "/v1/graphs/g/edges", `{"updates":[{"op":"reweight","u":0,"v":1,"w":2,"weight":2}]}`, "weight"},
 	} {

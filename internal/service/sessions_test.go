@@ -206,6 +206,7 @@ func TestStreamRequiresSigma2AndSessions(t *testing.T) {
 		"?sigma2=50&mode=multilevel",
 		"?sigma2=50&max_edges=500",
 		"?sigma2=50&shard=4",
+		"?sigma2=50&shards=2&partition=bfs", // the retired bisector key
 	} {
 		if code, _ := streamLines(t, ts.URL, "g", query, "= 1 2 2\n"); code != http.StatusBadRequest {
 			t.Errorf("stream%s: %d, want 400", query, code)

@@ -56,7 +56,7 @@ func streamParams(q url.Values) (SparsifyParams, error) {
 	var unknown []string
 	for k := range q {
 		switch k {
-		case "sigma2", "t", "r", "shards", "workers", "seed", "tree", "partition", "trace":
+		case "sigma2", "t", "r", "shards", "workers", "seed", "tree", "trace":
 		default:
 			unknown = append(unknown, k)
 		}
@@ -92,7 +92,6 @@ func streamParams(q url.Values) (SparsifyParams, error) {
 		p.Seed = n
 	}
 	p.TreeAlg = q.Get("tree")
-	p.Partition = q.Get("partition")
 	if err := p.Canon(); err != nil {
 		return p, err
 	}
@@ -133,8 +132,8 @@ type streamLine struct {
 // handleStreamEvents is POST /v1/graphs/{name}/stream: chunked ingestion
 // of update batches through the graph's persistent session, one result
 // line streamed back per batch plus a terminal summary. Parameters ride
-// the query string (sigma2 required, plus t/r/tree/seed/shards/workers/
-// partition as for jobs). Rejected batches (validation, bridge deletes)
+// the query string (sigma2 required, plus t/r/tree/seed/shards/workers
+// as for jobs). Rejected batches (validation, bridge deletes)
 // report and the stream continues; decode errors and internal failures
 // terminate it.
 func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {

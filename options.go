@@ -6,7 +6,6 @@ import (
 	"graphspar/internal/engine"
 	"graphspar/internal/lsst"
 	"graphspar/internal/params"
-	"graphspar/internal/partition"
 )
 
 // Mode selects Run's execution plan; WithMode pins it.
@@ -50,31 +49,6 @@ const (
 // "akpw"; empty means the default) for flags and wire formats.
 func ParseTreeAlgorithm(name string) (TreeAlgorithm, error) { return lsst.Parse(name) }
 
-// PartitionMethod selects the sharded plan's bisector.
-type PartitionMethod = partition.Method
-
-// Bisector backends.
-const (
-	// PartitionBFS is the solver-free O(n+m) level-set bisector (the
-	// default: the partitioner must cost far less than the
-	// sparsifications it feeds).
-	PartitionBFS = partition.BFS
-	// PartitionDirect computes spectral cuts with a direct factorization.
-	PartitionDirect = partition.Direct
-	// PartitionIterative computes spectral cuts with sparsifier-
-	// preconditioned PCG.
-	PartitionIterative = partition.Iterative
-	// PartitionSparsifierOnly cuts along the sparsifier's own Fiedler
-	// vector.
-	PartitionSparsifierOnly = partition.SparsifierOnly
-)
-
-// ParsePartitionMethod resolves a bisector name ("bfs", "direct",
-// "iterative", "sparsifier-only") for flags and wire formats.
-func ParsePartitionMethod(name string) (PartitionMethod, error) {
-	return partition.ParseMethod(name)
-}
-
 // config is what a Sparsifier carries: the pipeline's own options struct,
 // written into directly by the functional options. Zero fields defer to
 // the pipeline defaults.
@@ -82,11 +56,7 @@ type config struct {
 	// opt configures Run and, through Maintain, a stream's
 	// full rebuilds alike. Mode and Shards hold the user's pins
 	// (ModeAuto / 0 = unpinned) that plan resolves per graph, and Verify
-	// records WithVerification. New installs Sparsify.Workspace: one per
-	// Sparsifier, pooling embedding and factorization scratch across
-	// every run (it is concurrency-safe, so concurrent Runs share it).
-	// There is deliberately no public option — pooling never changes
-	// results, so there is nothing to configure.
+	// records WithVerification.
 	opt engine.Options
 }
 
@@ -168,34 +138,14 @@ func WithCoarsenRatio(r float64) Option {
 	}
 }
 
-// WithWorkers bounds how many shards sparsify concurrently in the sharded
-// plan, and how many goroutines the full-size embedding passes of the
-// sharded and multilevel plans use (0 = all cores). Workers only affect wall-clock
-// time, never the result.
+// WithWorkers is the one worker count (0 = all cores): it bounds how many
+// shards sparsify concurrently in the sharded plan and how many
+// goroutines every embedding pass — of any plan, and of a stream's
+// maintainer — spreads its probe-vector solves over. Workers only affect
+// wall-clock time, never the result.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
 		c.opt.Workers = n
-		return nil
-	}
-}
-
-// WithPartition selects the sharded plan's bisector (default
-// PartitionBFS).
-func WithPartition(m PartitionMethod) Option {
-	return func(c *config) error {
-		// New completes it with σ² and the seed, whatever order the
-		// options were given in.
-		c.opt.Partition = &partition.Options{Method: m}
-		return nil
-	}
-}
-
-// WithEmbedWorkers caps the goroutines used for the probe-vector solves
-// of each embedding pass (≤ 1 = sequential). Bit-identical results for
-// every worker count; purely a wall-clock knob.
-func WithEmbedWorkers(n int) Option {
-	return func(c *config) error {
-		c.opt.Sparsify.EmbedWorkers = n
 		return nil
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -137,7 +138,9 @@ var goldenConfigs = []struct {
 
 const goldenSigma2 = 50
 
-func buildPipelineGolden(t *testing.T) pipelineGolden {
+// buildPipelineGolden runs every row under one worker count; the golden
+// file is the workers = 2 reading.
+func buildPipelineGolden(t *testing.T, workers int) pipelineGolden {
 	t.Helper()
 	ctx := context.Background()
 	var out pipelineGolden
@@ -145,7 +148,7 @@ func buildPipelineGolden(t *testing.T) pipelineGolden {
 		for _, seed := range []uint64{1, 7} {
 			for _, cfg := range goldenConfigs {
 				name := fmt.Sprintf("%s/seed%d/%s", gr.name, seed, cfg.name)
-				opts := append([]graphspar.Option{graphspar.WithSigma2(goldenSigma2), graphspar.WithSeed(seed), graphspar.WithWorkers(2)}, cfg.opts...)
+				opts := append([]graphspar.Option{graphspar.WithSigma2(goldenSigma2), graphspar.WithSeed(seed), graphspar.WithWorkers(workers)}, cfg.opts...)
 				s, err := graphspar.New(opts...)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -195,7 +198,7 @@ func buildPipelineGolden(t *testing.T) pipelineGolden {
 	}
 	for _, shards := range []int{1, 2} {
 		s, err := graphspar.New(graphspar.WithSigma2(goldenSigma2), graphspar.WithSeed(7),
-			graphspar.WithShards(shards), graphspar.WithWorkers(2))
+			graphspar.WithShards(shards), graphspar.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +252,7 @@ func buildPipelineGolden(t *testing.T) pipelineGolden {
 	} {
 		const seed = 7
 		s, err := graphspar.New(graphspar.WithSigma2(goldenSigma2), graphspar.WithSeed(seed),
-			graphspar.WithShards(1), graphspar.WithWorkers(2))
+			graphspar.WithShards(1), graphspar.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,8 +318,29 @@ func buildPipelineGolden(t *testing.T) pipelineGolden {
 	return out
 }
 
+// TestFacadeWorkerCountInvariant: WithWorkers is the one worker count —
+// the shard pool, every plan's embedding passes, a stream's scorer — and
+// none of it may move a bit: every golden row (all three plans, the
+// maintainer's update schedule on both rebuild routes, both re-filter
+// routes) reads the same sequentially and with more workers than the box
+// has cores.
+func TestFacadeWorkerCountInvariant(t *testing.T) {
+	want := buildPipelineGolden(t, 1)
+	got := buildPipelineGolden(t, 4)
+	for i := range want.Runs {
+		if !reflect.DeepEqual(got.Runs[i], want.Runs[i]) {
+			t.Errorf("run %s: workers=4 %+v, workers=1 %+v", want.Runs[i].Name, got.Runs[i], want.Runs[i])
+		}
+	}
+	for i := range want.Streams {
+		if !reflect.DeepEqual(got.Streams[i], want.Streams[i]) {
+			t.Errorf("stream %s: workers=4 %+v, workers=1 %+v", want.Streams[i].Name, got.Streams[i], want.Streams[i])
+		}
+	}
+}
+
 func TestPipelineGolden(t *testing.T) {
-	got := buildPipelineGolden(t)
+	got := buildPipelineGolden(t, 2)
 
 	// One hierarchy level IS the single-shot pipeline: the degenerate
 	// multilevel row must carry the same sparsifier and certificate as
