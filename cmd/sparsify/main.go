@@ -136,8 +136,8 @@ func main() {
 		fatal(err)
 	}
 	report(g, res, alg, *sigmaSq, *verbose)
-	if errors.Is(err, graphspar.ErrNoTarget) {
-		fmt.Println("warning: similarity target not reached within round budget")
+	if err != nil {
+		fmt.Println("warning:", err)
 	}
 	save(*out, res.Sparsifier)
 }
@@ -190,8 +190,8 @@ func report(g *graphspar.Graph, res *graphspar.Result, alg graphspar.TreeAlgorit
 		res.Timings.Stitch.Round(time.Millisecond), res.Timings.Verify.Round(time.Millisecond))
 	if verbose {
 		for _, sh := range res.Shards {
-			fmt.Printf("shard %d: |V|=%d |E|=%d kept=%d σ²=%.1f met=%v in %s\n",
-				sh.Shard, sh.Vertices, sh.Edges, sh.Kept, sh.SigmaSqAchieved, sh.TargetMet,
+			fmt.Printf("shard %d: |V|=%d |E|=%d kept=%d σ²=%.1f in %s\n",
+				sh.Shard, sh.Vertices, sh.Edges, sh.Kept, sh.SigmaSqAchieved,
 				sh.Duration.Round(time.Millisecond))
 			printRounds(sh.Rounds)
 		}

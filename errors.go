@@ -20,7 +20,8 @@ var (
 	// ErrBadShards rejects negative shard counts.
 	ErrBadShards = params.ErrBadShards
 	// ErrNoTarget is returned by Run (with a usable best-effort Result)
-	// when the round budget is exhausted before the σ² target is met.
+	// when the result misses the σ² target: by its certificate when one
+	// ran, by the pipeline's estimates otherwise.
 	ErrNoTarget = core.ErrNoTarget
 	// ErrDisconnected rejects disconnected input graphs.
 	ErrDisconnected = graph.ErrDisconnected

@@ -93,9 +93,10 @@ func (s *Sparsifier) Sigma2() float64 { return s.cfg.opt.Sparsify.SigmaSq }
 // Cancellation of ctx stops the densification rounds at their next
 // checkpoint.
 //
-// When the round budget is exhausted with the target unmet, Run returns
-// the best sparsifier found together with ErrNoTarget (Result.TargetMet
-// is false); every other error returns a nil Result.
+// When the result misses the target (Result.TargetMet is false), Run
+// returns it together with ErrNoTarget, wrapped with the number that
+// decided: the verified κ when the certificate ran, the estimate
+// otherwise. Every other error returns a nil Result.
 func (s *Sparsifier) Run(ctx context.Context, g *Graph) (*Result, error) {
 	// Every Run carries a phase trace: pipeline spans (partition, shard,
 	// stitch, embed, verify, ...) land in Result.Phases and aggregate
@@ -138,7 +139,11 @@ func (s *Sparsifier) Run(ctx context.Context, g *Graph) (*Result, error) {
 		Phases:            tr.Phases(),
 	}
 	if !res.TargetMet {
-		return res, ErrNoTarget
+		what, kappa := "estimated", res.SigmaSqAchieved
+		if res.Verified {
+			what, kappa = "verified", res.VerifiedCond
+		}
+		return res, fmt.Errorf("%w: %s κ %.2f > σ² %g", ErrNoTarget, what, kappa, s.Sigma2())
 	}
 	return res, nil
 }

@@ -47,7 +47,7 @@ import (
 // the densification loop ends — round cap or edge budget — above the σ²
 // target. A bad target itself is rejected with params.ErrBadSigma2, the
 // one sentinel every pipeline shares.
-var ErrNoTarget = errors.New("core: similarity target not reached within the round cap")
+var ErrNoTarget = errors.New("core: similarity target not reached")
 
 // The §3.7 loop's fixed settings.
 const (

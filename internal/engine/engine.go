@@ -1,7 +1,8 @@
 // Package engine is the one batch pipeline of the repository: every
 // execution plan produces a candidate backbone plus candidate edges,
-// filters them by Joule heat until the σ² target is met, and ends in the
-// same independent certificate check.
+// filters them by Joule heat until the σ² target is met, and hands its
+// selection to the same stop rule (certify): an independent certificate,
+// and calibrated re-filters while it misses σ².
 //
 //   - The single-shot plan runs the edge filter (core.SparsifyCtx) on the
 //     input itself. It is the degenerate one-level hierarchy.
@@ -43,15 +44,16 @@ const (
 	// cutFilterFraction gates the sharded plan's global embedding pass:
 	// the re-filter runs only when the partition's non-backbone cut
 	// exceeds this fraction of the stitched edge set. A smaller cut is
-	// kept whole, which certifies the end-to-end σ² *exactly* — with
-	// every cut edge present, L_G − L_P is the direct sum of the
-	// per-shard remainders, so the worst shard bound carries over
-	// (λmin ≥ 1 by interlacing) — while skipping a full-size
-	// factorization that could not pay for itself.
+	// kept whole, skipping a full-size factorization that could not pay
+	// for itself: with every cut edge present, L_G − L_P is the direct sum
+	// of the per-shard remainders, so κ is at most the worst shard's κ
+	// (λmin ≥ 1 by interlacing). The plan takes the max of the shards'
+	// *estimates* of that κ, so its bound is only as exact as they are;
+	// the certificate judges it like any other selection.
 	cutFilterFraction = 0.05
 	// defaultMaxLevels caps the hierarchy depth when CoarsenLevels is 0.
 	defaultMaxLevels = 16
-	// maxCalibrations caps the per-level calibrated refilter retries
+	// maxCalibrations caps the stop rule's calibrated re-filter retries
 	// when the verified κ misses the target the estimates cleared.
 	maxCalibrations = 3
 )
@@ -90,9 +92,10 @@ type Options struct {
 	// CoarsestSize stops coarsening at or below this vertex count
 	// (default multilevel.DefaultCoarsestSize).
 	CoarsestSize int
-	// Verify runs the independent generalized-Lanczos certificate check
-	// on the final sparsifier (and, in the multilevel plan, on every
-	// finer level, where it also drives the calibrated retries).
+	// Verify applies the stop rule (certify) to the final sparsifier —
+	// and, in the multilevel plan, to every finer level: the independent
+	// generalized-Lanczos certificate, with calibrated re-filters while it
+	// misses σ². Without it the plan's own estimates decide TargetMet.
 	Verify bool
 	// VerifySteps is the Lanczos depth of that check. Default min(30, n).
 	VerifySteps int
@@ -151,9 +154,9 @@ type ShardStats struct {
 	Vertices int
 	Edges    int // induced edges handed to the shard sparsifier
 	Kept     int // edges the shard sparsifier retained
-	// SigmaSqAchieved/TargetMet/Rounds mirror the shard's core.Result.
+	// SigmaSqAchieved/Rounds mirror the shard's core.Result; whether the
+	// run met σ² is Result.TargetMet's alone.
 	SigmaSqAchieved float64
-	TargetMet       bool
 	Rounds          []core.RoundStats
 	Duration        time.Duration
 	// EdgeIDs are the kept edges as ids into the input graph's edge list;
@@ -186,8 +189,10 @@ type LevelStats struct {
 
 // Timings breaks a Run down by phase. Single-shot runs fill only
 // Sparsify, Verify and Wall; sharded runs additionally fill Partition,
-// Shard, ShardCPU and Stitch; multilevel runs fill Coarsen, Interpolate
-// and Refilter (summed over levels, as is their Verify). Partition is the
+// Shard, ShardCPU and Stitch; multilevel runs fill Coarsen and
+// Interpolate (summed over levels, as is their Verify). Refilter sums
+// every re-filter pass: per level, the sharded plan's global pass and the
+// stop rule's calibrations. Partition is the
 // k-way bisection plus its materialisation into shard tasks (the induced
 // subgraphs and their component scans). ShardCPU sums the per-shard
 // durations, so ShardCPU / Shard is the parallel speedup of the shard
@@ -215,10 +220,10 @@ type Result struct {
 	Mode params.Mode
 
 	// LambdaMax/LambdaMin/SigmaSqEst are the plan's own final estimates
-	// (in a sharded run with a small kept-whole cut, the exact direct-sum
-	// certificate of the worst shard). TargetMet reports whether they met
-	// σ²; the sharded and multilevel plans let the verified κ overrule
-	// them when Options.Verify ran.
+	// (in a sharded run with a small kept-whole cut, the worst shard's, see
+	// cutFilterFraction). TargetMet is the run's one verdict on σ²:
+	// VerifiedCond ≤ σ² when the certificate ran, SigmaSqEst ≤ σ²
+	// otherwise.
 	LambdaMax, LambdaMin float64
 	SigmaSqEst           float64
 	TargetMet            bool
@@ -235,7 +240,10 @@ type Result struct {
 	// Options.Shards on small graphs; it is 1 for the other plans),
 	// per-shard stats and cut bookkeeping — CutEdges input edges crossed
 	// the partition, StitchedCut of them were added for connectivity,
-	// RecoveredCut more passed the global heat filter.
+	// RecoveredCut more passed the global heat filter. When Run certifies
+	// the input itself (every plan but a coarsened multilevel run, which
+	// books them per level), RecoveredCut also counts the edges the stop
+	// rule's calibrations admitted.
 	Labels       []int
 	Parts        int
 	Shards       []ShardStats
@@ -248,9 +256,10 @@ type Result struct {
 	Depth  int
 	Levels []LevelStats
 
-	// Verified* come from the independent generalized-Lanczos check of
-	// the final sparsifier against the input graph (Verified is
-	// Options.Verify); VerifiedCond is the authoritative end-to-end κ.
+	// Verified* come from the stop rule's last independent
+	// generalized-Lanczos check of the final sparsifier against the input
+	// graph (Verified is Options.Verify); VerifiedCond is the authoritative
+	// end-to-end κ.
 	Verified          bool
 	VerifiedLambdaMax float64
 	VerifiedLambdaMin float64
@@ -276,31 +285,105 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	if opt.Mode == params.ModeSharded {
 		run = res.runSharded
 	}
-	solver, err := run(ctx, g, opt)
+	s, err := run(ctx, g, opt)
 	if err != nil {
 		return nil, err
 	}
-
-	// The shared tail: certify the final sparsifier against the input. A
-	// genuinely coarsened multilevel run already did, as the last step of
-	// its level-0 calibration loop.
+	// A genuinely coarsened multilevel run certified every finer level,
+	// ending with the input; every other plan's selection meets the stop
+	// rule here.
 	if opt.Verify && !res.Verified {
-		c, err := Certify(ctx, g, res.Sparsifier, solver, opt.VerifySteps, opt.Sparsify.Seed)
-		res.Timings.Verify += c.dur
+		recovered, err := res.certify(ctx, "refilter", s, opt, opt.Sparsify.Seed)
 		if err != nil {
 			return nil, err
 		}
-		res.setCertificate(c)
-		if res.Mode == params.ModeMultilevel {
-			res.Levels[0].VerifiedCond = c.Cond
+		res.RecoveredCut += recovered
+		if res.Levels != nil { // the one-level hierarchy: its only level is the input
+			lv := &res.Levels[0]
+			lv.Recovered += recovered
+			lv.Kept, lv.SigmaSqEst, lv.VerifiedCond = s.p.M(), s.est(), res.VerifiedCond
 		}
 	}
-	if res.Verified && res.Mode != params.ModeSingleShot {
-		res.TargetMet = res.VerifiedCond <= opt.Sparsify.SigmaSq
+	res.Sparsifier, res.LambdaMax, res.LambdaMin, res.SigmaSqEst = s.p, s.lmax, s.lmin, s.est()
+	// The one verdict: the certificate's when one ran, the estimates'
+	// otherwise.
+	kappa := res.SigmaSqEst
+	if res.Verified {
+		kappa = res.VerifiedCond
 	}
+	res.TargetMet = kappa > 0 && kappa <= opt.Sparsify.SigmaSq
 	res.Timings.Wall = time.Since(start)
 	res.Timings.Sparsify = res.Timings.Wall - res.Timings.Verify
 	return res, nil
+}
+
+// selection is what every plan hands to the stop rule: the graph it
+// selected from, P, the kept edge ids into g's edge list, the factor of P
+// the filter loop ended on (nil when it holds none, see Certify) and that
+// loop's extreme-eigenvalue estimates.
+type selection struct {
+	g, p       *graph.Graph
+	kept       []int
+	solver     *cholesky.LapSolver
+	lmax, lmin float64
+}
+
+// est is the selection's estimated κ, 0 when the estimates are unusable.
+func (s *selection) est() float64 {
+	if s.lmin > 0 {
+		return s.lmax / s.lmin
+	}
+	return 0
+}
+
+// refilter runs core.RefilterFactored's bounded passes from s over cands
+// toward ropt.SigmaSq under one span, adopts their result into s and
+// returns how many candidates they admitted.
+func (r *Result) refilter(ctx context.Context, span obs.PhaseName, s *selection, cands []int, ropt core.Options, seed uint64) (int, error) {
+	rSpan := obs.StartSpan(ctx, span)
+	p, kept, recovered, lmax, lmin, solver, err := core.RefilterFactored(ctx, s.g, s.kept, cands, ropt, core.RefilterRounds, ropt.EmbedWorkers, seed)
+	r.Timings.Refilter += rSpan.End()
+	if err != nil {
+		return 0, err
+	}
+	*s = selection{g: s.g, p: p, kept: kept, solver: solver, lmax: lmax, lmin: lmin}
+	return recovered, nil
+}
+
+// certify is the one stop rule of every plan. It certifies s against s.g
+// and records the certificate on r. The filter loops' estimates can clear
+// σ² while the certificate does not — they under-report κ by κ·λmin/λmax —
+// so while the certificate misses σ², candidates remain and the estimates
+// are usable, it re-filters toward the proportionally tighter target
+// σ²·(λmax/λmin)/κ, which actually admits edges, and certifies again, at
+// most maxCalibrations times. Attempt a re-filters with DeriveSeed(seed,
+// 2a−1) and certifies with DeriveSeed(seed, 2a). It returns how many edges
+// the re-filters admitted.
+func (r *Result) certify(ctx context.Context, span obs.PhaseName, s *selection, opt Options, seed uint64) (recovered int, err error) {
+	sigma := opt.Sparsify.SigmaSq
+	for a := 0; ; a++ {
+		if a > 0 {
+			copt := opt.Sparsify
+			copt.SigmaSq = sigma * s.est() / r.VerifiedCond
+			if !(copt.SigmaSq > 1) {
+				copt.SigmaSq = (1 + sigma) / 2
+			}
+			n, err := r.refilter(ctx, span, s, remaining(s.g.M(), s.kept), copt, core.DeriveSeed(seed, 2*a-1))
+			if err != nil {
+				return 0, err
+			}
+			recovered += n
+		}
+		c, err := Certify(ctx, s.g, s.p, s.solver, opt.VerifySteps, core.DeriveSeed(seed, 2*a))
+		r.Timings.Verify += c.dur
+		if err != nil {
+			return 0, err
+		}
+		r.setCertificate(c)
+		if c.Cond <= sigma || len(s.kept) == s.g.M() || !(s.lmin > 0) || a == maxCalibrations {
+			return recovered, nil
+		}
+	}
 }
 
 // Certificate is one independent similarity check: the extreme
@@ -317,8 +400,8 @@ func (r *Result) setCertificate(c Certificate) {
 }
 
 // Certify runs the generalized-Lanczos similarity check of p against g.
-// It is the product's only certificate code: every plan's tail, every
-// multilevel level and every settle pass of the dynamic maintainer goes
+// It is the product's only certificate code: the batch pipeline's stop
+// rule (certify) and every settle pass of the dynamic maintainer go
 // through it, under one "verify" span.
 //
 // solver must be a factorization of exactly p or nil; Certify only reads

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
 	"graphspar/internal/graph"
 	"graphspar/internal/multilevel"
@@ -20,12 +19,8 @@ import (
 // to the input. Single-shot is the one-level hierarchy — the coarsest
 // level is the input and there is nothing to uncoarsen — so a multilevel
 // run whose coarsening never engaged keeps the same edges bit for bit.
-//
-// The returned solver is the factorization of res.Sparsifier the last
-// filter loop ended on, for Run's certificate to adopt; nil when there is
-// none (see Certify) or when level 0's certificate already consumed it.
-func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (*cholesky.LapSolver, error) {
-	sigma := opt.Sparsify.SigmaSq
+// It returns the input's selection; Run certifies it when no level did.
+func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (*selection, error) {
 	multi := opt.Mode == params.ModeMultilevel
 
 	levels := []*multilevel.Level{{G: g}}
@@ -51,7 +46,6 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (
 		}
 		return nil, err
 	}
-	res.TargetMet = err == nil
 	if multi {
 		res.Levels[len(levels)-1] = LevelStats{
 			Level:      len(levels) - 1,
@@ -67,11 +61,9 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (
 		res.TotalStretch = sp.TotalStretch
 		res.TreeEdgeIDs, res.OffTreeAddedIDs, res.Rounds = sp.TreeEdgeIDs, sp.OffTreeAddedIDs, sp.Rounds
 	}
-	p, solver := sp.Sparsifier, sp.Solver // solver: the factor of p, or nil
-	lmax, lmin := sp.LambdaMax, sp.LambdaMin
-	var kept []int // the selection to interpolate; a one-level run never reads it
-	if len(levels) > 1 {
-		kept = append(append(kept, sp.TreeEdgeIDs...), sp.OffTreeAddedIDs...)
+	s := &selection{
+		g: coarsest, p: sp.Sparsifier, solver: sp.Solver, lmax: sp.LambdaMax, lmin: sp.LambdaMin,
+		kept: append(append([]int(nil), sp.TreeEdgeIDs...), sp.OffTreeAddedIDs...),
 	}
 
 	// Uncoarsen: interpolate the selection one level down, re-filter the
@@ -89,7 +81,7 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (
 		}
 
 		iSpan := obs.StartSpan(ctx, "interpolate")
-		keptF, candF, treeCount, err := multilevel.Interpolate(fine.G, fine.Rep, kept, opt.Sparsify.TreeAlg, levelSeed)
+		keptF, candF, treeCount, err := multilevel.Interpolate(fine.G, fine.Rep, s.kept, opt.Sparsify.TreeAlg, levelSeed)
 		res.Timings.Interpolate += iSpan.End()
 		if err != nil {
 			return nil, wrap(err)
@@ -101,76 +93,23 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (
 			TreeEdges: treeCount,
 			Inherited: len(keptF) - treeCount,
 		}
-
-		refilter := func(keptIDs, candIDs []int, ropt core.Options, seed uint64) (float64, float64, error) {
-			rSpan := obs.StartSpan(ctx, "uncoarsen_refilter")
-			pF, keptNew, recovered, lx, ln, solverF, err := core.RefilterFactored(ctx, fine.G, keptIDs, candIDs, ropt, core.RefilterRounds, opt.Workers, seed)
-			res.Timings.Refilter += rSpan.End()
-			if err != nil {
-				return 0, 0, wrap(err)
-			}
-			p, kept, solver = pF, keptNew, solverF
-			st.Recovered += recovered
-			return lx, ln, nil
+		s = &selection{g: fine.G, kept: keptF}
+		if st.Recovered, err = res.refilter(ctx, "uncoarsen_refilter", s, candF, opt.Sparsify, levelSeed); err != nil {
+			return nil, wrap(err)
 		}
-		if lmax, lmin, err = refilter(keptF, candF, opt.Sparsify, levelSeed); err != nil {
-			return nil, err
-		}
-		res.TargetMet = lmin > 0 && lmax/lmin <= sigma
-
 		if opt.Verify {
-			verify := func(seed uint64) (Certificate, error) {
-				c, err := Certify(ctx, fine.G, p, solver, opt.VerifySteps, seed)
-				solver = nil // spent on this certificate; every retry re-filters first
-				res.Timings.Verify += c.dur
-				if err != nil {
-					return c, wrap(err)
-				}
-				return c, nil
-			}
-			c, err := verify(levelSeed)
+			recovered, err := res.certify(ctx, "uncoarsen_refilter", s, opt, levelSeed)
 			if err != nil {
-				return nil, err
+				return nil, wrap(err)
 			}
-			// Calibrated retries: the power/coloring estimates can clear σ²
-			// while the Lanczos check does not (the estimate under-reports
-			// κ by cond·lmin/lmax). Re-run the bounded re-filter against a
-			// proportionally tighter estimated target so it actually admits
-			// edges, then re-certify — the verified certificate is the one
-			// each level converges on. The retry count is capped, so the
-			// per-level cost stays bounded.
-			for attempt := 1; c.Cond > sigma && len(kept) < fine.G.M() && lmin > 0 && attempt <= maxCalibrations; attempt++ {
-				copt := opt.Sparsify
-				copt.SigmaSq = sigma * (lmax / lmin) / c.Cond
-				if !(copt.SigmaSq > 1) {
-					copt.SigmaSq = (1 + sigma) / 2
-				}
-				if lmax, lmin, err = refilter(kept, remaining(fine.G.M(), kept), copt, core.DeriveSeed(levelSeed, 2*attempt-1)); err != nil {
-					return nil, err
-				}
-				if c, err = verify(core.DeriveSeed(levelSeed, 2*attempt)); err != nil {
-					return nil, err
-				}
-			}
-			st.VerifiedCond = c.Cond
-			if l == 0 {
-				res.setCertificate(c)
-			}
+			st.Recovered += recovered
+			st.VerifiedCond = res.VerifiedCond
 		}
-		st.Kept = p.M()
-		if lmin > 0 {
-			st.SigmaSqEst = lmax / lmin
-		}
+		st.Kept, st.SigmaSqEst = s.p.M(), s.est()
 		st.Duration = time.Since(lvlStart)
 		res.Levels[l] = st
 	}
-
-	res.Sparsifier = p
-	res.LambdaMax, res.LambdaMin = lmax, lmin
-	if lmin > 0 {
-		res.SigmaSqEst = lmax / lmin
-	}
-	return solver, nil
+	return s, nil
 }
 
 // remaining lists the edge ids of a graph with m edges not in kept.

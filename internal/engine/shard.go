@@ -68,8 +68,8 @@ func buildTasks(g *graph.Graph, labels []int, parts int) ([]shardTask, error) {
 }
 
 // runShards sparsifies every task over a bounded worker pool. The first
-// hard error cancels the remaining work; per-shard ErrNoTarget is
-// recorded in the stats, not treated as failure.
+// hard error cancels the remaining work; a shard's ErrNoTarget is not a
+// failure, since only the stitched result is judged against σ².
 func runShards(ctx context.Context, g *graph.Graph, tasks []shardTask, opt Options) ([]shardOut, error) {
 	edgeIdx := g.EdgeIndex() // read-only, shared across workers
 
@@ -163,7 +163,6 @@ func runShard(ctx context.Context, g *graph.Graph, edgeIdx map[[2]int]int, task 
 		Edges:           sub.M(),
 		Kept:            res.Sparsifier.M(),
 		SigmaSqAchieved: res.SigmaSqAchieved,
-		TargetMet:       err == nil,
 		Rounds:          res.Rounds,
 		Duration:        time.Since(start),
 		EdgeIDs:         ids,

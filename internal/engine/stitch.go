@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"graphspar/internal/cholesky"
-	"graphspar/internal/core"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
 	"graphspar/internal/obs"
@@ -63,10 +61,9 @@ func stitch(g *graph.Graph, labels []int, outs []shardOut) (keptIDs, stitchedIDs
 
 // runSharded executes the sharded plan: partition, sparsify the shards
 // concurrently, stitch, and re-filter the partition's cut. The returned
-// solver is the re-filter's last factorization of res.Sparsifier when
-// there is one (see certify); the kept-whole-cut branch never factors the
-// stitched graph and returns nil.
-func (res *Result) runSharded(ctx context.Context, g *graph.Graph, opt Options) (*cholesky.LapSolver, error) {
+// selection holds the re-filter's last factorization of P when there is
+// one; the kept-whole-cut branch never factors the stitched graph.
+func (res *Result) runSharded(ctx context.Context, g *graph.Graph, opt Options) (*selection, error) {
 	// The partition span covers the bisection and its materialisation —
 	// buildTasks' induced subgraphs and component scans — so the time
 	// between the cut and the first shard is not left outside every span.
@@ -96,52 +93,36 @@ func (res *Result) runSharded(ctx context.Context, g *graph.Graph, opt Options) 
 		res.Timings.ShardCPU += out.stats.Duration
 	}
 
-	var solver *cholesky.LapSolver
 	stitchSpan := obs.StartSpan(ctx, "stitch")
+	defer func() { res.Timings.Stitch = stitchSpan.End() }()
 	keptIDs, stitchedIDs, candIDs := stitch(g, kw.Labels, outs)
 	res.CutEdges = len(stitchedIDs) + len(candIDs)
 	res.StitchedCut = len(stitchedIDs)
+	s := &selection{g: g, kept: keptIDs}
 
-	if float64(len(candIDs)) <= cutFilterFraction*float64(len(keptIDs)) {
-		// Small cut: keep it whole. The guarantee is exact (see
-		// cutFilterFraction) and the certified bound is the worst shard's
-		// achieved σ².
-		keptIDs = append(keptIDs, candIDs...)
-		p, err := g.SubgraphEdges(keptIDs)
-		if err != nil {
-			return nil, fmt.Errorf("engine: stitched graph: %w", err)
-		}
-		res.RecoveredCut = len(candIDs)
-		res.Sparsifier = p
-		worst := 1.0
-		for _, s := range res.Shards {
-			if s.SigmaSqAchieved > worst {
-				worst = s.SigmaSqAchieved
-			}
-		}
-		res.LambdaMax, res.LambdaMin = worst, 1
-	} else {
+	if float64(len(candIDs)) > cutFilterFraction*float64(len(keptIDs)) {
 		// Global embedding pass(es): estimate the extreme generalized
 		// eigenvalues of (L_G, L_P) on the stitched graph, and while the σ²
 		// target is unmet, recover the cut edges whose normalized Joule
 		// heat beats the similarity-aware threshold (eq. 15).
-		rSpan := obs.StartSpan(ctx, "refilter")
-		p, _, recovered, lmax, lmin, solverR, err := core.RefilterFactored(ctx, g, keptIDs, candIDs, opt.Sparsify, core.RefilterRounds, opt.Workers, opt.Sparsify.Seed^0x5717c4)
-		rSpan.End()
-		if err != nil {
+		if res.RecoveredCut, err = res.refilter(ctx, "refilter", s, candIDs, opt.Sparsify, opt.Sparsify.Seed^0x5717c4); err != nil {
 			if ctx.Err() == nil {
 				err = fmt.Errorf("engine: global %w", err)
 			}
 			return nil, err
 		}
-		res.RecoveredCut = recovered
-		res.Sparsifier, solver = p, solverR
-		res.LambdaMax, res.LambdaMin = lmax, lmin
+		return s, nil
 	}
-	if res.LambdaMin > 0 {
-		res.SigmaSqEst = res.LambdaMax / res.LambdaMin
+	// Small cut: keep it whole. The bound is the worst shard's achieved σ²
+	// (see cutFilterFraction).
+	s.kept = append(s.kept, candIDs...)
+	if s.p, err = g.SubgraphEdges(s.kept); err != nil {
+		return nil, fmt.Errorf("engine: stitched graph: %w", err)
 	}
-	res.Timings.Stitch = stitchSpan.End()
-	res.TargetMet = res.SigmaSqEst > 0 && res.SigmaSqEst <= opt.Sparsify.SigmaSq
-	return solver, nil
+	res.RecoveredCut = len(candIDs)
+	s.lmax, s.lmin = 1.0, 1
+	for _, sh := range res.Shards {
+		s.lmax = max(s.lmax, sh.SigmaSqAchieved)
+	}
+	return s, nil
 }

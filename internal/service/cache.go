@@ -261,8 +261,8 @@ type cacheEntry struct {
 
 // ResultCache is a bounded LRU of completed sparsification results.
 // Lookup supports both exact matches and "coarser σ²" matches: among the
-// cached entries for the same (graph, knobs) family, the one with the
-// smallest requested σ² that still meets the asked target is reused.
+// cached entries for the same (graph, knobs) family whose verified κ meets
+// the asked target, the one built for the largest σ² is reused.
 type ResultCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -296,11 +296,12 @@ func (c *ResultCache) Get(graphHash string, p SparsifyParams) (*JobResult, Cache
 		return el.Value.(*cacheEntry).result, CacheExact
 	}
 	// Coarser lookup: any family entry built for a tighter or equal σ²
-	// whose achieved condition number still meets this request.
+	// whose certificate still meets this request. An entry without one
+	// (VerifiedCond 0) is never reused for another σ².
 	var best *list.Element
 	for el := range c.byFamily[p.family(graphHash)] {
 		ce := el.Value.(*cacheEntry)
-		if ce.sigmaSq <= p.SigmaSq && ce.result.SigmaSqAchieved <= p.SigmaSq {
+		if k := ce.result.VerifiedCond; ce.sigmaSq <= p.SigmaSq && k > 0 && k <= p.SigmaSq {
 			if best == nil || ce.sigmaSq > best.Value.(*cacheEntry).sigmaSq {
 				best = el // prefer the sparsest certificate that still qualifies
 			}
@@ -313,7 +314,7 @@ func (c *ResultCache) Get(graphHash string, p SparsifyParams) (*JobResult, Cache
 		// may have missed its own (tighter) target while still certifying
 		// the looser one asked for here.
 		res := *best.Value.(*cacheEntry).result
-		res.TargetMet = res.SigmaSqAchieved <= p.SigmaSq
+		res.TargetMet = res.VerifiedCond <= p.SigmaSq
 		// Memoize under the exact key so repeats of this request take the
 		// O(1) path instead of rescanning the family. The alias keeps the
 		// source's build-σ² so certificate preference stays truthful.

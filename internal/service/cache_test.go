@@ -13,8 +13,9 @@ func testParams(sigma float64) SparsifyParams {
 	return p
 }
 
+// result is a met job whose estimate and certificate both read achieved.
 func result(achieved float64) *JobResult {
-	return &JobResult{SigmaSqAchieved: achieved, TargetMet: true}
+	return &JobResult{SigmaSqAchieved: achieved, VerifiedCond: achieved, TargetMet: true}
 }
 
 func TestParamsCanon(t *testing.T) {
@@ -108,7 +109,7 @@ func TestCacheCoarserRespectsAchieved(t *testing.T) {
 	c := NewResultCache(4)
 	// Entry built for σ²=50 but only achieved 120 (ErrNoTarget path):
 	// it cannot certify a σ²=100 request.
-	c.Put("h", testParams(50), &JobResult{SigmaSqAchieved: 120})
+	c.Put("h", testParams(50), &JobResult{SigmaSqAchieved: 120, VerifiedCond: 120})
 	if _, out := c.Get("h", testParams(100)); out != CacheMiss {
 		t.Errorf("unmet-target entry reused: outcome %v", out)
 	}
@@ -120,6 +121,29 @@ func TestCacheCoarserRespectsAchieved(t *testing.T) {
 	// stored result missed σ²=50 but satisfies σ²=150.
 	if !res.TargetMet {
 		t.Error("coarser hit kept the original request's TargetMet=false")
+	}
+}
+
+// A coarser hit is admitted and re-judged by the certificate, never by the
+// estimate: the pipeline's estimates under-report κ.
+func TestCacheCoarserJudgesByCertificate(t *testing.T) {
+	c := NewResultCache(4)
+	// Built at σ² = 50: the estimate reads 54.8, the certificate 56.9.
+	c.Put("h", testParams(50), &JobResult{SigmaSqAchieved: 54.8, VerifiedCond: 56.9})
+	if res, out := c.Get("h", testParams(55)); out != CacheMiss {
+		t.Errorf("σ² = 55 served an entry whose certificate reads 56.9: outcome %v, target_met %v", out, res.TargetMet)
+	}
+	res, out := c.Get("h", testParams(57))
+	if out != CacheCoarser || !res.TargetMet {
+		t.Errorf("σ² = 57 against certificate 56.9: outcome %v, want a met coarser hit", out)
+	}
+	// Without a certificate an entry answers only its own σ².
+	c.Put("h2", testParams(50), &JobResult{SigmaSqAchieved: 10, TargetMet: true})
+	if _, out := c.Get("h2", testParams(100)); out != CacheMiss {
+		t.Errorf("uncertified entry reused for another σ²: outcome %v", out)
+	}
+	if _, out := c.Get("h2", testParams(50)); out != CacheExact {
+		t.Errorf("uncertified entry lost its own σ²: outcome %v", out)
 	}
 }
 

@@ -29,7 +29,7 @@ func startTestServer(t *testing.T, cfg Config, calls *atomic.Int64) (*Server, *h
 		inner := cfg.Sparsify
 		if inner == nil {
 			inner = func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
-				return &JobResult{SigmaSqAchieved: p.SigmaSq, TargetMet: true, Sparsifier: g}, nil
+				return &JobResult{SigmaSqAchieved: p.SigmaSq, VerifiedCond: p.SigmaSq, TargetMet: true, Sparsifier: g}, nil
 			}
 		}
 		cfg.Sparsify = func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
@@ -332,7 +332,7 @@ func TestGraphAPIErrors(t *testing.T) {
 
 func TestJobAPIErrors(t *testing.T) {
 	stub := func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
-		return &JobResult{SigmaSqAchieved: p.SigmaSq, Sparsifier: g}, nil
+		return &JobResult{SigmaSqAchieved: p.SigmaSq, VerifiedCond: p.SigmaSq, Sparsifier: g}, nil
 	}
 	ts := newTestServer(t, Config{Workers: 1, Backlog: 2, CacheSize: 4, Sparsify: stub}, nil)
 

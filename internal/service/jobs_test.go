@@ -45,7 +45,7 @@ func TestQueueRunsJobs(t *testing.T) {
 	var calls atomic.Int64
 	q := newTestQueue(2, 8, nil, func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
 		calls.Add(1)
-		return &JobResult{SigmaSqAchieved: p.SigmaSq / 2, Sparsifier: g}, nil
+		return &JobResult{SigmaSqAchieved: p.SigmaSq / 2, VerifiedCond: p.SigmaSq / 2, Sparsifier: g}, nil
 	})
 	defer q.Shutdown(context.Background())
 
@@ -134,7 +134,7 @@ func TestQueueCacheShortCircuit(t *testing.T) {
 	var calls atomic.Int64
 	q := newTestQueue(1, 4, cache, func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
 		calls.Add(1)
-		return &JobResult{SigmaSqAchieved: p.SigmaSq * 0.8, Sparsifier: g}, nil
+		return &JobResult{SigmaSqAchieved: p.SigmaSq * 0.8, VerifiedCond: p.SigmaSq * 0.8, Sparsifier: g}, nil
 	})
 	defer q.Shutdown(context.Background())
 
@@ -173,7 +173,7 @@ func TestQueueCacheShortCircuit(t *testing.T) {
 func TestQueueCachesBeforeDone(t *testing.T) {
 	entry := testEntry(t)
 	q := newTestQueue(1, 4, NewResultCache(4), func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
-		return &JobResult{SigmaSqAchieved: p.SigmaSq * 0.8, Sparsifier: g}, nil
+		return &JobResult{SigmaSqAchieved: p.SigmaSq * 0.8, VerifiedCond: p.SigmaSq * 0.8, Sparsifier: g}, nil
 	})
 	defer q.Shutdown(context.Background())
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -317,7 +317,7 @@ func TestQueueShardedAndSingleShotDoNotAlias(t *testing.T) {
 	var calls atomic.Int64
 	q := newTestQueue(1, 8, cache, func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
 		calls.Add(1)
-		return &JobResult{SigmaSqAchieved: 10, TargetMet: true, Sparsifier: g, Shards: p.Shards}, nil
+		return &JobResult{SigmaSqAchieved: 10, VerifiedCond: 10, TargetMet: true, Sparsifier: g, Shards: p.Shards}, nil
 	})
 	defer q.Shutdown(context.Background())
 

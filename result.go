@@ -32,8 +32,10 @@ type Trace = obs.Trace
 
 // Timings breaks a Run down by phase. Single-shot runs fill only
 // Sparsify, Verify and Wall; sharded runs additionally fill Partition,
-// Shard, ShardCPU and Stitch; multilevel runs fill Coarsen, Interpolate
-// and Refilter (summed over levels). ShardCPU sums the per-shard
+// Shard, ShardCPU and Stitch; multilevel runs fill Coarsen and
+// Interpolate (summed over levels). Refilter sums every re-filter pass:
+// per level, the sharded plan's global pass and the certificate's
+// calibrations. ShardCPU sums the per-shard
 // durations, so ShardCPU / Shard is the parallel speedup of the shard
 // phase.
 type Timings struct {
@@ -65,12 +67,13 @@ type Result struct {
 	// LambdaMax/LambdaMin are the pipeline's own final extreme-eigenvalue
 	// estimates of L_P⁺L_G, and SigmaSqAchieved their ratio — the achieved
 	// σ² estimate. In a sharded run with a small kept-whole cut these are
-	// the exact direct-sum certificate of the worst shard.
+	// the worst shard's estimates, which the direct sum carries over.
 	LambdaMax, LambdaMin float64
 	SigmaSqAchieved      float64
-	// TargetMet reports whether the pipeline met the σ² target (for
-	// sharded runs with verification, whether the verified κ met it).
-	// When false, Run also returned ErrNoTarget.
+	// TargetMet is the run's one verdict on the σ² target, on every plan:
+	// VerifiedCond ≤ σ² when the certificate ran (Verified), and
+	// SigmaSqAchieved ≤ σ² otherwise. When false, Run also returned
+	// ErrNoTarget.
 	TargetMet bool
 
 	// Single-shot fields: backbone total stretch, tree/off-tree edge ids
@@ -83,7 +86,9 @@ type Result struct {
 
 	// Sharded fields: partition arity, per-shard stats, and cut
 	// bookkeeping (CutEdges crossed the partition; StitchedCut were added
-	// for connectivity, RecoveredCut more passed the global heat filter).
+	// for connectivity, RecoveredCut more passed the global heat filter —
+	// plus, on any plan but a coarsened multilevel run, the edges the
+	// certificate's calibrated re-filters admitted).
 	Parts        int
 	Shards       []ShardStats
 	CutEdges     int
@@ -96,8 +101,11 @@ type Result struct {
 	Levels       []LevelStats
 
 	// Verified reports whether the independent generalized-Lanczos check
-	// ran (sharded default, or WithVerification); Verified* carry its
-	// estimates, with VerifiedCond the authoritative end-to-end κ.
+	// ran (the sharded and multilevel default, or WithVerification);
+	// Verified* carry its estimates, with VerifiedCond the authoritative
+	// end-to-end κ. While it exceeds σ² and candidates remain, Run
+	// re-filters toward a calibrated tighter target and checks again (at
+	// most three times), so Verified* describe the returned Sparsifier.
 	Verified          bool
 	VerifiedLambdaMax float64
 	VerifiedLambdaMin float64
