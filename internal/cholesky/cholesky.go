@@ -30,6 +30,11 @@
 // s −= L[r,j]·y[r] is one dependent chain per column and runs at
 // floating-point add latency whatever the addressing; only a reassociated
 // sum would lift it, and that would move every downstream bit.
+//
+// The two sweeps are separate halves, forward (L z = y) and backward
+// (Lᵀ w = z); Solve runs one after the other. A LapSolver also exposes
+// each half on its own, for the similarity certificate's Lanczos run in
+// the factor's coordinates (eig's GeneralizedLanczos).
 package cholesky
 
 import (
@@ -302,7 +307,8 @@ func (f *Factor) Solve(x, b []float64) {
 	for newIdx, oldIdx := range f.perm {
 		y[newIdx] = b[oldIdx]
 	}
-	f.sweep(y)
+	f.forward(y)
+	f.backward(y)
 	for newIdx, oldIdx := range f.perm {
 		x[oldIdx] = y[newIdx]
 	}
@@ -316,12 +322,12 @@ func (f *Factor) workVec() []float64 {
 	return f.work
 }
 
-// sweep solves L Lᵀ w = y in place on the permuted vector y. Each column
-// is walked in two parts: the entries before runAt[j] gather through
-// rowIdx, the run after it is a plain slice of y.
-func (f *Factor) sweep(y []float64) {
+// forward solves L z = y in place on the permuted vector y (CSC columns).
+// Each column is walked in two parts: the entries before runAt[j] gather
+// through rowIdx, the run after it is a plain slice of y. forward then
+// backward is the whole solve of L Lᵀ w = y.
+func (f *Factor) forward(y []float64) {
 	colPtr, rowIdx, runAt, val := f.colPtr, f.rowIdx, f.runAt, f.val
-	// Forward solve L z = y (CSC columns, in place on y).
 	for j := 0; j < f.n; j++ {
 		p0, mid, hi := colPtr[j], runAt[j], colPtr[j+1]
 		yj := y[j] / val[p0]
@@ -338,8 +344,13 @@ func (f *Factor) sweep(y []float64) {
 			}
 		}
 	}
-	// Backward solve Lᵀ w = z. One dependent subtraction chain per
-	// column: latency-bound with or without the run (see the package doc).
+}
+
+// backward solves Lᵀ w = z in place on the permuted vector y. One
+// dependent subtraction chain per column: latency-bound with or without
+// the run (see the package doc).
+func (f *Factor) backward(y []float64) {
+	colPtr, rowIdx, runAt, val := f.colPtr, f.rowIdx, f.runAt, f.val
 	for j := f.n - 1; j >= 0; j-- {
 		p0, mid, hi := colPtr[j], runAt[j], colPtr[j+1]
 		s := y[j]
@@ -355,6 +366,30 @@ func (f *Factor) sweep(y []float64) {
 			}
 		}
 		y[j] = s / val[p0]
+	}
+}
+
+// mulLT computes y ← Lᵀ y in place on the permuted vector y. Row j of Lᵀ
+// reads y[r] for r ≥ j only, so ascending j never reads an overwritten
+// entry. Each product is rounded before it is summed (float64(…)), so no
+// host fuses the accumulation into multiply-adds.
+func (f *Factor) mulLT(y []float64) {
+	colPtr, rowIdx, runAt, val := f.colPtr, f.rowIdx, f.runAt, f.val
+	for j := 0; j < f.n; j++ {
+		p0, mid, hi := colPtr[j], runAt[j], colPtr[j+1]
+		s := float64(val[p0] * y[j])
+		rows := rowIdx[p0+1 : mid]
+		for q, v := range val[p0+1 : mid] {
+			s += float64(v * y[rows[q]])
+		}
+		if mid < hi {
+			vs := val[mid:hi]
+			ys := y[rowIdx[mid]:][:len(vs)]
+			for q, v := range vs {
+				s += float64(v * ys[q])
+			}
+		}
+		y[j] = s
 	}
 }
 
@@ -574,10 +609,85 @@ func (ls *LapSolver) Solve(x, b []float64) {
 	for newIdx, oldIdx := range f.perm {
 		y[newIdx] = b[oldIdx] - mean
 	}
-	f.sweep(y)
+	f.forward(y)
+	f.backward(y)
 	for newIdx, oldIdx := range f.perm {
 		x[oldIdx] = y[newIdx]
 	}
 	x[ls.ground] = 0
 	vecmath.Deflate(x)
+}
+
+// The methods below expose the factor's own coordinates: a vector of
+// length Dim() holding the grounded system's entries in the factor's
+// elimination order. In them the pencil (L_G, L_P) becomes the symmetric
+// matrix L⁻¹ L̂_G L⁻ᵀ (L̂_G is L_G grounded and permuted alike), which is
+// how the certificate's Lanczos run applies it: Backward, Scatter,
+// L_G·, Gather, Forward. None of them allocates; all panic on a length
+// mismatch, like Solve.
+
+// Dim returns the dimension of the factored grounded system, n−1 (0 for
+// a single vertex).
+func (ls *LapSolver) Dim() int { return ls.n - 1 }
+
+// Forward solves L z = y in place on y.
+func (ls *LapSolver) Forward(y []float64) {
+	if f := ls.coords(y, nil); f != nil {
+		f.forward(y)
+	}
+}
+
+// Backward solves Lᵀ w = y in place on y. Forward then Backward is
+// Solve's sweep, bit for bit.
+func (ls *LapSolver) Backward(y []float64) {
+	if f := ls.coords(y, nil); f != nil {
+		f.backward(y)
+	}
+}
+
+// Gather writes the grounded system's rows of the vertex vector x into y
+// in the factor's order: y[k] = x[perm[k]], the ground entry dropped.
+// Applied to L_G u it gives L̂_G û.
+func (ls *LapSolver) Gather(y, x []float64) {
+	if f := ls.coords(y, x); f != nil {
+		for newIdx, oldIdx := range f.perm {
+			y[newIdx] = x[oldIdx]
+		}
+	}
+}
+
+// Scatter is Gather's inverse on grounded vectors: x[perm[k]] = y[k] and
+// x[ground] = 0.
+func (ls *LapSolver) Scatter(x, y []float64) {
+	f := ls.coords(y, x)
+	x[ls.ground] = 0
+	if f != nil {
+		for newIdx, oldIdx := range f.perm {
+			x[oldIdx] = y[newIdx]
+		}
+	}
+}
+
+// MulLT sets z = Lᵀ x̂, where x̂ is the vertex vector x grounded (shifted
+// so its ground entry is zero) and gathered into the factor's order. The
+// shift is invisible to a Laplacian, so ‖z‖² = xᵀ L_P x: MulLT carries a
+// vertex vector into the factor's coordinates with its L_P norm intact.
+func (ls *LapSolver) MulLT(z, x []float64) {
+	if f := ls.coords(z, x); f != nil {
+		shift := x[ls.ground]
+		for newIdx, oldIdx := range f.perm {
+			z[newIdx] = x[oldIdx] - shift
+		}
+		f.mulLT(z)
+	}
+}
+
+// coords panics unless y has length Dim() and x, when given, length n,
+// and returns the factor: nil for a single vertex, whose coordinates are
+// empty.
+func (ls *LapSolver) coords(y, x []float64) *Factor {
+	if len(y) != ls.n-1 || (x != nil && len(x) != ls.n) {
+		panic("cholesky: LapSolver coordinate dimension mismatch")
+	}
+	return ls.factor
 }

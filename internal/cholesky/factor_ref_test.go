@@ -130,6 +130,15 @@ func (f *refFactor) Solve(x, b []float64) {
 	for newIdx, oldIdx := range f.perm {
 		y[newIdx] = b[oldIdx]
 	}
+	f.forward(y)
+	f.backward(y)
+	for newIdx, oldIdx := range f.perm {
+		x[oldIdx] = y[newIdx]
+	}
+}
+
+// forward and backward are the two halves of the solve's sweep.
+func (f *refFactor) forward(y []float64) {
 	for j := 0; j < f.n; j++ {
 		p0 := f.colPtr[j]
 		y[j] /= f.val[p0]
@@ -138,6 +147,9 @@ func (f *refFactor) Solve(x, b []float64) {
 			y[f.rowIdx[p]] -= f.val[p] * yj
 		}
 	}
+}
+
+func (f *refFactor) backward(y []float64) {
 	for j := f.n - 1; j >= 0; j-- {
 		p0 := f.colPtr[j]
 		s := y[j]
@@ -145,9 +157,6 @@ func (f *refFactor) Solve(x, b []float64) {
 			s -= f.val[p] * y[f.rowIdx[p]]
 		}
 		y[j] = s / f.val[p0]
-	}
-	for newIdx, oldIdx := range f.perm {
-		x[oldIdx] = y[newIdx]
 	}
 }
 

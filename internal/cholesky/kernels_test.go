@@ -154,6 +154,87 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// TestSweepHalvesMatchReference: the factor-coordinate methods Lanczos
+// runs on. Forward and Backward are each the oracle's half of the old
+// sweep bit for bit (so Forward then Backward is that sweep); Gather and
+// Scatter invert each other exactly on grounded vectors; and MulLT is
+// undone by Backward and preserves the L_P norm, to rounding.
+func TestSweepHalvesMatchReference(t *testing.T) {
+	must := mustGraph(t)
+	sbm, _, err := gen.SBM(4, 96, 0.15, 0.02, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"path", must(gen.Path(200))},
+		{"grid9", must(gen.Grid2D(9, 9, gen.UniformWeights, 1))},
+		{"grid40", must(gen.Grid2D(40, 40, gen.UniformWeights, 2))},
+		{"sbm4x96", sbm},
+	} {
+		ls, err := NewLapSolver(c.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := newRefLapSolver(c.g, ls.Ordering())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, m := c.g.N(), ls.Dim()
+		if m != n-1 {
+			t.Fatalf("%s: Dim %d, want %d", c.name, m, n-1)
+		}
+		rng := vecmath.NewRNG(uint64(n))
+		y, want := make([]float64, m), make([]float64, m)
+		rng.FillNormal(y)
+		copy(want, y)
+		ls.Forward(y)
+		ref.factor.forward(want)
+		if !sameBits(y, want) {
+			t.Fatalf("%s: Forward differs from the oracle's forward half", c.name)
+		}
+		ls.Backward(y)
+		ref.factor.backward(want)
+		if !sameBits(y, want) {
+			t.Fatalf("%s: Backward differs from the oracle's backward half", c.name)
+		}
+
+		x, back := make([]float64, n), make([]float64, n)
+		rng.FillNormal(x)
+		ls.Gather(y, x)
+		ls.Scatter(back, y)
+		for i := range x {
+			w := x[i]
+			if i == ls.ground {
+				w = 0
+			}
+			if back[i] != w {
+				t.Fatalf("%s: Scatter(Gather(x))[%d] = %v, want %v", c.name, i, back[i], w)
+			}
+		}
+		ls.Gather(want, back)
+		if !sameBits(want, y) {
+			t.Fatalf("%s: Gather(Scatter(y)) != y", c.name)
+		}
+
+		z := make([]float64, m)
+		ls.MulLT(z, x)
+		if got, wantQ := vecmath.Dot(z, z), c.g.LapQuadForm(x); math.Abs(got-wantQ) > 1e-10*wantQ {
+			t.Fatalf("%s: ‖Lᵀx̂‖² = %v, xᵀL_P x = %v", c.name, got, wantQ)
+		}
+		ls.Backward(z)
+		ls.Scatter(back, z)
+		scale := vecmath.Norm2(x)
+		for i := range x {
+			if d := math.Abs(back[i] - (x[i] - x[ls.ground])); d > 1e-10*scale {
+				t.Fatalf("%s: L⁻ᵀ Lᵀ x̂ at %d is off by %v", c.name, i, d)
+			}
+		}
+	}
+}
+
 // A downdate that annihilates a pivot must fail the same way and leave
 // the same partially modified factor behind as the oracle's.
 func TestKernelsMatchReferenceOnFailedDowndate(t *testing.T) {

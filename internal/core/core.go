@@ -379,10 +379,12 @@ func HeatSpectrum(g *graph.Graph, t, r int, sigmaSqs []float64, treeAlg lsst.Alg
 	return norm, thresholds, nil
 }
 
-// VerifySimilarity independently estimates κ(L_G, L_P) with a k-step
-// generalized Lanczos (the "eigs" reference) and reports
-// (λmax, λmin, κ). Used by the harness to check the guarantee.
-func VerifySimilarity(g, p *graph.Graph, solver Solver, k int, seed uint64) (lmax, lmin, cond float64, err error) {
+// VerifySimilarity is the product's certificate: it estimates κ(L_G, L_P)
+// with a k-step generalized Lanczos run in the coordinates of solver, a
+// factorization of exactly P, and reports (λmax, λmin, κ). Every verified
+// batch plan and every streamed batch reach it through engine.Certify;
+// the benchmark harness and the test oracles call it directly.
+func VerifySimilarity(g, p *graph.Graph, solver *cholesky.LapSolver, k int, seed uint64) (lmax, lmin, cond float64, err error) {
 	vals, err := eig.GeneralizedLanczos(g, p, solver, k, seed)
 	if err != nil {
 		return 0, 0, 0, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"graphspar/internal/cholesky"
 	"graphspar/internal/eig"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
@@ -278,10 +279,12 @@ func TestVerifySimilarityAgreesWithEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tree-preconditioned PCG: an L_P⁺ applier independent of the Cholesky
-	// factor the sparsifier was built against.
-	solver := &eig.PCGSolver{G: res.Sparsifier, M: pcg.TreePrecond{T: res.Tree}, Tol: 1e-10, MaxIter: 4 * g.N()}
-	lmax, lmin, cond, err := VerifySimilarity(g, res.Sparsifier, solver, 60, 9)
+	// A fresh factor of P, not the one the filter loop ended on.
+	fresh, err := cholesky.NewLapSolver(res.Sparsifier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lmax, lmin, cond, err := VerifySimilarity(g, res.Sparsifier, fresh, 60, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,9 +294,22 @@ func TestVerifySimilarityAgreesWithEstimates(t *testing.T) {
 	if lmin < 1-1e-9 || lmax < lmin {
 		t.Fatalf("Lanczos extremes inconsistent: %v %v", lmin, lmax)
 	}
-	// Power-iteration estimate should be within a factor ~1.5 of Lanczos.
+	// The filter loop's power-iteration estimate should be within a factor
+	// ~1.5 of Lanczos.
 	if res.LambdaMax > lmax*1.5+1 || lmax > res.LambdaMax*1.5+1 {
 		t.Fatalf("λmax estimates diverge: power %v vs lanczos %v", res.LambdaMax, lmax)
+	}
+	// A long power iteration through tree-preconditioned PCG — an L_P⁺
+	// applier that shares no code with the Cholesky factor — converges to
+	// the same top eigenvalue from below; 60 Lanczos steps should have it
+	// too.
+	pcgSolver := &eig.PCGSolver{G: res.Sparsifier, M: pcg.TreePrecond{T: res.Tree}, Tol: 1e-10, MaxIter: 4 * g.N()}
+	power, err := eig.GeneralizedPowerMax(g, res.Sparsifier, pcgSolver, 300, 1e-10, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if power.Value > lmax*(1+1e-6) || power.Value < lmax*0.95 {
+		t.Fatalf("λmax: PCG power iteration %v vs Lanczos %v", power.Value, lmax)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package eig provides the eigenvalue machinery the paper relies on:
-// generalized power iterations for λmax of L_P⁺L_G (§3.6.1), a
-// B-inner-product Lanczos for reference extreme generalized eigenvalues
-// (the "Matlab eigs" stand-in of Table 1), Lanczos on L⁺ for the first k
-// eigenpairs of a Laplacian (Table 4's Teig and spectral clustering), and
-// inverse-power Fiedler vectors for partitioning (§4.3).
+// generalized power iterations for λmax of L_P⁺L_G (§3.6.1), Lanczos in
+// the factor's coordinates for the extreme generalized eigenvalues (the
+// similarity certificate, and the "Matlab eigs" stand-in of Table 1),
+// Lanczos on L⁺ for the first k eigenpairs of a Laplacian (Table 4's Teig
+// and spectral clustering), and inverse-power Fiedler vectors for
+// partitioning (§4.3).
 package eig
 
 import (
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"graphspar/internal/cholesky"
 	"graphspar/internal/graph"
 	"graphspar/internal/pcg"
 	"graphspar/internal/vecmath"
@@ -107,30 +109,36 @@ func GeneralizedPowerMax(g, p *graph.Graph, solver LapSolver, iters int, tol flo
 }
 
 // krylov is one Lanczos problem: an operator that is self-adjoint in the
-// inner product dot on the complement of the null vector deflate projects
-// out.
+// inner product ⟨x, y⟩ = Σ weight[i]·x[i]·y[i] (Euclidean when weight is
+// nil) on the complement of the null vector deflate projects out (none
+// when deflate is nil).
 type krylov struct {
 	apply   func(w, v []float64) // w = T v
-	dot     func(x, y []float64) float64
+	weight  []float64
 	deflate func(x []float64)
 }
 
-// lanczos is the package's one Lanczos loop: up to k steps from a seeded
-// normal start — apply, deflate, α, the three-term recurrence, full
-// reorthogonalization in the problem's inner product, β — then the
-// tridiagonal eigenproblem. It returns the Ritz values ascending and,
-// with vectors set, the Krylov basis and the tridiagonal's eigenvector
-// matrix to assemble Ritz vectors from (ritz[i] pairs with
+// dgks is the Daniel–Gragg–Kaufman–Stewart test: a Gram–Schmidt pass that
+// leaves less than 1/√2 of ‖w‖ lost enough digits to need a second one.
+const dgks = 1 / math.Sqrt2
+
+// lanczos is the package's one Lanczos loop: up to k steps from the start
+// vector v0 (deflated and normalized here, in place) — apply, deflate, α,
+// the three-term recurrence, full reorthogonalization, β — then the
+// tridiagonal eigenproblem. Reorthogonalization is one classical
+// Gram–Schmidt pass against the whole basis, plus a second pass when the
+// first cancels more than 1/√2 of ‖w‖ (dgks). It returns the Ritz values
+// ascending and, with vectors set, the Krylov basis and the tridiagonal's
+// eigenvector matrix to assemble Ritz vectors from (ritz[i] pairs with
 // Σ_j z[j][i]·basis[j]). It stops early on an invariant subspace, so
 // fewer than k values can come back.
-func (op krylov) lanczos(n, k int, seed uint64, vectors bool) (ritz []float64, basis, z [][]float64, err error) {
+func (op krylov) lanczos(v0 []float64, k int, vectors bool) (ritz []float64, basis, z [][]float64, err error) {
+	n := len(v0)
 	v := make([][]float64, 0, k+1)
 	alpha := make([]float64, 0, k)
 	beta := make([]float64, 0, k)
 
-	v0 := make([]float64, n)
-	vecmath.NewRNG(seed).FillNormal(v0)
-	op.deflate(v0)
+	op.deflateIfAny(v0)
 	nb := math.Sqrt(op.dot(v0, v0))
 	if nb == 0 {
 		return nil, nil, nil, errors.New("eig: start vector degenerate")
@@ -139,22 +147,32 @@ func (op krylov) lanczos(n, k int, seed uint64, vectors bool) (ritz []float64, b
 	v = append(v, v0)
 
 	w := make([]float64, n)
+	gs := gramSchmidt{coef: make([]float64, 0, k+1)}
+	if op.weight != nil {
+		gs.weighted = make([]float64, n)
+	}
 	for j := 0; j < k; j++ {
 		vj := v[j]
 		op.apply(w, vj)
-		op.deflate(w)
+		op.deflateIfAny(w)
 		a := op.dot(w, vj)
 		alpha = append(alpha, a)
-		vecmath.Axpy(-a, vj, w)
+		b, vp := 0.0, vj // the three-term recurrence; β₋₁ = 0
 		if j > 0 {
-			vecmath.Axpy(-beta[j-1], v[j-1], w)
+			b, vp = beta[j-1], v[j-1]
 		}
-		// Full reorthogonalization keeps the basis clean.
-		for _, vi := range v {
-			c := op.dot(w, vi)
-			vecmath.Axpy(-c, vi, w)
+		vj, vp = vj[:len(w)], vp[:len(w)]
+		for t := range w {
+			w[t] = w[t] - float64(a*vj[t]) - float64(b*vp[t])
 		}
-		bn := math.Sqrt(math.Max(0, op.dot(w, w)))
+		before := op.dot(w, w)
+		gs.pass(w, v, op.weight)
+		after := op.dot(w, w)
+		if after < dgks*dgks*before {
+			gs.pass(w, v, op.weight)
+			after = op.dot(w, w)
+		}
+		bn := math.Sqrt(math.Max(0, after))
 		if bn < 1e-12 {
 			break // invariant subspace found
 		}
@@ -182,6 +200,85 @@ func (op krylov) lanczos(n, k int, seed uint64, vectors bool) (ritz []float64, b
 	return d, v, z, nil
 }
 
+func (op krylov) deflateIfAny(x []float64) {
+	if op.deflate != nil {
+		op.deflate(x)
+	}
+}
+
+// dot is the problem's inner product. Products are rounded before they
+// are summed (float64(…)) here and in gramSchmidt, so no host fuses them
+// into multiply-adds and the certificate's bits are the same everywhere.
+func (op krylov) dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s float64
+	if op.weight == nil {
+		for i, xi := range x {
+			s += float64(xi * y[i])
+		}
+		return s
+	}
+	d := op.weight[:len(x)]
+	for i, xi := range x {
+		s += float64(float64(d[i]*xi) * y[i])
+	}
+	return s
+}
+
+// gramSchmidt holds one Lanczos run's reorthogonalization scratch.
+type gramSchmidt struct {
+	coef     []float64 // ⟨w, basis[i]⟩
+	weighted []float64 // weight∘w, for a weighted inner product
+}
+
+// pass is one classical Gram–Schmidt pass, w ← w − Σ ⟨w, bᵢ⟩ bᵢ over the
+// basis: every coefficient from the same w, then every update. Four basis
+// vectors share each walk over w, in the dot products and in the updates.
+func (gs *gramSchmidt) pass(w []float64, basis [][]float64, weight []float64) {
+	x := w
+	if weight != nil {
+		x = gs.weighted
+		for i, wi := range w {
+			x[i] = float64(weight[i] * wi)
+		}
+	}
+	c := gs.coef[:len(basis)]
+	i := 0
+	for ; i+4 <= len(basis); i += 4 {
+		b0, b1, b2, b3 := basis[i][:len(x)], basis[i+1][:len(x)], basis[i+2][:len(x)], basis[i+3][:len(x)]
+		var s0, s1, s2, s3 float64
+		for t, xt := range x {
+			s0 += float64(xt * b0[t])
+			s1 += float64(xt * b1[t])
+			s2 += float64(xt * b2[t])
+			s3 += float64(xt * b3[t])
+		}
+		c[i], c[i+1], c[i+2], c[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(basis); i++ {
+		b := basis[i][:len(x)]
+		var s float64
+		for t, xt := range x {
+			s += float64(xt * b[t])
+		}
+		c[i] = s
+	}
+	i = 0
+	for ; i+4 <= len(basis); i += 4 {
+		b0, b1, b2, b3 := basis[i][:len(w)], basis[i+1][:len(w)], basis[i+2][:len(w)], basis[i+3][:len(w)]
+		c0, c1, c2, c3 := c[i], c[i+1], c[i+2], c[i+3]
+		for t := range w {
+			w[t] = w[t] - float64(c0*b0[t]) - float64(c1*b1[t]) - float64(c2*b2[t]) - float64(c3*b3[t])
+		}
+	}
+	for ; i < len(basis); i++ {
+		b, ci := basis[i][:len(w)], c[i]
+		for t := range w {
+			w[t] -= float64(ci * b[t])
+		}
+	}
+}
+
 // smallestPairs returns the k smallest nontrivial eigenpairs of a pencil
 // from Lanczos on its *inverse* operator op: the largest Ritz values μ of
 // the inverse are the smallest λ = 1/μ of the pencil, so the returned
@@ -195,7 +292,7 @@ func (op krylov) smallestPairs(n, k, iters int, seed uint64) ([]float64, [][]flo
 		iters = max(3*k, 30)
 	}
 	iters = min(iters, n-1)
-	d, v, z, err := op.lanczos(n, iters, seed, true)
+	d, v, z, err := op.lanczos(seeded(n, seed), iters, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -216,46 +313,64 @@ func (op krylov) smallestPairs(n, k, iters int, seed uint64) ([]float64, [][]flo
 		for j := 0; j < m; j++ {
 			vecmath.Axpy(z[j][ritz], v[j], vec)
 		}
-		op.deflate(vec)
+		op.deflateIfAny(vec)
 		vecmath.Normalize(vec)
 		vecs[idx] = vec
 	}
 	return vals, vecs, nil
 }
 
-// GeneralizedLanczos runs k steps of Lanczos for the pencil (L_G, L_P) in
-// the L_P inner product: the operator T = L_P⁺ L_G is self-adjoint w.r.t.
-// ⟨x,y⟩ = xᵀL_P y on 1⊥, so a B-orthogonal Krylov basis yields a real
-// tridiagonal whose Ritz values approximate the generalized spectrum from
-// both ends. Returns Ritz values in ascending order. This is the
-// reference "eigs" substitute used to validate Table 1's estimators.
-func GeneralizedLanczos(g, p *graph.Graph, solver LapSolver, k int, seed uint64) ([]float64, error) {
-	if g.N() != p.N() {
-		return nil, fmt.Errorf("eig: vertex counts differ")
-	}
+// seeded returns the seeded normal vector every Lanczos run starts from.
+func seeded(n int, seed uint64) []float64 {
+	v := make([]float64, n)
+	vecmath.NewRNG(seed).FillNormal(v)
+	return v
+}
+
+// ErrDimMismatch reports operands of GeneralizedLanczos that do not
+// describe one pencil: G and P on different vertex counts, or a factor
+// whose dimension is not n−1.
+var ErrDimMismatch = errors.New("eig: dimension mismatch")
+
+// GeneralizedLanczos runs k steps of Lanczos for the pencil (L_G, L_P)
+// in the factor's coordinates: with the grounded L_P = L Lᵀ (solver's
+// factor, which must be a factorization of exactly P), the pencil's
+// nonzero spectrum is that of the symmetric M = L⁻¹ L̂_G L⁻ᵀ, L̂_G being
+// L_G grounded and permuted like the factor. Lanczos on M needs the
+// Euclidean inner product and no deflation, and one apply is a backward
+// half-sweep, a scatter, L_G·, a gather and a forward half-sweep. The run
+// starts from Lᵀ times the seeded normal vector grounded, so it spans the
+// Krylov space Lanczos on L_P⁺ L_G in the L_P inner product spans from
+// that vector: the Ritz values are that iteration's, to rounding. They
+// approximate the generalized spectrum from both ends and are returned in
+// ascending order. This is the similarity certificate (core's
+// VerifySimilarity) and the reference "eigs" of Table 1.
+func GeneralizedLanczos(g, p *graph.Graph, solver *cholesky.LapSolver, k int, seed uint64) ([]float64, error) {
 	n := g.N()
+	if p.N() != n {
+		return nil, fmt.Errorf("%w: G has %d vertices, P %d", ErrDimMismatch, n, p.N())
+	}
+	if dim := solver.Dim(); dim != n-1 {
+		return nil, fmt.Errorf("%w: factor of dimension %d for a %d-vertex pencil", ErrDimMismatch, dim, n)
+	}
 	if k < 1 {
 		return nil, errors.New("eig: k must be positive")
 	}
-	if k > n-1 {
-		k = n - 1
-	}
-	gv := make([]float64, n)
+	k = min(k, n-1)
+	x := seeded(n, seed)
+	z0 := make([]float64, n-1)
+	solver.MulLT(z0, x) // x is the scatter target from here on
+	gx := make([]float64, n)
 	ritz, _, _, err := krylov{
-		apply: func(w, v []float64) {
-			g.LapMulVec(gv, v)  // L_G v
-			solver.Solve(w, gv) // w = L_P⁺ L_G v
+		apply: func(w, z []float64) {
+			copy(w, z)
+			solver.Backward(w)   // L⁻ᵀ z
+			solver.Scatter(x, w) // to vertex order, ground 0
+			g.LapMulVec(gx, x)
+			solver.Gather(w, gx) // L̂_G L⁻ᵀ z
+			solver.Forward(w)    // w = M z
 		},
-		dot: func(x, y []float64) float64 {
-			// xᵀ L_P y via the quadratic-form identity on edges.
-			var s float64
-			for _, e := range p.Edges() {
-				s += e.W * (x[e.U] - x[e.V]) * (y[e.U] - y[e.V])
-			}
-			return s
-		},
-		deflate: vecmath.Deflate,
-	}.lanczos(n, k, seed, false)
+	}.lanczos(z0, k, false)
 	return ritz, err
 }
 
@@ -267,7 +382,6 @@ func GeneralizedLanczos(g, p *graph.Graph, solver LapSolver, k int, seed uint64)
 func SmallestPairs(g *graph.Graph, k int, solver LapSolver, iters int, seed uint64) ([]float64, [][]float64, error) {
 	return krylov{
 		apply:   solver.Solve, // w = L⁺ v
-		dot:     vecmath.Dot,
 		deflate: vecmath.Deflate,
 	}.smallestPairs(g.N(), k, iters, seed)
 }

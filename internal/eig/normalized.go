@@ -10,9 +10,9 @@ import (
 // the *generalized* problem L u = λ D u (the random-walk normalized
 // Laplacian spectrum used by Shi–Malik spectral partitioning; §4.3
 // mentions the "(normalized) graph Laplacian"). It runs Lanczos on the
-// operator L⁺D, which is self-adjoint in the D-inner product, with full
-// reorthogonalization and D-deflation of the constant vector. Each step
-// costs one Laplacian solve. Returned eigenvalues ascend.
+// operator L⁺D, which is self-adjoint in the D-inner product (the loop's
+// weight), with full reorthogonalization and D-deflation of the constant
+// vector. Each step costs one Laplacian solve. Returned eigenvalues ascend.
 func SmallestPairsNormalized(g *graph.Graph, k int, solver LapSolver, iters int, seed uint64) ([]float64, [][]float64, error) {
 	d := g.WeightedDegrees()
 	var volume float64
@@ -30,13 +30,7 @@ func SmallestPairsNormalized(g *graph.Graph, k int, solver LapSolver, iters int,
 			}
 			solver.Solve(w, dv) // w = L⁺ D v
 		},
-		dot: func(x, y []float64) float64 {
-			var s float64
-			for i := range x {
-				s += d[i] * x[i] * y[i]
-			}
-			return s
-		},
+		weight: d,
 		// D-deflate: remove the D-component along 1 (pencil null vector).
 		deflate: func(x []float64) {
 			var s float64

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
 	"graphspar/internal/eig"
 	"graphspar/internal/graph"
@@ -59,7 +60,11 @@ func Table1(scale float64, seed uint64) ([]Table1Row, error) {
 		if k > g.N()-2 {
 			k = g.N() - 2
 		}
-		vals, err := eig.GeneralizedLanczos(g, p, tr, k, seed+13)
+		treeFactor, err := cholesky.NewLapSolver(p) // a tree factors with no fill
+		if err != nil {
+			return nil, err
+		}
+		vals, err := eig.GeneralizedLanczos(g, p, treeFactor, k, seed+13)
 		if err != nil {
 			return nil, err
 		}
