@@ -1,6 +1,6 @@
 // Package graphspar_test hosts the benchmark harness: one benchmark per
 // table and figure of the paper (regenerating the corresponding rows via
-// internal/exp) plus the ablation benches A1–A5 listed in DESIGN.md.
+// internal/exp) plus the ablation benches A1, A2, A4 and A5.
 // Benchmarks report qualitative metrics (achieved σ², edges kept, PCG
 // iterations) through b.ReportMetric so `go test -bench` output doubles as
 // an experiment log.
@@ -180,24 +180,6 @@ func BenchmarkAblationRandomVectors(b *testing.B) {
 				res := sparsifyMetrics(b, g, core.Options{SigmaSq: 80, NumVectors: r, Seed: uint64(i + 1)})
 				b.ReportMetric(float64(res.Sparsifier.M()), "edges")
 				b.ReportMetric(res.SigmaSqAchieved, "σ²-achieved")
-			}
-		})
-	}
-}
-
-// A3: backbone tree construction.
-func BenchmarkAblationTreeChoice(b *testing.B) {
-	for _, alg := range []lsst.Algorithm{lsst.MaxWeight, lsst.Dijkstra, lsst.AKPW} {
-		b.Run(alg.String(), func(b *testing.B) {
-			g, err := gen.Grid2D(48, 48, gen.LogUniform, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := sparsifyMetrics(b, g, core.Options{SigmaSq: 80, TreeAlg: alg, Seed: uint64(i + 1)})
-				b.ReportMetric(float64(res.Sparsifier.M()), "edges")
-				b.ReportMetric(res.TotalStretch, "tree-stretch")
 			}
 		})
 	}

@@ -22,15 +22,10 @@ import (
 // from-scratch jobs report; incremental jobs skip it because the
 // maintainer's own per-batch verification IS the certificate.
 func facadeFor(p service.SparsifyParams, withVerification bool) (*graphspar.Sparsifier, error) {
-	alg, err := graphspar.ParseTreeAlgorithm(p.TreeAlg)
-	if err != nil {
-		return nil, err
-	}
 	opts := []graphspar.Option{
 		graphspar.WithSigma2(p.SigmaSq),
 		graphspar.WithEmbedSteps(p.T),
 		graphspar.WithProbeVectors(p.NumVectors),
-		graphspar.WithTreeAlgorithm(alg),
 		graphspar.WithSeed(p.Seed),
 		graphspar.WithWorkers(p.Workers), // every plan's one worker count
 	}

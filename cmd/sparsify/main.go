@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sparsify -graph grid:300x300:uniform -sigma2 100 [-out sparsifier.mtx]
-//	sparsify -graph problem.mtx -sigma2 50 -tree akpw -t 2
+//	sparsify -graph problem.mtx -sigma2 50 -t 2
 //	sparsify -graph grid:512x512:uniform -sigma2 100 -shards 8 -workers 4
 //	sparsify -graph grid:1024x1024:unit -sigma2 100 -mode multilevel -coarsen-ratio 0.6
 //	sparsify -graph grid:200x200 -sigma2 100 -update-stream events.txt
@@ -51,7 +51,6 @@ func main() {
 		spec      = flag.String("graph", "", graphspar.SpecHelp)
 		sigmaSq   = flag.Float64("sigma2", 100, "target spectral similarity σ² (relative condition number bound)")
 		out       = flag.String("out", "", "optional output .mtx path for the sparsifier Laplacian")
-		treeAlg   = flag.String("tree", "maxweight", "backbone tree: maxweight | dijkstra | akpw")
 		tSteps    = flag.Int("t", 2, "generalized power iteration steps for edge embedding")
 		rVecs     = flag.Int("r", 0, "random probe vectors (0 = O(log n))")
 		mode      = flag.String("mode", "auto", "execution path: auto | single | sharded | multilevel")
@@ -77,14 +76,10 @@ func main() {
 		if *wireFmt != "text" && *wireFmt != "binary" {
 			fatal(fmt.Errorf("bad -wire %q (want text or binary)", *wireFmt))
 		}
-		runRemoteStream(*remote, *spec, *stream, *wireFmt, remoteQuery(*sigmaSq, *tSteps, *rVecs, *treeAlg, *shards, *workers, *seed))
+		runRemoteStream(*remote, *spec, *stream, *wireFmt, remoteQuery(*sigmaSq, *tSteps, *rVecs, *shards, *workers, *seed))
 		return
 	}
 
-	alg, err := graphspar.ParseTreeAlgorithm(*treeAlg)
-	if err != nil {
-		fatal(err)
-	}
 	execMode, err := graphspar.ParseMode(*mode)
 	if err != nil {
 		fatal(err)
@@ -105,7 +100,6 @@ func main() {
 		graphspar.WithSigma2(*sigmaSq),
 		graphspar.WithEmbedSteps(*tSteps),
 		graphspar.WithProbeVectors(*rVecs),
-		graphspar.WithTreeAlgorithm(alg),
 		graphspar.WithSeed(*seed),
 		graphspar.WithWorkers(*workers),
 	}
@@ -135,7 +129,7 @@ func main() {
 	if err != nil && !errors.Is(err, graphspar.ErrNoTarget) {
 		fatal(err)
 	}
-	report(g, res, alg, *sigmaSq, *verbose)
+	report(g, res, *sigmaSq, *verbose)
 	if err != nil {
 		fmt.Println("warning:", err)
 	}
@@ -144,7 +138,7 @@ func main() {
 
 // report prints the unified Result, with the extra sharding phases when
 // the engine ran.
-func report(g *graphspar.Graph, res *graphspar.Result, alg graphspar.TreeAlgorithm, sigmaSq float64, verbose bool) {
+func report(g *graphspar.Graph, res *graphspar.Result, sigmaSq float64, verbose bool) {
 	fmt.Printf("sparsifier: |Es|=%d  density |Es|/|V| = %.3f  (%.1fx edge reduction)\n",
 		res.Sparsifier.M(), res.Density(), float64(g.M())/float64(res.Sparsifier.M()))
 	if res.Multilevel {
@@ -171,7 +165,7 @@ func report(g *graphspar.Graph, res *graphspar.Result, alg graphspar.TreeAlgorit
 	if !res.Sharded {
 		fmt.Printf("similarity: λmax=%.3f λmin=%.3f  σ² achieved=%.1f (target %.1f)\n",
 			res.LambdaMax, res.LambdaMin, res.SigmaSqAchieved, sigmaSq)
-		fmt.Printf("backbone: %s tree, total stretch %.3e\n", alg, res.TotalStretch)
+		fmt.Printf("backbone: max-weight tree, total stretch %.3e\n", res.TotalStretch)
 		fmt.Printf("time: %s in %d densification rounds\n",
 			res.Timings.Sparsify.Round(time.Millisecond), len(res.Rounds))
 		if verbose {
@@ -272,14 +266,13 @@ func runUpdateStream(g *graphspar.Graph, s *graphspar.Sparsifier, path, out stri
 // remoteQuery assembles the stream endpoint's query string from the
 // local flags, so a remote replay is parameterized exactly like a local
 // one.
-func remoteQuery(sigmaSq float64, t, r int, tree string, shards, workers int, seed uint64) url.Values {
+func remoteQuery(sigmaSq float64, t, r, shards, workers int, seed uint64) url.Values {
 	q := url.Values{}
 	q.Set("sigma2", strconv.FormatFloat(sigmaSq, 'g', -1, 64))
 	q.Set("t", strconv.Itoa(t))
 	if r > 0 {
 		q.Set("r", strconv.Itoa(r))
 	}
-	q.Set("tree", tree)
 	q.Set("seed", strconv.FormatUint(seed, 10))
 	if shards > 1 {
 		q.Set("shards", strconv.Itoa(shards))

@@ -13,23 +13,6 @@ import (
 	"graphspar"
 )
 
-func TestParseTree(t *testing.T) {
-	cases := map[string]graphspar.TreeAlgorithm{
-		"maxweight": graphspar.TreeMaxWeight,
-		"dijkstra":  graphspar.TreeDijkstra,
-		"akpw":      graphspar.TreeAKPW,
-	}
-	for s, want := range cases {
-		got, err := graphspar.ParseTreeAlgorithm(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseTreeAlgorithm(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := graphspar.ParseTreeAlgorithm("bogus"); err == nil {
-		t.Fatal("bogus algorithm should fail")
-	}
-}
-
 // TestRunUpdateStream drives the -update-stream path end to end on a
 // small grid: replayed batches, final sparsifier written out.
 func TestRunUpdateStream(t *testing.T) {
@@ -98,7 +81,7 @@ func TestRunUpdateStreamSharded(t *testing.T) {
 // TestRemoteQuery checks the flag → query-string mapping the -remote
 // mode ships to the server's stream endpoint.
 func TestRemoteQuery(t *testing.T) {
-	q := remoteQuery(100, 2, 0, "maxweight", 1, 0, 7)
+	q := remoteQuery(100, 2, 0, 1, 0, 7)
 	if q.Get("sigma2") != "100" || q.Get("t") != "2" || q.Get("seed") != "7" {
 		t.Fatalf("query = %v", q)
 	}
@@ -106,10 +89,10 @@ func TestRemoteQuery(t *testing.T) {
 		t.Fatalf("unset flags must not ship: %v", q)
 	}
 	// The worker count rides along on every plan, single-shot included.
-	if q = remoteQuery(100, 2, 0, "maxweight", 1, 3, 7); q.Get("workers") != "3" || q.Has("shards") {
+	if q = remoteQuery(100, 2, 0, 1, 3, 7); q.Get("workers") != "3" || q.Has("shards") {
 		t.Fatalf("single-shot query with workers = %v", q)
 	}
-	q = remoteQuery(50, 3, 8, "akpw", 4, 2, 1)
+	q = remoteQuery(50, 3, 8, 4, 2, 1)
 	if q.Get("shards") != "4" || q.Get("workers") != "2" || q.Get("r") != "8" {
 		t.Fatalf("sharded query = %v", q)
 	}
@@ -137,7 +120,7 @@ func TestRunRemoteStream(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	runRemoteStream(srv.URL, "mygraph", events, "text", remoteQuery(75, 2, 0, "maxweight", 1, 0, 1))
+	runRemoteStream(srv.URL, "mygraph", events, "text", remoteQuery(75, 2, 0, 1, 0, 1))
 	if gotPath != "/v1/graphs/mygraph/stream" {
 		t.Fatalf("path = %q", gotPath)
 	}

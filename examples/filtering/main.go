@@ -22,7 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	norm, ths, err := graphspar.HeatSpectrum(g, 1, 0, []float64{100, 500}, graphspar.TreeMaxWeight, 5)
+	norm, ths, err := graphspar.HeatSpectrum(g, 1, 0, []float64{100, 500}, 5)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -243,12 +243,12 @@ func (s *Sparsifier) maintainable() error {
 	return nil
 }
 
-// HeatSpectrum supports the paper's Fig. 2 reproduction: it extracts a
-// backbone tree, runs a single Joule-heat embedding round (t steps, r
-// vectors; a non-positive t defaults to 1, the figure's setting — not
-// Run's 2 — and a non-positive r to Run's ⌈log₂(n+1)⌉) and returns all
+// HeatSpectrum supports the paper's Fig. 2 reproduction: it extracts the
+// max-weight backbone tree, runs a single Joule-heat embedding round (t
+// steps, r vectors; a non-positive t defaults to 1, the figure's setting
+// — not Run's 2 — and a non-positive r to Run's ⌈log₂(n+1)⌉) and returns all
 // off-tree heats normalized by the max, sorted descending, together with
 // the similarity-aware thresholds θσ for the requested σ² values.
-func HeatSpectrum(g *Graph, t, r int, sigmaSqs []float64, alg TreeAlgorithm, seed uint64) (norm, thresholds []float64, err error) {
-	return core.HeatSpectrum(g, t, r, sigmaSqs, alg, seed)
+func HeatSpectrum(g *Graph, t, r int, sigmaSqs []float64, seed uint64) (norm, thresholds []float64, err error) {
+	return core.HeatSpectrum(g, t, r, sigmaSqs, seed)
 }

@@ -29,6 +29,9 @@ var deterministicPkgs = map[string]bool{
 	"graph":      true,
 	"multigrid":  true,
 	"tree":       true,
+	"eig":        true,
+	"vecmath":    true,
+	"sparse":     true,
 }
 
 // IsDeterministicPkg reports whether the package at path belongs to the

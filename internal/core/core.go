@@ -78,8 +78,6 @@ type Options struct {
 	// NumVectors is r, the number of random probe vectors (paper:
 	// O(log |V|)). Default ceil(log2 n).
 	NumVectors int
-	// TreeAlg picks the backbone construction. Default lsst.MaxWeight.
-	TreeAlg lsst.Algorithm
 	// DisableSimilarity turns off the per-round dissimilarity rule (§3.7
 	// step 6), which accepts a candidate only if neither endpoint was
 	// claimed by an edge accepted earlier in the round. The rule is on by
@@ -261,7 +259,7 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 		return nil, err
 	}
 
-	backbone, treeIDs, offIDs, err := lsst.Extract(g, opt.TreeAlg, opt.Seed)
+	backbone, treeIDs, offIDs, err := lsst.Extract(g, lsst.MaxWeight, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -336,13 +334,14 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 	return res, ErrNoTarget
 }
 
-// HeatSpectrum supports the Fig. 2 reproduction: it extracts a backbone
-// tree, runs a single embedding round (t steps, r vectors) on it, and
-// returns all off-tree heats normalized by the max, sorted descending,
-// together with the θσ thresholds for the requested σ² values. A
-// non-positive t defaults to 1 (Fig. 2's setting, where Sparsify defaults
-// to 2); a non-positive r defaults as in Sparsify, to ⌈log₂(n+1)⌉.
-func HeatSpectrum(g *graph.Graph, t, r int, sigmaSqs []float64, treeAlg lsst.Algorithm, seed uint64) (norm []float64, thresholds []float64, err error) {
+// HeatSpectrum supports the Fig. 2 reproduction: it extracts the
+// max-weight backbone tree, runs a single embedding round (t steps, r
+// vectors) on it, and returns all off-tree heats normalized by the max,
+// sorted descending, together with the θσ thresholds for the requested
+// σ² values. A non-positive t defaults to 1 (Fig. 2's setting, where
+// Sparsify defaults to 2); a non-positive r defaults as in Sparsify, to
+// ⌈log₂(n+1)⌉.
+func HeatSpectrum(g *graph.Graph, t, r int, sigmaSqs []float64, seed uint64) (norm []float64, thresholds []float64, err error) {
 	if err := g.RequireConnected(); err != nil {
 		return nil, nil, err
 	}
@@ -352,7 +351,7 @@ func HeatSpectrum(g *graph.Graph, t, r int, sigmaSqs []float64, treeAlg lsst.Alg
 	if r <= 0 {
 		_, r, _, _ = Options{}.EffectiveEmbed(g.N())
 	}
-	backbone, _, offIDs, err := lsst.Extract(g, treeAlg, seed)
+	backbone, _, offIDs, err := lsst.Extract(g, lsst.MaxWeight, seed)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -236,20 +236,6 @@ func TestEmbedOffTreeMoreVectorsMoreHeat(t *testing.T) {
 	}
 }
 
-func TestSparsifyWithAKPWBackbone(t *testing.T) {
-	g, err := gen.Grid2D(14, 14, gen.LogUniform, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Sparsify(g, Options{SigmaSq: 50, TreeAlg: lsst.AKPW, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SigmaSqAchieved > 50 {
-		t.Fatalf("σ² achieved %v", res.SigmaSqAchieved)
-	}
-}
-
 func TestSparsifySimilarityCheckReducesEdges(t *testing.T) {
 	g, err := gen.Grid2D(16, 16, gen.UniformWeights, 31)
 	if err != nil {
@@ -318,7 +304,7 @@ func TestHeatSpectrum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	norm, ths, err := HeatSpectrum(g, 1, 4, []float64{100, 500}, lsst.MaxWeight, 3)
+	norm, ths, err := HeatSpectrum(g, 1, 4, []float64{100, 500}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +328,7 @@ func TestHeatSpectrum(t *testing.T) {
 
 func TestHeatSpectrumOnTreeFails(t *testing.T) {
 	g, _ := gen.Path(10)
-	if _, _, err := HeatSpectrum(g, 1, 2, []float64{100}, lsst.MaxWeight, 1); err == nil {
+	if _, _, err := HeatSpectrum(g, 1, 2, []float64{100}, 1); err == nil {
 		t.Fatal("tree has no off-tree edges; expected error")
 	}
 }

@@ -709,7 +709,7 @@ func (m *Maintainer) rebuild(ctx context.Context) error {
 	treeOf, treeIDs := m.g, res.TreeEdgeIDs
 	if res.Mode != params.ModeSingleShot {
 		treeOf = m.p
-		if _, treeIDs, _, err = lsst.Extract(m.p, lsst.MaxWeight, m.opt.Sparsify.Seed); err != nil {
+		if treeIDs, err = lsst.MaxWeightSpanningTree(m.p); err != nil {
 			return err
 		}
 	}

@@ -81,7 +81,7 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (
 		}
 
 		iSpan := obs.StartSpan(ctx, "interpolate")
-		keptF, candF, treeCount, err := multilevel.Interpolate(fine.G, fine.Rep, s.kept, opt.Sparsify.TreeAlg, levelSeed)
+		keptF, candF, treeCount, err := multilevel.Interpolate(fine.G, fine.Rep, s.kept)
 		res.Timings.Interpolate += iSpan.End()
 		if err != nil {
 			return nil, wrap(err)

@@ -9,7 +9,6 @@ import (
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/gsp"
-	"graphspar/internal/lsst"
 )
 
 // Fig1Result holds the spectral drawings of the airfoil-proxy graph and
@@ -91,7 +90,7 @@ func Fig2(scale float64, seed uint64) ([]Fig2Series, error) {
 		name string
 		g    *graph.Graph
 	}{{"G2_circuit", g1}, {"thermal1", g2}} {
-		norm, ths, err := core.HeatSpectrum(tc.g, 1, 0, sigmaSqs, lsst.MaxWeight, seed)
+		norm, ths, err := core.HeatSpectrum(tc.g, 1, 0, sigmaSqs, seed)
 		if err != nil {
 			return nil, fmt.Errorf("exp: heat spectrum of %s: %w", tc.name, err)
 		}

@@ -3,12 +3,12 @@ package lsst
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
-	"graphspar/internal/tree"
 	"graphspar/internal/vecmath"
 )
 
@@ -55,105 +55,46 @@ func TestMaxWeightSpanningTreeTriangle(t *testing.T) {
 
 func TestMaxWeightDisconnected(t *testing.T) {
 	g, _ := graph.New(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
-	if _, err := MaxWeightSpanningTree(g); !errors.Is(err, ErrNotConnected) {
-		t.Fatalf("err = %v, want ErrNotConnected", err)
+	if _, err := MaxWeightSpanningTree(g); !errors.Is(err, graph.ErrDisconnected) {
+		t.Fatalf("err = %v, want graph.ErrDisconnected", err)
 	}
 }
 
-func TestDijkstraTreePicksShortPaths(t *testing.T) {
-	// Square 0-1-2-3-0 with a heavy (short) diagonal 0-2.
-	g, _ := graph.New(4, []graph.Edge{
-		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}, {U: 0, V: 3, W: 1}, {U: 0, V: 2, W: 10},
-	})
-	ids, err := DijkstraTree(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasDiag := false
-	for _, id := range ids {
-		e := g.Edge(id)
-		if e.U == 0 && e.V == 2 {
-			hasDiag = true
-		}
-	}
-	if !hasDiag {
-		t.Fatal("Dijkstra should route 2 through the low-resistance diagonal")
-	}
-	if _, err := DijkstraTree(g, 99); err == nil {
-		t.Fatal("bad source should fail")
-	}
-}
-
-func TestAKPWTreeSpans(t *testing.T) {
-	g, err := gen.Grid2D(12, 12, gen.LogUniform, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := AKPWTree(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != g.N()-1 {
-		t.Fatalf("tree edges %d, want %d", len(ids), g.N()-1)
-	}
-	// Verify it is actually a spanning tree by building it.
-	if _, err := tree.FromGraph(g, ids, 0); err != nil {
-		t.Fatalf("AKPW output is not a spanning tree: %v", err)
-	}
-}
-
-func TestAKPWSingleVertex(t *testing.T) {
-	g, _ := graph.New(1, nil)
-	ids, err := AKPWTree(g, 1)
-	if err != nil || len(ids) != 0 {
-		t.Fatalf("single vertex: ids=%v err=%v", ids, err)
-	}
-}
-
+// TestExtractAllAlgorithms runs the one construction, MaxWeight, under
+// its subtest name.
 func TestExtractAllAlgorithms(t *testing.T) {
 	g, err := gen.Grid2D(10, 10, gen.UniformWeights, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []Algorithm{MaxWeight, Dijkstra, AKPW} {
-		t.Run(alg.String(), func(t *testing.T) {
-			tr, treeIDs, offIDs, err := Extract(g, alg, 42)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("maxweight", func(t *testing.T) {
+		tr, treeIDs, offIDs, err := Extract(g, MaxWeight, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.N() != g.N() {
+			t.Fatalf("tree N = %d", tr.N())
+		}
+		if len(treeIDs) != g.N()-1 {
+			t.Fatalf("tree ids %d", len(treeIDs))
+		}
+		if len(treeIDs)+len(offIDs) != g.M() {
+			t.Fatalf("ids don't partition edges: %d + %d != %d", len(treeIDs), len(offIDs), g.M())
+		}
+		seen := map[int]bool{}
+		for _, id := range append(append([]int{}, treeIDs...), offIDs...) {
+			if seen[id] {
+				t.Fatalf("id %d duplicated", id)
 			}
-			if tr.N() != g.N() {
-				t.Fatalf("tree N = %d", tr.N())
-			}
-			if len(treeIDs) != g.N()-1 {
-				t.Fatalf("tree ids %d", len(treeIDs))
-			}
-			if len(treeIDs)+len(offIDs) != g.M() {
-				t.Fatalf("ids don't partition edges: %d + %d != %d", len(treeIDs), len(offIDs), g.M())
-			}
-			seen := map[int]bool{}
-			for _, id := range append(append([]int{}, treeIDs...), offIDs...) {
-				if seen[id] {
-					t.Fatalf("id %d duplicated", id)
-				}
-				seen[id] = true
-			}
-		})
-	}
+			seen[id] = true
+		}
+	})
 }
 
 func TestExtractUnknownAlgorithm(t *testing.T) {
 	g, _ := gen.Path(4)
 	if _, _, _, err := Extract(g, Algorithm(99), 1); err == nil {
 		t.Fatal("unknown algorithm should fail")
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if MaxWeight.String() != "maxweight" || Dijkstra.String() != "dijkstra" || AKPW.String() != "akpw" {
-		t.Fatal("String() names wrong")
-	}
-	if Algorithm(12).String() == "" {
-		t.Fatal("unknown algorithm should still print")
 	}
 }
 
@@ -176,11 +117,11 @@ func TestStretchStatsOnCycle(t *testing.T) {
 	}
 }
 
-// Property: every algorithm yields a spanning tree whose tree edges have
-// stretch exactly 1, and total stretch >= m (every stretch >= ... tree
-// edges are 1; off-tree can be below 1 only if the tree path beats the
-// edge, impossible for max-weight trees on unit graphs but possible in
-// general - so we only check >= n-1).
+// Property: Extract's tree ids are exactly MaxWeightSpanningTree's, in
+// the same order, for any seed (multilevel.Interpolate and the dynamic
+// maintainer's rebuild call MaxWeightSpanningTree directly on that
+// promise); tree edges have stretch exactly 1, and total stretch is at
+// least n-1.
 func TestQuickExtractInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := vecmath.NewRNG(seed)
@@ -189,60 +130,23 @@ func TestQuickExtractInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, alg := range []Algorithm{MaxWeight, Dijkstra, AKPW} {
-			tr, treeIDs, _, err := Extract(g, alg, seed)
-			if err != nil {
-				return false
-			}
-			for _, id := range treeIDs {
-				if math.Abs(tr.Stretch(g.Edge(id))-1) > 1e-9 {
-					return false
-				}
-			}
-			if tr.TotalStretch(g) < float64(g.N()-1)-1e-9 {
+		tr, treeIDs, _, err := Extract(g, MaxWeight, seed)
+		if err != nil {
+			return false
+		}
+		mst, err := MaxWeightSpanningTree(g)
+		if err != nil || !slices.Equal(treeIDs, mst) {
+			return false
+		}
+		for _, id := range treeIDs {
+			if math.Abs(tr.Stretch(g.Edge(id))-1) > 1e-9 {
 				return false
 			}
 		}
-		return true
+		return tr.TotalStretch(g) >= float64(g.N()-1)-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// AKPW should produce competitive stretch on heavy-tailed weights: not
-// astronomically worse than MaxWeight (a sanity guard rather than a
-// theorem check).
-func TestAKPWStretchReasonable(t *testing.T) {
-	g, err := gen.Grid2D(30, 30, gen.LogUniform, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trA, _, _, err := Extract(g, AKPW, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trM, _, _, err := Extract(g, MaxWeight, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, sm := trA.TotalStretch(g), trM.TotalStretch(g)
-	if sa > 50*sm {
-		t.Fatalf("AKPW stretch %v wildly worse than MaxWeight %v", sa, sm)
-	}
-}
-
-func BenchmarkAKPWGrid(b *testing.B) {
-	g, err := gen.Grid2D(100, 100, gen.UniformWeights, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AKPWTree(g, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -4,7 +4,7 @@
 // builds the coarsening hierarchy (the input is contracted level by level
 // along the heavy-edge aggregates of multigrid.AggregateGraph) and
 // interpolates a coarse edge selection one level down:
-// each fine level keeps its own LSST backbone plus the representative
+// each fine level keeps its own max-weight backbone plus the representative
 // fine edge of every admitted coarse edge, and every other fine edge
 // becomes a re-filter candidate. internal/engine drives the hierarchy:
 // it runs the edge filter on the coarsest graph, then re-filters and
@@ -31,11 +31,12 @@ const (
 	DefaultCoarsestSize = 512
 )
 
-// Interpolate seeds a fine level's selection: the fine LSST backbone for
-// connectivity plus the representative fine edge of every admitted
-// coarse edge; every other fine edge becomes a re-filter candidate.
-func Interpolate(fine *graph.Graph, rep []int, coarseKept []int, alg lsst.Algorithm, seed uint64) (keptIDs, candIDs []int, treeCount int, err error) {
-	_, treeIDs, _, err := lsst.Extract(fine, alg, seed)
+// Interpolate seeds a fine level's selection: the fine max-weight
+// backbone for connectivity plus the representative fine edge of every
+// admitted coarse edge; every other fine edge becomes a re-filter
+// candidate.
+func Interpolate(fine *graph.Graph, rep []int, coarseKept []int) (keptIDs, candIDs []int, treeCount int, err error) {
+	treeIDs, err := lsst.MaxWeightSpanningTree(fine)
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"graphspar/internal/lsst"
 	"graphspar/internal/params"
 )
 
@@ -19,7 +18,6 @@ type SparsifyParams struct {
 	SigmaSq    float64 `json:"sigma2"`
 	T          int     `json:"t,omitempty"`
 	NumVectors int     `json:"r,omitempty"`
-	TreeAlg    string  `json:"tree,omitempty"`
 	Seed       uint64  `json:"seed,omitempty"`
 	MaxEdges   int     `json:"max_edges,omitempty"`
 	// Shards > 1 routes the job through the shard-parallel engine
@@ -68,10 +66,9 @@ var wireLimits = params.Limits{
 }
 
 // Canon applies the service-level defaults (matching core.Options'
-// defaulting where the values are n-independent) and normalizes the tree
-// algorithm name. Unusable values come back as the typed errors of
-// internal/params (all matching params.ErrInvalid), which errStatus maps
-// to HTTP 400.
+// defaulting where the values are n-independent). Unusable values come
+// back as the typed errors of internal/params (all matching
+// params.ErrInvalid), which errStatus maps to HTTP 400.
 func (p *SparsifyParams) Canon() error {
 	if err := params.Sigma2(p.SigmaSq); err != nil {
 		return err
@@ -91,12 +88,6 @@ func (p *SparsifyParams) Canon() error {
 	if p.MaxEdges < 0 {
 		p.MaxEdges = 0
 	}
-	alg, err := lsst.Parse(p.TreeAlg)
-	if err != nil {
-		return err
-	}
-	p.TreeAlg = alg.String()
-
 	if p.Shards < 0 {
 		p.Shards = 0
 	}
@@ -177,8 +168,6 @@ func (p SparsifyParams) appendKnobs(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(p.T), 10)
 	b = append(b, "|r="...)
 	b = strconv.AppendInt(b, int64(p.NumVectors), 10)
-	b = append(b, "|tree="...)
-	b = append(b, p.TreeAlg...)
 	b = append(b, "|seed="...)
 	b = strconv.AppendUint(b, p.Seed, 10)
 	b = append(b, "|max="...)
@@ -222,8 +211,6 @@ func (p SparsifyParams) sessionKey() string {
 	b = strconv.AppendInt(b, int64(p.T), 10)
 	b = append(b, "|r="...)
 	b = strconv.AppendInt(b, int64(p.NumVectors), 10)
-	b = append(b, "|tree="...)
-	b = append(b, p.TreeAlg...)
 	b = append(b, "|seed="...)
 	b = strconv.AppendUint(b, p.Seed, 10)
 	b = append(b, "|sh="...)

@@ -23,11 +23,11 @@ func TestParamsCanon(t *testing.T) {
 	if err := p.Canon(); err != nil {
 		t.Fatal(err)
 	}
-	if p.T != 2 || p.Seed != 1 || p.TreeAlg != "maxweight" {
+	if p.T != 2 || p.Seed != 1 {
 		t.Errorf("defaults not applied: %+v", p)
 	}
 	// Spelled-out defaults key identically to omitted ones.
-	q := SparsifyParams{SigmaSq: 100, T: 2, Seed: 1, TreeAlg: "maxweight"}
+	q := SparsifyParams{SigmaSq: 100, T: 2, Seed: 1}
 	if err := q.Canon(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,6 @@ func TestParamsCanon(t *testing.T) {
 		{SigmaSq: 0},
 		{SigmaSq: 1},
 		{SigmaSq: -5},
-		{SigmaSq: 100, TreeAlg: "bogus"},
 		{SigmaSq: 100, T: 2_000_000_000},
 		{SigmaSq: 100, NumVectors: 2_000_000_000},
 	} {

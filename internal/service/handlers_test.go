@@ -351,11 +351,6 @@ func TestJobAPIErrors(t *testing.T) {
 		submitRequest{Graph: "g", SparsifyParams: SparsifyParams{SigmaSq: 0.5}}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad sigma2: %d", code)
 	}
-	// Bad tree algorithm → 400.
-	if code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs",
-		submitRequest{Graph: "g", SparsifyParams: SparsifyParams{SigmaSq: 50, TreeAlg: "quantum"}}, nil); code != http.StatusBadRequest {
-		t.Errorf("bad tree: %d", code)
-	}
 	// Missing graph name → 400.
 	if code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs",
 		submitRequest{SparsifyParams: SparsifyParams{SigmaSq: 50}}, nil); code != http.StatusBadRequest {
@@ -506,6 +501,10 @@ func TestUnknownBodyKeysRejected(t *testing.T) {
 		// single-shot request, so even "bogus" was accepted.
 		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"partition":"bogus"}`, "partition"},
 		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"shards":2,"partition":"bfs"}`, "partition"},
+		// The retired backbone knob: the max-weight tree is the only one,
+		// so even its own old name is a 400.
+		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"tree":"maxweight"}`, "tree"},
+		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"tree":"akpw"}`, "tree"},
 		{http.MethodPost, "/v1/graphs", `{"name":"h","spec":"grid:4x4","sed":7}`, "sed"},
 		{http.MethodPatch, "/v1/graphs/g/edges", `{"updates":[{"op":"reweight","u":0,"v":1,"w":2,"weight":2}]}`, "weight"},
 	} {

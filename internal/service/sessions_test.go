@@ -212,6 +212,18 @@ func TestStreamRequiresSigma2AndSessions(t *testing.T) {
 			t.Errorf("stream%s: %d, want 400", query, code)
 		}
 	}
+	// The retired backbone key is an unknown key like any other: a 400
+	// that names it.
+	resp, err := http.Post(ts.URL+"/v1/graphs/g/stream?sigma2=50&tree=maxweight", "application/x-ndjson", strings.NewReader("= 1 2 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw bytes.Buffer
+	raw.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(raw.String(), `unknown query parameter \"tree\"`) {
+		t.Errorf("stream?tree=: %d %s, want 400 naming \"tree\"", resp.StatusCode, raw.String())
+	}
 	if code, _ := streamLines(t, ts.URL, "g", "?sigma2=50&trace=1", "= 1 2 2\n"); code != http.StatusOK {
 		t.Errorf("trace=1 must stay accepted: %d", code)
 	}
@@ -546,7 +558,7 @@ func TestSessionBuiltOnceUnderRacingTraffic(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			job, err := srv.queue.Submit(entry, SparsifyParams{SigmaSq: 50, T: 2, Seed: 1, TreeAlg: "maxweight", Incremental: true})
+			job, err := srv.queue.Submit(entry, SparsifyParams{SigmaSq: 50, T: 2, Seed: 1, Incremental: true})
 			for err == nil && job.Status != StatusDone && job.Status != StatusFailed {
 				runtime.Gosched()
 				job, err = srv.queue.Get(job.ID)

@@ -56,7 +56,7 @@ func streamParams(q url.Values) (SparsifyParams, error) {
 	var unknown []string
 	for k := range q {
 		switch k {
-		case "sigma2", "t", "r", "shards", "workers", "seed", "tree", "trace":
+		case "sigma2", "t", "r", "shards", "workers", "seed", "trace":
 		default:
 			unknown = append(unknown, k)
 		}
@@ -91,7 +91,6 @@ func streamParams(q url.Values) (SparsifyParams, error) {
 		}
 		p.Seed = n
 	}
-	p.TreeAlg = q.Get("tree")
 	if err := p.Canon(); err != nil {
 		return p, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"graphspar/internal/engine"
-	"graphspar/internal/lsst"
 	"graphspar/internal/params"
 )
 
@@ -31,23 +30,6 @@ const (
 // ParseMode resolves an execution-mode name ("auto", "single", "sharded",
 // "multilevel"; empty means auto) for flags and wire formats.
 func ParseMode(name string) (Mode, error) { return params.ParseMode(name) }
-
-// TreeAlgorithm selects the spanning-tree backbone construction.
-type TreeAlgorithm = lsst.Algorithm
-
-// Backbone algorithms.
-const (
-	// TreeMaxWeight is the maximum-weight spanning tree (the default).
-	TreeMaxWeight = lsst.MaxWeight
-	// TreeDijkstra grows a shortest-path tree from a high-degree center.
-	TreeDijkstra = lsst.Dijkstra
-	// TreeAKPW is the low-stretch ball-growing decomposition.
-	TreeAKPW = lsst.AKPW
-)
-
-// ParseTreeAlgorithm resolves a backbone name ("maxweight", "dijkstra",
-// "akpw"; empty means the default) for flags and wire formats.
-func ParseTreeAlgorithm(name string) (TreeAlgorithm, error) { return lsst.Parse(name) }
 
 // config is what a Sparsifier carries: the pipeline's own options struct,
 // written into directly by the functional options. Zero fields defer to
@@ -150,20 +132,11 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithSeed drives every random choice (backbone, probe vectors, shard
-// seeds). Results are deterministic per seed; 0 means the default seed 1.
+// WithSeed drives every random choice (probe vectors, shard seeds).
+// Results are deterministic per seed; 0 means the default seed 1.
 func WithSeed(seed uint64) Option {
 	return func(c *config) error {
 		c.opt.Sparsify.Seed = seed
-		return nil
-	}
-}
-
-// WithTreeAlgorithm picks the spanning-tree backbone construction
-// (default TreeMaxWeight).
-func WithTreeAlgorithm(a TreeAlgorithm) Option {
-	return func(c *config) error {
-		c.opt.Sparsify.TreeAlg = a
 		return nil
 	}
 }
