@@ -32,21 +32,11 @@ func facadeFor(p service.SparsifyParams, withVerification bool) (*graphspar.Spar
 	if withVerification {
 		opts = append(opts, graphspar.WithVerification(0))
 	}
-	if p.MaxEdges > 0 {
-		opts = append(opts, graphspar.WithMaxEdges(p.MaxEdges))
-	}
 	switch {
 	case p.Mode == graphspar.ModeMultilevel.String():
 		// Canon left "multilevel" as the only surviving mode string and
-		// already zeroed Shards; the coarsen knobs ride along (0 keeps the
-		// library defaults).
+		// already zeroed Shards.
 		opts = append(opts, graphspar.WithMode(graphspar.ModeMultilevel))
-		if p.CoarsenLevels > 0 {
-			opts = append(opts, graphspar.WithCoarsenLevels(p.CoarsenLevels))
-		}
-		if p.CoarsenRatio > 0 {
-			opts = append(opts, graphspar.WithCoarsenRatio(p.CoarsenRatio))
-		}
 	case p.Shards > 1:
 		opts = append(opts, graphspar.WithShards(p.Shards))
 	default:

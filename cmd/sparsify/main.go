@@ -8,7 +8,7 @@
 //	sparsify -graph grid:300x300:uniform -sigma2 100 [-out sparsifier.mtx]
 //	sparsify -graph problem.mtx -sigma2 50 -t 2
 //	sparsify -graph grid:512x512:uniform -sigma2 100 -shards 8 -workers 4
-//	sparsify -graph grid:1024x1024:unit -sigma2 100 -mode multilevel -coarsen-ratio 0.6
+//	sparsify -graph grid:1024x1024:unit -sigma2 100 -mode multilevel
 //	sparsify -graph grid:200x200 -sigma2 100 -update-stream events.txt
 //	sparsify -remote http://localhost:8080 -graph mygraph -sigma2 100 -update-stream events.txt
 //
@@ -24,7 +24,8 @@
 // server's per-batch certificate lines are relayed to stdout. The
 // server keeps the maintainer resident between requests, so consecutive
 // replays — and interleaved PATCHes or incremental jobs — all reuse the
-// same live session.
+// same live session. The server runs its own plan and keeps the
+// sparsifier, so a flag it cannot honour (-mode, -out, -v) is an error.
 package main
 
 import (
@@ -39,6 +40,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -48,25 +50,28 @@ import (
 
 func main() {
 	var (
-		spec      = flag.String("graph", "", graphspar.SpecHelp)
-		sigmaSq   = flag.Float64("sigma2", 100, "target spectral similarity σ² (relative condition number bound)")
-		out       = flag.String("out", "", "optional output .mtx path for the sparsifier Laplacian")
-		tSteps    = flag.Int("t", 2, "generalized power iteration steps for edge embedding")
-		rVecs     = flag.Int("r", 0, "random probe vectors (0 = O(log n))")
-		mode      = flag.String("mode", "auto", "execution path: auto | single | sharded | multilevel")
-		shards    = flag.Int("shards", 1, "k-way shards for the parallel engine (1 = single-shot, 0 = auto by graph size)")
-		workers   = flag.Int("workers", 0, "worker count: concurrent shards and the goroutines of every embedding pass (0 = all cores; any value is bit-identical)")
-		coarsenLv = flag.Int("coarsen-levels", 0, "multilevel hierarchy depth cap (0 = until the coarsest-size floor)")
-		coarsenRt = flag.Float64("coarsen-ratio", 0, "multilevel coarsening progress floor in (0,1] (0 = default 0.7; 1 disables coarsening)")
-		stream    = flag.String("update-stream", "", "edge-event file to replay through the incremental maintainer after the initial sparsification")
-		remote    = flag.String("remote", "", "base URL of a sparsifyd server; -update-stream replays the event file against its /stream endpoint (-graph names the registered graph)")
-		wireFmt   = flag.String("wire", "text", "wire format for -remote streaming: text (NDJSON) | binary")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		verbose   = flag.Bool("v", false, "print per-round densification stats (per shard in sharded mode)")
+		spec    = flag.String("graph", "", graphspar.SpecHelp)
+		sigmaSq = flag.Float64("sigma2", 100, "target spectral similarity σ² (relative condition number bound)")
+		out     = flag.String("out", "", "optional output .mtx path for the sparsifier Laplacian")
+		tSteps  = flag.Int("t", 2, "generalized power iteration steps for edge embedding")
+		rVecs   = flag.Int("r", 0, "random probe vectors (0 = O(log n))")
+		mode    = flag.String("mode", "auto", "execution path: auto | single | sharded | multilevel")
+		shards  = flag.Int("shards", 1, "k-way shards for the parallel engine (1 = single-shot, 0 = auto by graph size)")
+		workers = flag.Int("workers", 0, "worker count: concurrent shards and the goroutines of every embedding pass (0 = all cores; any value is bit-identical)")
+		stream  = flag.String("update-stream", "", "edge-event file to replay through the incremental maintainer after the initial sparsification")
+		remote  = flag.String("remote", "", "base URL of a sparsifyd server; -update-stream replays the event file against its /stream endpoint (-graph names the registered graph)")
+		wireFmt = flag.String("wire", "text", "wire format for -remote streaming: text (NDJSON) | binary")
+		seed    = flag.Uint64("seed", 1, "random seed")
+		verbose = flag.Bool("v", false, "print per-round densification stats (per shard in sharded mode)")
 	)
 	flag.Parse()
+	var set []string // the flags given on the command line, in lexical order
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 
 	if *remote != "" {
+		if err := remoteFlagsOnly(set); err != nil {
+			fatal(err)
+		}
 		if *stream == "" {
 			fatal(errors.New("-remote requires -update-stream (it replays an event file against a live server)"))
 		}
@@ -90,12 +95,6 @@ func main() {
 	}
 	fmt.Printf("input: |V|=%d |E|=%d\n", g.N(), g.M())
 
-	// -shards 1 is the flag default, not an explicit single-shot pin: it
-	// must not contradict -mode multilevel unless the user actually typed
-	// it (in which case the facade reports the contradiction).
-	shardsSet := false
-	flag.Visit(func(f *flag.Flag) { shardsSet = shardsSet || f.Name == "shards" })
-
 	opts := []graphspar.Option{
 		graphspar.WithSigma2(*sigmaSq),
 		graphspar.WithEmbedSteps(*tSteps),
@@ -106,14 +105,11 @@ func main() {
 	if execMode != graphspar.ModeAuto {
 		opts = append(opts, graphspar.WithMode(execMode))
 	}
-	if execMode == graphspar.ModeAuto || shardsSet {
+	// -shards 1 is the flag default, not an explicit single-shot pin: it
+	// must not contradict -mode multilevel unless the user actually typed
+	// it (in which case the facade reports the contradiction).
+	if execMode == graphspar.ModeAuto || slices.Contains(set, "shards") {
 		opts = append(opts, graphspar.WithShards(*shards))
-	}
-	if *coarsenLv != 0 {
-		opts = append(opts, graphspar.WithCoarsenLevels(*coarsenLv))
-	}
-	if *coarsenRt != 0 {
-		opts = append(opts, graphspar.WithCoarsenRatio(*coarsenRt))
 	}
 	s, err := graphspar.New(opts...)
 	if err != nil {
@@ -261,6 +257,21 @@ func runUpdateStream(g *graphspar.Graph, s *graphspar.Sparsifier, path, out stri
 	fmt.Printf("full re-sparsify of final graph: |Es|=%d in %s  (%.1fx the per-batch incremental cost)\n",
 		res.Sparsifier.M(), fullDur.Round(time.Millisecond), float64(fullDur)/float64(perBatch))
 	save(out, st.Sparsifier())
+}
+
+// remoteFlags are the flags a -remote replay honours: the server, the
+// graph's name, the event file and its wire format, and the stream
+// endpoint's query keys (see remoteQuery).
+var remoteFlags = []string{"graph", "r", "remote", "seed", "shards", "sigma2", "t", "update-stream", "wire", "workers"}
+
+// remoteFlagsOnly rejects every flag in set (the explicitly set ones, as
+// flag.Visit lists them) that a -remote replay would drop without a word.
+func remoteFlagsOnly(set []string) error {
+	bad := slices.DeleteFunc(slices.Clone(set), func(name string) bool { return slices.Contains(remoteFlags, name) })
+	if len(bad) == 0 {
+		return nil
+	}
+	return fmt.Errorf("-remote does not honour -%s: the server runs its own plan and keeps the sparsifier", strings.Join(bad, ", -"))
 }
 
 // remoteQuery assembles the stream endpoint's query string from the

@@ -98,6 +98,29 @@ func TestRemoteQuery(t *testing.T) {
 	}
 }
 
+// TestRemoteFlagsOnly: a flag the -remote replay cannot honour is an
+// error naming it, never silently dropped.
+func TestRemoteFlagsOnly(t *testing.T) {
+	for _, c := range []struct {
+		set  []string
+		want string // "" = accepted
+	}{
+		{nil, ""},
+		{[]string{"graph", "remote", "seed", "shards", "sigma2", "update-stream", "wire", "workers"}, ""},
+		{[]string{"mode", "remote"}, "-mode"},
+		{[]string{"out", "remote"}, "-out"},
+		{[]string{"mode", "out", "remote", "v"}, "-mode, -out, -v"},
+	} {
+		err := remoteFlagsOnly(c.set)
+		if c.want == "" && err != nil {
+			t.Errorf("%v: %v, want accepted", c.set, err)
+		}
+		if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%v: %v, want an error naming %s", c.set, err, c.want)
+		}
+	}
+}
+
 // TestRunRemoteStream replays an event file against a stub server and
 // checks the body reaches the right endpoint and the NDJSON result
 // lines are relayed.

@@ -178,23 +178,6 @@ func TestFacadeValidation(t *testing.T) {
 	if _, err := graphspar.New(graphspar.WithSigma2(50)); err != nil {
 		t.Errorf("minimal valid options rejected: %v", err)
 	}
-	// MaxEdges is a single-shot knob: it does not compose with a sharded
-	// pin (the engine would apply the cap per shard)...
-	if _, err := graphspar.New(graphspar.WithSigma2(50), graphspar.WithShards(4), graphspar.WithMaxEdges(100)); !errors.Is(err, graphspar.ErrInvalidOptions) {
-		t.Errorf("MaxEdges+shards: err = %v, want ErrInvalidOptions", err)
-	}
-	// ...nor with streams (re-filter rounds cannot honor an edge budget).
-	s, err := graphspar.New(graphspar.WithSigma2(50), graphspar.WithMaxEdges(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := gen.Grid2D(4, 4, gen.UnitWeights, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Maintain(context.Background(), g); !errors.Is(err, graphspar.ErrInvalidOptions) {
-		t.Errorf("MaxEdges+Maintain: err = %v, want ErrInvalidOptions", err)
-	}
 }
 
 // TestFacadeVerificationMatchesServiceContract pins the single-shot

@@ -161,9 +161,7 @@ func (c *config) plan(g *Graph, stream bool) engine.Options {
 			opt.Mode = ModeSingleShot
 		case opt.Shards > 1:
 			opt.Mode = ModeSharded
-		case opt.Sparsify.MaxEdges > 0 || g.M() < AutoShardEdges:
-			// An edge budget pins auto to single-shot: the sharded plan
-			// would apply the cap per shard, silently inflating it.
+		case g.M() < AutoShardEdges:
 			opt.Mode = ModeSingleShot
 		case !stream && (g.M() >= AutoMultilevelEdges || c.illPartitioned(g)):
 			opt.Mode = ModeMultilevel
@@ -215,32 +213,18 @@ func NewTraceContext(ctx context.Context) (context.Context, *Trace) {
 // sparsifier's σ² certificate valid under batched edge updates (see
 // Stream.Apply). The stream's full builds and rebuilds run the sharded
 // plan exactly when the graph is big enough for Run to leave single-shot
-// (WithShards pin, or the auto policy). WithMaxEdges does not compose
-// with streams:
-// the maintainer's re-filter rounds admit whatever the certificate
-// needs, so an edge budget cannot be honored.
+// (WithShards pin, or the auto policy). WithMode(ModeMultilevel) does not
+// compose with streams: the maintainer's rebuilds run the single-shot or
+// the sharded plan, so a pinned hierarchy mode cannot be honored.
 func (s *Sparsifier) Maintain(ctx context.Context, g *Graph) (*Stream, error) {
-	if err := s.maintainable(); err != nil {
-		return nil, err
+	if s.cfg.opt.Mode == ModeMultilevel {
+		return nil, fmt.Errorf("%w: WithMode(ModeMultilevel) does not compose with Maintain", ErrInvalidOptions)
 	}
 	m, err := dynamic.New(ctx, g, s.cfg.plan(g, true))
 	if err != nil {
 		return nil, err
 	}
 	return &Stream{m: m}, nil
-}
-
-// maintainable rejects configurations the maintainer cannot honor.
-func (s *Sparsifier) maintainable() error {
-	if s.cfg.opt.Sparsify.MaxEdges > 0 {
-		return fmt.Errorf("%w: WithMaxEdges does not compose with Maintain", ErrInvalidOptions)
-	}
-	if s.cfg.opt.Mode == ModeMultilevel {
-		// The maintainer's rebuilds run the single-shot or the sharded
-		// plan; a pinned hierarchy mode cannot be honored.
-		return fmt.Errorf("%w: WithMode(ModeMultilevel) does not compose with Maintain", ErrInvalidOptions)
-	}
-	return nil
 }
 
 // HeatSpectrum supports the paper's Fig. 2 reproduction: it extracts the

@@ -32,6 +32,7 @@ var deterministicPkgs = map[string]bool{
 	"eig":        true,
 	"vecmath":    true,
 	"sparse":     true,
+	"pcg":        true,
 }
 
 // IsDeterministicPkg reports whether the package at path belongs to the

@@ -17,9 +17,9 @@
 // estimate λmax/λmin, stop if σ² is met, embed the candidates, set θσ,
 // and hand the heats to SelectEdges — threshold, rank by heat, cap the
 // batch, check endpoint similarity. SparsifyCtx (tree start, round
-// statistics, edge budget), Refilter (an externally chosen selection and
-// candidate set) and the dynamic maintainer's localized re-filter
-// (retained probe vectors, SelectEdges only) are loop shells around it.
+// statistics), Refilter (an externally chosen selection and candidate
+// set) and the dynamic maintainer's localized re-filter (retained probe
+// vectors, SelectEdges only) are loop shells around it.
 //
 // The embedding is written once too: EdgeScorer is the only code that
 // starts and advances probe vectors, over however many goroutines
@@ -44,9 +44,9 @@ import (
 )
 
 // ErrNoTarget is returned, together with the best sparsifier found, when
-// the densification loop ends — round cap or edge budget — above the σ²
-// target. A bad target itself is rejected with params.ErrBadSigma2, the
-// one sentinel every pipeline shares.
+// the densification loop hits its round cap above the σ² target. A bad
+// target itself is rejected with params.ErrBadSigma2, the one sentinel
+// every pipeline shares.
 var ErrNoTarget = errors.New("core: similarity target not reached")
 
 // The §3.7 loop's fixed settings.
@@ -83,11 +83,6 @@ type Options struct {
 	// claimed by an edge accepted earlier in the round. The rule is on by
 	// default; the ablation benchmarks switch it off.
 	DisableSimilarity bool
-	// MaxEdges optionally caps the sparsifier size (tree edges included).
-	// When the budget is hit, densification stops even if the σ² target
-	// is unmet (Result is returned with ErrNoTarget in that case). Zero
-	// means unlimited. Useful for equal-budget baseline comparisons (A5).
-	MaxEdges int
 	// EmbedWorkers caps the goroutines used for the r independent
 	// probe-vector solves of each embedding pass (≤ 1 = one). The batch
 	// pipeline sets it from its own worker count (engine.Options.Workers);
@@ -280,24 +275,17 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		budget := math.MaxInt
-		if opt.MaxEdges > 0 {
-			budget = opt.MaxEdges - p.M()
-		}
-		stats, chosen, err := filterRound(ctx, g, p, solver, remaining, &opt, rng, budget, !opt.DisableSimilarity)
+		stats, chosen, err := filterRound(ctx, g, p, solver, remaining, &opt, rng, !opt.DisableSimilarity)
 		if err != nil {
 			return nil, fmt.Errorf("core: λmax estimation failed in round %d: %w", round, err)
 		}
 		stats.Round = round
 		res.LambdaMax, res.LambdaMin, res.SigmaSqAchieved = stats.LambdaMax, stats.LambdaMin, stats.SigmaSqEst
-		if len(chosen) == 0 {
+		if len(chosen) == 0 { // target met or no candidates left
 			stats.EdgesTotal = p.M()
 			res.Rounds = append(res.Rounds, stats)
 			res.Sparsifier, res.Solver = p, chol
-			if res.SigmaSqAchieved <= opt.SigmaSq || len(remaining) == 0 {
-				return res, nil
-			}
-			return res, ErrNoTarget // edge budget spent
+			return res, nil
 		}
 
 		var added []int

@@ -15,9 +15,8 @@ import (
 // Sparsify, Refilter and the dynamic maintainer's localized re-filter:
 // threshold the candidates at θσ (eq. 15), rank the passing ones by Joule
 // heat, and admit a small portion — at most ceil(batchFraction·passing),
-// at least one, never more than budget — skipping, when similarity is on,
-// any edge with an endpoint already claimed by an edge admitted this
-// round.
+// at least one — skipping, when similarity is on, any edge with an
+// endpoint already claimed by an edge admitted this round.
 //
 // heats is parallel to candIDs (edge ids of g) and maxHeat normalizes it.
 // The ranking is the total order (heat desc, position asc), so equal heats
@@ -25,7 +24,7 @@ import (
 // the hottest one is forced in, so a round whose estimates say the target
 // is unmet always makes progress. chosen holds positions into candIDs in
 // admission order; passing counts the candidates that beat θσ.
-func SelectEdges(g *graph.Graph, candIDs []int, heats []float64, maxHeat, theta, batchFraction float64, budget int, similarity bool) (chosen []int, passing int) {
+func SelectEdges(g *graph.Graph, candIDs []int, heats []float64, maxHeat, theta, batchFraction float64, similarity bool) (chosen []int, passing int) {
 	var ranked []int
 	if maxHeat > 0 {
 		for i, h := range heats {
@@ -54,9 +53,6 @@ func SelectEdges(g *graph.Graph, candIDs []int, heats []float64, maxHeat, theta,
 	limit := int(math.Ceil(batchFraction * float64(passing)))
 	if limit < 1 {
 		limit = 1
-	}
-	if budget < limit {
-		limit = budget
 	}
 	claimed := make(map[int]bool)
 	for _, pos := range ranked {
@@ -94,21 +90,21 @@ func estimateExtremes(g, p *graph.Graph, solver Solver, iters int, seed uint64) 
 // set θσ and select the round's batch. opt must have its embedding
 // defaults applied. The returned stats carry the estimates, θσ and the
 // passing count; chosen (positions into candIDs) is empty exactly when the
-// caller's loop is done — target met, no candidates, or no budget.
-func filterRound(ctx context.Context, g, p *graph.Graph, solver Solver, candIDs []int, opt *Options, rng *vecmath.RNG, budget int, similarity bool) (stats RoundStats, chosen []int, err error) {
+// caller's loop is done — target met or no candidates.
+func filterRound(ctx context.Context, g, p *graph.Graph, solver Solver, candIDs []int, opt *Options, rng *vecmath.RNG, similarity bool) (stats RoundStats, chosen []int, err error) {
 	lmax, lmin, err := estimateExtremes(g, p, solver, powerIters, rng.Uint64())
 	if err != nil {
 		return stats, nil, err
 	}
 	stats = RoundStats{LambdaMax: lmax, LambdaMin: lmin, SigmaSqEst: lmax / lmin}
-	if stats.SigmaSqEst <= opt.SigmaSq || len(candIDs) == 0 || budget <= 0 {
+	if stats.SigmaSqEst <= opt.SigmaSq || len(candIDs) == 0 {
 		return stats, nil, nil
 	}
 	embedSpan := obs.StartSpan(ctx, "embed")
 	heats, maxHeat := NewEdgeScorer(g, solver, opt.T, opt.NumVectors, rng.Uint64(), opt.EmbedWorkers).Score(g, candIDs)
 	embedSpan.End()
 	stats.Threshold = Threshold(opt.SigmaSq, lmin, lmax, opt.T)
-	chosen, stats.Candidates = SelectEdges(g, candIDs, heats, maxHeat, stats.Threshold, batchFraction, budget, similarity)
+	chosen, stats.Candidates = SelectEdges(g, candIDs, heats, maxHeat, stats.Threshold, batchFraction, similarity)
 	return stats, chosen, nil
 }
 

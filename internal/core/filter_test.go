@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -30,7 +29,6 @@ func TestSelectEdges(t *testing.T) {
 		}
 		return out
 	}
-	unlimited := math.MaxInt
 
 	cases := []struct {
 		name          string
@@ -38,74 +36,58 @@ func TestSelectEdges(t *testing.T) {
 		maxHeat       float64
 		theta         float64
 		batchFraction float64
-		budget        int
 		similarity    bool
 		wantChosen    []int
 		wantPassing   int
 	}{
 		{
 			name:  "ranked by heat, capped at ceil(fraction·passing)",
-			heats: []float64{1, 9, 3, 7, 5, 2, 8}, maxHeat: 9, theta: 0.2, batchFraction: 0.5, budget: unlimited,
+			heats: []float64{1, 9, 3, 7, 5, 2, 8}, maxHeat: 9, theta: 0.2, batchFraction: 0.5,
 			wantChosen: []int{1, 6, 3}, wantPassing: 6, // 1/9 < θσ; ceil(0.5·6) = 3
 		},
 		{
 			name:  "equal heats rank by position, also across the cap",
-			heats: []float64{3, 5, 5, 5, 1, 5, 5}, maxHeat: 5, theta: 0.1, batchFraction: 0.4, budget: unlimited,
+			heats: []float64{3, 5, 5, 5, 1, 5, 5}, maxHeat: 5, theta: 0.1, batchFraction: 0.4,
 			wantChosen: []int{1, 2, 3}, wantPassing: 7, // ceil(0.4·7) = 3 of the five tied at 5
 		},
 		{
 			name:  "similarity skips claimed endpoints and keeps filling the cap",
-			heats: []float64{9, 8, 7, 6, 5, 4, 3}, maxHeat: 9, theta: 0.1, batchFraction: 0.5, budget: unlimited, similarity: true,
+			heats: []float64{9, 8, 7, 6, 5, 4, 3}, maxHeat: 9, theta: 0.1, batchFraction: 0.5, similarity: true,
 			wantChosen: []int{0, 2, 4, 5}, wantPassing: 7, // (1,2) and (3,4) touch a claimed vertex
 		},
 		{
 			name:  "similarity off admits adjacent edges",
-			heats: []float64{9, 8, 7, 6, 5, 4, 3}, maxHeat: 9, theta: 0.1, batchFraction: 0.5, budget: unlimited,
+			heats: []float64{9, 8, 7, 6, 5, 4, 3}, maxHeat: 9, theta: 0.1, batchFraction: 0.5,
 			wantChosen: []int{0, 1, 2, 3}, wantPassing: 7,
 		},
 		{
 			name:  "similarity with tied heats",
-			heats: []float64{4, 4, 4, 4, 4, 4, 4}, maxHeat: 4, theta: 1, batchFraction: 1, budget: unlimited, similarity: true,
+			heats: []float64{4, 4, 4, 4, 4, 4, 4}, maxHeat: 4, theta: 1, batchFraction: 1, similarity: true,
 			wantChosen: []int{0, 2, 4, 5, 6}, wantPassing: 7,
 		},
 		{
-			name:  "budget below the cap wins",
-			heats: []float64{1, 9, 3, 7, 5, 2, 8}, maxHeat: 9, theta: 0.2, batchFraction: 0.5, budget: 1,
-			wantChosen: []int{1}, wantPassing: 6,
-		},
-		{
-			name:  "no budget admits nothing",
-			heats: []float64{1, 9, 3, 7, 5, 2, 8}, maxHeat: 9, theta: 0.2, batchFraction: 0.5, budget: 0,
-			wantChosen: nil, wantPassing: 6,
-		},
-		{
 			name:  "a tiny fraction still admits one",
-			heats: []float64{1, 9, 3, 7, 5, 2, 8}, maxHeat: 9, theta: 0.2, batchFraction: 0.01, budget: unlimited,
+			heats: []float64{1, 9, 3, 7, 5, 2, 8}, maxHeat: 9, theta: 0.2, batchFraction: 0.01,
 			wantChosen: []int{1}, wantPassing: 6,
 		},
 		{
 			name:  "nothing beats θσ: the hottest is forced, first among ties",
-			heats: []float64{1, 3, 2, 3, 1, 0, 0}, maxHeat: 10, theta: 0.9, batchFraction: 0.25, budget: unlimited, similarity: true,
+			heats: []float64{1, 3, 2, 3, 1, 0, 0}, maxHeat: 10, theta: 0.9, batchFraction: 0.25, similarity: true,
 			wantChosen: []int{1}, wantPassing: 0,
 		},
 		{
-			name:  "forced edge still respects the budget",
-			heats: []float64{1, 3, 2, 3, 1, 0, 0}, maxHeat: 10, theta: 0.9, batchFraction: 0.25, budget: 0,
-			wantChosen: nil, wantPassing: 0,
-		},
-		{
 			name:  "zero max heat: nothing passes, position 0 is forced",
-			heats: []float64{0, 0, 0, 0, 0, 0, 0}, maxHeat: 0, theta: 0.5, batchFraction: 0.25, budget: unlimited,
+			heats: []float64{0, 0, 0, 0, 0, 0, 0}, maxHeat: 0, theta: 0.5, batchFraction: 0.25,
 			wantChosen: []int{0}, wantPassing: 0,
 		},
 		{
 			name:  "no candidates",
-			heats: nil, maxHeat: 0, theta: 0.5, batchFraction: 0.25, budget: unlimited, similarity: true,
+			heats: nil, maxHeat: 0, theta: 0.5, batchFraction: 0.25, similarity: true,
 			wantChosen: nil, wantPassing: 0,
 		},
 	}
 	for _, c := range cases {
-		chosen, passing := SelectEdges(g, ids(len(c.heats)), c.heats, c.maxHeat, c.theta, c.batchFraction, c.budget, c.similarity)
+		chosen, passing := SelectEdges(g, ids(len(c.heats)), c.heats, c.maxHeat, c.theta, c.batchFraction, c.similarity)
 		if !reflect.DeepEqual(chosen, c.wantChosen) || passing != c.wantPassing {
 			t.Errorf("%s: chosen %v passing %d, want %v / %d", c.name, chosen, passing, c.wantChosen, c.wantPassing)
 		}
@@ -130,7 +112,7 @@ func TestSelectEdgesTieOrderLargeInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chosen, passing := SelectEdges(g, candIDs, heats, 3, 0.1, 0.5, math.MaxInt, true)
+	chosen, passing := SelectEdges(g, candIDs, heats, 3, 0.1, 0.5, true)
 	if passing != n || len(chosen) != n/2 {
 		t.Fatalf("passing %d chosen %d, want %d / %d", passing, len(chosen), n, n/2)
 	}

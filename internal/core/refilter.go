@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"graphspar/internal/cholesky"
 	"graphspar/internal/graph"
@@ -57,7 +56,7 @@ func RefilterFactored(ctx context.Context, g *graph.Graph, keptIDs, candIDs []in
 		// every candidate, and accepting them all at once would densify far
 		// past what the target needs — but without the endpoint-similarity
 		// rule, which these passes have never applied.
-		stats, chosen, err := filterRound(ctx, g, p, solver, cands, &opt, rng, math.MaxInt, false)
+		stats, chosen, err := filterRound(ctx, g, p, solver, cands, &opt, rng, false)
 		if err != nil {
 			return nil, nil, 0, 0, 0, nil, fmt.Errorf("refilter: λmax estimation: %w", err)
 		}

@@ -510,7 +510,7 @@ func (m *Maintainer) refilter(ctx context.Context, batched bool) error {
 			break
 		}
 		theta := core.Threshold(m.opt.Sparsify.SigmaSq, m.cert.LambdaMin, m.cert.LambdaMax, t)
-		chosen, _ := core.SelectEdges(m.g, candIDs, heats, maxHeat, theta, batchFraction, math.MaxInt, true)
+		chosen, _ := core.SelectEdges(m.g, candIDs, heats, maxHeat, theta, batchFraction, true)
 		for _, pos := range chosen {
 			pending = append(pending, m.g.Edge(candIDs[pos]))
 		}

@@ -51,8 +51,6 @@ const (
 	// *estimates* of that κ, so its bound is only as exact as they are;
 	// the certificate judges it like any other selection.
 	cutFilterFraction = 0.05
-	// defaultMaxLevels caps the hierarchy depth when CoarsenLevels is 0.
-	defaultMaxLevels = 16
 	// maxCalibrations caps the stop rule's calibrated re-filter retries
 	// when the verified κ misses the target the estimates cleared.
 	maxCalibrations = 3
@@ -81,16 +79,9 @@ type Options struct {
 	// shard pool is the parallelism there). Default GOMAXPROCS. Workers
 	// only affects wall-clock time, never the result.
 	Workers int
-	// CoarsenLevels caps the multilevel hierarchy depth, counting the
-	// input graph: 1 disables coarsening (the plan is then bit-identical
-	// to single-shot), 0 picks the default cap.
-	CoarsenLevels int
-	// CoarsenRatio is the per-step acceptance ceiling on nc/n (see
-	// multilevel.DefaultCoarsenRatio); 1 disables coarsening, 0 the
-	// default.
-	CoarsenRatio float64
 	// CoarsestSize stops coarsening at or below this vertex count
-	// (default multilevel.DefaultCoarsestSize).
+	// (default multilevel.DefaultCoarsestSize); an input at or below it
+	// makes the multilevel plan bit-identical to single-shot.
 	CoarsestSize int
 	// Verify applies the stop rule (certify) to the final sparsifier —
 	// and, in the multilevel plan, to every finer level: the independent
@@ -110,9 +101,6 @@ func (o *Options) defaults(n int) error {
 	if err := params.Sharding(o.Shards, o.Workers, params.Limits{}); err != nil {
 		return err
 	}
-	if err := params.Coarsen(o.CoarsenLevels, o.CoarsenRatio); err != nil {
-		return err
-	}
 	if o.Mode != params.ModeSharded && o.Mode != params.ModeMultilevel {
 		o.Mode = params.ModeSingleShot
 	}
@@ -126,12 +114,6 @@ func (o *Options) defaults(n int) error {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	o.Sparsify.EmbedWorkers = o.Workers
-	if o.CoarsenLevels == 0 {
-		o.CoarsenLevels = defaultMaxLevels
-	}
-	if o.CoarsenRatio == 0 {
-		o.CoarsenRatio = multilevel.DefaultCoarsenRatio
-	}
 	if o.CoarsestSize <= 0 {
 		o.CoarsestSize = multilevel.DefaultCoarsestSize
 	}

@@ -19,15 +19,12 @@ type Level struct {
 }
 
 // BuildHierarchy coarsens g by repeated heavy-edge aggregation until the
-// level cap, the coarsest-size floor, or a stalled aggregation (a step
-// that cannot shrink the vertex count below ratio·n) stops it. The
-// returned stack always has the input at index 0 and is never empty;
-// maxLevels 1 or ratio 1 yield exactly that degenerate stack.
-func BuildHierarchy(g *graph.Graph, maxLevels int, ratio float64, coarsestSize int) ([]*Level, error) {
+// maxLevels cap, the coarsest-size floor, or a stalled aggregation (a step
+// that cannot shrink the vertex count below coarsenRatio·n) stops it. The
+// returned stack always has the input at index 0 and is never empty; an
+// input at or below coarsestSize yields exactly that degenerate stack.
+func BuildHierarchy(g *graph.Graph, coarsestSize int) ([]*Level, error) {
 	levels := []*Level{{G: g}}
-	if ratio >= 1 {
-		return levels, nil
-	}
 	for len(levels) < maxLevels {
 		cur := levels[len(levels)-1]
 		n := cur.G.N()
@@ -35,7 +32,7 @@ func BuildHierarchy(g *graph.Graph, maxLevels int, ratio float64, coarsestSize i
 			break
 		}
 		agg, nc := multigrid.AggregateGraph(cur.G)
-		if nc < 2 || float64(nc) > ratio*float64(n) {
+		if nc < 2 || float64(nc) > coarsenRatio*float64(n) {
 			break
 		}
 		coarse, rep, err := contract(cur.G, agg, nc)

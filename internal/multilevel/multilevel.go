@@ -19,12 +19,15 @@ import (
 	"graphspar/internal/lsst"
 )
 
-// Defaults of the hierarchy knobs.
+// The hierarchy's shape is a fixed policy: only the coarsest-size floor
+// has a seam (engine.Options.CoarsestSize), for tests on small graphs.
 const (
-	// DefaultCoarsenRatio is the acceptance ceiling on nc/n per
-	// coarsening step: a step that cannot shrink the vertex count below
-	// this fraction has stalled and ends the hierarchy.
-	DefaultCoarsenRatio = 0.7
+	// maxLevels caps the hierarchy depth, counting the input graph.
+	maxLevels = 16
+	// coarsenRatio is the acceptance ceiling on nc/n per coarsening step:
+	// a step that cannot shrink the vertex count below this fraction has
+	// stalled and ends the hierarchy.
+	coarsenRatio = 0.7
 	// DefaultCoarsestSize stops coarsening once a level has at most this
 	// many vertices — small enough that the full densification loop is
 	// cheap, large enough to keep the interpolation seed informative.

@@ -102,8 +102,9 @@ func TestCertificateOnHarness(t *testing.T) {
 }
 
 // TestDegenerateBitIdenticalToSingleShot pins the equivalence the facade
-// documents: one level, or a coarsen ratio of 1, disables the hierarchy
-// and must reproduce the single-shot pipeline bit for bit.
+// documents: an input at or below the coarsest-size floor never coarsens,
+// and the multilevel plan must reproduce the single-shot pipeline bit for
+// bit.
 func TestDegenerateBitIdenticalToSingleShot(t *testing.T) {
 	for _, tc := range testkit.Cases() {
 		tc := tc
@@ -117,24 +118,19 @@ func TestDegenerateBitIdenticalToSingleShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, opt := range map[string]engine.Options{
-				"one-level": {Sparsify: copt, CoarsenLevels: 1},
-				"ratio-1":   {Sparsify: copt, CoarsenRatio: 1},
-			} {
-				res, err := run(context.Background(), g, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if res.Depth != 1 {
-					t.Fatalf("%s: depth %d, want 1", name, res.Depth)
-				}
-				if res.Sparsifier.ContentHash() != want.Sparsifier.ContentHash() {
-					t.Fatalf("%s: sparsifier differs from single-shot (%d vs %d edges)",
-						name, res.Sparsifier.M(), want.Sparsifier.M())
-				}
-				if !res.TargetMet {
-					t.Fatalf("%s: target unmet, verified κ = %v", name, res.VerifiedCond)
-				}
+			res, err := run(context.Background(), g, engine.Options{Sparsify: copt, CoarsestSize: g.N()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Depth != 1 {
+				t.Fatalf("depth %d, want 1", res.Depth)
+			}
+			if res.Sparsifier.ContentHash() != want.Sparsifier.ContentHash() {
+				t.Fatalf("sparsifier differs from single-shot (%d vs %d edges)",
+					res.Sparsifier.M(), want.Sparsifier.M())
+			}
+			if !res.TargetMet {
+				t.Fatalf("target unmet, verified κ = %v", res.VerifiedCond)
 			}
 		})
 	}
@@ -176,9 +172,6 @@ func TestOptionValidation(t *testing.T) {
 	bad := []engine.Options{
 		{},                                     // missing σ²
 		{Sparsify: core.Options{SigmaSq: 0.5}}, // σ² ≤ 1
-		{Sparsify: core.Options{SigmaSq: sigma}, CoarsenLevels: -1},   // negative depth
-		{Sparsify: core.Options{SigmaSq: sigma}, CoarsenRatio: 1.5},   // ratio > 1
-		{Sparsify: core.Options{SigmaSq: sigma}, CoarsenRatio: -0.25}, // ratio < 0
 	}
 	for i, opt := range bad {
 		if _, err := run(context.Background(), g, opt); err == nil {

@@ -2,15 +2,9 @@ package params
 
 import "fmt"
 
-// Typed validation errors for the execution-mode and coarsening knobs.
-// Each wraps ErrInvalid, like the sentinels in params.go.
-var (
-	// ErrBadMode rejects unknown execution-mode names.
-	ErrBadMode = fmt.Errorf("%w: unknown execution mode", ErrInvalid)
-	// ErrBadCoarsen rejects coarsening knobs outside their domain: a
-	// negative level count, or a coarsening ratio outside (0, 1].
-	ErrBadCoarsen = fmt.Errorf("%w: coarsening knobs out of range", ErrInvalid)
-)
+// ErrBadMode rejects unknown execution-mode names. It wraps ErrInvalid,
+// like the sentinels in params.go.
+var ErrBadMode = fmt.Errorf("%w: unknown execution mode", ErrInvalid)
 
 // Mode selects the execution path of a sparsification run. It lives here
 // (not in the facade) so the HTTP service's wire layer — which cannot
@@ -63,33 +57,12 @@ func ParseMode(name string) (Mode, error) {
 	return ModeAuto, fmt.Errorf("%w: %q (want auto, single, sharded or multilevel)", ErrBadMode, name)
 }
 
-// Coarsen validates the multilevel hierarchy knobs. Zero values mean
-// "use the default" and always pass: levels must be non-negative, and a
-// non-zero ratio must lie in (0, 1] (1 disables coarsening).
-func Coarsen(levels int, ratio float64) error {
-	if levels < 0 {
-		return fmt.Errorf("%w: levels must be non-negative, got %d", ErrBadCoarsen, levels)
-	}
-	if ratio != 0 && !(ratio > 0 && ratio <= 1) {
-		return fmt.Errorf("%w: ratio must be in (0, 1], got %v", ErrBadCoarsen, ratio)
-	}
-	return nil
-}
-
 // Plan is the one compatibility table of the knobs that pin an execution
-// plan — mode × shards × edge budget × coarsening — shared by the facade's
-// New and the service's wire canonicalization. ModeAuto leaves the path to
-// the caller's per-graph policy, so only explicit pins are judged against
-// each other; zero shards, maxEdges and coarsen knobs mean "unset".
-func Plan(mode Mode, shards, maxEdges, coarsenLevels int, coarsenRatio float64) error {
-	if err := Coarsen(coarsenLevels, coarsenRatio); err != nil {
-		return err
-	}
-	if maxEdges > 0 && (shards > 1 || mode == ModeSharded) {
-		// The sharded plan applies the edge budget per shard, which would
-		// silently inflate the cap shards-fold.
-		return fmt.Errorf("%w: the edge budget is a single-shot knob; it does not compose with a sharded run", ErrBadCombination)
-	}
+// plan — mode × shards — shared by the facade's New and the service's wire
+// canonicalization. ModeAuto leaves the path to the caller's per-graph
+// policy, so only explicit pins are judged against each other; zero shards
+// means "unset".
+func Plan(mode Mode, shards int) error {
 	switch mode {
 	case ModeSingleShot:
 		if shards > 1 {
@@ -103,14 +76,6 @@ func Plan(mode Mode, shards, maxEdges, coarsenLevels int, coarsenRatio float64) 
 		if shards != 0 {
 			return fmt.Errorf("%w: mode multilevel does not compose with shards=%d", ErrBadCombination, shards)
 		}
-		if maxEdges > 0 {
-			// The hierarchy's re-filter passes admit whatever the
-			// certificate needs, so an edge budget cannot be honored.
-			return fmt.Errorf("%w: the edge budget does not compose with mode multilevel", ErrBadCombination)
-		}
-	}
-	if (mode == ModeSingleShot || mode == ModeSharded) && (coarsenLevels != 0 || coarsenRatio != 0) {
-		return fmt.Errorf("%w: coarsen knobs require the multilevel mode", ErrBadCombination)
 	}
 	return nil
 }

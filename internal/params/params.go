@@ -45,7 +45,7 @@ var (
 	// negative mean "all cores".
 	ErrBadWorkers = fmt.Errorf("%w: worker count out of range", ErrInvalid)
 	// ErrBadCombination rejects structurally valid knobs that cannot be
-	// used together (e.g. an edge budget on a sharded run).
+	// used together (e.g. mode single with shards=4).
 	ErrBadCombination = fmt.Errorf("%w: incompatible options", ErrInvalid)
 )
 

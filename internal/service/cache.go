@@ -19,7 +19,6 @@ type SparsifyParams struct {
 	T          int     `json:"t,omitempty"`
 	NumVectors int     `json:"r,omitempty"`
 	Seed       uint64  `json:"seed,omitempty"`
-	MaxEdges   int     `json:"max_edges,omitempty"`
 	// Shards > 1 routes the job through the shard-parallel engine
 	// (internal/engine); 0 or 1 is the single-shot pipeline. Shards is
 	// part of the cache key: a sharded sparsifier and a single-shot one
@@ -38,12 +37,6 @@ type SparsifyParams struct {
 	// "sharded" are redundant with Shards and canonicalize to ""; only
 	// "multilevel" survives canonicalization as a mode string.
 	Mode string `json:"mode,omitempty"`
-	// CoarsenLevels/CoarsenRatio tune the multilevel hierarchy (0 keeps
-	// the library defaults: depth bounded by the coarsest-size floor,
-	// ratio 0.7). Only meaningful — and only accepted — with
-	// mode=multilevel.
-	CoarsenLevels int     `json:"coarsen_levels,omitempty"`
-	CoarsenRatio  float64 `json:"coarsen_ratio,omitempty"`
 	// Incremental answers the job from the graph's persistent session —
 	// the live maintainer PATCH and stream batches keep certified — rather
 	// than sparsifying from scratch, building that session first if none
@@ -85,9 +78,6 @@ func (p *SparsifyParams) Canon() error {
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
-	if p.MaxEdges < 0 {
-		p.MaxEdges = 0
-	}
 	if p.Shards < 0 {
 		p.Shards = 0
 	}
@@ -100,16 +90,7 @@ func (p *SparsifyParams) Canon() error {
 	if err := params.Sharding(p.Shards, p.Workers, wireLimits); err != nil {
 		return err
 	}
-	if err := p.canonMode(); err != nil {
-		return err
-	}
-	if p.Incremental && p.MaxEdges > 0 {
-		// The maintainer has no edge budget: re-filter rounds admit
-		// whatever the certificate needs. Reject rather than silently
-		// returning an unbounded result.
-		return fmt.Errorf("%w: max_edges does not compose with incremental", params.ErrBadCombination)
-	}
-	return nil
+	return p.canonMode()
 }
 
 // canonMode validates the execution-mode request against the shared
@@ -135,7 +116,7 @@ func (p *SparsifyParams) canonMode() error {
 			mode = params.ModeSharded
 		}
 	}
-	if err := params.Plan(mode, p.Shards, p.MaxEdges, p.CoarsenLevels, p.CoarsenRatio); err != nil {
+	if err := params.Plan(mode, p.Shards); err != nil {
 		return err
 	}
 	if mode == params.ModeSharded && p.Shards == 0 {
@@ -170,16 +151,10 @@ func (p SparsifyParams) appendKnobs(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(p.NumVectors), 10)
 	b = append(b, "|seed="...)
 	b = strconv.AppendUint(b, p.Seed, 10)
-	b = append(b, "|max="...)
-	b = strconv.AppendInt(b, int64(p.MaxEdges), 10)
 	b = append(b, "|sh="...)
 	b = strconv.AppendInt(b, int64(p.Shards), 10)
 	b = append(b, "|mode="...)
 	b = append(b, p.Mode...)
-	b = append(b, "|cl="...)
-	b = strconv.AppendInt(b, int64(p.CoarsenLevels), 10)
-	b = append(b, "|cr="...)
-	b = strconv.AppendFloat(b, p.CoarsenRatio, 'g', -1, 64)
 	return b
 }
 
@@ -202,7 +177,7 @@ func (p SparsifyParams) key(graphHash string) string {
 // everything that changes the maintained sparsifier — so a persistent
 // session is only reused by requests that would have configured it
 // identically. Workers is excluded (wall-clock only, like the cache
-// key), as is MaxEdges (it cannot compose with maintenance at all).
+// key).
 func (p SparsifyParams) sessionKey() string {
 	b := make([]byte, 0, keyBufLen)
 	b = append(b, "s2="...)

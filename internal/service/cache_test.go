@@ -239,7 +239,6 @@ func TestCanonShardParams(t *testing.T) {
 	for _, bad := range []SparsifyParams{
 		{SigmaSq: 100, Shards: 1000},
 		{SigmaSq: 100, Shards: 2, Workers: 1000},
-		{SigmaSq: 100, Shards: 2, MaxEdges: 50},
 	} {
 		if err := bad.Canon(); err == nil {
 			t.Errorf("Canon(%+v): want error", bad)
@@ -322,14 +321,6 @@ func TestCanonModeParams(t *testing.T) {
 	if ml.key("h") == bare.key("h") {
 		t.Error("multilevel aliases the sharded cache line")
 	}
-	// Coarsen knobs shape the hierarchy, hence the artifact and the key.
-	tuned := SparsifyParams{SigmaSq: 100, Mode: "multilevel", CoarsenLevels: 3, CoarsenRatio: 0.5}
-	if err := tuned.Canon(); err != nil {
-		t.Fatal(err)
-	}
-	if tuned.key("h") == ml.key("h") {
-		t.Error("coarsen knobs do not fragment the multilevel cache key")
-	}
 
 	for _, bad := range []SparsifyParams{
 		{SigmaSq: 100, Mode: "auto"},
@@ -338,12 +329,7 @@ func TestCanonModeParams(t *testing.T) {
 		{SigmaSq: 100, Mode: "sharded"},
 		{SigmaSq: 100, Mode: "sharded", Shards: 1},
 		{SigmaSq: 100, Mode: "multilevel", Shards: 2},
-		{SigmaSq: 100, Mode: "multilevel", MaxEdges: 50},
 		{SigmaSq: 100, Mode: "multilevel", Incremental: true},
-		{SigmaSq: 100, CoarsenLevels: 2},
-		{SigmaSq: 100, CoarsenRatio: 0.5},
-		{SigmaSq: 100, Mode: "multilevel", CoarsenLevels: -1},
-		{SigmaSq: 100, Mode: "multilevel", CoarsenRatio: 1.5},
 	} {
 		if err := bad.Canon(); err == nil {
 			t.Errorf("Canon(%+v): want error", bad)

@@ -505,6 +505,11 @@ func TestUnknownBodyKeysRejected(t *testing.T) {
 		// so even its own old name is a 400.
 		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"tree":"maxweight"}`, "tree"},
 		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"tree":"akpw"}`, "tree"},
+		// The retired edge budget and hierarchy-shape knobs: σ² alone sizes
+		// a sparsifier, and the hierarchy's shape is the engine's policy.
+		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"max_edges":50}`, "max_edges"},
+		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"mode":"multilevel","coarsen_levels":1}`, "coarsen_levels"},
+		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"mode":"multilevel","coarsen_ratio":0.5}`, "coarsen_ratio"},
 		{http.MethodPost, "/v1/graphs", `{"name":"h","spec":"grid:4x4","sed":7}`, "sed"},
 		{http.MethodPatch, "/v1/graphs/g/edges", `{"updates":[{"op":"reweight","u":0,"v":1,"w":2,"weight":2}]}`, "weight"},
 	} {

@@ -198,31 +198,29 @@ func TestStreamDecodeErrorTerminates(t *testing.T) {
 func TestStreamRequiresSigma2AndSessions(t *testing.T) {
 	ts := newTestServer(t, sessionTestConfig(nil), nil)
 	registerSpec(t, ts.URL, "g", "grid:3x3")
-	// A maintainer can honour neither a job-only parameter nor a typo, so
-	// neither may be dropped silently; an infinite target is no target.
-	for _, query := range []string{
-		"", // missing sigma2
-		"?sigma2=Inf",
-		"?sigma2=50&mode=multilevel",
-		"?sigma2=50&max_edges=500",
-		"?sigma2=50&shard=4",
-		"?sigma2=50&shards=2&partition=bfs", // the retired bisector key
+	// A maintainer can honour neither a job-only parameter, a retired one
+	// nor a typo, so none may be dropped silently: each is a 400 that names
+	// the key. An infinite target is no target.
+	for _, c := range []struct{ query, key string }{
+		{"", ""}, // missing sigma2
+		{"?sigma2=Inf", ""},
+		{"?sigma2=50&mode=multilevel", "mode"},
+		{"?sigma2=50&max_edges=500", "max_edges"},
+		{"?sigma2=50&shard=4", "shard"},
+		{"?sigma2=50&shards=2&partition=bfs", "partition"},
+		{"?sigma2=50&tree=maxweight", "tree"},
 	} {
-		if code, _ := streamLines(t, ts.URL, "g", query, "= 1 2 2\n"); code != http.StatusBadRequest {
-			t.Errorf("stream%s: %d, want 400", query, code)
+		resp, err := http.Post(ts.URL+"/v1/graphs/g/stream"+c.query, "application/x-ndjson", strings.NewReader("= 1 2 2\n"))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The retired backbone key is an unknown key like any other: a 400
-	// that names it.
-	resp, err := http.Post(ts.URL+"/v1/graphs/g/stream?sigma2=50&tree=maxweight", "application/x-ndjson", strings.NewReader("= 1 2 2\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw bytes.Buffer
-	raw.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(raw.String(), `unknown query parameter \"tree\"`) {
-		t.Errorf("stream?tree=: %d %s, want 400 naming \"tree\"", resp.StatusCode, raw.String())
+		var raw bytes.Buffer
+		raw.ReadFrom(resp.Body)
+		resp.Body.Close()
+		named := c.key == "" || strings.Contains(raw.String(), `unknown query parameter \"`+c.key+`\"`)
+		if resp.StatusCode != http.StatusBadRequest || !named {
+			t.Errorf("stream%s: %d %s, want 400 naming %q", c.query, resp.StatusCode, raw.String(), c.key)
+		}
 	}
 	if code, _ := streamLines(t, ts.URL, "g", "?sigma2=50&trace=1", "= 1 2 2\n"); code != http.StatusOK {
 		t.Errorf("trace=1 must stay accepted: %d", code)

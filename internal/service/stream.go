@@ -46,8 +46,9 @@ func newEventReader(r *http.Request) *dynamic.EventReader {
 
 // streamParams fills SparsifyParams from the stream endpoint's query
 // string (the body carries events, so parameters travel in the URL). A
-// key the endpoint does not honour — a job-only parameter such as mode or
-// max_edges, or a typo — is rejected rather than silently dropped.
+// key the endpoint does not honour — a job-only parameter such as mode, a
+// retired one such as max_edges, or a typo — is rejected rather than
+// silently dropped.
 func streamParams(q url.Values) (SparsifyParams, error) {
 	var p SparsifyParams
 	bad := func(name string, err error) (SparsifyParams, error) {
@@ -131,7 +132,7 @@ type streamLine struct {
 // handleStreamEvents is POST /v1/graphs/{name}/stream: chunked ingestion
 // of update batches through the graph's persistent session, one result
 // line streamed back per batch plus a terminal summary. Parameters ride
-// the query string (sigma2 required, plus t/r/tree/seed/shards/workers
+// the query string (sigma2 required, plus t/r/seed/shards/workers/trace
 // as for jobs). Rejected batches (validation, bridge deletes)
 // report and the stream continues; decode errors and internal failures
 // terminate it.

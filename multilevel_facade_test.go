@@ -1,9 +1,9 @@
 package graphspar_test
 
-// Multilevel and mode coverage of the facade: the degenerate coarsening
-// settings must reproduce the single-shot pipeline, WithMode must pin the
-// plan, and the mode/shards/budget combination rules must reject
-// contradictions with typed errors.
+// Multilevel and mode coverage of the facade: a graph too small to coarsen
+// must reproduce the single-shot pipeline, WithMode must pin the plan, and
+// the mode/shards combination rules must reject contradictions with typed
+// errors.
 
 import (
 	"context"
@@ -15,8 +15,9 @@ import (
 )
 
 // TestFacadeMultilevelDegenerateSingleShot pins the documented
-// equivalence: one hierarchy level, or a coarsen ratio of 1, must yield
-// the single-shot sparsifier bit for bit.
+// equivalence: a graph at or below the coarsest-size floor (every facade
+// test graph is) never coarsens, and the multilevel plan must yield the
+// single-shot sparsifier bit for bit.
 func TestFacadeMultilevelDegenerateSingleShot(t *testing.T) {
 	for name, g := range facadeTestGraphs(t) {
 		single, err := graphspar.New(
@@ -31,28 +32,22 @@ func TestFacadeMultilevelDegenerateSingleShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for variant, opt := range map[string]graphspar.Option{
-			"one-level": graphspar.WithCoarsenLevels(1),
-			"ratio-1":   graphspar.WithCoarsenRatio(1),
-		} {
-			s, err := graphspar.New(
-				graphspar.WithSigma2(50),
-				graphspar.WithSeed(11),
-				graphspar.WithMode(graphspar.ModeMultilevel),
-				opt,
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := s.Run(context.Background(), g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.CoarsenDepth != 1 {
-				t.Errorf("%s/%s: depth %d, want 1", name, variant, res.CoarsenDepth)
-			}
-			sameGraph(t, name+"/"+variant, res.Sparsifier, want.Sparsifier)
+		s, err := graphspar.New(
+			graphspar.WithSigma2(50),
+			graphspar.WithSeed(11),
+			graphspar.WithMode(graphspar.ModeMultilevel),
+		)
+		if err != nil {
+			t.Fatal(err)
 		}
+		res, err := s.Run(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CoarsenDepth != 1 {
+			t.Errorf("%s: depth %d, want 1", name, res.CoarsenDepth)
+		}
+		sameGraph(t, name, res.Sparsifier, want.Sparsifier)
 	}
 }
 
@@ -88,15 +83,11 @@ func TestFacadeModePins(t *testing.T) {
 func TestFacadeModeValidation(t *testing.T) {
 	base := graphspar.WithSigma2(50)
 	for name, opts := range map[string][]graphspar.Option{
-		"single+shards":       {base, graphspar.WithMode(graphspar.ModeSingleShot), graphspar.WithShards(4)},
-		"sharded+shards1":     {base, graphspar.WithMode(graphspar.ModeSharded), graphspar.WithShards(1)},
-		"multilevel+shards":   {base, graphspar.WithMode(graphspar.ModeMultilevel), graphspar.WithShards(4)},
-		"multilevel+shards1":  {base, graphspar.WithMode(graphspar.ModeMultilevel), graphspar.WithShards(1)},
-		"multilevel+maxedges": {base, graphspar.WithMode(graphspar.ModeMultilevel), graphspar.WithMaxEdges(100)},
-		"negative-levels":     {base, graphspar.WithCoarsenLevels(-1)},
-		"ratio-above-1":       {base, graphspar.WithCoarsenRatio(1.5)},
-		"ratio-negative":      {base, graphspar.WithCoarsenRatio(-0.2)},
-		"unknown-mode-value":  {base, graphspar.WithMode(graphspar.Mode(42))},
+		"single+shards":      {base, graphspar.WithMode(graphspar.ModeSingleShot), graphspar.WithShards(4)},
+		"sharded+shards1":    {base, graphspar.WithMode(graphspar.ModeSharded), graphspar.WithShards(1)},
+		"multilevel+shards":  {base, graphspar.WithMode(graphspar.ModeMultilevel), graphspar.WithShards(4)},
+		"multilevel+shards1": {base, graphspar.WithMode(graphspar.ModeMultilevel), graphspar.WithShards(1)},
+		"unknown-mode-value": {base, graphspar.WithMode(graphspar.Mode(42))},
 	} {
 		if _, err := graphspar.New(opts...); !errors.Is(err, graphspar.ErrInvalidOptions) {
 			t.Errorf("%s: err = %v, want ErrInvalidOptions", name, err)
@@ -105,10 +96,6 @@ func TestFacadeModeValidation(t *testing.T) {
 	// Compatible pins pass.
 	if _, err := graphspar.New(base, graphspar.WithMode(graphspar.ModeSharded), graphspar.WithShards(8)); err != nil {
 		t.Errorf("sharded+shards8: %v", err)
-	}
-	if _, err := graphspar.New(base, graphspar.WithMode(graphspar.ModeMultilevel),
-		graphspar.WithCoarsenLevels(3), graphspar.WithCoarsenRatio(0.5)); err != nil {
-		t.Errorf("multilevel+coarsen knobs: %v", err)
 	}
 
 	// ModeMultilevel is a Run-only path: streams cannot honor it.

@@ -49,7 +49,7 @@ func (c *config) validate() error {
 	if err := params.Sigma2(c.opt.Sparsify.SigmaSq); err != nil {
 		return err
 	}
-	return params.Plan(c.opt.Mode, c.opt.Shards, c.opt.Sparsify.MaxEdges, c.opt.CoarsenLevels, c.opt.CoarsenRatio)
+	return params.Plan(c.opt.Mode, c.opt.Shards)
 }
 
 // Option configures a Sparsifier under construction.
@@ -83,7 +83,7 @@ func WithShards(k int) Option {
 // multilevel hierarchy; ModeAuto (the default) picks per graph as
 // documented on the constants. Contradictory combinations with WithShards
 // are rejected by New (WithShards(1) pins single-shot, k > 1 sharded).
-// ModeMultilevel does not compose with Maintain or WithMaxEdges.
+// ModeMultilevel does not compose with Maintain.
 func WithMode(m Mode) Option {
 	return func(c *config) error {
 		switch m {
@@ -92,31 +92,6 @@ func WithMode(m Mode) Option {
 			return nil
 		}
 		return fmt.Errorf("%w: %d", params.ErrBadMode, int(m))
-	}
-}
-
-// WithCoarsenLevels caps the multilevel hierarchy depth, counting the
-// input graph as level one: 1 disables coarsening (Run is then
-// bit-identical to the single-shot pipeline), 0 restores the default cap.
-// Only multilevel runs consult it, so New rejects it next to a pinned
-// single-shot or sharded mode.
-func WithCoarsenLevels(n int) Option {
-	return func(c *config) error {
-		c.opt.CoarsenLevels = n
-		return nil
-	}
-}
-
-// WithCoarsenRatio sets the acceptance ceiling on the per-step vertex
-// shrink factor nc/n of the multilevel hierarchy: a coarsening step that
-// cannot shrink below this fraction ends the hierarchy. 1 disables
-// coarsening entirely (bit-identical to single-shot), 0 restores the
-// default. Only multilevel runs consult it, so New rejects it next to a
-// pinned single-shot or sharded mode.
-func WithCoarsenRatio(r float64) Option {
-	return func(c *config) error {
-		c.opt.CoarsenRatio = r
-		return nil
 	}
 }
 
@@ -156,15 +131,6 @@ func WithEmbedSteps(t int) Option {
 func WithProbeVectors(r int) Option {
 	return func(c *config) error {
 		c.opt.Sparsify.NumVectors = r
-		return nil
-	}
-}
-
-// WithMaxEdges caps the sparsifier size (tree edges included) for
-// equal-budget comparisons; 0 means unlimited. Single-shot only.
-func WithMaxEdges(n int) Option {
-	return func(c *config) error {
-		c.opt.Sparsify.MaxEdges = n
 		return nil
 	}
 }

@@ -132,7 +132,6 @@ var goldenConfigs = []struct {
 	{"single+verify", []graphspar.Option{graphspar.WithMode(graphspar.ModeSingleShot), graphspar.WithVerification(0)}},
 	{"shards4", []graphspar.Option{graphspar.WithShards(4)}},
 	{"multilevel", []graphspar.Option{graphspar.WithMode(graphspar.ModeMultilevel)}},
-	{"multilevel+levels1", []graphspar.Option{graphspar.WithMode(graphspar.ModeMultilevel), graphspar.WithCoarsenLevels(1)}},
 	{"auto", nil},
 }
 
@@ -342,23 +341,32 @@ func TestFacadeWorkerCountInvariant(t *testing.T) {
 func TestPipelineGolden(t *testing.T) {
 	got := buildPipelineGolden(t, 2)
 
-	// One hierarchy level IS the single-shot pipeline: the degenerate
-	// multilevel row must carry the same sparsifier and certificate as
-	// the verified single-shot row next to it.
+	// One hierarchy level IS the single-shot pipeline: every multilevel
+	// row that never coarsened (its graph is at or below the coarsest-size
+	// floor) must carry the same sparsifier and certificate as the
+	// verified single-shot row next to it.
 	byName := make(map[string]goldenRun, len(got.Runs))
 	for _, r := range got.Runs {
 		byName[r.Name] = r
 	}
+	var collapsed []string
 	for _, gr := range goldenGraphs(t) {
 		for _, seed := range []uint64{1, 7} {
 			prefix := fmt.Sprintf("%s/seed%d/", gr.name, seed)
-			a, b := byName[prefix+"multilevel+levels1"], byName[prefix+"single+verify"]
+			a, b := byName[prefix+"multilevel"], byName[prefix+"single+verify"]
+			if a.CoarsenDepth != 1 {
+				continue
+			}
+			collapsed = append(collapsed, prefix)
 			if a.Sparsifier != b.Sparsifier || a.LambdaMax != b.LambdaMax || a.LambdaMin != b.LambdaMin ||
 				a.VerifiedLambdaMax != b.VerifiedLambdaMax || a.VerifiedLambdaMin != b.VerifiedLambdaMin ||
 				a.VerifiedCond != b.VerifiedCond {
 				t.Errorf("%s: one-level multilevel run differs from verified single-shot:\n  %+v\n  %+v", prefix, a, b)
 			}
 		}
+	}
+	if want := []string{"sbm4x128/seed1/", "sbm4x128/seed7/", "barbell/seed1/", "barbell/seed7/"}; !reflect.DeepEqual(collapsed, want) {
+		t.Errorf("one-level multilevel rows %v, want %v", collapsed, want)
 	}
 
 	raw, err := json.MarshalIndent(got, "", "  ")
