@@ -418,10 +418,12 @@ func NewLapSolver(g *graph.Graph) (*LapSolver, error) {
 // degree: an order computed for a structurally similar graph stays
 // near-optimal, and a caller that keeps updating the factor wants the
 // order, and with it the elimination tree, to hold still. Skipping
-// MinDegree saves about the cost of one more numeric factorization — it
-// no longer dwarfs one. The dynamic maintainer reuses the order of its
-// last full build across incremental refactorizations. The permutation
-// is validated; a wrong length or a non-permutation is an error.
+// MinDegree saves about one numeric factorization pass on a mesh
+// sparsifier and about a quarter of one on an SBM sparsifier, whose
+// factor is denser (BenchmarkMinDegree vs BenchmarkFactorNumeric). The
+// dynamic maintainer reuses the order of its last full build across
+// incremental refactorizations. The permutation is validated; a wrong
+// length or a non-permutation is an error.
 func NewLapSolverOrdered(g *graph.Graph, perm []int) (*LapSolver, error) {
 	if err := validatePerm(perm, g.N()-1); err != nil {
 		return nil, err

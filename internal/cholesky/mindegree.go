@@ -14,8 +14,8 @@ import (
 // orderings like RCM pay a large penalty.
 //
 // The elimination graph is explicit: one sorted int32 neighbor list per
-// vertex, carved from a single arena, and a lazy binary min-heap keyed by
-// degree alone. Eliminating v rewrites each neighbor's list as the sorted
+// vertex, carved from a single arena, and a bucket queue of the live
+// vertices by degree. Eliminating v rewrites each neighbor's list as the sorted
 // merge (adj[u] ∖ {v}) ∪ (adj[v] ∖ {u}), so a pivot of degree k costs
 // O(Σ_u |adj[u]| + k²) — proportional to the fill the ordering produces,
 // cheap whenever the ordering is good. A degree-1 pivot only decrements
@@ -25,32 +25,38 @@ import (
 // degree ≥ remaining/32), the tail of the elimination runs on bitsets:
 // a merge is a word-wise OR and a degree a popcount.
 //
-// Ties are broken by the heap's layout, and every factor downstream
-// depends on the exact order, so the heap replays container/heap's
-// up/down rules and the push sequence is fixed: all vertices in index
-// order, then after each pivot its neighbors in ascending order with
-// their new degrees; a popped entry whose degree is stale is pushed back
-// with the current one. Returns perm with perm[new] = old.
+// The queue is exact: one doubly linked bucket per degree. Setting a
+// vertex's degree unlinks it and links it at the head of its new bucket in
+// O(1), and the pick takes the head of the lowest non-empty bucket. A pivot of degree k leaves its neighbors at
+// degree ≥ k−1, so the running minimum falls by at most one per pivot and
+// its advance past empty buckets is O(n) over the whole run.
+//
+// Tie rule: the minimum current degree goes first; among equals, the
+// vertex whose degree was set most recently (AMD's head-of-list
+// convention), and before any elimination the lowest index. A pivot sets
+// every neighbor's degree, changed or not, in ascending vertex order.
+// Every factor downstream depends on the exact order. Returns perm with
+// perm[new] = old.
 func MinDegree(a *sparse.CSR) []int {
 	n := a.Rows
 	order := make([]int, 0, n)
 	s := newElimGraph(a)
-	for v := 0; v < n; v++ {
+	s.head = make([]int32, n)
+	s.next = make([]int32, n)
+	s.prev = make([]int32, n)
+	s.at = make([]int32, n)
+	for v := range s.head {
+		s.head[v], s.at[v] = -1, -1
+	}
+	for v := n - 1; v >= 0; v-- {
 		s.push(int32(v), s.deg[v])
 	}
-	// Whatever the heap still holds once every vertex is ordered is dead.
 	for len(order) < n {
-		it := s.pop()
-		v := it.v
-		d := s.deg[v]
-		if d < 0 {
-			continue
+		for s.head[s.min] < 0 {
+			s.min++
 		}
-		if it.deg != d {
-			// Stale entry: reinsert with the current degree.
-			s.push(v, d)
-			continue
-		}
+		v := s.head[s.min]
+		s.unlink(v)
 		if remaining := n - len(order); !s.dense && 32*s.live >= remaining*remaining {
 			s.densify()
 		}
@@ -64,8 +70,6 @@ func MinDegree(a *sparse.CSR) []int {
 	return order
 }
 
-type degEntry struct{ v, deg int32 }
-
 // elimGraph is the state of one MinDegree run.
 type elimGraph struct {
 	arena []int32 // the neighbor lists; new lists are appended at the tail
@@ -74,7 +78,12 @@ type elimGraph struct {
 	size  []int32 // stored entries of v's list, tombstones included
 	deg   []int32 // live neighbors of v; -1 once eliminated
 	live  int     // Σ deg over live vertices, maintained while on lists
-	heap  []degEntry
+
+	head []int32 // head[d]: the live vertex of degree d set last, -1 if none
+	next []int32 // v's successor in its bucket, -1 at the tail
+	prev []int32 // v's predecessor in its bucket, -1 at the head
+	at   []int32 // the bucket v is linked in, -1 if none
+	min  int     // every bucket below min is empty
 
 	dense bool     // the tail runs on rows, not lists
 	words int      // uint64 words per bitset row
@@ -83,51 +92,35 @@ type elimGraph struct {
 	rank  []int    // vertex → row index
 }
 
-// push and pop replay container/heap's Push and Pop on a degree-only
-// Less, moving the sifted entry through a hole instead of swapping — the
-// resulting layout is the same.
-func (s *elimGraph) push(v, deg int32) {
-	h := append(s.heap, degEntry{})
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if deg >= h[i].deg {
-			break
-		}
-		h[j] = h[i]
-		j = i
+// push records that v's degree was set to d: v moves to the head of
+// bucket d.
+func (s *elimGraph) push(v, d int32) {
+	if s.at[v] >= 0 {
+		s.unlink(v)
 	}
-	h[j] = degEntry{v, deg}
-	s.heap = h
+	h := s.head[d]
+	s.next[v], s.prev[v], s.at[v] = h, -1, d
+	if h >= 0 {
+		s.prev[h] = v
+	}
+	s.head[d] = v
+	if int(d) < s.min {
+		s.min = int(d)
+	}
 }
 
-func (s *elimGraph) pop() degEntry {
-	h := s.heap
-	n := len(h) - 1
-	top, x := h[0], h[n]
-	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			j := 2*i + 1
-			if j+1 < n {
-				// The smaller child, the left one on a tie, picked without a
-				// branch: degrees are non-negative, so the difference's sign
-				// bit is the comparison.
-				j += int(uint32(h[j+1].deg-h[j].deg) >> 31)
-			} else if j >= n {
-				break
-			}
-			if h[j].deg >= x.deg {
-				break
-			}
-			h[i] = h[j]
-			i = j
-		}
-		h[i] = x
+// unlink takes v out of its bucket.
+func (s *elimGraph) unlink(v int32) {
+	p, q := s.prev[v], s.next[v]
+	if p >= 0 {
+		s.next[p] = q
+	} else {
+		s.head[s.at[v]] = q
 	}
-	s.heap = h
-	return top
+	if q >= 0 {
+		s.prev[q] = p
+	}
+	s.at[v] = -1
 }
 
 // newElimGraph builds the sorted, duplicate-free neighbor lists of the
@@ -157,7 +150,6 @@ func newElimGraph(a *sparse.CSR) *elimGraph {
 	// usually already there.
 	s.spare = make([]int32, total+n)
 	s.arena = make([]int32, total+n)
-	s.heap = make([]degEntry, 0, 2*n)
 
 	cur := append([]int(nil), s.off...)
 	unsorted, sorted := s.spare, s.arena

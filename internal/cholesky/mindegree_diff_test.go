@@ -73,6 +73,60 @@ func TestMinDegreeMatchesReference(t *testing.T) {
 	}
 }
 
+// pivotDegrees replays perm on a's elimination graph and returns each
+// pivot's degree at its step, and the first step whose pivot is not of
+// minimum live degree (-1 if none).
+func pivotDegrees(a *sparse.CSR, perm []int) (degs []int, bad int) {
+	adj := refAdjacency(a)
+	bad = -1
+	for i, v := range perm {
+		degs = append(degs, len(adj[v]))
+		for u := range adj {
+			if adj[u] != nil && len(adj[u]) < len(adj[v]) && bad < 0 {
+				bad = i
+			}
+		}
+		refEliminate(adj, v)
+	}
+	return degs, bad
+}
+
+// Whatever the tie rule, every pivot is of minimum degree at its step —
+// checked by replaying the elimination, independently of the oracle.
+func TestMinDegreePivotsHaveMinimumDegree(t *testing.T) {
+	must := mustGraph(t)
+	sbm, _, err := gen.SBM(4, 48, 0.15, 0.02, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := reducedLaplacianCSR(must(gen.Grid2D(9, 9, gen.UniformWeights, 1)))
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"grid9", grid},
+		{"tree", reducedLaplacianCSR(randomTree(t, 300, 3))},
+		{"sbm4x48", reducedLaplacianCSR(sbm)},
+		{"K12", must(gen.Complete(12)).Laplacian()},
+	} {
+		if _, bad := pivotDegrees(c.a, MinDegree(c.a)); bad >= 0 {
+			t.Fatalf("%s: pivot %d is not of minimum degree", c.name, bad)
+		}
+	}
+	// The replay has teeth: swapping the first two adjacent pivots of
+	// different degree puts a pivot above the minimum.
+	perm := MinDegree(grid)
+	degs, _ := pivotDegrees(grid, perm)
+	i := 0
+	for degs[i] == degs[i+1] {
+		i++
+	}
+	perm[i], perm[i+1] = perm[i+1], perm[i]
+	if _, bad := pivotDegrees(grid, perm); bad != i {
+		t.Fatalf("swapping pivots %d and %d (degrees %d, %d): first bad step %d, want %d", i, i+1, degs[i], degs[i+1], bad, i)
+	}
+}
+
 func TestMinDegreeTrivialSizes(t *testing.T) {
 	for n := 0; n <= 1; n++ {
 		a := sparse.NewBuilder(n, n)

@@ -62,6 +62,36 @@ func TestMinDegreeMatchesReferenceOnPipelineSparsifiers(t *testing.T) {
 	}
 }
 
+// The fill of MinDegree's order on the pipeline golden's three
+// sparsifiers and the two the benchmarks factor may not exceed 1.05× the
+// fill of the order it replaced (a lazy binary heap whose stale entries
+// were re-pushed), counted with SymbolicFactorNNZ; heapFill holds that
+// order's counts, measured with the heap kernel.
+func TestMinDegreeFillNoWorse(t *testing.T) {
+	heapFill := map[string]int{
+		"grid48": 9536, "sbm4x128": 15546, "barbell": 185,
+		"grid192": 212875, "sbm4x512": 179346,
+	}
+	check := func(name string, p *graph.Graph) {
+		nnz, err := cholesky.SymbolicFactorNNZ(p, cholesky.MinDegree(cholesky.ReducedLaplacianCSR(p)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit := heapFill[name] * 105 / 100; nnz > limit {
+			t.Errorf("%s: nnz(L) %d > %d (1.05× the heap order's %d)", name, nnz, limit, heapFill[name])
+		}
+	}
+	for _, c := range goldenGraphs(t) {
+		check(c.name, sparsifierOf(t, c.g, 50))
+	}
+	if testing.Short() {
+		return
+	}
+	for _, c := range benchSparsifiers(t) {
+		check(c.name, c.p)
+	}
+}
+
 // The same three sparsifiers, and the two the benchmarks factor, through
 // the run-aware kernels and the scalar oracle: factor, solves and rank-1
 // updates bit for bit.
@@ -104,15 +134,24 @@ func benchSparsifiers(b testing.TB) []struct {
 
 var benchSink int
 
+// BenchmarkMinDegree times the ordering and reports the symbolic nnz(L)
+// of the order it returns, so fill prints next to time.
 func BenchmarkMinDegree(b *testing.B) {
 	for _, c := range benchSparsifiers(b) {
 		b.Run(c.name, func(b *testing.B) {
 			red := cholesky.ReducedLaplacianCSR(c.p)
+			var perm []int
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchSink += len(cholesky.MinDegree(red))
+				perm = cholesky.MinDegree(red)
 			}
+			b.StopTimer()
+			nnz, err := cholesky.SymbolicFactorNNZ(c.p, perm)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(nnz), "nnz(L)")
 		})
 	}
 }
