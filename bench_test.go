@@ -358,7 +358,9 @@ func benchRun(b *testing.B, g *graph.Graph, opts ...graphspar.Option) *graphspar
 // baseline does not verify), speedup-vs-single = T(single core.Sparsify)
 // / compute, and κ-ratio = verified κ / single-shot verified κ — the
 // acceptance bar is speedup ≥ 1.5 at 4 shards with κ-ratio ≤ 2 on the
-// grid. The shard phase parallelizes across cores, so speedup scales
+// grid. partition-ms, shard-ms, stitch-ms and verify-ms are the run's
+// Result.Timings phases, so a change in compute-s can be walked down to
+// the phase that moved. The shard phase parallelizes across cores, so speedup scales
 // with GOMAXPROCS; on a single core only the shards' smaller superlinear
 // costs (fill-reducing ordering, factorization) remain and the ratio
 // hovers near 1.
@@ -405,6 +407,12 @@ func BenchmarkShardedSparsify(b *testing.B) {
 					b.ReportMetric(res.VerifiedCond/ref.cond, "κ-ratio")
 					b.ReportMetric(res.Speedup(), "shard-parallelism")
 					b.ReportMetric(float64(res.Sparsifier.M()), "edges")
+					for _, ph := range []struct {
+						name string
+						d    time.Duration
+					}{{"partition-ms", res.Timings.Partition}, {"shard-ms", res.Timings.Shard}, {"stitch-ms", res.Timings.Stitch}, {"verify-ms", res.Timings.Verify}} {
+						b.ReportMetric(float64(ph.d)/float64(time.Millisecond), ph.name)
+					}
 				}
 			})
 		}

@@ -276,6 +276,32 @@ func TestLapSolverRejectsDisconnected(t *testing.T) {
 	}
 }
 
+// A subgraph of a connected graph whose verdict is cached must not borrow
+// that verdict: dropping edges can disconnect it, and the solver must
+// still refuse it.
+func TestLapSolverRejectsDisconnectedSubgraph(t *testing.T) {
+	g, err := gen.Grid2D(4, 4, gen.UniformWeights, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewLapSolver(g); err != nil {
+		t.Fatal(err)
+	}
+	var ids []int // every edge but those at vertex 0
+	for id, e := range g.Edges() {
+		if e.U != 0 {
+			ids = append(ids, id)
+		}
+	}
+	sub, err := g.SubgraphEdges(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewLapSolver(sub); !errors.Is(err, graph.ErrDisconnected) {
+		t.Fatalf("NewLapSolver(disconnected subgraph) = %v, want graph.ErrDisconnected", err)
+	}
+}
+
 func TestLapSolverSingleVertex(t *testing.T) {
 	g, _ := graph.New(1, nil)
 	ls, err := NewLapSolver(g)

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"graphspar/internal/cholesky"
 	"graphspar/internal/graph"
@@ -34,11 +35,11 @@ func SelectEdges(g *graph.Graph, candIDs []int, heats []float64, maxHeat, theta,
 		}
 	}
 	passing = len(ranked)
-	sort.Slice(ranked, func(a, b int) bool {
-		if heats[ranked[a]] != heats[ranked[b]] {
-			return heats[ranked[a]] > heats[ranked[b]]
+	slices.SortFunc(ranked, func(a, b int) int {
+		if heats[a] != heats[b] {
+			return cmp.Compare(heats[b], heats[a])
 		}
-		return ranked[a] < ranked[b]
+		return cmp.Compare(a, b)
 	})
 	if passing == 0 && len(heats) > 0 {
 		// Estimator noise guard: the σ² estimates disagree with the heats.

@@ -46,12 +46,13 @@
 package dynamic
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 
 	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
@@ -223,11 +224,11 @@ func reconnectHeaviest(g *graph.Graph, uf *lsst.UnionFind) (taken []graph.Edge, 
 	for i := range ids {
 		ids[i] = i
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		if wa, wb := g.Edge(ids[a]).W, g.Edge(ids[b]).W; wa != wb {
-			return wa > wb
+	slices.SortFunc(ids, func(a, b int) int {
+		if wa, wb := g.Edge(a).W, g.Edge(b).W; wa != wb {
+			return cmp.Compare(wb, wa)
 		}
-		return ids[a] < ids[b]
+		return cmp.Compare(a, b)
 	})
 	for _, id := range ids {
 		if uf.Count() == 1 {

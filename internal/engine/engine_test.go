@@ -3,12 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"graphspar/internal/core"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/params"
+	"graphspar/internal/partition"
 )
 
 func gridGraph(t *testing.T, rows, cols int, seed uint64) *graph.Graph {
@@ -239,6 +241,53 @@ func TestRunRejectsDisconnectedGraph(t *testing.T) {
 		})
 		if !errors.Is(err, graph.ErrDisconnected) {
 			t.Fatalf("mode=%v: err = %v, want graph.ErrDisconnected", mode, err)
+		}
+	}
+}
+
+// TestShardEdgeIDsMatchIndex pins runShard's mapping of each shard's kept
+// edges back to global ids (binary search on the input's sorted edge
+// list) against a map from every input pair to its id, on a 4-shard grid:
+// each task's shard sparsifier is recomputed with runShard's own options
+// and looked up in the map, pair by pair, in the same order.
+func TestShardEdgeIDsMatchIndex(t *testing.T) {
+	g := gridGraph(t, 40, 40, 3)
+	opt := Options{Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: 80, Seed: 1}}
+	kw, err := partition.RecursiveBisect(g, opt.Shards, partition.Options{Method: partition.BFS, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := buildTasks(g, kw.Labels, kw.Parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) < 4 {
+		t.Fatalf("%d shard tasks, want at least 4", len(tasks))
+	}
+	idx := g.EdgeIndex()
+	for ti, task := range tasks {
+		out, err := runShard(context.Background(), g, task, opt, ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sopt := opt.Sparsify
+		sopt.EmbedWorkers = 1
+		sopt.Seed = core.DeriveSeed(opt.Sparsify.Seed, ti+1)
+		res, err := core.Sparsify(task.sub, sopt)
+		if err != nil && !errors.Is(err, core.ErrNoTarget) {
+			t.Fatal(err)
+		}
+		var want []int
+		for _, e := range res.Sparsifier.Edges() {
+			u, v := task.mapping[e.U], task.mapping[e.V]
+			id, ok := idx[[2]int{min(u, v), max(u, v)}]
+			if !ok {
+				t.Fatalf("task %d kept (%d,%d), which is not in the input", ti, u, v)
+			}
+			want = append(want, id)
+		}
+		if !slices.Equal(out.stats.EdgeIDs, want) {
+			t.Fatalf("task %d: runShard ids %v, index reference %v", ti, out.stats.EdgeIDs, want)
 		}
 	}
 }

@@ -29,7 +29,8 @@ type shardOut struct {
 
 // buildTasks splits every part into its connected components. Singleton
 // components carry no edges and are skipped; the stitching phase
-// reconnects their vertices through cut edges.
+// reconnects their vertices through cut edges. Every vertex list it
+// hands InducedSubgraph is ascending.
 func buildTasks(g *graph.Graph, labels []int, parts int) ([]shardTask, error) {
 	byPart := make([][]int, parts)
 	for v, l := range labels {
@@ -44,11 +45,11 @@ func buildTasks(g *graph.Graph, labels []int, parts int) ([]shardTask, error) {
 		if err != nil {
 			return nil, fmt.Errorf("engine: shard %d: %w", part, err)
 		}
-		comps, count := sub.Components()
-		if count == 1 {
+		if sub.IsConnected() {
 			tasks = append(tasks, shardTask{part: part, sub: sub, mapping: mapping})
 			continue
 		}
+		comps, count := sub.Components()
 		groups := make([][]int, count)
 		for i, c := range comps {
 			groups[c] = append(groups[c], mapping[i])
@@ -71,8 +72,6 @@ func buildTasks(g *graph.Graph, labels []int, parts int) ([]shardTask, error) {
 // hard error cancels the remaining work; a shard's ErrNoTarget is not a
 // failure, since only the stitched result is judged against σ².
 func runShards(ctx context.Context, g *graph.Graph, tasks []shardTask, opt Options) ([]shardOut, error) {
-	edgeIdx := g.EdgeIndex() // read-only, shared across workers
-
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -107,7 +106,7 @@ func runShards(ctx context.Context, g *graph.Graph, tasks []shardTask, opt Optio
 				if runCtx.Err() != nil {
 					continue // drain; the pool is shutting down
 				}
-				out, err := runShard(runCtx, g, edgeIdx, tasks[ti], opt, ti)
+				out, err := runShard(runCtx, g, tasks[ti], opt, ti)
 				if err != nil {
 					fail(err)
 					continue
@@ -132,8 +131,8 @@ func runShards(ctx context.Context, g *graph.Graph, tasks []shardTask, opt Optio
 }
 
 // runShard sparsifies one induced shard and maps the kept edges back to
-// global edge ids.
-func runShard(ctx context.Context, g *graph.Graph, edgeIdx map[[2]int]int, task shardTask, opt Options, idx int) (shardOut, error) {
+// global edge ids by binary search on g's sorted edge list.
+func runShard(ctx context.Context, g *graph.Graph, task shardTask, opt Options, idx int) (shardOut, error) {
 	start := time.Now()
 	sub, mapping := task.sub, task.mapping
 	sopt := opt.Sparsify
@@ -148,10 +147,7 @@ func runShard(ctx context.Context, g *graph.Graph, edgeIdx map[[2]int]int, task 
 	ids := make([]int, 0, res.Sparsifier.M())
 	for _, e := range res.Sparsifier.Edges() {
 		u, v := mapping[e.U], mapping[e.V]
-		if u > v {
-			u, v = v, u
-		}
-		id, ok := edgeIdx[[2]int{u, v}]
+		id, ok := graph.FindEdge(g, u, v)
 		if !ok {
 			return shardOut{}, fmt.Errorf("engine: shard %d kept edge (%d,%d) that is not in the input", task.part, u, v)
 		}

@@ -1,9 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
@@ -39,12 +40,11 @@ func stitch(g *graph.Graph, labels []int, outs []shardOut) (keptIDs, stitchedIDs
 			cut = append(cut, id)
 		}
 	}
-	sort.Slice(cut, func(a, b int) bool {
-		wa, wb := g.Edge(cut[a]).W, g.Edge(cut[b]).W
-		if wa != wb {
-			return wa > wb
+	slices.SortFunc(cut, func(a, b int) int {
+		if wa, wb := g.Edge(a).W, g.Edge(b).W; wa != wb {
+			return cmp.Compare(wb, wa)
 		}
-		return cut[a] < cut[b]
+		return cmp.Compare(a, b)
 	})
 	for _, id := range cut {
 		e := g.Edge(id)
@@ -55,7 +55,7 @@ func stitch(g *graph.Graph, labels []int, outs []shardOut) (keptIDs, stitchedIDs
 			candIDs = append(candIDs, id)
 		}
 	}
-	sort.Ints(candIDs)
+	slices.Sort(candIDs)
 	return keptIDs, stitchedIDs, candIDs
 }
 

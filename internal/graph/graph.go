@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"graphspar/internal/sparse"
 )
@@ -41,9 +42,9 @@ type Edge struct {
 // functions; the zero value is an empty graph with no vertices. A Graph
 // is immutable after construction and safe for concurrent readers: the
 // lazily built adjacency index and Laplacian export are each guarded by
-// a sync.Once, so one Graph may be shared between the service registry,
-// job workers and a resident maintainer session without external
-// locking.
+// a sync.Once and the connectivity verdict is an atomic, so one Graph
+// may be shared between the service registry, job workers and a
+// resident maintainer session without external locking.
 //
 // Immutability is also what makes sharing cheap: derived graphs
 // (AddEdges with no extras, registry snapshots, session views) may
@@ -65,13 +66,28 @@ type Graph struct {
 	// Lazily built Laplacian CSR (eq. 1); immutable once published.
 	lapOnce sync.Once
 	lap     *sparse.CSR
+
+	// conn caches IsConnected: connUnknown until the first query.
+	conn atomic.Int32
 }
+
+// Values of Graph.conn.
+const (
+	connUnknown int32 = iota
+	connYes
+	connNo
+)
 
 // New builds a graph with n vertices from the given edges. Edges may be
 // listed in either orientation; they are normalized to U < V. Duplicate
 // edges (same endpoints) have their weights summed, matching how parallel
 // resistors/conductances combine in the circuit interpretation.
 // Self loops and non-positive or non-finite weights are rejected.
+//
+// Sorted input costs O(m): a list whose normalized pairs are strictly
+// increasing in (U,V) order — as any list filtered, or relabelled
+// monotonically, from another Graph's edges is — is validated and copied
+// but never sorted. Any other input is sorted in O(m log m).
 func New(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: negative vertex count %d", ErrVertexRange, n)
@@ -80,6 +96,38 @@ func New(n int, edges []Edge) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	merged := mergeDuplicates(norm)
+	if len(merged) < len(norm) {
+		merged = append([]Edge(nil), merged...) // drop the merged-away tail
+	}
+	return &Graph{n: n, edges: merged}, nil
+}
+
+// normalizeEdges validates every edge (normalizeEdge) and returns a fresh
+// (U,V)-sorted slice. Duplicates survive; callers merge them. A list that
+// comes out strictly increasing is not sorted again.
+func normalizeEdges(n int, edges []Edge) ([]Edge, error) {
+	norm := make([]Edge, 0, len(edges))
+	sorted := true
+	for _, e := range edges {
+		e, err := normalizeEdge(n, e, false)
+		if err != nil {
+			return nil, err
+		}
+		if k := len(norm); k > 0 && !edgeLess(norm[k-1], e) {
+			sorted = false
+		}
+		norm = append(norm, e)
+	}
+	if !sorted {
+		sort.Slice(norm, func(i, j int) bool { return edgeLess(norm[i], norm[j]) })
+	}
+	return norm, nil
+}
+
+// mergeDuplicates sums the weights of adjacent equal pairs of a sorted
+// list in place and returns the shortened prefix.
+func mergeDuplicates(norm []Edge) []Edge {
 	merged := norm[:0]
 	for _, e := range norm {
 		k := len(merged)
@@ -89,23 +137,7 @@ func New(n int, edges []Edge) (*Graph, error) {
 			merged = append(merged, e)
 		}
 	}
-	g := &Graph{n: n, edges: append([]Edge(nil), merged...)}
-	return g, nil
-}
-
-// normalizeEdges validates every edge (normalizeEdge) and returns a fresh
-// (U,V)-sorted slice. Duplicates survive; callers merge them.
-func normalizeEdges(n int, edges []Edge) ([]Edge, error) {
-	norm := make([]Edge, 0, len(edges))
-	for _, e := range edges {
-		e, err := normalizeEdge(n, e, false)
-		if err != nil {
-			return nil, err
-		}
-		norm = append(norm, e)
-	}
-	sort.Slice(norm, func(i, j int) bool { return edgeLess(norm[i], norm[j]) })
-	return norm, nil
+	return merged
 }
 
 // normalizeEdge checks one edge against the shared constructor rules —
@@ -349,13 +381,19 @@ func (g *Graph) Components() (labels []int, count int) {
 }
 
 // IsConnected reports whether the graph is connected (true for the empty
-// and single-vertex graphs).
+// and single-vertex graphs). The answer is computed once per Graph and
+// cached; AddEdges passes a "connected" verdict on to its result.
 func (g *Graph) IsConnected() bool {
-	if g.n <= 1 {
-		return true
+	if c := g.conn.Load(); c != connUnknown {
+		return c == connYes
 	}
-	_, c := g.Components()
-	return c == 1
+	_, count := g.Components()
+	c := connNo
+	if count <= 1 {
+		c = connYes
+	}
+	g.conn.Store(c)
+	return c == connYes
 }
 
 // RequireConnected returns ErrDisconnected unless the graph is connected
@@ -372,10 +410,11 @@ func (g *Graph) RequireConnected() error {
 }
 
 // SubgraphEdges returns a new graph on the same vertex set containing only
-// the edges whose ids are listed. Ids must be valid and distinct.
+// the edges whose ids are listed, in any order. Ids must be valid and
+// distinct. The kept edges are gathered in id order, which is (U,V)
+// order, so the result costs O(m) and is never sorted.
 func (g *Graph) SubgraphEdges(edgeIDs []int) (*Graph, error) {
 	seen := make([]bool, len(g.edges))
-	es := make([]Edge, 0, len(edgeIDs))
 	for _, id := range edgeIDs {
 		if id < 0 || id >= len(g.edges) {
 			return nil, fmt.Errorf("graph: edge id %d out of range", id)
@@ -384,9 +423,14 @@ func (g *Graph) SubgraphEdges(edgeIDs []int) (*Graph, error) {
 			return nil, fmt.Errorf("%w: id %d", ErrDuplicateEdge, id)
 		}
 		seen[id] = true
-		es = append(es, g.edges[id])
 	}
-	return New(g.n, es)
+	es := make([]Edge, 0, len(edgeIDs))
+	for id, keep := range seen {
+		if keep {
+			es = append(es, g.edges[id])
+		}
+	}
+	return &Graph{n: g.n, edges: es}, nil
 }
 
 // BFSOrder returns vertices in breadth-first order from root, together
@@ -398,27 +442,26 @@ func (g *Graph) BFSOrder(root int) (order []int, parent []int) {
 	for i := range parent {
 		parent[i] = -1
 	}
-	order = make([]int, 0, g.n)
-	queue := []int{root}
+	order = make([]int, 1, g.n)
+	order[0] = root
 	visited[root] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
+	for head := 0; head < len(order); head++ { // order is the queue
+		u := order[head]
 		for k := g.adjPtr[u]; k < g.adjPtr[u+1]; k++ {
 			v := g.adjTo[k]
 			if !visited[v] {
 				visited[v] = true
 				parent[v] = u
-				queue = append(queue, v)
+				order = append(order, v)
 			}
 		}
 	}
 	return order, parent
 }
 
-// EdgeIndex builds a map from normalized (u,v) keys to edge ids, for
-// membership tests such as "is this off-tree edge already in the sparsifier".
+// EdgeIndex builds a map from normalized (u,v) keys to edge ids. No
+// product path calls it — they binary-search with FindEdge — only the
+// benchmark harness's quality probe and package testkit.
 func (g *Graph) EdgeIndex() map[[2]int]int {
 	idx := make(map[[2]int]int, len(g.edges))
 	for i, e := range g.edges {
@@ -458,25 +501,16 @@ func (g *Graph) HasEdge(u, v int) bool {
 // densification loop in core calls this once per round, and the old
 // copy-everything-and-resort path dominated its profile. With no extras
 // the receiver's edge slice is shared outright (immutable-share, see
-// the Graph doc).
+// the Graph doc). The result inherits a cached "connected" verdict.
 func (g *Graph) AddEdges(extra []Edge) (*Graph, error) {
 	if len(extra) == 0 {
-		return &Graph{n: g.n, edges: g.edges}, nil
+		return g.superset(g.edges), nil
 	}
 	norm, err := normalizeEdges(g.n, extra)
 	if err != nil {
 		return nil, err
 	}
-	// Merge duplicates among the extras themselves.
-	merged := norm[:0]
-	for _, e := range norm {
-		k := len(merged)
-		if k > 0 && merged[k-1].U == e.U && merged[k-1].V == e.V {
-			merged[k-1].W += e.W
-		} else {
-			merged = append(merged, e)
-		}
-	}
+	merged := mergeDuplicates(norm) // duplicates among the extras themselves
 	// Two-way merge of the sorted lists.
 	out := make([]Edge, 0, len(g.edges)+len(merged))
 	i, j := 0, 0
@@ -497,7 +531,18 @@ func (g *Graph) AddEdges(extra []Edge) (*Graph, error) {
 	}
 	out = append(out, g.edges[i:]...)
 	out = append(out, merged[j:]...)
-	return &Graph{n: g.n, edges: out}, nil
+	return g.superset(out), nil
+}
+
+// superset wraps es, a superset of g's edges, as a graph on g's vertex
+// set; adding edges cannot disconnect a graph, so it inherits a cached
+// "connected" verdict.
+func (g *Graph) superset(es []Edge) *Graph {
+	out := &Graph{n: g.n, edges: es}
+	if g.conn.Load() == connYes {
+		out.conn.Store(connYes)
+	}
+	return out
 }
 
 // Edit applies a list of edge edits to g in one merge walk over its sorted
@@ -547,7 +592,9 @@ func Edit(g *Graph, edits []Edge) (*Graph, []Edge, error) {
 
 // InducedSubgraph returns the subgraph induced by the given vertex set,
 // with vertices renumbered 0..len(vertices)-1 in the given order, plus the
-// mapping new→old. Duplicate or out-of-range vertices are rejected.
+// mapping new→old. Duplicate or out-of-range vertices are rejected. An
+// ascending vertex list relabels monotonically, so its edges arrive in
+// (U,V) order and New does not sort them.
 func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int, error) {
 	toNew := make([]int, g.n) // old id → new id + 1; 0 = not in the set
 	for newID, old := range vertices {
@@ -559,7 +606,13 @@ func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int, error) {
 		}
 		toNew[old] = newID + 1
 	}
-	var edges []Edge
+	kept := 0 // sized first: growing the list by append would allocate several times its size
+	for _, e := range g.edges {
+		if toNew[e.U] != 0 && toNew[e.V] != 0 {
+			kept++
+		}
+	}
+	edges := make([]Edge, 0, kept)
 	for _, e := range g.edges {
 		if u, v := toNew[e.U], toNew[e.V]; u != 0 && v != 0 {
 			edges = append(edges, Edge{U: u - 1, V: v - 1, W: e.W})

@@ -2,9 +2,13 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -526,5 +530,315 @@ func TestQuickLaplacianRowSums(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// newAlwaysSort is New without the sorted-input fast path: normalize,
+// sort.Slice, merge adjacent duplicates in sorted order. It is the
+// reference New's bytes must match on every input.
+func newAlwaysSort(t *testing.T, n int, edges []Edge) []Edge {
+	t.Helper()
+	norm := make([]Edge, len(edges))
+	for i, e := range edges {
+		e, err := normalizeEdge(n, e, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		norm[i] = e
+	}
+	sort.Slice(norm, func(i, j int) bool { return edgeLess(norm[i], norm[j]) })
+	var out []Edge
+	for _, e := range norm {
+		if k := len(out); k > 0 && out[k-1].U == e.U && out[k-1].V == e.V {
+			out[k-1].W += e.W
+		} else {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// sameBits reports whether two edge lists agree pair for pair and weight
+// bit for bit.
+func sameBits(a, b []Edge) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].U != b[i].U || a[i].V != b[i].V || math.Float64bits(a[i].W) != math.Float64bits(b[i].W) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNewSortedFastPathMatchesReference feeds New random edge lists —
+// either orientation, duplicated pairs (some three or more times, with
+// weights whose sum depends on the order of addition), pre-sorted, sorted
+// with duplicates, and shuffled — and requires the always-sort reference's
+// edges bit for bit. SubgraphEdges, handed the ids of a random subset in
+// shuffled order, and InducedSubgraph, handed an ascending vertex subset,
+// must equal the reference on the edges they keep.
+func TestNewSortedFastPathMatchesReference(t *testing.T) {
+	rng := vecmath.NewRNG(41)
+	flip := func(e Edge) Edge {
+		if rng.Intn(2) == 0 {
+			e.U, e.V = e.V, e.U
+		}
+		return e
+	}
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(30)
+		var es []Edge
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			u, v := rng.Intn(n), rng.Intn(n-1)
+			if v >= u {
+				v++
+			}
+			e := Edge{u, v, 0.1 + 1e3*rng.Float64()}
+			copies := 1
+			if rng.Intn(4) == 0 {
+				copies = 2 + rng.Intn(3)
+			}
+			for ; copies > 0; copies-- {
+				es = append(es, flip(e))
+				e.W = 0.1 + rng.Float64()/3
+			}
+		}
+		switch trial % 4 {
+		case 0: // shuffled as generated
+		case 1: // strictly increasing: the fast path
+			es = newAlwaysSort(t, n, es)
+			for i := range es {
+				es[i] = flip(es[i])
+			}
+		case 2: // sorted, duplicates adjacent
+			sort.SliceStable(es, func(i, j int) bool {
+				a, _ := normalizeEdge(n, es[i], false)
+				b, _ := normalizeEdge(n, es[j], false)
+				return edgeLess(a, b)
+			})
+		case 3: // reverse sorted
+			es = newAlwaysSort(t, n, es)
+			slices.Reverse(es)
+		}
+		in := slices.Clone(es)
+		g, err := New(n, es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(es, in) {
+			t.Fatalf("trial %d: New modified its input", trial)
+		}
+		want := newAlwaysSort(t, n, es)
+		if !sameBits(g.Edges(), want) {
+			t.Fatalf("trial %d: New = %v, reference %v", trial, g.Edges(), want)
+		}
+
+		var ids []int
+		for id := range g.M() {
+			if rng.Intn(3) > 0 {
+				ids = append(ids, id)
+			}
+		}
+		perm := rng.Perm(len(ids))
+		shuffled := make([]int, len(ids))
+		kept := make([]Edge, len(ids))
+		for i, p := range perm {
+			shuffled[i] = ids[p]
+			kept[i] = g.Edge(ids[p])
+		}
+		sub, err := g.SubgraphEdges(shuffled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := newAlwaysSort(t, n, kept); sub.N() != n || !sameBits(sub.Edges(), want) {
+			t.Fatalf("trial %d: SubgraphEdges = %v, reference %v", trial, sub.Edges(), want)
+		}
+
+		var verts []int
+		toNew := make(map[int]int)
+		for v := range n {
+			if rng.Intn(4) > 0 {
+				toNew[v] = len(verts)
+				verts = append(verts, v)
+			}
+		}
+		var relabelled []Edge
+		for _, e := range g.Edges() {
+			u, uok := toNew[e.U]
+			v, vok := toNew[e.V]
+			if uok && vok {
+				relabelled = append(relabelled, Edge{u, v, e.W})
+			}
+		}
+		ind, _, err := g.InducedSubgraph(verts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := newAlwaysSort(t, len(verts), relabelled); !sameBits(ind.Edges(), want) {
+			t.Fatalf("trial %d: InducedSubgraph = %v, reference %v", trial, ind.Edges(), want)
+		}
+	}
+}
+
+// TestIsConnectedConcurrent shares one graph between goroutines that all
+// ask for its connectivity at once; run under -race it checks the cached
+// verdict is published safely, and every caller must get the same answer.
+func TestIsConnectedConcurrent(t *testing.T) {
+	for _, c := range []struct {
+		g    *Graph
+		want error
+	}{
+		{path4(t), nil},
+		{MustNew(5, []Edge{{0, 1, 1}, {2, 3, 1}, {3, 4, 1}}), ErrDisconnected},
+	} {
+		var wg sync.WaitGroup
+		errs := make([]error, 16)
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if i%2 == 0 {
+					if c.g.IsConnected() != (c.want == nil) {
+						errs[i] = errors.New("IsConnected disagrees")
+					}
+					return
+				}
+				if err := c.g.RequireConnected(); !errors.Is(err, c.want) {
+					errs[i] = fmt.Errorf("RequireConnected = %v, want %v", err, c.want)
+				}
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestConnectivityInheritance pins which derived graphs reuse a cached
+// verdict: AddEdges keeps the vertex set and only adds edges, so it
+// inherits "connected"; Edit can delete, SubgraphEdges drops edges and
+// InducedSubgraph drops vertices, so none of them inherits anything, even
+// when the result happens to be connected.
+func TestConnectivityInheritance(t *testing.T) {
+	g := MustNew(5, []Edge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {0, 4, 1}})
+	state := func(h *Graph) int32 { return h.conn.Load() }
+	if more, _ := g.AddEdges([]Edge{{0, 2, 1}}); state(more) != connUnknown {
+		t.Fatal("AddEdges inherited a verdict its receiver never computed")
+	}
+	if !g.IsConnected() || state(g) != connYes {
+		t.Fatal("IsConnected did not cache its verdict")
+	}
+	for _, extra := range [][]Edge{nil, {{0, 2, 1}}, {{1, 3, 2}, {0, 1, 1}}} {
+		more, err := g.AddEdges(extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state(more) != connYes {
+			t.Fatalf("AddEdges(%v) did not inherit \"connected\"", extra)
+		}
+	}
+	edited, _, err := Edit(g, []Edge{{0, 2, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := g.SubgraphEdges([]int{0, 1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ind, _, err := g.InducedSubgraph([]int{0, 1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range []*Graph{edited, sub, ind} {
+		if state(h) != connUnknown {
+			t.Errorf("derived graph %d of Edit, SubgraphEdges, InducedSubgraph inherited a connectivity verdict", i)
+		}
+	}
+	cut, err := g.SubgraphEdges([]int{2, 0}) // (1,2) and (0,1): 3 and 4 are cut off
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cut.RequireConnected(); !errors.Is(err, ErrDisconnected) {
+		t.Fatalf("disconnected edge subset: RequireConnected = %v", err)
+	}
+
+	split := MustNew(4, []Edge{{0, 1, 1}, {2, 3, 1}})
+	if split.IsConnected() || state(split) != connNo {
+		t.Fatal("IsConnected did not cache \"not connected\"")
+	}
+	joined, err := split.AddEdges([]Edge{{1, 2, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state(joined) != connUnknown || !joined.IsConnected() {
+		t.Fatal("AddEdges must not inherit \"not connected\": the extras can join components")
+	}
+}
+
+// benchGrid returns the edge list of a rows×cols grid in (U,V) order with
+// uniform random weights — the size of the sharded mesh workload at
+// 320×320.
+func benchGrid(rows, cols int) []Edge {
+	rng := vecmath.NewRNG(1)
+	var es []Edge
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			v := r*cols + c
+			if c+1 < cols {
+				es = append(es, Edge{v, v + 1, 0.1 + rng.Float64()})
+			}
+			if r+1 < rows {
+				es = append(es, Edge{v, v + cols, 0.1 + rng.Float64()})
+			}
+		}
+	}
+	return es
+}
+
+// BenchmarkGraphNew builds a 320×320 grid from its edge list already in
+// (U,V) order (the O(m) path every derived graph takes) and shuffled (the
+// O(m log m) sort).
+func BenchmarkGraphNew(b *testing.B) {
+	const side = 320
+	sorted := benchGrid(side, side)
+	shuffled := make([]Edge, len(sorted))
+	for i, p := range vecmath.NewRNG(2).Perm(len(sorted)) {
+		shuffled[i] = sorted[p]
+	}
+	for _, c := range []struct {
+		name  string
+		edges []Edge
+	}{{"sorted", sorted}, {"shuffled", shuffled}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := New(side*side, c.edges); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSubgraphEdges keeps a shuffled 5/8 of a 320×320 grid's edge
+// ids — about the share the sharded plan's stitch keeps on that mesh.
+func BenchmarkSubgraphEdges(b *testing.B) {
+	g := MustNew(320*320, benchGrid(320, 320))
+	rng := vecmath.NewRNG(3)
+	var ids []int
+	for _, id := range rng.Perm(g.M()) {
+		if rng.Intn(8) < 5 {
+			ids = append(ids, id)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := g.SubgraphEdges(ids); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

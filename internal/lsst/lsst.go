@@ -5,8 +5,9 @@
 package lsst
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"graphspar/internal/graph"
 	"graphspar/internal/tree"
@@ -70,21 +71,28 @@ func (u *UnionFind) Count() int { return u.count }
 // MaxWeightSpanningTree returns the edge ids of a maximum-weight spanning
 // tree (Kruskal on descending weight). A graph that cannot span a tree
 // fails with graph.RequireConnected's error.
+//
+// The sort compares weights only, so equal weights land where pdqsort's
+// comparisons leave them, starting from id order; every sparsifier in the
+// pipeline golden depends on that tie order.
 func MaxWeightSpanningTree(g *graph.Graph) ([]int, error) {
 	if err := g.RequireConnected(); err != nil {
 		return nil, err
 	}
-	ids := make([]int, g.M())
-	for i := range ids {
-		ids[i] = i
+	type weighted struct {
+		w  float64
+		id int
 	}
-	sort.Slice(ids, func(a, b int) bool { return g.Edge(ids[a]).W > g.Edge(ids[b]).W })
+	order := make([]weighted, g.M())
+	for id, e := range g.Edges() {
+		order[id] = weighted{e.W, id}
+	}
+	slices.SortFunc(order, func(a, b weighted) int { return cmp.Compare(b.w, a.w) })
 	uf := NewUnionFind(g.N())
 	treeIDs := make([]int, 0, g.N()-1)
-	for _, id := range ids {
-		e := g.Edge(id)
-		if uf.Union(e.U, e.V) {
-			treeIDs = append(treeIDs, id)
+	for _, o := range order {
+		if e := g.Edge(o.id); uf.Union(e.U, e.V) {
+			treeIDs = append(treeIDs, o.id)
 			if len(treeIDs) == g.N()-1 {
 				break
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +148,54 @@ func TestQuickExtractInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// maxWeightRef is Kruskal over edge ids ordered by sort.Slice on weight
+// alone — the tie order every golden sparsifier was recorded with.
+func maxWeightRef(g *graph.Graph) []int {
+	ids := make([]int, g.M())
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(a, b int) bool { return g.Edge(ids[a]).W > g.Edge(ids[b]).W })
+	uf := NewUnionFind(g.N())
+	var tree []int
+	for _, id := range ids {
+		if e := g.Edge(id); uf.Union(e.U, e.V) {
+			tree = append(tree, id)
+		}
+	}
+	return tree
+}
+
+// TestMaxWeightTieOrderMatchesReference pins the tie order on inputs made
+// of ties: unit-weight SBM and grid graphs, and a grid with three
+// distinct weights, over several seeds. The tree ids and their order must
+// equal the reference's exactly.
+func TestMaxWeightTieOrderMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		sbm, _, err := gen.SBM(4, 60+10*int(seed), 0.2, 0.02, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid, err := gen.Grid2D(20+int(seed), 30, gen.UnitWeights, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		banded := grid.EdgesCopy()
+		for i := range banded {
+			banded[i].W = float64(1 + (i*int(seed))%3)
+		}
+		for i, g := range []*graph.Graph{sbm, grid, graph.MustNew(grid.N(), banded)} {
+			got, err := MaxWeightSpanningTree(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := maxWeightRef(g); !slices.Equal(got, want) {
+				t.Fatalf("input %d, seed %d: tree ids differ from the sort.Slice reference", i, seed)
+			}
+		}
 	}
 }
 

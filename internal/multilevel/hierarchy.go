@@ -62,7 +62,6 @@ func contract(fine *graph.Graph, agg []int, nc int) (*graph.Graph, []int, error)
 	if err != nil {
 		return nil, nil, fmt.Errorf("multilevel: contract: %w", err)
 	}
-	idx := coarse.EdgeIndex()
 	rep := make([]int, coarse.M())
 	best := make([]float64, coarse.M())
 	for i := range rep {
@@ -73,10 +72,7 @@ func contract(fine *graph.Graph, agg []int, nc int) (*graph.Graph, []int, error)
 		if cu == cv {
 			continue
 		}
-		if cu > cv {
-			cu, cv = cv, cu
-		}
-		cid, ok := idx[[2]int{cu, cv}]
+		cid, ok := graph.FindEdge(coarse, cu, cv)
 		if !ok {
 			return nil, nil, fmt.Errorf("multilevel: contract: fine edge %d lost its coarse image", id)
 		}

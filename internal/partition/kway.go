@@ -46,7 +46,9 @@ func RecursiveBisect(g *graph.Graph, parts int, opt Options) (*KWayResult, error
 	return res, nil
 }
 
-// recurse assigns part ids to the induced subgraph on `vertices`.
+// recurse assigns part ids to the induced subgraph on `vertices`, an
+// ascending list; every list it recurses on is ascending too. The
+// identity list is g itself, not a copy.
 func recurse(g *graph.Graph, vertices []int, parts int, opt Options, labels []int, next *int) error {
 	if parts <= 1 || len(vertices) <= 1 {
 		id := *next
@@ -56,14 +58,17 @@ func recurse(g *graph.Graph, vertices []int, parts int, opt Options, labels []in
 		}
 		return nil
 	}
-	sub, mapping, err := g.InducedSubgraph(vertices)
-	if err != nil {
-		return err
+	sub, mapping := g, vertices
+	if !isIdentity(vertices, g.N()) {
+		var err error
+		if sub, mapping, err = g.InducedSubgraph(vertices); err != nil {
+			return err
+		}
 	}
 	// A cut can disconnect the remainder; partition components separately,
 	// giving each a budget proportional to its size.
-	comps, count := sub.Components()
-	if count > 1 {
+	if !sub.IsConnected() {
+		comps, count := sub.Components()
 		groups := make([][]int, count)
 		for i, c := range comps {
 			groups[c] = append(groups[c], mapping[i])
@@ -92,7 +97,7 @@ func recurse(g *graph.Graph, vertices []int, parts int, opt Options, labels []in
 	if err != nil {
 		return fmt.Errorf("partition: recursive level failed at %d vertices: %w", len(vertices), err)
 	}
-	var pos, neg []int
+	pos, neg := make([]int, 0, bis.Positive), make([]int, 0, bis.Negative)
 	for i, s := range bis.Signs {
 		if s > 0 {
 			pos = append(pos, mapping[i])
@@ -114,4 +119,17 @@ func recurse(g *graph.Graph, vertices []int, parts int, opt Options, labels []in
 		return err
 	}
 	return recurse(g, neg, pParts, opt, labels, next)
+}
+
+// isIdentity reports whether vertices is 0, 1, …, n-1.
+func isIdentity(vertices []int, n int) bool {
+	if len(vertices) != n {
+		return false
+	}
+	for i, v := range vertices {
+		if v != i {
+			return false
+		}
+	}
+	return true
 }

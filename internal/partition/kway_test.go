@@ -136,3 +136,23 @@ func TestInducedSubgraph(t *testing.T) {
 		t.Fatal("range error expected")
 	}
 }
+
+// recurse bisects g itself only for the identity vertex list; a
+// permutation or a subset of the right length must not pass for it.
+func TestIsIdentity(t *testing.T) {
+	for _, c := range []struct {
+		verts []int
+		n     int
+		want  bool
+	}{
+		{[]int{0, 1, 2}, 3, true},
+		{nil, 0, true},
+		{[]int{0, 2, 1}, 3, false},
+		{[]int{0, 1, 3}, 3, false},
+		{[]int{0, 1}, 3, false},
+	} {
+		if got := isIdentity(c.verts, c.n); got != c.want {
+			t.Errorf("isIdentity(%v, %d) = %v, want %v", c.verts, c.n, got, c.want)
+		}
+	}
+}

@@ -8,6 +8,7 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"graphspar/internal/graph"
 )
@@ -68,17 +69,12 @@ func Build(n int, edges []graph.Edge, root int) (*Tree, error) {
 		depth:  make([]int, n),
 	}
 	// Fill parent weights and depths in BFS order.
-	wOf := g.EdgeIndex()
 	for _, v := range order {
 		p := parent[v]
 		if p == -1 {
 			continue
 		}
-		u, w := v, p
-		if u > w {
-			u, w = w, u
-		}
-		id, ok := wOf[[2]int{u, w}]
+		id, ok := graph.FindEdge(g, v, p)
 		if !ok {
 			return nil, fmt.Errorf("%w: missing parent edge", ErrNotTree)
 		}
@@ -89,9 +85,13 @@ func Build(n int, edges []graph.Edge, root int) (*Tree, error) {
 }
 
 // FromGraph extracts the tree with the given edge ids from g, rooted at root.
+// The ids are gathered in ascending order — g's (U,V) order — so Build's
+// graph.New does not sort them.
 func FromGraph(g *graph.Graph, edgeIDs []int, root int) (*Tree, error) {
-	edges := make([]graph.Edge, len(edgeIDs))
-	for i, id := range edgeIDs {
+	sorted := slices.Clone(edgeIDs)
+	slices.Sort(sorted)
+	edges := make([]graph.Edge, len(sorted))
+	for i, id := range sorted {
 		if id < 0 || id >= g.M() {
 			return nil, fmt.Errorf("tree: edge id %d out of range", id)
 		}
