@@ -77,11 +77,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Validate the job-op mode up front with the exact combination rules
-	// the server's Canon applies, so a bad flag fails fast instead of
-	// turning every job op into an HTTP 400.
-	jobMode := service.SparsifyParams{SigmaSq: *sigma2, Mode: *mode, Shards: *shards}
-	if err := jobMode.Canon(); err != nil {
+	// Canonicalize the job-op knobs up front with the server's own Canon,
+	// so a bad flag fails fast instead of turning every job op into an
+	// HTTP 400; every job op then submits this canonical form.
+	jobParams := service.SparsifyParams{SigmaSq: *sigma2, Mode: *mode, Shards: *shards}
+	if err := jobParams.Canon(); err != nil {
 		fatal(fmt.Errorf("-mode/-shards: %w", err))
 	}
 	local, err := cli.LoadGraph(*spec, *seed)
@@ -113,7 +113,7 @@ func main() {
 		spec:   *spec,
 		seed:   *seed,
 		sigma2: *sigma2,
-		shards: *shards,
+		params: jobParams,
 		mode:   *mode,
 		wire:   *wire,
 		edges:  local.Edges(),
@@ -315,7 +315,7 @@ type client struct {
 	spec   string
 	seed   uint64
 	sigma2 float64
-	shards int
+	params service.SparsifyParams // canonical job-op knobs
 	mode   string
 	wire   string // stream wire format: "text" | "binary"
 	edges  []graph.Edge
@@ -390,13 +390,10 @@ func (c *client) upload(worker, n int) error {
 // job submits a sparsification and polls it to completion; the recorded
 // latency is submit-to-done, including queue wait.
 func (c *client) job() error {
-	req := map[string]any{"graph": c.name, "sigma2": c.sigma2}
-	if c.shards > 1 {
-		req["shards"] = c.shards
-	}
-	if c.mode != "" {
-		req["mode"] = c.mode
-	}
+	req := struct {
+		Graph string `json:"graph"`
+		service.SparsifyParams
+	}{c.name, c.params}
 	var job service.Job
 	code, raw, err := c.json(http.MethodPost, "/v1/jobs", req, &job)
 	if err != nil {
@@ -473,7 +470,7 @@ func (c *client) stream(rng *rand.Rand) error {
 		}
 		b.WriteString("commit\n")
 	}
-	url := fmt.Sprintf("%s/v1/graphs/%s/stream?sigma2=%g", c.base, c.name, c.sigma2)
+	url := c.base + "/v1/graphs/" + c.name + "/stream?" + service.SparsifyParams{SigmaSq: c.sigma2}.StreamQuery().Encode()
 	resp, err := c.http.Post(url, contentType, &b)
 	if err != nil {
 		return err

@@ -24,8 +24,10 @@
 // server's per-batch certificate lines are relayed to stdout. The
 // server keeps the maintainer resident between requests, so consecutive
 // replays — and interleaved PATCHes or incremental jobs — all reuse the
-// same live session. The server runs its own plan and keeps the
-// sparsifier, so a flag it cannot honour (-mode, -out, -v) is an error.
+// same live session. The query carries the knob flags exactly as the
+// server's stream endpoint spells them (service.SparsifyParams.StreamQuery).
+// The server runs its own plan and keeps the sparsifier, so a flag it
+// cannot honour (-mode, -out, -v) is an error.
 package main
 
 import (
@@ -41,11 +43,11 @@ import (
 	"net/url"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
 	"graphspar"
+	"graphspar/internal/service"
 )
 
 func main() {
@@ -69,7 +71,8 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 
 	if *remote != "" {
-		if err := remoteFlagsOnly(set); err != nil {
+		q := service.SparsifyParams{SigmaSq: *sigmaSq, T: *tSteps, NumVectors: *rVecs, Seed: *seed, Shards: *shards, Workers: *workers}.StreamQuery()
+		if err := remoteFlagsOnly(set, q); err != nil {
 			fatal(err)
 		}
 		if *stream == "" {
@@ -81,7 +84,7 @@ func main() {
 		if *wireFmt != "text" && *wireFmt != "binary" {
 			fatal(fmt.Errorf("bad -wire %q (want text or binary)", *wireFmt))
 		}
-		runRemoteStream(*remote, *spec, *stream, *wireFmt, remoteQuery(*sigmaSq, *tSteps, *rVecs, *shards, *workers, *seed))
+		runRemoteStream(*remote, *spec, *stream, *wireFmt, q)
 		return
 	}
 
@@ -259,39 +262,18 @@ func runUpdateStream(g *graphspar.Graph, s *graphspar.Sparsifier, path, out stri
 	save(out, st.Sparsifier())
 }
 
-// remoteFlags are the flags a -remote replay honours: the server, the
-// graph's name, the event file and its wire format, and the stream
-// endpoint's query keys (see remoteQuery).
-var remoteFlags = []string{"graph", "r", "remote", "seed", "shards", "sigma2", "t", "update-stream", "wire", "workers"}
-
 // remoteFlagsOnly rejects every flag in set (the explicitly set ones, as
 // flag.Visit lists them) that a -remote replay would drop without a word.
-func remoteFlagsOnly(set []string) error {
-	bad := slices.DeleteFunc(slices.Clone(set), func(name string) bool { return slices.Contains(remoteFlags, name) })
+// The replay honours the keys of its stream query q and its own four
+// flags: the server, the graph's name, the event file and its wire format.
+func remoteFlagsOnly(set []string, q url.Values) error {
+	bad := slices.DeleteFunc(slices.Clone(set), func(name string) bool {
+		return q.Has(name) || slices.Contains([]string{"graph", "remote", "update-stream", "wire"}, name)
+	})
 	if len(bad) == 0 {
 		return nil
 	}
 	return fmt.Errorf("-remote does not honour -%s: the server runs its own plan and keeps the sparsifier", strings.Join(bad, ", -"))
-}
-
-// remoteQuery assembles the stream endpoint's query string from the
-// local flags, so a remote replay is parameterized exactly like a local
-// one.
-func remoteQuery(sigmaSq float64, t, r, shards, workers int, seed uint64) url.Values {
-	q := url.Values{}
-	q.Set("sigma2", strconv.FormatFloat(sigmaSq, 'g', -1, 64))
-	q.Set("t", strconv.Itoa(t))
-	if r > 0 {
-		q.Set("r", strconv.Itoa(r))
-	}
-	q.Set("seed", strconv.FormatUint(seed, 10))
-	if shards > 1 {
-		q.Set("shards", strconv.Itoa(shards))
-	}
-	if workers > 0 {
-		q.Set("workers", strconv.Itoa(workers))
-	}
-	return q
 }
 
 // runRemoteStream streams an event file to a live server's

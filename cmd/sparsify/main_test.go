@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"graphspar"
+	"graphspar/internal/service"
 )
 
 // TestRunUpdateStream drives the -update-stream path end to end on a
@@ -78,26 +79,6 @@ func TestRunUpdateStreamSharded(t *testing.T) {
 	}
 }
 
-// TestRemoteQuery checks the flag → query-string mapping the -remote
-// mode ships to the server's stream endpoint.
-func TestRemoteQuery(t *testing.T) {
-	q := remoteQuery(100, 2, 0, 1, 0, 7)
-	if q.Get("sigma2") != "100" || q.Get("t") != "2" || q.Get("seed") != "7" {
-		t.Fatalf("query = %v", q)
-	}
-	if q.Has("shards") || q.Has("workers") {
-		t.Fatalf("unset flags must not ship: %v", q)
-	}
-	// The worker count rides along on every plan, single-shot included.
-	if q = remoteQuery(100, 2, 0, 1, 3, 7); q.Get("workers") != "3" || q.Has("shards") {
-		t.Fatalf("single-shot query with workers = %v", q)
-	}
-	q = remoteQuery(50, 3, 8, 4, 2, 1)
-	if q.Get("shards") != "4" || q.Get("workers") != "2" || q.Get("r") != "8" {
-		t.Fatalf("sharded query = %v", q)
-	}
-}
-
 // TestRemoteFlagsOnly: a flag the -remote replay cannot honour is an
 // error naming it, never silently dropped.
 func TestRemoteFlagsOnly(t *testing.T) {
@@ -111,7 +92,7 @@ func TestRemoteFlagsOnly(t *testing.T) {
 		{[]string{"out", "remote"}, "-out"},
 		{[]string{"mode", "out", "remote", "v"}, "-mode, -out, -v"},
 	} {
-		err := remoteFlagsOnly(c.set)
+		err := remoteFlagsOnly(c.set, service.SparsifyParams{SigmaSq: 100}.StreamQuery())
 		if c.want == "" && err != nil {
 			t.Errorf("%v: %v, want accepted", c.set, err)
 		}
@@ -143,7 +124,7 @@ func TestRunRemoteStream(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	runRemoteStream(srv.URL, "mygraph", events, "text", remoteQuery(75, 2, 0, 1, 0, 1))
+	runRemoteStream(srv.URL, "mygraph", events, "text", service.SparsifyParams{SigmaSq: 75, T: 2, Seed: 1}.StreamQuery())
 	if gotPath != "/v1/graphs/mygraph/stream" {
 		t.Fatalf("path = %q", gotPath)
 	}

@@ -98,8 +98,8 @@ func (o *Options) defaults(n int) error {
 	if err := params.Sigma2(o.Sparsify.SigmaSq); err != nil {
 		return err
 	}
-	if err := params.Sharding(o.Shards, o.Workers, params.Limits{}); err != nil {
-		return err
+	if o.Shards < 0 {
+		return fmt.Errorf("%w: got %d", params.ErrBadShards, o.Shards)
 	}
 	if o.Mode != params.ModeSharded && o.Mode != params.ModeMultilevel {
 		o.Mode = params.ModeSingleShot

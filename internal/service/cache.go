@@ -46,16 +46,73 @@ type SparsifyParams struct {
 	Incremental bool `json:"incremental,omitempty"`
 }
 
-// wireLimits bounds remotely-submitted work: the paper uses t ≤ 3 and
-// r = O(log n), so these ceilings are far above any useful setting while
-// keeping a remote client from submitting unbounded (and uncancellable)
-// per-job CPU work. The checks themselves live in internal/params, shared
-// with the pipelines' own validation.
-var wireLimits = params.Limits{
-	MaxT:          16,
-	MaxNumVectors: 1024,
-	MaxShards:     256,
-	MaxWorkers:    64,
+// knob is one row of the wire-knob table: everything a layer needs to
+// spell, check or key a field of SparsifyParams without naming it.
+type knob struct {
+	name   string                    // the JSON key and the stream query key
+	field  func(*SparsifyParams) any // *float64, *int, *uint64, *string or *bool
+	keyed  bool                      // on the cache and session keys
+	stream bool                      // accepted on the stream query
+	// Int knobs only: the ceiling Canon enforces, and its typed error.
+	ceiling int
+	err     error
+}
+
+// knobs is the one list of wire knobs, a row per SparsifyParams field
+// (TestKnobsMatchJSON keeps the two in step). Canon's ceilings, the cache,
+// family and session keys, the stream query's allow-list and parse, and
+// the CLI's remote replay all walk it. Row 0, σ², is the knob a cache
+// family leaves free.
+//
+// The ceilings bound remotely-submitted work: the paper uses t ≤ 3 and
+// r = O(log n), so they are far above any useful setting while keeping a
+// remote client from submitting unbounded (and uncancellable) per-job
+// CPU work.
+var knobs = []knob{
+	{name: "sigma2", field: func(p *SparsifyParams) any { return &p.SigmaSq }, keyed: true, stream: true},
+	{name: "t", field: func(p *SparsifyParams) any { return &p.T }, keyed: true, stream: true, ceiling: 16, err: params.ErrBadT},
+	{name: "r", field: func(p *SparsifyParams) any { return &p.NumVectors }, keyed: true, stream: true, ceiling: 1024, err: params.ErrBadNumVectors},
+	{name: "shards", field: func(p *SparsifyParams) any { return &p.Shards }, keyed: true, stream: true, ceiling: 256, err: params.ErrBadShards},
+	{name: "workers", field: func(p *SparsifyParams) any { return &p.Workers }, stream: true, ceiling: 64, err: params.ErrBadWorkers},
+	{name: "seed", field: func(p *SparsifyParams) any { return &p.Seed }, keyed: true, stream: true},
+	{name: "mode", field: func(p *SparsifyParams) any { return &p.Mode }, keyed: true},
+	{name: "incremental", field: func(p *SparsifyParams) any { return &p.Incremental }},
+}
+
+// appendValue appends the knob's value in p, spelled as its query value,
+// for the field types of the keyed and stream rows. Floats use the
+// shortest round-trip form ('g', -1), which is injective on float64, so
+// distinct parameters always produce distinct keys.
+func (k knob) appendValue(b []byte, p *SparsifyParams) []byte {
+	switch v := k.field(p).(type) {
+	case *float64:
+		return strconv.AppendFloat(b, *v, 'g', -1, 64)
+	case *int:
+		return strconv.AppendInt(b, int64(*v), 10)
+	case *uint64:
+		return strconv.AppendUint(b, *v, 10)
+	default:
+		return append(b, *v.(*string)...)
+	}
+}
+
+// appendKeyed appends the knob in p as a key segment, |name=value.
+func (k knob) appendKeyed(b []byte, p *SparsifyParams) []byte {
+	return k.appendValue(append(append(append(b, '|'), k.name...), '='), p)
+}
+
+// parse sets the knob in p from its query value, for the field types of
+// the stream rows.
+func (k knob) parse(p *SparsifyParams, s string) (err error) {
+	switch v := k.field(p).(type) {
+	case *float64:
+		*v, err = strconv.ParseFloat(s, 64)
+	case *int:
+		*v, err = strconv.Atoi(s)
+	default:
+		*v.(*uint64), err = strconv.ParseUint(s, 10, 64)
+	}
+	return err
 }
 
 // Canon applies the service-level defaults (matching core.Options'
@@ -66,29 +123,23 @@ func (p *SparsifyParams) Canon() error {
 	if err := params.Sigma2(p.SigmaSq); err != nil {
 		return err
 	}
-	if p.T <= 0 {
+	for _, k := range knobs {
+		if n, ok := k.field(p).(*int); ok {
+			*n = max(*n, 0) // a negative count means "default", like 0
+			if *n > k.ceiling {
+				return fmt.Errorf("%w: %s must be at most %d, got %d", k.err, k.name, k.ceiling, *n)
+			}
+		}
+	}
+	if p.T == 0 {
 		p.T = 2
 	}
-	if p.NumVectors < 0 {
-		p.NumVectors = 0 // 0 keeps core's O(log n) default
-	}
-	if err := params.Embed(p.T, p.NumVectors, wireLimits); err != nil {
-		return err
-	}
+	// r = 0 keeps core's O(log n) default.
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
-	if p.Shards < 0 {
-		p.Shards = 0
-	}
 	if p.Shards == 1 {
 		p.Shards = 0 // canonical single-shot form
-	}
-	if p.Workers < 0 {
-		p.Workers = 0
-	}
-	if err := params.Sharding(p.Shards, p.Workers, wireLimits); err != nil {
-		return err
 	}
 	return p.canonMode()
 }
@@ -135,62 +186,23 @@ func (p *SparsifyParams) canonMode() error {
 	return nil
 }
 
-// The key builders below run on every job submission (key + family on
-// each cache lookup), so they append with strconv into one sized buffer
-// instead of going through fmt — the Sprintf spelling boxed every
-// argument and dominated the submit path's allocation profile. Floats
-// use the shortest round-trip form ('g', -1), which is injective on
-// float64, so distinct parameters always produce distinct keys.
-
-// appendKnobs appends the σ²-independent knob fields shared by key and
-// family, in the canonical field order.
-func (p SparsifyParams) appendKnobs(b []byte) []byte {
-	b = append(b, "|t="...)
-	b = strconv.AppendInt(b, int64(p.T), 10)
-	b = append(b, "|r="...)
-	b = strconv.AppendInt(b, int64(p.NumVectors), 10)
-	b = append(b, "|seed="...)
-	b = strconv.AppendUint(b, p.Seed, 10)
-	b = append(b, "|sh="...)
-	b = strconv.AppendInt(b, int64(p.Shards), 10)
-	b = append(b, "|mode="...)
-	b = append(b, p.Mode...)
-	return b
-}
-
 // keyBufLen sizes the append buffer so a typical key builds in exactly
 // one allocation (plus the final string conversion).
 const keyBufLen = 96
 
-// key returns the exact cache key for canonicalized params on a graph.
-// Workers is absent on purpose: it cannot affect the result.
-func (p SparsifyParams) key(graphHash string) string {
+// appendFamily appends graphHash and p's keyed knobs other than σ², each
+// as |name=value. The key builders run on every job submission (key +
+// family on each cache lookup), so they append with strconv into one
+// sized buffer instead of going through fmt.
+func (p *SparsifyParams) appendFamily(graphHash string) []byte {
 	b := make([]byte, 0, len(graphHash)+keyBufLen)
 	b = append(b, graphHash...)
-	b = append(b, "|s2="...)
-	b = strconv.AppendFloat(b, p.SigmaSq, 'g', -1, 64)
-	b = p.appendKnobs(b)
-	return string(b)
-}
-
-// sessionKey fingerprints the parameters that shape a live maintainer —
-// everything that changes the maintained sparsifier — so a persistent
-// session is only reused by requests that would have configured it
-// identically. Workers is excluded (wall-clock only, like the cache
-// key).
-func (p SparsifyParams) sessionKey() string {
-	b := make([]byte, 0, keyBufLen)
-	b = append(b, "s2="...)
-	b = strconv.AppendFloat(b, p.SigmaSq, 'g', -1, 64)
-	b = append(b, "|t="...)
-	b = strconv.AppendInt(b, int64(p.T), 10)
-	b = append(b, "|r="...)
-	b = strconv.AppendInt(b, int64(p.NumVectors), 10)
-	b = append(b, "|seed="...)
-	b = strconv.AppendUint(b, p.Seed, 10)
-	b = append(b, "|sh="...)
-	b = strconv.AppendInt(b, int64(p.Shards), 10)
-	return string(b)
+	for _, k := range knobs[1:] {
+		if k.keyed {
+			b = k.appendKeyed(b, p)
+		}
+	}
+	return b
 }
 
 // family groups cache lines that differ only in σ², enabling the
@@ -198,10 +210,16 @@ func (p SparsifyParams) sessionKey() string {
 // request for σ² ≥ 50 on the same graph with the same knobs. Sharded,
 // single-shot and multilevel families are disjoint.
 func (p SparsifyParams) family(graphHash string) string {
-	b := make([]byte, 0, len(graphHash)+keyBufLen)
-	b = append(b, graphHash...)
-	b = p.appendKnobs(b)
-	return string(b)
+	return string(p.appendFamily(graphHash))
+}
+
+// key returns the exact cache key for canonicalized params on a graph:
+// the family plus σ². Workers and incremental are off it on purpose:
+// neither can change the result. key("") is the session key — every
+// knob that shapes a live maintainer — so a persistent session is only
+// reused by requests that would have configured it identically.
+func (p SparsifyParams) key(graphHash string) string {
+	return string(knobs[0].appendKeyed(p.appendFamily(graphHash), &p))
 }
 
 // CacheStats is a snapshot of cache effectiveness counters.

@@ -2,6 +2,10 @@ package service
 
 import (
 	"fmt"
+	"math"
+	"math/rand/v2"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -225,7 +229,7 @@ func TestCanonShardParams(t *testing.T) {
 	if p.Shards != 0 || p.Workers != 8 {
 		t.Errorf("single-shot canonical form not applied: %+v", p)
 	}
-	if bare := testParams(100); p.key("h") != bare.key("h") || p.sessionKey() != bare.sessionKey() {
+	if bare := testParams(100); p.key("h") != bare.key("h") || p.key("") != bare.key("") {
 		t.Error("worker count fragments the single-shot cache or session key")
 	}
 	q := SparsifyParams{SigmaSq: 100, Shards: 4, Workers: 2}
@@ -334,5 +338,94 @@ func TestCanonModeParams(t *testing.T) {
 		if err := bad.Canon(); err == nil {
 			t.Errorf("Canon(%+v): want error", bad)
 		}
+	}
+}
+
+// TestKnobsMatchJSON: the knob table has exactly one row per JSON key of
+// SparsifyParams, each row's accessor reaches the field its tag names,
+// every int row carries a ceiling and its error, and every keyed or
+// stream row has a spelling. A field added without a row fails here.
+func TestKnobsMatchJSON(t *testing.T) {
+	var p SparsifyParams
+	typ := reflect.TypeOf(p)
+	if len(knobs) != typ.NumField() {
+		t.Errorf("%d knob rows for %d SparsifyParams fields", len(knobs), typ.NumField())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		tag, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		var rows []knob
+		for _, k := range knobs {
+			if k.name == tag {
+				rows = append(rows, k)
+			}
+		}
+		if len(rows) != 1 {
+			t.Errorf("JSON key %q has %d knob rows, want 1", tag, len(rows))
+			continue
+		}
+		field := reflect.ValueOf(&p).Elem().Field(i).Addr()
+		if got := reflect.ValueOf(rows[0].field(&p)); got.Pointer() != field.Pointer() || got.Type() != field.Type() {
+			t.Errorf("knob %q reaches a %v, not field %s", tag, got.Type(), typ.Field(i).Name)
+		}
+		if _, isInt := rows[0].field(&p).(*int); isInt && (rows[0].ceiling <= 0 || rows[0].err == nil) {
+			t.Errorf("int knob %q has no ceiling or no typed error", tag)
+		}
+		// appendValue and parse cover only the field types their rows
+		// hold; each panics on any other.
+		if k := rows[0]; k.keyed || k.stream {
+			v := string(k.appendValue(nil, &p))
+			if k.stream {
+				if err := k.parse(&p, v); err != nil {
+					t.Errorf("knob %q does not parse its own spelling %q: %v", tag, v, err)
+				}
+			}
+		}
+	}
+	if knobs[0].field(&p) != any(&p.SigmaSq) {
+		t.Error("row 0 must be σ², the knob a cache family leaves free")
+	}
+}
+
+// TestStreamQueryRoundTrip: for any parameters the stream endpoint can
+// carry, the server's parse of StreamQuery is the Canon form — or the
+// very error Canon gives. Values sit around every ceiling and at the
+// float edges.
+func TestStreamQueryRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	sigmas := []float64{0, -3, 1, 1.0000000000000002, 1.5, 50, 100, 1e300, 2.5e-7, math.Inf(1), math.Inf(-1), math.NaN()}
+	ok := 0
+	for i := 0; i < 4000; i++ {
+		var p SparsifyParams
+		for _, k := range knobs {
+			if !k.stream {
+				continue
+			}
+			switch v := k.field(&p).(type) {
+			case *float64:
+				*v = sigmas[rng.IntN(len(sigmas))]
+			case *int:
+				c := k.ceiling
+				*v = []int{-7, -1, 0, 1, 2, c - 1, c, c + 1, rng.IntN(c + 2)}[rng.IntN(9)]
+			case *uint64:
+				*v = []uint64{0, 1, 7, math.MaxUint64, rng.Uint64()}[rng.IntN(5)]
+			default:
+				t.Fatalf("knob %q: no generator for %T", k.name, v)
+			}
+		}
+		want := p
+		wantErr := want.Canon()
+		got, err := streamParams(p.StreamQuery())
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%+v: stream error %v, Canon error %v", p, err, wantErr)
+		}
+		if err == nil {
+			ok++
+			if got != want {
+				t.Fatalf("%+v: stream reads back %+v, Canon form is %+v", p, got, want)
+			}
+		}
+	}
+	if ok < 800 { // 1004 with this seed
+		t.Fatalf("only %d of 4000 draws were valid; the property is barely exercised", ok)
 	}
 }

@@ -53,7 +53,7 @@ func (s *Server) session(ctx context.Context, name string, p *SparsifyParams, or
 	}
 	key := ""
 	if p != nil {
-		key = p.sessionKey()
+		key = p.key("")
 	}
 	lookup := func() (*GraphEntry, *sessions.Session, error) {
 		entry, err := s.registry.Get(name)

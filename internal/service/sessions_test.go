@@ -200,15 +200,18 @@ func TestStreamRequiresSigma2AndSessions(t *testing.T) {
 	registerSpec(t, ts.URL, "g", "grid:3x3")
 	// A maintainer can honour neither a job-only parameter, a retired one
 	// nor a typo, so none may be dropped silently: each is a 400 that names
-	// the key. An infinite target is no target.
-	for _, c := range []struct{ query, key string }{
+	// the key. So is a key given twice, which no value of the pair may win.
+	// An infinite target is no target.
+	for _, c := range []struct{ query, named string }{
 		{"", ""}, // missing sigma2
 		{"?sigma2=Inf", ""},
-		{"?sigma2=50&mode=multilevel", "mode"},
-		{"?sigma2=50&max_edges=500", "max_edges"},
-		{"?sigma2=50&shard=4", "shard"},
-		{"?sigma2=50&shards=2&partition=bfs", "partition"},
-		{"?sigma2=50&tree=maxweight", "tree"},
+		{"?sigma2=50&mode=multilevel", `unknown query parameter \"mode\"`},
+		{"?sigma2=50&max_edges=500", `unknown query parameter \"max_edges\"`},
+		{"?sigma2=50&shard=4", `unknown query parameter \"shard\"`},
+		{"?sigma2=50&shards=2&partition=bfs", `unknown query parameter \"partition\"`},
+		{"?sigma2=50&tree=maxweight", `unknown query parameter \"tree\"`},
+		{"?sigma2=50&sigma2=500", `repeated query parameter \"sigma2\"`},
+		{"?sigma2=50&t=2&trace=1&t=3&trace=1", `repeated query parameter \"t, trace\"`},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/graphs/g/stream"+c.query, "application/x-ndjson", strings.NewReader("= 1 2 2\n"))
 		if err != nil {
@@ -217,9 +220,8 @@ func TestStreamRequiresSigma2AndSessions(t *testing.T) {
 		var raw bytes.Buffer
 		raw.ReadFrom(resp.Body)
 		resp.Body.Close()
-		named := c.key == "" || strings.Contains(raw.String(), `unknown query parameter \"`+c.key+`\"`)
-		if resp.StatusCode != http.StatusBadRequest || !named {
-			t.Errorf("stream%s: %d %s, want 400 naming %q", c.query, resp.StatusCode, raw.String(), c.key)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(raw.String(), c.named) {
+			t.Errorf("stream%s: %d %s, want 400 naming %s", c.query, resp.StatusCode, raw.String(), c.named)
 		}
 	}
 	if code, _ := streamLines(t, ts.URL, "g", "?sigma2=50&trace=1", "= 1 2 2\n"); code != http.StatusOK {

@@ -8,8 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -48,54 +48,51 @@ func newEventReader(r *http.Request) *dynamic.EventReader {
 // string (the body carries events, so parameters travel in the URL). A
 // key the endpoint does not honour — a job-only parameter such as mode, a
 // retired one such as max_edges, or a typo — is rejected rather than
-// silently dropped.
+// silently dropped, and so is a key given twice, which a JSON body would
+// resolve the other way (the last value wins there).
 func streamParams(q url.Values) (SparsifyParams, error) {
 	var p SparsifyParams
-	bad := func(name string, err error) (SparsifyParams, error) {
-		return p, fmt.Errorf("%w: query parameter %q: %v", params.ErrInvalid, name, err)
-	}
-	var unknown []string
-	for k := range q {
-		switch k {
-		case "sigma2", "t", "r", "shards", "workers", "seed", "trace":
-		default:
-			unknown = append(unknown, k)
+	var unknown, repeated []string
+	for name, vs := range q {
+		switch {
+		case name != "trace" && !slices.ContainsFunc(knobs, func(k knob) bool { return k.stream && k.name == name }):
+			unknown = append(unknown, name)
+		case len(vs) > 1:
+			repeated = append(repeated, name)
 		}
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
 		return p, fmt.Errorf("%w: unknown query parameter %q", params.ErrInvalid, strings.Join(unknown, ", "))
 	}
-	if v := q.Get("sigma2"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return bad("sigma2", err)
-		}
-		p.SigmaSq = f
+	if len(repeated) > 0 {
+		sort.Strings(repeated)
+		return p, fmt.Errorf("%w: repeated query parameter %q", params.ErrInvalid, strings.Join(repeated, ", "))
 	}
-	for _, it := range []struct {
-		name string
-		dst  *int
-	}{{"t", &p.T}, {"r", &p.NumVectors}, {"shards", &p.Shards}, {"workers", &p.Workers}} {
-		if v := q.Get(it.name); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return bad(it.name, err)
+	for _, k := range knobs {
+		if v := q.Get(k.name); k.stream && v != "" {
+			if err := k.parse(&p, v); err != nil {
+				return p, fmt.Errorf("%w: query parameter %q: %v", params.ErrInvalid, k.name, err)
 			}
-			*it.dst = n
 		}
 	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return bad("seed", err)
+	err := p.Canon()
+	return p, err
+}
+
+// StreamQuery spells p as the stream endpoint's query string: every knob
+// the endpoint accepts, with its value. It is the inverse of the
+// endpoint's parse — the server reads back p's Canon form, or the error
+// Canon gives p — so a client replaying events remotely is parameterized
+// exactly like a local run.
+func (p SparsifyParams) StreamQuery() url.Values {
+	q := url.Values{}
+	for _, k := range knobs {
+		if k.stream {
+			q.Set(k.name, string(k.appendValue(nil, &p)))
 		}
-		p.Seed = n
 	}
-	if err := p.Canon(); err != nil {
-		return p, err
-	}
-	return p, nil
+	return q
 }
 
 // streamLine is one NDJSON response line: a per-batch certificate result
@@ -132,8 +129,8 @@ type streamLine struct {
 // handleStreamEvents is POST /v1/graphs/{name}/stream: chunked ingestion
 // of update batches through the graph's persistent session, one result
 // line streamed back per batch plus a terminal summary. Parameters ride
-// the query string (sigma2 required, plus t/r/seed/shards/workers/trace
-// as for jobs). Rejected batches (validation, bridge deletes)
+// the query string (σ² required, plus the knob table's other stream rows
+// as for jobs, and trace). Rejected batches (validation, bridge deletes)
 // report and the stream continues; decode errors and internal failures
 // terminate it.
 func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {

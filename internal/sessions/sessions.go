@@ -414,9 +414,6 @@ type Session struct {
 // Name returns the graph name the session serves.
 func (s *Session) Name() string { return s.name }
 
-// Key returns the parameter fingerprint the session was installed under.
-func (s *Session) Key() string { return s.key }
-
 // Hash returns the content hash of the maintainer's current graph (as of
 // the last completed request).
 func (s *Session) Hash() string {
