@@ -1,6 +1,6 @@
 // Package graphspar_test hosts the benchmark harness: one benchmark per
 // table and figure of the paper (regenerating the corresponding rows via
-// internal/exp) plus the ablation benches A1, A2, A4 and A5.
+// internal/exp) plus the ablation benches A4 and A5.
 // Benchmarks report qualitative metrics (achieved σ², edges kept, PCG
 // iterations) through b.ReportMetric so `go test -bench` output doubles as
 // an experiment log.
@@ -152,37 +152,6 @@ func sparsifyMetrics(b *testing.B, g *graph.Graph, opt core.Options) *core.Resul
 		b.Fatal(err)
 	}
 	return res
-}
-
-// A1: power-iteration depth t — the paper says t = 2 suffices.
-func BenchmarkAblationPowerSteps(b *testing.B) {
-	for _, t := range []int{1, 2, 3} {
-		b.Run(map[int]string{1: "t=1", 2: "t=2", 3: "t=3"}[t], func(b *testing.B) {
-			g := ablationGraph(b, 1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := sparsifyMetrics(b, g, core.Options{SigmaSq: 80, T: t, Seed: uint64(i + 1)})
-				b.ReportMetric(float64(res.Sparsifier.M()), "edges")
-				b.ReportMetric(res.SigmaSqAchieved, "σ²-achieved")
-			}
-		})
-	}
-}
-
-// A2: number of random probe vectors r.
-func BenchmarkAblationRandomVectors(b *testing.B) {
-	for _, r := range []int{1, 6, 12} {
-		name := map[int]string{1: "r=1", 6: "r=logn", 12: "r=2logn"}[r]
-		b.Run(name, func(b *testing.B) {
-			g := ablationGraph(b, 2)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := sparsifyMetrics(b, g, core.Options{SigmaSq: 80, NumVectors: r, Seed: uint64(i + 1)})
-				b.ReportMetric(float64(res.Sparsifier.M()), "edges")
-				b.ReportMetric(res.SigmaSqAchieved, "σ²-achieved")
-			}
-		})
-	}
 }
 
 // A4: similarity check on/off.

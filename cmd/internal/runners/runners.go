@@ -24,8 +24,6 @@ import (
 func facadeFor(p service.SparsifyParams, withVerification bool) (*graphspar.Sparsifier, error) {
 	opts := []graphspar.Option{
 		graphspar.WithSigma2(p.SigmaSq),
-		graphspar.WithEmbedSteps(p.T),
-		graphspar.WithProbeVectors(p.NumVectors),
 		graphspar.WithSeed(p.Seed),
 		graphspar.WithWorkers(p.Workers), // every plan's one worker count
 	}
@@ -69,7 +67,7 @@ func Sparsify(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (*s
 		EdgesKept:         res.Sparsifier.M(),
 		EdgesInput:        g.M(),
 		Density:           res.Density(),
-		Reduction:         float64(g.M()) / float64(res.Sparsifier.M()),
+		Reduction:         float64(max(g.M(), 1)) / float64(max(res.Sparsifier.M(), 1)), // 1 on a one-vertex graph
 		SigmaSqAchieved:   res.SigmaSqAchieved,
 		TargetMet:         res.TargetMet,
 		Connected:         res.Sparsifier.IsConnected(),

@@ -316,3 +316,39 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Errorf("downloaded sparsifier: n=%d connected=%v", rt.N(), rt.IsConnected())
 	}
 }
+
+// TestSingleVertexJobs: a one-vertex graph registers, and a job on it
+// reaches done on every plan, and from a live session, with the graph
+// itself as the sparsifier and the trivial certificate κ = 1.
+func TestSingleVertexJobs(t *testing.T) {
+	var builds atomic.Int64
+	_, ts := newSessionServer(t, &builds, nil)
+	var info graphInfo
+	code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/graphs",
+		map[string]any{"name": "dot", "spec": "grid:1x1:uniform"}, &info)
+	if code != http.StatusCreated || info.N != 1 || info.M != 0 {
+		t.Fatalf("register: %d %s", code, raw)
+	}
+	for _, body := range []map[string]any{
+		{"graph": "dot", "sigma2": 50},
+		{"graph": "dot", "sigma2": 60, "shards": 4},
+		{"graph": "dot", "sigma2": 70, "mode": "multilevel"},
+		{"graph": "dot", "sigma2": 80, "incremental": true},
+	} {
+		var job service.Job
+		if code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body, &job); code != http.StatusAccepted {
+			t.Fatalf("submit %v: %d %s", body, code, raw)
+		}
+		done := pollJob(t, ts.URL, job.ID)
+		if done.Status != service.StatusDone || done.Result == nil {
+			t.Fatalf("%v: %s (%s)", body, done.Status, done.Error)
+		}
+		if r := done.Result; r.EdgesKept != 0 || !r.Connected || r.VerifiedCond != 1 || !r.TargetMet || r.Reduction != 1 {
+			t.Errorf("%v: kept=%d connected=%v κ=%v met=%v reduction=%v, want 0 edges, connected, κ = 1, met, reduction 1",
+				body, r.EdgesKept, r.Connected, r.VerifiedCond, r.TargetMet, r.Reduction)
+		}
+	}
+	if builds.Load() != 1 {
+		t.Errorf("%d session builds, want 1", builds.Load())
+	}
+}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sparsify -graph grid:300x300:uniform -sigma2 100 [-out sparsifier.mtx]
-//	sparsify -graph problem.mtx -sigma2 50 -t 2
+//	sparsify -graph problem.mtx -sigma2 50
 //	sparsify -graph grid:512x512:uniform -sigma2 100 -shards 8 -workers 4
 //	sparsify -graph grid:1024x1024:unit -sigma2 100 -mode multilevel
 //	sparsify -graph grid:200x200 -sigma2 100 -update-stream events.txt
@@ -55,8 +55,6 @@ func main() {
 		spec    = flag.String("graph", "", graphspar.SpecHelp)
 		sigmaSq = flag.Float64("sigma2", 100, "target spectral similarity σ² (relative condition number bound)")
 		out     = flag.String("out", "", "optional output .mtx path for the sparsifier Laplacian")
-		tSteps  = flag.Int("t", 2, "generalized power iteration steps for edge embedding")
-		rVecs   = flag.Int("r", 0, "random probe vectors (0 = O(log n))")
 		mode    = flag.String("mode", "auto", "execution path: auto | single | sharded | multilevel")
 		shards  = flag.Int("shards", 1, "k-way shards for the parallel engine (1 = single-shot, 0 = auto by graph size)")
 		workers = flag.Int("workers", 0, "worker count: concurrent shards and the goroutines of every embedding pass (0 = all cores; any value is bit-identical)")
@@ -71,7 +69,7 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 
 	if *remote != "" {
-		q := service.SparsifyParams{SigmaSq: *sigmaSq, T: *tSteps, NumVectors: *rVecs, Seed: *seed, Shards: *shards, Workers: *workers}.StreamQuery()
+		q := service.SparsifyParams{SigmaSq: *sigmaSq, Seed: *seed, Shards: *shards, Workers: *workers}.StreamQuery()
 		if err := remoteFlagsOnly(set, q); err != nil {
 			fatal(err)
 		}
@@ -100,8 +98,6 @@ func main() {
 
 	opts := []graphspar.Option{
 		graphspar.WithSigma2(*sigmaSq),
-		graphspar.WithEmbedSteps(*tSteps),
-		graphspar.WithProbeVectors(*rVecs),
 		graphspar.WithSeed(*seed),
 		graphspar.WithWorkers(*workers),
 	}
@@ -139,7 +135,7 @@ func main() {
 // the engine ran.
 func report(g *graphspar.Graph, res *graphspar.Result, sigmaSq float64, verbose bool) {
 	fmt.Printf("sparsifier: |Es|=%d  density |Es|/|V| = %.3f  (%.1fx edge reduction)\n",
-		res.Sparsifier.M(), res.Density(), float64(g.M())/float64(res.Sparsifier.M()))
+		res.Sparsifier.M(), res.Density(), float64(max(g.M(), 1))/float64(max(res.Sparsifier.M(), 1)))
 	if res.Multilevel {
 		fmt.Printf("hierarchy: %d levels (coarsest |V|=%d |E|=%d)\n",
 			res.CoarsenDepth, res.Levels[len(res.Levels)-1].Vertices, res.Levels[len(res.Levels)-1].Edges)

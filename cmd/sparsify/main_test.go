@@ -1,11 +1,13 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -102,6 +104,35 @@ func TestRemoteFlagsOnly(t *testing.T) {
 	}
 }
 
+// TestRetiredEmbedFlags: -t and -r are gone (two power steps and
+// ⌈log₂(n+1)⌉ probes are constants of the filter), so the flag parser
+// rejects them before any work starts, locally and with -remote alike.
+// The test binary re-runs itself as the command.
+func TestRetiredEmbedFlags(t *testing.T) {
+	if args := os.Getenv("SPARSIFY_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"sparsify"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, c := range []struct{ args, flag string }{
+		{"-graph grid:4x4 -sigma2 50 -t 2", "-t"},
+		{"-graph grid:4x4 -sigma2 50 -r 8", "-r"},
+		{"-remote http://127.0.0.1:1 -graph g -update-stream events.txt -t 2", "-t"},
+		{"-remote http://127.0.0.1:1 -graph g -update-stream events.txt -r 8", "-r"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRetiredEmbedFlags$")
+		cmd.Env = append(os.Environ(), "SPARSIFY_TEST_ARGS="+c.args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%s: %v, want exit status 2\n%s", c.args, err, out)
+		}
+		if want := "flag provided but not defined: " + c.flag; !strings.Contains(string(out), want) {
+			t.Errorf("%s: output lacks %q:\n%s", c.args, want, out)
+		}
+	}
+}
+
 // TestRunRemoteStream replays an event file against a stub server and
 // checks the body reaches the right endpoint and the NDJSON result
 // lines are relayed.
@@ -124,7 +155,7 @@ func TestRunRemoteStream(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	runRemoteStream(srv.URL, "mygraph", events, "text", service.SparsifyParams{SigmaSq: 75, T: 2, Seed: 1}.StreamQuery())
+	runRemoteStream(srv.URL, "mygraph", events, "text", service.SparsifyParams{SigmaSq: 75, Seed: 1}.StreamQuery())
 	if gotPath != "/v1/graphs/mygraph/stream" {
 		t.Fatalf("path = %q", gotPath)
 	}

@@ -220,3 +220,57 @@ func TestFacadeVerificationSingleShot(t *testing.T) {
 		t.Errorf("default single-shot run must not verify: %+v", res2)
 	}
 }
+
+// TestFacadeSingleVertex: a one-vertex graph is its own sparsifier with
+// κ = 1 on every plan, and a stream over it builds, rejects an update it
+// cannot hold and rebuilds with the same trivial certificate.
+func TestFacadeSingleVertex(t *testing.T) {
+	g, err := graph.New(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, opts := range [][]graphspar.Option{
+		{graphspar.WithShards(1)},
+		{graphspar.WithShards(1), graphspar.WithVerification(0)},
+		{graphspar.WithShards(4)},
+		{graphspar.WithMode(graphspar.ModeMultilevel)},
+	} {
+		s, err := graphspar.New(append(opts, graphspar.WithSigma2(50))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(ctx, g)
+		if err != nil {
+			t.Fatalf("%d options: %v", len(opts), err)
+		}
+		if res.Sparsifier.N() != 1 || res.Sparsifier.M() != 0 || !res.TargetMet ||
+			res.SigmaSqAchieved != 1 || (res.Verified && res.VerifiedCond != 1) {
+			t.Errorf("sharded=%v multilevel=%v: |V|=%d |E|=%d σ²=%v verified=%v κ=%v met=%v, want the graph itself with κ = 1",
+				res.Sharded, res.Multilevel, res.Sparsifier.N(), res.Sparsifier.M(),
+				res.SigmaSqAchieved, res.Verified, res.VerifiedCond, res.TargetMet)
+		}
+	}
+
+	s, err := graphspar.New(graphspar.WithSigma2(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Maintain(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Apply(ctx, []graphspar.Update{graphspar.Insert(0, 1, 1)}); err == nil {
+		t.Error("insert to a vertex the graph lacks: want an error")
+	}
+	if err := st.Apply(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Rebuild(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st.Sparsifier().N() != 1 || st.Sparsifier().M() != 0 || st.Cond() != 1 || !st.TargetMet() {
+		t.Errorf("stream: |V|=%d |E|=%d κ=%v met=%v, want the graph itself with κ = 1",
+			st.Sparsifier().N(), st.Sparsifier().M(), st.Cond(), st.TargetMet())
+	}
+}

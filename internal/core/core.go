@@ -60,6 +60,10 @@ const (
 	// powerIters caps the λmax power iterations of §3.6.1 (the paper
 	// reports fewer than 10 suffice).
 	powerIters = 10
+	// embedSteps is t, the generalized power-iteration steps of the
+	// Joule-heat embedding (the paper: t = 2 suffices; Fig. 2 uses t = 1
+	// through HeatSpectrum).
+	embedSteps = 2
 	// RefilterRounds caps the full-size embedding passes of one Refilter
 	// call in the batch pipeline — each pass admits one heat-ranked,
 	// batchFraction-capped batch and costs one factorization, and passes
@@ -72,12 +76,6 @@ const (
 type Options struct {
 	// SigmaSq is the target σ² ≥ κ(L_G, L_P) (e.g. 50, 100, 200). Required.
 	SigmaSq float64
-	// T is the number of generalized power-iteration steps for the edge
-	// embedding (paper: t = 2 suffices; Fig. 2 uses t = 1). Default 2.
-	T int
-	// NumVectors is r, the number of random probe vectors (paper:
-	// O(log |V|)). Default ceil(log2 n).
-	NumVectors int
 	// DisableSimilarity turns off the per-round dissimilarity rule (§3.7
 	// step 6), which accepts a candidate only if neither endpoint was
 	// claimed by an edge accepted earlier in the round. The rule is on by
@@ -92,31 +90,20 @@ type Options struct {
 	Seed uint64
 }
 
-// EffectiveEmbed reports the embedding settings Sparsify will actually
-// use on an n-vertex graph — T and NumVectors (r = O(log n) when unset)
-// with defaults applied, followed by the fixed powerIters and
+// EffectiveEmbed reports the embedding settings Sparsify uses on an
+// n-vertex graph — embedSteps power steps and r = ⌈log₂(n+1)⌉ probe
+// vectors (the paper's O(log |V|)) — followed by the fixed powerIters and
 // batchFraction. Refilter and the dynamic maintainer call this so their
 // full-size embeddings can never drift from a Sparsify run's.
-func (o Options) EffectiveEmbed(n int) (t, r, iters int, fraction float64) {
-	t = o.T
-	if t <= 0 {
-		t = 2
-	}
-	r = o.NumVectors
-	if r <= 0 {
-		r = int(math.Ceil(math.Log2(float64(n + 1))))
-		if r < 1 {
-			r = 1
-		}
-	}
-	return t, r, powerIters, batchFraction
+func (Options) EffectiveEmbed(n int) (t, r, iters int, fraction float64) {
+	r = max(int(math.Ceil(math.Log2(float64(n+1)))), 1)
+	return embedSteps, r, powerIters, batchFraction
 }
 
-func (o *Options) defaults(n int) error {
+func (o *Options) defaults() error {
 	if err := params.Sigma2(o.SigmaSq); err != nil {
 		return err
 	}
-	o.T, o.NumVectors, _, _ = o.EffectiveEmbed(n)
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -250,7 +237,7 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 	if err := g.RequireConnected(); err != nil {
 		return nil, err
 	}
-	if err := opt.defaults(g.N()); err != nil {
+	if err := opt.defaults(); err != nil {
 		return nil, err
 	}
 
@@ -327,7 +314,7 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 // vectors) on it, and returns all off-tree heats normalized by the max,
 // sorted descending, together with the θσ thresholds for the requested
 // σ² values. A non-positive t defaults to 1 (Fig. 2's setting, where
-// Sparsify defaults to 2); a non-positive r defaults as in Sparsify, to
+// Sparsify uses 2); a non-positive r defaults as in Sparsify, to
 // ⌈log₂(n+1)⌉.
 func HeatSpectrum(g *graph.Graph, t, r int, sigmaSqs []float64, seed uint64) (norm []float64, thresholds []float64, err error) {
 	if err := g.RequireConnected(); err != nil {

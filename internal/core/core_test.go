@@ -26,6 +26,19 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestEffectiveEmbedConstants pins the embedding every full-size pass
+// runs — t = 2 steps, r = ⌈log₂(n+1)⌉ probes, 10 power iterations, a
+// quarter of the passing candidates per batch. cmd/bench's probe and the
+// dynamic maintainer size their embeddings from it.
+func TestEffectiveEmbedConstants(t *testing.T) {
+	for _, c := range []struct{ n, r int }{{1, 1}, {2, 2}, {576, 10}, {1 << 20, 21}} {
+		tt, r, iters, fraction := Options{}.EffectiveEmbed(c.n)
+		if tt != 2 || r != c.r || iters != 10 || fraction != 0.25 {
+			t.Errorf("EffectiveEmbed(%d) = (%d, %d, %d, %v), want (2, %d, 10, 0.25)", c.n, tt, r, iters, fraction, c.r)
+		}
+	}
+}
+
 func TestSparsifyRejectsDisconnected(t *testing.T) {
 	g, _ := graph.New(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 	if _, err := Sparsify(g, Options{SigmaSq: 100}); err == nil {
@@ -45,6 +58,19 @@ func TestSparsifyTreeInput(t *testing.T) {
 	}
 	if math.Abs(res.SigmaSqAchieved-1) > 1e-6 {
 		t.Fatalf("κ = %v, want 1", res.SigmaSqAchieved)
+	}
+}
+
+func TestSparsifySingleVertex(t *testing.T) {
+	// A one-vertex graph is its own sparsifier with κ = 1.
+	g, _ := graph.New(1, nil)
+	res, err := Sparsify(g, Options{SigmaSq: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sparsifier.N() != 1 || res.Sparsifier.M() != 0 || res.SigmaSqAchieved != 1 {
+		t.Fatalf("got |V|=%d |E|=%d κ=%v, want the graph itself with κ = 1",
+			res.Sparsifier.N(), res.Sparsifier.M(), res.SigmaSqAchieved)
 	}
 }
 

@@ -72,8 +72,13 @@ func SelectEdges(g *graph.Graph, candIDs []int, heats []float64, maxHeat, theta,
 
 // estimateExtremes estimates λmax (power iterations, §3.6.1) and λmin
 // (node coloring, §3.6.2) of L_P⁺L_G, clamping λmax up to λmin: on nearly
-// identical graphs estimator noise can invert the two.
+// identical graphs estimator noise can invert the two. A one-vertex graph
+// is its own sparsifier: both Laplacians vanish on its only (constant)
+// vector, so the pencil is trivial and κ = 1.
 func estimateExtremes(g, p *graph.Graph, solver Solver, iters int, seed uint64) (lmax, lmin float64, err error) {
+	if g.N() == 1 {
+		return 1, 1, nil
+	}
 	lmax, err = EstimateLambdaMax(g, p, solver, iters, seed)
 	if err != nil {
 		return 0, 0, err
@@ -88,8 +93,8 @@ func estimateExtremes(g, p *graph.Graph, solver Solver, iters int, seed uint64) 
 // filterRound is the body of one §3.7 iteration against the current
 // sparsifier p and its L_P⁺ applier: estimate the extreme eigenvalues and,
 // unless the target is met or nothing can be added, embed the candidates,
-// set θσ and select the round's batch. opt must have its embedding
-// defaults applied. The returned stats carry the estimates, θσ and the
+// set θσ and select the round's batch, embedding with g's EffectiveEmbed
+// settings. The returned stats carry the estimates, θσ and the
 // passing count; chosen (positions into candIDs) is empty exactly when the
 // caller's loop is done — target met or no candidates.
 func filterRound(ctx context.Context, g, p *graph.Graph, solver Solver, candIDs []int, opt *Options, rng *vecmath.RNG, similarity bool) (stats RoundStats, chosen []int, err error) {
@@ -101,10 +106,11 @@ func filterRound(ctx context.Context, g, p *graph.Graph, solver Solver, candIDs 
 	if stats.SigmaSqEst <= opt.SigmaSq || len(candIDs) == 0 {
 		return stats, nil, nil
 	}
+	t, r, _, _ := opt.EffectiveEmbed(g.N())
 	embedSpan := obs.StartSpan(ctx, "embed")
-	heats, maxHeat := NewEdgeScorer(g, solver, opt.T, opt.NumVectors, rng.Uint64(), opt.EmbedWorkers).Score(g, candIDs)
+	heats, maxHeat := NewEdgeScorer(g, solver, t, r, rng.Uint64(), opt.EmbedWorkers).Score(g, candIDs)
 	embedSpan.End()
-	stats.Threshold = Threshold(opt.SigmaSq, lmin, lmax, opt.T)
+	stats.Threshold = Threshold(opt.SigmaSq, lmin, lmax, t)
 	chosen, stats.Candidates = SelectEdges(g, candIDs, heats, maxHeat, stats.Threshold, batchFraction, similarity)
 	return stats, chosen, nil
 }

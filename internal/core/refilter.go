@@ -33,7 +33,6 @@ import (
 // round cap ran out with p changed after it was factored — or when
 // rounds ≤ 0. The caller owns it.
 func RefilterFactored(ctx context.Context, g *graph.Graph, keptIDs, candIDs []int, opt Options, rounds, workers int, seed uint64) (p *graph.Graph, kept []int, recovered int, lmax, lmin float64, solver *cholesky.LapSolver, err error) {
-	opt.T, opt.NumVectors, _, _ = opt.EffectiveEmbed(g.N())
 	opt.EmbedWorkers = workers
 	rng := vecmath.NewRNG(seed)
 

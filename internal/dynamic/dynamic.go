@@ -65,11 +65,11 @@ import (
 )
 
 // The maintainer's configuration is the batch pipeline's engine.Options:
-// Sparsify carries the similarity target and embedding knobs (SigmaSq is
-// required), Mode/Shards/Workers pick the plan of every full
-// (re)build — the zero value rebuilds single-shot, ModeSharded through the
-// shard-parallel plan. One field doubles as a maintenance setting with a
-// default of its own: VerifySteps is the generalized-Lanczos depth of the
+// Sparsify carries the similarity target (required) and the seed,
+// Mode/Shards/Workers pick the plan of every full (re)build — the zero
+// value rebuilds single-shot, ModeSharded through the shard-parallel
+// plan. One field doubles as a maintenance setting with a default of its
+// own: VerifySteps is the generalized-Lanczos depth of the
 // per-batch certificate check — the extremes settle fast on sparsifier
 // spectra, so it can be shallower than an offline audit (default 12,
 // capped at n by engine.Certify; refilterMargin absorbs the residual

@@ -61,11 +61,12 @@ const (
 // full rebuilds.
 type Options struct {
 	// Sparsify configures the edge filter every plan runs — on the input
-	// (single-shot), on each shard, or on the coarsest level — and
-	// supplies the embedding knobs of every re-filter pass (at most
-	// core.RefilterRounds per stitch or level). SigmaSq is required. Seed
-	// (default 1) drives every random choice: partitioning, per-shard and
-	// per-level seeds, the global passes and the certificate.
+	// (single-shot), on each shard, or on the coarsest level — and every
+	// re-filter pass (at most core.RefilterRounds per stitch or level);
+	// each embeds with core.Options.EffectiveEmbed of the graph it
+	// filters. SigmaSq is required. Seed (default 1) drives every random
+	// choice: partitioning, per-shard and per-level seeds, the global
+	// passes and the certificate.
 	Sparsify core.Options
 	// Mode is the resolved execution plan. ModeAuto (the zero value) runs
 	// single-shot: picking a plan per graph is the caller's policy.
@@ -396,9 +397,15 @@ func (r *Result) setCertificate(c Certificate) {
 // cut) — does it factor p itself, under a "factor" span; that factor is the
 // filter loop's bit for bit, so a batch certificate cannot depend on who
 // built it.
+//
+// A one-vertex g has the trivial certificate κ = 1: its only vector is
+// the constant one, on which both Laplacians vanish.
 func Certify(ctx context.Context, g, p *graph.Graph, solver *cholesky.LapSolver, steps int, seed uint64) (c Certificate, err error) {
 	if err := ctx.Err(); err != nil {
 		return c, err
+	}
+	if g.N() == 1 {
+		return Certificate{LambdaMax: 1, LambdaMin: 1, Cond: 1}, nil
 	}
 	vSpan := obs.StartSpan(ctx, "verify")
 	defer func() { c.dur = vSpan.End() }()

@@ -27,10 +27,6 @@ var (
 	// condition number κ(L_G, L_P) of a subgraph sparsifier is at least 1,
 	// so no target at or below 1 is satisfiable — and non-finite ones.
 	ErrBadSigma2 = fmt.Errorf("%w: similarity target σ² must be > 1", ErrInvalid)
-	// ErrBadT rejects embedding step counts beyond a caller's ceiling.
-	ErrBadT = fmt.Errorf("%w: embedding steps t out of range", ErrInvalid)
-	// ErrBadNumVectors rejects probe-vector counts beyond a ceiling.
-	ErrBadNumVectors = fmt.Errorf("%w: probe vector count r out of range", ErrInvalid)
 	// ErrBadShards rejects negative shard counts (and counts beyond a
 	// ceiling); zero means "pick the default".
 	ErrBadShards = fmt.Errorf("%w: shard count out of range", ErrInvalid)

@@ -13,12 +13,10 @@ import (
 // SparsifyParams is the canonical, fully-defaulted request that keys the
 // result cache. Handlers fill it from the JSON body and call Canon before
 // any lookup, so two requests that differ only in spelled-out defaults
-// (e.g. t omitted vs. t=2) hit the same cache line.
+// (e.g. seed omitted vs. seed=1) hit the same cache line.
 type SparsifyParams struct {
-	SigmaSq    float64 `json:"sigma2"`
-	T          int     `json:"t,omitempty"`
-	NumVectors int     `json:"r,omitempty"`
-	Seed       uint64  `json:"seed,omitempty"`
+	SigmaSq float64 `json:"sigma2"`
+	Seed    uint64  `json:"seed,omitempty"`
 	// Shards > 1 routes the job through the shard-parallel engine
 	// (internal/engine); 0 or 1 is the single-shot pipeline. Shards is
 	// part of the cache key: a sharded sparsifier and a single-shot one
@@ -64,14 +62,11 @@ type knob struct {
 // the CLI's remote replay all walk it. Row 0, σ², is the knob a cache
 // family leaves free.
 //
-// The ceilings bound remotely-submitted work: the paper uses t ≤ 3 and
-// r = O(log n), so they are far above any useful setting while keeping a
-// remote client from submitting unbounded (and uncancellable) per-job
-// CPU work.
+// The ceilings bound remotely-submitted work: 256 shards and 64 workers
+// are far above any useful setting on one daemon while keeping a remote
+// client from asking for unbounded per-job fan-out.
 var knobs = []knob{
 	{name: "sigma2", field: func(p *SparsifyParams) any { return &p.SigmaSq }, keyed: true, stream: true},
-	{name: "t", field: func(p *SparsifyParams) any { return &p.T }, keyed: true, stream: true, ceiling: 16, err: params.ErrBadT},
-	{name: "r", field: func(p *SparsifyParams) any { return &p.NumVectors }, keyed: true, stream: true, ceiling: 1024, err: params.ErrBadNumVectors},
 	{name: "shards", field: func(p *SparsifyParams) any { return &p.Shards }, keyed: true, stream: true, ceiling: 256, err: params.ErrBadShards},
 	{name: "workers", field: func(p *SparsifyParams) any { return &p.Workers }, stream: true, ceiling: 64, err: params.ErrBadWorkers},
 	{name: "seed", field: func(p *SparsifyParams) any { return &p.Seed }, keyed: true, stream: true},
@@ -131,10 +126,6 @@ func (p *SparsifyParams) Canon() error {
 			}
 		}
 	}
-	if p.T == 0 {
-		p.T = 2
-	}
-	// r = 0 keeps core's O(log n) default.
 	if p.Seed == 0 {
 		p.Seed = 1
 	}

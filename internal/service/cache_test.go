@@ -27,11 +27,11 @@ func TestParamsCanon(t *testing.T) {
 	if err := p.Canon(); err != nil {
 		t.Fatal(err)
 	}
-	if p.T != 2 || p.Seed != 1 {
+	if p.Seed != 1 {
 		t.Errorf("defaults not applied: %+v", p)
 	}
 	// Spelled-out defaults key identically to omitted ones.
-	q := SparsifyParams{SigmaSq: 100, T: 2, Seed: 1}
+	q := SparsifyParams{SigmaSq: 100, Seed: 1}
 	if err := q.Canon(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +43,8 @@ func TestParamsCanon(t *testing.T) {
 		{SigmaSq: 0},
 		{SigmaSq: 1},
 		{SigmaSq: -5},
-		{SigmaSq: 100, T: 2_000_000_000},
-		{SigmaSq: 100, NumVectors: 2_000_000_000},
+		{SigmaSq: 100, Shards: 2_000_000_000},
+		{SigmaSq: 100, Workers: 2_000_000_000},
 	} {
 		if err := bad.Canon(); err == nil {
 			t.Errorf("Canon(%+v): want error", bad)
@@ -93,8 +93,8 @@ func TestCacheCoarserHit(t *testing.T) {
 	if out != CacheCoarser || res.SigmaSqAchieved != 90 {
 		t.Errorf("best coarser = %v, %v; want the σ²=100 entry", res, out)
 	}
-	// Different knobs (t) are a different family: no coarser reuse.
-	p := SparsifyParams{SigmaSq: 200, T: 3}
+	// Different knobs (seed) are a different family: no coarser reuse.
+	p := SparsifyParams{SigmaSq: 200, Seed: 7}
 	if err := p.Canon(); err != nil {
 		t.Fatal(err)
 	}

@@ -510,6 +510,10 @@ func TestUnknownBodyKeysRejected(t *testing.T) {
 		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"max_edges":50}`, "max_edges"},
 		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"mode":"multilevel","coarsen_levels":1}`, "coarsen_levels"},
 		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"mode":"multilevel","coarsen_ratio":0.5}`, "coarsen_ratio"},
+		// The retired embedding knobs: t = 2 steps and ⌈log₂(n+1)⌉ probes
+		// are constants of the filter.
+		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"t":2}`, "t"},
+		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"r":8}`, "r"},
 		{http.MethodPost, "/v1/graphs", `{"name":"h","spec":"grid:4x4","sed":7}`, "sed"},
 		{http.MethodPatch, "/v1/graphs/g/edges", `{"updates":[{"op":"reweight","u":0,"v":1,"w":2,"weight":2}]}`, "weight"},
 	} {

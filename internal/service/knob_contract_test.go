@@ -38,9 +38,9 @@ func TestKnobContract(t *testing.T) {
 
 	reqs := []struct{ name, body string }{
 		{"bare", `{"sigma2":50}`},
-		{"spelled", `{"sigma2":50,"t":2,"r":0,"seed":1,"shards":0,"workers":0,"mode":"","incremental":false}`},
-		{"zeros", `{"sigma2":50,"t":0,"seed":0}`},
-		{"negatives", `{"sigma2":50,"t":-3,"r":-1,"workers":-2}`},
+		{"spelled", `{"sigma2":50,"seed":1,"shards":0,"workers":0,"mode":"","incremental":false}`},
+		{"zeros", `{"sigma2":50,"seed":0}`},
+		{"negatives", `{"sigma2":50,"workers":-2}`},
 		{"shards1", `{"sigma2":50,"shards":1}`},
 		{"shards-1", `{"sigma2":50,"shards":-1}`},
 		{"single", `{"sigma2":50,"mode":"single"}`},
@@ -53,14 +53,11 @@ func TestKnobContract(t *testing.T) {
 		{"shards8", `{"sigma2":50,"shards":8}`},
 		{"multilevel", `{"sigma2":50,"mode":"multilevel"}`},
 		{"multilevel-w8", `{"sigma2":50,"mode":"multilevel","workers":8}`},
-		{"t3", `{"sigma2":50,"t":3}`},
-		{"r8", `{"sigma2":50,"r":8}`},
 		{"seed7", `{"sigma2":50,"seed":7}`},
 		{"s100", `{"sigma2":100}`},
 		{"s100-w8", `{"sigma2":100,"workers":8}`},
 		{"s100-shards4", `{"sigma2":100,"shards":4}`},
 		{"s100-multilevel", `{"sigma2":100,"mode":"multilevel"}`},
-		{"s100-t3", `{"sigma2":100,"t":3}`},
 	}
 	ps := make([]SparsifyParams, len(reqs))
 	var canon strings.Builder
@@ -75,30 +72,27 @@ func TestKnobContract(t *testing.T) {
 		}
 		fmt.Fprintf(&canon, "%s %+v\n", r.name, ps[i])
 	}
-	const wantCanon = `bare {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-spelled {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-zeros {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-negatives {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-shards1 {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-shards-1 {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-single {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-single1 {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-w1 {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:0 Workers:1 Mode: Incremental:false}
-w8 {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:0 Workers:8 Mode: Incremental:false}
-incremental {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode: Incremental:true}
-shards4 {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:4 Workers:0 Mode: Incremental:false}
-sharded4 {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:4 Workers:8 Mode: Incremental:false}
-shards8 {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:8 Workers:0 Mode: Incremental:false}
-multilevel {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode:multilevel Incremental:false}
-multilevel-w8 {SigmaSq:50 T:2 NumVectors:0 Seed:1 Shards:0 Workers:8 Mode:multilevel Incremental:false}
-t3 {SigmaSq:50 T:3 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-r8 {SigmaSq:50 T:2 NumVectors:8 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-seed7 {SigmaSq:50 T:2 NumVectors:0 Seed:7 Shards:0 Workers:0 Mode: Incremental:false}
-s100 {SigmaSq:100 T:2 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-s100-w8 {SigmaSq:100 T:2 NumVectors:0 Seed:1 Shards:0 Workers:8 Mode: Incremental:false}
-s100-shards4 {SigmaSq:100 T:2 NumVectors:0 Seed:1 Shards:4 Workers:0 Mode: Incremental:false}
-s100-multilevel {SigmaSq:100 T:2 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode:multilevel Incremental:false}
-s100-t3 {SigmaSq:100 T:3 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
+	const wantCanon = `bare {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
+spelled {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
+zeros {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
+negatives {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
+shards1 {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
+shards-1 {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
+single {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
+single1 {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
+w1 {SigmaSq:50 Seed:1 Shards:0 Workers:1 Mode: Incremental:false}
+w8 {SigmaSq:50 Seed:1 Shards:0 Workers:8 Mode: Incremental:false}
+incremental {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:true}
+shards4 {SigmaSq:50 Seed:1 Shards:4 Workers:0 Mode: Incremental:false}
+sharded4 {SigmaSq:50 Seed:1 Shards:4 Workers:8 Mode: Incremental:false}
+shards8 {SigmaSq:50 Seed:1 Shards:8 Workers:0 Mode: Incremental:false}
+multilevel {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode:multilevel Incremental:false}
+multilevel-w8 {SigmaSq:50 Seed:1 Shards:0 Workers:8 Mode:multilevel Incremental:false}
+seed7 {SigmaSq:50 Seed:7 Shards:0 Workers:0 Mode: Incremental:false}
+s100 {SigmaSq:100 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
+s100-w8 {SigmaSq:100 Seed:1 Shards:0 Workers:8 Mode: Incremental:false}
+s100-shards4 {SigmaSq:100 Seed:1 Shards:4 Workers:0 Mode: Incremental:false}
+s100-multilevel {SigmaSq:100 Seed:1 Shards:0 Workers:0 Mode:multilevel Incremental:false}
 `
 	if got := canon.String(); got != wantCanon {
 		t.Errorf("canonical forms:\n%s\nwant:\n%s", got, wantCanon)
@@ -132,13 +126,10 @@ s100-t3 {SigmaSq:100 T:3 NumVectors:0 Seed:1 Shards:0 Workers:0 Mode: Incrementa
 shards4 sharded4
 shards8
 multilevel multilevel-w8
-t3
-r8
 seed7
 s100 s100-w8
 s100-shards4
 s100-multilevel
-s100-t3
 `
 	if got := classes(all, func(a, b int) bool { return ps[a].key("h") == ps[b].key("h") }); got != wantKey {
 		t.Errorf("cache key classes:\n%s\nwant:\n%s", got, wantKey)
@@ -147,8 +138,6 @@ s100-t3
 shards4 sharded4 s100-shards4
 shards8
 multilevel multilevel-w8 s100-multilevel
-t3 s100-t3
-r8
 seed7
 `
 	if got := classes(all, func(a, b int) bool { return ps[a].family("h") == ps[b].family("h") }); got != wantFamily {
@@ -179,12 +168,9 @@ seed7
 	const wantSession = `bare spelled zeros negatives shards1 shards-1 single single1 w1 w8 incremental
 shards4 sharded4
 shards8
-t3
-r8
 seed7
 s100 s100-w8
 s100-shards4
-s100-t3
 `
 	if got := classes(sessionable, sameSession); got != wantSession {
 		t.Errorf("session classes:\n%s\nwant:\n%s", got, wantSession)
@@ -196,9 +182,9 @@ s100-t3
 		{`{"sigma2":1}`, `invalid sparsification parameters: similarity target σ² must be \u003e 1: got 1`},
 		{`{"sigma2":-5}`, `invalid sparsification parameters: similarity target σ² must be \u003e 1: got -5`},
 		{`{"sigma2":"50"}`, `bad JSON body: json: cannot unmarshal string into Go struct field submitRequest.SparsifyParams.sigma2 of type float64`},
-		{`{"sigma2":50,"t":17}`, `invalid sparsification parameters: embedding steps t out of range: t must be at most 16, got 17`},
-		{`{"sigma2":50,"t":16,"r":1025}`, `invalid sparsification parameters: probe vector count r out of range: r must be at most 1024, got 1025`},
-		{`{"sigma2":50,"t":17,"r":1025,"shards":257,"workers":65}`, `invalid sparsification parameters: embedding steps t out of range: t must be at most 16, got 17`},
+		{`{"sigma2":50,"t":17}`, `bad JSON body: json: unknown field \"t\"`},
+		{`{"sigma2":50,"t":16,"r":1025}`, `bad JSON body: json: unknown field \"t\"`},
+		{`{"sigma2":50,"t":17,"r":1025,"shards":257,"workers":65}`, `bad JSON body: json: unknown field \"t\"`},
 		{`{"sigma2":50,"shards":257}`, `invalid sparsification parameters: shard count out of range: shards must be at most 256, got 257`},
 		{`{"sigma2":50,"shards":257,"workers":65}`, `invalid sparsification parameters: shard count out of range: shards must be at most 256, got 257`},
 		{`{"sigma2":50,"workers":65}`, `invalid sparsification parameters: worker count out of range: workers must be at most 64, got 65`},
@@ -211,6 +197,12 @@ s100-t3
 		{`{"sigma2":50,"mode":"multilevel","incremental":true}`, `invalid sparsification parameters: incompatible options: multilevel does not compose with incremental`},
 		{`{"sigma2":50,"shard":4}`, `bad JSON body: json: unknown field \"shard\"`},
 		{`{"sigma2":50,"max_edges":500}`, `bad JSON body: json: unknown field \"max_edges\"`},
+		{`{"sigma2":50,"t":2,"r":0,"seed":1,"shards":0,"workers":0,"mode":"","incremental":false}`, `bad JSON body: json: unknown field \"t\"`},
+		{`{"sigma2":50,"t":0,"seed":0}`, `bad JSON body: json: unknown field \"t\"`},
+		{`{"sigma2":50,"t":-3,"r":-1,"workers":-2}`, `bad JSON body: json: unknown field \"t\"`},
+		{`{"sigma2":50,"t":3}`, `bad JSON body: json: unknown field \"t\"`},
+		{`{"sigma2":50,"r":8}`, `bad JSON body: json: unknown field \"r\"`},
+		{`{"sigma2":100,"t":3}`, `bad JSON body: json: unknown field \"t\"`},
 	} {
 		body := `{"graph":"g",` + strings.TrimPrefix(c.body, "{")
 		if c.body == `{}` {
@@ -229,15 +221,15 @@ s100-t3
 		{"?sigma2=", `invalid sparsification parameters: similarity target σ² must be \u003e 1: got 0`},
 		{"?sigma2=Inf", `invalid sparsification parameters: similarity target σ² must be \u003e 1: got +Inf`},
 		{"?sigma2=abc", `invalid sparsification parameters: query parameter \"sigma2\": strconv.ParseFloat: parsing \"abc\": invalid syntax`},
-		{"?sigma2=50&t=x", `invalid sparsification parameters: query parameter \"t\": strconv.Atoi: parsing \"x\": invalid syntax`},
-		{"?sigma2=50&r=1.5", `invalid sparsification parameters: query parameter \"r\": strconv.Atoi: parsing \"1.5\": invalid syntax`},
+		{"?sigma2=50&t=x", `invalid sparsification parameters: unknown query parameter \"t\"`},
+		{"?sigma2=50&r=1.5", `invalid sparsification parameters: unknown query parameter \"r\"`},
 		{"?sigma2=50&shards=two", `invalid sparsification parameters: query parameter \"shards\": strconv.Atoi: parsing \"two\": invalid syntax`},
 		{"?sigma2=50&workers=", ``},
 		{"?sigma2=50&workers=9999999999999999999", `invalid sparsification parameters: query parameter \"workers\": strconv.Atoi: parsing \"9999999999999999999\": value out of range`},
 		{"?sigma2=50&seed=-1", `invalid sparsification parameters: query parameter \"seed\": strconv.ParseUint: parsing \"-1\": invalid syntax`},
 		{"?sigma2=50&shards=x&seed=y", `invalid sparsification parameters: query parameter \"shards\": strconv.Atoi: parsing \"x\": invalid syntax`},
-		{"?sigma2=50&t=17", `invalid sparsification parameters: embedding steps t out of range: t must be at most 16, got 17`},
-		{"?sigma2=50&r=1025", `invalid sparsification parameters: probe vector count r out of range: r must be at most 1024, got 1025`},
+		{"?sigma2=50&t=17", `invalid sparsification parameters: unknown query parameter \"t\"`},
+		{"?sigma2=50&r=1025", `invalid sparsification parameters: unknown query parameter \"r\"`},
 		{"?sigma2=50&shards=257", `invalid sparsification parameters: shard count out of range: shards must be at most 256, got 257`},
 		{"?sigma2=50&workers=65", `invalid sparsification parameters: worker count out of range: workers must be at most 64, got 65`},
 		{"?sigma2=50&mode=multilevel", `invalid sparsification parameters: unknown query parameter \"mode\"`},

@@ -165,6 +165,15 @@ func (s *Server) applySessionBatch(ctx context.Context, sess *sessions.Session, 
 			return "", fmt.Errorf("%w: %v", errSessionCorrupt, err)
 		}
 		updated, err := s.registry.Update(name, prevHash, m.Graph())
+		if errors.Is(err, ErrGraphChanged) {
+			// A cold PATCH moved the registry while m applied: it read the
+			// registry between an earlier batch's swap and this session's
+			// hash refresh, missed the session and swapped first. m is past
+			// its commit point, so the session goes, but the batch never
+			// reached the registry; the retry applies it once, to the
+			// winner's graph.
+			return "", fmt.Errorf("%w: %v", errSessionStale, err)
+		}
 		if err != nil {
 			return "", fmt.Errorf("%w: %v", errSessionCorrupt, err)
 		}
@@ -256,7 +265,7 @@ func maintainerJobResult(m sessions.Maintainer) *JobResult {
 		EdgesKept:       sp.M(),
 		EdgesInput:      m.Graph().M(),
 		Density:         float64(sp.M()) / float64(sp.N()),
-		Reduction:       float64(m.Graph().M()) / float64(sp.M()),
+		Reduction:       float64(max(m.Graph().M(), 1)) / float64(max(sp.M(), 1)), // 1 on a one-vertex graph
 		SigmaSqAchieved: m.Cond(),
 		TargetMet:       m.TargetMet(),
 		Rounds:          st.Refilters,

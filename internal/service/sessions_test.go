@@ -210,8 +210,10 @@ func TestStreamRequiresSigma2AndSessions(t *testing.T) {
 		{"?sigma2=50&shard=4", `unknown query parameter \"shard\"`},
 		{"?sigma2=50&shards=2&partition=bfs", `unknown query parameter \"partition\"`},
 		{"?sigma2=50&tree=maxweight", `unknown query parameter \"tree\"`},
+		{"?sigma2=50&t=2", `unknown query parameter \"t\"`},
+		{"?sigma2=50&r=8", `unknown query parameter \"r\"`},
 		{"?sigma2=50&sigma2=500", `repeated query parameter \"sigma2\"`},
-		{"?sigma2=50&t=2&trace=1&t=3&trace=1", `repeated query parameter \"t, trace\"`},
+		{"?sigma2=50&seed=2&trace=1&seed=3&trace=1", `repeated query parameter \"seed, trace\"`},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/graphs/g/stream"+c.query, "application/x-ndjson", strings.NewReader("= 1 2 2\n"))
 		if err != nil {
@@ -558,7 +560,7 @@ func TestSessionBuiltOnceUnderRacingTraffic(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			job, err := srv.queue.Submit(entry, SparsifyParams{SigmaSq: 50, T: 2, Seed: 1, Incremental: true})
+			job, err := srv.queue.Submit(entry, SparsifyParams{SigmaSq: 50, Seed: 1, Incremental: true})
 			for err == nil && job.Status != StatusDone && job.Status != StatusFailed {
 				runtime.Gosched()
 				job, err = srv.queue.Get(job.ID)
@@ -616,4 +618,74 @@ func waitJobHTTP(t *testing.T, base, id string) Job {
 	}
 	t.Fatalf("job %s never finished", id)
 	return Job{}
+}
+
+// racingMaintainer is a stubMaintainer whose Apply first runs race once
+// it is armed: the test's stand-in for a concurrent writer.
+type racingMaintainer struct {
+	stubMaintainer
+	armed *atomic.Bool
+	race  func()
+}
+
+func (r *racingMaintainer) Apply(ctx context.Context, batch []dynamic.Update) error {
+	if r.armed.CompareAndSwap(true, false) {
+		r.race()
+	}
+	return r.stubMaintainer.Apply(ctx, batch)
+}
+
+// TestSessionPatchRetriesAfterLosingRegistryRace: a cold PATCH can read
+// the registry between a session batch's swap and the session's hash
+// refresh, miss the session and swap first while the next session batch
+// is applying. That batch's maintainer is then past its commit point
+// with the registry moved: the session must go, and the PATCH must land
+// once on the winner's graph — never a 500.
+func TestSessionPatchRetriesAfterLosingRegistryRace(t *testing.T) {
+	var srv *Server
+	var armed atomic.Bool
+	cfg := sessionTestConfig(nil)
+	cfg.Maintain = func(ctx context.Context, g *graph.Graph, p SparsifyParams) (sessions.Maintainer, error) {
+		return &racingMaintainer{stubMaintainer: stubMaintainer{g: g}, armed: &armed, race: func() {
+			cur, err := srv.registry.Get("g")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			won, err := dynamic.ApplyToGraph(cur.Graph, []dynamic.Update{dynamic.Reweight(2, 3, 7)})
+			if err == nil {
+				_, err = srv.registry.Update("g", cur.Hash, won)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}}, nil
+	}
+	srv, ts := startTestServer(t, cfg, nil)
+	registerSpec(t, ts.URL, "g", "grid:6x6")
+	if code, _ := streamLines(t, ts.URL, "g", "?sigma2=50", "= 0 1 3\n"); code != http.StatusOK {
+		t.Fatalf("stream install: %d", code)
+	}
+
+	armed.Store(true)
+	var resp patchResponse
+	code, raw := doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g/edges", patchRequest{
+		Updates: []dynamic.EventJSON{{Op: "reweight", U: 0, V: 1, W: 4}},
+	}, &resp)
+	if code != http.StatusOK {
+		t.Fatalf("PATCH that lost the race: %d %s", code, raw)
+	}
+	if resp.Session != "miss" {
+		t.Errorf("session = %q, want miss (the raced session is closed, the retry applies cold)", resp.Session)
+	}
+	entry, err := srv.registry.Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []graph.Edge{{U: 0, V: 1, W: 4}, {U: 2, V: 3, W: 7}} {
+		id, ok := graph.FindEdge(entry.Graph, e.U, e.V)
+		if !ok || entry.Graph.Edge(id).W != e.W {
+			t.Errorf("edge %d-%d: want weight %v in the registry (found %v)", e.U, e.V, e.W, ok)
+		}
+	}
 }

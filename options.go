@@ -116,25 +116,6 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithEmbedSteps sets t, the generalized power-iteration step count of
-// the Joule-heat edge embedding (default 2; the paper shows t = 2
-// suffices).
-func WithEmbedSteps(t int) Option {
-	return func(c *config) error {
-		c.opt.Sparsify.T = t
-		return nil
-	}
-}
-
-// WithProbeVectors sets r, the number of random probe vectors of the
-// embedding (default O(log |V|)).
-func WithProbeVectors(r int) Option {
-	return func(c *config) error {
-		c.opt.Sparsify.NumVectors = r
-		return nil
-	}
-}
-
 // WithVerification enables the independent generalized-Lanczos check of
 // the final certificate on every Run (without it only the sharded and
 // multilevel plans certify) and sets its depth; steps ≤ 0 keeps the default depth
