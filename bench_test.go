@@ -368,7 +368,7 @@ func BenchmarkShardedSparsify(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					res := benchRun(b, g, graphspar.WithSigma2(100), graphspar.WithSeed(1),
-						graphspar.WithShards(shards), graphspar.WithVerification(0))
+						graphspar.WithShards(shards))
 					compute := res.Timings.Sparsify
 					b.ReportMetric(compute.Seconds(), "compute-s")
 					b.ReportMetric(float64(ref.dur)/float64(compute), "speedup-vs-single")

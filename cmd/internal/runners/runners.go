@@ -18,17 +18,12 @@ import (
 )
 
 // facadeFor translates canonicalized wire params into a facade
-// Sparsifier. withVerification adds the independent certificate check
-// from-scratch jobs report; incremental jobs skip it because the
-// maintainer's own per-batch verification IS the certificate.
-func facadeFor(p service.SparsifyParams, withVerification bool) (*graphspar.Sparsifier, error) {
+// Sparsifier.
+func facadeFor(p service.SparsifyParams) (*graphspar.Sparsifier, error) {
 	opts := []graphspar.Option{
 		graphspar.WithSigma2(p.SigmaSq),
 		graphspar.WithSeed(p.Seed),
 		graphspar.WithWorkers(p.Workers), // every plan's one worker count
-	}
-	if withVerification {
-		opts = append(opts, graphspar.WithVerification(0))
 	}
 	switch {
 	case p.Mode == graphspar.ModeMultilevel.String():
@@ -45,13 +40,13 @@ func facadeFor(p service.SparsifyParams, withVerification bool) (*graphspar.Spar
 	return graphspar.New(opts...)
 }
 
-// Sparsify is the production SparsifyFunc: facade Run (under the plan the
-// params name) plus the independent Lanczos verification.
+// Sparsify is the production SparsifyFunc: facade Run under the plan the
+// params name, certificate included.
 func Sparsify(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (*service.JobResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s, err := facadeFor(p, true)
+	s, err := facadeFor(p)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +100,7 @@ func Sparsify(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (*s
 // object a library user would hold, and the stream's independently
 // verified κ is the certificate an incremental job reports.
 func Maintain(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (sessions.Maintainer, error) {
-	s, err := facadeFor(p, false)
+	s, err := facadeFor(p)
 	if err != nil {
 		return nil, err
 	}

@@ -131,16 +131,16 @@ func main() {
 	save(*out, res.Sparsifier)
 }
 
-// report prints the unified Result, with the extra sharding phases when
-// the engine ran.
+// report prints the unified Result: one similarity line with the
+// certificate's verdict on every plan, then the plan's own phases.
 func report(g *graphspar.Graph, res *graphspar.Result, sigmaSq float64, verbose bool) {
 	fmt.Printf("sparsifier: |Es|=%d  density |Es|/|V| = %.3f  (%.1fx edge reduction)\n",
 		res.Sparsifier.M(), res.Density(), float64(max(g.M(), 1))/float64(max(res.Sparsifier.M(), 1)))
+	fmt.Printf("similarity: σ² estimate=%.1f, verified κ=%.1f (target %.1f, met=%v)\n",
+		res.SigmaSqAchieved, res.VerifiedCond, sigmaSq, res.TargetMet)
 	if res.Multilevel {
 		fmt.Printf("hierarchy: %d levels (coarsest |V|=%d |E|=%d)\n",
 			res.CoarsenDepth, res.Levels[len(res.Levels)-1].Vertices, res.Levels[len(res.Levels)-1].Edges)
-		fmt.Printf("similarity: σ² estimate=%.1f, verified κ=%.1f (target %.1f, met=%v)\n",
-			res.SigmaSqAchieved, res.VerifiedCond, sigmaSq, res.TargetMet)
 		fmt.Printf("time: %s total  (coarsen %s, interpolate %s, refilter %s, verify %s)\n",
 			res.Timings.Wall.Round(time.Millisecond),
 			res.Timings.Coarsen.Round(time.Millisecond),
@@ -158,11 +158,9 @@ func report(g *graphspar.Graph, res *graphspar.Result, sigmaSq float64, verbose 
 		return
 	}
 	if !res.Sharded {
-		fmt.Printf("similarity: λmax=%.3f λmin=%.3f  σ² achieved=%.1f (target %.1f)\n",
-			res.LambdaMax, res.LambdaMin, res.SigmaSqAchieved, sigmaSq)
 		fmt.Printf("backbone: max-weight tree, total stretch %.3e\n", res.TotalStretch)
-		fmt.Printf("time: %s in %d densification rounds\n",
-			res.Timings.Sparsify.Round(time.Millisecond), len(res.Rounds))
+		fmt.Printf("time: %s in %d densification rounds, verify %s\n",
+			res.Timings.Sparsify.Round(time.Millisecond), len(res.Rounds), res.Timings.Verify.Round(time.Millisecond))
 		if verbose {
 			printRounds(res.Rounds)
 		}
@@ -170,8 +168,6 @@ func report(g *graphspar.Graph, res *graphspar.Result, sigmaSq float64, verbose 
 	}
 	fmt.Printf("sharding: %d parts, cut=%d edges (%d stitched, %d recovered)\n",
 		res.Parts, res.CutEdges, res.StitchedCut, res.RecoveredCut)
-	fmt.Printf("similarity: σ² estimate=%.1f, verified κ=%.1f (target %.1f, met=%v)\n",
-		res.SigmaSqAchieved, res.VerifiedCond, sigmaSq, res.TargetMet)
 	fmt.Printf("time: %s total  (partition %s, shards %s wall / %s cpu = %.2fx parallel, stitch %s, verify %s)\n",
 		res.Timings.Wall.Round(time.Millisecond),
 		res.Timings.Partition.Round(time.Millisecond),

@@ -16,6 +16,25 @@ import (
 	"graphspar/internal/service"
 )
 
+// TestMain lets a test re-run the test binary as the command:
+// SPARSIFY_TEST_ARGS holds its command line.
+func TestMain(m *testing.M) {
+	if args := os.Getenv("SPARSIFY_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"sparsify"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// sparsify runs the command with args in a child process and returns its
+// combined output and exit error.
+func sparsify(args string) ([]byte, error) {
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "SPARSIFY_TEST_ARGS="+args)
+	return cmd.CombinedOutput()
+}
+
 // TestRunUpdateStream drives the -update-stream path end to end on a
 // small grid: replayed batches, final sparsifier written out.
 func TestRunUpdateStream(t *testing.T) {
@@ -107,22 +126,14 @@ func TestRemoteFlagsOnly(t *testing.T) {
 // TestRetiredEmbedFlags: -t and -r are gone (two power steps and
 // ⌈log₂(n+1)⌉ probes are constants of the filter), so the flag parser
 // rejects them before any work starts, locally and with -remote alike.
-// The test binary re-runs itself as the command.
 func TestRetiredEmbedFlags(t *testing.T) {
-	if args := os.Getenv("SPARSIFY_TEST_ARGS"); args != "" {
-		os.Args = append([]string{"sparsify"}, strings.Fields(args)...)
-		main()
-		return
-	}
 	for _, c := range []struct{ args, flag string }{
 		{"-graph grid:4x4 -sigma2 50 -t 2", "-t"},
 		{"-graph grid:4x4 -sigma2 50 -r 8", "-r"},
 		{"-remote http://127.0.0.1:1 -graph g -update-stream events.txt -t 2", "-t"},
 		{"-remote http://127.0.0.1:1 -graph g -update-stream events.txt -r 8", "-r"},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestRetiredEmbedFlags$")
-		cmd.Env = append(os.Environ(), "SPARSIFY_TEST_ARGS="+c.args)
-		out, err := cmd.CombinedOutput()
+		out, err := sparsify(c.args)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("%s: %v, want exit status 2\n%s", c.args, err, out)
@@ -130,6 +141,33 @@ func TestRetiredEmbedFlags(t *testing.T) {
 		if want := "flag provided but not defined: " + c.flag; !strings.Contains(string(out), want) {
 			t.Errorf("%s: output lacks %q:\n%s", c.args, want, out)
 		}
+	}
+}
+
+// TestSingleShotReportsCertificate: a single-shot run with no option
+// asking for it prints the certificate's κ and verdict on the same
+// similarity line as the other plans.
+func TestSingleShotReportsCertificate(t *testing.T) {
+	out, err := sparsify("-graph grid:12x12:uniform -sigma2 50 -mode single")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	var line string
+	for _, l := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(l, "similarity:") {
+			if line != "" {
+				t.Fatalf("two similarity lines:\n%s", out)
+			}
+			line = l
+		}
+	}
+	var est, kappa, target float64
+	var met bool
+	if _, err := fmt.Sscanf(line, "similarity: σ² estimate=%g, verified κ=%g (target %g, met=%t)", &est, &kappa, &target, &met); err != nil {
+		t.Fatalf("similarity line %q: %v\n%s", line, err, out)
+	}
+	if !(kappa > 0) || target != 50 || met != (kappa <= target) {
+		t.Errorf("similarity line %q: want a positive verified κ and met = κ ≤ 50", line)
 	}
 }
 

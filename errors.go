@@ -20,8 +20,7 @@ var (
 	// ErrBadShards rejects negative shard counts.
 	ErrBadShards = params.ErrBadShards
 	// ErrNoTarget is returned by Run (with a usable best-effort Result)
-	// when the result misses the σ² target: by its certificate when one
-	// ran, by the pipeline's estimates otherwise.
+	// when the result's certificate misses the σ² target.
 	ErrNoTarget = core.ErrNoTarget
 	// ErrDisconnected rejects disconnected input graphs.
 	ErrDisconnected = graph.ErrDisconnected

@@ -45,11 +45,11 @@ func ExampleSparsifier_Run() {
 	}
 	fmt.Println("vertices:", res.Sparsifier.N())
 	fmt.Println("connected:", res.Sparsifier.IsConnected())
-	fmt.Println("target met:", res.TargetMet && res.SigmaSqAchieved <= 50)
+	fmt.Println("certified:", res.TargetMet && res.VerifiedCond <= 50)
 	// Output:
 	// vertices: 100
 	// connected: true
-	// target met: true
+	// certified: true
 }
 
 // WithMode pins the execution path — here the multilevel hierarchy

@@ -31,8 +31,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("sparsifier: %d edges (density %.3f), σ² achieved %.1f\n",
-		res.Sparsifier.M(), res.Density(), res.SigmaSqAchieved)
+	fmt.Printf("sparsifier: %d edges (density %.3f), verified κ %.1f\n",
+		res.Sparsifier.M(), res.Density(), res.VerifiedCond)
 	fmt.Printf("backbone tree stretch: %.3e; off-tree edges recovered: %d\n",
 		res.TotalStretch, len(res.OffTreeAddedIDs))
 

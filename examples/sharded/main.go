@@ -31,8 +31,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("single-shot: %d edges, σ²=%.1f in %s\n",
-		sres.Sparsifier.M(), sres.SigmaSqAchieved, sres.Timings.Sparsify.Round(time.Millisecond))
+	fmt.Printf("single-shot: %d edges, verified κ=%.1f in %s\n",
+		sres.Sparsifier.M(), sres.VerifiedCond, sres.Timings.Wall.Round(time.Millisecond))
 
 	// Shard-parallel: 4-way partition, concurrent shard sparsification,
 	// stitch + cut recovery, independent verification.

@@ -180,44 +180,35 @@ func TestFacadeValidation(t *testing.T) {
 	}
 }
 
-// TestFacadeVerificationMatchesServiceContract pins the single-shot
-// verification path: WithVerification must report the same independent
-// Lanczos estimate the service's job runner historically attached.
+// TestFacadeVerificationSingleShot pins the single-shot certificate: a
+// plain Run carries the independent Lanczos check, and the deprecated
+// WithVerification, now a no-op, changes no bit of the result.
 func TestFacadeVerificationSingleShot(t *testing.T) {
 	g, err := gen.Grid2D(15, 15, gen.UniformWeights, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := graphspar.New(
-		graphspar.WithSigma2(50),
-		graphspar.WithSeed(7),
-		graphspar.WithShards(1),
-		graphspar.WithVerification(0),
-	)
-	if err != nil {
-		t.Fatal(err)
+	var got []*graphspar.Result
+	for _, extra := range [][]graphspar.Option{nil, {graphspar.WithVerification(0)}, {graphspar.WithVerification(5)}} {
+		s, err := graphspar.New(append([]graphspar.Option{
+			graphspar.WithSigma2(50), graphspar.WithSeed(7), graphspar.WithShards(1),
+		}, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.VerifiedCond <= 0 || res.VerifiedCond > 50 {
+			t.Errorf("%d extra options: verified κ = %v outside (0, 50]", len(extra), res.VerifiedCond)
+		}
+		got = append(got, res)
 	}
-	res, err := s.Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Verified {
-		t.Fatal("WithVerification must run the independent check")
-	}
-	if res.VerifiedCond <= 0 || res.VerifiedCond > 50 {
-		t.Errorf("verified κ = %v outside (0, 50]", res.VerifiedCond)
-	}
-	// Without the option, the single-shot path skips verification.
-	s2, err := graphspar.New(graphspar.WithSigma2(50), graphspar.WithSeed(7), graphspar.WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := s2.Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Verified || res2.VerifiedCond != 0 {
-		t.Errorf("default single-shot run must not verify: %+v", res2)
+	for _, res := range got[1:] {
+		if sparsifierHash(res.Sparsifier) != sparsifierHash(got[0].Sparsifier) || res.VerifiedCond != got[0].VerifiedCond {
+			t.Errorf("WithVerification changed the result: κ %v vs %v", res.VerifiedCond, got[0].VerifiedCond)
+		}
 	}
 }
 
@@ -232,7 +223,6 @@ func TestFacadeSingleVertex(t *testing.T) {
 	ctx := context.Background()
 	for _, opts := range [][]graphspar.Option{
 		{graphspar.WithShards(1)},
-		{graphspar.WithShards(1), graphspar.WithVerification(0)},
 		{graphspar.WithShards(4)},
 		{graphspar.WithMode(graphspar.ModeMultilevel)},
 	} {
@@ -245,10 +235,10 @@ func TestFacadeSingleVertex(t *testing.T) {
 			t.Fatalf("%d options: %v", len(opts), err)
 		}
 		if res.Sparsifier.N() != 1 || res.Sparsifier.M() != 0 || !res.TargetMet ||
-			res.SigmaSqAchieved != 1 || (res.Verified && res.VerifiedCond != 1) {
-			t.Errorf("sharded=%v multilevel=%v: |V|=%d |E|=%d σ²=%v verified=%v κ=%v met=%v, want the graph itself with κ = 1",
+			res.SigmaSqAchieved != 1 || res.VerifiedCond != 1 {
+			t.Errorf("sharded=%v multilevel=%v: |V|=%d |E|=%d σ²=%v κ=%v met=%v, want the graph itself with κ = 1",
 				res.Sharded, res.Multilevel, res.Sparsifier.N(), res.Sparsifier.M(),
-				res.SigmaSqAchieved, res.Verified, res.VerifiedCond, res.TargetMet)
+				res.SigmaSqAchieved, res.VerifiedCond, res.TargetMet)
 		}
 	}
 

@@ -24,8 +24,10 @@
 //
 // Run picks the plan automatically — single-shot for small graphs, a
 // parallel plan beyond AutoShardEdges edges — unless WithMode or
-// WithShards pins it. Results are deterministic for a fixed seed and
-// independent of worker counts.
+// WithShards pins it. Whatever the plan, Run certifies its result
+// against g with an independent generalized-Lanczos check, and
+// Result.TargetMet is that certificate's verdict. Results are
+// deterministic for a fixed seed and independent of worker counts.
 package graphspar
 
 import (
@@ -93,10 +95,12 @@ func (s *Sparsifier) Sigma2() float64 { return s.cfg.opt.Sparsify.SigmaSq }
 // Cancellation of ctx stops the densification rounds at their next
 // checkpoint.
 //
-// When the result misses the target (Result.TargetMet is false), Run
-// returns it together with ErrNoTarget, wrapped with the number that
-// decided: the verified κ when the certificate ran, the estimate
-// otherwise. Every other error returns a nil Result.
+// Every plan ends in the same stop rule: an independent
+// generalized-Lanczos certificate of the result against g, with
+// calibrated re-filters while it misses σ². When the certified κ still
+// misses the target (Result.TargetMet is false), Run returns the result
+// together with ErrNoTarget, wrapped with that κ. Every other error
+// returns a nil Result.
 func (s *Sparsifier) Run(ctx context.Context, g *Graph) (*Result, error) {
 	// Every Run carries a phase trace: pipeline spans (partition, shard,
 	// stitch, embed, verify, ...) land in Result.Phases and aggregate
@@ -131,7 +135,6 @@ func (s *Sparsifier) Run(ctx context.Context, g *Graph) (*Result, error) {
 		RecoveredCut:      er.RecoveredCut,
 		CoarsenDepth:      er.Depth,
 		Levels:            er.Levels,
-		Verified:          er.Verified,
 		VerifiedLambdaMax: er.VerifiedLambdaMax,
 		VerifiedLambdaMin: er.VerifiedLambdaMin,
 		VerifiedCond:      er.VerifiedCond,
@@ -139,11 +142,7 @@ func (s *Sparsifier) Run(ctx context.Context, g *Graph) (*Result, error) {
 		Phases:            tr.Phases(),
 	}
 	if !res.TargetMet {
-		what, kappa := "estimated", res.SigmaSqAchieved
-		if res.Verified {
-			what, kappa = "verified", res.VerifiedCond
-		}
-		return res, fmt.Errorf("%w: %s κ %.2f > σ² %g", ErrNoTarget, what, kappa, s.Sigma2())
+		return res, fmt.Errorf("%w: verified κ %.2f > σ² %g", ErrNoTarget, res.VerifiedCond, s.Sigma2())
 	}
 	return res, nil
 }
@@ -172,9 +171,6 @@ func (c *config) plan(g *Graph, stream bool) engine.Options {
 	if opt.Mode == ModeSharded && opt.Shards == 0 {
 		opt.Shards = AutoShards
 	}
-	// Single-shot certifies on request; the parallel plans always do
-	// (stitching and interpolation are only as good as their check).
-	opt.Verify = opt.Verify || opt.Mode != ModeSingleShot
 	return opt
 }
 

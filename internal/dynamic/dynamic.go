@@ -68,16 +68,16 @@ import (
 // Sparsify carries the similarity target (required) and the seed,
 // Mode/Shards/Workers pick the plan of every full (re)build — the zero
 // value rebuilds single-shot, ModeSharded through the shard-parallel
-// plan. One field doubles as a maintenance setting with a default of its
-// own: VerifySteps is the generalized-Lanczos depth of the
-// per-batch certificate check — the extremes settle fast on sparsifier
-// spectra, so it can be shallower than an offline audit (default 12,
-// capped at n by engine.Certify; refilterMargin absorbs the residual
-// underestimate). Verify is ignored: the maintainer certifies every build
-// on its own factor.
-// Everything else about maintenance is fixed — the localized re-filter
-// rounds per Apply by core.RefilterRounds, the rest here:
+// plan. Builds run engine.Select, the batch plan without its stop rule:
+// the maintainer certifies every build on its own factor. Everything
+// about maintenance is fixed — the localized re-filter rounds per Apply
+// by core.RefilterRounds, the rest here:
 const (
+	// certifySteps is the generalized-Lanczos depth of the per-batch
+	// certificate check. The extremes settle fast on sparsifier spectra,
+	// so it can be shallower than the batch pipeline's (engine.Certify
+	// caps it at n; refilterMargin absorbs the residual underestimate).
+	certifySteps = 12
 	// refilterMargin is the safety margin: re-filtering starts once
 	// κ > refilterMargin·σ², keeping headroom for estimator noise so the
 	// true condition number stays under σ².
@@ -121,10 +121,6 @@ func maintainerDefaults(opt engine.Options) (engine.Options, error) {
 	if err := params.Sigma2(opt.Sparsify.SigmaSq); err != nil {
 		return opt, err
 	}
-	if opt.VerifySteps <= 0 {
-		opt.VerifySteps = 12
-	}
-	opt.VerifySteps = max(2, opt.VerifySteps) // Certify caps it at n
 	if opt.Sparsify.Seed == 0 {
 		opt.Sparsify.Seed = 1
 	}
@@ -682,7 +678,7 @@ func (m *Maintainer) freshenEmbedding(ctx context.Context) {
 // certificate routine on the standing factor.
 func (m *Maintainer) verifyCertificate(ctx context.Context) error {
 	m.stats.Verifies++
-	c, err := engine.Certify(ctx, m.g, m.p, m.solver, m.opt.VerifySteps, m.rng.Uint64())
+	c, err := engine.Certify(ctx, m.g, m.p, m.solver, certifySteps, m.rng.Uint64())
 	if err != nil {
 		return err
 	}
@@ -694,12 +690,10 @@ func (m *Maintainer) verifyCertificate(ctx context.Context) error {
 // pipeline, resets the drift accounting, recomputes the elimination order
 // and rebuilds the probe embedding.
 func (m *Maintainer) rebuild(ctx context.Context) error {
-	bopt := m.opt
-	// The certificate below runs on the maintainer's own factor; a
-	// pipeline-side check would factor the same sparsifier a second time
-	// for a result nobody reads.
-	bopt.Verify = false
-	res, err := engine.Run(ctx, m.g, bopt)
+	// The certificate below runs on the maintainer's own factor; the batch
+	// stop rule would factor the same sparsifier a second time for a
+	// result nobody reads.
+	res, err := engine.Select(ctx, m.g, m.opt)
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,10 @@
 //     fixed costs dominate (see the README for guidance).
 //
 // Which plan suits a graph is the caller's policy (the facade's auto
-// mode); Run executes the plan it is handed.
+// mode); Run executes the plan it is handed and certifies every result,
+// so its TargetMet is always the certificate's verdict. Select is the
+// same plan without the final stop rule, for the dynamic maintainer,
+// which certifies its builds on its own factor.
 package engine
 
 import (
@@ -54,6 +57,9 @@ const (
 	// maxCalibrations caps the stop rule's calibrated re-filter retries
 	// when the verified κ misses the target the estimates cleared.
 	maxCalibrations = 3
+	// certifySteps is the stop rule's Lanczos depth; Certify caps it at
+	// the vertex count of the graph it checks.
+	certifySteps = 30
 )
 
 // Options configures Run: the one options struct of every batch plan — and
@@ -84,18 +90,11 @@ type Options struct {
 	// (default multilevel.DefaultCoarsestSize); an input at or below it
 	// makes the multilevel plan bit-identical to single-shot.
 	CoarsestSize int
-	// Verify applies the stop rule (certify) to the final sparsifier —
-	// and, in the multilevel plan, to every finer level: the independent
-	// generalized-Lanczos certificate, with calibrated re-filters while it
-	// misses σ². Without it the plan's own estimates decide TargetMet.
-	Verify bool
-	// VerifySteps is the Lanczos depth of that check. Default min(30, n).
-	VerifySteps int
 }
 
 // defaults validates opt, resolves ModeAuto and fills every unset knob; it
-// is the only place batch runs default Seed, Workers and VerifySteps.
-func (o *Options) defaults(n int) error {
+// is the only place batch runs default Seed and Workers.
+func (o *Options) defaults() error {
 	if err := params.Sigma2(o.Sparsify.SigmaSq); err != nil {
 		return err
 	}
@@ -117,15 +116,6 @@ func (o *Options) defaults(n int) error {
 	o.Sparsify.EmbedWorkers = o.Workers
 	if o.CoarsestSize <= 0 {
 		o.CoarsestSize = multilevel.DefaultCoarsestSize
-	}
-	if o.VerifySteps <= 0 {
-		o.VerifySteps = 30
-	}
-	if o.VerifySteps > n {
-		o.VerifySteps = n
-	}
-	if o.VerifySteps < 2 {
-		o.VerifySteps = 2
 	}
 	return nil
 }
@@ -164,7 +154,7 @@ type LevelStats struct {
 	// Kept is the sparsifier size at this level.
 	Kept int
 	// SigmaSqEst is the level's own final κ estimate; VerifiedCond the
-	// per-level Lanczos check (0 without Options.Verify).
+	// stop rule's last certificate of the level.
 	SigmaSqEst   float64
 	VerifiedCond float64
 	Duration     time.Duration
@@ -205,8 +195,7 @@ type Result struct {
 	// LambdaMax/LambdaMin/SigmaSqEst are the plan's own final estimates
 	// (in a sharded run with a small kept-whole cut, the worst shard's, see
 	// cutFilterFraction). TargetMet is the run's one verdict on σ²:
-	// VerifiedCond ≤ σ² when the certificate ran, SigmaSqEst ≤ σ²
-	// otherwise.
+	// VerifiedCond ≤ σ².
 	LambdaMax, LambdaMin float64
 	SigmaSqEst           float64
 	TargetMet            bool
@@ -241,9 +230,7 @@ type Result struct {
 
 	// Verified* come from the stop rule's last independent
 	// generalized-Lanczos check of the final sparsifier against the input
-	// graph (Verified is Options.Verify); VerifiedCond is the authoritative
-	// end-to-end κ.
-	Verified          bool
+	// graph; VerifiedCond is the authoritative end-to-end κ.
 	VerifiedLambdaMax float64
 	VerifiedLambdaMin float64
 	VerifiedCond      float64
@@ -251,53 +238,70 @@ type Result struct {
 	Timings Timings
 }
 
-// Run executes opt.Mode's plan on g. A missed σ² target is reported in
+// Run executes opt.Mode's plan on g and certifies its selection: Run is
+// Select plus the stop rule (certify). A missed σ² target is reported in
 // Result.TargetMet, never as an error (callers decide how to surface it).
 // Cancellation of ctx stops the densification rounds and the re-filter
 // passes at their next checkpoint and returns ctx.Err().
 func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	start := time.Now()
-	if err := g.RequireConnected(); err != nil {
-		return nil, err
-	}
-	if err := opt.defaults(g.N()); err != nil {
-		return nil, err
-	}
-	res := &Result{Mode: opt.Mode, Parts: 1}
-	run := res.runLevels // single-shot and multilevel: one plan, two depths
-	if opt.Mode == params.ModeSharded {
-		run = res.runSharded
-	}
-	s, err := run(ctx, g, opt)
+	res, s, err := plan(ctx, g, &opt)
 	if err != nil {
 		return nil, err
 	}
 	// A genuinely coarsened multilevel run certified every finer level,
 	// ending with the input; every other plan's selection meets the stop
 	// rule here.
-	if opt.Verify && !res.Verified {
+	if res.Depth <= 1 {
 		recovered, err := res.certify(ctx, "refilter", s, opt, opt.Sparsify.Seed)
 		if err != nil {
 			return nil, err
 		}
 		res.RecoveredCut += recovered
+		res.Sparsifier, res.LambdaMax, res.LambdaMin, res.SigmaSqEst = s.p, s.lmax, s.lmin, s.est()
 		if res.Levels != nil { // the one-level hierarchy: its only level is the input
 			lv := &res.Levels[0]
 			lv.Recovered += recovered
 			lv.Kept, lv.SigmaSqEst, lv.VerifiedCond = s.p.M(), s.est(), res.VerifiedCond
 		}
 	}
-	res.Sparsifier, res.LambdaMax, res.LambdaMin, res.SigmaSqEst = s.p, s.lmax, s.lmin, s.est()
-	// The one verdict: the certificate's when one ran, the estimates'
-	// otherwise.
-	kappa := res.SigmaSqEst
-	if res.Verified {
-		kappa = res.VerifiedCond
-	}
-	res.TargetMet = kappa > 0 && kappa <= opt.Sparsify.SigmaSq
+	res.TargetMet = res.VerifiedCond > 0 && res.VerifiedCond <= opt.Sparsify.SigmaSq
 	res.Timings.Wall = time.Since(start)
 	res.Timings.Sparsify = res.Timings.Wall - res.Timings.Verify
 	return res, nil
+}
+
+// Select executes opt.Mode's plan on g and stops before the final stop
+// rule: its Result is Run's without the input's certificate, so
+// TargetMet and Timings.Wall are zero, and so are Verified* unless a
+// coarsened multilevel run certified its finer levels. It is for a
+// caller that certifies the selection itself, on its own factor — the
+// dynamic maintainer's builds.
+func Select(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
+	res, _, err := plan(ctx, g, &opt)
+	return res, err
+}
+
+// plan validates and defaults opt, then runs its plan on g and returns the
+// Result with the input's selection adopted, and that selection.
+func plan(ctx context.Context, g *graph.Graph, opt *Options) (*Result, *selection, error) {
+	if err := g.RequireConnected(); err != nil {
+		return nil, nil, err
+	}
+	if err := opt.defaults(); err != nil {
+		return nil, nil, err
+	}
+	res := &Result{Mode: opt.Mode, Parts: 1}
+	run := res.runLevels // single-shot and multilevel: one plan, two depths
+	if opt.Mode == params.ModeSharded {
+		run = res.runSharded
+	}
+	s, err := run(ctx, g, *opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Sparsifier, res.LambdaMax, res.LambdaMin, res.SigmaSqEst = s.p, s.lmax, s.lmin, s.est()
+	return res, s, nil
 }
 
 // selection is what every plan hands to the stop rule: the graph it
@@ -357,12 +361,12 @@ func (r *Result) certify(ctx context.Context, span obs.PhaseName, s *selection, 
 			}
 			recovered += n
 		}
-		c, err := Certify(ctx, s.g, s.p, s.solver, opt.VerifySteps, core.DeriveSeed(seed, 2*a))
+		c, err := Certify(ctx, s.g, s.p, s.solver, certifySteps, core.DeriveSeed(seed, 2*a))
 		r.Timings.Verify += c.dur
 		if err != nil {
 			return 0, err
 		}
-		r.setCertificate(c)
+		r.VerifiedLambdaMax, r.VerifiedLambdaMin, r.VerifiedCond = c.LambdaMax, c.LambdaMin, c.Cond
 		if c.Cond <= sigma || len(s.kept) == s.g.M() || !(s.lmin > 0) || a == maxCalibrations {
 			return recovered, nil
 		}
@@ -375,11 +379,6 @@ func (r *Result) certify(ctx context.Context, span obs.PhaseName, s *selection, 
 type Certificate struct {
 	LambdaMax, LambdaMin, Cond float64
 	dur                        time.Duration
-}
-
-func (r *Result) setCertificate(c Certificate) {
-	r.Verified = true
-	r.VerifiedLambdaMax, r.VerifiedLambdaMin, r.VerifiedCond = c.LambdaMax, c.LambdaMin, c.Cond
 }
 
 // Certify runs the generalized-Lanczos similarity check of p against g.

@@ -72,13 +72,13 @@ func TestShardedGridInvariants(t *testing.T) {
 	const sigma = 80
 
 	single, err := Run(context.Background(), g, Options{
-		Sparsify: core.Options{SigmaSq: sigma, Seed: 1}, Verify: true,
+		Sparsify: core.Options{SigmaSq: sigma, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharded, err := Run(context.Background(), g, Options{
-		Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: sigma, Seed: 1}, Verify: true,
+		Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: sigma, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,13 +105,13 @@ func TestShardedGridInvariants(t *testing.T) {
 func TestShardedSBMInvariants(t *testing.T) {
 	g := sbmGraph(t)
 	single, err := Run(context.Background(), g, Options{
-		Sparsify: core.Options{SigmaSq: 100, Seed: 3}, Verify: true,
+		Sparsify: core.Options{SigmaSq: 100, Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharded, err := Run(context.Background(), g, Options{
-		Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: 100, Seed: 3}, Verify: true,
+		Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: 100, Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +153,34 @@ func TestSingleShotMatchesCore(t *testing.T) {
 	}
 	if got.Parts != 1 || got.Mode != params.ModeSingleShot || len(got.Rounds) != len(want.Rounds) {
 		t.Errorf("single-shot shape: parts=%d mode=%v rounds=%d (core %d)", got.Parts, got.Mode, len(got.Rounds), len(want.Rounds))
+	}
+}
+
+// TestSelectIsRunWithoutTheStopRule: Select runs the same plan as Run and
+// certifies nothing, on both plans the maintainer builds with.
+func TestSelectIsRunWithoutTheStopRule(t *testing.T) {
+	g := gridGraph(t, 16, 16, 5)
+	for _, opt := range []Options{
+		{Sparsify: core.Options{SigmaSq: 100, Seed: 9}},
+		{Mode: params.ModeSharded, Shards: 2, Sparsify: core.Options{SigmaSq: 100, Seed: 9}},
+	} {
+		run, err := Run(context.Background(), g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := Select(context.Background(), g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.RecoveredCut != sel.RecoveredCut {
+			t.Fatalf("%v: the certificate re-filtered, so the plans' outputs cannot be compared", opt.Mode)
+		}
+		if sel.Sparsifier.M() != run.Sparsifier.M() || sel.SigmaSqEst != run.SigmaSqEst {
+			t.Errorf("%v: Select kept %d edges (est %v), Run %d (est %v)", opt.Mode, sel.Sparsifier.M(), sel.SigmaSqEst, run.Sparsifier.M(), run.SigmaSqEst)
+		}
+		if sel.VerifiedCond != 0 || sel.Timings.Verify != 0 || sel.TargetMet || !(run.VerifiedCond > 0) {
+			t.Errorf("%v: Select certified (κ %v, %v) or Run did not (κ %v)", opt.Mode, sel.VerifiedCond, sel.Timings.Verify, run.VerifiedCond)
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func TestFactorPhasesPerPlan(t *testing.T) {
 
 	t.Run("single-shot", func(t *testing.T) {
 		res, total, inVerify, verifies := factorCounts(t, grid, Options{
-			Sparsify: core.Options{SigmaSq: 80, Seed: 1}, Verify: true,
+			Sparsify: core.Options{SigmaSq: 80, Seed: 1},
 		})
 		adding := addingRounds(res.Rounds)
 		if adding == 0 {
@@ -124,7 +124,7 @@ func TestFactorPhasesPerPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, total, inVerify, _ := factorCounts(t, path, Options{
-			Sparsify: core.Options{SigmaSq: 80, Seed: 1}, Verify: true,
+			Sparsify: core.Options{SigmaSq: 80, Seed: 1},
 		})
 		if addingRounds(res.Rounds) != 0 {
 			t.Fatal("a path has no off-tree edge to add")
@@ -137,7 +137,7 @@ func TestFactorPhasesPerPlan(t *testing.T) {
 
 	t.Run("multilevel", func(t *testing.T) {
 		res, total, inVerify, verifies := factorCounts(t, sbm, Options{
-			Mode: params.ModeMultilevel, CoarsestSize: 64, Sparsify: core.Options{SigmaSq: 50, Seed: 1}, Verify: true,
+			Mode: params.ModeMultilevel, CoarsestSize: 64, Sparsify: core.Options{SigmaSq: 50, Seed: 1},
 		})
 		if res.Depth < 2 {
 			t.Fatalf("depth %d: the hierarchy never engaged", res.Depth)
@@ -157,7 +157,7 @@ func TestFactorPhasesPerPlan(t *testing.T) {
 		// its round cap runs out, so its last factor is of the P before
 		// them and the certificate has to factor.
 		_, _, inVerify, verifies := factorCounts(t, sbm, Options{
-			Mode: params.ModeMultilevel, CoarsestSize: 64, Sparsify: core.Options{SigmaSq: 50, Seed: 3}, Verify: true,
+			Mode: params.ModeMultilevel, CoarsestSize: 64, Sparsify: core.Options{SigmaSq: 50, Seed: 3},
 		})
 		if verifies != 1 || inVerify != 1 {
 			t.Errorf("%d certificates factoring %d times, want 1 and 1", verifies, inVerify)
@@ -166,7 +166,7 @@ func TestFactorPhasesPerPlan(t *testing.T) {
 
 	t.Run("sharded-small-cut", func(t *testing.T) {
 		res, _, inVerify, verifies := factorCounts(t, grid, Options{
-			Mode: params.ModeSharded, Shards: 2, Sparsify: core.Options{SigmaSq: 80, Seed: 1}, Verify: true,
+			Mode: params.ModeSharded, Shards: 2, Sparsify: core.Options{SigmaSq: 80, Seed: 1},
 		})
 		if res.RecoveredCut != res.CutEdges-res.StitchedCut {
 			t.Fatal("the grid's cut was re-filtered; the case needs the kept-whole branch")
@@ -178,7 +178,7 @@ func TestFactorPhasesPerPlan(t *testing.T) {
 
 	t.Run("sharded-big-cut", func(t *testing.T) {
 		res, _, inVerify, verifies := factorCounts(t, sbm, Options{
-			Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: 100, Seed: 3}, Verify: true,
+			Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: 100, Seed: 3},
 		})
 		if res.RecoveredCut >= res.CutEdges-res.StitchedCut {
 			t.Fatal("the SBM's cut was kept whole; the case needs the re-filter branch")

@@ -97,14 +97,12 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (
 		if st.Recovered, err = res.refilter(ctx, "uncoarsen_refilter", s, candF, opt.Sparsify, levelSeed); err != nil {
 			return nil, wrap(err)
 		}
-		if opt.Verify {
-			recovered, err := res.certify(ctx, "uncoarsen_refilter", s, opt, levelSeed)
-			if err != nil {
-				return nil, wrap(err)
-			}
-			st.Recovered += recovered
-			st.VerifiedCond = res.VerifiedCond
+		recovered, err := res.certify(ctx, "uncoarsen_refilter", s, opt, levelSeed)
+		if err != nil {
+			return nil, wrap(err)
 		}
+		st.Recovered += recovered
+		st.VerifiedCond = res.VerifiedCond
 		st.Kept, st.SigmaSqEst = s.p.M(), s.est()
 		st.Duration = time.Since(lvlStart)
 		res.Levels[l] = st

@@ -37,8 +37,7 @@ func ParseMode(name string) (Mode, error) { return params.ParseMode(name) }
 type config struct {
 	// opt configures Run and, through Maintain, a stream's
 	// full rebuilds alike. Mode and Shards hold the user's pins
-	// (ModeAuto / 0 = unpinned) that plan resolves per graph, and Verify
-	// records WithVerification.
+	// (ModeAuto / 0 = unpinned) that plan resolves per graph.
 	opt engine.Options
 }
 
@@ -116,17 +115,12 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithVerification enables the independent generalized-Lanczos check of
-// the final certificate on every Run (without it only the sharded and
-// multilevel plans certify) and sets its depth; steps ≤ 0 keeps the default depth
-// min(30, |V|). With Maintain, a positive steps value sets the per-batch
-// certificate depth (default 12).
+// WithVerification does nothing. Every Run certifies its result with
+// the independent generalized-Lanczos check at depth min(30, |V|), and a
+// stream certifies every batch at depth min(12, |V|); neither depth is
+// configurable.
+//
+// Deprecated: certification is no longer optional; drop the option.
 func WithVerification(steps int) Option {
-	return func(c *config) error {
-		c.opt.Verify = true
-		if steps > 0 {
-			c.opt.VerifySteps = steps
-		}
-		return nil
-	}
+	return func(*config) error { return nil }
 }

@@ -42,7 +42,6 @@ type goldenRun struct {
 	VerifiedLambdaMin string `json:"verified_lambda_min"`
 	VerifiedCond      string `json:"verified_cond"`
 
-	Verified     bool  `json:"verified"`
 	TargetMet    bool  `json:"target_met"`
 	Rounds       int   `json:"rounds"`
 	Parts        int   `json:"parts"`
@@ -129,7 +128,6 @@ var goldenConfigs = []struct {
 	opts []graphspar.Option
 }{
 	{"single", []graphspar.Option{graphspar.WithMode(graphspar.ModeSingleShot)}},
-	{"single+verify", []graphspar.Option{graphspar.WithMode(graphspar.ModeSingleShot), graphspar.WithVerification(0)}},
 	{"shards4", []graphspar.Option{graphspar.WithShards(4)}},
 	{"multilevel", []graphspar.Option{graphspar.WithMode(graphspar.ModeMultilevel)}},
 	{"auto", nil},
@@ -165,7 +163,6 @@ func buildPipelineGolden(t *testing.T, workers int) pipelineGolden {
 					VerifiedLambdaMax: floatBits(res.VerifiedLambdaMax),
 					VerifiedLambdaMin: floatBits(res.VerifiedLambdaMin),
 					VerifiedCond:      floatBits(res.VerifiedCond),
-					Verified:          res.Verified,
 					TargetMet:         res.TargetMet,
 					Rounds:            len(res.Rounds),
 					Parts:             res.Parts,
@@ -344,7 +341,7 @@ func TestPipelineGolden(t *testing.T) {
 	// One hierarchy level IS the single-shot pipeline: every multilevel
 	// row that never coarsened (its graph is at or below the coarsest-size
 	// floor) must carry the same sparsifier and certificate as the
-	// verified single-shot row next to it.
+	// single-shot row next to it.
 	byName := make(map[string]goldenRun, len(got.Runs))
 	for _, r := range got.Runs {
 		byName[r.Name] = r
@@ -353,7 +350,7 @@ func TestPipelineGolden(t *testing.T) {
 	for _, gr := range goldenGraphs(t) {
 		for _, seed := range []uint64{1, 7} {
 			prefix := fmt.Sprintf("%s/seed%d/", gr.name, seed)
-			a, b := byName[prefix+"multilevel"], byName[prefix+"single+verify"]
+			a, b := byName[prefix+"multilevel"], byName[prefix+"single"]
 			if a.CoarsenDepth != 1 {
 				continue
 			}
@@ -361,7 +358,7 @@ func TestPipelineGolden(t *testing.T) {
 			if a.Sparsifier != b.Sparsifier || a.LambdaMax != b.LambdaMax || a.LambdaMin != b.LambdaMin ||
 				a.VerifiedLambdaMax != b.VerifiedLambdaMax || a.VerifiedLambdaMin != b.VerifiedLambdaMin ||
 				a.VerifiedCond != b.VerifiedCond {
-				t.Errorf("%s: one-level multilevel run differs from verified single-shot:\n  %+v\n  %+v", prefix, a, b)
+				t.Errorf("%s: one-level multilevel run differs from single-shot:\n  %+v\n  %+v", prefix, a, b)
 			}
 		}
 	}

@@ -71,9 +71,7 @@ type Result struct {
 	LambdaMax, LambdaMin float64
 	SigmaSqAchieved      float64
 	// TargetMet is the run's one verdict on the σ² target, on every plan:
-	// VerifiedCond ≤ σ² when the certificate ran (Verified), and
-	// SigmaSqAchieved ≤ σ² otherwise. When false, Run also returned
-	// ErrNoTarget.
+	// VerifiedCond ≤ σ². When false, Run also returned ErrNoTarget.
 	TargetMet bool
 
 	// Single-shot fields: backbone total stretch, tree/off-tree edge ids
@@ -100,13 +98,11 @@ type Result struct {
 	CoarsenDepth int
 	Levels       []LevelStats
 
-	// Verified reports whether the independent generalized-Lanczos check
-	// ran (the sharded and multilevel default, or WithVerification);
-	// Verified* carry its estimates, with VerifiedCond the authoritative
-	// end-to-end κ. While it exceeds σ² and candidates remain, Run
-	// re-filters toward a calibrated tighter target and checks again (at
-	// most three times), so Verified* describe the returned Sparsifier.
-	Verified          bool
+	// Verified* carry the estimates of the independent generalized-Lanczos
+	// check every Run ends with, VerifiedCond the authoritative end-to-end
+	// κ. While it exceeds σ² and candidates remain, Run re-filters toward
+	// a calibrated tighter target and checks again (at most three times),
+	// so Verified* describe the returned Sparsifier.
 	VerifiedLambdaMax float64
 	VerifiedLambdaMin float64
 	VerifiedCond      float64

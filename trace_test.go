@@ -2,7 +2,7 @@ package graphspar_test
 
 // Phase-trace coverage of the facade: every execution plan must return a
 // populated Result.Phases, the single-shot Timings must be span-derived
-// (Verify > 0 under WithVerification), and a caller-attached trace
+// (Verify > 0: every Run certifies), and a caller-attached trace
 // (NewTraceContext) must see the same spans the Result reports.
 
 import (
@@ -34,7 +34,6 @@ func TestRunPhasesSingleShot(t *testing.T) {
 		graphspar.WithSigma2(60),
 		graphspar.WithSeed(7),
 		graphspar.WithShards(1),
-		graphspar.WithVerification(0),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +52,7 @@ func TestRunPhasesSingleShot(t *testing.T) {
 		t.Errorf("Timings.Sparsify = %v, want > 0", res.Timings.Sparsify)
 	}
 	if res.Timings.Verify <= 0 {
-		t.Errorf("Timings.Verify = %v, want > 0 with WithVerification", res.Timings.Verify)
+		t.Errorf("Timings.Verify = %v, want > 0 (every Run certifies)", res.Timings.Verify)
 	}
 	// The Verify timing is the verify span itself.
 	for _, p := range res.Phases {
