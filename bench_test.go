@@ -319,14 +319,14 @@ func benchRun(b *testing.B, g *graph.Graph, opts ...graphspar.Option) *graphspar
 	return res
 }
 
-// BenchmarkShardedSparsify compares the shard-parallel engine at 1/2/4/8
-// shards against single-shot core.Sparsify on a 256×256 grid (the
+// BenchmarkShardedSparsify compares the shard-parallel engine (always
+// AutoShards parts) against single-shot core.Sparsify on a 256×256 grid (the
 // mesh-like regime sharding targets) and an SBM community graph (whose
 // big BFS cut stresses the global re-filter). Reported metrics:
 // compute-s excludes the engine's verification phase (the single-shot
 // baseline does not verify), speedup-vs-single = T(single core.Sparsify)
 // / compute, and κ-ratio = verified κ / single-shot verified κ — the
-// acceptance bar is speedup ≥ 1.5 at 4 shards with κ-ratio ≤ 2 on the
+// acceptance bar is speedup ≥ 1.5 with κ-ratio ≤ 2 on the
 // grid. partition-ms, shard-ms, stitch-ms and verify-ms are the run's
 // Result.Timings phases, so a change in compute-s can be walked down to
 // the phase that moved. The shard phase parallelizes across cores, so speedup scales
@@ -361,30 +361,27 @@ func BenchmarkShardedSparsify(b *testing.B) {
 			}
 			b.ReportMetric(ref.cond, "verified-κ")
 		})
-		for _, shards := range []int{1, 2, 4, 8} {
-			name := map[int]string{1: "shards=1", 2: "shards=2", 4: "shards=4", 8: "shards=8"}[shards]
-			b.Run(gc.name+"/"+name, func(b *testing.B) {
-				ref := shardedReference(b, gc.name, g)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res := benchRun(b, g, graphspar.WithSigma2(100), graphspar.WithSeed(1),
-						graphspar.WithShards(shards))
-					compute := res.Timings.Sparsify
-					b.ReportMetric(compute.Seconds(), "compute-s")
-					b.ReportMetric(float64(ref.dur)/float64(compute), "speedup-vs-single")
-					b.ReportMetric(res.VerifiedCond, "verified-κ")
-					b.ReportMetric(res.VerifiedCond/ref.cond, "κ-ratio")
-					b.ReportMetric(res.Speedup(), "shard-parallelism")
-					b.ReportMetric(float64(res.Sparsifier.M()), "edges")
-					for _, ph := range []struct {
-						name string
-						d    time.Duration
-					}{{"partition-ms", res.Timings.Partition}, {"shard-ms", res.Timings.Shard}, {"stitch-ms", res.Timings.Stitch}, {"verify-ms", res.Timings.Verify}} {
-						b.ReportMetric(float64(ph.d)/float64(time.Millisecond), ph.name)
-					}
+		b.Run(gc.name+"/sharded", func(b *testing.B) {
+			ref := shardedReference(b, gc.name, g)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res := benchRun(b, g, graphspar.WithSigma2(100), graphspar.WithSeed(1),
+					graphspar.WithMode(graphspar.ModeSharded))
+				compute := res.Timings.Sparsify
+				b.ReportMetric(compute.Seconds(), "compute-s")
+				b.ReportMetric(float64(ref.dur)/float64(compute), "speedup-vs-single")
+				b.ReportMetric(res.VerifiedCond, "verified-κ")
+				b.ReportMetric(res.VerifiedCond/ref.cond, "κ-ratio")
+				b.ReportMetric(res.Speedup(), "shard-parallelism")
+				b.ReportMetric(float64(res.Sparsifier.M()), "edges")
+				for _, ph := range []struct {
+					name string
+					d    time.Duration
+				}{{"partition-ms", res.Timings.Partition}, {"shard-ms", res.Timings.Shard}, {"stitch-ms", res.Timings.Stitch}, {"verify-ms", res.Timings.Verify}} {
+					b.ReportMetric(float64(ph.d)/float64(time.Millisecond), ph.name)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -468,7 +465,7 @@ func BenchmarkMultilevel(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			res := benchRun(b, g, graphspar.WithSigma2(multilevelBenchSigma), graphspar.WithSeed(1),
-				graphspar.WithShards(4))
+				graphspar.WithMode(graphspar.ModeSharded))
 			compute := res.Timings.Sparsify
 			s.shardDur, s.cond = compute, res.VerifiedCond
 			b.ReportMetric(compute.Seconds(), "compute-s")

@@ -18,26 +18,22 @@ import (
 )
 
 // facadeFor translates canonicalized wire params into a facade
-// Sparsifier.
+// Sparsifier. The wire's plan is explicit: Canon spells single-shot as
+// "", never the facade's auto policy.
 func facadeFor(p service.SparsifyParams) (*graphspar.Sparsifier, error) {
-	opts := []graphspar.Option{
+	mode := graphspar.ModeSingleShot
+	if p.Mode != "" {
+		var err error
+		if mode, err = graphspar.ParseMode(p.Mode); err != nil {
+			return nil, err
+		}
+	}
+	return graphspar.New(
 		graphspar.WithSigma2(p.SigmaSq),
 		graphspar.WithSeed(p.Seed),
 		graphspar.WithWorkers(p.Workers), // every plan's one worker count
-	}
-	switch {
-	case p.Mode == graphspar.ModeMultilevel.String():
-		// Canon left "multilevel" as the only surviving mode string and
-		// already zeroed Shards.
-		opts = append(opts, graphspar.WithMode(graphspar.ModeMultilevel))
-	case p.Shards > 1:
-		opts = append(opts, graphspar.WithShards(p.Shards))
-	default:
-		// The wire contract is explicit: shards ≤ 1 is the single-shot
-		// pipeline, never the facade's auto-sharding policy.
-		opts = append(opts, graphspar.WithShards(1))
-	}
-	return graphspar.New(opts...)
+		graphspar.WithMode(mode),
+	)
 }
 
 // Sparsify is the production SparsifyFunc: facade Run under the plan the

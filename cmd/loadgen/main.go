@@ -62,8 +62,7 @@ func main() {
 		spec      = flag.String("graph", "grid:24x24", "generator spec for the target graph; "+cli.SpecHelp)
 		seed      = flag.Uint64("seed", 1, "generator seed (must match the server's view of the graph)")
 		sigma2    = flag.Float64("sigma2", 50, "similarity threshold for jobs and streams")
-		shards    = flag.Int("shards", 0, "submit sharded jobs (0/1 = single-shot)")
-		mode      = flag.String("mode", "", "execution mode for job ops: single | sharded | multilevel (empty = let shards decide); jobs report as op class job:<mode>")
+		mode      = flag.String("mode", "", "execution mode for job ops: single | sharded | multilevel (empty = single); jobs report as op class job:<mode>")
 		mix       = flag.String("mix", "upload=1,job=2,patch=4,stream=2,read=6", "op-class weights")
 		wire      = flag.String("wire", "text", "stream wire format: text (NDJSON) | binary (application/x-graphspar-events)")
 		out       = flag.String("out", "", "write a BENCH_serve.json-shaped report to this path")
@@ -82,9 +81,9 @@ func main() {
 	// Canonicalize the job-op knobs up front with the server's own Canon,
 	// so a bad flag fails fast instead of turning every job op into an
 	// HTTP 400; every job op then submits this canonical form.
-	jobParams := service.SparsifyParams{SigmaSq: *sigma2, Mode: *mode, Shards: *shards}
+	jobParams := service.SparsifyParams{SigmaSq: *sigma2, Mode: *mode}
 	if err := jobParams.Canon(); err != nil {
-		fatal(fmt.Errorf("-mode/-shards: %w", err))
+		fatal(fmt.Errorf("-mode: %w", err))
 	}
 	local, err := cli.LoadGraph(*spec, *seed)
 	if err != nil {

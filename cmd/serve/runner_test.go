@@ -69,7 +69,7 @@ func TestRunSparsifyEndToEnd(t *testing.T) {
 
 func TestRunSparsifyShardedEndToEnd(t *testing.T) {
 	g := testGraph(t)
-	p := canon(t, service.SparsifyParams{SigmaSq: 50, Shards: 2, Workers: 2})
+	p := canon(t, service.SparsifyParams{SigmaSq: 50, Mode: "sharded", Workers: 2})
 	res, err := runSparsify(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +77,8 @@ func TestRunSparsifyShardedEndToEnd(t *testing.T) {
 	if !res.Connected {
 		t.Error("sharded sparsifier disconnected")
 	}
-	if res.Shards != 2 {
-		t.Errorf("shards = %d, want 2", res.Shards)
+	if res.Shards != graphspar.AutoShards {
+		t.Errorf("shards = %d, want %d", res.Shards, graphspar.AutoShards)
 	}
 	if res.VerifiedCond <= 0 {
 		t.Errorf("missing verification: %+v", res)
@@ -331,7 +331,7 @@ func TestSingleVertexJobs(t *testing.T) {
 	}
 	for _, body := range []map[string]any{
 		{"graph": "dot", "sigma2": 50},
-		{"graph": "dot", "sigma2": 60, "shards": 4},
+		{"graph": "dot", "sigma2": 60, "mode": "sharded"},
 		{"graph": "dot", "sigma2": 70, "mode": "multilevel"},
 		{"graph": "dot", "sigma2": 80, "incremental": true},
 	} {

@@ -54,7 +54,7 @@ func main() {
 	vecmath.NewRNG(*seed + 1).FillNormal(b)
 	vecmath.Deflate(b)
 
-	sp, err := graphspar.New(graphspar.WithSigma2(*sigmaSq), graphspar.WithSeed(*seed), graphspar.WithShards(1))
+	sp, err := graphspar.New(graphspar.WithSigma2(*sigmaSq), graphspar.WithSeed(*seed), graphspar.WithMode(graphspar.ModeSingleShot))
 	if err != nil {
 		fatal(err)
 	}

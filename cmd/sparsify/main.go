@@ -7,7 +7,7 @@
 //
 //	sparsify -graph grid:300x300:uniform -sigma2 100 [-out sparsifier.mtx]
 //	sparsify -graph problem.mtx -sigma2 50
-//	sparsify -graph grid:512x512:uniform -sigma2 100 -shards 8 -workers 4
+//	sparsify -graph grid:512x512:uniform -sigma2 100 -mode sharded -workers 4
 //	sparsify -graph grid:1024x1024:unit -sigma2 100 -mode multilevel
 //	sparsify -graph grid:200x200 -sigma2 100 -update-stream events.txt
 //	sparsify -remote http://localhost:8080 -graph mygraph -sigma2 100 -update-stream events.txt
@@ -26,8 +26,8 @@
 // replays — and interleaved PATCHes or incremental jobs — all reuse the
 // same live session. The query carries the knob flags exactly as the
 // server's stream endpoint spells them (service.SparsifyParams.StreamQuery).
-// The server runs its own plan and keeps the sparsifier, so a flag it
-// cannot honour (-mode, -out, -v) is an error.
+// The server keeps the sparsifier and reports its own lines, so a flag it
+// cannot honour (-out, -v) is an error.
 package main
 
 import (
@@ -55,8 +55,7 @@ func main() {
 		spec    = flag.String("graph", "", graphspar.SpecHelp)
 		sigmaSq = flag.Float64("sigma2", 100, "target spectral similarity σ² (relative condition number bound)")
 		out     = flag.String("out", "", "optional output .mtx path for the sparsifier Laplacian")
-		mode    = flag.String("mode", "auto", "execution path: auto | single | sharded | multilevel")
-		shards  = flag.Int("shards", 1, "k-way shards for the parallel engine (1 = single-shot, 0 = auto by graph size)")
+		mode    = flag.String("mode", "single", "execution plan: single | sharded | multilevel | auto (by graph size)")
 		workers = flag.Int("workers", 0, "worker count: concurrent shards and the goroutines of every embedding pass (0 = all cores; any value is bit-identical)")
 		stream  = flag.String("update-stream", "", "edge-event file to replay through the incremental maintainer after the initial sparsification")
 		remote  = flag.String("remote", "", "base URL of a sparsifyd server; -update-stream replays the event file against its /stream endpoint (-graph names the registered graph)")
@@ -69,7 +68,7 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 
 	if *remote != "" {
-		q := service.SparsifyParams{SigmaSq: *sigmaSq, Seed: *seed, Shards: *shards, Workers: *workers}.StreamQuery()
+		q := service.SparsifyParams{SigmaSq: *sigmaSq, Seed: *seed, Workers: *workers, Mode: *mode}.StreamQuery()
 		if err := remoteFlagsOnly(set, q); err != nil {
 			fatal(err)
 		}
@@ -96,21 +95,12 @@ func main() {
 	}
 	fmt.Printf("input: |V|=%d |E|=%d\n", g.N(), g.M())
 
-	opts := []graphspar.Option{
+	s, err := graphspar.New(
 		graphspar.WithSigma2(*sigmaSq),
 		graphspar.WithSeed(*seed),
 		graphspar.WithWorkers(*workers),
-	}
-	if execMode != graphspar.ModeAuto {
-		opts = append(opts, graphspar.WithMode(execMode))
-	}
-	// -shards 1 is the flag default, not an explicit single-shot pin: it
-	// must not contradict -mode multilevel unless the user actually typed
-	// it (in which case the facade reports the contradiction).
-	if execMode == graphspar.ModeAuto || slices.Contains(set, "shards") {
-		opts = append(opts, graphspar.WithShards(*shards))
-	}
-	s, err := graphspar.New(opts...)
+		graphspar.WithMode(execMode),
+	)
 	if err != nil {
 		fatal(err)
 	}
@@ -187,7 +177,7 @@ func report(g *graphspar.Graph, res *graphspar.Result, sigmaSq float64, verbose 
 // and compares the cumulative incremental cost against one from-scratch
 // re-sparsification of the final graph. Both the stream's rebuilds and
 // the final reference run go through the same facade Sparsifier, so
-// -shards/-workers apply uniformly.
+// -mode/-workers apply uniformly.
 func runUpdateStream(g *graphspar.Graph, s *graphspar.Sparsifier, path, out string) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -265,7 +255,7 @@ func remoteFlagsOnly(set []string, q url.Values) error {
 	if len(bad) == 0 {
 		return nil
 	}
-	return fmt.Errorf("-remote does not honour -%s: the server runs its own plan and keeps the sparsifier", strings.Join(bad, ", -"))
+	return fmt.Errorf("-remote does not honour -%s: the server keeps the sparsifier and reports its own lines", strings.Join(bad, ", -"))
 }
 
 // runRemoteStream streams an event file to a live server's

@@ -48,7 +48,7 @@ func TestRunUpdateStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := graphspar.New(graphspar.WithSigma2(60), graphspar.WithSeed(1), graphspar.WithShards(1))
+	s, err := graphspar.New(graphspar.WithSigma2(60), graphspar.WithSeed(1), graphspar.WithMode(graphspar.ModeSingleShot))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRunUpdateStreamSharded(t *testing.T) {
 	s, err := graphspar.New(
 		graphspar.WithSigma2(60),
 		graphspar.WithSeed(1),
-		graphspar.WithShards(2),
+		graphspar.WithMode(graphspar.ModeSharded),
 		graphspar.WithWorkers(2),
 	)
 	if err != nil {
@@ -108,10 +108,9 @@ func TestRemoteFlagsOnly(t *testing.T) {
 		want string // "" = accepted
 	}{
 		{nil, ""},
-		{[]string{"graph", "remote", "seed", "shards", "sigma2", "update-stream", "wire", "workers"}, ""},
-		{[]string{"mode", "remote"}, "-mode"},
+		{[]string{"graph", "mode", "remote", "seed", "sigma2", "update-stream", "wire", "workers"}, ""},
 		{[]string{"out", "remote"}, "-out"},
-		{[]string{"mode", "out", "remote", "v"}, "-mode, -out, -v"},
+		{[]string{"mode", "out", "remote", "v"}, "-out, -v"},
 	} {
 		err := remoteFlagsOnly(c.set, service.SparsifyParams{SigmaSq: 100}.StreamQuery())
 		if c.want == "" && err != nil {
@@ -141,6 +140,25 @@ func TestRetiredEmbedFlags(t *testing.T) {
 		if want := "flag provided but not defined: " + c.flag; !strings.Contains(string(out), want) {
 			t.Errorf("%s: output lacks %q:\n%s", c.args, want, out)
 		}
+	}
+}
+
+// TestPlanFlag: -mode alone picks the plan and defaults to single, so the
+// CLI's default plan stays single-shot; the retired -shards flag is
+// rejected before any work starts.
+func TestPlanFlag(t *testing.T) {
+	out, _ := sparsify("-h")
+	if !strings.Contains(string(out), `(default "single")`) {
+		t.Errorf("-mode does not default to single:\n%s", out)
+	}
+	out, err := sparsify("-graph grid:4x4 -sigma2 50 -shards 4")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -shards") {
+		t.Errorf("-shards: %v, want exit status 2 naming the flag\n%s", err, out)
+	}
+	out, err = sparsify("-graph grid:12x12:uniform -sigma2 50 -mode sharded")
+	if err != nil || !strings.Contains(string(out), "sharding: 4 parts") {
+		t.Errorf("-mode sharded: %v, want a 4-part sharded report\n%s", err, out)
 	}
 }
 

@@ -17,7 +17,8 @@ var (
 	// ErrBadSigma2 rejects similarity targets σ² ≤ 1 (including the
 	// missing-WithSigma2 zero value) and non-finite ones.
 	ErrBadSigma2 = params.ErrBadSigma2
-	// ErrBadShards rejects negative shard counts.
+	// ErrBadShards rejects the shard counts the deprecated WithShards
+	// cannot map onto a mode: any but 0, 1 and AutoShards.
 	ErrBadShards = params.ErrBadShards
 	// ErrNoTarget is returned by Run (with a usable best-effort Result)
 	// when the result's certificate misses the σ² target.

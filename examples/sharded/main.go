@@ -21,9 +21,9 @@ func main() {
 	}
 	fmt.Printf("graph: %d vertices, %d edges\n", g.N(), g.M())
 
-	// Single-shot reference: WithShards(1) pins the plain pipeline.
+	// Single-shot reference: ModeSingleShot pins the plain pipeline.
 	single, err := graphspar.New(
-		graphspar.WithSigma2(100), graphspar.WithSeed(7), graphspar.WithShards(1))
+		graphspar.WithSigma2(100), graphspar.WithSeed(7), graphspar.WithMode(graphspar.ModeSingleShot))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,10 +34,10 @@ func main() {
 	fmt.Printf("single-shot: %d edges, verified κ=%.1f in %s\n",
 		sres.Sparsifier.M(), sres.VerifiedCond, sres.Timings.Wall.Round(time.Millisecond))
 
-	// Shard-parallel: 4-way partition, concurrent shard sparsification,
-	// stitch + cut recovery, independent verification.
+	// Shard-parallel: AutoShards-way partition, concurrent shard
+	// sparsification, stitch + cut recovery, independent verification.
 	sharded, err := graphspar.New(
-		graphspar.WithSigma2(100), graphspar.WithSeed(7), graphspar.WithShards(4))
+		graphspar.WithSigma2(100), graphspar.WithSeed(7), graphspar.WithMode(graphspar.ModeSharded))
 	if err != nil {
 		log.Fatal(err)
 	}

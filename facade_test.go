@@ -3,8 +3,9 @@ package graphspar_test
 // Facade contract tests: a single-shot Run must be bit-identical to the
 // paper's edge filter called directly (core.Sparsify, the reference the
 // whole pipeline is built on), a facade Stream to the dynamic.Maintainer
-// it wraps; option validation must reject contradictions with typed
-// errors, and verification must run exactly when documented. What Run
+// it wraps; option validation must reject bad values with typed errors,
+// the deprecated WithShards must spell a mode bit for bit, and
+// verification must run exactly when documented. What Run
 // produces under every plan, on every graph family, is pinned bit for bit
 // by pipeline_golden_test.go.
 
@@ -81,7 +82,7 @@ func TestFacadeSingleShotBitIdentical(t *testing.T) {
 			s, err := graphspar.New(
 				graphspar.WithSigma2(sigma2),
 				graphspar.WithSeed(seed),
-				graphspar.WithShards(1),
+				graphspar.WithMode(graphspar.ModeSingleShot),
 			)
 			if err != nil {
 				t.Fatal(err)
@@ -115,7 +116,7 @@ func TestFacadeSingleShotBitIdentical(t *testing.T) {
 				}
 			}
 			if got.Sharded {
-				t.Error("WithShards(1) must run the single-shot pipeline")
+				t.Error("ModeSingleShot must run the single-shot pipeline")
 			}
 		})
 	}
@@ -180,6 +181,43 @@ func TestFacadeValidation(t *testing.T) {
 	}
 }
 
+// TestWithShardsIsModeAlias: the deprecated WithShards maps 0, 1 and
+// AutoShards onto ModeAuto, ModeSingleShot and ModeSharded bit for bit on
+// the golden graphs, and every other count is ErrBadShards.
+func TestWithShardsIsModeAlias(t *testing.T) {
+	ctx := context.Background()
+	for _, gr := range goldenGraphs(t) {
+		for _, c := range []struct {
+			k    int
+			mode graphspar.Mode
+		}{{0, graphspar.ModeAuto}, {1, graphspar.ModeSingleShot}, {graphspar.AutoShards, graphspar.ModeSharded}} {
+			var got [2]*graphspar.Result
+			for i, opt := range []graphspar.Option{graphspar.WithShards(c.k), graphspar.WithMode(c.mode)} {
+				s, err := graphspar.New(graphspar.WithSigma2(goldenSigma2), graphspar.WithSeed(7), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i], err = s.Run(ctx, gr.g); err != nil && !errors.Is(err, graphspar.ErrNoTarget) {
+					t.Fatal(err)
+				}
+			}
+			a, b := got[0], got[1]
+			if sparsifierHash(a.Sparsifier) != sparsifierHash(b.Sparsifier) || a.Sharded != b.Sharded || a.TargetMet != b.TargetMet ||
+				floatBits(a.VerifiedLambdaMax) != floatBits(b.VerifiedLambdaMax) ||
+				floatBits(a.VerifiedLambdaMin) != floatBits(b.VerifiedLambdaMin) ||
+				floatBits(a.VerifiedCond) != floatBits(b.VerifiedCond) {
+				t.Errorf("%s: WithShards(%d) (sharded=%v κ=%v) differs from WithMode(%v) (sharded=%v κ=%v)",
+					gr.name, c.k, a.Sharded, a.VerifiedCond, c.mode, b.Sharded, b.VerifiedCond)
+			}
+		}
+	}
+	for _, k := range []int{2, -1} {
+		if _, err := graphspar.New(graphspar.WithSigma2(50), graphspar.WithShards(k)); !errors.Is(err, graphspar.ErrBadShards) {
+			t.Errorf("WithShards(%d): err = %v, want ErrBadShards", k, err)
+		}
+	}
+}
+
 // TestFacadeVerificationSingleShot pins the single-shot certificate: a
 // plain Run carries the independent Lanczos check, and the deprecated
 // WithVerification, now a no-op, changes no bit of the result.
@@ -191,7 +229,7 @@ func TestFacadeVerificationSingleShot(t *testing.T) {
 	var got []*graphspar.Result
 	for _, extra := range [][]graphspar.Option{nil, {graphspar.WithVerification(0)}, {graphspar.WithVerification(5)}} {
 		s, err := graphspar.New(append([]graphspar.Option{
-			graphspar.WithSigma2(50), graphspar.WithSeed(7), graphspar.WithShards(1),
+			graphspar.WithSigma2(50), graphspar.WithSeed(7), graphspar.WithMode(graphspar.ModeSingleShot),
 		}, extra...)...)
 		if err != nil {
 			t.Fatal(err)
@@ -222,8 +260,8 @@ func TestFacadeSingleVertex(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, opts := range [][]graphspar.Option{
-		{graphspar.WithShards(1)},
-		{graphspar.WithShards(4)},
+		{graphspar.WithMode(graphspar.ModeSingleShot)},
+		{graphspar.WithMode(graphspar.ModeSharded)},
 		{graphspar.WithMode(graphspar.ModeMultilevel)},
 	} {
 		s, err := graphspar.New(append(opts, graphspar.WithSigma2(50))...)

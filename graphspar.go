@@ -9,10 +9,10 @@
 //   - Run sparsifies a graph once through the batch pipeline, under one of
 //     three plans — single-shot edge filtering (spanning-tree backbone plus
 //     iterative Joule-heat recovery of off-tree edges), the shard-parallel
-//     plan (k-way partition, concurrent per-shard filtering, cut stitching
-//     with a global re-filter pass), or the multilevel plan (coarsen,
-//     filter the coarsest graph, interpolate and re-filter level by
-//     level) — and
+//     plan (AutoShards-way partition, concurrent per-shard filtering, cut
+//     stitching with a global re-filter pass), or the multilevel plan
+//     (coarsen, filter the coarsest graph, interpolate and re-filter level
+//     by level) — and
 //   - Maintain keeps a sparsifier's certificate valid incrementally
 //     under edge insertions, deletions and reweights.
 //
@@ -23,10 +23,10 @@
 //	st, err := s.Maintain(ctx, g)    // live sparsifier for update batches
 //
 // Run picks the plan automatically — single-shot for small graphs, a
-// parallel plan beyond AutoShardEdges edges — unless WithMode or
-// WithShards pins it. Whatever the plan, Run certifies its result
-// against g with an independent generalized-Lanczos check, and
-// Result.TargetMet is that certificate's verdict. Results are
+// parallel plan beyond AutoShardEdges edges — unless WithMode pins it.
+// Whatever the plan, Run certifies its result against g with an
+// independent generalized-Lanczos check, and Result.TargetMet is that
+// certificate's verdict. Results are
 // deterministic for a fixed seed and independent of worker counts.
 package graphspar
 
@@ -38,10 +38,11 @@ import (
 	"graphspar/internal/dynamic"
 	"graphspar/internal/engine"
 	"graphspar/internal/obs"
+	"graphspar/internal/params"
 	"graphspar/internal/partition"
 )
 
-// Auto path policy: with no explicit WithMode/WithShards choice, Run uses
+// Auto path policy: with no explicit WithMode choice, Run uses
 // the single-shot pipeline below AutoShardEdges edges and a parallel path
 // at or above it — the sharded plan by default, or the multilevel
 // hierarchy for inputs the flat partition handles badly: graphs at or
@@ -52,9 +53,18 @@ import (
 // that cut). The thresholds are where each path's fixed costs start
 // paying for themselves; the policy depends only on the graph, never on
 // the machine, so results stay reproducible across hosts.
+//
+// AutoShards is the sharded plan's fixed arity (engine.Shards), whoever
+// picks the plan. The plan pays at that arity: on the 320×320 mesh
+// (204 160 edges) that ModeAuto shards on 2 workers,
+// `go run -C cmd/bench . -workload mesh_sharded -trace 1` reads
+// engine.speedup_vs_single 1.13–1.64 over ten runs on a shared 2-core
+// x86-64 box (median 1.52 for five runs while the arity was still an
+// option, 1.36 for five with this constant; the single-shot baseline is
+// one timed run, hence the spread).
 const (
 	AutoShardEdges      = 200_000
-	AutoShards          = 4
+	AutoShards          = engine.Shards
 	AutoMultilevelEdges = 1_000_000
 	AutoIllCutFraction  = 0.10
 )
@@ -77,7 +87,7 @@ func New(opts ...Option) (*Sparsifier, error) {
 			return nil, err
 		}
 	}
-	if err := cfg.validate(); err != nil {
+	if err := params.Sigma2(cfg.opt.Sparsify.SigmaSq); err != nil {
 		return nil, err
 	}
 	if cfg.opt.Sparsify.Seed == 0 {
@@ -90,7 +100,7 @@ func New(opts ...Option) (*Sparsifier, error) {
 func (s *Sparsifier) Sigma2() float64 { return s.cfg.opt.Sparsify.SigmaSq }
 
 // Run sparsifies g to the configured σ² target and returns the unified
-// Result. The execution plan is chosen per the WithMode/WithShards
+// Result. The execution plan is chosen per the WithMode
 // documentation (auto below/above AutoShardEdges unless pinned).
 // Cancellation of ctx stops the densification rounds at their next
 // checkpoint.
@@ -148,18 +158,14 @@ func (s *Sparsifier) Run(ctx context.Context, g *Graph) (*Result, error) {
 }
 
 // plan resolves the auto policy for g — the explicit WithMode choice when
-// set, a WithShards pin next, then the size/topology policy documented on
-// the Auto* constants — and assembles the one options struct the batch
-// pipeline (and a stream's full rebuilds) run with. A stream never takes
-// the multilevel plan: where Run's auto policy would, its rebuilds shard.
+// set, else the size/topology policy documented on the Auto* constants —
+// and assembles the one options struct the batch pipeline (and a
+// stream's full rebuilds) run with. A stream never takes the multilevel
+// plan: where Run's auto policy would, its rebuilds shard.
 func (c *config) plan(g *Graph, stream bool) engine.Options {
 	opt := c.opt
 	if opt.Mode == ModeAuto {
 		switch {
-		case opt.Shards == 1:
-			opt.Mode = ModeSingleShot
-		case opt.Shards > 1:
-			opt.Mode = ModeSharded
 		case g.M() < AutoShardEdges:
 			opt.Mode = ModeSingleShot
 		case !stream && (g.M() >= AutoMultilevelEdges || c.illPartitioned(g)):
@@ -167,9 +173,6 @@ func (c *config) plan(g *Graph, stream bool) engine.Options {
 		default:
 			opt.Mode = ModeSharded
 		}
-	}
-	if opt.Mode == ModeSharded && opt.Shards == 0 {
-		opt.Shards = AutoShards
 	}
 	return opt
 }
@@ -209,7 +212,7 @@ func NewTraceContext(ctx context.Context) (context.Context, *Trace) {
 // sparsifier's σ² certificate valid under batched edge updates (see
 // Stream.Apply). The stream's full builds and rebuilds run the sharded
 // plan exactly when the graph is big enough for Run to leave single-shot
-// (WithShards pin, or the auto policy). WithMode(ModeMultilevel) does not
+// (WithMode(ModeSharded), or the auto policy). WithMode(ModeMultilevel) does not
 // compose with streams: the maintainer's rebuilds run the single-shot or
 // the sharded plan, so a pinned hierarchy mode cannot be honored.
 func (s *Sparsifier) Maintain(ctx context.Context, g *Graph) (*Stream, error) {

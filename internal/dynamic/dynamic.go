@@ -65,12 +65,12 @@ import (
 )
 
 // The maintainer's configuration is the batch pipeline's engine.Options:
-// Sparsify carries the similarity target (required) and the seed,
-// Mode/Shards/Workers pick the plan of every full (re)build — the zero
-// value rebuilds single-shot, ModeSharded through the shard-parallel
-// plan. Builds run engine.Select, the batch plan without its stop rule:
-// the maintainer certifies every build on its own factor. Everything
-// about maintenance is fixed — the localized re-filter rounds per Apply
+// Sparsify carries the similarity target (required) and the seed, Mode
+// picks the plan of every full (re)build — the zero value rebuilds
+// single-shot, ModeSharded through the shard-parallel plan — and Workers
+// its parallelism. Builds run engine.Select, the batch plan without its
+// stop rule: the maintainer certifies every build on its own factor.
+// Everything about maintenance is fixed — the localized re-filter rounds per Apply
 // by core.RefilterRounds, the rest here:
 const (
 	// certifySteps is the generalized-Lanczos depth of the per-batch

@@ -240,7 +240,7 @@ func TestShardedRebuildPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sigmaSq = 60
-	m, err := dynamic.New(context.Background(), g, engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}, Mode: params.ModeSharded, Shards: 2})
+	m, err := dynamic.New(context.Background(), g, engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 1}, Mode: params.ModeSharded})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@
 //     finer level. It never cuts the graph, so cut-heavy topologies
 //     collapse into aggregates instead of degrading into global passes
 //     over huge cut sets.
-//   - The sharded plan k-way partitions the input, filters each induced
-//     shard concurrently over a bounded worker pool, and stitches the
-//     shard sparsifiers back together: the few cut edges needed for
+//   - The sharded plan cuts the input into Shards parts, filters each
+//     induced shard concurrently over a bounded worker pool, and stitches
+//     the shard sparsifiers back together: the few cut edges needed for
 //     connectivity join the backbone outright, the rest face a global
 //     re-filter pass so the σ² guarantee is re-established end to end.
 //     Sharding pays twice — the superlinear per-round costs drop to shard
@@ -38,7 +38,6 @@ import (
 	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
 	"graphspar/internal/graph"
-	"graphspar/internal/multilevel"
 	"graphspar/internal/obs"
 	"graphspar/internal/params"
 )
@@ -62,6 +61,20 @@ const (
 	certifySteps = 30
 )
 
+// Shards is the number of parts the sharded plan cuts its input into (a
+// small graph can yield fewer, see Result.Parts). No caller ever needed
+// another arity, so it is a constant of the plan, like the multilevel
+// plan's coarsening policy.
+const Shards = 4
+
+// coarsestSize stops the multilevel plan's coarsening once a level has
+// at most this many vertices — small enough that the full densification
+// loop is cheap, large enough to keep the interpolation seed
+// informative. An input at or below it makes the multilevel plan
+// bit-identical to single-shot. It is a variable only so in-package tests
+// can force real hierarchies on small graphs.
+var coarsestSize = 512
+
 // Options configures Run: the one options struct of every batch plan — and
 // of a stream, whose maintainer (dynamic.New) takes it as is for its
 // full rebuilds.
@@ -77,29 +90,20 @@ type Options struct {
 	// Mode is the resolved execution plan. ModeAuto (the zero value) runs
 	// single-shot: picking a plan per graph is the caller's policy.
 	Mode params.Mode
-	// Shards is the number of parts the sharded plan cuts the input into.
-	// Default 4.
-	Shards int
 	// Workers is the one worker count: how many shards sparsify
 	// concurrently, and how many goroutines every embedding pass spreads
 	// its probe-vector solves over (a shard's own passes use one — the
 	// shard pool is the parallelism there). Default GOMAXPROCS. Workers
 	// only affects wall-clock time, never the result.
 	Workers int
-	// CoarsestSize stops coarsening at or below this vertex count
-	// (default multilevel.DefaultCoarsestSize); an input at or below it
-	// makes the multilevel plan bit-identical to single-shot.
-	CoarsestSize int
 }
 
-// defaults validates opt, resolves ModeAuto and fills every unset knob; it
-// is the only place batch runs default Seed and Workers.
+// defaults validates opt, resolves ModeAuto and fills every unset knob.
+// Seed defaults here for callers of Run and Select that leave it zero
+// (graphspar.New resolves it already); Workers defaults only here.
 func (o *Options) defaults() error {
 	if err := params.Sigma2(o.Sparsify.SigmaSq); err != nil {
 		return err
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("%w: got %d", params.ErrBadShards, o.Shards)
 	}
 	if o.Mode != params.ModeSharded && o.Mode != params.ModeMultilevel {
 		o.Mode = params.ModeSingleShot
@@ -107,16 +111,10 @@ func (o *Options) defaults() error {
 	if o.Sparsify.Seed == 0 {
 		o.Sparsify.Seed = 1
 	}
-	if o.Shards == 0 {
-		o.Shards = 4
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	o.Sparsify.EmbedWorkers = o.Workers
-	if o.CoarsestSize <= 0 {
-		o.CoarsestSize = multilevel.DefaultCoarsestSize
-	}
 	return nil
 }
 
@@ -209,7 +207,7 @@ type Result struct {
 	Rounds          []core.RoundStats
 
 	// Sharded fields: the k-way partition (Parts can fall short of
-	// Options.Shards on small graphs; it is 1 for the other plans),
+	// Shards on small graphs; it is 1 for the other plans),
 	// per-shard stats and cut bookkeeping — CutEdges input edges crossed
 	// the partition, StitchedCut of them were added for connectivity,
 	// RecoveredCut more passed the global heat filter. When Run certifies

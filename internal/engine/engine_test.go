@@ -78,7 +78,7 @@ func TestShardedGridInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharded, err := Run(context.Background(), g, Options{
-		Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: sigma, Seed: 1},
+		Mode: params.ModeSharded, Sparsify: core.Options{SigmaSq: sigma, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestShardedSBMInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharded, err := Run(context.Background(), g, Options{
-		Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: 100, Seed: 3},
+		Mode: params.ModeSharded, Sparsify: core.Options{SigmaSq: 100, Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestSelectIsRunWithoutTheStopRule(t *testing.T) {
 	g := gridGraph(t, 16, 16, 5)
 	for _, opt := range []Options{
 		{Sparsify: core.Options{SigmaSq: 100, Seed: 9}},
-		{Mode: params.ModeSharded, Shards: 2, Sparsify: core.Options{SigmaSq: 100, Seed: 9}},
+		{Mode: params.ModeSharded, Sparsify: core.Options{SigmaSq: 100, Seed: 9}},
 	} {
 		run, err := Run(context.Background(), g, opt)
 		if err != nil {
@@ -187,7 +187,7 @@ func TestSelectIsRunWithoutTheStopRule(t *testing.T) {
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	g := gridGraph(t, 24, 24, 2)
 	opts := func(workers int) Options {
-		return Options{Mode: params.ModeSharded, Shards: 4, Workers: workers, Sparsify: core.Options{SigmaSq: 90, Seed: 11}}
+		return Options{Mode: params.ModeSharded, Workers: workers, Sparsify: core.Options{SigmaSq: 90, Seed: 11}}
 	}
 	a, err := Run(context.Background(), g, opts(1))
 	if err != nil {
@@ -212,25 +212,25 @@ func TestCancellation(t *testing.T) {
 	g := gridGraph(t, 32, 32, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, g, Options{Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: 50, Seed: 1}})
+	_, err := Run(ctx, g, Options{Mode: params.ModeSharded, Sparsify: core.Options{SigmaSq: 50, Seed: 1}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
 func TestMoreShardsThanUsable(t *testing.T) {
-	// A tiny path: most parts degenerate to singletons, which carry no
+	// A tiny path: every part degenerates to a singleton, which carries no
 	// shard work; stitching must still span and connect everything.
-	edges := make([]graph.Edge, 7)
+	edges := make([]graph.Edge, Shards-1)
 	for i := range edges {
 		edges[i] = graph.Edge{U: i, V: i + 1, W: 1}
 	}
-	g, err := graph.New(8, edges)
+	g, err := graph.New(Shards, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(context.Background(), g, Options{
-		Mode: params.ModeSharded, Shards: 8, Sparsify: core.Options{SigmaSq: 10, Seed: 1},
+		Mode: params.ModeSharded, Sparsify: core.Options{SigmaSq: 10, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,11 +243,8 @@ func TestMoreShardsThanUsable(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	g := gridGraph(t, 8, 8, 1)
-	if _, err := Run(context.Background(), g, Options{Mode: params.ModeSharded, Shards: 2}); !errors.Is(err, params.ErrBadSigma2) {
+	if _, err := Run(context.Background(), g, Options{Mode: params.ModeSharded}); !errors.Is(err, params.ErrBadSigma2) {
 		t.Errorf("missing σ²: err = %v, want ErrBadSigma2", err)
-	}
-	if _, err := Run(context.Background(), g, Options{Mode: params.ModeSharded, Shards: -3, Sparsify: core.Options{SigmaSq: 50}}); !errors.Is(err, params.ErrBadShards) {
-		t.Errorf("negative shards: err = %v, want ErrBadShards", err)
 	}
 }
 
@@ -264,7 +261,6 @@ func TestRunRejectsDisconnectedGraph(t *testing.T) {
 	for _, mode := range []params.Mode{params.ModeSingleShot, params.ModeSharded, params.ModeMultilevel} {
 		_, err := Run(context.Background(), two, Options{
 			Mode:     mode,
-			Shards:   2,
 			Sparsify: core.Options{SigmaSq: 50},
 		})
 		if !errors.Is(err, graph.ErrDisconnected) {
@@ -280,8 +276,8 @@ func TestRunRejectsDisconnectedGraph(t *testing.T) {
 // and looked up in the map, pair by pair, in the same order.
 func TestShardEdgeIDsMatchIndex(t *testing.T) {
 	g := gridGraph(t, 40, 40, 3)
-	opt := Options{Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: 80, Seed: 1}}
-	kw, err := partition.RecursiveBisect(g, opt.Shards, partition.Options{Method: partition.BFS, Seed: 1})
+	opt := Options{Mode: params.ModeSharded, Sparsify: core.Options{SigmaSq: 80, Seed: 1}}
+	kw, err := partition.RecursiveBisect(g, Shards, partition.Options{Method: partition.BFS, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

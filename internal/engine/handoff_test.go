@@ -98,6 +98,10 @@ func addingRounds(rounds []core.RoundStats) int {
 // had before the hand-off; plans with nothing to hand over factor in the
 // certificate as before.
 func TestFactorPhasesPerPlan(t *testing.T) {
+	// The SBM's 512 vertices sit at the coarsest-size floor; a lower one
+	// gives the multilevel cases a real hierarchy.
+	defer func(n int) { coarsestSize = n }(coarsestSize)
+	coarsestSize = 64
 	grid := gridGraph(t, 40, 40, 1)
 	sbm, _, err := gen.SBM(4, 128, 0.15, 0.02, 13)
 	if err != nil {
@@ -137,7 +141,7 @@ func TestFactorPhasesPerPlan(t *testing.T) {
 
 	t.Run("multilevel", func(t *testing.T) {
 		res, total, inVerify, verifies := factorCounts(t, sbm, Options{
-			Mode: params.ModeMultilevel, CoarsestSize: 64, Sparsify: core.Options{SigmaSq: 50, Seed: 1},
+			Mode: params.ModeMultilevel, Sparsify: core.Options{SigmaSq: 50, Seed: 1},
 		})
 		if res.Depth < 2 {
 			t.Fatalf("depth %d: the hierarchy never engaged", res.Depth)
@@ -157,7 +161,7 @@ func TestFactorPhasesPerPlan(t *testing.T) {
 		// its round cap runs out, so its last factor is of the P before
 		// them and the certificate has to factor.
 		_, _, inVerify, verifies := factorCounts(t, sbm, Options{
-			Mode: params.ModeMultilevel, CoarsestSize: 64, Sparsify: core.Options{SigmaSq: 50, Seed: 3},
+			Mode: params.ModeMultilevel, Sparsify: core.Options{SigmaSq: 50, Seed: 3},
 		})
 		if verifies != 1 || inVerify != 1 {
 			t.Errorf("%d certificates factoring %d times, want 1 and 1", verifies, inVerify)
@@ -165,11 +169,13 @@ func TestFactorPhasesPerPlan(t *testing.T) {
 	})
 
 	t.Run("sharded-small-cut", func(t *testing.T) {
-		res, _, inVerify, verifies := factorCounts(t, grid, Options{
-			Mode: params.ModeSharded, Shards: 2, Sparsify: core.Options{SigmaSq: 80, Seed: 1},
+		// A strip: its four parts meet across short cuts, which stay whole.
+		strip := gridGraph(t, 160, 10, 1)
+		res, _, inVerify, verifies := factorCounts(t, strip, Options{
+			Mode: params.ModeSharded, Sparsify: core.Options{SigmaSq: 80, Seed: 1},
 		})
 		if res.RecoveredCut != res.CutEdges-res.StitchedCut {
-			t.Fatal("the grid's cut was re-filtered; the case needs the kept-whole branch")
+			t.Fatal("the strip's cut was re-filtered; the case needs the kept-whole branch")
 		}
 		if verifies != 1 || inVerify != 1 {
 			t.Errorf("%d certificates factoring %d times, want 1 and 1: nothing to hand over", verifies, inVerify)
@@ -178,7 +184,7 @@ func TestFactorPhasesPerPlan(t *testing.T) {
 
 	t.Run("sharded-big-cut", func(t *testing.T) {
 		res, _, inVerify, verifies := factorCounts(t, sbm, Options{
-			Mode: params.ModeSharded, Shards: 4, Sparsify: core.Options{SigmaSq: 100, Seed: 3},
+			Mode: params.ModeSharded, Sparsify: core.Options{SigmaSq: 100, Seed: 3},
 		})
 		if res.RecoveredCut >= res.CutEdges-res.StitchedCut {
 			t.Fatal("the SBM's cut was kept whole; the case needs the re-filter branch")

@@ -27,7 +27,7 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (
 	if multi {
 		coarsenSpan := obs.StartSpan(ctx, "coarsen")
 		var err error
-		levels, err = multilevel.BuildHierarchy(g, opt.CoarsestSize)
+		levels, err = multilevel.BuildHierarchy(g, coarsestSize)
 		res.Timings.Coarsen = coarsenSpan.End()
 		if err != nil {
 			return nil, err

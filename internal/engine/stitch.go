@@ -71,7 +71,7 @@ func (res *Result) runSharded(ctx context.Context, g *graph.Graph, opt Options) 
 	// The O(n+m) BFS level-set bisector: the partitioner must cost far
 	// less than the sparsifications it feeds, and a spectral cut would
 	// factor or sparsify the whole graph first.
-	kw, err := partition.RecursiveBisect(g, opt.Shards, partition.Options{Method: partition.BFS, Seed: opt.Sparsify.Seed})
+	kw, err := partition.RecursiveBisect(g, Shards, partition.Options{Method: partition.BFS, Seed: opt.Sparsify.Seed})
 	if err != nil {
 		partSpan.End()
 		return nil, fmt.Errorf("engine: partition: %w", err)

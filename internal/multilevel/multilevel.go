@@ -19,8 +19,8 @@ import (
 	"graphspar/internal/lsst"
 )
 
-// The hierarchy's shape is a fixed policy: only the coarsest-size floor
-// has a seam (engine.Options.CoarsestSize), for tests on small graphs.
+// The hierarchy's shape is a fixed policy; the coarsest-size floor is the
+// caller's (internal/engine owns it).
 const (
 	// maxLevels caps the hierarchy depth, counting the input graph.
 	maxLevels = 16
@@ -28,10 +28,6 @@ const (
 	// a step that cannot shrink the vertex count below this fraction has
 	// stalled and ends the hierarchy.
 	coarsenRatio = 0.7
-	// DefaultCoarsestSize stops coarsening once a level has at most this
-	// many vertices — small enough that the full densification loop is
-	// cheap, large enough to keep the interpolation seed informative.
-	DefaultCoarsestSize = 512
 )
 
 // Interpolate seeds a fine level's selection: the fine max-weight

@@ -9,12 +9,31 @@ import (
 
 	"graphspar/internal/core"
 	"graphspar/internal/engine"
+	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/params"
 	"graphspar/internal/testkit"
 )
 
 const sigma = 50.0
+
+// coarsened returns the testkit families scaled past the engine's
+// coarsest-size floor (512 vertices), so the multilevel plan builds a
+// real hierarchy on each.
+func coarsened() []testkit.Case {
+	return []testkit.Case{
+		{Name: "grid", Build: func(seed uint64) (*graph.Graph, error) {
+			return gen.Grid2D(24, 24, gen.UniformWeights, seed)
+		}},
+		{Name: "sbm", Build: func(seed uint64) (*graph.Graph, error) {
+			g, _, err := gen.SBM(4, 144, 0.06, 0.005, seed)
+			return g, err
+		}},
+		{Name: "barbell", Build: func(seed uint64) (*graph.Graph, error) {
+			return gen.Barbell(30, 500, gen.UniformWeights, seed)
+		}},
+	}
+}
 
 // run executes the multilevel plan.
 func run(ctx context.Context, g *graph.Graph, opt engine.Options) (*engine.Result, error) {
@@ -41,22 +60,18 @@ func requireSubgraph(t *testing.T, g, p *graph.Graph) {
 	}
 }
 
-// TestCertificateOnHarness is the property test of the issue: on every
+// TestCertificateOnHarness is the property test of the plan: on every
 // testkit family, a genuinely coarsened run must end with an
 // independently verified κ(L_G, L_P) ≤ σ² on the original graph.
 func TestCertificateOnHarness(t *testing.T) {
-	for _, tc := range testkit.Cases() {
+	for _, tc := range coarsened() {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			g, err := tc.Build(7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt := engine.Options{
-				Sparsify:     core.Options{SigmaSq: sigma, Seed: 7},
-				CoarsestSize: 16, // the harness graphs are small; force real hierarchies
-			}
-			res, err := run(context.Background(), g, opt)
+			res, err := run(context.Background(), g, engine.Options{Sparsify: core.Options{SigmaSq: sigma, Seed: 7}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,9 +116,9 @@ func TestCertificateOnHarness(t *testing.T) {
 }
 
 // TestDegenerateBitIdenticalToSingleShot pins the equivalence the facade
-// documents: an input at or below the coarsest-size floor never coarsens,
-// and the multilevel plan must reproduce the single-shot pipeline bit for
-// bit.
+// documents: an input at or below the coarsest-size floor (every testkit
+// family is) never coarsens, and the multilevel plan must reproduce the
+// single-shot pipeline bit for bit.
 func TestDegenerateBitIdenticalToSingleShot(t *testing.T) {
 	for _, tc := range testkit.Cases() {
 		tc := tc
@@ -117,7 +132,7 @@ func TestDegenerateBitIdenticalToSingleShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := run(context.Background(), g, engine.Options{Sparsify: copt, CoarsestSize: g.N()})
+			res, err := run(context.Background(), g, engine.Options{Sparsify: copt})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,14 +153,11 @@ func TestDegenerateBitIdenticalToSingleShot(t *testing.T) {
 // TestDeterministicPerSeed: same seed, same graph → same sparsifier;
 // different seed → independent run (usually different, never invalid).
 func TestDeterministicPerSeed(t *testing.T) {
-	g, err := testkit.Cases()[0].Build(5)
+	g, err := coarsened()[0].Build(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := engine.Options{
-		Sparsify:     core.Options{SigmaSq: sigma, Seed: 13},
-		CoarsestSize: 16,
-	}
+	opt := engine.Options{Sparsify: core.Options{SigmaSq: sigma, Seed: 13}}
 	a, err := run(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -181,16 +193,13 @@ func TestOptionValidation(t *testing.T) {
 
 // TestCancellation: an already-cancelled context stops the run.
 func TestCancellation(t *testing.T) {
-	g, err := testkit.Cases()[0].Build(1)
+	g, err := coarsened()[0].Build(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := run(ctx, g, engine.Options{
-		Sparsify:     core.Options{SigmaSq: sigma},
-		CoarsestSize: 16,
-	}); err == nil {
+	if _, err := run(ctx, g, engine.Options{Sparsify: core.Options{SigmaSq: sigma}}); err == nil {
 		t.Fatal("cancelled context accepted")
 	}
 }

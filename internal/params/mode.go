@@ -56,26 +56,3 @@ func ParseMode(name string) (Mode, error) {
 	}
 	return ModeAuto, fmt.Errorf("%w: %q (want auto, single, sharded or multilevel)", ErrBadMode, name)
 }
-
-// Plan is the one compatibility table of the knobs that pin an execution
-// plan — mode × shards — shared by the facade's New and the service's wire
-// canonicalization. ModeAuto leaves the path to the caller's per-graph
-// policy, so only explicit pins are judged against each other; zero shards
-// means "unset".
-func Plan(mode Mode, shards int) error {
-	switch mode {
-	case ModeSingleShot:
-		if shards > 1 {
-			return fmt.Errorf("%w: mode single contradicts shards=%d", ErrBadCombination, shards)
-		}
-	case ModeSharded:
-		if shards == 1 {
-			return fmt.Errorf("%w: mode sharded contradicts shards=1", ErrBadCombination)
-		}
-	case ModeMultilevel:
-		if shards != 0 {
-			return fmt.Errorf("%w: mode multilevel does not compose with shards=%d", ErrBadCombination, shards)
-		}
-	}
-	return nil
-}

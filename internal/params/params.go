@@ -1,9 +1,8 @@
 // Package params holds the sparsification parameter rules that more than
 // one layer shares: the σ² check every pipeline runs (internal/core,
 // internal/engine, internal/dynamic and the HTTP service's wire format),
-// the execution-mode parse and the mode × shards compatibility table
-// (Plan) of the facade and the service, and the typed errors all of them
-// return. The service maps ErrInvalid to HTTP 400 instead of
+// the execution-mode parse of the facade and the service, and the typed
+// errors all of them return. The service maps ErrInvalid to HTTP 400 instead of
 // string-matching, and the public facade re-exports the sentinels for
 // library users. Knob ceilings for remote callers live with the wire
 // knob table in internal/service.
@@ -27,14 +26,15 @@ var (
 	// condition number κ(L_G, L_P) of a subgraph sparsifier is at least 1,
 	// so no target at or below 1 is satisfiable — and non-finite ones.
 	ErrBadSigma2 = fmt.Errorf("%w: similarity target σ² must be > 1", ErrInvalid)
-	// ErrBadShards rejects negative shard counts (and counts beyond a
-	// ceiling); zero means "pick the default".
+	// ErrBadShards rejects the shard counts the facade's deprecated
+	// WithShards cannot map onto a mode: any but 0, 1 and the sharded
+	// plan's fixed arity.
 	ErrBadShards = fmt.Errorf("%w: shard count out of range", ErrInvalid)
 	// ErrBadWorkers rejects worker counts beyond a ceiling; zero and
 	// negative mean "all cores".
 	ErrBadWorkers = fmt.Errorf("%w: worker count out of range", ErrInvalid)
 	// ErrBadCombination rejects structurally valid knobs that cannot be
-	// used together (e.g. mode single with shards=4).
+	// used together (e.g. mode multilevel on a persistent session).
 	ErrBadCombination = fmt.Errorf("%w: incompatible options", ErrInvalid)
 )
 

@@ -17,23 +17,19 @@ import (
 type SparsifyParams struct {
 	SigmaSq float64 `json:"sigma2"`
 	Seed    uint64  `json:"seed,omitempty"`
-	// Shards > 1 routes the job through the shard-parallel engine
-	// (internal/engine); 0 or 1 is the single-shot pipeline. Shards is
-	// part of the cache key: a sharded sparsifier and a single-shot one
-	// for the same graph are different artifacts and never alias.
-	Shards int `json:"shards,omitempty"`
 	// Workers is the pipeline's one worker count on every plan (0 = all
 	// cores): concurrent shards, and the goroutines of every embedding
 	// pass. It can never change the result — output is deterministic for
 	// any worker count — so it is deliberately NOT part of the cache key
 	// or the session key.
 	Workers int `json:"workers,omitempty"`
-	// Mode pins the execution path: "single", "sharded" or "multilevel".
-	// The wire contract is explicit — "auto" (the facade's graph-size
-	// policy) is rejected, because a cache key must not depend on which
-	// path the policy would pick for a particular graph. "single" and
-	// "sharded" are redundant with Shards and canonicalize to ""; only
-	// "multilevel" survives canonicalization as a mode string.
+	// Mode picks the execution plan: "single" (the default), "sharded"
+	// or "multilevel". The wire contract is explicit — "auto" (the
+	// facade's graph-size policy) is rejected, because a cache key must
+	// not depend on which plan the policy would pick for a particular
+	// graph. Canon spells single-shot as "". Mode is part of the cache
+	// and session keys: a sharded sparsifier and a single-shot one for
+	// the same graph are different artifacts and never alias.
 	Mode string `json:"mode,omitempty"`
 	// Incremental answers the job from the graph's persistent session —
 	// the live maintainer PATCH and stream batches keep certified — rather
@@ -62,15 +58,14 @@ type knob struct {
 // the CLI's remote replay all walk it. Row 0, σ², is the knob a cache
 // family leaves free.
 //
-// The ceilings bound remotely-submitted work: 256 shards and 64 workers
-// are far above any useful setting on one daemon while keeping a remote
-// client from asking for unbounded per-job fan-out.
+// The ceiling bounds remotely-submitted work: 64 workers is far above any
+// useful setting on one daemon while keeping a remote client from asking
+// for unbounded per-job fan-out.
 var knobs = []knob{
 	{name: "sigma2", field: func(p *SparsifyParams) any { return &p.SigmaSq }, keyed: true, stream: true},
-	{name: "shards", field: func(p *SparsifyParams) any { return &p.Shards }, keyed: true, stream: true, ceiling: 256, err: params.ErrBadShards},
 	{name: "workers", field: func(p *SparsifyParams) any { return &p.Workers }, stream: true, ceiling: 64, err: params.ErrBadWorkers},
 	{name: "seed", field: func(p *SparsifyParams) any { return &p.Seed }, keyed: true, stream: true},
-	{name: "mode", field: func(p *SparsifyParams) any { return &p.Mode }, keyed: true},
+	{name: "mode", field: func(p *SparsifyParams) any { return &p.Mode }, keyed: true, stream: true},
 	{name: "incremental", field: func(p *SparsifyParams) any { return &p.Incremental }},
 }
 
@@ -104,6 +99,8 @@ func (k knob) parse(p *SparsifyParams, s string) (err error) {
 		*v, err = strconv.ParseFloat(s, 64)
 	case *int:
 		*v, err = strconv.Atoi(s)
+	case *string:
+		*v = s
 	default:
 		*v.(*uint64), err = strconv.ParseUint(s, 10, 64)
 	}
@@ -129,17 +126,11 @@ func (p *SparsifyParams) Canon() error {
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
-	if p.Shards == 1 {
-		p.Shards = 0 // canonical single-shot form
-	}
 	return p.canonMode()
 }
 
-// canonMode validates the execution-mode request against the shared
-// compatibility table (params.Plan, plus the wire-only rules) and reduces
-// it to its canonical wire spelling. Requires the shards field to be
-// canonical already (negative and 1 folded to 0), so mode/shards
-// contradictions are judged against what the key will actually store.
+// canonMode validates the execution-mode request and reduces it to its
+// canonical wire spelling: "" (single-shot), "sharded" or "multilevel".
 func (p *SparsifyParams) canonMode() error {
 	if p.Mode == "auto" {
 		// ParseMode accepts "auto", but on the wire it would make the cache
@@ -151,27 +142,11 @@ func (p *SparsifyParams) canonMode() error {
 	if err != nil {
 		return err
 	}
-	if mode == params.ModeAuto {
-		// No mode field: shards alone spell the path.
-		mode = params.ModeSingleShot
-		if p.Shards > 1 {
-			mode = params.ModeSharded
-		}
-	}
-	if err := params.Plan(mode, p.Shards); err != nil {
-		return err
-	}
-	if mode == params.ModeSharded && p.Shards == 0 {
-		// The wire has no default arity (and Canon folded shards=1 to 0).
-		return fmt.Errorf("%w: mode=sharded requires shards > 1", params.ErrBadCombination)
-	}
 	if mode == params.ModeMultilevel && p.Incremental {
-		return fmt.Errorf("%w: multilevel does not compose with incremental", params.ErrBadCombination)
+		return fmt.Errorf("%w: mode multilevel does not compose with a session (incremental job or stream)", params.ErrBadCombination)
 	}
-	// "single" and "sharded" are redundant with Shards; only "multilevel"
-	// survives as a mode string.
 	p.Mode = ""
-	if mode == params.ModeMultilevel {
+	if mode == params.ModeSharded || mode == params.ModeMultilevel {
 		p.Mode = mode.String()
 	}
 	return nil

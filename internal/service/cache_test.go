@@ -43,7 +43,6 @@ func TestParamsCanon(t *testing.T) {
 		{SigmaSq: 0},
 		{SigmaSq: 1},
 		{SigmaSq: -5},
-		{SigmaSq: 100, Shards: 2_000_000_000},
 		{SigmaSq: 100, Workers: 2_000_000_000},
 	} {
 		if err := bad.Canon(); err == nil {
@@ -220,29 +219,29 @@ func TestCacheConcurrentAccess(t *testing.T) {
 }
 
 func TestCanonShardParams(t *testing.T) {
-	// shards=1 canonicalizes to the single-shot form. Workers survives:
-	// it bounds the embedding on every plan, and stays off both keys.
-	p := SparsifyParams{SigmaSq: 100, Shards: 1, Workers: 8}
+	// Workers survives: it bounds the embedding on every plan, and stays
+	// off both keys.
+	p := SparsifyParams{SigmaSq: 100, Workers: 8}
 	if err := p.Canon(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Shards != 0 || p.Workers != 8 {
+	if p.Mode != "" || p.Workers != 8 {
 		t.Errorf("single-shot canonical form not applied: %+v", p)
 	}
 	if bare := testParams(100); p.key("h") != bare.key("h") || p.key("") != bare.key("") {
 		t.Error("worker count fragments the single-shot cache or session key")
 	}
-	q := SparsifyParams{SigmaSq: 100, Shards: 4, Workers: 2}
+	q := SparsifyParams{SigmaSq: 100, Mode: "sharded", Workers: 2}
 	if err := q.Canon(); err != nil {
 		t.Fatal(err)
 	}
-	if q.Shards != 4 || q.Workers != 2 {
+	if q.Mode != "sharded" || q.Workers != 2 {
 		t.Errorf("sharded canon: %+v", q)
 	}
 
 	for _, bad := range []SparsifyParams{
-		{SigmaSq: 100, Shards: 1000},
-		{SigmaSq: 100, Shards: 2, Workers: 1000},
+		{SigmaSq: 100, Workers: 1000},
+		{SigmaSq: 100, Mode: "sharded", Workers: 1000},
 	} {
 		if err := bad.Canon(); err == nil {
 			t.Errorf("Canon(%+v): want error", bad)
@@ -252,7 +251,7 @@ func TestCanonShardParams(t *testing.T) {
 
 func TestShardParamsCacheKeys(t *testing.T) {
 	single := testParams(100)
-	sharded := SparsifyParams{SigmaSq: 100, Shards: 4}
+	sharded := SparsifyParams{SigmaSq: 100, Mode: "sharded"}
 	if err := sharded.Canon(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,18 +269,11 @@ func TestShardParamsCacheKeys(t *testing.T) {
 	if w1.key("h") != w8.key("h") {
 		t.Error("worker count fragments the cache key")
 	}
-	// Different shard counts are different artifacts.
-	s8 := sharded
-	s8.Shards = 8
-	if s8.key("h") == sharded.key("h") {
-		t.Error("shard counts share a cache key")
-	}
 }
 
 func TestCanonModeParams(t *testing.T) {
-	// "single" and "sharded" are redundant with the shards field and
-	// canonicalize away, so mode can never contradict shards in a stored
-	// key; only "multilevel" survives.
+	// "single" is the wire's default plan and canonicalizes to the bare
+	// form; "sharded" and "multilevel" survive as mode strings.
 	p := SparsifyParams{SigmaSq: 100, Mode: "single"}
 	if err := p.Canon(); err != nil {
 		t.Fatal(err)
@@ -289,23 +281,19 @@ func TestCanonModeParams(t *testing.T) {
 	if p.Mode != "" || p.key("h") != testParams(100).key("h") {
 		t.Errorf("mode=single did not canonicalize to the single-shot form: %+v", p)
 	}
-	q := SparsifyParams{SigmaSq: 100, Mode: "sharded", Shards: 4}
-	bare := SparsifyParams{SigmaSq: 100, Shards: 4}
+	q := SparsifyParams{SigmaSq: 100, Mode: "sharded"}
 	if err := q.Canon(); err != nil {
 		t.Fatal(err)
 	}
-	if err := bare.Canon(); err != nil {
-		t.Fatal(err)
-	}
-	if q.Mode != "" || q.key("h") != bare.key("h") {
-		t.Errorf("mode=sharded did not canonicalize onto shards=4: %+v", q)
+	if q.Mode != "sharded" {
+		t.Errorf("mode=sharded canonical form: %+v", q)
 	}
 
 	ml := SparsifyParams{SigmaSq: 100, Mode: "multilevel", Workers: 8}
 	if err := ml.Canon(); err != nil {
 		t.Fatal(err)
 	}
-	if ml.Mode != "multilevel" || ml.Shards != 0 {
+	if ml.Mode != "multilevel" {
 		t.Errorf("multilevel canonical form: %+v", ml)
 	}
 	// Workers survives for multilevel (it bounds embedding concurrency)
@@ -322,17 +310,13 @@ func TestCanonModeParams(t *testing.T) {
 	if ml.key("h") == testParams(100).key("h") || ml.family("h") == testParams(100).family("h") {
 		t.Error("multilevel aliases the single-shot cache line")
 	}
-	if ml.key("h") == bare.key("h") {
+	if ml.key("h") == q.key("h") {
 		t.Error("multilevel aliases the sharded cache line")
 	}
 
 	for _, bad := range []SparsifyParams{
 		{SigmaSq: 100, Mode: "auto"},
 		{SigmaSq: 100, Mode: "bogus"},
-		{SigmaSq: 100, Mode: "single", Shards: 4},
-		{SigmaSq: 100, Mode: "sharded"},
-		{SigmaSq: 100, Mode: "sharded", Shards: 1},
-		{SigmaSq: 100, Mode: "multilevel", Shards: 2},
 		{SigmaSq: 100, Mode: "multilevel", Incremental: true},
 	} {
 		if err := bad.Canon(); err == nil {
@@ -387,9 +371,10 @@ func TestKnobsMatchJSON(t *testing.T) {
 }
 
 // TestStreamQueryRoundTrip: for any parameters the stream endpoint can
-// carry, the server's parse of StreamQuery is the Canon form — or the
-// very error Canon gives. Values sit around every ceiling and at the
-// float edges.
+// carry, the server's parse of StreamQuery is their Canon form as a
+// session request (Incremental set) — or the very error Canon gives
+// that request. Values sit around every ceiling, at the float edges and
+// on every mode spelling.
 func TestStreamQueryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	sigmas := []float64{0, -3, 1, 1.0000000000000002, 1.5, 50, 100, 1e300, 2.5e-7, math.Inf(1), math.Inf(-1), math.NaN()}
@@ -408,11 +393,14 @@ func TestStreamQueryRoundTrip(t *testing.T) {
 				*v = []int{-7, -1, 0, 1, 2, c - 1, c, c + 1, rng.IntN(c + 2)}[rng.IntN(9)]
 			case *uint64:
 				*v = []uint64{0, 1, 7, math.MaxUint64, rng.Uint64()}[rng.IntN(5)]
+			case *string: // the accepted spellings twice as often as the rejected ones
+				*v = []string{"", "single", "sharded", "", "single", "sharded", "multilevel", "auto", "bogus"}[rng.IntN(9)]
 			default:
 				t.Fatalf("knob %q: no generator for %T", k.name, v)
 			}
 		}
 		want := p
+		want.Incremental = true
 		wantErr := want.Canon()
 		got, err := streamParams(p.StreamQuery())
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
@@ -425,7 +413,7 @@ func TestStreamQueryRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if ok < 800 { // 1004 with this seed
+	if ok < 800 { // 1035 with this seed
 		t.Fatalf("only %d of 4000 draws were valid; the property is barely exercised", ok)
 	}
 }

@@ -28,10 +28,9 @@ const maxUploadBytes = 64 << 20
 // Config sizes the server's components. Zero values take the defaults;
 // pass a negative value to disable the backlog or the cache outright.
 type Config struct {
-	Workers    int // concurrent sparsifications (default 4)
-	Backlog    int // queued jobs beyond the running ones (default 64; negative = none)
-	CacheSize  int // LRU result-cache capacity (default 128; negative disables)
-	RetainJobs int // terminal jobs kept for polling (default 512; negative = unbounded)
+	Workers   int // concurrent sparsifications (default 4)
+	Backlog   int // queued jobs beyond the running ones (default 64; negative = none)
+	CacheSize int // LRU result-cache capacity (default 128; negative disables)
 	// Sparsify runs from-scratch jobs. cmd/serve injects the production
 	// runners (built on the public graphspar facade, which internal
 	// packages cannot import); tests inject stubs. Jobs needing a nil
@@ -89,12 +88,6 @@ func (c *Config) defaults() {
 	case c.CacheSize < 0:
 		c.CacheSize = 0
 	}
-	switch {
-	case c.RetainJobs == 0:
-		c.RetainJobs = defaultRetainJobs
-	case c.RetainJobs < 0:
-		c.RetainJobs = 0 // pruneLocked treats 0 as unbounded
-	}
 }
 
 // Server ties the registry, queue, cache and persistent sessions
@@ -134,7 +127,6 @@ func NewServer(cfg Config) *Server {
 		s.maintainSem = make(chan struct{}, cfg.Workers)
 	}
 	s.queue = NewQueue(cfg.Workers, cfg.Backlog, s.cache, s.runJob)
-	s.queue.SetRetain(cfg.RetainJobs)
 	s.queue.SetCacheGate(s.registry.HasHash)
 	s.queue.setMetrics(s.metrics)
 	s.admission = newAdmissionController(cfg, s.metrics)

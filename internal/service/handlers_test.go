@@ -500,7 +500,10 @@ func TestUnknownBodyKeysRejected(t *testing.T) {
 		// The retired bisector knob: Canon used to blank it unparsed on a
 		// single-shot request, so even "bogus" was accepted.
 		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"partition":"bogus"}`, "partition"},
-		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"shards":2,"partition":"bfs"}`, "partition"},
+		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"mode":"sharded","partition":"bfs"}`, "partition"},
+		// The retired shard count: the sharded plan always cuts the
+		// engine's fixed number of parts.
+		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"shards":4}`, "shards"},
 		// The retired backbone knob: the max-weight tree is the only one,
 		// so even its own old name is a 400.
 		{http.MethodPost, "/v1/jobs", `{"graph":"g","sigma2":100,"tree":"maxweight"}`, "tree"},

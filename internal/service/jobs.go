@@ -60,7 +60,8 @@ type JobResult struct {
 	VerifiedCond      float64 `json:"verified_condition_number"`
 
 	// Sharded-engine metadata, zero for single-shot jobs. ShardSpeedup is
-	// the shard phase's parallel efficiency (Σ per-shard CPU / wall).
+	// the shard phase's speedup (Σ per-shard CPU / wall); divided by the
+	// worker count it would be the parallel efficiency.
 	Shards       int     `json:"shards,omitempty"`
 	CutEdges     int     `json:"cut_edges,omitempty"`
 	RecoveredCut int     `json:"recovered_cut_edges,omitempty"`
@@ -138,7 +139,7 @@ type Queue struct {
 	jobs    map[string]*Job
 	order   []string // submission order, for listing and pruning
 	seq     int
-	retain  int
+	retain  int // defaultRetainJobs; tests lower it
 	pending chan *Job
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -368,7 +369,7 @@ func (q *Queue) finish(job *Job, res *JobResult, err error) {
 // are tracked. Queued/running jobs are never dropped, so the map can
 // transiently exceed the bound under a huge in-flight load.
 func (q *Queue) pruneLocked() {
-	if q.retain <= 0 || len(q.jobs) <= q.retain {
+	if len(q.jobs) <= q.retain {
 		return
 	}
 	kept := q.order[:0]
@@ -416,14 +417,6 @@ func (q *Queue) InFlight() int { return int(q.inFlight.Load()) }
 
 // Workers reports the size of the worker pool.
 func (q *Queue) Workers() int { return q.workers }
-
-// SetRetain changes how many terminal jobs the queue remembers
-// (0 = unbounded). Takes effect on the next job completion.
-func (q *Queue) SetRetain(n int) {
-	q.mu.Lock()
-	q.retain = n
-	q.mu.Unlock()
-}
 
 // Shutdown cancels the queue context (canceling queued jobs and
 // signaling in-flight runners) and waits for workers to exit or the

@@ -270,7 +270,7 @@ func TestQueueRetentionPrunesTerminalJobs(t *testing.T) {
 		return &JobResult{}, nil
 	})
 	defer q.Shutdown(context.Background())
-	q.SetRetain(3)
+	q.retain = 3
 
 	var last string
 	for i := 0; i < 10; i++ {
@@ -317,12 +317,12 @@ func TestQueueShardedAndSingleShotDoNotAlias(t *testing.T) {
 	var calls atomic.Int64
 	q := newTestQueue(1, 8, cache, func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
 		calls.Add(1)
-		return &JobResult{SigmaSqAchieved: 10, VerifiedCond: 10, TargetMet: true, Sparsifier: g, Shards: p.Shards}, nil
+		return &JobResult{SigmaSqAchieved: 10, VerifiedCond: 10, TargetMet: true, Sparsifier: g}, nil
 	})
 	defer q.Shutdown(context.Background())
 
 	single := testParams(100)
-	sharded := SparsifyParams{SigmaSq: 100, Shards: 4}
+	sharded := SparsifyParams{SigmaSq: 100, Mode: "sharded"}
 	if err := sharded.Canon(); err != nil {
 		t.Fatal(err)
 	}

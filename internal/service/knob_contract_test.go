@@ -38,25 +38,22 @@ func TestKnobContract(t *testing.T) {
 
 	reqs := []struct{ name, body string }{
 		{"bare", `{"sigma2":50}`},
-		{"spelled", `{"sigma2":50,"seed":1,"shards":0,"workers":0,"mode":"","incremental":false}`},
+		{"spelled", `{"sigma2":50,"seed":1,"workers":0,"mode":"","incremental":false}`},
 		{"zeros", `{"sigma2":50,"seed":0}`},
 		{"negatives", `{"sigma2":50,"workers":-2}`},
-		{"shards1", `{"sigma2":50,"shards":1}`},
-		{"shards-1", `{"sigma2":50,"shards":-1}`},
 		{"single", `{"sigma2":50,"mode":"single"}`},
-		{"single1", `{"sigma2":50,"mode":"single","shards":1}`},
 		{"w1", `{"sigma2":50,"workers":1}`},
 		{"w8", `{"sigma2":50,"workers":8}`},
 		{"incremental", `{"sigma2":50,"incremental":true}`},
-		{"shards4", `{"sigma2":50,"shards":4}`},
-		{"sharded4", `{"sigma2":50,"mode":"sharded","shards":4,"workers":8}`},
-		{"shards8", `{"sigma2":50,"shards":8}`},
+		{"sharded", `{"sigma2":50,"mode":"sharded"}`},
+		{"sharded-w8", `{"sigma2":50,"mode":"sharded","workers":8}`},
+		{"sharded-incremental", `{"sigma2":50,"mode":"sharded","incremental":true}`},
 		{"multilevel", `{"sigma2":50,"mode":"multilevel"}`},
 		{"multilevel-w8", `{"sigma2":50,"mode":"multilevel","workers":8}`},
 		{"seed7", `{"sigma2":50,"seed":7}`},
 		{"s100", `{"sigma2":100}`},
 		{"s100-w8", `{"sigma2":100,"workers":8}`},
-		{"s100-shards4", `{"sigma2":100,"shards":4}`},
+		{"s100-sharded", `{"sigma2":100,"mode":"sharded"}`},
 		{"s100-multilevel", `{"sigma2":100,"mode":"multilevel"}`},
 	}
 	ps := make([]SparsifyParams, len(reqs))
@@ -72,27 +69,24 @@ func TestKnobContract(t *testing.T) {
 		}
 		fmt.Fprintf(&canon, "%s %+v\n", r.name, ps[i])
 	}
-	const wantCanon = `bare {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-spelled {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-zeros {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-negatives {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-shards1 {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-shards-1 {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-single {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-single1 {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-w1 {SigmaSq:50 Seed:1 Shards:0 Workers:1 Mode: Incremental:false}
-w8 {SigmaSq:50 Seed:1 Shards:0 Workers:8 Mode: Incremental:false}
-incremental {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode: Incremental:true}
-shards4 {SigmaSq:50 Seed:1 Shards:4 Workers:0 Mode: Incremental:false}
-sharded4 {SigmaSq:50 Seed:1 Shards:4 Workers:8 Mode: Incremental:false}
-shards8 {SigmaSq:50 Seed:1 Shards:8 Workers:0 Mode: Incremental:false}
-multilevel {SigmaSq:50 Seed:1 Shards:0 Workers:0 Mode:multilevel Incremental:false}
-multilevel-w8 {SigmaSq:50 Seed:1 Shards:0 Workers:8 Mode:multilevel Incremental:false}
-seed7 {SigmaSq:50 Seed:7 Shards:0 Workers:0 Mode: Incremental:false}
-s100 {SigmaSq:100 Seed:1 Shards:0 Workers:0 Mode: Incremental:false}
-s100-w8 {SigmaSq:100 Seed:1 Shards:0 Workers:8 Mode: Incremental:false}
-s100-shards4 {SigmaSq:100 Seed:1 Shards:4 Workers:0 Mode: Incremental:false}
-s100-multilevel {SigmaSq:100 Seed:1 Shards:0 Workers:0 Mode:multilevel Incremental:false}
+	const wantCanon = `bare {SigmaSq:50 Seed:1 Workers:0 Mode: Incremental:false}
+spelled {SigmaSq:50 Seed:1 Workers:0 Mode: Incremental:false}
+zeros {SigmaSq:50 Seed:1 Workers:0 Mode: Incremental:false}
+negatives {SigmaSq:50 Seed:1 Workers:0 Mode: Incremental:false}
+single {SigmaSq:50 Seed:1 Workers:0 Mode: Incremental:false}
+w1 {SigmaSq:50 Seed:1 Workers:1 Mode: Incremental:false}
+w8 {SigmaSq:50 Seed:1 Workers:8 Mode: Incremental:false}
+incremental {SigmaSq:50 Seed:1 Workers:0 Mode: Incremental:true}
+sharded {SigmaSq:50 Seed:1 Workers:0 Mode:sharded Incremental:false}
+sharded-w8 {SigmaSq:50 Seed:1 Workers:8 Mode:sharded Incremental:false}
+sharded-incremental {SigmaSq:50 Seed:1 Workers:0 Mode:sharded Incremental:true}
+multilevel {SigmaSq:50 Seed:1 Workers:0 Mode:multilevel Incremental:false}
+multilevel-w8 {SigmaSq:50 Seed:1 Workers:8 Mode:multilevel Incremental:false}
+seed7 {SigmaSq:50 Seed:7 Workers:0 Mode: Incremental:false}
+s100 {SigmaSq:100 Seed:1 Workers:0 Mode: Incremental:false}
+s100-w8 {SigmaSq:100 Seed:1 Workers:8 Mode: Incremental:false}
+s100-sharded {SigmaSq:100 Seed:1 Workers:0 Mode:sharded Incremental:false}
+s100-multilevel {SigmaSq:100 Seed:1 Workers:0 Mode:multilevel Incremental:false}
 `
 	if got := canon.String(); got != wantCanon {
 		t.Errorf("canonical forms:\n%s\nwant:\n%s", got, wantCanon)
@@ -122,21 +116,19 @@ s100-multilevel {SigmaSq:100 Seed:1 Shards:0 Workers:0 Mode:multilevel Increment
 	for i := range all {
 		all[i] = i
 	}
-	const wantKey = `bare spelled zeros negatives shards1 shards-1 single single1 w1 w8 incremental
-shards4 sharded4
-shards8
+	const wantKey = `bare spelled zeros negatives single w1 w8 incremental
+sharded sharded-w8 sharded-incremental
 multilevel multilevel-w8
 seed7
 s100 s100-w8
-s100-shards4
+s100-sharded
 s100-multilevel
 `
 	if got := classes(all, func(a, b int) bool { return ps[a].key("h") == ps[b].key("h") }); got != wantKey {
 		t.Errorf("cache key classes:\n%s\nwant:\n%s", got, wantKey)
 	}
-	const wantFamily = `bare spelled zeros negatives shards1 shards-1 single single1 w1 w8 incremental s100 s100-w8
-shards4 sharded4 s100-shards4
-shards8
+	const wantFamily = `bare spelled zeros negatives single w1 w8 incremental s100 s100-w8
+sharded sharded-w8 sharded-incremental s100-sharded
 multilevel multilevel-w8 s100-multilevel
 seed7
 `
@@ -146,11 +138,11 @@ seed7
 
 	// Session classes, through the one route to a maintainer: make a's
 	// session resident, then ask for b's. A request that pins multilevel
-	// never reaches a session (the stream query has no mode, and Canon
-	// rejects multilevel with incremental), so it is left out.
+	// never reaches a session (Canon rejects it on incremental jobs and
+	// streams), so it is left out.
 	var sessionable []int
 	for i, p := range ps {
-		if p.Mode == "" {
+		if p.Mode != "multilevel" {
 			sessionable = append(sessionable, i)
 		}
 	}
@@ -165,12 +157,11 @@ seed7
 		}
 		return hit
 	}
-	const wantSession = `bare spelled zeros negatives shards1 shards-1 single single1 w1 w8 incremental
-shards4 sharded4
-shards8
+	const wantSession = `bare spelled zeros negatives single w1 w8 incremental
+sharded sharded-w8 sharded-incremental
 seed7
 s100 s100-w8
-s100-shards4
+s100-sharded
 `
 	if got := classes(sessionable, sameSession); got != wantSession {
 		t.Errorf("session classes:\n%s\nwant:\n%s", got, wantSession)
@@ -184,20 +175,16 @@ s100-shards4
 		{`{"sigma2":"50"}`, `bad JSON body: json: cannot unmarshal string into Go struct field submitRequest.SparsifyParams.sigma2 of type float64`},
 		{`{"sigma2":50,"t":17}`, `bad JSON body: json: unknown field \"t\"`},
 		{`{"sigma2":50,"t":16,"r":1025}`, `bad JSON body: json: unknown field \"t\"`},
-		{`{"sigma2":50,"t":17,"r":1025,"shards":257,"workers":65}`, `bad JSON body: json: unknown field \"t\"`},
-		{`{"sigma2":50,"shards":257}`, `invalid sparsification parameters: shard count out of range: shards must be at most 256, got 257`},
-		{`{"sigma2":50,"shards":257,"workers":65}`, `invalid sparsification parameters: shard count out of range: shards must be at most 256, got 257`},
+		{`{"sigma2":50,"t":17,"r":1025,"workers":65}`, `bad JSON body: json: unknown field \"t\"`},
+		{`{"sigma2":50,"shards":4}`, `bad JSON body: json: unknown field \"shards\"`},
+		{`{"sigma2":50,"mode":"sharded","shards":4}`, `bad JSON body: json: unknown field \"shards\"`},
 		{`{"sigma2":50,"workers":65}`, `invalid sparsification parameters: worker count out of range: workers must be at most 64, got 65`},
 		{`{"sigma2":50,"mode":"auto"}`, `invalid sparsification parameters: unknown execution mode: mode \"auto\" is a client-side policy; omit mode or request single, sharded or multilevel`},
 		{`{"sigma2":50,"mode":"bogus"}`, `invalid sparsification parameters: unknown execution mode: \"bogus\" (want auto, single, sharded or multilevel)`},
-		{`{"sigma2":50,"mode":"single","shards":4}`, `invalid sparsification parameters: incompatible options: mode single contradicts shards=4`},
-		{`{"sigma2":50,"mode":"sharded"}`, `invalid sparsification parameters: incompatible options: mode=sharded requires shards \u003e 1`},
-		{`{"sigma2":50,"mode":"sharded","shards":1}`, `invalid sparsification parameters: incompatible options: mode=sharded requires shards \u003e 1`},
-		{`{"sigma2":50,"mode":"multilevel","shards":2}`, `invalid sparsification parameters: incompatible options: mode multilevel does not compose with shards=2`},
-		{`{"sigma2":50,"mode":"multilevel","incremental":true}`, `invalid sparsification parameters: incompatible options: multilevel does not compose with incremental`},
+		{`{"sigma2":50,"mode":"multilevel","incremental":true}`, `invalid sparsification parameters: incompatible options: mode multilevel does not compose with a session (incremental job or stream)`},
 		{`{"sigma2":50,"shard":4}`, `bad JSON body: json: unknown field \"shard\"`},
 		{`{"sigma2":50,"max_edges":500}`, `bad JSON body: json: unknown field \"max_edges\"`},
-		{`{"sigma2":50,"t":2,"r":0,"seed":1,"shards":0,"workers":0,"mode":"","incremental":false}`, `bad JSON body: json: unknown field \"t\"`},
+		{`{"sigma2":50,"t":2,"r":0,"seed":1,"workers":0,"mode":"","incremental":false}`, `bad JSON body: json: unknown field \"t\"`},
 		{`{"sigma2":50,"t":0,"seed":0}`, `bad JSON body: json: unknown field \"t\"`},
 		{`{"sigma2":50,"t":-3,"r":-1,"workers":-2}`, `bad JSON body: json: unknown field \"t\"`},
 		{`{"sigma2":50,"t":3}`, `bad JSON body: json: unknown field \"t\"`},
@@ -223,16 +210,18 @@ s100-shards4
 		{"?sigma2=abc", `invalid sparsification parameters: query parameter \"sigma2\": strconv.ParseFloat: parsing \"abc\": invalid syntax`},
 		{"?sigma2=50&t=x", `invalid sparsification parameters: unknown query parameter \"t\"`},
 		{"?sigma2=50&r=1.5", `invalid sparsification parameters: unknown query parameter \"r\"`},
-		{"?sigma2=50&shards=two", `invalid sparsification parameters: query parameter \"shards\": strconv.Atoi: parsing \"two\": invalid syntax`},
+		{"?sigma2=50&shards=two", `invalid sparsification parameters: unknown query parameter \"shards\"`},
 		{"?sigma2=50&workers=", ``},
 		{"?sigma2=50&workers=9999999999999999999", `invalid sparsification parameters: query parameter \"workers\": strconv.Atoi: parsing \"9999999999999999999\": value out of range`},
 		{"?sigma2=50&seed=-1", `invalid sparsification parameters: query parameter \"seed\": strconv.ParseUint: parsing \"-1\": invalid syntax`},
-		{"?sigma2=50&shards=x&seed=y", `invalid sparsification parameters: query parameter \"shards\": strconv.Atoi: parsing \"x\": invalid syntax`},
+		{"?sigma2=50&workers=x&seed=y", `invalid sparsification parameters: query parameter \"workers\": strconv.Atoi: parsing \"x\": invalid syntax`},
 		{"?sigma2=50&t=17", `invalid sparsification parameters: unknown query parameter \"t\"`},
 		{"?sigma2=50&r=1025", `invalid sparsification parameters: unknown query parameter \"r\"`},
-		{"?sigma2=50&shards=257", `invalid sparsification parameters: shard count out of range: shards must be at most 256, got 257`},
+		{"?sigma2=50&shards=4", `invalid sparsification parameters: unknown query parameter \"shards\"`},
 		{"?sigma2=50&workers=65", `invalid sparsification parameters: worker count out of range: workers must be at most 64, got 65`},
-		{"?sigma2=50&mode=multilevel", `invalid sparsification parameters: unknown query parameter \"mode\"`},
+		{"?sigma2=50&mode=sharded", ``},
+		{"?sigma2=50&mode=auto", `invalid sparsification parameters: unknown execution mode: mode \"auto\" is a client-side policy; omit mode or request single, sharded or multilevel`},
+		{"?sigma2=50&mode=multilevel", `invalid sparsification parameters: incompatible options: mode multilevel does not compose with a session (incremental job or stream)`},
 		{"?sigma2=50&incremental=true", `invalid sparsification parameters: unknown query parameter \"incremental\"`},
 		{"?sigma2=50&shard=4&max_edges=9&tree=x", `invalid sparsification parameters: unknown query parameter \"max_edges, shard, tree\"`},
 	} {

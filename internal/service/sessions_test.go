@@ -200,15 +200,18 @@ func TestStreamRequiresSigma2AndSessions(t *testing.T) {
 	registerSpec(t, ts.URL, "g", "grid:3x3")
 	// A maintainer can honour neither a job-only parameter, a retired one
 	// nor a typo, so none may be dropped silently: each is a 400 that names
-	// the key. So is a key given twice, which no value of the pair may win.
-	// An infinite target is no target.
+	// the key. So is a key given twice, which no value of the pair may win,
+	// and the multilevel plan, which no maintainer runs. An infinite
+	// target is no target.
 	for _, c := range []struct{ query, named string }{
 		{"", ""}, // missing sigma2
 		{"?sigma2=Inf", ""},
-		{"?sigma2=50&mode=multilevel", `unknown query parameter \"mode\"`},
+		{"?sigma2=50&mode=multilevel", `mode multilevel does not compose with a session`},
+		{"?sigma2=50&incremental=true", `unknown query parameter \"incremental\"`},
+		{"?sigma2=50&shards=4", `unknown query parameter \"shards\"`},
 		{"?sigma2=50&max_edges=500", `unknown query parameter \"max_edges\"`},
 		{"?sigma2=50&shard=4", `unknown query parameter \"shard\"`},
-		{"?sigma2=50&shards=2&partition=bfs", `unknown query parameter \"partition\"`},
+		{"?sigma2=50&mode=sharded&partition=bfs", `unknown query parameter \"partition\"`},
 		{"?sigma2=50&tree=maxweight", `unknown query parameter \"tree\"`},
 		{"?sigma2=50&t=2", `unknown query parameter \"t\"`},
 		{"?sigma2=50&r=8", `unknown query parameter \"r\"`},
@@ -349,6 +352,26 @@ func TestIncrementalJobServedFromSession(t *testing.T) {
 	}
 	if builds.Load() != 2 {
 		t.Fatalf("maintainer built %d times, want 2", builds.Load())
+	}
+}
+
+// TestShardedStreamSessionServesShardedJob: mode is a stream knob, so a
+// ?mode=sharded stream leaves resident the session a later sharded
+// incremental job hits, and a single-shot one does not alias it.
+func TestShardedStreamSessionServesShardedJob(t *testing.T) {
+	var builds atomic.Int64
+	ts := newTestServer(t, sessionTestConfig(&builds), nil)
+	registerSpec(t, ts.URL, "g", "grid:6x6")
+	if code, _ := streamLines(t, ts.URL, "g", "?sigma2=50&mode=sharded", "= 1 2 2\n"); code != http.StatusOK {
+		t.Fatalf("sharded stream: %d", code)
+	}
+	job := SparsifyParams{SigmaSq: 50, Mode: "sharded", Incremental: true}
+	if r := submitJobHTTP(t, ts.URL, "g", job).Result; r == nil || !r.SessionHit || builds.Load() != 1 {
+		t.Fatalf("sharded incremental job after a sharded stream: builds=%d result=%+v", builds.Load(), r)
+	}
+	job.Mode = ""
+	if r := submitJobHTTP(t, ts.URL, "g", job).Result; r == nil || r.SessionHit || builds.Load() != 2 {
+		t.Fatalf("single-shot incremental job hit the sharded session: builds=%d result=%+v", builds.Load(), r)
 	}
 }
 

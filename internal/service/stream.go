@@ -46,10 +46,12 @@ func newEventReader(r *http.Request) *dynamic.EventReader {
 
 // streamParams fills SparsifyParams from the stream endpoint's query
 // string (the body carries events, so parameters travel in the URL). A
-// key the endpoint does not honour — a job-only parameter such as mode, a
-// retired one such as max_edges, or a typo — is rejected rather than
-// silently dropped, and so is a key given twice, which a JSON body would
-// resolve the other way (the last value wins there).
+// key the endpoint does not honour — a job-only parameter such as
+// incremental, a retired one such as shards, or a typo — is rejected
+// rather than silently dropped, and so is a key given twice, which a JSON
+// body would resolve the other way (the last value wins there). A stream
+// is answered by the graph's session, like an incremental job, and takes
+// that job's mode rules: multilevel is rejected.
 func streamParams(q url.Values) (SparsifyParams, error) {
 	var p SparsifyParams
 	var unknown, repeated []string
@@ -76,15 +78,17 @@ func streamParams(q url.Values) (SparsifyParams, error) {
 			}
 		}
 	}
+	p.Incremental = true
 	err := p.Canon()
 	return p, err
 }
 
 // StreamQuery spells p as the stream endpoint's query string: every knob
 // the endpoint accepts, with its value. It is the inverse of the
-// endpoint's parse — the server reads back p's Canon form, or the error
-// Canon gives p — so a client replaying events remotely is parameterized
-// exactly like a local run.
+// endpoint's parse — the server reads back the Canon form of p as a
+// session request (Incremental set), or the error Canon gives it — so a
+// client replaying events remotely is parameterized exactly like a local
+// run.
 func (p SparsifyParams) StreamQuery() url.Values {
 	q := url.Values{}
 	for _, k := range knobs {

@@ -2,8 +2,7 @@ package graphspar_test
 
 // Multilevel and mode coverage of the facade: a graph too small to coarsen
 // must reproduce the single-shot pipeline, WithMode must pin the plan, and
-// the mode/shards combination rules must reject contradictions with typed
-// errors.
+// an unknown mode or a multilevel stream is a typed error.
 
 import (
 	"context"
@@ -23,7 +22,7 @@ func TestFacadeMultilevelDegenerateSingleShot(t *testing.T) {
 		single, err := graphspar.New(
 			graphspar.WithSigma2(50),
 			graphspar.WithSeed(11),
-			graphspar.WithShards(1),
+			graphspar.WithMode(graphspar.ModeSingleShot),
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -82,20 +81,8 @@ func TestFacadeModePins(t *testing.T) {
 
 func TestFacadeModeValidation(t *testing.T) {
 	base := graphspar.WithSigma2(50)
-	for name, opts := range map[string][]graphspar.Option{
-		"single+shards":      {base, graphspar.WithMode(graphspar.ModeSingleShot), graphspar.WithShards(4)},
-		"sharded+shards1":    {base, graphspar.WithMode(graphspar.ModeSharded), graphspar.WithShards(1)},
-		"multilevel+shards":  {base, graphspar.WithMode(graphspar.ModeMultilevel), graphspar.WithShards(4)},
-		"multilevel+shards1": {base, graphspar.WithMode(graphspar.ModeMultilevel), graphspar.WithShards(1)},
-		"unknown-mode-value": {base, graphspar.WithMode(graphspar.Mode(42))},
-	} {
-		if _, err := graphspar.New(opts...); !errors.Is(err, graphspar.ErrInvalidOptions) {
-			t.Errorf("%s: err = %v, want ErrInvalidOptions", name, err)
-		}
-	}
-	// Compatible pins pass.
-	if _, err := graphspar.New(base, graphspar.WithMode(graphspar.ModeSharded), graphspar.WithShards(8)); err != nil {
-		t.Errorf("sharded+shards8: %v", err)
+	if _, err := graphspar.New(base, graphspar.WithMode(graphspar.Mode(42))); !errors.Is(err, graphspar.ErrInvalidOptions) {
+		t.Errorf("unknown mode value: err = %v, want ErrInvalidOptions", err)
 	}
 
 	// ModeMultilevel is a Run-only path: streams cannot honor it.

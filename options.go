@@ -19,8 +19,8 @@ const (
 	ModeAuto = params.ModeAuto
 	// ModeSingleShot pins the plain edge-filter pipeline.
 	ModeSingleShot = params.ModeSingleShot
-	// ModeSharded pins the shard-parallel plan (WithShards sets the
-	// arity; AutoShards otherwise).
+	// ModeSharded pins the shard-parallel plan, which always cuts
+	// AutoShards parts.
 	ModeSharded = params.ModeSharded
 	// ModeMultilevel pins the coarsen → sparsify-coarse → interpolate →
 	// refilter hierarchy plan.
@@ -36,19 +36,9 @@ func ParseMode(name string) (Mode, error) { return params.ParseMode(name) }
 // the pipeline defaults.
 type config struct {
 	// opt configures Run and, through Maintain, a stream's
-	// full rebuilds alike. Mode and Shards hold the user's pins
-	// (ModeAuto / 0 = unpinned) that plan resolves per graph.
+	// full rebuilds alike. Mode holds the user's pin (ModeAuto =
+	// unpinned) that plan resolves per graph.
 	opt engine.Options
-}
-
-// validate rejects an unusable target and contradictory plan pins (the
-// shared table in internal/params, which the service's wire layer also
-// applies).
-func (c *config) validate() error {
-	if err := params.Sigma2(c.opt.Sparsify.SigmaSq); err != nil {
-		return err
-	}
-	return params.Plan(c.opt.Mode, c.opt.Shards)
 }
 
 // Option configures a Sparsifier under construction.
@@ -64,25 +54,30 @@ func WithSigma2(sigmaSq float64) Option {
 	}
 }
 
-// WithShards pins the execution plan of Run: 1 forces single-shot, k > 1
-// forces the sharded plan with k shards, and 0 restores the default auto
-// policy (single-shot below AutoShardEdges edges, a parallel plan above).
-// With Maintain, k > 1 runs the stream's full rebuilds sharded.
+// WithShards spells a plan as a shard count: 0 is WithMode(ModeAuto), 1
+// WithMode(ModeSingleShot) and AutoShards WithMode(ModeSharded). Any
+// other count is ErrBadShards: the sharded plan always cuts AutoShards
+// parts.
+//
+// Deprecated: use WithMode.
 func WithShards(k int) Option {
-	return func(c *config) error {
-		if k < 0 {
-			return fmt.Errorf("%w: got %d", ErrBadShards, k)
-		}
-		c.opt.Shards = k
-		return nil
+	switch k {
+	case 0:
+		return WithMode(ModeAuto)
+	case 1:
+		return WithMode(ModeSingleShot)
+	case AutoShards:
+		return WithMode(ModeSharded)
+	}
+	return func(*config) error {
+		return fmt.Errorf("%w: got %d, want 0, 1 or %d", ErrBadShards, k, AutoShards)
 	}
 }
 
 // WithMode pins Run's execution plan: single-shot, sharded, or the
 // multilevel hierarchy; ModeAuto (the default) picks per graph as
-// documented on the constants. Contradictory combinations with WithShards
-// are rejected by New (WithShards(1) pins single-shot, k > 1 sharded).
-// ModeMultilevel does not compose with Maintain.
+// documented on the constants. ModeMultilevel does not compose with
+// Maintain.
 func WithMode(m Mode) Option {
 	return func(c *config) error {
 		switch m {

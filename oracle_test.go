@@ -352,7 +352,7 @@ func TestShardedGoldenRowCertified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := graphspar.New(graphspar.WithSigma2(goldenSigma2), graphspar.WithSeed(1), graphspar.WithShards(4))
+	s, err := graphspar.New(graphspar.WithSigma2(goldenSigma2), graphspar.WithSeed(1), graphspar.WithMode(graphspar.ModeSharded))
 	if err != nil {
 		t.Fatal(err)
 	}

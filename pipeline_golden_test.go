@@ -128,7 +128,7 @@ var goldenConfigs = []struct {
 	opts []graphspar.Option
 }{
 	{"single", []graphspar.Option{graphspar.WithMode(graphspar.ModeSingleShot)}},
-	{"shards4", []graphspar.Option{graphspar.WithShards(4)}},
+	{"shards4", []graphspar.Option{graphspar.WithMode(graphspar.ModeSharded)}},
 	{"multilevel", []graphspar.Option{graphspar.WithMode(graphspar.ModeMultilevel)}},
 	{"auto", nil},
 }
@@ -180,9 +180,9 @@ func buildPipelineGolden(t *testing.T, workers int) pipelineGolden {
 		}
 	}
 
-	// Maintainer: WithShards(1) rebuilds single-shot, WithShards(2)
-	// through the sharded plan; both routes are pinned through a build
-	// and three update batches.
+	// Maintainer: ModeSingleShot rebuilds single-shot, ModeSharded through
+	// the sharded plan; both routes are pinned through a build and three
+	// update batches.
 	g, err := gen.Grid2D(20, 20, gen.UniformWeights, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -192,9 +192,12 @@ func buildPipelineGolden(t *testing.T, workers int) pipelineGolden {
 		{graphspar.Delete(0, 20), graphspar.Insert(5, 45, 0.9), graphspar.Reweight(100, 101, 3.0), graphspar.Delete(210, 211)},
 		{graphspar.Insert(19, 380, 2.0), graphspar.Delete(0, 399), graphspar.Reweight(200, 220, 0.25)},
 	}
-	for _, shards := range []int{1, 2} {
+	for _, route := range []struct {
+		name string
+		mode graphspar.Mode
+	}{{"maintain/shards1", graphspar.ModeSingleShot}, {"maintain/shards4", graphspar.ModeSharded}} {
 		s, err := graphspar.New(graphspar.WithSigma2(goldenSigma2), graphspar.WithSeed(7),
-			graphspar.WithShards(shards), graphspar.WithWorkers(workers))
+			graphspar.WithMode(route.mode), graphspar.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +205,7 @@ func buildPipelineGolden(t *testing.T, workers int) pipelineGolden {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row := goldenStream{Name: fmt.Sprintf("maintain/shards%d", shards)}
+		row := goldenStream{Name: route.name}
 		snap := func() {
 			row.States = append(row.States, goldenState{
 				Sparsifier: sparsifierHash(st.Sparsifier()),
@@ -248,7 +251,7 @@ func buildPipelineGolden(t *testing.T, workers int) pipelineGolden {
 	} {
 		const seed = 7
 		s, err := graphspar.New(graphspar.WithSigma2(goldenSigma2), graphspar.WithSeed(seed),
-			graphspar.WithShards(1), graphspar.WithWorkers(workers))
+			graphspar.WithMode(graphspar.ModeSingleShot), graphspar.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,8 @@ type Result struct {
 	OffTreeAddedIDs []int
 	Rounds          []RoundStats
 
-	// Sharded fields: partition arity, per-shard stats, and cut
+	// Sharded fields: partition arity (AutoShards, or fewer on a small
+	// graph), per-shard stats, and cut
 	// bookkeeping (CutEdges crossed the partition; StitchedCut were added
 	// for connectivity, RecoveredCut more passed the global heat filter —
 	// plus, on any plan but a coarsened multilevel run, the edges the
@@ -121,8 +122,9 @@ func (r *Result) Density() float64 {
 	return float64(r.Sparsifier.M()) / float64(r.Sparsifier.N())
 }
 
-// Speedup reports the parallel efficiency of a sharded run's shard phase
-// (1.0 for single-shot runs).
+// Speedup reports the speedup of a sharded run's shard phase, ShardCPU ÷
+// Shard (1.0 for single-shot runs); divided by the worker count it is the
+// phase's parallel efficiency.
 func (r *Result) Speedup() float64 {
 	if r.Timings.Shard <= 0 {
 		return 1

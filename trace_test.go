@@ -33,7 +33,7 @@ func TestRunPhasesSingleShot(t *testing.T) {
 	s, err := graphspar.New(
 		graphspar.WithSigma2(60),
 		graphspar.WithSeed(7),
-		graphspar.WithShards(1),
+		graphspar.WithMode(graphspar.ModeSingleShot),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestRunPhasesSharded(t *testing.T) {
 	s, err := graphspar.New(
 		graphspar.WithSigma2(60),
 		graphspar.WithSeed(7),
-		graphspar.WithShards(3),
+		graphspar.WithMode(graphspar.ModeSharded),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestRunPhasesSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err = graphspar.New(graphspar.WithSigma2(100), graphspar.WithSeed(7), graphspar.WithShards(4))
+	s, err = graphspar.New(graphspar.WithSigma2(100), graphspar.WithSeed(7), graphspar.WithMode(graphspar.ModeSharded))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestNewTraceContextShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := graphspar.New(graphspar.WithSigma2(80), graphspar.WithShards(1))
+	s, err := graphspar.New(graphspar.WithSigma2(80), graphspar.WithMode(graphspar.ModeSingleShot))
 	if err != nil {
 		t.Fatal(err)
 	}
