@@ -150,8 +150,8 @@ func ApplyToGraph(g *graph.Graph, batch []Update) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Only deletes can disconnect; skip the BFS for pure insert/reweight
-	// batches.
+	// Only deletes can disconnect; skip the union-find pass for pure
+	// insert/reweight batches.
 	if hasDelete && !out.IsConnected() {
 		return nil, ErrWouldDisconnect
 	}

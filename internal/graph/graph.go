@@ -57,7 +57,9 @@ type Graph struct {
 	edges []Edge
 
 	// Lazily built adjacency: for vertex u, neighbors are
-	// adjTo[adjPtr[u]:adjPtr[u+1]] with parallel edge ids adjEdge.
+	// adjTo[adjPtr[u]:adjPtr[u+1]] with parallel edge ids adjEdge. Built
+	// by neighbour walks only (Neighbors, Degree, WeightedDegree,
+	// Components, BFSOrder); IsConnected does not need it.
 	adjOnce sync.Once
 	adjPtr  []int
 	adjTo   []int
@@ -381,19 +383,51 @@ func (g *Graph) Components() (labels []int, count int) {
 }
 
 // IsConnected reports whether the graph is connected (true for the empty
-// and single-vertex graphs). The answer is computed once per Graph and
+// and single-vertex graphs). The answer is one union-find pass over the
+// edge list — it builds no adjacency index — computed once per Graph and
 // cached; AddEdges passes a "connected" verdict on to its result.
 func (g *Graph) IsConnected() bool {
 	if c := g.conn.Load(); c != connUnknown {
 		return c == connYes
 	}
-	_, count := g.Components()
 	c := connNo
-	if count <= 1 {
+	if spans(g.n, g.edges) {
 		c = connYes
 	}
 	g.conn.Store(c)
 	return c == connYes
+}
+
+// spans reports whether edges join all n vertices into one component:
+// union-find over a transient int32 parent array with path halving,
+// stopping as soon as one set remains.
+func spans(n int, edges []Edge) bool {
+	sets := n
+	if sets <= 1 {
+		return true
+	}
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, e := range edges {
+		ru, rv := find(int32(e.U)), find(int32(e.V))
+		if ru == rv {
+			continue
+		}
+		parent[max(ru, rv)] = min(ru, rv)
+		if sets--; sets == 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // RequireConnected returns ErrDisconnected unless the graph is connected

@@ -169,17 +169,25 @@ func TestIsConnected(t *testing.T) {
 	}
 }
 
+// TestRequireConnected also pins that the query answers from the edge
+// list alone: none of these graphs gets an adjacency index.
 func TestRequireConnected(t *testing.T) {
-	g, _ := New(3, []Edge{{0, 1, 1}})
-	if err := g.RequireConnected(); !errors.Is(err, ErrDisconnected) {
-		t.Fatalf("err = %v, want ErrDisconnected", err)
-	}
-	empty, _ := New(0, nil)
-	if err := empty.RequireConnected(); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("err = %v, want ErrEmpty", err)
-	}
-	if err := path4(t).RequireConnected(); err != nil {
-		t.Fatalf("unexpected err %v", err)
+	for _, c := range []struct {
+		g    *Graph
+		want error
+	}{
+		{MustNew(3, []Edge{{0, 1, 1}}), ErrDisconnected},
+		{MustNew(0, nil), ErrEmpty},
+		{MustNew(1, nil), nil},
+		{path4(t), nil},
+		{MustNew(6, []Edge{{0, 1, 1}, {1, 2, 1}, {0, 2, 1}, {3, 4, 1}, {4, 5, 1}, {3, 5, 1}}), ErrDisconnected},
+	} {
+		if err := c.g.RequireConnected(); !errors.Is(err, c.want) || (err == nil) != (c.want == nil) {
+			t.Errorf("%v: err = %v, want %v", c.g, err, c.want)
+		}
+		if c.g.adjPtr != nil {
+			t.Errorf("%v: the connectivity query built the adjacency index", c.g)
+		}
 	}
 }
 
@@ -778,6 +786,36 @@ func TestConnectivityInheritance(t *testing.T) {
 	}
 }
 
+// TestAddEdgesChildSkipsPass shows that an AddEdges child of a connected
+// graph answers from the inherited verdict: deriving it and asking costs
+// exactly the allocations of deriving it, while a child of a graph whose
+// verdict is unknown pays for the union-find pass on top.
+func TestAddEdgesChildSkipsPass(t *testing.T) {
+	edges := benchGrid(8, 8)
+	derive := func(g *Graph, ask bool) float64 {
+		return testing.AllocsPerRun(20, func() {
+			child, err := g.AddEdges([]Edge{{0, 63, 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ask && !child.IsConnected() {
+				t.Fatal("child of a connected grid reads disconnected")
+			}
+		})
+	}
+	known := MustNew(64, edges)
+	if !known.IsConnected() {
+		t.Fatal("grid reads disconnected")
+	}
+	if bare, asked := derive(known, false), derive(known, true); asked != bare {
+		t.Errorf("child of a connected graph: %v allocs with the query, %v without; the pass ran", asked, bare)
+	}
+	unknown := MustNew(64, edges)
+	if bare, asked := derive(unknown, false), derive(unknown, true); asked <= bare {
+		t.Errorf("child of an unqueried graph: %v allocs with the query, %v without; the measure cannot see the pass", asked, bare)
+	}
+}
+
 // benchGrid returns the edge list of a rows×cols grid in (U,V) order with
 // uniform random weights — the size of the sharded mesh workload at
 // 320×320.
@@ -841,4 +879,29 @@ func BenchmarkSubgraphEdges(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkIsConnected times the first connectivity query on a fresh
+// 320×320 grid (each iteration wraps the same edge list in a new Graph,
+// so nothing is cached): the union-find pass IsConnected runs, and for
+// comparison Components, which builds the adjacency index the query
+// used to build.
+func BenchmarkIsConnected(b *testing.B) {
+	g := MustNew(320*320, benchGrid(320, 320))
+	b.Run("unionfind", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if !(&Graph{n: g.n, edges: g.edges}).IsConnected() {
+				b.Fatal("grid reads disconnected")
+			}
+		}
+	})
+	b.Run("index+components", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, count := (&Graph{n: g.n, edges: g.edges}).Components(); count != 1 {
+				b.Fatal("grid reads disconnected")
+			}
+		}
+	})
 }

@@ -114,10 +114,17 @@ func Extract(g *graph.Graph, alg Algorithm, seed uint64) (*tree.Tree, []int, []i
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	// Degrees counted from the edge list: g's adjacency index would be
+	// built for this loop alone and then live as long as g does.
+	deg := make([]int32, g.N())
+	for _, e := range g.Edges() {
+		deg[e.U]++
+		deg[e.V]++
+	}
 	root := 0
-	best := -1
-	for v := 0; v < g.N(); v++ {
-		if d := g.Degree(v); d > best {
+	best := int32(-1)
+	for v, d := range deg {
+		if d > best { // ties to the lowest id
 			best, root = d, v
 		}
 	}

@@ -199,6 +199,45 @@ func TestMaxWeightTieOrderMatchesReference(t *testing.T) {
 	}
 }
 
+// TestExtractRootIsLowestMaxDegree pins Extract's root, which it counts
+// from the edge list, to the index-built Degree's argmax, ties to the
+// lowest id: on a grid (four-way ties in the interior), unit-weight SBMs
+// and a star whose hub is the last vertex.
+func TestExtractRootIsLowestMaxDegree(t *testing.T) {
+	grid, err := gen.Grid2D(7, 9, gen.UniformWeights, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []*graph.Graph{grid}
+	for seed := uint64(1); seed <= 3; seed++ {
+		sbm, _, err := gen.SBM(3, 30, 0.2, 0.02, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, sbm)
+	}
+	var star []graph.Edge
+	for v := 0; v < 9; v++ {
+		star = append(star, graph.Edge{U: v, V: 9, W: 1})
+	}
+	graphs = append(graphs, graph.MustNew(10, star))
+	for i, g := range graphs {
+		tr, _, _, err := Extract(g, MaxWeight, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for v := 1; v < g.N(); v++ {
+			if g.Degree(v) > g.Degree(want) {
+				want = v
+			}
+		}
+		if tr.Root() != want {
+			t.Errorf("graph %d: root %d, want %d (degree %d)", i, tr.Root(), want, g.Degree(want))
+		}
+	}
+}
+
 func BenchmarkMaxWeightGrid(b *testing.B) {
 	g, err := gen.Grid2D(100, 100, gen.UniformWeights, 1)
 	if err != nil {

@@ -371,10 +371,3 @@ func (c *ResultCache) Stats() CacheStats {
 	s.Capacity = c.capacity
 	return s
 }
-
-// Len reports the number of cached results.
-func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

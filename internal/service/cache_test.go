@@ -178,8 +178,8 @@ func TestCacheDisabled(t *testing.T) {
 	if _, out := c.Get("h", testParams(10)); out != CacheMiss {
 		t.Errorf("disabled cache returned a hit")
 	}
-	if c.Len() != 0 {
-		t.Errorf("disabled cache stored entries: %d", c.Len())
+	if c.Stats().Entries != 0 {
+		t.Errorf("disabled cache stored entries: %d", c.Stats().Entries)
 	}
 }
 
@@ -213,8 +213,8 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		<-done
 	}
-	if c.Len() > 16 {
-		t.Errorf("cache over capacity: %d", c.Len())
+	if c.Stats().Entries > 16 {
+		t.Errorf("cache over capacity: %d", c.Stats().Entries)
 	}
 }
 

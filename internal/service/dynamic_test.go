@@ -1,13 +1,19 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"io"
 	"net/http"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"graphspar/internal/dynamic"
 	"graphspar/internal/gen"
+	"graphspar/internal/graph"
 )
 
 // registerSpec registers a generator graph and returns its info.
@@ -125,14 +131,14 @@ func TestCacheInvalidateGraph(t *testing.T) {
 	p2.SigmaSq = 100
 	cache.Put("hashA", p2, res)
 	cache.Put("hashB", p, res)
-	if cache.Len() != 3 {
-		t.Fatalf("len = %d, want 3", cache.Len())
+	if cache.Stats().Entries != 3 {
+		t.Fatalf("len = %d, want 3", cache.Stats().Entries)
 	}
 	if removed := cache.InvalidateGraph("hashA"); removed != 2 {
 		t.Fatalf("removed = %d, want 2", removed)
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("len = %d, want 1 (hashB survives)", cache.Len())
+	if cache.Stats().Entries != 1 {
+		t.Fatalf("len = %d, want 1 (hashB survives)", cache.Stats().Entries)
 	}
 	if _, outcome := cache.Get("hashB", p); outcome != CacheExact {
 		t.Fatalf("hashB lookup = %v, want exact hit", outcome)
@@ -159,7 +165,7 @@ func TestIncrementalDispatchesToRunner(t *testing.T) {
 	if r := done.Result; !r.Incremental || r.EdgesKept != info.M || r.VerifiedCond != 2 || !r.TargetMet || r.Session == nil {
 		t.Fatalf("result = %+v, want the stub maintainer's summary", r)
 	}
-	if n := srv.cache.Len(); n != 0 {
+	if n := srv.cache.Stats().Entries; n != 0 {
 		t.Fatalf("incremental result was cached (%d entries)", n)
 	}
 }
@@ -182,7 +188,7 @@ func TestIncrementalWithoutWarmStartFallsBack(t *testing.T) {
 	if r := done.Result; !r.Incremental || r.SessionHit || r.Session != nil {
 		t.Fatalf("plain incremental result = %+v, want Incremental and no session", r)
 	}
-	if n := srv.cache.Len(); n != 0 {
+	if n := srv.cache.Stats().Entries; n != 0 {
 		t.Fatalf("incremental result was cached (%d entries)", n)
 	}
 }
@@ -219,5 +225,78 @@ func TestRegistryUpdateCAS(t *testing.T) {
 	// And wins when it re-reads the current hash.
 	if _, err := r.Update("g", updated.Hash, g3); err != nil {
 		t.Fatalf("fresh update: %v", err)
+	}
+}
+
+// TestSupersededGraphVersionsAreCollected drives K rounds of PATCH → full
+// job → done and holds a weak pointer to every registry graph version.
+// Once the collector has run, only the current version may survive: the
+// retained jobs and the cache lines keep their results, not their input.
+// Every retained job's downloads still answer with the same bytes.
+func TestSupersededGraphVersionsAreCollected(t *testing.T) {
+	const rounds = 6
+	srv, ts := startTestServer(t, Config{
+		Workers: 1,
+		Sparsify: func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
+			// A fresh graph with a copy of g's edges: the result must not
+			// alias the input this test expects to be collected.
+			return &JobResult{SigmaSqAchieved: p.SigmaSq, VerifiedCond: p.SigmaSq, TargetMet: true, Sparsifier: graph.MustNew(g.N(), g.Edges())}, nil
+		},
+	}, nil)
+	registerSpec(t, ts.URL, "g", "grid:6x6")
+	download := func(id, file string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/" + file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s of %s: %d %v", file, id, resp.StatusCode, err)
+		}
+		return body
+	}
+	files := []string{"edges", "sparsifier.mtx"}
+
+	var versions []weak.Pointer[graph.Graph]
+	served := map[string][][]byte{} // job id → bytes of each file
+	for i := range rounds {
+		entry, err := srv.registry.Get("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, weak.Make(entry.Graph))
+		if code, raw := doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g/edges", patchRequest{
+			Updates: []dynamic.EventJSON{{Op: "reweight", U: 0, V: 1, W: float64(i + 2)}},
+		}, nil); code != http.StatusOK {
+			t.Fatalf("PATCH %d: %d %s", i, code, raw)
+		}
+		job := submitJobHTTP(t, ts.URL, "g", SparsifyParams{SigmaSq: 50})
+		for _, f := range files {
+			served[job.ID] = append(served[job.ID], download(job.ID, f))
+		}
+	}
+	current, err := srv.registry.Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions = append(versions, weak.Make(current.Graph))
+
+	runtime.GC()
+	for i, v := range versions[:rounds] {
+		if v.Value() != nil {
+			t.Errorf("graph version %d of %d is still reachable after the collector ran", i, rounds)
+		}
+	}
+	if versions[rounds].Value() != current.Graph {
+		t.Error("the registry's current version was collected")
+	}
+	for id, want := range served {
+		for k, f := range files {
+			if got := download(id, f); !bytes.Equal(got, want[k]) {
+				t.Errorf("%s of %s changed after the collector ran", f, id)
+			}
+		}
 	}
 }

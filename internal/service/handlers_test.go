@@ -436,13 +436,13 @@ func TestDeleteGraphSweepsResultCache(t *testing.T) {
 	srv, ts := startTestServer(t, Config{Workers: 1}, &calls)
 	registerSpec(t, ts.URL, "g", "grid:4x4")
 	submitJobHTTP(t, ts.URL, "g", SparsifyParams{SigmaSq: 50})
-	if n := srv.cache.Len(); n != 1 {
+	if n := srv.cache.Stats().Entries; n != 1 {
 		t.Fatalf("cache holds %d entries after the job, want 1", n)
 	}
 	if code, raw := doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/g", nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: %d %s", code, raw)
 	}
-	if n := srv.cache.Len(); n != 0 {
+	if n := srv.cache.Stats().Entries; n != 0 {
 		t.Fatalf("cache holds %d entries of a deleted graph", n)
 	}
 }

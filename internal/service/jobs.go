@@ -42,7 +42,8 @@ const (
 
 // JobResult summarizes a completed sparsification plus its independent
 // similarity verification (core.VerifySimilarity). The Sparsifier graph
-// is retained for edge-list and MatrixMarket downloads.
+// is retained for edge-list and MatrixMarket downloads; it is the only
+// graph a finished job or a cache line keeps.
 type JobResult struct {
 	EdgesKept       int     `json:"edges_kept"`
 	EdgesInput      int     `json:"edges_input"`
@@ -109,7 +110,7 @@ type Job struct {
 	Started    time.Time      `json:"started_at,omitzero"`
 	Finished   time.Time      `json:"finished_at,omitzero"`
 	Result     *JobResult     `json:"result,omitempty"`
-	graphEntry *GraphEntry
+	graphEntry *GraphEntry    // the snapshot it runs on; nil once terminal, so no superseded version stays pinned
 }
 
 // SparsifyFunc runs one sparsification. cmd/serve injects the production
@@ -125,7 +126,8 @@ type JobFunc func(ctx context.Context, entry *GraphEntry, p SparsifyParams) (*Jo
 
 // defaultRetainJobs bounds how many terminal jobs the queue remembers
 // (the daemon would otherwise leak one sparsifier graph per job ever
-// submitted).
+// submitted). A retained job holds its status, timestamps and JobResult
+// — the sparsifier its downloads serve — and not its input graph.
 const defaultRetainJobs = 512
 
 // Queue runs jobs through a bounded worker pool: at most `workers`
@@ -133,7 +135,8 @@ const defaultRetainJobs = 512
 // Submit fails fast with ErrQueueFull beyond that, so the HTTP layer can
 // shed load with 503 instead of stacking goroutines. Terminal jobs are
 // pruned oldest-first beyond the retain bound, so a long-running daemon
-// holds a bounded number of results (plus whatever the cache pins).
+// holds a bounded number of results (plus whatever the cache pins). Only
+// queued and running jobs reference an input graph; finish releases it.
 type Queue struct {
 	mu      sync.Mutex
 	jobs    map[string]*Job
@@ -226,13 +229,12 @@ func (q *Queue) Submit(entry *GraphEntry, p SparsifyParams) (Job, error) {
 	}
 	q.seq++
 	job := &Job{
-		ID:         "job-" + strconv.Itoa(q.seq),
-		GraphName:  entry.Name,
-		GraphHash:  entry.Hash,
-		Params:     p,
-		Status:     StatusQueued,
-		Submitted:  time.Now().UTC(),
-		graphEntry: entry,
+		ID:        "job-" + strconv.Itoa(q.seq),
+		GraphName: entry.Name,
+		GraphHash: entry.Hash,
+		Params:    p,
+		Status:    StatusQueued,
+		Submitted: time.Now().UTC(),
 	}
 
 	// Memoized path: completed result for the same (graph, params) — or a
@@ -260,6 +262,7 @@ func (q *Queue) Submit(entry *GraphEntry, p SparsifyParams) (Job, error) {
 		q.mu.Unlock()
 		return Job{}, ErrSaturated
 	}
+	job.graphEntry = entry // only a job that will run holds its snapshot
 	select {
 	case q.pending <- job:
 	default:
@@ -337,12 +340,13 @@ func (q *Queue) run(job *Job) {
 	q.finish(job, res, err)
 }
 
-// finish moves a job to its terminal state and prunes old terminal jobs
-// beyond the retain bound.
+// finish moves a job to its terminal state, releases its input graph
+// snapshot and prunes old terminal jobs beyond the retain bound.
 func (q *Queue) finish(job *Job, res *JobResult, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	job.Finished = time.Now().UTC()
+	job.graphEntry = nil
 	switch {
 	case errors.Is(err, context.Canceled):
 		job.Status = StatusCanceled

@@ -352,3 +352,73 @@ func newTestQueue(workers, backlog int, cache *ResultCache, sparsify SparsifyFun
 		return sparsify(ctx, e.Graph, p)
 	})
 }
+
+// TestQueueTerminalJobsReleaseInput pins what a retained job holds: its
+// input snapshot only while queued or running. Every terminal path —
+// done, failed, canceled by Shutdown (in flight and still queued) and
+// born done from the cache — leaves graphEntry nil.
+func TestQueueTerminalJobsReleaseInput(t *testing.T) {
+	entry := testEntry(t)
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	q := newTestQueue(1, 8, NewResultCache(4), func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
+		switch p.SigmaSq {
+		case 10: // blocks the only worker until shutdown
+			close(started)
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return nil, ctx.Err()
+		case 20:
+			return nil, errors.New("boom")
+		}
+		return &JobResult{SigmaSqAchieved: p.SigmaSq, VerifiedCond: p.SigmaSq, TargetMet: true, Sparsifier: graph.MustNew(g.N(), nil)}, nil
+	})
+	submit := func(sigma float64) Job {
+		t.Helper()
+		job, err := q.Submit(entry, testParams(sigma))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	held := func(id string) bool {
+		t.Helper()
+		job, err := q.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job.graphEntry != nil
+	}
+
+	done := submit(100)
+	if j := waitJob(t, q, done.ID); j.Status != StatusDone || held(done.ID) {
+		t.Errorf("done job: status %s, holds its input %v", j.Status, held(done.ID))
+	}
+	hit := submit(100)
+	if hit.Status != StatusDone || hit.CacheHit != CacheExact || hit.graphEntry != nil || held(hit.ID) {
+		t.Errorf("cache hit: status %s cache %q, holds its input %v", hit.Status, hit.CacheHit, held(hit.ID))
+	}
+	failed := submit(20)
+	if j := waitJob(t, q, failed.ID); j.Status != StatusFailed || held(failed.ID) {
+		t.Errorf("failed job: status %s, holds its input %v", j.Status, held(failed.ID))
+	}
+
+	running := submit(10)
+	<-started
+	queued := submit(30)
+	if !held(running.ID) || !held(queued.ID) {
+		t.Fatal("a running or queued job must hold the snapshot it runs on")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := q.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if j, _ := q.Get(id); j.Status != StatusCanceled || held(id) {
+			t.Errorf("%s after shutdown: status %s, holds its input %v", id, j.Status, held(id))
+		}
+	}
+}

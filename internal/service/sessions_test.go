@@ -412,8 +412,8 @@ func TestIncrementalJobBuildsThenHits(t *testing.T) {
 	if r := submitJobHTTP(t, off.URL, "g", inc).Result; !r.Incremental || r.SessionHit || r.Session != nil {
 		t.Fatalf("sessions off: %+v", r)
 	}
-	if builds.Load() != 1 || fullCalls.Load() != 1 || srv.cache.Len() != 0 {
-		t.Fatalf("sessions off: builds=%d full=%d cached=%d, want 1/1/0", builds.Load(), fullCalls.Load(), srv.cache.Len())
+	if builds.Load() != 1 || fullCalls.Load() != 1 || srv.cache.Stats().Entries != 0 {
+		t.Fatalf("sessions off: builds=%d full=%d cached=%d, want 1/1/0", builds.Load(), fullCalls.Load(), srv.cache.Stats().Entries)
 	}
 }
 
@@ -471,7 +471,7 @@ func TestIncrementalSupersededSnapshotRunsPlain(t *testing.T) {
 	if srv.sessions.Get("g", patch.Hash, "") == nil {
 		t.Fatal("the newer session is gone or no longer at the registry's hash")
 	}
-	if n := srv.cache.Len(); n != 0 {
+	if n := srv.cache.Stats().Entries; n != 0 {
 		t.Fatalf("cache holds %d entries, want none (one job is incremental, the other's hash was PATCHed away)", n)
 	}
 }
