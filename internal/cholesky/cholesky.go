@@ -54,6 +54,10 @@ var (
 	// ErrTooLarge is returned when the dimension or the symbolic nnz(L)
 	// does not fit the factor's int32 index storage.
 	ErrTooLarge = errors.New("cholesky: system too large for int32 indices")
+	// ErrFillLimit is returned when the symbolic nnz(L) of a capped
+	// factorization exceeds the caller's cap; no factor storage has been
+	// allocated by then.
+	ErrFillLimit = errors.New("cholesky: factor fill exceeds the cap")
 )
 
 // checkIndexable is the one place the int32 limit lives: MinDegree's
@@ -167,6 +171,12 @@ func ereach(a *sparse.CSR, k int, parent, s, w, stack []int) int {
 // symmetric CSR storage, both triangles present) with the given symmetric
 // permutation (perm[new] = old). Passing nil perm uses the identity.
 func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
+	return factorCSR(a, perm, math.MaxInt)
+}
+
+// factorCSR is FactorCSR with a fill cap: a symbolic nnz(L) above maxNNZ
+// returns ErrFillLimit before the factor's storage is allocated.
+func factorCSR(a *sparse.CSR, perm []int, maxNNZ int) (*Factor, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)
 	}
@@ -204,6 +214,9 @@ func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
 		}
 		colCount[k]++ // diagonal
 		nnz += n - top + 1
+	}
+	if nnz > maxNNZ {
+		return nil, fmt.Errorf("%w: nnz(L) %d > %d", ErrFillLimit, nnz, maxNNZ)
 	}
 	if err := checkIndexable("nnz(L)", nnz); err != nil {
 		return nil, err
@@ -410,7 +423,7 @@ type LapSolver struct {
 // NewLapSolver grounds the last vertex of g, orders with minimum degree
 // and factors.
 func NewLapSolver(g *graph.Graph) (*LapSolver, error) {
-	return newLapSolver(g, nil)
+	return newLapSolver(g, nil, math.MaxInt)
 }
 
 // NewLapSolverOrdered factors with a caller-supplied elimination order
@@ -422,13 +435,19 @@ func NewLapSolver(g *graph.Graph) (*LapSolver, error) {
 // sparsifier and about a quarter of one on an SBM sparsifier, whose
 // factor is denser (BenchmarkMinDegree vs BenchmarkFactorNumeric). The
 // dynamic maintainer reuses the order of its last full build across
-// incremental refactorizations. The permutation is validated; a wrong
+// incremental refactorizations.
+//
+// An order goes stale as the graph drifts, so the call takes a fill cap:
+// the factorization's own symbolic pass counts nnz(L) first, and a count
+// above maxNNZ returns ErrFillLimit before any factor storage is
+// allocated — one symbolic pass decides, and an accepted order is
+// factored without a second one. The permutation is validated; a wrong
 // length or a non-permutation is an error.
-func NewLapSolverOrdered(g *graph.Graph, perm []int) (*LapSolver, error) {
+func NewLapSolverOrdered(g *graph.Graph, perm []int, maxNNZ int) (*LapSolver, error) {
 	if err := validatePerm(perm, g.N()-1); err != nil {
 		return nil, err
 	}
-	return newLapSolver(g, perm)
+	return newLapSolver(g, perm, maxNNZ)
 }
 
 func validatePerm(perm []int, want int) error {
@@ -448,40 +467,7 @@ func validatePerm(perm []int, want int) error {
 	return nil
 }
 
-// SymbolicFactorNNZ counts the factor entries the given elimination order
-// would produce for g's reduced Laplacian — elimination tree plus ereach
-// column counts, no numeric work. The dynamic maintainer calls this to
-// test a cached order's fill before paying for (exactly one) numeric
-// factorization, instead of factoring twice when the order has gone stale.
-func SymbolicFactorNNZ(g *graph.Graph, perm []int) (int, error) {
-	n := g.N()
-	if n <= 1 {
-		return 0, nil
-	}
-	if err := validatePerm(perm, n-1); err != nil {
-		return 0, err
-	}
-	ap, err := reducedLaplacianCSR(g).Permute(perm)
-	if err != nil {
-		return 0, err
-	}
-	rows := n - 1
-	parent := etree(ap)
-	s := make([]int, rows)
-	w := make([]int, rows)
-	stack := make([]int, rows)
-	for i := range w {
-		w[i] = -1
-	}
-	nnz := 0
-	for k := 0; k < rows; k++ {
-		top := ereach(ap, k, parent, s, w, stack)
-		nnz += rows - top + 1 // path entries plus the diagonal
-	}
-	return nnz, nil
-}
-
-func newLapSolver(g *graph.Graph, perm []int) (*LapSolver, error) {
+func newLapSolver(g *graph.Graph, perm []int, maxNNZ int) (*LapSolver, error) {
 	if err := g.RequireConnected(); err != nil {
 		return nil, err
 	}
@@ -497,7 +483,7 @@ func newLapSolver(g *graph.Graph, perm []int) (*LapSolver, error) {
 	if perm == nil {
 		perm = MinDegree(red)
 	}
-	f, err := FactorCSR(red, perm)
+	f, err := factorCSR(red, perm, maxNNZ)
 	if err != nil {
 		return nil, err
 	}
@@ -589,6 +575,19 @@ func (ls *LapSolver) FactorNNZ() int {
 		return 0
 	}
 	return ls.factor.NNZ()
+}
+
+// Bytes estimates the heap the solver holds, priced at the factor's
+// layout: int32 row indices, column pointers, run markers and
+// permutations; float64 values; the elimination tree and order; and the
+// solve and update buffers once they have been grown.
+func (ls *LapSolver) Bytes() int64 {
+	b := int64(len(ls.perm)) * 8
+	if f := ls.factor; f != nil {
+		b += int64(len(f.rowIdx)+len(f.colPtr)+len(f.runAt)+len(f.perm)+len(f.inv)) * 4
+		b += int64(len(f.val)+len(f.parent)+len(f.work)+len(f.upWork)) * 8
+	}
+	return b
 }
 
 // Solve computes x = L_G⁺ b: the right-hand side is projected to zero mean,

@@ -459,3 +459,40 @@ func TestLapSolverSessions(t *testing.T) {
 		}
 	}
 }
+
+// LapSolver.Bytes prices the factor at its layout: 4 B an int32 row index
+// plus 8 B a value per entry of L; int32 column pointers, run markers and
+// both permutations; int elimination tree and order; and the float64
+// solve and update buffers only once they exist.
+func TestLapSolverBytesAtInt32Layout(t *testing.T) {
+	g, err := gen.Grid2D(12, 12, gen.UniformWeights, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := NewLapSolver(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim, nnz := int64(ls.Dim()), int64(ls.FactorNNZ())
+	want := 12*nnz + 4*(dim+1) + 3*4*dim + 2*8*dim
+	if got := ls.Bytes(); got != want {
+		t.Fatalf("fresh factor: Bytes = %d, want %d", got, want)
+	}
+	b, x := make([]float64, g.N()), make([]float64, g.N())
+	b[0], b[1] = 1, -1
+	ls.Solve(x, b)
+	if want += 8 * dim; ls.Bytes() != want {
+		t.Fatalf("after Solve: Bytes = %d, want %d (+ the solve buffer)", ls.Bytes(), want)
+	}
+	e := g.Edge(0)
+	if err := ls.ApplyEdge(e.U, e.V, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if want += 8 * dim; ls.Bytes() != want {
+		t.Fatalf("after ApplyEdge: Bytes = %d, want %d (+ the update buffer)", ls.Bytes(), want)
+	}
+	one, err := NewLapSolver(graph.MustNew(1, nil))
+	if err != nil || one.Bytes() != 0 {
+		t.Fatalf("one vertex: Bytes = %d, err %v; want 0", one.Bytes(), err)
+	}
+}

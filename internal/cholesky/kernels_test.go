@@ -78,12 +78,12 @@ func checkKernels(t testing.TB, name string, g *graph.Graph) {
 		name string
 		perm []int
 	}{{"mindegree", nil}, {"natural", natural}}
-	if fill, err := SymbolicFactorNNZ(g, natural); err != nil || fill > 1<<19 {
+	if _, err := newLapSolver(g, natural, 1<<19); err != nil {
 		orders = orders[:1]
 	}
 	for _, order := range orders {
 		name := name + "/" + order.name
-		ls, err := newLapSolver(g, order.perm)
+		ls, err := newLapSolver(g, order.perm, math.MaxInt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -1,6 +1,8 @@
 package cholesky
 
 import (
+	"math"
+
 	"graphspar/internal/graph"
 )
 
@@ -144,5 +146,5 @@ func NewLapSolverND(g *graph.Graph) (*LapSolver, error) {
 	if g.N() == 1 {
 		return &LapSolver{n: 1, ground: 0}, nil
 	}
-	return newLapSolver(g, NDOrder(g))
+	return newLapSolver(g, NDOrder(g), math.MaxInt)
 }

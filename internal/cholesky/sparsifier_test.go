@@ -6,7 +6,10 @@ package cholesky_test
 // test package.
 
 import (
+	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"graphspar/internal/cholesky"
@@ -65,7 +68,7 @@ func TestMinDegreeMatchesReferenceOnPipelineSparsifiers(t *testing.T) {
 // The fill of MinDegree's order on the pipeline golden's three
 // sparsifiers and the two the benchmarks factor may not exceed 1.05× the
 // fill of the order it replaced (a lazy binary heap whose stale entries
-// were re-pushed), counted with SymbolicFactorNNZ; heapFill holds that
+// were re-pushed), counted as the factor's nnz; heapFill holds that
 // order's counts, measured with the heap kernel.
 func TestMinDegreeFillNoWorse(t *testing.T) {
 	heapFill := map[string]int{
@@ -73,11 +76,12 @@ func TestMinDegreeFillNoWorse(t *testing.T) {
 		"grid192": 212875, "sbm4x512": 179346,
 	}
 	check := func(name string, p *graph.Graph) {
-		nnz, err := cholesky.SymbolicFactorNNZ(p, cholesky.MinDegree(cholesky.ReducedLaplacianCSR(p)))
+		red := cholesky.ReducedLaplacianCSR(p)
+		f, err := cholesky.FactorCSR(red, cholesky.MinDegree(red))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if limit := heapFill[name] * 105 / 100; nnz > limit {
+		if nnz, limit := f.NNZ(), heapFill[name]*105/100; nnz > limit {
 			t.Errorf("%s: nnz(L) %d > %d (1.05× the heap order's %d)", name, nnz, limit, heapFill[name])
 		}
 	}
@@ -132,10 +136,107 @@ func benchSparsifiers(b testing.TB) []struct {
 	}
 }
 
+// TestOrderedFillCap drives NewLapSolverOrdered's fill cap on the σ² = 100
+// grid and SBM sparsifiers, with the minimum-degree order and its nnz(L):
+// a cap of exactly nnz(L) factors, and its solves are the uncapped
+// factor's bit for bit; a cap one entry lower returns ErrFillLimit from
+// the symbolic pass, having allocated at least the factor's int32 row
+// indices and float64 values (12 B an entry) less than the accepted call.
+func TestOrderedFillCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sparsifies a 192² grid and a 4×512 SBM")
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, c := range benchSparsifiers(t) {
+		uncapped, err := cholesky.NewLapSolver(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm, nnz := uncapped.Ordering(), uncapped.FactorNNZ()
+
+		var capped *cholesky.LapSolver
+		accepted := allocated(func() { capped, err = cholesky.NewLapSolverOrdered(c.p, perm, nnz) })
+		if err != nil {
+			t.Fatalf("%s: cap = nnz(L) = %d refused: %v", c.name, nnz, err)
+		}
+		if capped.FactorNNZ() != nnz {
+			t.Fatalf("%s: capped factor has %d entries, want %d", c.name, capped.FactorNNZ(), nnz)
+		}
+		b := make([]float64, c.p.N())
+		for i := range b {
+			b[i] = math.Sin(float64(7*i + 3))
+		}
+		x, want := make([]float64, len(b)), make([]float64, len(b))
+		capped.Solve(x, b)
+		uncapped.Solve(want, b)
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: capped solve x[%d] = %v, uncapped %v", c.name, i, x[i], want[i])
+			}
+		}
+
+		var missed *cholesky.LapSolver
+		refused := allocated(func() { missed, err = cholesky.NewLapSolverOrdered(c.p, perm, nnz-1) })
+		if !errors.Is(err, cholesky.ErrFillLimit) || missed != nil {
+			t.Fatalf("%s: cap = nnz(L)−1 gave (%v, %v), want ErrFillLimit", c.name, missed, err)
+		}
+		if storage := uint64(12 * nnz); refused+storage > accepted {
+			t.Errorf("%s: refused call allocated %d B, accepted %d B: less than the %d B of factor storage apart",
+				c.name, refused, accepted, storage)
+		}
+		t.Logf("%s: nnz(L) %d, accepted %d B, refused %d B", c.name, nnz, accepted, refused)
+	}
+}
+
+// Bad permutations keep their errors whatever the cap: validation runs
+// before any count.
+func TestOrderedRejectsBadPermutation(t *testing.T) {
+	g, err := gen.Grid2D(4, 4, gen.UnitWeights, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := make([]int, g.N()-1)
+	for i := range ok {
+		ok[i] = i
+	}
+	dup := append([]int(nil), ok...)
+	dup[3] = dup[4]
+	out := append([]int(nil), ok...)
+	out[0] = len(ok)
+	for _, c := range []struct {
+		name string
+		perm []int
+		want string
+	}{
+		{"nil", nil, "cholesky: nil permutation"},
+		{"short", ok[1:], "cholesky: permutation length 14, want 15"},
+		{"duplicate", dup, "cholesky: invalid permutation"},
+		{"out of range", out, "cholesky: invalid permutation"},
+		{"negative", append([]int{-1}, ok[1:]...), "cholesky: invalid permutation"},
+	} {
+		for _, maxNNZ := range []int{0, math.MaxInt} {
+			ls, err := cholesky.NewLapSolverOrdered(g, c.perm, maxNNZ)
+			if err == nil || err.Error() != c.want || errors.Is(err, cholesky.ErrFillLimit) || ls != nil {
+				t.Errorf("%s (cap %d): got (%v, %v), want %q", c.name, maxNNZ, ls, err, c.want)
+			}
+		}
+	}
+	if _, err := cholesky.NewLapSolverOrdered(g, ok, math.MaxInt); err != nil {
+		t.Fatalf("identity order refused: %v", err)
+	}
+}
+
 var benchSink int
 
-// BenchmarkMinDegree times the ordering and reports the symbolic nnz(L)
-// of the order it returns, so fill prints next to time.
+// BenchmarkMinDegree times the ordering and reports the nnz(L) of the
+// order it returns, so fill prints next to time.
 func BenchmarkMinDegree(b *testing.B) {
 	for _, c := range benchSparsifiers(b) {
 		b.Run(c.name, func(b *testing.B) {
@@ -147,11 +248,11 @@ func BenchmarkMinDegree(b *testing.B) {
 				perm = cholesky.MinDegree(red)
 			}
 			b.StopTimer()
-			nnz, err := cholesky.SymbolicFactorNNZ(c.p, perm)
+			f, err := cholesky.FactorCSR(red, perm)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(nnz), "nnz(L)")
+			b.ReportMetric(float64(f.NNZ()), "nnz(L)")
 		})
 	}
 }

@@ -341,3 +341,82 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		})
 	}
 }
+
+// churnBatch draws one batch shaped like a stream_mixed churn batch on a
+// side×side grid: 3 short-chord inserts (grid diagonals and distance-2
+// chords), 3 deletes and 2 reweights, all on distinct pairs, redrawn until
+// the graph survives it.
+func churnBatch(tb testing.TB, g *graph.Graph, side int, rng *vecmath.RNG) []dynamic.Update {
+	tb.Helper()
+	chords := [][2]int{{1, 1}, {1, -1}, {0, 2}, {2, 0}}
+	for try := 0; try < 20; try++ {
+		used := make(map[[2]int]bool, 8)
+		var batch []dynamic.Update
+		for len(batch) < 3 {
+			r, c := rng.Intn(side), rng.Intn(side)
+			d := chords[rng.Intn(len(chords))]
+			r2, c2 := r+d[0], c+d[1]
+			if r2 < 0 || r2 >= side || c2 < 0 || c2 >= side {
+				continue
+			}
+			u, v := min(r*side+c, r2*side+c2), max(r*side+c, r2*side+c2)
+			if g.HasEdge(u, v) || used[[2]int{u, v}] {
+				continue
+			}
+			used[[2]int{u, v}] = true
+			batch = append(batch, dynamic.Insert(u, v, 0.1+rng.Float64()))
+		}
+		for len(batch) < 8 {
+			e := g.Edge(rng.Intn(g.M()))
+			if used[[2]int{e.U, e.V}] {
+				continue
+			}
+			used[[2]int{e.U, e.V}] = true
+			if len(batch) < 6 {
+				batch = append(batch, dynamic.Delete(e.U, e.V))
+			} else {
+				batch = append(batch, dynamic.Reweight(e.U, e.V, e.W*(0.5+rng.Float64())))
+			}
+		}
+		if _, err := dynamic.ApplyToGraph(g, batch); err == nil {
+			return batch
+		} else if !errors.Is(err, dynamic.ErrWouldDisconnect) {
+			tb.Fatal(err)
+		}
+	}
+	tb.Fatal("no churn batch in 20 draws keeps the graph connected")
+	return nil
+}
+
+// BenchmarkChurnApply is the stream's churn layer on its own: a new
+// maintainer of a 128² grid at σ² = 100 takes one churn batch per
+// iteration — inserts scored for admission, tree repairs, and the
+// refactor their pattern changes force. Batches are drawn and validated
+// outside the timer; factor-rebuilds and tree-repairs are per batch.
+func BenchmarkChurnApply(b *testing.B) {
+	const side = 128
+	g, err := gen.Grid2D(side, side, gen.UniformWeights, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := dynamic.New(context.Background(), g, engine.Options{Sparsify: core.Options{SigmaSq: benchSigmaSq, Seed: 1}, Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := vecmath.NewRNG(1)
+	start := m.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		batch := churnBatch(b, m.Graph(), side, rng)
+		b.StartTimer()
+		if err := m.Apply(context.Background(), batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := m.Stats()
+	b.ReportMetric(float64(st.FactorRebuilds-start.FactorRebuilds)/float64(b.N), "factor-rebuilds/op")
+	b.ReportMetric(float64(st.TreeRepairs-start.TreeRepairs)/float64(b.N), "tree-repairs/op")
+}

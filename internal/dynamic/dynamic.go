@@ -211,14 +211,19 @@ func New(ctx context.Context, g *graph.Graph, opt engine.Options) (*Maintainer, 
 }
 
 // reconnectHeaviest grows the union-find to a single component by adding
-// the heaviest available graph edges — ranked by the total order (weight
-// desc, edge id asc), so equal weights never leave the choice to the sort
-// algorithm — and returns the edges taken, or false if g itself cannot
-// connect the components. The multi-removal tree-repair sweep calls it.
+// the heaviest available graph edges — Kruskal over the total order
+// (weight desc, edge id asc), so equal weights never leave the choice to
+// the sort algorithm — and returns the edges taken, or false if g itself
+// cannot connect the components. Only edges that cross components when
+// the sweep starts are sorted: an edge inside one component can never
+// union, so dropping those first takes the same edges in the same order.
+// The multi-removal tree-repair sweep calls it.
 func reconnectHeaviest(g *graph.Graph, uf *lsst.UnionFind) (taken []graph.Edge, ok bool) {
-	ids := make([]int, g.M())
-	for i := range ids {
-		ids[i] = i
+	var ids []int
+	for id, e := range g.Edges() {
+		if uf.Find(e.U) != uf.Find(e.V) {
+			ids = append(ids, id)
+		}
 	}
 	slices.SortFunc(ids, func(a, b int) int {
 		if wa, wb := g.Edge(a).W, g.Edge(b).W; wa != wb {
@@ -281,24 +286,16 @@ func (m *Maintainer) driftBudget() float64 {
 }
 
 // ResidentBytes estimates the heap the maintainer keeps resident between
-// applies: both graphs' edge lists and adjacency indexes, the tree key
-// set, the Cholesky factor, and the retained probe embedding — one term per
-// thing the maintainer holds, and it holds the sparsifier once. It is an
-// accounting estimate sized from n/m/probe counts — session managers
-// budget memory with it — not a precise measurement.
+// applies: both graphs (edge lists, plus an adjacency index only if some
+// caller built one — the maintainer itself never does), the tree key
+// set, the Cholesky factor at its int32 layout, and the retained probe
+// embedding — one term per thing the maintainer holds, and it holds the
+// sparsifier once. It is an accounting estimate sized from lengths —
+// session managers budget memory with it — not a precise measurement.
 func (m *Maintainer) ResidentBytes() int64 {
-	graphBytes := func(g *graph.Graph) int64 {
-		if g == nil {
-			return 0
-		}
-		// Edge list (24 B/edge) plus the CSR adjacency (two int arrays per
-		// directed arc, one pointer array).
-		return int64(g.M())*(24+32) + int64(g.N()+1)*8
-	}
-	b := graphBytes(m.g) + graphBytes(m.p)
-	b += int64(len(m.treeKey)) * 48
+	b := m.g.Bytes() + m.p.Bytes() + int64(len(m.treeKey))*48
 	if m.solver != nil {
-		b += int64(m.solver.FactorNNZ())*16 + int64(m.g.N())*24
+		b += m.solver.Bytes()
 	}
 	if m.scorer != nil {
 		b += int64(len(m.scorer.Probes)) * int64(m.g.N()) * 8
@@ -594,11 +591,13 @@ func (m *Maintainer) refreshFactor(deltas []graph.Edge) error {
 	return nil
 }
 
-// refactor numerically factors the current sparsifier exactly once: the
-// cached elimination order is first checked symbolically (etree column
-// counts only), so a stale order whose fill crept past fillLimit costs one
-// numeric factorization under a fresh order — not the old
-// factor-then-discard-then-refactor double pass. Fresh orders are picked
+// refactor numerically factors the current sparsifier exactly once. The
+// cached elimination order goes in with a fill cap of fillLimit× its
+// original nnz(L): the factorization's own symbolic pass checks the cap
+// before any factor storage exists, so an accepted order costs one
+// symbolic and one numeric pass, and a stale order whose fill crept past
+// the cap (cholesky.ErrFillLimit) costs only its symbolic pass before one
+// numeric factorization under a fresh order. Fresh orders are picked
 // by sparsifier shape: near-tree sparsifiers get centroid nested
 // dissection, whose O(log n)-height elimination trees keep ApplyEdge's
 // update walks short; denser ones get minimum degree — with many off-tree
@@ -608,13 +607,10 @@ func (m *Maintainer) refreshFactor(deltas []graph.Edge) error {
 func (m *Maintainer) refactor() error {
 	m.updatesSinceFactor = 0
 	m.stats.FactorRebuilds++
-	if m.perm != nil && len(m.perm) == m.p.N()-1 && m.nnzAtOrder > 0 {
-		if nnz, err := cholesky.SymbolicFactorNNZ(m.p, m.perm); err == nil && nnz <= fillLimit*m.nnzAtOrder {
-			solver, err := cholesky.NewLapSolverOrdered(m.p, m.perm)
-			if err == nil {
-				m.solver = solver
-				return nil
-			}
+	if m.perm != nil {
+		if solver, err := cholesky.NewLapSolverOrdered(m.p, m.perm, fillLimit*m.nnzAtOrder); err == nil {
+			m.solver = solver
+			return nil
 		}
 	}
 	var (

@@ -59,11 +59,13 @@ type Graph struct {
 	// Lazily built adjacency: for vertex u, neighbors are
 	// adjTo[adjPtr[u]:adjPtr[u+1]] with parallel edge ids adjEdge. Built
 	// by neighbour walks only (Neighbors, Degree, WeightedDegree,
-	// Components, BFSOrder); IsConnected does not need it.
-	adjOnce sync.Once
-	adjPtr  []int
-	adjTo   []int
-	adjEdge []int
+	// Components, BFSOrder); IsConnected does not need it. adjBuilt
+	// publishes it to Bytes, which must not wait on the Once.
+	adjOnce  sync.Once
+	adjBuilt atomic.Bool
+	adjPtr   []int
+	adjTo    []int
+	adjEdge  []int
 
 	// Lazily built Laplacian CSR (eq. 1); immutable once published.
 	lapOnce sync.Once
@@ -221,6 +223,17 @@ func (g *Graph) EdgesCopy() []Edge {
 	return append([]Edge(nil), g.edges...)
 }
 
+// Bytes estimates the heap g's edge list and adjacency index hold: 24 B
+// an edge, plus the index only once a neighbour walk has built it. Safe
+// to call concurrently with the build.
+func (g *Graph) Bytes() int64 {
+	b := int64(len(g.edges)) * 24
+	if g.adjBuilt.Load() {
+		b += int64(len(g.adjPtr)+len(g.adjTo)+len(g.adjEdge)) * 8
+	}
+	return b
+}
+
 // Edge returns the i-th edge.
 func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 
@@ -259,6 +272,7 @@ func (g *Graph) buildAdjLocked() {
 		next[e.V]++
 	}
 	g.adjPtr, g.adjTo, g.adjEdge = ptr, to, eid
+	g.adjBuilt.Store(true)
 }
 
 // Neighbors calls fn(v, w, edgeID) for every edge incident to u.

@@ -905,3 +905,34 @@ func BenchmarkIsConnected(b *testing.B) {
 		}
 	})
 }
+
+// Bytes charges the edge list always and the adjacency index only once it
+// is built; Bytes races no concurrent build (run under -race).
+func TestBytesChargesOnlyBuiltIndexes(t *testing.T) {
+	g := MustNew(5, []Edge{{0, 1, 1}, {1, 2, 2}, {2, 3, 1}, {3, 4, 3}, {0, 4, 1}, {1, 3, 1}})
+	n, m := int64(g.N()), int64(g.M())
+	edges := 24 * m
+	if got := g.Bytes(); got != edges {
+		t.Fatalf("fresh graph: Bytes = %d, want the edge list's %d", got, edges)
+	}
+	if !g.IsConnected() || g.Bytes() != edges {
+		t.Fatalf("IsConnected charged an index: Bytes = %d, want %d", g.Bytes(), edges)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				g.Degree(i % 5)
+			} else {
+				_ = g.Bytes()
+			}
+		}()
+	}
+	wg.Wait()
+	adj := 8 * (n + 1 + 4*m) // pointer array plus neighbour and edge-id arrays per arc
+	if got := g.Bytes(); got != edges+adj {
+		t.Fatalf("with adjacency: Bytes = %d, want %d", got, edges+adj)
+	}
+}
