@@ -116,12 +116,14 @@ func (s *Sparsifier) Run(ctx context.Context, g *Graph) (*Result, error) {
 	// stitch, embed, verify, ...) land in Result.Phases and aggregate
 	// into the process-wide phase histograms. A trace already attached by
 	// the caller (NewTraceContext) is reused, so a serving layer sees the
-	// same spans it would collect itself.
+	// same spans it would collect itself; Result.Phases holds only the
+	// spans this Run added after the ones already on it.
 	tr := obs.FromContext(ctx)
 	if tr == nil {
 		tr = obs.NewTrace()
 		ctx = obs.WithTrace(ctx, tr)
 	}
+	mark := len(tr.Phases())
 	er, err := engine.Run(ctx, g, s.cfg.plan(g, false))
 	if err != nil {
 		return nil, err
@@ -149,7 +151,7 @@ func (s *Sparsifier) Run(ctx context.Context, g *Graph) (*Result, error) {
 		VerifiedLambdaMin: er.VerifiedLambdaMin,
 		VerifiedCond:      er.VerifiedCond,
 		Timings:           Timings(er.Timings),
-		Phases:            tr.Phases(),
+		Phases:            tr.Phases()[mark:],
 	}
 	if !res.TargetMet {
 		return res, fmt.Errorf("%w: verified κ %.2f > σ² %g", ErrNoTarget, res.VerifiedCond, s.Sigma2())
@@ -202,7 +204,9 @@ func (c *config) illPartitioned(g *Graph) bool {
 // per-phase spans there (the same list it returns in Result.Phases);
 // Stream.Apply records its maintenance phases (settle, refilter, embed,
 // verify) there too, which is the only way to get a per-batch breakdown
-// out of a stream.
+// out of a stream. Sequential Runs on one trace each return only their own
+// spans; Runs sharing one trace concurrently see each other's spans in
+// Result.Phases.
 func NewTraceContext(ctx context.Context) (context.Context, *Trace) {
 	tr := obs.NewTrace()
 	return obs.WithTrace(ctx, tr), tr

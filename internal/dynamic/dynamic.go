@@ -9,8 +9,8 @@
 //
 //   - admits inserted edges by scoring them with the retained probe
 //     vectors (core.EdgeScorer) against the last similarity threshold,
-//   - repairs the sparsifier's spanning tree when one of its edges is
-//     deleted (heaviest crossing edge, lsst.FindReplacement),
+//   - repairs the sparsifier's spanning tree when a batch deletes some of
+//     its edges (one heaviest-first sweep over the crossing edges),
 //   - refreshes the embedding with one warm-started power step instead
 //     of a fresh r·t-solve embedding — run lazily, the moment an
 //     admission decision next consults the heats, so delete/reweight-only
@@ -31,24 +31,23 @@
 //     trusted to re-rank candidates.
 //
 // The maintainer holds what it maintains once: the graph, the sparsifier
-// and the key set of the sparsifier's spanning tree. Graph and sparsifier
-// are immutable (u,v)-sorted edge lists, and a batch edits both with the
-// same merge walk (graph.Edit), which also yields the factor's rank-1
-// deltas in order; membership is a binary search, the off-tree candidates
-// a two-pointer walk. No edge map, no rooted tree object and no per-batch
-// sort stands beside them to be kept in step.
+// and the sparsifier's spanning tree. All three are immutable (u,v)-sorted
+// edge lists, and a batch edits them with the same merge walk
+// (graph.Edit), which also yields the factor's rank-1 deltas in order;
+// membership is a binary search, the off-tree candidates and the surviving
+// tree two-pointer walks. No edge map, no rooted tree object and no
+// per-batch sort of a whole list stands beside them to be kept in step.
 //
 // The invariant after every successful Apply: the sparsifier is a
 // connected subgraph of the current graph, carrying the graph's current
 // weights, whose independently verified condition number is at most the
-// configured σ² (up to estimator noise; see refilterMargin); the tree keys
-// are n−1 sparsifier edges spanning it.
+// configured σ² (up to estimator noise; see refilterMargin); the tree is
+// n−1 sparsifier edges spanning it.
 package dynamic
 
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -155,17 +154,19 @@ type Stats struct {
 //
 // The state model: the maintainer owns exactly one copy of what it
 // maintains — the graph g, the sparsifier p (a subgraph of g carrying g's
-// current weights; both are immutable sorted edge lists, replaced, never
-// written through) and treeKey, the key set of p's spanning-tree backbone.
-// Everything else is derived from those three and refreshed after them:
-// the Cholesky factor of p, the probe embedding, the certificate.
+// current weights) and tree, p's spanning-tree backbone; all three are
+// immutable sorted edge lists, replaced, never written through. Everything
+// else is derived from those three and refreshed after them: the Cholesky
+// factor of p, the probe embedding, the certificate.
 type Maintainer struct {
 	opt engine.Options
 
-	g       *graph.Graph
-	p       *graph.Graph    // the sparsifier: p ⊆ g, weights equal g's
-	treeKey map[[2]int]bool // p's spanning tree: n−1 keys
-	solver  *cholesky.LapSolver
+	g *graph.Graph
+	p *graph.Graph // the sparsifier: p ⊆ g, weights equal g's
+	// tree is p's spanning tree: n−1 edges of p. Only its pairs are read;
+	// a tree edge keeps the weight it joined with.
+	tree   *graph.Graph
+	solver *cholesky.LapSolver
 
 	// perm/nnzAtOrder cache the fill-reducing elimination order computed
 	// at the last full ordering; incremental refactorizations reuse it
@@ -217,7 +218,7 @@ func New(ctx context.Context, g *graph.Graph, opt engine.Options) (*Maintainer, 
 // cannot connect the components. Only edges that cross components when
 // the sweep starts are sorted: an edge inside one component can never
 // union, so dropping those first takes the same edges in the same order.
-// The multi-removal tree-repair sweep calls it.
+// repairTree calls it.
 func reconnectHeaviest(g *graph.Graph, uf *lsst.UnionFind) (taken []graph.Edge, ok bool) {
 	var ids []int
 	for id, e := range g.Edges() {
@@ -286,14 +287,15 @@ func (m *Maintainer) driftBudget() float64 {
 }
 
 // ResidentBytes estimates the heap the maintainer keeps resident between
-// applies: both graphs (edge lists, plus an adjacency index only if some
-// caller built one — the maintainer itself never does), the tree key
-// set, the Cholesky factor at its int32 layout, and the retained probe
-// embedding — one term per thing the maintainer holds, and it holds the
-// sparsifier once. It is an accounting estimate sized from lengths —
-// session managers budget memory with it — not a precise measurement.
+// applies: the graph, the sparsifier and its spanning tree (edge lists,
+// plus an adjacency index only if some caller built one — the maintainer
+// itself never does), the Cholesky factor at its int32 layout, and the
+// retained probe embedding — one term per thing the maintainer holds, and
+// it holds the sparsifier once. It is an accounting estimate sized from
+// lengths — session managers budget memory with it — not a precise
+// measurement.
 func (m *Maintainer) ResidentBytes() int64 {
-	b := m.g.Bytes() + m.p.Bytes() + int64(len(m.treeKey))*48
+	b := m.g.Bytes() + m.p.Bytes() + m.tree.Bytes()
 	if m.solver != nil {
 		b += m.solver.Bytes()
 	}
@@ -314,8 +316,8 @@ func (m *Maintainer) ResidentBytes() int64 {
 //
 // Everything that can reject the batch runs before the commit point, on
 // staged values: the edited graph, the tree repair, and the edited
-// sparsifier — the same sorted walk (graph.Edit) over p that ApplyToGraph
-// ran over g. The commit swaps g, p and the tree keys together, so
+// sparsifier — the same sorted walk (graph.Edit) over p and the tree that
+// ApplyToGraph ran over g. The commit swaps g, p and the tree together, so
 // they never disagree. After it only an internal failure (factorization,
 // Lanczos) or a cancelled ctx can error, and what that can leave stale is
 // derived state — a factor some deltas behind p, the embedding, the
@@ -332,8 +334,7 @@ func (m *Maintainer) Apply(ctx context.Context, batch []Update) error {
 	// Stage the sparsifier's share of the batch as edits of p (weight 0
 	// deletes); nothing on m mutates until the whole batch, tree repair
 	// included, is known to succeed.
-	var pEdits, inserts []graph.Edge
-	var deletedTree [][2]int
+	var pEdits, inserts, deletedTree []graph.Edge
 	churn := 0.0
 	for _, u := range batch {
 		k := u.key()
@@ -346,8 +347,8 @@ func (m *Maintainer) Apply(ctx context.Context, batch []Update) error {
 			continue
 		case OpDelete:
 			churn++
-			if m.treeKey[k] {
-				deletedTree = append(deletedTree, k)
+			if m.tree.HasEdge(e.U, e.V) {
+				deletedTree = append(deletedTree, e) // W == 0: Edit's deletion
 			}
 		case OpReweight:
 			// Reweights churn by their relative weight change, so trimming
@@ -366,19 +367,20 @@ func (m *Maintainer) Apply(ctx context.Context, batch []Update) error {
 		}
 	}
 
-	// Repair the spanning tree for every deleted tree edge: reconnect the two
-	// forest components with the heaviest crossing edge of the new graph.
-	// A repair edge may already be staged (a reweighted sparsifier edge) or
-	// be staged again below (an admitted insert), always at g2's weight;
-	// Edit lets the last edit of a pair win.
-	var repairs []graph.Edge
+	// Repair the spanning tree when the batch deletes tree edges: reconnect
+	// the forest's components with the heaviest crossing edges of the new
+	// graph. A repair edge may already be staged (a reweighted sparsifier
+	// edge) or be staged again below (an admitted insert), always at g2's
+	// weight; Edit lets the last edit of a pair win.
+	tree2 := m.tree
 	if len(deletedTree) > 0 {
-		if repairs, err = m.repairTree(g2, deletedTree); err != nil {
+		var repairs []graph.Edge
+		if tree2, repairs, err = m.repairTree(g2, deletedTree); err != nil {
 			return err
 		}
 		pEdits = append(pEdits, repairs...)
 	}
-	if got, want := len(m.treeKey)-len(deletedTree)+len(repairs), m.g.N()-1; got != want {
+	if got, want := tree2.M(), m.g.N()-1; got != want {
 		return fmt.Errorf("dynamic: tree repair would leave %d tree edges, a spanning tree has %d", got, want)
 	}
 
@@ -410,13 +412,7 @@ func (m *Maintainer) Apply(ctx context.Context, batch []Update) error {
 	}
 
 	// Commit.
-	m.g, m.p = g2, p2
-	for _, k := range deletedTree {
-		delete(m.treeKey, k)
-	}
-	for _, e := range repairs {
-		m.treeKey[[2]int{e.U, e.V}] = true
-	}
+	m.g, m.p, m.tree = g2, p2, tree2
 	m.drift += churn
 	m.stats.Applies++
 	m.stats.Updates += len(batch)
@@ -427,7 +423,7 @@ func (m *Maintainer) Apply(ctx context.Context, batch []Update) error {
 	// trust: rebuild from scratch rather than refreshing solver, scorer
 	// and certificate only for the rebuild to redo all three.
 	if m.drift > m.driftBudget() {
-		return m.forceRebuild(ctx)
+		return m.Rebuild(ctx)
 	}
 	// The factor absorbs the deltas as rank-1 update/downdates when it
 	// can, refactors otherwise.
@@ -442,10 +438,6 @@ func (m *Maintainer) Apply(ctx context.Context, batch []Update) error {
 
 // Rebuild discards all incremental state and re-sparsifies from scratch.
 func (m *Maintainer) Rebuild(ctx context.Context) error {
-	return m.forceRebuild(ctx)
-}
-
-func (m *Maintainer) forceRebuild(ctx context.Context) error {
 	if err := m.rebuild(ctx); err != nil {
 		return err
 	}
@@ -463,7 +455,7 @@ func (m *Maintainer) settle(ctx context.Context, batched bool) error {
 		return err
 	}
 	if !m.TargetMet() {
-		return m.forceRebuild(ctx)
+		return m.Rebuild(ctx)
 	}
 	return nil
 }
@@ -704,10 +696,8 @@ func (m *Maintainer) rebuild(ctx context.Context) error {
 			return err
 		}
 	}
-	m.treeKey = make(map[[2]int]bool, len(treeIDs))
-	for _, id := range treeIDs {
-		e := treeOf.Edge(id)
-		m.treeKey[[2]int{e.U, e.V}] = true
+	if m.tree, err = treeOf.SubgraphEdges(treeIDs); err != nil {
+		return err
 	}
 	m.perm = nil // force a fresh elimination order for the new pattern
 	if err := m.refactor(); err != nil {
@@ -730,44 +720,30 @@ func (m *Maintainer) rebuild(ctx context.Context) error {
 	return nil
 }
 
-// repairTree plans the reconnection of the spanning forest after
-// tree-edge deletions and returns the repair edges (edges of g, which is
-// the post-batch graph): the surviving forest is m.treeKey minus the
-// removed edges, repairs prefer the heaviest crossing edge per removed
-// edge (lsst.FindReplacement), and a heaviest-first sweep covers the case
-// of several simultaneous removals fragmenting the forest beyond pairwise
-// repair. The caller stages them into both the tree set and the
-// sparsifier edits.
-func (m *Maintainer) repairTree(g *graph.Graph, removed [][2]int) ([]graph.Edge, error) {
-	removedSet := make(map[[2]int]bool, len(removed))
-	for _, k := range removed {
-		removedSet[k] = true
-	}
-	pairs := make([][2]int, 0, len(m.treeKey))
-	//graphspar:nondeterministic-ok pairs only seed union-find connectivity; FindReplacement then selects by weight over the deterministic g.Edges() order
-	for k := range m.treeKey {
-		if !removedSet[k] {
-			pairs = append(pairs, k)
-		}
-	}
-	if len(removed) == 1 {
-		id, err := lsst.FindReplacement(g, pairs, removed[0][0], removed[0][1], nil)
-		if err == nil && id >= 0 {
-			return []graph.Edge{g.Edge(id)}, nil
-		}
-		if err != nil && !errors.Is(err, lsst.ErrNoReplacement) {
-			return nil, err
-		}
-		// ErrNoReplacement cannot happen for a connected g with a single
-		// removal, but fall through to the sweep as a belt-and-braces path.
-	}
+// repairTree reconnects the spanning tree after a batch deletes the tree
+// edges removed (W == 0, each once) and returns the edited tree and the
+// repair edges, which the caller also stages into the sparsifier. One
+// two-pointer walk unions the surviving tree edges, reconnectHeaviest joins
+// the fragments with the heaviest crossing edges of g (the post-batch
+// graph), and one graph.Edit swaps removed for repairs. A single removal
+// is repaired by the heaviest crossing edge, ties to the lowest id.
+func (m *Maintainer) repairTree(g *graph.Graph, removed []graph.Edge) (*graph.Graph, []graph.Edge, error) {
+	slices.SortFunc(removed, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
 	uf := lsst.NewUnionFind(g.N())
-	for _, k := range pairs {
-		uf.Union(k[0], k[1])
+	rest := removed
+	for _, e := range m.tree.Edges() {
+		if len(rest) > 0 && rest[0].U == e.U && rest[0].V == e.V {
+			rest = rest[1:]
+		} else {
+			uf.Union(e.U, e.V)
+		}
 	}
 	repairs, ok := reconnectHeaviest(g, uf)
 	if !ok {
-		return nil, fmt.Errorf("dynamic: tree repair failed: %w", graph.ErrDisconnected)
+		return nil, nil, fmt.Errorf("dynamic: tree repair failed: %w", graph.ErrDisconnected)
 	}
-	return repairs, nil
+	tree, _, err := graph.Edit(m.tree, append(removed, repairs...))
+	return tree, repairs, err
 }

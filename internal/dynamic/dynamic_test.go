@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -21,13 +22,13 @@ import (
 // checkInvariant is the per-batch invariant of every suite in this
 // package: the shared testkit one (connected subgraph, weights mirrored,
 // sorted edge lists, verified κ within the σ² target) plus what only this
-// package can see — the tree keys are n−1 sparsifier edges spanning it, and
+// package can see — the tree is n−1 sparsifier edges spanning it, and
 // the standing factor is a factor of Sparsifier().
 func checkInvariant(t *testing.T, m *dynamic.Maintainer, sigmaSq float64) {
 	t.Helper()
 	testkit.AssertInvariant(t, m, sigmaSq)
 	if err := m.CheckTree(); err != nil {
-		t.Fatalf("spanning-tree keys: %v", err)
+		t.Fatalf("spanning tree: %v", err)
 	}
 	if lag, err := m.FactorLag(); err != nil || lag > 1e-8 {
 		t.Fatalf("factor out of step with the sparsifier: solve differs by %.3g (err %v)", lag, err)
@@ -43,11 +44,11 @@ func newMaintainer(t *testing.T, g *graph.Graph, sigmaSq float64) *dynamic.Maint
 	return m
 }
 
-// treeEdges lists the sparsifier edges in m's spanning-tree key set.
+// treeEdges lists the sparsifier edges in m's spanning tree.
 func treeEdges(m *dynamic.Maintainer) []graph.Edge {
 	var out []graph.Edge
 	for _, e := range m.Sparsifier().Edges() {
-		if m.HasTreeKey(e.U, e.V) {
+		if m.HasTreeEdge(e.U, e.V) {
 			out = append(out, e)
 		}
 	}
@@ -295,7 +296,7 @@ func TestBatchedVerifyEquivalence(t *testing.T) {
 		if len(batch) >= 40 {
 			break
 		}
-		if batched.HasTreeKey(e.U, e.V) {
+		if batched.HasTreeEdge(e.U, e.V) {
 			continue
 		}
 		// Keep the graph connected (off-tree edges of a grid are never
@@ -368,10 +369,12 @@ func kruskalHeaviestFirst(g *graph.Graph, uf *lsst.UnionFind) []graph.Edge {
 }
 
 // TestMultiRemovalRepairBreaksTiesByEdgeID pins the repair edges the
-// heaviest-first sweep picks when candidates tie — all of them on a
-// unit-weight grid, half of them on a grid with two weight classes (the
-// case an unstable sort by weight alone visibly scrambles): the order is
-// (weight desc, edge id asc), not whatever the sort leaves first.
+// heaviest-first sweep picks when three tree edges go, or one, and the
+// candidates tie — all of them on a unit-weight grid, where a single
+// removal must be repaired by the crossing edge of lowest id, half of them
+// on a grid with two weight classes (the case an unstable sort by weight
+// alone visibly scrambles): the order is (weight desc, edge id asc), not
+// whatever the sort leaves first.
 func TestMultiRemovalRepairBreaksTiesByEdgeID(t *testing.T) {
 	unit, err := gen.Grid2D(9, 9, gen.UnitWeights, 1)
 	if err != nil {
@@ -381,10 +384,15 @@ func TestMultiRemovalRepairBreaksTiesByEdgeID(t *testing.T) {
 	for i := range two {
 		two[i].W = float64(1 + (7*i)%2)
 	}
+	twoClass := graph.MustNew(unit.N(), two)
 	for _, c := range []struct {
 		name string
 		g    *graph.Graph
-	}{{"unit weights", unit}, {"two weight classes", graph.MustNew(unit.N(), two)}} {
+		cuts int
+	}{
+		{"unit weights", unit, 3}, {"two weight classes", twoClass, 3},
+		{"one removal, unit weights", unit, 1}, {"one removal, two weight classes", twoClass, 1},
+	} {
 		t.Run(c.name, func(t *testing.T) {
 			g := c.g
 			const sigmaSq = 80
@@ -393,8 +401,11 @@ func TestMultiRemovalRepairBreaksTiesByEdgeID(t *testing.T) {
 			if len(before) != g.N()-1 {
 				t.Fatalf("%d tree edges, want %d", len(before), g.N()-1)
 			}
-			// Three tree edges spread over the list; a grid survives them.
-			removed := []graph.Edge{before[3], before[len(before)/2], before[len(before)-4]}
+			// Tree edges spread over the list; a grid survives them.
+			removed := []graph.Edge{before[len(before)/2]}
+			if c.cuts == 3 {
+				removed = append(removed, before[3], before[len(before)-4])
+			}
 			var batch []dynamic.Update
 			for _, e := range removed {
 				batch = append(batch, dynamic.Delete(e.U, e.V))
@@ -405,7 +416,7 @@ func TestMultiRemovalRepairBreaksTiesByEdgeID(t *testing.T) {
 			}
 			uf := lsst.NewUnionFind(g.N())
 			for _, e := range before {
-				if e != removed[0] && e != removed[1] && e != removed[2] {
+				if !slices.Contains(removed, e) {
 					uf.Union(e.U, e.V)
 				}
 			}
@@ -425,11 +436,11 @@ func TestMultiRemovalRepairBreaksTiesByEdgeID(t *testing.T) {
 				was[e] = true
 			}
 			for _, e := range want {
-				if !m.HasTreeKey(e.U, e.V) || was[e] {
+				if !m.HasTreeEdge(e.U, e.V) || was[e] {
 					t.Fatalf("repair edge %v not adopted; want exactly %v (ties break by edge id)", e, want)
 				}
 			}
-			checkInvariant(t, m, sigmaSq) // n−1 keys: the three wanted ones are the only new ones
+			checkInvariant(t, m, sigmaSq) // n−1 tree edges: the wanted ones are the only new ones
 
 			// The sweep on its own, from bare vertices.
 			sweep, ok := dynamic.ReconnectHeaviest(g, lsst.NewUnionFind(g.N()))
@@ -441,7 +452,7 @@ func TestMultiRemovalRepairBreaksTiesByEdgeID(t *testing.T) {
 }
 
 // TestApplyGuardsTreeKeyCount reaches the commit-point guard that replaced
-// the rooted-tree rebuild's accidental check: with the key set one edge
+// the rooted-tree rebuild's accidental check: with the tree one edge
 // short of a spanning tree, Apply must refuse the batch and leave the
 // maintainer exactly as it was.
 func TestApplyGuardsTreeKeyCount(t *testing.T) {
@@ -451,15 +462,15 @@ func TestApplyGuardsTreeKeyCount(t *testing.T) {
 	}
 	m := newMaintainer(t, g, 60)
 	te := treeEdges(m)[0]
-	m.DropTreeKey(te.U, te.V)
+	m.DropTreeEdge(te.U, te.V)
 	if err := m.CheckTree(); err == nil {
-		t.Fatal("CheckTree accepted a key set one edge short")
+		t.Fatal("CheckTree accepted a tree one edge short")
 	}
 	gBefore, pBefore, condBefore := m.Graph(), m.Sparsifier(), m.Cond()
 	e := g.Edge(g.M() - 1)
 	err = m.Apply(context.Background(), []dynamic.Update{dynamic.Reweight(e.U, e.V, 2*e.W)})
 	if err == nil {
-		t.Fatal("Apply committed on a broken spanning-tree key set")
+		t.Fatal("Apply committed on a broken spanning tree")
 	}
 	if m.Graph() != gBefore || m.Sparsifier() != pBefore || m.Cond() != condBefore || m.Stats().Applies != 0 {
 		t.Fatalf("refused batch must leave the maintainer untouched (err %v)", err)
@@ -470,7 +481,7 @@ func TestApplyGuardsTreeKeyCount(t *testing.T) {
 // after batch through both settle routes. Re-filter admissions are merged
 // into Sparsifier() every round while the batched route defers the factor
 // update to the end of the pass; either way, when Apply returns the
-// standing factor must be a factor of exactly Sparsifier(), the tree keys
+// standing factor must be a factor of exactly Sparsifier(), the tree
 // must span it, and the certificate must hold — checked after every batch.
 func TestSettleRoutesKeepSparsifierAndFactorInStep(t *testing.T) {
 	const sigmaSq = 50
@@ -491,7 +502,7 @@ func TestSettleRoutesKeepSparsifierAndFactorInStep(t *testing.T) {
 				// sparsifier, set to the weight they already have.
 				var batch []dynamic.Update
 				for _, e := range m.Sparsifier().Edges() {
-					if len(batch) < 4 && !m.HasTreeKey(e.U, e.V) {
+					if len(batch) < 4 && !m.HasTreeEdge(e.U, e.V) {
 						batch = append(batch, dynamic.Delete(e.U, e.V))
 					}
 				}

@@ -5,40 +5,40 @@ import (
 	"math"
 
 	"graphspar/internal/cholesky"
+	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
 )
 
 // Test-only views of the maintainer's private state, for the external
 // dynamic_test suites.
 
-// ReconnectHeaviest is the multi-removal repair sweep.
+// ReconnectHeaviest is the tree-repair sweep.
 var ReconnectHeaviest = reconnectHeaviest
 
-// HasTreeKey reports whether (u,v), u < v, is in the spanning-tree key set.
-func (m *Maintainer) HasTreeKey(u, v int) bool { return m.treeKey[[2]int{u, v}] }
+// HasTreeEdge reports whether (u,v) is an edge of the spanning tree.
+func (m *Maintainer) HasTreeEdge(u, v int) bool { return m.tree.HasEdge(u, v) }
 
-// DropTreeKey corrupts the key set by one edge, to reach Apply's guard.
-func (m *Maintainer) DropTreeKey(u, v int) { delete(m.treeKey, [2]int{u, v}) }
+// DropTreeEdge corrupts the tree by one edge, to reach Apply's guard.
+func (m *Maintainer) DropTreeEdge(u, v int) {
+	m.tree, _, _ = graph.Edit(m.tree, []graph.Edge{{U: u, V: v}})
+}
 
 // CheckTree is the invariant the deleted rooted-tree rebuild used to check
-// by accident: the tree keys are n−1 edges of the sparsifier and span it.
+// by accident: the tree is n−1 edges of the sparsifier and spans it.
 func (m *Maintainer) CheckTree() error {
 	n := m.g.N()
-	if len(m.treeKey) != n-1 {
-		return fmt.Errorf("%d tree keys, a spanning tree of %d vertices has %d", len(m.treeKey), n, n-1)
+	if m.tree.M() != n-1 {
+		return fmt.Errorf("%d tree edges, a spanning tree of %d vertices has %d", m.tree.M(), n, n-1)
 	}
 	uf := lsst.NewUnionFind(n)
-	for k := range m.treeKey {
-		if k[0] >= k[1] {
-			return fmt.Errorf("tree key (%d,%d) is not normalized", k[0], k[1])
+	for _, e := range m.tree.Edges() {
+		if !m.p.HasEdge(e.U, e.V) {
+			return fmt.Errorf("tree edge (%d,%d) missing from sparsifier", e.U, e.V)
 		}
-		if !m.p.HasEdge(k[0], k[1]) {
-			return fmt.Errorf("tree edge (%d,%d) missing from sparsifier", k[0], k[1])
-		}
-		uf.Union(k[0], k[1])
+		uf.Union(e.U, e.V)
 	}
 	if uf.Count() != 1 {
-		return fmt.Errorf("tree keys leave %d components", uf.Count())
+		return fmt.Errorf("tree leaves %d components", uf.Count())
 	}
 	return nil
 }

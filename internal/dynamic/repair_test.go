@@ -42,10 +42,11 @@ func reconnectHeaviestRef(g *graph.Graph, uf *lsst.UnionFind) (taken []graph.Edg
 // TestReconnectHeaviestMatchesWholeListSort runs the sweep and the
 // whole-edge-list oracle from the same forest and requires the same
 // edges, element for element, and the same verdict. The forests are a
-// maximum-weight spanning tree of g with 2–6 of its edges deleted from
-// both tree and graph (3–7 parts), on unit weights — every tie falls to
-// the edge id —, two weight classes and random weights; plus graphs that
-// cannot reconnect.
+// maximum-weight spanning tree of g with 1–6 of its edges deleted from
+// both tree and graph (2–7 parts), on unit weights — every tie falls to
+// the edge id —, two weight classes and random weights; plus three small
+// cases with a known answer (heaviest crossing edge, a deleted bridge, an
+// already connected forest) and graphs that cannot reconnect.
 func TestReconnectHeaviestMatchesWholeListSort(t *testing.T) {
 	unit, err := gen.Grid2D(14, 14, gen.UnitWeights, 1)
 	if err != nil {
@@ -75,7 +76,7 @@ func TestReconnectHeaviestMatchesWholeListSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for cuts := 2; cuts <= 6; cuts++ {
+		for cuts := 1; cuts <= 6; cuts++ {
 			for rep := 0; rep < 8; rep++ {
 				name := fmt.Sprintf("%s/cuts%d/rep%d", c.name, cuts, rep)
 				cut := make(map[int]bool, cuts)
@@ -107,6 +108,31 @@ func TestReconnectHeaviestMatchesWholeListSort(t *testing.T) {
 		}
 	}
 
+	// Known answers. Heaviest crossing edge: the path 0-1-2-3 lost its
+	// middle edge, leaving {0,1} | {2,3} crossed by (0,2) w=5 and (1,3) w=9.
+	// A deleted bridge: two triangles whose joining edge (2,3) is gone stay
+	// apart, so the sweep takes nothing and fails. Already connected:
+	// nothing to take.
+	triangles := [][2]int{{0, 1}, {0, 2}, {1, 2}, {3, 4}, {3, 5}, {4, 5}}
+	for _, c := range []struct {
+		name   string
+		g      *graph.Graph
+		forest [][2]int
+		want   []graph.Edge
+		wantOK bool
+	}{
+		{"heaviest crossing", graph.MustNew(4, []graph.Edge{
+			{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}, {U: 0, V: 2, W: 5}, {U: 1, V: 3, W: 9},
+		}), [][2]int{{0, 1}, {2, 3}}, []graph.Edge{{U: 1, V: 3, W: 9}}, true},
+		{"deleted bridge", unitGraph(6, triangles), [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}}, nil, false},
+		{"already connected", unitGraph(3, [][2]int{{0, 1}, {1, 2}, {0, 2}}), [][2]int{{0, 1}, {1, 2}}, nil, true},
+	} {
+		got, ok := checkSweep(t, c.name, c.g, forestOf(c.g.N(), c.forest), forestOf(c.g.N(), c.forest))
+		if ok != c.wantOK || !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("%s: sweep took %v (ok=%v), want %v (ok=%v)", c.name, got, ok, c.want, c.wantOK)
+		}
+	}
+
 	// Cannot reconnect, from bare vertices (every edge crosses): two
 	// disjoint grids, and a grid whose corner vertex lost both its edges.
 	pair := twoClass.EdgesCopy()
@@ -114,7 +140,7 @@ func TestReconnectHeaviestMatchesWholeListSort(t *testing.T) {
 		pair = append(pair, graph.Edge{U: e.U + unit.N(), V: e.V + unit.N(), W: e.W})
 	}
 	twoGrids := graph.MustNew(2*unit.N(), pair)
-	if checkSweep(t, "two grids", twoGrids, lsst.NewUnionFind(twoGrids.N()), lsst.NewUnionFind(twoGrids.N())) {
+	if _, ok := checkSweep(t, "two grids", twoGrids, lsst.NewUnionFind(twoGrids.N()), lsst.NewUnionFind(twoGrids.N())); ok {
 		t.Fatal("two grids: sweep reported one component")
 	}
 	corner := make([]graph.Edge, 0, random.M())
@@ -124,14 +150,32 @@ func TestReconnectHeaviestMatchesWholeListSort(t *testing.T) {
 		}
 	}
 	isolated := graph.MustNew(random.N(), corner)
-	if checkSweep(t, "isolated corner", isolated, lsst.NewUnionFind(isolated.N()), lsst.NewUnionFind(isolated.N())) {
+	if _, ok := checkSweep(t, "isolated corner", isolated, lsst.NewUnionFind(isolated.N()), lsst.NewUnionFind(isolated.N())); ok {
 		t.Fatal("isolated corner: sweep reported one component")
 	}
 }
 
+// unitGraph builds a unit-weight graph on n vertices from endpoint pairs.
+func unitGraph(n int, pairs [][2]int) *graph.Graph {
+	es := make([]graph.Edge, len(pairs))
+	for i, k := range pairs {
+		es[i] = graph.Edge{U: k[0], V: k[1], W: 1}
+	}
+	return graph.MustNew(n, es)
+}
+
+// forestOf unions the given pairs in a fresh union-find on n vertices.
+func forestOf(n int, pairs [][2]int) *lsst.UnionFind {
+	uf := lsst.NewUnionFind(n)
+	for _, k := range pairs {
+		uf.Union(k[0], k[1])
+	}
+	return uf
+}
+
 // checkSweep runs the sweep on uf and the oracle on its twin ref, and
-// returns the sweep's verdict.
-func checkSweep(t *testing.T, name string, g *graph.Graph, uf, ref *lsst.UnionFind) bool {
+// returns what the sweep took and its verdict.
+func checkSweep(t *testing.T, name string, g *graph.Graph, uf, ref *lsst.UnionFind) ([]graph.Edge, bool) {
 	t.Helper()
 	want, wantOK := reconnectHeaviestRef(g, ref)
 	got, ok := dynamic.ReconnectHeaviest(g, uf)
@@ -144,5 +188,5 @@ func checkSweep(t *testing.T, name string, g *graph.Graph, uf, ref *lsst.UnionFi
 	if ok != g.IsConnected() {
 		t.Fatalf("%s: ok=%v on a graph whose connectivity is %v", name, ok, g.IsConnected())
 	}
-	return ok
+	return got, ok
 }

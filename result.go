@@ -112,8 +112,9 @@ type Result struct {
 
 	// Phases is the ordered span trace of this run: every timed pipeline
 	// phase with its offset and duration. Finer-grained than Timings
-	// (embed rounds and re-filter passes appear individually) and shared
-	// with any trace the caller attached via NewTraceContext.
+	// (embed rounds and re-filter passes appear individually) and also
+	// recorded on any trace the caller attached via NewTraceContext, which
+	// may hold earlier spans; Phases starts where this run's spans do.
 	Phases []Phase
 }
 

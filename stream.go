@@ -122,9 +122,9 @@ type SessionStats = sessions.Stats
 func (s *Stream) SessionStats() SessionStats { return sessions.Snapshot(s.m) }
 
 // ResidentBytes estimates the heap the stream keeps resident between
-// applies: both graphs, the sparsifier's spanning-tree key set and
-// factorization, the retained probe embedding. The maintainer holds its
-// sparsifier once — no edge-map mirror, no rooted tree object — so the
-// estimate carries no term for either. Session managers budget memory
-// with it.
+// applies: the graph, the sparsifier, its spanning tree (three sorted
+// edge lists) and factorization, the retained probe embedding. The
+// maintainer holds its sparsifier once — no edge-map mirror, no rooted
+// tree object — so the estimate carries no term for either. Session
+// managers budget memory with it.
 func (s *Stream) ResidentBytes() int64 { return s.m.ResidentBytes() }

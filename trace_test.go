@@ -208,3 +208,40 @@ func TestNewTraceContextShared(t *testing.T) {
 		}
 	}
 }
+
+// TestSequentialRunsOnOneTrace: two Runs in turn on one caller trace each
+// return only their own spans, while the trace collects both.
+func TestSequentialRunsOnOneTrace(t *testing.T) {
+	g, err := gen.Grid2D(12, 12, gen.UniformWeights, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := graphspar.New(graphspar.WithSigma2(80), graphspar.WithMode(graphspar.ModeSingleShot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, tr := graphspar.NewTraceContext(context.Background())
+	var runs [2][]graphspar.Phase
+	for i := range runs {
+		res, err := s.Run(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := phaseNames(res.Phases)["verify"]; n != 1 {
+			t.Fatalf("run %d: %d verify phases, want 1 (%v)", i, n, phaseNames(res.Phases))
+		}
+		runs[i] = res.Phases
+	}
+	if len(runs[0]) != len(runs[1]) {
+		t.Fatalf("runs returned %d and %d phases", len(runs[0]), len(runs[1]))
+	}
+	got := tr.Phases()
+	if len(got) != 2*len(runs[0]) {
+		t.Fatalf("trace holds %d phases, want both runs' %d", len(got), 2*len(runs[0]))
+	}
+	for i, p := range append(runs[0], runs[1]...) {
+		if got[i] != p {
+			t.Errorf("trace phase %d: %+v, run reported %+v", i, got[i], p)
+		}
+	}
+}
