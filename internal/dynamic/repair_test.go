@@ -44,9 +44,8 @@ func reconnectHeaviestRef(g *graph.Graph, uf *lsst.UnionFind) (taken []graph.Edg
 // edges, element for element, and the same verdict. The forests are a
 // maximum-weight spanning tree of g with 1–6 of its edges deleted from
 // both tree and graph (2–7 parts), on unit weights — every tie falls to
-// the edge id —, two weight classes and random weights; plus three small
-// cases with a known answer (heaviest crossing edge, a deleted bridge, an
-// already connected forest) and graphs that cannot reconnect.
+// the edge id —, two weight classes and random weights; plus graphs that
+// cannot reconnect. The known-answer cases follow as tests of their own.
 func TestReconnectHeaviestMatchesWholeListSort(t *testing.T) {
 	unit, err := gen.Grid2D(14, 14, gen.UnitWeights, 1)
 	if err != nil {
@@ -108,31 +107,6 @@ func TestReconnectHeaviestMatchesWholeListSort(t *testing.T) {
 		}
 	}
 
-	// Known answers. Heaviest crossing edge: the path 0-1-2-3 lost its
-	// middle edge, leaving {0,1} | {2,3} crossed by (0,2) w=5 and (1,3) w=9.
-	// A deleted bridge: two triangles whose joining edge (2,3) is gone stay
-	// apart, so the sweep takes nothing and fails. Already connected:
-	// nothing to take.
-	triangles := [][2]int{{0, 1}, {0, 2}, {1, 2}, {3, 4}, {3, 5}, {4, 5}}
-	for _, c := range []struct {
-		name   string
-		g      *graph.Graph
-		forest [][2]int
-		want   []graph.Edge
-		wantOK bool
-	}{
-		{"heaviest crossing", graph.MustNew(4, []graph.Edge{
-			{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}, {U: 0, V: 2, W: 5}, {U: 1, V: 3, W: 9},
-		}), [][2]int{{0, 1}, {2, 3}}, []graph.Edge{{U: 1, V: 3, W: 9}}, true},
-		{"deleted bridge", unitGraph(6, triangles), [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}}, nil, false},
-		{"already connected", unitGraph(3, [][2]int{{0, 1}, {1, 2}, {0, 2}}), [][2]int{{0, 1}, {1, 2}}, nil, true},
-	} {
-		got, ok := checkSweep(t, c.name, c.g, forestOf(c.g.N(), c.forest), forestOf(c.g.N(), c.forest))
-		if ok != c.wantOK || !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("%s: sweep took %v (ok=%v), want %v (ok=%v)", c.name, got, ok, c.want, c.wantOK)
-		}
-	}
-
 	// Cannot reconnect, from bare vertices (every edge crosses): two
 	// disjoint grids, and a grid whose corner vertex lost both its edges.
 	pair := twoClass.EdgesCopy()
@@ -152,6 +126,64 @@ func TestReconnectHeaviestMatchesWholeListSort(t *testing.T) {
 	isolated := graph.MustNew(random.N(), corner)
 	if _, ok := checkSweep(t, "isolated corner", isolated, lsst.NewUnionFind(isolated.N()), lsst.NewUnionFind(isolated.N())); ok {
 		t.Fatal("isolated corner: sweep reported one component")
+	}
+}
+
+// TestReconnectHeaviestPicksHeaviestCrossingEdge: the path 0-1-2-3 lost
+// its middle edge, leaving {0,1} | {2,3} crossed by (0,2) w=5 and (1,3)
+// w=9; the sweep takes the w=9 edge alone.
+func TestReconnectHeaviestPicksHeaviestCrossingEdge(t *testing.T) {
+	g := graph.MustNew(4, []graph.Edge{
+		{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}, {U: 0, V: 2, W: 5}, {U: 1, V: 3, W: 9},
+	})
+	forest := [][2]int{{0, 1}, {2, 3}}
+	got, ok := checkSweep(t, "heaviest crossing", g, forestOf(4, forest), forestOf(4, forest))
+	if want := []graph.Edge{{U: 1, V: 3, W: 9}}; !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("sweep took %v (ok=%v), want %v (ok=true)", got, ok, want)
+	}
+}
+
+// TestReconnectHeaviestBridgeFails: a barbell whose bridge (2,3) is
+// deleted from graph and tree stays in two parts, so the sweep takes
+// nothing and fails.
+func TestReconnectHeaviestBridgeFails(t *testing.T) {
+	g, err := gen.Barbell(3, 1, gen.UnitWeights, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bridge := g.EdgeIndex()[[2]int{2, 3}]
+	tree, err := lsst.MaxWeightSpanningTree(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var forest [][2]int
+	for _, id := range tree {
+		if id != bridge {
+			e := g.Edge(id)
+			forest = append(forest, [2]int{e.U, e.V})
+		}
+	}
+	kept := make([]graph.Edge, 0, g.M()-1)
+	for id, e := range g.Edges() {
+		if id != bridge {
+			kept = append(kept, e)
+		}
+	}
+	g2 := graph.MustNew(g.N(), kept)
+	got, ok := checkSweep(t, "deleted bridge", g2, forestOf(g.N(), forest), forestOf(g.N(), forest))
+	if ok || got != nil {
+		t.Fatalf("sweep took %v (ok=%v), want nothing (ok=false)", got, ok)
+	}
+}
+
+// TestReconnectHeaviestAlreadyConnected: a forest that already spans the
+// triangle needs no repair, so the sweep takes nothing and succeeds.
+func TestReconnectHeaviestAlreadyConnected(t *testing.T) {
+	g := unitGraph(3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
+	forest := [][2]int{{0, 1}, {1, 2}}
+	got, ok := checkSweep(t, "already connected", g, forestOf(3, forest), forestOf(3, forest))
+	if !ok || got != nil {
+		t.Fatalf("sweep took %v (ok=%v), want nothing (ok=true)", got, ok)
 	}
 }
 
