@@ -59,7 +59,6 @@ func main() {
 
 		admitQueue   = flag.Int("admit-queue-high", 0, "shed job submissions with 429 once this many jobs are queued (0 = 3/4 of backlog, -1 disables)")
 		admitStreams = flag.Int("admit-streams-high", 0, "shed stream requests with 429 beyond this many in flight (0 = 4x workers, -1 disables)")
-		admitRetry   = flag.Int("admit-retry-after", 1, "Retry-After seconds advertised on 429 responses")
 
 		withPprof = flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/")
 	)
@@ -104,7 +103,6 @@ func main() {
 		SessionTTL:          ttl,
 		AdmissionQueueHigh:  queueHigh,
 		AdmissionStreamHigh: streamsHigh,
-		AdmissionRetryAfter: *admitRetry,
 		// The default registry also carries the pipeline's per-phase
 		// histograms, so one /metrics scrape covers HTTP, queue, session
 		// and phase telemetry.

@@ -212,11 +212,10 @@ func New(ctx context.Context, g *graph.Graph, opt engine.Options) (*Maintainer, 
 }
 
 // reconnectHeaviest grows the union-find to a single component by adding
-// the heaviest available graph edges — Kruskal over the total order
-// (weight desc, edge id asc), so equal weights never leave the choice to
-// the sort algorithm — and returns the edges taken, or false if g itself
-// cannot connect the components. Only edges that cross components when
-// the sweep starts are sorted: an edge inside one component can never
+// the heaviest available graph edges — lsst.Heaviest's Kruskal sweep over
+// (weight desc, edge id asc) — and returns the edges taken, or false if g
+// itself cannot connect the components. Only edges that cross components
+// when the sweep starts are swept: an edge inside one component can never
 // union, so dropping those first takes the same edges in the same order.
 // repairTree calls it.
 func reconnectHeaviest(g *graph.Graph, uf *lsst.UnionFind) (taken []graph.Edge, ok bool) {
@@ -226,19 +225,9 @@ func reconnectHeaviest(g *graph.Graph, uf *lsst.UnionFind) (taken []graph.Edge, 
 			ids = append(ids, id)
 		}
 	}
-	slices.SortFunc(ids, func(a, b int) int {
-		if wa, wb := g.Edge(a).W, g.Edge(b).W; wa != wb {
-			return cmp.Compare(wb, wa)
-		}
-		return cmp.Compare(a, b)
-	})
-	for _, id := range ids {
-		if uf.Count() == 1 {
-			break
-		}
-		if e := g.Edge(id); uf.Union(e.U, e.V) {
-			taken = append(taken, e)
-		}
+	joined, _ := lsst.Heaviest(g, ids, uf)
+	for _, id := range joined {
+		taken = append(taken, g.Edge(id))
 	}
 	return taken, uf.Count() == 1
 }

@@ -206,15 +206,14 @@ type Result struct {
 	OffTreeAddedIDs []int
 	Rounds          []core.RoundStats
 
-	// Sharded fields: the k-way partition (Parts can fall short of
-	// Shards on small graphs; it is 1 for the other plans),
+	// Sharded fields: the k-way partition's part count (Parts can fall
+	// short of Shards on small graphs; it is 1 for the other plans),
 	// per-shard stats and cut bookkeeping — CutEdges input edges crossed
 	// the partition, StitchedCut of them were added for connectivity,
 	// RecoveredCut more passed the global heat filter. When Run certifies
 	// the input itself (every plan but a coarsened multilevel run, which
 	// books them per level), RecoveredCut also counts the edges the stop
 	// rule's calibrations admitted.
-	Labels       []int
 	Parts        int
 	Shards       []ShardStats
 	CutEdges     int

@@ -42,9 +42,6 @@ func checkStitchInvariants(t *testing.T, g *graph.Graph, res *Result) {
 	if !res.Sparsifier.IsConnected() {
 		t.Fatal("sharded sparsifier is disconnected")
 	}
-	if len(res.Labels) != g.N() {
-		t.Fatalf("labels length %d != n %d", len(res.Labels), g.N())
-	}
 	idx := res.Sparsifier.EdgeIndex()
 	for _, s := range res.Shards {
 		for _, id := range s.EdgeIDs {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -14,8 +13,8 @@ import (
 
 // stitch merges the per-shard sparsifiers and splits the partition's cut
 // edges into the connectivity backbone and the re-filter candidates: cut
-// edges are scanned heaviest-first (Kruskal on the shard quotient,
-// matching the max-weight backbone philosophy — heavy edges have low
+// edges are scanned heaviest-first (lsst.Heaviest: Kruskal on the shard
+// quotient, matching the max-weight backbone — heavy edges have low
 // resistance) and the ones joining two components are kept outright; the
 // rest go to the global heat filter. The returned kept set spans every
 // vertex and is connected because the input is.
@@ -40,23 +39,9 @@ func stitch(g *graph.Graph, labels []int, outs []shardOut) (keptIDs, stitchedIDs
 			cut = append(cut, id)
 		}
 	}
-	slices.SortFunc(cut, func(a, b int) int {
-		if wa, wb := g.Edge(a).W, g.Edge(b).W; wa != wb {
-			return cmp.Compare(wb, wa)
-		}
-		return cmp.Compare(a, b)
-	})
-	for _, id := range cut {
-		e := g.Edge(id)
-		if uf.Union(e.U, e.V) {
-			stitchedIDs = append(stitchedIDs, id)
-			keptIDs = append(keptIDs, id)
-		} else {
-			candIDs = append(candIDs, id)
-		}
-	}
+	stitchedIDs, candIDs = lsst.Heaviest(g, cut, uf)
 	slices.Sort(candIDs)
-	return keptIDs, stitchedIDs, candIDs
+	return append(keptIDs, stitchedIDs...), stitchedIDs, candIDs
 }
 
 // runSharded executes the sharded plan: partition, sparsify the shards
@@ -76,7 +61,7 @@ func (res *Result) runSharded(ctx context.Context, g *graph.Graph, opt Options) 
 		partSpan.End()
 		return nil, fmt.Errorf("engine: partition: %w", err)
 	}
-	res.Labels, res.Parts = kw.Labels, kw.Parts
+	res.Parts = kw.Parts
 	tasks, err := buildTasks(g, kw.Labels, kw.Parts)
 	res.Timings.Partition = partSpan.End()
 	if err != nil {

@@ -68,13 +68,37 @@ func (u *UnionFind) Union(a, b int) bool {
 // Count returns the number of disjoint sets.
 func (u *UnionFind) Count() int { return u.count }
 
+// Heaviest is the backbone rule of §3.1 applied to a set of candidate
+// edges: it sorts ids in place by (weight desc, id asc) and unions each
+// edge into uf in that order. joined holds the ids whose union merged two
+// sets, rest the others, both in sweep order. Equal weights never leave
+// the choice to the sort algorithm. The sharded plan's stitch and the
+// maintainer's tree repair call it.
+func Heaviest(g *graph.Graph, ids []int, uf *UnionFind) (joined, rest []int) {
+	slices.SortFunc(ids, func(a, b int) int {
+		if wa, wb := g.Edge(a).W, g.Edge(b).W; wa != wb {
+			return cmp.Compare(wb, wa)
+		}
+		return cmp.Compare(a, b)
+	})
+	for _, id := range ids {
+		if e := g.Edge(id); uf.Union(e.U, e.V) {
+			joined = append(joined, id)
+		} else {
+			rest = append(rest, id)
+		}
+	}
+	return joined, rest
+}
+
 // MaxWeightSpanningTree returns the edge ids of a maximum-weight spanning
 // tree (Kruskal on descending weight). A graph that cannot span a tree
 // fails with graph.RequireConnected's error.
 //
-// The sort compares weights only, so equal weights land where pdqsort's
-// comparisons leave them, starting from id order; every sparsifier in the
-// pipeline golden depends on that tie order.
+// Unlike Heaviest, the sort compares weights only, so equal weights land
+// where pdqsort's comparisons leave them, starting from id order; every
+// sparsifier in the pipeline golden depends on that tie order, and on
+// unit-weight SBM graphs the certificate's quality does too.
 func MaxWeightSpanningTree(g *graph.Graph) ([]int, error) {
 	if err := g.RequireConnected(); err != nil {
 		return nil, err

@@ -199,6 +199,86 @@ func TestMaxWeightTieOrderMatchesReference(t *testing.T) {
 	}
 }
 
+// heaviestRef is the whole-list-sort oracle internal/dynamic's repair
+// tests use, restricted to ids: every edge id of g is stably sorted by
+// weight desc from id order, and the ids in the set are unioned in that
+// order.
+func heaviestRef(g *graph.Graph, ids []int, uf *UnionFind) (joined, rest []int) {
+	all := make([]int, g.M())
+	for i := range all {
+		all[i] = i
+	}
+	sort.SliceStable(all, func(a, b int) bool { return g.Edge(all[a]).W > g.Edge(all[b]).W })
+	in := make([]bool, g.M())
+	for _, id := range ids {
+		in[id] = true
+	}
+	for _, id := range all {
+		if !in[id] {
+			continue
+		}
+		if e := g.Edge(id); uf.Union(e.U, e.V) {
+			joined = append(joined, id)
+		} else {
+			rest = append(rest, id)
+		}
+	}
+	return joined, rest
+}
+
+// checkHeaviest runs Heaviest and the oracle from the same forest (g's
+// vertices with the merged pairs unioned) and requires both to give want.
+func checkHeaviest(t *testing.T, g *graph.Graph, merged [][2]int, ids, wantJoined, wantRest []int) {
+	t.Helper()
+	forest := func() *UnionFind {
+		uf := NewUnionFind(g.N())
+		for _, p := range merged {
+			uf.Union(p[0], p[1])
+		}
+		return uf
+	}
+	uf, ref := forest(), forest()
+	refJoined, refRest := heaviestRef(g, ids, ref)
+	joined, rest := Heaviest(g, slices.Clone(ids), uf)
+	if !slices.Equal(joined, wantJoined) || !slices.Equal(rest, wantRest) {
+		t.Errorf("Heaviest = %v, %v; want %v, %v", joined, rest, wantJoined, wantRest)
+	}
+	if !slices.Equal(refJoined, wantJoined) || !slices.Equal(refRest, wantRest) {
+		t.Errorf("oracle = %v, %v; want %v, %v", refJoined, refRest, wantJoined, wantRest)
+	}
+	if uf.Count() != ref.Count() {
+		t.Errorf("Heaviest left %d sets, oracle %d", uf.Count(), ref.Count())
+	}
+}
+
+// heaviestGraph has ids in (u,v) order: 0 (0,1) w2, 1 (0,2) w1,
+// 2 (1,2) w1, 3 (1,3) w3, 4 (2,4) w1, 5 (3,4) w3.
+func heaviestGraph() *graph.Graph {
+	return graph.MustNew(5, []graph.Edge{{U: 0, V: 1, W: 2}, {U: 0, V: 2, W: 1}, {U: 1, V: 2, W: 1},
+		{U: 1, V: 3, W: 3}, {U: 2, V: 4, W: 1}, {U: 3, V: 4, W: 3}})
+}
+
+// Edges 1 and 2 tie at weight 1 and either closes the triangle after
+// edge 0; the lower id joins, whatever order the ids come in.
+func TestHeaviestTiesToLowestID(t *testing.T) {
+	checkHeaviest(t, heaviestGraph(), nil, []int{2, 1, 0}, []int{0, 1}, []int{2})
+}
+
+// With {1,3} and {2,4} already merged, edge 3 is inside a set and goes
+// to rest at its place in the sweep; edge 5 joins the two sets and edge 0
+// brings in vertex 0, after which every weight-1 edge is redundant.
+func TestHeaviestPartlyMergedForest(t *testing.T) {
+	checkHeaviest(t, heaviestGraph(), [][2]int{{1, 3}, {2, 4}}, []int{5, 4, 3, 2, 1, 0},
+		[]int{5, 0}, []int{3, 1, 2, 4})
+}
+
+// A forest that is already one component joins nothing; rest is every id
+// in sweep order.
+func TestHeaviestOneComponentJoinsNothing(t *testing.T) {
+	checkHeaviest(t, heaviestGraph(), [][2]int{{0, 1}, {1, 2}, {1, 3}, {3, 4}}, []int{0, 1, 2, 3, 4, 5},
+		nil, []int{3, 5, 0, 1, 2, 4})
+}
+
 // TestExtractRootIsLowestMaxDegree pins Extract's root, which it counts
 // from the edge list, to the index-built Degree's argmax, ties to the
 // lowest id: on a grid (four-way ties in the interior), unit-weight SBMs

@@ -1,10 +1,10 @@
 // Package obs is the repository's zero-dependency observability layer:
-// a metrics registry (counters, gauges, fixed-bucket histograms, all
-// safe for concurrent use) that renders the Prometheus text exposition
-// format, and a span/trace API (StartSpan) the pipeline packages use to
-// report per-phase wall time — both per request, via a Trace carried in
-// the context, and in aggregate, via phase histograms on the Default
-// registry.
+// a metrics registry (counters, gauges read at scrape time, fixed-bucket
+// histograms, all safe for concurrent use) that renders the Prometheus
+// text exposition format, and a span/trace API (StartSpan) the pipeline
+// packages use to report per-phase wall time — both per request, via a
+// Trace carried in the context, and in aggregate, via phase histograms on
+// the Default registry.
 //
 // The package is dependency-free by design: the service exposes GET
 // /metrics by writing the registry straight onto the response, and any
@@ -65,7 +65,7 @@ type family struct {
 	buckets   []float64 // histogram families only
 
 	mu     sync.Mutex
-	series map[string]any // joined label values -> *Counter | *Gauge | *Histogram | func() float64
+	series map[string]any // joined label values -> *Counter | *Histogram | func() float64
 	order  []string       // registration order of series keys; sorted at render
 }
 
@@ -131,17 +131,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (must be non-negative; counters only go up).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Counter returns the named unlabeled counter, creating it on first use.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.lookup(name, help, "counter", nil, nil)
-	return f.seriesFor(nil, func() any { return &Counter{} }).(*Counter)
-}
 
 // CounterVec is a counter family partitioned by labels.
 type CounterVec struct{ f *family }
@@ -165,33 +156,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 }
 
 // ------------------------------------------------------------------- gauge
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (atomically, via CAS).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Gauge returns the named unlabeled gauge, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.lookup(name, help, "gauge", nil, nil)
-	return f.seriesFor(nil, func() any { return &Gauge{} }).(*Gauge)
-}
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape
 // time (queue depth, resident sessions, registry size).
@@ -244,36 +208,6 @@ func (h *Histogram) Count() int64 {
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// within the bucket where the cumulative count crosses q·total. The
-// error is bounded by the width of that bucket. A rank that falls in the
-// +Inf overflow bucket returns +Inf: the histogram genuinely does not
-// know how large those observations were, and clamping to the last
-// finite bound would silently under-report exactly the tail latencies
-// the upper quantiles exist to expose. Returns NaN with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	lower := 0.0
-	for i, ub := range h.bounds {
-		c := h.counts[i].Load()
-		if float64(cum)+float64(c) >= rank && c > 0 {
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + frac*(ub-lower)
-		}
-		cum += c
-		lower = ub
-	}
-	return math.Inf(1) // rank falls in the +Inf overflow bucket
-}
 
 // Histogram returns the named unlabeled histogram, creating it with the
 // given upper bounds (nil = DefBuckets) on first use.
@@ -356,8 +290,6 @@ func (f *family) write(b *strings.Builder) {
 		switch s := series[i].(type) {
 		case *Counter:
 			writeSample(b, f.name, f.labelKeys, labelValues, "", "", float64(s.Value()))
-		case *Gauge:
-			writeSample(b, f.name, f.labelKeys, labelValues, "", "", s.Value())
 		case func() float64:
 			writeSample(b, f.name, f.labelKeys, labelValues, "", "", s())
 		case *Histogram:

@@ -1,11 +1,11 @@
 package obs
 
 import (
-	"math"
-	"math/rand"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -14,11 +14,14 @@ import (
 // cumulative counts, _sum and _count.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_requests_total", "Total requests.").Add(3)
+	for range 3 {
+		r.CounterVec("test_requests_total", "Total requests.").With().Inc()
+	}
 	cv := r.CounterVec("test_errors_total", "Errors by kind.", "kind")
 	cv.With("bad\"quote").Inc()
-	cv.With("timeout").Add(2)
-	r.Gauge("test_depth", "Queue depth.").Set(7.5)
+	cv.With("timeout").Inc()
+	cv.With("timeout").Inc()
+	r.GaugeFunc("test_depth", "Queue depth.", func() float64 { return 7.5 })
 	r.GaugeFunc("test_resident", "Resident things.", func() float64 { return 42 })
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1, 10})
 	h.Observe(0.05)
@@ -86,7 +89,7 @@ line`, `back\slash`).Inc()
 
 func TestHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("h_total", "h").Inc()
+	r.CounterVec("h_total", "h").With().Inc()
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "text/plain") {
@@ -101,8 +104,8 @@ func TestHandler(t *testing.T) {
 // conflicting re-registration panics.
 func TestLookupIdempotent(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("same_total", "x")
-	b := r.Counter("same_total", "x")
+	a := r.CounterVec("same_total", "x").With()
+	b := r.CounterVec("same_total", "x").With()
 	if a != b {
 		t.Fatal("same counter name returned distinct handles")
 	}
@@ -115,76 +118,18 @@ func TestLookupIdempotent(t *testing.T) {
 			t.Fatal("conflicting re-registration did not panic")
 		}
 	}()
-	r.Gauge("same_total", "x")
+	r.GaugeFunc("same_total", "x", func() float64 { return 0 })
 }
 
-// TestHistogramQuantileAccuracy: with uniform samples, the interpolated
-// quantile estimate must land within one bucket width of the truth.
-func TestHistogramQuantileAccuracy(t *testing.T) {
-	bounds := make([]float64, 20)
-	for i := range bounds {
-		bounds[i] = float64(i+1) / 20 // 0.05-wide buckets over [0, 1]
-	}
-	h := newHistogram(bounds)
-	rng := rand.New(rand.NewSource(1))
-	const n = 100_000
-	for i := 0; i < n; i++ {
-		h.Observe(rng.Float64())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		got := h.Quantile(q)
-		if math.Abs(got-q) > 0.05 {
-			t.Errorf("Quantile(%g) = %g, want within one bucket (0.05) of %g", q, got, q)
-		}
-	}
-	if got := h.Count(); got != n {
-		t.Errorf("Count = %d, want %d", got, n)
-	}
-}
-
-func TestHistogramQuantileEdges(t *testing.T) {
-	h := newHistogram([]float64{1, 2})
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Error("empty histogram Quantile should be NaN")
-	}
-	h.Observe(5) // lands in +Inf bucket
-	if got := h.Quantile(0.5); !math.IsInf(got, 1) {
-		t.Errorf("overflow-only Quantile = %g, want +Inf (the histogram cannot bound the tail)", got)
-	}
-	if got := h.inf.Load(); got != 1 {
-		t.Errorf("overflow bucket holds %d, want 1", got)
-	}
-}
-
-// TestHistogramQuantileOverflowTail pins the tail-latency bug: with 9 in-
-// range samples and 1 overflow, p50 must interpolate normally but p99 —
-// whose rank lands in the +Inf bucket — must report +Inf rather than
-// silently clamping to the last finite bound and under-reporting the tail.
-func TestHistogramQuantileOverflowTail(t *testing.T) {
-	h := newHistogram([]float64{1, 2})
-	for i := 0; i < 9; i++ {
-		h.Observe(0.5)
-	}
-	h.Observe(100)
-	if got := h.Quantile(0.5); math.IsInf(got, 1) || got > 1 {
-		t.Errorf("p50 = %g, want a finite value within the first bucket", got)
-	}
-	if got := h.Quantile(0.99); !math.IsInf(got, 1) {
-		t.Errorf("p99 = %g, want +Inf (rank 9.9 falls in the overflow bucket)", got)
-	}
-	if got := h.inf.Load(); got != 1 {
-		t.Errorf("overflow bucket holds %d, want 1", got)
-	}
-}
-
-// TestConcurrentUpdates exercises counters, gauges and histograms from
+// TestConcurrentUpdates exercises counters, a gauge and histograms from
 // many goroutines; run under -race this is the data-race check, and the
 // final totals prove no increment was lost.
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("cc_total", "c")
+	c := r.CounterVec("cc_total", "c").With()
 	cv := r.CounterVec("ccv_total", "c", "who")
-	g := r.Gauge("cg", "g")
+	var depth atomic.Int64
+	r.GaugeFunc("cg", "g", func() float64 { return float64(depth.Load()) })
 	h := r.Histogram("ch_seconds", "h", []float64{0.5})
 	const workers, per = 8, 5000
 	var wg sync.WaitGroup
@@ -196,7 +141,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Inc()
 				cv.With(who).Inc()
-				g.Add(1)
+				depth.Add(1)
 				h.Observe(float64(i%2) * 0.9)
 				// Render concurrently with writes to shake out races in
 				// the exposition path too.
@@ -214,8 +159,10 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := cv.With("a").Value() + cv.With("b").Value(); got != workers*per {
 		t.Errorf("vec counters = %d, want %d", got, workers*per)
 	}
-	if g.Value() != workers*per {
-		t.Errorf("gauge = %g, want %d", g.Value(), workers*per)
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	if want := fmt.Sprintf("\ncg %d\n", workers*per); !strings.Contains(b.String(), want) {
+		t.Errorf("gauge sample missing %q:\n%s", want, b.String())
 	}
 	if h.Count() != workers*per {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*per)

@@ -22,10 +22,12 @@ import (
 // handlers map it to 429 with a Retry-After hint.
 var ErrSaturated = errors.New("service: saturated, retry later")
 
+// retryAfter is the Retry-After hint on every 429, in seconds.
+const retryAfter = 1
+
 type admissionController struct {
 	queueHigh  int   // shed job submissions at this backlog depth (<=0 off)
 	streamHigh int64 // max concurrent stream requests (<=0 off)
-	retryAfter int   // Retry-After hint, seconds
 	streams    atomic.Int64
 	metrics    *serverMetrics
 }
@@ -36,14 +38,9 @@ func newAdmissionController(cfg Config, m *serverMetrics) *admissionController {
 	if cfg.AdmissionQueueHigh <= 0 && cfg.AdmissionStreamHigh <= 0 {
 		return nil
 	}
-	retry := cfg.AdmissionRetryAfter
-	if retry <= 0 {
-		retry = 1
-	}
 	return &admissionController{
 		queueHigh:  cfg.AdmissionQueueHigh,
 		streamHigh: int64(cfg.AdmissionStreamHigh),
-		retryAfter: retry,
 		metrics:    m,
 	}
 }
@@ -84,8 +81,8 @@ func (a *admissionController) inFlightStreams() int64 {
 // shed writes the 429 rejection: Retry-After header, rejection counter,
 // JSON error body.
 func (a *admissionController) shed(w http.ResponseWriter, stream bool) {
-	w.Header().Set("Retry-After", strconv.Itoa(a.retryAfter))
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	a.metrics.observeAdmissionRejection(stream)
 	writeErr(w, http.StatusTooManyRequests,
-		fmt.Errorf("%w: retry after %ds", ErrSaturated, a.retryAfter))
+		fmt.Errorf("%w: retry after %ds", ErrSaturated, retryAfter))
 }

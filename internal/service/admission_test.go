@@ -71,13 +71,12 @@ func TestAdmissionWatermarkBoundaries(t *testing.T) {
 
 // blockingConfig wires a Sparsify stub that blocks until release is
 // closed, so tests can hold the worker pool busy deterministically.
-func blockingConfig(workers, backlog, queueHigh, retryAfter int, release chan struct{}) Config {
+func blockingConfig(workers, backlog, queueHigh int, release chan struct{}) Config {
 	return Config{
-		Workers:             workers,
-		Backlog:             backlog,
-		CacheSize:           -1, // a cache hit would bypass admission
-		AdmissionQueueHigh:  queueHigh,
-		AdmissionRetryAfter: retryAfter,
+		Workers:            workers,
+		Backlog:            backlog,
+		CacheSize:          -1, // a cache hit would bypass admission
+		AdmissionQueueHigh: queueHigh,
 		Sparsify: func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
 			select {
 			case <-release:
@@ -96,7 +95,7 @@ func blockingConfig(workers, backlog, queueHigh, retryAfter int, release chan st
 func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	ts := newTestServer(t, blockingConfig(1, 8, 1, 7, release), nil)
+	ts := newTestServer(t, blockingConfig(1, 8, 1, release), nil)
 	registerSpec(t, ts.URL, "g", "grid:6x6")
 
 	submit := func(sigma2 float64) (*http.Response, string) {
@@ -134,8 +133,8 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("job 3: got %d %s, want 429", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Errorf("Retry-After = %q, want %q", got, "7")
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want %q", got, "1")
 	}
 	if !strings.Contains(body, "saturated") {
 		t.Errorf("429 body %q should carry the saturation error", body)

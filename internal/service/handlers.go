@@ -57,10 +57,9 @@ type Config struct {
 	// politely. AdmissionStreamHigh caps concurrent stream requests the
 	// same way. Zero or negative leaves the corresponding watermark off
 	// (the library default; cmd/serve turns the queue watermark on).
-	// AdmissionRetryAfter is the Retry-After hint in seconds (0 = 1).
+	// Every 429 advertises Retry-After: 1.
 	AdmissionQueueHigh  int
 	AdmissionStreamHigh int
-	AdmissionRetryAfter int
 	// Metrics is the registry the server instruments itself into and
 	// serves at GET /metrics (nil = obs.Default, which also carries the
 	// pipeline phase histograms). A process embedding several servers

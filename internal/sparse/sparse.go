@@ -48,9 +48,6 @@ func (b *Builder) Add(i, j int, v float64) {
 	b.entries = append(b.entries, Coord{i, j, v})
 }
 
-// Len returns the number of accumulated (pre-deduplication) entries.
-func (b *Builder) Len() int { return len(b.entries) }
-
 // Build compiles the accumulated entries into a CSR matrix, summing
 // duplicates and dropping exact zeros that result.
 func (b *Builder) Build() *CSR {
@@ -357,17 +354,6 @@ func (m *CSR) Permute(perm []int) (*CSR, error) {
 		}
 	}
 	return out, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *CSR {
-	m := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, n), Val: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		m.RowPtr[i+1] = i + 1
-		m.ColIdx[i] = i
-		m.Val[i] = 1
-	}
-	return m
 }
 
 // Dense expands M into a dense row-major matrix; intended for tests and

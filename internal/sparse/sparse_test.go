@@ -135,8 +135,8 @@ func TestAddSub(t *testing.T) {
 }
 
 func TestAddShapeError(t *testing.T) {
-	a := Identity(2)
-	b := Identity(3)
+	a := NewBuilder(2, 2).Build()
+	b := NewBuilder(3, 3).Build()
 	if _, err := Add(a, b); err == nil {
 		t.Fatal("expected shape error")
 	}
@@ -144,7 +144,11 @@ func TestAddShapeError(t *testing.T) {
 
 func TestMulIdentity(t *testing.T) {
 	m := small3()
-	p, err := Mul(m, Identity(3))
+	id := NewBuilder(3, 3)
+	for i := range 3 {
+		id.Add(i, i, 1)
+	}
+	p, err := Mul(m, id.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +177,7 @@ func TestMulKnown(t *testing.T) {
 }
 
 func TestMulShapeError(t *testing.T) {
-	if _, err := Mul(Identity(2), Identity(3)); err == nil {
+	if _, err := Mul(NewBuilder(2, 2).Build(), NewBuilder(3, 3).Build()); err == nil {
 		t.Fatal("expected shape error")
 	}
 }

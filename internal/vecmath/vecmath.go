@@ -66,14 +66,6 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// Copy copies src into dst (lengths must match).
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("vecmath: Copy length mismatch %d != %d", len(dst), len(src)))
-	}
-	copy(dst, src)
-}
-
 // Zero sets every entry of x to 0.
 func Zero(x []float64) {
 	for i := range x {
@@ -128,16 +120,6 @@ func Sub(dst, x, y []float64) {
 	}
 	for i := range dst {
 		dst[i] = x[i] - y[i]
-	}
-}
-
-// Add computes dst = x + y.
-func Add(dst, x, y []float64) {
-	if len(dst) != len(x) || len(x) != len(y) {
-		panic("vecmath: Add length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] + y[i]
 	}
 }
 

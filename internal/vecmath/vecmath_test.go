@@ -109,9 +109,9 @@ func TestSubAdd(t *testing.T) {
 	if d[0] != 3 || d[1] != 3 {
 		t.Fatalf("Sub = %v", d)
 	}
-	Add(d, x, y)
-	if d[0] != 7 || d[1] != 9 {
-		t.Fatalf("Add = %v", d)
+	Axpy(1, y, d)
+	if d[0] != 5 || d[1] != 6 {
+		t.Fatalf("Sub then Axpy back = %v, want x", d)
 	}
 }
 
