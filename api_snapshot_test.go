@@ -35,7 +35,12 @@ func renderDecl(t *testing.T, fset *token.FileSet, node any) string {
 }
 
 // apiSurface renders every exported top-level declaration of the root
-// package, sorted, one blank line apart.
+// package, sorted, one blank line apart. An alias to a type of this
+// module (type Result = engine.Result) also renders its target — the
+// exported fields and exported methods of engine.Result, qualified as
+// engine.Result — so a field or method declared behind an alias is
+// pinned like one declared here. Aliases to other modules are not
+// followed.
 func apiSurface(t *testing.T) string {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -52,8 +57,18 @@ func apiSurface(t *testing.T) string {
 
 	var entries []string
 	add := func(s string) { entries = append(entries, strings.TrimSpace(s)) }
+	targets := map[string]bool{}
 
 	for _, file := range pkg.Files {
+		imports := map[string]string{} // local name → import path
+		for _, im := range file.Imports {
+			path := strings.Trim(im.Path.Value, `"`)
+			local := path[strings.LastIndex(path, "/")+1:]
+			if im.Name != nil {
+				local = im.Name.Name
+			}
+			imports[local] = path
+		}
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -80,6 +95,15 @@ func apiSurface(t *testing.T) string {
 						}
 						sp.Doc, sp.Comment = nil, nil
 						add("type " + renderDecl(t, fset, sp))
+						if sel, ok := sp.Type.(*ast.SelectorExpr); ok && sp.Assign.IsValid() {
+							local := sel.X.(*ast.Ident).Name
+							path, ok := imports[local]
+							key := path + "." + sel.Sel.Name
+							if ok && strings.HasPrefix(path, "graphspar/") && !targets[key] {
+								targets[key] = true
+								aliasTarget(t, strings.TrimPrefix(path, "graphspar/"), local, sel.Sel.Name, add)
+							}
+						}
 					case *ast.ValueSpec:
 						sp.Doc, sp.Comment = nil, nil
 						var names []string
@@ -103,6 +127,79 @@ func apiSurface(t *testing.T) string {
 	}
 	sort.Strings(entries)
 	return strings.Join(entries, "\n\n") + "\n"
+}
+
+// aliasTarget renders type name of the package in dir, named local.name:
+// its declaration with only the exported fields when it is a struct, and
+// its exported methods. Doc comments are dropped as in the root surface.
+func aliasTarget(t *testing.T, dir, local, name string, add func(string)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil || !d.Name.IsExported() {
+						continue
+					}
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					id, ok := recv.(*ast.Ident)
+					if !ok || id.Name != name {
+						continue
+					}
+					id.Name = local + "." + name
+					d.Body, d.Doc = nil, nil
+					add(renderDecl(t, fset, d))
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						sp, ok := spec.(*ast.TypeSpec)
+						if !ok || sp.Name.Name != name {
+							continue
+						}
+						if st, ok := sp.Type.(*ast.StructType); ok {
+							st.Fields.List = exportedFields(st.Fields.List)
+						}
+						sp.Name.Name = local + "." + name
+						sp.Doc, sp.Comment = nil, nil
+						add("type " + renderDecl(t, fset, sp))
+					}
+				}
+			}
+		}
+	}
+}
+
+// exportedFields keeps the exported names of each field, and every
+// embedded field.
+func exportedFields(fields []*ast.Field) []*ast.Field {
+	var out []*ast.Field
+	for _, f := range fields {
+		if len(f.Names) == 0 {
+			out = append(out, f)
+			continue
+		}
+		var names []*ast.Ident
+		for _, n := range f.Names {
+			if n.IsExported() {
+				names = append(names, n)
+			}
+		}
+		if len(names) > 0 {
+			f.Names, f.Doc, f.Comment = names, nil, nil
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 func TestAPISurfaceSnapshot(t *testing.T) {

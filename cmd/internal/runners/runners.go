@@ -91,10 +91,10 @@ func Sparsify(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (*s
 // Maintain is the production MaintainFunc: it builds a live facade
 // Stream from scratch — the one way a session comes to exist, whether a
 // stream request or an incremental job found none resident. The returned
-// *graphspar.Stream satisfies sessions.Maintainer (its methods alias the
-// internal types), so the service's session manager drives the exact
-// object a library user would hold, and the stream's independently
-// verified κ is the certificate an incremental job reports.
+// *graphspar.Stream is an alias of *dynamic.Maintainer, so the service's
+// session manager drives the exact object a library user would hold, and
+// the stream's independently verified κ is the certificate an
+// incremental job reports.
 func Maintain(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (sessions.Maintainer, error) {
 	s, err := facadeFor(p)
 	if err != nil {

@@ -27,6 +27,7 @@ import (
 	"syscall"
 	"time"
 
+	"graphspar/cmd/internal/runners"
 	"graphspar/internal/cli"
 	"graphspar/internal/obs"
 	"graphspar/internal/service"
@@ -96,8 +97,8 @@ func main() {
 		Workers:             *workers,
 		Backlog:             disableZero(*backlog),
 		CacheSize:           disableZero(*cache),
-		Sparsify:            runSparsify,
-		Maintain:            runMaintain,
+		Sparsify:            runners.Sparsify,
+		Maintain:            runners.Maintain,
 		SessionMax:          disableZero(*sessMax),
 		SessionBudgetBytes:  int64(*sessBudget) << 20,
 		SessionTTL:          ttl,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"graphspar"
+	"graphspar/cmd/internal/runners"
 	"graphspar/internal/graph"
 	"graphspar/internal/service"
 )
@@ -43,7 +44,7 @@ func TestRunSparsifyEndToEnd(t *testing.T) {
 	// connected, independent verification within the target.
 	g := testGraph(t)
 	p := canon(t, service.SparsifyParams{SigmaSq: 50})
-	res, err := runSparsify(context.Background(), g, p)
+	res, err := runners.Sparsify(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestRunSparsifyEndToEnd(t *testing.T) {
 	// Canceled context short-circuits.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := runSparsify(ctx, g, p); !errors.Is(err, context.Canceled) {
+	if _, err := runners.Sparsify(ctx, g, p); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled ctx: err = %v", err)
 	}
 }
@@ -70,7 +71,7 @@ func TestRunSparsifyEndToEnd(t *testing.T) {
 func TestRunSparsifyShardedEndToEnd(t *testing.T) {
 	g := testGraph(t)
 	p := canon(t, service.SparsifyParams{SigmaSq: 50, Mode: "sharded", Workers: 2})
-	res, err := runSparsify(context.Background(), g, p)
+	res, err := runners.Sparsify(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestRunSparsifyShardedEndToEnd(t *testing.T) {
 	// Cancellation propagates into the engine.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := runSparsify(ctx, g, p); !errors.Is(err, context.Canceled) {
+	if _, err := runners.Sparsify(ctx, g, p); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled ctx: err = %v", err)
 	}
 }
@@ -105,7 +106,7 @@ func TestRunSparsifyMultilevelEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := canon(t, service.SparsifyParams{SigmaSq: 50, Mode: "multilevel"})
-	res, err := runSparsify(context.Background(), g, p)
+	res, err := runners.Sparsify(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestRunSparsifyMultilevelEndToEnd(t *testing.T) {
 	// Cancellation propagates into the hierarchy.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := runSparsify(ctx, g, p); !errors.Is(err, context.Canceled) {
+	if _, err := runners.Sparsify(ctx, g, p); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled ctx: err = %v", err)
 	}
 }
@@ -152,7 +153,7 @@ func newProductionServer(t *testing.T, cfg service.Config, calls *atomic.Int64) 
 		if calls != nil {
 			calls.Add(1)
 		}
-		return runSparsify(ctx, g, p)
+		return runners.Sparsify(ctx, g, p)
 	}
 	srv := service.NewServer(cfg)
 	ts := httptest.NewServer(srv.Handler())

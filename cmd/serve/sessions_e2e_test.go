@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"graphspar"
+	"graphspar/cmd/internal/runners"
 	"graphspar/internal/dynamic"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
@@ -62,10 +63,10 @@ func newSessionServer(t *testing.T, builds *atomic.Int64, violations *atomic.Int
 	t.Helper()
 	cfg := service.Config{
 		Workers:  2,
-		Sparsify: runSparsify,
+		Sparsify: runners.Sparsify,
 		Maintain: func(ctx context.Context, g *graph.Graph, p service.SparsifyParams) (sessions.Maintainer, error) {
 			builds.Add(1)
-			m, err := runMaintain(ctx, g, p)
+			m, err := runners.Maintain(ctx, g, p)
 			if err != nil || violations == nil {
 				return m, err
 			}
@@ -198,7 +199,7 @@ func TestWarmSessionSkipsResumeBitIdentical(t *testing.T) {
 				if r.SessionHit != wantHit || !r.TargetMet || r.Session == nil || builds.Load() != 1 {
 					t.Fatalf("%s: session_hit=%v (want %v) builds=%d result=%+v", when, r.SessionHit, wantHit, builds.Load(), r)
 				}
-				if got, want := service.HashGraph(r.Sparsifier), service.HashGraph(twin.Sparsifier()); got != want {
+				if got, want := r.Sparsifier.ContentHash(), twin.Sparsifier().ContentHash(); got != want {
 					t.Fatalf("%s: daemon sparsifier (m=%d) differs from the library twin's (m=%d)", when, r.Sparsifier.M(), twin.Sparsifier().M())
 				}
 				if math.Float64bits(r.VerifiedCond) != math.Float64bits(twin.Cond()) {

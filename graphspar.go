@@ -124,35 +124,11 @@ func (s *Sparsifier) Run(ctx context.Context, g *Graph) (*Result, error) {
 		ctx = obs.WithTrace(ctx, tr)
 	}
 	mark := len(tr.Phases())
-	er, err := engine.Run(ctx, g, s.cfg.plan(g, false))
+	res, err := engine.Run(ctx, g, s.cfg.plan(g, false))
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Sparsifier:        er.Sparsifier,
-		Sharded:           er.Mode == ModeSharded,
-		Multilevel:        er.Mode == ModeMultilevel,
-		LambdaMax:         er.LambdaMax,
-		LambdaMin:         er.LambdaMin,
-		SigmaSqAchieved:   er.SigmaSqEst,
-		TargetMet:         er.TargetMet,
-		TotalStretch:      er.TotalStretch,
-		TreeEdgeIDs:       er.TreeEdgeIDs,
-		OffTreeAddedIDs:   er.OffTreeAddedIDs,
-		Rounds:            er.Rounds,
-		Parts:             er.Parts,
-		Shards:            er.Shards,
-		CutEdges:          er.CutEdges,
-		StitchedCut:       er.StitchedCut,
-		RecoveredCut:      er.RecoveredCut,
-		CoarsenDepth:      er.Depth,
-		Levels:            er.Levels,
-		VerifiedLambdaMax: er.VerifiedLambdaMax,
-		VerifiedLambdaMin: er.VerifiedLambdaMin,
-		VerifiedCond:      er.VerifiedCond,
-		Timings:           Timings(er.Timings),
-		Phases:            tr.Phases()[mark:],
-	}
+	res.Phases = tr.Phases()[mark:]
 	if !res.TargetMet {
 		return res, fmt.Errorf("%w: verified κ %.2f > σ² %g", ErrNoTarget, res.VerifiedCond, s.Sigma2())
 	}
@@ -223,11 +199,7 @@ func (s *Sparsifier) Maintain(ctx context.Context, g *Graph) (*Stream, error) {
 	if s.cfg.opt.Mode == ModeMultilevel {
 		return nil, fmt.Errorf("%w: WithMode(ModeMultilevel) does not compose with Maintain", ErrInvalidOptions)
 	}
-	m, err := dynamic.New(ctx, g, s.cfg.plan(g, true))
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{m: m}, nil
+	return dynamic.New(ctx, g, s.cfg.plan(g, true))
 }
 
 // HeatSpectrum supports the paper's Fig. 2 reproduction: it extracts the

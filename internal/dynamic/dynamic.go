@@ -50,7 +50,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 
 	"graphspar/internal/cholesky"
@@ -59,7 +58,6 @@ import (
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
 	"graphspar/internal/obs"
-	"graphspar/internal/params"
 	"graphspar/internal/vecmath"
 )
 
@@ -114,21 +112,6 @@ const (
 	fillLimit = 4
 )
 
-// maintainerDefaults validates opt and fills the maintainer's own
-// defaults on its copy.
-func maintainerDefaults(opt engine.Options) (engine.Options, error) {
-	if err := params.Sigma2(opt.Sparsify.SigmaSq); err != nil {
-		return opt, err
-	}
-	if opt.Sparsify.Seed == 0 {
-		opt.Sparsify.Seed = 1
-	}
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0) // the scorer's, and every rebuild's
-	}
-	return opt, nil
-}
-
 // Stats counts the maintainer's work since construction.
 type Stats struct {
 	Applies         int     `json:"applies"`
@@ -149,8 +132,12 @@ type Stats struct {
 	TargetMet       bool    `json:"target_met"`
 }
 
-// Maintainer holds a graph together with its live sparsifier and applies
-// batched edge updates incrementally. Not safe for concurrent use.
+// Maintainer holds a graph together with its live sparsifier and σ²
+// certificate and applies batched edge updates incrementally, without
+// re-running the full pipeline per batch: probe-vector re-scoring against
+// the last filter pass, backbone repair, localized re-filter rounds and
+// churn-budgeted full rebuilds. It is the facade's Stream. Not safe for
+// concurrent use.
 //
 // The state model: the maintainer owns exactly one copy of what it
 // maintains — the graph g, the sparsifier p (a subgraph of g carrying g's
@@ -200,8 +187,7 @@ func New(ctx context.Context, g *graph.Graph, opt engine.Options) (*Maintainer, 
 	if err := g.RequireConnected(); err != nil {
 		return nil, err
 	}
-	opt, err := maintainerDefaults(opt)
-	if err != nil {
+	if err := opt.Defaults(); err != nil {
 		return nil, err
 	}
 	m := &Maintainer{opt: opt, g: g, rng: vecmath.NewRNG(opt.Sparsify.Seed ^ 0xdf1a7)}
@@ -295,13 +281,14 @@ func (m *Maintainer) ResidentBytes() int64 {
 }
 
 // Apply validates and applies one batch of updates atomically: a
-// validation or connectivity error rejects the whole batch with the
-// maintainer unchanged. On success the sparsifier has been maintained
-// incrementally (or rebuilt, if the drift budget was spent or
-// re-filtering could not restore the certificate) and the certificate
-// has been re-verified; TargetMet reports false in the rare case where
-// even a full rebuild cannot certify σ² (mirroring core.Sparsify's
-// best-effort ErrNoTarget semantics).
+// validation or connectivity error (ErrWouldDisconnect for bridge
+// deletes) rejects the whole batch with the maintainer unchanged. On
+// success the sparsifier has been maintained incrementally (or rebuilt,
+// if the drift budget was spent or re-filtering could not restore the
+// certificate) and the certificate has been re-verified; TargetMet
+// reports false in the rare case where even a full rebuild cannot
+// certify σ² (mirroring core.Sparsify's best-effort ErrNoTarget
+// semantics).
 //
 // Everything that can reject the batch runs before the commit point, on
 // staged values: the edited graph, the tree repair, and the edited
@@ -679,7 +666,7 @@ func (m *Maintainer) rebuild(ctx context.Context) error {
 	// of g); the others get a fresh max-weight one derived from the
 	// sparsifier.
 	treeOf, treeIDs := m.g, res.TreeEdgeIDs
-	if res.Mode != params.ModeSingleShot {
+	if res.Sharded || res.Multilevel {
 		treeOf = m.p
 		if treeIDs, err = lsst.MaxWeightSpanningTree(m.p); err != nil {
 			return err

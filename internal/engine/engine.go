@@ -98,10 +98,12 @@ type Options struct {
 	Workers int
 }
 
-// defaults validates opt, resolves ModeAuto and fills every unset knob.
+// Defaults validates opt, resolves ModeAuto and fills every unset knob.
 // Seed defaults here for callers of Run and Select that leave it zero
-// (graphspar.New resolves it already); Workers defaults only here.
-func (o *Options) defaults() error {
+// (graphspar.New resolves it already); Workers defaults only here. Run and
+// Select call it on their copy; the dynamic maintainer calls it once on
+// its own, which every rebuild's Select then leaves as it is.
+func (o *Options) Defaults() error {
 	if err := params.Sigma2(o.Sparsify.SigmaSq); err != nil {
 		return err
 	}
@@ -181,58 +183,90 @@ type Timings struct {
 	Wall        time.Duration
 }
 
-// Result is the output of Run. Fields only one plan produces are
-// documented as such and are zero for the others.
+// Result is the one output of the batch pipeline, and of the facade's
+// Sparsifier.Run on every execution plan. Fields that only one plan
+// produces are documented as such and are zero for the others.
 type Result struct {
-	// Sparsifier is P: a connected subgraph spanning the input vertex set,
-	// with original edge weights.
+	// Sparsifier is P: a connected subgraph of the input with original
+	// edge weights, certified (or best-effort, see TargetMet) to satisfy
+	// κ(L_G, L_P) ≤ σ².
 	Sparsifier *graph.Graph
-	// Mode is the plan that ran (never ModeAuto).
-	Mode params.Mode
+	// Sharded/Multilevel report which execution plan ran (both false for
+	// single-shot).
+	Sharded    bool
+	Multilevel bool
 
-	// LambdaMax/LambdaMin/SigmaSqEst are the plan's own final estimates
-	// (in a sharded run with a small kept-whole cut, the worst shard's, see
-	// cutFilterFraction). TargetMet is the run's one verdict on σ²:
-	// VerifiedCond ≤ σ².
+	// LambdaMax/LambdaMin are the pipeline's own final extreme-eigenvalue
+	// estimates of L_P⁺L_G, and SigmaSqAchieved their ratio — the achieved
+	// σ² estimate. In a sharded run with a small kept-whole cut these are
+	// the worst shard's estimates, which the direct sum carries over (see
+	// cutFilterFraction).
 	LambdaMax, LambdaMin float64
-	SigmaSqEst           float64
-	TargetMet            bool
+	SigmaSqAchieved      float64
+	// TargetMet is the run's one verdict on the σ² target, on every plan:
+	// VerifiedCond ≤ σ². When false, the facade's Run also returns
+	// ErrNoTarget.
+	TargetMet bool
 
-	// Single-shot fields: the backbone's total stretch, the tree/off-tree
-	// edge ids into the input's edge list and the per-round densification
+	// Single-shot fields: backbone total stretch, tree/off-tree edge ids
+	// into the input graph's edge list, and the per-round densification
 	// trace.
 	TotalStretch    float64
 	TreeEdgeIDs     []int
 	OffTreeAddedIDs []int
 	Rounds          []core.RoundStats
 
-	// Sharded fields: the k-way partition's part count (Parts can fall
-	// short of Shards on small graphs; it is 1 for the other plans),
-	// per-shard stats and cut bookkeeping — CutEdges input edges crossed
-	// the partition, StitchedCut of them were added for connectivity,
-	// RecoveredCut more passed the global heat filter. When Run certifies
-	// the input itself (every plan but a coarsened multilevel run, which
-	// books them per level), RecoveredCut also counts the edges the stop
-	// rule's calibrations admitted.
+	// Sharded fields: partition arity (the constant Shards, or fewer on a
+	// small graph; 1 for the other plans), per-shard stats, and cut
+	// bookkeeping (CutEdges crossed the partition; StitchedCut were added
+	// for connectivity, RecoveredCut more passed the global heat filter —
+	// plus, on any plan but a coarsened multilevel run, which books them
+	// per level, the edges the certificate's calibrated re-filters
+	// admitted).
 	Parts        int
 	Shards       []ShardStats
 	CutEdges     int
 	StitchedCut  int
 	RecoveredCut int
 
-	// Multilevel fields: the hierarchy depth used (1 = no coarsening
-	// happened) and per-level stats, indexed by level (0 = finest).
-	Depth  int
-	Levels []LevelStats
+	// Multilevel fields: hierarchy depth (1 = coarsening never engaged)
+	// and per-level stats, indexed by level (0 = finest).
+	CoarsenDepth int
+	Levels       []LevelStats
 
-	// Verified* come from the stop rule's last independent
-	// generalized-Lanczos check of the final sparsifier against the input
-	// graph; VerifiedCond is the authoritative end-to-end κ.
+	// Verified* carry the estimates of the independent generalized-Lanczos
+	// check every Run ends with, VerifiedCond the authoritative end-to-end
+	// κ. While it exceeds σ² and candidates remain, Run re-filters toward
+	// a calibrated tighter target and checks again (at most three times),
+	// so Verified* describe the returned Sparsifier.
 	VerifiedLambdaMax float64
 	VerifiedLambdaMin float64
 	VerifiedCond      float64
 
 	Timings Timings
+
+	// Phases is the ordered span trace of this run: every timed pipeline
+	// phase with its offset and duration. Finer-grained than Timings
+	// (embed rounds and re-filter passes appear individually) and also
+	// recorded on any trace the caller attached via NewTraceContext, which
+	// may hold earlier spans; Phases starts where this run's spans do.
+	// The facade's Run fills it.
+	Phases []obs.Phase
+}
+
+// Density returns |E_P| / |V|, the sparsifier density the paper reports.
+func (r *Result) Density() float64 {
+	return float64(r.Sparsifier.M()) / float64(r.Sparsifier.N())
+}
+
+// Speedup reports the speedup of a sharded run's shard phase, ShardCPU ÷
+// Shard (1.0 for single-shot runs); divided by the worker count it is the
+// phase's parallel efficiency.
+func (r *Result) Speedup() float64 {
+	if r.Timings.Shard <= 0 {
+		return 1
+	}
+	return float64(r.Timings.ShardCPU) / float64(r.Timings.Shard)
 }
 
 // Run executes opt.Mode's plan on g and certifies its selection: Run is
@@ -249,13 +283,13 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	// A genuinely coarsened multilevel run certified every finer level,
 	// ending with the input; every other plan's selection meets the stop
 	// rule here.
-	if res.Depth <= 1 {
+	if res.CoarsenDepth <= 1 {
 		recovered, err := res.certify(ctx, "refilter", s, opt, opt.Sparsify.Seed)
 		if err != nil {
 			return nil, err
 		}
 		res.RecoveredCut += recovered
-		res.Sparsifier, res.LambdaMax, res.LambdaMin, res.SigmaSqEst = s.p, s.lmax, s.lmin, s.est()
+		res.Sparsifier, res.LambdaMax, res.LambdaMin, res.SigmaSqAchieved = s.p, s.lmax, s.lmin, s.est()
 		if res.Levels != nil { // the one-level hierarchy: its only level is the input
 			lv := &res.Levels[0]
 			lv.Recovered += recovered
@@ -285,19 +319,19 @@ func plan(ctx context.Context, g *graph.Graph, opt *Options) (*Result, *selectio
 	if err := g.RequireConnected(); err != nil {
 		return nil, nil, err
 	}
-	if err := opt.defaults(); err != nil {
+	if err := opt.Defaults(); err != nil {
 		return nil, nil, err
 	}
-	res := &Result{Mode: opt.Mode, Parts: 1}
+	res := &Result{Sharded: opt.Mode == params.ModeSharded, Multilevel: opt.Mode == params.ModeMultilevel, Parts: 1}
 	run := res.runLevels // single-shot and multilevel: one plan, two depths
-	if opt.Mode == params.ModeSharded {
+	if res.Sharded {
 		run = res.runSharded
 	}
 	s, err := run(ctx, g, *opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	res.Sparsifier, res.LambdaMax, res.LambdaMin, res.SigmaSqEst = s.p, s.lmax, s.lmin, s.est()
+	res.Sparsifier, res.LambdaMax, res.LambdaMin, res.SigmaSqAchieved = s.p, s.lmax, s.lmin, s.est()
 	return res, s, nil
 }
 

@@ -148,8 +148,8 @@ func TestSingleShotMatchesCore(t *testing.T) {
 			t.Fatalf("engine kept (%d,%d), core did not", e.U, e.V)
 		}
 	}
-	if got.Parts != 1 || got.Mode != params.ModeSingleShot || len(got.Rounds) != len(want.Rounds) {
-		t.Errorf("single-shot shape: parts=%d mode=%v rounds=%d (core %d)", got.Parts, got.Mode, len(got.Rounds), len(want.Rounds))
+	if got.Parts != 1 || got.Sharded || got.Multilevel || len(got.Rounds) != len(want.Rounds) {
+		t.Errorf("single-shot shape: parts=%d sharded=%v multilevel=%v rounds=%d (core %d)", got.Parts, got.Sharded, got.Multilevel, len(got.Rounds), len(want.Rounds))
 	}
 }
 
@@ -172,8 +172,8 @@ func TestSelectIsRunWithoutTheStopRule(t *testing.T) {
 		if run.RecoveredCut != sel.RecoveredCut {
 			t.Fatalf("%v: the certificate re-filtered, so the plans' outputs cannot be compared", opt.Mode)
 		}
-		if sel.Sparsifier.M() != run.Sparsifier.M() || sel.SigmaSqEst != run.SigmaSqEst {
-			t.Errorf("%v: Select kept %d edges (est %v), Run %d (est %v)", opt.Mode, sel.Sparsifier.M(), sel.SigmaSqEst, run.Sparsifier.M(), run.SigmaSqEst)
+		if sel.Sparsifier.M() != run.Sparsifier.M() || sel.SigmaSqAchieved != run.SigmaSqAchieved {
+			t.Errorf("%v: Select kept %d edges (est %v), Run %d (est %v)", opt.Mode, sel.Sparsifier.M(), sel.SigmaSqAchieved, run.Sparsifier.M(), run.SigmaSqAchieved)
 		}
 		if sel.VerifiedCond != 0 || sel.Timings.Verify != 0 || sel.TargetMet || !(run.VerifiedCond > 0) {
 			t.Errorf("%v: Select certified (κ %v, %v) or Run did not (κ %v)", opt.Mode, sel.VerifiedCond, sel.Timings.Verify, run.VerifiedCond)

@@ -57,7 +57,7 @@ func factorCounts(t *testing.T, g *graph.Graph, opt Options) (res *Result, total
 		if last != string(obs.PhaseFactor) {
 			want = 1
 		}
-		if res.Mode == params.ModeSharded && !refiltered(phases) {
+		if res.Sharded && !refiltered(phases) {
 			want = 1 // kept-whole cut: only shards were factored, never the stitched graph
 		}
 		if nested != want {
@@ -143,11 +143,11 @@ func TestFactorPhasesPerPlan(t *testing.T) {
 		res, total, inVerify, verifies := factorCounts(t, sbm, Options{
 			Mode: params.ModeMultilevel, Sparsify: core.Options{SigmaSq: 50, Seed: 1},
 		})
-		if res.Depth < 2 {
-			t.Fatalf("depth %d: the hierarchy never engaged", res.Depth)
+		if res.CoarsenDepth < 2 {
+			t.Fatalf("depth %d: the hierarchy never engaged", res.CoarsenDepth)
 		}
-		if verifies < res.Depth-1 {
-			t.Fatalf("%d certificates for %d finer levels", verifies, res.Depth-1)
+		if verifies < res.CoarsenDepth-1 {
+			t.Fatalf("%d certificates for %d finer levels", verifies, res.CoarsenDepth-1)
 		}
 		// factorCounts checked each certificate against its loop; at least
 		// the final one must have adopted (one phase fewer than before).

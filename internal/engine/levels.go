@@ -32,7 +32,7 @@ func (res *Result) runLevels(ctx context.Context, g *graph.Graph, opt Options) (
 		if err != nil {
 			return nil, err
 		}
-		res.Depth = len(levels)
+		res.CoarsenDepth = len(levels)
 		res.Levels = make([]LevelStats, len(levels))
 	}
 

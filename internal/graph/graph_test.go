@@ -289,6 +289,24 @@ func TestBFSOrderUnreachable(t *testing.T) {
 	}
 }
 
+func TestContentHashCanonical(t *testing.T) {
+	// Same structure supplied in different edge orders/orientations must
+	// hash identically (New normalizes).
+	a := MustNew(3, []Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}})
+	b := MustNew(3, []Edge{{U: 2, V: 1, W: 3}, {U: 1, V: 0, W: 2}})
+	if a.ContentHash() != b.ContentHash() {
+		t.Error("hash differs for structurally equal graphs")
+	}
+	c := MustNew(3, []Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 4}})
+	if a.ContentHash() == c.ContentHash() {
+		t.Error("hash collides across different weights")
+	}
+	d := MustNew(4, []Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}})
+	if a.ContentHash() == d.ContentHash() {
+		t.Error("hash collides across different vertex counts")
+	}
+}
+
 func TestHasEdgeAndIndex(t *testing.T) {
 	g := path4(t)
 	if !g.HasEdge(1, 0) || g.HasEdge(0, 2) || g.HasEdge(1, 1) {

@@ -75,11 +75,11 @@ func TestCertificateOnHarness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Depth < 2 {
-				t.Fatalf("expected a real hierarchy, got depth %d", res.Depth)
+			if res.CoarsenDepth < 2 {
+				t.Fatalf("expected a real hierarchy, got depth %d", res.CoarsenDepth)
 			}
-			if len(res.Levels) != res.Depth {
-				t.Fatalf("Levels has %d entries for depth %d", len(res.Levels), res.Depth)
+			if len(res.Levels) != res.CoarsenDepth {
+				t.Fatalf("Levels has %d entries for depth %d", len(res.Levels), res.CoarsenDepth)
 			}
 			if !res.TargetMet {
 				t.Fatalf("target unmet: verified κ = %v > σ² = %v", res.VerifiedCond, sigma)
@@ -136,8 +136,8 @@ func TestDegenerateBitIdenticalToSingleShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Depth != 1 {
-				t.Fatalf("depth %d, want 1", res.Depth)
+			if res.CoarsenDepth != 1 {
+				t.Fatalf("depth %d, want 1", res.CoarsenDepth)
 			}
 			if res.Sparsifier.ContentHash() != want.Sparsifier.ContentHash() {
 				t.Fatalf("sparsifier differs from single-shot (%d vs %d edges)",
@@ -169,8 +169,8 @@ func TestDeterministicPerSeed(t *testing.T) {
 	if a.Sparsifier.ContentHash() != b.Sparsifier.ContentHash() {
 		t.Fatal("same seed produced different sparsifiers")
 	}
-	if a.Depth != b.Depth {
-		t.Fatalf("same seed produced different depths: %d vs %d", a.Depth, b.Depth)
+	if a.CoarsenDepth != b.CoarsenDepth {
+		t.Fatalf("same seed produced different depths: %d vs %d", a.CoarsenDepth, b.CoarsenDepth)
 	}
 }
 

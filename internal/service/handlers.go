@@ -120,7 +120,6 @@ func NewServer(cfg Config) *Server {
 			MaxSessions:      cfg.SessionMax,
 			MaxResidentBytes: cfg.SessionBudgetBytes,
 			IdleTTL:          cfg.SessionTTL,
-			Hash:             HashGraph,
 		})
 		s.maintain = cfg.Maintain
 		s.maintainSem = make(chan struct{}, cfg.Workers)

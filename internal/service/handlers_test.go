@@ -194,8 +194,8 @@ func TestUploadRoundTrip(t *testing.T) {
 	if info.N != orig.N() || info.M != orig.M() || info.Source != "upload" {
 		t.Errorf("upload info = %+v, want n=%d m=%d", info, orig.N(), orig.M())
 	}
-	if info.Hash != HashGraph(orig) {
-		t.Errorf("upload hash %s != local hash %s", info.Hash, HashGraph(orig))
+	if info.Hash != orig.ContentHash() {
+		t.Errorf("upload hash %s != local hash %s", info.Hash, orig.ContentHash())
 	}
 
 	// Download and compare edge by edge.

@@ -53,11 +53,6 @@ func NewRegistry() *Registry {
 	return &Registry{entries: make(map[string]*GraphEntry)}
 }
 
-// HashGraph content-addresses a graph via the one canonical encoding
-// (graph.ContentHash) — the session manager compares these against
-// registry hashes, so there must be exactly one implementation.
-func HashGraph(g *graph.Graph) string { return g.ContentHash() }
-
 // Register stores g under name. The name must be URL-safe and unused;
 // re-registering the same name with an identical graph is an idempotent
 // success, while a different graph under an existing name fails with
@@ -68,7 +63,7 @@ func (r *Registry) Register(name, source string, g *graph.Graph) (*GraphEntry, e
 	}
 	e := &GraphEntry{
 		Name:      name,
-		Hash:      HashGraph(g),
+		Hash:      g.ContentHash(),
 		Source:    source,
 		N:         g.N(),
 		M:         g.M(),
@@ -122,7 +117,7 @@ func (r *Registry) Update(name, prevHash string, g *graph.Graph) (*GraphEntry, e
 	}
 	e := &GraphEntry{
 		Name:      name,
-		Hash:      HashGraph(g),
+		Hash:      g.ContentHash(),
 		Source:    source,
 		N:         g.N(),
 		M:         g.M(),

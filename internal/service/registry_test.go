@@ -17,24 +17,6 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-func TestHashGraphCanonical(t *testing.T) {
-	// Same structure supplied in different edge orders/orientations must
-	// hash identically (graph.New normalizes).
-	a := graph.MustNew(3, []graph.Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}})
-	b := graph.MustNew(3, []graph.Edge{{U: 2, V: 1, W: 3}, {U: 1, V: 0, W: 2}})
-	if HashGraph(a) != HashGraph(b) {
-		t.Error("hash differs for structurally equal graphs")
-	}
-	c := graph.MustNew(3, []graph.Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 4}})
-	if HashGraph(a) == HashGraph(c) {
-		t.Error("hash collides across different weights")
-	}
-	d := graph.MustNew(4, []graph.Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}})
-	if HashGraph(a) == HashGraph(d) {
-		t.Error("hash collides across different vertex counts")
-	}
-}
-
 func TestRegistryRegisterGetDelete(t *testing.T) {
 	r := NewRegistry()
 	g := testGraph(t)

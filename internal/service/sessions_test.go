@@ -432,7 +432,7 @@ func TestIncrementalSupersededSnapshotRunsPlain(t *testing.T) {
 			<-release
 		}
 		if p.Incremental {
-			snapshotHash.Store(HashGraph(g))
+			snapshotHash.Store(g.ContentHash())
 		}
 		return stub(ctx, g, p)
 	}

@@ -37,10 +37,9 @@ import (
 var ErrSessionGone = errors.New("sessions: session is gone")
 
 // Maintainer is the live-sparsifier surface a session drives. It is
-// satisfied both by *dynamic.Maintainer and by the public facade's
-// *Stream (whose methods alias the same types), so cmd/serve can inject
-// facade-built maintainers without this package — or internal/service —
-// importing the root package.
+// satisfied by *dynamic.Maintainer, which the public facade's *Stream
+// aliases, so cmd/serve injects the facade's streams themselves without
+// this package — or internal/service — importing the root package.
 type Maintainer interface {
 	Apply(ctx context.Context, batch []dynamic.Update) error
 	Rebuild(ctx context.Context) error
@@ -52,9 +51,9 @@ type Maintainer interface {
 	ResidentBytes() int64
 }
 
-// Stats is the per-session telemetry surfaced by the HTTP service and by
-// the facade's Stream.SessionStats, so library and service users read
-// the same numbers.
+// Stats is the per-session telemetry the HTTP service surfaces, derived
+// from a maintainer's Stats and ResidentBytes — the same two methods a
+// library user reads on the facade's Stream.
 type Stats struct {
 	ResidentBytes  int64   `json:"resident_bytes"`
 	BatchesApplied int     `json:"batches_applied"`
@@ -111,12 +110,6 @@ type Options struct {
 	// session's own actor loop, so expiry needs no background sweeper).
 	// Default 15 minutes; negative disables expiry.
 	IdleTTL time.Duration
-	// Hash fingerprints a graph. Sessions track the hash of their
-	// maintainer's current graph so callers can check registry/session
-	// consistency; it must be the same function the caller keys graphs
-	// with. Nil defaults to graph.ContentHash — the same canonical
-	// encoding the service registry uses.
-	Hash func(*graph.Graph) string
 }
 
 // Manager owns the resident sessions. Safe for concurrent use.
@@ -142,9 +135,6 @@ func NewManager(opt Options) *Manager {
 	}
 	if opt.IdleTTL == 0 {
 		opt.IdleTTL = 15 * time.Minute
-	}
-	if opt.Hash == nil {
-		opt.Hash = (*graph.Graph).ContentHash
 	}
 	return &Manager{
 		opt:      opt,
@@ -191,7 +181,7 @@ func (mgr *Manager) Install(name, key string, m Maintainer) *Session {
 	}
 	// Estimate and fingerprint outside the lock: both walk the graph.
 	bytes := m.ResidentBytes()
-	hash := mgr.opt.Hash(m.Graph())
+	hash := m.Graph().ContentHash()
 
 	mgr.mu.Lock()
 	if mgr.closed {
@@ -346,7 +336,7 @@ func (mgr *Manager) touched(s *Session, mutated bool, newHash string) {
 		bytes = s.m.ResidentBytes()
 		hash = newHash
 		if hash == "" {
-			hash = mgr.opt.Hash(s.m.Graph())
+			hash = s.m.Graph().ContentHash()
 		}
 	}
 	mgr.mu.Lock()

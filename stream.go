@@ -1,11 +1,9 @@
 package graphspar
 
 import (
-	"context"
 	"io"
 
 	"graphspar/internal/dynamic"
-	"graphspar/internal/sessions"
 )
 
 // Update is one edge mutation applied through a Stream. Endpoints may be
@@ -72,59 +70,8 @@ type StreamStats = dynamic.Stats
 
 // Stream is a live sparsifier: a graph together with its maintained
 // sparsifier and σ² certificate, advanced by batches of edge updates
-// without re-running the full pipeline per batch (probe-vector re-scoring
-// against the last filter pass, backbone repair, localized re-filter
-// rounds, churn-budgeted full rebuilds). Obtain one with
-// Sparsifier.Maintain. Not safe for concurrent use.
-type Stream struct {
-	m *dynamic.Maintainer
-}
-
-// Apply validates and applies one batch of updates atomically: a
-// validation or connectivity error (ErrWouldDisconnect for bridge
-// deletes) rejects the whole batch with the stream unchanged. On success
-// the sparsifier has been maintained and its certificate re-verified;
-// check TargetMet for the rare best-effort case where even a full rebuild
-// cannot certify σ².
-func (s *Stream) Apply(ctx context.Context, batch []Update) error {
-	return s.m.Apply(ctx, batch)
-}
-
-// Rebuild discards all incremental state and re-sparsifies from scratch.
-func (s *Stream) Rebuild(ctx context.Context) error { return s.m.Rebuild(ctx) }
-
-// Graph returns the current graph.
-func (s *Stream) Graph() *Graph { return s.m.Graph() }
-
-// Sparsifier returns the current sparsifier. Callers must not mutate it;
-// it stays live until the next Apply replaces it.
-func (s *Stream) Sparsifier() *Graph { return s.m.Sparsifier() }
-
-// Cond returns the latest independently verified condition number
-// κ(L_G, L_P).
-func (s *Stream) Cond() float64 { return s.m.Cond() }
-
-// TargetMet reports whether the latest certificate meets σ².
-func (s *Stream) TargetMet() bool { return s.m.TargetMet() }
-
-// Stats snapshots the maintenance counters.
-func (s *Stream) Stats() StreamStats { return s.m.Stats() }
-
-// SessionStats is the resident-session telemetry shared by library
-// streams and the HTTP service's persistent sessions: estimated resident
-// bytes, batches/updates applied, rebuilds forced, re-filter rounds and
-// the current certificate. A Stream held in a library process and a
-// session resident in sparsifyd report the same numbers for the same
-// maintenance work.
-type SessionStats = sessions.Stats
-
-// SessionStats snapshots the stream's session telemetry.
-func (s *Stream) SessionStats() SessionStats { return sessions.Snapshot(s.m) }
-
-// ResidentBytes estimates the heap the stream keeps resident between
-// applies: the graph, the sparsifier, its spanning tree (three sorted
-// edge lists) and factorization, the retained probe embedding. The
-// maintainer holds its sparsifier once — no edge-map mirror, no rooted
-// tree object — so the estimate carries no term for either. Session
-// managers budget memory with it.
-func (s *Stream) ResidentBytes() int64 { return s.m.ResidentBytes() }
+// without re-running the full pipeline per batch. Obtain one with
+// Sparsifier.Maintain. It is the maintainer itself; its methods (Apply,
+// Rebuild, Graph, Sparsifier, Cond, TargetMet, Stats, ResidentBytes) are
+// documented on dynamic.Maintainer. Not safe for concurrent use.
+type Stream = dynamic.Maintainer
