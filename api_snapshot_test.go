@@ -57,7 +57,6 @@ func apiSurface(t *testing.T) string {
 
 	var entries []string
 	add := func(s string) { entries = append(entries, strings.TrimSpace(s)) }
-	targets := map[string]bool{}
 
 	for _, file := range pkg.Files {
 		imports := map[string]string{} // local name → import path
@@ -97,10 +96,7 @@ func apiSurface(t *testing.T) string {
 						add("type " + renderDecl(t, fset, sp))
 						if sel, ok := sp.Type.(*ast.SelectorExpr); ok && sp.Assign.IsValid() {
 							local := sel.X.(*ast.Ident).Name
-							path, ok := imports[local]
-							key := path + "." + sel.Sel.Name
-							if ok && strings.HasPrefix(path, "graphspar/") && !targets[key] {
-								targets[key] = true
+							if path := imports[local]; strings.HasPrefix(path, "graphspar/") {
 								aliasTarget(t, strings.TrimPrefix(path, "graphspar/"), local, sel.Sel.Name, add)
 							}
 						}
