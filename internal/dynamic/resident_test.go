@@ -70,7 +70,7 @@ func TestResidentBytesChargesBuiltIndex(t *testing.T) {
 	for _, h := range []*graph.Graph{m.Graph(), m.Sparsifier()} {
 		before := m.ResidentBytes()
 		h.Degree(0)
-		if got, want := m.ResidentBytes()-before, 8*int64(h.N()+1+4*h.M()); got != want {
+		if got, want := m.ResidentBytes()-before, 4*int64(h.N()+1+4*h.M()); got != want {
 			t.Fatalf("building an index added %d B, want %d", got, want)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,16 +57,13 @@ type Graph struct {
 	n     int
 	edges []Edge
 
-	// Lazily built adjacency: for vertex u, neighbors are
-	// adjTo[adjPtr[u]:adjPtr[u+1]] with parallel edge ids adjEdge. Built
-	// by neighbour walks only (Neighbors, Degree, WeightedDegree,
-	// Components, BFSOrder); IsConnected does not need it. adjBuilt
+	// Lazily built adjacency index: the incidence lists, cached. Built by
+	// neighbour walks only (Neighbors, Degree, WeightedDegree,
+	// Components); IsConnected and BFSOrder do not need it. adjBuilt
 	// publishes it to Bytes, which must not wait on the Once.
 	adjOnce  sync.Once
 	adjBuilt atomic.Bool
-	adjPtr   []int
-	adjTo    []int
-	adjEdge  []int
+	adj      *Incidence
 
 	// Lazily built Laplacian CSR (eq. 1); immutable once published.
 	lapOnce sync.Once
@@ -186,17 +184,18 @@ func MustNew(n int, edges []Edge) *Graph {
 // single encoding must back them all.
 func (g *Graph) ContentHash() string {
 	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(g.n))
-	h.Write(buf[:])
+	var buf [24 * 128]byte // whole edges, hashed a chunk at a time
+	b := binary.LittleEndian.AppendUint64(buf[:0], uint64(g.n))
 	for _, e := range g.edges {
-		binary.LittleEndian.PutUint64(buf[:], uint64(e.U))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], uint64(e.V))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(e.W))
-		h.Write(buf[:])
+		if len(b)+24 > len(buf) {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.U))
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.V))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.W))
 	}
+	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -229,7 +228,7 @@ func (g *Graph) EdgesCopy() []Edge {
 func (g *Graph) Bytes() int64 {
 	b := int64(len(g.edges)) * 24
 	if g.adjBuilt.Load() {
-		b += int64(len(g.adjPtr)+len(g.adjTo)+len(g.adjEdge)) * 8
+		b += int64(len(g.adj.ptr)+len(g.adj.to)+len(g.adj.ids)) * 4
 	}
 	return b
 }
@@ -246,42 +245,22 @@ func (g *Graph) TotalWeight() float64 {
 	return s
 }
 
-// buildAdj constructs the CSR adjacency index once; concurrent callers
+// buildAdj builds the adjacency index once; concurrent callers
 // synchronize on the Once so the index is published exactly once.
 func (g *Graph) buildAdj() {
-	g.adjOnce.Do(g.buildAdjLocked)
+	g.adjOnce.Do(func() {
+		g.adj = NewIncidence(g)
+		g.adjBuilt.Store(true)
+	})
 }
 
-func (g *Graph) buildAdjLocked() {
-	ptr := make([]int, g.n+1)
-	for _, e := range g.edges {
-		ptr[e.U+1]++
-		ptr[e.V+1]++
-	}
-	for i := 0; i < g.n; i++ {
-		ptr[i+1] += ptr[i]
-	}
-	to := make([]int, 2*len(g.edges))
-	eid := make([]int, 2*len(g.edges))
-	next := make([]int, g.n)
-	copy(next, ptr[:g.n])
-	for i, e := range g.edges {
-		to[next[e.U]], eid[next[e.U]] = e.V, i
-		next[e.U]++
-		to[next[e.V]], eid[next[e.V]] = e.U, i
-		next[e.V]++
-	}
-	g.adjPtr, g.adjTo, g.adjEdge = ptr, to, eid
-	g.adjBuilt.Store(true)
-}
-
-// Neighbors calls fn(v, w, edgeID) for every edge incident to u.
-// Iteration stops early if fn returns false.
+// Neighbors calls fn(v, w, edgeID) for every edge incident to u, in edge
+// id order. Iteration stops early if fn returns false.
 func (g *Graph) Neighbors(u int, fn func(v int, w float64, edgeID int) bool) {
 	g.buildAdj()
-	for k := g.adjPtr[u]; k < g.adjPtr[u+1]; k++ {
-		e := g.edges[g.adjEdge[k]]
-		if !fn(g.adjTo[k], e.W, g.adjEdge[k]) {
+	to, ids := g.adj.Arcs(u)
+	for k, v := range to {
+		if !fn(int(v), g.edges[ids[k]].W, int(ids[k])) {
 			return
 		}
 	}
@@ -290,7 +269,8 @@ func (g *Graph) Neighbors(u int, fn func(v int, w float64, edgeID int) bool) {
 // Degree returns the number of edges incident to u.
 func (g *Graph) Degree(u int) int {
 	g.buildAdj()
-	return g.adjPtr[u+1] - g.adjPtr[u]
+	to, _ := g.adj.Arcs(u)
+	return len(to)
 }
 
 // WeightedDegree returns the sum of weights of edges incident to u — the
@@ -298,8 +278,9 @@ func (g *Graph) Degree(u int) int {
 func (g *Graph) WeightedDegree(u int) float64 {
 	g.buildAdj()
 	var s float64
-	for k := g.adjPtr[u]; k < g.adjPtr[u+1]; k++ {
-		s += g.edges[g.adjEdge[k]].W
+	_, ids := g.adj.Arcs(u)
+	for _, id := range ids {
+		s += g.edges[id].W
 	}
 	return s
 }
@@ -383,11 +364,11 @@ func (g *Graph) Components() (labels []int, count int) {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for k := g.adjPtr[u]; k < g.adjPtr[u+1]; k++ {
-				v := g.adjTo[k]
+			to, _ := g.adj.Arcs(u)
+			for _, v := range to {
 				if labels[v] == -1 {
 					labels[v] = count
-					stack = append(stack, v)
+					stack = append(stack, int(v))
 				}
 			}
 		}
@@ -483,27 +464,73 @@ func (g *Graph) SubgraphEdges(edgeIDs []int) (*Graph, error) {
 
 // BFSOrder returns vertices in breadth-first order from root, together
 // with each vertex's BFS parent (-1 for root and unreachable vertices).
+// It walks a transient Incidence, so it leaves no index on g.
 func (g *Graph) BFSOrder(root int) (order []int, parent []int) {
-	g.buildAdj()
-	parent = make([]int, g.n)
-	visited := make([]bool, g.n)
+	return NewIncidence(g).BFSOrder(root)
+}
+
+// Incidence is a graph's adjacency as an int32 CSR (so a graph may hold
+// up to 2³⁰ edges): each vertex's neighbours, and the ids of the edges
+// that join them, in edge id order. A Graph caches one as its adjacency
+// index for neighbour walks; a one-off walk builds its own and drops it,
+// so the Graph keeps no index, and a caller that walks twice builds it
+// once.
+type Incidence struct {
+	ptr, to, ids []int32
+}
+
+// NewIncidence builds g's incidence lists in O(n + m). It is a function
+// rather than a method for FindEdge's reason.
+func NewIncidence(g *Graph) *Incidence {
+	ptr := make([]int32, g.n+1)
+	for _, e := range g.edges {
+		ptr[e.U+1]++
+		ptr[e.V+1]++
+	}
+	for u := 0; u < g.n; u++ {
+		ptr[u+1] += ptr[u]
+	}
+	to, ids := make([]int32, 2*len(g.edges)), make([]int32, 2*len(g.edges))
+	next := slices.Clone(ptr[:g.n])
+	for i, e := range g.edges {
+		to[next[e.U]], ids[next[e.U]] = int32(e.V), int32(i)
+		to[next[e.V]], ids[next[e.V]] = int32(e.U), int32(i)
+		next[e.U]++
+		next[e.V]++
+	}
+	return &Incidence{ptr: ptr, to: to, ids: ids}
+}
+
+// Arcs returns u's neighbours and, position for position, the ids of the
+// edges that join them. Both slices are shared and read-only.
+func (in *Incidence) Arcs(u int) (to, ids []int32) {
+	lo, hi := in.ptr[u], in.ptr[u+1]
+	return in.to[lo:hi], in.ids[lo:hi]
+}
+
+// BFSOrder is Graph.BFSOrder over these lists: neighbours are visited in
+// edge id order.
+func (in *Incidence) BFSOrder(root int) (order []int, parent []int) {
+	n := len(in.ptr) - 1
+	parent = make([]int, n)
 	for i := range parent {
 		parent[i] = -1
 	}
-	order = make([]int, 1, g.n)
-	order[0] = root
-	visited[root] = true
-	for head := 0; head < len(order); head++ { // order is the queue
+	// order is the queue; parent[v] != -1 marks v visited, so the root
+	// is its own parent until the walk ends.
+	order = append(make([]int, 0, n), root)
+	parent[root] = root
+	for head := 0; head < len(order); head++ {
 		u := order[head]
-		for k := g.adjPtr[u]; k < g.adjPtr[u+1]; k++ {
-			v := g.adjTo[k]
-			if !visited[v] {
-				visited[v] = true
+		to, _ := in.Arcs(u)
+		for _, v := range to {
+			if parent[v] == -1 {
 				parent[v] = u
-				order = append(order, v)
+				order = append(order, int(v))
 			}
 		}
 	}
+	parent[root] = -1
 	return order, parent
 }
 

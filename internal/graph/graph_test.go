@@ -185,7 +185,7 @@ func TestRequireConnected(t *testing.T) {
 		if err := c.g.RequireConnected(); !errors.Is(err, c.want) || (err == nil) != (c.want == nil) {
 			t.Errorf("%v: err = %v, want %v", c.g, err, c.want)
 		}
-		if c.g.adjPtr != nil {
+		if c.g.adj != nil {
 			t.Errorf("%v: the connectivity query built the adjacency index", c.g)
 		}
 	}
@@ -289,6 +289,48 @@ func TestBFSOrderUnreachable(t *testing.T) {
 	}
 }
 
+// TestBFSOrderMatchesIndexWalk checks the incidence-list BFS against a
+// BFS over the cached adjacency index (Neighbors) on random graphs, from
+// every root, and that BFSOrder leaves a fresh graph without that index.
+func TestBFSOrderMatchesIndexWalk(t *testing.T) {
+	rng := vecmath.NewRNG(29)
+	for trial := 0; trial < 20; trial++ {
+		n := 2 + rng.Intn(40)
+		var es []Edge
+		for k := rng.Intn(3 * n); k > 0; k-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				es = append(es, Edge{u, v, 1})
+			}
+		}
+		g := MustNew(n, es)
+		ref := MustNew(n, es)
+		for root := 0; root < n; root++ {
+			order, parent := g.BFSOrder(root)
+			wantParent := make([]int, n)
+			for i := range wantParent {
+				wantParent[i] = -1
+			}
+			want := []int{root}
+			for head := 0; head < len(want); head++ {
+				u := want[head]
+				ref.Neighbors(u, func(v int, _ float64, _ int) bool {
+					if v != root && wantParent[v] == -1 {
+						wantParent[v] = u
+						want = append(want, v)
+					}
+					return true
+				})
+			}
+			if !reflect.DeepEqual(order, want) || !reflect.DeepEqual(parent, wantParent) {
+				t.Fatalf("trial %d root %d: BFSOrder = %v %v, index walk %v %v", trial, root, order, parent, want, wantParent)
+			}
+		}
+		if got := g.Bytes(); got != 24*int64(g.M()) {
+			t.Fatalf("trial %d: Bytes after BFSOrder = %d, want the edge list's %d", trial, got, 24*g.M())
+		}
+	}
+}
+
 func TestContentHashCanonical(t *testing.T) {
 	// Same structure supplied in different edge orders/orientations must
 	// hash identically (New normalizes).
@@ -304,6 +346,27 @@ func TestContentHashCanonical(t *testing.T) {
 	d := MustNew(4, []Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}})
 	if a.ContentHash() == d.ContentHash() {
 		t.Error("hash collides across different vertex counts")
+	}
+	// The encoding itself is pinned: n, then U, V and the weight's bits
+	// per edge, each 8 bytes little-endian. The 592-edge graph spans
+	// several of ContentHash's write chunks.
+	var es []Edge
+	for i := 0; i+1 < 300; i++ {
+		es = append(es, Edge{U: i, V: i + 1, W: 1 + float64(i)/8})
+		if i+7 < 300 {
+			es = append(es, Edge{U: i + 7, V: i, W: 0.25})
+		}
+	}
+	for _, c := range []struct {
+		g    *Graph
+		want string
+	}{
+		{a, "0abc93fb569ce6c3dae49a03e5d9883dc6cbe2afc860b8d6e8ce3b1939ea2bff"},
+		{MustNew(300, es), "14e176f6fe0ac2cdbef8c3f505336c9f2f4c8a9e660963e262fb4e807f60743b"},
+	} {
+		if got := c.g.ContentHash(); got != c.want {
+			t.Errorf("%v: ContentHash = %s, want %s", c.g, got, c.want)
+		}
 	}
 }
 
@@ -949,7 +1012,7 @@ func TestBytesChargesOnlyBuiltIndexes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	adj := 8 * (n + 1 + 4*m) // pointer array plus neighbour and edge-id arrays per arc
+	adj := 4 * (n + 1 + 4*m) // int32 pointer array plus a neighbour and an edge id per arc
 	if got := g.Bytes(); got != edges+adj {
 		t.Fatalf("with adjacency: Bytes = %d, want %d", got, edges+adj)
 	}

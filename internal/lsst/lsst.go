@@ -1,7 +1,7 @@
 // Package lsst extracts the spanning-tree backbone of §3.1(a): the
 // max-weight (Kruskal) tree, whose high-conductance edges keep tree-path
-// resistances low. It also computes exact per-edge and total stretch
-// (eq. 4) through the LCA machinery of package tree.
+// resistances low. Package tree computes the backbone's exact per-edge
+// and total stretch (eq. 4).
 package lsst
 
 import (

@@ -210,12 +210,14 @@ func SpectralBisect(g *graph.Graph, opt Options) (*Result, error) {
 // pseudo-peripheral vertex (two BFS sweeps pick the start, the standard
 // level-structure trick). The positive side is a connected BFS prefix of
 // exactly ⌈n/2⌉ vertices, so the split is perfectly balanced and the cut
-// runs along a level set.
+// runs along a level set. Both sweeps walk one transient incidence list,
+// so g keeps no adjacency index.
 func bfsBisect(g *graph.Graph) *Result {
 	start := time.Now()
-	order, _ := g.BFSOrder(0)
+	inc := graph.NewIncidence(g)
+	order, _ := inc.BFSOrder(0)
 	far := order[len(order)-1]
-	order, _ = g.BFSOrder(far)
+	order, _ = inc.BFSOrder(far)
 
 	n := g.N()
 	res := &Result{Signs: make([]int8, n)}

@@ -234,6 +234,9 @@ func TestBFSBisectBalancedAndDeterministic(t *testing.T) {
 	if a.Positive != 45 || a.Negative != 45 {
 		t.Fatalf("BFS split %d/%d, want 45/45", a.Positive, a.Negative)
 	}
+	if got, want := g.Bytes(), 24*int64(g.M()); got != want {
+		t.Fatalf("caller's graph holds %d B after the split, want its edge list's %d: the sweeps left an index", got, want)
+	}
 	b, err := SpectralBisect(g, Options{Method: BFS})
 	if err != nil {
 		t.Fatal(err)

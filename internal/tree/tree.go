@@ -1,6 +1,6 @@
 // Package tree implements rooted spanning trees: construction from edge
-// lists, Euler-tour LCA with O(1) queries, tree-path effective resistances
-// (the ingredient of edge stretch, §3.3 of the paper), and the exact O(n)
+// lists, tree-path effective resistances and total stretch (the
+// ingredient of edge stretch, §3.3 of the paper), and the exact O(n)
 // tree Laplacian solver that makes spanning-tree preconditioners and the
 // generalized power iterations of §3.2 fast.
 package tree
@@ -27,13 +27,8 @@ type Tree struct {
 	order  []int     // vertices in BFS order from root (parents precede children)
 	edges  []graph.Edge
 
-	// LCA structures (built lazily by ensureLCA).
-	eulerFirst []int // first occurrence of v in the Euler tour
-	eulerDepth []int // depth at each tour position
-	eulerVert  []int // vertex at each tour position
-	sparse     [][]int32
-	resToRoot  []float64 // Σ 1/w along root→v path
-	depth      []int
+	resToRoot []float64 // Σ 1/w along the root→v path
+	depth     []int
 }
 
 // Build constructs a rooted tree from exactly n-1 edges spanning n
@@ -60,15 +55,16 @@ func Build(n int, edges []graph.Edge, root int) (*Tree, error) {
 		return nil, fmt.Errorf("%w: not connected", ErrNotTree)
 	}
 	t := &Tree{
-		n:      n,
-		root:   root,
-		parent: parent,
-		pw:     make([]float64, n),
-		order:  order,
-		edges:  append([]graph.Edge(nil), g.Edges()...),
-		depth:  make([]int, n),
+		n:         n,
+		root:      root,
+		parent:    parent,
+		pw:        make([]float64, n),
+		order:     order,
+		edges:     append([]graph.Edge(nil), g.Edges()...),
+		resToRoot: make([]float64, n),
+		depth:     make([]int, n),
 	}
-	// Fill parent weights and depths in BFS order.
+	// Fill parent weights, path resistances and depths in BFS order.
 	for _, v := range order {
 		p := parent[v]
 		if p == -1 {
@@ -79,6 +75,7 @@ func Build(n int, edges []graph.Edge, root int) (*Tree, error) {
 			return nil, fmt.Errorf("%w: missing parent edge", ErrNotTree)
 		}
 		t.pw[v] = g.Edge(id).W
+		t.resToRoot[v] = t.resToRoot[p] + 1/t.pw[v]
 		t.depth[v] = t.depth[p] + 1
 	}
 	return t, nil
@@ -120,126 +117,27 @@ func (t *Tree) Graph() *graph.Graph {
 	return graph.MustNew(t.n, t.edges)
 }
 
-// ensureLCA builds the Euler tour and sparse-table RMQ structures.
-func (t *Tree) ensureLCA() {
-	if t.eulerFirst != nil {
-		return
+// lca returns the lowest common ancestor of u and v by climbing parent
+// links from the deeper of the two: O(path), no index. Only tests call it
+// (with PathResistance and Stretch): it is the per-pair reference that
+// TotalStretch's one offline pass is checked against.
+func (t *Tree) lca(u, v int) int {
+	for t.depth[u] > t.depth[v] {
+		u = t.parent[u]
 	}
-	// Children lists in BFS order.
-	childPtr := make([]int, t.n+1)
-	for _, v := range t.order {
-		if p := t.parent[v]; p != -1 {
-			childPtr[p+1]++
-		}
+	for t.depth[v] > t.depth[u] {
+		v = t.parent[v]
 	}
-	for i := 0; i < t.n; i++ {
-		childPtr[i+1] += childPtr[i]
+	for u != v {
+		u, v = t.parent[u], t.parent[v]
 	}
-	children := make([]int, t.n-1+1)
-	next := make([]int, t.n)
-	copy(next, childPtr[:t.n])
-	for _, v := range t.order {
-		if p := t.parent[v]; p != -1 {
-			children[next[p]] = v
-			next[p]++
-		}
-	}
-
-	tourLen := 2*t.n - 1
-	t.eulerVert = make([]int, 0, tourLen)
-	t.eulerDepth = make([]int, 0, tourLen)
-	t.eulerFirst = make([]int, t.n)
-	for i := range t.eulerFirst {
-		t.eulerFirst[i] = -1
-	}
-	// Iterative Euler tour.
-	type frame struct{ v, ci int }
-	stack := []frame{{t.root, 0}}
-	visit := func(v int) {
-		if t.eulerFirst[v] == -1 {
-			t.eulerFirst[v] = len(t.eulerVert)
-		}
-		t.eulerVert = append(t.eulerVert, v)
-		t.eulerDepth = append(t.eulerDepth, t.depth[v])
-	}
-	visit(t.root)
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		lo, hi := childPtr[f.v], childPtr[f.v+1]
-		if f.ci < hi-lo {
-			c := children[lo+f.ci]
-			f.ci++
-			stack = append(stack, frame{c, 0})
-			visit(c)
-		} else {
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				visit(stack[len(stack)-1].v)
-			}
-		}
-	}
-
-	// Sparse table over eulerDepth (argmin positions).
-	m := len(t.eulerVert)
-	levels := 1
-	for 1<<levels <= m {
-		levels++
-	}
-	t.sparse = make([][]int32, levels)
-	t.sparse[0] = make([]int32, m)
-	for i := 0; i < m; i++ {
-		t.sparse[0][i] = int32(i)
-	}
-	for j := 1; j < levels; j++ {
-		span := 1 << j
-		t.sparse[j] = make([]int32, m-span+1)
-		for i := 0; i+span <= m; i++ {
-			a := t.sparse[j-1][i]
-			b := t.sparse[j-1][i+span/2]
-			if t.eulerDepth[a] <= t.eulerDepth[b] {
-				t.sparse[j][i] = a
-			} else {
-				t.sparse[j][i] = b
-			}
-		}
-	}
-
-	// Root-to-vertex path resistances.
-	t.resToRoot = make([]float64, t.n)
-	for _, v := range t.order {
-		if p := t.parent[v]; p != -1 {
-			t.resToRoot[v] = t.resToRoot[p] + 1/t.pw[v]
-		}
-	}
-}
-
-// LCA returns the lowest common ancestor of u and v in O(1) after an
-// O(n log n) build.
-func (t *Tree) LCA(u, v int) int {
-	t.ensureLCA()
-	a, b := t.eulerFirst[u], t.eulerFirst[v]
-	if a > b {
-		a, b = b, a
-	}
-	span := b - a + 1
-	j := 0
-	for 1<<(j+1) <= span {
-		j++
-	}
-	p := t.sparse[j][a]
-	q := t.sparse[j][b-(1<<j)+1]
-	if t.eulerDepth[p] <= t.eulerDepth[q] {
-		return t.eulerVert[p]
-	}
-	return t.eulerVert[q]
+	return u
 }
 
 // PathResistance returns Σ 1/w over the unique tree path between u and v —
 // the tree effective resistance R_P(u,v) (eq. 9 in the tree case).
 func (t *Tree) PathResistance(u, v int) float64 {
-	t.ensureLCA()
-	l := t.LCA(u, v)
-	return t.resToRoot[u] + t.resToRoot[v] - 2*t.resToRoot[l]
+	return t.resToRoot[u] + t.resToRoot[v] - 2*t.resToRoot[t.lca(u, v)]
 }
 
 // Stretch returns the stretch of an off-tree (or tree) edge per §3.3:
@@ -249,11 +147,82 @@ func (t *Tree) Stretch(e graph.Edge) float64 {
 }
 
 // TotalStretch returns st_P(G) = Σ_{e∈G} st(e) over all edges of g,
-// which equals Trace(L_P⁺ L_G) (eq. 4).
+// which equals Trace(L_P⁺ L_G) (eq. 4). The sum runs in edge order over
+// the same expression as Stretch, so it is bit-identical to summing
+// Stretch(e); every LCA comes from one offline pass (Tarjan's), whose
+// O(n + m) int32 scratch is dropped on return.
+//
+// The pass walks the tree depth-first. A finished subtree's union-find
+// set (union by rank, path halving) is merged into its parent's, and each
+// set's root records its lowest open vertex in anc; so when the walk
+// enters u, the LCA of u and any already-entered w is anc[find(w)].
 func (t *Tree) TotalStretch(g *graph.Graph) float64 {
+	n, edges := t.n, g.Edges()
+	inc := graph.NewIncidence(g)
+	// Children as sibling lists (first child, next sibling), in BFS order.
+	first, next := make([]int32, n), make([]int32, n)
+	for v := range first {
+		first[v] = -1
+	}
+	for i := n - 1; i > 0; i-- {
+		v := t.order[i]
+		p := t.parent[v]
+		next[v], first[p] = first[p], int32(v)
+	}
+
+	set := make([]int32, n) // union-find parent; -1 until entered
+	for v := range set {
+		set[v] = -1
+	}
+	anc := make([]int32, n)
+	rank := make([]uint8, n)
+	lca := make([]int32, len(edges))
+	find := func(x int32) int32 {
+		for set[x] != x {
+			set[x] = set[set[x]]
+			x = set[x]
+		}
+		return x
+	}
+	enter := func(u int32) {
+		set[u], anc[u] = u, u
+		to, ids := inc.Arcs(int(u))
+		for k, w := range to {
+			if set[w] >= 0 {
+				lca[ids[k]] = anc[find(w)]
+			}
+		}
+	}
+	u := int32(t.root)
+	enter(u)
+	for {
+		if c := first[u]; c >= 0 { // descend into u's next child
+			first[u] = next[c]
+			u = c
+			enter(u)
+			continue
+		}
+		if int(u) == t.root {
+			break
+		}
+		// u is finished: merge its set into its parent's.
+		p := int32(t.parent[u])
+		a, b := find(p), find(u)
+		if rank[a] < rank[b] {
+			a, b = b, a
+		}
+		set[b] = a
+		if rank[a] == rank[b] {
+			rank[a]++
+		}
+		anc[a] = p
+		u = p
+	}
+
+	r := t.resToRoot
 	var s float64
-	for _, e := range g.Edges() {
-		s += t.Stretch(e)
+	for i, e := range edges {
+		s += e.W * (r[e.U] + r[e.V] - 2*r[lca[i]])
 	}
 	return s
 }

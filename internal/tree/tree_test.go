@@ -62,13 +62,13 @@ func TestParentsAndDepths(t *testing.T) {
 
 func TestLCAPath(t *testing.T) {
 	tr := pathTree(t)
-	if got := tr.LCA(0, 3); got != 0 {
+	if got := tr.lca(0, 3); got != 0 {
 		t.Fatalf("LCA(0,3) = %d, want 0", got)
 	}
-	if got := tr.LCA(2, 3); got != 2 {
+	if got := tr.lca(2, 3); got != 2 {
 		t.Fatalf("LCA(2,3) = %d, want 2", got)
 	}
-	if got := tr.LCA(1, 1); got != 1 {
+	if got := tr.lca(1, 1); got != 1 {
 		t.Fatalf("LCA(1,1) = %d, want 1", got)
 	}
 }
@@ -80,7 +80,7 @@ func TestLCAStar(t *testing.T) {
 	}
 	for a := 1; a < 5; a++ {
 		for b := a + 1; b < 5; b++ {
-			if got := tr.LCA(a, b); got != 0 {
+			if got := tr.lca(a, b); got != 0 {
 				t.Fatalf("LCA(%d,%d) = %d, want 0", a, b, got)
 			}
 		}
@@ -131,6 +131,34 @@ func TestTotalStretchIdentity(t *testing.T) {
 	want := 3 + 3.5
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("TotalStretch = %v, want %v", got, want)
+	}
+}
+
+// Property: on a random tree plus random chords, TotalStretch is the sum
+// of Stretch over g's edges in edge order, bit for bit, from any root.
+func TestQuickTotalStretchExact(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := vecmath.NewRNG(seed)
+		n := 2 + rng.Intn(80)
+		edges := randomTree(n, rng)
+		tr, err := Build(n, edges, rng.Intn(n))
+		if err != nil {
+			return false
+		}
+		for k := rng.Intn(3 * n); k > 0; k-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				edges = append(edges, graph.Edge{U: u, V: v, W: 0.1 + 3*rng.Float64()})
+			}
+		}
+		g := graph.MustNew(n, edges)
+		var want float64
+		for _, e := range g.Edges() {
+			want += tr.Stretch(e)
+		}
+		return math.Float64bits(tr.TotalStretch(g)) == math.Float64bits(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -246,7 +274,7 @@ func TestQuickLCAMatchesNaive(t *testing.T) {
 		}
 		for trial := 0; trial < 20; trial++ {
 			u, v := rng.Intn(n), rng.Intn(n)
-			if tr.LCA(u, v) != naive(u, v) {
+			if tr.lca(u, v) != naive(u, v) {
 				return false
 			}
 		}
@@ -272,7 +300,7 @@ func TestQuickPathResistanceMetric(t *testing.T) {
 			if math.Abs(tr.PathResistance(u, v)-tr.PathResistance(v, u)) > 1e-12 {
 				return false
 			}
-			l := tr.LCA(u, v)
+			l := tr.lca(u, v)
 			sum := tr.PathResistance(u, l) + tr.PathResistance(l, v)
 			if math.Abs(tr.PathResistance(u, v)-sum) > 1e-10 {
 				return false
