@@ -22,10 +22,10 @@ var (
 type Tree struct {
 	n      int
 	root   int
-	parent []int     // parent[v], -1 for root
-	pw     []float64 // weight of edge (v, parent[v]); 0 for root
-	order  []int     // vertices in BFS order from root (parents precede children)
-	edges  []graph.Edge
+	parent []int        // parent[v], -1 for root
+	pw     []float64    // weight of edge (v, parent[v]); 0 for root
+	order  []int        // vertices in BFS order from root (parents precede children)
+	g      *graph.Graph // the n−1 edges, normalized once by Build
 
 	resToRoot []float64 // Σ 1/w along the root→v path
 	depth     []int
@@ -60,7 +60,7 @@ func Build(n int, edges []graph.Edge, root int) (*Tree, error) {
 		parent:    parent,
 		pw:        make([]float64, n),
 		order:     order,
-		edges:     append([]graph.Edge(nil), g.Edges()...),
+		g:         g,
 		resToRoot: make([]float64, n),
 		depth:     make([]int, n),
 	}
@@ -109,13 +109,14 @@ func (t *Tree) Parent(v int) int { return t.parent[v] }
 // Depth returns the number of edges between v and the root.
 func (t *Tree) Depth(v int) int { return t.depth[v] }
 
-// Edges returns the tree's edge list (normalized, U < V).
-func (t *Tree) Edges() []graph.Edge { return t.edges }
+// Edges returns the tree's edge list (normalized, U < V). The slice is
+// shared with Graph's; callers must not modify it.
+func (t *Tree) Edges() []graph.Edge { return t.g.Edges() }
 
-// Graph returns the tree as a *graph.Graph on the same vertex set.
-func (t *Tree) Graph() *graph.Graph {
-	return graph.MustNew(t.n, t.edges)
-}
+// Graph returns the tree as a *graph.Graph on the same vertex set: the
+// one Build normalized, on every call. Graphs are immutable (AddEdges
+// builds a new edge list), so sharing it costs nothing.
+func (t *Tree) Graph() *graph.Graph { return t.g }
 
 // lca returns the lowest common ancestor of u and v by climbing parent
 // links from the deeper of the two: O(path), no index. Only tests call it

@@ -3,6 +3,7 @@ package tree
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -219,6 +220,28 @@ func TestFromGraph(t *testing.T) {
 	}
 	if _, err := FromGraph(g, []int{0, 1, 9}, 0); err == nil {
 		t.Fatal("bad edge id should fail")
+	}
+}
+
+// TestGraphSharedAcrossCalls: Graph hands out the one graph Build normalized,
+// on every call, and its edges are Edges — the backbone's edge list is
+// not copied again per caller.
+func TestGraphSharedAcrossCalls(t *testing.T) {
+	// Given unsorted and with U > V, so Build's normalization does work.
+	tr, err := Build(4, []graph.Edge{{U: 3, V: 2, W: 4}, {U: 1, V: 0, W: 1}, {U: 2, V: 1, W: 2}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tr.Graph()
+	if tr.Graph() != p {
+		t.Fatal("Graph built a new graph on the second call")
+	}
+	want := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 2, V: 3, W: 4}}
+	if p.N() != 4 || !slices.Equal(p.Edges(), want) || !slices.Equal(tr.Edges(), want) {
+		t.Fatalf("Graph = n %d %v, Edges = %v, want n 4 %v", p.N(), p.Edges(), tr.Edges(), want)
+	}
+	if &p.Edges()[0] != &tr.Edges()[0] {
+		t.Fatal("Edges and Graph().Edges() are separate copies")
 	}
 }
 
