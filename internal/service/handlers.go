@@ -467,6 +467,15 @@ func serveMtx(w http.ResponseWriter, filename string, g *graph.Graph, write func
 
 // ------------------------------------------------------------------- jobs
 
+// submitWait is how long POST /v1/jobs holds the reply to a job a free
+// worker started at once, so that a quick job comes back already
+// terminal and its client skips polling. It comfortably exceeds a
+// small-graph job on a loaded box, and it is negligible next to a
+// multi-second job, whose 202 "running" reply comes that much later. A
+// job that queues behind a busy pool is answered at once: waiting on it
+// would only stall its submitter.
+const submitWait = 50 * time.Millisecond
+
 type submitRequest struct {
 	Graph string `json:"graph"`
 	SparsifyParams
@@ -500,10 +509,18 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errStatus(err), err)
 		return
 	}
-	code := http.StatusAccepted
-	if job.Status == StatusDone {
-		code = http.StatusOK // served from cache
+	// The code is Submit's verdict: 200 only for a cache hit, which is
+	// born done. A job that finishes inside the wait is still a 202.
+	code, outcome := http.StatusAccepted, submitPending
+	switch {
+	case job.Status == StatusDone:
+		code, outcome = http.StatusOK, submitCache
+	case job.startsNow:
+		if job = s.queue.Await(r.Context(), job, submitWait); job.Status.terminal() {
+			outcome = submitAnswered
+		}
 	}
+	s.metrics.observeSubmit(outcome)
 	writeJSON(w, code, job)
 }
 

@@ -40,6 +40,10 @@ const (
 	StatusCanceled JobStatus = "canceled"
 )
 
+func (s JobStatus) terminal() bool {
+	return s == StatusDone || s == StatusFailed || s == StatusCanceled
+}
+
 // JobResult summarizes a completed sparsification plus its independent
 // similarity verification (core.VerifySimilarity). The Sparsifier graph
 // is retained for edge-list and MatrixMarket downloads; it is the only
@@ -111,6 +115,8 @@ type Job struct {
 	Finished   time.Time      `json:"finished_at,omitzero"`
 	Result     *JobResult     `json:"result,omitempty"`
 	graphEntry *GraphEntry    // the snapshot it runs on; nil once terminal, so no superseded version stays pinned
+	done       chan struct{}  // closed by finish; nil on a job born terminal (a cache hit)
+	startsNow  bool           // a worker was free at submit, so the job did not queue behind another
 }
 
 // SparsifyFunc runs one sparsification. cmd/serve injects the production
@@ -148,6 +154,7 @@ type Queue struct {
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 	closed  bool
+	active  int // jobs enqueued and not yet finished (queued or running)
 
 	cache     *ResultCache
 	cacheGate func(hash string) bool // nil = always cache
@@ -263,12 +270,15 @@ func (q *Queue) Submit(entry *GraphEntry, p SparsifyParams) (Job, error) {
 		return Job{}, ErrSaturated
 	}
 	job.graphEntry = entry // only a job that will run holds its snapshot
+	job.done = make(chan struct{})
+	job.startsNow = q.active < q.workers
 	select {
 	case q.pending <- job:
 	default:
 		q.mu.Unlock()
 		return Job{}, ErrQueueFull
 	}
+	q.active++
 	q.jobs[job.ID] = job
 	q.order = append(q.order, job.ID)
 	snap := *job
@@ -366,6 +376,8 @@ func (q *Queue) finish(job *Job, res *JobResult, err error) {
 		run = job.Finished.Sub(job.Started)
 	}
 	q.metrics.observeJobDone(job.Status, wait, run)
+	q.active--
+	close(job.done)
 	q.pruneLocked()
 }
 
@@ -379,9 +391,7 @@ func (q *Queue) pruneLocked() {
 	kept := q.order[:0]
 	excess := len(q.jobs) - q.retain
 	for _, id := range q.order {
-		j := q.jobs[id]
-		terminal := j.Status == StatusDone || j.Status == StatusFailed || j.Status == StatusCanceled
-		if excess > 0 && terminal {
+		if excess > 0 && q.jobs[id].Status.terminal() {
 			delete(q.jobs, id)
 			excess--
 			continue
@@ -400,6 +410,28 @@ func (q *Queue) Get(id string) (Job, error) {
 		return Job{}, fmt.Errorf("%w: %q", ErrJobNotFound, id)
 	}
 	return *job, nil
+}
+
+// Await blocks until the first of: snap's job reaches a terminal state,
+// d elapses, ctx ends (the client went away) or the queue shuts down. It
+// then returns the job's latest snapshot, or snap itself if the job has
+// been pruned since.
+func (q *Queue) Await(ctx context.Context, snap Job, d time.Duration) Job {
+	if snap.done == nil {
+		return snap // born terminal
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-snap.done:
+	case <-timer.C:
+	case <-ctx.Done():
+	case <-q.ctx.Done():
+	}
+	if job, err := q.Get(snap.ID); err == nil {
+		return job
+	}
+	return snap
 }
 
 // List snapshots all jobs in submission order.

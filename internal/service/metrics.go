@@ -20,6 +20,7 @@ type serverMetrics struct {
 	requests   *obs.CounterVec   // graphspar_http_requests_total{route,method,code}
 	reqSeconds *obs.HistogramVec // graphspar_http_request_seconds{route}
 
+	jobSubmits    *obs.CounterVec // graphspar_job_submits_total{outcome}
 	jobsCompleted *obs.CounterVec // graphspar_jobs_completed_total{status}
 	jobWait       *obs.Histogram  // graphspar_job_wait_seconds
 	jobRun        *obs.Histogram  // graphspar_job_run_seconds
@@ -42,6 +43,9 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"route", "method", "code"),
 		reqSeconds: reg.HistogramVec("graphspar_http_request_seconds",
 			"HTTP request latency by route pattern.", nil, "route"),
+		jobSubmits: reg.CounterVec("graphspar_job_submits_total",
+			"Accepted job submissions by how POST /v1/jobs answered them (cache | answered | pending).",
+			"outcome"),
 		jobsCompleted: reg.CounterVec("graphspar_jobs_completed_total",
 			"Jobs reaching a terminal state, by status (done | failed | canceled).",
 			"status"),
@@ -169,6 +173,26 @@ func statusLabel(code int) string {
 		return "other"
 	}
 	return strconv.Itoa(code)
+}
+
+// submitOutcome is the closed label set for job submissions: served from
+// the result cache (the 200), answered terminal inside submitWait, or
+// answered while still queued or running (the wait expired, or no worker
+// was free to start the job at once).
+type submitOutcome string
+
+const (
+	submitCache    submitOutcome = "cache"
+	submitAnswered submitOutcome = "answered"
+	submitPending  submitOutcome = "pending"
+)
+
+// observeSubmit counts one accepted job submission.
+func (m *serverMetrics) observeSubmit(outcome submitOutcome) {
+	if m == nil {
+		return
+	}
+	m.jobSubmits.With(string(outcome)).Inc()
 }
 
 // observeJobDone records one terminal job.
