@@ -390,8 +390,11 @@ func (c *client) upload(worker, n int) error {
 	return err
 }
 
-// job submits a sparsification and polls it to completion; the recorded
-// latency is submit-to-done, including queue wait.
+// job submits a sparsification and polls it only while it is queued or
+// running; the recorded latency is submit to terminal status, including
+// queue wait, in as few round trips as the daemon allows. A result-cache
+// hit (200) and a quick job the daemon finished inside its submit wait
+// (202) both come back terminal from the submit itself.
 func (c *client) job() error {
 	req := struct {
 		Graph string `json:"graph"`
@@ -402,21 +405,10 @@ func (c *client) job() error {
 	if err != nil {
 		return err
 	}
-	// A result-cache hit answers synchronously with the finished job.
-	if code == http.StatusOK && job.Status == service.StatusDone {
-		return nil
-	}
-	if code != http.StatusAccepted {
+	if code != http.StatusOK && code != http.StatusAccepted {
 		return fmt.Errorf("submit: %d %s", code, raw)
 	}
 	for {
-		code, raw, err := c.json(http.MethodGet, "/v1/jobs/"+job.ID, nil, &job)
-		if err != nil {
-			return err
-		}
-		if code != http.StatusOK {
-			return fmt.Errorf("poll: %d %s", code, raw)
-		}
 		switch job.Status {
 		case service.StatusDone:
 			return nil
@@ -424,6 +416,13 @@ func (c *client) job() error {
 			return fmt.Errorf("job %s: %s %s", job.ID, job.Status, job.Error)
 		}
 		time.Sleep(5 * time.Millisecond)
+		code, raw, err := c.json(http.MethodGet, "/v1/jobs/"+job.ID, nil, &job)
+		if err != nil {
+			return err
+		}
+		if code != http.StatusOK {
+			return fmt.Errorf("poll: %d %s", code, raw)
+		}
 	}
 }
 
