@@ -11,15 +11,16 @@
 // generalized eigenvalues (λmax by power iterations §3.6.1, λmin by node
 // coloring §3.6.2) after each batch of edges until the target is met.
 //
-// One round of that loop is written once. filterRound is §3.7 steps 1–6
-// against the current L_P solver (the backbone tree's O(n) solve first,
-// a sparse Cholesky factor of P refactored each round after that):
-// estimate λmax/λmin, stop if σ² is met, embed the candidates, set θσ,
-// and hand the heats to SelectEdges — threshold, rank by heat, cap the
-// batch, check endpoint similarity. SparsifyCtx (tree start, round
-// statistics), Refilter (an externally chosen selection and candidate
-// set) and the dynamic maintainer's localized re-filter (retained probe
-// vectors, SelectEdges only) are loop shells around it.
+// That loop is written once. densify runs it from a starting P and an
+// L_P⁺ applier over a candidate set, and filterRound is one pass of it,
+// §3.7 steps 1–6: estimate λmax/λmin, stop if σ² is met, embed the
+// candidates, set θσ, and hand the heats to SelectEdges — threshold, rank
+// by heat, cap the batch, check endpoint similarity. SparsifyCtx (from the
+// backbone tree with its O(n) solve, round statistics) and
+// RefilterFactored (from an externally chosen selection, factored at the
+// top of its first pass) are entry points that differ only in where P
+// starts and what they report; the dynamic maintainer's localized
+// re-filter (retained probe vectors) shares SelectEdges only.
 //
 // The embedding is written once too: EdgeScorer is the only code that
 // starts and advances probe vectors, over however many goroutines
@@ -64,11 +65,12 @@ const (
 	// Joule-heat embedding (the paper: t = 2 suffices; Fig. 2 uses t = 1
 	// through HeatSpectrum).
 	embedSteps = 2
-	// RefilterRounds caps the full-size embedding passes of one Refilter
-	// call in the batch pipeline — each pass admits one heat-ranked,
-	// batchFraction-capped batch and costs one factorization, and passes
-	// stop early once the estimated σ² meets the target — and the
-	// localized re-filter rounds the dynamic maintainer runs per Apply.
+	// RefilterRounds caps the full-size embedding passes of one
+	// RefilterFactored call in the batch pipeline — each pass admits one
+	// heat-ranked, batchFraction-capped batch and costs one
+	// factorization, and passes stop early once the estimated σ² meets
+	// the target — and the localized re-filter rounds the dynamic
+	// maintainer runs per Apply.
 	RefilterRounds = 4
 )
 
@@ -156,9 +158,10 @@ func (r *Result) Density() float64 {
 }
 
 // Solver applies x = L_P⁺ b, the Laplacian pseudoinverse of the current
-// sparsifier. The filter loops use two: the backbone *tree.Tree (exact,
-// O(n)) while P is the bare tree, then a *cholesky.LapSolver refactored
-// every round. eig.PCGSolver also satisfies it for callers that want an
+// sparsifier. The densification loop uses two: the backbone *tree.Tree
+// (exact, O(n)) while SparsifyCtx's P is the bare tree, then a
+// *cholesky.LapSolver refactored at the top of every pass after one that
+// added edges. eig.PCGSolver also satisfies it for callers that want an
 // iterative reference.
 type Solver interface {
 	Solve(x, b []float64)
@@ -233,6 +236,13 @@ func Sparsify(g *graph.Graph, opt Options) (*Result, error) {
 // checked before every densification round, and ctx.Err() is returned as
 // soon as it fires, so a canceled job stops computing instead of running
 // its remaining rounds to completion.
+//
+// It runs densify from the backbone tree, solved in O(n) through Tree,
+// over every off-tree edge for at most maxRounds rounds, recording each
+// round's statistics. When the cap runs out after a round that added
+// edges it factors the final P and estimates its extremes once more, so
+// Result.Solver is always the factor of Sparsifier, or nil while P is the
+// tree.
 func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	if err := g.RequireConnected(); err != nil {
 		return nil, err
@@ -250,59 +260,26 @@ func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, err
 		TreeEdgeIDs:  treeIDs,
 		TotalStretch: backbone.TotalStretch(g),
 	}
-
-	p := backbone.Graph()
-	var solver Solver = backbone // exact O(n) while P is the bare tree
-	var chol *cholesky.LapSolver // the factor of p once a round has added edges
-
-	remaining := append([]int(nil), offIDs...)
 	rng := vecmath.NewRNG(opt.Seed ^ 0x5eed)
-
-	for round := 1; round <= maxRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		stats, chosen, err := filterRound(ctx, g, p, solver, remaining, &opt, rng, !opt.DisableSimilarity)
-		if err != nil {
-			return nil, fmt.Errorf("core: λmax estimation failed in round %d: %w", round, err)
-		}
-		stats.Round = round
-		res.LambdaMax, res.LambdaMin, res.SigmaSqAchieved = stats.LambdaMax, stats.LambdaMin, stats.SigmaSqEst
-		if len(chosen) == 0 { // target met or no candidates left
-			stats.EdgesTotal = p.M()
-			res.Rounds = append(res.Rounds, stats)
-			res.Sparsifier, res.Solver = p, chol
-			return res, nil
-		}
-
-		var added []int
-		added, remaining = take(remaining, chosen)
-		res.OffTreeAddedIDs = append(res.OffTreeAddedIDs, added...)
-		newEdges := make([]graph.Edge, len(added))
-		for i, id := range added {
-			newEdges[i] = g.Edge(id)
-		}
-		p, err = p.AddEdges(newEdges)
-		if err != nil {
-			return nil, fmt.Errorf("core: densification failed: %w", err)
-		}
-		stats.Added = len(newEdges)
-		stats.EdgesTotal = p.M()
-		res.Rounds = append(res.Rounds, stats)
-
-		chol, err = factor(ctx, p)
-		if err != nil {
-			return nil, fmt.Errorf("core: inner solver setup: %w", err)
-		}
-		solver = chol
+	d, err := densify(ctx, g, backbone.Graph(), backbone, offIDs, &opt, rng, maxRounds, !opt.DisableSimilarity)
+	if err != nil {
+		return nil, err
+	}
+	res.Sparsifier, res.OffTreeAddedIDs, res.Rounds = d.p, d.added, d.rounds
+	res.LambdaMax, res.LambdaMin, res.SigmaSqAchieved = d.lmax, d.lmin, d.lmax/d.lmin
+	if d.solver != nil { // target met or no candidates left
+		res.Solver, _ = d.solver.(*cholesky.LapSolver)
+		return res, nil
 	}
 
-	// Final estimate after the last round's additions.
-	if lmax, lmin, err := estimateExtremes(g, p, solver, powerIters, rng.Uint64()); err == nil {
+	// The cap ran out: estimate once more after the last round's additions.
+	if res.Solver, err = factor(ctx, d.p); err != nil {
+		return nil, fmt.Errorf("core: inner solver setup: %w", err)
+	}
+	if lmax, lmin, err := estimateExtremes(g, d.p, res.Solver, powerIters, rng.Uint64()); err == nil {
 		res.LambdaMax, res.LambdaMin = lmax, lmin
 		res.SigmaSqAchieved = lmax / lmin
 	}
-	res.Sparsifier, res.Solver = p, chol
 	if res.SigmaSqAchieved <= opt.SigmaSq {
 		return res, nil
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"slices"
 
@@ -90,13 +91,13 @@ func estimateExtremes(g, p *graph.Graph, solver Solver, iters int, seed uint64) 
 	return lmax, lmin, nil
 }
 
-// filterRound is the body of one §3.7 iteration against the current
+// filterRound is the body of one pass of densify against the current
 // sparsifier p and its L_P⁺ applier: estimate the extreme eigenvalues and,
-// unless the target is met or nothing can be added, embed the candidates,
-// set θσ and select the round's batch, embedding with g's EffectiveEmbed
-// settings. The returned stats carry the estimates, θσ and the
-// passing count; chosen (positions into candIDs) is empty exactly when the
-// caller's loop is done — target met or no candidates.
+// unless the target is met or nothing can be added, embed the candidates
+// with g's EffectiveEmbed settings, set θσ and select the pass's batch.
+// The returned stats carry the estimates, θσ and the passing count;
+// chosen (positions into candIDs) is empty exactly when the loop is done —
+// target met or no candidates.
 func filterRound(ctx context.Context, g, p *graph.Graph, solver Solver, candIDs []int, opt *Options, rng *vecmath.RNG, similarity bool) (stats RoundStats, chosen []int, err error) {
 	lmax, lmin, err := estimateExtremes(g, p, solver, powerIters, rng.Uint64())
 	if err != nil {
@@ -113,6 +114,74 @@ func filterRound(ctx context.Context, g, p *graph.Graph, solver Solver, candIDs 
 	stats.Threshold = Threshold(opt.SigmaSq, lmin, lmax, t)
 	chosen, stats.Candidates = SelectEdges(g, candIDs, heats, maxHeat, stats.Threshold, batchFraction, similarity)
 	return stats, chosen, nil
+}
+
+// densified is where one run of densify stopped.
+type densified struct {
+	// p is the densified sparsifier and solver its L_P⁺ applier: the
+	// starting applier while no pass added edges, then the factor of p
+	// built at the top of the last pass. solver is nil when the round cap
+	// ran out after a pass that added edges, so p was never factored or
+	// estimated.
+	p      *graph.Graph
+	solver Solver
+	// added holds the admitted candidate ids in admission order.
+	added  []int
+	rounds []RoundStats
+	// lmax, lmin are the last pass's estimates.
+	lmax, lmin float64
+}
+
+// densify is the §3.7 densification loop, the one both batch filters run
+// (SparsifyCtx from the backbone tree, RefilterFactored from a kept
+// selection). Starting from p with the L_P⁺ applier solver — nil to
+// factor p at the top of the first pass — it runs at most rounds passes
+// over the candidate ids cands: factor p unless it already has an
+// applier, filterRound, and, while a batch is chosen, add it to p, which
+// voids the applier. The loop stops at the first pass that chooses
+// nothing. cands is not modified and must be disjoint from p's edges;
+// rng drives every estimate and embedding.
+func densify(ctx context.Context, g, p *graph.Graph, solver Solver, cands []int, opt *Options, rng *vecmath.RNG, rounds int, similarity bool) (*densified, error) {
+	d := &densified{p: p, solver: solver}
+	cands = slices.Clone(cands)
+	for round := 1; round <= rounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if d.solver == nil {
+			chol, err := factor(ctx, d.p)
+			if err != nil {
+				return nil, fmt.Errorf("core: inner solver setup: %w", err)
+			}
+			d.solver = chol
+		}
+		stats, chosen, err := filterRound(ctx, g, d.p, d.solver, cands, opt, rng, similarity)
+		if err != nil {
+			return nil, fmt.Errorf("core: λmax estimation failed in round %d: %w", round, err)
+		}
+		stats.Round = round
+		d.lmax, d.lmin = stats.LambdaMax, stats.LambdaMin
+		if len(chosen) == 0 {
+			stats.EdgesTotal = d.p.M()
+			d.rounds = append(d.rounds, stats)
+			return d, nil
+		}
+		var added []int
+		added, cands = take(cands, chosen)
+		d.added = append(d.added, added...)
+		edges := make([]graph.Edge, len(added))
+		for i, id := range added {
+			edges[i] = g.Edge(id)
+		}
+		if d.p, err = d.p.AddEdges(edges); err != nil {
+			return nil, fmt.Errorf("core: densification failed: %w", err)
+		}
+		d.solver = nil
+		stats.Added = len(edges)
+		stats.EdgesTotal = d.p.M()
+		d.rounds = append(d.rounds, stats)
+	}
+	return d, nil
 }
 
 // take splits ids into the entries at the given positions, in that

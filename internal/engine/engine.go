@@ -359,7 +359,7 @@ func (s *selection) est() float64 {
 // returns how many candidates they admitted.
 func (r *Result) refilter(ctx context.Context, span obs.PhaseName, s *selection, cands []int, ropt core.Options, seed uint64) (int, error) {
 	rSpan := obs.StartSpan(ctx, span)
-	p, kept, recovered, lmax, lmin, solver, err := core.RefilterFactored(ctx, s.g, s.kept, cands, ropt, core.RefilterRounds, ropt.EmbedWorkers, seed)
+	p, kept, recovered, lmax, lmin, solver, err := core.RefilterFactored(ctx, s.g, s.kept, cands, ropt, seed)
 	r.Timings.Refilter += rSpan.End()
 	if err != nil {
 		return 0, err
@@ -418,15 +418,15 @@ type Certificate struct {
 // through it, under one "verify" span.
 //
 // solver must be a factorization of exactly p or nil; Certify only reads
-// it. The filter loops hand over the factor they end on
-// (core.Result.Solver, core.RefilterFactored), so the batch pipeline
-// factors the final P once, and the maintainer hands in the standing
-// factor it updates in place. Only when handed nil — P is still the bare
-// tree, the last re-filter pass ran out of rounds while adding edges, or
-// the plan never factored P at full size (the sharded plan's kept-whole
-// cut) — does it factor p itself, under a "factor" span; that factor is the
-// filter loop's bit for bit, so a batch certificate cannot depend on who
-// built it.
+// it. The batch filters hand over the factor their one densification
+// loop ends on (core.Result.Solver, core.RefilterFactored), so the batch
+// pipeline factors the final P once, and the maintainer hands in the
+// standing factor it updates in place. Only when handed nil — P is still
+// the bare tree, the loop's round cap ran out while adding edges, or the
+// plan never factored P at full size (the sharded plan's kept-whole cut)
+// — does it factor p itself, under a "factor" span; that factor is the
+// loop's bit for bit, so a batch certificate cannot depend on who built
+// it.
 //
 // A one-vertex g has the trivial certificate κ = 1: its only vector is
 // the constant one, on which both Laplacians vanish.

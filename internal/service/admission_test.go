@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"graphspar/internal/graph"
+	"graphspar/internal/obs"
 )
 
 // TestAdmissionWatermarkBoundaries pins the shed decision exactly at the
@@ -95,7 +96,9 @@ func blockingConfig(workers, backlog, queueHigh int, release chan struct{}) Conf
 func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	ts := newTestServer(t, blockingConfig(1, 8, 1, release), nil)
+	cfg := blockingConfig(1, 8, 1, release)
+	cfg.Metrics = obs.NewRegistry() // a count of this server's rejections alone, however often it runs
+	ts := newTestServer(t, cfg, nil)
 	registerSpec(t, ts.URL, "g", "grid:6x6")
 
 	submit := func(sigma2 float64) (*http.Response, string) {

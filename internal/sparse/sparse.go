@@ -196,50 +196,6 @@ func (m *CSR) symEqualSlow(tol float64) bool {
 	return true
 }
 
-// Scale returns alpha*M as a new matrix.
-func (m *CSR) Scale(alpha float64) *CSR {
-	out := m.Clone()
-	for i := range out.Val {
-		out.Val[i] *= alpha
-	}
-	return out
-}
-
-// Clone returns a deep copy of M.
-func (m *CSR) Clone() *CSR {
-	out := &CSR{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		RowPtr: append([]int(nil), m.RowPtr...),
-		ColIdx: append([]int(nil), m.ColIdx...),
-		Val:    append([]float64(nil), m.Val...),
-	}
-	return out
-}
-
-// Add returns A + B. Both must share dimensions.
-func Add(a, b *CSR) (*CSR, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return nil, fmt.Errorf("%w: %dx%d + %dx%d", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	bld := NewBuilder(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			bld.Add(i, a.ColIdx[k], a.Val[k])
-		}
-		for k := b.RowPtr[i]; k < b.RowPtr[i+1]; k++ {
-			bld.Add(i, b.ColIdx[k], b.Val[k])
-		}
-	}
-	return bld.Build(), nil
-}
-
-// Sub returns A - B.
-func Sub(a, b *CSR) (*CSR, error) {
-	nb := b.Scale(-1)
-	return Add(a, nb)
-}
-
 // Mul returns the product A·B (classic row-by-row sparse GEMM with a dense
 // accumulator per row).
 func Mul(a, b *CSR) (*CSR, error) {
@@ -371,12 +327,20 @@ func (m *CSR) Dense() [][]float64 {
 
 // FrobeniusDiff returns ||A - B||_F; shapes must match.
 func FrobeniusDiff(a, b *CSR) (float64, error) {
-	d, err := Sub(a, b)
-	if err != nil {
-		return 0, err
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return 0, fmt.Errorf("%w: %dx%d - %dx%d", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	bld := NewBuilder(a.Rows, a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			bld.Add(i, a.ColIdx[k], a.Val[k])
+		}
+		for k := b.RowPtr[i]; k < b.RowPtr[i+1]; k++ {
+			bld.Add(i, b.ColIdx[k], -b.Val[k])
+		}
 	}
 	var s float64
-	for _, v := range d.Val {
+	for _, v := range bld.Build().Val {
 		s += v * v
 	}
 	return math.Sqrt(s), nil

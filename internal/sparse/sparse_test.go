@@ -116,32 +116,6 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
-func TestAddSub(t *testing.T) {
-	m := small3()
-	s, err := Add(m, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.At(1, 1) != 6 {
-		t.Fatalf("Add diag = %v, want 6", s.At(1, 1))
-	}
-	z, err := Sub(m, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z.NNZ() != 0 {
-		t.Fatalf("M-M should be empty, NNZ=%d", z.NNZ())
-	}
-}
-
-func TestAddShapeError(t *testing.T) {
-	a := NewBuilder(2, 2).Build()
-	b := NewBuilder(3, 3).Build()
-	if _, err := Add(a, b); err == nil {
-		t.Fatal("expected shape error")
-	}
-}
-
 func TestMulIdentity(t *testing.T) {
 	m := small3()
 	id := NewBuilder(3, 3)
@@ -274,61 +248,10 @@ func TestPermuteUnsymmetricWithStoredZero(t *testing.T) {
 	}
 }
 
-func TestScaleClone(t *testing.T) {
-	m := small3()
-	s := m.Scale(2)
-	if s.At(1, 1) != 6 || m.At(1, 1) != 3 {
-		t.Fatal("Scale must not mutate the receiver")
-	}
-	c := m.Clone()
-	c.Val[0] = 99
-	if m.Val[0] == 99 {
-		t.Fatal("Clone must deep-copy")
-	}
-}
-
 func TestDense(t *testing.T) {
 	d := small3().Dense()
 	if d[0][0] != 2 || d[0][1] != -1 || d[0][2] != 0 {
 		t.Fatalf("Dense row 0 = %v", d[0])
-	}
-}
-
-// Property: (A+B)x == Ax + Bx for random sparse A, B.
-func TestQuickAddLinear(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := vecmath.NewRNG(seed)
-		n := 2 + rng.Intn(15)
-		mk := func() *CSR {
-			b := NewBuilder(n, n)
-			for e := 0; e < 2*n; e++ {
-				b.Add(rng.Intn(n), rng.Intn(n), rng.NormFloat64())
-			}
-			return b.Build()
-		}
-		a, bm := mk(), mk()
-		s, err := Add(a, bm)
-		if err != nil {
-			return false
-		}
-		x := make([]float64, n)
-		rng.FillNormal(x)
-		y1 := make([]float64, n)
-		y2 := make([]float64, n)
-		tmp := make([]float64, n)
-		s.MulVec(y1, x)
-		a.MulVec(y2, x)
-		bm.MulVec(tmp, x)
-		vecmath.Axpy(1, tmp, y2)
-		for i := range y1 {
-			if math.Abs(y1[i]-y2[i]) > 1e-9*(1+math.Abs(y1[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
