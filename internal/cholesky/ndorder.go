@@ -22,9 +22,11 @@ func NDOrder(g *graph.Graph) []int {
 		return nil
 	}
 
-	// BFS spanning forest of the reduced vertex set. Off-tree edges are
-	// ignored here; they only add fill on top of whatever the tree order
-	// produces, and sparsifiers carry few of them by construction.
+	// BFS spanning forest of the reduced vertex set, over a transient
+	// Incidence. Off-tree edges are ignored here; they only add fill on
+	// top of whatever the tree order produces, and sparsifiers carry few
+	// of them by construction.
+	in := graph.NewIncidence(g)
 	treeParent := make([]int, n)
 	for i := range treeParent {
 		treeParent[i] = -2 // unvisited
@@ -40,13 +42,13 @@ func NDOrder(g *graph.Graph) []int {
 		q = append(q[:0], s)
 		for qi := 0; qi < len(q); qi++ {
 			u := q[qi]
-			g.Neighbors(u, func(v int, _ float64, _ int) bool {
-				if v < n && treeParent[v] == -2 {
+			to, _ := in.Arcs(u)
+			for _, v := range to {
+				if v := int(v); v < n && treeParent[v] == -2 {
 					treeParent[v] = u
 					q = append(q, v)
 				}
-				return true
-			})
+			}
 		}
 	}
 

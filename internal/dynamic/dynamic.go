@@ -262,9 +262,8 @@ func (m *Maintainer) driftBudget() float64 {
 }
 
 // ResidentBytes estimates the heap the maintainer keeps resident between
-// applies: the graph, the sparsifier and its spanning tree (edge lists,
-// plus an adjacency index only if some caller built one — the maintainer
-// itself never does), the Cholesky factor at its int32 layout, and the
+// applies: the graph, the sparsifier and its spanning tree (edge lists),
+// the Cholesky factor at its int32 layout, and the
 // retained probe embedding — one term per thing the maintainer holds, and
 // it holds the sparsifier once. It is an accounting estimate sized from
 // lengths — session managers budget memory with it — not a precise
@@ -403,7 +402,7 @@ func (m *Maintainer) Apply(ctx context.Context, batch []Update) error {
 	}
 	// The factor absorbs the deltas as rank-1 update/downdates when it
 	// can, refactors otherwise.
-	if err := m.refreshFactor(deltas); err != nil {
+	if err := m.refreshFactor(ctx, deltas); err != nil {
 		return err
 	}
 	if err := m.refreshScorerAndCertificate(ctx, false); err != nil {
@@ -505,7 +504,7 @@ func (m *Maintainer) refilter(ctx context.Context, batched bool) error {
 // foldAndVerify brings the factor up to p by the given admissions (full
 // weights, in admission order) and re-verifies the certificate.
 func (m *Maintainer) foldAndVerify(ctx context.Context, admitted []graph.Edge) error {
-	if err := m.refreshFactor(admitted); err != nil {
+	if err := m.refreshFactor(ctx, admitted); err != nil {
 		return err
 	}
 	return m.verifyCertificate(ctx)
@@ -535,19 +534,19 @@ func (m *Maintainer) offTreeCandidates() []int {
 // fall outside the factor pattern (fill would be needed), or a downdate
 // turns numerically singular — in every fallback the factor is rebuilt
 // from m.p, so a partially applied delta list is harmless.
-func (m *Maintainer) refreshFactor(deltas []graph.Edge) error {
+func (m *Maintainer) refreshFactor(ctx context.Context, deltas []graph.Edge) error {
 	if m.solver == nil {
-		return m.refactor()
+		return m.refactor(ctx, nil)
 	}
 	if len(deltas) == 0 {
 		return nil // weights identical; the factor already matches
 	}
 	if m.updatesSinceFactor+len(deltas) > factorUpdateBudget {
-		return m.refactor()
+		return m.refactor(ctx, nil)
 	}
 	for _, d := range deltas {
 		if err := m.solver.ApplyEdge(d.U, d.V, d.W); err != nil {
-			return m.refactor()
+			return m.refactor(ctx, nil)
 		}
 		m.updatesSinceFactor++
 		if d.W > 0 {
@@ -572,30 +571,36 @@ func (m *Maintainer) refreshFactor(deltas []graph.Edge) error {
 // edges the ND fill (and with it both factorization and update-path cost)
 // explodes, while min-degree stays near-optimal and its deeper etree
 // paths remain cheap because the columns stay short.
-func (m *Maintainer) refactor() error {
+//
+// built is nil, or the factor a build's plan ended on (a build clears the
+// cached order first): cholesky.NewLapSolver on m.p, which is the
+// minimum-degree factorization this call would make for a fresh order, so
+// it is adopted in that case instead of made again. Every factorization
+// runs under a "factor" span.
+func (m *Maintainer) refactor(ctx context.Context, built *cholesky.LapSolver) error {
 	m.updatesSinceFactor = 0
 	m.stats.FactorRebuilds++
+	nearTree := (m.p.M()-(m.p.N()-1))*32 <= m.p.N()
+	if built != nil && !nearTree {
+		m.solver, m.perm, m.nnzAtOrder = built, built.Ordering(), built.FactorNNZ()
+		return nil
+	}
+	defer obs.StartSpan(ctx, obs.PhaseFactor).End()
 	if m.perm != nil {
 		if solver, err := cholesky.NewLapSolverOrdered(m.p, m.perm, fillLimit*m.nnzAtOrder); err == nil {
 			m.solver = solver
 			return nil
 		}
 	}
-	var (
-		solver *cholesky.LapSolver
-		err    error
-	)
-	if offTree := m.p.M() - (m.p.N() - 1); offTree*32 <= m.p.N() {
-		solver, err = cholesky.NewLapSolverND(m.p)
-	} else {
-		solver, err = cholesky.NewLapSolver(m.p)
+	factor := cholesky.NewLapSolver
+	if nearTree {
+		factor = cholesky.NewLapSolverND
 	}
+	solver, err := factor(m.p)
 	if err != nil {
 		return fmt.Errorf("dynamic: sparsifier factorization: %w", err)
 	}
-	m.solver = solver
-	m.perm = solver.Ordering()
-	m.nnzAtOrder = solver.FactorNNZ()
+	m.solver, m.perm, m.nnzAtOrder = solver, solver.Ordering(), solver.FactorNNZ()
 	return nil
 }
 
@@ -654,10 +659,11 @@ func (m *Maintainer) verifyCertificate(ctx context.Context) error {
 // pipeline, resets the drift accounting, recomputes the elimination order
 // and rebuilds the probe embedding.
 func (m *Maintainer) rebuild(ctx context.Context) error {
-	// The certificate below runs on the maintainer's own factor; the batch
+	// The certificate below runs on the maintainer's own factor, adopted
+	// from the plan where refactor would build the same one; the batch
 	// stop rule would factor the same sparsifier a second time for a
 	// result nobody reads.
-	res, err := engine.Select(ctx, m.g, m.opt)
+	res, built, err := engine.Select(ctx, m.g, m.opt)
 	if err != nil {
 		return err
 	}
@@ -676,7 +682,7 @@ func (m *Maintainer) rebuild(ctx context.Context) error {
 		return err
 	}
 	m.perm = nil // force a fresh elimination order for the new pattern
-	if err := m.refactor(); err != nil {
+	if err := m.refactor(ctx, built); err != nil {
 		return err
 	}
 	if err := m.refreshScorerAndCertificate(ctx, true); err != nil {

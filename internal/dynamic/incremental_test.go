@@ -8,6 +8,8 @@ import (
 	"graphspar/internal/core"
 	"graphspar/internal/dynamic"
 	"graphspar/internal/engine"
+	"graphspar/internal/gen"
+	"graphspar/internal/obs"
 	"graphspar/internal/testkit"
 	"graphspar/internal/vecmath"
 )
@@ -63,4 +65,82 @@ func TestIncrementalFactorUpdatesUsed(t *testing.T) {
 				c.Name, st.FactorUpdates, st.FactorDowndates, st.FactorRebuilds)
 		})
 	}
+}
+
+// factorSpans counts the "factor" phases tr recorded.
+func factorSpans(tr *obs.Trace) int {
+	n := 0
+	for _, p := range tr.Phases() {
+		if p.Name == string(obs.PhaseFactor) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFactorSpans pins where the maintainer factors P, on the 128² grid at
+// σ² = 100 whose build certifies below the re-filter margin: a build
+// adopts the factor the plan ended on, so dynamic.New records exactly the
+// "factor" phases engine.Select does; a reweight folded in as rank-1
+// updates records none; a churn batch's refactorizations record one phase
+// each.
+func TestFactorSpans(t *testing.T) {
+	const side = 128
+	g, err := gen.Grid2D(side, side, gen.UniformWeights, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := engine.Options{Sparsify: core.Options{SigmaSq: 100, Seed: 1}, Workers: 2}
+	sel := obs.NewTrace()
+	if _, _, err := engine.Select(obs.WithTrace(context.Background(), sel), g, opt); err != nil {
+		t.Fatal(err)
+	}
+	build := obs.NewTrace()
+	m, err := dynamic.New(obs.WithTrace(context.Background(), build), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Refilters != 0 || st.FactorRebuilds != 1 {
+		t.Fatalf("build re-filtered %d rounds over %d factorizations; the case needs a build certified at once", st.Refilters, st.FactorRebuilds)
+	}
+	if got, want := factorSpans(build), factorSpans(sel); got != want || want == 0 {
+		t.Errorf("dynamic.New recorded %d factor phases, engine.Select %d: the build factored P again", got, want)
+	}
+
+	t.Run("reweight", func(t *testing.T) {
+		before := m.Stats()
+		p := m.Sparsifier()
+		var batch []dynamic.Update
+		for _, i := range []int{0, p.M() / 2} {
+			e := p.Edge(i)
+			batch = append(batch, dynamic.Reweight(e.U, e.V, 1.05*e.W))
+		}
+		tr := obs.NewTrace()
+		if err := m.Apply(obs.WithTrace(context.Background(), tr), batch); err != nil {
+			t.Fatal(err)
+		}
+		st := m.Stats()
+		if st.FactorRebuilds != before.FactorRebuilds || st.FactorUpdates+st.FactorDowndates == before.FactorUpdates+before.FactorDowndates {
+			t.Fatalf("reweight took %d refactorizations and %d rank-1 updates; the case needs the rank-1 path alone",
+				st.FactorRebuilds-before.FactorRebuilds, st.FactorUpdates+st.FactorDowndates-before.FactorUpdates-before.FactorDowndates)
+		}
+		if got := factorSpans(tr); got != 0 {
+			t.Errorf("rank-1 updates recorded %d factor phases", got)
+		}
+	})
+	t.Run("churn", func(t *testing.T) {
+		before := m.Stats()
+		tr := obs.NewTrace()
+		if err := m.Apply(obs.WithTrace(context.Background(), tr), churnBatch(t, m.Graph(), side, vecmath.NewRNG(1))); err != nil {
+			t.Fatal(err)
+		}
+		st := m.Stats()
+		refactors := st.FactorRebuilds - before.FactorRebuilds
+		if refactors == 0 || st.Rebuilds != before.Rebuilds {
+			t.Fatalf("batch refactored %d times with %d rebuilds; the case needs a refactor without one", refactors, st.Rebuilds-before.Rebuilds)
+		}
+		if got := factorSpans(tr); got != refactors {
+			t.Errorf("%d refactorizations recorded %d factor phases", refactors, got)
+		}
+	})
 }

@@ -305,12 +305,18 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 // Select executes opt.Mode's plan on g and stops before the final stop
 // rule: its Result is Run's without the input's certificate, so
 // TargetMet and Timings.Wall are zero, and so are Verified* unless a
-// coarsened multilevel run certified its finer levels. It is for a
-// caller that certifies the selection itself, on its own factor — the
-// dynamic maintainer's builds.
-func Select(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
-	res, _, err := plan(ctx, g, &opt)
-	return res, err
+// coarsened multilevel run certified its finer levels. It also returns
+// the factor of Result.Sparsifier the plan ended on — a
+// cholesky.NewLapSolver factorization, or nil when it holds none (see
+// Certify) — which the caller now owns. It is for a caller that
+// certifies the selection itself, on its own factor — the dynamic
+// maintainer's builds.
+func Select(ctx context.Context, g *graph.Graph, opt Options) (*Result, *cholesky.LapSolver, error) {
+	res, s, err := plan(ctx, g, &opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, s.solver, nil
 }
 
 // plan validates and defaults opt, then runs its plan on g and returns the

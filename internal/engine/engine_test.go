@@ -3,9 +3,11 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
+	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
@@ -154,7 +156,9 @@ func TestSingleShotMatchesCore(t *testing.T) {
 }
 
 // TestSelectIsRunWithoutTheStopRule: Select runs the same plan as Run and
-// certifies nothing, on both plans the maintainer builds with.
+// certifies nothing, on both plans the maintainer builds with, and the
+// factor it hands back is cholesky.NewLapSolver's of its sparsifier, bit
+// for bit.
 func TestSelectIsRunWithoutTheStopRule(t *testing.T) {
 	g := gridGraph(t, 16, 16, 5)
 	for _, opt := range []Options{
@@ -165,9 +169,27 @@ func TestSelectIsRunWithoutTheStopRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(context.Background(), g, opt)
+		sel, built, err := Select(context.Background(), g, opt)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if built == nil {
+			t.Fatalf("%v: the plan handed back no factor; the case tests nothing", opt.Mode)
+		}
+		fresh, err := cholesky.NewLapSolver(sel.Sparsifier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]float64, g.N())
+		for i := range b {
+			b[i] = float64(i%7) - 3
+		}
+		x, y := make([]float64, g.N()), make([]float64, g.N())
+		built.Solve(x, b)
+		fresh.Solve(y, b)
+		sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if !slices.Equal(built.Ordering(), fresh.Ordering()) || !slices.EqualFunc(x, y, sameBits) {
+			t.Errorf("%v: Select's factor is not NewLapSolver's of its sparsifier", opt.Mode)
 		}
 		if run.RecoveredCut != sel.RecoveredCut {
 			t.Fatalf("%v: the certificate re-filtered, so the plans' outputs cannot be compared", opt.Mode)

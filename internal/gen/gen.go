@@ -345,23 +345,19 @@ func Coauthorship(n, m int, closure float64, seed uint64) (*graph.Graph, error) 
 		return nil, fmt.Errorf("gen: closure fraction %v outside [0,1]", closure)
 	}
 	rng := vecmath.NewRNG(seed ^ 0xc0ffee)
+	in := graph.NewIncidence(g)
 	var extra []graph.Edge
 	for v := 0; v < n; v++ {
 		if rng.Float64() >= closure {
 			continue
 		}
-		var nbrs []int
-		g.Neighbors(v, func(u int, _ float64, _ int) bool {
-			nbrs = append(nbrs, u)
-			return true
-		})
+		nbrs, _ := in.Arcs(v)
 		if len(nbrs) < 2 {
 			continue
 		}
-		a := nbrs[rng.Intn(len(nbrs))]
-		b := nbrs[rng.Intn(len(nbrs))]
+		a, b := nbrs[rng.Intn(len(nbrs))], nbrs[rng.Intn(len(nbrs))]
 		if a != b {
-			extra = append(extra, graph.Edge{U: a, V: b, W: 1})
+			extra = append(extra, graph.Edge{U: int(a), V: int(b), W: 1})
 		}
 	}
 	return g.AddEdges(extra)

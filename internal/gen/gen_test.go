@@ -1,11 +1,23 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"graphspar/internal/graph"
 )
+
+// degrees lists every vertex's degree, read off g's incidence lists.
+func degrees(g *graph.Graph) []int {
+	in := graph.NewIncidence(g)
+	d := make([]int, g.N())
+	for v := range d {
+		to, _ := in.Arcs(v)
+		d[v] = len(to)
+	}
+	return d
+}
 
 func TestGrid2DShape(t *testing.T) {
 	g, err := Grid2D(4, 5, UnitWeights, 1)
@@ -108,9 +120,9 @@ func TestAnnulus(t *testing.T) {
 		t.Fatal("annulus must be connected")
 	}
 	// Every vertex should have degree >= 3 (ring + radial).
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) < 3 {
-			t.Fatalf("vertex %d degree %d < 3", v, g.Degree(v))
+	for v, d := range degrees(g) {
+		if d < 3 {
+			t.Fatalf("vertex %d degree %d < 3", v, d)
 		}
 	}
 	if _, _, err := Annulus(1, 10, UnitWeights, 1); err == nil {
@@ -130,9 +142,9 @@ func TestKNNConnectedAndDegree(t *testing.T) {
 		t.Fatal("KNN output must be connected")
 	}
 	// Every vertex has at least k/2-ish neighbors (mutual edges merge).
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) < 3 {
-			t.Fatalf("vertex %d degree %d suspiciously low", v, g.Degree(v))
+	for v, d := range degrees(g) {
+		if d < 3 {
+			t.Fatalf("vertex %d degree %d suspiciously low", v, d)
 		}
 	}
 	for _, e := range g.Edges() {
@@ -173,12 +185,7 @@ func TestBarabasiAlbert(t *testing.T) {
 		t.Fatal("BA graph must be connected")
 	}
 	// Power-law check (weak): max degree far above average.
-	maxDeg := 0
-	for v := 0; v < g.N(); v++ {
-		if d := g.Degree(v); d > maxDeg {
-			maxDeg = d
-		}
-	}
+	maxDeg := slices.Max(degrees(g))
 	avg := 2 * float64(g.M()) / float64(g.N())
 	if float64(maxDeg) < 3*avg {
 		t.Fatalf("BA max degree %d not heavy-tailed vs avg %.1f", maxDeg, avg)
@@ -244,8 +251,8 @@ func TestRandomRegular(t *testing.T) {
 		t.Fatal("RandomRegular must be connected")
 	}
 	var sum int
-	for v := 0; v < g.N(); v++ {
-		sum += g.Degree(v)
+	for _, d := range degrees(g) {
+		sum += d
 	}
 	avg := float64(sum) / float64(g.N())
 	if avg < 5 || avg > 9 {
@@ -267,7 +274,7 @@ func TestSmallFixtures(t *testing.T) {
 		t.Fatalf("Complete: %v", err)
 	}
 	s, err := Star(5)
-	if err != nil || s.M() != 4 || s.Degree(0) != 4 {
+	if err != nil || s.M() != 4 || degrees(s)[0] != 4 {
 		t.Fatalf("Star: %v", err)
 	}
 	for _, bad := range []func() error{

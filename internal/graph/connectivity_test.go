@@ -9,7 +9,7 @@ import (
 )
 
 // TestIsConnectedAgreesWithComponents checks the union-find verdict
-// against the adjacency-index component count on a fixed table and on
+// against the incidence-list component count on a fixed table and on
 // random sparse graphs, about half of which come out split.
 func TestIsConnectedAgreesWithComponents(t *testing.T) {
 	sbm, _, err := gen.SBM(3, 20, 0.3, 0, 5)

@@ -4,8 +4,8 @@
 // extraction.
 //
 // Vertices are dense integers 0..n-1. Edges are stored once (u < v) in an
-// edge list; a CSR-style adjacency index is built lazily and cached, so the
-// zero-cost path for algorithms that only stream edges stays cheap.
+// edge list, which is all a Graph keeps: a walk that needs neighbour lists
+// builds a transient Incidence and drops it.
 package graph
 
 import (
@@ -42,10 +42,10 @@ type Edge struct {
 // Graph is an undirected weighted graph. Construct with New or Builder
 // functions; the zero value is an empty graph with no vertices. A Graph
 // is immutable after construction and safe for concurrent readers: the
-// lazily built adjacency index and Laplacian export are each guarded by
-// a sync.Once and the connectivity verdict is an atomic, so one Graph
-// may be shared between the service registry, job workers and a
-// resident maintainer session without external locking.
+// lazily built Laplacian export is guarded by a sync.Once and the
+// connectivity verdict is an atomic, so one Graph may be shared between
+// the service registry, job workers and a resident maintainer session
+// without external locking.
 //
 // Immutability is also what makes sharing cheap: derived graphs
 // (AddEdges with no extras, registry snapshots, session views) may
@@ -56,14 +56,6 @@ type Edge struct {
 type Graph struct {
 	n     int
 	edges []Edge
-
-	// Lazily built adjacency index: the incidence lists, cached. Built by
-	// neighbour walks only (Neighbors, Degree, WeightedDegree,
-	// Components); IsConnected and BFSOrder do not need it. adjBuilt
-	// publishes it to Bytes, which must not wait on the Once.
-	adjOnce  sync.Once
-	adjBuilt atomic.Bool
-	adj      *Incidence
 
 	// Lazily built Laplacian CSR (eq. 1); immutable once published.
 	lapOnce sync.Once
@@ -222,16 +214,8 @@ func (g *Graph) EdgesCopy() []Edge {
 	return append([]Edge(nil), g.edges...)
 }
 
-// Bytes estimates the heap g's edge list and adjacency index hold: 24 B
-// an edge, plus the index only once a neighbour walk has built it. Safe
-// to call concurrently with the build.
-func (g *Graph) Bytes() int64 {
-	b := int64(len(g.edges)) * 24
-	if g.adjBuilt.Load() {
-		b += int64(len(g.adj.ptr)+len(g.adj.to)+len(g.adj.ids)) * 4
-	}
-	return b
-}
+// Bytes estimates the heap g's edge list holds: 24 B an edge.
+func (g *Graph) Bytes() int64 { return int64(len(g.edges)) * 24 }
 
 // Edge returns the i-th edge.
 func (g *Graph) Edge(i int) Edge { return g.edges[i] }
@@ -241,46 +225,6 @@ func (g *Graph) TotalWeight() float64 {
 	var s float64
 	for _, e := range g.edges {
 		s += e.W
-	}
-	return s
-}
-
-// buildAdj builds the adjacency index once; concurrent callers
-// synchronize on the Once so the index is published exactly once.
-func (g *Graph) buildAdj() {
-	g.adjOnce.Do(func() {
-		g.adj = NewIncidence(g)
-		g.adjBuilt.Store(true)
-	})
-}
-
-// Neighbors calls fn(v, w, edgeID) for every edge incident to u, in edge
-// id order. Iteration stops early if fn returns false.
-func (g *Graph) Neighbors(u int, fn func(v int, w float64, edgeID int) bool) {
-	g.buildAdj()
-	to, ids := g.adj.Arcs(u)
-	for k, v := range to {
-		if !fn(int(v), g.edges[ids[k]].W, int(ids[k])) {
-			return
-		}
-	}
-}
-
-// Degree returns the number of edges incident to u.
-func (g *Graph) Degree(u int) int {
-	g.buildAdj()
-	to, _ := g.adj.Arcs(u)
-	return len(to)
-}
-
-// WeightedDegree returns the sum of weights of edges incident to u — the
-// diagonal entry L(u,u) of the Laplacian.
-func (g *Graph) WeightedDegree(u int) float64 {
-	g.buildAdj()
-	var s float64
-	_, ids := g.adj.Arcs(u)
-	for _, id := range ids {
-		s += g.edges[id].W
 	}
 	return s
 }
@@ -348,8 +292,9 @@ func (g *Graph) LapQuadForm(x []float64) float64 {
 
 // Components labels each vertex with a component id (0-based, in order of
 // discovery) and returns the labels along with the number of components.
+// It walks a transient Incidence, as BFSOrder does.
 func (g *Graph) Components() (labels []int, count int) {
-	g.buildAdj()
+	in := NewIncidence(g)
 	labels = make([]int, g.n)
 	for i := range labels {
 		labels[i] = -1
@@ -364,7 +309,7 @@ func (g *Graph) Components() (labels []int, count int) {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			to, _ := g.adj.Arcs(u)
+			to, _ := in.Arcs(u)
 			for _, v := range to {
 				if labels[v] == -1 {
 					labels[v] = count
@@ -471,10 +416,9 @@ func (g *Graph) BFSOrder(root int) (order []int, parent []int) {
 
 // Incidence is a graph's adjacency as an int32 CSR (so a graph may hold
 // up to 2³⁰ edges): each vertex's neighbours, and the ids of the edges
-// that join them, in edge id order. A Graph caches one as its adjacency
-// index for neighbour walks; a one-off walk builds its own and drops it,
-// so the Graph keeps no index, and a caller that walks twice builds it
-// once.
+// that join them, in edge id order. A Graph keeps none: every neighbour
+// walk builds its own and drops it, and a caller that walks twice builds
+// it once.
 type Incidence struct {
 	ptr, to, ids []int32
 }

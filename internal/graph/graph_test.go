@@ -63,27 +63,15 @@ func TestNewRejectsBadWeights(t *testing.T) {
 
 func TestDegreeAndWeightedDegree(t *testing.T) {
 	g, _ := New(3, []Edge{{0, 1, 2}, {0, 2, 3}})
-	if g.Degree(0) != 2 || g.Degree(1) != 1 {
-		t.Fatalf("degrees wrong: %d %d", g.Degree(0), g.Degree(1))
-	}
-	if g.WeightedDegree(0) != 5 {
-		t.Fatalf("WeightedDegree(0) = %v, want 5", g.WeightedDegree(0))
+	in := NewIncidence(g)
+	to0, ids0 := in.Arcs(0)
+	to1, _ := in.Arcs(1)
+	if len(to0) != 2 || len(to1) != 1 || !slices.Equal(ids0, []int32{0, 1}) {
+		t.Fatalf("arcs wrong: %v %v %v", to0, ids0, to1)
 	}
 	wd := g.WeightedDegrees()
 	if wd[0] != 5 || wd[1] != 2 || wd[2] != 3 {
 		t.Fatalf("WeightedDegrees = %v", wd)
-	}
-}
-
-func TestNeighborsEarlyStop(t *testing.T) {
-	g, _ := New(4, []Edge{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}})
-	count := 0
-	g.Neighbors(0, func(v int, w float64, id int) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Fatalf("early stop failed, visited %d", count)
 	}
 }
 
@@ -169,8 +157,6 @@ func TestIsConnected(t *testing.T) {
 	}
 }
 
-// TestRequireConnected also pins that the query answers from the edge
-// list alone: none of these graphs gets an adjacency index.
 func TestRequireConnected(t *testing.T) {
 	for _, c := range []struct {
 		g    *Graph
@@ -184,9 +170,6 @@ func TestRequireConnected(t *testing.T) {
 	} {
 		if err := c.g.RequireConnected(); !errors.Is(err, c.want) || (err == nil) != (c.want == nil) {
 			t.Errorf("%v: err = %v, want %v", c.g, err, c.want)
-		}
-		if c.g.adj != nil {
-			t.Errorf("%v: the connectivity query built the adjacency index", c.g)
 		}
 	}
 }
@@ -290,8 +273,8 @@ func TestBFSOrderUnreachable(t *testing.T) {
 }
 
 // TestBFSOrderMatchesIndexWalk checks the incidence-list BFS against a
-// BFS over the cached adjacency index (Neighbors) on random graphs, from
-// every root, and that BFSOrder leaves a fresh graph without that index.
+// BFS over neighbour lists built from Edges() on random graphs, from every
+// root, so the reference shares no code with Incidence.
 func TestBFSOrderMatchesIndexWalk(t *testing.T) {
 	rng := vecmath.NewRNG(29)
 	for trial := 0; trial < 20; trial++ {
@@ -303,7 +286,11 @@ func TestBFSOrderMatchesIndexWalk(t *testing.T) {
 			}
 		}
 		g := MustNew(n, es)
-		ref := MustNew(n, es)
+		nbrs := make([][]int, n) // in edge id order, as Incidence lists them
+		for _, e := range g.Edges() {
+			nbrs[e.U] = append(nbrs[e.U], e.V)
+			nbrs[e.V] = append(nbrs[e.V], e.U)
+		}
 		for root := 0; root < n; root++ {
 			order, parent := g.BFSOrder(root)
 			wantParent := make([]int, n)
@@ -313,20 +300,16 @@ func TestBFSOrderMatchesIndexWalk(t *testing.T) {
 			want := []int{root}
 			for head := 0; head < len(want); head++ {
 				u := want[head]
-				ref.Neighbors(u, func(v int, _ float64, _ int) bool {
+				for _, v := range nbrs[u] {
 					if v != root && wantParent[v] == -1 {
 						wantParent[v] = u
 						want = append(want, v)
 					}
-					return true
-				})
+				}
 			}
 			if !reflect.DeepEqual(order, want) || !reflect.DeepEqual(parent, wantParent) {
-				t.Fatalf("trial %d root %d: BFSOrder = %v %v, index walk %v %v", trial, root, order, parent, want, wantParent)
+				t.Fatalf("trial %d root %d: BFSOrder = %v %v, reference walk %v %v", trial, root, order, parent, want, wantParent)
 			}
-		}
-		if got := g.Bytes(); got != 24*int64(g.M()) {
-			t.Fatalf("trial %d: Bytes after BFSOrder = %d, want the edge list's %d", trial, got, 24*g.M())
 		}
 	}
 }
@@ -965,8 +948,8 @@ func BenchmarkSubgraphEdges(b *testing.B) {
 // BenchmarkIsConnected times the first connectivity query on a fresh
 // 320×320 grid (each iteration wraps the same edge list in a new Graph,
 // so nothing is cached): the union-find pass IsConnected runs, and for
-// comparison Components, which builds the adjacency index the query
-// used to build.
+// comparison Components, which walks the incidence lists the query used
+// to build.
 func BenchmarkIsConnected(b *testing.B) {
 	g := MustNew(320*320, benchGrid(320, 320))
 	b.Run("unionfind", func(b *testing.B) {
@@ -985,35 +968,4 @@ func BenchmarkIsConnected(b *testing.B) {
 			}
 		}
 	})
-}
-
-// Bytes charges the edge list always and the adjacency index only once it
-// is built; Bytes races no concurrent build (run under -race).
-func TestBytesChargesOnlyBuiltIndexes(t *testing.T) {
-	g := MustNew(5, []Edge{{0, 1, 1}, {1, 2, 2}, {2, 3, 1}, {3, 4, 3}, {0, 4, 1}, {1, 3, 1}})
-	n, m := int64(g.N()), int64(g.M())
-	edges := 24 * m
-	if got := g.Bytes(); got != edges {
-		t.Fatalf("fresh graph: Bytes = %d, want the edge list's %d", got, edges)
-	}
-	if !g.IsConnected() || g.Bytes() != edges {
-		t.Fatalf("IsConnected charged an index: Bytes = %d, want %d", g.Bytes(), edges)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if i%2 == 0 {
-				g.Degree(i % 5)
-			} else {
-				_ = g.Bytes()
-			}
-		}()
-	}
-	wg.Wait()
-	adj := 4 * (n + 1 + 4*m) // int32 pointer array plus a neighbour and an edge id per arc
-	if got := g.Bytes(); got != edges+adj {
-		t.Fatalf("with adjacency: Bytes = %d, want %d", got, edges+adj)
-	}
 }

@@ -138,8 +138,7 @@ func Extract(g *graph.Graph, alg Algorithm, seed uint64) (*tree.Tree, []int, []i
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Degrees counted from the edge list: g's adjacency index would be
-	// built for this loop alone and then live as long as g does.
+	// Degrees counted from the edge list: no incidence lists needed.
 	deg := make([]int32, g.N())
 	for _, e := range g.Edges() {
 		deg[e.U]++

@@ -53,14 +53,15 @@ func TestAggregateMembersAreConnected(t *testing.T) {
 	checkAggregates(t, agg, nc, g.N())
 	size := make([]int, nc)
 	hasNbr := make([]bool, g.N())
+	in := graph.NewIncidence(g)
 	for v, a := range agg {
 		size[a]++
-		g.Neighbors(v, func(u int, _ float64, _ int) bool {
+		to, _ := in.Arcs(v)
+		for _, u := range to {
 			if agg[u] == a {
 				hasNbr[v] = true
 			}
-			return true
-		})
+		}
 	}
 	for v, a := range agg {
 		if size[a] > 1 && !hasNbr[v] {

@@ -210,8 +210,7 @@ func SpectralBisect(g *graph.Graph, opt Options) (*Result, error) {
 // pseudo-peripheral vertex (two BFS sweeps pick the start, the standard
 // level-structure trick). The positive side is a connected BFS prefix of
 // exactly ⌈n/2⌉ vertices, so the split is perfectly balanced and the cut
-// runs along a level set. Both sweeps walk one transient incidence list,
-// so g keeps no adjacency index.
+// runs along a level set. Both sweeps walk one transient incidence list.
 func bfsBisect(g *graph.Graph) *Result {
 	start := time.Now()
 	inc := graph.NewIncidence(g)

