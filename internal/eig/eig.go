@@ -118,23 +118,33 @@ type krylov struct {
 	deflate func(x []float64)
 }
 
-// dgks is the Daniel–Gragg–Kaufman–Stewart test: a Gram–Schmidt pass that
-// leaves less than 1/√2 of ‖w‖ lost enough digits to need a second one.
+// dgks is the Daniel–Gragg–Kaufman–Stewart test of the reorthogonalized
+// path (vectors set): a Gram–Schmidt pass that leaves less than 1/√2 of
+// ‖w‖ lost enough digits to need a second one. The Ritz-value-only path
+// runs no Gram–Schmidt and so no test.
 const dgks = 1 / math.Sqrt2
 
 // lanczos is the package's one Lanczos loop: up to k steps from the start
 // vector v0 (deflated and normalized here, in place) — apply, deflate, α,
-// the three-term recurrence, full reorthogonalization, β — then the
-// tridiagonal eigenproblem. Reorthogonalization is one classical
-// Gram–Schmidt pass against the whole basis, plus a second pass when the
-// first cancels more than 1/√2 of ‖w‖ (dgks). It returns the Ritz values
-// ascending and, with vectors set, the Krylov basis and the tridiagonal's
-// eigenvector matrix to assemble Ritz vectors from (ritz[i] pairs with
-// Σ_j z[j][i]·basis[j]). It stops early on an invariant subspace, so
-// fewer than k values can come back.
+// the three-term recurrence, β — then the tridiagonal eigenproblem. It
+// returns the Ritz values ascending and stops early on an invariant
+// subspace, so fewer than k values can come back. It has two paths.
+//
+// With vectors set it keeps the Krylov basis and reorthogonalizes w
+// against all of it at every step: one classical Gram–Schmidt pass, plus a
+// second when the first cancels more than 1/√2 of ‖w‖ (dgks). It returns
+// the basis and the tridiagonal's eigenvector matrix to assemble Ritz
+// vectors from (ritz[i] pairs with Σ_j z[j][i]·basis[j]).
+//
+// Without vectors it runs the plain three-term recurrence in three
+// rotating length-n buffers (v_{j−1}, v_j, w; v0 is one of them, so its
+// contents are lost), allocating nothing per step. Loss of orthogonality
+// then only duplicates Ritz values that have already converged; it never
+// moves the largest past λmax by more than rounding (Paige 1980; Parlett,
+// The Symmetric Eigenvalue Problem, ch. 13). The smallest Ritz value of a
+// deep run may differ from the reorthogonalized one's.
 func (op krylov) lanczos(v0 []float64, k int, vectors bool) (ritz []float64, basis, z [][]float64, err error) {
 	n := len(v0)
-	v := make([][]float64, 0, k+1)
 	alpha := make([]float64, 0, k)
 	beta := make([]float64, 0, k)
 
@@ -144,48 +154,61 @@ func (op krylov) lanczos(v0 []float64, k int, vectors bool) (ritz []float64, bas
 		return nil, nil, nil, errors.New("eig: start vector degenerate")
 	}
 	vecmath.Scale(1/nb, v0)
-	v = append(v, v0)
 
-	w := make([]float64, n)
-	gs := gramSchmidt{coef: make([]float64, 0, k+1)}
-	if op.weight != nil {
-		gs.weighted = make([]float64, n)
+	var v [][]float64 // the basis, with vectors set
+	var gs gramSchmidt
+	var prev []float64 // v_{j−1}
+	if vectors {
+		v = append(make([][]float64, 0, k+1), v0)
+		gs.coef = make([]float64, 0, k+1)
+		if op.weight != nil {
+			gs.weighted = make([]float64, n)
+		}
+	} else {
+		prev = make([]float64, n)
 	}
+	w := make([]float64, n)
+	vj := v0
 	for j := 0; j < k; j++ {
-		vj := v[j]
 		op.apply(w, vj)
 		op.deflateIfAny(w)
 		a := op.dot(w, vj)
 		alpha = append(alpha, a)
 		b, vp := 0.0, vj // the three-term recurrence; β₋₁ = 0
 		if j > 0 {
-			b, vp = beta[j-1], v[j-1]
+			b, vp = beta[j-1], prev
 		}
 		vj, vp = vj[:len(w)], vp[:len(w)]
 		for t := range w {
 			w[t] = w[t] - float64(a*vj[t]) - float64(b*vp[t])
 		}
-		before := op.dot(w, w)
-		gs.pass(w, v, op.weight)
 		after := op.dot(w, w)
-		if after < dgks*dgks*before {
+		if vectors {
+			before := after
 			gs.pass(w, v, op.weight)
 			after = op.dot(w, w)
+			if after < dgks*dgks*before {
+				gs.pass(w, v, op.weight)
+				after = op.dot(w, w)
+			}
 		}
 		bn := math.Sqrt(math.Max(0, after))
 		if bn < 1e-12 {
 			break // invariant subspace found
 		}
 		beta = append(beta, bn)
-		vn := make([]float64, n)
-		copy(vn, w)
-		vecmath.Scale(1/bn, vn)
-		v = append(v, vn)
+		if vectors {
+			vn := make([]float64, n)
+			copy(vn, w)
+			vecmath.Scale(1/bn, vn)
+			v = append(v, vn)
+			prev, vj = vj, vn
+		} else {
+			vecmath.Scale(1/bn, w)
+			prev, vj, w = vj, w, prev // w reuses v_{j−1}'s buffer
+		}
 	}
 	m := len(alpha)
-	d := append([]float64(nil), alpha...)
-	e := make([]float64, m-1)
-	copy(e, beta[:m-1])
 	if vectors {
 		// Ritz vectors: rotate the identity alongside.
 		z = make([][]float64, m)
@@ -194,10 +217,10 @@ func (op krylov) lanczos(v0 []float64, k int, vectors bool) (ritz []float64, bas
 			z[i][i] = 1
 		}
 	}
-	if err := TQL2(d, e, z); err != nil {
+	if err := TQL2(alpha, beta[:m-1], z); err != nil {
 		return nil, nil, nil, err
 	}
-	return d, v, z, nil
+	return alpha, v, z, nil
 }
 
 func (op krylov) deflateIfAny(x []float64) {
