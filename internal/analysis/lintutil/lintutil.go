@@ -33,6 +33,7 @@ var deterministicPkgs = map[string]bool{
 	"vecmath":    true,
 	"sparse":     true,
 	"pcg":        true,
+	"gen":        true,
 }
 
 // IsDeterministicPkg reports whether the package at path belongs to the

@@ -262,6 +262,14 @@ func KNN(n, k, dim int, seed uint64) (*graph.Graph, error) {
 	for p, w := range pairs {
 		edges = append(edges, graph.Edge{U: p[0], V: p[1], W: w})
 	}
+	// Pairs are distinct and U < V, so this is graph.New's own order,
+	// which it then does not sort again.
+	sort.Slice(edges, func(a, b int) bool {
+		if edges[a].U != edges[b].U {
+			return edges[a].U < edges[b].U
+		}
+		return edges[a].V < edges[b].V
+	})
 	g, err := graph.New(n, edges)
 	if err != nil {
 		return nil, err
@@ -316,15 +324,19 @@ func BarabasiAlbert(n, m int, seed uint64) (*graph.Graph, error) {
 			targets = append(targets, i, j)
 		}
 	}
+	// The m distinct endpoints in draw order; the map only de-duplicates.
+	picks := make([]int, 0, m)
 	chosen := make(map[int]bool, m)
 	for v := m + 1; v < n; v++ {
-		for k := range chosen {
-			delete(chosen, k)
+		picks = picks[:0]
+		clear(chosen)
+		for len(picks) < m {
+			if u := targets[rng.Intn(len(targets))]; !chosen[u] {
+				chosen[u] = true
+				picks = append(picks, u)
+			}
 		}
-		for len(chosen) < m {
-			chosen[targets[rng.Intn(len(targets))]] = true
-		}
-		for u := range chosen {
+		for _, u := range picks {
 			edges = append(edges, graph.Edge{U: u, V: v, W: 1})
 			targets = append(targets, u, v)
 		}

@@ -352,3 +352,46 @@ func TestBarbell(t *testing.T) {
 		t.Fatal("pathLen < 1 should fail")
 	}
 }
+
+// Every constructor is a function of its arguments: two calls with one
+// seed in one process build the same graph, byte for byte. A map ranged
+// into the edge list or the sampling state breaks this (BarabasiAlbert
+// once fed its preferential-attachment list in map order).
+func TestConstructorsDeterministic(t *testing.T) {
+	drop := func(g *graph.Graph, _ []int, err error) (*graph.Graph, error) { return g, err }
+	dropPos := func(g *graph.Graph, _ []([2]float64), err error) (*graph.Graph, error) { return g, err }
+	for _, c := range []struct {
+		name  string
+		build func() (*graph.Graph, error)
+	}{
+		{"Grid2D", func() (*graph.Graph, error) { return Grid2D(9, 7, UniformWeights, 3) }},
+		{"Grid3D", func() (*graph.Graph, error) { return Grid3D(5, 4, 3, LogUniform, 3) }},
+		{"TriMesh", func() (*graph.Graph, error) { return TriMesh(8, 6, UniformWeights, 3) }},
+		{"Annulus", func() (*graph.Graph, error) { return dropPos(Annulus(4, 12, UniformWeights, 3)) }},
+		{"KNN", func() (*graph.Graph, error) { return KNN(300, 5, 2, 3) }},
+		{"BarabasiAlbert", func() (*graph.Graph, error) { return BarabasiAlbert(500, 3, 1) }},
+		{"Coauthorship", func() (*graph.Graph, error) { return Coauthorship(400, 3, 0.5, 3) }},
+		{"WattsStrogatz", func() (*graph.Graph, error) { return WattsStrogatz(200, 4, 0.3, 3) }},
+		{"DenseRandom", func() (*graph.Graph, error) { return DenseRandom(100, 8, 3) }},
+		{"RandomRegular", func() (*graph.Graph, error) { return RandomRegular(80, 4, 3) }},
+		{"Path", func() (*graph.Graph, error) { return Path(10) }},
+		{"Cycle", func() (*graph.Graph, error) { return Cycle(10) }},
+		{"Complete", func() (*graph.Graph, error) { return Complete(8) }},
+		{"Barbell", func() (*graph.Graph, error) { return Barbell(5, 3, UniformWeights, 3) }},
+		{"Star", func() (*graph.Graph, error) { return Star(10) }},
+		{"SBM", func() (*graph.Graph, error) { return drop(SBM(3, 40, 0.3, 0.02, 3)) }},
+		{"PowerGrid", func() (*graph.Graph, error) { return PowerGrid(6, 6, 2, 3) }},
+	} {
+		a, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		b, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if ha, hb := a.ContentHash(), b.ContentHash(); ha != hb {
+			t.Errorf("%s: two calls with one seed hash %s and %s", c.name, ha, hb)
+		}
+	}
+}
