@@ -155,20 +155,16 @@ func (op krylov) lanczos(v0 []float64, k int, vectors bool) (ritz []float64, bas
 	}
 	vecmath.Scale(1/nb, v0)
 
-	var v [][]float64 // the basis, with vectors set
+	var v [][]float64 // the basis, kept with vectors set
 	var gs gramSchmidt
-	var prev []float64 // v_{j−1}
 	if vectors {
 		v = append(make([][]float64, 0, k+1), v0)
 		gs.coef = make([]float64, 0, k+1)
 		if op.weight != nil {
 			gs.weighted = make([]float64, n)
 		}
-	} else {
-		prev = make([]float64, n)
 	}
-	w := make([]float64, n)
-	vj := v0
+	vj, prev, w := v0, make([]float64, n), make([]float64, n) // v_j, v_{j−1}
 	for j := 0; j < k; j++ {
 		op.apply(w, vj)
 		op.deflateIfAny(w)

@@ -303,7 +303,7 @@ func TestGeneralizedLanczosGhosts(t *testing.T) {
 			}
 		}
 		if copies < 2 {
-			t.Errorf("seed %d: top Ritz value found %d times; the run shows no ghost", seed, copies)
+			t.Errorf("seed %d: top Ritz value found %d times; the case needs a run with ghosts", seed, copies)
 		}
 		if d := math.Abs(got[len(got)-1] - top); d > 1e-9*top {
 			t.Errorf("seed %d: largest Ritz value %v, λmax %v", seed, got[len(got)-1], top)

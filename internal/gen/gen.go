@@ -262,13 +262,10 @@ func KNN(n, k, dim int, seed uint64) (*graph.Graph, error) {
 	for p, w := range pairs {
 		edges = append(edges, graph.Edge{U: p[0], V: p[1], W: w})
 	}
-	// Pairs are distinct and U < V, so this is graph.New's own order,
-	// which it then does not sort again.
+	// The pairs are distinct with U < V: sorted, they are graph.New's own
+	// order, which it then does not sort again.
 	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].U != edges[b].U {
-			return edges[a].U < edges[b].U
-		}
-		return edges[a].V < edges[b].V
+		return edges[a].U < edges[b].U || (edges[a].U == edges[b].U && edges[a].V < edges[b].V)
 	})
 	g, err := graph.New(n, edges)
 	if err != nil {
