@@ -333,10 +333,11 @@ func HeatSpectrum(g *graph.Graph, t, r int, sigmaSqs []float64, seed uint64) (no
 // VerifySimilarity is the product's certificate: it estimates κ(L_G, L_P)
 // with a k-step generalized Lanczos run in the coordinates of solver, a
 // factorization of exactly P, and reports (λmax, λmin, κ). The run keeps
-// no Krylov basis (eig.GeneralizedLanczos), so λmax is the reorthogonalized
-// loop's to rounding and λmin that of the plain three-term recurrence. Every verified
-// batch plan and every streamed batch reach it through engine.Certify;
-// the benchmark harness and the test oracles call it directly.
+// no Krylov basis (eig.GeneralizedLanczos), so λmax is the
+// reorthogonalized loop's to rounding and λmin that of the plain
+// three-term recurrence. Every verified batch plan and every streamed
+// batch reach it through engine.Certify; the benchmark harness and the
+// test oracles call it directly.
 func VerifySimilarity(g, p *graph.Graph, solver *cholesky.LapSolver, k int, seed uint64) (lmax, lmin, cond float64, err error) {
 	vals, err := eig.GeneralizedLanczos(g, p, solver, k, seed)
 	if err != nil {
