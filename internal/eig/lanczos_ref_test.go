@@ -16,8 +16,8 @@ import (
 // generalizedLanczosRef is GeneralizedLanczos as it stood before it moved
 // into the factor's coordinates, copied verbatim: Lanczos on L_P⁺ L_G in
 // the L_P inner product (a walk over P's edges per product), modified
-// Gram–Schmidt against the whole basis. It is the oracle the factor-
-// coordinate loop must agree with to rounding.
+// Gram–Schmidt against the whole basis. It is the oracle the
+// certificate's largest Ritz value must agree with to rounding.
 func generalizedLanczosRef(g, p *graph.Graph, solver LapSolver, k int, seed uint64) ([]float64, error) {
 	if g.N() != p.N() {
 		return nil, fmt.Errorf("eig: vertex counts differ")
