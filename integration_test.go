@@ -234,7 +234,11 @@ func TestStretchConsistencyWithResistance(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := e.W * rTree
-		got := tr.Stretch(e)
+		one, err := graph.New(g.N(), []graph.Edge{e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := tr.TotalStretch(one) // the stretch of e alone
 		if math.Abs(got-want) > 1e-8*(1+want) {
 			t.Fatalf("stretch mismatch for edge %d: %v vs %v", id, got, want)
 		}

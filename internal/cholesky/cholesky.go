@@ -111,9 +111,6 @@ func (f *Factor) Session() *Factor {
 	return &s
 }
 
-// N returns the dimension.
-func (f *Factor) N() int { return f.n }
-
 // etree computes the elimination tree of the (full, symmetric) CSR matrix.
 func etree(a *sparse.CSR) []int {
 	n := a.Rows

@@ -10,6 +10,8 @@ import (
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/sparse"
+	"graphspar/internal/testkit/fixture"
+	"graphspar/internal/testkit/matrix"
 	"graphspar/internal/vecmath"
 )
 
@@ -86,7 +88,7 @@ func TestFactorRejectsIndefinite(t *testing.T) {
 }
 
 func TestFactorSingularLaplacianFails(t *testing.T) {
-	g, _ := gen.Path(4)
+	g, _ := fixture.Path(4)
 	if _, err := FactorCSR(g.Laplacian(), nil); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("singular Laplacian must fail: %v", err)
 	}
@@ -138,7 +140,7 @@ func TestLLTEqualsPAP(t *testing.T) {
 		}
 	}
 	l := lb.Build()
-	llt, err := sparse.Mul(l, l.Transpose())
+	llt, err := matrix.Mul(l, l.Transpose())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestLLTEqualsPAP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := sparse.FrobeniusDiff(llt, pap)
+	d, err := matrix.FrobeniusDiff(llt, pap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +256,7 @@ func TestLapSolverSolvesPseudoinverse(t *testing.T) {
 }
 
 func TestLapSolverProjectsRHS(t *testing.T) {
-	g, _ := gen.Path(5)
+	g, _ := fixture.Path(5)
 	ls, err := NewLapSolver(g)
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +493,7 @@ func TestLapSolverBytesAtInt32Layout(t *testing.T) {
 	if want += 8 * dim; ls.Bytes() != want {
 		t.Fatalf("after ApplyEdge: Bytes = %d, want %d (+ the update buffer)", ls.Bytes(), want)
 	}
-	one, err := NewLapSolver(graph.MustNew(1, nil))
+	one, err := NewLapSolver(fixture.Graph(1, nil))
 	if err != nil || one.Bytes() != 0 {
 		t.Fatalf("one vertex: Bytes = %d, err %v; want 0", one.Bytes(), err)
 	}

@@ -8,6 +8,7 @@ import (
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/sparse"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -143,9 +144,9 @@ func TestKernelsMatchReference(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{
-		{"path", must(gen.Path(200))},
-		{"star", must(gen.Star(300))},
-		{"K12", must(gen.Complete(12))},
+		{"path", must(fixture.Path(200))},
+		{"star", must(fixture.Star(300))},
+		{"K12", must(fixture.Complete(12))},
 		{"grid9", must(gen.Grid2D(9, 9, gen.UniformWeights, 1))},
 		{"grid40", must(gen.Grid2D(40, 40, gen.UniformWeights, 2))},
 		{"sbm4x96", sbm},
@@ -169,7 +170,7 @@ func TestSweepHalvesMatchReference(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{
-		{"path", must(gen.Path(200))},
+		{"path", must(fixture.Path(200))},
 		{"grid9", must(gen.Grid2D(9, 9, gen.UniformWeights, 1))},
 		{"grid40", must(gen.Grid2D(40, 40, gen.UniformWeights, 2))},
 		{"sbm4x96", sbm},

@@ -7,6 +7,7 @@ import (
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/sparse"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -57,10 +58,10 @@ func TestMinDegreeMatchesReference(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{
-		{"path", must(gen.Path(200))},
-		{"star", must(gen.Star(300))},
+		{"path", must(fixture.Path(200))},
+		{"star", must(fixture.Star(300))},
 		{"tree", randomTree(t, 500, 7)},
-		{"K12", must(gen.Complete(12))},
+		{"K12", must(fixture.Complete(12))},
 		{"grid9", must(gen.Grid2D(9, 9, gen.UniformWeights, 1))},
 		{"grid40", must(gen.Grid2D(40, 40, gen.UniformWeights, 2))},
 		{"sbm4x96", sbm},
@@ -107,7 +108,7 @@ func TestMinDegreePivotsHaveMinimumDegree(t *testing.T) {
 		{"grid9", grid},
 		{"tree", reducedLaplacianCSR(randomTree(t, 300, 3))},
 		{"sbm4x48", reducedLaplacianCSR(sbm)},
-		{"K12", must(gen.Complete(12)).Laplacian()},
+		{"K12", must(fixture.Complete(12)).Laplacian()},
 	} {
 		if _, bad := pivotDegrees(c.a, MinDegree(c.a)); bad >= 0 {
 			t.Fatalf("%s: pivot %d is not of minimum degree", c.name, bad)

@@ -8,6 +8,7 @@ import (
 	"graphspar/internal/gen"
 	"graphspar/internal/lsst"
 	"graphspar/internal/sparse"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -30,7 +31,7 @@ func TestMinDegreeIsPermutation(t *testing.T) {
 func TestMinDegreeTreeZeroFill(t *testing.T) {
 	// A tree factors with zero fill under minimum degree: factor NNZ =
 	// n (diagonal) + n-1 (one entry per edge).
-	g, _ := gen.Path(64)
+	g, _ := fixture.Path(64)
 	tr, _, _, err := lsst.Extract(g, lsst.MaxWeight, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"graphspar/internal/graph"
 	"graphspar/internal/sparse"
 	"graphspar/internal/testkit"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -88,7 +89,7 @@ func TestFactorUpdateMatchesRefactor(t *testing.T) {
 }
 
 func TestFactorUpdateRejectsFill(t *testing.T) {
-	g, err := gen.Path(5)
+	g, err := fixture.Path(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestFactorUpdateRejectsFill(t *testing.T) {
 }
 
 func TestDowndateToSingularRejected(t *testing.T) {
-	g, err := gen.Path(3)
+	g, err := fixture.Path(3)
 	if err != nil {
 		t.Fatal(err)
 	}

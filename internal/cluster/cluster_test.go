@@ -9,6 +9,7 @@ import (
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/pcg"
+	"graphspar/internal/testkit/fixture"
 )
 
 func TestSpectralKMeansRecoversSBM(t *testing.T) {
@@ -99,7 +100,7 @@ func TestSpectralKMeansNormalizedRecoversSBM(t *testing.T) {
 }
 
 func TestSpectralKMeansValidation(t *testing.T) {
-	g, _ := gen.Path(6)
+	g, _ := fixture.Path(6)
 	ls, _ := cholesky.NewLapSolver(g)
 	if _, err := SpectralKMeans(g, ls, Options{K: 1}); err == nil {
 		t.Fatal("K=1 should fail")
@@ -115,7 +116,7 @@ func TestSpectralKMeansValidation(t *testing.T) {
 
 func TestSpectralKMeansPathBisection(t *testing.T) {
 	// K=2 on a path should split it into two contiguous halves.
-	g, _ := gen.Path(40)
+	g, _ := fixture.Path(40)
 	ls, err := cholesky.NewLapSolver(g)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"graphspar/internal/lsst"
 	"graphspar/internal/params"
 	"graphspar/internal/pcg"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -48,7 +49,7 @@ func TestSparsifyRejectsDisconnected(t *testing.T) {
 
 func TestSparsifyTreeInput(t *testing.T) {
 	// A tree sparsifies to itself with κ = 1.
-	g, _ := gen.Path(20)
+	g, _ := fixture.Path(20)
 	res, err := Sparsify(g, Options{SigmaSq: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +354,7 @@ func TestHeatSpectrum(t *testing.T) {
 }
 
 func TestHeatSpectrumOnTreeFails(t *testing.T) {
-	g, _ := gen.Path(10)
+	g, _ := fixture.Path(10)
 	if _, _, err := HeatSpectrum(g, 1, 2, []float64{100}, 1); err == nil {
 		t.Fatal("tree has no off-tree edges; expected error")
 	}

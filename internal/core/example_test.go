@@ -5,6 +5,7 @@ import (
 
 	"graphspar/internal/core"
 	"graphspar/internal/gen"
+	"graphspar/internal/testkit/fixture"
 )
 
 // ExampleSparsify demonstrates the basic similarity-aware sparsification
@@ -46,8 +47,8 @@ func ExampleThreshold() {
 // ExampleEstimateLambdaMin computes the node-coloring bound of eq. 18 for
 // a triangle versus its spanning path.
 func ExampleEstimateLambdaMin() {
-	g, _ := gen.Complete(3)
-	p, _ := gen.Path(3)
+	g, _ := fixture.Complete(3)
+	p, _ := fixture.Path(3)
 	fmt.Printf("λ̃min = %.2f\n", core.EstimateLambdaMin(g, p))
 	// Output:
 	// λ̃min = 1.00

@@ -10,6 +10,7 @@ import (
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -80,7 +81,7 @@ func TestEstimateTraceIdentityOperator(t *testing.T) {
 }
 
 func TestEstimateTraceValidation(t *testing.T) {
-	g, _ := gen.Path(5)
+	g, _ := fixture.Path(5)
 	tr, _, _, err := lsst.Extract(g, lsst.MaxWeight, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"graphspar/internal/lsst"
 	"graphspar/internal/params"
 	"graphspar/internal/testkit"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -253,14 +254,14 @@ func TestShardedRebuildPath(t *testing.T) {
 }
 
 func TestDisconnectedInputRejected(t *testing.T) {
-	two := graph.MustNew(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
+	two := fixture.Graph(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 	if _, err := dynamic.New(context.Background(), two, engine.Options{Sparsify: core.Options{SigmaSq: 50}}); !errors.Is(err, graph.ErrDisconnected) {
 		t.Fatalf("err = %v, want graph.ErrDisconnected", err)
 	}
 }
 
 func TestApplyToGraphEmptyBatch(t *testing.T) {
-	g, err := gen.Path(4)
+	g, err := fixture.Path(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +385,7 @@ func TestMultiRemovalRepairBreaksTiesByEdgeID(t *testing.T) {
 	for i := range two {
 		two[i].W = float64(1 + (7*i)%2)
 	}
-	twoClass := graph.MustNew(unit.N(), two)
+	twoClass := fixture.Graph(unit.N(), two)
 	for _, c := range []struct {
 		name string
 		g    *graph.Graph

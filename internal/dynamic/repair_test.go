@@ -11,6 +11,7 @@ import (
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -61,7 +62,7 @@ func TestReconnectHeaviestMatchesWholeListSort(t *testing.T) {
 	for i := range two {
 		two[i].W = float64(1 + (7*i)%2)
 	}
-	twoClass := graph.MustNew(unit.N(), two)
+	twoClass := fixture.Graph(unit.N(), two)
 	sbm, _, err := gen.SBM(3, 40, 0.2, 0.02, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +89,7 @@ func TestReconnectHeaviestMatchesWholeListSort(t *testing.T) {
 						kept = append(kept, e)
 					}
 				}
-				g2 := graph.MustNew(c.g.N(), kept)
+				g2 := fixture.Graph(c.g.N(), kept)
 				forest := func() *lsst.UnionFind {
 					uf := lsst.NewUnionFind(c.g.N())
 					for _, id := range tree {
@@ -113,7 +114,7 @@ func TestReconnectHeaviestMatchesWholeListSort(t *testing.T) {
 	for _, e := range twoClass.Edges() {
 		pair = append(pair, graph.Edge{U: e.U + unit.N(), V: e.V + unit.N(), W: e.W})
 	}
-	twoGrids := graph.MustNew(2*unit.N(), pair)
+	twoGrids := fixture.Graph(2*unit.N(), pair)
 	if _, ok := checkSweep(t, "two grids", twoGrids, lsst.NewUnionFind(twoGrids.N()), lsst.NewUnionFind(twoGrids.N())); ok {
 		t.Fatal("two grids: sweep reported one component")
 	}
@@ -123,7 +124,7 @@ func TestReconnectHeaviestMatchesWholeListSort(t *testing.T) {
 			corner = append(corner, e)
 		}
 	}
-	isolated := graph.MustNew(random.N(), corner)
+	isolated := fixture.Graph(random.N(), corner)
 	if _, ok := checkSweep(t, "isolated corner", isolated, lsst.NewUnionFind(isolated.N()), lsst.NewUnionFind(isolated.N())); ok {
 		t.Fatal("isolated corner: sweep reported one component")
 	}
@@ -133,7 +134,7 @@ func TestReconnectHeaviestMatchesWholeListSort(t *testing.T) {
 // its middle edge, leaving {0,1} | {2,3} crossed by (0,2) w=5 and (1,3)
 // w=9; the sweep takes the w=9 edge alone.
 func TestReconnectHeaviestPicksHeaviestCrossingEdge(t *testing.T) {
-	g := graph.MustNew(4, []graph.Edge{
+	g := fixture.Graph(4, []graph.Edge{
 		{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}, {U: 0, V: 2, W: 5}, {U: 1, V: 3, W: 9},
 	})
 	forest := [][2]int{{0, 1}, {2, 3}}
@@ -169,7 +170,7 @@ func TestReconnectHeaviestBridgeFails(t *testing.T) {
 			kept = append(kept, e)
 		}
 	}
-	g2 := graph.MustNew(g.N(), kept)
+	g2 := fixture.Graph(g.N(), kept)
 	got, ok := checkSweep(t, "deleted bridge", g2, forestOf(g.N(), forest), forestOf(g.N(), forest))
 	if ok || got != nil {
 		t.Fatalf("sweep took %v (ok=%v), want nothing (ok=false)", got, ok)
@@ -193,7 +194,7 @@ func unitGraph(n int, pairs [][2]int) *graph.Graph {
 	for i, k := range pairs {
 		es[i] = graph.Edge{U: k[0], V: k[1], W: 1}
 	}
-	return graph.MustNew(n, es)
+	return fixture.Graph(n, es)
 }
 
 // forestOf unions the given pairs in a fresh union-find on n vertices.

@@ -9,6 +9,8 @@ import (
 	"graphspar/internal/cholesky"
 	"graphspar/internal/gen"
 	"graphspar/internal/lsst"
+	"graphspar/internal/testkit/fixture"
+	"graphspar/internal/testkit/matrix"
 	"graphspar/internal/vecmath"
 )
 
@@ -115,7 +117,7 @@ func TestTQL2Eigenvectors(t *testing.T) {
 
 func TestJacobiEigenKnown(t *testing.T) {
 	a := [][]float64{{2, -1, 0}, {-1, 2, -1}, {0, -1, 2}}
-	vals, vecs, err := JacobiEigen(a)
+	vals, vecs, err := matrix.JacobiEigen(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestJacobiMatchesTQL2(t *testing.T) {
 	for i := range cp {
 		cp[i] = append([]float64(nil), a[i]...)
 	}
-	valsJ, _, err := JacobiEigen(cp)
+	valsJ, _, err := matrix.JacobiEigen(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestGeneralizedPowerMaxTreeVsGraph(t *testing.T) {
 	// the single off-tree edge's stretch: λmax ≈ 1 + st(e)=1+(n-1) for unit
 	// cycle. (Exactly: eigenvalues are 1 (multiplicity n-2) and 1+st.)
 	n := 16
-	g, _ := gen.Cycle(n)
+	g, _ := fixture.Cycle(n)
 	tr, _, _, err := lsst.Extract(g, lsst.MaxWeight, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +208,8 @@ func TestGeneralizedPowerMaxIdenticalGraphs(t *testing.T) {
 }
 
 func TestGeneralizedPowerMaxDimMismatch(t *testing.T) {
-	g1, _ := gen.Path(4)
-	g2, _ := gen.Path(5)
+	g1, _ := fixture.Path(4)
+	g2, _ := fixture.Path(5)
 	if _, err := GeneralizedPowerMax(g1, g2, nil, 5, 0, 1); err == nil {
 		t.Fatal("expected dimension error")
 	}
@@ -216,7 +218,7 @@ func TestGeneralizedPowerMaxDimMismatch(t *testing.T) {
 func TestGeneralizedLanczosCycle(t *testing.T) {
 	// Pencil (C_n, spanning path): eigenvalues are 1 (mult n-2) and n.
 	n := 12
-	g, _ := gen.Cycle(n)
+	g, _ := fixture.Cycle(n)
 	tr, _, _, err := lsst.Extract(g, lsst.MaxWeight, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +246,7 @@ func TestGeneralizedLanczosCycle(t *testing.T) {
 
 func TestSmallestPairsPath(t *testing.T) {
 	n := 20
-	g, _ := gen.Path(n)
+	g, _ := fixture.Path(n)
 	ls, err := cholesky.NewLapSolver(g)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +274,7 @@ func TestSmallestPairsPath(t *testing.T) {
 }
 
 func TestSmallestPairsValidation(t *testing.T) {
-	g, _ := gen.Path(5)
+	g, _ := fixture.Path(5)
 	ls, _ := cholesky.NewLapSolver(g)
 	if _, _, err := SmallestPairs(g, 0, ls, 10, 1); err == nil {
 		t.Fatal("k=0 should fail")
@@ -308,7 +310,7 @@ func TestFiedlerSignCutSplitsPath(t *testing.T) {
 	// The Fiedler vector of a path is monotone; its sign cut should split
 	// the path into two halves.
 	n := 30
-	g, _ := gen.Path(n)
+	g, _ := fixture.Path(n)
 	ls, _ := cholesky.NewLapSolver(g)
 	res, err := Fiedler(g, ls, 300, 1e-12, 19)
 	if err != nil {

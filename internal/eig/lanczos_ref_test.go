@@ -10,6 +10,8 @@ import (
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
+	"graphspar/internal/testkit/fixture"
+	"graphspar/internal/testkit/matrix"
 	"graphspar/internal/vecmath"
 )
 
@@ -92,65 +94,16 @@ func generalizedLanczosRef(g, p *graph.Graph, solver LapSolver, k int, seed uint
 	return d, nil
 }
 
-// denseSpectrum is the pencil's exact spectrum for small n: ground the last
-// vertex, dense Cholesky L_P = R Rᵀ, Jacobi on R⁻¹ L_G R⁻ᵀ. It shares no
-// code with either Lanczos loop.
+// denseSpectrum is the pencil's exact spectrum for small n: the shared
+// dense reduction R⁻¹ L_G R⁻ᵀ (fixture.Pencil), diagonalized by Jacobi.
+// It shares no code with either Lanczos loop.
 func denseSpectrum(tb testing.TB, g, p *graph.Graph) []float64 {
 	tb.Helper()
-	m := g.N() - 1
-	grounded := func(h *graph.Graph) [][]float64 {
-		a := make([][]float64, m)
-		for i := range a {
-			a[i] = make([]float64, m)
-		}
-		for _, e := range h.Edges() {
-			for _, v := range []int{e.U, e.V} {
-				if v < m {
-					a[v][v] += e.W
-				}
-			}
-			if e.U < m && e.V < m {
-				a[e.U][e.V] -= e.W
-				a[e.V][e.U] -= e.W
-			}
-		}
-		return a
+	s, err := fixture.Pencil(g, p)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	lg, r := grounded(g), grounded(p)
-	for j := 0; j < m; j++ { // lower Cholesky in place
-		for k := 0; k < j; k++ {
-			r[j][j] -= r[j][k] * r[j][k]
-		}
-		r[j][j] = math.Sqrt(r[j][j])
-		for i := j + 1; i < m; i++ {
-			for k := 0; k < j; k++ {
-				r[i][j] -= r[i][k] * r[j][k]
-			}
-			r[i][j] /= r[j][j]
-		}
-	}
-	// forward returns (R⁻¹ a)ᵀ; applied twice it gives R⁻¹ L_G R⁻ᵀ.
-	forward := func(a [][]float64) [][]float64 {
-		for i := 0; i < m; i++ {
-			for k := 0; k < i; k++ {
-				for j := range a[i] {
-					a[i][j] -= r[i][k] * a[k][j]
-				}
-			}
-			for j := range a[i] {
-				a[i][j] /= r[i][i]
-			}
-		}
-		t := make([][]float64, m)
-		for i := range t {
-			t[i] = make([]float64, m)
-			for j := range t[i] {
-				t[i][j] = a[j][i]
-			}
-		}
-		return t
-	}
-	vals, _, err := JacobiEigen(forward(forward(lg)))
+	vals, _, err := matrix.JacobiEigen(s)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -179,7 +132,7 @@ func TestGeneralizedLanczosMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycle, err := gen.Cycle(9)
+	cycle, err := fixture.Cycle(9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"graphspar/internal/cholesky"
 	"graphspar/internal/gen"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -13,7 +14,7 @@ func TestNormalizedPairsRegularGraphMatchesUnnormalized(t *testing.T) {
 	// On a d-regular unit-weight graph, D = dI, so the normalized
 	// eigenvalues are exactly λ(L)/d with identical eigenvectors.
 	n := 16
-	g, err := gen.Cycle(n) // 2-regular
+	g, err := fixture.Cycle(n) // 2-regular
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestNormalizedPairsDVOrthogonality(t *testing.T) {
 }
 
 func TestNormalizedPairsValidation(t *testing.T) {
-	g, _ := gen.Path(6)
+	g, _ := fixture.Path(6)
 	ls, _ := cholesky.NewLapSolver(g)
 	if _, _, err := SmallestPairsNormalized(g, 0, ls, 10, 1); err == nil {
 		t.Fatal("k=0 should fail")

@@ -120,82 +120,3 @@ func TQL2(d, e []float64, z [][]float64) error {
 	}
 	return nil
 }
-
-// JacobiEigen computes all eigenvalues and eigenvectors of a small dense
-// symmetric matrix by cyclic Jacobi rotations. a is overwritten. Returns
-// eigenvalues ascending and the matrix of eigenvectors (columns). Intended
-// for reference computations in tests and for tiny spectral drawings.
-func JacobiEigen(a [][]float64) ([]float64, [][]float64, error) {
-	n := len(a)
-	v := make([][]float64, n)
-	for i := range v {
-		v[i] = make([]float64, n)
-		v[i][i] = 1
-	}
-	for sweep := 0; sweep < 100; sweep++ {
-		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += a[i][j] * a[i][j]
-			}
-		}
-		if off < 1e-24 {
-			vals := make([]float64, n)
-			for i := range vals {
-				vals[i] = a[i][i]
-			}
-			// Sort ascending with eigenvector columns.
-			idx := make([]int, n)
-			for i := range idx {
-				idx[i] = i
-			}
-			for i := 1; i < n; i++ {
-				for j := i; j > 0 && vals[idx[j-1]] > vals[idx[j]]; j-- {
-					idx[j-1], idx[j] = idx[j], idx[j-1]
-				}
-			}
-			sortedVals := make([]float64, n)
-			sortedVecs := make([][]float64, n)
-			for i := range sortedVecs {
-				sortedVecs[i] = make([]float64, n)
-			}
-			for newJ, oldJ := range idx {
-				sortedVals[newJ] = vals[oldJ]
-				for i := 0; i < n; i++ {
-					sortedVecs[i][newJ] = v[i][oldJ]
-				}
-			}
-			return sortedVals, sortedVecs, nil
-		}
-		for p := 0; p < n; p++ {
-			for q := p + 1; q < n; q++ {
-				if math.Abs(a[p][q]) < 1e-300 {
-					continue
-				}
-				theta := (a[q][q] - a[p][p]) / (2 * a[p][q])
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				if theta < 0 {
-					t = -t
-				}
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				for k := 0; k < n; k++ {
-					akp, akq := a[k][p], a[k][q]
-					a[k][p] = c*akp - s*akq
-					a[k][q] = s*akp + c*akq
-				}
-				for k := 0; k < n; k++ {
-					apk, aqk := a[p][k], a[q][k]
-					a[p][k] = c*apk - s*aqk
-					a[q][k] = s*apk + c*aqk
-				}
-				for k := 0; k < n; k++ {
-					vkp, vkq := v[k][p], v[k][q]
-					v[k][p] = c*vkp - s*vkq
-					v[k][q] = s*vkp + c*vkq
-				}
-			}
-		}
-	}
-	return nil, nil, ErrNoConverge
-}

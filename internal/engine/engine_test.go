@@ -13,6 +13,7 @@ import (
 	"graphspar/internal/graph"
 	"graphspar/internal/params"
 	"graphspar/internal/partition"
+	"graphspar/internal/testkit/fixture"
 )
 
 func gridGraph(t *testing.T, rows, cols int, seed uint64) *graph.Graph {
@@ -273,7 +274,7 @@ func TestOptionsValidation(t *testing.T) {
 // must answer with the typed connectivity error rather than panic or
 // wedge in the partitioner.
 func TestRunRejectsDisconnectedGraph(t *testing.T) {
-	two := graph.MustNew(6, []graph.Edge{
+	two := fixture.Graph(6, []graph.Edge{
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1},
 		{U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1},
 	})

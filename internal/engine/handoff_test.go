@@ -12,6 +12,7 @@ import (
 	"graphspar/internal/graph"
 	"graphspar/internal/obs"
 	"graphspar/internal/params"
+	"graphspar/internal/testkit/fixture"
 )
 
 // factorCounts runs opt on g under a trace and reports how many "factor"
@@ -123,7 +124,7 @@ func TestFactorPhasesPerPlan(t *testing.T) {
 	})
 
 	t.Run("tree-meets-target", func(t *testing.T) {
-		path, err := gen.Path(50)
+		path, err := fixture.Path(50)
 		if err != nil {
 			t.Fatal(err)
 		}

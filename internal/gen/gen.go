@@ -455,45 +455,6 @@ func RandomRegular(n, d int, seed uint64) (*graph.Graph, error) {
 	return graph.New(n, edges)
 }
 
-// Path returns the n-vertex path graph with unit weights; tiny fixture for
-// tests.
-func Path(n int) (*graph.Graph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("gen: Path(%d) invalid", n)
-	}
-	edges := make([]graph.Edge, 0, n-1)
-	for i := 0; i+1 < n; i++ {
-		edges = append(edges, graph.Edge{U: i, V: i + 1, W: 1})
-	}
-	return graph.New(n, edges)
-}
-
-// Cycle returns the n-vertex cycle with unit weights.
-func Cycle(n int) (*graph.Graph, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("gen: Cycle(%d) invalid", n)
-	}
-	edges := make([]graph.Edge, 0, n)
-	for i := 0; i < n; i++ {
-		edges = append(edges, graph.Edge{U: i, V: (i + 1) % n, W: 1})
-	}
-	return graph.New(n, edges)
-}
-
-// Complete returns the complete graph K_n with unit weights.
-func Complete(n int) (*graph.Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("gen: Complete(%d) invalid", n)
-	}
-	var edges []graph.Edge
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edges = append(edges, graph.Edge{U: i, V: j, W: 1})
-		}
-	}
-	return graph.New(n, edges)
-}
-
 // Barbell returns two K_k cliques joined by a path of pathLen edges, with
 // the chosen weight mode on every edge. Every path edge is a bridge, which
 // makes the graph the canonical stress case for connectivity-sensitive
@@ -520,18 +481,6 @@ func Barbell(k, pathLen int, mode WeightMode, seed uint64) (*graph.Graph, error)
 	// vertices to the first right-clique vertex.
 	for i := 0; i < pathLen; i++ {
 		edges = append(edges, graph.Edge{U: k - 1 + i, V: k + i, W: weight(mode, rng)})
-	}
-	return graph.New(n, edges)
-}
-
-// Star returns the star graph with center 0 and n-1 leaves.
-func Star(n int) (*graph.Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("gen: Star(%d) invalid", n)
-	}
-	edges := make([]graph.Edge, 0, n-1)
-	for i := 1; i < n; i++ {
-		edges = append(edges, graph.Edge{U: 0, V: i, W: 1})
 	}
 	return graph.New(n, edges)
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"graphspar/internal/graph"
+	"graphspar/internal/testkit/fixture"
 )
 
 // degrees lists every vertex's degree, read off g's incidence lists.
@@ -260,28 +261,30 @@ func TestRandomRegular(t *testing.T) {
 	}
 }
 
+// TestSmallFixtures checks the unit-weight shapes other packages' tests
+// build on (internal/testkit/fixture), next to the generators.
 func TestSmallFixtures(t *testing.T) {
-	p, err := Path(5)
+	p, err := fixture.Path(5)
 	if err != nil || p.M() != 4 {
 		t.Fatalf("Path: %v m=%d", err, p.M())
 	}
-	c, err := Cycle(5)
+	c, err := fixture.Cycle(5)
 	if err != nil || c.M() != 5 {
 		t.Fatalf("Cycle: %v", err)
 	}
-	k, err := Complete(5)
+	k, err := fixture.Complete(5)
 	if err != nil || k.M() != 10 {
 		t.Fatalf("Complete: %v", err)
 	}
-	s, err := Star(5)
+	s, err := fixture.Star(5)
 	if err != nil || s.M() != 4 || degrees(s)[0] != 4 {
 		t.Fatalf("Star: %v", err)
 	}
 	for _, bad := range []func() error{
-		func() error { _, err := Path(0); return err },
-		func() error { _, err := Cycle(2); return err },
-		func() error { _, err := Complete(1); return err },
-		func() error { _, err := Star(1); return err },
+		func() error { _, err := fixture.Path(0); return err },
+		func() error { _, err := fixture.Cycle(2); return err },
+		func() error { _, err := fixture.Complete(1); return err },
+		func() error { _, err := fixture.Star(1); return err },
 	} {
 		if bad() == nil {
 			t.Fatal("expected error from tiny fixture")
@@ -341,7 +344,7 @@ func TestBarbell(t *testing.T) {
 		}
 		keep = append(keep, e)
 	}
-	cut := graph.MustNew(g.N(), keep)
+	cut := fixture.Graph(g.N(), keep)
 	if cut.IsConnected() {
 		t.Fatal("removing a path edge must disconnect the barbell")
 	}
@@ -374,11 +377,7 @@ func TestConstructorsDeterministic(t *testing.T) {
 		{"WattsStrogatz", func() (*graph.Graph, error) { return WattsStrogatz(200, 4, 0.3, 3) }},
 		{"DenseRandom", func() (*graph.Graph, error) { return DenseRandom(100, 8, 3) }},
 		{"RandomRegular", func() (*graph.Graph, error) { return RandomRegular(80, 4, 3) }},
-		{"Path", func() (*graph.Graph, error) { return Path(10) }},
-		{"Cycle", func() (*graph.Graph, error) { return Cycle(10) }},
-		{"Complete", func() (*graph.Graph, error) { return Complete(8) }},
 		{"Barbell", func() (*graph.Graph, error) { return Barbell(5, 3, UniformWeights, 3) }},
-		{"Star", func() (*graph.Graph, error) { return Star(10) }},
 		{"SBM", func() (*graph.Graph, error) { return drop(SBM(3, 40, 0.3, 0.02, 3)) }},
 		{"PowerGrid", func() (*graph.Graph, error) { return PowerGrid(6, 6, 2, 3) }},
 	} {

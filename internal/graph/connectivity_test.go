@@ -5,6 +5,7 @@ import (
 
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -17,11 +18,11 @@ func TestIsConnectedAgreesWithComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []*graph.Graph{
-		graph.MustNew(0, nil),
-		graph.MustNew(1, nil),
-		graph.MustNew(2, nil),
-		graph.MustNew(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}}),
-		graph.MustNew(6, []graph.Edge{
+		fixture.Graph(0, nil),
+		fixture.Graph(1, nil),
+		fixture.Graph(2, nil),
+		fixture.Graph(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}}),
+		fixture.Graph(6, []graph.Edge{
 			{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 2, W: 1},
 			{U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1}, {U: 3, V: 5, W: 1},
 		}),
@@ -37,7 +38,7 @@ func TestIsConnectedAgreesWithComponents(t *testing.T) {
 				es = append(es, graph.Edge{U: u, V: v, W: 1})
 			}
 		}
-		cases = append(cases, graph.MustNew(n, es))
+		cases = append(cases, fixture.Graph(n, es))
 	}
 	split := 0
 	for i, g := range cases {

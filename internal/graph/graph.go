@@ -158,16 +158,6 @@ func edgeLess(a, b Edge) bool {
 	return a.U < b.U || (a.U == b.U && a.V < b.V)
 }
 
-// MustNew is New but panics on error; for tests and generators whose inputs
-// are valid by construction.
-func MustNew(n int, edges []Edge) *Graph {
-	g, err := New(n, edges)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // ContentHash content-addresses the graph: sha256 over the vertex count
 // and the normalized edge list (New guarantees U < V and (U,V)-sorted
 // order, so structurally equal graphs hash equal regardless of the edge

@@ -12,8 +12,19 @@ import (
 	"testing"
 	"testing/quick"
 
+	"graphspar/internal/testkit/matrix"
 	"graphspar/internal/vecmath"
 )
+
+// mustNew is New for inputs valid by construction: it panics on error.
+// (Other packages' tests use fixture.Graph, which imports this package.)
+func mustNew(n int, edges []Edge) *Graph {
+	g, err := New(n, edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
 
 // path4 is the path graph 0-1-2-3 with unit weights.
 func path4(t *testing.T) *Graph {
@@ -83,7 +94,7 @@ func TestLaplacianMatchesDefinition(t *testing.T) {
 		{-2, 5, -3},
 		{0, -3, 3},
 	}
-	d := l.Dense()
+	d := matrix.Dense(l)
 	for i := range want {
 		for j := range want[i] {
 			if d[i][j] != want[i][j] {
@@ -162,11 +173,11 @@ func TestRequireConnected(t *testing.T) {
 		g    *Graph
 		want error
 	}{
-		{MustNew(3, []Edge{{0, 1, 1}}), ErrDisconnected},
-		{MustNew(0, nil), ErrEmpty},
-		{MustNew(1, nil), nil},
+		{mustNew(3, []Edge{{0, 1, 1}}), ErrDisconnected},
+		{mustNew(0, nil), ErrEmpty},
+		{mustNew(1, nil), nil},
 		{path4(t), nil},
-		{MustNew(6, []Edge{{0, 1, 1}, {1, 2, 1}, {0, 2, 1}, {3, 4, 1}, {4, 5, 1}, {3, 5, 1}}), ErrDisconnected},
+		{mustNew(6, []Edge{{0, 1, 1}, {1, 2, 1}, {0, 2, 1}, {3, 4, 1}, {4, 5, 1}, {3, 5, 1}}), ErrDisconnected},
 	} {
 		if err := c.g.RequireConnected(); !errors.Is(err, c.want) || (err == nil) != (c.want == nil) {
 			t.Errorf("%v: err = %v, want %v", c.g, err, c.want)
@@ -285,7 +296,7 @@ func TestBFSOrderMatchesIndexWalk(t *testing.T) {
 				es = append(es, Edge{u, v, 1})
 			}
 		}
-		g := MustNew(n, es)
+		g := mustNew(n, es)
 		nbrs := make([][]int, n) // in edge id order, as Incidence lists them
 		for _, e := range g.Edges() {
 			nbrs[e.U] = append(nbrs[e.U], e.V)
@@ -317,16 +328,16 @@ func TestBFSOrderMatchesIndexWalk(t *testing.T) {
 func TestContentHashCanonical(t *testing.T) {
 	// Same structure supplied in different edge orders/orientations must
 	// hash identically (New normalizes).
-	a := MustNew(3, []Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}})
-	b := MustNew(3, []Edge{{U: 2, V: 1, W: 3}, {U: 1, V: 0, W: 2}})
+	a := mustNew(3, []Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}})
+	b := mustNew(3, []Edge{{U: 2, V: 1, W: 3}, {U: 1, V: 0, W: 2}})
 	if a.ContentHash() != b.ContentHash() {
 		t.Error("hash differs for structurally equal graphs")
 	}
-	c := MustNew(3, []Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 4}})
+	c := mustNew(3, []Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 4}})
 	if a.ContentHash() == c.ContentHash() {
 		t.Error("hash collides across different weights")
 	}
-	d := MustNew(4, []Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}})
+	d := mustNew(4, []Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}})
 	if a.ContentHash() == d.ContentHash() {
 		t.Error("hash collides across different vertex counts")
 	}
@@ -345,7 +356,7 @@ func TestContentHashCanonical(t *testing.T) {
 		want string
 	}{
 		{a, "0abc93fb569ce6c3dae49a03e5d9883dc6cbe2afc860b8d6e8ce3b1939ea2bff"},
-		{MustNew(300, es), "14e176f6fe0ac2cdbef8c3f505336c9f2f4c8a9e660963e262fb4e807f60743b"},
+		{mustNew(300, es), "14e176f6fe0ac2cdbef8c3f505336c9f2f4c8a9e660963e262fb4e807f60743b"},
 	} {
 		if got := c.g.ContentHash(); got != c.want {
 			t.Errorf("%v: ContentHash = %s, want %s", c.g, got, c.want)
@@ -394,7 +405,7 @@ func TestFindEdgeMatchesIndex(t *testing.T) {
 			es = append(es, Edge{u, v, 1 + rng.Float64()})
 		}
 	}
-	g := MustNew(n, es)
+	g := mustNew(n, es)
 	idx := g.EdgeIndex()
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
@@ -406,7 +417,7 @@ func TestFindEdgeMatchesIndex(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := FindEdge(MustNew(3, nil), 0, 1); ok {
+	if _, ok := FindEdge(mustNew(3, nil), 0, 1); ok {
 		t.Fatal("FindEdge found an edge in an empty graph")
 	}
 }
@@ -446,23 +457,23 @@ func TestEditMatchesNew(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			g := MustNew(5, base)
+			g := mustNew(5, base)
 			got, deltas, err := Edit(g, c.edits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := MustNew(5, c.want); !reflect.DeepEqual(got.Edges(), want.Edges()) {
+			if want := mustNew(5, c.want); !reflect.DeepEqual(got.Edges(), want.Edges()) {
 				t.Fatalf("edited list = %v, New gives %v", got.Edges(), want.Edges())
 			}
 			if !reflect.DeepEqual(deltas, c.deltas) {
 				t.Fatalf("deltas = %v, want %v", deltas, c.deltas)
 			}
-			if !reflect.DeepEqual(g.Edges(), MustNew(5, base).Edges()) {
+			if !reflect.DeepEqual(g.Edges(), mustNew(5, base).Edges()) {
 				t.Fatal("Edit must not mutate the receiver")
 			}
 		})
 	}
-	g := MustNew(5, base)
+	g := mustNew(5, base)
 	for _, bad := range []struct {
 		e    Edge
 		want error
@@ -482,7 +493,7 @@ func TestEditMatchesNew(t *testing.T) {
 func TestEditRandomMatchesNew(t *testing.T) {
 	rng := vecmath.NewRNG(5)
 	const n = 12
-	g := MustNew(n, nil)
+	g := mustNew(n, nil)
 	for round := 0; round < 200; round++ {
 		before, after := make(map[[2]int]float64), make(map[[2]int]float64)
 		for _, e := range g.Edges() {
@@ -511,8 +522,8 @@ func TestEditRandomMatchesNew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.ContentHash() != MustNew(n, list).ContentHash() {
-			t.Fatalf("round %d: edited list = %v, New gives %v", round, got.Edges(), MustNew(n, list).Edges())
+		if got.ContentHash() != mustNew(n, list).ContentHash() {
+			t.Fatalf("round %d: edited list = %v, New gives %v", round, got.Edges(), mustNew(n, list).Edges())
 		}
 		if len(deltas) != moved {
 			t.Fatalf("round %d: %d deltas for %d moved pairs: %v", round, len(deltas), moved, deltas)
@@ -588,7 +599,7 @@ func TestQuickLaplacianRowSums(t *testing.T) {
 			return false
 		}
 		l := g.Laplacian()
-		d := l.Dense()
+		d := matrix.Dense(l)
 		for i := 0; i < n; i++ {
 			var s float64
 			for j := 0; j < n; j++ {
@@ -713,7 +724,7 @@ func TestNewSortedFastPathMatchesReference(t *testing.T) {
 				ids = append(ids, id)
 			}
 		}
-		perm := rng.Perm(len(ids))
+		perm := matrix.Perm(rng, len(ids))
 		shuffled := make([]int, len(ids))
 		kept := make([]Edge, len(ids))
 		for i, p := range perm {
@@ -763,7 +774,7 @@ func TestIsConnectedConcurrent(t *testing.T) {
 		want error
 	}{
 		{path4(t), nil},
-		{MustNew(5, []Edge{{0, 1, 1}, {2, 3, 1}, {3, 4, 1}}), ErrDisconnected},
+		{mustNew(5, []Edge{{0, 1, 1}, {2, 3, 1}, {3, 4, 1}}), ErrDisconnected},
 	} {
 		var wg sync.WaitGroup
 		errs := make([]error, 16)
@@ -795,7 +806,7 @@ func TestIsConnectedConcurrent(t *testing.T) {
 // InducedSubgraph drops vertices, so none of them inherits anything, even
 // when the result happens to be connected.
 func TestConnectivityInheritance(t *testing.T) {
-	g := MustNew(5, []Edge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {0, 4, 1}})
+	g := mustNew(5, []Edge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {0, 4, 1}})
 	state := func(h *Graph) int32 { return h.conn.Load() }
 	if more, _ := g.AddEdges([]Edge{{0, 2, 1}}); state(more) != connUnknown {
 		t.Fatal("AddEdges inherited a verdict its receiver never computed")
@@ -837,7 +848,7 @@ func TestConnectivityInheritance(t *testing.T) {
 		t.Fatalf("disconnected edge subset: RequireConnected = %v", err)
 	}
 
-	split := MustNew(4, []Edge{{0, 1, 1}, {2, 3, 1}})
+	split := mustNew(4, []Edge{{0, 1, 1}, {2, 3, 1}})
 	if split.IsConnected() || state(split) != connNo {
 		t.Fatal("IsConnected did not cache \"not connected\"")
 	}
@@ -867,14 +878,14 @@ func TestAddEdgesChildSkipsPass(t *testing.T) {
 			}
 		})
 	}
-	known := MustNew(64, edges)
+	known := mustNew(64, edges)
 	if !known.IsConnected() {
 		t.Fatal("grid reads disconnected")
 	}
 	if bare, asked := derive(known, false), derive(known, true); asked != bare {
 		t.Errorf("child of a connected graph: %v allocs with the query, %v without; the pass ran", asked, bare)
 	}
-	unknown := MustNew(64, edges)
+	unknown := mustNew(64, edges)
 	if bare, asked := derive(unknown, false), derive(unknown, true); asked <= bare {
 		t.Errorf("child of an unqueried graph: %v allocs with the query, %v without; the measure cannot see the pass", asked, bare)
 	}
@@ -907,7 +918,7 @@ func BenchmarkGraphNew(b *testing.B) {
 	const side = 320
 	sorted := benchGrid(side, side)
 	shuffled := make([]Edge, len(sorted))
-	for i, p := range vecmath.NewRNG(2).Perm(len(sorted)) {
+	for i, p := range matrix.Perm(vecmath.NewRNG(2), len(sorted)) {
 		shuffled[i] = sorted[p]
 	}
 	for _, c := range []struct {
@@ -928,10 +939,10 @@ func BenchmarkGraphNew(b *testing.B) {
 // BenchmarkSubgraphEdges keeps a shuffled 5/8 of a 320×320 grid's edge
 // ids — about the share the sharded plan's stitch keeps on that mesh.
 func BenchmarkSubgraphEdges(b *testing.B) {
-	g := MustNew(320*320, benchGrid(320, 320))
+	g := mustNew(320*320, benchGrid(320, 320))
 	rng := vecmath.NewRNG(3)
 	var ids []int
-	for _, id := range rng.Perm(g.M()) {
+	for _, id := range matrix.Perm(rng, g.M()) {
 		if rng.Intn(8) < 5 {
 			ids = append(ids, id)
 		}
@@ -951,7 +962,7 @@ func BenchmarkSubgraphEdges(b *testing.B) {
 // comparison Components, which walks the incidence lists the query used
 // to build.
 func BenchmarkIsConnected(b *testing.B) {
-	g := MustNew(320*320, benchGrid(320, 320))
+	g := mustNew(320*320, benchGrid(320, 320))
 	b.Run("unionfind", func(b *testing.B) {
 		b.ReportAllocs()
 		for range b.N {

@@ -8,6 +8,7 @@ import (
 	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
 	"graphspar/internal/gen"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -33,7 +34,7 @@ func TestTikhonovSmooths(t *testing.T) {
 }
 
 func TestTikhonovValidation(t *testing.T) {
-	g, _ := gen.Path(5)
+	g, _ := fixture.Path(5)
 	if _, err := TikhonovFilter(g, make([]float64, 3), 1, 1e-8); err == nil {
 		t.Fatal("length mismatch should fail")
 	}
@@ -106,7 +107,7 @@ func TestSpectralDrawingGrid(t *testing.T) {
 }
 
 func TestSpectralDrawingTooSmall(t *testing.T) {
-	g, _ := gen.Path(2)
+	g, _ := fixture.Path(2)
 	ls, _ := cholesky.NewLapSolver(g)
 	if _, err := SpectralDrawing(g, ls, 1); err == nil {
 		t.Fatal("tiny graph should fail")

@@ -3,6 +3,7 @@ package lsst
 import (
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -10,6 +11,8 @@ import (
 
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
+	"graphspar/internal/testkit/fixture"
+	"graphspar/internal/tree"
 	"graphspar/internal/vecmath"
 )
 
@@ -73,8 +76,8 @@ func TestExtractAllAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.N() != g.N() {
-			t.Fatalf("tree N = %d", tr.N())
+		if tr.Graph().N() != g.N() {
+			t.Fatalf("tree N = %d", tr.Graph().N())
 		}
 		if len(treeIDs) != g.N()-1 {
 			t.Fatalf("tree ids %d", len(treeIDs))
@@ -93,16 +96,22 @@ func TestExtractAllAlgorithms(t *testing.T) {
 }
 
 func TestExtractUnknownAlgorithm(t *testing.T) {
-	g, _ := gen.Path(4)
+	g, _ := fixture.Path(4)
 	if _, _, _, err := Extract(g, Algorithm(99), 1); err == nil {
 		t.Fatal("unknown algorithm should fail")
 	}
 }
 
+// stretch is the stretch of g's edge id over tr through the product path:
+// TotalStretch over a graph that holds that edge alone.
+func stretch(tr *tree.Tree, g *graph.Graph, id int) float64 {
+	return tr.TotalStretch(fixture.Graph(g.N(), []graph.Edge{g.Edge(id)}))
+}
+
 func TestStretchStatsOnCycle(t *testing.T) {
 	// Unit cycle of n=4: tree = path (3 edges), off-tree edge closes the
 	// cycle with stretch 1·(1+1+1) = 3. Total = 3·1 + 3 = 6.
-	g, _ := gen.Cycle(4)
+	g, _ := fixture.Cycle(4)
 	tr, _, offIDs, err := Extract(g, MaxWeight, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +122,7 @@ func TestStretchStatsOnCycle(t *testing.T) {
 	if len(offIDs) != 1 {
 		t.Fatalf("off-tree edges = %d, want 1", len(offIDs))
 	}
-	if st := tr.Stretch(g.Edge(offIDs[0])); math.Abs(st-3) > 1e-12 {
+	if st := stretch(tr, g, offIDs[0]); math.Abs(st-3) > 1e-12 {
 		t.Fatalf("off-tree stretch = %v, want 3", st)
 	}
 }
@@ -140,7 +149,7 @@ func TestQuickExtractInvariants(t *testing.T) {
 			return false
 		}
 		for _, id := range treeIDs {
-			if math.Abs(tr.Stretch(g.Edge(id))-1) > 1e-9 {
+			if math.Abs(stretch(tr, g, id)-1) > 1e-9 {
 				return false
 			}
 		}
@@ -187,7 +196,7 @@ func TestMaxWeightTieOrderMatchesReference(t *testing.T) {
 		for i := range banded {
 			banded[i].W = float64(1 + (i*int(seed))%3)
 		}
-		for i, g := range []*graph.Graph{sbm, grid, graph.MustNew(grid.N(), banded)} {
+		for i, g := range []*graph.Graph{sbm, grid, fixture.Graph(grid.N(), banded)} {
 			got, err := MaxWeightSpanningTree(g)
 			if err != nil {
 				t.Fatal(err)
@@ -254,7 +263,7 @@ func checkHeaviest(t *testing.T, g *graph.Graph, merged [][2]int, ids, wantJoine
 // heaviestGraph has ids in (u,v) order: 0 (0,1) w2, 1 (0,2) w1,
 // 2 (1,2) w1, 3 (1,3) w3, 4 (2,4) w1, 5 (3,4) w3.
 func heaviestGraph() *graph.Graph {
-	return graph.MustNew(5, []graph.Edge{{U: 0, V: 1, W: 2}, {U: 0, V: 2, W: 1}, {U: 1, V: 2, W: 1},
+	return fixture.Graph(5, []graph.Edge{{U: 0, V: 1, W: 2}, {U: 0, V: 2, W: 1}, {U: 1, V: 2, W: 1},
 		{U: 1, V: 3, W: 3}, {U: 2, V: 4, W: 1}, {U: 3, V: 4, W: 3}})
 }
 
@@ -300,9 +309,9 @@ func TestExtractRootIsLowestMaxDegree(t *testing.T) {
 	for v := 0; v < 9; v++ {
 		star = append(star, graph.Edge{U: v, V: 9, W: 1})
 	}
-	graphs = append(graphs, graph.MustNew(10, star))
+	graphs = append(graphs, fixture.Graph(10, star))
 	for i, g := range graphs {
-		tr, _, _, err := Extract(g, MaxWeight, 0)
+		tr, ids, _, err := Extract(g, MaxWeight, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,8 +323,13 @@ func TestExtractRootIsLowestMaxDegree(t *testing.T) {
 				want = v
 			}
 		}
-		if tr.Root() != want {
-			t.Errorf("graph %d: root %d, want %d (degree %d)", i, tr.Root(), want, degree(want))
+		// The tree FromGraph roots at want, field for field.
+		ref, err := tree.FromGraph(g, ids, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tr, ref) {
+			t.Errorf("graph %d: Extract's tree is not the one rooted at %d (degree %d)", i, want, degree(want))
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"graphspar/internal/graph"
+	"graphspar/internal/testkit/matrix"
 )
 
 const symFile = `%%MatrixMarket matrix coordinate real symmetric
@@ -224,7 +225,7 @@ func TestLaplacianExportIsLaplacian(t *testing.T) {
 	}
 	c := m.CSR()
 	// Row sums must vanish for a Laplacian.
-	d := c.Dense()
+	d := matrix.Dense(c)
 	for i := range d {
 		var s float64
 		for _, v := range d[i] {

@@ -197,15 +197,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	n := h.inf.Load()
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 

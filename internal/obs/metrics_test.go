@@ -164,7 +164,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if want := fmt.Sprintf("\ncg %d\n", workers*per); !strings.Contains(b.String(), want) {
 		t.Errorf("gauge sample missing %q:\n%s", want, b.String())
 	}
-	if h.Count() != workers*per {
-		t.Errorf("histogram count = %d, want %d", h.Count(), workers*per)
+	if want := fmt.Sprintf("\nch_seconds_count %d\n", workers*per); !strings.Contains(b.String(), want) {
+		t.Errorf("histogram count sample missing %q:\n%s", want, b.String())
 	}
 }

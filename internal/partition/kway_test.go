@@ -5,6 +5,7 @@ import (
 
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
+	"graphspar/internal/testkit/fixture"
 )
 
 func TestRecursiveBisectFourBlocks(t *testing.T) {
@@ -23,7 +24,7 @@ func TestRecursiveBisectFourBlocks(t *testing.T) {
 	for b := 0; b < 4; b++ {
 		es = append(es, graph.Edge{U: b * k, V: ((b+1)%4)*k + 1, W: 0.01})
 	}
-	g := graph.MustNew(4*k, es)
+	g := fixture.Graph(4*k, es)
 	res, err := RecursiveBisect(g, 4, Options{Method: Direct, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestRecursiveBisectGridBalance(t *testing.T) {
 }
 
 func TestRecursiveBisectOnePart(t *testing.T) {
-	g, _ := gen.Path(10)
+	g, _ := fixture.Path(10)
 	res, err := RecursiveBisect(g, 1, Options{Method: Direct})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +87,7 @@ func TestRecursiveBisectOnePart(t *testing.T) {
 }
 
 func TestRecursiveBisectValidation(t *testing.T) {
-	g, _ := gen.Path(10)
+	g, _ := fixture.Path(10)
 	if _, err := RecursiveBisect(g, 0, Options{}); err == nil {
 		t.Fatal("parts=0 should fail")
 	}
@@ -118,7 +119,7 @@ func TestRecursiveBisectIterativeBackend(t *testing.T) {
 }
 
 func TestInducedSubgraph(t *testing.T) {
-	g, _ := gen.Cycle(6)
+	g, _ := fixture.Cycle(6)
 	sub, mapping, err := g.InducedSubgraph([]int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
+	"graphspar/internal/testkit/fixture"
 )
 
 // dumbbell returns two dense cliques joined by a single weak edge — the
@@ -19,7 +20,7 @@ func dumbbell(k int) *graph.Graph {
 		}
 	}
 	es = append(es, graph.Edge{U: 0, V: k, W: 0.01})
-	return graph.MustNew(2*k, es)
+	return fixture.Graph(2*k, es)
 }
 
 func TestDirectBisectsDumbbell(t *testing.T) {
@@ -146,7 +147,7 @@ func TestSignError(t *testing.T) {
 }
 
 func TestCutWeightValidation(t *testing.T) {
-	g, _ := gen.Path(3)
+	g, _ := fixture.Path(3)
 	if _, err := CutWeight(g, []int8{1}); err == nil {
 		t.Fatal("length mismatch should fail")
 	}
@@ -190,7 +191,7 @@ func TestBisectValidation(t *testing.T) {
 	if _, err := SpectralBisect(single, Options{Method: Direct}); err == nil {
 		t.Fatal("single vertex should fail")
 	}
-	p, _ := gen.Path(5)
+	p, _ := fixture.Path(5)
 	if _, err := SpectralBisect(p, Options{Method: Method(42)}); err == nil {
 		t.Fatal("unknown method should fail")
 	}

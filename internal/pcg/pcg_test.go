@@ -10,6 +10,7 @@ import (
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
 	"graphspar/internal/sparse"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -46,7 +47,7 @@ func TestCGSolvesSPD(t *testing.T) {
 }
 
 func TestCGZeroRHS(t *testing.T) {
-	g, _ := gen.Path(5)
+	g, _ := fixture.Path(5)
 	x := []float64{1, 2, 3, 4, 5}
 	res, err := SolveLaplacian(g, nil, x, make([]float64, 5), 1e-10, 100)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -46,7 +47,7 @@ func TestPointToPointParallel(t *testing.T) {
 }
 
 func TestPointToPointSame(t *testing.T) {
-	g, _ := gen.Path(3)
+	g, _ := fixture.Path(3)
 	r, err := PointToPoint(g, solver(t, g), 1, 1)
 	if err != nil || r != 0 {
 		t.Fatalf("R(v,v) = %v err=%v", r, err)
@@ -58,7 +59,7 @@ func TestPointToPointSame(t *testing.T) {
 
 func TestAllEdgesExactCycle(t *testing.T) {
 	// Unit cycle C_4: each edge sees 1 in series with 3 → R = 3/4.
-	g, _ := gen.Cycle(4)
+	g, _ := fixture.Cycle(4)
 	rs, err := AllEdgesExact(g, solver(t, g))
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +116,7 @@ func TestApproxMatchesExact(t *testing.T) {
 }
 
 func TestApproxInvalidK(t *testing.T) {
-	g, _ := gen.Path(4)
+	g, _ := fixture.Path(4)
 	if _, err := ApproxAllEdges(g, solver(t, g), 0, 1); err == nil {
 		t.Fatal("k=0 should fail")
 	}
@@ -174,7 +175,7 @@ func TestUniformSample(t *testing.T) {
 }
 
 func TestSampleValidation(t *testing.T) {
-	g, _ := gen.Path(4)
+	g, _ := fixture.Path(4)
 	if _, err := UniformSample(g, SampleOptions{Samples: 0}); err == nil {
 		t.Fatal("zero samples should fail")
 	}

@@ -14,6 +14,7 @@ import (
 	"graphspar/internal/dynamic"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
+	"graphspar/internal/testkit/fixture"
 )
 
 // registerSpec registers a generator graph and returns its info.
@@ -240,7 +241,7 @@ func TestSupersededGraphVersionsAreCollected(t *testing.T) {
 		Sparsify: func(ctx context.Context, g *graph.Graph, p SparsifyParams) (*JobResult, error) {
 			// A fresh graph with a copy of g's edges: the result must not
 			// alias the input this test expects to be collected.
-			return &JobResult{SigmaSqAchieved: p.SigmaSq, VerifiedCond: p.SigmaSq, TargetMet: true, Sparsifier: graph.MustNew(g.N(), g.Edges())}, nil
+			return &JobResult{SigmaSqAchieved: p.SigmaSq, VerifiedCond: p.SigmaSq, TargetMet: true, Sparsifier: fixture.Graph(g.N(), g.Edges())}, nil
 		},
 	}, nil)
 	registerSpec(t, ts.URL, "g", "grid:6x6")

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"graphspar/internal/graph"
+	"graphspar/internal/testkit/fixture"
 )
 
 func testEntry(t *testing.T) *GraphEntry {
@@ -373,7 +374,7 @@ func TestQueueTerminalJobsReleaseInput(t *testing.T) {
 		case 20:
 			return nil, errors.New("boom")
 		}
-		return &JobResult{SigmaSqAchieved: p.SigmaSq, VerifiedCond: p.SigmaSq, TargetMet: true, Sparsifier: graph.MustNew(g.N(), nil)}, nil
+		return &JobResult{SigmaSqAchieved: p.SigmaSq, VerifiedCond: p.SigmaSq, TargetMet: true, Sparsifier: fixture.Graph(g.N(), nil)}, nil
 	})
 	submit := func(sigma float64) Job {
 		t.Helper()

@@ -6,6 +6,7 @@ import (
 
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
+	"graphspar/internal/testkit/fixture"
 )
 
 func testGraph(t *testing.T) *graph.Graph {
@@ -59,7 +60,7 @@ func TestRegistryNameConflict(t *testing.T) {
 		t.Errorf("idempotent re-register failed: %v", err)
 	}
 	// Same name + different content conflicts.
-	other := graph.MustNew(2, []graph.Edge{{U: 0, V: 1, W: 1}})
+	other := fixture.Graph(2, []graph.Edge{{U: 0, V: 1, W: 1}})
 	if _, err := r.Register("g", "spec2", other); !errors.Is(err, ErrGraphExists) {
 		t.Errorf("conflicting register: err = %v, want ErrGraphExists", err)
 	}

@@ -473,16 +473,6 @@ func (s *Session) do(ctx context.Context, mutate bool, fn func(m Maintainer) (st
 	return err
 }
 
-// Stats snapshots the session's telemetry through the actor loop.
-func (s *Session) Stats(ctx context.Context) (Stats, error) {
-	var st Stats
-	err := s.Do(ctx, func(m Maintainer) error {
-		st = Snapshot(m)
-		return nil
-	})
-	return st, err
-}
-
 // loop is the single-writer actor: it owns the maintainer, executes
 // requests in arrival order, arms the idle TTL, and on close drains the
 // requests that were already accepted before exiting.

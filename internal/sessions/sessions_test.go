@@ -280,9 +280,20 @@ func TestSerializedUnderContention(t *testing.T) {
 	if fm.raced.Load() {
 		t.Fatal("maintainer accessed concurrently through the actor loop")
 	}
-	if st, err := sess.Stats(context.Background()); err != nil || !st.TargetMet {
+	if st, err := snapshot(sess); err != nil || !st.TargetMet {
 		t.Fatalf("stats after contention: %+v err=%v", st, err)
 	}
+}
+
+// snapshot reads a session's telemetry through its actor loop: Do +
+// Snapshot, the route the service takes.
+func snapshot(s *Session) (Stats, error) {
+	var st Stats
+	err := s.Do(context.Background(), func(m Maintainer) error {
+		st = Snapshot(m)
+		return nil
+	})
+	return st, err
 }
 
 // TestRealMaintainerRoundTrip wires an actual dynamic.Maintainer through
@@ -308,7 +319,7 @@ func TestRealMaintainerRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := sess.Stats(context.Background())
+	st, err := snapshot(sess)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,46 +196,6 @@ func (m *CSR) symEqualSlow(tol float64) bool {
 	return true
 }
 
-// Mul returns the product A·B (classic row-by-row sparse GEMM with a dense
-// accumulator per row).
-func Mul(a, b *CSR) (*CSR, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("%w: %dx%d * %dx%d", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := &CSR{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int, a.Rows+1)}
-	acc := make([]float64, b.Cols)
-	mark := make([]int, b.Cols)
-	for i := range mark {
-		mark[i] = -1
-	}
-	var cols []int
-	for i := 0; i < a.Rows; i++ {
-		cols = cols[:0]
-		for ka := a.RowPtr[i]; ka < a.RowPtr[i+1]; ka++ {
-			j := a.ColIdx[ka]
-			av := a.Val[ka]
-			for kb := b.RowPtr[j]; kb < b.RowPtr[j+1]; kb++ {
-				c := b.ColIdx[kb]
-				if mark[c] != i {
-					mark[c] = i
-					acc[c] = 0
-					cols = append(cols, c)
-				}
-				acc[c] += av * b.Val[kb]
-			}
-		}
-		sort.Ints(cols)
-		for _, c := range cols {
-			if acc[c] != 0 {
-				out.ColIdx = append(out.ColIdx, c)
-				out.Val = append(out.Val, acc[c])
-			}
-		}
-		out.RowPtr[i+1] = len(out.ColIdx)
-	}
-	return out, nil
-}
-
 // Permute returns P·M·Pᵀ for the symmetric permutation given by perm, where
 // perm[new] = old (i.e. row/col new of the result is row/col perm[new] of M).
 // Stored exact zeros are dropped. A perm that is not a permutation of
@@ -310,38 +270,4 @@ func (m *CSR) Permute(perm []int) (*CSR, error) {
 		}
 	}
 	return out, nil
-}
-
-// Dense expands M into a dense row-major matrix; intended for tests and
-// tiny reference computations only.
-func (m *CSR) Dense() [][]float64 {
-	d := make([][]float64, m.Rows)
-	for i := range d {
-		d[i] = make([]float64, m.Cols)
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			d[i][m.ColIdx[k]] = m.Val[k]
-		}
-	}
-	return d
-}
-
-// FrobeniusDiff returns ||A - B||_F; shapes must match.
-func FrobeniusDiff(a, b *CSR) (float64, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return 0, fmt.Errorf("%w: %dx%d - %dx%d", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	bld := NewBuilder(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			bld.Add(i, a.ColIdx[k], a.Val[k])
-		}
-		for k := b.RowPtr[i]; k < b.RowPtr[i+1]; k++ {
-			bld.Add(i, b.ColIdx[k], -b.Val[k])
-		}
-	}
-	var s float64
-	for _, v := range bld.Build().Val {
-		s += v * v
-	}
-	return math.Sqrt(s), nil
 }

@@ -1,4 +1,8 @@
-package sparse
+package sparse_test
+
+// The CSR API from outside the package, and the matrix helpers other
+// packages' tests share (internal/testkit/matrix: Mul, Dense,
+// FrobeniusDiff, Perm) next to the CSR operations they mirror.
 
 import (
 	"math"
@@ -6,6 +10,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"graphspar/internal/sparse"
+	"graphspar/internal/testkit/matrix"
 	"graphspar/internal/vecmath"
 )
 
@@ -14,8 +20,8 @@ import (
 //	[ 2 -1  0]
 //	[-1  3 -1]
 //	[ 0 -1  2]
-func small3() *CSR {
-	b := NewBuilder(3, 3)
+func small3() *sparse.CSR {
+	b := sparse.NewBuilder(3, 3)
 	b.Add(0, 0, 2)
 	b.Add(0, 1, -1)
 	b.Add(1, 0, -1)
@@ -27,7 +33,7 @@ func small3() *CSR {
 }
 
 func TestBuilderSumsDuplicates(t *testing.T) {
-	b := NewBuilder(2, 2)
+	b := sparse.NewBuilder(2, 2)
 	b.Add(0, 0, 1)
 	b.Add(0, 0, 2.5)
 	b.Add(1, 1, -4)
@@ -41,7 +47,7 @@ func TestBuilderSumsDuplicates(t *testing.T) {
 }
 
 func TestBuilderDropsCancelledZeros(t *testing.T) {
-	b := NewBuilder(1, 1)
+	b := sparse.NewBuilder(1, 1)
 	b.Add(0, 0, 5)
 	b.Add(0, 0, -5)
 	m := b.Build()
@@ -56,7 +62,7 @@ func TestBuilderPanicsOutOfRange(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewBuilder(2, 2).Add(2, 0, 1)
+	sparse.NewBuilder(2, 2).Add(2, 0, 1)
 }
 
 func TestAtAndMissing(t *testing.T) {
@@ -83,7 +89,7 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	b := NewBuilder(2, 3)
+	b := sparse.NewBuilder(2, 3)
 	b.Add(0, 1, 5)
 	b.Add(1, 2, 7)
 	m := b.Build()
@@ -99,7 +105,7 @@ func TestTranspose(t *testing.T) {
 func TestTransposeInvolution(t *testing.T) {
 	m := small3()
 	tt := m.Transpose().Transpose()
-	d, err := FrobeniusDiff(m, tt)
+	d, err := matrix.FrobeniusDiff(m, tt)
 	if err != nil || d != 0 {
 		t.Fatalf("Mᵀᵀ != M (diff=%v, err=%v)", d, err)
 	}
@@ -109,7 +115,7 @@ func TestIsSymmetric(t *testing.T) {
 	if !small3().IsSymmetric(0) {
 		t.Fatal("small3 should be symmetric")
 	}
-	b := NewBuilder(2, 2)
+	b := sparse.NewBuilder(2, 2)
 	b.Add(0, 1, 1)
 	if b.Build().IsSymmetric(1e-15) {
 		t.Fatal("upper-only matrix is not symmetric")
@@ -118,15 +124,15 @@ func TestIsSymmetric(t *testing.T) {
 
 func TestMulIdentity(t *testing.T) {
 	m := small3()
-	id := NewBuilder(3, 3)
+	id := sparse.NewBuilder(3, 3)
 	for i := range 3 {
 		id.Add(i, i, 1)
 	}
-	p, err := Mul(m, id.Build())
+	p, err := matrix.Mul(m, id.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := FrobeniusDiff(m, p)
+	d, _ := matrix.FrobeniusDiff(m, p)
 	if d != 0 {
 		t.Fatalf("M·I != M, diff %v", d)
 	}
@@ -134,24 +140,24 @@ func TestMulIdentity(t *testing.T) {
 
 func TestMulKnown(t *testing.T) {
 	// [1 2; 0 3] * [0 1; 4 0] = [8 1; 12 0]
-	a := NewBuilder(2, 2)
+	a := sparse.NewBuilder(2, 2)
 	a.Add(0, 0, 1)
 	a.Add(0, 1, 2)
 	a.Add(1, 1, 3)
-	b := NewBuilder(2, 2)
+	b := sparse.NewBuilder(2, 2)
 	b.Add(0, 1, 1)
 	b.Add(1, 0, 4)
-	p, err := Mul(a.Build(), b.Build())
+	p, err := matrix.Mul(a.Build(), b.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.At(0, 0) != 8 || p.At(0, 1) != 1 || p.At(1, 0) != 12 || p.At(1, 1) != 0 {
-		t.Fatalf("Mul wrong: %v", p.Dense())
+		t.Fatalf("Mul wrong: %v", matrix.Dense(p))
 	}
 }
 
 func TestMulShapeError(t *testing.T) {
-	if _, err := Mul(NewBuilder(2, 2).Build(), NewBuilder(3, 3).Build()); err == nil {
+	if _, err := matrix.Mul(sparse.NewBuilder(2, 2).Build(), sparse.NewBuilder(3, 3).Build()); err == nil {
 		t.Fatal("expected shape error")
 	}
 }
@@ -165,7 +171,7 @@ func TestPermute(t *testing.T) {
 	}
 	// Entry (0,0) of result = (2,2) of original = 2; (0,1) = (2,1) = -1.
 	if p.At(0, 0) != 2 || p.At(0, 1) != -1 || p.At(1, 1) != 3 {
-		t.Fatalf("Permute wrong: %v", p.Dense())
+		t.Fatalf("Permute wrong: %v", matrix.Dense(p))
 	}
 	if !p.IsSymmetric(0) {
 		t.Fatal("symmetric permutation should preserve symmetry")
@@ -189,12 +195,12 @@ func TestPermuteBad(t *testing.T) {
 // permuteViaBuilder is Permute as it was before the counting-sort
 // rewrite — every entry through a COO Builder and its global sort — kept
 // as the property test's oracle.
-func permuteViaBuilder(m *CSR, perm []int) *CSR {
+func permuteViaBuilder(m *sparse.CSR, perm []int) *sparse.CSR {
 	inv := make([]int, len(perm))
 	for newIdx, oldIdx := range perm {
 		inv[oldIdx] = newIdx
 	}
-	bld := NewBuilder(m.Rows, m.Cols)
+	bld := sparse.NewBuilder(m.Rows, m.Cols)
 	for newI, oldI := range perm {
 		for k := m.RowPtr[oldI]; k < m.RowPtr[oldI+1]; k++ {
 			bld.Add(newI, inv[m.ColIdx[k]], m.Val[k])
@@ -210,7 +216,7 @@ func TestQuickPermuteMatchesBuilder(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := vecmath.NewRNG(seed)
 		n := 1 + rng.Intn(30)
-		b := NewBuilder(n, n)
+		b := sparse.NewBuilder(n, n)
 		for k := rng.Intn(4 * n); k > 0; k-- {
 			b.Add(rng.Intn(n), rng.Intn(n), rng.NormFloat64())
 		}
@@ -218,7 +224,7 @@ func TestQuickPermuteMatchesBuilder(t *testing.T) {
 		if m.NNZ() > 0 {
 			m.Val[rng.Intn(m.NNZ())] = 0 // an explicit stored zero
 		}
-		perm := rng.Perm(n)
+		perm := matrix.Perm(rng, n)
 		got, err := m.Permute(perm)
 		return err == nil && reflect.DeepEqual(got, permuteViaBuilder(m, perm))
 	}
@@ -231,14 +237,14 @@ func TestPermuteUnsymmetricWithStoredZero(t *testing.T) {
 	// [ 1 2 0 ]            rows/cols reordered (2,0,1), the stored
 	// [ 0 0 3 ]  (1,1)=0   zero dropped:
 	// [ 4 0 5 ]  stored    [5 4 0; 0 1 2; 3 0 0]
-	m := &CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 2, 4, 6},
+	m := &sparse.CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 2, 4, 6},
 		ColIdx: []int{0, 1, 1, 2, 0, 2}, Val: []float64{1, 2, 0, 3, 4, 5}}
 	perm := []int{2, 0, 1}
 	got, err := m.Permute(perm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 2, 4, 5},
+	want := &sparse.CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 2, 4, 5},
 		ColIdx: []int{0, 1, 1, 2, 0}, Val: []float64{5, 4, 1, 2, 3}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Permute = %+v, want %+v", got, want)
@@ -249,7 +255,7 @@ func TestPermuteUnsymmetricWithStoredZero(t *testing.T) {
 }
 
 func TestDense(t *testing.T) {
-	d := small3().Dense()
+	d := matrix.Dense(small3())
 	if d[0][0] != 2 || d[0][1] != -1 || d[0][2] != 0 {
 		t.Fatalf("Dense row 0 = %v", d[0])
 	}
@@ -260,19 +266,19 @@ func TestQuickMulMatchesDense(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := vecmath.NewRNG(seed)
 		n, m, p := 1+rng.Intn(8), 1+rng.Intn(8), 1+rng.Intn(8)
-		mk := func(r, c int) *CSR {
-			b := NewBuilder(r, c)
+		mk := func(r, c int) *sparse.CSR {
+			b := sparse.NewBuilder(r, c)
 			for e := 0; e < r*c/2+1; e++ {
 				b.Add(rng.Intn(r), rng.Intn(c), float64(rng.Intn(9))-4)
 			}
 			return b.Build()
 		}
 		a, bm := mk(n, m), mk(m, p)
-		prod, err := Mul(a, bm)
+		prod, err := matrix.Mul(a, bm)
 		if err != nil {
 			return false
 		}
-		ad, bd, pd := a.Dense(), bm.Dense(), prod.Dense()
+		ad, bd, pd := matrix.Dense(a), matrix.Dense(bm), matrix.Dense(prod)
 		for i := 0; i < n; i++ {
 			for j := 0; j < p; j++ {
 				var s float64
@@ -294,7 +300,7 @@ func TestQuickMulMatchesDense(t *testing.T) {
 func BenchmarkMulVec(b *testing.B) {
 	// Pentadiagonal matrix of dimension 1<<14.
 	n := 1 << 14
-	bb := NewBuilder(n, n)
+	bb := sparse.NewBuilder(n, n)
 	for i := 0; i < n; i++ {
 		bb.Add(i, i, 4)
 		if i+1 < n {

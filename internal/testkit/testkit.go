@@ -1,11 +1,21 @@
 // Package testkit is the property-test harness shared by the dynamic
-// maintainer's randomized suites: a standard set of graph families
-// (regular mesh, community-structured, bridge-heavy), a deterministic
-// random update-stream generator that tracks the evolving edge set, and
-// an independent similarity-certificate check. Tests across packages use
-// it to assert the dynamic invariant — after every applied batch the
-// verified condition number stays within the σ² target — without each
-// re-implementing stream bookkeeping.
+// maintainer's randomized suites, and the home of the dense oracle.
+//
+// The harness is a standard set of graph families (regular mesh,
+// community-structured, bridge-heavy), a deterministic random
+// update-stream generator that tracks the evolving edge set, and
+// AssertInvariant, which checks after every applied batch that the
+// sparsifier is a connected, weight-faithful subgraph whose condition
+// number, as VerifyCond measures it, stays within the σ² target.
+// VerifyCond is not independent of the code under test: it runs the
+// product certificate, core.VerifySimilarity, on a fresh factorization
+// of P, so it shares the certificate's Lanczos loop and its blind spots.
+//
+// The independent referee is ExactCond: κ(L_G, L_P) from a dense
+// Cholesky reduction and a Householder–QL eigensolve, for n ≤
+// fixture.MaxN. The shared low-level fixtures it builds on live in
+// internal/testkit/fixture, which the tests of packages below core can
+// import.
 package testkit
 
 import (
@@ -102,9 +112,10 @@ func RandomBatch(g *graph.Graph, rng *vecmath.RNG, size int) []dynamic.Update {
 	return batch
 }
 
-// VerifyCond independently measures κ(L_G, L_P) with a fresh exact
-// factorization of p — the reference check the dynamic invariant is
-// stated against.
+// VerifyCond measures κ(L_G, L_P) with core.VerifySimilarity — the
+// certificate under test — on a fresh exact factorization of p, 40 steps
+// (or n). It re-runs the product's estimate from a new factor and seed;
+// it is not an independent referee (ExactCond is).
 func VerifyCond(g, p *graph.Graph, seed uint64) (float64, error) {
 	solver, err := cholesky.NewLapSolver(p)
 	if err != nil {
@@ -121,8 +132,8 @@ func VerifyCond(g, p *graph.Graph, seed uint64) (float64, error) {
 // AssertInvariant fails the test unless the maintained sparsifier is a
 // connected subgraph of the graph, carrying the graph's current weights,
 // both edge lists (u,v)-sorted without repeats — the maintainer reads
-// membership and candidates straight off that order — and the
-// independently verified condition number is within sigmaSq.
+// membership and candidates straight off that order — and the condition
+// number VerifyCond re-measures is within sigmaSq.
 func AssertInvariant(t *testing.T, m *dynamic.Maintainer, sigmaSq float64) {
 	t.Helper()
 	g, p := m.Graph(), m.Sparsifier()

@@ -1,6 +1,6 @@
 // Package tree implements rooted spanning trees: construction from edge
-// lists, tree-path effective resistances and total stretch (the
-// ingredient of edge stretch, §3.3 of the paper), and the exact O(n)
+// lists, total stretch over a graph's edges through the tree-path
+// effective resistances (edge stretch, §3.3 of the paper), and the exact O(n)
 // tree Laplacian solver that makes spanning-tree preconditioners and the
 // generalized power iterations of §3.2 fast.
 package tree
@@ -94,66 +94,17 @@ func FromGraph(g *graph.Graph, edgeIDs []int, root int) (*Tree, error) {
 	return Build(g.N(), edges, root)
 }
 
-// N returns the vertex count.
-func (t *Tree) N() int { return t.n }
-
-// Root returns the root vertex.
-func (t *Tree) Root() int { return t.root }
-
-// Parent returns v's parent (-1 for the root).
-func (t *Tree) Parent(v int) int { return t.parent[v] }
-
-// Edges returns the tree's edge list (normalized, U < V). The slice is
-// shared with Graph's; callers must not modify it.
-func (t *Tree) Edges() []graph.Edge { return t.g.Edges() }
-
 // Graph returns the tree as a *graph.Graph on the same vertex set: the
 // one Build normalized, on every call. Graphs are immutable (AddEdges
 // builds a new edge list), so sharing it costs nothing.
 func (t *Tree) Graph() *graph.Graph { return t.g }
 
-// lca returns the lowest common ancestor of u and v by climbing parent
-// links from the deeper of the two, each depth itself found by climbing to
-// the root: O(path), no index. Only tests call it (with PathResistance and
-// Stretch): it is the per-pair reference that TotalStretch's one offline
-// pass is checked against.
-func (t *Tree) lca(u, v int) int {
-	depth := func(w int) (d int) {
-		for ; t.parent[w] != -1; w = t.parent[w] {
-			d++
-		}
-		return d
-	}
-	du, dv := depth(u), depth(v)
-	for ; du > dv; du-- {
-		u = t.parent[u]
-	}
-	for ; dv > du; dv-- {
-		v = t.parent[v]
-	}
-	for u != v {
-		u, v = t.parent[u], t.parent[v]
-	}
-	return u
-}
-
-// PathResistance returns Σ 1/w over the unique tree path between u and v —
-// the tree effective resistance R_P(u,v) (eq. 9 in the tree case).
-func (t *Tree) PathResistance(u, v int) float64 {
-	return t.resToRoot[u] + t.resToRoot[v] - 2*t.resToRoot[t.lca(u, v)]
-}
-
-// Stretch returns the stretch of an off-tree (or tree) edge per §3.3:
-// st(e) = w_e · R_P(u,v). Tree edges have stretch exactly 1.
-func (t *Tree) Stretch(e graph.Edge) float64 {
-	return e.W * t.PathResistance(e.U, e.V)
-}
-
 // TotalStretch returns st_P(G) = Σ_{e∈G} st(e) over all edges of g,
-// which equals Trace(L_P⁺ L_G) (eq. 4). The sum runs in edge order over
-// the same expression as Stretch, so it is bit-identical to summing
-// Stretch(e); every LCA comes from one offline pass (Tarjan's), whose
-// O(n + m) int32 scratch is dropped on return.
+// which equals Trace(L_P⁺ L_G) (eq. 4). Each term is st(e) = w_e·R_P(u,v),
+// R_P the tree-path resistance, summed in edge order, so it is
+// bit-identical to summing the tests' per-pair reference; every LCA comes
+// from one offline pass (Tarjan's), whose O(n + m) int32 scratch is
+// dropped on return.
 //
 // The pass walks the tree depth-first. A finished subtree's union-find
 // set (union by rank, path halving) is merged into its parent's, and each

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"graphspar/internal/graph"
+	"graphspar/internal/testkit/fixture"
 	"graphspar/internal/vecmath"
 )
 
@@ -50,16 +51,16 @@ func TestBuildValidates(t *testing.T) {
 
 func TestParentsAndDepths(t *testing.T) {
 	tr := pathTree(t)
-	if tr.Root() != 0 || tr.Parent(0) != -1 {
+	if tr.root != 0 || tr.parent[0] != -1 {
 		t.Fatal("root bookkeeping wrong")
 	}
-	if tr.Parent(3) != 2 {
-		t.Fatalf("parent(3)=%d", tr.Parent(3))
+	if tr.parent[3] != 2 {
+		t.Fatalf("parent(3)=%d", tr.parent[3])
 	}
 	// Depths through the parent chain: 3 → 2 → 1 → 0.
 	depth := func(v int) int {
 		d := 0
-		for ; tr.Parent(v) != -1; v = tr.Parent(v) {
+		for ; tr.parent[v] != -1; v = tr.parent[v] {
 			d++
 		}
 		return d
@@ -67,6 +68,43 @@ func TestParentsAndDepths(t *testing.T) {
 	if depth(3) != 3 || depth(0) != 0 {
 		t.Fatalf("depths wrong: %d %d", depth(3), depth(0))
 	}
+}
+
+// lca returns the lowest common ancestor of u and v by climbing parent
+// links from the deeper of the two, each depth itself found by climbing to
+// the root: O(path), no index. With PathResistance and Stretch it is the
+// per-pair reference that TotalStretch's one offline pass is checked
+// against; Stretch is exported for stretch_test.go's external package.
+func (t *Tree) lca(u, v int) int {
+	depth := func(w int) (d int) {
+		for ; t.parent[w] != -1; w = t.parent[w] {
+			d++
+		}
+		return d
+	}
+	du, dv := depth(u), depth(v)
+	for ; du > dv; du-- {
+		u = t.parent[u]
+	}
+	for ; dv > du; dv-- {
+		v = t.parent[v]
+	}
+	for u != v {
+		u, v = t.parent[u], t.parent[v]
+	}
+	return u
+}
+
+// PathResistance returns Σ 1/w over the unique tree path between u and v —
+// the tree effective resistance R_P(u,v) (eq. 9 in the tree case).
+func (t *Tree) PathResistance(u, v int) float64 {
+	return t.resToRoot[u] + t.resToRoot[v] - 2*t.resToRoot[t.lca(u, v)]
+}
+
+// Stretch returns the stretch of an off-tree (or tree) edge per §3.3:
+// st(e) = w_e · R_P(u,v). Tree edges have stretch exactly 1.
+func (t *Tree) Stretch(e graph.Edge) float64 {
+	return e.W * t.PathResistance(e.U, e.V)
 }
 
 func TestLCAPath(t *testing.T) {
@@ -112,7 +150,7 @@ func TestPathResistance(t *testing.T) {
 
 func TestStretchTreeEdgeIsOne(t *testing.T) {
 	tr := pathTree(t)
-	for _, e := range tr.Edges() {
+	for _, e := range tr.Graph().Edges() {
 		if s := tr.Stretch(e); math.Abs(s-1) > 1e-12 {
 			t.Fatalf("tree edge stretch = %v, want 1", s)
 		}
@@ -159,7 +197,7 @@ func TestQuickTotalStretchExact(t *testing.T) {
 				edges = append(edges, graph.Edge{U: u, V: v, W: 0.1 + 3*rng.Float64()})
 			}
 		}
-		g := graph.MustNew(n, edges)
+		g := fixture.Graph(n, edges)
 		var want float64
 		for _, e := range g.Edges() {
 			want += tr.Stretch(e)
@@ -223,7 +261,7 @@ func TestFromGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.N() != 4 || len(tr.Edges()) != 3 {
+	if g := tr.Graph(); g.N() != 4 || g.M() != 3 {
 		t.Fatalf("FromGraph shape wrong")
 	}
 	if _, err := FromGraph(g, []int{0, 1, 9}, 0); err == nil {
@@ -232,8 +270,7 @@ func TestFromGraph(t *testing.T) {
 }
 
 // TestGraphSharedAcrossCalls: Graph hands out the one graph Build normalized,
-// on every call, and its edges are Edges — the backbone's edge list is
-// not copied again per caller.
+// on every call — the backbone's edge list is not copied again per caller.
 func TestGraphSharedAcrossCalls(t *testing.T) {
 	// Given unsorted and with U > V, so Build's normalization does work.
 	tr, err := Build(4, []graph.Edge{{U: 3, V: 2, W: 4}, {U: 1, V: 0, W: 1}, {U: 2, V: 1, W: 2}}, 0)
@@ -245,11 +282,8 @@ func TestGraphSharedAcrossCalls(t *testing.T) {
 		t.Fatal("Graph built a new graph on the second call")
 	}
 	want := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 2, V: 3, W: 4}}
-	if p.N() != 4 || !slices.Equal(p.Edges(), want) || !slices.Equal(tr.Edges(), want) {
-		t.Fatalf("Graph = n %d %v, Edges = %v, want n 4 %v", p.N(), p.Edges(), tr.Edges(), want)
-	}
-	if &p.Edges()[0] != &tr.Edges()[0] {
-		t.Fatal("Edges and Graph().Edges() are separate copies")
+	if p.N() != 4 || !slices.Equal(p.Edges(), want) {
+		t.Fatalf("Graph = n %d %v, want n 4 %v", p.N(), p.Edges(), want)
 	}
 }
 
@@ -294,10 +328,10 @@ func TestQuickLCAMatchesNaive(t *testing.T) {
 		}
 		naive := func(u, v int) int {
 			seen := map[int]bool{}
-			for x := u; x != -1; x = tr.Parent(x) {
+			for x := u; x != -1; x = tr.parent[x] {
 				seen[x] = true
 			}
-			for x := v; ; x = tr.Parent(x) {
+			for x := v; ; x = tr.parent[x] {
 				if seen[x] {
 					return x
 				}

@@ -83,16 +83,3 @@ func (r *RNG) FillNormal(x []float64) {
 		x[i] = r.NormFloat64()
 	}
 }
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

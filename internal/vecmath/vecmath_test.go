@@ -260,18 +260,6 @@ func TestFillNormalMoments(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	r := NewRNG(6)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation at %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func BenchmarkDot(b *testing.B) {
 	x := make([]float64, 1<<16)
 	y := make([]float64, 1<<16)
