@@ -14,22 +14,30 @@
 // benchmark workload.
 //
 // The factor is stored compactly and its kernels know where it is dense.
-// Column pointers, row indices and the permutation are int32, so a
-// dimension or a symbolic nnz(L) above math.MaxInt32 is refused with
-// ErrTooLarge before any index is truncated or factor storage allocated.
-// Each column also carries one marker: the
-// position where its tail becomes a run of consecutive row indices (a
-// minimum-degree factor of a sparsifier ends in a dense trailing
-// triangle; on SBM 4×512 at σ² = 100 that is 73 % of nnz(L)). The loops
-// that walk a column — the numeric pass's accumulator update, the two
-// triangular sweeps of Solve, the rank-1 update — gather through rowIdx
-// up to the marker and walk the run as two plain slices: the same
-// operands in the same order, one operation per entry, so every float is
-// the one an index-gathering loop produces (factor_ref_test.go keeps that
-// loop as the oracle). The backward sweep gains nothing from the run: its
-// s −= L[r,j]·y[r] is one dependent chain per column and runs at
-// floating-point add latency whatever the addressing; only a reassociated
-// sum would lift it, and that would move every downstream bit.
+// A column is at most two streams. Its diagonal and the off-diagonal
+// rows before its run are 16-byte entries, a row index (int32) and its
+// value (float64) side by side, so a kernel gathering through the column
+// reads one array, not two parallel ones. Its run — the last stretch of
+// consecutive rows, when at least minRun long; a minimum-degree factor of
+// a sparsifier ends in a dense trailing triangle, on SBM 4×512 at σ² = 100
+// 73 % of nnz(L) — is plain float64 values whose rows are implicit. The
+// run's rows are deliberately not packed with its values: on that SBM
+// factor (2-core Xeon, 2 MB of L2 a core), 16 bytes an entry where 8 do
+// slowed the solve by a fifth and the numeric pass by a third. Column and run pointers, row indices and
+// the permutation are int32, so a dimension or a symbolic nnz(L) above
+// math.MaxInt32 is refused with ErrTooLarge before any index is truncated
+// or factor storage allocated. The symbolic pass finds each column's run,
+// so the numeric pass writes every value where it stays. The loops that
+// walk a column — the numeric pass's accumulator update, the two
+// triangular sweeps, Lᵀ·, the rank-1 update — gather through the entries
+// and walk the run against a plain slice of the vector: the same operands
+// in the same order, one operation per entry, so every float is the one
+// an index-gathering loop over parallel arrays produces
+// (factor_ref_test.go keeps that loop as the oracle). The backward sweep
+// gains nothing from the run: its s −= L[r,j]·y[r] is one dependent chain
+// per column and runs at floating-point add latency whatever the
+// addressing; only a reassociated sum would lift it, and that would move
+// every downstream bit.
 //
 // The two sweeps are separate halves, forward (L z = y) and backward
 // (Lᵀ w = z); Solve runs one after the other. A LapSolver also exposes
@@ -75,21 +83,30 @@ func checkIndexable(what string, count int) error {
 // gathering through a shorter one.
 const minRun = 4
 
-// Factor is a sparse lower-triangular Cholesky factor stored in CSC
-// (column-major) form, together with the symmetric permutation applied
-// before factorization: P A Pᵀ = L Lᵀ. Indices are int32 (see
-// ErrTooLarge). Column j occupies [colPtr[j], colPtr[j+1]): the diagonal
-// first, then the off-diagonal rows ascending, of which
-// [runAt[j], colPtr[j+1]) are consecutive — rowIdx[p+1] = rowIdx[p]+1 —
-// and at least minRun long (runAt[j] = colPtr[j+1] when the column has no
-// such tail). The marker depends on the pattern only, so rank-1 updates,
-// which never change the pattern, leave it valid.
+// entry is one gathered element of L: its row and its value side by
+// side (16 bytes with padding).
+type entry struct {
+	row int32
+	val float64
+}
+
+// Factor is a sparse lower-triangular Cholesky factor stored by columns,
+// together with the symmetric permutation applied before factorization:
+// P A Pᵀ = L Lᵀ. Indices are int32 (see ErrTooLarge). Column j is at most
+// two streams. ent[colPtr[j]:colPtr[j+1]] holds its diagonal, then its
+// off-diagonal rows ascending up to its run; run[runPtr[j]:runPtr[j+1]]
+// holds the values of the run — the column's last stretch of consecutive
+// rows, when that is at least minRun long — at rows runRow[j],
+// runRow[j]+1, … (empty, with runRow[j] = n, when the column has no such
+// tail). The split depends on the pattern only, so rank-1 updates, which
+// never change the pattern, leave it valid.
 type Factor struct {
 	n      int
 	colPtr []int32
-	rowIdx []int32
-	runAt  []int32
-	val    []float64
+	ent    []entry
+	runPtr []int32
+	runRow []int32
+	run    []float64
 	perm   []int32 // perm[new] = old
 	inv    []int32 // inv[old] = new
 	parent []int   // elimination tree of the permuted matrix
@@ -99,7 +116,7 @@ type Factor struct {
 
 // NNZ returns the number of stored entries in L (the factor's memory
 // footprint, reported as M_D in the Table 3 reproduction).
-func (f *Factor) NNZ() int { return len(f.val) }
+func (f *Factor) NNZ() int { return len(f.ent) + len(f.run) }
 
 // Session returns a view of the factor that shares the (immutable)
 // numeric factorization but owns a private work buffer, so concurrent
@@ -202,12 +219,28 @@ func factorCSR(a *sparse.CSR, perm []int, maxNNZ int) (*Factor, error) {
 
 	// Symbolic pass: count entries per column of L. Row k contributes one
 	// entry to every column in its ereach pattern, plus its own diagonal.
+	// Rows reach a column in ascending order, so the pass also measures
+	// each column's last stretch of consecutive off-diagonal rows, which
+	// becomes its run when it is at least minRun long. The factor's run
+	// arrays hold the measurement meanwhile: runRow[i] is the last row to
+	// reach column i (i itself at first), runPtr[i+1] the stretch's length.
 	colCount := make([]int, n)
+	runPtr := make([]int32, n+1)
+	runRow := make([]int32, n)
+	for i := range runRow {
+		runRow[i] = int32(i)
+	}
 	nnz := 0
 	for k := 0; k < n; k++ {
 		top := ereach(ap, k, parent, s, w, stack)
 		for t := top; t < n; t++ {
-			colCount[s[t]]++
+			i := s[t]
+			colCount[i]++
+			if runRow[i] != int32(k-1) {
+				runPtr[i+1] = 0
+			}
+			runPtr[i+1]++
+			runRow[i] = int32(k)
 		}
 		colCount[k]++ // diagonal
 		nnz += n - top + 1
@@ -218,17 +251,30 @@ func factorCSR(a *sparse.CSR, perm []int, maxNNZ int) (*Factor, error) {
 	if err := checkIndexable("nnz(L)", nnz); err != nil {
 		return nil, err
 	}
+	// A stretch shorter than minRun stays gathered; the others become runs:
+	// runRow their first row (n for none), runPtr their offsets.
+	for i := 0; i < n; i++ {
+		r := runPtr[i+1]
+		if r < minRun {
+			r, runRow[i] = 0, int32(n)
+		} else {
+			runRow[i] -= r - 1
+		}
+		runPtr[i+1] = runPtr[i] + r
+	}
+	runs := int(runPtr[n])
 	f := &Factor{
 		n:      n,
 		colPtr: make([]int32, n+1),
-		rowIdx: make([]int32, nnz),
-		runAt:  make([]int32, n),
-		val:    make([]float64, nnz),
+		ent:    make([]entry, nnz-runs),
+		runPtr: runPtr,
+		runRow: runRow,
+		run:    make([]float64, runs),
 		perm:   make([]int32, n),
 		inv:    make([]int32, n),
 		parent: parent,
 	}
-	colPtr, rowIdx, runAt, val := f.colPtr, f.rowIdx, f.runAt, f.val
+	colPtr, ent, run := f.colPtr, f.ent, f.run
 	for newIdx, oldIdx := range perm {
 		f.perm[newIdx] = int32(oldIdx)
 		f.inv[oldIdx] = int32(newIdx)
@@ -241,14 +287,11 @@ func factorCSR(a *sparse.CSR, perm []int, maxNNZ int) (*Factor, error) {
 	// Dense accumulator for row k: every touched position is reset to zero
 	// as its pattern row is consumed.
 	x := make([]float64, n)
-	colNext := make([]int, n) // next free slot per column
-	// Diagonal entries go in first; colNext starts just past them, and so
-	// does every column's run marker: while a column fills, runAt is where
-	// its last stretch of consecutive rows began.
+	colNext := make([]int, n) // next free gathered slot per column
+	// Diagonal entries go in first; colNext starts just past them.
 	for j := 0; j < n; j++ {
-		colPtr[j+1] = colPtr[j] + int32(colCount[j])
+		colPtr[j+1] = colPtr[j] + int32(colCount[j]) - (runPtr[j+1] - runPtr[j])
 		colNext[j] = int(colPtr[j]) + 1
-		runAt[j] = colPtr[j] + 1
 	}
 	for k := 0; k < n; k++ {
 		top := ereach(ap, k, parent, s, w, stack)
@@ -265,43 +308,32 @@ func factorCSR(a *sparse.CSR, perm []int, maxNNZ int) (*Factor, error) {
 		for t := top; t < n; t++ {
 			i := s[t]
 			lo, hi := int(colPtr[i]), colNext[i]
-			lki := x[i] / val[lo] // over the diagonal of column i
+			lki := x[i] / ent[lo].val // over the diagonal of column i
 			x[i] = 0
-			// Update the accumulator with column i's existing entries:
-			// gathered up to the column's current run, sliced along it.
-			mid := int(runAt[i])
-			if hi-mid < minRun {
-				mid = hi
+			// Update the accumulator with column i's entries so far: the
+			// gathered ones, then the rows of its run that k has passed.
+			for _, e := range ent[lo+1 : hi] {
+				x[e.row] -= e.val * lki
 			}
-			rows := rowIdx[lo+1 : mid]
-			for q, v := range val[lo+1 : mid] {
-				x[rows[q]] -= v * lki
-			}
-			if mid < hi {
-				vs := val[mid:hi]
-				xs := x[rowIdx[mid]:][:len(vs)]
-				for q, v := range vs {
+			if r0 := int(runRow[i]); k >= r0 {
+				// Row k is in the run, and so are the rows from r0 to k−1.
+				vs := run[runPtr[i]:][:k-r0+1]
+				done := vs[:k-r0]
+				xs := x[r0:][:len(done)]
+				for q, v := range done {
 					xs[q] -= v * lki
 				}
+				vs[k-r0] = lki
+			} else {
+				ent[hi] = entry{int32(k), lki}
+				colNext[i] = hi + 1
 			}
 			d -= lki * lki
-			if rowIdx[hi-1] != int32(k-1) {
-				runAt[i] = int32(hi) // row k starts a new stretch
-			}
-			rowIdx[hi] = int32(k)
-			val[hi] = lki
-			colNext[i] = hi + 1
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, fmt.Errorf("%w: pivot %d is %v", ErrNotSPD, k, d)
 		}
-		rowIdx[colPtr[k]] = int32(k)
-		val[colPtr[k]] = math.Sqrt(d)
-	}
-	for j := 0; j < n; j++ {
-		if colPtr[j+1]-runAt[j] < minRun {
-			runAt[j] = colPtr[j+1]
-		}
+		ent[colPtr[k]] = entry{int32(k), math.Sqrt(d)}
 	}
 	return f, nil
 }
@@ -332,27 +364,31 @@ func (f *Factor) workVec() []float64 {
 	return f.work
 }
 
-// forward solves L z = y in place on the permuted vector y (CSC columns).
-// Each column is walked in two parts: the entries before runAt[j] gather
-// through rowIdx, the run after it is a plain slice of y. forward then
-// backward is the whole solve of L Lᵀ w = y.
+// forward solves L z = y in place on the permuted vector y (column by
+// column). Each column is walked in two parts: its gathered entries
+// through their rows, its run against a plain slice of y. Column and run
+// bounds carry over from one column to the next. forward then backward is
+// the whole solve of L Lᵀ w = y.
 func (f *Factor) forward(y []float64) {
-	colPtr, rowIdx, runAt, val := f.colPtr, f.rowIdx, f.runAt, f.val
-	for j := 0; j < f.n; j++ {
-		p0, mid, hi := colPtr[j], runAt[j], colPtr[j+1]
-		yj := y[j] / val[p0]
+	n := f.n
+	colPtr, ent, runPtr, runRow, run := f.colPtr[:n+1], f.ent, f.runPtr[:n+1], f.runRow[:n], f.run
+	y = y[:n]
+	p0, r0 := colPtr[0], runPtr[0]
+	for j := 0; j < n; j++ {
+		hi, r1 := colPtr[j+1], runPtr[j+1]
+		yj := y[j] / ent[p0].val
 		y[j] = yj
-		rows := rowIdx[p0+1 : mid]
-		for q, v := range val[p0+1 : mid] {
-			y[rows[q]] -= v * yj
+		for _, e := range ent[p0+1 : hi] {
+			y[e.row] -= e.val * yj
 		}
-		if mid < hi {
-			vs := val[mid:hi]
-			ys := y[rowIdx[mid]:][:len(vs)]
+		if r0 < r1 {
+			vs := run[r0:r1]
+			ys := y[runRow[j]:][:len(vs)]
 			for q, v := range vs {
 				ys[q] -= v * yj
 			}
 		}
+		p0, r0 = hi, r1
 	}
 }
 
@@ -360,22 +396,26 @@ func (f *Factor) forward(y []float64) {
 // dependent subtraction chain per column: latency-bound with or without
 // the run (see the package doc).
 func (f *Factor) backward(y []float64) {
-	colPtr, rowIdx, runAt, val := f.colPtr, f.rowIdx, f.runAt, f.val
-	for j := f.n - 1; j >= 0; j-- {
-		p0, mid, hi := colPtr[j], runAt[j], colPtr[j+1]
+	n := f.n
+	colPtr, ent, runPtr, runRow, run := f.colPtr[:n+1], f.ent, f.runPtr[:n+1], f.runRow[:n], f.run
+	y = y[:n]
+	hi, r1 := colPtr[n], runPtr[n]
+	for j := n - 1; j >= 0; j-- {
+		p0, r0 := colPtr[j], runPtr[j]
+		col := ent[p0:hi]
 		s := y[j]
-		rows := rowIdx[p0+1 : mid]
-		for q, v := range val[p0+1 : mid] {
-			s -= v * y[rows[q]]
+		for _, e := range col[1:] {
+			s -= e.val * y[e.row]
 		}
-		if mid < hi {
-			vs := val[mid:hi]
-			ys := y[rowIdx[mid]:][:len(vs)]
+		if r0 < r1 {
+			vs := run[r0:r1]
+			ys := y[runRow[j]:][:len(vs)]
 			for q, v := range vs {
 				s -= v * ys[q]
 			}
 		}
-		y[j] = s / val[p0]
+		y[j] = s / col[0].val
+		hi, r1 = p0, r0
 	}
 }
 
@@ -384,22 +424,25 @@ func (f *Factor) backward(y []float64) {
 // entry. Each product is rounded before it is summed (float64(…)), so no
 // host fuses the accumulation into multiply-adds.
 func (f *Factor) mulLT(y []float64) {
-	colPtr, rowIdx, runAt, val := f.colPtr, f.rowIdx, f.runAt, f.val
-	for j := 0; j < f.n; j++ {
-		p0, mid, hi := colPtr[j], runAt[j], colPtr[j+1]
-		s := float64(val[p0] * y[j])
-		rows := rowIdx[p0+1 : mid]
-		for q, v := range val[p0+1 : mid] {
-			s += float64(v * y[rows[q]])
+	n := f.n
+	colPtr, ent, runPtr, runRow, run := f.colPtr[:n+1], f.ent, f.runPtr[:n+1], f.runRow[:n], f.run
+	y = y[:n]
+	p0, r0 := colPtr[0], runPtr[0]
+	for j := 0; j < n; j++ {
+		hi, r1 := colPtr[j+1], runPtr[j+1]
+		s := float64(ent[p0].val * y[j])
+		for _, e := range ent[p0+1 : hi] {
+			s += float64(e.val * y[e.row])
 		}
-		if mid < hi {
-			vs := val[mid:hi]
-			ys := y[rowIdx[mid]:][:len(vs)]
+		if r0 < r1 {
+			vs := run[r0:r1]
+			ys := y[runRow[j]:][:len(vs)]
 			for q, v := range vs {
 				s += float64(v * ys[q])
 			}
 		}
 		y[j] = s
+		p0, r0 = hi, r1
 	}
 }
 
@@ -575,14 +618,16 @@ func (ls *LapSolver) FactorNNZ() int {
 }
 
 // Bytes estimates the heap the solver holds, priced at the factor's
-// layout: int32 row indices, column pointers, run markers and
-// permutations; float64 values; the elimination tree and order; and the
-// solve and update buffers once they have been grown.
+// layout: 16-byte (row, value) entries and 8-byte run values; int32
+// column and run pointers, run rows and permutations; the elimination
+// tree and order; and the solve and update buffers once they have been
+// grown.
 func (ls *LapSolver) Bytes() int64 {
 	b := int64(len(ls.perm)) * 8
 	if f := ls.factor; f != nil {
-		b += int64(len(f.rowIdx)+len(f.colPtr)+len(f.runAt)+len(f.perm)+len(f.inv)) * 4
-		b += int64(len(f.val)+len(f.parent)+len(f.work)+len(f.upWork)) * 8
+		b += int64(len(f.ent)) * 16
+		b += int64(len(f.colPtr)+len(f.runPtr)+len(f.runRow)+len(f.perm)+len(f.inv)) * 4
+		b += int64(len(f.run)+len(f.parent)+len(f.work)+len(f.upWork)) * 8
 	}
 	return b
 }
@@ -618,10 +663,11 @@ func (ls *LapSolver) Solve(x, b []float64) {
 
 // The methods below expose the factor's own coordinates: a vector of
 // length Dim() holding the grounded system's entries in the factor's
-// elimination order. In them the pencil (L_G, L_P) becomes the symmetric
-// matrix L⁻¹ L̂_G L⁻ᵀ (L̂_G is L_G grounded and permuted alike), which is
-// how the certificate's Lanczos run applies it: Backward, Scatter,
-// L_G·, Gather, Forward. None of them allocates; all panic on a length
+// elimination order; Coord says where a vertex sits in it. In them the
+// pencil (L_G, L_P) becomes the symmetric matrix L⁻¹ L̂_G L⁻ᵀ (L̂_G is
+// L_G grounded and permuted alike), which is how the certificate's
+// Lanczos run applies it: Backward, L_G's edges relabeled by Coord,
+// Forward. None of them allocates; the vector methods panic on a length
 // mismatch, like Solve.
 
 // Dim returns the dimension of the factored grounded system, n−1 (0 for
@@ -643,27 +689,15 @@ func (ls *LapSolver) Backward(y []float64) {
 	}
 }
 
-// Gather writes the grounded system's rows of the vertex vector x into y
-// in the factor's order: y[k] = x[perm[k]], the ground entry dropped.
-// Applied to L_G u it gives L̂_G û.
-func (ls *LapSolver) Gather(y, x []float64) {
-	if f := ls.coords(y, x); f != nil {
-		for newIdx, oldIdx := range f.perm {
-			y[newIdx] = x[oldIdx]
-		}
+// Coord returns vertex v's coordinate: its position in the factor's
+// elimination order, or Dim() for the ground vertex, which the grounded
+// system drops. A vector of length Dim()+1 whose last slot is held at
+// zero is then a vertex vector grounded, in the factor's order.
+func (ls *LapSolver) Coord(v int) int {
+	if v == ls.ground {
+		return ls.n - 1
 	}
-}
-
-// Scatter is Gather's inverse on grounded vectors: x[perm[k]] = y[k] and
-// x[ground] = 0.
-func (ls *LapSolver) Scatter(x, y []float64) {
-	f := ls.coords(y, x)
-	x[ls.ground] = 0
-	if f != nil {
-		for newIdx, oldIdx := range f.perm {
-			x[oldIdx] = y[newIdx]
-		}
-	}
+	return int(ls.factor.inv[v])
 }
 
 // MulLT sets z = Lᵀ x̂, where x̂ is the vertex vector x grounded (shifted

@@ -135,8 +135,8 @@ func TestLLTEqualsPAP(t *testing.T) {
 	// Rebuild L as CSR and compute L·Lᵀ.
 	lb := sparse.NewBuilder(f.n, f.n)
 	for j := 0; j < f.n; j++ {
-		for p := f.colPtr[j]; p < f.colPtr[j+1]; p++ {
-			lb.Add(int(f.rowIdx[p]), j, f.val[p])
+		for _, e := range column(f, j) {
+			lb.Add(int(e.row), j, e.val)
 		}
 	}
 	l := lb.Build()
@@ -462,10 +462,11 @@ func TestLapSolverSessions(t *testing.T) {
 	}
 }
 
-// LapSolver.Bytes prices the factor at its layout: 4 B an int32 row index
-// plus 8 B a value per entry of L; int32 column pointers, run markers and
-// both permutations; int elimination tree and order; and the float64
-// solve and update buffers only once they exist.
+// LapSolver.Bytes prices the factor at its layout: 16 B a gathered entry
+// of L (an int32 row and a float64 value, padded) and 8 B a run value;
+// int32 column and run pointers, run rows and both permutations; int
+// elimination tree and order; and the float64 solve and update buffers
+// only once they exist.
 func TestLapSolverBytesAtInt32Layout(t *testing.T) {
 	g, err := gen.Grid2D(12, 12, gen.UniformWeights, 4)
 	if err != nil {
@@ -476,7 +477,11 @@ func TestLapSolverBytesAtInt32Layout(t *testing.T) {
 		t.Fatal(err)
 	}
 	dim, nnz := int64(ls.Dim()), int64(ls.FactorNNZ())
-	want := 12*nnz + 4*(dim+1) + 3*4*dim + 2*8*dim
+	ents, runs := int64(len(ls.factor.ent)), int64(len(ls.factor.run))
+	if ents+runs != nnz || runs == 0 {
+		t.Fatalf("%d gathered and %d run entries for nnz(L) = %d; the case needs both", ents, runs, nnz)
+	}
+	want := 16*ents + 8*runs + 2*4*(dim+1) + 3*4*dim + 2*8*dim
 	if got := ls.Bytes(); got != want {
 		t.Fatalf("fresh factor: Bytes = %d, want %d", got, want)
 	}

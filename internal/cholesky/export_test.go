@@ -12,14 +12,10 @@ var (
 
 // RunShare reports the fraction of nnz(L) the kernels walk as slices.
 func (f *Factor) RunShare() float64 {
-	if len(f.val) == 0 {
+	if f.NNZ() == 0 {
 		return 0
 	}
-	in := 0
-	for j := 0; j < f.n; j++ {
-		in += int(f.colPtr[j+1] - f.runAt[j])
-	}
-	return float64(in) / float64(len(f.val))
+	return float64(len(f.run)) / float64(f.NNZ())
 }
 
 // RunShare is Factor.RunShare of the solver's factor.

@@ -24,40 +24,49 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// column lists column j of f in row order: its gathered entries, then
+// its run with the rows spelled out.
+func column(f *Factor, j int) []entry {
+	col := append([]entry(nil), f.ent[f.colPtr[j]:f.colPtr[j+1]]...)
+	for q, v := range f.run[f.runPtr[j]:f.runPtr[j+1]] {
+		col = append(col, entry{f.runRow[j] + int32(q), v})
+	}
+	return col
+}
+
 // checkFactor asserts f stores the oracle's factor — pattern element for
-// element, values bit for bit — and that its run markers describe the
-// pattern: each points at the start of its column's last stretch of
-// consecutive rows when that is at least minRun long, else past the end.
+// element, values bit for bit, column by column through both streams —
+// and that each column's run is its last stretch of consecutive rows when
+// that is at least minRun long, and empty (runRow n) otherwise.
 func checkFactor(t testing.TB, name string, f *Factor, ref *refFactor) {
 	t.Helper()
-	if f.n != ref.n || len(f.rowIdx) != len(ref.rowIdx) {
-		t.Fatalf("%s: factor is %d×%d with %d entries, oracle %d with %d", name, f.n, f.n, len(f.rowIdx), ref.n, len(ref.rowIdx))
-	}
-	for j, p := range ref.colPtr {
-		if int(f.colPtr[j]) != p {
-			t.Fatalf("%s: colPtr[%d] = %d, oracle %d", name, j, f.colPtr[j], p)
-		}
-	}
-	for p, r := range ref.rowIdx {
-		if int(f.rowIdx[p]) != r {
-			t.Fatalf("%s: rowIdx[%d] = %d, oracle %d", name, p, f.rowIdx[p], r)
-		}
-	}
-	if !sameBits(f.val, ref.val) {
-		t.Fatalf("%s: factor values differ from the oracle's", name)
+	if f.n != ref.n || f.NNZ() != len(ref.rowIdx) {
+		t.Fatalf("%s: factor is %d×%d with %d entries, oracle %d with %d", name, f.n, f.n, f.NNZ(), ref.n, len(ref.rowIdx))
 	}
 	for j := 0; j < f.n; j++ {
-		lo, hi := f.colPtr[j]+1, f.colPtr[j+1]
-		want := hi // where the column's last stretch of consecutive rows starts
-		if lo < hi {
-			for want = hi - 1; want > lo && f.rowIdx[want-1]+1 == f.rowIdx[want]; want-- {
+		col := column(f, j)
+		lo, hi := ref.colPtr[j], ref.colPtr[j+1]
+		if len(col) != hi-lo {
+			t.Fatalf("%s: column %d has %d entries, oracle %d", name, j, len(col), hi-lo)
+		}
+		for q, e := range col {
+			if int(e.row) != ref.rowIdx[lo+q] {
+				t.Fatalf("%s: column %d entry %d has row %d, oracle %d", name, j, q, e.row, ref.rowIdx[lo+q])
+			}
+			if math.Float64bits(e.val) != math.Float64bits(ref.val[lo+q]) {
+				t.Fatalf("%s: column %d row %d is %v, oracle %v", name, j, e.row, e.val, ref.val[lo+q])
 			}
 		}
-		if hi-want < minRun {
-			want = hi
+		stretch := 0 // the column's last stretch of consecutive off-diagonal rows
+		for q := len(col) - 1; q > 0 && (q == len(col)-1 || col[q].row+1 == col[q+1].row); q-- {
+			stretch++
 		}
-		if f.runAt[j] != want {
-			t.Fatalf("%s: column %d [%d,%d): run marker %d, pattern says %d", name, j, lo, hi, f.runAt[j], want)
+		want, wantRow := 0, int32(f.n)
+		if stretch >= minRun {
+			want, wantRow = stretch, col[len(col)-stretch].row
+		}
+		if got := int(f.runPtr[j+1] - f.runPtr[j]); got != want || f.runRow[j] != wantRow {
+			t.Fatalf("%s: column %d: run of %d from row %d, pattern says %d from row %d", name, j, got, f.runRow[j], want, wantRow)
 		}
 	}
 }
@@ -157,9 +166,11 @@ func TestKernelsMatchReference(t *testing.T) {
 
 // TestSweepHalvesMatchReference: the factor-coordinate methods Lanczos
 // runs on. Forward and Backward are each the oracle's half of the old
-// sweep bit for bit (so Forward then Backward is that sweep); Gather and
-// Scatter invert each other exactly on grounded vectors; and MulLT is
-// undone by Backward and preserves the L_P norm, to rounding.
+// sweep bit for bit (so Forward then Backward is that sweep); Coord maps
+// the vertices one to one onto 0..Dim(), the ground to Dim(), and a
+// vertex vector carried into those coordinates and back through the two
+// halves is Solve bit for bit; and MulLT is undone by Backward and
+// preserves the L_P norm, to rounding.
 func TestSweepHalvesMatchReference(t *testing.T) {
 	must := mustGraph(t)
 	sbm, _, err := gen.SBM(4, 96, 0.15, 0.02, 13)
@@ -202,22 +213,45 @@ func TestSweepHalvesMatchReference(t *testing.T) {
 			t.Fatalf("%s: Backward differs from the oracle's backward half", c.name)
 		}
 
-		x, back := make([]float64, n), make([]float64, n)
-		rng.FillNormal(x)
-		ls.Gather(y, x)
-		ls.Scatter(back, y)
-		for i := range x {
-			w := x[i]
-			if i == ls.ground {
-				w = 0
+		if got := ls.Coord(ls.ground); got != m {
+			t.Fatalf("%s: Coord(ground) = %d, want Dim() = %d", c.name, got, m)
+		}
+		seen := make([]bool, n)
+		for v := 0; v < n; v++ {
+			k := ls.Coord(v)
+			if k < 0 || k >= n || seen[k] {
+				t.Fatalf("%s: Coord(%d) = %d is out of range or taken", c.name, v, k)
 			}
-			if back[i] != w {
-				t.Fatalf("%s: Scatter(Gather(x))[%d] = %v, want %v", c.name, i, back[i], w)
+			seen[k] = true
+		}
+		// scatter carries factor coordinates y back to vertex order, the
+		// ground at 0.
+		scatter := func(x, y []float64) {
+			for v := range x {
+				if k := ls.Coord(v); k < m {
+					x[v] = y[k]
+				} else {
+					x[v] = 0
+				}
 			}
 		}
-		ls.Gather(want, back)
-		if !sameBits(want, y) {
-			t.Fatalf("%s: Gather(Scatter(y)) != y", c.name)
+
+		x, back := make([]float64, n), make([]float64, n)
+		rng.FillNormal(x)
+		mean := vecmath.Mean(x)
+		for v := range x {
+			if k := ls.Coord(v); k < m {
+				y[k] = x[v] - mean
+			}
+		}
+		ls.Forward(y)
+		ls.Backward(y)
+		scatter(back, y)
+		vecmath.Deflate(back)
+		solved := make([]float64, n)
+		ls.Solve(solved, x)
+		if !sameBits(back, solved) {
+			t.Fatalf("%s: Forward, Backward in Coord's coordinates differ from Solve", c.name)
 		}
 
 		z := make([]float64, m)
@@ -226,7 +260,7 @@ func TestSweepHalvesMatchReference(t *testing.T) {
 			t.Fatalf("%s: ‖Lᵀx̂‖² = %v, xᵀL_P x = %v", c.name, got, wantQ)
 		}
 		ls.Backward(z)
-		ls.Scatter(back, z)
+		scatter(back, z)
 		scale := vecmath.Norm2(x)
 		for i := range x {
 			if d := math.Abs(back[i] - (x[i] - x[ls.ground])); d > 1e-10*scale {

@@ -140,8 +140,9 @@ func benchSparsifiers(b testing.TB) []struct {
 // grid and SBM sparsifiers, with the minimum-degree order and its nnz(L):
 // a cap of exactly nnz(L) factors, and its solves are the uncapped
 // factor's bit for bit; a cap one entry lower returns ErrFillLimit from
-// the symbolic pass, having allocated at least the factor's int32 row
-// indices and float64 values (12 B an entry) less than the accepted call.
+// the symbolic pass, having allocated at least the factor's storage less
+// than the accepted call: 16 B a gathered (row, value) entry, 8 B a run
+// value.
 func TestOrderedFillCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sparsifies a 192² grid and a 4×512 SBM")
@@ -187,7 +188,8 @@ func TestOrderedFillCap(t *testing.T) {
 		if !errors.Is(err, cholesky.ErrFillLimit) || missed != nil {
 			t.Fatalf("%s: cap = nnz(L)−1 gave (%v, %v), want ErrFillLimit", c.name, missed, err)
 		}
-		if storage := uint64(12 * nnz); refused+storage > accepted {
+		runs := uint64(math.Round(capped.RunShare() * float64(nnz)))
+		if storage := 16*(uint64(nnz)-runs) + 8*runs; refused+storage > accepted {
 			t.Errorf("%s: refused call allocated %d B, accepted %d B: less than the %d B of factor storage apart",
 				c.name, refused, accepted, storage)
 		}

@@ -1,6 +1,7 @@
 package cholesky
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -54,15 +55,17 @@ func (f *Factor) UpdateSparse(idx []int, val []float64, sign int) error {
 		}
 	}
 	// No-fill precondition (Davis–Hager): pattern(P·v) ⊆ pattern(L(:,f0)).
-	// Column patterns are stored ascending with the diagonal first, so each
-	// remaining index is a binary search away.
-	rows := f.rowIdx[f.colPtr[f0]:f.colPtr[f0+1]]
+	// A row inside the column's run is a range check away; any other is a
+	// binary search through its gathered entries, stored ascending with
+	// the diagonal first.
+	col := f.ent[f.colPtr[f0]:f.colPtr[f0+1]]
+	r0, r1 := f.runRow[f0], f.runRow[f0]+f.runPtr[f0+1]-f.runPtr[f0]
 	for _, i := range idx {
 		p := f.inv[i]
-		if p == f0 {
+		if p == f0 || (r0 <= p && p < r1) {
 			continue
 		}
-		if _, ok := slices.BinarySearch(rows, p); !ok {
+		if _, ok := slices.BinarySearchFunc(col, p, func(e entry, row int32) int { return cmp.Compare(e.row, row) }); !ok {
 			return ErrUpdatePattern
 		}
 	}
@@ -90,7 +93,8 @@ func (f *Factor) updown(w []float64, f0 int, sigma int) error {
 	sgn := float64(sigma)
 	for j := f0; j != -1; j = f.parent[j] {
 		p0 := f.colPtr[j]
-		alpha := w[j] / f.val[p0]
+		diag := &f.ent[p0]
+		alpha := w[j] / diag.val
 		beta2 := beta*beta + sgn*alpha*alpha
 		if beta2 <= 0 || math.IsNaN(beta2) {
 			return fmt.Errorf("%w: rank-1 downdate annihilates pivot %d", ErrNotSPD, j)
@@ -100,30 +104,30 @@ func (f *Factor) updown(w []float64, f0 int, sigma int) error {
 		if sigma > 0 {
 			delta = beta / beta2
 			gamma = alpha / (beta2 * beta)
-			f.val[p0] = delta*f.val[p0] + gamma*w[j]
+			diag.val = delta*diag.val + gamma*w[j]
 		} else {
 			delta = beta2 / beta
 			gamma = -alpha / (beta2 * beta)
-			f.val[p0] = delta * f.val[p0]
+			diag.val = delta * diag.val
 		}
 		w[j] = 0
 		// One rotation per entry: w ← w − α·L, L ← δ·L + γ·w, where the w
 		// feeding L is the old one on an update and the new one on a
 		// downdate. Gathered up to the column's run, sliced along it.
-		mid, hi := f.runAt[j], f.colPtr[j+1]
-		for p := p0 + 1; p < mid; p++ {
-			i := f.rowIdx[p]
-			w1 := w[i]
-			w2 := w1 - alpha*f.val[p]
-			w[i] = w2
+		gathered := f.ent[p0+1 : f.colPtr[j+1]]
+		for q := range gathered {
+			e := &gathered[q]
+			w1 := w[e.row]
+			w2 := w1 - alpha*e.val
+			w[e.row] = w2
 			if sigma > 0 {
 				w2 = w1
 			}
-			f.val[p] = delta*f.val[p] + gamma*w2
+			e.val = delta*e.val + gamma*w2
 		}
-		if mid < hi {
-			vs := f.val[mid:hi]
-			ws := w[f.rowIdx[mid]:][:len(vs)]
+		if r0, r1 := f.runPtr[j], f.runPtr[j+1]; r0 < r1 {
+			vs := f.run[r0:r1]
+			ws := w[f.runRow[j]:][:len(vs)]
 			for q, v := range vs {
 				w1 := ws[q]
 				w2 := w1 - alpha*v

@@ -356,8 +356,12 @@ var ErrDimMismatch = errors.New("eig: dimension mismatch")
 // factor, which must be a factorization of exactly P), the pencil's
 // nonzero spectrum is that of the symmetric M = L⁻¹ L̂_G L⁻ᵀ, L̂_G being
 // L_G grounded and permuted like the factor. Lanczos on M needs the
-// Euclidean inner product and no deflation, and one apply is a backward
-// half-sweep, a scatter, L_G·, a gather and a forward half-sweep. The run
+// Euclidean inner product and no deflation. G's edges are relabeled into
+// the factor's coordinates once per call (solver.Coord, the ground at
+// slot n−1 of a work vector held at zero), so one apply is a backward
+// half-sweep, one pass over those edges and a forward half-sweep, with no
+// trip through vertex order; every float is the one L_G· in vertex order
+// between a scatter and a gather gives. The run
 // starts from Lᵀ times the seeded normal vector grounded, so it spans the
 // Krylov space Lanczos on L_P⁺ L_G in the L_P inner product spans from
 // that vector: the Ritz values are that iteration's, to rounding. They
@@ -378,19 +382,42 @@ func GeneralizedLanczos(g, p *graph.Graph, solver *cholesky.LapSolver, k int, se
 	k = min(k, n-1)
 	x := seeded(n, seed)
 	z0 := make([]float64, n-1)
-	solver.MulLT(z0, x) // x is the scatter target from here on
+	solver.MulLT(z0, x) // x is the apply's input from here on
+	x[n-1] = 0          // the ground slot
+	edges := make([]coordEdge, g.M())
+	for i, e := range g.Edges() {
+		edges[i] = coordEdge{int32(solver.Coord(e.U)), int32(solver.Coord(e.V)), e.W}
+	}
 	gx := make([]float64, n)
 	ritz, _, _, err := krylov{
 		apply: func(w, z []float64) {
-			copy(w, z)
-			solver.Backward(w)   // L⁻ᵀ z
-			solver.Scatter(x, w) // to vertex order, ground 0
-			g.LapMulVec(gx, x)
-			solver.Gather(w, gx) // L̂_G L⁻ᵀ z
-			solver.Forward(w)    // w = M z
+			copy(x, z)
+			solver.Backward(x[:n-1]) // L⁻ᵀ z
+			lapMulCoords(gx, x, edges)
+			copy(w, gx)       // L̂_G L⁻ᵀ z, the ground slot dropped
+			solver.Forward(w) // w = M z
 		},
 	}.lanczos(z0, k, false)
 	return ritz, err
+}
+
+// coordEdge is an edge of G with its endpoints in a factor's coordinates
+// (cholesky.LapSolver.Coord).
+type coordEdge struct {
+	u, v int32
+	w    float64
+}
+
+// lapMulCoords is graph.LapMulVec over relabeled edges: y = L x, the
+// same operations in the same edge order, so y's bits are LapMulVec's on
+// the vectors relabeled alike.
+func lapMulCoords(y, x []float64, edges []coordEdge) {
+	clear(y)
+	for _, e := range edges {
+		d := x[e.u] - x[e.v]
+		y[e.u] += e.w * d
+		y[e.v] -= e.w * d
+	}
 }
 
 // SmallestPairs computes the k smallest *nonzero* eigenvalues and

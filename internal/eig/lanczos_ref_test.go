@@ -124,36 +124,8 @@ func denseSpectrum(tb testing.TB, g, p *graph.Graph) []float64 {
 // λmax to 1e-9. On every row every Ritz value lies in the pencil's
 // spectrum, up to 1e-9 relative.
 func TestGeneralizedLanczosMatchesReference(t *testing.T) {
-	grid, err := gen.Grid2D(14, 14, gen.UniformWeights, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sbm, _, err := gen.SBM(4, 40, 0.2, 0.02, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycle, err := fixture.Cycle(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		g    *graph.Graph
-	}{{"grid14", grid}, {"sbm4x40", sbm}, {"cycle9", cycle}} {
-		backbone, _, offIDs, err := lsst.Extract(c.g, lsst.MaxWeight, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A denser P: the tree plus every third off-tree edge.
-		extra := make([]graph.Edge, 0, len(offIDs)/3+1)
-		for i := 0; i < len(offIDs); i += 3 {
-			extra = append(extra, c.g.Edge(offIDs[i]))
-		}
-		denser, err := backbone.Graph().AddEdges(extra)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range []*graph.Graph{backbone.Graph(), denser, c.g} {
+	for _, c := range referenceGraphs(t) {
+		for _, p := range c.ps {
 			solver, err := cholesky.NewLapSolver(p)
 			if err != nil {
 				t.Fatal(err)
@@ -183,6 +155,140 @@ func TestGeneralizedLanczosMatchesReference(t *testing.T) {
 						t.Errorf("%s: Ritz values [%v, %v] leave the spectrum [%v, %v]", row, got[0], top, exact[0], exact[len(exact)-1])
 					}
 				}
+			}
+		}
+	}
+}
+
+// referenceGraph is one G of the reference rows with the Ps it is
+// certified against: its max-weight tree, the tree plus every third
+// off-tree edge, and G itself.
+type referenceGraph struct {
+	name string
+	g    *graph.Graph
+	ps   []*graph.Graph
+}
+
+func referenceGraphs(t *testing.T) []referenceGraph {
+	t.Helper()
+	grid, err := gen.Grid2D(14, 14, gen.UniformWeights, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbm, _, err := gen.SBM(4, 40, 0.2, 0.02, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, err := fixture.Cycle(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []referenceGraph{{name: "grid14", g: grid}, {name: "sbm4x40", g: sbm}, {name: "cycle9", g: cycle}}
+	for i, c := range rows {
+		backbone, _, offIDs, err := lsst.Extract(c.g, lsst.MaxWeight, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra := make([]graph.Edge, 0, len(offIDs)/3+1)
+		for i := 0; i < len(offIDs); i += 3 {
+			extra = append(extra, c.g.Edge(offIDs[i]))
+		}
+		denser, err := backbone.Graph().AddEdges(extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i].ps = []*graph.Graph{backbone.Graph(), denser, c.g}
+	}
+	return rows
+}
+
+// generalizedLanczosVertexOrder is GeneralizedLanczos with the apply it
+// had before G's edges were relabeled into the factor's coordinates: a
+// backward half-sweep, a scatter to vertex order (the ground 0), L_G· by
+// graph.LapMulVec, a gather and a forward half-sweep.
+func generalizedLanczosVertexOrder(g *graph.Graph, solver *cholesky.LapSolver, k int, seed uint64) ([]float64, error) {
+	n := g.N()
+	k = min(k, n-1)
+	x := seeded(n, seed)
+	z0 := make([]float64, n-1)
+	solver.MulLT(z0, x)
+	gx := make([]float64, n)
+	ritz, _, _, err := krylov{
+		apply: func(w, z []float64) {
+			copy(w, z)
+			solver.Backward(w)
+			for v := range x {
+				x[v] = 0
+				if c := solver.Coord(v); c < n-1 {
+					x[v] = w[c]
+				}
+			}
+			g.LapMulVec(gx, x)
+			for v, y := range gx {
+				if c := solver.Coord(v); c < n-1 {
+					w[c] = y
+				}
+			}
+			solver.Forward(w)
+		},
+	}.lanczos(z0, k, false)
+	return ritz, err
+}
+
+// TestGeneralizedLanczosRelabeledApplyBitForBit: the apply over G's edges
+// relabeled into the factor's coordinates gives the Ritz values of the
+// scatter → L_G· → gather apply bit for bit, on the reference rows and
+// on factors carried through a run of ApplyEdge up- and downdates.
+func TestGeneralizedLanczosRelabeledApplyBitForBit(t *testing.T) {
+	same := func(row string, g, p *graph.Graph, solver *cholesky.LapSolver, k int, seed uint64) {
+		t.Helper()
+		got, err := GeneralizedLanczos(g, p, solver, k, seed)
+		if err != nil {
+			t.Fatalf("%s: %v", row, err)
+		}
+		want, err := generalizedLanczosVertexOrder(g, solver, k, seed)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", row, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d Ritz values, reference %d", row, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: Ritz value %d is %v, reference %v", row, i, got[i], want[i])
+			}
+		}
+	}
+	for _, c := range referenceGraphs(t) {
+		for _, p := range c.ps {
+			solver, err := cholesky.NewLapSolver(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 2, 12, 30, c.g.N() + 5} {
+				for _, seed := range []uint64{1, 7} {
+					same(fmt.Sprintf("%s m=%d k=%d seed=%d", c.name, p.M(), k, seed), c.g, p, solver, k, seed)
+				}
+			}
+			// Reweight every fifth edge of P in the factor (doubled, then
+			// down by a quarter), ground-incident ones included, and
+			// certify against the P those updates describe.
+			edges := p.EdgesCopy()
+			for i := 0; i < len(edges); i += 5 {
+				e := &edges[i]
+				for _, dw := range []float64{e.W, -e.W / 2} {
+					if err := solver.ApplyEdge(e.U, e.V, dw); err != nil {
+						t.Fatalf("%s: ApplyEdge(%d,%d,%g): %v", c.name, e.U, e.V, dw, err)
+					}
+				}
+				e.W *= 1.5
+			}
+			updated, err := graph.New(p.N(), edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range []uint64{1, 7} {
+				same(fmt.Sprintf("%s m=%d updated seed=%d", c.name, p.M(), seed), c.g, updated, solver, 30, seed)
 			}
 		}
 	}

@@ -12,6 +12,7 @@ package pcg
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"graphspar/internal/cholesky"
 	"graphspar/internal/graph"
@@ -146,29 +147,26 @@ func Solve(a Operator, m Preconditioner, x, b []float64, opt Options) (Result, e
 	}
 
 	a.Apply(r, x)
+	var sum float64
 	for i := range r {
 		r[i] = b[i] - r[i]
+		sum += r[i]
 	}
-	if opt.Deflate {
-		vecmath.Deflate(r)
-	}
+	rel := deflatedNorm(r, sum, opt.Deflate) / normB
 	m.Precondition(z, r)
-	if opt.Deflate {
-		vecmath.Deflate(z)
-	}
+	rz := deflatedDot(r, z, opt.Deflate)
 	copy(p, z)
-	rz := vecmath.Dot(r, z)
-
-	rel := vecmath.Norm2(r) / normB
 	if rel <= opt.Tol {
 		return Result{Iterations: 0, Residual: rel, Converged: true}, nil
 	}
 
+	// One iteration walks the vectors in as few passes as it can: the x
+	// and r updates with Σr in one, r's deflation with Σr² in the next
+	// (deflatedNorm), z's deflation with rᵀz (deflatedDot), then p. A
+	// Laplacian product is mean-free up to rounding, and r is deflated
+	// right after it takes ap in, so ap itself is not deflated.
 	for it := 1; it <= opt.MaxIter; it++ {
 		a.Apply(ap, p)
-		if opt.Deflate {
-			vecmath.Deflate(ap)
-		}
 		pap := vecmath.Dot(p, ap)
 		if pap <= 0 {
 			// Breakdown: operator not PD on this subspace (or numerical
@@ -177,12 +175,13 @@ func Solve(a Operator, m Preconditioner, x, b []float64, opt Options) (Result, e
 				fmt.Errorf("pcg: breakdown pᵀAp = %v at iteration %d", pap, it)
 		}
 		alpha := rz / pap
-		vecmath.Axpy(alpha, p, x)
-		vecmath.Axpy(-alpha, ap, r)
-		if opt.Deflate {
-			vecmath.Deflate(r)
+		sum = 0
+		for i := range r {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+			sum += r[i]
 		}
-		rel = vecmath.Norm2(r) / normB
+		rel = deflatedNorm(r, sum, opt.Deflate) / normB
 		if opt.Residual != nil {
 			opt.Residual(it, rel)
 		}
@@ -193,10 +192,7 @@ func Solve(a Operator, m Preconditioner, x, b []float64, opt Options) (Result, e
 			return Result{Iterations: it, Residual: rel, Converged: true}, nil
 		}
 		m.Precondition(z, r)
-		if opt.Deflate {
-			vecmath.Deflate(z)
-		}
-		rzNew := vecmath.Dot(r, z)
+		rzNew := deflatedDot(r, z, opt.Deflate)
 		beta := rzNew / rz
 		rz = rzNew
 		for i := range p {
@@ -207,6 +203,43 @@ func Solve(a Operator, m Preconditioner, x, b []float64, opt Options) (Result, e
 		vecmath.Deflate(x)
 	}
 	return Result{Iterations: opt.MaxIter, Residual: rel, Converged: false}, ErrMaxIterations
+}
+
+// deflatedNorm deflates x when deflate is set, sum being Σx (so
+// x[i] −= sum/n is vecmath.Deflate, bit for bit), and returns ‖x‖₂ after
+// it: √Σx² summed in the same pass, or vecmath.Norm2's overflow-safe
+// scaled sum when Σx² is 0 or not finite (entries past ≈ 1e154, or all
+// below ≈ 1e-162).
+func deflatedNorm(x []float64, sum float64, deflate bool) float64 {
+	var mean, ss float64
+	if deflate {
+		mean = sum / float64(len(x))
+	}
+	for i := range x {
+		x[i] -= mean
+		ss += x[i] * x[i]
+	}
+	if ss == 0 || math.IsInf(ss, 0) || math.IsNaN(ss) {
+		return vecmath.Norm2(x)
+	}
+	return math.Sqrt(ss)
+}
+
+// deflatedDot deflates z when deflate is set and returns rᵀz, the
+// subtraction and the product in one pass: vecmath.Deflate(z) then
+// vecmath.Dot(r, z), bit for bit.
+func deflatedDot(r, z []float64, deflate bool) float64 {
+	var mean float64
+	if deflate {
+		mean = vecmath.Mean(z)
+	}
+	z = z[:len(r)]
+	var s float64
+	for i, ri := range r {
+		z[i] -= mean
+		s += ri * z[i]
+	}
+	return s
 }
 
 // SolveLaplacian is the common entry point: solves L_G x = b with the given
