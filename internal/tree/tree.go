@@ -211,12 +211,14 @@ func (t *Tree) Solve(x, b []float64) {
 	}
 	// Pre-order: potentials from root down. flow[v] now holds subtree sum.
 	// x[v] = x[parent] + flow[v]/w(v,parent). Overwrite in BFS order; the
-	// subtree sum of v is consumed exactly when v is visited.
+	// subtree sum of v is consumed exactly when v is visited. The root's
+	// slot still holds its own subtree sum, Σ(b − mean) up to rounding, so
+	// it is zeroed before any child reads it.
+	x[t.root] = 0
 	for i := 1; i < t.n; i++ {
 		v := t.order[i]
 		x[v] = x[t.parent[v]] + flow[v]/t.pw[v]
 	}
-	x[t.root] = 0
 	// Shift to zero mean so Solve == pseudoinverse.
 	var m2 float64
 	for _, v := range x {
