@@ -43,6 +43,19 @@
 // (Lᵀ w = z); Solve runs one after the other. A LapSolver also exposes
 // each half on its own, for the similarity certificate's Lanczos run in
 // the factor's coordinates (eig's GeneralizedLanczos).
+//
+// A factor is modified in place by rank-1 updates and downdates
+// (UpdateSparse; LapSolver.ApplyEdge for one edge's weight change), which
+// rotate only the columns on one elimination-tree path. An update outside
+// the factor's pattern grows the pattern first, by the symbolic update of
+// Davis & Hager: the column where the path starts gains the missing rows,
+// the columns above it on the new elimination tree gain what that forces,
+// and the factor is laid out again — through the same layout code a
+// factorization uses, so each column's run is recomputed — with the new
+// entries zero. LapSolver.Grow does the symbolic part for a whole batch of
+// edges and lays the factor out once. The pattern never shrinks: it is the
+// symbolic factor, under the factor's order, of every edge the factor has
+// absorbed, a downdated-away edge included, until the next factorization.
 package cholesky
 
 import (
@@ -98,8 +111,9 @@ type entry struct {
 // holds the values of the run — the column's last stretch of consecutive
 // rows, when that is at least minRun long — at rows runRow[j],
 // runRow[j]+1, … (empty, with runRow[j] = n, when the column has no such
-// tail). The split depends on the pattern only, so rank-1 updates, which
-// never change the pattern, leave it valid.
+// tail). The split depends on the pattern only: a rank-1 update inside
+// the pattern leaves it valid, and one that grows the pattern lays the
+// factor out again (layout).
 type Factor struct {
 	n      int
 	colPtr []int32
@@ -120,7 +134,9 @@ func (f *Factor) NNZ() int { return len(f.ent) + len(f.run) }
 
 // Session returns a view of the factor that shares the (immutable)
 // numeric factorization but owns a private work buffer, so concurrent
-// goroutines can Solve through separate sessions without copying L.
+// goroutines can Solve through separate sessions without copying L. A
+// rank-1 update that grows the pattern lays the factor out in new storage
+// the session does not see: a session must not be used after one.
 func (f *Factor) Session() *Factor {
 	s := *f
 	s.work = nil
@@ -251,29 +267,8 @@ func factorCSR(a *sparse.CSR, perm []int, maxNNZ int) (*Factor, error) {
 	if err := checkIndexable("nnz(L)", nnz); err != nil {
 		return nil, err
 	}
-	// A stretch shorter than minRun stays gathered; the others become runs:
-	// runRow their first row (n for none), runPtr their offsets.
-	for i := 0; i < n; i++ {
-		r := runPtr[i+1]
-		if r < minRun {
-			r, runRow[i] = 0, int32(n)
-		} else {
-			runRow[i] -= r - 1
-		}
-		runPtr[i+1] = runPtr[i] + r
-	}
-	runs := int(runPtr[n])
-	f := &Factor{
-		n:      n,
-		colPtr: make([]int32, n+1),
-		ent:    make([]entry, nnz-runs),
-		runPtr: runPtr,
-		runRow: runRow,
-		run:    make([]float64, runs),
-		perm:   make([]int32, n),
-		inv:    make([]int32, n),
-		parent: parent,
-	}
+	f := layout(n, nnz, colCount, runPtr, runRow)
+	f.perm, f.inv, f.parent = make([]int32, n), make([]int32, n), parent
 	colPtr, ent, run := f.colPtr, f.ent, f.run
 	for newIdx, oldIdx := range perm {
 		f.perm[newIdx] = int32(oldIdx)
@@ -290,7 +285,6 @@ func factorCSR(a *sparse.CSR, perm []int, maxNNZ int) (*Factor, error) {
 	colNext := make([]int, n) // next free gathered slot per column
 	// Diagonal entries go in first; colNext starts just past them.
 	for j := 0; j < n; j++ {
-		colPtr[j+1] = colPtr[j] + int32(colCount[j]) - (runPtr[j+1] - runPtr[j])
 		colNext[j] = int(colPtr[j]) + 1
 	}
 	for k := 0; k < n; k++ {
@@ -336,6 +330,41 @@ func factorCSR(a *sparse.CSR, perm []int, maxNNZ int) (*Factor, error) {
 		ent[colPtr[k]] = entry{int32(k), math.Sqrt(d)}
 	}
 	return f, nil
+}
+
+// layout allocates the storage of an n-column factor with nnz entries,
+// each array at its exact size, and sets its column and run pointers;
+// the rows and values are the caller's to write. It is the one place a
+// column's split into gathered entries and run is decided, for a fresh
+// factorization and for a pattern a rank-1 update grew alike. Column j
+// holds colCount[j] entries, its diagonal included, and ends in a stretch
+// of runPtr[j+1] consecutive off-diagonal rows, the last of them
+// runRow[j]; layout rewrites both arrays in place into the factor's run
+// pointers and first run rows. A stretch shorter than minRun stays
+// gathered (runRow n); the others become runs.
+func layout(n, nnz int, colCount []int, runPtr, runRow []int32) *Factor {
+	for i := 0; i < n; i++ {
+		r := runPtr[i+1]
+		if r < minRun {
+			r, runRow[i] = 0, int32(n)
+		} else {
+			runRow[i] -= r - 1
+		}
+		runPtr[i+1] = runPtr[i] + r
+	}
+	runs := int(runPtr[n])
+	f := &Factor{
+		n:      n,
+		colPtr: make([]int32, n+1),
+		ent:    make([]entry, nnz-runs),
+		runPtr: runPtr,
+		runRow: runRow,
+		run:    make([]float64, runs),
+	}
+	for j := 0; j < n; j++ {
+		f.colPtr[j+1] = f.colPtr[j] + int32(colCount[j]) - (runPtr[j+1] - runPtr[j])
+	}
+	return f
 }
 
 // Solve solves A x = b using the factorization (x and b may alias).
@@ -598,7 +627,9 @@ func reducedLaplacianCSR(g *graph.Graph) *sparse.CSR {
 
 // Session returns a solver that shares the receiver's factorization but
 // owns private scratch buffers. A LapSolver must not be used by two
-// goroutines at once; give each goroutine its own session instead.
+// goroutines at once; give each goroutine its own session instead, and
+// take new sessions after an ApplyEdge or Grow that grows the pattern
+// (see Factor.Session).
 func (ls *LapSolver) Session() *LapSolver {
 	s := *ls
 	if s.factor != nil {

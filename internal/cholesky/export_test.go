@@ -18,6 +18,22 @@ func (f *Factor) RunShare() float64 {
 	return float64(len(f.run)) / float64(f.NNZ())
 }
 
+// Pattern lists each factor column's rows, diagonal first, in the
+// factor's coordinates.
+func (ls *LapSolver) Pattern() [][]int32 {
+	f := ls.factor
+	cols := make([][]int32, f.n)
+	for j := range cols {
+		for _, e := range f.ent[f.colPtr[j]:f.colPtr[j+1]] {
+			cols[j] = append(cols[j], e.row)
+		}
+		for r := f.runRow[j]; r < f.runRow[j]+f.runPtr[j+1]-f.runPtr[j]; r++ {
+			cols[j] = append(cols[j], r)
+		}
+	}
+	return cols
+}
+
 // RunShare is Factor.RunShare of the solver's factor.
 func (ls *LapSolver) RunShare() float64 { return ls.factor.RunShare() }
 

@@ -16,7 +16,9 @@ import (
 // pooling aside) as the oracle: every entry is read through rowIdx[p] and
 // written through x[rowIdx[p]], indices are int, and the Laplacian solve
 // stages through rhs/sol. The product kernels must reproduce every float
-// of these bit for bit.
+// of these bit for bit. UpdateSparse's pattern growth, which the scalar
+// kernels refused, is written out here the plain way (grow): one row
+// inserted into the parallel arrays at a time, no relayout.
 
 type refFactor struct {
 	n      int
@@ -170,16 +172,9 @@ func (f *refFactor) UpdateSparse(idx []int, val []float64, sign int) error {
 			f0 = p
 		}
 	}
-	lo, hi := f.colPtr[f0], f.colPtr[f0+1]
 	for _, i := range idx {
-		p := f.inv[i]
-		if p == f0 {
-			continue
-		}
-		rows := f.rowIdx[lo:hi]
-		at := sort.SearchInts(rows, p)
-		if at == len(rows) || rows[at] != p {
-			return ErrUpdatePattern
+		if p := f.inv[i]; !f.has(f0, p) {
+			f.grow(f0, []int{p})
 		}
 	}
 	if f.upWork == nil {
@@ -194,6 +189,40 @@ func (f *refFactor) UpdateSparse(idx []int, val []float64, sign int) error {
 		return err
 	}
 	return nil
+}
+
+// has reports whether row r ≥ j is in column j's pattern.
+func (f *refFactor) has(j, r int) bool {
+	rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
+	at := sort.SearchInts(rows, r)
+	return at < len(rows) && rows[at] == r
+}
+
+// grow is the symbolic update without shortcuts: column j takes the rows
+// it lacks, at value zero, by inserting into the parallel arrays; its
+// parent is its smallest off-diagonal row; the parent takes every row of
+// j above it that it lacks; repeat until a column gains nothing.
+func (f *refFactor) grow(j int, rows []int) {
+	for len(rows) > 0 {
+		for _, r := range rows {
+			lo, hi := f.colPtr[j], f.colPtr[j+1]
+			at := lo + sort.SearchInts(f.rowIdx[lo:hi], r)
+			f.rowIdx = append(f.rowIdx[:at], append([]int{r}, f.rowIdx[at:]...)...)
+			f.val = append(f.val[:at], append([]float64{0}, f.val[at:]...)...)
+			for c := j + 1; c <= f.n; c++ {
+				f.colPtr[c]++
+			}
+		}
+		k := f.rowIdx[f.colPtr[j]+1]
+		f.parent[j] = k
+		rows = rows[:0:0]
+		for p := f.colPtr[j] + 2; p < f.colPtr[j+1]; p++ {
+			if r := f.rowIdx[p]; !f.has(k, r) {
+				rows = append(rows, r)
+			}
+		}
+		j = k
+	}
 }
 
 func (f *refFactor) updown(w []float64, f0 int, sigma int) error {

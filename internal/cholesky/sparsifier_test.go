@@ -16,6 +16,7 @@ import (
 	"graphspar/internal/core"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
+	"graphspar/internal/vecmath"
 )
 
 func sparsifierOf(tb testing.TB, g *graph.Graph, sigmaSq float64) *graph.Graph {
@@ -337,5 +338,83 @@ func BenchmarkFactorSolve(b *testing.B) {
 			}
 			b.ReportMetric(ls.RunShare(), "run_share")
 		})
+	}
+}
+
+// BenchmarkApplyEdgeGrow is the growth layer: edges of G outside its σ² =
+// 100 sparsifier P (what a stream admits) inserted into P's
+// minimum-degree factor by ApplyEdge, each growing the pattern where it
+// lies outside it — on the grid128 factor the stream_mixed workload
+// maintains, and on SBM 4×512's. edge/ applies them one at a time (a
+// relayout per insert that needs fill); batch8/ grows the pattern for
+// eight at once (Grow) before applying them, as a stream batch does.
+// ns/op and nnz-growth/insert are per insert; the factor is rebuilt
+// outside the timer every 64 inserts, so it grows from P's own pattern.
+func BenchmarkApplyEdgeGrow(b *testing.B) {
+	grid, err := gen.Grid2D(128, 128, gen.UniformWeights, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sbm, _, err := gen.SBM(4, 512, 0.04, 0.008, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"grid128", grid}, {"sbm4x512", sbm}} {
+		p := sparsifierOf(b, c.g, 100)
+		var off []graph.Edge
+		for _, e := range c.g.Edges() {
+			if !p.HasEdge(e.U, e.V) {
+				off = append(off, e)
+			}
+		}
+		rand := vecmath.NewRNG(1)
+		for i := len(off) - 1; i > 0; i-- {
+			j := rand.Intn(i + 1)
+			off[i], off[j] = off[j], off[i]
+		}
+		for _, batch := range []int{1, 8} {
+			name := c.name + "/edge"
+			if batch > 1 {
+				name = c.name + "/batch8"
+			}
+			b.Run(name, func(b *testing.B) {
+				var ls *cholesky.LapSolver
+				grown, next := 0, 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i += batch {
+					if i%64 == 0 {
+						b.StopTimer()
+						if ls != nil {
+							grown += ls.FactorNNZ()
+						}
+						if ls, err = cholesky.NewLapSolver(p); err != nil {
+							b.Fatal(err)
+						}
+						grown -= ls.FactorNNZ()
+						b.StartTimer()
+					}
+					edges := off[next%len(off):][:min(batch, b.N-i, len(off)-next%len(off))]
+					next += len(edges)
+					if batch > 1 {
+						if err := ls.Grow(edges); err != nil {
+							b.Fatal(err)
+						}
+					}
+					for _, e := range edges {
+						if err := ls.ApplyEdge(e.U, e.V, e.W); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StopTimer()
+				grown += ls.FactorNNZ()
+				b.ReportMetric(float64(grown)/float64(next), "nnz-growth/insert")
+				b.ReportMetric(float64(ls.FactorNNZ()), "nnz(L)")
+			})
+		}
 	}
 }

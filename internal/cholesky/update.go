@@ -2,17 +2,12 @@ package cholesky
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
-)
 
-// ErrUpdatePattern is returned when a rank-1 update vector has nonzeros
-// outside the pattern of the factor column it first touches: folding it in
-// would create new fill, which UpdateSparse cannot do in place. Callers fall back
-// to a full refactorization.
-var ErrUpdatePattern = errors.New("cholesky: rank-1 update pattern exceeds factor structure")
+	"graphspar/internal/graph"
+)
 
 // UpdateSparse applies the rank-1 modification A ← A + sign·v·vᵀ (sign = +1
 // update, −1 downdate) to the factorization in place, using the
@@ -24,16 +19,21 @@ var ErrUpdatePattern = errors.New("cholesky: rank-1 update pattern exceeds facto
 // never O(n).
 //
 // v is given as parallel index/value slices (indices in the matrix's
-// original, pre-permutation space, no duplicates). The update is exact (no
-// fill is created) iff the pattern of P·v is contained in the pattern of
-// the factor column of its minimum permuted index; otherwise
-// ErrUpdatePattern is returned and the factor is unchanged. A downdate that
-// would make the matrix numerically semidefinite returns ErrNotSPD; the
-// factor is then partially modified and must be rebuilt.
+// original, pre-permutation space, no duplicates). The path starts at the
+// factor column of the minimum permuted index of v. When P·v has a nonzero
+// outside that column's pattern, the pattern grows first (grow): the
+// column gains the missing rows, the columns above it on the new
+// elimination tree gain what that forces, the factor is laid out again
+// with the new entries zero, and the rotations then run along the new
+// tree. The pattern never shrinks: a downdate to zero keeps its entries.
+// A downdate that would make the matrix numerically semidefinite returns
+// ErrNotSPD; the factor is then partially modified and must be rebuilt.
 //
 // UpdateSparse mutates the shared numeric values: it must not run
 // concurrently with Solve on the receiver or on any Session sharing this
-// factor.
+// factor. A Session taken before an update that grows the pattern keeps
+// the old storage, which the update no longer writes: it must not be used
+// after it.
 func (f *Factor) UpdateSparse(idx []int, val []float64, sign int) error {
 	if sign != 1 && sign != -1 {
 		panic(fmt.Sprintf("cholesky: Update sign %d, want +1 or -1", sign))
@@ -54,20 +54,14 @@ func (f *Factor) UpdateSparse(idx []int, val []float64, sign int) error {
 			f0 = p
 		}
 	}
-	// No-fill precondition (Davis–Hager): pattern(P·v) ⊆ pattern(L(:,f0)).
-	// A row inside the column's run is a range check away; any other is a
-	// binary search through its gathered entries, stored ascending with
-	// the diagonal first.
-	col := f.ent[f.colPtr[f0]:f.colPtr[f0+1]]
-	r0, r1 := f.runRow[f0], f.runRow[f0]+f.runPtr[f0+1]-f.runPtr[f0]
+	// The update stays inside the pattern iff pattern(P·v) ⊆
+	// pattern(L(:,f0)) (Davis–Hager); grow it where it is not.
+	gr := growth{f: f}
 	for _, i := range idx {
-		p := f.inv[i]
-		if p == f0 || (r0 <= p && p < r1) {
-			continue
-		}
-		if _, ok := slices.BinarySearchFunc(col, p, func(e entry, row int32) int { return cmp.Compare(e.row, row) }); !ok {
-			return ErrUpdatePattern
-		}
+		gr.absorb(f0, f.inv[i])
+	}
+	if err := gr.relayout(); err != nil {
+		return err
 	}
 	if f.upWork == nil {
 		f.upWork = make([]float64, f.n)
@@ -82,6 +76,191 @@ func (f *Factor) UpdateSparse(idx []int, val []float64, sign int) error {
 		return err
 	}
 	return nil
+}
+
+// hasRow reports whether row r ≥ j is in column j's pattern: the
+// diagonal, a row inside the column's run (a range check), or one of its
+// gathered entries (a binary search; they are stored ascending with the
+// diagonal first).
+func (f *Factor) hasRow(j, r int32) bool {
+	if r == j || (f.runRow[j] <= r && r < f.runRow[j]+f.runPtr[j+1]-f.runPtr[j]) {
+		return true
+	}
+	_, ok := slices.BinarySearchFunc(f.ent[f.colPtr[j]+1:f.colPtr[j+1]], r, func(e entry, row int32) int { return cmp.Compare(e.row, row) })
+	return ok
+}
+
+// growth is the symbolic half of a rank-1 update that needs fill — the
+// pattern update of Davis & Hager ("Modifying a sparse Cholesky
+// factorization", SIAM J. Matrix Anal. Appl. 20(3), 1999), what
+// CHOLMOD's updown runs before its numeric pass. It collects the rows the
+// pattern gains beside the factor, with the elimination tree they imply,
+// and relayout merges them into the factor's storage in one pass, however
+// many updates absorbed rows in between. The grown pattern is the
+// symbolic factor, under the factor's order, of the matrix plus every
+// absorbed update, so it stays closed: each column's rows above its
+// parent are rows of the parent.
+type growth struct {
+	f      *Factor
+	add    map[int32][]int32 // column → the rows it gains, ascending
+	parent []int             // the grown elimination tree; nil until a column gains a row
+}
+
+// has reports whether row r ≥ j is in column j's grown pattern.
+func (g *growth) has(j, r int32) bool {
+	if g.f.hasRow(j, r) {
+		return true
+	}
+	_, ok := slices.BinarySearch(g.add[j], r)
+	return ok
+}
+
+// absorb makes column j's grown pattern hold row r ≥ j. A new row enters
+// column j; j's parent becomes its smallest off-diagonal row; the parent
+// gains the rows of j above it that it lacks — all of them when the
+// parent moved, only j's new ones otherwise, the rest being there by
+// closure — and so on up the new tree, stopping at the first column that
+// gains nothing.
+func (g *growth) absorb(j, r int32) {
+	if g.has(j, r) {
+		return
+	}
+	if g.parent == nil {
+		g.add = make(map[int32][]int32)
+		g.parent = slices.Clone(g.f.parent)
+	}
+	fresh := []int32{r}
+	for len(fresh) > 0 {
+		for _, q := range fresh {
+			rows := g.add[j]
+			at, _ := slices.BinarySearch(rows, q)
+			g.add[j] = slices.Insert(rows, at, q)
+		}
+		k := int32(g.parent[j])
+		moved := k < 0 || fresh[0] < k
+		if moved {
+			k = fresh[0]
+			g.parent[j] = int(k)
+		}
+		var next []int32
+		gain := func(q int32) {
+			if q > k && !g.has(k, q) {
+				next = append(next, q)
+			}
+		}
+		if moved {
+			f := g.f
+			for _, e := range f.ent[f.colPtr[j]+1 : f.colPtr[j+1]] {
+				gain(e.row)
+			}
+			for q := f.runRow[j]; q < f.runRow[j]+f.runPtr[j+1]-f.runPtr[j]; q++ {
+				gain(q)
+			}
+			for _, q := range g.add[j] {
+				gain(q)
+			}
+			slices.Sort(next)
+		} else {
+			for _, q := range fresh {
+				gain(q)
+			}
+		}
+		j, fresh = k, next
+	}
+}
+
+// relayout lays the factor out again with the absorbed rows merged in,
+// their values zero, through layout — each column's run recomputed — in
+// one pass: columns that gained nothing are copied across in blocks. It
+// installs the grown elimination tree with it. Nothing absorbed, nothing
+// done; a grown nnz(L) past the int32 limit returns ErrTooLarge with the
+// factor untouched.
+func (g *growth) relayout() error {
+	if g.parent == nil {
+		return nil
+	}
+	f := g.f
+	n := f.n
+	cols := make([]int32, 0, len(g.add))
+	for j := range g.add {
+		cols = append(cols, j)
+	}
+	slices.Sort(cols)
+	grown := make([][]entry, len(cols))
+	colCount := make([]int, n)
+	runPtr := make([]int32, n+1)
+	runRow := make([]int32, n)
+	nnz, c := 0, 0
+	for j := 0; j < n; j++ {
+		run := f.runPtr[j+1] - f.runPtr[j]
+		if c < len(cols) && int(cols[c]) == j {
+			col := grownColumn(f, int32(j), g.add[int32(j)])
+			grown[c] = col
+			c++
+			colCount[j] = len(col)
+			// The column's last stretch of consecutive off-diagonal rows.
+			run = 0
+			for q := len(col) - 1; q > 0 && (q == len(col)-1 || col[q].row+1 == col[q+1].row); q-- {
+				run++
+			}
+			runPtr[j+1], runRow[j] = run, col[len(col)-1].row
+		} else {
+			colCount[j] = int(f.colPtr[j+1]-f.colPtr[j]) + int(run)
+			runPtr[j+1], runRow[j] = run, f.runRow[j]+run-1
+		}
+		nnz += colCount[j]
+	}
+	if err := checkIndexable("nnz(L)", nnz); err != nil {
+		return err
+	}
+	nf := layout(n, nnz, colCount, runPtr, runRow)
+	// Copy the unchanged columns between two grown ones as one block of
+	// entries and one of run values; their layout has not moved.
+	copyBlock := func(lo, hi int) {
+		copy(nf.ent[nf.colPtr[lo]:nf.colPtr[hi]], f.ent[f.colPtr[lo]:f.colPtr[hi]])
+		copy(nf.run[nf.runPtr[lo]:nf.runPtr[hi]], f.run[f.runPtr[lo]:f.runPtr[hi]])
+	}
+	lo := 0
+	for c, j := range cols {
+		copyBlock(lo, int(j))
+		col := grown[c]
+		gathered := copy(nf.ent[nf.colPtr[j]:nf.colPtr[j+1]], col)
+		for q, e := range col[gathered:] {
+			nf.run[int(nf.runPtr[j])+q] = e.val
+		}
+		lo = int(j) + 1
+	}
+	copyBlock(lo, n)
+	f.colPtr, f.ent, f.runPtr, f.runRow, f.run = nf.colPtr, nf.ent, nf.runPtr, nf.runRow, nf.run
+	f.parent = g.parent
+	return nil
+}
+
+// grownColumn lists column j in row order — its diagonal, its gathered
+// entries, its run with the rows spelled out — with the rows add
+// (ascending, none already present) merged in at value zero.
+func grownColumn(f *Factor, j int32, add []int32) []entry {
+	old := f.ent[f.colPtr[j]:f.colPtr[j+1]]
+	run, r0 := f.run[f.runPtr[j]:f.runPtr[j+1]], f.runRow[j]
+	total := len(old) + len(run)
+	at := func(q int) entry {
+		if q < len(old) {
+			return old[q]
+		}
+		return entry{r0 + int32(q-len(old)), run[q-len(old)]}
+	}
+	col := make([]entry, 0, total+len(add))
+	q := 0
+	for _, r := range add {
+		for ; q < total && at(q).row < r; q++ {
+			col = append(col, at(q))
+		}
+		col = append(col, entry{row: r})
+	}
+	for ; q < total; q++ {
+		col = append(col, at(q))
+	}
+	return col
 }
 
 // updown performs the factor modification for L·Lᵀ + sigma·w·wᵀ along the
@@ -147,9 +326,10 @@ func (f *Factor) updown(w []float64, f0 int, sigma int) error {
 // Laplacian: adding dw to the weight of edge (u,v) is the rank-1 change
 // ±√|dw|·(e_u−e_v)(e_u−e_v)ᵀ of L_P, restricted to the grounded system
 // (a term incident to the ground vertex keeps only the other endpoint).
-// An insertion whose endpoints the factor pattern cannot absorb returns
-// ErrUpdatePattern, and a deletion/downweight that would disconnect the
-// sparsifier surfaces as ErrNotSPD — in both cases the caller refactors.
+// An edge outside the factor's pattern grows the pattern first (see
+// UpdateSparse, and Grow for a batch of them); a deletion or downweight
+// that would disconnect the sparsifier surfaces as ErrNotSPD, and the
+// caller refactors.
 func (ls *LapSolver) ApplyEdge(u, v int, dw float64) error {
 	if u == v || u < 0 || v < 0 || u >= ls.n || v >= ls.n {
 		return fmt.Errorf("cholesky: ApplyEdge invalid edge (%d,%d) on %d vertices", u, v, ls.n)
@@ -176,4 +356,27 @@ func (ls *LapSolver) ApplyEdge(u, v int, dw float64) error {
 		ls.upVal = append(ls.upVal, s, -s)
 	}
 	return ls.factor.UpdateSparse(ls.upIdx, ls.upVal, sign)
+}
+
+// Grow extends the factor's pattern so that ApplyEdge on each of edges
+// (weights ignored) stays inside it: the symbolic update of every edge,
+// then one relayout for all of them, where ApplyEdge alone would lay the
+// factor out again for each edge that needs fill. Values are unchanged;
+// the new entries are zero. Like a growing ApplyEdge, it leaves any
+// Session taken before it behind. A grown nnz(L) past the int32 limit
+// returns ErrTooLarge with the factor untouched.
+func (ls *LapSolver) Grow(edges []graph.Edge) error {
+	if ls.n == 1 {
+		return nil
+	}
+	f := ls.factor
+	gr := growth{f: f}
+	for _, e := range edges {
+		if e.U == ls.ground || e.V == ls.ground {
+			continue // one nonzero: the column's own diagonal
+		}
+		a, b := f.inv[e.U], f.inv[e.V]
+		gr.absorb(min(a, b), max(a, b))
+	}
+	return gr.relayout()
 }

@@ -6,6 +6,7 @@ package cholesky_test
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"graphspar/internal/cholesky"
@@ -88,7 +89,11 @@ func TestFactorUpdateMatchesRefactor(t *testing.T) {
 	}
 }
 
-func TestFactorUpdateRejectsFill(t *testing.T) {
+// TestFactorUpdateGrowsPattern: a path factor has no fill, so (0,3) is
+// outside its pattern. ApplyEdge grows the pattern to exactly the
+// symbolic factor of the path plus (0,3) under the same order, column for
+// column, and solves match a fresh factorization in that order.
+func TestFactorUpdateGrowsPattern(t *testing.T) {
 	g, err := fixture.Path(5)
 	if err != nil {
 		t.Fatal(err)
@@ -97,21 +102,31 @@ func TestFactorUpdateRejectsFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// (0,3) is no tree edge: a zero-fill path factor cannot absorb it.
-	if err := ls.ApplyEdge(0, 3, 1.0); !errors.Is(err, cholesky.ErrUpdatePattern) {
-		t.Fatalf("ApplyEdge on out-of-pattern edge: got %v, want ErrUpdatePattern", err)
+	before := ls.FactorNNZ()
+	if err := ls.ApplyEdge(0, 3, 1.0); err != nil {
+		t.Fatalf("ApplyEdge on an edge outside the pattern: %v", err)
 	}
-	// The factor must be untouched after the rejection.
-	fresh, err := cholesky.NewLapSolver(g)
+	g2, err := g.AddEdges([]graph.Edge{{U: 0, V: 3, W: 1}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	fresh, err := cholesky.NewLapSolverOrdered(g2, ls.Ordering(), math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := ls.Pattern(), fresh.Pattern()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("grown pattern %v, symbolic factor of the path plus (0,3) %v", got, want)
+	}
+	if ls.FactorNNZ() <= before {
+		t.Fatalf("pattern did not grow: %d entries, %d before", ls.FactorNNZ(), before)
 	}
 	b := []float64{1, 0, -1, 2, -2}
 	x, y := make([]float64, 5), make([]float64, 5)
 	ls.Solve(x, b)
 	fresh.Solve(y, b)
-	if d := relDiff(x, y); d > 1e-14 {
-		t.Fatalf("rejected update perturbed the factor by %g", d)
+	if d := relDiff(x, y); d > 1e-12 {
+		t.Fatalf("grown factor's solve differs from a fresh factorization's by %g", d)
 	}
 }
 

@@ -390,9 +390,11 @@ func churnBatch(tb testing.TB, g *graph.Graph, side int, rng *vecmath.RNG) []dyn
 
 // BenchmarkChurnApply is the stream's churn layer on its own: a new
 // maintainer of a 128² grid at σ² = 100 takes one churn batch per
-// iteration — inserts scored for admission, tree repairs, and the
-// refactor their pattern changes force. Batches are drawn and validated
-// outside the timer; factor-rebuilds and tree-repairs are per batch.
+// iteration — inserts scored for admission, tree repairs, and the rank-1
+// updates that fold them into the factor, growing its pattern. Batches
+// are drawn and validated outside the timer; factor-rebuilds (update
+// budget and fill cap) and tree-repairs are per batch, resident-MB is
+// ResidentBytes after the last one.
 func BenchmarkChurnApply(b *testing.B) {
 	const side = 128
 	g, err := gen.Grid2D(side, side, gen.UniformWeights, 1)
@@ -419,4 +421,5 @@ func BenchmarkChurnApply(b *testing.B) {
 	st := m.Stats()
 	b.ReportMetric(float64(st.FactorRebuilds-start.FactorRebuilds)/float64(b.N), "factor-rebuilds/op")
 	b.ReportMetric(float64(st.TreeRepairs-start.TreeRepairs)/float64(b.N), "tree-repairs/op")
+	b.ReportMetric(float64(m.ResidentBytes())/(1<<20), "resident-MB")
 }

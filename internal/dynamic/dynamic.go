@@ -17,10 +17,11 @@
 //     batches (the switching-sequence regime) skip the probe solves
 //     entirely,
 //   - folds each sparsifier edge change into the standing Cholesky factor
-//     as a rank-1 update along one elimination-tree path, refactoring
+//     as a rank-1 update along one elimination-tree path, growing the
+//     factor's pattern when an edge lies outside it, and refactoring
 //     (under the elimination order of the last full build, which keeps
-//     that tree stable) only when the update budget or the factor's
-//     pattern runs out,
+//     that tree stable) only when the update budget or the fill cap runs
+//     out or a downdate turns singular,
 //   - re-verifies κ(L_G, L_P) after every batch (engine.Certify, the batch
 //     pipeline's certificate routine) and runs localized re-filter rounds
 //     (re-score candidates, admit the hottest) when the certificate drifts
@@ -103,13 +104,21 @@ const (
 	// refactorizations. Each sparsifier edge change is a rank-1
 	// perturbation of the reduced Laplacian, applied along one
 	// elimination-tree path in O(path fill) instead of refactoring the
-	// whole matrix; the budget bounds accumulated rounding before the next
-	// exact factorization re-anchors the numerics.
+	// whole matrix — growing the factor's pattern first when the edge lies
+	// outside it; the budget bounds accumulated rounding before the next
+	// exact factorization re-anchors the numerics and sheds the entries of
+	// deleted edges.
 	factorUpdateBudget = 256
-	// fillLimit triggers a fresh elimination ordering once the reused
-	// order's factor grows past this multiple of the originally ordered
-	// factor.
+	// fillLimit caps the factor's nnz(L) at this multiple of the nnz(L) its
+	// elimination order had when it was computed. Rank-1 updates grow the
+	// pattern as edges arrive and keep the entries of edges that leave, so
+	// refreshFactor refactors once a batch leaves the grown factor past the
+	// cap; the refactorization keeps the cached order while that order's
+	// fresh factor fits under the cap, and computes a new one otherwise.
 	fillLimit = 4
+	// rngSalt separates the maintainer's random stream — the probe and
+	// certificate seeds — from the configured seed's other uses.
+	rngSalt = 0xdf1a7
 )
 
 // Stats counts the maintainer's work since construction.
@@ -190,7 +199,7 @@ func New(ctx context.Context, g *graph.Graph, opt engine.Options) (*Maintainer, 
 	if err := opt.Defaults(); err != nil {
 		return nil, err
 	}
-	m := &Maintainer{opt: opt, g: g, rng: vecmath.NewRNG(opt.Sparsify.Seed ^ 0xdf1a7)}
+	m := &Maintainer{opt: opt, g: g, rng: vecmath.NewRNG(opt.Sparsify.Seed ^ rngSalt)}
 	if err := m.rebuild(ctx); err != nil {
 		return nil, err
 	}
@@ -529,11 +538,20 @@ func (m *Maintainer) offTreeCandidates() []int {
 // refreshFactor brings the factor up to m.p, which differs from what the
 // factor holds by deltas (signed weight changes, graph.Edit's or a
 // re-filter's admissions): they are folded in as O(path fill) rank-1
-// update/downdates. It falls back to a full refactorization when there is
-// no factor, the update budget is exhausted, an inserted edge's endpoints
-// fall outside the factor pattern (fill would be needed), or a downdate
-// turns numerically singular — in every fallback the factor is rebuilt
-// from m.p, so a partially applied delta list is harmless.
+// update/downdates. An edge outside the factor's pattern — an admitted
+// insert, a tree-repair edge — grows the pattern first, once for the whole
+// list (LapSolver.Grow), so the pattern is the symbolic factor, under the
+// cached order, of every edge the factor has absorbed since its last
+// factorization; a deleted edge keeps its entries until the next one.
+// Weight increases go in before decreases: a deleted tree edge's repair is
+// in the factor before the deletion is downdated, so no downdate passes
+// through a disconnected P.
+//
+// It refactors instead when there is no factor or the deltas would pass
+// factorUpdateBudget, and after the fact when a downdate turns
+// numerically singular or the grown factor passes fillLimit× the nnz(L)
+// of its order; in every such case the factor is rebuilt from m.p, so a
+// partially applied delta list is harmless.
 func (m *Maintainer) refreshFactor(ctx context.Context, deltas []graph.Edge) error {
 	if m.solver == nil {
 		return m.refactor(ctx, nil)
@@ -544,21 +562,34 @@ func (m *Maintainer) refreshFactor(ctx context.Context, deltas []graph.Edge) err
 	if m.updatesSinceFactor+len(deltas) > factorUpdateBudget {
 		return m.refactor(ctx, nil)
 	}
-	for _, d := range deltas {
-		if err := m.solver.ApplyEdge(d.U, d.V, d.W); err != nil {
-			return m.refactor(ctx, nil)
+	if err := m.solver.Grow(deltas); err != nil {
+		return m.refactor(ctx, nil)
+	}
+	for _, increase := range []bool{true, false} {
+		for _, d := range deltas {
+			if (d.W > 0) != increase {
+				continue
+			}
+			if err := m.solver.ApplyEdge(d.U, d.V, d.W); err != nil {
+				return m.refactor(ctx, nil)
+			}
+			m.updatesSinceFactor++
+			if increase {
+				m.stats.FactorUpdates++
+			} else {
+				m.stats.FactorDowndates++
+			}
 		}
-		m.updatesSinceFactor++
-		if d.W > 0 {
-			m.stats.FactorUpdates++
-		} else {
-			m.stats.FactorDowndates++
-		}
+	}
+	if m.solver.FactorNNZ() > fillLimit*m.nnzAtOrder {
+		return m.refactor(ctx, nil)
 	}
 	return nil
 }
 
-// refactor numerically factors the current sparsifier exactly once. The
+// refactor numerically factors the current sparsifier exactly once: for a
+// build, and where refreshFactor gives up on rank-1 updates (no factor,
+// the update budget, a singular downdate, the fill cap). The
 // cached elimination order goes in with a fill cap of fillLimit× its
 // original nnz(L): the factorization's own symbolic pass checks the cap
 // before any factor storage exists, so an accepted order costs one

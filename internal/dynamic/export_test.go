@@ -1,12 +1,15 @@
 package dynamic
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"graphspar/internal/cholesky"
+	"graphspar/internal/engine"
 	"graphspar/internal/graph"
 	"graphspar/internal/lsst"
+	"graphspar/internal/vecmath"
 )
 
 // Test-only views of the maintainer's private state, for the external
@@ -14,6 +17,12 @@ import (
 
 // ReconnectHeaviest is the tree-repair sweep.
 var ReconnectHeaviest = reconnectHeaviest
+
+// FactorUpdateBudget is the rank-1 update budget between refactorizations.
+const FactorUpdateBudget = factorUpdateBudget
+
+// FactorNNZ is the standing factor's entry count.
+func (m *Maintainer) FactorNNZ() int { return m.solver.FactorNNZ() }
 
 // HasTreeEdge reports whether (u,v) is an edge of the spanning tree.
 func (m *Maintainer) HasTreeEdge(u, v int) bool { return m.tree.HasEdge(u, v) }
@@ -74,4 +83,30 @@ func (m *Maintainer) FactorLag() (float64, error) {
 		scale = math.Max(scale, math.Abs(y[i]))
 	}
 	return diff / scale, nil
+}
+
+// RNGState snapshots the maintainer's random stream.
+func (m *Maintainer) RNGState() vecmath.RNG { return *m.rng }
+
+// InitialRNGState is the random stream New starts a maintainer on.
+func InitialRNGState(seed uint64) vecmath.RNG { return *vecmath.NewRNG(seed ^ rngSalt) }
+
+// FreshCond reruns the latest certificate on a fresh factorization of the
+// sparsifier under the standing factor's order and returns its κ. Every
+// path that certifies draws the certificate's seed last, so the seed is
+// the last draw of the random stream since the state from.
+func (m *Maintainer) FreshCond(from vecmath.RNG) (float64, error) {
+	var seed uint64
+	for draws := 0; from != *m.rng; draws++ {
+		if draws == 1<<16 {
+			return 0, fmt.Errorf("random stream not reached from the given state in %d draws", draws)
+		}
+		seed = from.Uint64()
+	}
+	fresh, err := cholesky.NewLapSolverOrdered(m.p, m.solver.Ordering(), math.MaxInt)
+	if err != nil {
+		return 0, err
+	}
+	c, err := engine.Certify(context.Background(), m.g, m.p, fresh, certifySteps, seed)
+	return c.Cond, err
 }

@@ -82,8 +82,11 @@ func factorSpans(tr *obs.Trace) int {
 // σ² = 100 whose build certifies below the re-filter margin: a build
 // adopts the factor the plan ended on, so dynamic.New records exactly the
 // "factor" phases engine.Select does; a reweight folded in as rank-1
-// updates records none; a churn batch's refactorizations record one phase
-// each.
+// updates records none; so does a churn batch, whose edges outside the
+// factor's pattern (admitted inserts, tree repairs) grow the pattern
+// instead of refactoring it, and a batch that deletes one tree edge; and a
+// refactorization,
+// forced here by a batch past the update budget, records one phase.
 func TestFactorSpans(t *testing.T) {
 	const side = 128
 	g, err := gen.Grid2D(side, side, gen.UniformWeights, 1)
@@ -129,9 +132,62 @@ func TestFactorSpans(t *testing.T) {
 		}
 	})
 	t.Run("churn", func(t *testing.T) {
-		before := m.Stats()
+		before, nnz := m.Stats(), m.FactorNNZ()
 		tr := obs.NewTrace()
 		if err := m.Apply(obs.WithTrace(context.Background(), tr), churnBatch(t, m.Graph(), side, vecmath.NewRNG(1))); err != nil {
+			t.Fatal(err)
+		}
+		st := m.Stats()
+		if st.Rebuilds != before.Rebuilds || m.FactorNNZ() <= nnz {
+			t.Fatalf("batch took %d rebuilds and left the factor at %d entries, %d before; the case needs an edge outside the pattern and no rebuild",
+				st.Rebuilds-before.Rebuilds, m.FactorNNZ(), nnz)
+		}
+		if refactors := st.FactorRebuilds - before.FactorRebuilds; refactors != 0 {
+			t.Errorf("churn batch refactored %d times; its admissions and repairs should grow the factor", refactors)
+		}
+		if got := factorSpans(tr); got != 0 {
+			t.Errorf("churn batch recorded %d factor phases", got)
+		}
+		if lag, err := m.FactorLag(); err != nil || lag > 1e-8 {
+			t.Fatalf("grown factor out of step with the sparsifier: solve differs by %.3g (err %v)", lag, err)
+		}
+	})
+	t.Run("tree-repair", func(t *testing.T) {
+		// Delete tree edges one batch at a time until a repair edge lands
+		// outside the pattern; no deletion or repair may refactor.
+		for _, e := range treeEdges(m)[:16] {
+			before, nnz := m.Stats(), m.FactorNNZ()
+			tr := obs.NewTrace()
+			if err := m.Apply(obs.WithTrace(context.Background(), tr), []dynamic.Update{dynamic.Delete(e.U, e.V)}); err != nil {
+				t.Fatal(err)
+			}
+			st := m.Stats()
+			if st.TreeRepairs != before.TreeRepairs+1 || st.Rebuilds != before.Rebuilds {
+				t.Fatalf("deleting tree edge (%d,%d) took %d repairs and %d rebuilds; the case needs one repair", e.U, e.V, st.TreeRepairs-before.TreeRepairs, st.Rebuilds-before.Rebuilds)
+			}
+			if refactors := st.FactorRebuilds - before.FactorRebuilds; refactors != 0 || factorSpans(tr) != 0 {
+				t.Fatalf("deleting tree edge (%d,%d) refactored %d times (%d factor phases)", e.U, e.V, refactors, factorSpans(tr))
+			}
+			if lag, err := m.FactorLag(); err != nil || lag > 1e-8 {
+				t.Fatalf("factor out of step after repairing (%d,%d): solve differs by %.3g (err %v)", e.U, e.V, lag, err)
+			}
+			if m.FactorNNZ() > nnz {
+				return
+			}
+		}
+		t.Fatal("no repair among 16 tree-edge deletions grew the pattern")
+	})
+	t.Run("budget", func(t *testing.T) {
+		// One reweight batch with a delta more than the update budget allows.
+		before := m.Stats()
+		p := m.Sparsifier()
+		var batch []dynamic.Update
+		for i := 0; len(batch) <= dynamic.FactorUpdateBudget; i += 7 {
+			e := p.Edge(i)
+			batch = append(batch, dynamic.Reweight(e.U, e.V, 1.05*e.W))
+		}
+		tr := obs.NewTrace()
+		if err := m.Apply(obs.WithTrace(context.Background(), tr), batch); err != nil {
 			t.Fatal(err)
 		}
 		st := m.Stats()

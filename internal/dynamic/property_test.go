@@ -18,7 +18,11 @@ import (
 // batches is pushed through the Maintainer, and after every accepted
 // batch the independently verified condition number must stay within the
 // requested σ². Batches that would disconnect the graph must be rejected
-// with the typed error and leave the maintainer untouched.
+// with the typed error and leave the maintainer untouched. After New and
+// after every accepted batch the certificate on the standing factor —
+// grown and rank-1-updated since its last factorization — is the one a
+// fresh factorization of the same sparsifier in the same order gives
+// under the same seed, to 1e-9 relative.
 func TestPropertyRandomStreamsKeepInvariant(t *testing.T) {
 	const sigmaSq = 60
 	for _, c := range testkit.Cases() {
@@ -34,6 +38,7 @@ func TestPropertyRandomStreamsKeepInvariant(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkInvariant(t, m, sigmaSq)
+				checkFreshCond(t, m, dynamic.InitialRNGState(seed))
 
 				rng := vecmath.NewRNG(seed * 7919)
 				var st testkit.StreamStats
@@ -43,7 +48,7 @@ func TestPropertyRandomStreamsKeepInvariant(t *testing.T) {
 					if len(batch) == 0 {
 						continue
 					}
-					condBefore := m.Cond()
+					condBefore, rngBefore := m.Cond(), m.RNGState()
 					err := m.Apply(context.Background(), batch)
 					switch {
 					case errors.Is(err, dynamic.ErrWouldDisconnect):
@@ -57,6 +62,7 @@ func TestPropertyRandomStreamsKeepInvariant(t *testing.T) {
 					}
 					st.Applied++
 					checkInvariant(t, m, sigmaSq)
+					checkFreshCond(t, m, rngBefore)
 				}
 				if st.Applied == 0 {
 					t.Fatalf("stream applied nothing (%v); generator too hostile", st)
@@ -64,6 +70,23 @@ func TestPropertyRandomStreamsKeepInvariant(t *testing.T) {
 				t.Logf("%s seed=%d: %v, stats=%+v", c.Name, seed, st, m.Stats())
 			})
 		}
+	}
+}
+
+// checkFreshCond compares m's certificate with the one a fresh
+// factorization gives (FreshCond; the seed is the last draw since from),
+// on graphs of at most 600 vertices.
+func checkFreshCond(t *testing.T, m *dynamic.Maintainer, from vecmath.RNG) {
+	t.Helper()
+	if m.Graph().N() > 600 {
+		return
+	}
+	fresh, err := m.FreshCond(from)
+	if err != nil {
+		t.Fatalf("certificate on a fresh factor: %v", err)
+	}
+	if d := math.Abs(m.Cond()-fresh) / fresh; d > 1e-9 {
+		t.Fatalf("certificate κ = %v on the standing factor, %v on a fresh one: %.3g relative", m.Cond(), fresh, d)
 	}
 }
 
