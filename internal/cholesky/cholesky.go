@@ -50,10 +50,12 @@
 // the factor's pattern grows the pattern first, by the symbolic update of
 // Davis & Hager: the column where the path starts gains the missing rows,
 // the columns above it on the new elimination tree gain what that forces,
-// and the factor is laid out again — through the same layout code a
-// factorization uses, so each column's run is recomputed — with the new
-// entries zero. LapSolver.Grow does the symbolic part for a whole batch of
-// edges and lays the factor out once. The pattern never shrinks: it is the
+// and the factor is laid out again with the new entries zero: each grown
+// column is split by the rule a factorization splits it by (runOf), and
+// the columns between grown ones shift along their arrays, which keep an
+// eighth of spare capacity for the next growth. LapSolver.Grow does the
+// symbolic part for a whole batch of edges and lays the factor out once.
+// The pattern never shrinks: it is the
 // symbolic factor, under the factor's order, of every edge the factor has
 // absorbed, a downdated-away edge included, until the next factorization.
 package cholesky
@@ -111,9 +113,10 @@ type entry struct {
 // holds the values of the run — the column's last stretch of consecutive
 // rows, when that is at least minRun long — at rows runRow[j],
 // runRow[j]+1, … (empty, with runRow[j] = n, when the column has no such
-// tail). The split depends on the pattern only: a rank-1 update inside
-// the pattern leaves it valid, and one that grows the pattern lays the
-// factor out again (layout).
+// tail). The split depends on the pattern only (runOf): a rank-1 update
+// inside the pattern leaves it valid, and one that grows the pattern
+// splits the columns it grows again. ent and run may hold spare capacity
+// for the pattern to grow into.
 type Factor struct {
 	n      int
 	colPtr []int32
@@ -135,8 +138,9 @@ func (f *Factor) NNZ() int { return len(f.ent) + len(f.run) }
 // Session returns a view of the factor that shares the (immutable)
 // numeric factorization but owns a private work buffer, so concurrent
 // goroutines can Solve through separate sessions without copying L. A
-// rank-1 update that grows the pattern lays the factor out in new storage
-// the session does not see: a session must not be used after one.
+// rank-1 update that grows the pattern lays the factor out again, in
+// storage the session does not see or under its feet: a session must not
+// be used after one.
 func (f *Factor) Session() *Factor {
 	s := *f
 	s.work = nil
@@ -267,8 +271,25 @@ func factorCSR(a *sparse.CSR, perm []int, maxNNZ int) (*Factor, error) {
 	if err := checkIndexable("nnz(L)", nnz); err != nil {
 		return nil, err
 	}
-	f := layout(n, nnz, colCount, runPtr, runRow)
-	f.perm, f.inv, f.parent = make([]int32, n), make([]int32, n), parent
+	// runRow becomes each run's first row (n for none), runPtr the runs'
+	// offsets.
+	for i := 0; i < n; i++ {
+		var r int32
+		r, runRow[i] = runOf(n, runPtr[i+1], runRow[i])
+		runPtr[i+1] = runPtr[i] + r
+	}
+	runs := int(runPtr[n])
+	f := &Factor{
+		n:      n,
+		colPtr: make([]int32, n+1),
+		ent:    make([]entry, nnz-runs),
+		runPtr: runPtr,
+		runRow: runRow,
+		run:    make([]float64, runs),
+		perm:   make([]int32, n),
+		inv:    make([]int32, n),
+		parent: parent,
+	}
 	colPtr, ent, run := f.colPtr, f.ent, f.run
 	for newIdx, oldIdx := range perm {
 		f.perm[newIdx] = int32(oldIdx)
@@ -285,6 +306,7 @@ func factorCSR(a *sparse.CSR, perm []int, maxNNZ int) (*Factor, error) {
 	colNext := make([]int, n) // next free gathered slot per column
 	// Diagonal entries go in first; colNext starts just past them.
 	for j := 0; j < n; j++ {
+		colPtr[j+1] = colPtr[j] + int32(colCount[j]) - (runPtr[j+1] - runPtr[j])
 		colNext[j] = int(colPtr[j]) + 1
 	}
 	for k := 0; k < n; k++ {
@@ -332,39 +354,17 @@ func factorCSR(a *sparse.CSR, perm []int, maxNNZ int) (*Factor, error) {
 	return f, nil
 }
 
-// layout allocates the storage of an n-column factor with nnz entries,
-// each array at its exact size, and sets its column and run pointers;
-// the rows and values are the caller's to write. It is the one place a
-// column's split into gathered entries and run is decided, for a fresh
-// factorization and for a pattern a rank-1 update grew alike. Column j
-// holds colCount[j] entries, its diagonal included, and ends in a stretch
-// of runPtr[j+1] consecutive off-diagonal rows, the last of them
-// runRow[j]; layout rewrites both arrays in place into the factor's run
-// pointers and first run rows. A stretch shorter than minRun stays
-// gathered (runRow n); the others become runs.
-func layout(n, nnz int, colCount []int, runPtr, runRow []int32) *Factor {
-	for i := 0; i < n; i++ {
-		r := runPtr[i+1]
-		if r < minRun {
-			r, runRow[i] = 0, int32(n)
-		} else {
-			runRow[i] -= r - 1
-		}
-		runPtr[i+1] = runPtr[i] + r
+// runOf is the one rule that splits a column of an n-column factor into
+// gathered entries and a run, for a factorization and for a pattern a
+// rank-1 update grew alike: the column's last stretch of consecutive
+// off-diagonal rows, stretch long and ending at row last, becomes its run
+// when it is at least minRun long, and runOf returns the run's length and
+// first row; a shorter one stays gathered (0, n).
+func runOf(n int, stretch, last int32) (run, first int32) {
+	if stretch < minRun {
+		return 0, int32(n)
 	}
-	runs := int(runPtr[n])
-	f := &Factor{
-		n:      n,
-		colPtr: make([]int32, n+1),
-		ent:    make([]entry, nnz-runs),
-		runPtr: runPtr,
-		runRow: runRow,
-		run:    make([]float64, runs),
-	}
-	for j := 0; j < n; j++ {
-		f.colPtr[j+1] = f.colPtr[j] + int32(colCount[j]) - (runPtr[j+1] - runPtr[j])
-	}
-	return f
+	return stretch, last - stretch + 1
 }
 
 // Solve solves A x = b using the factorization (x and b may alias).
@@ -649,16 +649,16 @@ func (ls *LapSolver) FactorNNZ() int {
 }
 
 // Bytes estimates the heap the solver holds, priced at the factor's
-// layout: 16-byte (row, value) entries and 8-byte run values; int32
-// column and run pointers, run rows and permutations; the elimination
-// tree and order; and the solve and update buffers once they have been
-// grown.
+// layout: 16-byte (row, value) entries and 8-byte run values, spare
+// capacity for a growing pattern included; int32 column and run pointers,
+// run rows and permutations; the elimination tree and order; and the
+// solve and update buffers once they have been grown.
 func (ls *LapSolver) Bytes() int64 {
 	b := int64(len(ls.perm)) * 8
 	if f := ls.factor; f != nil {
-		b += int64(len(f.ent)) * 16
+		b += int64(cap(f.ent)) * 16
 		b += int64(len(f.colPtr)+len(f.runPtr)+len(f.runRow)+len(f.perm)+len(f.inv)) * 4
-		b += int64(len(f.run)+len(f.parent)+len(f.work)+len(f.upWork)) * 8
+		b += int64(cap(f.run)+len(f.parent)+len(f.work)+len(f.upWork)) * 8
 	}
 	return b
 }

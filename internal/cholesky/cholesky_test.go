@@ -466,7 +466,7 @@ func TestLapSolverSessions(t *testing.T) {
 // of L (an int32 row and a float64 value, padded) and 8 B a run value;
 // int32 column and run pointers, run rows and both permutations; int
 // elimination tree and order; and the float64 solve and update buffers
-// only once they exist.
+// only once they exist. Spare capacity a growing update leaves is priced.
 func TestLapSolverBytesAtInt32Layout(t *testing.T) {
 	g, err := gen.Grid2D(12, 12, gen.UniformWeights, 4)
 	if err != nil {
@@ -497,6 +497,22 @@ func TestLapSolverBytesAtInt32Layout(t *testing.T) {
 	}
 	if want += 8 * dim; ls.Bytes() != want {
 		t.Fatalf("after ApplyEdge: Bytes = %d, want %d (+ the update buffer)", ls.Bytes(), want)
+	}
+	// An edge outside the pattern grows it into arrays with spare
+	// capacity, which Bytes prices as held.
+	f := ls.factor
+	if a, b := f.inv[0], f.inv[g.N()-2]; f.hasRow(min(a, b), max(a, b)) {
+		t.Fatal("the case needs an edge outside the pattern")
+	}
+	if err := ls.ApplyEdge(0, g.N()-2, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if cap(f.ent) == len(f.ent) && cap(f.run) == len(f.run) {
+		t.Fatal("a growing update left no spare capacity; the case needs some")
+	}
+	want = 16*int64(cap(f.ent)) + 8*int64(cap(f.run)) + 2*4*(dim+1) + 3*4*dim + 4*8*dim
+	if got := ls.Bytes(); got != want {
+		t.Fatalf("after a growing ApplyEdge: Bytes = %d, want %d (capacity priced)", got, want)
 	}
 	one, err := NewLapSolver(fixture.Graph(1, nil))
 	if err != nil || one.Bytes() != 0 {

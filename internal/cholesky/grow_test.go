@@ -94,7 +94,7 @@ func checkGrown(t *testing.T, name string, ls *LapSolver, g, live *graph.Graph) 
 // oracle has caught up: a pattern grown ahead changes no value.
 func TestGrowMatchesSymbolicFactor(t *testing.T) {
 	rng := vecmath.NewRNG(61)
-	for trial := 0; trial < 24; trial++ {
+	for trial := 0; trial < 64; trial++ {
 		n := 40 + rng.Intn(160)
 		g := nearTree(t, n, n/32, rng)
 		nd := trial%4 >= 2

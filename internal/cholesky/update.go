@@ -31,9 +31,9 @@ import (
 //
 // UpdateSparse mutates the shared numeric values: it must not run
 // concurrently with Solve on the receiver or on any Session sharing this
-// factor. A Session taken before an update that grows the pattern keeps
-// the old storage, which the update no longer writes: it must not be used
-// after it.
+// factor. An update that grows the pattern moves the factor's entries,
+// within its arrays or into new ones: a Session taken before it must not
+// be used after it.
 func (f *Factor) UpdateSparse(idx []int, val []float64, sign int) error {
 	if sign != 1 && sign != -1 {
 		panic(fmt.Sprintf("cholesky: Update sign %d, want +1 or -1", sign))
@@ -170,11 +170,16 @@ func (g *growth) absorb(j, r int32) {
 }
 
 // relayout lays the factor out again with the absorbed rows merged in,
-// their values zero, through layout — each column's run recomputed — in
-// one pass: columns that gained nothing are copied across in blocks. It
-// installs the grown elimination tree with it. Nothing absorbed, nothing
-// done; a grown nnz(L) past the int32 limit returns ErrTooLarge with the
-// factor untouched.
+// their values zero, and installs the grown elimination tree. Each grown
+// column is split anew by runOf; the unchanged columns between two grown
+// ones move as one block of entries and one of run values, shifted by
+// what the grown columns before them gained, and their pointers with
+// them. The blocks move within the factor's own arrays, from the last
+// back so that none overwrites one not yet moved, while every shift is
+// forward and the arrays' capacity holds the growth; otherwise into new
+// arrays with an eighth to spare. Nothing absorbed, nothing done; a grown
+// nnz(L) past the int32 limit returns ErrTooLarge with the factor
+// untouched.
 func (g *growth) relayout() error {
 	if g.parent == nil {
 		return nil
@@ -186,53 +191,76 @@ func (g *growth) relayout() error {
 		cols = append(cols, j)
 	}
 	slices.Sort(cols)
+	// grown[c] is column cols[c] in row order, runLen[c] its run's length;
+	// shiftEnt[s] and shiftRun[s] are how far the block of columns after
+	// cols[s-1] (s = 0: before cols[0]) moves along ent and run.
 	grown := make([][]entry, len(cols))
-	colCount := make([]int, n)
-	runPtr := make([]int32, n+1)
-	runRow := make([]int32, n)
-	nnz, c := 0, 0
-	for j := 0; j < n; j++ {
-		run := f.runPtr[j+1] - f.runPtr[j]
-		if c < len(cols) && int(cols[c]) == j {
-			col := grownColumn(f, int32(j), g.add[int32(j)])
-			grown[c] = col
-			c++
-			colCount[j] = len(col)
-			// The column's last stretch of consecutive off-diagonal rows.
-			run = 0
-			for q := len(col) - 1; q > 0 && (q == len(col)-1 || col[q].row+1 == col[q+1].row); q-- {
-				run++
-			}
-			runPtr[j+1], runRow[j] = run, col[len(col)-1].row
-		} else {
-			colCount[j] = int(f.colPtr[j+1]-f.colPtr[j]) + int(run)
-			runPtr[j+1], runRow[j] = run, f.runRow[j]+run-1
+	runLen := make([]int32, len(cols))
+	first := make([]int32, len(cols))
+	shiftEnt := make([]int, len(cols)+1)
+	shiftRun := make([]int, len(cols)+1)
+	forward := true
+	for c, j := range cols {
+		col := grownColumn(f, j, g.add[j])
+		stretch := int32(0)
+		for q := len(col) - 1; q > 0 && (q == len(col)-1 || col[q].row+1 == col[q+1].row); q-- {
+			stretch++
 		}
-		nnz += colCount[j]
+		grown[c] = col
+		runLen[c], first[c] = runOf(n, stretch, col[len(col)-1].row)
+		shiftEnt[c+1] = shiftEnt[c] + len(col) - int(runLen[c]) - int(f.colPtr[j+1]-f.colPtr[j])
+		shiftRun[c+1] = shiftRun[c] + int(runLen[c]-(f.runPtr[j+1]-f.runPtr[j]))
+		forward = forward && shiftEnt[c+1] >= 0 && shiftRun[c+1] >= 0
 	}
-	if err := checkIndexable("nnz(L)", nnz); err != nil {
+	growEnt, growRun := shiftEnt[len(cols)], shiftRun[len(cols)]
+	if err := checkIndexable("nnz(L)", f.NNZ()+growEnt+growRun); err != nil {
 		return err
 	}
-	nf := layout(n, nnz, colCount, runPtr, runRow)
-	// Copy the unchanged columns between two grown ones as one block of
-	// entries and one of run values; their layout has not moved.
-	copyBlock := func(lo, hi int) {
-		copy(nf.ent[nf.colPtr[lo]:nf.colPtr[hi]], f.ent[f.colPtr[lo]:f.colPtr[hi]])
-		copy(nf.run[nf.runPtr[lo]:nf.runPtr[hi]], f.run[f.runPtr[lo]:f.runPtr[hi]])
+	nEnt, nRun := len(f.ent)+growEnt, len(f.run)+growRun
+	inPlace := forward && nEnt <= cap(f.ent) && nRun <= cap(f.run)
+	var ent []entry
+	var run []float64
+	if inPlace {
+		ent, run = f.ent[:nEnt], f.run[:nRun]
+	} else {
+		ent, run = make([]entry, nEnt, nEnt+nEnt/8), make([]float64, nRun, nRun+nRun/8)
 	}
-	lo := 0
-	for c, j := range cols {
-		copyBlock(lo, int(j))
-		col := grown[c]
-		gathered := copy(nf.ent[nf.colPtr[j]:nf.colPtr[j+1]], col)
-		for q, e := range col[gathered:] {
-			nf.run[int(nf.runPtr[j])+q] = e.val
+	hi := n
+	for s := len(cols); s >= 0; s-- {
+		lo := 0
+		if s > 0 {
+			lo = int(cols[s-1]) + 1
 		}
-		lo = int(j) + 1
+		if p0, p1 := f.colPtr[lo], f.colPtr[hi]; !inPlace || shiftEnt[s] != 0 {
+			copy(ent[int(p0)+shiftEnt[s]:], f.ent[p0:p1])
+		}
+		if r0, r1 := f.runPtr[lo], f.runPtr[hi]; !inPlace || shiftRun[s] != 0 {
+			copy(run[int(r0)+shiftRun[s]:], f.run[r0:r1])
+		}
+		if s == 0 {
+			break
+		}
+		j, col := cols[s-1], grown[s-1]
+		gathered := len(col) - int(runLen[s-1])
+		copy(ent[int(f.colPtr[j])+shiftEnt[s-1]:][:gathered], col)
+		vs := run[int(f.runPtr[j])+shiftRun[s-1]:][:runLen[s-1]]
+		for q, e := range col[gathered:] {
+			vs[q] = e.val
+		}
+		hi = int(j)
 	}
-	copyBlock(lo, n)
-	f.colPtr, f.ent, f.runPtr, f.runRow, f.run = nf.colPtr, nf.ent, nf.runPtr, nf.runRow, nf.run
-	f.parent = g.parent
+	// The pointers follow: a column starts as far along as the grown
+	// columns before it moved it.
+	c := 0
+	for j := int(cols[0]) + 1; j <= n; j++ {
+		if c < len(cols) && int(cols[c]) == j-1 {
+			f.runRow[j-1] = first[c]
+			c++
+		}
+		f.colPtr[j] += int32(shiftEnt[c])
+		f.runPtr[j] += int32(shiftRun[c])
+	}
+	f.ent, f.run, f.parent = ent, run, g.parent
 	return nil
 }
 
@@ -362,9 +390,9 @@ func (ls *LapSolver) ApplyEdge(u, v int, dw float64) error {
 // (weights ignored) stays inside it: the symbolic update of every edge,
 // then one relayout for all of them, where ApplyEdge alone would lay the
 // factor out again for each edge that needs fill. Values are unchanged;
-// the new entries are zero. Like a growing ApplyEdge, it leaves any
-// Session taken before it behind. A grown nnz(L) past the int32 limit
-// returns ErrTooLarge with the factor untouched.
+// the new entries are zero. Like a growing ApplyEdge, it invalidates any
+// Session taken before it. A grown nnz(L) past the int32 limit returns
+// ErrTooLarge with the factor untouched.
 func (ls *LapSolver) Grow(edges []graph.Edge) error {
 	if ls.n == 1 {
 		return nil
