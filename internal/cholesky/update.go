@@ -21,7 +21,7 @@ import (
 // v is given as parallel index/value slices (indices in the matrix's
 // original, pre-permutation space, no duplicates). The path starts at the
 // factor column of the minimum permuted index of v. When P·v has a nonzero
-// outside that column's pattern, the pattern grows first (grow): the
+// outside that column's pattern, the pattern grows first (growth): the
 // column gains the missing rows, the columns above it on the new
 // elimination tree gain what that forces, the factor is laid out again
 // with the new entries zero, and the rotations then run along the new
