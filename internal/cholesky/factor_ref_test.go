@@ -16,9 +16,9 @@ import (
 // pooling aside) as the oracle: every entry is read through rowIdx[p] and
 // written through x[rowIdx[p]], indices are int, and the Laplacian solve
 // stages through rhs/sol. The product kernels must reproduce every float
-// of these bit for bit. UpdateSparse's pattern growth, which the scalar
-// kernels refused, is written out here the plain way (grow): one row
-// inserted into the parallel arrays at a time, no relayout.
+// of these bit for bit. UpdateSparse's pattern growth is written out here
+// the plain way (grow): one row inserted into the parallel arrays at a
+// time, no relayout.
 
 type refFactor struct {
 	n      int
