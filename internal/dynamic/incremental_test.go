@@ -84,9 +84,9 @@ func factorSpans(tr *obs.Trace) int {
 // "factor" phases engine.Select does; a reweight folded in as rank-1
 // updates records none; so does a churn batch, whose edges outside the
 // factor's pattern (admitted inserts, tree repairs) grow the pattern
-// instead of refactoring it, and a batch that deletes one tree edge; and a
-// refactorization,
-// forced here by a batch past the update budget, records one phase.
+// instead of refactoring it, and a batch that deletes one tree edge; and
+// a refactorization, forced here by a batch past the update budget,
+// records one phase.
 func TestFactorSpans(t *testing.T) {
 	const side = 128
 	g, err := gen.Grid2D(side, side, gen.UniformWeights, 1)
