@@ -77,10 +77,6 @@ var (
 	// ErrTooLarge is returned when the dimension or the symbolic nnz(L)
 	// does not fit the factor's int32 index storage.
 	ErrTooLarge = errors.New("cholesky: system too large for int32 indices")
-	// ErrFillLimit is returned when the symbolic nnz(L) of a capped
-	// factorization exceeds the caller's cap; no factor storage has been
-	// allocated by then.
-	ErrFillLimit = errors.New("cholesky: factor fill exceeds the cap")
 )
 
 // checkIndexable is the one place the int32 limit lives: MinDegree's
@@ -205,12 +201,6 @@ func ereach(a *sparse.CSR, k int, parent, s, w, stack []int) int {
 // symmetric CSR storage, both triangles present) with the given symmetric
 // permutation (perm[new] = old). Passing nil perm uses the identity.
 func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
-	return factorCSR(a, perm, math.MaxInt)
-}
-
-// factorCSR is FactorCSR with a fill cap: a symbolic nnz(L) above maxNNZ
-// returns ErrFillLimit before the factor's storage is allocated.
-func factorCSR(a *sparse.CSR, perm []int, maxNNZ int) (*Factor, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)
 	}
@@ -264,9 +254,6 @@ func factorCSR(a *sparse.CSR, perm []int, maxNNZ int) (*Factor, error) {
 		}
 		colCount[k]++ // diagonal
 		nnz += n - top + 1
-	}
-	if nnz > maxNNZ {
-		return nil, fmt.Errorf("%w: nnz(L) %d > %d", ErrFillLimit, nnz, maxNNZ)
 	}
 	if err := checkIndexable("nnz(L)", nnz); err != nil {
 		return nil, err
@@ -484,7 +471,6 @@ type LapSolver struct {
 	n      int
 	ground int
 	factor *Factor
-	perm   []int     // elimination order of the reduced system
 	upIdx  []int     // ApplyEdge scratch
 	upVal  []float64 // ApplyEdge scratch
 }
@@ -492,35 +478,25 @@ type LapSolver struct {
 // NewLapSolver grounds the last vertex of g, orders with minimum degree
 // and factors.
 func NewLapSolver(g *graph.Graph) (*LapSolver, error) {
-	return newLapSolver(g, nil, math.MaxInt)
+	return newLapSolver(g, nil)
 }
 
 // NewLapSolverOrdered factors with a caller-supplied elimination order
-// of the reduced (n-1)-vertex system instead of recomputing minimum
-// degree: an order computed for a structurally similar graph stays
-// near-optimal, and a caller that keeps updating the factor wants the
-// order, and with it the elimination tree, to hold still. Skipping
-// MinDegree saves about one numeric factorization pass on a mesh
-// sparsifier and about a quarter of one on an SBM sparsifier, whose
-// factor is denser (BenchmarkMinDegree vs BenchmarkFactorNumeric). The
-// dynamic maintainer reuses the order of its last full build across
-// incremental refactorizations.
-//
-// An order goes stale as the graph drifts, so the call takes a fill cap:
-// the factorization's own symbolic pass counts nnz(L) first, and a count
-// above maxNNZ returns ErrFillLimit before any factor storage is
-// allocated — one symbolic pass decides, and an accepted order is
-// factored without a second one. The permutation is validated; a wrong
-// length or a non-permutation is an error.
-func NewLapSolverOrdered(g *graph.Graph, perm []int, maxNNZ int) (*LapSolver, error) {
+// of the reduced (n-1)-vertex system instead of minimum degree. The
+// dynamic maintainer passes NDOrder for a near-tree sparsifier, whose
+// logarithmic elimination tree keeps the paths ApplyEdge walks short. The
+// permutation is validated; a wrong length or a non-permutation is an
+// error, and a single vertex's order is empty (nil, as NDOrder returns it,
+// included).
+func NewLapSolverOrdered(g *graph.Graph, perm []int) (*LapSolver, error) {
 	if err := validatePerm(perm, g.N()-1); err != nil {
 		return nil, err
 	}
-	return newLapSolver(g, perm, maxNNZ)
+	return newLapSolver(g, perm)
 }
 
 func validatePerm(perm []int, want int) error {
-	if perm == nil {
+	if perm == nil && want > 0 {
 		return errors.New("cholesky: nil permutation")
 	}
 	if len(perm) != want {
@@ -536,7 +512,7 @@ func validatePerm(perm []int, want int) error {
 	return nil
 }
 
-func newLapSolver(g *graph.Graph, perm []int, maxNNZ int) (*LapSolver, error) {
+func newLapSolver(g *graph.Graph, perm []int) (*LapSolver, error) {
 	if err := g.RequireConnected(); err != nil {
 		return nil, err
 	}
@@ -552,16 +528,12 @@ func newLapSolver(g *graph.Graph, perm []int, maxNNZ int) (*LapSolver, error) {
 	if perm == nil {
 		perm = MinDegree(red)
 	}
-	f, err := factorCSR(red, perm, maxNNZ)
+	f, err := FactorCSR(red, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &LapSolver{n: n, ground: n - 1, factor: f, perm: perm}, nil
+	return &LapSolver{n: n, ground: n - 1, factor: f}, nil
 }
-
-// Ordering returns the elimination order the reduced system was factored
-// with (nil for n=1). Callers must not mutate it.
-func (ls *LapSolver) Ordering() []int { return ls.perm }
 
 // reducedLaplacianCSR assembles the grounded Laplacian (ground = n-1's
 // row and column dropped, diagonals keep the full weighted degree)
@@ -651,10 +623,10 @@ func (ls *LapSolver) FactorNNZ() int {
 // Bytes estimates the heap the solver holds, priced at the factor's
 // layout: 16-byte (row, value) entries and 8-byte run values, spare
 // capacity for a growing pattern included; int32 column and run pointers,
-// run rows and permutations; the elimination tree and order; and the
+// run rows and the order with its inverse; the elimination tree; and the
 // solve and update buffers once they have been grown.
 func (ls *LapSolver) Bytes() int64 {
-	b := int64(len(ls.perm)) * 8
+	var b int64
 	if f := ls.factor; f != nil {
 		b += int64(cap(f.ent)) * 16
 		b += int64(len(f.colPtr)+len(f.runPtr)+len(f.runRow)+len(f.perm)+len(f.inv)) * 4

@@ -464,9 +464,9 @@ func TestLapSolverSessions(t *testing.T) {
 
 // LapSolver.Bytes prices the factor at its layout: 16 B a gathered entry
 // of L (an int32 row and a float64 value, padded) and 8 B a run value;
-// int32 column and run pointers, run rows and both permutations; int
-// elimination tree and order; and the float64 solve and update buffers
-// only once they exist. Spare capacity a growing update leaves is priced.
+// int32 column and run pointers, run rows and both permutations; the int
+// elimination tree; and the float64 solve and update buffers only once
+// they exist. Spare capacity a growing update leaves is priced.
 func TestLapSolverBytesAtInt32Layout(t *testing.T) {
 	g, err := gen.Grid2D(12, 12, gen.UniformWeights, 4)
 	if err != nil {
@@ -481,7 +481,7 @@ func TestLapSolverBytesAtInt32Layout(t *testing.T) {
 	if ents+runs != nnz || runs == 0 {
 		t.Fatalf("%d gathered and %d run entries for nnz(L) = %d; the case needs both", ents, runs, nnz)
 	}
-	want := 16*ents + 8*runs + 2*4*(dim+1) + 3*4*dim + 2*8*dim
+	want := 16*ents + 8*runs + 2*4*(dim+1) + 3*4*dim + 8*dim
 	if got := ls.Bytes(); got != want {
 		t.Fatalf("fresh factor: Bytes = %d, want %d", got, want)
 	}
@@ -510,7 +510,7 @@ func TestLapSolverBytesAtInt32Layout(t *testing.T) {
 	if cap(f.ent) == len(f.ent) && cap(f.run) == len(f.run) {
 		t.Fatal("a growing update left no spare capacity; the case needs some")
 	}
-	want = 16*int64(cap(f.ent)) + 8*int64(cap(f.run)) + 2*4*(dim+1) + 3*4*dim + 4*8*dim
+	want = 16*int64(cap(f.ent)) + 8*int64(cap(f.run)) + 2*4*(dim+1) + 3*4*dim + 3*8*dim
 	if got := ls.Bytes(); got != want {
 		t.Fatalf("after a growing ApplyEdge: Bytes = %d, want %d (capacity priced)", got, want)
 	}

@@ -34,6 +34,16 @@ func (ls *LapSolver) Pattern() [][]int32 {
 	return cols
 }
 
+// Order is the elimination order the solver factored with, perm[new] =
+// old over the reduced system, read back through Coord.
+func (ls *LapSolver) Order() []int {
+	perm := make([]int, ls.Dim())
+	for v := range perm {
+		perm[ls.Coord(v)] = v
+	}
+	return perm
+}
+
 // RunShare is Factor.RunShare of the solver's factor.
 func (ls *LapSolver) RunShare() float64 { return ls.factor.RunShare() }
 

@@ -37,11 +37,11 @@ func nearTree(t testing.TB, n, extra int, rng *vecmath.RNG) *graph.Graph {
 // g (a deleted edge keeps its entries, so g is the union of every edge the
 // factor has seen; live carries the weights now in force): its pattern is,
 // column for column, the symbolic factor of g under ls's order — what
-// factorCSR lays out for g — and solves match a fresh factorization of
+// FactorCSR lays out for g — and solves match a fresh factorization of
 // live in that order to 1e-12 relative.
 func checkGrown(t *testing.T, name string, ls *LapSolver, g, live *graph.Graph) {
 	t.Helper()
-	sym, err := newLapSolver(g, ls.Ordering(), math.MaxInt)
+	sym, err := newLapSolver(g, ls.Order())
 	if err != nil {
 		t.Fatalf("%s: symbolic reference: %v", name, err)
 	}
@@ -63,7 +63,7 @@ func checkGrown(t *testing.T, name string, ls *LapSolver, g, live *graph.Graph) 
 			t.Fatalf("%s: column %d has parent %d, the symbolic factor's elimination tree %d", name, j, f.parent[j], want.parent[j])
 		}
 	}
-	fresh, err := newLapSolver(live, ls.Ordering(), math.MaxInt)
+	fresh, err := newLapSolver(live, ls.Order())
 	if err != nil {
 		t.Fatalf("%s: fresh factorization: %v", name, err)
 	}
@@ -102,11 +102,11 @@ func TestGrowMatchesSymbolicFactor(t *testing.T) {
 		if nd {
 			perm = NDOrder(g)
 		}
-		ls, err := newLapSolver(g, perm, math.MaxInt)
+		ls, err := newLapSolver(g, perm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := newRefLapSolver(g, ls.Ordering())
+		ref, err := newRefLapSolver(g, ls.Order())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestGrowKeepsDeletedEntries(t *testing.T) {
 	must := mustGraph(t)
 	g := must(graph.New(6, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}, {U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1}}))
 	natural := []int{0, 1, 2, 3, 4}
-	ls, err := newLapSolver(g, natural, math.MaxInt)
+	ls, err := newLapSolver(g, natural)
 	if err != nil {
 		t.Fatal(err)
 	}

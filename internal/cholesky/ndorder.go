@@ -1,10 +1,6 @@
 package cholesky
 
-import (
-	"math"
-
-	"graphspar/internal/graph"
-)
+import "graphspar/internal/graph"
 
 // NDOrder computes a nested-dissection elimination order for g's reduced
 // (grounded) system: a BFS spanning forest of the n-1 reduced vertices is
@@ -134,19 +130,4 @@ func NDOrder(g *graph.Graph) []int {
 		decompose(r)
 	}
 	return order
-}
-
-// NewLapSolverND grounds the last vertex of g and factors with the
-// nested-dissection order of NDOrder instead of minimum degree. The
-// dynamic maintainer builds its solvers this way so that the etree paths
-// ApplyEdge walks stay logarithmic in n; one-shot callers that never
-// update the factor keep the lower-fill MinDegree of NewLapSolver.
-func NewLapSolverND(g *graph.Graph) (*LapSolver, error) {
-	if err := g.RequireConnected(); err != nil {
-		return nil, err
-	}
-	if g.N() == 1 {
-		return &LapSolver{n: 1, ground: 0}, nil
-	}
-	return newLapSolver(g, NDOrder(g), math.MaxInt)
 }

@@ -6,10 +6,8 @@ package cholesky_test
 // test package.
 
 import (
-	"errors"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"graphspar/internal/cholesky"
@@ -137,69 +135,42 @@ func benchSparsifiers(b testing.TB) []struct {
 	}
 }
 
-// TestOrderedFillCap drives NewLapSolverOrdered's fill cap on the σ² = 100
-// grid and SBM sparsifiers, with the minimum-degree order and its nnz(L):
-// a cap of exactly nnz(L) factors, and its solves are the uncapped
-// factor's bit for bit; a cap one entry lower returns ErrFillLimit from
-// the symbolic pass, having allocated at least the factor's storage less
-// than the accepted call: 16 B a gathered (row, value) entry, 8 B a run
-// value.
-func TestOrderedFillCap(t *testing.T) {
+// TestOrderedMatchesNewLapSolver: on the σ² = 100 grid and SBM
+// sparsifiers, NewLapSolverOrdered under NewLapSolver's own
+// minimum-degree order is NewLapSolver: the same nnz(L), and solves equal
+// bit for bit.
+func TestOrderedMatchesNewLapSolver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sparsifies a 192² grid and a 4×512 SBM")
 	}
-	allocated := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
 	for _, c := range benchSparsifiers(t) {
-		uncapped, err := cholesky.NewLapSolver(c.p)
+		md, err := cholesky.NewLapSolver(c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		perm, nnz := uncapped.Ordering(), uncapped.FactorNNZ()
-
-		var capped *cholesky.LapSolver
-		accepted := allocated(func() { capped, err = cholesky.NewLapSolverOrdered(c.p, perm, nnz) })
+		ordered, err := cholesky.NewLapSolverOrdered(c.p, md.Order())
 		if err != nil {
-			t.Fatalf("%s: cap = nnz(L) = %d refused: %v", c.name, nnz, err)
+			t.Fatalf("%s: minimum-degree order refused: %v", c.name, err)
 		}
-		if capped.FactorNNZ() != nnz {
-			t.Fatalf("%s: capped factor has %d entries, want %d", c.name, capped.FactorNNZ(), nnz)
+		if ordered.FactorNNZ() != md.FactorNNZ() {
+			t.Fatalf("%s: ordered factor has %d entries, NewLapSolver's %d", c.name, ordered.FactorNNZ(), md.FactorNNZ())
 		}
 		b := make([]float64, c.p.N())
 		for i := range b {
 			b[i] = math.Sin(float64(7*i + 3))
 		}
 		x, want := make([]float64, len(b)), make([]float64, len(b))
-		capped.Solve(x, b)
-		uncapped.Solve(want, b)
+		ordered.Solve(x, b)
+		md.Solve(want, b)
 		for i := range x {
 			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: capped solve x[%d] = %v, uncapped %v", c.name, i, x[i], want[i])
+				t.Fatalf("%s: ordered solve x[%d] = %v, NewLapSolver's %v", c.name, i, x[i], want[i])
 			}
 		}
-
-		var missed *cholesky.LapSolver
-		refused := allocated(func() { missed, err = cholesky.NewLapSolverOrdered(c.p, perm, nnz-1) })
-		if !errors.Is(err, cholesky.ErrFillLimit) || missed != nil {
-			t.Fatalf("%s: cap = nnz(L)−1 gave (%v, %v), want ErrFillLimit", c.name, missed, err)
-		}
-		runs := uint64(math.Round(capped.RunShare() * float64(nnz)))
-		if storage := 16*(uint64(nnz)-runs) + 8*runs; refused+storage > accepted {
-			t.Errorf("%s: refused call allocated %d B, accepted %d B: less than the %d B of factor storage apart",
-				c.name, refused, accepted, storage)
-		}
-		t.Logf("%s: nnz(L) %d, accepted %d B, refused %d B", c.name, nnz, accepted, refused)
 	}
 }
 
-// Bad permutations keep their errors whatever the cap: validation runs
-// before any count.
+// Bad permutations are errors; a single vertex's order is empty.
 func TestOrderedRejectsBadPermutation(t *testing.T) {
 	g, err := gen.Grid2D(4, 4, gen.UnitWeights, 1)
 	if err != nil {
@@ -224,15 +195,20 @@ func TestOrderedRejectsBadPermutation(t *testing.T) {
 		{"out of range", out, "cholesky: invalid permutation"},
 		{"negative", append([]int{-1}, ok[1:]...), "cholesky: invalid permutation"},
 	} {
-		for _, maxNNZ := range []int{0, math.MaxInt} {
-			ls, err := cholesky.NewLapSolverOrdered(g, c.perm, maxNNZ)
-			if err == nil || err.Error() != c.want || errors.Is(err, cholesky.ErrFillLimit) || ls != nil {
-				t.Errorf("%s (cap %d): got (%v, %v), want %q", c.name, maxNNZ, ls, err, c.want)
-			}
+		ls, err := cholesky.NewLapSolverOrdered(g, c.perm)
+		if err == nil || err.Error() != c.want || ls != nil {
+			t.Errorf("%s: got (%v, %v), want %q", c.name, ls, err, c.want)
 		}
 	}
-	if _, err := cholesky.NewLapSolverOrdered(g, ok, math.MaxInt); err != nil {
+	if _, err := cholesky.NewLapSolverOrdered(g, ok); err != nil {
 		t.Fatalf("identity order refused: %v", err)
+	}
+	one, err := graph.New(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ls, err := cholesky.NewLapSolverOrdered(one, cholesky.NDOrder(one)); err != nil || ls.Dim() != 0 {
+		t.Fatalf("one vertex under NDOrder: got (%v, %v), want an empty solver", ls, err)
 	}
 }
 

@@ -110,7 +110,7 @@ func TestFactorUpdateGrowsPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := cholesky.NewLapSolverOrdered(g2, ls.Ordering(), math.MaxInt)
+	fresh, err := cholesky.NewLapSolverOrdered(g2, ls.Order())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func newSolver(t *testing.T, g *graph.Graph, nd bool) *cholesky.LapSolver {
 	var ls *cholesky.LapSolver
 	var err error
 	if nd {
-		ls, err = cholesky.NewLapSolverND(g)
+		ls, err = cholesky.NewLapSolverOrdered(g, cholesky.NDOrder(g))
 	} else {
 		ls, err = cholesky.NewLapSolver(g)
 	}

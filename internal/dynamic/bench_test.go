@@ -142,7 +142,7 @@ func localSetup(name string, keep int, build func() (*graph.Graph, error)) *loca
 	if s.err != nil {
 		return s
 	}
-	s.ls, s.err = cholesky.NewLapSolverND(s.p)
+	s.ls, s.err = cholesky.NewLapSolverOrdered(s.p, cholesky.NDOrder(s.p))
 	if s.err != nil {
 		return s
 	}
@@ -165,7 +165,7 @@ func localSetup(name string, keep int, build func() (*graph.Graph, error)) *loca
 			return s
 		}
 	}
-	fresh, err := cholesky.NewLapSolverND(s.p)
+	fresh, err := cholesky.NewLapSolverOrdered(s.p, cholesky.NDOrder(s.p))
 	if err != nil {
 		s.err = err
 		return s
@@ -394,7 +394,10 @@ func churnBatch(tb testing.TB, g *graph.Graph, side int, rng *vecmath.RNG) []dyn
 // updates that fold them into the factor, growing its pattern. Batches
 // are drawn and validated outside the timer; factor-rebuilds (update
 // budget and fill cap) and tree-repairs are per batch, resident-MB is
-// ResidentBytes after the last one.
+// ResidentBytes after the last one, and nnz/fresh is the standing
+// factor's nnz(L) over a fresh minimum-degree factor's of Sparsifier()
+// then: how far the stream's factor has drifted from what a fresh order
+// gives.
 func BenchmarkChurnApply(b *testing.B) {
 	const side = 128
 	g, err := gen.Grid2D(side, side, gen.UniformWeights, 1)
@@ -422,4 +425,9 @@ func BenchmarkChurnApply(b *testing.B) {
 	b.ReportMetric(float64(st.FactorRebuilds-start.FactorRebuilds)/float64(b.N), "factor-rebuilds/op")
 	b.ReportMetric(float64(st.TreeRepairs-start.TreeRepairs)/float64(b.N), "tree-repairs/op")
 	b.ReportMetric(float64(m.ResidentBytes())/(1<<20), "resident-MB")
+	fresh, err := cholesky.NewLapSolver(m.Sparsifier())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(m.FactorNNZ())/float64(fresh.FactorNNZ()), "nnz/fresh")
 }

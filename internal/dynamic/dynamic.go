@@ -19,9 +19,9 @@
 //   - folds each sparsifier edge change into the standing Cholesky factor
 //     as a rank-1 update along one elimination-tree path, growing the
 //     factor's pattern when an edge lies outside it, and refactoring
-//     (under the elimination order of the last full build, which keeps
-//     that tree stable) only when the update budget or the fill cap runs
-//     out or a downdate turns singular,
+//     (under a fresh elimination order for the sparsifier it then holds)
+//     only when the update budget or the fill cap runs out or a downdate
+//     turns singular,
 //   - re-verifies κ(L_G, L_P) after every batch (engine.Certify, the batch
 //     pipeline's certificate routine) and runs localized re-filter rounds
 //     (re-score candidates, admit the hottest) when the certificate drifts
@@ -109,12 +109,11 @@ const (
 	// exact factorization re-anchors the numerics and sheds the entries of
 	// deleted edges.
 	factorUpdateBudget = 256
-	// fillLimit caps the factor's nnz(L) at this multiple of the nnz(L) its
-	// elimination order had when it was computed. Rank-1 updates grow the
-	// pattern as edges arrive and keep the entries of edges that leave, so
-	// refreshFactor refactors once a batch leaves the grown factor past the
-	// cap; the refactorization keeps the cached order while that order's
-	// fresh factor fits under the cap, and computes a new one otherwise.
+	// fillLimit caps the factor's nnz(L) at this multiple of its nnz(L) at
+	// the last factorization. Rank-1 updates grow the pattern as edges
+	// arrive and keep the entries of edges that leave, so refreshFactor
+	// refactors, under a fresh order, once a batch leaves the grown factor
+	// past the cap.
 	fillLimit = 4
 	// rngSalt separates the maintainer's random stream — the probe and
 	// certificate seeds — from the configured seed's other uses.
@@ -164,12 +163,9 @@ type Maintainer struct {
 	tree   *graph.Graph
 	solver *cholesky.LapSolver
 
-	// perm/nnzAtOrder cache the fill-reducing elimination order computed
-	// at the last full ordering; incremental refactorizations reuse it
-	// until fill creep (factor nnz past fillLimit× the original) forces a
-	// fresh minimum-degree pass.
-	perm       []int
-	nnzAtOrder int
+	// nnzAtFactor is the factor's nnz(L) at its last factorization, which
+	// fillLimit caps rank-1 growth against.
+	nnzAtFactor int
 
 	// updatesSinceFactor counts rank-1 updates folded into the current
 	// factor; refreshFactor refactors once it would pass factorUpdateBudget.
@@ -541,16 +537,16 @@ func (m *Maintainer) offTreeCandidates() []int {
 // update/downdates. An edge outside the factor's pattern — an admitted
 // insert, a tree-repair edge — grows the pattern first, once for the whole
 // list (LapSolver.Grow), so the pattern is the symbolic factor, under the
-// cached order, of every edge the factor has absorbed since its last
-// factorization; a deleted edge keeps its entries until the next one.
+// order of its last factorization, of every edge the factor has absorbed
+// since; a deleted edge keeps its entries until the next one.
 // Weight increases go in before decreases: a deleted tree edge's repair is
 // in the factor before the deletion is downdated, so no downdate passes
 // through a disconnected P.
 //
 // It refactors instead when there is no factor or the deltas would pass
 // factorUpdateBudget, and after the fact when a downdate turns
-// numerically singular or the grown factor passes fillLimit× the nnz(L)
-// of its order; in every such case the factor is rebuilt from m.p, so a
+// numerically singular or the grown factor passes fillLimit× its nnz(L)
+// at that factorization; in every such case the factor is rebuilt from m.p, so a
 // partially applied delta list is harmless.
 func (m *Maintainer) refreshFactor(ctx context.Context, deltas []graph.Edge) error {
 	if m.solver == nil {
@@ -581,7 +577,7 @@ func (m *Maintainer) refreshFactor(ctx context.Context, deltas []graph.Edge) err
 			}
 		}
 	}
-	if m.solver.FactorNNZ() > fillLimit*m.nnzAtOrder {
+	if m.solver.FactorNNZ() > fillLimit*m.nnzAtFactor {
 		return m.refactor(ctx, nil)
 	}
 	return nil
@@ -589,49 +585,38 @@ func (m *Maintainer) refreshFactor(ctx context.Context, deltas []graph.Edge) err
 
 // refactor numerically factors the current sparsifier exactly once: for a
 // build, and where refreshFactor gives up on rank-1 updates (no factor,
-// the update budget, a singular downdate, the fill cap). The
-// cached elimination order goes in with a fill cap of fillLimit× its
-// original nnz(L): the factorization's own symbolic pass checks the cap
-// before any factor storage exists, so an accepted order costs one
-// symbolic and one numeric pass, and a stale order whose fill crept past
-// the cap (cholesky.ErrFillLimit) costs only its symbolic pass before one
-// numeric factorization under a fresh order. Fresh orders are picked
-// by sparsifier shape: near-tree sparsifiers get centroid nested
-// dissection, whose O(log n)-height elimination trees keep ApplyEdge's
-// update walks short; denser ones get minimum degree — with many off-tree
-// edges the ND fill (and with it both factorization and update-path cost)
-// explodes, while min-degree stays near-optimal and its deeper etree
-// paths remain cheap because the columns stay short.
+// the update budget, a singular downdate, the fill cap). Every
+// factorization orders afresh, so no order outlives the sparsifier it was
+// computed for. The order is picked by sparsifier shape: near-tree
+// sparsifiers get centroid nested dissection, whose O(log n)-height
+// elimination trees keep ApplyEdge's update walks short; denser ones get
+// minimum degree — with many off-tree edges the ND fill (and with it both
+// factorization and update-path cost) explodes, while min-degree stays
+// near-optimal and its deeper etree paths remain cheap because the columns
+// stay short.
 //
-// built is nil, or the factor a build's plan ended on (a build clears the
-// cached order first): cholesky.NewLapSolver on m.p, which is the
-// minimum-degree factorization this call would make for a fresh order, so
-// it is adopted in that case instead of made again. Every factorization
+// built is nil, or the factor a build's plan ended on: cholesky.NewLapSolver
+// on m.p, which is the minimum-degree factorization this call would make,
+// so it is adopted in that case instead of made again. Every factorization
 // runs under a "factor" span.
 func (m *Maintainer) refactor(ctx context.Context, built *cholesky.LapSolver) error {
 	m.updatesSinceFactor = 0
 	m.stats.FactorRebuilds++
 	nearTree := (m.p.M()-(m.p.N()-1))*32 <= m.p.N()
-	if built != nil && !nearTree {
-		m.solver, m.perm, m.nnzAtOrder = built, built.Ordering(), built.FactorNNZ()
-		return nil
-	}
-	defer obs.StartSpan(ctx, obs.PhaseFactor).End()
-	if m.perm != nil {
-		if solver, err := cholesky.NewLapSolverOrdered(m.p, m.perm, fillLimit*m.nnzAtOrder); err == nil {
-			m.solver = solver
-			return nil
+	solver := built
+	if solver == nil || nearTree {
+		defer obs.StartSpan(ctx, obs.PhaseFactor).End()
+		var err error
+		if nearTree {
+			solver, err = cholesky.NewLapSolverOrdered(m.p, cholesky.NDOrder(m.p))
+		} else {
+			solver, err = cholesky.NewLapSolver(m.p)
+		}
+		if err != nil {
+			return fmt.Errorf("dynamic: sparsifier factorization: %w", err)
 		}
 	}
-	factor := cholesky.NewLapSolver
-	if nearTree {
-		factor = cholesky.NewLapSolverND
-	}
-	solver, err := factor(m.p)
-	if err != nil {
-		return fmt.Errorf("dynamic: sparsifier factorization: %w", err)
-	}
-	m.solver, m.perm, m.nnzAtOrder = solver, solver.Ordering(), solver.FactorNNZ()
+	m.solver, m.nnzAtFactor = solver, solver.FactorNNZ()
 	return nil
 }
 
@@ -687,8 +672,8 @@ func (m *Maintainer) verifyCertificate(ctx context.Context) error {
 }
 
 // rebuild re-sparsifies the current graph from scratch through the batch
-// pipeline, resets the drift accounting, recomputes the elimination order
-// and rebuilds the probe embedding.
+// pipeline, resets the drift accounting, refactors and rebuilds the probe
+// embedding.
 func (m *Maintainer) rebuild(ctx context.Context) error {
 	// The certificate below runs on the maintainer's own factor, adopted
 	// from the plan where refactor would build the same one; the batch
@@ -712,7 +697,6 @@ func (m *Maintainer) rebuild(ctx context.Context) error {
 	if m.tree, err = treeOf.SubgraphEdges(treeIDs); err != nil {
 		return err
 	}
-	m.perm = nil // force a fresh elimination order for the new pattern
 	if err := m.refactor(ctx, built); err != nil {
 		return err
 	}

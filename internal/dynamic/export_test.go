@@ -21,8 +21,15 @@ var ReconnectHeaviest = reconnectHeaviest
 // FactorUpdateBudget is the rank-1 update budget between refactorizations.
 const FactorUpdateBudget = factorUpdateBudget
 
+// Refactor factors the sparsifier afresh, as the update budget or the
+// fill cap makes Apply do.
+func (m *Maintainer) Refactor() error { return m.refactor(context.Background(), nil) }
+
 // FactorNNZ is the standing factor's entry count.
 func (m *Maintainer) FactorNNZ() int { return m.solver.FactorNNZ() }
+
+// Solver is the standing factor.
+func (m *Maintainer) Solver() *cholesky.LapSolver { return m.solver }
 
 // HasTreeEdge reports whether (u,v) is an edge of the spanning tree.
 func (m *Maintainer) HasTreeEdge(u, v int) bool { return m.tree.HasEdge(u, v) }
@@ -103,7 +110,11 @@ func (m *Maintainer) FreshCond(from vecmath.RNG) (float64, error) {
 		}
 		seed = from.Uint64()
 	}
-	fresh, err := cholesky.NewLapSolverOrdered(m.p, m.solver.Ordering(), math.MaxInt)
+	perm := make([]int, m.solver.Dim())
+	for v := range perm {
+		perm[m.solver.Coord(v)] = v
+	}
+	fresh, err := cholesky.NewLapSolverOrdered(m.p, perm)
 	if err != nil {
 		return 0, err
 	}

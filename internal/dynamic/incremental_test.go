@@ -3,8 +3,10 @@ package dynamic_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
+	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
 	"graphspar/internal/dynamic"
 	"graphspar/internal/engine"
@@ -199,4 +201,55 @@ func TestFactorSpans(t *testing.T) {
 			t.Errorf("%d refactorizations recorded %d factor phases", refactors, got)
 		}
 	})
+}
+
+// TestRefactorOrdersAfresh: after 40 of BenchmarkChurnApply's churn
+// batches on the 128² grid at σ² = 100 — admitted inserts and tree repairs
+// grow the factor's pattern, budget refactors come and go — a forced
+// refactorization is cholesky.NewLapSolver of the sparsifier: the same
+// nnz(L), and solves equal bit for bit. A refactorization under the
+// build's elimination order would carry the fill that order accrues as
+// the sparsifier drifts away from the one it was computed for.
+func TestRefactorOrdersAfresh(t *testing.T) {
+	const side = 128
+	g, err := gen.Grid2D(side, side, gen.UniformWeights, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	m, err := dynamic.New(ctx, g, engine.Options{Sparsify: core.Options{SigmaSq: benchSigmaSq, Seed: 1}, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := vecmath.NewRNG(1)
+	for i := 0; i < 40; i++ {
+		if err := m.Apply(ctx, churnBatch(t, m.Graph(), side, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := m.Stats(); st.Rebuilds != 0 {
+		t.Fatalf("the batches took %d full rebuilds; the case needs the build's order to age", st.Rebuilds)
+	}
+	if err := m.Refactor(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := cholesky.NewLapSolver(m.Sparsifier())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.FactorNNZ(), fresh.FactorNNZ(); got != want {
+		t.Fatalf("refactored factor has %d entries, a fresh order's %d (%.2f×)", got, want, float64(got)/float64(want))
+	}
+	n := g.N()
+	b, x, y := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range b {
+		b[i] = math.Sin(float64(5*i + 2))
+	}
+	m.Solver().Solve(x, b)
+	fresh.Solve(y, b)
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			t.Fatalf("refactored solve x[%d] = %v, a fresh factor's %v", i, x[i], y[i])
+		}
+	}
 }
