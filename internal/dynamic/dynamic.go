@@ -546,8 +546,8 @@ func (m *Maintainer) offTreeCandidates() []int {
 // It refactors instead when there is no factor or the deltas would pass
 // factorUpdateBudget, and after the fact when a downdate turns
 // numerically singular or the grown factor passes fillLimit× its nnz(L)
-// at that factorization; in every such case the factor is rebuilt from m.p, so a
-// partially applied delta list is harmless.
+// at that factorization; in every such case the factor is rebuilt from
+// m.p, so a partially applied delta list is harmless.
 func (m *Maintainer) refreshFactor(ctx context.Context, deltas []graph.Edge) error {
 	if m.solver == nil {
 		return m.refactor(ctx, nil)
