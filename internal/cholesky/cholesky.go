@@ -1,10 +1,21 @@
 // Package cholesky implements a sparse Cholesky (LLᵀ) factorization in the
 // CSparse style — elimination tree, two-pass symbolic analysis via ereach,
-// up-looking numeric factorization — plus minimum-degree and
-// nested-dissection orderings and a grounded-Laplacian solver
-// (minimum-degree ordered). It stands in for the CHOLMOD direct
-// solver the paper uses as the Table 3 baseline, and factors ultra-sparse
-// sparsifier Laplacians as PCG preconditioners (Table 2).
+// up-looking numeric factorization — plus approximate minimum degree
+// (AMD) and nested-dissection orderings and a grounded-Laplacian solver
+// (AMD ordered). It stands in for the CHOLMOD direct solver the paper
+// uses as the Table 3 baseline, whose default ordering is AMD too, and
+// factors ultra-sparse sparsifier Laplacians as PCG preconditioners
+// (Table 2).
+//
+// The ordering, MinDegree, is the AMD algorithm of Amestoy, Davis & Duff
+// (SIAM J. Matrix Anal. Appl. 17(4), 1996) on a quotient graph: eliminated
+// vertices become elements that stand for the cliques they form, so the
+// elimination graph is never rewritten and the ordering's cost follows the
+// lists it touches, not the fill. Its degrees are upper bounds, so it may
+// pick another pivot than exact minimum degree would; the fill it reaches
+// on the product's sparsifiers is within 1.05× of exact minimum degree's
+// (TestMinDegreeFillNoWorse), and the factor is still L_P, under another
+// order, so solves differ only by rounding.
 //
 // A factor is built one way: FactorCSR allocates its scratch (marker,
 // pattern and stack arrays, column counts, the dense row accumulator)
@@ -13,6 +24,11 @@
 // which measured 2–7 MB of peak RSS end to end and bought no time on any
 // benchmark workload.
 //
+// FactorCSR reads A through the order: each pass gathers row k of P·A·Pᵀ
+// from row perm[k] of A when it needs it, and the numeric pass sorts the
+// gathered row, so no permuted copy of A is stored and the floats are
+// those a stored copy gave.
+//
 // The factor is stored compactly and its kernels know where it is dense.
 // A column is at most two streams. Its diagonal and the off-diagonal
 // rows before its run are 16-byte entries, a row index (int32) and its
@@ -20,7 +36,7 @@
 // reads one array, not two parallel ones. Its run — the last stretch of
 // consecutive rows, when at least minRun long; a minimum-degree factor of
 // a sparsifier ends in a dense trailing triangle, on SBM 4×512 at σ² = 100
-// 73 % of nnz(L) — is plain float64 values whose rows are implicit. The
+// 76 % of nnz(L) — is plain float64 values whose rows are implicit. The
 // run's rows are deliberately not packed with its values: on that SBM
 // factor (2-core Xeon, 2 MB of L2 a core), 16 bytes an entry where 8 do
 // slowed the solve by a fifth and the numeric pass by a third. Column and run pointers, row indices and
@@ -64,6 +80,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"graphspar/internal/graph"
 	"graphspar/internal/sparse"
@@ -80,8 +97,9 @@ var (
 )
 
 // checkIndexable is the one place the int32 limit lives: MinDegree's
-// vertex ids and the Factor's row indices and column pointers are int32,
-// so every count that becomes one passes through here first.
+// vertex ids and workspace offsets and the Factor's row indices and
+// column pointers are int32, so every count that becomes one passes
+// through here first.
 func checkIndexable(what string, count int) error {
 	if count > math.MaxInt32 {
 		return fmt.Errorf("%w: %s %d exceeds %d", ErrTooLarge, what, count, math.MaxInt32)
@@ -144,44 +162,107 @@ func (f *Factor) Session() *Factor {
 	return &s
 }
 
-// etree computes the elimination tree of the (full, symmetric) CSR matrix.
-func etree(a *sparse.CSR) []int {
-	n := a.Rows
-	parent := make([]int, n)
-	ancestor := make([]int, n)
-	for k := 0; k < n; k++ {
-		parent[k] = -1
-		ancestor[k] = -1
-		for p := a.RowPtr[k]; p < a.RowPtr[k+1]; p++ {
-			i := a.ColIdx[p]
-			for i != -1 && i < k {
-				next := ancestor[i]
-				ancestor[i] = k
-				if next == -1 {
-					parent[i] = k
-					break
-				}
-				i = next
-			}
+// permutedRows gathers the rows of P·A·Pᵀ one at a time straight from
+// A, so no permuted copy of A is built: row k is row perm[k] of A, each
+// column c renamed inv[c]. Stored zeros are dropped.
+type permutedRows struct {
+	a    *sparse.CSR
+	perm []int
+	inv  []int32
+	cols []int     // the gathered row's columns left of the diagonal
+	vals []float64 // their values, when asked for
+}
+
+// lower gathers row k's columns left of the diagonal, in A's order.
+func (r *permutedRows) lower(k int) []int {
+	a := r.a
+	r.cols = r.cols[:0]
+	old := r.perm[k]
+	for p := a.RowPtr[old]; p < a.RowPtr[old+1]; p++ {
+		if j := int(r.inv[a.ColIdx[p]]); j < k && a.Val[p] != 0 {
+			r.cols = append(r.cols, j)
 		}
 	}
-	return parent
+	return r.cols
+}
+
+// sorted gathers row k left of the diagonal in ascending column order,
+// with its values, and returns the diagonal too (zero if none is stored).
+// Equal columns keep A's order, as a stable sort of the row would.
+func (r *permutedRows) sorted(k int) (cols []int, vals []float64, diag float64) {
+	a := r.a
+	cols, vals = r.cols[:0], r.vals[:0]
+	old := r.perm[k]
+	for p := a.RowPtr[old]; p < a.RowPtr[old+1]; p++ {
+		v := a.Val[p]
+		if v == 0 {
+			continue
+		}
+		switch j := int(r.inv[a.ColIdx[p]]); {
+		case j < k:
+			cols = append(cols, j)
+			vals = append(vals, v)
+		case j == k:
+			diag = v
+		}
+	}
+	if len(cols) > 32 {
+		sort.Stable(byColumn{cols, vals})
+	} else {
+		for q := 1; q < len(cols); q++ { // insertion sort
+			c, v := cols[q], vals[q]
+			t := q
+			for ; t > 0 && cols[t-1] > c; t-- {
+				cols[t], vals[t] = cols[t-1], vals[t-1]
+			}
+			cols[t], vals[t] = c, v
+		}
+	}
+	r.cols, r.vals = cols, vals
+	return cols, vals, diag
+}
+
+// byColumn sorts a gathered row's columns, values alongside.
+type byColumn struct {
+	cols []int
+	vals []float64
+}
+
+func (b byColumn) Len() int           { return len(b.cols) }
+func (b byColumn) Less(i, j int) bool { return b.cols[i] < b.cols[j] }
+func (b byColumn) Swap(i, j int) {
+	b.cols[i], b.cols[j] = b.cols[j], b.cols[i]
+	b.vals[i], b.vals[j] = b.vals[j], b.vals[i]
+}
+
+// etreeRow extends the elimination tree by row k, given the row's columns
+// left of the diagonal (in any order): every root reached from them, with
+// path compression through ancestor, becomes a child of k. After row k,
+// the parent of every node whose parent is at most k is set.
+func etreeRow(k int, cols, parent, ancestor []int) {
+	parent[k], ancestor[k] = -1, -1
+	for _, i := range cols {
+		for i != -1 && i < k {
+			next := ancestor[i]
+			ancestor[i] = k
+			if next == -1 {
+				parent[i] = k
+				break
+			}
+			i = next
+		}
+	}
 }
 
 // ereach computes the nonzero pattern of row k of L as the union of etree
-// paths from the below-diagonal entries of row k of A up to (excluding) k.
-// The pattern is written to s[top:n] in topological (ascending-depth)
-// order and top is returned. w is a marker workspace with w[k] set by the
-// caller convention used here (w[v] == k means visited for row k).
-func ereach(a *sparse.CSR, k int, parent, s, w, stack []int) int {
-	n := a.Rows
-	top := n
+// paths from the columns of row k of A left of the diagonal up to
+// (excluding) k. The pattern is written to s[top:n] in topological
+// (ascending-depth) order, which follows the order of cols, and top is
+// returned. w is a marker workspace (w[v] == k means visited for row k).
+func ereach(cols []int, k int, parent, s, w, stack []int) int {
+	top := len(s)
 	w[k] = k
-	for p := a.RowPtr[k]; p < a.RowPtr[k+1]; p++ {
-		i := a.ColIdx[p]
-		if i >= k {
-			continue
-		}
+	for _, i := range cols {
 		depth := 0
 		for ; w[i] != k; i = parent[i] {
 			stack[depth] = i
@@ -199,7 +280,9 @@ func ereach(a *sparse.CSR, k int, parent, s, w, stack []int) int {
 
 // FactorCSR factors the symmetric positive definite matrix A (full
 // symmetric CSR storage, both triangles present) with the given symmetric
-// permutation (perm[new] = old). Passing nil perm uses the identity.
+// permutation (perm[new] = old), which is validated; nil perm is the
+// identity. Row k of P·A·Pᵀ is gathered from A through the order when a
+// pass needs it (permutedRows), never stored.
 func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)
@@ -213,13 +296,17 @@ func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
 		for i := range perm {
 			perm[i] = i
 		}
-	}
-	ap, err := a.Permute(perm)
-	if err != nil {
+	} else if err := validatePerm(perm, n); err != nil {
 		return nil, err
 	}
+	inv := make([]int32, n)
+	for newIdx, oldIdx := range perm {
+		inv[oldIdx] = int32(newIdx)
+	}
+	rows := &permutedRows{a: a, perm: perm, inv: inv}
 
-	parent := etree(ap)
+	parent := make([]int, n)
+	ancestor := make([]int, n)
 	s := make([]int, n)
 	w := make([]int, n)
 	stack := make([]int, n)
@@ -227,8 +314,9 @@ func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
 		w[i] = -1
 	}
 
-	// Symbolic pass: count entries per column of L. Row k contributes one
-	// entry to every column in its ereach pattern, plus its own diagonal.
+	// Symbolic pass, growing the elimination tree row by row as it goes:
+	// count entries per column of L. Row k contributes one entry to every
+	// column in its ereach pattern, plus its own diagonal.
 	// Rows reach a column in ascending order, so the pass also measures
 	// each column's last stretch of consecutive off-diagonal rows, which
 	// becomes its run when it is at least minRun long. The factor's run
@@ -242,7 +330,9 @@ func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
 	}
 	nnz := 0
 	for k := 0; k < n; k++ {
-		top := ereach(ap, k, parent, s, w, stack)
+		cols := rows.lower(k)
+		etreeRow(k, cols, parent, ancestor)
+		top := ereach(cols, k, parent, s, w, stack)
 		for t := top; t < n; t++ {
 			i := s[t]
 			colCount[i]++
@@ -274,13 +364,12 @@ func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
 		runRow: runRow,
 		run:    make([]float64, runs),
 		perm:   make([]int32, n),
-		inv:    make([]int32, n),
+		inv:    inv,
 		parent: parent,
 	}
 	colPtr, ent, run := f.colPtr, f.ent, f.run
 	for newIdx, oldIdx := range perm {
 		f.perm[newIdx] = int32(oldIdx)
-		f.inv[oldIdx] = int32(newIdx)
 	}
 
 	// Numeric up-looking pass.
@@ -297,16 +386,13 @@ func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
 		colNext[j] = int(colPtr[j]) + 1
 	}
 	for k := 0; k < n; k++ {
-		top := ereach(ap, k, parent, s, w, stack)
-		// Scatter row k of A (entries with col <= k).
-		var d float64
-		for p := ap.RowPtr[k]; p < ap.RowPtr[k+1]; p++ {
-			j := ap.ColIdx[p]
-			if j < k {
-				x[j] = ap.Val[p]
-			} else if j == k {
-				d = ap.Val[p]
-			}
+		// Row k in ascending column order: ereach's pattern order, and so
+		// the order the accumulator is updated in, is the one a stored
+		// permuted matrix gave, bit for bit.
+		cols, vals, d := rows.sorted(k)
+		top := ereach(cols, k, parent, s, w, stack)
+		for q, j := range cols { // scatter row k left of the diagonal
+			x[j] = vals[q]
 		}
 		for t := top; t < n; t++ {
 			i := s[t]
@@ -464,8 +550,8 @@ func (f *Factor) mulLT(y []float64) {
 
 // LapSolver solves connected-graph Laplacian systems L_G x = b directly by
 // grounding one vertex (deleting its row and column makes the matrix SPD),
-// factoring the reduced matrix under a minimum-degree ordering (or a
-// caller-supplied one), and restoring a zero-mean solution — the
+// factoring the reduced matrix under an approximate minimum degree
+// ordering (or a caller-supplied one), and restoring a zero-mean solution — the
 // pseudoinverse action x = L_G⁺ b.
 type LapSolver struct {
 	n      int
@@ -475,8 +561,9 @@ type LapSolver struct {
 	upVal  []float64 // ApplyEdge scratch
 }
 
-// NewLapSolver grounds the last vertex of g, orders with minimum degree
-// and factors.
+// NewLapSolver grounds the last vertex of g, orders with approximate
+// minimum degree (MinDegree) and factors. A system whose dimension or
+// ordering workspace (quotientLen) does not fit int32 is ErrTooLarge.
 func NewLapSolver(g *graph.Graph) (*LapSolver, error) {
 	return newLapSolver(g, nil)
 }
@@ -526,6 +613,9 @@ func newLapSolver(g *graph.Graph, perm []int) (*LapSolver, error) {
 	red := reducedLaplacianCSR(g)
 	// Minimum degree keeps near-tree sparsifier factors nearly fill-free.
 	if perm == nil {
+		if err := checkIndexable("ordering workspace", quotientLen(red.NNZ(), red.Rows)); err != nil {
+			return nil, err
+		}
 		perm = MinDegree(red)
 	}
 	f, err := FactorCSR(red, perm)

@@ -94,9 +94,8 @@ func TestFactorSingularLaplacianFails(t *testing.T) {
 	}
 }
 
-// FactorCSR has no permutation check of its own; it relies on Permute
-// rejecting a perm with a repeated entry instead of factoring a
-// scrambled matrix.
+// FactorCSR validates the permutation itself: a repeated entry, one out
+// of range or a wrong length is an error, not a scrambled factor.
 func TestFactorRejectsNonPermutation(t *testing.T) {
 	for _, perm := range [][]int{{0, 0, 1}, {0, 1, 3}, {0, 1}} {
 		if _, err := FactorCSR(spd3(), perm); err == nil {
@@ -144,7 +143,7 @@ func TestLLTEqualsPAP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pap, err := a.Permute(perm)
+	pap, err := matrix.Permute(a, perm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestRCMReducesBandwidth(t *testing.T) {
 		}
 		return maxBW
 	}
-	pm, err := lap.Permute(perm)
+	pm, err := matrix.Permute(lap, perm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,17 @@ import (
 
 	"graphspar/internal/graph"
 	"graphspar/internal/sparse"
+	"graphspar/internal/testkit/matrix"
 	"graphspar/internal/vecmath"
 )
 
 // The scalar kernels this package shipped before the run-aware int32
 // ones — the numeric pass of FactorCSR, Factor.Solve, UpdateSparse and
 // updown, LapSolver.Solve and ApplyEdge — kept verbatim (workspace
-// pooling aside) as the oracle: every entry is read through rowIdx[p] and
+// pooling aside) as the oracle, over a stored permuted copy of A
+// (matrix.Permute) with the elimination tree and row patterns read from
+// it (etreeRef, ereachRef), where FactorCSR gathers each row through the
+// order: every entry is read through rowIdx[p] and
 // written through x[rowIdx[p]], indices are int, and the Laplacian solve
 // stages through rhs/sol. The product kernels must reproduce every float
 // of these bit for bit. UpdateSparse's pattern growth is written out here
@@ -32,6 +36,58 @@ type refFactor struct {
 	upWork []float64
 }
 
+// etreeRef computes the elimination tree of the (full, symmetric) CSR
+// matrix.
+func etreeRef(a *sparse.CSR) []int {
+	n := a.Rows
+	parent := make([]int, n)
+	ancestor := make([]int, n)
+	for k := 0; k < n; k++ {
+		parent[k] = -1
+		ancestor[k] = -1
+		for p := a.RowPtr[k]; p < a.RowPtr[k+1]; p++ {
+			i := a.ColIdx[p]
+			for i != -1 && i < k {
+				next := ancestor[i]
+				ancestor[i] = k
+				if next == -1 {
+					parent[i] = k
+					break
+				}
+				i = next
+			}
+		}
+	}
+	return parent
+}
+
+// ereachRef writes the pattern of row k of L to s[top:n] in topological
+// order and returns top: the union of etree paths from the entries of
+// row k of A left of the diagonal up to k (w[v] == k marks v visited).
+func ereachRef(a *sparse.CSR, k int, parent, s, w, stack []int) int {
+	n := a.Rows
+	top := n
+	w[k] = k
+	for p := a.RowPtr[k]; p < a.RowPtr[k+1]; p++ {
+		i := a.ColIdx[p]
+		if i >= k {
+			continue
+		}
+		depth := 0
+		for ; w[i] != k; i = parent[i] {
+			stack[depth] = i
+			depth++
+			w[i] = k
+		}
+		for depth > 0 {
+			depth--
+			top--
+			s[top] = stack[depth]
+		}
+	}
+	return top
+}
+
 func factorCSRRef(a *sparse.CSR, perm []int) (*refFactor, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)
@@ -43,7 +99,7 @@ func factorCSRRef(a *sparse.CSR, perm []int) (*refFactor, error) {
 			perm[i] = i
 		}
 	}
-	ap, err := a.Permute(perm)
+	ap, err := matrix.Permute(a, perm)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +108,7 @@ func factorCSRRef(a *sparse.CSR, perm []int) (*refFactor, error) {
 		inv[oldIdx] = newIdx
 	}
 
-	parent := etree(ap)
+	parent := etreeRef(ap)
 	s := make([]int, n)
 	w := make([]int, n)
 	stack := make([]int, n)
@@ -62,7 +118,7 @@ func factorCSRRef(a *sparse.CSR, perm []int) (*refFactor, error) {
 
 	colCount := make([]int, n)
 	for k := 0; k < n; k++ {
-		top := ereach(ap, k, parent, s, w, stack)
+		top := ereachRef(ap, k, parent, s, w, stack)
 		for t := top; t < n; t++ {
 			colCount[s[t]]++
 		}
@@ -92,7 +148,7 @@ func factorCSRRef(a *sparse.CSR, perm []int) (*refFactor, error) {
 		colNext[j] = colPtr[j] + 1
 	}
 	for k := 0; k < n; k++ {
-		top := ereach(ap, k, parent, s, w, stack)
+		top := ereachRef(ap, k, parent, s, w, stack)
 		var d float64
 		for p := ap.RowPtr[k]; p < ap.RowPtr[k+1]; p++ {
 			j := ap.ColIdx[p]

@@ -11,14 +11,35 @@ import (
 	"graphspar/internal/vecmath"
 )
 
-// checkMinDegree asserts the flat kernel returns the reference
-// permutation element for element.
-func checkMinDegree(t testing.TB, name string, a *sparse.CSR) {
+// checkMinDegree asserts that MinDegree returns a permutation, the same
+// one on a repeat call, whose fill is at most limit times the fill of the
+// exact minimum degree reference's order. Approximate minimum degree picks
+// another pivot wherever its degree bound is loose, so no single order is
+// pinned.
+func checkMinDegree(t testing.TB, name string, a *sparse.CSR, limit float64) {
 	t.Helper()
-	want := minDegreeRef(a)
-	if got := MinDegree(a); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: MinDegree differs from reference\n got %v\nwant %v", name, clip(got), clip(want))
+	perm := MinDegree(a)
+	if err := validatePerm(perm, a.Rows); err != nil {
+		t.Fatalf("%s: %v: %v", name, err, clip(perm))
 	}
+	if again := MinDegree(a); !reflect.DeepEqual(again, perm) {
+		t.Fatalf("%s: a repeat call ordered differently\n got %v\nwant %v", name, clip(again), clip(perm))
+	}
+	got, want := eliminationFill(a, perm), eliminationFill(a, minDegreeRef(a))
+	if float64(got) > limit*float64(want) {
+		t.Fatalf("%s: nnz(L) %d > %.2f× the exact minimum degree order's %d", name, got, limit, want)
+	}
+}
+
+// eliminationFill replays perm on a's elimination graph and returns
+// nnz(L): the diagonal plus each pivot's degree at its step.
+func eliminationFill(a *sparse.CSR, perm []int) int {
+	adj := refAdjacency(a)
+	fill := len(perm)
+	for _, v := range perm {
+		fill += len(refEliminate(adj, v))
+	}
+	return fill
 }
 
 func clip(p []int) []int {
@@ -69,62 +90,55 @@ func TestMinDegreeMatchesReference(t *testing.T) {
 	for _, c := range graphs {
 		// Both shapes the package orders: the full Laplacian pattern and
 		// the grounded one NewLapSolver factors.
-		checkMinDegree(t, c.name+"/full", c.g.Laplacian())
-		checkMinDegree(t, c.name+"/reduced", reducedLaplacianCSR(c.g))
+		checkMinDegree(t, c.name+"/full", c.g.Laplacian(), 1.05)
+		checkMinDegree(t, c.name+"/reduced", reducedLaplacianCSR(c.g), 1.05)
 	}
 }
 
-// pivotDegrees replays perm on a's elimination graph and returns each
-// pivot's degree at its step, and the first step whose pivot is not of
-// minimum live degree (-1 if none).
-func pivotDegrees(a *sparse.CSR, perm []int) (degs []int, bad int) {
-	adj := refAdjacency(a)
-	bad = -1
-	for i, v := range perm {
-		degs = append(degs, len(adj[v]))
-		for u := range adj {
-			if adj[u] != nil && len(adj[u]) < len(adj[v]) && bad < 0 {
-				bad = i
-			}
-		}
-		refEliminate(adj, v)
-	}
-	return degs, bad
-}
-
-// Whatever the tie rule, every pivot is of minimum degree at its step —
-// checked by replaying the elimination, independently of the oracle.
-func TestMinDegreePivotsHaveMinimumDegree(t *testing.T) {
+// A tree eliminates leaf by leaf with zero fill: nnz(L) is the diagonal
+// plus one entry per edge, on both shapes and whatever the tree. The
+// replay has teeth: eliminating a star's hub first fills in a clique.
+func TestMinDegreeZeroFillOnTrees(t *testing.T) {
 	must := mustGraph(t)
-	sbm, _, err := gen.SBM(4, 48, 0.15, 0.02, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := reducedLaplacianCSR(must(gen.Grid2D(9, 9, gen.UniformWeights, 1)))
 	for _, c := range []struct {
 		name string
-		a    *sparse.CSR
+		g    *graph.Graph
 	}{
-		{"grid9", grid},
-		{"tree", reducedLaplacianCSR(randomTree(t, 300, 3))},
-		{"sbm4x48", reducedLaplacianCSR(sbm)},
-		{"K12", must(fixture.Complete(12)).Laplacian()},
+		{"path", must(fixture.Path(300))},
+		{"star", must(fixture.Star(400))},
+		{"tree300", randomTree(t, 300, 3)},
+		{"tree2000", randomTree(t, 2000, 11)},
 	} {
-		if _, bad := pivotDegrees(c.a, MinDegree(c.a)); bad >= 0 {
-			t.Fatalf("%s: pivot %d is not of minimum degree", c.name, bad)
+		for _, a := range []*sparse.CSR{c.g.Laplacian(), reducedLaplacianCSR(c.g)} {
+			edges := (a.NNZ() - a.Rows) / 2
+			if fill := eliminationFill(a, MinDegree(a)); fill != a.Rows+edges {
+				t.Errorf("%s (n=%d): nnz(L) %d, want %d: the order fills in", c.name, a.Rows, fill, a.Rows+edges)
+			}
 		}
 	}
-	// The replay has teeth: swapping the first two adjacent pivots of
-	// different degree puts a pivot above the minimum.
-	perm := MinDegree(grid)
-	degs, _ := pivotDegrees(grid, perm)
-	i := 0
-	for degs[i] == degs[i+1] {
-		i++
+	star := must(fixture.Star(10)).Laplacian()
+	hubFirst := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if fill := eliminationFill(star, hubFirst); fill != 10+9*10/2 {
+		t.Fatalf("hub first: nnz(L) %d, want %d", fill, 10+9*10/2)
 	}
-	perm[i], perm[i+1] = perm[i+1], perm[i]
-	if _, bad := pivotDegrees(grid, perm); bad != i {
-		t.Fatalf("swapping pivots %d and %d (degrees %d, %d): first bad step %d, want %d", i, i+1, degs[i], degs[i+1], bad, i)
+}
+
+// The workspace size changes where the lists sit, never what they hold:
+// with no elbow room beyond the n entries the algorithm needs, the
+// workspace is compressed over and over, and the order is the same.
+func TestMinDegreeCompressionKeepsOrder(t *testing.T) {
+	must := mustGraph(t)
+	for _, a := range []*sparse.CSR{
+		must(gen.Grid2D(40, 40, gen.UniformWeights, 2)).Laplacian(),
+		reducedLaplacianCSR(randomTree(t, 500, 5)),
+		patternFromBytes([]byte{63, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 40, 2, 41, 4, 42, 6}),
+	} {
+		s := newQuotientGraph(a)
+		s.iw = s.iw[:s.pfree+s.n]
+		s.eliminate()
+		if got, want := s.permutation(), MinDegree(a); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: tight workspace ordered differently\n got %v\nwant %v", a.Rows, clip(got), clip(want))
+		}
 	}
 }
 
@@ -134,7 +148,7 @@ func TestMinDegreeTrivialSizes(t *testing.T) {
 		if n == 1 {
 			a.Add(0, 0, 2)
 		}
-		checkMinDegree(t, "tiny", a.Build())
+		checkMinDegree(t, "tiny", a.Build(), 1)
 	}
 }
 
@@ -146,13 +160,13 @@ func TestMinDegreeSymmetrizesPattern(t *testing.T) {
 	for k := 0; k < 150; k++ {
 		b.Add(rng.Intn(n), rng.Intn(n), 1)
 	}
-	checkMinDegree(t, "unsymmetric", b.Build())
+	checkMinDegree(t, "unsymmetric", b.Build(), 1.05)
 }
 
 // patternFromBytes decodes a fuzz input into a symmetric pattern: byte 0
-// picks n in 1..256, then each byte pair is an edge (mod n). At that size
-// short inputs run on the neighbor lists and only long ones start out
-// dense enough for the bitset rows, so the fuzzer reaches both.
+// picks n in 1..256, then each byte pair is an edge (mod n). Long inputs
+// on few vertices reach the dense-row cut (degree above 16), short ones
+// on many vertices the tree-like shapes the product orders.
 func patternFromBytes(data []byte) *sparse.CSR {
 	if len(data) == 0 {
 		return sparse.NewBuilder(0, 0).Build()
@@ -177,7 +191,39 @@ func FuzzMinDegree(f *testing.F) {
 	f.Add([]byte{7, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6})
 	f.Add([]byte{11, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10})
 	f.Add([]byte{63, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 40, 2, 41, 4, 42, 6})
+	// On arbitrary small patterns the approximate degrees can be loose:
+	// over 20 000 random ones (n ≤ 256) the fill ran up to 1.07× exact
+	// minimum degree's, so the fuzz bound is 1.25×, not the 1.05× the
+	// graph families above keep.
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkMinDegree(t, "fuzz", patternFromBytes(data))
+		checkMinDegree(t, "fuzz", patternFromBytes(data), 1.25)
 	})
+}
+
+// symmetricRows picks MinDegree's list layout: only a pattern that is its
+// own transpose, each row strictly ascending, skips the scatter.
+func TestSymmetricRows(t *testing.T) {
+	csr := func(ptr, col []int) *sparse.CSR {
+		return &sparse.CSR{Rows: len(ptr) - 1, Cols: len(ptr) - 1, RowPtr: ptr, ColIdx: col, Val: make([]float64, len(col))}
+	}
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+		want bool
+	}{
+		{"symmetric", csr([]int{0, 2, 5, 7}, []int{0, 1, 0, 1, 2, 1, 2}), true},
+		{"no diagonal", csr([]int{0, 1, 3, 4}, []int{1, 0, 2, 1}), true},
+		{"empty", csr([]int{0}, nil), true},
+		{"missing (1,0)", csr([]int{0, 2, 4, 6}, []int{0, 1, 1, 2, 1, 2}), false},
+		{"missing (0,1)", csr([]int{0, 1, 4, 6}, []int{0, 0, 1, 2, 1, 2}), false},
+		{"descending lower", csr([]int{0, 2, 4, 7}, []int{0, 2, 1, 2, 1, 0, 2}), false},
+		{"descending upper", csr([]int{0, 3, 5, 7}, []int{0, 2, 1, 0, 1, 0, 2}), false},
+		{"repeated", csr([]int{0, 3, 5}, []int{0, 1, 1, 0, 1}), false},
+	} {
+		if got := symmetricRows(c.a); got != c.want {
+			t.Errorf("%s: symmetricRows = %v, want %v", c.name, got, c.want)
+		}
+		// Either layout orders the pattern of A ∪ Aᵀ.
+		checkMinDegree(t, c.name, c.a, 1.05)
+	}
 }

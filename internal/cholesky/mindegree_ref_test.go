@@ -6,10 +6,11 @@ import (
 	"graphspar/internal/sparse"
 )
 
-// minDegreeRef is a map-adjacency minimum-degree ordering that states
-// MinDegree's tie rule directly, kept as the differential oracle:
-// MinDegree must return the same permutation, element for element, on
-// every input. Each step scans every live vertex for the least
+// minDegreeRef is a map-adjacency exact minimum degree ordering, kept as
+// the fill referee: MinDegree, whose degrees are approximate, must reach
+// a fill within a stated bound of this order's (checkMinDegree,
+// TestMinDegreeFillNoWorse). It is the kernel MinDegree replaced, stated
+// directly: each step scans every live vertex for the least
 // (degree, −stamp), where a vertex's stamp is the step count at which its
 // degree was last set: initially vertex v holds stamp −v, so the lowest
 // index wins before any elimination, and a pivot stamps its neighbors in

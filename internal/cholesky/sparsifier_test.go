@@ -7,13 +7,13 @@ package cholesky_test
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"graphspar/internal/cholesky"
 	"graphspar/internal/core"
 	"graphspar/internal/gen"
 	"graphspar/internal/graph"
+	"graphspar/internal/sparse"
 	"graphspar/internal/vecmath"
 )
 
@@ -51,37 +51,45 @@ func goldenGraphs(t *testing.T) []namedGraph {
 
 // The pipeline golden's three graphs at its σ² = 50: the orderings of
 // their sparsifiers' reduced Laplacians are what every golden byte
-// downstream depends on.
+// downstream depends on. Approximate minimum degree may pick another
+// pivot than exact minimum degree wherever its degree bound is loose, so
+// the order is not pinned; its fill is, at most 1.05× that of the exact
+// reference's order, graph and sparsifier alike.
 func TestMinDegreeMatchesReferenceOnPipelineSparsifiers(t *testing.T) {
 	for _, c := range goldenGraphs(t) {
 		for _, p := range []*graph.Graph{c.g, sparsifierOf(t, c.g, 50)} {
 			red := cholesky.ReducedLaplacianCSR(p)
-			want := cholesky.MinDegreeRef(red)
-			if got := cholesky.MinDegree(red); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s (m=%d): MinDegree differs from reference", c.name, p.M())
+			got, want := factorNNZ(t, red, cholesky.MinDegree(red)), factorNNZ(t, red, cholesky.MinDegreeRef(red))
+			if got > want*105/100 {
+				t.Errorf("%s (m=%d): nnz(L) %d > 1.05× the exact minimum degree order's %d", c.name, p.M(), got, want)
 			}
 		}
 	}
 }
 
+func factorNNZ(t *testing.T, a *sparse.CSR, perm []int) int {
+	t.Helper()
+	f, err := cholesky.FactorCSR(a, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.NNZ()
+}
+
 // The fill of MinDegree's order on the pipeline golden's three
 // sparsifiers and the two the benchmarks factor may not exceed 1.05× the
-// fill of the order it replaced (a lazy binary heap whose stale entries
-// were re-pushed), counted as the factor's nnz; heapFill holds that
-// order's counts, measured with the heap kernel.
+// fill of the exact minimum degree order it replaced, counted as the
+// factor's nnz; exactFill holds that order's counts (minDegreeRef's order,
+// which the exact kernel reproduced element for element).
 func TestMinDegreeFillNoWorse(t *testing.T) {
-	heapFill := map[string]int{
-		"grid48": 9536, "sbm4x128": 15546, "barbell": 185,
-		"grid192": 212875, "sbm4x512": 179346,
+	exactFill := map[string]int{
+		"grid48": 9548, "sbm4x128": 15224, "barbell": 186,
+		"grid192": 208533, "sbm4x512": 170970,
 	}
 	check := func(name string, p *graph.Graph) {
 		red := cholesky.ReducedLaplacianCSR(p)
-		f, err := cholesky.FactorCSR(red, cholesky.MinDegree(red))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nnz, limit := f.NNZ(), heapFill[name]*105/100; nnz > limit {
-			t.Errorf("%s: nnz(L) %d > %d (1.05× the heap order's %d)", name, nnz, limit, heapFill[name])
+		if nnz, limit := factorNNZ(t, red, cholesky.MinDegree(red)), exactFill[name]*105/100; nnz > limit {
+			t.Errorf("%s: nnz(L) %d > %d (1.05× the exact minimum degree order's %d)", name, nnz, limit, exactFill[name])
 		}
 	}
 	for _, c := range goldenGraphs(t) {
@@ -215,9 +223,21 @@ func TestOrderedRejectsBadPermutation(t *testing.T) {
 var benchSink int
 
 // BenchmarkMinDegree times the ordering and reports the nnz(L) of the
-// order it returns, so fill prints next to time.
+// order it returns, so fill prints next to time: on the two benchmark
+// sparsifiers, and on the σ² = 100 sparsifier of a 320² mesh (102 400
+// vertices, the size of the sharded plan's certificate factor on
+// cmd/bench's mesh_sharded), where an ordering whose cost grows faster
+// than the graph shows it.
 func BenchmarkMinDegree(b *testing.B) {
-	for _, c := range benchSparsifiers(b) {
+	mesh, err := gen.Grid2D(320, 320, gen.UniformWeights, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := append(benchSparsifiers(b), struct {
+		name string
+		p    *graph.Graph
+	}{"mesh320", sparsifierOf(b, mesh, 100)})
+	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			red := cholesky.ReducedLaplacianCSR(c.p)
 			var perm []int
@@ -232,24 +252,6 @@ func BenchmarkMinDegree(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(f.NNZ()), "nnz(L)")
-		})
-	}
-}
-
-func BenchmarkPermute(b *testing.B) {
-	for _, c := range benchSparsifiers(b) {
-		b.Run(c.name, func(b *testing.B) {
-			red := cholesky.ReducedLaplacianCSR(c.p)
-			perm := cholesky.MinDegree(red)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ap, err := red.Permute(perm)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink += ap.NNZ()
-			}
 		})
 	}
 }

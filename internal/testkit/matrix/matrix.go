@@ -1,9 +1,9 @@
 // Package matrix is the matrix-level test support that tests share: dense
-// views, products and differences of CSR matrices, a Jacobi eigensolver
-// for small dense symmetric matrices, and seeded random permutations. No
-// binary links any of it. It imports only sparse and vecmath, so even
-// graph's in-package tests can use it; sparse's own tests reach it from an
-// external test package.
+// views, products, differences and symmetric permutations of CSR
+// matrices, a Jacobi eigensolver for small dense symmetric matrices, and
+// seeded random permutations. No binary links any of it. It imports only
+// sparse and vecmath, so even graph's in-package tests can use it;
+// sparse's own tests reach it from an external test package.
 package matrix
 
 import (
@@ -28,6 +28,83 @@ func Perm(rng *vecmath.RNG, n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
+}
+
+// Permute returns P·M·Pᵀ for the symmetric permutation given by perm, where
+// perm[new] = old (i.e. row/col new of the result is row/col perm[new] of M).
+// Stored exact zeros are dropped. A perm that is not a permutation of
+// 0..Rows-1 is an error. cholesky's reference factorization factors this
+// copy; the product gathers each permuted row from M as it needs it.
+//
+// The entries are counting-sorted twice — bucketed by new column, then
+// scattered in bucket order to their new rows, which leaves every row's
+// columns ascending — so the cost is O(nnz + n) with no comparison sort.
+func Permute(m *sparse.CSR, perm []int) (*sparse.CSR, error) {
+	if m.Rows != m.Cols || len(perm) != m.Rows {
+		return nil, fmt.Errorf("%w: permute %dx%d with perm of length %d", sparse.ErrShape, m.Rows, m.Cols, len(perm))
+	}
+	n := m.Rows
+	inv := make([]int, n)
+	for i := range inv {
+		inv[i] = -1
+	}
+	for newIdx, oldIdx := range perm {
+		if oldIdx < 0 || oldIdx >= n {
+			return nil, fmt.Errorf("sparse: permutation entry %d out of range", oldIdx)
+		}
+		if inv[oldIdx] != -1 {
+			return nil, fmt.Errorf("sparse: permutation entry %d repeated", oldIdx)
+		}
+		inv[oldIdx] = newIdx
+	}
+
+	// Count the kept entries per new row (into the result's RowPtr) and
+	// per new column (into the bucket cursors).
+	out := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	bucket := make([]int, n+1)
+	for i := 0; i < n; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			if m.Val[k] != 0 {
+				out.RowPtr[inv[i]+1]++
+				bucket[inv[m.ColIdx[k]]+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		out.RowPtr[i+1] += out.RowPtr[i]
+		bucket[i+1] += bucket[i]
+	}
+	nnz := bucket[n]
+	out.ColIdx = make([]int, nnz)
+	out.Val = make([]float64, nnz)
+
+	// Pass 1: bucket by new column. Afterwards bucket[c] is the end of
+	// column c's entries.
+	row := make([]int, nnz)
+	val := make([]float64, nnz)
+	for i := 0; i < n; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			if m.Val[k] == 0 {
+				continue
+			}
+			c := inv[m.ColIdx[k]]
+			row[bucket[c]], val[bucket[c]] = inv[i], m.Val[k]
+			bucket[c]++
+		}
+	}
+	// Pass 2: walk the buckets in column order and append each entry to
+	// its new row. inv is done; it becomes the per-row write cursors.
+	next := inv
+	copy(next, out.RowPtr[:n])
+	p := 0
+	for c := 0; c < n; c++ {
+		for ; p < bucket[c]; p++ {
+			q := next[row[p]]
+			out.ColIdx[q], out.Val[q] = c, val[p]
+			next[row[p]]++
+		}
+	}
+	return out, nil
 }
 
 // Dense expands m into a dense row-major matrix.
