@@ -169,17 +169,17 @@ type permutedRows struct {
 	a    *sparse.CSR
 	perm []int
 	inv  []int32
-	cols []int     // the gathered row's columns left of the diagonal
+	cols []int32   // the gathered row's columns left of the diagonal
 	vals []float64 // their values, when asked for
 }
 
 // lower gathers row k's columns left of the diagonal, in A's order.
-func (r *permutedRows) lower(k int) []int {
+func (r *permutedRows) lower(k int) []int32 {
 	a := r.a
 	r.cols = r.cols[:0]
 	old := r.perm[k]
 	for p := a.RowPtr[old]; p < a.RowPtr[old+1]; p++ {
-		if j := int(r.inv[a.ColIdx[p]]); j < k && a.Val[p] != 0 {
+		if j := r.inv[a.ColIdx[p]]; int(j) < k && a.Val[p] != 0 {
 			r.cols = append(r.cols, j)
 		}
 	}
@@ -189,7 +189,7 @@ func (r *permutedRows) lower(k int) []int {
 // sorted gathers row k left of the diagonal in ascending column order,
 // with its values, and returns the diagonal too (zero if none is stored).
 // Equal columns keep A's order, as a stable sort of the row would.
-func (r *permutedRows) sorted(k int) (cols []int, vals []float64, diag float64) {
+func (r *permutedRows) sorted(k int) (cols []int32, vals []float64, diag float64) {
 	a := r.a
 	cols, vals = r.cols[:0], r.vals[:0]
 	old := r.perm[k]
@@ -198,11 +198,11 @@ func (r *permutedRows) sorted(k int) (cols []int, vals []float64, diag float64) 
 		if v == 0 {
 			continue
 		}
-		switch j := int(r.inv[a.ColIdx[p]]); {
-		case j < k:
+		switch j := r.inv[a.ColIdx[p]]; {
+		case int(j) < k:
 			cols = append(cols, j)
 			vals = append(vals, v)
-		case j == k:
+		case int(j) == k:
 			diag = v
 		}
 	}
@@ -224,7 +224,7 @@ func (r *permutedRows) sorted(k int) (cols []int, vals []float64, diag float64) 
 
 // byColumn sorts a gathered row's columns, values alongside.
 type byColumn struct {
-	cols []int
+	cols []int32
 	vals []float64
 }
 
@@ -239,12 +239,12 @@ func (b byColumn) Swap(i, j int) {
 // left of the diagonal (in any order): every root reached from them, with
 // path compression through ancestor, becomes a child of k. After row k,
 // the parent of every node whose parent is at most k is set.
-func etreeRow(k int, cols, parent, ancestor []int) {
+func etreeRow(k int, cols []int32, parent []int, ancestor []int32) {
 	parent[k], ancestor[k] = -1, -1
 	for _, i := range cols {
-		for i != -1 && i < k {
+		for i != -1 && int(i) < k {
 			next := ancestor[i]
-			ancestor[i] = k
+			ancestor[i] = int32(k)
 			if next == -1 {
 				parent[i] = k
 				break
@@ -259,15 +259,16 @@ func etreeRow(k int, cols, parent, ancestor []int) {
 // (excluding) k. The pattern is written to s[top:n] in topological
 // (ascending-depth) order, which follows the order of cols, and top is
 // returned. w is a marker workspace (w[v] == k means visited for row k).
-func ereach(cols []int, k int, parent, s, w, stack []int) int {
+func ereach(cols []int32, k int, parent []int, s, w, stack []int32) int {
 	top := len(s)
-	w[k] = k
-	for _, i := range cols {
+	k32 := int32(k)
+	w[k] = k32
+	for _, c := range cols {
 		depth := 0
-		for ; w[i] != k; i = parent[i] {
-			stack[depth] = i
+		for i := int(c); w[i] != k32; i = parent[i] {
+			stack[depth] = int32(i)
 			depth++
-			w[i] = k
+			w[i] = k32
 		}
 		for depth > 0 {
 			depth--
@@ -306,10 +307,10 @@ func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
 	rows := &permutedRows{a: a, perm: perm, inv: inv}
 
 	parent := make([]int, n)
-	ancestor := make([]int, n)
-	s := make([]int, n)
-	w := make([]int, n)
-	stack := make([]int, n)
+	ancestor := make([]int32, n)
+	s := make([]int32, n)
+	w := make([]int32, n)
+	stack := make([]int32, n)
 	for i := range w {
 		w[i] = -1
 	}
@@ -322,7 +323,7 @@ func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
 	// becomes its run when it is at least minRun long. The factor's run
 	// arrays hold the measurement meanwhile: runRow[i] is the last row to
 	// reach column i (i itself at first), runPtr[i+1] the stretch's length.
-	colCount := make([]int, n)
+	colCount := make([]int32, n)
 	runPtr := make([]int32, n+1)
 	runRow := make([]int32, n)
 	for i := range runRow {
@@ -379,11 +380,11 @@ func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
 	// Dense accumulator for row k: every touched position is reset to zero
 	// as its pattern row is consumed.
 	x := make([]float64, n)
-	colNext := make([]int, n) // next free gathered slot per column
+	colNext := make([]int32, n) // next free gathered slot per column
 	// Diagonal entries go in first; colNext starts just past them.
 	for j := 0; j < n; j++ {
-		colPtr[j+1] = colPtr[j] + int32(colCount[j]) - (runPtr[j+1] - runPtr[j])
-		colNext[j] = int(colPtr[j]) + 1
+		colPtr[j+1] = colPtr[j] + colCount[j] - (runPtr[j+1] - runPtr[j])
+		colNext[j] = colPtr[j] + 1
 	}
 	for k := 0; k < n; k++ {
 		// Row k in ascending column order: ereach's pattern order, and so

@@ -116,15 +116,15 @@ type node struct {
 func newQuotientGraph(a *sparse.CSR) *quotientGraph {
 	n := a.Rows
 	s := &quotientGraph{
-		n:     int32(n),
-		v:     make([]node, n),
-		head:  make([]int32, n),
-		hhead: make([]int32, 1<<bits.Len(uint(min(n, maxHash)))),
-		wbig:  math.MaxInt32 - int32(n),
+		n:      int32(n),
+		v:      make([]node, n),
+		head:   make([]int32, n),
+		hhead:  make([]int32, 1<<bits.Len(uint(min(n, maxHash)))),
+		wbig:   math.MaxInt32 - int32(n),
+		pivots: make([]int32, 0, n),
 	}
-	if symmetricRows(a) {
-		s.copyRows(a)
-	} else {
+	if !s.copyRows(a) {
+		clear(s.v)
 		s.scatterRows(a)
 	}
 	v := s.v
@@ -153,58 +153,51 @@ func newQuotientGraph(a *sparse.CSR) *quotientGraph {
 	return s
 }
 
-// symmetricRows reports whether every row of A lists its columns in
-// strictly increasing order and A's pattern equals Aᵀ's: the shape of
-// every matrix the product orders. One pass over the rows in order keeps
-// a cursor per row on its first entry right of the diagonal not yet
-// matched; entry (i,j), j < i, must find (j,i) at row j's cursor.
-func symmetricRows(a *sparse.CSR) bool {
-	n := a.Rows
-	up := make([]int, n)
-	for i := 0; i < n; i++ {
+// copyRows lays out each row's off-diagonal columns, in order, as its
+// list, and reports whether that is the pattern of A ∪ Aᵀ: whether every
+// row lists its columns strictly ascending and A's pattern equals Aᵀ's,
+// the shape of every matrix the product orders. It checks as it copies.
+// A cursor per row (in head, which the queue does not use yet) stays on
+// the row's first entry right of the diagonal not yet matched; entry
+// (i,j), j < i, must find (j,i) at row j's cursor, and every cursor must
+// reach its row's end.
+func (s *quotientGraph) copyRows(a *sparse.CSR) bool {
+	s.iw = workspace(a.NNZ(), a.Rows)
+	iw, v, up := s.iw, s.v, s.head
+	var q int32
+	for i := range v {
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		v[i].pe = q
 		p := lo
 		for ; p < hi && a.ColIdx[p] < i; p++ {
 			j := a.ColIdx[p]
-			if p > lo && j <= a.ColIdx[p-1] || up[j] == a.RowPtr[j+1] || a.ColIdx[up[j]] != i {
+			if p > lo && j <= a.ColIdx[p-1] || int(up[j]) == a.RowPtr[j+1] || a.ColIdx[up[j]] != i {
 				return false
 			}
 			up[j]++
+			iw[q] = int32(j)
+			q++
 		}
 		if p < hi && a.ColIdx[p] == i {
 			p++
 		}
-		up[i] = p
-		for ; p+1 < hi; p++ {
-			if a.ColIdx[p+1] <= a.ColIdx[p] {
+		up[i] = int32(p)
+		for ; p < hi; p++ {
+			if p > lo && a.ColIdx[p] <= a.ColIdx[p-1] {
 				return false
 			}
+			iw[q] = int32(a.ColIdx[p])
+			q++
 		}
+		v[i].ln = q - v[i].pe
 	}
-	for j := 0; j < n; j++ {
-		if up[j] != a.RowPtr[j+1] {
+	for j := range v {
+		if int(up[j]) != a.RowPtr[j+1] {
 			return false
 		}
 	}
-	return true
-}
-
-// copyRows lays out the lists of a pattern symmetricRows accepted: each
-// row's off-diagonal columns, in order.
-func (s *quotientGraph) copyRows(a *sparse.CSR) {
-	s.iw = workspace(a.NNZ(), a.Rows)
-	var q int32
-	for i := range s.v {
-		s.v[i].pe = q
-		for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
-			if j != i {
-				s.iw[q] = int32(j)
-				q++
-			}
-		}
-		s.v[i].ln = q - s.v[i].pe
-	}
 	s.pfree = q
+	return true
 }
 
 // scatterRows lays out the lists of A ∪ Aᵀ for any other pattern: every
@@ -310,9 +303,7 @@ func (s *quotientGraph) eliminate() {
 		s.nel += nvpiv
 		v[me].nv = -nvpiv
 		pme1, pme2, degme := s.formElement(me)
-		v[me].deg = degme
-		v[me].pe = pme1
-		v[me].elen = empty
+		v[me].pe, v[me].elen = pme1, empty
 		s.wflg = s.clearFlag(s.wflg)
 		lme := s.iw[pme1 : pme2+1]
 		s.externalDegrees(lme)

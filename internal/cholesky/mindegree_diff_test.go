@@ -200,9 +200,9 @@ func FuzzMinDegree(f *testing.F) {
 	})
 }
 
-// symmetricRows picks MinDegree's list layout: only a pattern that is its
-// own transpose, each row strictly ascending, skips the scatter.
-func TestSymmetricRows(t *testing.T) {
+// copyRows accepts, and so spares the scatter, only a pattern that is its
+// own transpose with each row strictly ascending.
+func TestCopyRowsAcceptsSymmetricPatterns(t *testing.T) {
 	csr := func(ptr, col []int) *sparse.CSR {
 		return &sparse.CSR{Rows: len(ptr) - 1, Cols: len(ptr) - 1, RowPtr: ptr, ColIdx: col, Val: make([]float64, len(col))}
 	}
@@ -220,8 +220,10 @@ func TestSymmetricRows(t *testing.T) {
 		{"descending upper", csr([]int{0, 3, 5, 7}, []int{0, 2, 1, 0, 1, 0, 2}), false},
 		{"repeated", csr([]int{0, 3, 5}, []int{0, 1, 1, 0, 1}), false},
 	} {
-		if got := symmetricRows(c.a); got != c.want {
-			t.Errorf("%s: symmetricRows = %v, want %v", c.name, got, c.want)
+		n := c.a.Rows
+		s := &quotientGraph{v: make([]node, n), head: make([]int32, n)}
+		if got := s.copyRows(c.a); got != c.want {
+			t.Errorf("%s: copyRows = %v, want %v", c.name, got, c.want)
 		}
 		// Either layout orders the pattern of A ∪ Aᵀ.
 		checkMinDegree(t, c.name, c.a, 1.05)
