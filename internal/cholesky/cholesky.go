@@ -572,7 +572,11 @@ func NewLapSolver(g *graph.Graph) (*LapSolver, error) {
 // NewLapSolverOrdered factors with a caller-supplied elimination order
 // of the reduced (n-1)-vertex system instead of minimum degree. The
 // dynamic maintainer passes NDOrder for a near-tree sparsifier, whose
-// logarithmic elimination tree keeps the paths ApplyEdge walks short. The
+// logarithmic elimination tree keeps the paths ApplyEdge walks short.
+// Skipping MinDegree saves about two thirds of a numeric pass: on the
+// σ² = 100 sparsifier of a 192² grid, ≈ 10 ms of ordering against
+// ≈ 15 ms of factorization (BenchmarkMinDegree, BenchmarkFactorNumeric,
+// 2-core Xeon). The
 // permutation is validated; a wrong length or a non-permutation is an
 // error, and a single vertex's order is empty (nil, as NDOrder returns it,
 // included).

@@ -397,7 +397,8 @@ func FuzzFactorSolve(f *testing.F) {
 }
 
 // The int32 limit cannot be reached by a test-sized factor, so the check
-// is pinned as the pure function the three entry points call.
+// is pinned as the pure function its callers share: FactorCSR, newLapSolver,
+// MinDegree's workspace and pattern growth.
 func TestIndexableLimit(t *testing.T) {
 	for _, c := range []struct {
 		count int

@@ -48,10 +48,11 @@ func MinDegree(a *sparse.CSR) []int {
 }
 
 // quotientLen is the length of MinDegree's workspace for n vertices
-// whose lists start out with entries entries in all: a fifth of that again
-// as elbow room, and n. A symmetric pattern lists its off-diagonal
-// entries; any other lists every off-diagonal entry in both directions
-// before the duplicates are dropped.
+// whose lists are laid out from entries matrix entries: those, a fifth of
+// them again as elbow room, and n. A symmetric pattern's lists are its
+// rows (entries = nnz(A), the diagonal's share left spare); any other
+// pattern lists each off-diagonal entry in both directions before the
+// duplicates are dropped (entries = twice the off-diagonal count).
 func quotientLen(entries, n int) int {
 	return entries + entries/5 + n
 }
