@@ -25,9 +25,9 @@
 // benchmark workload.
 //
 // FactorCSR reads A through the order: each pass gathers row k of P·A·Pᵀ
-// from row perm[k] of A when it needs it, and the numeric pass sorts the
-// gathered row, so no permuted copy of A is stored and the floats are
-// those a stored copy gave.
+// from row perm[k] of A when it needs it, and the numeric pass scatters
+// the gathered row's values and sorts its columns, so no permuted copy of
+// A is stored and the floats are those a stored copy gave.
 //
 // The factor is stored compactly and its kernels know where it is dense.
 // A column is at most two streams. Its diagonal and the off-diagonal
@@ -80,7 +80,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"graphspar/internal/graph"
 	"graphspar/internal/sparse"
@@ -169,8 +169,7 @@ type permutedRows struct {
 	a    *sparse.CSR
 	perm []int
 	inv  []int32
-	cols []int32   // the gathered row's columns left of the diagonal
-	vals []float64 // their values, when asked for
+	cols []int32 // the gathered row's columns left of the diagonal
 }
 
 // lower gathers row k's columns left of the diagonal, in A's order.
@@ -186,12 +185,13 @@ func (r *permutedRows) lower(k int) []int32 {
 	return r.cols
 }
 
-// sorted gathers row k left of the diagonal in ascending column order,
-// with its values, and returns the diagonal too (zero if none is stored).
-// Equal columns keep A's order, as a stable sort of the row would.
-func (r *permutedRows) sorted(k int) (cols []int32, vals []float64, diag float64) {
+// sorted gathers row k's columns left of the diagonal in ascending order,
+// scatters their values into x and returns the diagonal (zero if none is
+// stored). A column stored twice keeps its last value, in A's order, as
+// scattering a stored copy's row in order did.
+func (r *permutedRows) sorted(k int, x []float64) (cols []int32, diag float64) {
 	a := r.a
-	cols, vals = r.cols[:0], r.vals[:0]
+	cols = r.cols[:0]
 	old := r.perm[k]
 	for p := a.RowPtr[old]; p < a.RowPtr[old+1]; p++ {
 		v := a.Val[p]
@@ -201,38 +201,14 @@ func (r *permutedRows) sorted(k int) (cols []int32, vals []float64, diag float64
 		switch j := r.inv[a.ColIdx[p]]; {
 		case int(j) < k:
 			cols = append(cols, j)
-			vals = append(vals, v)
+			x[j] = v
 		case int(j) == k:
 			diag = v
 		}
 	}
-	if len(cols) > 32 {
-		sort.Stable(byColumn{cols, vals})
-	} else {
-		for q := 1; q < len(cols); q++ { // insertion sort
-			c, v := cols[q], vals[q]
-			t := q
-			for ; t > 0 && cols[t-1] > c; t-- {
-				cols[t], vals[t] = cols[t-1], vals[t-1]
-			}
-			cols[t], vals[t] = c, v
-		}
-	}
-	r.cols, r.vals = cols, vals
-	return cols, vals, diag
-}
-
-// byColumn sorts a gathered row's columns, values alongside.
-type byColumn struct {
-	cols []int32
-	vals []float64
-}
-
-func (b byColumn) Len() int           { return len(b.cols) }
-func (b byColumn) Less(i, j int) bool { return b.cols[i] < b.cols[j] }
-func (b byColumn) Swap(i, j int) {
-	b.cols[i], b.cols[j] = b.cols[j], b.cols[i]
-	b.vals[i], b.vals[j] = b.vals[j], b.vals[i]
+	slices.Sort(cols)
+	r.cols = cols
+	return cols, diag
 }
 
 // etreeRow extends the elimination tree by row k, given the row's columns
@@ -390,11 +366,8 @@ func FactorCSR(a *sparse.CSR, perm []int) (*Factor, error) {
 		// Row k in ascending column order: ereach's pattern order, and so
 		// the order the accumulator is updated in, is the one a stored
 		// permuted matrix gave, bit for bit.
-		cols, vals, d := rows.sorted(k)
+		cols, d := rows.sorted(k, x)
 		top := ereach(cols, k, parent, s, w, stack)
-		for q, j := range cols { // scatter row k left of the diagonal
-			x[j] = vals[q]
-		}
 		for t := top; t < n; t++ {
 			i := s[t]
 			lo, hi := int(colPtr[i]), colNext[i]
@@ -573,9 +546,9 @@ func NewLapSolver(g *graph.Graph) (*LapSolver, error) {
 // of the reduced (n-1)-vertex system instead of minimum degree. The
 // dynamic maintainer passes NDOrder for a near-tree sparsifier, whose
 // logarithmic elimination tree keeps the paths ApplyEdge walks short.
-// Skipping MinDegree saves about two thirds of a numeric pass: on the
-// σ² = 100 sparsifier of a 192² grid, ≈ 10 ms of ordering against
-// ≈ 15 ms of factorization (BenchmarkMinDegree, BenchmarkFactorNumeric,
+// Skipping MinDegree saves about four fifths of a numeric pass: on the
+// σ² = 100 sparsifier of a 192² grid, ≈ 13–14 ms of ordering against
+// ≈ 16–18 ms of factorization (BenchmarkMinDegree, BenchmarkFactorNumeric,
 // 2-core Xeon). The
 // permutation is validated; a wrong length or a non-permutation is an
 // error, and a single vertex's order is empty (nil, as NDOrder returns it,
@@ -618,7 +591,8 @@ func newLapSolver(g *graph.Graph, perm []int) (*LapSolver, error) {
 	red := reducedLaplacianCSR(g)
 	// Minimum degree keeps near-tree sparsifier factors nearly fill-free.
 	if perm == nil {
-		if err := checkIndexable("ordering workspace", quotientLen(red.NNZ(), red.Rows)); err != nil {
+		// Every row stores its diagonal; the rest is scattered twice.
+		if err := checkIndexable("ordering workspace", quotientLen(2*(red.NNZ()-red.Rows), red.Rows)); err != nil {
 			return nil, err
 		}
 		perm = MinDegree(red)

@@ -186,6 +186,57 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// TestFactorIgnoresStoredZerosAndRepeats: FactorCSR gathers its rows
+// from A itself, so a stored zero and a column stored twice must come out
+// as they did from a stored permuted copy (matrix.Permute): the zero
+// dropped from the pattern, the repeat's last value kept. The factor is
+// the oracle's of the same matrix bit for bit, and the oracle's of the
+// matrix without those entries, pattern included.
+func TestFactorIgnoresStoredZerosAndRepeats(t *testing.T) {
+	clean := reducedLaplacianCSR(mustGraph(t)(gen.Grid2D(9, 9, gen.UniformWeights, 1)))
+	// 0 and 40 are not grid neighbors; 10 and 11 are, and their first copy
+	// carries a value the second overrides.
+	type add struct {
+		i, j int
+		v    float64
+	}
+	extra := []add{{0, 40, 0}, {40, 0, 0}, {10, 11, -123}, {11, 10, -123}}
+	a := &sparse.CSR{Rows: clean.Rows, Cols: clean.Cols, RowPtr: make([]int, clean.Rows+1)}
+	for i := 0; i < clean.Rows; i++ {
+		for _, e := range extra {
+			if e.i == i {
+				a.ColIdx, a.Val = append(a.ColIdx, e.j), append(a.Val, e.v)
+			}
+		}
+		lo, hi := clean.RowPtr[i], clean.RowPtr[i+1]
+		a.ColIdx, a.Val = append(a.ColIdx, clean.ColIdx[lo:hi]...), append(a.Val, clean.Val[lo:hi]...)
+		a.RowPtr[i+1] = len(a.ColIdx)
+	}
+	reversed := make([]int, clean.Rows)
+	for i := range reversed {
+		reversed[i] = clean.Rows - 1 - i
+	}
+	for _, order := range []struct {
+		name string
+		perm []int
+	}{{"mindegree", MinDegree(clean)}, {"reversed", reversed}} {
+		f, err := FactorCSR(a, order.perm)
+		if err != nil {
+			t.Fatalf("%s: %v", order.name, err)
+		}
+		for _, m := range []struct {
+			name string
+			a    *sparse.CSR
+		}{{"same matrix", a}, {"without the extra entries", clean}} {
+			ref, err := factorCSRRef(m.a, order.perm)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", order.name, err)
+			}
+			checkFactor(t, order.name+"/"+m.name, f, ref)
+		}
+	}
+}
+
 // TestSweepHalvesMatchReference: the factor-coordinate methods Lanczos
 // runs on. Forward and Backward are each the oracle's half of the old
 // sweep bit for bit (so Forward then Backward is that sweep); Coord maps
@@ -410,9 +461,10 @@ func TestIndexableLimit(t *testing.T) {
 		{math.MaxInt32 + 1, false},
 		{math.MaxInt64, false},
 		// The ordering workspace of a grounded Laplacian whose nnz and
-		// dimension fit int32 can still exceed it: nnz plus a fifth.
-		{quotientLen(1<<30, 1<<26), true},
-		{quotientLen(1<<31-1<<28, 1<<28), false},
+		// dimension fit int32 can still exceed it: its off-diagonal
+		// entries twice, plus n.
+		{quotientLen(2*(1<<29-1<<26), 1<<26), true},
+		{quotientLen(2*(1<<30+1<<28-1<<26), 1<<26), false},
 	} {
 		err := checkIndexable("nnz(L)", c.count)
 		if (err == nil) != c.ok {

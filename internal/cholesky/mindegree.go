@@ -48,28 +48,19 @@ func MinDegree(a *sparse.CSR) []int {
 }
 
 // quotientLen is the length of MinDegree's workspace for n vertices
-// whose lists are laid out from entries matrix entries: those, a fifth of
-// them again as elbow room, and n. A symmetric pattern's lists are its
-// rows (entries = nnz(A), the diagonal's share left spare); any other
-// pattern lists each off-diagonal entry in both directions before the
-// duplicates are dropped (entries = twice the off-diagonal count).
+// whose lists are scattered from entries list entries: those and n. Each
+// off-diagonal entry of A is scattered to both of its vertices' lists
+// before the duplicates are dropped, so entries is twice A's off-diagonal
+// count. A symmetric pattern's lists fill half of it once deduplicated,
+// and the rest is elbow room; past the lists, the elimination needs n
+// entries at the least (TestMinDegreeCompressionKeepsOrder).
 func quotientLen(entries, n int) int {
-	return entries + entries/5 + n
+	return entries + n
 }
 
-// workspace allocates the quotient graph's workspace. A caller that can
-// refuse the system checks quotientLen first (newLapSolver does); here a
-// workspace past int32 offsets is a broken precondition.
-func workspace(entries, n int) []int32 {
-	size := quotientLen(entries, n)
-	if err := checkIndexable("ordering workspace", size); err != nil {
-		panic(err)
-	}
-	return make([]int32, size)
-}
-
-// maxHash caps the hash table the supervariable search buckets Lme in.
-// Only the variables of one element are in it at a time, so a table that
+// maxHash caps the hash table the supervariable search buckets Lme in:
+// it has the power of two at or above n buckets, at most maxHash. Only
+// the variables of one element are in it at a time, so a table that
 // stays in cache serves better than one slot per vertex.
 const maxHash = 1 << 12
 
@@ -120,14 +111,11 @@ func newQuotientGraph(a *sparse.CSR) *quotientGraph {
 		n:      int32(n),
 		v:      make([]node, n),
 		head:   make([]int32, n),
-		hhead:  make([]int32, 1<<bits.Len(uint(min(n, maxHash)))),
+		hhead:  make([]int32, 1<<bits.Len(uint(min(max(n, 1), maxHash)-1))),
 		wbig:   math.MaxInt32 - int32(n),
 		pivots: make([]int32, 0, n),
 	}
-	if !s.copyRows(a) {
-		clear(s.v)
-		s.scatterRows(a)
-	}
+	s.scatterRows(a)
 	v := s.v
 	dense := int32(max(16, 10*math.Sqrt(float64(n))))
 	for i := range v {
@@ -154,56 +142,11 @@ func newQuotientGraph(a *sparse.CSR) *quotientGraph {
 	return s
 }
 
-// copyRows lays out each row's off-diagonal columns, in order, as its
-// list, and reports whether that is the pattern of A ∪ Aᵀ: whether every
-// row lists its columns strictly ascending and A's pattern equals Aᵀ's,
-// the shape of every matrix the product orders. It checks as it copies.
-// A cursor per row (in head, which the queue does not use yet) stays on
-// the row's first entry right of the diagonal not yet matched; entry
-// (i,j), j < i, must find (j,i) at row j's cursor, and every cursor must
-// reach its row's end.
-func (s *quotientGraph) copyRows(a *sparse.CSR) bool {
-	s.iw = workspace(a.NNZ(), a.Rows)
-	iw, v, up := s.iw, s.v, s.head
-	var q int32
-	for i := range v {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		v[i].pe = q
-		p := lo
-		for ; p < hi && a.ColIdx[p] < i; p++ {
-			j := a.ColIdx[p]
-			if p > lo && j <= a.ColIdx[p-1] || int(up[j]) == a.RowPtr[j+1] || a.ColIdx[up[j]] != i {
-				return false
-			}
-			up[j]++
-			iw[q] = int32(j)
-			q++
-		}
-		if p < hi && a.ColIdx[p] == i {
-			p++
-		}
-		up[i] = int32(p)
-		for ; p < hi; p++ {
-			if p > lo && a.ColIdx[p] <= a.ColIdx[p-1] {
-				return false
-			}
-			iw[q] = int32(a.ColIdx[p])
-			q++
-		}
-		v[i].ln = q - v[i].pe
-	}
-	for j := range v {
-		if int(up[j]) != a.RowPtr[j+1] {
-			return false
-		}
-	}
-	s.pfree = q
-	return true
-}
-
-// scatterRows lays out the lists of A ∪ Aᵀ for any other pattern: every
-// off-diagonal (i,j) scattered to the lists of i and j, then the lists
-// packed to the front without duplicates, with a marker.
+// scatterRows lays out the lists of A ∪ Aᵀ: every off-diagonal (i,j)
+// scattered to the lists of i and j, then the lists packed to the front
+// without duplicates, with a marker. Each list keeps the first occurrence
+// of every neighbor, so a symmetric pattern with ascending rows lists
+// each row's columns in order.
 func (s *quotientGraph) scatterRows(a *sparse.CSR) {
 	n, v := a.Rows, s.v
 	scattered := 0
@@ -216,33 +159,45 @@ func (s *quotientGraph) scatterRows(a *sparse.CSR) {
 			}
 		}
 	}
-	s.iw = workspace(scattered, n)
+	// A caller that can refuse the system checks quotientLen first
+	// (newLapSolver does); here a workspace past int32 offsets is a broken
+	// precondition.
+	size := quotientLen(scattered, n)
+	if err := checkIndexable("ordering workspace", size); err != nil {
+		panic(err)
+	}
+	s.iw = make([]int32, size)
 	iw := s.iw
+	// head, whose buckets are filled only afterwards, holds each list's
+	// scatter cursor, then the dedup marker: int32s side by side, where the
+	// nodes' fields lie 32 bytes apart.
+	cur := s.head
 	var t int32
-	for i := range v {
-		v[i].pe = t // the scatter cursor, then the end of the list
+	for i := range cur {
+		cur[i] = t
 		t += v[i].ln
 	}
 	for i := 0; i < n; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			if j := a.ColIdx[p]; j != i {
-				iw[v[i].pe] = int32(j)
-				v[i].pe++
-				iw[v[j].pe] = int32(i)
-				v[j].pe++
+				iw[cur[i]] = int32(j)
+				cur[i]++
+				iw[cur[j]] = int32(i)
+				cur[j]++
 			}
 		}
 	}
-	for i := range v {
-		v[i].w = empty
+	mark := cur
+	for i := range mark {
+		mark[i] = empty
 	}
 	var q, src int32
 	for i := range v {
-		end := v[i].pe
+		end := src + v[i].ln
 		v[i].pe = q
 		for ; src < end; src++ { // each list is read ahead of where it is written
-			if j := iw[src]; v[j].w != int32(i) {
-				v[j].w = int32(i)
+			if j := iw[src]; mark[j] != int32(i) {
+				mark[j] = int32(i)
 				iw[q] = j
 				q++
 			}

@@ -199,33 +199,3 @@ func FuzzMinDegree(f *testing.F) {
 		checkMinDegree(t, "fuzz", patternFromBytes(data), 1.25)
 	})
 }
-
-// copyRows accepts, and so spares the scatter, only a pattern that is its
-// own transpose with each row strictly ascending.
-func TestCopyRowsAcceptsSymmetricPatterns(t *testing.T) {
-	csr := func(ptr, col []int) *sparse.CSR {
-		return &sparse.CSR{Rows: len(ptr) - 1, Cols: len(ptr) - 1, RowPtr: ptr, ColIdx: col, Val: make([]float64, len(col))}
-	}
-	for _, c := range []struct {
-		name string
-		a    *sparse.CSR
-		want bool
-	}{
-		{"symmetric", csr([]int{0, 2, 5, 7}, []int{0, 1, 0, 1, 2, 1, 2}), true},
-		{"no diagonal", csr([]int{0, 1, 3, 4}, []int{1, 0, 2, 1}), true},
-		{"empty", csr([]int{0}, nil), true},
-		{"missing (1,0)", csr([]int{0, 2, 4, 6}, []int{0, 1, 1, 2, 1, 2}), false},
-		{"missing (0,1)", csr([]int{0, 1, 4, 6}, []int{0, 0, 1, 2, 1, 2}), false},
-		{"descending lower", csr([]int{0, 2, 4, 7}, []int{0, 2, 1, 2, 1, 0, 2}), false},
-		{"descending upper", csr([]int{0, 3, 5, 7}, []int{0, 2, 1, 0, 1, 0, 2}), false},
-		{"repeated", csr([]int{0, 3, 5}, []int{0, 1, 1, 0, 1}), false},
-	} {
-		n := c.a.Rows
-		s := &quotientGraph{v: make([]node, n), head: make([]int32, n)}
-		if got := s.copyRows(c.a); got != c.want {
-			t.Errorf("%s: copyRows = %v, want %v", c.name, got, c.want)
-		}
-		// Either layout orders the pattern of A ∪ Aᵀ.
-		checkMinDegree(t, c.name, c.a, 1.05)
-	}
-}
