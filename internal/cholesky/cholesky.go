@@ -1,11 +1,12 @@
 // Package cholesky implements a sparse Cholesky (LLᵀ) factorization in the
 // CSparse style — elimination tree, two-pass symbolic analysis via ereach,
-// up-looking numeric factorization — plus approximate minimum degree
-// (AMD) and nested-dissection orderings and a grounded-Laplacian solver
-// (AMD ordered). It stands in for the CHOLMOD direct solver the paper
-// uses as the Table 3 baseline, whose default ordering is AMD too, and
-// factors ultra-sparse sparsifier Laplacians as PCG preconditioners
-// (Table 2).
+// up-looking numeric factorization — plus an approximate minimum degree
+// (AMD) ordering and a grounded-Laplacian solver ordered by it. AMD is the
+// package's one ordering: every factorization the product makes, a
+// stream's refactorizations included, is AMD-ordered. It stands in for the
+// CHOLMOD direct solver the paper uses as the Table 3 baseline, whose
+// default ordering is AMD too, and factors ultra-sparse sparsifier
+// Laplacians as PCG preconditioners (Table 2).
 //
 // The ordering, MinDegree, is the AMD algorithm of Amestoy, Davis & Duff
 // (SIAM J. Matrix Anal. Appl. 17(4), 1996) on a quotient graph: eliminated
@@ -543,15 +544,14 @@ func NewLapSolver(g *graph.Graph) (*LapSolver, error) {
 }
 
 // NewLapSolverOrdered factors with a caller-supplied elimination order
-// of the reduced (n-1)-vertex system instead of minimum degree. The
-// dynamic maintainer passes NDOrder for a near-tree sparsifier, whose
-// logarithmic elimination tree keeps the paths ApplyEdge walks short.
+// of the reduced (n-1)-vertex system instead of minimum degree. No product
+// path calls it: tests use it to factor under an order of their choosing,
+// NewLapSolver's own for a same-order reference or one AMD would not pick.
 // Skipping MinDegree saves about four fifths of a numeric pass: on the
 // σ² = 100 sparsifier of a 192² grid, ≈ 13–14 ms of ordering against
 // ≈ 16–18 ms of factorization (BenchmarkMinDegree, BenchmarkFactorNumeric,
-// 2-core Xeon). The
-// permutation is validated; a wrong length or a non-permutation is an
-// error, and a single vertex's order is empty (nil, as NDOrder returns it,
+// 2-core Xeon). The permutation is validated; a wrong length or a
+// non-permutation is an error, and a single vertex's order is empty (nil
 // included).
 func NewLapSolverOrdered(g *graph.Graph, perm []int) (*LapSolver, error) {
 	if err := validatePerm(perm, g.N()-1); err != nil {
@@ -560,6 +560,9 @@ func NewLapSolverOrdered(g *graph.Graph, perm []int) (*LapSolver, error) {
 	return newLapSolver(g, perm)
 }
 
+// validatePerm accepts perm as an elimination order of want indices
+// (perm[new] = old): a permutation of 0..want-1, which for want = 0 is
+// empty or nil.
 func validatePerm(perm []int, want int) error {
 	if perm == nil && want > 0 {
 		return errors.New("cholesky: nil permutation")

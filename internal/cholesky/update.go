@@ -14,9 +14,9 @@ import (
 // Carlson/Gill–Golub–Murray sparse row algorithm: hyperbolic (downdate) or
 // Givens-like (update) rotations applied only along the elimination-tree
 // path from the first nonzero of P·v to the root, so the cost is the fill
-// of that path — O(polylog n) under a nested-dissection order on
-// sparsifier-shaped matrices — rather than a full refactorization, and
-// never O(n).
+// of that path rather than a full refactorization. Under minimum degree
+// that path is short on sparsifiers with off-tree edges; on a bare tree it
+// can run as deep as the tree's diameter.
 //
 // v is given as parallel index/value slices (indices in the matrix's
 // original, pre-permutation space, no duplicates). The path starts at the

@@ -86,8 +86,8 @@ func publishBenchResult(b *testing.B, name string, metrics map[string]float64) {
 }
 
 // localState is one prepared BenchmarkLocalUpdate instance: a graph, a
-// synthetic sparsifier (backbone plus every 4th off-tree edge), its
-// ND-ordered factor, and the edges the toggle loop perturbs.
+// synthetic sparsifier (backbone plus `keep` off-tree edges), its
+// minimum-degree factor, and the edges the toggle loop perturbs.
 type localState struct {
 	g, p        *graph.Graph
 	ls          *cholesky.LapSolver
@@ -116,15 +116,13 @@ func localSetup(name string, keep int, build func() (*graph.Graph, error)) *loca
 		s.err = err
 		return s
 	}
-	// Backbone plus `keep` off-tree edges. The quantity the flat-cost claim
-	// is about is the fill crossing the top of the centroid hierarchy — the
-	// etree spine every update path traverses — so the cases hold that
-	// crossing load comparable rather than the raw off-tree count: grid
-	// chords are local (their fill dies out low in the hierarchy; probing
-	// grids 256→1024 at fixed keep shows path fill flat-to-decreasing),
-	// while every SBM chord is global and lands on the spine, so the SBM
-	// case keeps proportionally fewer. Scaling off-tree edges with n would
-	// measure the synthetic sparsifier's density, not the factor locality.
+	// Backbone plus `keep` off-tree edges. The counts were chosen for the
+	// centroid nested-dissection order the benchmark was written against,
+	// to hold the fill crossing the top of its hierarchy comparable across
+	// sizes: grid chords are local, every SBM chord is global, so the SBM
+	// case keeps proportionally fewer. At a fixed keep, grid1024 (n/1024
+	// off-tree edges) is nearly a bare tree, whose minimum-degree
+	// elimination tree runs as deep as the backbone (ROADMAP finding 6).
 	div := 1
 	if keep > 0 && len(offIDs) > keep {
 		div = len(offIDs) / keep
@@ -142,7 +140,7 @@ func localSetup(name string, keep int, build func() (*graph.Graph, error)) *loca
 	if s.err != nil {
 		return s
 	}
-	s.ls, s.err = cholesky.NewLapSolverOrdered(s.p, cholesky.NDOrder(s.p))
+	s.ls, s.err = cholesky.NewLapSolver(s.p)
 	if s.err != nil {
 		return s
 	}
@@ -165,7 +163,7 @@ func localSetup(name string, keep int, build func() (*graph.Graph, error)) *loca
 			return s
 		}
 	}
-	fresh, err := cholesky.NewLapSolverOrdered(s.p, cholesky.NDOrder(s.p))
+	fresh, err := cholesky.NewLapSolver(s.p)
 	if err != nil {
 		s.err = err
 		return s
@@ -214,14 +212,15 @@ func localSetup(name string, keep int, build func() (*graph.Graph, error)) *loca
 	return s
 }
 
-// BenchmarkLocalUpdate is the flat-cost proof of the incremental path:
-// per-edge ApplyEdge (a rank-1 update/downdate along the ND elimination
-// tree) is timed on graphs 16–64× the grid256 baseline. The headline
-// metric is per-update-µs; with the centroid nested-dissection order the etree path
-// an update walks grows like log n, so the cost must stay within 2× from
-// grid256 to grid1024 — asserted when BENCH_ASSERT_FLAT is set (the CI
-// bench step), alongside the per-batch numbers of
-// BenchmarkIncrementalUpdate in BENCH_dynamic.json.
+// BenchmarkLocalUpdate is the flat-cost check of the incremental path:
+// per-edge ApplyEdge (a rank-1 update/downdate along the minimum-degree
+// elimination tree) is timed on graphs 16–64× the grid256 baseline. The
+// headline metric is per-update-µs, which must stay within 2× from grid256
+// to grid1024 — asserted when BENCH_ASSERT_FLAT is set (the CI bench
+// step), alongside the per-batch numbers of BenchmarkIncrementalUpdate in
+// BENCH_dynamic.json. Minimum degree walks short paths on grid256 and
+// sbm4x8192 and a backbone-deep one on grid1024's near-bare tree, where
+// the assertion fails (ROADMAP item 34).
 func BenchmarkLocalUpdate(b *testing.B) {
 	cases := []struct {
 		name  string

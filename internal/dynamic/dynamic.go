@@ -586,33 +586,20 @@ func (m *Maintainer) refreshFactor(ctx context.Context, deltas []graph.Edge) err
 // refactor numerically factors the current sparsifier exactly once: for a
 // build, and where refreshFactor gives up on rank-1 updates (no factor,
 // the update budget, a singular downdate, the fill cap). Every
-// factorization orders afresh, so no order outlives the sparsifier it was
-// computed for. The order is picked by sparsifier shape: near-tree
-// sparsifiers get centroid nested dissection, whose O(log n)-height
-// elimination trees keep ApplyEdge's update walks short; denser ones get
-// minimum degree — with many off-tree edges the ND fill (and with it both
-// factorization and update-path cost) explodes, while min-degree stays
-// near-optimal and its deeper etree paths remain cheap because the columns
-// stay short.
+// factorization is cholesky.NewLapSolver's, ordered afresh by approximate
+// minimum degree, so no order outlives the sparsifier it was computed for.
 //
 // built is nil, or the factor a build's plan ended on: cholesky.NewLapSolver
-// on m.p, which is the minimum-degree factorization this call would make,
-// so it is adopted in that case instead of made again. Every factorization
-// runs under a "factor" span.
+// on m.p, the factorization this call would make, so it is adopted instead
+// of made again. Every factorization runs under a "factor" span.
 func (m *Maintainer) refactor(ctx context.Context, built *cholesky.LapSolver) error {
 	m.updatesSinceFactor = 0
 	m.stats.FactorRebuilds++
-	nearTree := (m.p.M()-(m.p.N()-1))*32 <= m.p.N()
 	solver := built
-	if solver == nil || nearTree {
+	if solver == nil {
 		defer obs.StartSpan(ctx, obs.PhaseFactor).End()
 		var err error
-		if nearTree {
-			solver, err = cholesky.NewLapSolverOrdered(m.p, cholesky.NDOrder(m.p))
-		} else {
-			solver, err = cholesky.NewLapSolver(m.p)
-		}
-		if err != nil {
+		if solver, err = cholesky.NewLapSolver(m.p); err != nil {
 			return fmt.Errorf("dynamic: sparsifier factorization: %w", err)
 		}
 	}

@@ -203,33 +203,72 @@ func TestFactorSpans(t *testing.T) {
 	})
 }
 
-// TestRefactorOrdersAfresh: after 40 of BenchmarkChurnApply's churn
-// batches on the 128² grid at σ² = 100 — admitted inserts and tree repairs
-// grow the factor's pattern, budget refactors come and go — a forced
-// refactorization is cholesky.NewLapSolver of the sparsifier: the same
-// nnz(L), and solves equal bit for bit. A refactorization under the
-// build's elimination order would carry the fill that order accrues as
-// the sparsifier drifts away from the one it was computed for.
+// TestRefactorOrdersAfresh: a forced refactorization is
+// cholesky.NewLapSolver of the sparsifier — the same nnz(L), and solves
+// equal bit for bit — on two streams. After 40 of BenchmarkChurnApply's
+// churn batches on the 128² grid at σ² = 100 (admitted inserts and tree
+// repairs grow the factor's pattern, budget refactors come and go), a
+// refactorization under the build's elimination order would carry the
+// fill that order accrues as the sparsifier drifts away from the one it
+// was computed for. On TestIncrementalFactorUpdatesUsed's barbell stream
+// (n = 25) every state whose sparsifier is within n/32 edges of its
+// spanning tree — the build's and later ones — is refactored the same way.
 func TestRefactorOrdersAfresh(t *testing.T) {
-	const side = 128
-	g, err := gen.Grid2D(side, side, gen.UniformWeights, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	m, err := dynamic.New(ctx, g, engine.Options{Sparsify: core.Options{SigmaSq: benchSigmaSq, Seed: 1}, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := vecmath.NewRNG(1)
-	for i := 0; i < 40; i++ {
-		if err := m.Apply(ctx, churnBatch(t, m.Graph(), side, rng)); err != nil {
+	t.Run("churned", func(t *testing.T) {
+		const side = 128
+		g, err := gen.Grid2D(side, side, gen.UniformWeights, 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if st := m.Stats(); st.Rebuilds != 0 {
-		t.Fatalf("the batches took %d full rebuilds; the case needs the build's order to age", st.Rebuilds)
-	}
+		m, err := dynamic.New(ctx, g, engine.Options{Sparsify: core.Options{SigmaSq: benchSigmaSq, Seed: 1}, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := vecmath.NewRNG(1)
+		for i := 0; i < 40; i++ {
+			if err := m.Apply(ctx, churnBatch(t, m.Graph(), side, rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := m.Stats(); st.Rebuilds != 0 {
+			t.Fatalf("the batches took %d full rebuilds; the case needs the build's order to age", st.Rebuilds)
+		}
+		requireFreshRefactor(t, m)
+	})
+	t.Run("near-tree", func(t *testing.T) {
+		const sigmaSq = 60
+		g, err := testkit.Cases()[2].Build(9) // the barbell, n = 25
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := dynamic.New(ctx, g, engine.Options{Sparsify: core.Options{SigmaSq: sigmaSq, Seed: 9}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := vecmath.NewRNG(4242)
+		checked := 0
+		for i := 0; i < 32; i++ {
+			if p := m.Sparsifier(); (p.M()-(p.N()-1))*32 <= p.N() {
+				requireFreshRefactor(t, m)
+				checked++
+			}
+			err := m.Apply(ctx, testkit.RandomBatch(m.Graph(), rng, 1+rng.Intn(4)))
+			if err != nil && !errors.Is(err, dynamic.ErrWouldDisconnect) {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+		}
+		if checked < 2 {
+			t.Fatalf("the stream's sparsifier was within n/32 edges of its tree %d times; the case needs the build and a later state", checked)
+		}
+	})
+}
+
+// requireFreshRefactor forces a refactorization of m and requires it to
+// be cholesky.NewLapSolver of m's sparsifier: the same nnz(L), and solves
+// equal bit for bit.
+func requireFreshRefactor(t *testing.T, m *dynamic.Maintainer) {
+	t.Helper()
 	if err := m.Refactor(); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +279,7 @@ func TestRefactorOrdersAfresh(t *testing.T) {
 	if got, want := m.FactorNNZ(), fresh.FactorNNZ(); got != want {
 		t.Fatalf("refactored factor has %d entries, a fresh order's %d (%.2f×)", got, want, float64(got)/float64(want))
 	}
-	n := g.N()
+	n := m.Sparsifier().N()
 	b, x, y := make([]float64, n), make([]float64, n), make([]float64, n)
 	for i := range b {
 		b[i] = math.Sin(float64(5*i + 2))
