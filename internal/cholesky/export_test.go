@@ -18,16 +18,6 @@ func (f *Factor) RunShare() float64 {
 	return float64(len(f.run)) / float64(f.NNZ())
 }
 
-// ColCounts is each factor column's entry count, diagonal included: the
-// column counts of the symbolic pass, read back from the layout.
-func (f *Factor) ColCounts() []int {
-	c := make([]int, f.n)
-	for j := range c {
-		c[j] = int(f.colPtr[j+1]-f.colPtr[j]) + int(f.runPtr[j+1]-f.runPtr[j])
-	}
-	return c
-}
-
 // Pattern lists each factor column's rows, diagonal first, in the
 // factor's coordinates.
 func (ls *LapSolver) Pattern() [][]int32 {

@@ -275,38 +275,28 @@ func BenchmarkLapSolverFactorSparsifier(b *testing.B) {
 // BenchmarkFactorNumeric is the factorization with the ordering taken
 // out: symbolic + numeric passes of FactorCSR under a fixed
 // minimum-degree order. run_share is the fraction of nnz(L) the kernels
-// walk as slices instead of gathering; flops/op is the factorization's
-// work, Σ_j c_j² over the factor's column counts c_j (diagonal included),
-// which the same matrix and order repeat exactly.
+// walk as slices instead of gathering.
 func BenchmarkFactorNumeric(b *testing.B) {
 	for _, c := range benchSparsifiers(b) {
 		b.Run(c.name, func(b *testing.B) {
 			red := cholesky.ReducedLaplacianCSR(c.p)
 			perm := cholesky.MinDegree(red)
-			var f *cholesky.Factor
+			var share float64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var err error
-				if f, err = cholesky.FactorCSR(red, perm); err != nil {
+				f, err := cholesky.FactorCSR(red, perm)
+				if err != nil {
 					b.Fatal(err)
 				}
 				benchSink += f.NNZ()
+				share = f.RunShare()
 			}
-			b.StopTimer()
-			flops := 0
-			for _, c := range f.ColCounts() {
-				flops += c * c
-			}
-			b.ReportMetric(f.RunShare(), "run_share")
-			b.ReportMetric(float64(flops), "flops/op")
+			b.ReportMetric(share, "run_share")
 		})
 	}
 }
 
-// BenchmarkFactorSolve is one Laplacian solve, both triangular sweeps,
-// through NewLapSolver's factor. entries/op is the solve's work, 2·nnz(L):
-// each sweep reads every entry of L once.
 func BenchmarkFactorSolve(b *testing.B) {
 	for _, c := range benchSparsifiers(b) {
 		b.Run(c.name, func(b *testing.B) {
@@ -325,7 +315,6 @@ func BenchmarkFactorSolve(b *testing.B) {
 				ls.Solve(x, rhs)
 			}
 			b.ReportMetric(ls.RunShare(), "run_share")
-			b.ReportMetric(float64(2*ls.FactorNNZ()), "entries/op")
 		})
 	}
 }
